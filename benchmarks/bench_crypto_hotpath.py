@@ -1,20 +1,32 @@
 """Crypto hot-path acceleration: fast paths vs the naive baseline.
 
-Measures the three fast paths the acceleration layer added to
-``repro.crypto.ec`` against the pre-fast-path algorithm (kept verbatim as
-``naive_mult``: per-call window table, no precomputation):
+Measures the fast paths the acceleration layer added to ``repro.crypto.ec``
+against the pre-fast-path algorithm (kept verbatim as ``naive_mult``:
+per-call window table, no precomputation):
 
 - **fixed-base** ``g^x`` via the constant comb table (the most-multiplied
   point in the system: keygen, hashed ElGamal, ECDSA sign, HSM decrypt);
 - **cached-window** repeated mults of one long-lived public key;
 - **multi-scalar** Straus ``Σ sᵢ·Pᵢ`` vs independent mults;
 - **batched** ``EcdsaMultiSig.verify_aggregate`` (16 signers) vs the
-  sequential per-signature verification loop it replaced.
+  sequential per-signature verification loop it replaced;
+
+and the symmetric fast path under the secure-deletion tree
+(``repro.crypto.aes``/``gcm``) against the byte-wise cipher and bit-serial
+GF(2^128) multiply it replaced (kept in ``tests/reference_symmetric.py``):
+
+- **aes_block** one ``Aes128.encrypt_block`` (T-tables vs ``_gmul`` rounds);
+- **aes_key_expand** one ``Aes128(key)`` (the tree keys every node afresh);
+- **ghash_mul** one multiply by H (nibble table vs 128 bit steps);
+- **ae_node_roundtrip** ``AesGcm(key)`` + encrypt + ``AesGcm(key)`` +
+  decrypt of one 32-byte tree node with its 22-byte address AAD — the unit
+  of work ``SecureDeletionTree.delete`` repeats 3x per level.
 
 Acceptance gates (exit code 1 on regression):
 
-- full run: fixed-base ≥ 2.0x and 16-signer verify_aggregate ≥ 1.5x;
-- ``--quick`` (the CI perf-smoke lane): fixed-base ≥ 1.5x.
+- full run: fixed-base ≥ 2.0x, 16-signer verify_aggregate ≥ 1.5x,
+  aes_block ≥ 3.0x, ae_node_roundtrip ≥ 2.5x;
+- ``--quick`` (the CI perf-smoke lane): fixed-base ≥ 1.5x, aes_block ≥ 2.0x.
 
 Results go to ``benchmarks/out/crypto_hotpath.txt`` and machine-readable
 ``benchmarks/out/BENCH_crypto_hotpath.json`` (see ``_harness``).
@@ -25,14 +37,23 @@ Run standalone:  ``PYTHONPATH=src python benchmarks/bench_crypto_hotpath.py [--q
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 
 from _harness import metered_timed
 from reporting import emit, table
 
-FULL_GATES = {"fixed_base_speedup": 2.0, "verify_aggregate_speedup": 1.5}
-QUICK_GATES = {"fixed_base_speedup": 1.5}
+# The symmetric baseline is the test suite's differential reference.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+
+FULL_GATES = {
+    "fixed_base_speedup": 2.0,
+    "verify_aggregate_speedup": 1.5,
+    "aes_block_speedup": 3.0,
+    "ae_node_speedup": 2.5,
+}
+QUICK_GATES = {"fixed_base_speedup": 1.5, "aes_block_speedup": 2.0}
 
 SIGNERS = 16
 MULTI_TERMS = 8
@@ -58,6 +79,41 @@ def _naive_ecdsa_verify_loop(scheme_publics, message, aggregate):
         if affine is None or affine[0] % n != r:
             return False
     return True
+
+
+def run_symmetric(min_seconds: float) -> dict:
+    """The four symmetric rows, each beside its ``_naive`` reference row."""
+    import reference_symmetric as ref
+    from repro.crypto.aes import Aes128
+    from repro.crypto.gcm import AesGcm
+
+    rng = random.Random(0xAE5)
+    key, block, nonce = rng.randbytes(16), rng.randbytes(16), rng.randbytes(12)
+    node, aad = rng.randbytes(32), b"securedel-node" + (1234).to_bytes(8, "big")
+    x = rng.getrandbits(128)
+    fast_aes, ref_aes, fast_gcm = Aes128(key), ref.ReferenceAes128(key), AesGcm(key)
+    h = int.from_bytes(ref_aes.encrypt_block(bytes(16)), "big")
+    assert fast_aes.encrypt_block(block) == ref_aes.encrypt_block(block)
+    assert fast_gcm._mul_h(x) == ref.gf128_mul(x, h)
+
+    def node_roundtrip(gcm_class):
+        sealed = gcm_class(key).encrypt(nonce, node, aad)
+        assert gcm_class(key).decrypt(nonce, sealed, aad) == node
+
+    pairs = {
+        "aes_block": (lambda: fast_aes.encrypt_block(block), lambda: ref_aes.encrypt_block(block)),
+        "aes_key_expand": (lambda: Aes128(key), lambda: ref.ReferenceAes128(key)),
+        "ghash_mul": (lambda: fast_gcm._mul_h(x), lambda: ref.gf128_mul(x, h)),
+        "ae_node_roundtrip": (
+            lambda: node_roundtrip(AesGcm),
+            lambda: node_roundtrip(ref.ReferenceAesGcm),
+        ),
+    }
+    records = {}
+    for label, (fast, reference) in pairs.items():
+        records[label] = metered_timed(fast, min_seconds)
+        records[f"{label}_naive"] = metered_timed(reference, min_seconds)
+    return records
 
 
 def run(min_seconds: float) -> dict:
@@ -126,11 +182,13 @@ def main(argv=None) -> int:
     min_seconds = args.min_seconds or (0.15 if args.quick else 0.6)
 
     records = run(min_seconds)
+    records.update(run_symmetric(min_seconds))
     speedups = {
-        f"{label}_speedup": (
-            records[label]["ops_per_sec"] / records[f"{label}_naive"]["ops_per_sec"]
+        f"{label.removesuffix('_roundtrip')}_speedup": (
+            record["ops_per_sec"] / records[f"{label}_naive"]["ops_per_sec"]
         )
-        for label in ("fixed_base", "cached_window", "multi_scalar", "verify_aggregate")
+        for label, record in records.items()
+        if f"{label}_naive" in records
     }
 
     rows = []
@@ -140,7 +198,7 @@ def main(argv=None) -> int:
                 label,
                 record["ops"],
                 f"{record['ops_per_sec']:,.1f}",
-                f"{record['seconds'] / record['ops'] * 1000:,.2f}",
+                f"{record['seconds'] / record['ops'] * 1000:,.3f}",
             )
         )
     lines = table(("path", "ops", "ops/sec", "ms/op"), rows, (24, 8, 12, 10))

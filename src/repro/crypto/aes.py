@@ -1,9 +1,19 @@
-"""AES-128 block cipher (FIPS 197), pure Python.
+"""AES-128 block cipher (FIPS 197), pure Python, forward direction only.
 
-Only the pieces SafetyPin needs: key expansion plus the forward and inverse
-ciphers on single 16-byte blocks.  GCM mode (``repro.crypto.gcm``) builds the
+Only the pieces SafetyPin needs: key expansion plus the forward cipher on
+single 16-byte blocks.  GCM mode (``repro.crypto.gcm``) builds the
 authenticated-encryption scheme the paper's construction calls ``AEEncrypt``/
-``AEDecrypt`` on top of the forward cipher.
+``AEDecrypt`` on top of it, and GCM never runs AES backwards, so there is no
+inverse cipher here (the test suite keeps one in its byte-wise reference).
+
+The state is four 32-bit column words and a round is 16 look-ups in four
+256-entry T-tables that fold SubBytes, ShiftRows and MixColumns together;
+the tables are key-independent and built once at import from the S-box.
+Everything key-dependent — the 44-word schedule — lives on the ``Aes128``
+instance and nowhere else: the secure-deletion tree relies on a deleted
+key's schedule becoming garbage with the object, so nothing in this module
+may cache by key.  This is a host-speed model of the cipher; a real HSM
+uses its AES engine and timing-safe table access is not a goal.
 
 Each block operation reports ``aes_block`` to the ambient meter; the paper's
 SoloKey sustains 3,703.7 AES-128 block ops per second (Table 7).
@@ -11,16 +21,17 @@ SoloKey sustains 3,703.7 AES-128 block ops per second (Table 7).
 
 from __future__ import annotations
 
-from typing import List
+import struct
+from typing import Tuple
 
 from repro import metering
 
-# -- S-box generation (computed once at import; avoids a 256-entry literal) --
+# -- tables (computed once at import; avoids 256-entry literals) -------------
 
 
-def _build_sbox() -> tuple:
+def _build_sbox() -> Tuple[int, ...]:
     # Multiplicative inverses in GF(2^8) via log/antilog tables on generator 3.
-    exp = [0] * 512
+    exp = [0] * 255
     log = [0] * 256
     x = 1
     for i in range(255):
@@ -29,41 +40,41 @@ def _build_sbox() -> tuple:
         # multiply by 3 = x * 2 ^ x
         x ^= (x << 1) ^ (0x11B if x & 0x80 else 0)
         x &= 0xFF
-    for i in range(255, 512):
-        exp[i] = exp[i - 255]
-
-    def inv(b: int) -> int:
-        return 0 if b == 0 else exp[255 - log[b]]
-
     sbox = [0] * 256
     for i in range(256):
-        c = inv(i)
+        c = 0 if i == 0 else exp[(255 - log[i]) % 255]
         s = c
         for _ in range(4):
             c = ((c << 1) | (c >> 7)) & 0xFF
             s ^= c
         sbox[i] = s ^ 0x63
-    inv_sbox = [0] * 256
-    for i, s in enumerate(sbox):
-        inv_sbox[s] = i
-    return tuple(sbox), tuple(inv_sbox), tuple(exp), tuple(log)
+    return tuple(sbox)
 
 
-_SBOX, _INV_SBOX, _EXP, _LOG = _build_sbox()
+def _build_round_tables(sbox: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    # T0[b] is MixColumns applied to the column (S[b], 0, 0, 0): the word
+    # (2s, s, s, 3s), row 0 in the top byte.  T1..T3 are the same for the
+    # other three rows, i.e. T0 rotated right by 8, 16 and 24 bits.
+    tables = [[0] * 256 for _ in range(4)]
+    for b, s in enumerate(sbox):
+        s2 = (s << 1) ^ (0x11B if s & 0x80 else 0)
+        word = (s2 << 24) | (s << 16) | (s << 8) | (s2 ^ s)
+        for table in tables:
+            table[b] = word
+            word = (word >> 8) | ((word & 0xFF) << 24)
+    return tuple(tuple(table) for table in tables)
 
 
-def _gmul(a: int, b: int) -> int:
-    """GF(2^8) multiplication via log tables."""
-    if a == 0 or b == 0:
-        return 0
-    return _EXP[_LOG[a] + _LOG[b]]
+_SBOX = _build_sbox()
+_T0, _T1, _T2, _T3 = _build_round_tables(_SBOX)
+_RCON = tuple(r << 24 for r in (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36))
+_WORDS = struct.Struct(">4I")
 
-
-_RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
+RoundKey = Tuple[int, int, int, int]
 
 
 class Aes128:
-    """AES with a 128-bit key: 10 rounds over a 4x4 byte state."""
+    """AES with a 128-bit key: 10 rounds over four 32-bit column words."""
 
     def __init__(self, key: bytes) -> None:
         if len(key) != 16:
@@ -71,101 +82,53 @@ class Aes128:
         self._round_keys = self._expand_key(key)
 
     @staticmethod
-    def _expand_key(key: bytes) -> List[List[int]]:
-        words = [list(key[i : i + 4]) for i in range(0, 16, 4)]
-        for i in range(4, 44):
-            temp = list(words[i - 1])
-            if i % 4 == 0:
-                temp = temp[1:] + temp[:1]
-                temp = [_SBOX[b] for b in temp]
-                temp[0] ^= _RCON[i // 4 - 1]
-            words.append([w ^ t for w, t in zip(words[i - 4], temp)])
-        # Group into 11 round keys of 16 bytes (column-major state layout).
-        return [sum(words[r * 4 : r * 4 + 4], []) for r in range(11)]
+    def _expand_key(key: bytes) -> Tuple[RoundKey, ...]:
+        """The FIPS-197 schedule as 11 round keys of four column words."""
+        sbox = _SBOX
+        w0, w1, w2, w3 = _WORDS.unpack(key)
+        round_keys = [(w0, w1, w2, w3)]
+        for rcon in _RCON:
+            # SubWord(RotWord(w3)) ^ Rcon, then the running XOR across the row.
+            w0 ^= (
+                sbox[(w3 >> 16) & 255] << 24 | sbox[(w3 >> 8) & 255] << 16
+                | sbox[w3 & 255] << 8 | sbox[w3 >> 24]
+            ) ^ rcon
+            w1 ^= w0
+            w2 ^= w1
+            w3 ^= w2
+            round_keys.append((w0, w1, w2, w3))
+        return tuple(round_keys)
 
-    # -- round operations (state is a flat 16-list, column-major) -----------
-    @staticmethod
-    def _add_round_key(state: List[int], rk: List[int]) -> None:
-        for i in range(16):
-            state[i] ^= rk[i]
-
-    @staticmethod
-    def _sub_bytes(state: List[int], box) -> None:
-        for i in range(16):
-            state[i] = box[state[i]]
-
-    @staticmethod
-    def _shift_rows(state: List[int]) -> List[int]:
-        # state[col*4 + row]; row r rotates left by r.
-        s = state
-        return [
-            s[0], s[5], s[10], s[15],
-            s[4], s[9], s[14], s[3],
-            s[8], s[13], s[2], s[7],
-            s[12], s[1], s[6], s[11],
-        ]
-
-    @staticmethod
-    def _inv_shift_rows(state: List[int]) -> List[int]:
-        s = state
-        return [
-            s[0], s[13], s[10], s[7],
-            s[4], s[1], s[14], s[11],
-            s[8], s[5], s[2], s[15],
-            s[12], s[9], s[6], s[3],
-        ]
-
-    @staticmethod
-    def _mix_columns(state: List[int]) -> List[int]:
-        out = [0] * 16
-        for c in range(4):
-            col = state[c * 4 : c * 4 + 4]
-            out[c * 4 + 0] = _gmul(col[0], 2) ^ _gmul(col[1], 3) ^ col[2] ^ col[3]
-            out[c * 4 + 1] = col[0] ^ _gmul(col[1], 2) ^ _gmul(col[2], 3) ^ col[3]
-            out[c * 4 + 2] = col[0] ^ col[1] ^ _gmul(col[2], 2) ^ _gmul(col[3], 3)
-            out[c * 4 + 3] = _gmul(col[0], 3) ^ col[1] ^ col[2] ^ _gmul(col[3], 2)
-        return out
-
-    @staticmethod
-    def _inv_mix_columns(state: List[int]) -> List[int]:
-        out = [0] * 16
-        for c in range(4):
-            col = state[c * 4 : c * 4 + 4]
-            out[c * 4 + 0] = _gmul(col[0], 14) ^ _gmul(col[1], 11) ^ _gmul(col[2], 13) ^ _gmul(col[3], 9)
-            out[c * 4 + 1] = _gmul(col[0], 9) ^ _gmul(col[1], 14) ^ _gmul(col[2], 11) ^ _gmul(col[3], 13)
-            out[c * 4 + 2] = _gmul(col[0], 13) ^ _gmul(col[1], 9) ^ _gmul(col[2], 14) ^ _gmul(col[3], 11)
-            out[c * 4 + 3] = _gmul(col[0], 11) ^ _gmul(col[1], 13) ^ _gmul(col[2], 9) ^ _gmul(col[3], 14)
-        return out
-
-    # -- block API -----------------------------------------------------------
     def encrypt_block(self, block: bytes) -> bytes:
+        """Encrypt one 16-byte block (metered as one ``aes_block``)."""
         if len(block) != 16:
             raise ValueError("AES block must be 16 bytes")
         metering.count("aes_block")
-        state = list(block)
-        self._add_round_key(state, self._round_keys[0])
-        for rnd in range(1, 10):
-            self._sub_bytes(state, _SBOX)
-            state = self._shift_rows(state)
-            state = self._mix_columns(state)
-            self._add_round_key(state, self._round_keys[rnd])
-        self._sub_bytes(state, _SBOX)
-        state = self._shift_rows(state)
-        self._add_round_key(state, self._round_keys[10])
-        return bytes(state)
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 16:
-            raise ValueError("AES block must be 16 bytes")
-        metering.count("aes_block")
-        state = list(block)
-        self._add_round_key(state, self._round_keys[10])
-        for rnd in range(9, 0, -1):
-            state = self._inv_shift_rows(state)
-            self._sub_bytes(state, _INV_SBOX)
-            self._add_round_key(state, self._round_keys[rnd])
-            state = self._inv_mix_columns(state)
-        state = self._inv_shift_rows(state)
-        self._sub_bytes(state, _INV_SBOX)
-        self._add_round_key(state, self._round_keys[0])
-        return bytes(state)
+        round_keys = self._round_keys
+        t0, t1, t2, t3, sbox = _T0, _T1, _T2, _T3, _SBOX
+        s0, s1, s2, s3 = _WORDS.unpack(block)
+        k0, k1, k2, k3 = round_keys[0]
+        s0 ^= k0
+        s1 ^= k1
+        s2 ^= k2
+        s3 ^= k3
+        # ShiftRows is the choice of source column: output column c takes
+        # row r from input column c + r.
+        for k0, k1, k2, k3 in round_keys[1:10]:
+            n0 = t0[s0 >> 24] ^ t1[(s1 >> 16) & 255] ^ t2[(s2 >> 8) & 255] ^ t3[s3 & 255] ^ k0
+            n1 = t0[s1 >> 24] ^ t1[(s2 >> 16) & 255] ^ t2[(s3 >> 8) & 255] ^ t3[s0 & 255] ^ k1
+            n2 = t0[s2 >> 24] ^ t1[(s3 >> 16) & 255] ^ t2[(s0 >> 8) & 255] ^ t3[s1 & 255] ^ k2
+            s3 = t0[s3 >> 24] ^ t1[(s0 >> 16) & 255] ^ t2[(s1 >> 8) & 255] ^ t3[s2 & 255] ^ k3
+            s0, s1, s2 = n0, n1, n2
+        # Final round has no MixColumns: plain S-box bytes.
+        k0, k1, k2, k3 = round_keys[10]
+        return _WORDS.pack(
+            (sbox[s0 >> 24] << 24 | sbox[(s1 >> 16) & 255] << 16
+             | sbox[(s2 >> 8) & 255] << 8 | sbox[s3 & 255]) ^ k0,
+            (sbox[s1 >> 24] << 24 | sbox[(s2 >> 16) & 255] << 16
+             | sbox[(s3 >> 8) & 255] << 8 | sbox[s0 & 255]) ^ k1,
+            (sbox[s2 >> 24] << 24 | sbox[(s3 >> 16) & 255] << 16
+             | sbox[(s0 >> 8) & 255] << 8 | sbox[s1 & 255]) ^ k2,
+            (sbox[s3 >> 24] << 24 | sbox[(s0 >> 16) & 255] << 16
+             | sbox[(s1 >> 8) & 255] << 8 | sbox[s2 & 255]) ^ k3,
+        )

@@ -1,0 +1,325 @@
+"""The symmetric fast path: T-table AES, nibble-table GHASH, int-XOR CTR.
+
+Three properties hold the layer in place.  It must agree byte for byte
+with the byte-wise cipher and bit-serial GF(2^128) multiply it replaced
+(kept in ``tests/reference_symmetric.py``); it must not move what the
+ambient meter or the block store sees under seeded entropy — the paper's
+cost model prices blocks, not implementations; and it must not buy its
+speed with a cache of key material, because forward secrecy by secure
+deletion means a deleted key's schedule dies with the call that built it.
+"""
+
+import ast
+import gc
+import hashlib
+import inspect
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_symmetric as ref
+from repro.chaos.entropy import DeterministicEntropy
+from repro.core.params import SystemParams
+from repro.core.protocol import Deployment
+from repro.crypto import aes as aes_module
+from repro.crypto import gcm as gcm_module
+from repro.crypto.aes import Aes128
+from repro.crypto.gcm import AesGcm, AuthenticationError, ae_decrypt
+from repro.metering import OpMeter, metered
+from repro.storage import securedel as securedel_module
+from repro.storage.blockstore import InMemoryBlockStore
+from repro.storage.securedel import SecureDeletionTree
+
+KEYS = st.binary(min_size=16, max_size=16)
+BLOCKS = st.binary(min_size=16, max_size=16)
+NONCES = st.binary(min_size=12, max_size=12)
+
+
+def _schedule_words(key: bytes):
+    """The fast cipher's key schedule flattened to FIPS-197's w[0..43]."""
+    return [word for round_key in Aes128(key)._round_keys for word in round_key]
+
+
+class TestAgainstReference:
+    @given(key=KEYS, block=BLOCKS)
+    @settings(max_examples=60, deadline=None)
+    def test_encrypt_block(self, key, block):
+        assert Aes128(key).encrypt_block(block) == ref.ReferenceAes128(key).encrypt_block(block)
+
+    @given(key=KEYS)
+    @settings(max_examples=30, deadline=None)
+    def test_key_schedule(self, key):
+        expected = [
+            int.from_bytes(bytes(rk[i : i + 4]), "big")
+            for rk in ref.ReferenceAes128(key).round_keys
+            for i in range(0, 16, 4)
+        ]
+        assert _schedule_words(key) == expected
+
+    @given(key=KEYS, aad=st.binary(max_size=70), ciphertext=st.binary(max_size=130))
+    @settings(max_examples=40, deadline=None)
+    def test_ghash(self, key, aad, ciphertext):
+        h = int.from_bytes(ref.ReferenceAes128(key).encrypt_block(bytes(16)), "big")
+        assert AesGcm(key)._ghash(aad, ciphertext) == ref.ghash(h, aad, ciphertext)
+
+    @given(x=st.integers(0, (1 << 128) - 1), key=KEYS)
+    @settings(max_examples=60, deadline=None)
+    def test_field_multiply(self, x, key):
+        gcm = AesGcm(key)
+        h = int.from_bytes(ref.ReferenceAes128(key).encrypt_block(bytes(16)), "big")
+        assert gcm._mul_h(x) == ref.gf128_mul(x, h)
+
+    @pytest.mark.parametrize("x", [0, 1, 1 << 127, (1 << 128) - 1, 0xE1 << 120, 0xF, 0xF << 124])
+    def test_field_multiply_edges(self, x):
+        for key in (bytes(16), bytes(range(16)), b"\xff" * 16):
+            h = int.from_bytes(ref.ReferenceAes128(key).encrypt_block(bytes(16)), "big")
+            assert AesGcm(key)._mul_h(x) == ref.gf128_mul(x, h)
+
+    @given(key=KEYS, nonce=NONCES, aad=st.binary(max_size=70), plaintext=st.binary(max_size=200))
+    @settings(max_examples=40, deadline=None)
+    def test_gcm_encrypt_decrypt(self, key, nonce, aad, plaintext):
+        sealed = AesGcm(key).encrypt(nonce, plaintext, aad)
+        assert sealed == ref.ReferenceAesGcm(key).encrypt(nonce, plaintext, aad)
+        assert AesGcm(key).decrypt(nonce, sealed, aad) == plaintext
+        assert ref.ReferenceAesGcm(key).decrypt(nonce, sealed, aad) == plaintext
+
+    @given(key=KEYS, nonce=NONCES, plaintext=st.binary(min_size=1, max_size=64), bit=st.integers(0, 7))
+    @settings(max_examples=20, deadline=None)
+    def test_both_reject_the_same_tampering(self, key, nonce, plaintext, bit):
+        sealed = bytearray(AesGcm(key).encrypt(nonce, plaintext))
+        sealed[len(sealed) // 2] ^= 1 << bit
+        with pytest.raises(AuthenticationError):
+            AesGcm(key).decrypt(nonce, bytes(sealed))
+        with pytest.raises(AuthenticationError):
+            ref.ReferenceAesGcm(key).decrypt(nonce, bytes(sealed))
+
+
+class TestStandardVectors:
+    def test_fips197_a1_key_expansion(self):
+        """FIPS-197 Appendix A.1: the 44 schedule words of the 2b7e… key."""
+        schedule = _schedule_words(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
+        assert len(schedule) == 44
+        assert schedule[:4] == [0x2B7E1516, 0x28AED2A6, 0xABF71588, 0x09CF4F3C]
+        assert schedule[4:8] == [0xA0FAFE17, 0x88542CB1, 0x23A33939, 0x2A6C7605]
+        assert schedule[8] == 0xF2C295F2
+        assert schedule[20] == 0xD4D1C6F8
+        assert schedule[36:40] == [0xAC7766F3, 0x19FADC21, 0x28D12941, 0x575C006E]
+        assert schedule[40:] == [0xD014F9A8, 0xC9EE2589, 0xE13F0CC8, 0xB6630CA6]
+
+    # NIST GCM spec test cases 3 and 4 share key, IV and the plaintext prefix.
+    KEY = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
+    IV = bytes.fromhex("cafebabefacedbaddecaf888")
+    PLAINTEXT = bytes.fromhex(
+        "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+        "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255"
+    )
+    CIPHERTEXT = bytes.fromhex(
+        "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+        "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985"
+    )
+
+    def test_nist_case_3_four_blocks(self):
+        tag = bytes.fromhex("4d5c2af327cd64a62cf35abd2ba6fab4")
+        gcm = AesGcm(self.KEY)
+        assert gcm.encrypt(self.IV, self.PLAINTEXT) == self.CIPHERTEXT + tag
+        assert gcm.decrypt(self.IV, self.CIPHERTEXT + tag) == self.PLAINTEXT
+
+    def test_nist_case_4_partial_block_and_unaligned_aad(self):
+        aad = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
+        tag = bytes.fromhex("5bc94fbc3221a5db94fae95ae7121a47")
+        gcm = AesGcm(self.KEY)
+        assert gcm.encrypt(self.IV, self.PLAINTEXT[:60], aad) == self.CIPHERTEXT[:60] + tag
+        assert gcm.decrypt(self.IV, self.CIPHERTEXT[:60] + tag, aad) == self.PLAINTEXT[:60]
+
+    def test_reference_passes_the_same_vectors(self):
+        """The reference is only worth diffing against if it is right."""
+        tag = bytes.fromhex("4d5c2af327cd64a62cf35abd2ba6fab4")
+        assert ref.ReferenceAesGcm(self.KEY).encrypt(self.IV, self.PLAINTEXT) == self.CIPHERTEXT + tag
+        key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+        block = bytes.fromhex("00112233445566778899aabbccddeeff")
+        assert ref.ReferenceAes128(key).encrypt_block(block) == bytes.fromhex(
+            "69c4e0d86a7b0430d8cdb78070b4c55a"
+        )
+
+
+class TestMeteringInvariance:
+    METERED_OPS = ("aes_block", "sha256_block", "flash_read_bytes")
+    # Captured by running this exact workload on the byte-wise AES / bit-serial
+    # GHASH tree (PR 11).  The fast path changes wall-clock only: same blocks,
+    # same entropy draws in the same order, so same ciphertext bytes at rest.
+    PARENT_COUNTS = {"aes_block": 4813, "sha256_block": 2090, "flash_read_bytes": 1568}
+    PARENT_STORE_DIGEST = "e87aa60fe11a7c04f25ed4ae81bad8ac45b0cb14aed2101c435f3e4c4f30b838"
+
+    @staticmethod
+    def run_fixed_workload():
+        """One seeded N=4 backup+recovery; returns (op counts, sha256 over
+        every HSM's outsourced key-tree blocks in (hsm, address) order)."""
+        with DeterministicEntropy(0x5AFE71):
+            meter = OpMeter()
+            with meter.attached():
+                params = SystemParams.for_testing(num_hsms=4, cluster_size=3, max_punctures=16)
+                deployment = Deployment.create(params, rng=random.Random(12))
+                client = deployment.new_client("symmetric-invariance-user")
+                client.backup(b"fixed symmetric payload", pin="4711")
+                recovered = client.recover(pin="4711")
+        assert recovered == b"fixed symmetric payload"
+        digest = hashlib.sha256()
+        for index in sorted(deployment.provider.hsm_stores):
+            blocks = deployment.provider.hsm_stores[index]._blocks
+            for addr in sorted(blocks):
+                digest.update(index.to_bytes(4, "big") + addr.to_bytes(8, "big"))
+                digest.update(len(blocks[addr]).to_bytes(4, "big") + blocks[addr])
+        counts = {op: meter.counts[op] for op in TestMeteringInvariance.METERED_OPS}
+        return counts, digest.hexdigest()
+
+    def test_fixed_workload_unchanged(self):
+        counts, store_digest = self.run_fixed_workload()
+        assert counts == self.PARENT_COUNTS
+        assert store_digest == self.PARENT_STORE_DIGEST
+
+    def test_one_block_counts_one(self):
+        with metered() as meter:
+            Aes128(bytes(16)).encrypt_block(bytes(16))
+        assert meter.counts["aes_block"] == 1
+
+    def test_ae_call_block_count(self):
+        """Key set-up is one block (H), the tag mask one, CTR one per 16 bytes."""
+        with metered() as meter:
+            AesGcm(bytes(16)).encrypt(bytes(12), bytes(33), aad=b"a")
+        assert meter.counts["aes_block"] == 1 + 1 + 3
+
+    def test_tree_walk_block_count(self):
+        """Reusing one AesGcm per path key inside a call must not change how
+        many blocks a read or delete costs: the old code rebuilt the object,
+        so the H block is charged per AE call, as before."""
+        tree = SecureDeletionTree.setup(InMemoryBlockStore(), [bytes([i]) * 32 for i in range(8)])
+        with metered() as meter:
+            tree.read(5)
+        read_blocks = meter.counts["aes_block"]
+        with metered() as meter:
+            tree.delete(5)
+        delete_blocks = meter.counts["aes_block"]
+        # height 3: 3 internal nodes of 32 bytes (H + mask + 2 CTR) and, for a
+        # read, one 32-byte leaf; a delete decrypts the path twice and
+        # re-encrypts it once.
+        assert read_blocks == 4 * 4
+        assert delete_blocks == 3 * 4 * 3
+
+
+def _derived_material(key: bytes):
+    """What a cache of ``key`` could hold: the bytes, the int, the schedule
+    words, the GHASH subkey and its table entries."""
+    cipher = ref.ReferenceAes128(key)
+    h = int.from_bytes(cipher.encrypt_block(bytes(16)), "big")
+    material = {key, int.from_bytes(key, "big"), h, h.to_bytes(16, "big")}
+    for rk in cipher.round_keys[1:]:
+        material.add(bytes(rk))
+        material.update(int.from_bytes(bytes(rk[i : i + 4]), "big") for i in range(0, 16, 4))
+    material.discard(0)
+    return material
+
+
+def _reachable_values(root, limit=2_000_000):
+    """Every int/bytes reachable from ``root`` through containers, object
+    ``__dict__``/``__slots__`` and function closures/defaults."""
+    seen, stack, found = set(), [root], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        assert len(seen) < limit, "module graph unexpectedly large"
+        if isinstance(obj, (int, bytes, bytearray)):
+            found.add(bytes(obj) if isinstance(obj, bytearray) else obj)
+        elif isinstance(obj, (str, float, type(None))) or inspect.ismodule(obj):
+            continue
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif inspect.isfunction(obj):
+            stack.extend(cell.cell_contents for cell in (obj.__closure__ or ()))
+            stack.extend(obj.__defaults__ or ())
+            stack.append(getattr(obj, "__wrapped__", None))
+            stack.append(getattr(obj, "__dict__", None))
+        elif inspect.isclass(obj):
+            if obj.__module__.startswith("repro."):
+                stack.append(dict(vars(obj)))
+        else:
+            if type(obj).__module__.startswith(("repro.", "functools")):
+                stack.append(getattr(obj, "__dict__", None))
+                stack.extend(getattr(obj, slot, None) for slot in getattr(type(obj), "__slots__", ()))
+            for probe in ("cache_info", "__wrapped__", "__func__"):
+                stack.append(getattr(obj, probe, None))
+    return found
+
+
+def _path_keys(tree, store, index):
+    """Root-to-leaf keys of ``index``, recomputed from the stored nodes."""
+    keys = [tree.root_key]
+    addrs = tree._path_addrs(index)
+    for addr, child_addr in zip(addrs, addrs[1:]):
+        payload = ae_decrypt(keys[-1], store.get(addr), aad=securedel_module._addr_aad(addr))
+        keys.append(payload[:16] if child_addr % 2 == 0 else payload[16:])
+    return keys
+
+
+GUARDED_MODULES = (aes_module, gcm_module, securedel_module)
+
+
+class TestForwardSecrecy:
+    def test_deleted_keys_unreachable_from_module_globals(self):
+        store = InMemoryBlockStore()
+        tree = SecureDeletionTree.setup(store, [bytes([i]) * 32 for i in range(16)])
+        index = 9
+        tree.read(index)
+        old_keys = _path_keys(tree, store, index)
+        assert old_keys[0] == tree.root_key and len(old_keys) == tree.height + 1
+        old_material = set().union(*(_derived_material(k) for k in old_keys))
+        tree.delete(index)
+        assert tree.root_key != old_keys[0]
+        del tree
+        gc.collect()
+        for module in GUARDED_MODULES:
+            leaked = _reachable_values(vars(module)) & old_material
+            assert not leaked, f"{module.__name__} still holds deleted key material"
+
+    def test_walker_finds_a_planted_cache(self):
+        """The guard above is only as good as the walk: plant the kinds of
+        cache a later change might add and check each is seen."""
+        key = bytes(range(1, 17))
+        material = _derived_material(key)
+        schedule = Aes128(key)
+        planted = {
+            "module dict": {"_CACHE": {key: schedule}},
+            "closure": {"f": (lambda k=key: k)},
+            "object": {"_LAST": schedule},
+            "gcm object": {"_LAST": AesGcm(key)},
+        }
+        for label, namespace in planted.items():
+            assert _reachable_values(namespace) & material, label
+
+    @pytest.mark.parametrize("module", GUARDED_MODULES, ids=lambda m: m.__name__)
+    def test_no_memoising_decorators(self, module):
+        """``lru_cache``/``cache`` hold strong references to their arguments
+        for the life of the process — exactly the lifetime a deleted key
+        must not have."""
+        tree = ast.parse(inspect.getsource(module))
+        banned = {"lru_cache", "cache", "cached_property"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert not banned & {alias.name for alias in node.names}, module.__name__
+            if isinstance(node, ast.Attribute) and node.attr in banned:
+                assert not (isinstance(node.value, ast.Name) and node.value.id == "functools")
+            if isinstance(node, ast.Name):
+                assert node.id not in banned, module.__name__
+
+    def test_one_cipher_implementation(self):
+        """``src/`` holds exactly one AES and one GHASH, with no switch."""
+        assert not hasattr(Aes128, "decrypt_block")
+        assert not hasattr(aes_module, "_INV_SBOX")
+        assert not hasattr(gcm_module, "_ghash_key_tables")
+        assert list(inspect.signature(Aes128.__init__).parameters) == ["self", "key"]
+        assert list(inspect.signature(AesGcm.__init__).parameters) == ["self", "key"]
