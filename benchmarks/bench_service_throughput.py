@@ -3,14 +3,17 @@
 The paper's deployment batches all client log insertions into one update
 epoch every ~10 minutes; the seed reproduction instead ran a full epoch
 inside every recovery (``ServiceProvider.log_and_prove``), so nothing could
-be served concurrently.  This benchmark drives the new ``RecoveryService``
-both ways over the same deployment shape and measures:
+be served concurrently.  This benchmark drives the same deployment shape
+both ways and measures:
 
-- throughput vs concurrency for batched epochs (sessions overlap freely;
-  the per-HSM FIFO queues are the only serialization), and
-- the same workload with per-request epochs (each session runs its own
-  epoch, which invalidates every other in-flight inclusion proof, so
-  sessions serialize — the seed's behaviour).
+- throughput vs concurrency through ``RecoveryService`` (batched epochs:
+  sessions overlap freely; the per-HSM FIFO queues are the only
+  serialization), and
+- the same workload with per-request epochs — the seed's path as it still
+  exists: plain ``Deployment.new_client`` clients, whose ``log_and_prove``
+  runs a whole epoch inside every recovery.  That epoch invalidates every
+  other in-flight inclusion proof, so the baseline serializes recoveries
+  under one lock; this lock is what batching removes.
 
 It also checks the acceptance property: a batched run of >= 8 concurrent
 recoveries commits exactly one log epoch per batch tick, and batched
@@ -23,6 +26,7 @@ Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_service_throughput.p
       or:  PYTHONPATH=src python benchmarks/bench_service_throughput.py
 """
 
+import contextlib
 import random
 import threading
 import time
@@ -42,25 +46,29 @@ HSMS = 12
 CLUSTER = 3
 
 
-def _fresh_service(epoch_mode: str, seed: int = 23, transport: str = "wire"):
+def _fresh_deployment(seed: int = 23) -> Deployment:
     params = SystemParams.for_testing(
         num_hsms=HSMS, cluster_size=CLUSTER, max_punctures=4 * SESSIONS
     )
-    deployment = Deployment.create(params, rng=random.Random(seed))
+    return Deployment.create(params, rng=random.Random(seed))
+
+
+def _fresh_service(seed: int = 23, transport: str = "wire"):
+    deployment = _fresh_deployment(seed)
     service = deployment.recovery_service(
-        epoch_mode=epoch_mode, transport=transport,
-        tick_interval=0.01, lease_timeout=5.0,
+        transport=transport, tick_interval=0.01, lease_timeout=5.0
     )
     return deployment, service
 
 
-def _run_sessions(service, concurrency: int, sessions: int):
-    """Run ``sessions`` backup+recovery pairs over ``concurrency`` threads;
-    returns (elapsed seconds, error list)."""
-    clients = [service.new_client(f"bench-{service.epoch_mode}-{concurrency}-{i}")
-               for i in range(sessions)]
+def _run_sessions(new_client, concurrency: int, recover_guard=None):
+    """Run ``SESSIONS`` backup+recovery pairs over ``concurrency`` threads,
+    each on a client from ``new_client(name)``; ``recover_guard`` (a lock)
+    serializes the recoveries.  Returns (elapsed seconds, error list)."""
+    clients = [new_client(f"bench-{concurrency}-{i}") for i in range(SESSIONS)]
+    recover_guard = recover_guard or contextlib.nullcontext()
     errors = []
-    queue = list(range(sessions))
+    queue = list(range(SESSIONS))
     lock = threading.Lock()
 
     def worker() -> None:
@@ -72,7 +80,9 @@ def _run_sessions(service, concurrency: int, sessions: int):
             try:
                 message = b"payload-%d" % i
                 clients[i].backup(message, pin="4242")
-                if clients[i].recover("4242") != message:
+                with recover_guard:
+                    recovered = clients[i].recover("4242")
+                if recovered != message:
                     errors.append(f"session {i}: wrong plaintext")
             except Exception as exc:  # noqa: BLE001 - benchmarks report, not crash
                 errors.append(f"session {i}: {exc!r}")
@@ -89,32 +99,39 @@ def _run_sessions(service, concurrency: int, sessions: int):
 def test_service_throughput():
     rows = []
     batched_best = 0.0
-    per_request_rate = None
     acceptance = {}
 
-    for mode in ("per-request", "batched"):
-        levels = (SESSIONS,) if mode == "per-request" else CONCURRENCY_LEVELS
-        for concurrency in levels:
-            deployment, service = _fresh_service(mode)
-            epochs_before = deployment.provider.log.epoch
-            with service:
-                elapsed, errors = _run_sessions(service, concurrency, SESSIONS)
-            assert not errors, errors
-            epochs = deployment.provider.log.epoch - epochs_before
-            rate = SESSIONS / elapsed
-            rows.append(
-                (mode, concurrency, SESSIONS, f"{elapsed:.2f}", epochs, f"{rate:.1f}")
-            )
-            if mode == "batched":
-                batched_best = max(batched_best, rate)
-                if concurrency >= 8:
-                    acceptance = {
-                        "stats": service.stats(),
-                        "epochs": epochs,
-                        "concurrency": concurrency,
-                    }
-            else:
-                per_request_rate = rate
+    # Per-request baseline: no service, one epoch inside every recovery.
+    deployment = _fresh_deployment()
+    epochs_before = deployment.provider.log.epoch
+    elapsed, errors = _run_sessions(
+        deployment.new_client, SESSIONS, recover_guard=threading.Lock()
+    )
+    assert not errors, errors
+    epochs = deployment.provider.log.epoch - epochs_before
+    assert epochs == SESSIONS  # exactly the seed's one epoch per recovery
+    per_request_rate = SESSIONS / elapsed
+    rows.append(("per-request", SESSIONS, SESSIONS, f"{elapsed:.2f}", epochs,
+                 f"{per_request_rate:.1f}"))
+
+    for concurrency in CONCURRENCY_LEVELS:
+        deployment, service = _fresh_service()
+        epochs_before = deployment.provider.log.epoch
+        with service:
+            elapsed, errors = _run_sessions(service.new_client, concurrency)
+        assert not errors, errors
+        epochs = deployment.provider.log.epoch - epochs_before
+        rate = SESSIONS / elapsed
+        rows.append(
+            ("batched", concurrency, SESSIONS, f"{elapsed:.2f}", epochs, f"{rate:.1f}")
+        )
+        batched_best = max(batched_best, rate)
+        if concurrency >= 8:
+            acceptance = {
+                "stats": service.stats(),
+                "epochs": epochs,
+                "concurrency": concurrency,
+            }
 
     # Acceptance: >= 8 concurrent recoveries, exactly one epoch per tick that
     # served sessions, and batched beats per-request throughput.
@@ -122,7 +139,7 @@ def test_service_throughput():
     assert stats["sessions_served"] >= 8
     assert stats["epochs_run"] == len(stats["epoch_sessions"])  # one epoch per tick
     assert stats["epochs_run"] < stats["sessions_served"]  # epochs are shared
-    assert per_request_rate is not None and batched_best > per_request_rate
+    assert batched_best > per_request_rate
 
     # Wire overhead of the provider RPC leg: the same batched workload over
     # the byte-framed channel vs the direct-call reference path, plus the
@@ -130,9 +147,9 @@ def test_service_throughput():
     wire_elapsed = direct_elapsed = None
     wire_traffic = {}
     for transport in ("wire", "direct"):
-        _, service = _fresh_service("batched", seed=29, transport=transport)
+        _, service = _fresh_service(seed=29, transport=transport)
         with service:
-            elapsed, errors = _run_sessions(service, max(CONCURRENCY_LEVELS), SESSIONS)
+            elapsed, errors = _run_sessions(service.new_client, max(CONCURRENCY_LEVELS))
         assert not errors, errors
         if transport == "wire":
             wire_elapsed = elapsed

@@ -14,9 +14,9 @@ work) two ways:
 - **device mode** — every epoch-protocol device call pays a fixed service
   latency (SoloKey-class hardware is *slow*: the paper's Table 2 puts one
   P-256 multiplication at ~1.2 s, so tens of milliseconds per protocol
-  call is generous).  The unsharded epoch visits all N devices serially
-  from one thread; the sharded tick fans one lane per shard across
-  disjoint committees through the service's lane workers, overlapping the
+  call is generous).  Both shapes run through the service's lane workers:
+  the unsharded log's lone lane visits all N devices serially; the sharded
+  tick fans one lane per shard across disjoint committees, overlapping the
   waits.  This isolates the *parallelism* win.
 
 A third lane pushes the shard count into the hundreds (S=64 and S=256,
@@ -169,25 +169,17 @@ def _run_device_mode(shards: int, rounds: int, batch: int, delay: float) -> floa
     try:
         for identifier, value in _workload(999, batch):  # warm round
             log.insert(identifier, value)
-        if shards > 1:
-            service.run_shard_epochs(log.shards_with_pending())
-        else:
-            service.run_epoch()
+        service.run_shard_epochs(log.shards_with_pending())
         start = time.perf_counter()
         for round_no in range(rounds):
             for identifier, value in _workload(round_no, batch):
                 log.insert(identifier, value)
-            if shards > 1:
-                outcomes = service.run_shard_epochs(log.shards_with_pending())
-                failed = {k: e for k, e in outcomes.items() if e is not None}
-                assert not failed, failed
-            else:
-                service.run_epoch()
+            outcomes = service.run_shard_epochs(log.shards_with_pending())
+            failed = {k: e for k, e in outcomes.items() if e is not None}
+            assert not failed, failed
         elapsed = (time.perf_counter() - start) / rounds
     finally:
-        service.pool.stop()
-        if service._lane_pool is not None:
-            service._lane_pool.stop()
+        service.stop()
     assert not log.pending
     return elapsed
 
@@ -221,7 +213,7 @@ def _run_scale_lane(num_shards: int, waves: int, wave_size: int) -> dict:
     batcher = EpochBatcher(
         provider,
         lease_timeout=SCALE_LEASE_TIMEOUT,
-        shard_runner=lane_runner,
+        lane_runner=lane_runner,
     )
 
     # Serve a first wave, then release every lease but one: that session's

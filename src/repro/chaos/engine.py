@@ -535,7 +535,7 @@ class ChaosEngine:
         """Deliberately rewrite a committed log entry in place (the demo
         fault): the next digest-chain sweep MUST flag it."""
         log = self.deployment.provider.log
-        component = (list(log.shards) if hasattr(log, "shards") else [log])[0]
+        component = log.shards[0]
         identifier, value = component.ordered_entries[-1]
         component.ordered_entries[-1] = (identifier, value + b"|tampered")
         return f"rewrote entry {identifier.hex()[:16]}"

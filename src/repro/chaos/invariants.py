@@ -51,12 +51,6 @@ class Violation:
         return {"invariant": self.invariant, "message": self.message, "step": self.step}
 
 
-def _component_logs(log) -> List:
-    """The per-shard ``DistributedLog`` components (one-element for the
-    unsharded log) — each carries its own digest chain to verify."""
-    return list(log.shards) if hasattr(log, "shards") else [log]
-
-
 def check_digest_chain(provider) -> List[Violation]:
     """Replay committed entries per shard; digests must match exactly.
 
@@ -67,7 +61,7 @@ def check_digest_chain(provider) -> List[Violation]:
     byte-identical to.
     """
     out: List[Violation] = []
-    components = _component_logs(provider.log)
+    components = provider.log.shards  # each carries its own digest chain
     replayed_digests: List[bytes] = []
     for shard, log in enumerate(components):
         replayed = AuthenticatedDictionary.from_entries(log.ordered_entries)
@@ -84,7 +78,7 @@ def check_digest_chain(provider) -> List[Violation]:
                 f"shard {shard}: {len(log.pending)} entries left pending between"
                 " epochs",
             ))
-    if hasattr(provider.log, "shards"):
+    if provider.log.num_shards > 1:
         if cross_shard_root(replayed_digests) != provider.log.digest:
             out.append(Violation(
                 "log-digest-chain",
@@ -138,7 +132,7 @@ def check_journal_consistency(provider, usernames: Iterable[str]) -> List[Violat
             f"journal replay left open epoch intents on shards"
             f" {sorted(state.open_intents)} outside any crash window",
         ))
-    for shard, log in enumerate(_component_logs(provider.log)):
+    for shard, log in enumerate(provider.log.shards):
         replayed = AuthenticatedDictionary.from_entries(
             state.shard_entries.get(shard, [])
         )

@@ -109,13 +109,12 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     )
     shard_note = f", {args.shards} log shards" if args.shards > 1 else ""
     print(f"provisioning {params.num_hsms} HSMs for {args.clients} concurrent "
-          f"clients ({args.epoch_mode} epochs, {args.transport} transport"
+          f"clients (batched epochs, {args.transport} transport"
           f"{shard_note})...")
     dep = Deployment.create(params, rng=random.Random(args.seed))
     service = dep.recovery_service(
         shards=args.shards if args.shards > 1 else None,
         transport=args.transport,
-        epoch_mode=args.epoch_mode,
         tick_interval=args.tick_interval,
     )
     clients = [service.new_client(f"load-{i}") for i in range(args.clients)]
@@ -146,13 +145,10 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     print(f"{args.clients} backup+recovery sessions in {elapsed:.2f}s "
           f"({args.clients / max(elapsed, 1e-9):.1f} sessions/s)")
     epochs = dep.provider.log.epoch - epochs_before
-    if args.epoch_mode == "batched":
-        lanes = stats.get("shard_lanes", 1)
-        lane_note = f" across {lanes} shard lanes" if lanes > 1 else ""
-        print(f"log epochs committed: {epochs}{lane_note} "
-              f"(sessions per epoch: {stats['epoch_sessions']})")
-    else:
-        print(f"log epochs committed: {epochs} (one per recovery)")
+    lanes = stats["shard_lanes"]
+    lane_note = f" across {lanes} shard lanes" if lanes > 1 else ""
+    print(f"log epochs committed: {epochs}{lane_note} "
+          f"(sessions per epoch: {stats['epoch_sessions']})")
     busiest = max(stats["jobs_per_device"])
     print(f"busiest HSM queue served {busiest} requests")
     if "provider_wire" in stats:
@@ -226,9 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--hsms", type=int, default=16)
     loadtest.add_argument("--cluster", type=int, default=4)
     loadtest.add_argument("--transport", choices=("wire", "direct"), default="wire")
-    loadtest.add_argument(
-        "--epoch-mode", choices=("batched", "per-request"), default="batched"
-    )
     loadtest.add_argument("--tick-interval", type=float, default=0.02)
     loadtest.add_argument(
         "--shards", type=int, default=1,

@@ -166,7 +166,7 @@ class Deployment:
         from repro.service.recovery import RecoveryService
 
         if shards is not None:
-            current = getattr(self.provider.log, "num_shards", 1)
+            current = self.provider.log.num_shards
             if shards != current:
                 if current != 1:
                     raise ValueError(

@@ -238,13 +238,6 @@ class ServiceProvider:
         return list(self._replies.get((username, attempt), []))
 
     # -- durability: snapshot / restore ------------------------------------------------------
-    def _shard_logs(self) -> List[Tuple[int, DistributedLog]]:
-        """The underlying per-shard logs as ``(shard_index, log)`` pairs
-        (a one-element list for the unsharded ``DistributedLog``)."""
-        if isinstance(self.log, ShardedLog):
-            return list(enumerate(self.log.shards))
-        return [(0, self.log)]
-
     def export_state(self) -> RestoredState:
         """The provider's durable state as one snapshot-able value.
 
@@ -253,9 +246,8 @@ class ServiceProvider:
         blocks.  Pending batches, leases, and attempt counters are *not*
         durable and are excluded by design.
         """
-        num_shards = getattr(self.log, "num_shards", 1)
         state = RestoredState(
-            num_shards=num_shards,
+            num_shards=self.log.num_shards,
             garbage_collections=self.log.garbage_collections,
             backups={u: list(cts) for u, cts in self._backups.items() if cts},
             incrementals={u: list(bs) for u, bs in self._incrementals.items() if bs},
@@ -265,7 +257,7 @@ class ServiceProvider:
                 for index, store in self.hsm_stores.items()
             },
         )
-        for shard, log in self._shard_logs():
+        for shard, log in enumerate(self.log.shards):
             state.shard_entries[shard] = list(log.ordered_entries)
             state.shard_epochs[shard] = log.epoch
             stored = []
@@ -321,7 +313,7 @@ class ServiceProvider:
                 f" says {config.num_shards} shards"
             )
         provider = cls(config)
-        for shard, log in provider._shard_logs():
+        for shard, log in enumerate(provider.log.shards):
             entries = state.shard_entries.get(shard, [])
             log.ordered_entries = list(entries)
             log.dict = AuthenticatedDictionary.from_entries(entries)

@@ -267,8 +267,7 @@ class HsmDevice:
     # -- log update protocol (HSM side of Figure 5) ------------------------------
     def _round_shard(self, round_: UpdateRound) -> int:
         """Validate a round's shard stamp against this device's arity."""
-        shard = getattr(round_, "shard", 0)
-        num_shards = getattr(round_, "num_shards", 1)
+        shard, num_shards = round_.shard, round_.num_shards
         if num_shards != len(self._shard_digests) or not (0 <= shard < num_shards):
             raise LogUpdateRejected(
                 f"HSM {self.index}: round claims shard {shard}/{num_shards}, "
@@ -360,8 +359,8 @@ class HsmDevice:
             round_.root,
             aggregate,
             signer_ids,
-            shard=getattr(round_, "shard", 0),
-            num_shards=getattr(round_, "num_shards", 1),
+            shard=round_.shard,
+            num_shards=round_.num_shards,
         )
 
     def accept_certified_transition(self, transition) -> None:
@@ -372,8 +371,8 @@ class HsmDevice:
             transition.root,
             transition.aggregate,
             transition.signer_ids,
-            shard=getattr(transition, "shard", 0),
-            num_shards=getattr(transition, "num_shards", 1),
+            shard=transition.shard,
+            num_shards=transition.num_shards,
         )
 
     def committee_for(self, shard: int) -> List[int]:
@@ -472,9 +471,8 @@ class HsmDevice:
         """
         if self.is_failed:
             return
-        shard = getattr(transition, "shard", 0)
         with self._offer_lock:
-            queue = self._pending_foreign.setdefault(shard, [])
+            queue = self._pending_foreign.setdefault(transition.shard, [])
             if len(queue) < 4096:  # bound provider-driven memory
                 queue.append(transition)
 
@@ -514,8 +512,8 @@ class HsmDevice:
                 transition.root,
                 transition.aggregate,
                 transition.signer_ids,
-                getattr(transition, "shard", 0),
-                getattr(transition, "num_shards", 1),
+                transition.shard,
+                transition.num_shards,
             )
 
     # -- recovery (step Ð of Figure 3) ---------------------------------------------

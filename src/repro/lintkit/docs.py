@@ -1,7 +1,6 @@
 """Docstring pass: the documented packages keep their documentation contract.
 
-This is ``scripts/docs_lint.py`` re-homed as a lintkit pass (the script
-remains as a thin shim).  The contract is unchanged:
+Run it alone with ``scripts/repro_lint.py --passes docs``.  The contract:
 
 - every module carries a module docstring of at least ``MIN_MODULE``
   characters — long enough to state the module's role and its

@@ -428,6 +428,24 @@ class DistributedLog:
         whole queue, which a per-tick poll must not pay."""
         return bool(self._pending)
 
+    # -- epoch lanes: an unsharded log is one lane ------------------------------
+    @property
+    def shards(self) -> List["DistributedLog"]:
+        """The log's epoch lanes: just this log.  The serving layer drives
+        every log through ``shards`` / :meth:`shards_with_pending` /
+        :meth:`run_shard_update`; :class:`~repro.log.sharded.ShardedLog`
+        answers the same three with its ``S`` component logs."""
+        return [self]
+
+    def shards_with_pending(self) -> List[int]:
+        """Lane indices holding queued insertions: ``[0]`` or ``[]``."""
+        return [0] if self._pending else []
+
+    def run_shard_update(self, shard_index: int, hsms: Sequence) -> None:
+        """One transactional epoch on lane ``shard_index`` — the lone lane
+        0, so exactly :meth:`run_update` against the whole fleet."""
+        self.run_update(hsms)
+
     def insert(self, identifier: bytes, value: bytes) -> None:
         """Queue an identifier-value pair for the next update epoch."""
         if identifier in self.dict or identifier in self._pending_ids:

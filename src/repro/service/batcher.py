@@ -3,38 +3,39 @@
 The paper's deployment amortizes the distributed-log update by batching all
 client insertions into one epoch every ~10 minutes.  :class:`EpochBatcher`
 reproduces that rhythm: sessions ``submit`` their log insertion and block on
-an :class:`EpochTicket`; each ``tick`` commits exactly one update epoch for
-everything pending and fans the inclusion proofs back to every waiter.
+an :class:`EpochTicket`; each ``tick`` commits one update epoch per lane
+that has work and fans the inclusion proofs back to every waiter.
 
-Over a :class:`~repro.log.sharded.ShardedLog` the batcher runs **one epoch
-lane per shard**: a tick groups the waiters by their identifier's shard,
-fans ``run_update`` out through the service's lane workers (one FIFO worker
-per shard, HsmWorkerPool discipline), joins all lanes, and only then
-publishes the combined cross-shard root.  Lanes fail independently — a
-shard whose epoch is rejected rolls back and fails *its* tickets only,
-while sibling lanes commit (the paper's transactional ``run_update``, per
-shard).
+There is one way to run an epoch.  Every log is a set of **epoch lanes**
+(``log.num_shards`` of them: one per shard of a
+:class:`~repro.log.sharded.ShardedLog`, exactly one for an unsharded
+:class:`~repro.log.distributed.DistributedLog`).  A tick groups the waiters
+by their identifier's lane, hands the runnable lanes to the ``lane_runner``
+(the service's lane workers: one FIFO worker per lane, HsmWorkerPool
+discipline), joins them, and only then publishes the combined root.  Lanes
+fail independently — a lane whose epoch is rejected rolls back and fails
+*its* tickets only, while sibling lanes commit (the paper's transactional
+``run_update``, per lane).
 
 Because inclusion proofs are digest-exact (Merkle BST), committing an epoch
 invalidates the proofs of sessions still mid-share-phase.  Each served
 session therefore holds an *epoch lease* until it reports its share phase
-done (``release``).  Leases are tracked **per shard lane**: each lane has
-its own drain condition, and a lane runs its epoch as soon as *its* leases
-drain, so a straggler on shard 7 defers only shard 7's epoch while every
-other lane commits unimpeded.  A deferred lane's drain is bounded by
+done (``release``).  Leases are tracked **per lane**: a lane runs its epoch
+as soon as *its* leases drain, so a straggler on shard 7 defers only shard
+7's epoch while every other lane commits unimpeded; a tick blocks only when
+no lane with work is runnable.  A deferred lane's drain is bounded by
 ``lease_timeout``, measured from the first tick the lane deferred, so a
 crashed client cannot stall its lane forever (abandoned sessions fall back
 to client-side proof refresh; their late ``release`` after a timeout-clear
 is a harmless no-op).  Every dropped straggler counts one ``lease_timeout``
-— ``stats()`` reports the per-shard split.
+— ``stats()`` reports the per-lane split.
 
 Thread safety: all mutable state (waiters, leases, counters) is guarded by
-``self._lock``; the ``_drained`` condition and the per-lane drain
-conditions all wrap that same lock, so holding any of them serializes the
-same state.  ``tick`` holds it for the whole epoch, so out-of-band log
-reads may take ``batcher.lock`` to get a settled view.  Shard-lane fan-out
-happens *inside* a tick: concurrency is between lanes (distinct shards,
-per-device FIFO serialization), never between ticks.
+``self._lock``; the ``_drained`` condition wraps that same lock, so holding
+either serializes the same state.  ``tick`` holds it for the whole epoch,
+so out-of-band log reads may take ``batcher.lock`` to get a settled view.
+Lane fan-out happens *inside* a tick: concurrency is between lanes
+(distinct shards, per-device FIFO serialization), never between ticks.
 """
 
 from __future__ import annotations
@@ -140,7 +141,6 @@ class EpochBatcher:
         "_leases": ("_lock", "_drained"),
         "_lease_shards": ("_lock", "_drained"),
         "_lane_blocked_since": ("_lock", "_drained"),
-        "_lane_drained": ("_lock", "_drained"),
         "epochs_run": ("_lock", "_drained"),
         "entries_committed": ("_lock", "_drained"),
         "sessions_served": ("_lock", "_drained"),
@@ -156,23 +156,23 @@ class EpochBatcher:
         self,
         provider: ServiceProvider,
         lease_timeout: float = 10.0,
-        run_epoch: Optional[Callable[[], None]] = None,
-        shard_runner: Optional[
+        lane_runner: Optional[
             Callable[[Sequence[int]], Dict[int, Optional[BaseException]]]
         ] = None,
     ) -> None:
-        """``run_epoch`` commits one log update; defaults to the provider's
-        installed runner.  The service passes a runner that routes every
-        per-device protocol call through that device's FIFO worker.
+        """``lane_runner`` commits the epochs: called with the lane indices
+        that have work and no outstanding lease this tick, it must commit
+        one epoch per listed lane (typically in parallel) and return a
+        per-lane outcome map (``None`` = committed, exception = that lane
+        failed and rolled back).  The service passes a runner that fans
+        the lanes out to its lane workers, every per-device protocol call
+        routed through that device's FIFO worker.
 
-        ``shard_runner`` enables lane mode over a sharded log: called with
-        the shard indices that have work this tick, it must commit one
-        epoch per listed shard (typically in parallel lanes) and return a
-        per-shard outcome map (``None`` = committed, exception = that
-        shard failed and rolled back)."""
+        The default suits a standalone single-lane provider: it runs the
+        provider's installed update runner on the calling thread and
+        reports that one outcome for every lane asked for."""
         self._provider = provider
-        self._run_epoch = run_epoch or provider.run_log_update
-        self._shard_runner = shard_runner
+        self._lane_runner = lane_runner or self._run_provider_update
         self._lease_timeout = lease_timeout
         self._lock = threading.Lock()
         self._drained = threading.Condition(self._lock)
@@ -181,7 +181,6 @@ class EpochBatcher:
         # shard lane -> (username, attempt) sessions served by that lane's
         # last epoch and still in their share phase — their inclusion proofs
         # pin the current digest.  A lane absent (or empty) is drained.
-        # Unsharded deployments use lane 0.
         self._leases: Dict[int, Set[Tuple[str, int]]] = {}
         # (username, attempt) -> shard lane: release() only knows the
         # session key, and must not re-derive the shard (identifiers are
@@ -193,8 +192,6 @@ class EpochBatcher:
         # skipped, not waited on, so its lease_timeout is measured from the
         # first deferral rather than from any single tick's start.
         self._lane_blocked_since: Dict[int, float] = {}
-        # shard lane -> drain condition (lazily created, wraps self._lock).
-        self._lane_drained: Dict[int, threading.Condition] = {}
         self.epochs_run = 0
         self.entries_committed = 0
         self.sessions_served = 0
@@ -243,81 +240,117 @@ class EpochBatcher:
             return len(self._waiters)
 
     def tick(self) -> int:
-        """Commit one update epoch; returns the number of sessions served.
+        """Commit one epoch per runnable lane; returns the sessions served.
 
         An idle tick (nothing submitted, nothing pending) returns
         immediately via an O(1) emptiness probe — it neither snapshots the
-        pending queue nor drains leases it has no epoch to break.  Sharded
-        logs run one epoch lane per shard; each lane waits only on *its
-        own* leases (see :meth:`_tick_shard_lanes`).  The single-log path
-        is lane 0: wait (bounded by ``lease_timeout``) for its leases to
-        drain, run exactly one ``run_update`` over everything pending, and
-        resolve every waiting ticket with its inclusion proof.
+        pending queue nor drains leases it has no epoch to break.
+
+        Lanes are independent: a lane runs as soon as *its* leases are
+        drained.  A lane still mid-share-phase is *deferred*, not waited on
+        — its waiters are requeued for the next tick and its block is timed
+        from the first deferral (``_lane_blocked_since``), so its leases
+        still expire after ``lease_timeout`` even though no tick sat
+        blocking on them; a straggler on one shard therefore never delays
+        another shard's epoch.  Only when *no* lane with work is runnable —
+        always the case for the lone lane of an unsharded log — does the
+        tick block, until the earliest lane drains or times out.
+
+        Each runnable lane gets one epoch; a failed lane fails only the
+        tickets routed to it (the lane itself rolled back, and the batcher
+        stays alive to serve later sessions), and ``epochs_run`` /
+        ``epoch_failures`` count per lane epoch.  The combined root is
+        recorded once, after every lane has settled — and only if at least
+        one lane committed: a tick where *every* lane failed changed no
+        digest, so appending a history row for it would desynchronize
+        ``epoch_sessions``/``epoch_digests`` from the epochs that actually
+        happened.
         """
         with self._drained:
             log = self._provider.log
-            if not self._waiters and not self._log_has_pending(log):
+            if not self._waiters and not log.has_pending:
                 return 0
-            num_shards = getattr(log, "num_shards", 1)
-            if self._shard_runner is not None and num_shards > 1:
-                return self._tick_shard_lanes(num_shards)
-            self._drain_lane(0)
-            waiters, self._waiters = self._waiters, []
-            try:
-                self._run_epoch()
-            except Exception as exc:
-                # The epoch itself failed (quorum lost, bad chunk, worker
-                # timeout).  Fail this batch's tickets but keep the batcher
-                # alive: the ticker must survive to serve later sessions.
-                self.epoch_failures += 1
-                error = ProviderError(f"log update epoch failed: {exc!r}")
-                error.__cause__ = exc
-                for *_, ticket in waiters:
-                    ticket.fail(error)
-                return 0
-            self.epochs_run += 1
-            self.entries_committed += len(waiters)
-            served = self._serve_waiters(waiters, 0)
-            self.epoch_sessions.append(served)
-            self.epoch_digests.append(log.digest)
-            self._journal_publish()
-        return served
+            num_shards = log.num_shards
+            while True:
+                waiters, self._waiters = self._waiters, []
+                by_shard: Dict[int, List[Tuple]] = {}
+                for waiter in waiters:
+                    by_shard.setdefault(shard_of(waiter[2], num_shards), []).append(
+                        waiter
+                    )
+                wanted = sorted(set(by_shard) | set(log.shards_with_pending()))
+                now = time.monotonic()
+                ready: List[int] = []
+                deferred: List[int] = []
+                for shard in wanted:
+                    if not self._leases.get(shard):
+                        self._lane_blocked_since.pop(shard, None)
+                        ready.append(shard)
+                        continue
+                    since = self._lane_blocked_since.setdefault(shard, now)
+                    if now - since >= self._lease_timeout:
+                        # Stragglers lose their lease; if still alive they
+                        # will refresh their proofs through the provider.
+                        self._expire_lane(shard)
+                        ready.append(shard)
+                    else:
+                        deferred.append(shard)
+                if ready:
+                    if deferred:
+                        held = set(deferred)
+                        self._waiters[:0] = [
+                            w for w in waiters if shard_of(w[2], num_shards) in held
+                        ]
+                        for shard in held:
+                            by_shard.pop(shard, None)
+                    break
+                if not wanted:
+                    return 0
+                # Every lane with work is mid-share-phase: requeue everything
+                # and block until the earliest lane drains or times out.
+                self._waiters[:0] = waiters
+                earliest = min(self._lane_blocked_since[s] for s in deferred)
+                remaining = earliest + self._lease_timeout - now
+                if remaining > 0:
+                    self._drained.wait(remaining)
+            outcomes = self._lane_runner(ready)
+            served = 0
+            committed_lanes = 0
+            for shard in ready:
+                error = outcomes.get(shard)
+                shard_waiters = by_shard.get(shard, [])
+                if error is not None:
+                    self.epoch_failures += 1
+                    failure = ProviderError(f"shard {shard} epoch failed: {error!r}")
+                    failure.__cause__ = error
+                    for *_, ticket in shard_waiters:
+                        ticket.fail(failure)
+                    continue
+                self.epochs_run += 1
+                self.entries_committed += len(shard_waiters)
+                committed_lanes += 1
+                served += self._serve_waiters(shard_waiters, shard)
+            if committed_lanes:
+                root = log.digest
+                self.epoch_sessions.append(served)
+                self.epoch_digests.append(root)
+                if self._provider.journal is not None:  # durable deployments
+                    self._provider.journal.record_publish(root)
+            return served
 
-    @staticmethod
-    def _log_has_pending(log) -> bool:
-        """O(1) emptiness probe; falls back to the snapshotting ``pending``
-        property for duck-typed logs that predate ``has_pending``."""
-        flag = getattr(log, "has_pending", None)
-        if flag is None:
-            return bool(log.pending)
-        return bool(flag)
+    def _run_provider_update(
+        self, shards: Sequence[int]
+    ) -> Dict[int, Optional[BaseException]]:
+        """The default ``lane_runner``: the provider's installed update
+        runner on the calling thread, its outcome reported for every lane
+        asked for."""
+        try:
+            self._provider.run_log_update()
+        except Exception as exc:  # per-lane isolation: fails this batch only
+            return dict.fromkeys(shards, exc)
+        return dict.fromkeys(shards)
 
-    # lint: unguarded[called only with self._lock held (both tick paths); the lane condition wraps that same lock]
-    def _drain_lane(self, shard: int) -> None:
-        """Block until ``shard``'s leases drain, bounded by ``lease_timeout``.
-
-        The deadline is anchored at the lane's first deferral
-        (``_lane_blocked_since``), which may predate this call by several
-        ticks in sharded mode; stragglers past it are dropped via
-        :meth:`_expire_lane`.
-        """
-        if not self._leases.get(shard):
-            self._lane_blocked_since.pop(shard, None)
-            return
-        cond = self._lane_cond(shard)
-        start = self._lane_blocked_since.setdefault(shard, time.monotonic())
-        deadline = start + self._lease_timeout
-        while self._leases.get(shard):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                # Stragglers lose their lease; if still alive they will
-                # refresh their proofs through the provider.
-                self._expire_lane(shard)
-                break
-            cond.wait(remaining)
-        self._lane_blocked_since.pop(shard, None)
-
-    # lint: unguarded[called only with self._lock held (drain/defer paths)]
+    # lint: unguarded[called only with self._lock held (tick's defer path)]
     def _expire_lane(self, shard: int) -> None:
         """Drop every straggler lease on ``shard``, counting each one in
         ``lease_timeouts`` and the per-shard split."""
@@ -332,19 +365,11 @@ class EpochBatcher:
             shard, 0
         ) + len(leases)
 
-    # lint: unguarded[called only with self._lock held; all lane conditions wrap that same lock]
-    def _lane_cond(self, shard: int) -> threading.Condition:
-        """The lane's drain condition, created on first use."""
-        cond = self._lane_drained.get(shard)
-        if cond is None:
-            cond = self._lane_drained[shard] = threading.Condition(self._lock)
-        return cond
-
-    # lint: unguarded[called only with self._drained held (both tick paths)]
+    # lint: unguarded[called only from tick(), with self._drained held]
     def _serve_waiters(self, waiters: List[Tuple], shard: int) -> int:
         """Resolve each waiter with its inclusion proof; returns the count
         actually served.  Called with ``self._drained`` held.  Each lease
-        is filed under ``shard``'s lane (0 for the single-log path).
+        is filed under ``shard``'s lane.
 
         A ticket whose session already timed out and abandoned it gets no
         epoch lease — the waiter is gone and would never ``release``, and
@@ -368,108 +393,13 @@ class EpochBatcher:
             served += 1
         return served
 
-    def _journal_publish(self) -> None:
-        """Record the post-epoch root in the provider's durability journal
-        (no-op for non-durable deployments)."""
-        journal = getattr(self._provider, "journal", None)
-        if journal is not None:
-            journal.record_publish(self._provider.log.digest)
-
-    # lint: unguarded[called only from tick(), which already holds self._drained for the whole epoch — see the docstring below]
-    def _tick_shard_lanes(self, num_shards: int) -> int:
-        """One tick over a sharded log: fan out the runnable lanes, join,
-        publish one root.
-
-        Called with ``self._drained`` held (from :meth:`tick`).  Lanes are
-        independent: a lane runs as soon as *its* leases are drained.  A
-        lane still mid-share-phase is *deferred*, not waited on — its
-        waiters are requeued for the next tick and its block is timed from
-        the first deferral (``_lane_blocked_since``), so its leases still
-        expire after ``lease_timeout`` even though no tick sat blocking on
-        them; a straggler on one shard therefore never delays another
-        shard's epoch.  Only when *no* lane with work is runnable does the
-        tick block, until the earliest lane drains or times out.
-
-        Each runnable shard gets one epoch; a failed shard fails only the
-        tickets routed to it, and ``epochs_run``/``epoch_failures`` count
-        per shard epoch.  The combined cross-shard root is recorded once,
-        after every lane has settled — and only if at least one lane
-        committed, matching the single-log path: a tick where *every* lane
-        failed changed no digest, so appending a history row for it would
-        desynchronize ``epoch_sessions``/``epoch_digests`` from the epochs
-        that actually happened.
-        """
-        log = self._provider.log
-        while True:
-            waiters, self._waiters = self._waiters, []
-            by_shard: Dict[int, List[Tuple]] = {}
-            for waiter in waiters:
-                by_shard.setdefault(shard_of(waiter[2], num_shards), []).append(
-                    waiter
-                )
-            wanted = sorted(set(by_shard) | set(log.shards_with_pending()))
-            now = time.monotonic()
-            ready: List[int] = []
-            deferred: List[int] = []
-            for shard in wanted:
-                if not self._leases.get(shard):
-                    self._lane_blocked_since.pop(shard, None)
-                    ready.append(shard)
-                    continue
-                since = self._lane_blocked_since.setdefault(shard, now)
-                if now - since >= self._lease_timeout:
-                    self._expire_lane(shard)
-                    ready.append(shard)
-                else:
-                    deferred.append(shard)
-            if ready:
-                if deferred:
-                    held = set(deferred)
-                    self._waiters[:0] = [
-                        w for w in waiters if shard_of(w[2], num_shards) in held
-                    ]
-                    for shard in held:
-                        by_shard.pop(shard, None)
-                break
-            if not wanted:
-                return 0
-            # Every lane with work is mid-share-phase: requeue everything
-            # and block until the earliest lane drains or times out.
-            self._waiters[:0] = waiters
-            earliest = min(self._lane_blocked_since[s] for s in deferred)
-            remaining = earliest + self._lease_timeout - now
-            if remaining > 0:
-                self._drained.wait(remaining)
-        outcomes = self._shard_runner(ready)
-        served = 0
-        committed_lanes = 0
-        for shard in ready:
-            error = outcomes.get(shard)
-            shard_waiters = by_shard.get(shard, [])
-            if error is not None:
-                self.epoch_failures += 1
-                failure = ProviderError(f"shard {shard} epoch failed: {error!r}")
-                failure.__cause__ = error
-                for *_, ticket in shard_waiters:
-                    ticket.fail(failure)
-                continue
-            self.epochs_run += 1
-            self.entries_committed += len(shard_waiters)
-            committed_lanes += 1
-            served += self._serve_waiters(shard_waiters, shard)
-        if committed_lanes:
-            self.epoch_sessions.append(served)
-            self.epoch_digests.append(log.digest)
-            self._journal_publish()
-        return served
-
     def release(self, username: str, attempt: int) -> None:
         """Drop a session's epoch lease (its share phase is over).
 
         A late release — arriving after the lease was already dropped by a
         timeout expiry — is a harmless no-op: the reverse map no longer
-        knows the session, so no lane's lease set is touched and no lane
-        condition is notified (a straggler cannot wake the wrong lane).
+        knows the session, so no lane's lease set is touched and no blocked
+        tick is woken (a straggler cannot wake the wrong lane).
         """
         key = (username, attempt)
         with self._drained:
@@ -484,9 +414,6 @@ class EpochBatcher:
                 return
             del self._leases[shard]
             self._lane_blocked_since.pop(shard, None)
-            cond = self._lane_drained.get(shard)
-            if cond is not None:
-                cond.notify_all()
             self._drained.notify_all()
 
     def outstanding_leases(self, shard: Optional[int] = None) -> int:
@@ -500,8 +427,7 @@ class EpochBatcher:
     def stats(self) -> dict:
         """Counter snapshot; the recovery service merges this into its own
         ``stats()``.  ``lease_timeouts_by_shard`` /
-        ``outstanding_leases_by_shard`` expose the per-lane split (lane 0
-        for unsharded deployments)."""
+        ``outstanding_leases_by_shard`` expose the per-lane split."""
         with self._lock:
             return {
                 "epochs_run": self.epochs_run,

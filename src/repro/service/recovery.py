@@ -8,6 +8,10 @@
 - an :class:`~repro.service.batcher.EpochBatcher` — all sessions' log
   insertions ride one shared update epoch per tick instead of paying a
   full epoch each (the paper's every-~10-minutes batch);
+- a second, smaller ``HsmWorkerPool`` of **epoch lanes** — one FIFO worker
+  per log shard (``log.num_shards``; exactly one for an unsharded log).
+  Every epoch runs on its lane's worker: a tick fans the lanes with work
+  out through :meth:`RecoveryService.run_shard_epochs` and joins them;
 - a ticker thread committing epochs at ``tick_interval`` (or manual
   ``tick()`` calls for deterministic tests).
 
@@ -15,29 +19,26 @@ Clients created through :meth:`new_client` are ordinary
 :class:`~repro.core.client.Client` objects; they speak to the provider only
 through a ``ProviderChannel`` (byte-framed provider RPC for the default
 ``"wire"`` transport) fronting a facade whose ``log_and_prove`` blocks on
-the shared epoch, and their HSM channels run through the worker queues.  ``epoch_mode="per-request"`` keeps the
-seed's one-epoch-per-recovery behaviour (serializing sessions, since an
-epoch invalidates every other in-flight proof) — it exists so benchmarks
-can measure exactly what batching buys.
+the shared epoch, and their HSM channels run through the worker queues.
 
 Thread safety: the service is built to be hammered by many client threads
 at once.  All shared mutable state lives behind the batcher's lock, the
-provider's attempt-counter lock, the per-request slot condition, or a
-per-device/per-lane FIFO; devices and shard lanes never see two
-concurrent calls.  ``start``/``stop`` bracket the worker threads and are
-the only methods that must be externally serialized.
+provider's attempt-counter lock, or a per-device/per-lane FIFO; devices
+and epoch lanes never see two concurrent calls.  ``start``/``stop``
+bracket the worker threads and are the only methods that must be
+externally serialized; ``stop`` joins every thread the service started,
+including lane workers a manual-tick caller started without ``start``.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import List, Optional
 
 from repro.core.client import Client
 from repro.core.protocol import Deployment
 from repro.core.provider import ProviderError, ServiceProvider
-from repro.service.batcher import EpochBatcher
+from repro.service.batcher import EpochBatcher, ServiceTimeout
 from repro.service.channel import (
     ChannelFactory,
     DirectProviderChannel,
@@ -106,24 +107,8 @@ class BatchedProviderFacade:
     # -- the log, via the shared epoch ----------------------------------------
     def log_and_prove(self, username: str, attempt: int, commitment: bytes):
         """Queue the insertion and block on the shared epoch's ticket."""
-        service = self._service
-        if service.epoch_mode == "per-request":
-            service.acquire_session_slot(username, attempt)
-            try:
-                with service.batcher.lock:
-                    identifier = self._provider.log_recovery_attempt(
-                        username, attempt, commitment
-                    )
-                    service.run_epoch()
-                    proof = self._provider.log.prove_includes(identifier, commitment)
-                    if proof is None:  # pragma: no cover - insert guarantees it
-                        raise ProviderError("inclusion proof unavailable after epoch")
-                    return identifier, proof
-            except BaseException:
-                service.release_session_slot(username, attempt)
-                raise
-        ticket = service.batcher.submit(username, attempt, commitment)
-        return ticket.wait(service.session_timeout)
+        ticket = self._service.batcher.submit(username, attempt, commitment)
+        return ticket.wait(self._service.session_timeout)
 
     def prove_inclusion(self, identifier: bytes, value: bytes):
         """Fresh proof against the current digest (under the epoch lock)."""
@@ -131,11 +116,8 @@ class BatchedProviderFacade:
             return self._provider.prove_inclusion(identifier, value)
 
     def share_phase_done(self, username: str, attempt: int) -> None:
-        """Release the session's epoch lease (or per-request slot)."""
-        if self._service.epoch_mode == "per-request":
-            self._service.release_session_slot(username, attempt)
-        else:
-            self._service.batcher.release(username, attempt)
+        """Release the session's epoch lease."""
+        self._service.batcher.release(username, attempt)
 
 
 class RecoveryService:
@@ -145,7 +127,6 @@ class RecoveryService:
         self,
         deployment: Deployment,
         transport: str = "wire",
-        epoch_mode: str = "batched",
         tick_interval: float = 0.02,
         lease_timeout: float = 10.0,
         session_timeout: float = 60.0,
@@ -153,17 +134,13 @@ class RecoveryService:
     ) -> None:
         if transport not in ("wire", "direct"):
             raise ValueError(f"unknown transport {transport!r}")
-        if epoch_mode not in ("batched", "per-request"):
-            raise ValueError(f"unknown epoch mode {epoch_mode!r}")
         self.deployment = deployment
         self.provider: ServiceProvider = deployment.provider
-        self.epoch_mode = epoch_mode
         self.session_timeout = session_timeout
         # Stashed so restart() can rebuild an identical service over the
         # restored deployment.
         self._ctor_options = dict(
             transport=transport,
-            epoch_mode=epoch_mode,
             tick_interval=tick_interval,
             lease_timeout=lease_timeout,
             session_timeout=session_timeout,
@@ -172,20 +149,15 @@ class RecoveryService:
         self.pool = HsmWorkerPool(len(deployment.fleet), call_timeout=call_timeout)
         self._call_timeout = call_timeout
         self._epoch_fleet = [_FifoDevice(self.pool, hsm) for hsm in deployment.fleet]
-        # One epoch lane per log shard: lane k is a FIFO worker that commits
-        # shard k's epochs, so a tick fans out across lanes and joins
-        # (unsharded logs keep the single caller-thread epoch path).
-        self.shard_lanes = getattr(self.provider.log, "num_shards", 1)
-        self._lane_pool: Optional[HsmWorkerPool] = (
-            HsmWorkerPool(self.shard_lanes, call_timeout=call_timeout)
-            if self.shard_lanes > 1
-            else None
-        )
+        # One epoch lane per log shard (one for an unsharded log): lane k is
+        # a FIFO worker that commits shard k's epochs, so a tick fans out
+        # across lanes and joins.
+        self.shard_lanes = self.provider.log.num_shards
+        self._lane_pool = HsmWorkerPool(self.shard_lanes, call_timeout=call_timeout)
         self.batcher = EpochBatcher(
             self.provider,
             lease_timeout=lease_timeout,
-            run_epoch=self.run_epoch,
-            shard_runner=self.run_shard_epochs if self._lane_pool else None,
+            lane_runner=self.run_shard_epochs,
         )
         inner = (wire_channels if transport == "wire" else direct_channels)(
             deployment.fleet
@@ -206,20 +178,13 @@ class RecoveryService:
         self._tick_interval = tick_interval
         self._ticker: Optional[threading.Thread] = None
         self._stop = threading.Event()
-        # per-request mode: one session owns the log at a time (an epoch per
-        # request invalidates every other in-flight proof, so overlap is
-        # unsound — this slot is what batching removes).
-        self._slot_cv = threading.Condition()
-        self._slot_owner: Optional[tuple] = None
-        self.slot_steals = 0
         self.clients: List[Client] = []
 
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> "RecoveryService":
-        """Start the worker pool, the shard lanes, and the epoch ticker."""
+        """Start the worker pool, the epoch lanes, and the epoch ticker."""
         self.pool.start()
-        if self._lane_pool is not None:
-            self._lane_pool.start()
+        self._lane_pool.start()
         if self._ticker is None:
             self._stop.clear()
             self._ticker = threading.Thread(
@@ -229,13 +194,26 @@ class RecoveryService:
         return self
 
     def stop(self) -> None:
-        """Drain one final tick, then stop the ticker, lanes, and workers."""
+        """Drain one final tick, then stop the ticker, lanes, and workers.
+
+        Joins every thread the service started, whether ``start`` started
+        it or a manual-tick caller did (``pool.start()``, the lane workers
+        :meth:`run_shard_epochs` starts on demand).  If the ticker is still
+        inside an epoch after ``session_timeout`` this raises
+        :class:`ServiceTimeout` and leaves the ticker handle, the lanes and
+        the workers in place — stopping the pools under a running epoch
+        would fail it halfway — so ``stop`` can simply be called again.
+        """
         if self._ticker is not None:
             self._stop.set()
             self._ticker.join(timeout=self.session_timeout)
+            if self._ticker.is_alive():
+                raise ServiceTimeout(
+                    f"epoch ticker still running after {self.session_timeout}s;"
+                    " lanes and workers left up — call stop() again"
+                )
             self._ticker = None
-        if self._lane_pool is not None:
-            self._lane_pool.stop()
+        self._lane_pool.stop()
         self.pool.stop()
 
     def __enter__(self) -> "RecoveryService":
@@ -281,22 +259,18 @@ class RecoveryService:
         )
         return RecoveryService(restored, **self._ctor_options)
 
-    def run_epoch(self) -> None:
-        """One log-update epoch with every device call routed through that
-        device's FIFO worker (the pool must be running)."""
-        self.provider.log.run_update(self._epoch_fleet)
-
     def run_shard_epochs(self, shards) -> dict:
         """Fan one epoch per listed shard out to the lane workers and join.
 
-        Each lane commits its shard through ``ShardedLog.run_shard_update``
-        with device calls still FIFO-serialized per HSM, so concurrent
-        lanes interleave *across* devices but never within one.  Returns
-        the per-shard outcome map the batcher uses to fail only the
-        tickets of a rejected shard (that shard rolled itself back).
+        Each lane commits its shard through ``log.run_shard_update`` (an
+        unsharded log's lone lane 0 is its ``run_update``) with device
+        calls still FIFO-serialized per HSM — the device pool must be
+        running — so concurrent lanes interleave *across* devices but
+        never within one.  Returns the per-shard outcome map the batcher
+        uses to fail only the tickets of a rejected shard (that shard
+        rolled itself back).
         """
-        assert self._lane_pool is not None
-        if not self._lane_pool.running:  # manual-tick tests drive epochs
+        if not self._lane_pool.running:  # manual-tick callers drive epochs
             self._lane_pool.start()     # without start()ing the service
         log = self.provider.log
         jobs = {
@@ -322,31 +296,6 @@ class RecoveryService:
                 outcomes[shard] = exc
         return outcomes
 
-    # -- per-request mode session slot ----------------------------------------
-    def acquire_session_slot(self, username: str, attempt: int) -> None:
-        """Per-request mode: claim the one-session-at-a-time log slot."""
-        deadline = time.monotonic() + self.session_timeout
-        with self._slot_cv:
-            while self._slot_owner is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    # The owner died between begin_recovery and its share
-                    # phase: steal the slot so one crashed client cannot
-                    # wedge the service (same philosophy as lease_timeout).
-                    self.slot_steals += 1
-                    break
-                self._slot_cv.wait(remaining)
-            self._slot_owner = (username, attempt)
-
-    def release_session_slot(self, username: str, attempt: int) -> None:
-        """Give the per-request slot back (idempotent; stale-safe)."""
-        with self._slot_cv:
-            # Owner check makes release idempotent and ignores a stale
-            # release from a session whose slot was stolen.
-            if self._slot_owner == (username, attempt):
-                self._slot_owner = None
-                self._slot_cv.notify()
-
     # -- clients ---------------------------------------------------------------
     def new_client(self, username: str) -> Client:
         """A client wired through the service: batched log, queued channels,
@@ -371,12 +320,10 @@ class RecoveryService:
         Includes ``provider_wire`` (frames/bytes moved on the provider RPC
         leg) when the service runs the wire transport."""
         stats = {
-            "epoch_mode": self.epoch_mode,
             "shard_lanes": self.shard_lanes,
             # Batcher counters, including the per-shard lease splits
             # (lease_timeouts_by_shard, outstanding_leases_by_shard).
             **self.batcher.stats(),
-            "slot_steals": self.slot_steals,
             "jobs_per_device": list(self.pool.jobs_processed),
         }
         if isinstance(self.provider_channel, WireProviderChannel):

@@ -58,7 +58,7 @@ class EpochBatchModel:
     Sessions arrive as a Poisson stream at ``arrival_rate`` (sessions/s)
     and wait for the next epoch tick, committed every ``epoch_interval``
     seconds at a fixed cost of ``epoch_seconds`` of log-update work.  With
-    per-request epochs every session pays ``epoch_seconds`` itself; with
+    one epoch per session every session pays ``epoch_seconds`` itself; with
     batching the cost is amortized over everyone sharing the tick.
     """
 
@@ -88,7 +88,7 @@ class EpochBatchModel:
     def epoch_cost_per_session(self) -> float:
         """Amortized log-update seconds each session pays.
 
-        Falls from ``epoch_seconds`` (per-request, <=1 session per epoch)
+        Falls from ``epoch_seconds`` (an epoch per request, <=1 session each)
         toward ``epoch_seconds / (λT)`` as batches fill up.
         """
         return self.epoch_seconds / max(1.0, self.sessions_per_epoch)

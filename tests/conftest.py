@@ -1,13 +1,8 @@
-"""Shared fixtures and fault-injection re-exports.
+"""Shared fixtures.
 
 Protocol-level tests share one session-scoped deployment where possible
 (HSM keygen is the expensive part); tests that fail-stop or compromise HSMs
 build their own so they cannot poison neighbours.
-
-The deterministic ``Flaky*`` fault-injection toolkit now lives in
-``repro.sim.faults`` (shared with the chaos layer); the names below are
-thin re-export shims so existing ``from conftest import ...`` sites keep
-working.
 """
 
 from __future__ import annotations
@@ -18,12 +13,6 @@ import pytest
 
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
-from repro.sim.faults import (  # noqa: F401 - re-exported for the test suite
-    FlakyChannel,
-    FlakyProviderChannel,
-    FlakyTransport,
-    FrameDropped,
-)
 
 
 @pytest.fixture

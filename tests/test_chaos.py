@@ -269,18 +269,9 @@ class TestReplay:
 
 
 # ---------------------------------------------------------------------------
-# Promoted fault injectors (satellite: conftest -> repro.sim.faults)
+# Fault injectors (repro.sim.faults)
 # ---------------------------------------------------------------------------
 class TestFaultsPromotion:
-    def test_faults_live_in_the_package_and_conftest_reexports(self):
-        import conftest
-
-        from repro.sim import faults
-
-        for name in ("FlakyTransport", "FlakyChannel", "FlakyProviderChannel",
-                     "FrameDropped"):
-            assert getattr(conftest, name) is getattr(faults, name)
-
     def test_flaky_transport_schedule_is_seed_pinned(self):
         from repro.sim.faults import FlakyTransport
 

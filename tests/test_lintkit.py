@@ -454,23 +454,27 @@ def test_cli_rejects_unknown_pass():
     assert result.returncode == 2
 
 
-def test_docs_lint_shim_still_works():
-    env = dict(os.environ)
-    result = subprocess.run(
-        [
-            sys.executable,
-            str(REPO_ROOT / "scripts" / "docs_lint.py"),
-            "src/repro/service",
-            "src/repro/log",
-            "src/repro/core/wire.py",
-        ],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-        env=env,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "clean" in result.stdout
+def test_no_sharded_unsharded_probe_in_src():
+    """One log interface: ``num_shards``, ``shards`` and ``has_pending``
+    are real members of both logs, ``shard``/``num_shards`` real fields of
+    rounds and transitions — so nothing under ``src/repro`` may fork on
+    them with a ``getattr``/``hasattr`` probe."""
+    import ast
+
+    probed = {"num_shards", "shard", "shards", "has_pending"}
+    offenders = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "hasattr")
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in probed
+            ):
+                offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
+    assert offenders == []
 
 
 def test_default_passes_cover_all_five_surfaces():

@@ -1,8 +1,7 @@
 """Fault injection: a lossy/hostile transport must surface typed errors and
 can never corrupt log or counter state.
 
-``FlakyProviderChannel`` / ``FlakyChannel`` (``repro.sim.faults``,
-re-exported by ``tests/conftest.py``) wrap the
+``FlakyProviderChannel`` / ``FlakyChannel`` (``repro.sim.faults``) wrap the
 provider RPC and client->HSM wire transports with deterministic seeded
 frame faults — drops, duplicates (retransmission), bit-flips, truncation,
 trailing garbage.  Sessions run through ``RecoveryService`` (provider leg)
@@ -19,7 +18,6 @@ import random
 
 import pytest
 
-from conftest import FlakyChannel, FlakyProviderChannel, FrameDropped
 from repro.core.client import Client, RecoveryError
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
@@ -27,6 +25,7 @@ from repro.core.provider import ProviderError
 from repro.core.wire import WireFormatError
 from repro.log.authdict import AuthenticatedDictionary
 from repro.service.channel import WireProviderChannel, provider_channel
+from repro.sim.faults import FlakyChannel, FlakyProviderChannel, FrameDropped
 
 #: The only exception types a faulty transport may surface.  Everything
 #: else (KeyError, IndexError, struct.error, ...) is a harness bug.

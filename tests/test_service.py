@@ -295,32 +295,10 @@ class TestRecoveryService:
             thread.join(timeout=30)
             assert done == [b"manual"]
         finally:
-            service.pool.stop()
-
-    def test_per_request_mode_matches_seed_semantics(self, service_deployment):
-        service = service_deployment.recovery_service(
-            epoch_mode="per-request", tick_interval=0.01
-        )
-        epochs_before = service_deployment.provider.log.epoch
-        clients = [service.new_client(f"svc-perreq-{i}") for i in range(2)]
-        errors = []
-
-        def run(i):
-            try:
-                clients[i].backup(b"p%d" % i, pin="3333")
-                assert clients[i].recover("3333") == b"p%d" % i
-            except Exception as exc:  # noqa: BLE001
-                errors.append((i, repr(exc)))
-
-        with service:
-            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        assert errors == []
-        # One full epoch per recovery, exactly like the seed's log_and_prove.
-        assert service_deployment.provider.log.epoch - epochs_before == 2
+            # stop() without start(): joins the device workers started
+            # above and the lane worker the manual tick started on demand.
+            service.stop()
+        assert not service.pool.running and not service._lane_pool.running
 
     def test_failed_epoch_fails_batch_but_not_the_service(self):
         """Losing quorum mid-service must fail that batch's sessions cleanly
@@ -345,21 +323,27 @@ class TestRecoveryService:
         # provider and fleet digests agree again
         assert deployment.fleet[0].log_digest == deployment.provider.log.digest
 
-    def test_abandoned_session_slot_is_stolen(self, service_deployment):
-        """Per-request mode: a client that dies between begin_recovery and
-        its share phase must not wedge the service — the next session
-        steals the slot after session_timeout."""
+    def test_stop_keeps_the_workers_up_under_a_running_epoch(self, service_deployment):
+        """Regression: ``stop`` used to forget the ticker after its join
+        timed out and then stop the pools under the still-running epoch.
+        It must raise, leave everything up, and succeed when called again."""
         service = service_deployment.recovery_service(
-            epoch_mode="per-request", session_timeout=0.1
+            tick_interval=0.01, lease_timeout=30.0, session_timeout=0.2
         )
-        service.acquire_session_slot("ghost", 0)  # never released
-        service.acquire_session_slot("svc-steal", 0)  # blocks 0.1s, then steals
-        assert service.slot_steals == 1
-        assert service._slot_owner == ("svc-steal", 0)
-        service.release_session_slot("ghost", 0)  # stale release: ignored
-        assert service._slot_owner == ("svc-steal", 0)
-        service.release_session_slot("svc-steal", 0)
-        assert service._slot_owner is None
+        batcher = service.batcher
+        with service:
+            batcher.submit("svc-stop-holder", 0, b"h").wait(timeout=30)
+            # The holder's lease blocks the lone lane: the ticker sits inside
+            # the tick that wants to commit this second session.
+            blocked = batcher.submit("svc-stop-blocked", 0, b"h2")
+            with pytest.raises(ServiceTimeout):
+                service.stop()
+            assert service._ticker is not None and service._ticker.is_alive()
+            assert service.pool.running and service._lane_pool.running
+            batcher.release("svc-stop-holder", 0)
+            blocked.wait(timeout=30)  # the epoch completed on live workers
+        assert service._ticker is None
+        assert not service.pool.running and not service._lane_pool.running
 
     def test_facade_reserves_unique_attempts(self, service_deployment):
         service = service_deployment.recovery_service()
@@ -437,32 +421,36 @@ class TestBatcherRegressions:
         assert batcher.outstanding_leases() == 1
 
     def test_all_lanes_failing_appends_no_history_row(self):
-        """Regression: a sharded tick where EVERY lane failed used to append
-        an epoch_sessions/epoch_digests row even though no epoch committed,
-        desynchronizing the history from the single-log path (which appends
-        nothing on failure)."""
-        deployment = Deployment.create(
-            SystemParams.for_testing(num_hsms=8, cluster_size=4),
-            rng=random.Random(17),
-            shards=2,
-        )
-        failing = EpochBatcher(
-            deployment.provider,
-            shard_runner=lambda shards: {
-                shard: RuntimeError("lane down") for shard in shards
-            },
-        )
-        tickets = [failing.submit(f"lane-user-{i}", 0, b"h%d" % i) for i in range(4)]
-        assert failing.tick() == 0
-        assert list(failing.epoch_sessions) == []
-        assert list(failing.epoch_digests) == []
-        assert failing.epoch_failures >= 1
-        assert failing.epochs_run == 0
-        for ticket in tickets:
-            with pytest.raises(ProviderError):
-                ticket.wait(timeout=1)
-        # History stays paired — the invariant the desync broke.
-        assert len(failing.epoch_sessions) == len(failing.epoch_digests)
+        """Regression: a tick where EVERY lane failed used to append an
+        epoch_sessions/epoch_digests row even though no epoch committed,
+        desynchronizing the history from the epochs that happened.  Holds
+        for the lone lane of an unsharded log and for four lanes alike."""
+        for num_shards in LANE_ARITIES:
+            deployment = Deployment.create(
+                SystemParams.for_testing(num_hsms=8, cluster_size=4),
+                rng=random.Random(17),
+                shards=num_shards,
+            )
+            failing = EpochBatcher(
+                deployment.provider,
+                lane_runner=lambda shards: {
+                    shard: RuntimeError("lane down") for shard in shards
+                },
+            )
+            tickets = [
+                failing.submit(f"lane-user-{i}", 0, b"h%d" % i) for i in range(4)
+            ]
+            assert failing.tick() == 0
+            assert list(failing.epoch_sessions) == []
+            assert list(failing.epoch_digests) == []
+            assert failing.epoch_failures >= 1
+            assert failing.epochs_run == 0
+            for ticket in tickets:
+                with pytest.raises(ProviderError, match="epoch failed") as caught:
+                    ticket.wait(timeout=1)
+                assert isinstance(caught.value.__cause__, RuntimeError)
+            # History stays paired — the invariant the desync broke.
+            assert len(failing.epoch_sessions) == len(failing.epoch_digests)
 
     def test_partial_lane_failure_appends_one_row(self):
         """One committed lane out of two still records exactly one paired
@@ -484,7 +472,7 @@ class TestBatcherRegressions:
                     outcomes[shard] = RuntimeError("lane down")
             return outcomes
 
-        batcher = EpochBatcher(deployment.provider, shard_runner=half_runner)
+        batcher = EpochBatcher(deployment.provider, lane_runner=half_runner)
         for i in range(12):  # enough sessions to hit both shards
             batcher.submit(f"half-user-{i}", 0, b"h%d" % i)
         served = batcher.tick()
@@ -511,9 +499,14 @@ class TestBatcherRegressions:
 # ---------------------------------------------------------------------------
 # Per-shard epoch leases: lane independence, timeout accounting
 # ---------------------------------------------------------------------------
-def _stub_sharded_batcher(num_shards=4, lease_timeout=30.0):
-    """A sharded provider whose lanes commit via bare ``prepare_update`` —
-    no device fleet, so the tests isolate the batcher's lease bookkeeping."""
+#: The single-lane tests run at both arities: an unsharded log is one lane.
+LANE_ARITIES = (1, 4)
+
+
+def _stub_lane_batcher(num_shards=4, lease_timeout=30.0):
+    """A provider (unsharded at ``num_shards=1``) whose lanes commit via
+    bare ``prepare_update`` — no device fleet, so the tests isolate the
+    batcher's lease bookkeeping."""
     provider = ServiceProvider(LogConfig(audit_count=2, num_shards=num_shards))
     log = provider.log
 
@@ -525,7 +518,7 @@ def _stub_sharded_batcher(num_shards=4, lease_timeout=30.0):
         return outcomes
 
     return provider, EpochBatcher(
-        provider, lease_timeout=lease_timeout, shard_runner=lane_runner
+        provider, lease_timeout=lease_timeout, lane_runner=lane_runner
     )
 
 
@@ -545,53 +538,60 @@ def _user_on_shard(shard, num_shards, tag):
 
 
 class TestPerShardLeases:
-    def test_idle_tick_skips_lease_drain(self, batcher_provider):
+    def test_idle_tick_skips_lease_drain(self):
         """A tick with nothing submitted and nothing pending returns via
         the O(1) emptiness probe — it must not sit out ``lease_timeout``
         draining leases it has no epoch to break."""
-        batcher = EpochBatcher(batcher_provider, lease_timeout=30.0)
-        batcher.submit("idler", 0, b"h")
-        batcher.tick()
-        assert batcher.outstanding_leases() == 1
-        start = time.monotonic()
-        assert batcher.tick() == 0
-        assert time.monotonic() - start < 5.0
-        assert batcher.lease_timeouts == 0
-        assert batcher.outstanding_leases() == 1  # untouched, not expired
+        for num_shards in LANE_ARITIES:
+            _, batcher = _stub_lane_batcher(num_shards, lease_timeout=30.0)
+            batcher.submit("idler", 0, b"h")
+            batcher.tick()
+            assert batcher.outstanding_leases() == 1
+            start = time.monotonic()
+            assert batcher.tick() == 0
+            assert time.monotonic() - start < 5.0
+            assert batcher.lease_timeouts == 0
+            assert batcher.outstanding_leases() == 1  # untouched, not expired
 
-    def test_each_dropped_straggler_counts_one_timeout(self, batcher_provider):
+    def test_each_dropped_straggler_counts_one_timeout(self):
         """Regression: the timeout path used to clear the whole lease set
         but count a single timeout no matter how many stragglers it
         dropped."""
-        batcher = EpochBatcher(batcher_provider, lease_timeout=0.05)
-        for i in range(3):
-            batcher.submit(f"straggler-{i}", 0, b"h%d" % i)
-        assert batcher.tick() == 3  # three leases, never released
-        batcher.submit("fresh", 0, b"h-fresh")
-        assert batcher.tick() == 1  # waits out, then drops all three
-        assert batcher.lease_timeouts == 3
-        assert batcher.stats()["lease_timeouts_by_shard"] == {0: 3}
+        for num_shards in LANE_ARITIES:
+            _, batcher = _stub_lane_batcher(num_shards, lease_timeout=0.05)
+            lane = num_shards - 1
+            for i in range(3):
+                straggler = _user_on_shard(lane, num_shards, f"straggler{i}")
+                batcher.submit(straggler, 0, b"h%d" % i)
+            assert batcher.tick() == 3  # three leases, never released
+            batcher.submit(_user_on_shard(lane, num_shards, "fresh"), 0, b"h-fresh")
+            assert batcher.tick() == 1  # waits out, then drops all three
+            assert batcher.lease_timeouts == 3
+            assert batcher.stats()["lease_timeouts_by_shard"] == {lane: 3}
 
-    def test_late_release_after_timeout_clear_is_noop(self, batcher_provider):
+    def test_late_release_after_timeout_clear_is_noop(self):
         """A straggler's ``release`` arriving after its lease was already
         dropped by a timeout-clear must change nothing — in particular it
         must not drop the lease a *new* session now holds."""
-        batcher = EpochBatcher(batcher_provider, lease_timeout=0.05)
-        batcher.submit("straggler", 0, b"h")
-        batcher.tick()
-        batcher.submit("healthy", 0, b"h2")
-        assert batcher.tick() == 1  # straggler's lease expired and dropped
-        assert batcher.lease_timeouts == 1
-        assert batcher.outstanding_leases() == 1  # healthy's lease
-        batcher.release("straggler", 0)  # finally calls home: no-op
-        assert batcher.outstanding_leases() == 1
-        assert batcher.lease_timeouts == 1
+        for num_shards in LANE_ARITIES:
+            _, batcher = _stub_lane_batcher(num_shards, lease_timeout=0.05)
+            lane = num_shards - 1
+            straggler = _user_on_shard(lane, num_shards, "straggler")
+            batcher.submit(straggler, 0, b"h")
+            batcher.tick()
+            batcher.submit(_user_on_shard(lane, num_shards, "healthy"), 0, b"h2")
+            assert batcher.tick() == 1  # straggler's lease expired and dropped
+            assert batcher.lease_timeouts == 1
+            assert batcher.outstanding_leases() == 1  # healthy's lease
+            batcher.release(straggler, 0)  # finally calls home: no-op
+            assert batcher.outstanding_leases() == 1
+            assert batcher.lease_timeouts == 1
 
     def test_late_release_cannot_wake_the_wrong_lane(self):
-        """Sharded variant: after a straggler's lane times out, its late
-        ``release`` must not notify another lane's drain condition — a
-        tick blocked on a *different* lane's leases stays blocked."""
-        provider, batcher = _stub_sharded_batcher(lease_timeout=0.5)
+        """Two-lane variant: after a straggler's lane times out, its late
+        ``release`` must not wake a tick blocked on a *different* lane's
+        leases — that tick stays blocked."""
+        provider, batcher = _stub_lane_batcher(lease_timeout=0.5)
         straggler = _user_on_shard(0, 4, "wla")
         holder = _user_on_shard(1, 4, "wlb")
         batcher.submit(straggler, 0, b"h-a")
@@ -606,7 +606,7 @@ class TestPerShardLeases:
         # Lane 1's lease and the newly served lane-0 lease survive.
         assert batcher.outstanding_leases(0) == 1
         assert batcher.outstanding_leases(1) == 1
-        # A tick needing lane 1 blocks on its drain condition.  The expired
+        # A tick needing lane 1 blocks until that lane drains.  The expired
         # straggler's late release must not wake it.
         batcher.submit(_user_on_shard(1, 4, "wld"), 0, b"h-b1")
         tick_done = threading.Event()
@@ -625,7 +625,7 @@ class TestPerShardLeases:
         """One shard's session holds its lease toward a 30 s timeout while
         other shards' ticks commit epochs unimpeded — their latency is
         milliseconds-scale, never ``lease_timeout``-bound."""
-        provider, batcher = _stub_sharded_batcher(lease_timeout=30.0)
+        provider, batcher = _stub_lane_batcher(lease_timeout=30.0)
         straggler = _user_on_shard(0, 4, "sla")
         first = _user_on_shard(1, 4, "slb")
         batcher.submit(straggler, 0, b"h-a")

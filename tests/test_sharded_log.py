@@ -256,7 +256,7 @@ class TestShardDeterminism:
         try:
             outcomes = service.run_shard_epochs(log_b.shards_with_pending())
         finally:
-            service.pool.stop()
+            service.stop()
         assert all(error is None for error in outcomes.values())
         assert log_b.shard_digests == log_a.shard_digests
         assert log_b.digest == log_a.digest
@@ -371,7 +371,7 @@ class TestLaneIsolation:
             assert service.batcher.epochs_run >= 1
         finally:
             log.shards[bad_shard].certify_round = original
-            service.pool.stop()
+            service.stop()
             service.batcher.release(good_user, 0)
 
 
