@@ -23,7 +23,7 @@ the salt, and a digest of the n cluster public keys.
 
 Hot-path note: step 4 performs one PKE encryption per cluster member, and
 every one of those rides the crypto fast path in ``repro.crypto.ec`` — the
-fixed-base comb for each ephemeral ``g^r`` and the per-point cached window
+generator's comb for each ephemeral ``g^r`` and the per-point cached window
 for the (long-lived) HSM public keys — while reconstruction's Shamir
 recombination batches its Lagrange-denominator inversions into a single
 modular inversion (``repro.crypto.field.batch_inverse_mod``).

@@ -10,27 +10,32 @@ P-256.  This module implements the curve from scratch:
 - SEC1 compressed point (de)serialization,
 - key generation and ECDSA sign/verify (RFC 6979-style deterministic nonces).
 
-Because the generator is the single most-multiplied point in the system
-(keygen, hashed ElGamal, ECDSA sign/verify, every HSM decrypt), scalar
-multiplication is tiered:
+Scalar multiplication is tiered by how long a point lives and how often it
+is multiplied:
 
-- **Fixed-base comb (constant table)**: ``g^x`` uses a radix-16 comb table
-  of ``w·16^i·G`` built once per process (``_generator_table``) and
-  normalized to affine with a single Montgomery batch inversion.  A
-  fixed-base multiply then needs only ~63 mixed additions and *zero*
-  doublings.
-- **Cached per-point windows (per-point table)**: repeated multiplications
-  of the same long-lived :class:`ECPoint` (HSM ElGamal keys, signer keys)
-  reuse an affine 4-bit window table cached on the instance, skipping the
-  15-entry table rebuild the naive path pays on every call.
+- **Comb (provisioned points, the generator included)**: a Lim–Lee comb
+  table of 8 teeth x 32 columns (``_build_comb``: 255 affine subset sums of
+  ``2^(32j)·Q``, normalized with a single Montgomery batch inversion) turns
+  a multiply into 32 doublings + at most 32 mixed additions, and a sum of
+  such multiplies into *one* 32-doubling chain (``_comb_mult``).  The
+  generator — keygen, hashed ElGamal, ECDSA sign/verify, every HSM decrypt —
+  is simply the first provisioned point; its table is built once per
+  process on first use.  Any other point gets a table only through an
+  explicit :meth:`ECPoint.precompute` at provisioning time (the signer
+  directory, via ``MultiSigScheme.precompute_signer_key``): never on reuse,
+  and only ever for public keys.
+- **Cached per-point windows**: repeated multiplications of any other
+  long-lived :class:`ECPoint` (HSM ElGamal keys, BFE slot keys) reuse an
+  affine 4-bit window table cached on the instance, skipping the 15-entry
+  table rebuild the naive path pays on every call.
 - **Per-call window (naive path)**: :func:`naive_mult` keeps the original
   rebuild-the-table-every-call algorithm as the reference/baseline used by
   property tests and ``benchmarks/bench_crypto_hotpath.py``.
 
 :func:`multi_mult` exposes Straus/Shamir multi-scalar multiplication
-(``Σ sᵢ·Pᵢ`` with one shared doubling chain), and
-:meth:`_Curve.ecdsa_verify_batch` verifies many signatures with shared
-fixed-base work and one batch inversion to normalize every result.  All
+(``Σ sᵢ·Pᵢ``: one comb chain for the provisioned points, one shared window
+chain for the rest), and :meth:`_Curve.ecdsa_verify_batch` verifies many
+signatures with one batch inversion to normalize every result.  All
 batched paths are bit-for-bit deterministic — they produce exactly the same
 accept/reject decisions as the sequential code — and metering is preserved:
 ``ec_mult``/``ecdsa_verify`` counts for a fixed workload are identical to
@@ -220,53 +225,63 @@ def _window_mult(table: Sequence[Optional[_Affine]], scalar: int) -> _JPoint:
     return result
 
 
-# -- fixed-base comb for the generator ----------------------------------------
-_COMB_ROWS = 64  # scalars are < 2^256: 64 radix-16 digits
-_FIXED_BASE_TABLE: Optional[List[List[Optional[_Affine]]]] = None
+# -- Lim–Lee comb for provisioned points ----------------------------------------
+# 8 teeth x 32 columns: a 256-bit scalar is read as eight 32-bit blocks laid
+# one above the other, and column i's eight bits index the table entry to
+# add after the i-th doubling.  (The shape follows from the curve: 256-bit
+# scalars, byte-sized column indices.)
+_COMB_TEETH = 8
+_COMB_COLUMNS = 32
 
 
-def _generator_table() -> List[List[Optional[_Affine]]]:
-    """The constant fixed-base table: ``table[i][w] = w · 16^i · G`` (affine).
+def _build_comb(x: int, y: int) -> List[Optional[_Affine]]:
+    """Comb table for the affine point ``Q = (x, y)``:
+    ``table[b] = Σ_{j ∈ bits(b)} 2^(32j)·Q`` for ``b`` in 1..255.
 
-    Built lazily once per process (~960 Jacobian additions + ONE field
-    inversion via batch normalization) and shared by every ``g^x`` in the
-    system.  A fixed-base multiply then performs at most one mixed addition
-    per nonzero radix-16 digit of the scalar — no doublings at all.
+    224 doublings raise the eight tooth bases, 247 additions fill the
+    subset sums, and one Montgomery batch inversion normalizes all 255
+    entries to affine so every later addition is a mixed add.  No entry is
+    infinity: a subset sum of ``2^(32j)`` is below ``2^256 < 2N`` and never
+    equals ``N``, and ``Q`` has prime order ``N``.
 
-    Thread-safety: a racing build computes an identical table; the final
-    single assignment makes the benign race harmless.
+    The table holds multiples of a *public* point only.
     """
-    global _FIXED_BASE_TABLE
-    if _FIXED_BASE_TABLE is None:
-        jac_rows: List[List[_JPoint]] = []
-        base: _JPoint = (GX, GY, 1)
-        for _ in range(_COMB_ROWS):
-            row = [base]
-            for _ in range(14):
-                row.append(_jac_add(row[-1], base))
-            jac_rows.append(row)
-            base = _jac_add(row[-1], base)  # 16 · previous base
-        flat = [pt for row in jac_rows for pt in row]
-        affine = iter(_jac_to_affine_batch(flat))
-        _FIXED_BASE_TABLE = [
-            [None] + [next(affine) for _ in row] for row in jac_rows
-        ]
-    return _FIXED_BASE_TABLE
+    jac: List[_JPoint] = [_INFINITY] * (1 << _COMB_TEETH)
+    tooth: _JPoint = (x, y, 1)
+    for j in range(_COMB_TEETH):
+        if j:
+            for _ in range(_COMB_COLUMNS):
+                tooth = _jac_double(tooth)
+        bit = 1 << j
+        jac[bit] = tooth
+        for lower in range(1, bit):
+            jac[bit | lower] = _jac_add(jac[lower], tooth)
+    return [None] + _jac_to_affine_batch(jac[1:])  # type: ignore[operator]
 
 
-def _fixed_base_mult(scalar: int) -> _JPoint:
-    """``scalar · G`` via the comb table: ~63 mixed adds, zero doublings."""
-    table = _generator_table()
-    result = _INFINITY
-    row = 0
-    while scalar:
-        window = scalar & 0xF
-        if window:
-            entry = table[row][window]
-            result = _jac_add_affine(result, entry[0], entry[1])  # type: ignore[index]
-        scalar >>= 4
-        row += 1
-    return result
+def _comb_mult(terms: Sequence[Tuple[int, Sequence[Optional[_Affine]]]]) -> _JPoint:
+    """``Σ sᵢ·Pᵢ`` over ``(scalar, comb table)`` terms in ONE 32-column chain.
+
+    Scalars must be below ``2^256``.  Each column costs one shared doubling
+    plus at most one mixed addition per term: 32 doublings for the whole
+    sum, against 256 for a windowed walk over any one of the points.
+    """
+    # Written MSB-first, a scalar's bits at stride 32 are one column's teeth
+    # (top tooth first), so each column index is one slice and one parse.
+    columns = range(_COMB_COLUMNS)
+    chains = []
+    for scalar, table in terms:
+        bits = format(scalar, "0256b")
+        chains.append((table, [int(bits[c::_COMB_COLUMNS], 2) for c in columns]))
+    acc = _INFINITY
+    for column in columns:
+        acc = _jac_double(acc)
+        for table, indices in chains:
+            index = indices[column]
+            if index:
+                entry = table[index]
+                acc = _jac_add_affine(acc, entry[0], entry[1])  # type: ignore[index]
+    return acc
 
 
 def _is_generator(x: Optional[int], y: Optional[int]) -> bool:
@@ -277,18 +292,20 @@ def _multi_mult_jac(pairs: Sequence[Tuple[int, "ECPoint"]]) -> _JPoint:
     """Straus/Shamir interleaved multi-scalar multiply (no metering).
 
     Scalars are assumed reduced mod N and nonzero, points non-infinity.
-    Generator terms are folded into one comb multiplication (zero
-    doublings); the remaining points share a single doubling chain, each
-    contributing one mixed addition per nonzero scalar digit.
+    Every term whose point carries a comb table (the generator, provisioned
+    signer keys) joins one 32-doubling comb chain; the remaining points
+    share a single 4-bit window doubling chain, each contributing one mixed
+    addition per nonzero scalar digit.
     """
-    gen_scalar = 0
+    combed: List[Tuple[int, Sequence[Optional[_Affine]]]] = []
     others: List[Tuple[int, Sequence[Optional[_Affine]]]] = []
     for scalar, point in pairs:
-        if _is_generator(point.x, point.y):
-            gen_scalar = (gen_scalar + scalar) % N
+        comb = point._comb_table()
+        if comb is not None:
+            combed.append((scalar, comb))
         else:
             others.append((scalar, point._window_table()))
-    result = _fixed_base_mult(gen_scalar) if gen_scalar else _INFINITY
+    result = _comb_mult(combed) if combed else _INFINITY
     if others:
         top = max(scalar.bit_length() for scalar, _ in others)
         positions = (top + 3) // 4
@@ -310,18 +327,21 @@ class ECPoint:
 
     Instances lazily cache an affine 4-bit window table (``_wtab``) the
     first time they are scalar-multiplied, so repeated multiplications of
-    the same long-lived point — HSM ElGamal keys, multisig signer keys —
-    skip the per-call table rebuild.  The cache is keyed on the instance;
-    equality/hashing ignore it.  Multiplications of the generator's
-    coordinates take the constant fixed-base comb path instead.
+    the same long-lived point — HSM ElGamal keys, BFE slot keys — skip the
+    per-call table rebuild.  A point that was explicitly :meth:`precompute`d
+    (a provisioned signer key) carries a comb table (``_comb``) instead and
+    multiplies with 32 doublings rather than 256; the generator's
+    coordinates always resolve to the one comb held by ``P256.generator``.
+    Both caches are keyed on the instance; equality/hashing ignore them.
     """
 
-    __slots__ = ("x", "y", "_wtab")
+    __slots__ = ("x", "y", "_wtab", "_comb")
 
     def __init__(self, x: Optional[int], y: Optional[int]) -> None:
         self.x = x
         self.y = y
         self._wtab: Optional[List[Optional[_Affine]]] = None
+        self._comb: Optional[List[Optional[_Affine]]] = None
         if x is not None:
             if not (0 <= x < P and 0 <= y < P):  # type: ignore[operator]
                 raise ValueError("coordinates out of range")
@@ -349,6 +369,32 @@ class ECPoint:
             self._wtab = table
         return table
 
+    def _comb_table(self) -> Optional[List[Optional[_Affine]]]:
+        """This point's comb table, or ``None`` if it was never provisioned.
+
+        Every instance with the generator's coordinates shares the one
+        table built (on first use) for ``P256.generator``.  A benign race
+        between threads builds identical tables.
+        """
+        if self._comb is None and _is_generator(self.x, self.y):
+            P256.generator.precompute()
+            self._comb = P256.generator._comb
+        return self._comb
+
+    # lint: unmetered[table build over a public key; verification meters ecdsa_verify]
+    def precompute(self) -> None:
+        """Build this point's comb table (idempotent; ~two verifications'
+        worth of work, ~40 KB).
+
+        Promotion is explicit: call it only at provisioning time for a
+        *public* key that will be verified against every epoch (the signer
+        directory).  Nothing promotes a point on reuse — a device holds
+        hundreds of BFE slot keys, and a table for each would cost hundreds
+        of MB for keys that are each used a handful of times.
+        """
+        if self._comb is None and not self.is_infinity:
+            self._comb = _build_comb(self.x, self.y)  # type: ignore[arg-type]
+
     @staticmethod
     def _from_jac(pt: _JPoint) -> "ECPoint":
         affine = _jac_to_affine(pt)
@@ -372,8 +418,9 @@ class ECPoint:
         scalar %= N
         if scalar == 0 or self.is_infinity:
             return _INFINITY
-        if _is_generator(self.x, self.y):
-            return _fixed_base_mult(scalar)
+        comb = self._comb_table()
+        if comb is not None:
+            return _comb_mult([(scalar, comb)])
         return _window_mult(self._window_table(), scalar)
 
     def __mul__(self, scalar: int) -> "ECPoint":
@@ -432,11 +479,12 @@ def naive_mult(point: ECPoint, scalar: int) -> ECPoint:
 def multi_mult(pairs: Sequence[Tuple[int, ECPoint]], count_ops: bool = True) -> ECPoint:
     """Straus/Shamir multi-scalar multiplication: ``Σ sᵢ·Pᵢ`` in one pass.
 
-    All points share a single doubling chain (generator terms skip even
-    that, via the fixed-base comb), so ``k`` multiplications cost roughly
-    one multiplication plus ``k`` window-addition streams instead of ``k``
-    full multiplications.  The result is bit-for-bit the same point the
-    ``k`` separate multiplications would sum to.
+    Provisioned points (the generator included) share one 32-doubling comb
+    chain and all other points a single window doubling chain, so ``k``
+    multiplications cost roughly one multiplication plus ``k`` addition
+    streams instead of ``k`` full multiplications.  The result is
+    bit-for-bit the same point the ``k`` separate multiplications would
+    sum to.
 
     Metering: reports one ``ec_mult`` per pair (matching what the ``k``
     separate ``P * s`` calls would have reported) unless ``count_ops`` is
@@ -497,7 +545,7 @@ class _Curve:
     def ecdsa_sign(self, secret: int, message: bytes) -> Tuple[int, int]:
         """Deterministic ECDSA (RFC 6979-flavoured nonce derivation).
 
-        The per-signature ``g^k`` rides the constant fixed-base comb.
+        The per-signature ``g^k`` rides the generator's comb.
         """
         z = int.from_bytes(sha256(b"ecdsa", message), "big") % self.n
         k_seed = hmac_sha256(secret.to_bytes(32, "big"), sha256(b"nonce", message))
@@ -518,11 +566,20 @@ class _Curve:
         self, public: ECPoint, message: bytes, signature: Tuple[int, int]
     ) -> Optional[Tuple[int, _JPoint]]:
         """Shared verification core: ``(r, u1·G + u2·Q)`` in Jacobian form,
-        or ``None`` for signatures that fail the scalar range checks.
+        or ``None`` for a signature that is not a pair of plain ints in
+        ``[1, n)`` (it arrives from the untrusted provider: a malformed one
+        is a rejection, not an exception).
 
-        ``u1·G`` takes the constant comb path, ``u2·Q`` the per-point cached
-        window; neither reports ``ec_mult`` (verification has always metered
-        only ``ecdsa_verify``)."""
+        ``u1·G`` and a provisioned ``Q`` share one comb chain, any other
+        ``Q`` walks its cached window; neither reports ``ec_mult``
+        (verification has always metered only ``ecdsa_verify``)."""
+        if not (
+            isinstance(signature, (tuple, list))
+            and len(signature) == 2
+            and type(signature[0]) is int
+            and type(signature[1]) is int
+        ):
+            return None
         r, s = signature
         if not (1 <= r < self.n and 1 <= s < self.n):
             return None
@@ -573,10 +630,9 @@ class _Curve:
     ) -> List[bool]:
         """Verify many ``(public, message, signature)`` triples at once.
 
-        Each triple's fixed-base work shares the comb table and all result
-        points are normalized with ONE Montgomery batch inversion instead of
-        one inversion per signature.  The outcome list is bit-for-bit what
-        sequential :meth:`ecdsa_verify` calls would return.
+        All result points are normalized with ONE Montgomery batch inversion
+        instead of one inversion per signature.  The outcome list is
+        bit-for-bit what sequential :meth:`ecdsa_verify` calls would return.
 
         Metering mirrors a sequential short-circuiting caller: one
         ``ecdsa_verify`` per item up to and including the first failure
@@ -600,11 +656,10 @@ class _Curve:
         """True iff every triple verifies; stops at the first failure.
 
         Triples are processed in chunks of ``_VERIFY_CHUNK``: the honest
-        all-valid path keeps the shared fixed-base work and pays one batch
-        inversion per chunk (the inversion is microseconds; the scalar
-        multiplications dominate), while a rejected aggregate costs at most
-        one chunk of wasted candidate computations beyond the failing
-        signature — the sequential loop's early-abort cost bound, up to a
+        all-valid path pays one batch inversion per chunk (the inversion is
+        microseconds; the scalar multiplications dominate), while a rejected
+        aggregate costs at most one chunk of wasted candidate computations
+        beyond the failing signature — the sequential loop's early-abort cost bound, up to a
         constant — instead of paying for all N.  Metering is exactly the
         sequential short-circuit: one ``ecdsa_verify`` per triple up to and
         including the first failure.

@@ -16,9 +16,12 @@ client's username, the recovery salt, and the n cluster public keys
 (Appendix A.4, last paragraph).  Callers pass that as ``context``.
 
 Hot-path note: ``g^r`` inside :meth:`HashedElGamal.encrypt` rides the
-constant fixed-base comb table in ``repro.crypto.ec``, and ``X^r`` reuses
-the window table cached on the (long-lived) recipient key point, so
-repeated encryptions to the same HSM key skip the per-call table rebuild.
+generator's comb table in ``repro.crypto.ec`` (8 teeth x 32 columns: 32
+doublings + at most 32 mixed additions), and ``X^r`` reuses the window
+table cached on the (long-lived) recipient key point, so repeated
+encryptions to the same HSM key skip the per-call table rebuild.  Recipient
+keys never get a comb of their own: those are built only for the signer
+directory, at provisioning.
 Decryption's ``(g^r)^x`` sees a fresh ephemeral point each time and
 therefore pays one per-call window table — the naive path's cost floor.
 """

@@ -179,8 +179,16 @@ class HsmDevice:
         )
 
     def install_signer_directory(self, directory: Dict[int, object]) -> None:
-        """Install the fleet's signature public keys (run once at setup)."""
+        """Install the fleet's signature public keys (run once at setup).
+
+        Each key goes through the scheme's provisioning hook, the only
+        place verification precomputation is attached: the key objects are
+        shared by every device of the fleet and the hook is idempotent, so
+        N devices build N tables, and a provider restart builds none.
+        """
         self._sig_directory = dict(directory)
+        for public in self._sig_directory.values():
+            self.multisig_scheme.precompute_signer_key(public)
 
     def rehost_store(self, store: BlockStore) -> None:
         """Re-point this device at a (restored) provider-hosted block store.

@@ -6,7 +6,7 @@ that performs curve or field heavy lifting actually calls
 ``metering.count``.  This pass keeps that discipline from rotting:
 
 - a configured set of *engine primitives* does the raw work
-  (``_jac_mult``, ``_window_mult``, ``_fixed_base_mult``,
+  (``_jac_mult``, ``_window_mult``, ``_comb_mult``, ``_build_comb``,
   ``_multi_mult_jac``, ``batch_inverse_mod``);
 - any *private* function that calls an engine becomes an engine itself
   (taken to a fixpoint), mirroring how the real helpers layer
@@ -34,7 +34,8 @@ _DEFAULT_ENGINES = frozenset(
     {
         "_jac_mult",
         "_window_mult",
-        "_fixed_base_mult",
+        "_comb_mult",
+        "_build_comb",
         "_multi_mult_jac",
         "batch_inverse_mod",
     }

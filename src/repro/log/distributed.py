@@ -85,6 +85,12 @@ class MultiSigScheme:
         """Check that every listed public key's signer signed ``message``."""
         raise NotImplementedError
 
+    def precompute_signer_key(self, public) -> None:
+        """Provisioning hook: called once per signer-directory key so a
+        scheme can attach verification precomputation to it.  The default
+        (and BLS, whose verification is two pairings regardless of the
+        signer count) does nothing."""
+
 
 class EcdsaMultiSig(MultiSigScheme):
     """Aggregate = tuple of per-signer ECDSA signatures over P-256."""
@@ -103,14 +109,22 @@ class EcdsaMultiSig(MultiSigScheme):
         """The "aggregate" is simply the tuple of signatures."""
         return tuple(signatures)
 
+    def precompute_signer_key(self, public) -> None:
+        """Give the key a comb table, so each verification against it is
+        one 32-doubling chain shared with the generator term."""
+        public.precompute()
+
     def verify_aggregate(self, publics, message: bytes, aggregate) -> bool:
-        """Batched verification: signatures share the fixed-base comb work
-        and result points are normalized in chunks by Montgomery batch
-        inversion, instead of N independent verifies each paying their own
-        table builds.  Accept/reject decisions, metered ``ecdsa_verify``
+        """Batched verification: each signature's ``u1·G + u2·Q`` is one
+        comb chain when ``Q`` was provisioned through
+        :meth:`precompute_signer_key` (a shared window chain otherwise), and
+        result points are normalized in chunks by Montgomery batch
+        inversion.  Accept/reject decisions, metered ``ecdsa_verify``
         counts, and the early-abort cost bound on bad aggregates all match
-        the sequential short-circuiting loop this replaces."""
-        if len(publics) != len(aggregate):
+        the sequential short-circuiting loop this replaces.  The aggregate
+        is untrusted input: anything that is not a sequence of one
+        signature per key is a rejection, never an exception."""
+        if not isinstance(aggregate, (tuple, list)) or len(publics) != len(aggregate):
             return False
         return P256.ecdsa_verify_all(
             [

@@ -24,7 +24,7 @@ status codes and are re-raised client-side as the same exception types the
 devices throw, so protocol code is transport-agnostic.
 
 Each ``decrypt_share`` bottoms out in HSM-side ElGamal/BFE point
-multiplications, which since the crypto fast-path layer ride the fixed-base
+multiplications, which since the crypto fast-path layer ride the generator's
 comb and per-key cached window tables in ``repro.crypto.ec`` — the channel
 turnaround (and therefore per-HSM queue drain rate in
 ``service.workers``) tracks those table-backed rates rather than the naive

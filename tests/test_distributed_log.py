@@ -285,6 +285,56 @@ class TestFailureAndCatchUp:
         assert fleet[6].log_digest == log.digest
 
 
+class TestMalformedAggregate:
+    """The aggregate reaches a device from the untrusted provider (or a
+    replayed journal record): any shape must be a typed rejection."""
+
+    SHAPES = {
+        "none": lambda sigs: None,
+        "int": lambda sigs: 7,
+        "item-none": lambda sigs: sigs[:-1] + (None,),
+        "item-short": lambda sigs: sigs[:-1] + ((1,),),
+        "item-str": lambda sigs: sigs[:-1] + (("a", 2),),
+        "item-float": lambda sigs: sigs[:-1] + ((1.5, 2),),
+        "item-bool": lambda sigs: sigs[:-1] + ((True, 2),),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_device_rejects_and_keeps_its_digest(self, fleet, log, shape):
+        laggard = fleet[6]
+        laggard.fail_stop()
+        log.insert(b"mal-" + shape.encode(), b"h")
+        log.run_update(fleet.hsms)
+        laggard.restart()
+        genuine = log.certified_transitions[-1]
+        stale = laggard.log_digest
+        assert stale == genuine.old_digest != log.digest
+        forged = dataclasses.replace(
+            genuine, aggregate=self.SHAPES[shape](tuple(genuine.aggregate))
+        )
+        with pytest.raises(LogUpdateRejected):
+            laggard.accept_certified_transition(forged)
+        assert laggard.log_digest == stale
+        laggard.accept_certified_transition(genuine)
+        assert laggard.log_digest == log.digest
+
+    def test_malformed_item_meters_like_a_range_check_failure(self, fleet):
+        """One ``ecdsa_verify`` per item up to and including the bad one."""
+        from repro.metering import metered
+
+        scheme = fleet.multisig_scheme
+        keys = [scheme.keygen(random.Random(seed)) for seed in range(4)]
+        sigs = [scheme.sign(kp.secret, b"m") for kp in keys]
+        for bad in (None, (1,), ("a", 2), (1.5, 2), (0, 1)):
+            with metered() as meter:
+                assert not scheme.verify_aggregate(keys, b"m", sigs[:2] + [bad] + sigs[3:])
+            assert meter.counts["ecdsa_verify"] == 3
+        for aggregate in (None, 7):
+            with metered() as meter:
+                assert not scheme.verify_aggregate(keys, b"m", aggregate)
+            assert meter.counts["ecdsa_verify"] == 0  # as a wrong-length aggregate
+
+
 class TestGarbageCollection:
     def test_gc_resets_log(self, fleet, log):
         log.insert(b"g1", b"h")

@@ -1,4 +1,4 @@
-"""The crypto fast-path layer: fixed-base comb, cached windows, multi-scalar.
+"""The crypto fast-path layer: comb tables, cached windows, multi-scalar.
 
 Every fast path must agree bit-for-bit with plain double-and-add (an
 independent reference built here from point additions only), and none of
@@ -7,6 +7,7 @@ them may change what the ambient meter sees — the paper's cost accounting
 implementations.
 """
 
+import gc
 import random
 import secrets
 
@@ -103,6 +104,132 @@ class TestAgainstDoubleAndAdd:
 
     def test_multi_mult_infinity_point(self):
         assert multi_mult([(5, ECPoint(None, None)), (3, G)]) == double_and_add(G, 3)
+
+
+def precomputed(point: ECPoint) -> ECPoint:
+    """A fresh instance with the same coordinates, carrying a comb table."""
+    copy = ECPoint(point.x, point.y)
+    copy.precompute()
+    return copy
+
+
+# Where a comb goes wrong: empty and single columns, block boundaries, the
+# group order, a scalar whose every column is zero but one, one tooth only.
+COMB_EDGE_SCALARS = [
+    0, 1, 2, N - 1, N, (1 << 32) - 1, 1 << 32, 1 << 224,
+    sum(1 << (32 * tooth) for tooth in range(8)),  # column 0 only, all teeth
+    0xDEADBEEF << 96,  # tooth 3 only
+]
+
+
+class TestComb:
+    @pytest.mark.parametrize("scalar", COMB_EDGE_SCALARS)
+    def test_comb_edge_scalars(self, scalar, named_points):
+        for point in named_points.values():
+            assert precomputed(point) * scalar == naive_mult(point, scalar)
+
+    @given(scalar=st.integers(0, (1 << 256) - 1), seed=st.integers(1, 2**32))
+    @settings(max_examples=15, deadline=None)
+    def test_comb_random_points(self, scalar, seed):
+        point = G * random.Random(seed).randrange(1, N)
+        assert precomputed(point) * scalar == naive_mult(point, scalar)
+
+    def test_table_shape_and_idempotence(self, named_points):
+        point = precomputed(named_points["random"])
+        table = point._comb
+        assert table[0] is None and len(table) == 256
+        assert table[1] == (point.x, point.y)
+        assert ECPoint(*table[0b101]) == naive_mult(point, 1 + (1 << 64))
+        point.precompute()
+        assert point._comb is table  # the second call builds nothing
+        infinity = ECPoint(None, None)
+        infinity.precompute()
+        assert infinity._comb is None and (infinity * 5).is_infinity
+
+    def test_generator_copies_share_one_table(self):
+        copy = ECPoint(G.x, G.y)
+        assert copy * 77 == naive_mult(G, 77)
+        assert copy._comb is G._comb and len(G._comb) == 256
+
+    @given(
+        scalars=st.lists(st.integers(0, N + 7), min_size=1, max_size=6),
+        seed=st.integers(1, 2**32),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_multi_mult_mixed_tiers_matches_sum(self, scalars, seed):
+        rng = random.Random(seed)
+        pairs = []
+        for i, scalar in enumerate(scalars):
+            point = G * rng.randrange(1, N)
+            pairs.append((scalar, (G, precomputed(point), point)[i % 3]))
+        expected = ECPoint(None, None)
+        for scalar, point in pairs:
+            expected = expected + naive_mult(ECPoint(point.x, point.y), scalar)
+        assert multi_mult(pairs) == expected
+
+    def test_verdicts_identical_with_and_without_comb(self):
+        scheme = EcdsaMultiSig()
+        keypairs = [scheme.keygen(random.Random(seed)) for seed in range(3)]
+        message = b"epoch transition"
+        cases = []
+        for kp in keypairs:
+            r, s = scheme.sign(kp.secret, message)
+            cases += [
+                (kp.public, (r, s)),
+                (kp.public, (r ^ 1, s)),
+                (kp.public, (r, s ^ 1)),
+                (keypairs[0].public if kp is not keypairs[0] else keypairs[1].public, (r, s)),
+            ]
+        plain = [(ECPoint(pk.x, pk.y), message, sig) for pk, sig in cases]
+        combed = [(precomputed(pk), message, sig) for pk, sig in cases]
+        assert all(item[0]._comb is None for item in plain)
+        verdicts = [P256.ecdsa_verify(*item) for item in plain]
+        assert verdicts == [True, False, False, False] * 3
+        assert [P256.ecdsa_verify(*item) for item in combed] == verdicts
+        assert P256.ecdsa_verify_batch(combed) == verdicts
+        assert P256.ecdsa_verify_all(combed[::4]) and P256.ecdsa_verify_all(plain[::4])
+        assert not P256.ecdsa_verify_all(combed) and not P256.ecdsa_verify_all(plain)
+
+    def test_only_the_generator_and_the_signer_directory_carry_a_comb(self):
+        """Promotion is explicit: after a backup + recovery exactly N + 1
+        tables exist — no BFE slot key, ephemeral point or client-side copy
+        grew one — and restoring the deployment builds none."""
+        from repro.storage.blockstore import InMemoryBlockStore
+
+        def combed_points():
+            gc.collect()
+            return [
+                obj for obj in gc.get_objects()
+                if type(obj) is ECPoint and obj._comb is not None
+            ]
+
+        before = {id(point._comb) for point in combed_points()}
+        store = InMemoryBlockStore()
+        params = SystemParams.for_testing(num_hsms=4, cluster_size=3)
+        deployment = Deployment.create(params, rng=random.Random(7), store=store)
+        client = deployment.new_client("comb-population-user")
+        client.backup(b"payload", pin="1234")
+        assert client.recover(pin="1234") == b"payload"
+
+        directory = {
+            (info.sig_public.x, info.sig_public.y)
+            for info in deployment.fleet.master_public_key()
+        }
+        tables = {}
+        for point in combed_points():
+            if id(point._comb) not in before:
+                tables[id(point._comb)] = point
+        tables[id(G._comb)] = G
+        assert len(tables) == len(directory) + 1 == 5
+        assert {(p.x, p.y) for p in tables.values()} == directory | {(G.x, G.y)}
+        assert all(len(p._comb) - 1 == 255 for p in tables.values())
+
+        restored = Deployment.restore(params, store, deployment.fleet)
+        again = restored.new_client("comb-population-user-2")
+        again.backup(b"payload", pin="4321")
+        assert again.recover(pin="4321") == b"payload"
+        new_tables = {id(p._comb) for p in combed_points()} - before - set(tables)
+        assert not new_tables
 
 
 class TestBatchInverse:

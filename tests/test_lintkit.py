@@ -301,6 +301,39 @@ def test_metering_accepts_counted_entry(tmp_path):
     assert report.clean, [f.render() for f in report.findings]
 
 
+COMB_CALLER = '''
+"""Mini curve module: a public entry straight onto the comb evaluator."""
+from repro import metering
+
+
+def _comb_mult(terms):
+    return terms
+
+
+def comb_product(scalar, table):
+    return _comb_mult([(scalar, table)])
+
+
+def metered_comb_product(scalar, table):
+    metering.count("ec_mult")
+    return _comb_mult([(scalar, table)])
+
+
+def build_table(x, y):
+    return _build_comb(x, y)
+'''
+
+
+def test_metering_default_engines_cover_the_comb(tmp_path):
+    """The comb evaluator and builder are seeded engines: an unmetered
+    public caller of either is flagged, a metered one is not."""
+    ctx = make_ctx(tmp_path, {"src/repro/crypto/mini.py": COMB_CALLER})
+    report = run_passes(ctx, [MeteringPass(modules=("src/repro/crypto/mini.py",))])
+    flagged = sorted(f.message.split("`")[1] for f in report.findings)
+    assert flagged == ["build_table", "comb_product"]
+    assert {f.rule for f in report.findings} == {"unmetered-op"}
+
+
 def test_metering_real_modules_contract():
     """The real ec.py/field.py scan only relies on in-file suppressions."""
     files = collect_files(
