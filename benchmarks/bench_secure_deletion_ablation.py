@@ -69,11 +69,21 @@ def test_secure_deletion_ablation_modeled(benchmark):
     assert naive / tree > 500
 
 
+class _CountingStore(InMemoryBlockStore):
+    """Counts the fetches the tree asks of the provider."""
+
+    gets = 0
+
+    def get(self, addr: int) -> bytes:
+        self.gets += 1
+        return super().get(addr)
+
+
 def test_secure_deletion_wallclock(benchmark):
     """Real wall-clock comparison at 1,024 blocks on this host."""
     blocks = [bytes(32)] * 1024
 
-    tree_store = InMemoryBlockStore()
+    tree_store = _CountingStore()
     tree = SecureDeletionTree.setup(tree_store, blocks)
     naive_store = InMemoryBlockStore()
     naive = NaiveSecureStore.setup(naive_store, blocks)
@@ -86,22 +96,30 @@ def test_secure_deletion_wallclock(benchmark):
     start = time.perf_counter()
     naive.delete(0)
     naive_seconds = time.perf_counter() - start
+    tree_store.gets = 0
     start = time.perf_counter()
     tree.delete(1000)
     tree_seconds = time.perf_counter() - start
+    gets = tree_store.gets
     emit(
         "secure_deletion_wallclock",
         "Wall-clock deletion at 1,024 blocks (this host, real code)",
         [
             f"naive: {naive_seconds * 1000:8.1f} ms",
             f"tree:  {tree_seconds * 1000:8.1f} ms   ({naive_seconds / tree_seconds:.0f}x)",
+            f"store gets per tree delete: {gets}   (tree height {tree.height})",
         ],
         data={
             "metrics": {
                 "naive_delete_s": naive_seconds,
                 "tree_delete_s": tree_seconds,
                 "speedup": naive_seconds / tree_seconds,
+                "tree_height": tree.height,
+                "gets_per_tree_delete": gets,
             }
         },
     )
     assert tree_seconds < naive_seconds
+    # Exact: one authenticated walk down the path, no second fetch on the
+    # way back up (it was 2 x height).
+    assert gets == tree.height

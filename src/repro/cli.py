@@ -222,7 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--hsms", type=int, default=16)
     loadtest.add_argument("--cluster", type=int, default=4)
     loadtest.add_argument("--transport", choices=("wire", "direct"), default="wire")
-    loadtest.add_argument("--tick-interval", type=float, default=0.02)
+    loadtest.add_argument(
+        "--tick-interval", type=float, default=0.02,
+        help="seconds of quiet kept after an epoch, and the ticker's fallback"
+        " poll; an idle service starts a session's epoch at once",
+    )
     loadtest.add_argument(
         "--shards", type=int, default=1,
         help="log shards / parallel epoch lanes (>1 reshards the log)",

@@ -30,12 +30,32 @@ to client-side proof refresh; their late ``release`` after a timeout-clear
 is a harmless no-op).  Every dropped straggler counts one ``lease_timeout``
 — ``stats()`` reports the per-lane split.
 
+Epochs run on demand.  The batcher does not tick itself; it tells whoever
+drives it (the service's ticker) *when there is something to do*, by an
+explicit hand-off instead of a timer the driver samples: ``submit`` raises
+a wake-up signal once its waiter is queued, ``release`` raises it when a
+lane drains with sessions queued, and ``wait_for_demand`` sleeps on it.
+``quiet_remaining`` is the other half of the rhythm — how much of a period
+is left since the last tick that ran a lane epoch returned — so a driver
+can keep epochs a period apart under load (the gap in which sessions gather
+into the next batch) without charging a session that finds the service idle
+half a period of sleep.  Lease expiry, deferred lanes and out-of-band
+``log.insert``s raise no signal; the driver's fallback poll finds them.
+
+A tick that raises (a journal write failing after the lanes committed, a
+lane runner raising instead of reporting) fails the tickets it had taken
+off the queue with a typed ``ProviderError`` carrying the cause, leaves
+sessions it had already served alone, counts one ``tick_failures`` and
+re-raises: the batcher stays usable, and the driver decides what to do.
+
 Thread safety: all mutable state (waiters, leases, counters) is guarded by
 ``self._lock``; the ``_drained`` condition wraps that same lock, so holding
 either serializes the same state.  ``tick`` holds it for the whole epoch,
 so out-of-band log reads may take ``batcher.lock`` to get a settled view.
 Lane fan-out happens *inside* a tick: concurrency is between lanes
 (distinct shards, per-device FIFO serialization), never between ticks.
+The wake-up signal is a ``threading.Event`` — thread-safe by itself, set
+outside the lock, and so not part of the lock contract.
 """
 
 from __future__ import annotations
@@ -99,10 +119,13 @@ class EpochTicket:
     def fail(self, error: Exception) -> bool:
         """Fail the ticket; ``wait`` re-raises ``error`` on the session.
 
-        Returns ``False`` if the session already abandoned the ticket.
+        Returns ``False`` if the session already abandoned the ticket, or
+        if the ticket already has its outcome — a tick that raises fails
+        what it took off the queue, and must not turn a session it already
+        served (which holds a lease and will ``release`` it) into an error.
         """
         with self._lock:
-            if self._abandoned:
+            if self._abandoned or self._done.is_set():
                 return False
             self._error = error
             self._done.set()
@@ -129,13 +152,23 @@ class EpochTicket:
         return self._result
 
 
+def _fail_tickets(waiters: Sequence[Tuple], what: str, cause: BaseException) -> None:
+    """Fail every waiter's ticket with one typed error that keeps ``cause``."""
+    failure = ProviderError(f"{what}: {cause!r}")
+    failure.__cause__ = cause
+    for *_, ticket in waiters:
+        ticket.fail(failure)
+
+
 class EpochBatcher:
     """Accumulates pending log insertions; commits one epoch per tick."""
 
     #: Lock contract, checked by `repro.lintkit`'s lock-discipline pass:
     #: every listed attribute may only be written inside a ``with`` block
     #: over one of its locks (``_drained`` is a Condition wrapping
-    #: ``_lock``, so holding either serializes the same state).
+    #: ``_lock``, so holding either serializes the same state).  ``_wake``
+    #: is deliberately absent: a ``threading.Event`` is thread-safe on its
+    #: own, is bound once, and ``submit`` sets it *after* leaving the lock.
     _GUARDED_BY = {
         "_waiters": ("_lock", "_drained"),
         "_leases": ("_lock", "_drained"),
@@ -150,6 +183,8 @@ class EpochBatcher:
         "epoch_sessions": ("_lock", "_drained"),
         "epoch_digests": ("_lock", "_drained"),
         "abandoned_sessions": ("_lock", "_drained"),
+        "tick_failures": ("_lock", "_drained"),
+        "_last_epoch_end": ("_lock", "_drained"),
     }
 
     def __init__(
@@ -192,6 +227,12 @@ class EpochBatcher:
         # skipped, not waited on, so its lease_timeout is measured from the
         # first deferral rather than from any single tick's start.
         self._lane_blocked_since: Dict[int, float] = {}
+        # Demand signal for whoever drives the ticks (the service's ticker):
+        # set once a waiter is queued, or a lane drains with waiters queued.
+        self._wake = threading.Event()
+        # monotonic time the last tick that ran a lane epoch returned; idle
+        # ticks and ticks that only deferred do not move it.
+        self._last_epoch_end: Optional[float] = None
         self.epochs_run = 0
         self.entries_committed = 0
         self.sessions_served = 0
@@ -203,6 +244,8 @@ class EpochBatcher:
         #: sessions that timed out in ``wait`` before their epoch landed —
         #: served without a lease (the waiter is gone; see EpochTicket)
         self.abandoned_sessions = 0
+        #: ticks that raised (their unserved tickets were failed; see ``tick``)
+        self.tick_failures = 0
         #: sessions served per epoch, newest-last (stress tests assert on it)
         self.epoch_sessions: Deque[int] = deque(maxlen=_HISTORY_LIMIT)
         #: digest after each committed epoch (proof-validity cross-checks)
@@ -232,7 +275,40 @@ class EpochBatcher:
                 ticket.fail(ProviderError(str(exc)))
                 return ticket
             self._waiters.append((username, attempt, identifier, commitment, ticket))
+        # After the append (never before): a driver that wakes on this finds
+        # the waiter queued, so no wake-up is lost — at worst one is spent
+        # on a tick that already took the waiter.
+        self._wake.set()
         return ticket
+
+    def wait_for_demand(self, timeout: float) -> None:
+        """Sleep until a session is queued, a lane drains with sessions
+        queued, or :meth:`wake` is called — at most ``timeout`` seconds.
+
+        For the thread that drives the ticks.  The signal is consumed here,
+        before the caller's ``tick`` swaps the queue: a ``submit`` landing
+        in between finds its waiter taken by that tick and costs one idle
+        tick afterwards, never a missed one.
+        """
+        self._wake.wait(timeout)
+        self._wake.clear()
+
+    def wake(self) -> None:
+        """End a :meth:`wait_for_demand` now (shutdown)."""
+        self._wake.set()
+
+    def quiet_remaining(self, period: float) -> float:
+        """Seconds until ``period`` has passed since the last tick that ran
+        a lane epoch returned (zero or negative: it has).
+
+        Keyed on a lane having *run* — committed or rolled back — not on
+        sessions served: an epoch of out-of-band insertions serves nobody,
+        and an idle tick ran nothing.
+        """
+        with self._lock:
+            if self._last_epoch_end is None:
+                return 0.0
+            return self._last_epoch_end + period - time.monotonic()
 
     def pending_sessions(self) -> int:
         """How many submitted sessions are waiting for the next tick."""
@@ -265,78 +341,101 @@ class EpochBatcher:
         digest, so appending a history row for it would desynchronize
         ``epoch_sessions``/``epoch_digests`` from the epochs that actually
         happened.
+
+        An exception other than a lane's own failure (which is an outcome,
+        above) escapes: before it does, every ticket this tick took off the
+        queue and had not served is failed with a :class:`ProviderError`
+        whose ``__cause__`` is the exception, and ``tick_failures`` counts
+        one.  Whether it returns or raises, a tick that got as far as
+        running lanes stamps the clock ``quiet_remaining`` reads.
         """
         with self._drained:
             log = self._provider.log
             if not self._waiters and not log.has_pending:
                 return 0
-            num_shards = log.num_shards
-            while True:
-                waiters, self._waiters = self._waiters, []
-                by_shard: Dict[int, List[Tuple]] = {}
-                for waiter in waiters:
-                    by_shard.setdefault(shard_of(waiter[2], num_shards), []).append(
-                        waiter
-                    )
-                wanted = sorted(set(by_shard) | set(log.shards_with_pending()))
-                now = time.monotonic()
-                ready: List[int] = []
-                deferred: List[int] = []
-                for shard in wanted:
-                    if not self._leases.get(shard):
-                        self._lane_blocked_since.pop(shard, None)
-                        ready.append(shard)
+            # lane -> waiters this tick has taken off the queue and not put
+            # back: the ones a raising tick must fail rather than orphan.
+            by_shard: Dict[int, List[Tuple]] = {}
+            lanes_ran = False
+            try:
+                num_shards = log.num_shards
+                while True:
+                    waiters, self._waiters = self._waiters, []
+                    by_shard = {}
+                    for waiter in waiters:
+                        by_shard.setdefault(
+                            shard_of(waiter[2], num_shards), []
+                        ).append(waiter)
+                    wanted = sorted(set(by_shard) | set(log.shards_with_pending()))
+                    now = time.monotonic()
+                    ready: List[int] = []
+                    deferred: List[int] = []
+                    for shard in wanted:
+                        if not self._leases.get(shard):
+                            self._lane_blocked_since.pop(shard, None)
+                            ready.append(shard)
+                            continue
+                        since = self._lane_blocked_since.setdefault(shard, now)
+                        if now - since >= self._lease_timeout:
+                            # Stragglers lose their lease; if still alive they
+                            # will refresh their proofs through the provider.
+                            self._expire_lane(shard)
+                            ready.append(shard)
+                        else:
+                            deferred.append(shard)
+                    if ready:
+                        if deferred:
+                            held = set(deferred)
+                            self._waiters[:0] = [
+                                w for w in waiters if shard_of(w[2], num_shards) in held
+                            ]
+                            for shard in held:
+                                by_shard.pop(shard, None)
+                        break
+                    if not wanted:
+                        return 0
+                    # Every lane with work is mid-share-phase: requeue
+                    # everything and block until the earliest lane drains or
+                    # times out.
+                    self._waiters[:0] = waiters
+                    by_shard = {}
+                    earliest = min(self._lane_blocked_since[s] for s in deferred)
+                    remaining = earliest + self._lease_timeout - now
+                    if remaining > 0:
+                        self._drained.wait(remaining)
+                lanes_ran = True
+                outcomes = self._lane_runner(ready)
+                served = 0
+                committed_lanes = 0
+                for shard in ready:
+                    error = outcomes.get(shard)
+                    shard_waiters = by_shard.get(shard, [])
+                    if error is not None:
+                        self.epoch_failures += 1
+                        _fail_tickets(shard_waiters, f"shard {shard} epoch failed", error)
                         continue
-                    since = self._lane_blocked_since.setdefault(shard, now)
-                    if now - since >= self._lease_timeout:
-                        # Stragglers lose their lease; if still alive they
-                        # will refresh their proofs through the provider.
-                        self._expire_lane(shard)
-                        ready.append(shard)
-                    else:
-                        deferred.append(shard)
-                if ready:
-                    if deferred:
-                        held = set(deferred)
-                        self._waiters[:0] = [
-                            w for w in waiters if shard_of(w[2], num_shards) in held
-                        ]
-                        for shard in held:
-                            by_shard.pop(shard, None)
-                    break
-                if not wanted:
-                    return 0
-                # Every lane with work is mid-share-phase: requeue everything
-                # and block until the earliest lane drains or times out.
-                self._waiters[:0] = waiters
-                earliest = min(self._lane_blocked_since[s] for s in deferred)
-                remaining = earliest + self._lease_timeout - now
-                if remaining > 0:
-                    self._drained.wait(remaining)
-            outcomes = self._lane_runner(ready)
-            served = 0
-            committed_lanes = 0
-            for shard in ready:
-                error = outcomes.get(shard)
-                shard_waiters = by_shard.get(shard, [])
-                if error is not None:
-                    self.epoch_failures += 1
-                    failure = ProviderError(f"shard {shard} epoch failed: {error!r}")
-                    failure.__cause__ = error
-                    for *_, ticket in shard_waiters:
-                        ticket.fail(failure)
-                    continue
-                self.epochs_run += 1
-                self.entries_committed += len(shard_waiters)
-                committed_lanes += 1
-                served += self._serve_waiters(shard_waiters, shard)
-            if committed_lanes:
-                root = log.digest
-                self.epoch_sessions.append(served)
-                self.epoch_digests.append(root)
-                if self._provider.journal is not None:  # durable deployments
-                    self._provider.journal.record_publish(root)
-            return served
+                    self.epochs_run += 1
+                    self.entries_committed += len(shard_waiters)
+                    committed_lanes += 1
+                    served += self._serve_waiters(shard_waiters, shard)
+                if committed_lanes:
+                    root = log.digest
+                    self.epoch_sessions.append(served)
+                    self.epoch_digests.append(root)
+                    if self._provider.journal is not None:  # durable deployments
+                        self._provider.journal.record_publish(root)
+                return served
+            except Exception as exc:
+                # Sessions already served keep their proofs and leases (the
+                # lanes committed; ``fail`` does not land on them); the rest
+                # get a typed error now instead of a session_timeout later.
+                self.tick_failures += 1
+                for shard_waiters in by_shard.values():
+                    _fail_tickets(shard_waiters, "epoch tick failed", exc)
+                raise
+            finally:
+                if lanes_ran:
+                    self._last_epoch_end = time.monotonic()
 
     def _run_provider_update(
         self, shards: Sequence[int]
@@ -415,6 +514,8 @@ class EpochBatcher:
             del self._leases[shard]
             self._lane_blocked_since.pop(shard, None)
             self._drained.notify_all()
+            if self._waiters:  # a deferred lane just became runnable
+                self._wake.set()
 
     def outstanding_leases(self, shard: Optional[int] = None) -> int:
         """Sessions served by a committed epoch and still mid-share-phase —
@@ -438,6 +539,7 @@ class EpochBatcher:
                 "lease_timeouts_by_shard": dict(self.lease_timeouts_by_shard),
                 "epoch_failures": self.epoch_failures,
                 "abandoned_sessions": self.abandoned_sessions,
+                "tick_failures": self.tick_failures,
                 "outstanding_leases": sum(
                     len(lane) for lane in self._leases.values()
                 ),

@@ -12,8 +12,14 @@
   per log shard (``log.num_shards``; exactly one for an unsharded log).
   Every epoch runs on its lane's worker: a tick fans the lanes with work
   out through :meth:`RecoveryService.run_shard_epochs` and joins them;
-- a ticker thread committing epochs at ``tick_interval`` (or manual
-  ``tick()`` calls for deterministic tests).
+- a ticker thread that runs an epoch when the batcher signals demand — a
+  session queued, a lane drained — and otherwise looks every
+  ``tick_interval``.  ``tick_interval`` is that fallback poll *and* the
+  quiet period kept after an epoch (the next one starts no sooner than
+  ``tick_interval`` after the last tick that ran a lane returned), not a
+  sampling period: a session that finds the service idle is served at
+  once.  The ticker outlives a tick that raises.  (Or manual ``tick()``
+  calls, with no ticker, for deterministic tests.)
 
 Clients created through :meth:`new_client` are ordinary
 :class:`~repro.core.client.Client` objects; they speak to the provider only
@@ -33,6 +39,7 @@ including lane workers a manual-tick caller started without ``start``.
 from __future__ import annotations
 
 import threading
+import traceback
 from typing import List, Optional
 
 from repro.core.client import Client
@@ -206,6 +213,7 @@ class RecoveryService:
         """
         if self._ticker is not None:
             self._stop.set()
+            self.batcher.wake()  # do not sit out a tick_interval asleep
             self._ticker.join(timeout=self.session_timeout)
             if self._ticker.is_alive():
                 raise ServiceTimeout(
@@ -223,10 +231,37 @@ class RecoveryService:
         self.stop()
 
     def _run_ticker(self) -> None:
-        while not self._stop.wait(self._tick_interval):
-            self.batcher.tick()
+        """Run an epoch when there is demand for one, at most one per
+        ``tick_interval``.
+
+        Sleeps on the batcher's demand signal, with ``tick_interval`` as
+        the fallback poll (lease expiry, deferred lanes and out-of-band
+        ``log.insert``s raise no signal).  On waking it ticks at once,
+        unless the last tick that ran a lane epoch returned less than
+        ``tick_interval`` ago: then it waits out the remainder, so
+        back-to-back epochs keep the quiet period in which sessions gather
+        into the next batch, and only an idle service skips the wait.
+        """
+        batcher, interval = self.batcher, self._tick_interval
+        while not self._stop.is_set():
+            batcher.wait_for_demand(interval)
+            quiet = batcher.quiet_remaining(interval)
+            if quiet > 0 and self._stop.wait(quiet):
+                break
+            self._tick_and_survive()
         # Final drain so sessions submitted around shutdown still resolve.
-        self.batcher.tick()
+        self._tick_and_survive()
+
+    def _tick_and_survive(self) -> None:
+        """One ticker-driven tick.  The ticker is the only thing that ends
+        a session's wait, so it must outlive a tick that raises: the
+        batcher has already failed the tickets that tick had taken and
+        counted ``tick_failures``; the traceback goes to stderr, where the
+        dying thread's used to."""
+        try:
+            self.batcher.tick()
+        except Exception:
+            traceback.print_exc()
 
     def tick(self) -> int:
         """Commit one epoch now (manual mode for deterministic tests)."""

@@ -8,6 +8,15 @@ block ``i`` destroys the leaf key and re-keys the whole path, finishing with
 a fresh root key — after which no combination of provider-held ciphertexts
 and the HSM's new root key can recover the deleted block.
 
+``delete`` is one authenticated walk: every path node is fetched and its
+tag verified once, on the way down, and the way back up splices the
+replacement child key into the payload that walk opened — h ``get``s, h
+``put``s, and nothing written unless the whole path verified.  Appendix
+C's HSM holds one key and so fetches and opens each node again on the way
+up; that second transfer and AE call stay in the *modeled* cost (``delete``
+reports them to the meter where they used to happen), because the cost
+model prices the paper's device, not this host.
+
 Differences from the paper's pseudocode are cosmetic: we pad ``D`` to a power
 of two so the address arithmetic (leaf ``i`` at ``2^h + i``, parent at
 ``a // 2``) is exact, and we bind each ciphertext to its address via GCM
@@ -23,7 +32,7 @@ tree, a ~4,423× throughput gap.
 from __future__ import annotations
 
 import secrets
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro import metering
 from repro.crypto.gcm import AesGcm, ae_decrypt, ae_encrypt
@@ -31,6 +40,7 @@ from repro.storage.blockstore import BlockStore
 
 KEY_LEN = 16
 _DELETED_KEY = b"\x00" * KEY_LEN  # the paper's "useless encryption key"
+_NODE_OVERHEAD = AesGcm.NONCE_LEN + AesGcm.TAG_LEN  # stored node = payload + this
 
 
 class DeletedBlockError(Exception):
@@ -39,12 +49,6 @@ class DeletedBlockError(Exception):
 
 def _addr_aad(addr: int) -> bytes:
     return b"securedel-node" + addr.to_bytes(8, "big")
-
-
-def _open_node(cipher: AesGcm, node_ct: bytes, addr: int) -> bytes:
-    """``ae_decrypt`` of the node at ``addr`` under an already-keyed cipher."""
-    nonce, body = node_ct[: AesGcm.NONCE_LEN], node_ct[AesGcm.NONCE_LEN :]
-    return cipher.decrypt(nonce, body, aad=_addr_aad(addr))
 
 
 class SecureDeletionTree:
@@ -97,30 +101,28 @@ class SecureDeletionTree:
             addr //= 2
         return list(reversed(path))
 
-    def _decrypt_path(self, index: int) -> Tuple[List[AesGcm], bytes]:
-        """Walk the root-to-leaf path: the keyed cipher of every internal
-        node on it, root first, and the leaf's key.
+    def _decrypt_path(self, index: int) -> Tuple[List[bytes], bytes]:
+        """Walk the root-to-leaf path, authenticating every node on it: the
+        opened payload (both child keys) of every internal node, root
+        first, and the leaf's key.
 
-        ``delete`` opens each internal node a second time, and holding the
-        ciphers saves expanding every path key twice.  They live in the
-        caller's frame only: a key that call is about to destroy must not be
-        reachable from anywhere once it returns.
+        The payloads live in the caller's frame only: ``delete`` is about to
+        destroy the keys in them, and nothing may reach those once it
+        returns.
         """
         if not (0 <= index < (1 << self.height)):
             raise IndexError("block index out of range")
         addrs = self._path_addrs(index)
         key = self._root_key
-        ciphers: List[AesGcm] = []
+        payloads: List[bytes] = []
         for addr, child_addr in zip(addrs, addrs[1:]):
             metering.count("flash_read_bytes", KEY_LEN)
-            node_ct = self._store.get(addr)
-            ciphers.append(AesGcm(key))
-            payload = _open_node(ciphers[-1], node_ct, addr)
-            left_key, right_key = payload[:KEY_LEN], payload[KEY_LEN:]
-            key = left_key if child_addr % 2 == 0 else right_key
+            payload = ae_decrypt(key, self._store.get(addr), aad=_addr_aad(addr))
+            payloads.append(payload)
+            key = payload[:KEY_LEN] if child_addr % 2 == 0 else payload[KEY_LEN:]
             if key == _DELETED_KEY:
                 raise DeletedBlockError(f"block {index} was securely deleted")
-        return ciphers, key
+        return payloads, key
 
     # -- public API ---------------------------------------------------------------
     def read(self, index: int) -> bytes:
@@ -131,34 +133,38 @@ class SecureDeletionTree:
         return ae_decrypt(leaf_key, leaf_ct, aad=_addr_aad(leaf_addr))
 
     def delete(self, index: int) -> None:
-        """Securely delete block ``index`` and re-key the path to the root."""
-        addrs = self._path_addrs(index)
-        ciphers, _ = self._decrypt_path(index)
+        """Securely delete block ``index`` and re-key the path to the root.
 
-        # Walk back up: at each internal node, replace the child key (either
-        # freshly re-keyed, or zeroed at the leaf) and encrypt the node under
-        # a fresh key that becomes the child key for the next level up.
-        child_new_key: Optional[bytes] = None  # None marks the deleted leaf
+        One authenticated walk down, then h puts back up; nothing is written
+        (and the root key is untouched) unless every node on the path
+        verified.
+        """
+        addrs = self._path_addrs(index)
+        payloads, _ = self._decrypt_path(index)
+
+        # Walk back up: at each internal node, splice the replacement child
+        # key (freshly re-keyed, or zeroed at the leaf) into the payload the
+        # walk down authenticated, and encrypt the node under a fresh key
+        # that becomes the child key for the next level up.
+        child_new_key = _DELETED_KEY
         for depth in range(len(addrs) - 2, -1, -1):
             addr = addrs[depth]
-            node_ct = self._store.get(addr)
-            payload = _open_node(ciphers[depth], node_ct, addr)
-            # The cost model prices every AE call as one-shot on a cold key
-            # (one block to derive the GHASH subkey); re-using the keyed
-            # cipher saves host time, not modeled HSM work.
-            metering.count("aes_block")
-            left_key, right_key = payload[:KEY_LEN], payload[KEY_LEN:]
-            child_addr = addrs[depth + 1]
-            replacement = _DELETED_KEY if child_new_key is None else child_new_key
-            if child_addr % 2 == 0:
-                left_key = replacement
+            payload = payloads[depth]
+            # Appendix C's HSM keeps one key, not the path: on the way up it
+            # fetches each node again and opens it, a cold AE call (GHASH
+            # subkey, tag mask, one CTR block per 16 bytes).  Holding the
+            # payloads saves host time, not modeled HSM work, so the cost
+            # model is still charged that transfer and that open.
+            metering.count("io_bytes", _NODE_OVERHEAD + len(payload))
+            metering.count("aes_block", 2 + len(payload) // 16)
+            if addrs[depth + 1] % 2 == 0:
+                payload = child_new_key + payload[KEY_LEN:]
             else:
-                right_key = replacement
+                payload = payload[:KEY_LEN] + child_new_key
             fresh = secrets.token_bytes(KEY_LEN)
-            self._store.put(addr, ae_encrypt(fresh, left_key + right_key, aad=_addr_aad(addr)))
+            self._store.put(addr, ae_encrypt(fresh, payload, aad=_addr_aad(addr)))
             child_new_key = fresh
 
-        assert child_new_key is not None
         self._root_key = child_new_key
 
     @property

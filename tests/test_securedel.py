@@ -1,9 +1,13 @@
 """Secure-deletion key tree (Appendix C): reads, deletion, tampering."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.chaos.entropy import DeterministicEntropy
 from repro.crypto.gcm import AuthenticationError
+from repro.metering import metered
 from repro.storage.blockstore import InMemoryBlockStore, TamperingBlockStore
 from repro.storage.securedel import (
     DeletedBlockError,
@@ -127,6 +131,96 @@ class TestIntegrity:
         store.swap(base + 0, base + 1)
         with pytest.raises(AuthenticationError):
             tree.read(0)
+
+
+class CountingBlockStore(InMemoryBlockStore):
+    """Counts the oracle calls the tree makes."""
+
+    def __init__(self):
+        super().__init__()
+        self.gets = self.puts = 0
+
+    def get(self, addr):
+        self.gets += 1
+        return super().get(addr)
+
+    def put(self, addr, block):
+        self.puts += 1
+        super().put(addr, block)
+
+
+class TestOnePassDeletion:
+    def test_delete_fetches_each_path_node_once(self):
+        """One authenticated walk down, h puts back up: a delete costs h
+        ``get``s (it cost 2h when the way up fetched and opened every node
+        again) and a read is what it was, h + 1 ``get``s and no ``put``."""
+        store = CountingBlockStore()
+        tree, _, _ = make_tree(64, store)
+        assert tree.height == 6
+        for index in (0, 21, 63):
+            store.gets = store.puts = 0
+            tree.delete(index)
+            assert (store.gets, store.puts) == (tree.height, tree.height)
+        store.gets = store.puts = 0
+        tree.read(22)
+        assert (store.gets, store.puts) == (tree.height + 1, 0)
+
+    @pytest.mark.parametrize("depth", [0, 2, 5])
+    def test_tampering_aborts_the_delete_before_any_write(self, depth):
+        """The walk down is the only open left, so it is the one that must
+        catch a bad node — and it does so before the first put: root key
+        and store are as they were, and the block is still readable once
+        the provider serves the right bytes again."""
+        store = TamperingBlockStore()
+        tree, blocks, _ = make_tree(64, store)
+        addr = tree._path_addrs(37)[depth]
+        root_before, blocks_before = tree.root_key, dict(store._blocks)
+        store.corrupt(addr)
+        with pytest.raises(AuthenticationError):
+            tree.delete(37)
+        assert tree.root_key == root_before
+        blocks_before[addr] = store._blocks[addr]  # only the tampering itself
+        assert store._blocks == blocks_before
+        store.corrupt(addr)  # flip the bit back
+        assert tree.read(37) == blocks[37]
+
+    def test_sibling_swap_aborts_the_delete_before_any_write(self):
+        """Address binding on the way down: a sibling's (validly sealed)
+        node served in place of the path's fails its tag."""
+        store = TamperingBlockStore()
+        tree, _, _ = make_tree(64, store)
+        addr = tree._path_addrs(37)[3]
+        store.swap(addr, addr ^ 1)
+        root_before, blocks_before = tree.root_key, dict(store._blocks)
+        with pytest.raises(AuthenticationError):
+            tree.delete(37)
+        assert tree.root_key == root_before
+        assert store._blocks == blocks_before
+
+    def test_seeded_deletes_leave_the_parents_bytes_and_counts(self):
+        """Same puts, same entropy draws in the same order, same modeled
+        cost: captured by running this workload on the two-pass delete.
+        The cost model still prices Appendix C's second fetch-and-open of
+        every node (transport bytes and AES blocks) although the host no
+        longer performs it."""
+        with DeterministicEntropy(0x0DE1E7E):
+            store = InMemoryBlockStore()
+            tree = SecureDeletionTree.setup(store, [bytes([i]) * 32 for i in range(64)])
+            with metered() as meter:
+                for index in range(0, 64, 4):
+                    tree.delete(index)
+        assert dict(meter.counts) == {
+            "aes_block": 1152,  # 16 deletes x 6 nodes x 3 AE calls x 4 blocks
+            "flash_read_bytes": 1536,
+            "io_bytes": 17280,  # 16 x 6 x 3 transfers x 60-byte nodes
+        }
+        digest = hashlib.sha256()
+        for addr in sorted(store._blocks):
+            digest.update(addr.to_bytes(8, "big") + store._blocks[addr])
+        assert digest.hexdigest() == (
+            "aa86d409c9f2c99e5018a86b14e6cb1e9b21f664119a10a3fe606a4e3b3c5f7f"
+        )
+        assert tree.root_key.hex() == "d43804d2f6b3a65c1570fd9b257ae6ca"
 
 
 class TestNaiveStore:

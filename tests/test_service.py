@@ -656,3 +656,301 @@ class TestPerShardLeases:
         stats = batcher.stats()
         assert stats["outstanding_leases_by_shard"] == {0: 1}
         assert stats["pending_sessions"] == 3  # lane 0's deferred sessions
+
+
+# ---------------------------------------------------------------------------
+# On-demand epochs: the demand signal, the quiet period, a ticker that lives
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def ticker_deployment():
+    params = SystemParams.for_testing(num_hsms=4, cluster_size=3, max_punctures=16)
+    return Deployment.create(params, rng=random.Random(37))
+
+
+def _recording_lanes(batcher):
+    """Wrap the batcher's lane runner (when each epoch started) and its
+    ``tick`` (when each tick that ran one returned); returns both lists."""
+    epoch_starts, tick_returns = [], []
+    run_lanes, tick = batcher._lane_runner, batcher.tick
+
+    def lane_runner(shards):
+        epoch_starts.append(time.monotonic())
+        return run_lanes(shards)
+
+    def recording_tick():
+        epochs_before = len(epoch_starts)
+        try:
+            return tick()
+        finally:
+            if len(epoch_starts) > epochs_before:
+                tick_returns.append(time.monotonic())
+
+    batcher._lane_runner, batcher.tick = lane_runner, recording_tick
+    return epoch_starts, tick_returns
+
+
+class TestOnDemandEpochs:
+    def test_idle_service_serves_a_lone_recovery_at_once(self, ticker_deployment):
+        """``tick_interval`` is a fallback poll and a quiet period after an
+        epoch, not a sampling period: a session that finds the service idle
+        does not wait for a poll to come round (it waited ~0.7 s here when
+        the ticker slept ``tick_interval`` between looks)."""
+        service = ticker_deployment.recovery_service(
+            tick_interval=1.0, lease_timeout=5.0
+        )
+        client = service.new_client("demand-lone")
+        client.backup(b"on demand", pin="1111")
+        with service:
+            time.sleep(0.3)  # idle: mid-way between two would-be polls
+            start = time.monotonic()
+            assert client.recover("1111") == b"on demand"
+            assert time.monotonic() - start < 0.4
+
+    def test_back_to_back_epochs_keep_the_quiet_period(self, ticker_deployment):
+        """Under load the gap after an epoch is what it always was: the
+        next epoch starts no earlier than ``tick_interval`` after the tick
+        that ran the last one returned."""
+        interval = 0.3
+        service = ticker_deployment.recovery_service(
+            tick_interval=interval, lease_timeout=5.0
+        )
+        batcher = service.batcher
+        epoch_starts, tick_returns = _recording_lanes(batcher)
+        with service:
+            batcher.submit("demand-b2b-first", 0, b"h1").wait(timeout=30)
+            batcher.release("demand-b2b-first", 0)
+            batcher.submit("demand-b2b-second", 0, b"h2").wait(timeout=30)
+            batcher.release("demand-b2b-second", 0)
+        assert len(epoch_starts) == 2
+        assert epoch_starts[1] - tick_returns[0] >= interval
+        assert epoch_starts[1] - tick_returns[0] < 3 * interval  # and not a poll later
+
+    def test_no_wakeup_is_lost(self, ticker_deployment):
+        """8 threads x 20 sessions against a 5 s fallback poll (the quiet
+        period switched off so the epochs can run back to back): a lost
+        wake-up would park a session until the poll.  Every other tick a
+        session is also submitted from inside the ticker thread, between
+        the signal's ``clear`` and the tick's queue swap."""
+        service = ticker_deployment.recovery_service(
+            tick_interval=5.0, lease_timeout=5.0
+        )
+        batcher = service.batcher
+        batcher.quiet_remaining = lambda period: 0.0
+        tick, ticks, squeezed = batcher.tick, [0], []
+
+        def tick_with_a_submit_squeezed_in():
+            ticks[0] += 1
+            if ticks[0] % 2 == 0 and len(squeezed) < 20:
+                squeezed.append(
+                    batcher.submit(f"demand-squeezed-{len(squeezed)}", 0, b"hs")
+                )
+                served = tick()
+                try:  # taken by the very tick it raced, not left for the poll
+                    squeezed[-1].wait(timeout=0)
+                except Exception as exc:  # noqa: BLE001
+                    errors.append(("ticker", repr(exc)))
+                batcher.release(f"demand-squeezed-{len(squeezed) - 1}", 0)
+                return served
+            return tick()
+
+        batcher.tick = tick_with_a_submit_squeezed_in
+        waits, errors = [], []
+
+        def run(worker):
+            try:
+                for i in range(20):
+                    start = time.monotonic()
+                    batcher.submit(f"demand-w{worker}-{i}", 0, b"h").wait(timeout=4.0)
+                    waits.append(time.monotonic() - start)
+                    batcher.release(f"demand-w{worker}-{i}", 0)
+            except Exception as exc:  # noqa: BLE001
+                errors.append((worker, repr(exc)))
+
+        with service:
+            threads = [threading.Thread(target=run, args=(w,)) for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(waits) == 160 and max(waits) < 2.5
+        assert squeezed and service.stats()["sessions_served"] == 160 + len(squeezed)
+
+    def test_release_of_a_deferred_lane_raises_the_signal(self):
+        """A lane deferred on a straggler becomes runnable at ``release``:
+        with sessions queued that is demand, and a driver asleep on a long
+        fallback (30 s here) runs the lane's epoch without waiting for it.
+        A release with nothing queued is not demand."""
+        _, batcher = _stub_lane_batcher(lease_timeout=30.0)
+        holder = _user_on_shard(0, 4, "dsa")
+        batcher.submit(holder, 0, b"h-a")
+        assert batcher.tick() == 1  # lane 0 leased
+        deferred = batcher.submit(_user_on_shard(0, 4, "dsb"), 0, b"h-b")
+        other = _user_on_shard(1, 4, "dsc")
+        batcher.submit(other, 0, b"h-c")
+        assert batcher.tick() == 1  # lane 1 ran, lane 0 deferred
+        batcher.release(other, 0)  # drains lane 1; lane 0's session is queued
+        batcher.wait_for_demand(0)  # consume the signals raised so far
+
+        def drive():
+            batcher.wait_for_demand(30.0)
+            batcher.tick()
+
+        driver = threading.Thread(target=drive, daemon=True)
+        driver.start()
+        time.sleep(0.05)
+        start = time.monotonic()
+        batcher.release(holder, 0)
+        deferred.wait(timeout=5)
+        assert time.monotonic() - start < 2.0
+        driver.join(timeout=5)
+        assert not driver.is_alive()
+
+        batcher.release(_user_on_shard(0, 4, "dsb"), 0)
+        assert batcher.pending_sessions() == 0
+        assert not batcher._wake.is_set()  # nothing queued: no demand
+
+    def test_stop_does_not_sit_out_the_poll(self, ticker_deployment):
+        service = ticker_deployment.recovery_service(tick_interval=30.0)
+        service.start()
+        last = service.batcher.submit("demand-stop", 0, b"h")  # an epoch, then asleep
+        last.wait(timeout=30)
+        time.sleep(0.05)
+        start = time.monotonic()
+        service.stop()
+        assert time.monotonic() - start < 1.0
+        assert service._ticker is None
+
+    def test_stop_still_drains_a_last_session(self, ticker_deployment):
+        """The final drain tick stays: a session queued inside the quiet
+        period is served by ``stop``, not abandoned to its timeout."""
+        service = ticker_deployment.recovery_service(tick_interval=30.0)
+        batcher = service.batcher
+        service.start()
+        batcher.submit("demand-drain-first", 0, b"h1").wait(timeout=30)
+        batcher.release("demand-drain-first", 0)
+        late = batcher.submit("demand-drain-late", 0, b"h2")  # 30 s of quiet ahead
+        service.stop()
+        late.wait(timeout=0)
+
+    def test_manual_tick_service_runs_no_epoch_unasked(self, ticker_deployment):
+        """Never ``start()``ed: the signal is raised and nobody acts on it."""
+        service = ticker_deployment.recovery_service(tick_interval=0.01)
+        service.pool.start()
+        try:
+            ticket = service.batcher.submit("demand-manual", 0, b"h")
+            time.sleep(0.1)
+            assert service.stats()["epochs_run"] == 0
+            with pytest.raises(ServiceTimeout):
+                ticket.wait(timeout=0.05)
+            assert service.tick() == 0  # committed; the session had walked away
+            assert service.stats()["epochs_run"] == 1
+        finally:
+            service.stop()
+
+
+class TestQuietPeriodClock:
+    """The clock behind the quiet period keys on "a lane ran" — not on
+    ``tick``'s return value, which is sessions served."""
+
+    def test_idle_ticks_do_not_push_it(self, batcher_provider):
+        batcher = EpochBatcher(batcher_provider)
+        assert batcher.tick() == 0
+        assert batcher.quiet_remaining(30.0) <= 0
+        batcher.submit("clock-user", 0, b"h")
+        assert batcher.tick() == 1
+        time.sleep(0.05)
+        before = batcher.quiet_remaining(30.0)
+        assert 0 < before < 30.0
+        assert batcher.tick() == 0  # the fallback poll finding nothing
+        assert batcher.quiet_remaining(30.0) <= before
+
+    def test_an_epoch_that_serves_nobody_counts(self, batcher_provider):
+        batcher = EpochBatcher(batcher_provider)
+        batcher_provider.log.insert(b"out-of-band", b"value")
+        assert batcher.tick() == 0  # committed an entry, served no session
+        assert batcher.epochs_run == 1
+        assert batcher.quiet_remaining(30.0) > 0
+
+    def test_a_tick_whose_lanes_all_failed_counts(self, batcher_provider):
+        batcher = EpochBatcher(
+            batcher_provider,
+            lane_runner=lambda shards: dict.fromkeys(shards, RuntimeError("down")),
+        )
+        ticket = batcher.submit("clock-failed", 0, b"h")
+        assert batcher.tick() == 0
+        with pytest.raises(ProviderError, match="epoch failed"):
+            ticket.wait(timeout=1)
+        assert batcher.quiet_remaining(30.0) > 0
+
+
+class TestTickFailures:
+    def test_raising_tick_fails_the_tickets_it_took(self, batcher_provider):
+        """A lane runner that raises instead of reporting: the waiters are
+        already off the queue, so they get a typed error with the cause
+        attached instead of a session_timeout, and the batcher lives on."""
+
+        def broken(shards):
+            raise RuntimeError("lane pool gone")
+
+        batcher = EpochBatcher(batcher_provider, lane_runner=broken)
+        tickets = [batcher.submit(f"poisoned-{i}", 0, b"h%d" % i) for i in range(3)]
+        with pytest.raises(RuntimeError, match="lane pool gone"):
+            batcher.tick()
+        for ticket in tickets:
+            with pytest.raises(ProviderError, match="tick failed") as caught:
+                ticket.wait(timeout=0)
+            assert isinstance(caught.value.__cause__, RuntimeError)
+        stats = batcher.stats()
+        assert stats["tick_failures"] == 1 and stats["pending_sessions"] == 0
+        assert stats["outstanding_leases"] == 0
+        assert batcher.quiet_remaining(30.0) > 0  # the lanes were entered
+
+    def test_failure_after_the_lanes_committed_spares_served_sessions(
+        self, batcher_provider
+    ):
+        """The journal refusing ``record_publish`` comes after the epoch:
+        the sessions already hold proofs and leases and must keep them."""
+
+        class RefusingJournal:
+            def record_publish(self, root):
+                raise OSError("disk full")
+
+        batcher = EpochBatcher(batcher_provider)
+        ticket = batcher.submit("published", 0, b"h")
+        batcher_provider.journal = RefusingJournal()
+        with pytest.raises(OSError):
+            batcher.tick()
+        identifier, proof = ticket.wait(timeout=0)
+        assert verify_includes(batcher_provider.log.digest, identifier, b"h", proof)
+        assert batcher.outstanding_leases() == 1
+        assert batcher.stats()["tick_failures"] == 1
+
+    def test_ticker_survives_a_poisoned_tick(self, ticker_deployment, capfd):
+        """Regression: an exception escaping ``tick`` used to kill the
+        epoch-ticker thread, and every later session died of
+        ``ServiceTimeout`` ("is the ticker running?")."""
+        service = ticker_deployment.recovery_service(
+            tick_interval=0.01, lease_timeout=5.0, session_timeout=10.0
+        )
+        batcher = service.batcher
+        run_lanes, poisoned = batcher._lane_runner, []
+
+        def poison_once(shards):
+            if not poisoned:
+                poisoned.append(True)
+                raise RuntimeError("poisoned tick")
+            return run_lanes(shards)
+
+        batcher._lane_runner = poison_once
+        client = service.new_client("demand-survivor")
+        client.backup(b"still served", pin="2222")
+        with service:
+            with pytest.raises(ProviderError, match="tick failed") as caught:
+                batcher.submit("demand-poisoned", 0, b"h").wait(timeout=5)
+            assert isinstance(caught.value.__cause__, RuntimeError)
+            assert service._ticker.is_alive()
+            assert client.recover("2222") == b"still served"
+        assert service.stats()["tick_failures"] == 1
+        assert "poisoned tick" in capfd.readouterr().err  # traceback reported
