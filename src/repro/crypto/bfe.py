@@ -24,13 +24,29 @@ keys", §9).  We implement that variant concretely:
   tag.  Decryption of *that* ciphertext becomes impossible; an unrelated
   ciphertext fails only if all its own slots are gone (probability
   ``BloomParams.failure_probability``).
+- Decrypt-and-puncture (:meth:`BloomFilterEncryption.decrypt_and_puncture`)
+  is what an HSM actually runs: one authenticated walk over the union of
+  the tag's ``k`` key-tree paths, decryption from the first surviving
+  leaf, the caller's ``accept`` check on the plaintext, then one re-key
+  that deletes every live slot and moves the root key once.  Stand-alone
+  ``decrypt``, ``puncture`` and ``puncture_tag`` ride the same walk (one
+  index at a time for ``decrypt``, which stops at the first surviving
+  slot; one batch for the punctures).
+
+What the meter sees is the paper's device, not this host: Decrypt walks one
+slot's path at a time until one survives, Puncture is a second call that
+hashes the tag to its slots again and deletes them one by one (Appendix C).
+The key tree bills those single-slot walks (see ``repro.storage.securedel``)
+and ``decrypt_and_puncture`` derives the slots a second time for the same
+reason, so the fused call reports exactly what ``decrypt`` followed by
+``puncture`` reports.
 """
 
 from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro import metering
 from repro.crypto.bloom import BloomParams
@@ -174,16 +190,18 @@ class BloomFilterEncryption:
 
     # -- decryption (HSM side) ---------------------------------------------------
     @staticmethod
-    def decrypt(
-        secret: BfeSecretKey, ciphertext: BfeCiphertext, context: bytes = b""
+    def _decrypt_from(
+        read_slot: Callable[[int], bytes],
+        slots: List[int],
+        ciphertext: BfeCiphertext,
+        context: bytes,
     ) -> bytes:
-        """Decrypt using the first surviving Bloom slot."""
+        """Decrypt using the first slot whose key ``read_slot`` still yields."""
         tag = ciphertext.tag
-        slots = secret.params.slots_for_tag(tag)
         last_error: Optional[Exception] = None
         for position, slot in enumerate(slots):
             try:
-                scalar_bytes = secret.tree.read(slot)
+                scalar_bytes = read_slot(slot)
             except DeletedBlockError as exc:
                 last_error = exc
                 continue
@@ -204,6 +222,44 @@ class BloomFilterEncryption:
             "no surviving Bloom slot can decrypt this ciphertext"
         ) from last_error
 
+    @staticmethod
+    def decrypt(
+        secret: BfeSecretKey, ciphertext: BfeCiphertext, context: bytes = b""
+    ) -> bytes:
+        """Decrypt using the first surviving Bloom slot."""
+        slots = secret.params.slots_for_tag(ciphertext.tag)
+        return BloomFilterEncryption._decrypt_from(
+            secret.tree.read, slots, ciphertext, context
+        )
+
+    @staticmethod
+    def decrypt_and_puncture(
+        secret: BfeSecretKey,
+        ciphertext: BfeCiphertext,
+        context: bytes = b"",
+        accept: Optional[Callable[[bytes], None]] = None,
+    ) -> bytes:
+        """The HSM's one operation (§7.1): decrypt, then puncture the tag,
+        on a single walk of the key tree.
+
+        The tag's k paths are authenticated first, so a tampered block is
+        seen before anything is decrypted or written.  ``accept(plaintext)``
+        runs between the two halves; if it (or the decryption) raises, the
+        key is not punctured, the store is untouched and nothing is
+        returned.
+        """
+        slots = secret.params.slots_for_tag(ciphertext.tag)
+        walk = secret.tree.walk(slots)
+        plaintext = BloomFilterEncryption._decrypt_from(walk.read, slots, ciphertext, context)
+        if accept is not None:
+            accept(plaintext)
+        # Modeled charge: the paper's Puncture(tag) is a separate call that
+        # hashes the tag to its slots again.
+        secret.params.slots_for_tag(ciphertext.tag)
+        secret.slots_deleted += walk.delete()
+        secret.punctures_done += 1
+        return plaintext
+
     # -- puncturing (HSM side) -----------------------------------------------------
     @staticmethod
     def puncture(secret: BfeSecretKey, ciphertext: BfeCiphertext, context: bytes = b"") -> None:
@@ -212,11 +268,7 @@ class BloomFilterEncryption:
 
     @staticmethod
     def puncture_tag(secret: BfeSecretKey, tag: bytes) -> None:
-        slots = secret.params.slots_for_tag(tag)
-        for slot in slots:
-            try:
-                secret.tree.delete(slot)
-                secret.slots_deleted += 1
-            except DeletedBlockError:
-                pass  # already gone: puncture is idempotent
+        """Delete the tag's k slots in one batched re-key; slots already
+        gone are skipped, so puncturing is idempotent."""
+        secret.slots_deleted += secret.tree.walk(secret.params.slots_for_tag(tag)).delete()
         secret.punctures_done += 1

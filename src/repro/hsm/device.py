@@ -604,29 +604,34 @@ class HsmDevice:
                 raise HsmRefusedError(
                     f"HSM {self.index}: not a member of the committed cluster"
                 )
-            # (4) decrypt the share; the plaintext must be bound to the user
+            # (4)+(5) decrypt-and-puncture on one walk of the key tree: the
+            # plaintext must be bound to the user before anything is deleted,
+            # and the key is punctured (forward security) before the reply.
+            username_bytes = request.username.encode("utf-8")
+            prefix = len(username_bytes).to_bytes(2, "big") + username_bytes
+
+            def bound_to_user(plaintext: bytes) -> None:
+                if not plaintext.startswith(prefix):
+                    raise HsmRefusedError(
+                        f"HSM {self.index}: decrypted share is bound to another user"
+                    )
+
             try:
-                plaintext = BloomFilterEncryption.decrypt(
-                    self._bfe_secret, request.share_ciphertext, context=request.context
+                plaintext = BloomFilterEncryption.decrypt_and_puncture(
+                    self._bfe_secret,
+                    request.share_ciphertext,
+                    context=request.context,
+                    accept=bound_to_user,
                 )
             except AuthenticationError as exc:
-                # Decryption under this HSM's keys/context fails: the client
-                # presented a share that was not encrypted to this device
-                # (e.g. a wrong-PIN cluster that happens to overlap).
+                # Either a key-tree block failed its tag (tampered or torn
+                # outsourced storage) or the share was not encrypted to this
+                # device (e.g. a wrong-PIN cluster that happens to overlap).
+                # Both are seen before the first write: nothing was punctured.
                 raise HsmRefusedError(
                     f"HSM {self.index}: share does not decrypt under my keys"
                 ) from exc
-            username_bytes = request.username.encode("utf-8")
-            prefix = len(username_bytes).to_bytes(2, "big") + username_bytes
-            if not plaintext.startswith(prefix):
-                raise HsmRefusedError(
-                    f"HSM {self.index}: decrypted share is bound to another user"
-                )
             share_bytes = plaintext[len(prefix):]
-            # (5) forward security: puncture before replying
-            BloomFilterEncryption.puncture(
-                self._bfe_secret, request.share_ciphertext, context=request.context
-            )
             # (6) reply under the client's fresh per-recovery key (§8)
             return HashedElGamal.encrypt(
                 request.response_key,

@@ -8,14 +8,25 @@ block ``i`` destroys the leaf key and re-keys the whole path, finishing with
 a fresh root key — after which no combination of provider-held ciphertexts
 and the HSM's new root key can recover the deleted block.
 
-``delete`` is one authenticated walk: every path node is fetched and its
-tag verified once, on the way down, and the way back up splices the
-replacement child key into the payload that walk opened — h ``get``s, h
-``put``s, and nothing written unless the whole path verified.  Appendix
-C's HSM holds one key and so fetches and opens each node again on the way
-up; that second transfer and AE call stay in the *modeled* cost (``delete``
-reports them to the meter where they used to happen), because the cost
-model prices the paper's device, not this host.
+There is one walk and one re-key, and both take a *set* of indices
+(:class:`PathWalk`).  The walk authenticates the union of the indices'
+root-to-leaf paths top-down: every node on the union is fetched, tag-checked
+and opened once, and nothing is written unless all of them verified.  The
+re-key runs bottom-up over the union of the *live* targets' paths: every
+node on it is sealed once under one fresh key, the root last.  ``read(i)``
+and ``delete(i)`` are the one-index case.  A puncture's k slots share the
+top of the tree, so one batched delete costs ``|union|`` ``get``s and
+``|union of live paths|`` ``put``s and moves the root key once, where k
+single deletes cost k·h of each and move it k times.
+
+The *modeled* device does not batch.  Appendix C's HSM holds one key, walks
+one index at a time from the root, and on the way back up fetches and opens
+each node again before sealing it.  The cost model prices that device, not
+this host, so the meter is charged what the single-index walks cost: h opens
+per read and per delete target, and h re-opens plus h seals per live
+target.  The AE calls and transfers this host really makes meter themselves;
+:meth:`PathWalk._bill_walks` and :meth:`PathWalk.delete` report the
+remainder beside them.
 
 Differences from the paper's pseudocode are cosmetic: we pad ``D`` to a power
 of two so the address arithmetic (leaf ``i`` at ``2^h + i``, parent at
@@ -32,7 +43,7 @@ tree, a ~4,423× throughput gap.
 from __future__ import annotations
 
 import secrets
-from typing import List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from repro import metering
 from repro.crypto.gcm import AesGcm, ae_decrypt, ae_encrypt
@@ -40,7 +51,11 @@ from repro.storage.blockstore import BlockStore
 
 KEY_LEN = 16
 _DELETED_KEY = b"\x00" * KEY_LEN  # the paper's "useless encryption key"
-_NODE_OVERHEAD = AesGcm.NONCE_LEN + AesGcm.TAG_LEN  # stored node = payload + this
+# An internal node is two child keys under one AE call: what one transfer
+# moves and one open or seal costs (GHASH subkey, tag mask, one CTR block
+# per 16 bytes).
+_NODE_LEN = AesGcm.NONCE_LEN + AesGcm.TAG_LEN + 2 * KEY_LEN
+_NODE_AES_BLOCKS = 2 + 2 * KEY_LEN // 16
 
 
 class DeletedBlockError(Exception):
@@ -101,36 +116,14 @@ class SecureDeletionTree:
             addr //= 2
         return list(reversed(path))
 
-    def _decrypt_path(self, index: int) -> Tuple[List[bytes], bytes]:
-        """Walk the root-to-leaf path, authenticating every node on it: the
-        opened payload (both child keys) of every internal node, root
-        first, and the leaf's key.
-
-        The payloads live in the caller's frame only: ``delete`` is about to
-        destroy the keys in them, and nothing may reach those once it
-        returns.
-        """
-        if not (0 <= index < (1 << self.height)):
-            raise IndexError("block index out of range")
-        addrs = self._path_addrs(index)
-        key = self._root_key
-        payloads: List[bytes] = []
-        for addr, child_addr in zip(addrs, addrs[1:]):
-            metering.count("flash_read_bytes", KEY_LEN)
-            payload = ae_decrypt(key, self._store.get(addr), aad=_addr_aad(addr))
-            payloads.append(payload)
-            key = payload[:KEY_LEN] if child_addr % 2 == 0 else payload[KEY_LEN:]
-            if key == _DELETED_KEY:
-                raise DeletedBlockError(f"block {index} was securely deleted")
-        return payloads, key
-
     # -- public API ---------------------------------------------------------------
+    def walk(self, indices: Iterable[int]) -> "PathWalk":
+        """Authenticate the union of the indices' paths and hold it open."""
+        return PathWalk(self, indices)
+
     def read(self, index: int) -> bytes:
         """Return data block ``index``; raise on deletion or tampering."""
-        _, leaf_key = self._decrypt_path(index)
-        leaf_addr = (1 << self.height) + index
-        leaf_ct = self._store.get(leaf_addr)
-        return ae_decrypt(leaf_key, leaf_ct, aad=_addr_aad(leaf_addr))
+        return self.walk([index]).read(index)
 
     def delete(self, index: int) -> None:
         """Securely delete block ``index`` and re-key the path to the root.
@@ -139,33 +132,8 @@ class SecureDeletionTree:
         (and the root key is untouched) unless every node on the path
         verified.
         """
-        addrs = self._path_addrs(index)
-        payloads, _ = self._decrypt_path(index)
-
-        # Walk back up: at each internal node, splice the replacement child
-        # key (freshly re-keyed, or zeroed at the leaf) into the payload the
-        # walk down authenticated, and encrypt the node under a fresh key
-        # that becomes the child key for the next level up.
-        child_new_key = _DELETED_KEY
-        for depth in range(len(addrs) - 2, -1, -1):
-            addr = addrs[depth]
-            payload = payloads[depth]
-            # Appendix C's HSM keeps one key, not the path: on the way up it
-            # fetches each node again and opens it, a cold AE call (GHASH
-            # subkey, tag mask, one CTR block per 16 bytes).  Holding the
-            # payloads saves host time, not modeled HSM work, so the cost
-            # model is still charged that transfer and that open.
-            metering.count("io_bytes", _NODE_OVERHEAD + len(payload))
-            metering.count("aes_block", 2 + len(payload) // 16)
-            if addrs[depth + 1] % 2 == 0:
-                payload = child_new_key + payload[KEY_LEN:]
-            else:
-                payload = payload[:KEY_LEN] + child_new_key
-            fresh = secrets.token_bytes(KEY_LEN)
-            self._store.put(addr, ae_encrypt(fresh, payload, aad=_addr_aad(addr)))
-            child_new_key = fresh
-
-        self._root_key = child_new_key
+        if not self.walk([index]).delete():
+            raise DeletedBlockError(f"block {index} was securely deleted")
 
     @property
     def root_key(self) -> bytes:
@@ -175,6 +143,118 @@ class SecureDeletionTree:
     def extract_root_key(self) -> bytes:
         """Explicit escape hatch modelling HSM compromise in tests."""
         return self._root_key
+
+
+class PathWalk:
+    """The authenticated union of some indices' root-to-leaf paths, held
+    open for one operation: :meth:`read` any of the indices, then
+    :meth:`delete` all of them that are still live, in one re-key.
+
+    Opening it is the walk down — every internal node on the union is
+    fetched and opened exactly once, parents before children, and a node
+    that fails its tag raises before anything is written.  The opened
+    payloads (every child key on the union) live in this object only:
+    :meth:`delete` destroys the keys in them and drops them, and the caller
+    drops the walk with its frame.
+    """
+
+    def __init__(self, tree: SecureDeletionTree, indices: Iterable[int]) -> None:
+        self._tree = tree
+        self._indices = list(indices)
+        if not all(0 <= index < (1 << tree.height) for index in self._indices):
+            raise IndexError("block index out of range")
+        store, root_key = tree._store, tree._root_key
+        self._payloads: Dict[int, bytes] = {}
+        for addr in self._union(self._indices):
+            metering.count("flash_read_bytes", KEY_LEN)
+            key = root_key if addr == 1 else self._child_key(addr)
+            self._payloads[addr] = ae_decrypt(key, store.get(addr), aad=_addr_aad(addr))
+        # Opens the calls above already reported, not yet set against a
+        # modeled single-index walk (see ``_bill_walks``).
+        self._opens_metered = len(self._payloads)
+
+    def _union(self, indices: Iterable[int]) -> List[int]:
+        """The internal nodes on the paths to ``indices``, each once, root
+        first (a parent's address is below its children's)."""
+        path = self._tree._path_addrs
+        return sorted({addr for index in indices for addr in path(index)[:-1]})
+
+    def _leaf(self, index: int) -> int:
+        return (1 << self._tree.height) + index
+
+    def _child_key(self, addr: int) -> bytes:
+        """The key of node ``addr``, out of its parent's opened payload."""
+        payload = self._payloads[addr // 2]
+        return payload[:KEY_LEN] if addr % 2 == 0 else payload[KEY_LEN:]
+
+    def _bill_walks(self, walks: int) -> None:
+        """Charge the cost model for ``walks`` single-index descents.
+
+        Appendix C's device starts every read and every delete at the root
+        and opens the h nodes of that one path.  The opens this walk really
+        made reported themselves, so they are set against the bill first;
+        the rest — the nodes the union let the host skip — is reported here:
+        the key read, the transfer and the cold AE call of each.
+        """
+        owed = walks * self._tree.height
+        covered = min(owed, self._opens_metered)
+        self._opens_metered -= covered
+        skipped = owed - covered
+        if skipped:
+            metering.count("flash_read_bytes", skipped * KEY_LEN)
+            metering.count("io_bytes", skipped * _NODE_LEN)
+            metering.count("aes_block", skipped * _NODE_AES_BLOCKS)
+
+    def read(self, index: int) -> bytes:
+        """Return data block ``index`` (one of the walk's indices)."""
+        self._bill_walks(1)
+        leaf = self._leaf(index)
+        leaf_key = self._child_key(leaf)
+        if leaf_key == _DELETED_KEY:
+            raise DeletedBlockError(f"block {index} was securely deleted")
+        return ae_decrypt(leaf_key, self._tree._store.get(leaf), aad=_addr_aad(leaf))
+
+    def delete(self) -> int:
+        """Securely delete every index of the walk that is still live and
+        re-key the union of their paths; return how many were deleted.
+
+        Bottom-up, each node sealed once under one fresh key with every
+        replacement child key (zeroed at a deleted leaf, fresh below a
+        re-keyed node) spliced into the payload the walk down opened; the
+        root goes last and the tree's root key moves once.  With no live
+        index nothing is written and the root key stays.  The walk is spent
+        afterwards: its payloads held the keys just destroyed.
+        """
+        self._bill_walks(len(self._indices))
+        live = {
+            index
+            for index in self._indices
+            if self._child_key(self._leaf(index)) != _DELETED_KEY
+        }
+        if live:
+            store = self._tree._store
+            rekeyed = self._union(live)
+            replaced = {self._leaf(index): _DELETED_KEY for index in live}
+            # Appendix C re-keys one path per deleted index and, holding one
+            # key rather than the path, fetches and opens each node again on
+            # the way up before sealing it: h re-opens and h seals per live
+            # index.  The seals below report themselves; the re-opens, and
+            # the seals of the nodes the paths share, are host work saved,
+            # not modeled HSM work.
+            unmetered = 2 * self._tree.height * len(live) - len(rekeyed)
+            metering.count("io_bytes", unmetered * _NODE_LEN)
+            metering.count("aes_block", unmetered * _NODE_AES_BLOCKS)
+            for addr in reversed(rekeyed):
+                payload = self._payloads[addr]
+                payload = replaced.get(2 * addr, payload[:KEY_LEN]) + replaced.get(
+                    2 * addr + 1, payload[KEY_LEN:]
+                )
+                fresh = secrets.token_bytes(KEY_LEN)
+                store.put(addr, ae_encrypt(fresh, payload, aad=_addr_aad(addr)))
+                replaced[addr] = fresh
+            self._tree._root_key = replaced[1]
+        self._payloads = {}
+        return len(live)
 
 
 class NaiveSecureStore:

@@ -29,6 +29,7 @@ from repro.crypto.gcm import AuthenticationError
 from repro.log.sharded import shard_of
 from repro.storage.blockstore import CrashError, CrashingBlockStore, InMemoryBlockStore
 from repro.storage.journal import ProviderJournal
+from repro.storage.securedel import DeletedBlockError
 
 SHARDS = 2
 
@@ -365,30 +366,42 @@ class TestCrashRestoreUnderFlakyChannel:
         fresh = restored.new_client("post-crash", transport="direct")
         fresh.backup(b"post-crash-secret", "2468")
         assert fresh.recover("2468") == b"post-crash-secret"
+        return restored
 
     # With the entropy pinned the armed crash (the 6th put after arming) is
-    # reproducible — and on every seed tried (0..59) it lands inside the
-    # first puncture's ``SecureDeletionTree.delete``, whose bottom-up re-key
-    # is several puts: the nodes already rewritten are sealed under keys
-    # their parent never learned, so that subtree of that HSM's key array is
-    # unreadable after restart.  Whether a run notices depends on whether
-    # post-crash traffic reads the torn subtree: unseeded, ~3 % of runs did
-    # (the old flake).  One test per outcome:
+    # reproducible — and on every seed tried (0..59 before PR 16, 0..23
+    # after) it lands inside the first puncture's re-key (the ``delete``
+    # frame of ``securedel.py``), which is several puts: the nodes already
+    # rewritten are sealed under keys their parent never learned, so that
+    # subtree of that HSM's key array is unreadable after restart.  Since
+    # PR 16 a recovery that lands on the torn subtree no longer dies — the
+    # union walk sees the bad tag before anything is decrypted, the device
+    # refuses with a typed error and the client finishes from its other
+    # shares — so post-crash traffic passes on every seed, and the torn
+    # subtree has to be looked for directly.  One test per view:
 
     def test_crash_mid_traffic_on_flaky_leg_then_restore(self):
-        """Seed 0: the torn subtree is not on any path the restored
-        deployment reads — journal, counters and liveness all hold."""
+        """Seed 0: journal, counters and liveness all hold after a crash
+        inside a re-key."""
         with DeterministicEntropy(0):
             self._crash_mid_traffic_then_restore()
 
     @pytest.mark.xfail(
         strict=True,
         raises=AuthenticationError,
-        reason="torn key tree: ROADMAP 5(b)",
+        reason="torn key tree: ROADMAP item 1",
     )
     def test_crash_inside_delete_tears_the_key_tree(self):
-        """Seed 3: the post-crash recovery reads the torn subtree and dies
-        with a GCM tag mismatch.  Tracked, reproducible, and strict — the
-        fix (an atomic or journaled re-key) must flip this to a pass."""
+        """Seed 3: after the restart every key-tree leaf must be readable
+        or ``DeletedBlockError`` — the torn subtree's leaves die with a GCM
+        tag mismatch instead.  Tracked, reproducible, and strict — the fix
+        (an atomic or journaled re-key) must flip this to a pass."""
         with DeterministicEntropy(3):
-            self._crash_mid_traffic_then_restore()
+            restored = self._crash_mid_traffic_then_restore()
+        for device in restored.fleet.hsms:
+            secret = device.extract_secrets().bfe_secret
+            for slot in range(secret.params.num_slots):
+                try:
+                    secret.tree.read(slot)
+                except DeletedBlockError:
+                    pass

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos.entropy import DeterministicEntropy
 from repro.core.client import RecoveryError
 
 
@@ -66,3 +67,68 @@ class TestIncrementalBackups:
         client.incremental_backup(b"x" * 4096)
         delta_pk = client.meter.counts.get("elgamal_enc", 0) - before.get("elgamal_enc", 0)
         assert delta_pk == 0
+
+
+class TestTamperedKeyTreeBlock:
+    """One corrupted block of one HSM's outsourced key tree costs that HSM's
+    share and nothing else: the union walk sees the bad tag before anything
+    is decrypted or written, the device refuses with a typed error, and the
+    client finishes from the other shares."""
+
+    @pytest.fixture(scope="class")
+    def deployment(self):
+        import random
+
+        from repro.core.params import SystemParams
+        from repro.core.protocol import Deployment
+
+        params = SystemParams.for_testing(num_hsms=4, cluster_size=3, max_punctures=16)
+        return Deployment.create(params, rng=random.Random(23))
+
+    @staticmethod
+    def _corrupt_last_slot_parent(deployment, client, pin):
+        """Flip a byte in the leaf-parent node of the tag's *last* slot on
+        the first cluster HSM: slot 0 still decrypts, so the parent code
+        punctured three slots before the fourth delete tripped over it."""
+        ciphertext = deployment.provider.fetch_backup(client.username, -1)
+        cluster = client.lhe.select(ciphertext.salt, pin)
+        victim = cluster[0]
+        assert len(set(cluster) - {victim}) >= client.params.threshold
+        secret = deployment.fleet[victim].extract_secrets().bfe_secret
+        last_slot = secret.params.slots_for_tag(ciphertext.share_ciphertexts[0].tag)[-1]
+        addr = ((1 << secret.tree.height) + last_slot) // 2
+        blocks = deployment.provider.hsm_stores[victim]._blocks
+        blocks[addr] = blocks[addr][:20] + bytes([blocks[addr][20] ^ 1]) + blocks[addr][21:]
+        return victim, secret
+
+    @pytest.mark.parametrize("transport", ["direct", "wire"])
+    def test_recovery_finishes_from_the_other_shares(self, deployment, transport):
+        from repro.hsm.device import HsmRefusedError
+
+        client = deployment.new_client(f"tampered-{transport}", transport=transport)
+        # Seeded salts: clusters are drawn with replacement, and the test
+        # needs one that is not the victim three times over.
+        with DeterministicEntropy(16):
+            client.backup(b"still recoverable", pin="2580")
+            victim, secret = self._corrupt_last_slot_parent(deployment, client, "2580")
+            before = (secret.tree.root_key, secret.slots_deleted, secret.punctures_done)
+            store_before = dict(deployment.provider.hsm_stores[victim]._blocks)
+
+            session = client.begin_recovery("2580")
+            # Only typed errors cross the boundary, on either transport.
+            with pytest.raises(HsmRefusedError):
+                client._channels(victim).decrypt_share(client._share_request(session, 0))
+            obtained = client.request_shares(session, "2580")
+            assert obtained == sum(1 for index in session.cluster if index != victim)
+            assert client.finish_recovery(session) == b"still recoverable"
+
+        # The refusing HSM wrote nothing and released nothing.
+        assert (secret.tree.root_key, secret.slots_deleted, secret.punctures_done) == before
+        assert deployment.provider.hsm_stores[victim]._blocks == store_before
+
+    def test_client_recover_does_not_raise(self, deployment):
+        client = deployment.new_client("tampered-recover")
+        with DeterministicEntropy(16):
+            client.backup(b"one call", pin="1357")
+            self._corrupt_last_slot_parent(deployment, client, "1357")
+            assert client.recover("1357") == b"one call"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chaos.entropy import DeterministicEntropy
-from repro.crypto.gcm import AuthenticationError
+from repro.crypto.gcm import AuthenticationError, ae_decrypt
 from repro.metering import metered
 from repro.storage.blockstore import InMemoryBlockStore, TamperingBlockStore
 from repro.storage.securedel import (
@@ -223,6 +223,173 @@ class TestOnePassDeletion:
         assert tree.root_key.hex() == "d43804d2f6b3a65c1570fd9b257ae6ca"
 
 
+def _union(tree, indices):
+    """Internal nodes on the union of the indices' root-to-leaf paths."""
+    return {addr for index in indices for addr in tree._path_addrs(index)[:-1]}
+
+
+def _readable(tree, count):
+    """Which of the first ``count`` blocks still read (and what they hold)."""
+    out = {}
+    for i in range(count):
+        try:
+            out[i] = tree.read(i)
+        except DeletedBlockError:
+            pass
+    return out
+
+
+class TestBatchedWalk:
+    """The multi-path walk: ``read`` and ``delete`` are its one-index case,
+    a puncture's k slots are its k-index case."""
+
+    def test_oracle_calls_are_the_union_and_the_live_union(self):
+        store = CountingBlockStore()
+        tree, blocks, _ = make_tree(64, store)
+        tree.delete(21)
+        indices = [20, 21, 23, 40]  # 21 is already gone; 20..23 share 4 levels
+        live = [20, 23, 40]
+        root_before = tree.root_key
+        store.gets = store.puts = 0
+        walk = tree.walk(indices)
+        assert (store.gets, store.puts) == (len(_union(tree, indices)), 0)
+        assert walk.read(23) == blocks[23]
+        assert store.gets == len(_union(tree, indices)) + 1  # + the leaf
+        with pytest.raises(DeletedBlockError):
+            walk.read(21)
+        store.gets = 0
+        assert walk.delete() == len(live)
+        assert (store.gets, store.puts) == (0, len(_union(tree, live)))
+        assert len(_union(tree, live)) < len(live) * tree.height
+        assert tree.root_key != root_before
+        assert set(_readable(tree, 64)) == set(range(64)) - set(indices)
+
+    def test_all_already_deleted_writes_nothing(self):
+        store = CountingBlockStore()
+        tree, _, _ = make_tree(16, store)
+        for index in (3, 9):
+            tree.delete(index)
+        root_before, blocks_before = tree.root_key, dict(store._blocks)
+        store.gets = store.puts = 0
+        assert tree.walk([3, 9, 3]).delete() == 0
+        assert (store.gets, store.puts) == (len(_union(tree, [3, 9])), 0)
+        assert tree.root_key == root_before and store._blocks == blocks_before
+
+    def test_out_of_range_raises_before_any_oracle_call(self):
+        store = CountingBlockStore()
+        tree, _, _ = make_tree(16, store)
+        store.gets = store.puts = 0
+        for indices in ([2, 16], [-1], [5, 99, 6]):
+            with pytest.raises(IndexError):
+                tree.walk(indices)
+        with pytest.raises(IndexError):
+            tree.delete(16)
+        assert (store.gets, store.puts) == (0, 0)
+
+    def test_duplicates_delete_once(self):
+        store = CountingBlockStore()
+        tree, _, _ = make_tree(16, store)
+        store.puts = 0
+        assert tree.walk([7, 7, 7]).delete() == 1
+        assert store.puts == tree.height
+
+    @pytest.mark.parametrize("victim", [40, 23])
+    def test_tampering_anywhere_on_the_union_aborts_before_any_write(self, victim):
+        """A bad node on the *last* index's path (below where it leaves the
+        others) is seen by the walk down, before the first index is read or
+        anything is re-keyed."""
+        store = TamperingBlockStore()
+        tree, blocks, _ = make_tree(64, store)
+        addr = tree._path_addrs(victim)[-2]  # the leaf's parent
+        root_before, blocks_before = tree.root_key, dict(store._blocks)
+        store.corrupt(addr)
+        with pytest.raises(AuthenticationError):
+            tree.walk([20, 23, 40])
+        blocks_before[addr] = store._blocks[addr]
+        assert tree.root_key == root_before and store._blocks == blocks_before
+        store.corrupt(addr)
+        assert tree.read(20) == blocks[20]
+
+    def test_model_is_charged_one_index_at_a_time(self):
+        """Appendix C's device does not batch: a k-index delete reports what
+        k single deletes report (and a walk that reads first, what the read
+        plus the deletes report), although the host opened and sealed only
+        the union."""
+        indices = [20, 21, 23, 40, 21]
+        single, _, _ = make_tree(64)
+        with metered() as one_by_one:
+            single.read(23)
+            for index in indices:
+                try:
+                    single.delete(index)
+                except DeletedBlockError:
+                    pass
+        batched, _, _ = make_tree(64)
+        with metered() as one_walk:
+            walk = batched.walk(indices)
+            walk.read(23)
+            walk.delete()
+        assert dict(one_walk.counts) == dict(one_by_one.counts)
+
+
+class TestBatchForwardSecrecy:
+    """``TestSecureDeletionProperty`` for a batch: neither the old root key
+    over the new store nor the new root key over the old store opens any
+    deleted leaf."""
+
+    INDICES = [5, 6, 12, 13]
+
+    def _deleted_tree(self):
+        store = TamperingBlockStore()
+        tree = SecureDeletionTree.setup(store, [bytes([i]) * 32 for i in range(16)])
+        old_root, old_blocks = tree.root_key, dict(store._blocks)
+        assert tree.walk(self.INDICES).delete() == len(self.INDICES)
+        return tree, store, old_root, old_blocks
+
+    def test_old_root_key_over_the_new_store(self):
+        tree, store, old_root, _ = self._deleted_tree()
+        stale = SecureDeletionTree(store, tree.height, old_root)
+        for index in self.INDICES:
+            with pytest.raises(AuthenticationError):
+                stale.read(index)
+
+    def test_new_root_key_over_the_old_store(self):
+        tree, store, _, old_blocks = self._deleted_tree()
+        store._blocks = dict(old_blocks)
+        for index in self.INDICES:
+            with pytest.raises(AuthenticationError):
+                tree.read(index)
+
+    def test_new_root_key_over_any_mix_of_versions(self):
+        """Replaying any subset of the rewritten nodes never resurrects a
+        deleted leaf (every version of every node is in the history)."""
+        tree, store, _, _ = self._deleted_tree()
+        rewritten = sorted(addr for addr, versions in store.history.items() if len(versions) > 1)
+        assert rewritten == sorted(_union(tree, self.INDICES))
+        for mask in range(1, 1 << len(rewritten)):
+            for bit, addr in enumerate(rewritten):
+                store._blocks[addr] = store.history[addr][0 if mask >> bit & 1 else -1]
+            for index in self.INDICES:
+                with pytest.raises((AuthenticationError, DeletedBlockError)):
+                    tree.read(index)
+
+    def test_each_rekeyed_node_gets_one_fresh_key(self):
+        """Every node on the union is sealed exactly once, under a key that
+        is new, distinct per node, and written nowhere but in its parent."""
+        tree, store, _, old_blocks = self._deleted_tree()
+        union = _union(tree, self.INDICES)
+        assert all(len(store.history[addr]) == 2 for addr in union)
+        keys = {1: tree.root_key}
+        for addr in sorted(union):
+            payload = ae_decrypt(keys[addr], store.get(addr), aad=b"securedel-node" + addr.to_bytes(8, "big"))
+            keys[2 * addr], keys[2 * addr + 1] = payload[:16], payload[16:]
+        fresh = [keys[addr] for addr in union]
+        assert len(set(fresh)) == len(fresh)
+        everything_stored = b"".join(old_blocks.values()) + b"".join(store._blocks.values())
+        for key in fresh:
+            assert key not in everything_stored
+
+
 class TestNaiveStore:
     def test_roundtrip_and_delete(self):
         store = InMemoryBlockStore()
@@ -271,3 +438,44 @@ def test_delete_read_consistency_property(count, deletions):
                 tree.read(i)
         else:
             assert tree.read(i) == blocks[i]
+
+
+@given(
+    count=st.integers(2, 40),
+    pre=st.lists(st.integers(0, 39), max_size=6),
+    batch=st.lists(st.integers(0, 39), max_size=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_delete_equals_one_by_one_property(count, pre, batch):
+    """One batched delete leaves exactly the readable / deleted sets the
+    same deletes done one at a time leave (duplicates and already-deleted
+    indices included), reports the same op counts, and touches the store
+    |union| + |union of live paths| times."""
+    pre = [i for i in pre if i < count]
+    batch = [i for i in batch if i < count]
+    store = CountingBlockStore()
+    batched, blocks, _ = make_tree(count, store)
+    single, _, _ = make_tree(count)
+    for tree in (batched, single):
+        for index in set(pre):
+            tree.delete(index)
+
+    live = set(batch) - set(pre)
+    root_before = batched.root_key
+    store.gets = store.puts = 0
+    with metered() as one_walk:
+        assert batched.walk(batch).delete() == len(live)
+    assert store.gets == len(_union(batched, batch))
+    assert store.puts == len(_union(batched, live))
+    assert (batched.root_key == root_before) == (not live)
+
+    with metered() as one_by_one:
+        for index in batch:
+            try:
+                single.delete(index)
+            except DeletedBlockError:
+                pass
+    assert dict(one_walk.counts) == dict(one_by_one.counts)
+
+    expected = {i: blocks[i] for i in range(count) if i not in set(pre) | set(batch)}
+    assert _readable(batched, count) == expected == _readable(single, count)

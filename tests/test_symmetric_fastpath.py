@@ -149,7 +149,12 @@ class TestMeteringInvariance:
     # GHASH tree (PR 11).  The fast path changes wall-clock only: same blocks,
     # same entropy draws in the same order, so same ciphertext bytes at rest.
     PARENT_COUNTS = {"aes_block": 4813, "sha256_block": 2090, "flash_read_bytes": 1568}
-    PARENT_STORE_DIGEST = "e87aa60fe11a7c04f25ed4ae81bad8ac45b0cb14aed2101c435f3e4c4f30b838"
+    # Re-captured at PR 16 (was e87aa60f…): decrypt-and-puncture re-keys the
+    # union of a tag's k paths in one pass, so the nodes the paths share are
+    # rewritten once instead of k times — fewer puts, fewer fresh-key and
+    # nonce draws, and every later draw lands on different bytes.  The counts
+    # above are what the *modeled* device does and did not move.
+    PARENT_STORE_DIGEST = "669a622932beb7b5ab42fb8d5f3fa5908f03de6fd5fe8ff92a3b838873866a1d"
 
     @staticmethod
     def run_fixed_workload():
@@ -284,6 +289,31 @@ class TestForwardSecrecy:
         gc.collect()
         for module in GUARDED_MODULES:
             leaked = _reachable_values(vars(module)) & old_material
+            assert not leaked, f"{module.__name__} still holds deleted key material"
+
+    def test_batched_delete_leaves_no_key_behind(self):
+        """The multi-path walk holds every child key on the union while it
+        is open.  Once it has re-keyed, neither the module globals nor the
+        spent walk object (kept alive here on purpose) reach an old path key
+        or a fresh child key; the tree handle reaches the new root key and
+        nothing else."""
+        store = InMemoryBlockStore()
+        tree = SecureDeletionTree.setup(store, [bytes([i]) * 32 for i in range(16)])
+        indices = [3, 4, 9, 10]
+        old_keys = {k for index in indices for k in _path_keys(tree, store, index)}
+        walk = tree.walk(indices)
+        assert walk.read(9) == bytes([9]) * 32
+        assert walk.delete() == len(indices)
+        new_keys = {k for index in (2, 5, 8, 11) for k in _path_keys(tree, store, index)}
+        assert tree.root_key in new_keys and not old_keys & new_keys
+        fresh_child_keys = new_keys - {tree.root_key}
+        forbidden = set().union(*(_derived_material(k) for k in old_keys | fresh_child_keys))
+        gc.collect()
+        held_by_walk = {name: value for name, value in vars(walk).items() if name != "_tree"}
+        assert not _reachable_values(held_by_walk) & forbidden
+        assert not _reachable_values(vars(tree)) & forbidden
+        for module in GUARDED_MODULES:
+            leaked = _reachable_values(vars(module)) & forbidden
             assert not leaked, f"{module.__name__} still holds deleted key material"
 
     def test_walker_finds_a_planted_cache(self):
