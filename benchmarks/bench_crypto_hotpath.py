@@ -4,16 +4,29 @@ Measures the fast paths the acceleration layer added to ``repro.crypto.ec``
 against the pre-fast-path algorithm (kept verbatim as ``naive_mult``:
 per-call window table, no precomputation):
 
-- **fixed-base** ``g^x`` via the generator's 8x32 comb table (the
+- **fixed-base** ``g^x`` via the generator's 9x29 comb table (the
   most-multiplied point in the system: keygen, hashed ElGamal, ECDSA sign,
   HSM decrypt);
-- **cached-window** repeated mults of one long-lived public key;
+- **variable-base** the signed-window ladder, both ways a point meets it:
+  ``variable_base_oneoff`` multiplies a point never seen before (an HSM's
+  ``(g^r)^x``: the 8-entry table is built inside the call) and
+  ``variable_base_cached`` one long-lived public key (table already on the
+  point) — both against ``naive_mult`` of the same key;
+- **bfe_encrypt_k4** one Bloom-filter ciphertext (``g^r`` + ``mult_each``
+  over k = 4 slot keys + the AE wraps), with the slot keys' tables cached
+  and with all four missing;
 - **multi-scalar** Straus ``Σ sᵢ·Pᵢ`` vs independent mults;
 - **batched** ``EcdsaMultiSig.verify_aggregate`` (16 signers, their keys
   provisioned through ``precompute_signer_key`` exactly as
   ``HsmDevice.install_signer_directory`` does, so each verification is one
   comb chain) vs the sequential per-signature verification loop it replaced;
-- **comb_build** the one-off cost of one signer key's comb table;
+- **comb_build** the one-off cost of one signer key's 511-entry comb table;
+- **field_inverse / mulmod** why the ladders are not run in lock step on
+  affine coordinates with one shared Montgomery inversion per step (ROADMAP
+  item 6(c)'s mechanism): a Jacobian doubling is 8 field multiplications, a
+  batched affine one 4 + 3 for the batching + a B-th of an inversion, so it
+  only pays beyond ``affine_breakeven_ladders`` = inverse/mulmod ladders —
+  a backup runs n·k = 12;
 
 and the symmetric fast path under the secure-deletion tree
 (``repro.crypto.aes``/``gcm``) against the byte-wise cipher and bit-serial
@@ -28,10 +41,14 @@ GF(2^128) multiply it replaced (kept in ``tests/reference_symmetric.py``):
 
 Acceptance gates (exit code 1 on regression):
 
-- full run: fixed-base ≥ 2.0x, 16-signer verify_aggregate ≥ 4.0x,
-  aes_block ≥ 3.0x, ae_node_roundtrip ≥ 2.5x;
+- full run: fixed-base ≥ 2.0x, variable_base_oneoff ≥ 1.1x, 16-signer
+  verify_aggregate ≥ 4.0x, aes_block ≥ 3.0x, ae_node_roundtrip ≥ 2.5x;
 - ``--quick`` (the CI perf-smoke lane): fixed-base ≥ 1.5x,
-  verify_aggregate ≥ 2.5x, aes_block ≥ 2.0x.
+  variable_base_oneoff ≥ 1.05x, verify_aggregate ≥ 2.5x, aes_block ≥ 2.0x.
+
+The variable-base floor is deliberately close to the measured ratio (≈ 1.2x
+one-off, ≈ 1.3x cached; a ladder is 256 doublings whatever the table), so
+those three rows are timed one call at a time, in turns.
 
 Results go to ``benchmarks/out/crypto_hotpath.txt`` and machine-readable
 ``benchmarks/out/BENCH_crypto_hotpath.json`` (see ``_harness``).
@@ -45,6 +62,7 @@ import argparse
 import os
 import random
 import sys
+import time
 
 from _harness import metered_timed
 from reporting import emit, table
@@ -54,18 +72,27 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 FULL_GATES = {
     "fixed_base_speedup": 2.0,
+    "variable_base_oneoff_speedup": 1.1,
     "verify_aggregate_speedup": 4.0,
     "aes_block_speedup": 3.0,
     "ae_node_speedup": 2.5,
 }
 QUICK_GATES = {
     "fixed_base_speedup": 1.5,
+    "variable_base_oneoff_speedup": 1.05,
     "verify_aggregate_speedup": 2.5,
     "aes_block_speedup": 2.0,
 }
 
+# Rows compared against another row's baseline instead of ``<label>_naive``.
+SHARED_BASELINES = {
+    "variable_base_oneoff": "variable_base_naive",
+    "variable_base_cached": "variable_base_naive",
+}
+
 SIGNERS = 16
 MULTI_TERMS = 8
+FIELD_OP_BATCH = 1000  # field operations per timed call (swamps the call itself)
 
 
 def _naive_ecdsa_verify_loop(scheme_publics, message, aggregate):
@@ -88,6 +115,36 @@ def _naive_ecdsa_verify_loop(scheme_publics, message, aggregate):
         if affine is None or affine[0] % n != r:
             return False
     return True
+
+
+def interleaved_timed(fns: dict, min_seconds: float) -> dict:
+    """``metered_timed`` for rows whose *ratio* is gated at a small margin.
+
+    This host runs unchanged code at 0.6-1.0x of its best speed for seconds
+    at a time, which is more than the margin.  So the rows take turns one
+    call at a time: every round lends each row the same host speed, and the
+    ratio of the summed times is the ratio of the code."""
+    from repro.metering import OpMeter
+
+    meters = {label: OpMeter() for label in fns}
+    seconds = dict.fromkeys(fns, 0.0)
+    ops = 0
+    while ops == 0 or sum(seconds.values()) < min_seconds * len(fns):
+        for label, fn in fns.items():
+            with meters[label].attached():
+                start = time.perf_counter()
+                fn()
+                seconds[label] += time.perf_counter() - start
+        ops += 1
+    return {
+        label: {
+            "ops": ops,
+            "seconds": seconds[label],
+            "ops_per_sec": ops / seconds[label],
+            "op_counts": meters[label].snapshot(),
+        }
+        for label in fns
+    }
 
 
 def run_symmetric(min_seconds: float) -> dict:
@@ -126,8 +183,11 @@ def run_symmetric(min_seconds: float) -> dict:
 
 
 def run(min_seconds: float) -> dict:
-    from repro.crypto.ec import N, P256, ECPoint, multi_mult, naive_mult
+    from repro.crypto.bfe import BloomFilterEncryption
+    from repro.crypto.bloom import BloomParams
+    from repro.crypto.ec import N, P, P256, ECPoint, multi_mult, naive_mult
     from repro.log.distributed import EcdsaMultiSig
+    from repro.storage.blockstore import InMemoryBlockStore
 
     rng = random.Random(0xFA57)
     G = P256.generator
@@ -142,11 +202,37 @@ def run(min_seconds: float) -> dict:
     records["fixed_base_naive"] = metered_timed(
         lambda: naive_mult(G, next_scalar()), min_seconds
     )
-    records["cached_window"] = metered_timed(
-        lambda: fixed_key * next_scalar(), min_seconds
+    records.update(
+        interleaved_timed(
+            {
+                "variable_base_oneoff": lambda: ECPoint(fixed_key.x, fixed_key.y) * next_scalar(),
+                "variable_base_cached": lambda: fixed_key * next_scalar(),
+                "variable_base_naive": lambda: naive_mult(fixed_key, next_scalar()),
+            },
+            min_seconds,
+        )
     )
-    records["cached_window_naive"] = metered_timed(
-        lambda: naive_mult(fixed_key, next_scalar()), min_seconds
+
+    params = BloomParams.for_punctures(8, failure_exponent=4)
+    assert params.num_hashes == 4
+    bfe_public, _ = BloomFilterEncryption.keygen(params, InMemoryBlockStore(), rng)
+    tag = b"bench-tag"
+    slot_keys = [bfe_public.slot_pubkeys[slot] for slot in params.slots_for_tag(tag)]
+
+    def bfe_encrypt(fresh: bool):
+        if fresh:  # what a client pays the first time it meets these slots
+            for key in slot_keys:
+                key._wtab = None
+        return BloomFilterEncryption.encrypt(bfe_public, b"share" * 8, context=b"ctx", tag=tag)
+
+    records.update(
+        interleaved_timed(
+            {
+                "bfe_encrypt_k4_cached": lambda: bfe_encrypt(False),
+                "bfe_encrypt_k4_fresh": lambda: bfe_encrypt(True),
+            },
+            min_seconds,
+        )
     )
 
     points = [G * rng.randrange(1, N) for _ in range(MULTI_TERMS - 1)] + [G]
@@ -182,7 +268,34 @@ def run(min_seconds: float) -> dict:
     records["ecdsa_sign"] = metered_timed(
         lambda: P256.ecdsa_sign(keypairs[0].secret, message), min_seconds
     )
+
+    a, b = rng.randrange(1, P), rng.randrange(1, P)
+
+    def inversions():
+        for _ in range(FIELD_OP_BATCH):
+            pow(a, -1, P)
+
+    def mulmods():
+        for _ in range(FIELD_OP_BATCH):
+            a * b % P
+
+    records["field_inverse_x1000"] = metered_timed(inversions, min_seconds / 4)
+    records["mulmod_x1000"] = metered_timed(mulmods, min_seconds / 4)
     return records
+
+
+def lockstep_affine_metrics(records: dict) -> dict:
+    """The record behind dropping lock-step affine ladders (see module doc)."""
+    inverse_us = 1e6 / (records["field_inverse_x1000"]["ops_per_sec"] * FIELD_OP_BATCH)
+    mulmod_us = 1e6 / (records["mulmod_x1000"]["ops_per_sec"] * FIELD_OP_BATCH)
+    jacobian_doubling, affine_doubling, batching = 8, 4, 3  # field multiplications
+    return {
+        "field_inverse_us": inverse_us,
+        "mulmod_us": mulmod_us,
+        "inverse_over_mulmod": inverse_us / mulmod_us,
+        "affine_breakeven_ladders": (inverse_us / mulmod_us)
+        / (jacobian_doubling - affine_doubling - batching),
+    }
 
 
 def main(argv=None) -> int:
@@ -198,13 +311,14 @@ def main(argv=None) -> int:
 
     records = run(min_seconds)
     records.update(run_symmetric(min_seconds))
-    speedups = {
-        f"{label.removesuffix('_roundtrip')}_speedup": (
-            record["ops_per_sec"] / records[f"{label}_naive"]["ops_per_sec"]
-        )
-        for label, record in records.items()
-        if f"{label}_naive" in records
-    }
+    speedups = {}
+    for label, record in records.items():
+        baseline = SHARED_BASELINES.get(label, f"{label}_naive")
+        if baseline in records:
+            speedups[f"{label.removesuffix('_roundtrip')}_speedup"] = (
+                record["ops_per_sec"] / records[baseline]["ops_per_sec"]
+            )
+    lockstep = lockstep_affine_metrics(records)
 
     rows = []
     for label, record in records.items():
@@ -220,10 +334,17 @@ def main(argv=None) -> int:
     lines.append("")
     for label, value in speedups.items():
         lines.append(f"{label}: {value:.2f}x")
+    lines.append("")
+    lines.append(
+        "lock-step affine ladders (not built): field inverse"
+        f" {lockstep['field_inverse_us']:.1f} us = {lockstep['inverse_over_mulmod']:.0f} x"
+        f" mulmod {lockstep['mulmod_us']:.2f} us -> pays beyond"
+        f" {lockstep['affine_breakeven_ladders']:.0f} ladders (a backup runs 12)"
+    )
 
     gates = QUICK_GATES if args.quick else FULL_GATES
     failures = [
-        f"{metric} = {speedups[metric]:.2f}x < required {floor:.1f}x"
+        f"{metric} = {speedups[metric]:.2f}x < required {floor:g}x"
         for metric, floor in gates.items()
         if speedups[metric] < floor
     ]
@@ -231,10 +352,10 @@ def main(argv=None) -> int:
     lines.append(
         f"gates ({'quick' if args.quick else 'full'}): "
         + ("FAIL: " + "; ".join(failures) if failures else "ok — "
-           + ", ".join(f"{m} >= {f:.1f}x" for m, f in gates.items()))
+           + ", ".join(f"{m} >= {f:g}x" for m, f in gates.items()))
     )
 
-    metrics = dict(speedups)
+    metrics = dict(speedups, **lockstep)
     for label, record in records.items():
         metrics[f"{label}_ops_per_sec"] = record["ops_per_sec"]
     emit(

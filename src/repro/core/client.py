@@ -346,7 +346,6 @@ class Client:
         if len(shares) < self.params.threshold:
             raise RecoveryError("not enough escrowed shares to finish recovery")
         with self.meter.attached():
-            cluster = tuple(self.lhe.select(original_ct.salt, pin))
             context = self.lhe.context_for(original_ct, self.mpk, pin)
             return self.lhe.reconstruct(original_ct, shares, context)
 

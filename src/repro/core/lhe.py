@@ -23,10 +23,12 @@ the salt, and a digest of the n cluster public keys.
 
 Hot-path note: step 4 performs one PKE encryption per cluster member, and
 every one of those rides the crypto fast path in ``repro.crypto.ec`` — the
-generator's comb for each ephemeral ``g^r`` and the per-point cached window
-for the (long-lived) HSM public keys — while reconstruction's Shamir
-recombination batches its Lagrange-denominator inversions into a single
-modular inversion (``repro.crypto.field.batch_inverse_mod``).
+generator's comb for each ephemeral ``g^r`` and, for the (long-lived) HSM
+public keys, a signed-window ladder over the table cached on each point
+(``mult_each`` for a BFE ciphertext's k slot keys) — while
+reconstruction's Shamir recombination batches its Lagrange-denominator
+inversions into a single modular inversion
+(``repro.crypto.field.batch_inverse_mod``).
 """
 
 from __future__ import annotations

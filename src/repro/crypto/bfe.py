@@ -33,6 +33,14 @@ keys", §9).  We implement that variant concretely:
   index at a time for ``decrypt``, which stops at the first surviving
   slot; one batch for the punctures).
 
+Hot-path note: encryption's k slot-key multiplies ``pkᵢ^r`` share their
+scalar, so they go through ``repro.crypto.ec.mult_each`` — one recoding of
+``r``, one batch inversion for whichever slot keys have no window table
+yet, one for the k results — and ``g^r`` rides the generator's comb.  The
+meter still sees k + 1 ``ec_mult`` and k ``elgamal_enc``.  Decryption's
+``(g^r)^sk`` multiplies a fresh ephemeral by a slot secret read from the
+key tree: the only table built is of the public ephemeral.
+
 What the meter sees is the paper's device, not this host: Decrypt walks one
 slot's path at a time until one survives, Puncture is a second call that
 hashes the tag to its slots again and deletes them one by one (Appendix C).
@@ -50,7 +58,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro import metering
 from repro.crypto.bloom import BloomParams
-from repro.crypto.ec import ECPoint, P256
+from repro.crypto.ec import ECPoint, P256, mult_each
 from repro.crypto.gcm import AuthenticationError, ae_decrypt, ae_encrypt
 from repro.crypto.hashing import kdf, sha256
 from repro.crypto.merkle import MerkleProof, MerkleTree
@@ -178,8 +186,8 @@ class BloomFilterEncryption:
 
         payload_key = secrets.token_bytes(16)
         wrapped = []
-        for slot in slots:
-            shared = public.slot_pubkeys[slot] * r
+        shared_points = mult_each([public.slot_pubkeys[slot] for slot in slots], r)
+        for slot, shared in zip(slots, shared_points):
             wrap_key = kdf("bfe-slot-wrap", shared.to_bytes(), tag, slot.to_bytes(4, "big"))
             wrapped.append(ae_encrypt(wrap_key[:16], payload_key, aad=tag))
         payload = ae_encrypt(payload_key, plaintext, aad=context)

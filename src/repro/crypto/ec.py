@@ -6,41 +6,51 @@ P-256.  This module implements the curve from scratch:
 
 - Jacobian-coordinate point addition/doubling (no field inversions on the
   hot path; one inversion to normalize),
-- 4-bit fixed-window scalar multiplication,
+- scalar multiplication, tiered as below,
 - SEC1 compressed point (de)serialization,
 - key generation and ECDSA sign/verify (RFC 6979-style deterministic nonces).
 
-Scalar multiplication is tiered by how long a point lives and how often it
-is multiplied:
+Every fast multiply is ONE loop, :func:`_chain` — Horner over columns,
+``acc = 2·acc + Σ column`` — and a tier is only a way of laying a scalar out
+in columns of table entries.  The tiers follow how long a point lives and
+how often it is multiplied:
 
 - **Comb (provisioned points, the generator included)**: a Lim–Lee comb
-  table of 8 teeth x 32 columns (``_build_comb``: 255 affine subset sums of
-  ``2^(32j)·Q``, normalized with a single Montgomery batch inversion) turns
-  a multiply into 32 doublings + at most 32 mixed additions, and a sum of
-  such multiplies into *one* 32-doubling chain (``_comb_mult``).  The
+  table of 9 teeth x 29 columns (``_build_comb``: 511 affine subset sums of
+  ``2^(29j)·Q``, normalized with a single Montgomery batch inversion) turns
+  a multiply into 29 doublings + at most 29 mixed additions, and a sum of
+  such multiplies into *one* 29-doubling chain (``_comb_mult``).  The
   generator — keygen, hashed ElGamal, ECDSA sign/verify, every HSM decrypt —
   is simply the first provisioned point; its table is built once per
   process on first use.  Any other point gets a table only through an
   explicit :meth:`ECPoint.precompute` at provisioning time (the signer
   directory, via ``MultiSigScheme.precompute_signer_key``): never on reuse,
   and only ever for public keys.
-- **Cached per-point windows**: repeated multiplications of any other
-  long-lived :class:`ECPoint` (HSM ElGamal keys, BFE slot keys) reuse an
-  affine 4-bit window table cached on the instance, skipping the 15-entry
-  table rebuild the naive path pays on every call.
-- **Per-call window (naive path)**: :func:`naive_mult` keeps the original
-  rebuild-the-table-every-call algorithm as the reference/baseline used by
-  property tests and ``benchmarks/bench_crypto_hotpath.py``.
+- **Signed-window ladder (every other point)**: the scalar is recoded into
+  width-5 signed digits (``_signed_digits``: odd, |d| <= 15, at least five
+  positions apart) over the 8 odd multiples ``Q, 3Q, ..., 15Q`` — 256
+  doublings + ~43 mixed additions.  The table is cached on the
+  :class:`ECPoint` the first time it is multiplied, so long-lived points
+  (HSM ElGamal keys, BFE slot keys) build it once; a fresh ephemeral pays
+  for it once and drops it with the point.  Tables hold multiples of the
+  point only; the recoded digits of a (possibly secret) scalar are locals
+  of the call.
+- **Reference**: :func:`naive_mult` keeps the original 4-bit fixed-window,
+  rebuild-the-table-every-call algorithm (``_jac_mult``) as the baseline
+  used by property tests and ``benchmarks/bench_crypto_hotpath.py``.
 
 :func:`multi_mult` exposes Straus/Shamir multi-scalar multiplication
-(``Σ sᵢ·Pᵢ``: one comb chain for the provisioned points, one shared window
-chain for the rest), and :meth:`_Curve.ecdsa_verify_batch` verifies many
-signatures with one batch inversion to normalize every result.  All
+(``Σ sᵢ·Pᵢ``: every term's columns merged into one chain, comb columns
+riding the ladder's last 29 steps), :func:`mult_each` multiplies many points
+by one scalar (one recoding, one batch inversion for the missing tables and
+one for the results — a BFE ciphertext's k slot keys), and
+:meth:`_Curve.ecdsa_verify_batch` verifies many signatures with one batch
+inversion for the ``s`` values and one to normalize every result.  All
 batched paths are bit-for-bit deterministic — they produce exactly the same
-accept/reject decisions as the sequential code — and metering is preserved:
-``ec_mult``/``ecdsa_verify`` counts for a fixed workload are identical to
-the pre-fast-path implementation (the paper's cost accounting must not
-drift; only wall-clock changes).
+points and accept/reject decisions as the sequential code — and metering is
+preserved: ``ec_mult``/``ecdsa_verify`` counts for a fixed workload are
+identical to the pre-fast-path implementation (the paper's cost accounting
+must not drift; only wall-clock changes).
 
 Scalar multiplications report ``ec_mult`` to the ambient meter; this is the
 paper's fundamental public-key cost unit (SoloKey: 7.69 ops/sec).
@@ -175,9 +185,9 @@ def _jac_to_affine_batch(points: Sequence[_JPoint]) -> List[Optional[_Affine]]:
 def _jac_mult(pt: _JPoint, scalar: int) -> _JPoint:
     """4-bit fixed-window scalar multiplication (per-call table).
 
-    This is the naive baseline: it rebuilds the 15-entry window table on
-    every call.  The fast paths below avoid exactly that rebuild; property
-    tests and the hot-path benchmark cross-check against this function.
+    This is the naive baseline and the reference: it rebuilds a 15-entry
+    window table on every call and shares no loop with the fast paths
+    below; property tests and the hot-path benchmark cross-check against it.
     """
     scalar %= N
     if scalar == 0:
@@ -196,53 +206,137 @@ def _jac_mult(pt: _JPoint, scalar: int) -> _JPoint:
     return result
 
 
-def _build_affine_window(x: int, y: int) -> List[Optional[_Affine]]:
-    """Affine 4-bit window table ``[None, P, 2P, ..., 15P]`` for a point.
+# -- the one chain ---------------------------------------------------------------
+# A column is the tuple of affine points to add at one power of two; a list
+# of columns is written most significant first and read from its right-hand
+# end, so ``columns[~i]`` is the column of ``2^i`` whatever the list's length.
+_Column = Tuple[_Affine, ...]
 
-    The 14 additions run in Jacobian coordinates; one batch inversion then
-    normalizes all 15 entries at once so every later window addition is a
-    cheap mixed add.  (Multiples 1..15 of a point of prime order N are never
-    infinity.)
+
+def _chain(columns: Sequence[Sequence[_Affine]]) -> _JPoint:
+    """Horner over columns, most significant first: ``acc = 2·acc + Σ column``.
+
+    Every fast scalar multiply in this module is this loop over columns a
+    builder laid out (:func:`_comb_columns`, :func:`_ladder_columns`).  The
+    a = −3 doubling and the mixed addition are written out on local
+    integers, so a step costs no call and no tuple.  An addition that meets
+    the accumulator's own x-coordinate — the column holds the accumulator
+    or its negation — is handed to :func:`_jac_add_affine`, which doubles
+    or returns infinity; an accumulator at infinity (leading empty columns,
+    or just after such a cancellation) skips its doubling and restarts from
+    the next point.
     """
-    jac: List[_JPoint] = [(x, y, 1)]
-    for _ in range(14):
-        jac.append(_jac_add_affine(jac[-1], x, y))
-    return [None] + _jac_to_affine_batch(jac)  # type: ignore[list-item]
+    p = P
+    x = y = 1
+    z = 0
+    for column in columns:
+        if z:
+            ysq = y * y % p
+            s = 4 * x * ysq % p
+            zsq = z * z % p
+            m = 3 * (x - zsq) * (x + zsq) % p
+            z = 2 * y * z % p
+            x = (m * m - 2 * s) % p
+            y = (m * (s - x) - 8 * ysq * ysq) % p
+        for x2, y2 in column:
+            if not z:
+                x, y, z = x2, y2, 1
+                continue
+            zsq = z * z % p
+            h = (x2 * zsq - x) % p
+            if not h:
+                x, y, z = _jac_add_affine((x, y, z), x2, y2)
+                continue
+            r = (y2 * zsq % p * z - y) % p
+            hsq = h * h % p
+            v = x * hsq % p
+            hcu = hsq * h % p
+            x = (r * r - hcu - 2 * v) % p
+            y = (r * (v - x) - y * hcu) % p
+            z = h * z % p
+    return x, y, z
 
 
-def _window_mult(table: Sequence[Optional[_Affine]], scalar: int) -> _JPoint:
-    """Left-to-right 4-bit window multiply over a pre-built affine table."""
-    result = _INFINITY
-    nibbles: List[int] = []
+# -- signed-window ladder for every other point --------------------------------
+# Width-5 signed digits (wNAF): every non-zero digit is odd with |d| <= 15, and
+# any two are at least five positions apart, so a 256-bit scalar costs ~43
+# additions from a table of the 8 odd multiples P, 3P, ..., 15P.  The top
+# digit can carry one position past the scalar's own length.
+_WINDOW = 5
+_DIGIT_MODULUS = 1 << _WINDOW
+_WINDOW_ENTRIES = _DIGIT_MODULUS >> 2
+_LADDER_COLUMNS = 257
+
+
+def _signed_digits(scalar: int) -> List[Tuple[int, int]]:
+    """``(position, digit)`` pairs with ``scalar = Σ digit·2^position``,
+    lowest position first."""
+    digits: List[Tuple[int, int]] = []
+    position = 0
     while scalar:
-        nibbles.append(scalar & 0xF)
-        scalar >>= 4
-    for window in reversed(nibbles):
-        result = _jac_double(_jac_double(_jac_double(_jac_double(result))))
-        if window:
-            entry = table[window]
-            result = _jac_add_affine(result, entry[0], entry[1])  # type: ignore[index]
-    return result
+        zeros = (scalar & -scalar).bit_length() - 1
+        scalar >>= zeros
+        position += zeros
+        digit = scalar % _DIGIT_MODULUS
+        if digit > _DIGIT_MODULUS >> 1:
+            digit -= _DIGIT_MODULUS
+        digits.append((position, digit))
+        scalar = (scalar - digit) >> _WINDOW
+        position += _WINDOW
+    return digits
+
+
+def _build_windows(points: Sequence[_Affine]) -> List[List[_Affine]]:
+    """Window tables ``[Q, 3Q, ..., 15Q]`` for each affine ``Q``: one
+    doubling and seven additions per point, then ONE batch inversion for
+    every entry of every table.  (An odd multiple below 16 of a point of
+    prime order N is never infinity.)  Tables hold multiples of the point
+    alone — nothing here depends on a scalar."""
+    jac: List[_JPoint] = []
+    for x, y in points:
+        entry: _JPoint = (x, y, 1)
+        twice = _jac_double(entry)
+        jac.append(entry)
+        for _ in range(_WINDOW_ENTRIES - 1):
+            entry = _jac_add(entry, twice)
+            jac.append(entry)
+    flat = _jac_to_affine_batch(jac)
+    return [
+        flat[i : i + _WINDOW_ENTRIES]  # type: ignore[misc]
+        for i in range(0, len(flat), _WINDOW_ENTRIES)
+    ]
+
+
+def _cache_windows(points: Sequence["ECPoint"]) -> None:
+    """Build the window table of every listed point that lacks one, all in
+    one batch.  A benign race between threads builds identical tables; the
+    single attribute assignment keeps each cache consistent either way."""
+    missing = [point for point in points if point._wtab is None]
+    if missing:
+        tables = _build_windows([(point.x, point.y) for point in missing])  # type: ignore[misc]
+        for point, table in zip(missing, tables):
+            point._wtab = table
 
 
 # -- Lim–Lee comb for provisioned points ----------------------------------------
-# 8 teeth x 32 columns: a 256-bit scalar is read as eight 32-bit blocks laid
-# one above the other, and column i's eight bits index the table entry to
-# add after the i-th doubling.  (The shape follows from the curve: 256-bit
-# scalars, byte-sized column indices.)
-_COMB_TEETH = 8
-_COMB_COLUMNS = 32
+# 9 teeth x 29 columns: a scalar is read as nine 29-bit blocks laid one above
+# the other, and column i's nine bits index the table entry to add after the
+# i-th doubling.  (9 x 29 = 261 >= 256; a tenth tooth would double the table
+# for three fewer columns.)
+_COMB_TEETH = 9
+_COMB_COLUMNS = 29
+_COMB_BITS = f"0{_COMB_TEETH * _COMB_COLUMNS}b"
 
 
 def _build_comb(x: int, y: int) -> List[Optional[_Affine]]:
     """Comb table for the affine point ``Q = (x, y)``:
-    ``table[b] = Σ_{j ∈ bits(b)} 2^(32j)·Q`` for ``b`` in 1..255.
+    ``table[b] = Σ_{j ∈ bits(b)} 2^(29j)·Q`` for ``b`` in 1..511.
 
-    224 doublings raise the eight tooth bases, 247 additions fill the
-    subset sums, and one Montgomery batch inversion normalizes all 255
+    232 doublings raise the nine tooth bases, 502 additions fill the
+    subset sums, and one Montgomery batch inversion normalizes all 511
     entries to affine so every later addition is a mixed add.  No entry is
-    infinity: a subset sum of ``2^(32j)`` is below ``2^256 < 2N`` and never
-    equals ``N``, and ``Q`` has prime order ``N``.
+    infinity: ``Q`` has prime order ``N`` and no subset sum of ``2^(29j)``
+    is a multiple of ``N`` (``tests/test_ec_fastpath.py`` checks all 511).
 
     The table holds multiples of a *public* point only.
     """
@@ -259,80 +353,88 @@ def _build_comb(x: int, y: int) -> List[Optional[_Affine]]:
     return [None] + _jac_to_affine_batch(jac[1:])  # type: ignore[operator]
 
 
-def _comb_mult(terms: Sequence[Tuple[int, Sequence[Optional[_Affine]]]]) -> _JPoint:
-    """``Σ sᵢ·Pᵢ`` over ``(scalar, comb table)`` terms in ONE 32-column chain.
-
-    Scalars must be below ``2^256``.  Each column costs one shared doubling
-    plus at most one mixed addition per term: 32 doublings for the whole
-    sum, against 256 for a windowed walk over any one of the points.
-    """
-    # Written MSB-first, a scalar's bits at stride 32 are one column's teeth
-    # (top tooth first), so each column index is one slice and one parse.
-    columns = range(_COMB_COLUMNS)
-    chains = []
-    for scalar, table in terms:
-        bits = format(scalar, "0256b")
-        chains.append((table, [int(bits[c::_COMB_COLUMNS], 2) for c in columns]))
-    acc = _INFINITY
-    for column in columns:
-        acc = _jac_double(acc)
-        for table, indices in chains:
-            index = indices[column]
-            if index:
-                entry = table[index]
-                acc = _jac_add_affine(acc, entry[0], entry[1])  # type: ignore[index]
-    return acc
-
-
 def _is_generator(x: Optional[int], y: Optional[int]) -> bool:
     return x == GX and y == GY
+
+
+# -- column builders ---------------------------------------------------------------
+def _comb_columns(columns: List[_Column], scalar: int, table: Sequence[Optional[_Affine]]) -> None:
+    """Add ``scalar·Q`` for a combed ``Q`` to ``columns``: one table entry
+    in each of the last 29 columns whose teeth are not all zero.  The scalar
+    must be reduced mod N."""
+    # Written MSB-first, a scalar's bits at stride 29 are one column's teeth
+    # (top tooth first), so each column index is one slice and one parse.
+    bits = format(scalar, _COMB_BITS)
+    for column in range(_COMB_COLUMNS):
+        index = int(bits[column::_COMB_COLUMNS], 2)
+        if index:
+            columns[column - _COMB_COLUMNS] += (table[index],)  # type: ignore[operator]
+
+
+def _ladder_columns(
+    columns: List[_Column], digits: Sequence[Tuple[int, int]], table: Sequence[_Affine]
+) -> None:
+    """Add ``(Σ digit·2^position)·Q`` to ``columns`` from ``Q``'s window
+    table: the entry ``|digit|·Q``, negated for a negative digit, in the
+    column of each digit's position."""
+    for position, digit in digits:
+        if digit > 0:
+            columns[~position] += (table[digit >> 1],)
+        else:
+            x, y = table[-digit >> 1]
+            columns[~position] += ((x, P - y),)
+
+
+def _comb_mult(terms: Sequence[Tuple[int, Sequence[Optional[_Affine]]]]) -> _JPoint:
+    """``Σ sᵢ·Pᵢ`` over ``(scalar, comb table)`` terms in ONE 29-column
+    chain: 29 doublings for the whole sum plus at most 29 mixed additions
+    per term, against 256 doublings for a ladder over any one point."""
+    columns: List[_Column] = [()] * _COMB_COLUMNS
+    for scalar, table in terms:
+        _comb_columns(columns, scalar, table)
+    return _chain(columns)
 
 
 def _multi_mult_jac(pairs: Sequence[Tuple[int, "ECPoint"]]) -> _JPoint:
     """Straus/Shamir interleaved multi-scalar multiply (no metering).
 
     Scalars are assumed reduced mod N and nonzero, points non-infinity.
-    Every term whose point carries a comb table (the generator, provisioned
-    signer keys) joins one 32-doubling comb chain; the remaining points
-    share a single 4-bit window doubling chain, each contributing one mixed
-    addition per nonzero scalar digit.
+    When every point carries a comb (the generator, provisioned signer
+    keys) the sum is one 29-column comb chain.  Otherwise it is one ladder
+    chain: each remaining point lays its signed digits over its cached
+    window table, and the comb columns ride the ladder's last 29 steps.
     """
-    combed: List[Tuple[int, Sequence[Optional[_Affine]]]] = []
-    others: List[Tuple[int, Sequence[Optional[_Affine]]]] = []
+    combed = []
+    laddered = []
     for scalar, point in pairs:
         comb = point._comb_table()
         if comb is not None:
             combed.append((scalar, comb))
         else:
-            others.append((scalar, point._window_table()))
-    result = _comb_mult(combed) if combed else _INFINITY
-    if others:
-        top = max(scalar.bit_length() for scalar, _ in others)
-        positions = (top + 3) // 4
-        acc = _INFINITY
-        for pos in range(positions - 1, -1, -1):
-            acc = _jac_double(_jac_double(_jac_double(_jac_double(acc))))
-            shift = 4 * pos
-            for scalar, table in others:
-                window = (scalar >> shift) & 0xF
-                if window:
-                    entry = table[window]
-                    acc = _jac_add_affine(acc, entry[0], entry[1])  # type: ignore[index]
-        result = _jac_add(result, acc)
-    return result
+            laddered.append((scalar, point))
+    if not laddered:
+        return _comb_mult(combed)
+    _cache_windows([point for _, point in laddered])
+    columns: List[_Column] = [()] * _LADDER_COLUMNS
+    for scalar, comb in combed:
+        _comb_columns(columns, scalar, comb)
+    for scalar, point in laddered:
+        _ladder_columns(columns, _signed_digits(scalar), point._wtab)  # type: ignore[arg-type]
+    return _chain(columns)
 
 
 class ECPoint:
     """An affine point on P-256 (or the point at infinity).
 
-    Instances lazily cache an affine 4-bit window table (``_wtab``) the
-    first time they are scalar-multiplied, so repeated multiplications of
-    the same long-lived point — HSM ElGamal keys, BFE slot keys — skip the
-    per-call table rebuild.  A point that was explicitly :meth:`precompute`d
-    (a provisioned signer key) carries a comb table (``_comb``) instead and
-    multiplies with 32 doublings rather than 256; the generator's
-    coordinates always resolve to the one comb held by ``P256.generator``.
-    Both caches are keyed on the instance; equality/hashing ignore them.
+    Instances lazily cache the 8-entry window table of their odd multiples
+    (``_wtab``) the first time they are scalar-multiplied, so repeated
+    multiplications of the same long-lived point — HSM ElGamal keys, BFE
+    slot keys — skip the per-call table build.  A point that was explicitly
+    :meth:`precompute`d (a provisioned signer key) carries a comb table
+    (``_comb``) instead and multiplies with 29 doublings rather than 256;
+    the generator's coordinates always resolve to the one comb held by
+    ``P256.generator``.  Both caches hold multiples of the (public) point
+    only and are keyed on the instance; equality/hashing ignore them.
     """
 
     __slots__ = ("x", "y", "_wtab", "_comb")
@@ -340,7 +442,7 @@ class ECPoint:
     def __init__(self, x: Optional[int], y: Optional[int]) -> None:
         self.x = x
         self.y = y
-        self._wtab: Optional[List[Optional[_Affine]]] = None
+        self._wtab: Optional[List[_Affine]] = None
         self._comb: Optional[List[Optional[_Affine]]] = None
         if x is not None:
             if not (0 <= x < P and 0 <= y < P):  # type: ignore[operator]
@@ -357,18 +459,6 @@ class ECPoint:
             return _INFINITY
         return (self.x, self.y, 1)  # type: ignore[return-value]
 
-    def _window_table(self) -> List[Optional[_Affine]]:
-        """The cached per-point window table (built on first use).
-
-        A benign race between threads builds identical tables; the single
-        attribute assignment keeps the cache consistent either way.
-        """
-        table = self._wtab
-        if table is None:
-            table = _build_affine_window(self.x, self.y)  # type: ignore[arg-type]
-            self._wtab = table
-        return table
-
     def _comb_table(self) -> Optional[List[Optional[_Affine]]]:
         """This point's comb table, or ``None`` if it was never provisioned.
 
@@ -383,8 +473,8 @@ class ECPoint:
 
     # lint: unmetered[table build over a public key; verification meters ecdsa_verify]
     def precompute(self) -> None:
-        """Build this point's comb table (idempotent; ~two verifications'
-        worth of work, ~40 KB).
+        """Build this point's comb table (idempotent; 511 entries, ~80 KB,
+        about a dozen verifications' worth of work).
 
         Promotion is explicit: call it only at provisioning time for a
         *public* key that will be verified against every epoch (the signer
@@ -396,11 +486,14 @@ class ECPoint:
             self._comb = _build_comb(self.x, self.y)  # type: ignore[arg-type]
 
     @staticmethod
-    def _from_jac(pt: _JPoint) -> "ECPoint":
-        affine = _jac_to_affine(pt)
+    def _from_affine(affine: Optional[_Affine]) -> "ECPoint":
         if affine is None:
             return ECPoint(None, None)
         return ECPoint(affine[0], affine[1])
+
+    @staticmethod
+    def _from_jac(pt: _JPoint) -> "ECPoint":
+        return ECPoint._from_affine(_jac_to_affine(pt))
 
     def __add__(self, other: "ECPoint") -> "ECPoint":
         return ECPoint._from_jac(_jac_add(self._jac(), other._jac()))
@@ -414,14 +507,11 @@ class ECPoint:
         return self + (-other)
 
     def _mult_jac(self, scalar: int) -> _JPoint:
-        """Unmetered scalar multiply choosing the fastest applicable path."""
+        """Unmetered scalar multiply: a one-term Straus sum."""
         scalar %= N
         if scalar == 0 or self.is_infinity:
             return _INFINITY
-        comb = self._comb_table()
-        if comb is not None:
-            return _comb_mult([(scalar, comb)])
-        return _window_mult(self._window_table(), scalar)
+        return _multi_mult_jac([(scalar, self)])
 
     def __mul__(self, scalar: int) -> "ECPoint":
         metering.count("ec_mult")
@@ -479,10 +569,10 @@ def naive_mult(point: ECPoint, scalar: int) -> ECPoint:
 def multi_mult(pairs: Sequence[Tuple[int, ECPoint]], count_ops: bool = True) -> ECPoint:
     """Straus/Shamir multi-scalar multiplication: ``Σ sᵢ·Pᵢ`` in one pass.
 
-    Provisioned points (the generator included) share one 32-doubling comb
-    chain and all other points a single window doubling chain, so ``k``
-    multiplications cost roughly one multiplication plus ``k`` addition
-    streams instead of ``k`` full multiplications.  The result is
+    All terms share ONE doubling chain — 29 columns when every point is
+    provisioned (the generator included), the ladder's 257 otherwise — so
+    ``k`` multiplications cost roughly one multiplication plus ``k``
+    addition streams instead of ``k`` full multiplications.  The result is
     bit-for-bit the same point the ``k`` separate multiplications would
     sum to.
 
@@ -501,6 +591,39 @@ def multi_mult(pairs: Sequence[Tuple[int, ECPoint]], count_ops: bool = True) -> 
     if not live:
         return ECPoint(None, None)
     return ECPoint._from_jac(_multi_mult_jac(live))
+
+
+def mult_each(points: Sequence[ECPoint], scalar: int) -> List[ECPoint]:
+    """``scalar·P`` for every ``P`` in ``points``: one scalar, many points.
+
+    This is Bloom-filter encryption's ``pkᵢ^r`` over a tag's k slot keys.
+    The scalar is recoded once, the window tables the points still lack are
+    normalized by ONE batch inversion and the k results by one more.  Each
+    result is bit-for-bit ``P * scalar``; an identity point or a zero
+    scalar yields the identity.
+
+    Metering: one ``ec_mult`` per point, exactly what the separate
+    multiplications report.
+    """
+    if points:
+        metering.count("ec_mult", len(points))
+    scalar %= N
+    digits = _signed_digits(scalar)
+    _cache_windows(
+        [p for p in points if not p.is_infinity and p._comb_table() is None]
+    )
+    products: List[_JPoint] = []
+    for point in points:
+        comb = point._comb_table()
+        if comb is not None:
+            products.append(_comb_mult([(scalar, comb)]))
+        elif point.is_infinity:
+            products.append(_INFINITY)
+        else:
+            columns: List[_Column] = [()] * _LADDER_COLUMNS
+            _ladder_columns(columns, digits, point._wtab)  # type: ignore[arg-type]
+            products.append(_chain(columns))
+    return [ECPoint._from_affine(affine) for affine in _jac_to_affine_batch(products)]
 
 
 # Batched verification processes triples this many at a time: big enough to
@@ -562,17 +685,10 @@ class _Curve:
                 continue
             return r, s
 
-    def _ecdsa_candidate(
-        self, public: ECPoint, message: bytes, signature: Tuple[int, int]
-    ) -> Optional[Tuple[int, _JPoint]]:
-        """Shared verification core: ``(r, u1·G + u2·Q)`` in Jacobian form,
-        or ``None`` for a signature that is not a pair of plain ints in
-        ``[1, n)`` (it arrives from the untrusted provider: a malformed one
-        is a rejection, not an exception).
-
-        ``u1·G`` and a provisioned ``Q`` share one comb chain, any other
-        ``Q`` walks its cached window; neither reports ``ec_mult``
-        (verification has always metered only ``ecdsa_verify``)."""
+    def _signature_in_range(self, signature) -> Optional[Tuple[int, int]]:
+        """``(r, s)`` if the signature is a pair of plain ints in ``[1, n)``,
+        else ``None`` (it arrives from the untrusted provider: a malformed
+        one is a rejection, not an exception)."""
         if not (
             isinstance(signature, (tuple, list))
             and len(signature) == 2
@@ -583,46 +699,51 @@ class _Curve:
         r, s = signature
         if not (1 <= r < self.n and 1 <= s < self.n):
             return None
-        z = int.from_bytes(sha256(b"ecdsa", message), "big") % self.n
-        w = pow(s, -1, self.n)
-        u1 = (z * w) % self.n
-        u2 = (r * w) % self.n
-        # Zero scalars and the identity point contribute nothing (u·∞ = ∞);
-        # dropping them here keeps an attacker-supplied infinity "public
-        # key" on the returns-False path instead of crashing the verifier.
-        pairs = [
-            (u, pt)
-            for u, pt in ((u1, self.generator), (u2, public))
-            if u and not pt.is_infinity
-        ]
-        return r, (_multi_mult_jac(pairs) if pairs else _INFINITY)
+        return r, s
 
     def ecdsa_verify(self, public: ECPoint, message: bytes, signature: Tuple[int, int]) -> bool:
         metering.count("ecdsa_verify")
-        candidate = self._ecdsa_candidate(public, message, signature)
-        if candidate is None:
-            return False
-        r, pt = candidate
-        affine = _jac_to_affine(pt)
-        if affine is None:
-            return False
-        return affine[0] % self.n == r
+        return self._verify_chunk([(public, message, signature)])[0]
 
     def _verify_chunk(
         self, items: Sequence[Tuple[ECPoint, bytes, Tuple[int, int]]]
     ) -> List[bool]:
-        """Unmetered batch core: verdicts for a slice of triples, with all
-        result points normalized by ONE Montgomery batch inversion."""
-        candidates = [self._ecdsa_candidate(*item) for item in items]
-        points = [cand[1] for cand in candidates if cand is not None]
+        """Unmetered verification core: verdicts for a slice of triples.
+
+        The ``s`` values that pass the range check are inverted together
+        and all result points ``u1·G + u2·Q`` normalized together — two
+        Montgomery batch inversions per chunk instead of two per signature.
+        ``u1·G`` and a provisioned ``Q`` share one comb chain, any other
+        ``Q`` joins a ladder chain over its cached window; neither reports
+        ``ec_mult`` (verification has always metered only ``ecdsa_verify``).
+        """
+        n = self.n
+        checked = [self._signature_in_range(signature) for _, _, signature in items]
+        inverses = iter(batch_inverse_mod([rs[1] for rs in checked if rs is not None], n))
+        points: List[_JPoint] = []
+        for (public, message, _), rs in zip(items, checked):
+            if rs is None:
+                continue
+            w = next(inverses)
+            z = int.from_bytes(sha256(b"ecdsa", message), "big") % n
+            # Zero scalars and the identity point contribute nothing
+            # (u·∞ = ∞); dropping them here keeps an attacker-supplied
+            # infinity "public key" on the returns-False path instead of
+            # crashing the verifier.
+            pairs = [
+                (u, pt)
+                for u, pt in ((z * w % n, self.generator), (rs[0] * w % n, public))
+                if u and not pt.is_infinity
+            ]
+            points.append(_multi_mult_jac(pairs) if pairs else _INFINITY)
         normalized = iter(_jac_to_affine_batch(points))
         results: List[bool] = []
-        for cand in candidates:
-            if cand is None:
+        for rs in checked:
+            if rs is None:
                 results.append(False)
                 continue
             affine = next(normalized)
-            results.append(affine is not None and affine[0] % self.n == cand[0])
+            results.append(affine is not None and affine[0] % n == rs[0])
         return results
 
     def ecdsa_verify_batch(
@@ -630,9 +751,10 @@ class _Curve:
     ) -> List[bool]:
         """Verify many ``(public, message, signature)`` triples at once.
 
-        All result points are normalized with ONE Montgomery batch inversion
-        instead of one inversion per signature.  The outcome list is
-        bit-for-bit what sequential :meth:`ecdsa_verify` calls would return.
+        The ``s`` values are inverted with ONE Montgomery batch inversion
+        and the result points normalized with one more, instead of two
+        inversions per signature.  The outcome list is bit-for-bit what
+        sequential :meth:`ecdsa_verify` calls would return.
 
         Metering mirrors a sequential short-circuiting caller: one
         ``ecdsa_verify`` per item up to and including the first failure
@@ -656,7 +778,7 @@ class _Curve:
         """True iff every triple verifies; stops at the first failure.
 
         Triples are processed in chunks of ``_VERIFY_CHUNK``: the honest
-        all-valid path pays one batch inversion per chunk (the inversion is
+        all-valid path pays two batch inversions per chunk (an inversion is
         microseconds; the scalar multiplications dominate), while a rejected
         aggregate costs at most one chunk of wasted candidate computations
         beyond the failing signature — the sequential loop's early-abort cost bound, up to a

@@ -16,14 +16,16 @@ client's username, the recovery salt, and the n cluster public keys
 (Appendix A.4, last paragraph).  Callers pass that as ``context``.
 
 Hot-path note: ``g^r`` inside :meth:`HashedElGamal.encrypt` rides the
-generator's comb table in ``repro.crypto.ec`` (8 teeth x 32 columns: 32
-doublings + at most 32 mixed additions), and ``X^r`` reuses the window
-table cached on the (long-lived) recipient key point, so repeated
-encryptions to the same HSM key skip the per-call table rebuild.  Recipient
-keys never get a comb of their own: those are built only for the signer
-directory, at provisioning.
+generator's comb table in ``repro.crypto.ec`` (9 teeth x 29 columns: 29
+doublings + at most 29 mixed additions), and ``X^r`` is a signed-window
+ladder over the 8-entry table of odd multiples cached on the (long-lived)
+recipient key point, so repeated encryptions to the same key skip the table
+build.  Recipient keys never get a comb of their own: those are built only
+for the signer directory, at provisioning.
 Decryption's ``(g^r)^x`` sees a fresh ephemeral point each time and
-therefore pays one per-call window table — the naive path's cost floor.
+therefore builds that small table once per call; the table holds multiples
+of the public ephemeral only, and the digits of the secret ``x`` are locals
+of the multiply.
 """
 
 from __future__ import annotations
@@ -68,7 +70,13 @@ class HashedElGamal:
 
     @staticmethod
     def encrypt(public: ECPoint, plaintext: bytes, context: bytes = b"") -> ElGamalCiphertext:
-        """Encrypt to ``public``; ``context`` provides domain separation."""
+        """Encrypt to ``public``; ``context`` provides domain separation.
+
+        Raises ``ValueError`` for the identity: ``∞^r`` is ``∞`` for every
+        ``r``, so the AE key would be a constant anyone can recompute.
+        """
+        if public.is_infinity:
+            raise ValueError("cannot encrypt to the identity point")
         metering.count("elgamal_enc")
         r = P256.random_scalar()
         ephemeral = P256.generator * r

@@ -604,6 +604,13 @@ class HsmDevice:
                 raise HsmRefusedError(
                     f"HSM {self.index}: not a member of the committed cluster"
                 )
+            # (3b) the reply key is a real key.  The identity decodes as a
+            # point, but a reply "encrypted" to it is readable by anyone who
+            # holds the escrowed bytes; refuse before anything is punctured.
+            if request.response_key.is_infinity:
+                raise HsmRefusedError(
+                    f"HSM {self.index}: response key is the identity point"
+                )
             # (4)+(5) decrypt-and-puncture on one walk of the key tree: the
             # plaintext must be bound to the user before anything is deleted,
             # and the key is punctured (forward security) before the reply.

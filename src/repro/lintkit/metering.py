@@ -6,12 +6,14 @@ that performs curve or field heavy lifting actually calls
 ``metering.count``.  This pass keeps that discipline from rotting:
 
 - a configured set of *engine primitives* does the raw work
-  (``_jac_mult``, ``_window_mult``, ``_comb_mult``, ``_build_comb``,
-  ``_multi_mult_jac``, ``batch_inverse_mod``);
+  (``_jac_mult``, ``_chain``, ``_comb_mult``, ``_multi_mult_jac``,
+  ``_build_comb``, ``_build_windows``, ``batch_inverse_mod``);
 - any *private* function that calls an engine becomes an engine itself
   (taken to a fixpoint), mirroring how the real helpers layer
-  (``_mult_jac`` -> ``_window_mult``, ``_verify_chunk`` ->
-  ``_ecdsa_candidate`` -> ``_multi_mult_jac``);
+  (``_mult_jac`` -> ``_multi_mult_jac`` -> ``_chain``, ``_cache_windows``
+  -> ``_build_windows``, ``_verify_chunk`` -> ``_multi_mult_jac``), so
+  every public entry that reaches the chain — ``__mul__``, ``multi_mult``,
+  ``mult_each``, the verifiers — has to meter;
 - every *public* function or method (dunders included) that is an engine
   or calls one directly must contain a ``metering.count(...)`` call, or
   carry a def-level ``# lint: unmetered[reason]`` suppression explaining
@@ -33,10 +35,11 @@ _DEFAULT_MODULES = ("src/repro/crypto/ec.py", "src/repro/crypto/field.py")
 _DEFAULT_ENGINES = frozenset(
     {
         "_jac_mult",
-        "_window_mult",
+        "_chain",
         "_comb_mult",
-        "_build_comb",
         "_multi_mult_jac",
+        "_build_comb",
+        "_build_windows",
         "batch_inverse_mod",
     }
 )

@@ -111,15 +111,15 @@ class EcdsaMultiSig(MultiSigScheme):
 
     def precompute_signer_key(self, public) -> None:
         """Give the key a comb table, so each verification against it is
-        one 32-doubling chain shared with the generator term."""
+        one 29-doubling chain shared with the generator term."""
         public.precompute()
 
     def verify_aggregate(self, publics, message: bytes, aggregate) -> bool:
         """Batched verification: each signature's ``u1·G + u2·Q`` is one
         comb chain when ``Q`` was provisioned through
-        :meth:`precompute_signer_key` (a shared window chain otherwise), and
-        result points are normalized in chunks by Montgomery batch
-        inversion.  Accept/reject decisions, metered ``ecdsa_verify``
+        :meth:`precompute_signer_key` (one ladder chain otherwise), and each
+        chunk's ``s`` values and result points are inverted by Montgomery
+        batch inversion.  Accept/reject decisions, metered ``ecdsa_verify``
         counts, and the early-abort cost bound on bad aggregates all match
         the sequential short-circuiting loop this replaces.  The aggregate
         is untrusted input: anything that is not a sequence of one

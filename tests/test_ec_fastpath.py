@@ -1,4 +1,5 @@
-"""The crypto fast-path layer: comb tables, cached windows, multi-scalar.
+"""The crypto fast-path layer: one chain under comb tables, signed-window
+ladders and multi-scalar sums.
 
 Every fast path must agree bit-for-bit with plain double-and-add (an
 independent reference built here from point additions only), and none of
@@ -16,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
-from repro.crypto.ec import N, P256, ECPoint, multi_mult, naive_mult
+from repro.crypto import ec as ec_module
+from repro.crypto.ec import N, P256, ECPoint, mult_each, multi_mult, naive_mult
 from repro.crypto.field import PrimeField, batch_inverse_mod
 from repro.log.distributed import EcdsaMultiSig
 from repro.metering import OpMeter, metered
@@ -106,6 +108,114 @@ class TestAgainstDoubleAndAdd:
         assert multi_mult([(5, ECPoint(None, None)), (3, G)]) == double_and_add(G, 3)
 
 
+class TestSignedDigits:
+    @given(scalar=st.integers(0, (1 << 256) - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_recoding_reproduces_the_scalar(self, scalar):
+        digits = ec_module._signed_digits(scalar)
+        assert sum(digit << position for position, digit in digits) == scalar
+        assert all(digit & 1 and abs(digit) <= 15 for _, digit in digits)
+        positions = [position for position, _ in digits]
+        # Never two non-empty columns within five, and the ladder is long
+        # enough for the carry out of a 256-bit scalar.
+        assert all(b - a >= 5 for a, b in zip(positions, positions[1:]))
+        assert all(0 <= position < ec_module._LADDER_COLUMNS for position in positions)
+
+    def test_small_and_carrying_scalars(self):
+        assert ec_module._signed_digits(0) == []
+        assert ec_module._signed_digits(1) == [(0, 1)]
+        assert ec_module._signed_digits(15) == [(0, 15)]
+        assert ec_module._signed_digits(17) == [(0, -15), (5, 1)]
+        assert ec_module._signed_digits(16) == [(4, 1)]
+        top = ec_module._signed_digits((1 << 256) - 1)
+        assert top == [(0, -1), (256, 1)]
+
+
+def reference_chain(columns):
+    """``_chain``'s contract spelled with the general-purpose primitives."""
+    acc = ec_module._INFINITY
+    for column in columns:
+        acc = ec_module._jac_double(acc)
+        for x, y in column:
+            acc = ec_module._jac_add(acc, (x, y, 1))
+    return ec_module._jac_to_affine(acc)
+
+
+def chain(columns):
+    return ec_module._jac_to_affine(ec_module._chain(columns))
+
+
+class TestChain:
+    """The one doubling-and-adding loop, on columns built by hand."""
+
+    @pytest.fixture(scope="class")
+    def pts(self):
+        base = G * 0xC0FFEE
+        multiples = {k: naive_mult(base, k) for k in (1, 2, 3, 4, 5, 7)}
+        return {k: (p.x, p.y) for k, p in multiples.items()} | {
+            -k: (p.x, (-p.y) % ec_module.P) for k, p in multiples.items()
+        }
+
+    def test_empty_and_leading_empty_columns(self, pts):
+        assert chain([]) is None and chain([(), (), ()]) is None
+        assert chain([(), (), (pts[1],), ()]) == pts[2]
+        assert chain([(pts[1],)]) == pts[1]
+
+    def test_column_equal_to_the_accumulator_doubles(self, pts):
+        # acc = P, doubled to 2P, then "+ 2P": the mixed formula's h == 0.
+        assert chain([(pts[1],), (pts[2],)]) == pts[4]
+        assert chain([(pts[1], pts[1])]) == pts[2]  # same point twice in one column
+        assert chain([(pts[1],), (pts[2],), (pts[-1],)]) == pts[7]
+
+    def test_negated_accumulator_cancels_and_the_chain_restarts(self, pts):
+        assert chain([(pts[1],), (pts[-2],)]) is None
+        # ∞ is not doubled; the next point restarts the accumulator ...
+        assert chain([(pts[1],), (pts[-2],), (pts[3],)]) == pts[3]
+        assert chain([(pts[1],), (pts[-2], pts[3])]) == pts[3]
+        # ... and the chain carries on from there: 2·3P + P = 7P.
+        assert chain([(pts[1],), (pts[-2],), (), (pts[3],), (pts[1],)]) == pts[7]
+
+    @given(
+        picks=st.lists(
+            st.lists(st.sampled_from([1, 2, 3, 4, 5, 7, -1, -2, -3, -4, -5, -7]), max_size=3),
+            max_size=7,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_double_and_general_add(self, pts, picks):
+        columns = [tuple(pts[k] for k in column) for column in picks]
+        assert chain(columns) == reference_chain(columns)
+
+
+class TestColumnBuilders:
+    def test_window_table_holds_the_odd_multiples(self, named_points):
+        point = named_points["random"]
+        table, other = ec_module._build_windows([(point.x, point.y), (G.x, G.y)])
+        assert [ECPoint(*entry) for entry in table] == [
+            naive_mult(point, k) for k in range(1, 16, 2)
+        ]
+        assert ECPoint(*other[7]) == naive_mult(G, 15)
+
+    def test_no_comb_subset_sum_is_a_multiple_of_the_order(self):
+        """``_build_comb`` relies on it: no table entry is infinity."""
+        teeth, stride = ec_module._COMB_TEETH, ec_module._COMB_COLUMNS
+        assert teeth * stride >= 256
+        for index in range(1, 1 << teeth):
+            assert sum(1 << (stride * j) for j in range(teeth) if index >> j & 1) % N
+
+    @given(scalar=st.integers(1, N - 1), other=st.integers(1, N - 1), seed=st.integers(1, 2**32))
+    @settings(max_examples=10, deadline=None)
+    def test_comb_columns_ride_the_ladders_last_steps(self, scalar, other, seed):
+        point = G * random.Random(seed).randrange(1, N)
+        combed = precomputed(point)
+        ec_module._cache_windows([point])
+        columns = [()] * ec_module._LADDER_COLUMNS
+        ec_module._comb_columns(columns, scalar, combed._comb)
+        assert not any(columns[: -ec_module._COMB_COLUMNS])
+        ec_module._ladder_columns(columns, ec_module._signed_digits(other), point._wtab)
+        assert ECPoint._from_jac(ec_module._chain(columns)) == naive_mult(point, scalar + other)
+
+
 def precomputed(point: ECPoint) -> ECPoint:
     """A fresh instance with the same coordinates, carrying a comb table."""
     copy = ECPoint(point.x, point.y)
@@ -114,11 +224,17 @@ def precomputed(point: ECPoint) -> ECPoint:
 
 
 # Where a comb goes wrong: empty and single columns, block boundaries, the
-# group order, a scalar whose every column is zero but one, one tooth only.
+# group order, a scalar whose every column is zero but one, one tooth only —
+# for the 29-bit stride, and (still arbitrary scalars worth keeping) for the
+# 32-bit stride the table had before.
 COMB_EDGE_SCALARS = [
-    0, 1, 2, N - 1, N, (1 << 32) - 1, 1 << 32, 1 << 224,
-    sum(1 << (32 * tooth) for tooth in range(8)),  # column 0 only, all teeth
-    0xDEADBEEF << 96,  # tooth 3 only
+    0, 1, 2, N - 1, N, (1 << 29) - 1, 1 << 29, 1 << 232,
+    sum(1 << (29 * tooth) for tooth in range(9)),  # column 0 only, all teeth
+    0xFFFFFF << 232,  # top tooth only (bits 232..255)
+    0x1EADBEEF << 87,  # tooth 3 only
+    (1 << 32) - 1, 1 << 32, 1 << 224,
+    sum(1 << (32 * tooth) for tooth in range(8)),
+    0xDEADBEEF << 96,
 ]
 
 
@@ -137,9 +253,9 @@ class TestComb:
     def test_table_shape_and_idempotence(self, named_points):
         point = precomputed(named_points["random"])
         table = point._comb
-        assert table[0] is None and len(table) == 256
+        assert table[0] is None and len(table) == 512
         assert table[1] == (point.x, point.y)
-        assert ECPoint(*table[0b101]) == naive_mult(point, 1 + (1 << 64))
+        assert ECPoint(*table[0b101]) == naive_mult(point, 1 + (1 << 58))
         point.precompute()
         assert point._comb is table  # the second call builds nothing
         infinity = ECPoint(None, None)
@@ -149,7 +265,7 @@ class TestComb:
     def test_generator_copies_share_one_table(self):
         copy = ECPoint(G.x, G.y)
         assert copy * 77 == naive_mult(G, 77)
-        assert copy._comb is G._comb and len(G._comb) == 256
+        assert copy._comb is G._comb and len(G._comb) == 512
 
     @given(
         scalars=st.lists(st.integers(0, N + 7), min_size=1, max_size=6),
@@ -222,7 +338,7 @@ class TestComb:
         tables[id(G._comb)] = G
         assert len(tables) == len(directory) + 1 == 5
         assert {(p.x, p.y) for p in tables.values()} == directory | {(G.x, G.y)}
-        assert all(len(p._comb) - 1 == 255 for p in tables.values())
+        assert all(len(p._comb) - 1 == 511 for p in tables.values())
 
         restored = Deployment.restore(params, store, deployment.fleet)
         again = restored.new_client("comb-population-user-2")
@@ -230,6 +346,103 @@ class TestComb:
         assert again.recover(pin="4321") == b"payload"
         new_tables = {id(p._comb) for p in combed_points()} - before - set(tables)
         assert not new_tables
+
+
+class TestMultEach:
+    @pytest.mark.parametrize("scalar", EDGE_SCALARS)
+    def test_edge_scalars_over_every_tier(self, scalar, named_points):
+        fresh = ECPoint(named_points["small"].x, named_points["small"].y)
+        cached = named_points["random"]
+        cached * 3  # carries a window table from here on
+        points = [
+            G, ECPoint(G.x, G.y), precomputed(cached), cached, fresh,
+            ECPoint(None, None), cached, fresh,
+        ]
+        assert fresh._wtab is None and cached._wtab is not None
+        products = mult_each(points, scalar)
+        assert products == [naive_mult(ECPoint(p.x, p.y), scalar) for p in points]
+        assert points[2]._wtab is None  # a combed point never grows a window table
+
+    @given(
+        scalar=st.integers(0, (1 << 256) - 1),
+        seeds=st.lists(st.integers(1, 2**32), min_size=1, max_size=4),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_matches_separate_multiplications(self, scalar, seeds):
+        points = [G * random.Random(seed).randrange(1, N) for seed in seeds]
+        assert mult_each(points, scalar) == [naive_mult(p, scalar) for p in points]
+        assert all(len(p._wtab) == 8 for p in points)
+        assert mult_each(points, scalar) == [p * scalar for p in points]  # tables cached now
+
+    @pytest.mark.parametrize("scalar", [0, 1, N - 1, N + 1, (1 << 256) - 1])
+    def test_multi_mult_over_all_four_tiers(self, scalar, named_points):
+        """Combed, cached, fresh and generator-copy terms in one Straus sum."""
+        cached = named_points["random"]
+        cached * 3
+        fresh = ECPoint(named_points["small"].x, named_points["small"].y)
+        points = [precomputed(cached), cached, fresh, ECPoint(G.x, G.y), ECPoint(None, None)]
+        pairs = [(scalar + i, point) for i, point in enumerate(points)]
+        expected = ECPoint(None, None)
+        for s, point in pairs:
+            expected = expected + naive_mult(ECPoint(point.x, point.y), s)
+        assert multi_mult(pairs) == expected
+
+    def test_metering_is_one_mult_per_point(self, named_points):
+        points = [named_points["random"], ECPoint(None, None), G]
+        with metered() as meter:
+            mult_each(points, 12345)
+            mult_each([], 12345)
+            mult_each(points[:1], 0)
+        assert meter.counts["ec_mult"] == 4
+
+    def test_bfe_encrypt_reports_what_k_separate_multiplies_did(self):
+        from repro.crypto.bfe import BloomFilterEncryption
+        from repro.crypto.bloom import BloomParams
+        from repro.storage.blockstore import InMemoryBlockStore
+
+        params = BloomParams.for_punctures(4, failure_exponent=4)
+        public, secret = BloomFilterEncryption.keygen(
+            params, InMemoryBlockStore(), random.Random(5)
+        )
+        with metered() as meter:
+            ciphertext = BloomFilterEncryption.encrypt(public, b"share", context=b"ctx")
+        k = params.num_hashes
+        assert len(ciphertext.wrapped_keys) == k
+        assert meter.counts["ec_mult"] == k + 1 and meter.counts["elgamal_enc"] == k
+        assert BloomFilterEncryption.decrypt(secret, ciphertext, context=b"ctx") == b"share"
+
+
+class TestNothingKeyedByAScalarOutlivesItsCall:
+    """``TestForwardSecrecy`` for the curve: tables are multiples of the
+    public point only, and recoded digits die with the call."""
+
+    def test_ephemeral_times_secret_leaves_no_trace(self):
+        from test_symmetric_fastpath import _reachable_values
+
+        rng = random.Random(0x5EC)
+        secret, other = rng.randrange(1, N), rng.randrange(1, N)
+        ephemeral = G * rng.randrange(1, N)
+        twin, third = (ECPoint(ephemeral.x, ephemeral.y) for _ in range(2))
+        signer = precomputed(G * rng.randrange(1, N))
+        assert ephemeral._wtab is None
+        gc.collect()
+        module_before = _reachable_values(vars(ec_module))
+
+        shared = ephemeral * secret
+        twin * other
+        (each,) = mult_each([third], secret)
+        summed = multi_mult([(secret, G), (secret, signer)])
+        assert each == shared
+
+        # The only state a multiply leaves is the point's window table, and
+        # it is the same table whatever the scalar was.
+        assert ephemeral._wtab == twin._wtab == third._wtab
+        assert ephemeral._comb is None and signer._wtab is None
+        gc.collect()
+        assert _reachable_values(vars(ec_module)) == module_before
+        derived = {secret, shared.x, shared.y, summed.x, summed.y}
+        for point in (ephemeral, third, signer, G):
+            assert not derived & _reachable_values([point._wtab, point._comb])
 
 
 class TestBatchInverse:
@@ -313,6 +526,37 @@ class TestBatchVerify:
         finally:
             ec_module._Curve._verify_chunk = original
         assert sum(calls) <= ec_module._VERIFY_CHUNK  # only the first chunk ran
+
+    @pytest.mark.parametrize("position", range(ec_module._VERIFY_CHUNK))
+    def test_bad_signature_at_each_position_of_a_chunk(self, signed, position):
+        """The chunk's ``s`` values are inverted together; whatever sits at
+        whichever position, verdicts and ``ecdsa_verify`` counts are the
+        sequential short-circuiting loop's."""
+        scheme, keypairs, message, sigs = signed
+        count = ec_module._VERIFY_CHUNK + 2  # one full chunk and a partial one
+        good = [
+            (keypairs[i % len(keypairs)].public, message, sigs[i % len(sigs)])
+            for i in range(count)
+        ]
+        r, s = good[position][2]
+        spoiled = {
+            "malformed": (r, str(s)),
+            "short": (r,),
+            "out of range": (r, N),
+            "zero": (r, 0),
+            "wrong": (r, s ^ 1),
+        }
+        for label, signature in spoiled.items():
+            items = list(good)
+            items[position] = (good[position][0], message, signature)
+            sequential = [P256.ecdsa_verify(*item) for item in items]
+            assert sequential == [i != position for i in range(count)], label
+            with metered() as batch_meter:
+                assert P256.ecdsa_verify_batch(items) == sequential, label
+            with metered() as all_meter:
+                assert not P256.ecdsa_verify_all(items), label
+            assert batch_meter.counts["ecdsa_verify"] == position + 1, label
+            assert all_meter.counts["ecdsa_verify"] == position + 1, label
 
     def test_aggregate_metering_matches_short_circuit(self, signed):
         """The sequential loop metered one ecdsa_verify per signature up to

@@ -1,5 +1,6 @@
 """HSM firmware behaviour: recovery checks, rotation, failure injection."""
 
+import dataclasses
 import random
 
 import pytest
@@ -9,8 +10,9 @@ from repro.core.lhe import BfePke, LocationHidingEncryption
 from repro.crypto.bfe import BloomFilterEncryption, PuncturedKeyError
 from repro.crypto.bloom import BloomParams
 from repro.crypto.commit import commit_recovery
-from repro.crypto.ec import P256
+from repro.crypto.ec import P256, ECPoint
 from repro.crypto.elgamal import HashedElGamal
+from repro.crypto.shamir import Share
 from repro.hsm.device import (
     DecryptShareRequest,
     HsmRefusedError,
@@ -18,6 +20,7 @@ from repro.hsm.device import (
 )
 from repro.hsm.fleet import HsmFleet
 from repro.log.distributed import DistributedLog, LogConfig
+from repro.service.channel import direct_channels, wire_channels
 
 CFG = LogConfig(audit_count=2, quorum_fraction=0.6, max_attempts_per_user=3)
 N, CLUSTER, T = 6, 3, 2
@@ -170,6 +173,51 @@ class TestDecryptShare:
                 fleet[hsm_index].decrypt_share(request)
         finally:
             fleet[hsm_index].restart()
+
+
+class TestIdentityResponseKey:
+    """``ECPoint.from_bytes(b"\\x00")`` is the identity and decodes as a
+    ``response_key``.  A reply "encrypted" to it has a constant AE key, so
+    the device must refuse it before the share is punctured."""
+
+    @pytest.mark.parametrize("transport", ["direct", "wire"])
+    def test_refused_before_anything_is_punctured(self, env, transport):
+        fleet, _, lhe, _ = env
+        username, pin = f"hsm-identity-{transport}", "4242"
+        # A cluster of three distinct devices, so the two honest requests
+        # below cannot collide on one punctured key.
+        salt = next(
+            salt
+            for salt in (bytes([i]) * 16 for i in range(256))
+            if len(set(lhe.select(salt, pin))) == CLUSTER
+        )
+        ct, _, requests, kp = logged_request_for(
+            env, username, pin, message=b"still recoverable", salt=salt
+        )
+        channels = (wire_channels if transport == "wire" else direct_channels)(fleet)
+        hsm_index, request = requests[0]
+        secret = fleet[hsm_index]._bfe_secret
+        before = (secret.tree.root_key, secret.slots_deleted, secret.punctures_done)
+        poisoned = dataclasses.replace(request, response_key=ECPoint(None, None))
+        with pytest.raises(HsmRefusedError, match="identity"):
+            channels(hsm_index).decrypt_share(poisoned)
+        assert (secret.tree.root_key, secret.slots_deleted, secret.punctures_done) == before
+
+        # That share is ⊥ for the offending session; the other two reach
+        # the threshold and finish the recovery.
+        shares = [None]
+        for index, honest in requests[1:]:
+            reply = channels(index).decrypt_share(honest)
+            share_bytes = HashedElGamal.decrypt(
+                kp.secret, reply, context=b"recovery-reply" + username.encode()
+            )
+            shares.append(Share.from_bytes(share_bytes))
+        context = lhe.context_for(ct, fleet.master_public_key(), pin)
+        assert lhe.reconstruct(ct, shares, context) == b"still recoverable"
+
+    def test_elgamal_refuses_the_identity(self):
+        with pytest.raises(ValueError, match="identity"):
+            HashedElGamal.encrypt(ECPoint(None, None), b"share", context=b"c")
 
 
 class TestRotation:
