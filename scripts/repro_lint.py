@@ -42,7 +42,7 @@ from repro.lintkit.engine import (  # noqa: E402
 _RULE_CATALOG = [
     ("secret-taint", "secret", "secret-named value flows into printable output"),
     ("unguarded-write", "unguarded", "_GUARDED_BY attribute written outside its lock"),
-    ("wire-schema", "wire", "frame tag missing a codec/dispatch/strategy/doc row"),
+    ("wire-schema", "wire", "op-table row or tag missing a codec/strategy/schema/doc row"),
     ("unmetered-op", "unmetered", "crypto entry point skips metering.count"),
     ("docstring-missing", "docs", "public API without a docstring"),
     ("docstring-thin", "docs", "module docstring below the contract minimum"),

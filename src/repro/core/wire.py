@@ -14,7 +14,7 @@ partially-parsed objects (these inputs arrive from untrusted parties).
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.core.lhe import LheCiphertext
 from repro.crypto.bfe import BfeCiphertext
@@ -160,7 +160,7 @@ def decode_recovery_ciphertext(data: bytes) -> LheCiphertext:
     for _ in range(count):
         kind = reader.u8()
         if kind == 1:
-            shares.append(_decode_bfe_ciphertext_framed(reader))
+            shares.append(_decode_bfe_ciphertext(reader))
         elif kind == 2:
             try:
                 shares.append(ElGamalCiphertext.from_bytes(reader.blob()))
@@ -179,10 +179,6 @@ def decode_recovery_ciphertext(data: bytes) -> LheCiphertext:
         num_hsms=num_hsms,
         config_epoch=config_epoch,
     )
-
-
-def _decode_bfe_ciphertext_framed(reader: _Reader) -> BfeCiphertext:
-    return _decode_bfe_ciphertext(reader)
 
 
 # ---------------------------------------------------------------------------
@@ -397,26 +393,10 @@ def decode_decrypt_request(data: bytes):
 # Every provider interaction crosses the untrusted operator's network, so
 # the whole surface is framed: ``[version u8][op u8][body]`` requests and
 # ``[version u8][kind u8][body]`` replies, with bodies described by the
-# per-op field schemas below.  Inclusion proofs ride the same tagged
+# op table and the reply schemas below.  Inclusion proofs ride the same tagged
 # PROOF_PLAIN/PROOF_SHARDED envelope as the client->HSM leg, and failures
 # travel as typed PROV_REPLY_ERROR frames — a provider can answer with an
 # error *status*, never with a live Python exception.
-
-#: Request op tags, one per method of the provider surface.
-PROV_UPLOAD_BACKUP = 1
-PROV_FETCH_BACKUP = 2
-PROV_BACKUP_COUNT = 3
-PROV_UPLOAD_INCREMENTAL = 4
-PROV_FETCH_INCREMENTALS = 5
-PROV_NEXT_ATTEMPT = 6
-PROV_RESERVE_ATTEMPT = 7
-PROV_LOG_ATTEMPT = 8
-PROV_LOG_AND_PROVE = 9
-PROV_PROVE_INCLUSION = 10
-PROV_SHARE_PHASE_DONE = 11
-PROV_STORE_REPLY = 12
-PROV_FETCH_REPLIES = 13
-PROV_LIST_ATTEMPTS = 14
 
 #: Reply kind tags.
 PROV_REPLY_ACK = 1
@@ -531,34 +511,59 @@ _FIELD_DECODERS = {
     "err_status": _decode_err_status,
 }
 
+
+class ProviderOp(NamedTuple):
+    """One row of the provider op catalog."""
+
+    tag: int                              # request op tag on the wire
+    method: str                           # provider method the op calls
+    request: Tuple[Tuple[str, str], ...]  # ordered (field name, field kind)
+    reply: int                            # reply kind the op answers with
+    defaults: Tuple = ()                  # values for omitted trailing fields
+
+
+#: The provider surface, one row per op — the only place an op is spelled.
+#: The request schemas below, the endpoint's dispatch and the methods of
+#: every ``ProviderChannel`` and service facade are derived from it; a
+#: row's tag, field order and field kinds *are* its wire format.
+PROVIDER_OPS: Tuple[ProviderOp, ...] = (
+    ProviderOp(1, "upload_backup",
+               (("username", "text"), ("ciphertext", "recovery_ct")),
+               PROV_REPLY_COUNT),
+    ProviderOp(2, "fetch_backup",
+               (("username", "text"), ("index", "i32")),
+               PROV_REPLY_BACKUP, (-1,)),
+    ProviderOp(3, "backup_count", (("username", "text"),), PROV_REPLY_COUNT),
+    ProviderOp(4, "upload_incremental",
+               (("username", "text"), ("blob", "blob")),
+               PROV_REPLY_ACK),
+    ProviderOp(5, "fetch_incrementals", (("username", "text"),), PROV_REPLY_BLOBS),
+    ProviderOp(6, "next_attempt_number", (("username", "text"),), PROV_REPLY_COUNT),
+    ProviderOp(7, "reserve_attempt_number", (("username", "text"),), PROV_REPLY_COUNT),
+    ProviderOp(8, "log_recovery_attempt",
+               (("username", "text"), ("attempt", "u32"), ("commitment", "blob")),
+               PROV_REPLY_LOGGED),
+    ProviderOp(9, "log_and_prove",
+               (("username", "text"), ("attempt", "u32"), ("commitment", "blob")),
+               PROV_REPLY_PROVEN),
+    ProviderOp(10, "prove_inclusion",
+               (("identifier", "blob"), ("value", "blob")),
+               PROV_REPLY_PROOF),
+    ProviderOp(11, "share_phase_done",
+               (("username", "text"), ("attempt", "u32")),
+               PROV_REPLY_ACK),
+    ProviderOp(12, "store_reply",
+               (("username", "text"), ("attempt", "u32"), ("reply", "blob")),
+               PROV_REPLY_ACK),
+    ProviderOp(13, "fetch_replies",
+               (("username", "text"), ("attempt", "u32")),
+               PROV_REPLY_BLOBS),
+    ProviderOp(14, "recovery_attempts_for", (("username", "text"),), PROV_REPLY_ENTRIES),
+)
+
 #: Body schema per request op: ordered (field name, field kind) pairs.
 PROVIDER_REQUEST_SCHEMAS: Dict[int, Tuple[Tuple[str, str], ...]] = {
-    PROV_UPLOAD_BACKUP: (("username", "text"), ("ciphertext", "recovery_ct")),
-    PROV_FETCH_BACKUP: (("username", "text"), ("index", "i32")),
-    PROV_BACKUP_COUNT: (("username", "text"),),
-    PROV_UPLOAD_INCREMENTAL: (("username", "text"), ("blob", "blob")),
-    PROV_FETCH_INCREMENTALS: (("username", "text"),),
-    PROV_NEXT_ATTEMPT: (("username", "text"),),
-    PROV_RESERVE_ATTEMPT: (("username", "text"),),
-    PROV_LOG_ATTEMPT: (
-        ("username", "text"),
-        ("attempt", "u32"),
-        ("commitment", "blob"),
-    ),
-    PROV_LOG_AND_PROVE: (
-        ("username", "text"),
-        ("attempt", "u32"),
-        ("commitment", "blob"),
-    ),
-    PROV_PROVE_INCLUSION: (("identifier", "blob"), ("value", "blob")),
-    PROV_SHARE_PHASE_DONE: (("username", "text"), ("attempt", "u32")),
-    PROV_STORE_REPLY: (
-        ("username", "text"),
-        ("attempt", "u32"),
-        ("reply", "blob"),
-    ),
-    PROV_FETCH_REPLIES: (("username", "text"), ("attempt", "u32")),
-    PROV_LIST_ATTEMPTS: (("username", "text"),),
+    op.tag: op.request for op in PROVIDER_OPS
 }
 
 #: Body schema per reply kind.

@@ -1,45 +1,38 @@
-"""Wire-schema consistency pass: the frame catalog is closed and complete.
+"""Wire-schema consistency pass: the provider op table is well-formed.
 
-The provider RPC surface is a *closed* catalog: every request op and reply
-kind declared in ``core/wire.py`` must be wired through four places that
-are trivially easy to forget when adding a frame —
+``core/wire.py`` spells each provider op once, as a row of ``PROVIDER_OPS``;
+request schemas, endpoint dispatch and every channel and facade method are
+derived from the rows at import, so there is no per-op code to cross-check.
+What a table cannot derive about itself is checked here, statically:
 
-1. a body schema (``PROVIDER_REQUEST_SCHEMAS`` / ``PROVIDER_REPLY_SCHEMAS``)
-   whose field kinds all have an encoder *and* a decoder;
-2. a dispatch arm in the provider endpoint's ``_PROVIDER_RPC_HANDLERS``
-   table (``service/channel.py``);
-3. a hypothesis strategy for every field kind in
-   ``tests/test_wire_properties.py`` (``_FIELD_STRATEGIES``), so the fuzz
-   suite actually generates the frame;
-4. a row in the ARCHITECTURE.md frame catalog (request ops only; the
-   table's reply column uses the short kind names).
+1. every row is the literal ``ProviderOp(<tag>, "<method>", ((<field>,
+   <kind>), ...), PROV_REPLY_<KIND>[, <defaults>])``; rows are unique by
+   tag and by method;
+2. every field kind a row or a reply schema uses has an encoder, a decoder
+   (``_FIELD_ENCODERS`` / ``_FIELD_DECODERS``) and a hypothesis strategy
+   (``_FIELD_STRATEGIES`` in ``tests/test_wire_properties.py``), so the
+   fuzz suite actually generates the frame;
+3. ``PROV_REPLY_*`` / ``PROV_ERR_*`` values are unique, every reply kind
+   has a body schema in ``PROVIDER_REPLY_SCHEMAS`` and every error status
+   is listed in ``_PROVIDER_ERROR_STATUSES``;
+4. every row has a line in the ARCHITECTURE.md frame catalog that starts
+   with its tag and its method.
 
-All of that is checked statically by cross-reading the ASTs, with every
-finding anchored in ``wire.py`` where the tag is declared.  Error-status
-tags must additionally appear in ``_PROVIDER_ERROR_STATUSES``, and tag
-values must be unique within each namespace.  Rule id: ``wire-schema``
-(suppression alias ``wire``).
+Findings are anchored in ``wire.py`` where the row or tag is declared.
+Rule id: ``wire-schema`` (suppression alias ``wire``).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+import re
+from typing import Callable, Dict, Iterable, List, Tuple
 
-from repro.lintkit.engine import Finding, LintPass, ScanContext, SourceFile
-
-
-class _Tag:
-    __slots__ = ("name", "value", "line")
-
-    def __init__(self, name: str, value: int, line: int) -> None:
-        self.name = name
-        self.value = value
-        self.line = line
+from repro.lintkit.engine import Finding, LintPass, ScanContext
 
 
 class WireSchemaPass(LintPass):
-    """Cross-checks the PROV_* frame catalog across code, tests, and docs."""
+    """Checks the provider op table against its codecs, tests, and docs."""
 
     name = "wire"
     rules = ("wire-schema",)
@@ -47,278 +40,131 @@ class WireSchemaPass(LintPass):
     def __init__(
         self,
         wire_rel: str = "src/repro/core/wire.py",
-        channel_rel: str = "src/repro/service/channel.py",
         tests_rel: str = "tests/test_wire_properties.py",
         docs_rel: str = "docs/ARCHITECTURE.md",
     ) -> None:
         self._wire_rel = wire_rel
-        self._channel_rel = channel_rel
         self._tests_rel = tests_rel
         self._docs_rel = docs_rel
 
     def run(self, ctx: ScanContext) -> List[Finding]:
-        wire = ctx.get(self._wire_rel) or ctx.load(self._wire_rel)
+        wire = ctx.load(self._wire_rel)
         if wire is None or wire.tree is None:
             return []  # nothing to check in this tree (e.g. fixture scans)
-        model = _WireModel(wire)
-        findings = model.self_checks()
-        findings += self._check_channel(ctx, model)
-        findings += self._check_strategies(ctx, model)
-        findings += self._check_docs(ctx, model)
+        findings: List[Finding] = []
+
+        def report(message: str, line: int = 1) -> None:
+            findings.append(Finding(wire.rel, line, "wire-schema", message))
+
+        assigned = _assignments(wire.tree)
+        kinds: Dict[str, int] = {}  # field kind -> first line that uses it
+
+        # 1. literal rows, unique by tag and by method
+        rows = []  # (tag, method, line)
+        table = assigned.get("PROVIDER_OPS")
+        if not isinstance(table, (ast.Tuple, ast.List)):
+            report("PROVIDER_OPS table not found or not a tuple literal")
+        for call in getattr(table, "elts", ()):
+            try:
+                columns = list(call.args)
+                columns.pop(3).id  # the reply kind: the one column that is a name
+                tag, method, request, *_defaults = ast.literal_eval(
+                    ast.Tuple(columns, ast.Load())
+                )
+                hash((tag, method))  # both are dict keys below
+                for _field, kind in request:
+                    kinds.setdefault(kind, call.lineno)
+            except (AttributeError, IndexError, TypeError, ValueError):
+                report(
+                    "PROVIDER_OPS row is not a literal ProviderOp(tag, method,"
+                    " ((field, kind), ...), PROV_REPLY_<KIND>[, defaults])",
+                    call.lineno,
+                )
+                continue
+            rows.append((tag, method, call.lineno))
+        _unique(report, "op", "tag value", rows)
+        _unique(report, "op tag", "method", [(m, t, line) for t, m, line in rows])
+
+        # 3. reply kinds and error statuses: unique, and listed where decoders look
+        schemas = _items(assigned.get("PROVIDER_REPLY_SCHEMAS"))
+        for key, body in schemas:
+            try:
+                for _field, kind in ast.literal_eval(body):
+                    kinds.setdefault(kind, key.lineno)
+            except (TypeError, ValueError):
+                report("PROVIDER_REPLY_SCHEMAS entry is not literal", key.lineno)
+        statuses = getattr(assigned.get("_PROVIDER_ERROR_STATUSES"), "elts", ())
+        for label, prefix, listed, complaint in (
+            ("reply kind", "PROV_REPLY_", [key for key, _ in schemas],
+             "has no body schema in PROVIDER_REPLY_SCHEMAS"),
+            ("error status", "PROV_ERR_", statuses,
+             "is missing from _PROVIDER_ERROR_STATUSES (decoders will reject it)"),
+        ):
+            declared = _constants(assigned, prefix)
+            _unique(report, label, "tag value", declared)
+            names = {node.id for node in listed if isinstance(node, ast.Name)}
+            for _value, name, line in declared:
+                if name not in names:
+                    report(f"{label} {name} {complaint}", line)
+
+        # 2. every field kind has an encoder, a decoder and a fuzz strategy
+        tests = ctx.load(self._tests_rel)
+        codecs = {name: assigned.get(name) for name in ("_FIELD_ENCODERS", "_FIELD_DECODERS")}
+        codecs[f"_FIELD_STRATEGIES ({self._tests_rel})"] = (
+            None if tests is None or tests.tree is None
+            else _assignments(tests.tree).get("_FIELD_STRATEGIES")
+        )
+        for name, node in codecs.items():
+            have = {key.value for key, _ in _items(node) if isinstance(key, ast.Constant)}
+            for kind, line in sorted(kinds.items()):
+                if kind not in have:
+                    report(f"field kind '{kind}' has no entry in {name}", line)
+
+        # 4. every row is in the documented frame catalog: | tag | `method` | ...
+        docs = ctx.root / self._docs_rel
+        catalog = docs.read_text().splitlines() if docs.is_file() else []
+        for tag, method, line in rows:
+            cells = re.compile(rf"\s*\|\s*{tag}\s*\|\s*`{re.escape(str(method))}`\s*\|")
+            if not any(cells.match(row) for row in catalog):
+                report(f"op {tag} ({method}) has no catalog row in {self._docs_rel}", line)
         return sorted(set(findings))
 
-    # -- companions -------------------------------------------------------------
-    def _check_channel(self, ctx: ScanContext, model: "_WireModel") -> List[Finding]:
-        channel = ctx.get(self._channel_rel) or ctx.load(self._channel_rel)
-        if channel is None or channel.tree is None:
-            return [model.finding(
-                f"cannot cross-check dispatch arms: {self._channel_rel} not found"
-            )]
-        handled = _dict_key_names(channel.tree, "_PROVIDER_RPC_HANDLERS")
-        if handled is None:
-            return [model.finding(
-                f"{self._channel_rel} has no _PROVIDER_RPC_HANDLERS table"
-            )]
-        findings = []
-        for tag in model.requests.values():
-            if tag.name not in handled:
-                findings.append(model.finding(
-                    f"request op {tag.name} has no dispatch arm in"
-                    f" _PROVIDER_RPC_HANDLERS ({self._channel_rel})",
-                    line=tag.line,
-                ))
-        for name in sorted(handled - set(model.requests)):
-            findings.append(model.finding(
-                f"_PROVIDER_RPC_HANDLERS dispatches unknown op {name}"
-                f" (not a declared request tag)"
-            ))
-        return findings
 
-    def _check_strategies(self, ctx: ScanContext, model: "_WireModel") -> List[Finding]:
-        tests = ctx.get(self._tests_rel) or ctx.load(self._tests_rel)
-        if tests is None or tests.tree is None:
-            return [model.finding(
-                f"cannot cross-check fuzz strategies: {self._tests_rel} not found"
-            )]
-        strategies = _dict_key_strings(tests.tree, "_FIELD_STRATEGIES")
-        if strategies is None:
-            return [model.finding(
-                f"{self._tests_rel} has no _FIELD_STRATEGIES table"
-            )]
-        findings = []
-        for kind, line in sorted(model.field_kinds.items()):
-            if kind not in strategies:
-                findings.append(model.finding(
-                    f"field kind '{kind}' has no hypothesis strategy in"
-                    f" _FIELD_STRATEGIES ({self._tests_rel}) — the fuzz suite"
-                    " will never generate it",
-                    line=line,
-                ))
-        return findings
-
-    def _check_docs(self, ctx: ScanContext, model: "_WireModel") -> List[Finding]:
-        path = ctx.root / self._docs_rel
-        if not path.is_file():
-            return [model.finding(
-                f"cannot cross-check the frame catalog: {self._docs_rel} not found"
-            )]
-        table_rows = [
-            line for line in path.read_text().splitlines() if line.lstrip().startswith("|")
-        ]
-        findings = []
-        for tag in model.requests.values():
-            if not any(f"`{tag.name}`" in row for row in table_rows):
-                findings.append(model.finding(
-                    f"request op {tag.name} has no catalog row in {self._docs_rel}",
-                    line=tag.line,
-                ))
-        return findings
-
-
-class _WireModel:
-    """Everything the pass needs out of wire.py's module-level AST."""
-
-    def __init__(self, source: SourceFile) -> None:
-        self.source = source
-        self.requests: Dict[str, _Tag] = {}
-        self.replies: Dict[str, _Tag] = {}
-        self.errors: Dict[str, _Tag] = {}
-        self.error_statuses: Optional[Set[str]] = None
-        self.encoders: Optional[Set[str]] = None
-        self.decoders: Optional[Set[str]] = None
-        self.request_schemas: Optional[Dict[str, int]] = None  # op name -> line
-        self.reply_schemas: Optional[Dict[str, int]] = None
-        self.field_kinds: Dict[str, int] = {}  # kind -> first declaring line
-        self._scan(source.tree)
-
-    def finding(self, message: str, line: int = 1) -> Finding:
-        return Finding(path=self.source.rel, line=line, rule="wire-schema", message=message)
-
-    # -- AST extraction ---------------------------------------------------------
-    def _scan(self, tree: ast.Module) -> None:
-        for node in tree.body:
-            target = _single_target(node)
-            if target is None:
-                continue
-            value = node.value
-            if target.startswith("PROV_") and isinstance(value, ast.Constant) \
-                    and isinstance(value.value, int):
-                tag = _Tag(target, value.value, node.lineno)
-                if target.startswith("PROV_REPLY_"):
-                    self.replies[target] = tag
-                elif target.startswith("PROV_ERR_"):
-                    self.errors[target] = tag
-                else:
-                    self.requests[target] = tag
-            elif target == "_PROVIDER_ERROR_STATUSES" and isinstance(
-                value, (ast.Tuple, ast.List)
-            ):
-                self.error_statuses = {
-                    elt.id for elt in value.elts if isinstance(elt, ast.Name)
-                }
-            elif target in ("_FIELD_ENCODERS", "_FIELD_DECODERS") and isinstance(
-                value, ast.Dict
-            ):
-                keys = {
-                    key.value
-                    for key in value.keys
-                    if isinstance(key, ast.Constant) and isinstance(key.value, str)
-                }
-                if target == "_FIELD_ENCODERS":
-                    self.encoders = keys
-                else:
-                    self.decoders = keys
-            elif target in ("PROVIDER_REQUEST_SCHEMAS", "PROVIDER_REPLY_SCHEMAS") \
-                    and isinstance(value, ast.Dict):
-                table: Dict[str, int] = {}
-                for key, body in zip(value.keys, value.values):
-                    if isinstance(key, ast.Name):
-                        table[key.id] = key.lineno
-                    self._collect_kinds(body)
-                if target == "PROVIDER_REQUEST_SCHEMAS":
-                    self.request_schemas = table
-                else:
-                    self.reply_schemas = table
-
-    def _collect_kinds(self, body: ast.expr) -> None:
-        if not isinstance(body, (ast.Tuple, ast.List)):
-            return
-        for pair in body.elts:
-            if isinstance(pair, (ast.Tuple, ast.List)) and len(pair.elts) == 2:
-                kind = pair.elts[1]
-                if isinstance(kind, ast.Constant) and isinstance(kind.value, str):
-                    self.field_kinds.setdefault(kind.value, kind.lineno)
-
-    # -- intra-file checks --------------------------------------------------------
-    def self_checks(self) -> List[Finding]:
-        findings: List[Finding] = []
-        for label, tags in (
-            ("request op", self.requests),
-            ("reply kind", self.replies),
-            ("error status", self.errors),
-        ):
-            seen: Dict[int, _Tag] = {}
-            for tag in tags.values():
-                other = seen.get(tag.value)
-                if other is not None:
-                    findings.append(self.finding(
-                        f"{label} {tag.name} reuses tag value {tag.value}"
-                        f" (already taken by {other.name})",
-                        line=tag.line,
-                    ))
-                else:
-                    seen[tag.value] = tag
-        findings += self._check_schema_table(
-            "request op", self.requests, self.request_schemas, "PROVIDER_REQUEST_SCHEMAS"
-        )
-        findings += self._check_schema_table(
-            "reply kind", self.replies, self.reply_schemas, "PROVIDER_REPLY_SCHEMAS"
-        )
-        if self.error_statuses is not None:
-            for tag in self.errors.values():
-                if tag.name not in self.error_statuses:
-                    findings.append(self.finding(
-                        f"error status {tag.name} is missing from"
-                        " _PROVIDER_ERROR_STATUSES (decoders will reject it)",
-                        line=tag.line,
-                    ))
-        for kind, line in sorted(self.field_kinds.items()):
-            if self.encoders is not None and kind not in self.encoders:
-                findings.append(self.finding(
-                    f"field kind '{kind}' has no entry in _FIELD_ENCODERS",
-                    line=line,
-                ))
-            if self.decoders is not None and kind not in self.decoders:
-                findings.append(self.finding(
-                    f"field kind '{kind}' has no entry in _FIELD_DECODERS",
-                    line=line,
-                ))
-        return findings
-
-    def _check_schema_table(
-        self,
-        label: str,
-        tags: Dict[str, _Tag],
-        table: Optional[Dict[str, int]],
-        table_name: str,
-    ) -> List[Finding]:
-        if table is None:
-            return [self.finding(f"{table_name} table not found or not a dict literal")]
-        findings = []
-        for tag in tags.values():
-            if tag.name not in table:
-                findings.append(self.finding(
-                    f"{label} {tag.name} has no body schema in {table_name}",
-                    line=tag.line,
-                ))
-        for name, line in sorted(table.items()):
-            if name not in tags:
-                findings.append(self.finding(
-                    f"{table_name} has a schema for undeclared tag {name}",
-                    line=line,
-                ))
-        return findings
-
-
-def _single_target(node: ast.stmt) -> Optional[str]:
-    """Name of a simple module-level ``NAME = ...`` / annotated assignment."""
-    if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-            and isinstance(node.targets[0], ast.Name):
-        return node.targets[0].id
-    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) \
-            and node.value is not None:
-        return node.target.id
-    return None
-
-
-def _dict_key_names(tree: ast.Module, table_name: str) -> Optional[Set[str]]:
-    """Keys of a module-level dict literal, as bare/attribute tag names."""
-    value = _module_value(tree, table_name)
-    if not isinstance(value, ast.Dict):
-        return None
-    names: Set[str] = set()
-    for key in value.keys:
-        if isinstance(key, ast.Attribute):
-            names.add(key.attr)
-        elif isinstance(key, ast.Name):
-            names.add(key.id)
-    return names
-
-
-def _dict_key_strings(tree: ast.Module, table_name: str) -> Optional[Set[str]]:
-    """Keys of a module-level dict literal, as string constants."""
-    value = _module_value(tree, table_name)
-    if not isinstance(value, ast.Dict):
-        return None
-    return {
-        key.value
-        for key in value.keys
-        if isinstance(key, ast.Constant) and isinstance(key.value, str)
-    }
-
-
-def _module_value(tree: ast.Module, name: str) -> Optional[ast.expr]:
+def _assignments(tree: ast.Module) -> Dict[str, ast.expr]:
+    """Module-level ``NAME = value`` / ``NAME: T = value`` -> value node."""
+    found: Dict[str, ast.expr] = {}
     for node in tree.body:
-        if _single_target(node) == name:
-            return node.value
-    return None
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            found[node.targets[0].id] = node.value
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) \
+                and node.value is not None:
+            found[node.target.id] = node.value
+    return found
+
+
+def _items(node) -> List[Tuple[ast.expr, ast.expr]]:
+    """(key, value) node pairs of a dict literal — none if it is not one, so
+    everything that should have been in it is reported missing."""
+    return list(zip(node.keys, node.values)) if isinstance(node, ast.Dict) else []
+
+
+def _constants(assigned: Dict[str, ast.expr], prefix: str) -> List[tuple]:
+    """``(value, name, line)`` of the constants named ``prefix*``."""
+    return [
+        (node.value, name, node.lineno)
+        for name, node in assigned.items()
+        if name.startswith(prefix) and isinstance(node, ast.Constant)
+    ]
+
+
+def _unique(report: Callable, label: str, what: str, entries: Iterable[tuple]) -> None:
+    """No two ``(value, name, line)`` entries may share a value."""
+    taken: Dict[object, object] = {}
+    for value, name, line in entries:
+        if value in taken:
+            report(
+                f"{label} {name} reuses {what} {value} (already taken by {taken[value]})",
+                line,
+            )
+        taken.setdefault(value, name)

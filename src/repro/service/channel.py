@@ -7,12 +7,13 @@ client and the device exchange *bytes*, never live Python objects, so the
 trust boundary of the paper (everything between client and HSM crosses the
 untrusted provider's network) is real in the reproduction too.
 
-A :class:`ProviderChannel` is the same idea for the client ↔ provider leg:
-backup upload/fetch, incremental blobs, attempt reservation, log-and-prove,
-inclusion-proof refresh, and reply escrow.  The default transport
-(:class:`WireProviderChannel` over a :class:`ProviderWireEndpoint`) frames
-every call through the tagged provider RPC encoding in ``repro.core.wire``;
-failures come back as typed ``PROV_REPLY_ERROR`` frames and are re-raised
+A :class:`ProviderChannel` is the same idea for the client ↔ provider leg.
+Its surface is the closed op catalog ``wire.PROVIDER_OPS``, one row per op
+and spelled nowhere else: :func:`catalog_methods` derives each concrete
+channel's methods from the rows and :class:`ProviderWireEndpoint`
+dispatches on them.  The default transport (:class:`WireProviderChannel`
+over the endpoint) frames every call through ``repro.core.wire``; failures
+come back as typed ``PROV_REPLY_ERROR`` frames and are re-raised
 client-side as :class:`~repro.core.provider.ProviderError` (or
 :class:`~repro.service.batcher.ServiceTimeout` for epoch timeouts) — a
 Python exception object never crosses the boundary.
@@ -39,7 +40,7 @@ device's single FIFO worker, as the service does.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from repro.core import wire
 from repro.core.provider import ProviderError
@@ -51,6 +52,7 @@ from repro.hsm.device import (
     HsmStaleProofError,
     HsmUnavailableError,
 )
+from repro.service.batcher import ServiceTimeout
 
 #: Maps an HSM index to the Channel reaching that device.
 ChannelFactory = Callable[[int], "Channel"]
@@ -120,16 +122,18 @@ class HsmWireEndpoint:
 
 
 class WireChannel(Channel):
-    """Default transport: every request/reply round-trips through bytes."""
+    """Default transport: every request/reply round-trips through bytes.
+    ``transport`` is an :class:`HsmWireEndpoint` or any ``bytes -> bytes``
+    callable standing in for one (a fault-injecting wrapper, say)."""
 
-    def __init__(self, endpoint: HsmWireEndpoint) -> None:
-        self._endpoint = endpoint
+    def __init__(self, transport) -> None:
+        if isinstance(transport, HsmWireEndpoint):
+            transport = transport.handle_decrypt_share
+        self._transport: Callable[[bytes], bytes] = transport
 
     def decrypt_share(self, request: DecryptShareRequest) -> ElGamalCiphertext:
         """Round-trip through bytes; re-raise error statuses client-side."""
-        reply_bytes = self._endpoint.handle_decrypt_share(
-            wire.encode_decrypt_request(request)
-        )
+        reply_bytes = self._transport(wire.encode_decrypt_request(request))
         status, payload = wire.decode_decrypt_reply(reply_bytes)
         if status == wire.REPLY_OK:
             return payload
@@ -163,73 +167,49 @@ def direct_channels(devices: Sequence) -> ChannelFactory:
 # ---------------------------------------------------------------------------
 # The client <-> provider transport boundary
 # ---------------------------------------------------------------------------
+_OPS_BY_TAG = {op.tag: op for op in wire.PROVIDER_OPS}
+
+
+def catalog_methods(cls):
+    """Class decorator: give ``cls`` one method per row of
+    ``wire.PROVIDER_OPS`` that its body does not define itself.  A
+    generated method takes the row's fields positionally, makes the arity
+    check ``def`` would have made (so a wrong call raises before any frame
+    is sent), fills omitted trailing fields from the row's defaults and
+    calls ``self._invoke(op, args)``.  It is set in ``cls``'s *own*
+    ``__dict__`` — per concrete class, never on a shared base — because the
+    benchmark's tracer patches a method where ``vars(cls)`` holds it."""
+    for op in wire.PROVIDER_OPS:
+        if op.method not in vars(cls):
+            setattr(cls, op.method, _catalog_method(op))
+    return cls
+
+
+def _catalog_method(op: wire.ProviderOp):
+    most = len(op.request)
+    least = most - len(op.defaults)
+
+    def method(self, *args):
+        if not least <= len(args) <= most:
+            raise TypeError(
+                f"{op.method}() takes {least} to {most} arguments, got {len(args)}"
+            )
+        return self._invoke(op, args + op.defaults[len(args) - least:])
+
+    method.__name__ = op.method
+    method.__doc__ = f"Provider op {op.tag} (see ``wire.PROVIDER_OPS``)."
+    return method
+
+
 class ProviderChannel:
-    """Narrow interface between a client and the service provider.
-
-    One method per RPC op of the provider surface (the frame catalog in
-    ``repro.core.wire``).  Client code holds a ProviderChannel, never a
-    live :class:`~repro.core.provider.ServiceProvider`.
-    """
-
-    def upload_backup(self, username: str, ciphertext) -> int:
-        """Store a recovery ciphertext; returns its per-user index."""
-        raise NotImplementedError
-
-    def fetch_backup(self, username: str, index: int = -1):
-        """Fetch one stored recovery ciphertext (default: newest)."""
-        raise NotImplementedError
-
-    def backup_count(self, username: str) -> int:
-        """How many recovery ciphertexts the provider holds for a user."""
-        raise NotImplementedError
-
-    def upload_incremental(self, username: str, blob: bytes) -> None:
-        """Append one AE-encrypted incremental backup blob (§8)."""
-        raise NotImplementedError
-
-    def fetch_incrementals(self, username: str) -> List[bytes]:
-        """All incremental blobs stored for a user, oldest first."""
-        raise NotImplementedError
-
-    def next_attempt_number(self, username: str) -> int:
-        """First unused attempt slot for a user in the current log."""
-        raise NotImplementedError
-
-    def reserve_attempt_number(self, username: str) -> int:
-        """Atomically claim the next attempt slot for a user."""
-        raise NotImplementedError
-
-    def log_recovery_attempt(
-        self, username: str, attempt: int, commitment: bytes
-    ) -> bytes:
-        """Queue (rec|user|attempt -> commitment) for the next epoch."""
-        raise NotImplementedError
-
-    def log_and_prove(self, username: str, attempt: int, commitment: bytes):
-        """Insert, wait for an epoch, return ``(identifier, proof)``."""
-        raise NotImplementedError
-
-    def prove_inclusion(self, identifier: bytes, value: bytes):
-        """A fresh proof against the current digest (None if uncommitted)."""
-        raise NotImplementedError
-
-    def share_phase_done(self, username: str, attempt: int) -> None:
-        """Liveness hint: this attempt's share phase is over."""
-        raise NotImplementedError
-
-    def store_reply(self, username: str, attempt: int, encrypted_reply: bytes) -> None:
-        """Escrow one encrypted HSM reply for device-failure recovery (§8)."""
-        raise NotImplementedError
-
-    def fetch_replies(self, username: str, attempt: int) -> List[bytes]:
-        """All escrowed replies for one recovery attempt."""
-        raise NotImplementedError
-
-    def recovery_attempts_for(self, username: str) -> List[Tuple[bytes, bytes]]:
-        """All logged attempts for a user (what a monitoring client checks)."""
-        raise NotImplementedError
+    """Narrow interface between a client and the service provider: client
+    code holds a ProviderChannel, never a live
+    :class:`~repro.core.provider.ServiceProvider`.  A concrete channel
+    defines ``_invoke(op, args)`` and takes its methods from the op catalog
+    through :func:`catalog_methods`."""
 
 
+@catalog_methods
 class DirectProviderChannel(ProviderChannel):
     """In-process reference path: call the provider object directly.
 
@@ -240,74 +220,19 @@ class DirectProviderChannel(ProviderChannel):
     def __init__(self, provider) -> None:
         self._provider = provider
 
-    def upload_backup(self, username: str, ciphertext) -> int:
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.upload_backup(username, ciphertext)
-
-    def fetch_backup(self, username: str, index: int = -1):
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.fetch_backup(username, index)
-
-    def backup_count(self, username: str) -> int:
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.backup_count(username)
-
-    def upload_incremental(self, username: str, blob: bytes) -> None:
-        """Delegate to the provider object (no serialization)."""
-        self._provider.upload_incremental(username, blob)
-
-    def fetch_incrementals(self, username: str) -> List[bytes]:
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.fetch_incrementals(username)
-
-    def next_attempt_number(self, username: str) -> int:
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.next_attempt_number(username)
-
-    def reserve_attempt_number(self, username: str) -> int:
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.reserve_attempt_number(username)
-
-    def log_recovery_attempt(
-        self, username: str, attempt: int, commitment: bytes
-    ) -> bytes:
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.log_recovery_attempt(username, attempt, commitment)
-
-    def log_and_prove(self, username: str, attempt: int, commitment: bytes):
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.log_and_prove(username, attempt, commitment)
-
-    def prove_inclusion(self, identifier: bytes, value: bytes):
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.prove_inclusion(identifier, value)
-
-    def share_phase_done(self, username: str, attempt: int) -> None:
-        """Delegate to the provider object (no serialization)."""
-        self._provider.share_phase_done(username, attempt)
-
-    def store_reply(self, username: str, attempt: int, encrypted_reply: bytes) -> None:
-        """Delegate to the provider object (no serialization)."""
-        self._provider.store_reply(username, attempt, encrypted_reply)
-
-    def fetch_replies(self, username: str, attempt: int) -> List[bytes]:
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.fetch_replies(username, attempt)
-
-    def recovery_attempts_for(self, username: str) -> List[Tuple[bytes, bytes]]:
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.recovery_attempts_for(username)
+    def _invoke(self, op: wire.ProviderOp, args: Tuple):
+        return getattr(self._provider, op.method)(*args)
 
 
 class ProviderWireEndpoint:
     """Provider-side half of the wire transport: bytes in, bytes out.
 
-    Decodes each request frame, dispatches to the provider surface, and
-    encodes the outcome.  *Every* failure becomes a typed error frame:
-    malformed requests answer ``PROV_ERR_BAD_REQUEST``, provider refusals
-    answer ``PROV_ERR_PROVIDER``, epoch timeouts answer
-    ``PROV_ERR_TIMEOUT``, and — defense in depth — a raw ``KeyError`` /
-    ``IndexError`` / ``ValueError`` escaping the provider is converted
+    Decodes each request frame, calls the provider method its catalog row
+    names, and encodes the outcome.  *Every* failure becomes a typed error
+    frame: malformed requests answer ``PROV_ERR_BAD_REQUEST``, provider
+    refusals ``PROV_ERR_PROVIDER``, epoch timeouts ``PROV_ERR_TIMEOUT``,
+    and — defense in depth — a raw ``KeyError`` / ``IndexError`` /
+    ``ValueError`` escaping the provider is converted
     rather than propagated, so no Python exception ever crosses the wire.
     """
 
@@ -316,18 +241,25 @@ class ProviderWireEndpoint:
 
     def handle(self, request_bytes: bytes) -> bytes:
         """Serve one framed request; always returns a reply frame."""
-        from repro.service.batcher import ServiceTimeout
-
         try:
-            op, fields = wire.decode_provider_request(request_bytes)
+            tag, fields = wire.decode_provider_request(request_bytes)
         except wire.WireFormatError as exc:
             return wire.encode_provider_error(wire.PROV_ERR_BAD_REQUEST, str(exc))
+        op = _OPS_BY_TAG[tag]
         try:
-            kind, reply = _PROVIDER_RPC_HANDLERS[op](self._provider, fields)
+            result = getattr(self._provider, op.method)(
+                *(fields[name] for name, _ in op.request)
+            )
+            # The reply schema's arity says how a result travels: two
+            # fields are the tuple, one is the value, none is an ack (zip
+            # then drops the result).
+            schema = wire.PROVIDER_REPLY_SCHEMAS[op.reply]
+            values = result if len(schema) > 1 else (result,)
+            reply = {name: value for (name, _), value in zip(schema, values)}
             # Encoding inside the try: a provider returning an
             # out-of-contract value (unencodable field) must also answer
             # with an error frame, not crash the connection handler.
-            return wire.encode_provider_reply(kind, reply)
+            return wire.encode_provider_reply(op.reply, reply)
         except ServiceTimeout as exc:
             return wire.encode_provider_error(wire.PROV_ERR_TIMEOUT, str(exc))
         except (ProviderError, wire.WireFormatError) as exc:
@@ -338,81 +270,7 @@ class ProviderWireEndpoint:
             )
 
 
-#: op -> handler(provider, fields) -> (reply kind, reply fields).
-_PROVIDER_RPC_HANDLERS = {
-    wire.PROV_UPLOAD_BACKUP: lambda p, f: (
-        wire.PROV_REPLY_COUNT,
-        {"value": p.upload_backup(f["username"], f["ciphertext"])},
-    ),
-    wire.PROV_FETCH_BACKUP: lambda p, f: (
-        wire.PROV_REPLY_BACKUP,
-        {"ciphertext": p.fetch_backup(f["username"], f["index"])},
-    ),
-    wire.PROV_BACKUP_COUNT: lambda p, f: (
-        wire.PROV_REPLY_COUNT,
-        {"value": p.backup_count(f["username"])},
-    ),
-    wire.PROV_UPLOAD_INCREMENTAL: lambda p, f: (
-        wire.PROV_REPLY_ACK,
-        _ack(p.upload_incremental(f["username"], f["blob"])),
-    ),
-    wire.PROV_FETCH_INCREMENTALS: lambda p, f: (
-        wire.PROV_REPLY_BLOBS,
-        {"blobs": p.fetch_incrementals(f["username"])},
-    ),
-    wire.PROV_NEXT_ATTEMPT: lambda p, f: (
-        wire.PROV_REPLY_COUNT,
-        {"value": p.next_attempt_number(f["username"])},
-    ),
-    wire.PROV_RESERVE_ATTEMPT: lambda p, f: (
-        wire.PROV_REPLY_COUNT,
-        {"value": p.reserve_attempt_number(f["username"])},
-    ),
-    wire.PROV_LOG_ATTEMPT: lambda p, f: (
-        wire.PROV_REPLY_LOGGED,
-        {
-            "identifier": p.log_recovery_attempt(
-                f["username"], f["attempt"], f["commitment"]
-            )
-        },
-    ),
-    wire.PROV_LOG_AND_PROVE: lambda p, f: (
-        wire.PROV_REPLY_PROVEN,
-        dict(
-            zip(
-                ("identifier", "proof"),
-                p.log_and_prove(f["username"], f["attempt"], f["commitment"]),
-            )
-        ),
-    ),
-    wire.PROV_PROVE_INCLUSION: lambda p, f: (
-        wire.PROV_REPLY_PROOF,
-        {"proof": p.prove_inclusion(f["identifier"], f["value"])},
-    ),
-    wire.PROV_SHARE_PHASE_DONE: lambda p, f: (
-        wire.PROV_REPLY_ACK,
-        _ack(p.share_phase_done(f["username"], f["attempt"])),
-    ),
-    wire.PROV_STORE_REPLY: lambda p, f: (
-        wire.PROV_REPLY_ACK,
-        _ack(p.store_reply(f["username"], f["attempt"], f["reply"])),
-    ),
-    wire.PROV_FETCH_REPLIES: lambda p, f: (
-        wire.PROV_REPLY_BLOBS,
-        {"blobs": p.fetch_replies(f["username"], f["attempt"])},
-    ),
-    wire.PROV_LIST_ATTEMPTS: lambda p, f: (
-        wire.PROV_REPLY_ENTRIES,
-        {"entries": p.recovery_attempts_for(f["username"])},
-    ),
-}
-
-
-def _ack(_unused) -> Dict:
-    """Empty reply body for side-effect-only ops."""
-    return {}
-
-
+@catalog_methods
 class WireProviderChannel(ProviderChannel):
     """Default transport: every provider call round-trips through bytes.
 
@@ -453,8 +311,10 @@ class WireProviderChannel(ProviderChannel):
                 "bytes_received": self.bytes_received,
             }
 
-    def _call(self, op: int, fields: Dict, expected_kind: int) -> Dict:
-        request = wire.encode_provider_request(op, fields)
+    def _invoke(self, op: wire.ProviderOp, args: Tuple):
+        request = wire.encode_provider_request(
+            op.tag, dict(zip((name for name, _ in op.request), args))
+        )
         reply_bytes = self._transport(request)
         with self._counter_lock:
             self.frames_sent += 1
@@ -462,127 +322,17 @@ class WireProviderChannel(ProviderChannel):
             self.bytes_received += len(reply_bytes)
         kind, reply = wire.decode_provider_reply(reply_bytes)
         if kind == wire.PROV_REPLY_ERROR:
-            self._raise_error(reply["status"], reply["message"])
-        if kind != expected_kind:
+            if reply["status"] == wire.PROV_ERR_TIMEOUT:
+                raise ServiceTimeout(reply["message"])
+            raise ProviderError(reply["message"])
+        if kind != op.reply:
             raise wire.WireFormatError(
-                f"unexpected reply kind {kind} to provider op {op}"
+                f"unexpected reply kind {kind} to provider op {op.tag}"
             )
-        return reply
-
-    @staticmethod
-    def _raise_error(status: int, message: str) -> None:
-        from repro.service.batcher import ServiceTimeout
-
-        if status == wire.PROV_ERR_TIMEOUT:
-            raise ServiceTimeout(message)
-        raise ProviderError(message)
-
-    def upload_backup(self, username: str, ciphertext) -> int:
-        """Round-trip the upload through bytes; returns the stored index."""
-        return self._call(
-            wire.PROV_UPLOAD_BACKUP,
-            {"username": username, "ciphertext": ciphertext},
-            wire.PROV_REPLY_COUNT,
-        )["value"]
-
-    def fetch_backup(self, username: str, index: int = -1):
-        """Fetch one recovery ciphertext as wire bytes and decode it."""
-        return self._call(
-            wire.PROV_FETCH_BACKUP,
-            {"username": username, "index": index},
-            wire.PROV_REPLY_BACKUP,
-        )["ciphertext"]
-
-    def backup_count(self, username: str) -> int:
-        """Ask how many backups the provider holds for a user."""
-        return self._call(
-            wire.PROV_BACKUP_COUNT, {"username": username}, wire.PROV_REPLY_COUNT
-        )["value"]
-
-    def upload_incremental(self, username: str, blob: bytes) -> None:
-        """Append one incremental blob over the wire."""
-        self._call(
-            wire.PROV_UPLOAD_INCREMENTAL,
-            {"username": username, "blob": blob},
-            wire.PROV_REPLY_ACK,
-        )
-
-    def fetch_incrementals(self, username: str) -> List[bytes]:
-        """Fetch every incremental blob over the wire."""
-        return self._call(
-            wire.PROV_FETCH_INCREMENTALS,
-            {"username": username},
-            wire.PROV_REPLY_BLOBS,
-        )["blobs"]
-
-    def next_attempt_number(self, username: str) -> int:
-        """Ask for the first unused attempt slot."""
-        return self._call(
-            wire.PROV_NEXT_ATTEMPT, {"username": username}, wire.PROV_REPLY_COUNT
-        )["value"]
-
-    def reserve_attempt_number(self, username: str) -> int:
-        """Atomically reserve the next attempt slot over the wire."""
-        return self._call(
-            wire.PROV_RESERVE_ATTEMPT, {"username": username}, wire.PROV_REPLY_COUNT
-        )["value"]
-
-    def log_recovery_attempt(
-        self, username: str, attempt: int, commitment: bytes
-    ) -> bytes:
-        """Queue a log insertion over the wire; returns its identifier."""
-        return self._call(
-            wire.PROV_LOG_ATTEMPT,
-            {"username": username, "attempt": attempt, "commitment": commitment},
-            wire.PROV_REPLY_LOGGED,
-        )["identifier"]
-
-    def log_and_prove(self, username: str, attempt: int, commitment: bytes):
-        """Insert + wait for an epoch; decodes ``(identifier, proof)``."""
-        reply = self._call(
-            wire.PROV_LOG_AND_PROVE,
-            {"username": username, "attempt": attempt, "commitment": commitment},
-            wire.PROV_REPLY_PROVEN,
-        )
-        return reply["identifier"], reply["proof"]
-
-    def prove_inclusion(self, identifier: bytes, value: bytes):
-        """Fetch a fresh proof (or None) through the tagged proof envelope."""
-        return self._call(
-            wire.PROV_PROVE_INCLUSION,
-            {"identifier": identifier, "value": value},
-            wire.PROV_REPLY_PROOF,
-        )["proof"]
-
-    def share_phase_done(self, username: str, attempt: int) -> None:
-        """Send the share-phase-done liveness hint as a frame."""
-        self._call(
-            wire.PROV_SHARE_PHASE_DONE,
-            {"username": username, "attempt": attempt},
-            wire.PROV_REPLY_ACK,
-        )
-
-    def store_reply(self, username: str, attempt: int, encrypted_reply: bytes) -> None:
-        """Escrow one encrypted HSM reply over the wire."""
-        self._call(
-            wire.PROV_STORE_REPLY,
-            {"username": username, "attempt": attempt, "reply": encrypted_reply},
-            wire.PROV_REPLY_ACK,
-        )
-
-    def fetch_replies(self, username: str, attempt: int) -> List[bytes]:
-        """Fetch the escrowed replies for one attempt over the wire."""
-        return self._call(
-            wire.PROV_FETCH_REPLIES,
-            {"username": username, "attempt": attempt},
-            wire.PROV_REPLY_BLOBS,
-        )["blobs"]
-
-    def recovery_attempts_for(self, username: str) -> List[Tuple[bytes, bytes]]:
-        """Fetch the user's logged attempts as (identifier, value) pairs."""
-        return self._call(
-            wire.PROV_LIST_ATTEMPTS, {"username": username}, wire.PROV_REPLY_ENTRIES
-        )["entries"]
+        values = tuple(reply[name] for name, _ in wire.PROVIDER_REPLY_SCHEMAS[kind])
+        if len(values) > 1:
+            return values
+        return values[0] if values else None
 
 
 def provider_channel(provider, transport: str = "wire") -> ProviderChannel:

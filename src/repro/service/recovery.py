@@ -26,6 +26,10 @@ Clients created through :meth:`new_client` are ordinary
 through a ``ProviderChannel`` (byte-framed provider RPC for the default
 ``"wire"`` transport) fronting a facade whose ``log_and_prove`` blocks on
 the shared epoch, and their HSM channels run through the worker queues.
+Both objects the service puts on a boundary are enumerations, not
+pass-throughs: :class:`BatchedProviderFacade` has the op catalog's methods
+(``wire.PROVIDER_OPS``) and :class:`_FifoDevice` the names the log's epoch
+protocol uses — nothing else of the provider or a device is reachable.
 
 Thread safety: the service is built to be hammered by many client threads
 at once.  All shared mutable state lives behind the batcher's lock, the
@@ -51,6 +55,7 @@ from repro.service.channel import (
     DirectProviderChannel,
     ProviderWireEndpoint,
     WireProviderChannel,
+    catalog_methods,
     direct_channels,
     wire_channels,
 )
@@ -68,43 +73,80 @@ _EPOCH_METHODS = frozenset(
     )
 )
 
+#: What else a lane epoch asks of a device, answered on the calling thread
+#: as it always was: who it is, whether it is up, where its digests stand
+#: (reads), and the cross-shard offer queue (guarded by the device's own
+#: ``_offer_lock``).  With :data:`_EPOCH_METHODS` this is the whole device
+#: surface the service hands to the log.
+_DIRECT_NAMES = (
+    "index",
+    "is_failed",
+    "log_digest",
+    "multisig_scheme",
+    "shard_digest",
+    "offered_frontier",
+    "offer_certified_transition",
+)
+
 
 class _FifoDevice:
     """Epoch-protocol view of one HSM that routes calls through its FIFO
     worker, so log updates obey the same per-device serialization as
     decrypt-share traffic — device state is never touched by two threads
-    at once, which is the worker pool's whole invariant."""
+    at once, which is the worker pool's whole invariant.  The view is an
+    enumeration, not a pass-through: a name outside :data:`_EPOCH_METHODS`
+    and :data:`_DIRECT_NAMES` (``decrypt_share``, key rotation, secret
+    extraction...) is an ``AttributeError``."""
 
     def __init__(self, pool: HsmWorkerPool, device) -> None:
         self._pool = pool
         self._device = device
 
-    def __getattr__(self, name):
-        attr = getattr(self._device, name)
-        if name in _EPOCH_METHODS:
-            return lambda *args, **kwargs: self._pool.call(
-                self._device.index, lambda: attr(*args, **kwargs)
-            )
-        return attr
+
+def _through_fifo(name: str):
+    """``name`` of the device, run on the device's FIFO worker."""
+
+    def method(self, *args, **kwargs):
+        call = getattr(self._device, name)
+        return self._pool.call(self._device.index, lambda: call(*args, **kwargs))
+
+    method.__name__ = name
+    return method
 
 
+def _direct(name: str):
+    """``name`` of the device (attribute or bound method), as it is."""
+    return property(lambda self: getattr(self._device, name))
+
+
+for _name in _EPOCH_METHODS:
+    setattr(_FifoDevice, _name, _through_fifo(_name))
+for _name in _DIRECT_NAMES:
+    setattr(_FifoDevice, _name, _direct(_name))
+
+
+@catalog_methods
 class BatchedProviderFacade:
     """What the service's provider endpoint dispatches into.
 
-    Delegates to the real :class:`ServiceProvider`, with two changes:
+    Exactly the op catalog (``wire.PROVIDER_OPS``) and nothing else of the
+    real :class:`ServiceProvider` — its log, journal and epoch driver are
+    not reachable through the facade.  Ten ops forward unchanged
+    (:func:`catalog_methods`); the four defined below differ:
     attempt numbers are *reserved* atomically (concurrent sessions for one
-    user cannot collide) and ``log_and_prove`` waits for the shared epoch
-    instead of running its own.  Clients never hold this object — they
-    speak through a ``ProviderChannel`` (byte-framed for the default
-    ``"wire"`` transport) that fronts it.
+    user cannot collide), ``log_and_prove`` waits for the shared epoch
+    instead of running its own, proofs are cut under the epoch lock, and
+    the share-phase hint releases the session's lease.  Clients never hold
+    this object — they speak through a ``ProviderChannel`` (byte-framed
+    for the default ``"wire"`` transport) that fronts it.
     """
 
     def __init__(self, service: "RecoveryService") -> None:
         self._service = service
         self._provider = service.provider
 
-    def __getattr__(self, name):
-        return getattr(self._provider, name)
+    def _invoke(self, op, args):
+        return getattr(self._provider, op.method)(*args)
 
     # -- attempt numbering ----------------------------------------------------
     def next_attempt_number(self, username: str) -> int:

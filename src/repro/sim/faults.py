@@ -12,7 +12,7 @@ exact schedules per seed, and ``repro.chaos`` hands these wrappers
 substreams of its deterministic scheduler so whole campaign interleavings
 replay bit-for-bit.  (This module lived in ``tests/conftest.py`` first;
 it was promoted here so the chaos layer and the test suite share one
-fault-injection toolkit.  The conftest keeps thin re-export shims.)
+fault-injection toolkit.)
 
 Thread safety: each wrapper owns a private PRNG and mutates only its own
 counters; share one instance across threads only if the underlying
@@ -24,13 +24,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from repro.core import wire
 from repro.service.channel import (
-    Channel,
     HsmWireEndpoint,
     ProviderWireEndpoint,
+    WireChannel,
     WireProviderChannel,
-    _STATUS_EXCEPTIONS,
 )
 
 
@@ -102,7 +100,7 @@ class FlakyProviderChannel(WireProviderChannel):
         super().__init__(self.faults)
 
 
-class FlakyChannel(Channel):
+class FlakyChannel(WireChannel):
     """A client->HSM wire channel whose transport injects seeded faults."""
 
     def __init__(self, device, seed: int, ok_weight: int = 4) -> None:
@@ -110,11 +108,4 @@ class FlakyChannel(Channel):
         injector (same seed -> same fault schedule)."""
         endpoint = HsmWireEndpoint(device)
         self.faults = FlakyTransport(endpoint.handle_decrypt_share, seed, ok_weight)
-
-    def decrypt_share(self, request):
-        """Round-trip through the flaky transport; re-raise error statuses."""
-        reply_bytes = self.faults(wire.encode_decrypt_request(request))
-        status, payload = wire.decode_decrypt_reply(reply_bytes)
-        if status == wire.REPLY_OK:
-            return payload
-        raise _STATUS_EXCEPTIONS[status](payload)
+        super().__init__(self.faults)

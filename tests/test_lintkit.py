@@ -179,21 +179,17 @@ def test_lock_discipline_requires_justification(tmp_path):
 # ---------------------------------------------------------------------------
 WIRE_OK = '''
 """Mini wire module."""
-PROV_PING = 1
 PROV_REPLY_PONG = 1
+PROV_ERR_REFUSED = 1
+_PROVIDER_ERROR_STATUSES = (PROV_ERR_REFUSED,)
 
 _FIELD_ENCODERS = {"text": None}
 _FIELD_DECODERS = {"text": None}
 
-PROVIDER_REQUEST_SCHEMAS = {PROV_PING: (("name", "text"),)}
+PROVIDER_OPS = (
+    ProviderOp(1, "ping", (("name", "text"),), PROV_REPLY_PONG),
+)
 PROVIDER_REPLY_SCHEMAS = {PROV_REPLY_PONG: (("name", "text"),)}
-'''
-
-CHANNEL_OK = '''
-"""Mini channel module."""
-import wire
-
-_PROVIDER_RPC_HANDLERS = {wire.PROV_PING: None}
 '''
 
 TESTS_OK = '''
@@ -201,55 +197,97 @@ TESTS_OK = '''
 _FIELD_STRATEGIES = {"text": None}
 '''
 
-DOCS_OK = "| `PROV_PING` | name | `PONG` |\n"
+DOCS_OK = "| 1 | `ping` | name | `PONG` |\n"
 
 _WIRE_LAYOUT = {
     "src/repro/core/wire.py": WIRE_OK,
-    "src/repro/service/channel.py": CHANNEL_OK,
     "tests/test_wire_properties.py": TESTS_OK,
     "docs/ARCHITECTURE.md": DOCS_OK,
 }
+_PING_ROW = '    ProviderOp(1, "ping", (("name", "text"),), PROV_REPLY_PONG),\n'
+
+
+def _wire_findings(tmp_path, wire_source, docs=DOCS_OK):
+    files = dict(_WIRE_LAYOUT)
+    files["src/repro/core/wire.py"] = wire_source
+    files["docs/ARCHITECTURE.md"] = docs
+    report = run_passes(make_ctx(tmp_path, files), [WireSchemaPass()])
+    assert {f.rule for f in report.findings} <= {"wire-schema"}
+    return " ".join(f.message for f in report.findings)
 
 
 def test_wire_schema_accepts_complete_catalog(tmp_path):
-    ctx = make_ctx(tmp_path, dict(_WIRE_LAYOUT))
-    report = run_passes(ctx, [WireSchemaPass()])
-    assert report.clean, [f.render() for f in report.findings]
+    assert _wire_findings(tmp_path, WIRE_OK) == ""
 
 
 def test_wire_schema_catches_orphan_tag(tmp_path):
-    files = dict(_WIRE_LAYOUT)
-    # PROV_ORPHAN: no schema, no dispatch arm, no docs row.
-    files["src/repro/core/wire.py"] = WIRE_OK + "PROV_ORPHAN = 2\n"
-    ctx = make_ctx(tmp_path, files)
-    report = run_passes(ctx, [WireSchemaPass()])
-    messages = " ".join(f.message for f in report.findings)
-    assert {f.rule for f in report.findings} == {"wire-schema"}
-    assert "no body schema" in messages
-    assert "no dispatch arm" in messages
-    assert "no catalog row" in messages
+    # A second row with a fresh tag and method, but no docs line.
+    orphan = WIRE_OK.replace(
+        _PING_ROW,
+        _PING_ROW + '    ProviderOp(2, "orphan", (("name", "text"),), PROV_REPLY_PONG),\n',
+    )
+    assert orphan != WIRE_OK
+    messages = _wire_findings(tmp_path, orphan)
+    assert "op 2 (orphan) has no catalog row" in messages
+    assert "ping" not in messages
+    # The docs line must carry the row's tag as well as its method.
+    messages = _wire_findings(tmp_path, orphan, DOCS_OK + "| 3 | `orphan` | name | `PONG` |\n")
+    assert "op 2 (orphan) has no catalog row" in messages
 
 
 def test_wire_schema_catches_duplicate_value_and_missing_strategy(tmp_path):
-    files = dict(_WIRE_LAYOUT)
-    files["src/repro/core/wire.py"] = WIRE_OK.replace(
-        'PROVIDER_REQUEST_SCHEMAS = {PROV_PING: (("name", "text"),)}',
-        "PROV_PING2 = 1\n"
-        "PROVIDER_REQUEST_SCHEMAS = {\n"
-        '    PROV_PING: (("name", "text"),),\n'
-        '    PROV_PING2: (("payload", "blob"),),\n'
-        "}",
+    messages = _wire_findings(
+        tmp_path,
+        WIRE_OK.replace(
+            _PING_ROW,
+            _PING_ROW + '    ProviderOp(1, "ping2", (("payload", "blob"),), PROV_REPLY_PONG),\n',
+        ),
+        DOCS_OK + "| 1 | `ping2` | payload | `PONG` |\n",
     )
-    files["src/repro/service/channel.py"] = CHANNEL_OK.replace(
-        "{wire.PROV_PING: None}", "{wire.PROV_PING: None, wire.PROV_PING2: None}"
-    )
-    files["docs/ARCHITECTURE.md"] = DOCS_OK + "| `PROV_PING2` | payload | `PONG` |\n"
-    ctx = make_ctx(tmp_path, files)
-    report = run_passes(ctx, [WireSchemaPass()])
-    messages = " ".join(f.message for f in report.findings)
-    assert "reuses tag value 1" in messages
-    assert "'blob' has no hypothesis strategy" in messages
+    assert "op ping2 reuses tag value 1 (already taken by ping)" in messages
+    assert "'blob' has no entry in _FIELD_STRATEGIES" in messages
     assert "'blob' has no entry in _FIELD_ENCODERS" in messages
+    assert "'blob' has no entry in _FIELD_DECODERS" in messages
+
+
+@pytest.mark.parametrize(
+    "old, new, expected",
+    [
+        (  # the same provider method behind two tags
+            _PING_ROW,
+            _PING_ROW + '    ProviderOp(2, "ping", (("name", "text"),), PROV_REPLY_PONG),\n',
+            "op tag 2 reuses method ping (already taken by 1)",
+        ),
+        (  # a row built from names instead of literals
+            '(("name", "text"),), PROV_REPLY_PONG',
+            "(_NAME,), PROV_REPLY_PONG",
+            "row is not a literal ProviderOp",
+        ),
+        (
+            "PROV_REPLY_PONG = 1\n",
+            "PROV_REPLY_PONG = 1\nPROV_REPLY_PANG = 2\n",
+            "reply kind PROV_REPLY_PANG has no body schema",
+        ),
+        (
+            "PROV_REPLY_PONG = 1\n",
+            "PROV_REPLY_PONG = 1\nPROV_REPLY_PANG = 1\n",
+            "reply kind PROV_REPLY_PANG reuses tag value 1",
+        ),
+        (
+            "PROV_ERR_REFUSED = 1\n",
+            "PROV_ERR_REFUSED = 1\nPROV_ERR_LOST = 2\n",
+            "error status PROV_ERR_LOST is missing from _PROVIDER_ERROR_STATUSES",
+        ),
+        (  # a reply schema's field kinds need codecs too
+            'PROV_REPLY_PONG: (("name", "text"),)',
+            'PROV_REPLY_PONG: (("name", "u64"),)',
+            "'u64' has no entry in _FIELD_DECODERS",
+        ),
+    ],
+)
+def test_wire_schema_reports_each_table_defect(tmp_path, old, new, expected):
+    assert old in WIRE_OK
+    assert expected in _wire_findings(tmp_path, WIRE_OK.replace(old, new))
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +544,21 @@ def test_no_sharded_unsharded_probe_in_src():
                 and isinstance(node.args[1], ast.Constant)
                 and node.args[1].value in probed
             ):
+                offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
+    assert offenders == []
+
+
+def test_no_getattr_passthrough_in_service():
+    """The objects on the service's boundaries enumerate what crosses them
+    (``wire.PROVIDER_OPS``, ``_EPOCH_METHODS`` + ``_DIRECT_NAMES``): nothing
+    under ``src/repro/service`` may forward whatever it is asked through
+    ``__getattr__``."""
+    import ast
+
+    offenders = []
+    for path in sorted((REPO_ROOT / "src" / "repro" / "service").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "__getattr__":
                 offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
     assert offenders == []
 

@@ -26,6 +26,7 @@ from repro.core.lhe import LheCiphertext
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.core.provider import ProviderError, ServiceProvider
+from repro.log.authdict import InclusionProof, PathStep
 from repro.metering import OpMeter
 from repro.service.batcher import ServiceTimeout
 from repro.service.channel import (
@@ -33,6 +34,7 @@ from repro.service.channel import (
     ProviderWireEndpoint,
     WireProviderChannel,
 )
+from repro.service.recovery import BatchedProviderFacade
 
 
 def _loopback(provider) -> WireProviderChannel:
@@ -101,6 +103,94 @@ class TestLoopbackRoundTrips:
         stats = channel.wire_stats()
         assert stats["frames_sent"] == 2
         assert stats["bytes_sent"] > 0 and stats["bytes_received"] > 0
+
+
+_PROOF = InclusionProof(
+    steps=(PathStep(idh=b"i" * 32, value=b"v", other=b"o" * 32),),
+    left=b"l" * 32,
+    right=b"r" * 32,
+)
+
+#: One canned value per field kind: the table is the test vector.
+_CANNED = {
+    "text": "wire-user",
+    "blob": b"\x00blob\xff",
+    "u32": 7,
+    "i32": -1,
+    "recovery_ct": _ciphertext(),
+    "proof": _PROOF,
+    "opt_proof": _PROOF,
+    "blobs": [b"day1", b"", b"day3"],
+    "entries": [(b"id-0", b"h0"), (b"id-1", b"h1")],
+}
+
+
+class _RecordingProvider:
+    """Answers every catalog method with the canned value(s) of the row's
+    reply schema and records ``(method, positional args)``."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, method):
+        (op,) = [op for op in wire.PROVIDER_OPS if op.method == method]
+        values = [_CANNED[kind] for _, kind in wire.PROVIDER_REPLY_SCHEMAS[op.reply]]
+
+        def call(*args):
+            self.calls.append((method, args))
+            return tuple(values) if len(values) > 1 else values[0] if values else None
+
+        return call
+
+
+class TestCatalogDerivation:
+    """Both channel classes and the service facade are generated from
+    ``wire.PROVIDER_OPS``; every row is exercised, not just the rows a
+    whole recovery happens to reach."""
+
+    @pytest.mark.parametrize("op", wire.PROVIDER_OPS, ids=lambda op: op.method)
+    def test_every_catalog_row_round_trips(self, op):
+        args = tuple(_CANNED[kind] for _, kind in op.request)
+        wired_provider, direct_provider = _RecordingProvider(), _RecordingProvider()
+        wired, direct = _loopback(wired_provider), DirectProviderChannel(direct_provider)
+        wired_result = getattr(wired, op.method)(*args)
+        assert wired_result == getattr(direct, op.method)(*args)
+        assert wired_provider.calls == direct_provider.calls == [(op.method, args)]
+        assert wired.wire_stats()["frames_sent"] == 1
+        if op.defaults:  # omitted trailing fields take the row's defaults
+            short = args[: -len(op.defaults)]
+            assert getattr(wired, op.method)(*short) == wired_result
+            assert getattr(direct, op.method)(*short) == wired_result
+            assert wired_provider.calls[-1] == (op.method, short + op.defaults)
+            assert direct_provider.calls[-1] == (op.method, short + op.defaults)
+
+    @pytest.mark.parametrize("make", [_loopback, DirectProviderChannel])
+    def test_wrong_arity_is_a_type_error_before_any_frame(self, make):
+        provider = _RecordingProvider()
+        channel = make(provider)
+        for method, args in (
+            ("backup_count", ()),
+            ("backup_count", ("u", 1)),
+            ("fetch_backup", ()),
+            ("fetch_backup", ("u", 0, 1)),
+            ("store_reply", ("u", 0)),
+        ):
+            with pytest.raises(TypeError, match=method):
+                getattr(channel, method)(*args)
+        with pytest.raises(TypeError):
+            channel.backup_count(username="u")  # positional, in row order
+        assert provider.calls == []
+        if isinstance(channel, WireProviderChannel):
+            assert channel.wire_stats()["frames_sent"] == 0
+
+    @pytest.mark.parametrize(
+        "cls", [WireProviderChannel, DirectProviderChannel, BatchedProviderFacade]
+    )
+    def test_each_class_owns_every_catalog_method(self, cls):
+        # benchmarks/e2e/tracer.py patches vars(owner)[attr]: the methods
+        # must live in the concrete class's own __dict__, not on a base.
+        for op in wire.PROVIDER_OPS:
+            assert callable(vars(cls)[op.method]), (cls.__name__, op.method)
 
 
 class TestTypedErrors:

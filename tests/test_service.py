@@ -384,6 +384,23 @@ class TestRecoveryService:
         assert stored == sent[0]
         assert stored is not sent[0]
 
+    def test_facades_are_enumerations_not_pass_throughs(self, service_deployment):
+        service = service_deployment.recovery_service()
+        device = service_deployment.fleet[0]
+        fifo = service._epoch_fleet[0]
+        assert fifo.index == 0 and fifo.is_failed is False
+        assert fifo.log_digest == device.log_digest
+        for name in ("decrypt_share", "extract_secrets", "rotate_keys",
+                     "fail_stop", "public_info", "install_signer_directory"):
+            assert hasattr(device, name), name  # real device surface...
+            with pytest.raises(AttributeError):
+                getattr(fifo, name)  # ...not reachable through the view
+        facade = service._facade
+        for name in ("log", "journal", "run_log_update"):
+            assert hasattr(service.provider, name), name
+            with pytest.raises(AttributeError):
+                getattr(facade, name)
+
 
 # ---------------------------------------------------------------------------
 # Batcher regressions: abandoned leases, lane history, malformed sessions

@@ -222,6 +222,11 @@ def provider_replies():
     return _framed(wire.PROVIDER_REPLY_SCHEMAS)
 
 
+def _op_tag(method: str) -> int:
+    """The request tag of the catalog row that calls ``method``."""
+    return next(op.tag for op in wire.PROVIDER_OPS if op.method == method)
+
+
 def _normalized(value):
     """Entry lists decode to tuples; compare values, not container types."""
     if isinstance(value, list):
@@ -260,7 +265,7 @@ class TestProviderRequestWire:
 
     def test_unknown_op_rejected(self):
         frame = wire.encode_provider_request(
-            wire.PROV_BACKUP_COUNT, {"username": "u"}
+            _op_tag("backup_count"), {"username": "u"}
         )
         for bad_op in (0, 99, 255):
             mutated = bytes([frame[0], bad_op]) + frame[2:]
@@ -269,14 +274,16 @@ class TestProviderRequestWire:
 
     def test_bad_version_rejected(self):
         frame = wire.encode_provider_request(
-            wire.PROV_NEXT_ATTEMPT, {"username": "u"}
+            _op_tag("next_attempt_number"), {"username": "u"}
         )
         with pytest.raises(wire.WireFormatError):
             wire.decode_provider_request(bytes([7]) + frame[1:])
 
     def test_mismatched_fields_refused_on_encode(self):
         with pytest.raises(wire.WireFormatError):
-            wire.encode_provider_request(wire.PROV_NEXT_ATTEMPT, {"user": "u"})
+            wire.encode_provider_request(
+                _op_tag("next_attempt_number"), {"user": "u"}
+            )
         with pytest.raises(wire.WireFormatError):
             wire.encode_provider_request(200, {})
 
