@@ -28,6 +28,7 @@ from bench_fig9_puncture import modeled_breakdown
 from reporting import emit, table
 
 N, CLUSTER, K_HASHES = 3100, 40, BloomParams.paper_deployment().num_hashes
+THRESHOLD = SystemParams.for_paper().threshold  # t = n/2 = 20
 PHONE = CostModel(PIXEL4)
 HSM = CostModel(SOLOKEY)
 LOG_DEPTH = math.log2(100e6)
@@ -43,9 +44,13 @@ def safetypin_save_seconds() -> dict:
     }
 
 
-def safetypin_recovery_seconds() -> dict:
+def safetypin_recovery_seconds(client_opens: int = CLUSTER) -> dict:
     """Per-component recovery latency (cluster works in parallel, so HSM
-    terms are one device's work; client terms add)."""
+    terms are one device's work; client terms add).
+
+    ``client_opens`` is how many HSM replies the phone decrypts.  The
+    paper's bar prices all n = 40; the reproduction's client stops once the
+    backup opens — t = 20 when no reply is corrupt."""
     log_counts = {
         "sha256_block": 3 * LOG_DEPTH + 32,  # inclusion proof + commitment
         "io_bytes": LOG_DEPTH * 96 + 2048,  # proof + opening transfer
@@ -53,9 +58,9 @@ def safetypin_recovery_seconds() -> dict:
     log_s = HSM.seconds(log_counts)
     puncturable_s = modeled_breakdown(1 << 20)[0].total
     # Location-hiding: HSM encrypts its reply to the per-recovery key; the
-    # client decrypts n replies and reconstructs.
+    # client decrypts replies and reconstructs.
     lhe_s = HSM.seconds({"elgamal_enc": 1}) + PHONE.seconds(
-        {"ec_mult": CLUSTER, "aes_block": 64}
+        {"ec_mult": client_opens, "aes_block": 64}
     )
     return {
         "log": log_s,
@@ -127,6 +132,7 @@ def test_fig10_recovery_breakdown(benchmark, small_deployment):
     benchmark.pedantic(do_roundtrip, rounds=3, iterations=1)
 
     ours = safetypin_recovery_seconds()
+    happy = safetypin_recovery_seconds(client_opens=THRESHOLD)
     base = baseline_recovery_seconds()
     rows = [
         ("log", f"{ours['log']:.2f} s", "0.15 s"),
@@ -136,6 +142,12 @@ def test_fig10_recovery_breakdown(benchmark, small_deployment):
         ("baseline", f"{base:.2f} s", "0.17 s"),
     ]
     lines = table(("component", "modeled", "paper"), rows, (18, 12, 10))
+    lines.append("")
+    lines.append(
+        f"this client opens replies until the backup opens: t={THRESHOLD} of "
+        f"n={CLUSTER} when none is corrupt -> location-hiding "
+        f"{happy['location_hiding']:.2f} s, total {happy['total']:.2f} s"
+    )
     emit(
         "fig10_recovery",
         "Figure 10 (right): time to recover",
@@ -146,6 +158,8 @@ def test_fig10_recovery_breakdown(benchmark, small_deployment):
                 "recovery_location_hiding_s": ours["location_hiding"],
                 "recovery_puncturable_s": ours["puncturable"],
                 "recovery_total_s": ours["total"],
+                "recovery_location_hiding_at_t_opens_s": happy["location_hiding"],
+                "recovery_total_at_t_opens_s": happy["total"],
                 "baseline_recovery_s": base,
             }
         },
@@ -157,7 +171,7 @@ def test_fig10_recovery_breakdown(benchmark, small_deployment):
     # GCM/KDF layers do more block operations per tree node than the
     # hand-written C firmware; see EXPERIMENTS.md.)
     assert ours["puncturable"] > ours["log"]
-    assert ours["puncturable"] > ours["location_hiding"]
+    assert ours["puncturable"] > ours["location_hiding"] > happy["location_hiding"]
     assert 0.3 < ours["total"] < 5.0
     assert 2 < ours["total"] / base < 40
 

@@ -17,7 +17,12 @@ both ways and measures:
 
 It also checks the acceptance property: a batched run of >= 8 concurrent
 recoveries commits exactly one log epoch per batch tick, and batched
-throughput beats per-request throughput.  A final pass runs the same
+throughput beats per-request throughput.  Two exact rows hold the client's
+share of the work on that run: the fleet serves one decrypt-and-puncture
+request per *distinct* member of each session's cluster (clusters are drawn
+with replacement; a repeated member's second request could only be
+refused), and each client opens ``threshold`` escrowed replies, not all it
+holds.  A final pass runs the same
 batched workload over the byte-framed provider RPC channel vs the
 direct-call reference path and reports the wire overhead (ratio, frames,
 bytes per session) into the emitted ``BENCH_*.json``.
@@ -33,6 +38,7 @@ import time
 
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
+from repro.hsm.device import HsmDevice, HsmStaleProofError
 from repro.sim.queueing import EpochBatchModel
 
 try:
@@ -59,6 +65,29 @@ def _fresh_service(seed: int = 23, transport: str = "wire"):
         transport=transport, tick_interval=0.01, lease_timeout=5.0
     )
     return deployment, service
+
+
+@contextlib.contextmanager
+def _share_request_outcomes():
+    """Record how every decrypt-and-puncture request a device receives while
+    the block runs ends: ``None`` for a reply, else the exception type."""
+    original = HsmDevice.decrypt_share
+    outcomes = []
+
+    def recorded(device, request):
+        try:
+            reply = original(device, request)
+        except Exception as exc:
+            outcomes.append(type(exc))
+            raise
+        outcomes.append(None)
+        return reply
+
+    HsmDevice.decrypt_share = recorded
+    try:
+        yield outcomes
+    finally:
+        HsmDevice.decrypt_share = original
 
 
 def _run_sessions(new_client, concurrency: int, recover_guard=None):
@@ -117,7 +146,7 @@ def test_service_throughput():
     for concurrency in CONCURRENCY_LEVELS:
         deployment, service = _fresh_service()
         epochs_before = deployment.provider.log.epoch
-        with service:
+        with service, _share_request_outcomes() as outcomes:
             elapsed, errors = _run_sessions(service.new_client, concurrency)
         assert not errors, errors
         epochs = deployment.provider.log.epoch - epochs_before
@@ -127,10 +156,27 @@ def test_service_throughput():
         )
         batched_best = max(batched_best, rate)
         if concurrency >= 8:
+            # Salts are live entropy here, so the expected request count is
+            # read off the clusters this run's sessions actually drew.  A
+            # request bounced for a stale proof never reached the key tree
+            # and was re-sent with a fresh one: not a second request.
+            served = sum(outcome is not HsmStaleProofError for outcome in outcomes)
+            clusters = [
+                client.lhe.select(
+                    deployment.provider.fetch_backup(client.username).salt, "4242"
+                )
+                for client in service.clients
+            ]
             acceptance = {
                 "stats": service.stats(),
                 "epochs": epochs,
                 "concurrency": concurrency,
+                "threshold": deployment.params.threshold,
+                "hsm_requests_per_recovery": served / SESSIONS,
+                "distinct_members_per_cluster": sum(len(set(c)) for c in clusters) / SESSIONS,
+                "client_reply_opens_per_recovery": sum(
+                    client.meter.counts["elgamal_dec"] for client in service.clients
+                ) / SESSIONS,
             }
 
     # Acceptance: >= 8 concurrent recoveries, exactly one epoch per tick that
@@ -140,6 +186,11 @@ def test_service_throughput():
     assert stats["epochs_run"] == len(stats["epoch_sessions"])  # one epoch per tick
     assert stats["epochs_run"] < stats["sessions_served"]  # epochs are shared
     assert batched_best > per_request_rate
+    # The client asks each distinct cluster member once and opens t replies.
+    hsm_requests = acceptance["hsm_requests_per_recovery"]
+    reply_opens = acceptance["client_reply_opens_per_recovery"]
+    assert hsm_requests == acceptance["distinct_members_per_cluster"] <= CLUSTER
+    assert reply_opens == acceptance["threshold"]
 
     # Wire overhead of the provider RPC leg: the same batched workload over
     # the byte-framed channel vs the direct-call reference path, plus the
@@ -181,6 +232,11 @@ def test_service_throughput():
         f"mean added wait {model.mean_wait() / 60:.0f} min"
     )
     lines.append(
+        f"per recovery: {hsm_requests:.2f} HSM share requests (= distinct members "
+        f"of its n={CLUSTER} cluster), {reply_opens:.0f} client reply open(s) "
+        f"(= t={acceptance['threshold']})"
+    )
+    lines.append(
         f"provider RPC wire overhead: {wire_overhead:.2f}x vs direct "
         f"({wire_traffic['frames_sent']} frames, "
         f"{wire_bytes / SESSIONS:.0f} B/session)"
@@ -207,6 +263,8 @@ def test_service_throughput():
                 "per_request_sessions_per_sec": per_request_rate,
                 "batching_speedup": batched_best / per_request_rate,
                 "modeled_sessions_per_epoch": model.sessions_per_epoch,
+                "hsm_requests_per_recovery": hsm_requests,
+                "client_reply_opens_per_recovery": reply_opens,
                 "provider_wire_overhead_vs_direct": wire_overhead,
                 "provider_wire_frames": wire_traffic["frames_sent"],
                 "provider_wire_request_bytes": wire_traffic["bytes_sent"],

@@ -5,6 +5,15 @@ the master public key ``mpk``.  ``backup`` runs entirely locally; ``recover``
 walks the Figure 3 protocol: log the attempt, obtain an inclusion proof,
 contact the PIN-selected cluster, reconstruct.
 
+The share phase and the finish do only work that can still matter.  The
+cluster is a list in [N]^n and all of a user's shares carry one puncture
+tag, so :meth:`Client.request_shares` sends one request per *distinct*
+device whose key tree has not yet answered for the tag (a refusal or an
+outage is not an answer: nothing was punctured).  ``Reconstruct`` needs any
+t shares, so :meth:`Client.finish_recovery` decrypts replies only until the
+backup opens — t of them unless a corrupt or lying reply is among the
+first.
+
 Also implemented from §8:
 
 - *Failure during recovery*: a fresh per-recovery keypair is generated and
@@ -23,9 +32,9 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.lhe import LheCiphertext, LocationHidingEncryption, BfePke
+from repro.core.lhe import BfePke, LheCiphertext, LheError, LocationHidingEncryption
 from repro.core.params import SystemParams
 from repro.crypto.commit import commit_recovery
 from repro.crypto.ec import ECKeyPair, P256
@@ -66,6 +75,9 @@ class RecoverySession:
     response_keypair: ECKeyPair
     recovery_key_username: Optional[str] = None
     encrypted_replies: List[bytes] = field(default_factory=list)
+    #: HSMs whose key tree has answered for this series tag (punctured now,
+    #: or found punctured): :meth:`Client.request_shares` asks them no more.
+    answered_hsms: Set[int] = field(default_factory=set)
 
 
 class Client:
@@ -212,34 +224,44 @@ class Client:
         )
 
     def request_shares(self, session: RecoverySession, pin: str) -> int:
-        """Step Ï: ask each cluster HSM to decrypt-and-puncture.
+        """Step Ï: ask each distinct cluster HSM to decrypt-and-puncture.
+
+        The cluster is a list in [N]^n (drawn with replacement) and all of a
+        user's shares carry one puncture tag, so once a device's key tree
+        has *answered* for the tag — a reply came back (it punctured every
+        slot before replying) or it said ``PuncturedKeyError`` (the slots
+        were gone already) — a later position naming the same device can
+        only be told ``PuncturedKeyError``, and is not sent.  A refusal, an
+        unavailable device or a failed proof refresh is not an answer:
+        nothing was punctured, and the other ciphertext addressed to that
+        device may still open.
 
         Replies (encrypted under the per-recovery key) are escrowed with the
         provider so a replacement device can finish if this one dies.
         Returns the number of shares obtained.
         """
         obtained = 0
+        answered = session.answered_hsms
         try:
             for position, hsm_index in enumerate(session.cluster):
-                try:
-                    reply = self._channels(hsm_index).decrypt_share(
-                        self._share_request(session, position)
-                    )
-                except HsmStaleProofError:
-                    # Our inclusion proof went stale (an update epoch
-                    # committed mid-recovery); refresh and retry once
-                    # before writing the share off as ⊥.
-                    reply = self._retry_with_fresh_proof(session, position, hsm_index)
-                    if reply is None:
-                        continue
-                except (HsmUnavailableError, PuncturedKeyError, HsmRefusedError):
-                    # Fail-stopped, already-punctured, or policy-refusing
-                    # HSM: count it against the threshold, like the paper's
-                    # ⊥ shares.
+                if hsm_index in answered:
                     continue
+                try:
+                    reply = self._ask_hsm(session, position, hsm_index)
+                except PuncturedKeyError:
+                    answered.add(hsm_index)
+                    continue
+                except (HsmUnavailableError, HsmRefusedError):
+                    # Fail-stopped or policy-refusing HSM, or a proof that
+                    # stayed stale: count it against the threshold, like the
+                    # paper's ⊥ shares.
+                    continue
+                answered.add(hsm_index)
+                # Hold the reply before escrowing it: the HSM has already
+                # punctured, so a failed escrow frame must not cost the share.
                 reply_bytes = reply.to_bytes()
-                self.provider.store_reply(session.username, session.attempt, reply_bytes)
                 session.encrypted_replies.append(reply_bytes)
+                self.provider.store_reply(session.username, session.attempt, reply_bytes)
                 obtained += 1
         finally:
             # Tell the provider this attempt's share phase is over, so the
@@ -259,66 +281,84 @@ class Client:
             response_key=session.response_keypair.public,
         )
 
-    def _retry_with_fresh_proof(
-        self, session: RecoverySession, position: int, hsm_index: int
-    ):
-        """Refresh the inclusion proof and retry one refused HSM.
+    def _ask_hsm(self, session: RecoverySession, position: int, hsm_index: int):
+        """One decrypt-and-puncture request, retried once on a stale proof.
 
         Inclusion proofs are digest-exact, so they expire whenever a later
         update epoch rehashes their BST path.  Only retries when the
         provider serves a *different* proof than the session already holds —
         a genuine policy refusal is never retried.
         """
-        fresh = self.provider.prove_inclusion(session.log_identifier, session.commitment)
-        if fresh is None or fresh == session.inclusion_proof:
-            return None
-        session.inclusion_proof = fresh
+        channel = self._channels(hsm_index)
         try:
-            return self._channels(hsm_index).decrypt_share(
-                self._share_request(session, position)
-            )
-        except (HsmUnavailableError, PuncturedKeyError, HsmRefusedError):
-            return None
+            return channel.decrypt_share(self._share_request(session, position))
+        except HsmStaleProofError:
+            fresh = self.provider.prove_inclusion(session.log_identifier, session.commitment)
+            if fresh is None or fresh == session.inclusion_proof:
+                raise
+            session.inclusion_proof = fresh
+        return channel.decrypt_share(self._share_request(session, position))
 
     def finish_recovery(self, session: RecoverySession) -> bytes:
-        """Decrypt the escrowed replies and reconstruct the backup."""
-        shares = self._decrypt_replies(
+        """Open the session's replies until the backup opens.
+
+        ``Reconstruct`` needs any t shares and each reply costs a
+        variable-base multiply to open, so replies are decrypted in order
+        only as :meth:`LocationHidingEncryption.reconstruct` draws them:
+        ``threshold`` of them when the payload's AE tag accepts the key they
+        interpolate to, all of them (and the robust subset search) when a
+        corrupt or lying reply made it reject.  Raises
+        :class:`RecoveryError` when fewer than ``threshold`` replies open.
+        """
+        message = self._open_backup(
+            session.ciphertext,
+            session.context,
             session.encrypted_replies,
             session.response_keypair.secret,
             session.username,
         )
-        if len(shares) < self.params.threshold:
-            raise RecoveryError(
-                f"only {len(shares)} of the required {self.params.threshold} shares"
-                " were recovered (wrong PIN, or too many HSMs unavailable)"
-            )
-        with self.meter.attached():
-            message = self.lhe.reconstruct(session.ciphertext, shares, session.context)
         # After recovery the old salt must not be reused (§8).
         self._last_salt = None
         return message
 
-    def _decrypt_replies(
-        self, encrypted_replies: Sequence[bytes], secret: int, username: str
-    ) -> List[Share]:
-        shares = []
+    def _open_backup(
+        self,
+        ciphertext: LheCiphertext,
+        context: bytes,
+        encrypted_replies: Sequence[bytes],
+        secret: int,
+        username: str,
+    ) -> bytes:
+        """The finish :meth:`finish_recovery` and :meth:`resume_recovery`
+        share: hand ``reconstruct`` the replies encrypted to ``secret`` as a
+        lazy iterable, so each is decrypted only when it is drawn."""
         with self.meter.attached():
-            for blob in encrypted_replies:
-                # A reply that was corrupted in transit or escrow decodes or
-                # authenticates badly here; it counts as a ⊥ share (like a
-                # refusing HSM) rather than aborting the whole recovery —
-                # the remaining shares may still reach the threshold.
-                try:
-                    reply = ElGamalCiphertext.from_bytes(blob)
-                    share_bytes = HashedElGamal.decrypt(
-                        secret,
-                        reply,
-                        context=b"recovery-reply" + username.encode("utf-8"),
-                    )
-                    shares.append(Share.from_bytes(share_bytes))
-                except (AuthenticationError, ValueError):
-                    continue
-        return shares
+            shares = self._decrypt_replies(encrypted_replies, secret, username)
+            try:
+                return self.lhe.reconstruct(ciphertext, shares, context)
+            except LheError as exc:
+                raise RecoveryError(
+                    f"{exc} (wrong PIN, or too many HSMs unavailable)"
+                ) from exc
+
+    @staticmethod
+    def _decrypt_replies(
+        encrypted_replies: Sequence[bytes], secret: int, username: str
+    ) -> Iterator[Share]:
+        """Yield the share inside each reply that opens, one decryption per
+        share drawn (the caller holds the meter)."""
+        context = b"recovery-reply" + username.encode("utf-8")
+        for blob in encrypted_replies:
+            # A reply that was corrupted in transit or escrow decodes or
+            # authenticates badly here; it counts as a ⊥ share (like a
+            # refusing HSM) rather than aborting the whole recovery — the
+            # remaining shares may still reach the threshold.
+            try:
+                reply = ElGamalCiphertext.from_bytes(blob)
+                share = Share.from_bytes(HashedElGamal.decrypt(secret, reply, context=context))
+            except (AuthenticationError, ValueError):
+                continue
+            yield share
 
     # -- §8: resuming after device failure -----------------------------------------------
     def resume_recovery(self, pin: str, attempt: int, username: Optional[str] = None) -> bytes:
@@ -342,12 +382,9 @@ class Client:
         secret = int.from_bytes(secret_bytes, "big")
 
         original_ct = self.provider.fetch_backup(username)
-        shares = self._decrypt_replies(replies, secret, username)
-        if len(shares) < self.params.threshold:
-            raise RecoveryError("not enough escrowed shares to finish recovery")
         with self.meter.attached():
             context = self.lhe.context_for(original_ct, self.mpk, pin)
-            return self.lhe.reconstruct(original_ct, shares, context)
+        return self._open_backup(original_ct, context, replies, secret, username)
 
     # -- §8: incremental backups ------------------------------------------------------------
     def enable_incremental_backups(self, pin: str) -> None:

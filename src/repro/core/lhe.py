@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.bfe import BfeCiphertext, BfePublicKey, BfeSecretKey, BloomFilterEncryption
 from repro.crypto.ec import ECPoint
@@ -269,35 +270,41 @@ class LocationHidingEncryption:
 
     # -- Reconstruct -----------------------------------------------------------------
     def reconstruct(
-        self, ciphertext: LheCiphertext, shares: Sequence[Optional[Share]], context: bytes
+        self, ciphertext: LheCiphertext, shares: Iterable[Optional[Share]], context: bytes
     ) -> bytes:
         """``Reconstruct(σ_1, ..., σ_n) -> msg`` (tolerates missing shares).
 
         Uses the AE tag of the payload as the share verifier, which also
         gives the robust majority-style behaviour of Figure 15's
         ``Reconstruct`` when some shares are corrupt.
+
+        ``shares`` is drawn lazily: the first ``t`` non-⊥ shares are
+        interpolated, and only if the payload does not open under that key
+        is the rest of the iterable consumed for the robust search — a
+        caller that produces shares at a cost (the client decrypting HSM
+        replies) pays for ``t`` of them on the happy path.  The payload is
+        opened once: the plaintext returned is the one the verifying open
+        produced.
         """
-        available = [s for s in shares if s is not None]
-        if len(available) < self.threshold:
-            raise LheError(
-                f"need {self.threshold} shares, have {len(available)}"
-            )
+        shares = iter(shares)
+        drawn = list(islice((s for s in shares if s is not None), self.threshold))
+        if len(drawn) < self.threshold:
+            raise LheError(f"need {self.threshold} shares, have {len(drawn)}")
+        opened: List[bytes] = []
 
         def verifier(candidate_key: bytes) -> bool:
             try:
-                ae_decrypt(candidate_key, ciphertext.payload, aad=context)
-                return True
+                opened.append(ae_decrypt(candidate_key, ciphertext.payload, aad=context))
             except AuthenticationError:
                 return False
+            return True
 
         try:
-            transport_key = self._sharer.reconstruct(shares, TRANSPORT_KEY_LEN)
-            if verifier(transport_key):
-                return ae_decrypt(transport_key, ciphertext.payload, aad=context)
+            if verifier(self._sharer.reconstruct(drawn, TRANSPORT_KEY_LEN)):
+                return opened[0]
         except ValueError:
             pass
-        # Some share was wrong (e.g. a malicious HSM): try robust subsets.
-        transport_key = self._sharer.reconstruct_robust(
-            list(shares), verifier, TRANSPORT_KEY_LEN
-        )
-        return ae_decrypt(transport_key, ciphertext.payload, aad=context)
+        # Some share was wrong (e.g. a malicious HSM): try robust subsets
+        # over everything the caller can still produce.
+        self._sharer.reconstruct_robust(drawn + list(shares), verifier, TRANSPORT_KEY_LEN)
+        return opened[0]

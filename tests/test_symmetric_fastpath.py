@@ -148,7 +148,14 @@ class TestMeteringInvariance:
     # Captured by running this exact workload on the byte-wise AES / bit-serial
     # GHASH tree (PR 11).  The fast path changes wall-clock only: same blocks,
     # same entropy draws in the same order, so same ciphertext bytes at rest.
-    PARENT_COUNTS = {"aes_block": 4813, "sha256_block": 2090, "flash_read_bytes": 1568}
+    # Re-captured at PR 19 (was 4813 / 2090 / 1568): the seeded cluster is
+    # (3, 3, 0) and the client no longer sends HSM 3 the second request it
+    # could only refuse — 4 slots x h=7 nodes x 4 blocks = 112 AES blocks and
+    # 4 x 7 x 16 = 448 flash bytes of authenticated opens that ended in
+    # PuncturedKeyError — and opens one reply and the payload once instead
+    # of two replies and the payload twice (5 + 4 blocks; t = 1).  Nothing
+    # that is written moved: the store digest below is PR 16's, unedited.
+    PARENT_COUNTS = {"aes_block": 4692, "sha256_block": 2069, "flash_read_bytes": 1120}
     # Re-captured at PR 16 (was e87aa60f…): decrypt-and-puncture re-keys the
     # union of a tag's k paths in one pass, so the nodes the paths share are
     # rewritten once instead of k times — fewer puts, fewer fresh-key and
