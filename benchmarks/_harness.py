@@ -22,8 +22,8 @@ JSON contract (``schema`` = 1):
 }
 ```
 
-``metrics`` is the stable surface — regression tooling compares labels
-across runs.  ``results`` mirrors the text table row-for-row with raw
+``metrics`` is the stable surface — the CI perf-smoke gates read their
+labels.  ``results`` mirrors the text table row-for-row with raw
 (unformatted) numbers.  Timing helpers :func:`timed` and
 :func:`metered_timed` produce ready-to-embed records with op counts,
 wall-clock seconds, and ops/sec.
@@ -60,7 +60,7 @@ def write_json(name: str, title: str, payload: Optional[Dict] = None) -> str:
     record = {"schema": SCHEMA_VERSION, "bench": name, "title": title}
     record.update(_jsonable(payload or {}))
     # Stamped fields win over payload keys: the record's identity must match
-    # the emit() call or the regression-tooling contract breaks.
+    # the emit() call.
     record.update({"schema": SCHEMA_VERSION, "bench": name, "title": title})
     os.makedirs(OUT_DIR, exist_ok=True)
     path = os.path.join(OUT_DIR, f"BENCH_{name}.json")

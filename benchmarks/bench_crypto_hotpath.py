@@ -50,7 +50,7 @@ The variable-base floor is deliberately close to the measured ratio (≈ 1.2x
 one-off, ≈ 1.3x cached; a ladder is 256 doublings whatever the table), so
 those three rows are timed one call at a time, in turns.
 
-Results go to ``benchmarks/out/crypto_hotpath.txt`` and machine-readable
+Results go to stdout and to the machine-readable
 ``benchmarks/out/BENCH_crypto_hotpath.json`` (see ``_harness``).
 
 Run standalone:  ``PYTHONPATH=src python benchmarks/bench_crypto_hotpath.py [--quick]``

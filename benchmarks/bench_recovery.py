@@ -21,7 +21,7 @@ on failure):
   pre-crash log digest at every scale;
 - snapshot compaction actually reclaims blocks at every scale.
 
-Results go to ``benchmarks/out/recovery.txt`` and machine-readable
+Results go to stdout and to the machine-readable
 ``benchmarks/out/BENCH_recovery.json`` (schema 1, see
 ``docs/BENCH_SCHEMA.md``).
 

@@ -44,7 +44,7 @@ Acceptance gates (exit code 1 on regression):
   median ratio <= 8), incremental root byte-identical to the from-scratch
   recompute with >= 8x fewer hash blocks (O(log S) path vs O(S) rebuild).
 
-Results go to ``benchmarks/out/sharded_epochs.txt`` and machine-readable
+Results go to stdout and to the machine-readable
 ``benchmarks/out/BENCH_sharded_epochs.json`` (schema 1, see
 ``docs/BENCH_SCHEMA.md``).
 

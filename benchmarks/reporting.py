@@ -1,33 +1,24 @@
 """Shared table emission for the benchmark harness.
 
 Each benchmark regenerates one of the paper's tables or figures and emits
-its rows both to stdout (visible with ``pytest -s``) and to
-``benchmarks/out/<name>.txt`` so the reproduction record survives pytest's
-output capturing.  Every emit also writes a machine-readable
-``benchmarks/out/BENCH_<name>.json`` (see ``_harness`` for the contract);
-benchmarks pass structured numbers via ``data`` so the JSON carries raw
-values, not formatted strings.
+its rows to stdout (visible with ``pytest -s``) and, so the reproduction
+record survives pytest's output capturing, to a machine-readable
+``benchmarks/out/BENCH_<name>.json`` (see ``_harness`` for the contract)
+whose ``lines`` field is the table exactly as printed.  Benchmarks pass
+structured numbers via ``data`` so the JSON carries raw values, not
+formatted strings.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Optional, Sequence
 
 import _harness
 
-OUT_DIR = _harness.OUT_DIR
-
 
 def emit(name: str, title: str, lines: Iterable[str], data: Optional[dict] = None) -> None:
-    os.makedirs(OUT_DIR, exist_ok=True)
-    rendered = [f"== {title} =="]
     body = list(lines)
-    rendered.extend(body)
-    text = "\n".join(rendered) + "\n"
-    print("\n" + text)
-    with open(os.path.join(OUT_DIR, f"{name}.txt"), "w") as handle:
-        handle.write(text)
+    print("\n" + "\n".join([f"== {title} ==", *body]) + "\n")
     payload = dict(data or {})
     payload.setdefault("lines", body)
     _harness.write_json(name, title, payload)

@@ -19,13 +19,7 @@ from repro.log.authdict import AuthenticatedDictionary, InclusionProof
 from repro.log.distributed import DistributedLog, LogConfig
 from repro.log.sharded import ShardedLog
 from repro.storage.blockstore import BlockStore, InMemoryBlockStore
-from repro.storage.journal import (
-    JournaledBlockStore,
-    ProviderJournal,
-    RestoredState,
-    StoredTransition,
-    encode_aggregate_auto,
-)
+from repro.storage.journal import JournaledBlockStore, ProviderJournal, RestoredState
 
 
 class ProviderError(Exception):
@@ -260,20 +254,7 @@ class ServiceProvider:
         for shard, log in enumerate(self.log.shards):
             state.shard_entries[shard] = list(log.ordered_entries)
             state.shard_epochs[shard] = log.epoch
-            stored = []
-            for t in log.certified_transitions:
-                scheme, aggregate = encode_aggregate_auto(t.aggregate)
-                stored.append(
-                    StoredTransition(
-                        old_digest=t.old_digest,
-                        new_digest=t.new_digest,
-                        root=t.root,
-                        signer_ids=tuple(t.signer_ids),
-                        scheme=scheme,
-                        aggregate=aggregate,
-                    )
-                )
-            state.shard_transitions[shard] = stored
+            state.shard_transitions[shard] = list(log.certified_transitions)
         return state
 
     def snapshot(self) -> int:
@@ -318,13 +299,9 @@ class ServiceProvider:
             log.ordered_entries = list(entries)
             log.dict = AuthenticatedDictionary.from_entries(entries)
             log.epoch = state.shard_epochs.get(shard, 0)
-            log.certified_transitions = [
-                t.to_certified(shard, config.num_shards)
-                for t in state.shard_transitions.get(shard, [])
-            ]
+            log.certified_transitions = list(state.shard_transitions.get(shard, []))
             log.round_history = [
-                (t.old_digest, t.new_digest, t.root)
-                for t in state.shard_transitions.get(shard, [])
+                (t.old_digest, t.new_digest, t.root) for t in log.certified_transitions
             ]
         provider.log.garbage_collections = state.garbage_collections
         for username, ciphertexts in state.backups.items():

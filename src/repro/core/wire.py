@@ -1,184 +1,91 @@
-"""Wire formats: byte-level (de)serialization for protocol messages.
+"""Wire formats: the byte layout of every protocol message.
 
 Everything that crosses a trust boundary in SafetyPin — recovery
 ciphertexts uploaded to the provider, decrypt-share requests sent to HSMs,
-HSM replies — is a byte string in deployment.  This module defines a
-compact, self-describing TLV-ish encoding with explicit versioning so the
-formats can evolve.
+HSM replies, and the 14 provider RPC frames — is a byte string in
+deployment.  Each message is one :class:`~repro.core.codec.Codec` value
+below, built from the primitives and combinators of ``repro.core.codec``,
+so its encoder and decoder are one expression; the public ``encode_*`` /
+``decode_*`` names are those values' two directions.  Formats carry an
+explicit version byte so they can evolve.
 
-All decoders are *strict*: trailing bytes, truncation, bad versions, and
-out-of-range lengths raise :class:`WireFormatError` rather than producing
-partially-parsed objects (these inputs arrive from untrusted parties).
+All decoders are *strict* — the contract is stated once, in
+``repro.core.codec``: trailing bytes, truncation, bad versions, unknown
+tags and implausible counts raise :class:`WireFormatError` rather than
+producing partially-parsed objects (these inputs arrive from untrusted
+parties), and a decoded message re-encodes to exactly the bytes received.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, NamedTuple, Tuple
 
+from repro.core.codec import (
+    BLOB, I32, TEXT, U8, U32, Codec, WireFormatError,
+    converted, nested, optional, prefixed, record, seq, tagged, tuple_of, union,
+)
 from repro.core.lhe import LheCiphertext
 from repro.crypto.bfe import BfeCiphertext
 from repro.crypto.commit import CommitmentOpening
 from repro.crypto.ec import ECPoint
 from repro.crypto.elgamal import ElGamalCiphertext
 from repro.crypto.merkle import MerkleProof
+from repro.hsm.device import DecryptShareRequest
 from repro.log.authdict import InclusionProof, PathStep
 from repro.log.sharded import ShardedInclusionProof
 
 WIRE_VERSION = 1
 
 
-class WireFormatError(Exception):
-    """Malformed or truncated wire data."""
+def _versioned(body: Codec) -> Codec:
+    """``body`` behind the version byte."""
+    return prefixed(WIRE_VERSION, body, "wire version")
 
 
-class _Reader:
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._offset = 0
+def _as_blob(cls: type) -> Codec:
+    """A crypto type keeps its own ``to_bytes`` / ``from_bytes`` and travels
+    as a blob.  Some of those parsers tolerate what their serializer never
+    writes (bytes after a :class:`CommitmentOpening`, Merkle-path flag bytes
+    other than 0/1), so the value must re-encode to exactly the blob
+    received — or one message would have two byte strings."""
 
-    def take(self, count: int) -> bytes:
-        if count < 0 or self._offset + count > len(self._data):
-            raise WireFormatError("truncated message")
-        out = self._data[self._offset : self._offset + count]
-        self._offset += count
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def blob(self) -> bytes:
-        return self.take(self.u32())
-
-    def text(self) -> str:
+    def parse(data: bytes):
         try:
-            return self.blob().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireFormatError("invalid UTF-8") from exc
+            value = cls.from_bytes(data)
+        except IndexError as exc:  # a parser that ran off the end of its input
+            raise WireFormatError(f"truncated {cls.__name__} encoding") from exc
+        if value.to_bytes() != data:
+            raise WireFormatError(f"non-canonical {cls.__name__} encoding")
+        return value
 
-    def finish(self) -> None:
-        if self._offset != len(self._data):
-            raise WireFormatError(
-                f"{len(self._data) - self._offset} trailing bytes"
-            )
-
-
-def _u32(value: int) -> bytes:
-    if not (0 <= value < 1 << 32):
-        raise WireFormatError("u32 out of range")
-    return struct.pack(">I", value)
+    return converted(BLOB, cls.to_bytes, parse)
 
 
-def _blob(data: bytes) -> bytes:
-    return _u32(len(data)) + data
-
-
-def _text(value: str) -> bytes:
-    return _blob(value.encode("utf-8"))
-
+_POINT = _as_blob(ECPoint)
+_ELGAMAL = _as_blob(ElGamalCiphertext)
 
 # ---------------------------------------------------------------------------
-# BFE ciphertexts
+# BFE and recovery (LHE) ciphertexts
 # ---------------------------------------------------------------------------
-def encode_bfe_ciphertext(ct: BfeCiphertext) -> bytes:
-    """Serialize a Bloom-filter-encryption ciphertext."""
-    parts = [
-        _blob(ct.tag),
-        _blob(ct.ephemeral.to_bytes()),
-        _u32(len(ct.wrapped_keys)),
-    ]
-    parts.extend(_blob(w) for w in ct.wrapped_keys)
-    parts.append(_blob(ct.payload))
-    return b"".join(parts)
+BFE_CIPHERTEXT = record(
+    BfeCiphertext, tag=BLOB, ephemeral=_POINT,
+    wrapped_keys=seq(BLOB, tuple, 4096, "wrapped-key"), payload=BLOB,
+)
+encode_bfe_ciphertext = BFE_CIPHERTEXT.encode
+decode_bfe_ciphertext = BFE_CIPHERTEXT.decode
 
-
-def _decode_bfe_ciphertext(reader: _Reader) -> BfeCiphertext:
-    tag = reader.blob()
-    try:
-        ephemeral = ECPoint.from_bytes(reader.blob())
-    except ValueError as exc:
-        raise WireFormatError(str(exc)) from exc
-    count = reader.u32()
-    if count > 4096:
-        raise WireFormatError("implausible wrapped-key count")
-    wrapped = tuple(reader.blob() for _ in range(count))
-    payload = reader.blob()
-    return BfeCiphertext(tag=tag, ephemeral=ephemeral, wrapped_keys=wrapped, payload=payload)
-
-
-def decode_bfe_ciphertext(data: bytes) -> BfeCiphertext:
-    """Strictly decode a BFE ciphertext (raises on any malformation)."""
-    reader = _Reader(data)
-    ct = _decode_bfe_ciphertext(reader)
-    reader.finish()
-    return ct
-
-
-# ---------------------------------------------------------------------------
-# Recovery (LHE) ciphertexts
-# ---------------------------------------------------------------------------
-def encode_recovery_ciphertext(ct: LheCiphertext) -> bytes:
-    """Serialize the client's uploaded recovery ciphertext (§4.1)."""
-    parts = [
-        bytes([WIRE_VERSION]),
-        _blob(ct.salt),
-        _text(ct.username),
-        _u32(ct.threshold),
-        _u32(ct.num_hsms),
-        _u32(ct.config_epoch),
-        _u32(len(ct.share_ciphertexts)),
-    ]
-    for share_ct in ct.share_ciphertexts:
-        if isinstance(share_ct, BfeCiphertext):
-            parts.append(b"\x01" + encode_bfe_ciphertext(share_ct))
-        elif isinstance(share_ct, ElGamalCiphertext):
-            parts.append(b"\x02" + _blob(share_ct.to_bytes()))
-        else:
-            raise WireFormatError(f"unencodable share ciphertext {type(share_ct)}")
-    parts.append(_blob(ct.payload))
-    return b"".join(parts)
-
-
-def decode_recovery_ciphertext(data: bytes) -> LheCiphertext:
-    """Strictly decode a recovery ciphertext uploaded by a client."""
-    reader = _Reader(data)
-    version = reader.u8()
-    if version != WIRE_VERSION:
-        raise WireFormatError(f"unsupported wire version {version}")
-    salt = reader.blob()
-    username = reader.text()
-    threshold = reader.u32()
-    num_hsms = reader.u32()
-    config_epoch = reader.u32()
-    count = reader.u32()
-    if count > 4096:
-        raise WireFormatError("implausible share count")
-    shares: List[object] = []
-    for _ in range(count):
-        kind = reader.u8()
-        if kind == 1:
-            shares.append(_decode_bfe_ciphertext(reader))
-        elif kind == 2:
-            try:
-                shares.append(ElGamalCiphertext.from_bytes(reader.blob()))
-            except ValueError as exc:
-                raise WireFormatError(str(exc)) from exc
-        else:
-            raise WireFormatError(f"unknown share-ciphertext kind {kind}")
-    payload = reader.blob()
-    reader.finish()
-    return LheCiphertext(
-        salt=salt,
-        username=username,
-        share_ciphertexts=tuple(shares),
-        payload=payload,
-        threshold=threshold,
-        num_hsms=num_hsms,
-        config_epoch=config_epoch,
-    )
+_SHARE_CIPHERTEXT = union(
+    "share-ciphertext kind",
+    (1, BfeCiphertext, BFE_CIPHERTEXT),
+    (2, ElGamalCiphertext, _ELGAMAL),
+)
+#: The client's uploaded recovery ciphertext (§4.1).
+RECOVERY_CIPHERTEXT = _versioned(record(
+    LheCiphertext, salt=BLOB, username=TEXT, threshold=U32, num_hsms=U32, config_epoch=U32,
+    share_ciphertexts=seq(_SHARE_CIPHERTEXT, tuple, 4096, "share"), payload=BLOB,
+))
+encode_recovery_ciphertext = RECOVERY_CIPHERTEXT.encode
+decode_recovery_ciphertext = RECOVERY_CIPHERTEXT.decode
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +110,17 @@ _REPLY_ERROR_STATUSES = (
     REPLY_STALE_PROOF,
 )
 
+#: A reply is ``(status, payload)``: an :class:`ElGamalCiphertext` under
+#: :data:`REPLY_OK`, a human-readable message under the error statuses.
+_DECRYPT_REPLY = _versioned(tagged(
+    "reply status", {REPLY_OK: _ELGAMAL, **dict.fromkeys(_REPLY_ERROR_STATUSES, TEXT)},
+))
+decode_decrypt_reply = _DECRYPT_REPLY.decode
+
 
 def encode_decrypt_reply(reply: ElGamalCiphertext) -> bytes:
     """Serialize a successful decrypt-share reply."""
-    return bytes([WIRE_VERSION, REPLY_OK]) + _blob(reply.to_bytes())
+    return _DECRYPT_REPLY.encode((REPLY_OK, reply))
 
 
 def encode_decrypt_error(status: int, message: str) -> bytes:
@@ -217,31 +131,7 @@ def encode_decrypt_error(status: int, message: str) -> bytes:
     """
     if status not in _REPLY_ERROR_STATUSES:
         raise WireFormatError(f"not an error reply status: {status}")
-    return bytes([WIRE_VERSION, status]) + _text(message)
-
-
-def decode_decrypt_reply(data: bytes):
-    """Decode a reply into ``(status, payload)``.
-
-    ``payload`` is an :class:`ElGamalCiphertext` for :data:`REPLY_OK` and a
-    human-readable message string for the error statuses.
-    """
-    reader = _Reader(data)
-    version = reader.u8()
-    if version != WIRE_VERSION:
-        raise WireFormatError(f"unsupported wire version {version}")
-    status = reader.u8()
-    if status == REPLY_OK:
-        try:
-            payload: object = ElGamalCiphertext.from_bytes(reader.blob())
-        except ValueError as exc:
-            raise WireFormatError(str(exc)) from exc
-    elif status in _REPLY_ERROR_STATUSES:
-        payload = reader.text()
-    else:
-        raise WireFormatError(f"unknown reply status {status}")
-    reader.finish()
-    return status, payload
+    return _DECRYPT_REPLY.encode((status, message))
 
 
 # ---------------------------------------------------------------------------
@@ -253,138 +143,44 @@ def decode_decrypt_reply(data: bytes):
 PROOF_PLAIN = 1
 PROOF_SHARDED = 2
 
-
-def _encode_plain_proof(proof: InclusionProof) -> bytes:
-    parts = [_u32(len(proof.steps))]
-    for step in proof.steps:
-        parts.append(_blob(step.idh))
-        parts.append(_blob(step.value))
-        parts.append(_blob(step.other))
-    parts.append(_blob(proof.left))
-    parts.append(_blob(proof.right))
-    return b"".join(parts)
+_PLAIN_PROOF = record(
+    InclusionProof,
+    steps=seq(record(PathStep, idh=BLOB, value=BLOB, other=BLOB), tuple, 4096, "proof-step"),
+    left=BLOB, right=BLOB,
+)
 
 
-def _decode_plain_proof(reader: _Reader) -> InclusionProof:
-    count = reader.u32()
-    if count > 4096:
-        raise WireFormatError("implausible proof depth")
-    steps = tuple(
-        PathStep(idh=reader.blob(), value=reader.blob(), other=reader.blob())
-        for _ in range(count)
-    )
-    left = reader.blob()
-    right = reader.blob()
-    return InclusionProof(steps=steps, left=left, right=right)
+def _sharded_proof(**fields) -> ShardedInclusionProof:
+    if not (2 <= fields["num_shards"] <= 4096):
+        raise WireFormatError("implausible shard count")
+    if fields["shard"] >= fields["num_shards"]:
+        raise WireFormatError("shard index out of range")
+    return ShardedInclusionProof(**fields)
 
 
-def encode_inclusion_proof(proof) -> bytes:
-    """Serialize a plain or sharded inclusion proof (tagged by kind)."""
-    if isinstance(proof, ShardedInclusionProof):
-        return b"".join(
-            [
-                bytes([PROOF_SHARDED]),
-                _u32(proof.shard),
-                _u32(proof.num_shards),
-                _blob(proof.shard_digest),
-                _blob(proof.shard_path.to_bytes()),
-                _encode_plain_proof(proof.inclusion),
-            ]
-        )
-    return bytes([PROOF_PLAIN]) + _encode_plain_proof(proof)
-
-
-def decode_inclusion_proof(data: bytes):
-    """Decode a proof; returns :class:`InclusionProof` or
-    :class:`ShardedInclusionProof` according to the kind tag."""
-    reader = _Reader(data)
-    kind = reader.u8()
-    if kind == PROOF_PLAIN:
-        proof: object = _decode_plain_proof(reader)
-    elif kind == PROOF_SHARDED:
-        shard = reader.u32()
-        num_shards = reader.u32()
-        if not (2 <= num_shards <= 4096):
-            raise WireFormatError("implausible shard count")
-        if shard >= num_shards:
-            raise WireFormatError("shard index out of range")
-        shard_digest = reader.blob()
-        path_bytes = reader.blob()
-        try:
-            shard_path = MerkleProof.from_bytes(path_bytes)
-        except ValueError as exc:
-            raise WireFormatError(str(exc)) from exc
-        if shard_path.to_bytes() != path_bytes:
-            raise WireFormatError("non-canonical shard path")
-        proof = ShardedInclusionProof(
-            shard=shard,
-            num_shards=num_shards,
-            shard_digest=shard_digest,
-            shard_path=shard_path,
-            inclusion=_decode_plain_proof(reader),
-        )
-    else:
-        raise WireFormatError(f"unknown inclusion-proof kind {kind}")
-    reader.finish()
-    return proof
+#: A plain or sharded inclusion proof, tagged by kind.
+INCLUSION_PROOF = union(
+    "inclusion-proof kind",
+    (PROOF_PLAIN, InclusionProof, _PLAIN_PROOF),
+    (PROOF_SHARDED, ShardedInclusionProof, record(
+        _sharded_proof, shard=U32, num_shards=U32, shard_digest=BLOB,
+        shard_path=_as_blob(MerkleProof), inclusion=_PLAIN_PROOF,
+    )),
+)
+encode_inclusion_proof = INCLUSION_PROOF.encode
+decode_inclusion_proof = INCLUSION_PROOF.decode
 
 
 # ---------------------------------------------------------------------------
 # Decrypt-share requests (client -> HSM, step Ï of Figure 3)
 # ---------------------------------------------------------------------------
-def encode_decrypt_request(request) -> bytes:
-    """Serialize a client's decrypt-share request to one HSM."""
-    from repro.hsm.device import DecryptShareRequest  # avoid import cycle
-
-    assert isinstance(request, DecryptShareRequest)
-    return b"".join(
-        [
-            bytes([WIRE_VERSION]),
-            _text(request.username),
-            _blob(request.log_identifier),
-            _blob(request.commitment),
-            _blob(request.opening.to_bytes()),
-            _blob(encode_inclusion_proof(request.inclusion_proof)),
-            _blob(encode_bfe_ciphertext(request.share_ciphertext)),
-            _blob(request.context),
-            _blob(request.response_key.to_bytes()),
-        ]
-    )
-
-
-def decode_decrypt_request(data: bytes):
-    """Strictly decode a decrypt-share request (device side)."""
-    from repro.hsm.device import DecryptShareRequest
-
-    reader = _Reader(data)
-    version = reader.u8()
-    if version != WIRE_VERSION:
-        raise WireFormatError(f"unsupported wire version {version}")
-    username = reader.text()
-    log_identifier = reader.blob()
-    commitment = reader.blob()
-    try:
-        opening = CommitmentOpening.from_bytes(reader.blob())
-    except ValueError as exc:
-        raise WireFormatError(str(exc)) from exc
-    proof = decode_inclusion_proof(reader.blob())
-    share_ct = decode_bfe_ciphertext(reader.blob())
-    context = reader.blob()
-    try:
-        response_key = ECPoint.from_bytes(reader.blob())
-    except ValueError as exc:
-        raise WireFormatError(str(exc)) from exc
-    reader.finish()
-    return DecryptShareRequest(
-        username=username,
-        log_identifier=log_identifier,
-        commitment=commitment,
-        opening=opening,
-        inclusion_proof=proof,
-        share_ciphertext=share_ct,
-        context=context,
-        response_key=response_key,
-    )
+DECRYPT_REQUEST = _versioned(record(
+    DecryptShareRequest, username=TEXT, log_identifier=BLOB, commitment=BLOB,
+    opening=_as_blob(CommitmentOpening), inclusion_proof=nested(INCLUSION_PROOF),
+    share_ciphertext=nested(BFE_CIPHERTEXT), context=BLOB, response_key=_POINT,
+))
+encode_decrypt_request = DECRYPT_REQUEST.encode
+decode_decrypt_request = DECRYPT_REQUEST.decode
 
 
 # ---------------------------------------------------------------------------
@@ -425,90 +221,24 @@ _PROVIDER_ERROR_STATUSES = (
 _MAX_LIST_ITEMS = 65536
 
 
-def _i32(value: int) -> bytes:
-    if not (-(1 << 31) <= value < 1 << 31):
-        raise WireFormatError("i32 out of range")
-    return struct.pack(">i", value)
-
-
-def _encode_opt_proof(proof) -> bytes:
-    if proof is None:
-        return b"\x00"
-    return b"\x01" + _blob(encode_inclusion_proof(proof))
-
-
-def _decode_opt_proof(reader: _Reader):
-    flag = reader.u8()
-    if flag == 0:
-        return None
-    if flag != 1:
-        raise WireFormatError(f"bad optional-proof flag {flag}")
-    return decode_inclusion_proof(reader.blob())
-
-
-def _encode_blob_list(blobs) -> bytes:
-    return _u32(len(blobs)) + b"".join(_blob(b) for b in blobs)
-
-
-def _decode_blob_list(reader: _Reader) -> List[bytes]:
-    count = reader.u32()
-    if count > _MAX_LIST_ITEMS:
-        raise WireFormatError("implausible blob count")
-    return [reader.blob() for _ in range(count)]
-
-
-def _encode_entry_list(entries) -> bytes:
-    parts = [_u32(len(entries))]
-    for identifier, value in entries:
-        parts.append(_blob(identifier))
-        parts.append(_blob(value))
-    return b"".join(parts)
-
-
-def _decode_entry_list(reader: _Reader) -> List[Tuple[bytes, bytes]]:
-    count = reader.u32()
-    if count > _MAX_LIST_ITEMS:
-        raise WireFormatError("implausible entry count")
-    return [(reader.blob(), reader.blob()) for _ in range(count)]
-
-
-def _encode_err_status(status: int) -> bytes:
-    if status not in _PROVIDER_ERROR_STATUSES:
-        raise WireFormatError(f"unknown provider error status {status}")
-    return bytes([status])
-
-
-def _decode_err_status(reader: _Reader) -> int:
-    status = reader.u8()
+def _err_status(status: int) -> int:
     if status not in _PROVIDER_ERROR_STATUSES:
         raise WireFormatError(f"unknown provider error status {status}")
     return status
 
 
-_FIELD_ENCODERS = {
-    "text": _text,
-    "blob": _blob,
-    "u32": _u32,
-    "i32": _i32,
-    "recovery_ct": lambda ct: _blob(encode_recovery_ciphertext(ct)),
-    "proof": lambda proof: _blob(encode_inclusion_proof(proof)),
-    "opt_proof": _encode_opt_proof,
-    "blobs": _encode_blob_list,
-    "entries": _encode_entry_list,
-    "err_status": _encode_err_status,
-}
-
-_FIELD_DECODERS = {
-    "text": _Reader.text,
-    "blob": _Reader.blob,
-    "u32": _Reader.u32,
-    "i32": lambda reader: struct.unpack(">i", reader.take(4))[0],
-    "recovery_ct": lambda reader: decode_recovery_ciphertext(reader.blob()),
-    "proof": lambda reader: decode_inclusion_proof(reader.blob()),
-    "opt_proof": _decode_opt_proof,
-    "blobs": _decode_blob_list,
-    "entries": _decode_entry_list,
-    "err_status": _decode_err_status,
+#: One codec per field kind a request row or a reply schema may name.
+FIELD_CODECS: Dict[str, Codec] = {
+    "text": TEXT,
+    "blob": BLOB,
+    "u32": U32,
+    "i32": I32,
+    "recovery_ct": nested(RECOVERY_CIPHERTEXT),
+    "proof": nested(INCLUSION_PROOF),
+    "opt_proof": optional(nested(INCLUSION_PROOF), "optional-proof"),
+    "blobs": seq(BLOB, list, _MAX_LIST_ITEMS, "blob"),
+    "entries": seq(tuple_of(BLOB, BLOB), list, _MAX_LIST_ITEMS, "entry"),
+    "err_status": converted(U8, _err_status, _err_status),
 }
 
 
@@ -580,47 +310,47 @@ PROVIDER_REPLY_SCHEMAS: Dict[int, Tuple[Tuple[str, str], ...]] = {
 }
 
 
-def _encode_framed(tag: int, fields: Dict, schemas: Dict, what: str) -> bytes:
-    schema = schemas.get(tag)
-    if schema is None:
-        raise WireFormatError(f"unknown {what} tag {tag}")
-    if set(fields) != {name for name, _ in schema}:
-        raise WireFormatError(
-            f"{what} {tag} fields {sorted(fields)} do not match its schema"
+def _frame(what: str, schemas: Dict[int, Tuple[Tuple[str, str], ...]]) -> Codec:
+    """``[version][tag][body]`` as a ``(tag, {field: value})`` pair; the body
+    is the fields of the tag's schema, in schema order."""
+
+    def body(tag: int, schema) -> Codec:
+        names = [name for name, _ in schema]
+
+        def values(fields: Dict):
+            if set(fields) != set(names):
+                raise WireFormatError(
+                    f"{what} {tag} fields {sorted(fields)} do not match its schema"
+                )
+            return [fields[name] for name in names]
+
+        return converted(
+            tuple_of(*(FIELD_CODECS[kind] for _, kind in schema)),
+            values,
+            lambda row: dict(zip(names, row)),
         )
-    parts = [bytes([WIRE_VERSION, tag])]
-    for name, kind in schema:
-        parts.append(_FIELD_ENCODERS[kind](fields[name]))
-    return b"".join(parts)
+
+    return _versioned(
+        tagged(f"{what} tag", {tag: body(tag, schema) for tag, schema in schemas.items()})
+    )
 
 
-def _decode_framed(data: bytes, schemas: Dict, what: str):
-    reader = _Reader(data)
-    version = reader.u8()
-    if version != WIRE_VERSION:
-        raise WireFormatError(f"unsupported wire version {version}")
-    tag = reader.u8()
-    schema = schemas.get(tag)
-    if schema is None:
-        raise WireFormatError(f"unknown {what} tag {tag}")
-    fields = {name: _FIELD_DECODERS[kind](reader) for name, kind in schema}
-    reader.finish()
-    return tag, fields
+_PROVIDER_REQUEST = _frame("provider request", PROVIDER_REQUEST_SCHEMAS)
+_PROVIDER_REPLY = _frame("provider reply", PROVIDER_REPLY_SCHEMAS)
+#: Strictly decode a provider request into ``(op, fields)`` / a provider
+#: reply into ``(kind, fields)``.
+decode_provider_request = _PROVIDER_REQUEST.decode
+decode_provider_reply = _PROVIDER_REPLY.decode
 
 
 def encode_provider_request(op: int, fields: Dict) -> bytes:
     """Serialize one provider RPC request (tagged by ``op``)."""
-    return _encode_framed(op, fields, PROVIDER_REQUEST_SCHEMAS, "provider request")
-
-
-def decode_provider_request(data: bytes):
-    """Strictly decode a provider request into ``(op, fields)``."""
-    return _decode_framed(data, PROVIDER_REQUEST_SCHEMAS, "provider request")
+    return _PROVIDER_REQUEST.encode((op, fields))
 
 
 def encode_provider_reply(kind: int, fields: Dict) -> bytes:
     """Serialize one provider RPC reply (tagged by ``kind``)."""
-    return _encode_framed(kind, fields, PROVIDER_REPLY_SCHEMAS, "provider reply")
+    return _PROVIDER_REPLY.encode((kind, fields))
 
 
 def encode_provider_error(status: int, message: str) -> bytes:
@@ -628,8 +358,3 @@ def encode_provider_error(status: int, message: str) -> bytes:
     return encode_provider_reply(
         PROV_REPLY_ERROR, {"status": status, "message": message}
     )
-
-
-def decode_provider_reply(data: bytes):
-    """Strictly decode a provider reply into ``(kind, fields)``."""
-    return _decode_framed(data, PROVIDER_REPLY_SCHEMAS, "provider reply")

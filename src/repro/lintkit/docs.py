@@ -10,9 +10,10 @@ Run it alone with ``scripts/repro_lint.py --passes docs``.  The contract:
   halves are exempt.
 
 Scope defaults to the packages whose docstrings PR 4 promised —
-``service/``, ``log/``, and ``core/wire.py`` — plus the durability layer
-``storage/``.  Rule ids: ``docstring-missing`` and ``docstring-thin``
-(suppression alias ``docs``).
+``service/``, ``log/``, and ``core/wire.py`` (with the codec layer under
+it, ``core/codec.py``) — plus the durability layer ``storage/``.  Rule
+ids: ``docstring-missing`` and ``docstring-thin`` (suppression alias
+``docs``).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ _DEFAULT_SCOPES = (
     "src/repro/service/",
     "src/repro/log/",
     "src/repro/core/wire.py",
+    "src/repro/core/codec.py",
     "src/repro/storage/",
     "src/repro/chaos/",
     "src/repro/sim/faults.py",

@@ -1,60 +1,61 @@
-"""Wire-schema consistency pass: the provider op table is well-formed.
+"""Wire-schema consistency pass: the two format tables are well-formed.
 
 ``core/wire.py`` spells each provider op once, as a row of ``PROVIDER_OPS``;
 request schemas, endpoint dispatch and every channel and facade method are
 derived from the rows at import, so there is no per-op code to cross-check.
-What a table cannot derive about itself is checked here, statically:
+``storage/journal.py`` spells each record's layout once, as a row of
+``RECORD_CODECS``.  What a table cannot derive about itself is checked
+here, statically:
 
-1. every row is the literal ``ProviderOp(<tag>, "<method>", ((<field>,
+1. every op row is the literal ``ProviderOp(<tag>, "<method>", ((<field>,
    <kind>), ...), PROV_REPLY_<KIND>[, <defaults>])``; rows are unique by
    tag and by method;
-2. every field kind a row or a reply schema uses has an encoder, a decoder
-   (``_FIELD_ENCODERS`` / ``_FIELD_DECODERS``) and a hypothesis strategy
-   (``_FIELD_STRATEGIES`` in ``tests/test_wire_properties.py``), so the
-   fuzz suite actually generates the frame;
+2. every field kind a row or a reply schema uses has a codec
+   (``FIELD_CODECS``) and a hypothesis strategy (``_FIELD_STRATEGIES`` in
+   ``tests/test_wire_properties.py``), so the fuzz suite actually
+   generates the frame;
 3. ``PROV_REPLY_*`` / ``PROV_ERR_*`` values are unique, every reply kind
    has a body schema in ``PROVIDER_REPLY_SCHEMAS`` and every error status
    is listed in ``_PROVIDER_ERROR_STATUSES``;
-4. every row has a line in the ARCHITECTURE.md frame catalog that starts
-   with its tag and its method.
+4. every op row has a line in the ARCHITECTURE.md frame catalog that starts
+   with its tag and its method;
+5. the journal's ``K_*`` record kinds are unique, each has a row in
+   ``RECORD_CODECS`` (whose keys are all ``K_*`` names) and a line in the
+   ARCHITECTURE.md record catalog starting with its value and its name.
 
-Findings are anchored in ``wire.py`` where the row or tag is declared.
-Rule id: ``wire-schema`` (suppression alias ``wire``).
+Findings are anchored in ``wire.py`` / ``journal.py`` where the row, tag or
+kind is declared.  Rule id: ``wire-schema`` (suppression alias ``wire``).
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import re
 from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.lintkit.engine import Finding, LintPass, ScanContext
 
+_WIRE = "src/repro/core/wire.py"
+_JOURNAL = "src/repro/storage/journal.py"
+_TESTS = "tests/test_wire_properties.py"
+_DOCS = "docs/ARCHITECTURE.md"
+
 
 class WireSchemaPass(LintPass):
-    """Checks the provider op table against its codecs, tests, and docs."""
+    """Checks the op and record tables against their codecs, tests, and docs."""
 
     name = "wire"
     rules = ("wire-schema",)
 
-    def __init__(
-        self,
-        wire_rel: str = "src/repro/core/wire.py",
-        tests_rel: str = "tests/test_wire_properties.py",
-        docs_rel: str = "docs/ARCHITECTURE.md",
-    ) -> None:
-        self._wire_rel = wire_rel
-        self._tests_rel = tests_rel
-        self._docs_rel = docs_rel
-
     def run(self, ctx: ScanContext) -> List[Finding]:
-        wire = ctx.load(self._wire_rel)
+        wire = ctx.load(_WIRE)
         if wire is None or wire.tree is None:
             return []  # nothing to check in this tree (e.g. fixture scans)
         findings: List[Finding] = []
 
-        def report(message: str, line: int = 1) -> None:
-            findings.append(Finding(wire.rel, line, "wire-schema", message))
+        def report(message: str, line: int = 1, rel: str = wire.rel) -> None:
+            findings.append(Finding(rel, line, "wire-schema", message))
 
         assigned = _assignments(wire.tree)
         kinds: Dict[str, int] = {}  # field kind -> first line that uses it
@@ -107,13 +108,15 @@ class WireSchemaPass(LintPass):
                 if name not in names:
                     report(f"{label} {name} {complaint}", line)
 
-        # 2. every field kind has an encoder, a decoder and a fuzz strategy
-        tests = ctx.load(self._tests_rel)
-        codecs = {name: assigned.get(name) for name in ("_FIELD_ENCODERS", "_FIELD_DECODERS")}
-        codecs[f"_FIELD_STRATEGIES ({self._tests_rel})"] = (
-            None if tests is None or tests.tree is None
-            else _assignments(tests.tree).get("_FIELD_STRATEGIES")
-        )
+        # 2. every field kind has a codec and a fuzz strategy
+        tests = ctx.load(_TESTS)
+        codecs = {
+            "FIELD_CODECS": assigned.get("FIELD_CODECS"),
+            f"_FIELD_STRATEGIES ({_TESTS})": (
+                None if tests is None or tests.tree is None
+                else _assignments(tests.tree).get("_FIELD_STRATEGIES")
+            ),
+        }
         for name, node in codecs.items():
             have = {key.value for key, _ in _items(node) if isinstance(key, ast.Constant)}
             for kind, line in sorted(kinds.items()):
@@ -121,12 +124,31 @@ class WireSchemaPass(LintPass):
                     report(f"field kind '{kind}' has no entry in {name}", line)
 
         # 4. every row is in the documented frame catalog: | tag | `method` | ...
-        docs = ctx.root / self._docs_rel
+        docs = ctx.root / _DOCS
         catalog = docs.read_text().splitlines() if docs.is_file() else []
         for tag, method, line in rows:
             cells = re.compile(rf"\s*\|\s*{tag}\s*\|\s*`{re.escape(str(method))}`\s*\|")
             if not any(cells.match(row) for row in catalog):
-                report(f"op {tag} ({method}) has no catalog row in {self._docs_rel}", line)
+                report(f"op {tag} ({method}) has no catalog row in {_DOCS}", line)
+
+        # 5. the journal's record kinds, their layout table and their catalog
+        journal = ctx.load(_JOURNAL)
+        if journal is not None and journal.tree is not None:
+            report = functools.partial(report, rel=journal.rel)
+            declared = _assignments(journal.tree)
+            record_kinds = _constants(declared, "K_")
+            _unique(report, "record kind", "value", record_kinds)
+            layouts = {getattr(key, "id", None): key.lineno
+                       for key, _ in _items(declared.get("RECORD_CODECS"))}
+            for name, line in layouts.items():
+                if name not in declared or not name.startswith("K_"):
+                    report("RECORD_CODECS key is not a declared K_* record kind", line)
+            for value, name, line in record_kinds:
+                if name not in layouts:
+                    report(f"record kind {name} has no layout in RECORD_CODECS", line)
+                cells = re.compile(rf"\s*\|\s*{value}\s*\|\s*`{name[2:]}`\s*\|")
+                if not any(cells.match(row) for row in catalog):
+                    report(f"record kind {name} has no catalog row in {_DOCS}", line)
         return sorted(set(findings))
 
 

@@ -232,7 +232,8 @@ class ProviderWireEndpoint:
     frame: malformed requests answer ``PROV_ERR_BAD_REQUEST``, provider
     refusals ``PROV_ERR_PROVIDER``, epoch timeouts ``PROV_ERR_TIMEOUT``,
     and — defense in depth — a raw ``KeyError`` / ``IndexError`` /
-    ``ValueError`` escaping the provider is converted
+    ``ValueError`` escaping the provider, or the ``TypeError`` /
+    ``AttributeError`` of encoding a wrong-typed return value, is converted
     rather than propagated, so no Python exception ever crosses the wire.
     """
 
@@ -264,7 +265,7 @@ class ProviderWireEndpoint:
             return wire.encode_provider_error(wire.PROV_ERR_TIMEOUT, str(exc))
         except (ProviderError, wire.WireFormatError) as exc:
             return wire.encode_provider_error(wire.PROV_ERR_PROVIDER, str(exc))
-        except (KeyError, IndexError, ValueError) as exc:
+        except (KeyError, IndexError, ValueError, TypeError, AttributeError) as exc:
             return wire.encode_provider_error(
                 wire.PROV_ERR_PROVIDER, f"{type(exc).__name__}: {exc}"
             )

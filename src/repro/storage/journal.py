@@ -38,23 +38,24 @@ survives a restart.
 Integrity: the WAL chain-hashes every record, so corrupted / swapped /
 replayed blocks from a :class:`~repro.storage.blockstore.TamperingBlockStore`
 are detected during replay, never silently restored.
+
+Formats: a record's payload layout is its row of :data:`RECORD_CODECS`
+(``repro.core.codec`` values; the snapshot is the :data:`STATE` codec made
+of the same pieces) and is spelled nowhere else — the ``record_*`` writers
+encode through the table, replay decodes through it and only folds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.lhe import LheCiphertext
-from repro.core.wire import (
-    WireFormatError,
-    _blob,
-    _Reader,
-    _text,
-    _u32,
-    decode_recovery_ciphertext,
-    encode_recovery_ciphertext,
+from repro.core.codec import (
+    BLOB, TEXT, U32, U64, Codec, WireFormatError,
+    converted, mapping, nested, optional, record, seq, tuple_of,
 )
+from repro.core.lhe import LheCiphertext
+from repro.core.wire import RECOVERY_CIPHERTEXT
 from repro.log.distributed import CertifiedTransition
 from repro.storage.blockstore import BlockStore, InMemoryBlockStore
 from repro.storage.wal import WriteAheadLog
@@ -75,18 +76,6 @@ K_SNAPSHOT = 10
 class JournalReplayError(Exception):
     """The journal's records violate the write-ahead protocol (a record
     sequence no crash of the instrumented code paths can produce)."""
-
-
-def _u64(value: int) -> bytes:
-    """Big-endian 8-byte unsigned int (WAL sequence numbers, addresses)."""
-    if not (0 <= value < 1 << 64):
-        raise WireFormatError("u64 out of range")
-    return value.to_bytes(8, "big")
-
-
-def _read_u64(reader: _Reader) -> int:
-    """Inverse of :func:`_u64`."""
-    return int.from_bytes(reader.take(8), "big")
 
 
 # ---------------------------------------------------------------------------
@@ -135,43 +124,9 @@ def decode_aggregate(scheme: str, data: bytes) -> object:
 # Restored state
 # ---------------------------------------------------------------------------
 @dataclass
-class StoredTransition:
-    """One committed digest transition as the journal preserves it.
-
-    ``scheme``/``aggregate`` are None for transitions whose quorum
-    signature could not be serialized (exotic test schemes) or was lost to
-    a crash between certification and the commit record (the reconciled
-    path) — the transition itself is still part of the restored chain.
-    """
-
-    old_digest: bytes
-    new_digest: bytes
-    root: bytes
-    signer_ids: Tuple[int, ...] = ()
-    scheme: Optional[str] = None
-    aggregate: Optional[bytes] = None
-
-    def to_certified(self, shard: int, num_shards: int) -> CertifiedTransition:
-        """Rebuild the live :class:`CertifiedTransition` object."""
-        aggregate = (
-            decode_aggregate(self.scheme, self.aggregate)
-            if self.scheme is not None and self.aggregate is not None
-            else None
-        )
-        return CertifiedTransition(
-            old_digest=self.old_digest,
-            new_digest=self.new_digest,
-            root=self.root,
-            aggregate=aggregate,
-            signer_ids=self.signer_ids,
-            shard=shard,
-            num_shards=num_shards,
-        )
-
-
-@dataclass
 class OpenIntent:
-    """An epoch intent with no commit/rollback yet (a crash mid-epoch)."""
+    """An epoch intent with no commit/rollback yet (a crash mid-epoch);
+    after ``seq``, the ``EPOCH_INTENT`` record's fields in record order."""
 
     seq: int  # WAL sequence number of the intent record
     shard: int
@@ -189,7 +144,7 @@ class RestoredState:
     num_shards: int = 1
     shard_entries: Dict[int, List[Tuple[bytes, bytes]]] = field(default_factory=dict)
     shard_epochs: Dict[int, int] = field(default_factory=dict)
-    shard_transitions: Dict[int, List[StoredTransition]] = field(default_factory=dict)
+    shard_transitions: Dict[int, List[CertifiedTransition]] = field(default_factory=dict)
     garbage_collections: int = 0
     backups: Dict[str, List[LheCiphertext]] = field(default_factory=dict)
     incrementals: Dict[str, List[bytes]] = field(default_factory=dict)
@@ -198,8 +153,25 @@ class RestoredState:
     open_intents: Dict[int, OpenIntent] = field(default_factory=dict)
     last_publish_root: Optional[bytes] = None
 
-    def apply_commit(self, intent: OpenIntent, transition: StoredTransition) -> None:
-        """Fold a committed intent into the durable per-shard state."""
+    def apply_commit(self, intent: OpenIntent, signature: Optional[Tuple] = None) -> None:
+        """Fold a committed intent into the durable per-shard state.
+
+        ``signature`` is the commit record's ``(signer_ids, aggregate)``.  It
+        is None when the quorum signature could not be serialized (exotic
+        test schemes) or was lost to a crash between certification and the
+        commit record (the reconciled path) — the transition itself is still
+        part of the restored chain.
+        """
+        signer_ids, aggregate = signature or ((), None)
+        transition = CertifiedTransition(
+            old_digest=intent.old_digest,
+            new_digest=intent.new_digest,
+            root=intent.root,
+            aggregate=aggregate,
+            signer_ids=signer_ids,
+            shard=intent.shard,
+            num_shards=intent.num_shards,
+        )
         self.shard_entries.setdefault(intent.shard, []).extend(intent.entries)
         self.shard_epochs[intent.shard] = self.shard_epochs.get(intent.shard, 0) + 1
         self.shard_transitions.setdefault(intent.shard, []).append(transition)
@@ -211,141 +183,119 @@ class RestoredState:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot (de)serialization
+# Record and snapshot layouts
 # ---------------------------------------------------------------------------
-def _encode_entries(entries: Sequence[Tuple[bytes, bytes]]) -> bytes:
-    parts = [_u32(len(entries))]
-    for identifier, value in entries:
-        parts.append(_blob(identifier))
-        parts.append(_blob(value))
-    return b"".join(parts)
+_ENTRIES = seq(tuple_of(BLOB, BLOB))
+_CIPHERTEXT = nested(RECOVERY_CIPHERTEXT)
+_SIGNERS = seq(U32, tuple)
 
 
-def _decode_entries(reader: _Reader) -> List[Tuple[bytes, bytes]]:
-    return [(reader.blob(), reader.blob()) for _ in range(reader.u32())]
+def _stored_aggregate(aggregate: object) -> Optional[Tuple[str, bytes]]:
+    scheme, data = encode_aggregate_auto(aggregate)
+    return None if scheme is None else (scheme, data)
 
 
-def _encode_transition(transition: StoredTransition) -> bytes:
-    parts = [
-        _blob(transition.old_digest),
-        _blob(transition.new_digest),
-        _blob(transition.root),
-        _u32(len(transition.signer_ids)),
-    ]
-    parts.extend(_u32(signer) for signer in transition.signer_ids)
-    if transition.scheme is not None and transition.aggregate is not None:
-        parts.append(b"\x01")
-        parts.append(_text(transition.scheme))
-        parts.append(_blob(transition.aggregate))
-    else:
-        parts.append(b"\x00")
-    return b"".join(parts)
+#: A quorum aggregate as ``(scheme, bytes)``.  One the journal cannot
+#: serialize is stored as absent, like None, and so decodes as None.
+_AGGREGATE = converted(
+    optional(tuple_of(TEXT, BLOB)),
+    _stored_aggregate,
+    lambda stored: None if stored is None else decode_aggregate(*stored),
+)
 
 
-def _decode_transition(reader: _Reader) -> StoredTransition:
-    old_digest = reader.blob()
-    new_digest = reader.blob()
-    root = reader.blob()
-    signer_ids = tuple(reader.u32() for _ in range(reader.u32()))
-    scheme = aggregate = None
-    if reader.u8():
-        scheme = reader.text()
-        aggregate = reader.blob()
-    return StoredTransition(
-        old_digest=old_digest,
-        new_digest=new_digest,
-        root=root,
-        signer_ids=signer_ids,
-        scheme=scheme,
-        aggregate=aggregate,
-    )
+def _stored_signature(signature: Optional[Tuple]) -> Optional[Tuple]:
+    stored = None if signature is None else _stored_aggregate(signature[1])
+    return None if stored is None else (stored[0], signature[0], stored[1])
 
 
-def encode_state(state: RestoredState) -> bytes:
-    """Serialize a quiescent state for a ``SNAPSHOT`` record.
+#: An ``EPOCH_COMMIT``'s optional ``(signer_ids, aggregate)``, laid out as
+#: scheme, signer ids, aggregate bytes.
+_COMMIT_SIGNATURE = converted(
+    optional(tuple_of(TEXT, _SIGNERS, BLOB)),
+    _stored_signature,
+    lambda stored: None if stored is None else (stored[1], decode_aggregate(stored[0], stored[2])),
+)
 
-    Refuses states with open intents: snapshots are taken between epochs
-    (the caller quiesces the service), never mid-transaction.
-    """
+#: A committed transition inside a snapshot; its lane (shard, arity) is not
+#: stored with it — decoding fills it from the shard row.
+_TRANSITION = record(
+    CertifiedTransition, old_digest=BLOB, new_digest=BLOB, root=BLOB,
+    signer_ids=_SIGNERS, aggregate=_AGGREGATE,
+)
+
+
+def _state_fields(state: RestoredState) -> Tuple:
     if state.open_intents:
         raise ValueError("cannot snapshot with unresolved epoch intents")
-    parts = [_u32(state.num_shards), _u32(state.garbage_collections)]
-    shards = sorted(set(state.shard_entries) | set(state.shard_epochs) | set(state.shard_transitions))
-    parts.append(_u32(len(shards)))
-    for shard in shards:
-        parts.append(_u32(shard))
-        parts.append(_encode_entries(state.shard_entries.get(shard, [])))
-        parts.append(_u32(state.shard_epochs.get(shard, 0)))
-        transitions = state.shard_transitions.get(shard, [])
-        parts.append(_u32(len(transitions)))
-        parts.extend(_encode_transition(t) for t in transitions)
-    parts.append(_u32(len(state.backups)))
-    for username in sorted(state.backups):
-        parts.append(_text(username))
-        ciphertexts = state.backups[username]
-        parts.append(_u32(len(ciphertexts)))
-        parts.extend(_blob(encode_recovery_ciphertext(ct)) for ct in ciphertexts)
-    parts.append(_u32(len(state.incrementals)))
-    for username in sorted(state.incrementals):
-        parts.append(_text(username))
-        blobs = state.incrementals[username]
-        parts.append(_u32(len(blobs)))
-        parts.extend(_blob(blob) for blob in blobs)
-    parts.append(_u32(len(state.replies)))
-    for username, attempt in sorted(state.replies):
-        parts.append(_text(username))
-        parts.append(_u32(attempt))
-        blobs = state.replies[(username, attempt)]
-        parts.append(_u32(len(blobs)))
-        parts.extend(_blob(blob) for blob in blobs)
-    parts.append(_u32(len(state.hsm_blocks)))
-    for index in sorted(state.hsm_blocks):
-        blocks = state.hsm_blocks[index]
-        parts.append(_u32(index))
-        parts.append(_u32(len(blocks)))
-        for addr in sorted(blocks):
-            parts.append(_u64(addr))
-            parts.append(_blob(blocks[addr]))
-    parts.append(_blob(state.last_publish_root or b""))
-    return b"".join(parts)
-
-
-def decode_state(data: bytes) -> RestoredState:
-    """Inverse of :func:`encode_state` (strict — trailing bytes reject)."""
-    reader = _Reader(data)
-    state = RestoredState(
-        num_shards=reader.u32(), garbage_collections=reader.u32()
+    shards = set(state.shard_entries) | set(state.shard_epochs) | set(state.shard_transitions)
+    rows = {
+        shard: (
+            state.shard_entries.get(shard, []),
+            state.shard_epochs.get(shard, 0),
+            state.shard_transitions.get(shard, []),
+        )
+        for shard in shards
+    }
+    return (
+        state.num_shards, state.garbage_collections, rows, state.backups,
+        state.incrementals, state.replies, state.hsm_blocks, state.last_publish_root or b"",
     )
-    for _ in range(reader.u32()):
-        shard = reader.u32()
-        state.shard_entries[shard] = _decode_entries(reader)
-        state.shard_epochs[shard] = reader.u32()
+
+
+def _state_from_fields(fields: Tuple) -> RestoredState:
+    num_shards, collections, rows, backups, incrementals, replies, blocks, root = fields
+    state = RestoredState(
+        num_shards=num_shards, garbage_collections=collections, backups=backups,
+        incrementals=incrementals, replies=replies, hsm_blocks=blocks,
+        last_publish_root=root or None,
+    )
+    for shard, (entries, epoch, transitions) in rows.items():
+        state.shard_entries[shard] = entries
+        state.shard_epochs[shard] = epoch
         state.shard_transitions[shard] = [
-            _decode_transition(reader) for _ in range(reader.u32())
+            replace(t, shard=shard, num_shards=num_shards) for t in transitions
         ]
-    for _ in range(reader.u32()):
-        username = reader.text()
-        state.backups[username] = [
-            decode_recovery_ciphertext(reader.blob()) for _ in range(reader.u32())
-        ]
-    for _ in range(reader.u32()):
-        username = reader.text()
-        state.incrementals[username] = [reader.blob() for _ in range(reader.u32())]
-    for _ in range(reader.u32()):
-        username = reader.text()
-        attempt = reader.u32()
-        state.replies[(username, attempt)] = [
-            reader.blob() for _ in range(reader.u32())
-        ]
-    for _ in range(reader.u32()):
-        index = reader.u32()
-        state.hsm_blocks[index] = {
-            _read_u64(reader): reader.blob() for _ in range(reader.u32())
-        }
-    root = reader.blob()
-    state.last_publish_root = root or None
-    reader.finish()
     return state
+
+
+#: A quiescent :class:`RestoredState` — the ``SNAPSHOT`` record's payload.
+#: Encoding refuses states with open intents (``ValueError``): snapshots
+#: are taken between epochs (the caller quiesces the service), never
+#: mid-transaction.
+STATE = converted(
+    tuple_of(
+        U32,                                                      # num_shards
+        U32,                                                      # garbage collections
+        mapping(U32, tuple_of(_ENTRIES, U32, seq(_TRANSITION))),  # shard: entries, epoch, chain
+        mapping(TEXT, seq(_CIPHERTEXT)),                          # username: backups
+        mapping(TEXT, seq(BLOB)),                                 # username: incrementals
+        mapping(tuple_of(TEXT, U32), seq(BLOB)),                  # (username, attempt): replies
+        mapping(U32, mapping(U64, BLOB)),                         # hsm: address: key block
+        BLOB,                                                     # last published root, or empty
+    ),
+    _state_fields,
+    _state_from_fields,
+)
+encode_state = STATE.encode
+decode_state = STATE.decode
+
+#: The payload layout of every record kind, fields in order — the only
+#: place a record's bytes are spelled: :class:`ProviderJournal`'s writers
+#: encode through it and its replay decodes through it.
+RECORD_CODECS: Dict[int, Codec] = {
+    K_BACKUP: tuple_of(TEXT, _CIPHERTEXT),             # username, ciphertext
+    K_INCREMENTAL: tuple_of(TEXT, BLOB),               # username, blob
+    K_REPLY: tuple_of(TEXT, U32, BLOB),                # username, attempt, blob
+    K_HSM_BLOCK: tuple_of(U32, U64, BLOB),             # hsm index, address, block
+    K_EPOCH_INTENT: tuple_of(U32, U32, BLOB, BLOB, BLOB, _ENTRIES),
+    #                 shard, num_shards, old digest, new digest, root, entries
+    K_EPOCH_COMMIT: tuple_of(U32, U64, _COMMIT_SIGNATURE),  # shard, intent seq, signature
+    K_EPOCH_ROLLBACK: tuple_of(U32, U64),              # shard, intent seq
+    K_EPOCH_PUBLISH: tuple_of(BLOB),                   # cross-shard root
+    K_GC: tuple_of(U32),                               # new GC total
+    K_SNAPSHOT: tuple_of(STATE),                       # the whole state
+}
 
 
 # ---------------------------------------------------------------------------
@@ -369,24 +319,26 @@ class ProviderJournal:
         """The underlying block store — the thing that survives a crash."""
         return self.wal.store
 
+    def _append(self, kind: int, *values) -> int:
+        """Append one record of ``kind``, laid out by its ``RECORD_CODECS`` row."""
+        return self.wal.append(kind, RECORD_CODECS[kind].encode(values))
+
     # -- provider escrow -------------------------------------------------------
     def record_backup(self, username: str, ciphertext: LheCiphertext) -> None:
         """Journal one uploaded recovery ciphertext."""
-        self.wal.append(
-            K_BACKUP, _text(username) + _blob(encode_recovery_ciphertext(ciphertext))
-        )
+        self._append(K_BACKUP, username, ciphertext)
 
     def record_incremental(self, username: str, blob: bytes) -> None:
         """Journal one AE-encrypted incremental backup blob."""
-        self.wal.append(K_INCREMENTAL, _text(username) + _blob(blob))
+        self._append(K_INCREMENTAL, username, blob)
 
     def record_reply(self, username: str, attempt: int, blob: bytes) -> None:
         """Journal one escrowed HSM reply."""
-        self.wal.append(K_REPLY, _text(username) + _u32(attempt) + _blob(blob))
+        self._append(K_REPLY, username, attempt, blob)
 
     def record_hsm_block(self, index: int, addr: int, block: bytes) -> None:
         """Journal one outsourced HSM key block write."""
-        self.wal.append(K_HSM_BLOCK, _u32(index) + _u64(addr) + _blob(block))
+        self._append(K_HSM_BLOCK, index, addr, block)
 
     # -- epoch transactions ----------------------------------------------------
     def record_intent(
@@ -399,15 +351,9 @@ class ProviderJournal:
         entries: Sequence[Tuple[bytes, bytes]],
     ) -> int:
         """Write-ahead record of a prepared (not yet certified) epoch."""
-        payload = (
-            _u32(shard)
-            + _u32(num_shards)
-            + _blob(old_digest)
-            + _blob(new_digest)
-            + _blob(root)
-            + _encode_entries(entries)
+        return self._append(
+            K_EPOCH_INTENT, shard, num_shards, old_digest, new_digest, root, entries
         )
-        return self.wal.append(K_EPOCH_INTENT, payload)
 
     def record_commit(
         self, shard: int, intent_seq: int, transition: Optional[CertifiedTransition]
@@ -418,31 +364,24 @@ class ProviderJournal:
         the fleet had certified the epoch but the commit record was lost
         with the process): the commit is durable, the signature is not.
         """
-        parts = [_u32(shard), _u64(intent_seq)]
-        scheme = aggregate = None
-        if transition is not None:
-            scheme, aggregate = encode_aggregate_auto(transition.aggregate)
-        if transition is not None and scheme is not None:
-            parts.append(b"\x01")
-            parts.append(_text(scheme))
-            parts.append(_u32(len(transition.signer_ids)))
-            parts.extend(_u32(signer) for signer in transition.signer_ids)
-            parts.append(_blob(aggregate))
-        else:
-            parts.append(b"\x00")
-        self.wal.append(K_EPOCH_COMMIT, b"".join(parts))
+        self._append(
+            K_EPOCH_COMMIT,
+            shard,
+            intent_seq,
+            None if transition is None else (transition.signer_ids, transition.aggregate),
+        )
 
     def record_rollback(self, shard: int, intent_seq: int) -> None:
         """Roll an intent back (certification failed or never finished)."""
-        self.wal.append(K_EPOCH_ROLLBACK, _u32(shard) + _u64(intent_seq))
+        self._append(K_EPOCH_ROLLBACK, shard, intent_seq)
 
     def record_publish(self, root: bytes) -> None:
         """Journal a published (cross-shard) root after a served tick."""
-        self.wal.append(K_EPOCH_PUBLISH, _blob(root))
+        self._append(K_EPOCH_PUBLISH, root)
 
     def record_gc(self, count: int) -> None:
         """Journal a log garbage collection (``count`` = new GC total)."""
-        self.wal.append(K_GC, _u32(count))
+        self._append(K_GC, count)
 
     # -- snapshot / restore ----------------------------------------------------
     def write_snapshot(self, state: RestoredState, compact: bool = True) -> int:
@@ -451,7 +390,7 @@ class ProviderJournal:
         Returns the snapshot's WAL sequence number.  Must run quiesced (no
         concurrent appends — the service stops its ticker first).
         """
-        seq = self.wal.append(K_SNAPSHOT, encode_state(state))
+        seq = self._append(K_SNAPSHOT, state)
         self.wal.anchor_now()
         if compact:
             self.wal.compact_before(seq)
@@ -474,101 +413,54 @@ class ProviderJournal:
         self, state: RestoredState, seq: int, kind: int, payload: bytes
     ) -> RestoredState:
         """Fold one record into ``state`` (returns the new state)."""
-        reader = _Reader(payload)
-        if kind == K_SNAPSHOT:
-            return decode_state(payload)
-        if kind == K_BACKUP:
-            username = reader.text()
-            ciphertext = decode_recovery_ciphertext(reader.blob())
-            reader.finish()
+        codec = RECORD_CODECS.get(kind)
+        if codec is None:
+            raise JournalReplayError(f"unknown journal record kind {kind}")
+        fields = codec.decode(payload)
+        if kind == K_HSM_BLOCK:  # first: all but a few dozen of a journal's records
+            index, addr, block = fields
+            state.hsm_blocks.setdefault(index, {})[addr] = block
+        elif kind == K_SNAPSHOT:
+            (state,) = fields
+        elif kind == K_BACKUP:
+            username, ciphertext = fields
             state.backups.setdefault(username, []).append(ciphertext)
         elif kind == K_INCREMENTAL:
-            username = reader.text()
-            blob = reader.blob()
-            reader.finish()
+            username, blob = fields
             state.incrementals.setdefault(username, []).append(blob)
         elif kind == K_REPLY:
-            username = reader.text()
-            attempt = reader.u32()
-            blob = reader.blob()
-            reader.finish()
+            username, attempt, blob = fields
             state.replies.setdefault((username, attempt), []).append(blob)
-        elif kind == K_HSM_BLOCK:
-            index = reader.u32()
-            addr = _read_u64(reader)
-            block = reader.blob()
-            reader.finish()
-            state.hsm_blocks.setdefault(index, {})[addr] = block
         elif kind == K_EPOCH_INTENT:
-            shard = reader.u32()
-            num_shards = reader.u32()
-            intent = OpenIntent(
-                seq=seq,
-                shard=shard,
-                num_shards=num_shards,
-                old_digest=reader.blob(),
-                new_digest=reader.blob(),
-                root=reader.blob(),
-                entries=_decode_entries(reader),
-            )
-            reader.finish()
-            if shard in state.open_intents:
+            intent = OpenIntent(seq, *fields)
+            if intent.shard in state.open_intents:
                 raise JournalReplayError(
-                    f"shard {shard} has two unresolved epoch intents"
+                    f"shard {intent.shard} has two unresolved epoch intents"
                 )
-            state.num_shards = max(state.num_shards, num_shards)
-            state.open_intents[shard] = intent
+            state.num_shards = max(state.num_shards, intent.num_shards)
+            state.open_intents[intent.shard] = intent
         elif kind == K_EPOCH_COMMIT:
-            shard = reader.u32()
-            intent_seq = _read_u64(reader)
-            transition = self._read_commit_transition(reader, state, shard, intent_seq)
-            reader.finish()
-            state.apply_commit(state.open_intents[shard], transition)
+            shard, intent_seq, signature = fields
+            intent = self._open_intent(state, "commit", shard, intent_seq)
+            state.apply_commit(intent, signature)
         elif kind == K_EPOCH_ROLLBACK:
-            shard = reader.u32()
-            intent_seq = _read_u64(reader)
-            reader.finish()
-            intent = state.open_intents.get(shard)
-            if intent is None or intent.seq != intent_seq:
-                raise JournalReplayError(
-                    f"rollback for shard {shard} matches no open intent"
-                )
-            state.apply_rollback(intent)
+            state.apply_rollback(self._open_intent(state, "rollback", *fields))
         elif kind == K_EPOCH_PUBLISH:
-            state.last_publish_root = reader.blob()
-            reader.finish()
+            (state.last_publish_root,) = fields
         elif kind == K_GC:
-            count = reader.u32()
-            reader.finish()
             state.shard_entries = {shard: [] for shard in state.shard_entries}
-            state.garbage_collections = count
-        else:
-            raise JournalReplayError(f"unknown journal record kind {kind}")
+            (state.garbage_collections,) = fields
         return state
 
-    def _read_commit_transition(
-        self, reader: _Reader, state: RestoredState, shard: int, intent_seq: int
-    ) -> StoredTransition:
-        """Decode a commit's transition, validated against its open intent."""
+    @staticmethod
+    def _open_intent(
+        state: RestoredState, what: str, shard: int, intent_seq: int
+    ) -> OpenIntent:
+        """The open intent a commit/rollback record settles (validated)."""
         intent = state.open_intents.get(shard)
         if intent is None or intent.seq != intent_seq:
-            raise JournalReplayError(
-                f"commit for shard {shard} matches no open intent"
-            )
-        scheme = aggregate = None
-        signer_ids: Tuple[int, ...] = ()
-        if reader.u8():
-            scheme = reader.text()
-            signer_ids = tuple(reader.u32() for _ in range(reader.u32()))
-            aggregate = reader.blob()
-        return StoredTransition(
-            old_digest=intent.old_digest,
-            new_digest=intent.new_digest,
-            root=intent.root,
-            signer_ids=signer_ids,
-            scheme=scheme,
-            aggregate=aggregate,
-        )
+            raise JournalReplayError(f"{what} for shard {shard} matches no open intent")
+        return intent
 
 
 # ---------------------------------------------------------------------------
@@ -625,14 +517,7 @@ def reconcile_open_intents(
             )
         if intent.new_digest in digests:
             journal.record_commit(shard, intent.seq, None)
-            state.apply_commit(
-                intent,
-                StoredTransition(
-                    old_digest=intent.old_digest,
-                    new_digest=intent.new_digest,
-                    root=intent.root,
-                ),
-            )
+            state.apply_commit(intent)
             outcomes[shard] = "committed"
         else:
             journal.record_rollback(shard, intent.seq)

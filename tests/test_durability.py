@@ -27,7 +27,6 @@ from repro.storage.journal import (
     JournalReplayError,
     ProviderJournal,
     RestoredState,
-    StoredTransition,
     decode_aggregate,
     decode_state,
     encode_aggregate_auto,
@@ -240,9 +239,8 @@ class TestProviderJournal:
         assert state.open_intents == {}
         assert state.shard_entries[0] == entries
         assert state.shard_epochs[0] == 1
-        (stored,) = state.shard_transitions[0]
-        assert stored.scheme == "ecdsa-list"
-        assert stored.to_certified(0, 1).aggregate == ((1, 2), (3, 4))
+        # The committed transition replays equal to the one that was recorded.
+        assert state.shard_transitions[0] == [_transition()]
 
     def test_intent_rollback_drops_entries(self):
         journal = ProviderJournal(InMemoryBlockStore())
@@ -329,13 +327,16 @@ class TestProviderJournal:
             shard_epochs={0: 3, 1: 1},
             shard_transitions={
                 0: [
-                    StoredTransition(
+                    # The lane is not stored with the transition: decoding
+                    # fills it from the shard row and the state's arity.
+                    CertifiedTransition(
                         old_digest=b"\xaa" * 32,
                         new_digest=b"\xbb" * 32,
                         root=b"\xcc" * 32,
+                        aggregate=((0, 0),),
                         signer_ids=(1, 3),
-                        scheme="ecdsa-list",
-                        aggregate=b"\x00" * 64,
+                        shard=0,
+                        num_shards=2,
                     )
                 ],
                 1: [],

@@ -183,8 +183,7 @@ PROV_REPLY_PONG = 1
 PROV_ERR_REFUSED = 1
 _PROVIDER_ERROR_STATUSES = (PROV_ERR_REFUSED,)
 
-_FIELD_ENCODERS = {"text": None}
-_FIELD_DECODERS = {"text": None}
+FIELD_CODECS = {"text": None}
 
 PROVIDER_OPS = (
     ProviderOp(1, "ping", (("name", "text"),), PROV_REPLY_PONG),
@@ -197,19 +196,33 @@ TESTS_OK = '''
 _FIELD_STRATEGIES = {"text": None}
 '''
 
-DOCS_OK = "| 1 | `ping` | name | `PONG` |\n"
+JOURNAL_OK = '''
+"""Mini journal module."""
+K_NOTE = 1
+K_MARK = 2
+
+RECORD_CODECS = {K_NOTE: None, K_MARK: None}
+'''
+
+DOCS_OK = (
+    "| 1 | `ping` | name | `PONG` |\n"
+    "| 1 | `NOTE` | text |\n"
+    "| 2 | `MARK` | |\n"
+)
 
 _WIRE_LAYOUT = {
     "src/repro/core/wire.py": WIRE_OK,
+    "src/repro/storage/journal.py": JOURNAL_OK,
     "tests/test_wire_properties.py": TESTS_OK,
     "docs/ARCHITECTURE.md": DOCS_OK,
 }
 _PING_ROW = '    ProviderOp(1, "ping", (("name", "text"),), PROV_REPLY_PONG),\n'
 
 
-def _wire_findings(tmp_path, wire_source, docs=DOCS_OK):
+def _wire_findings(tmp_path, wire_source, docs=DOCS_OK, journal_source=JOURNAL_OK):
     files = dict(_WIRE_LAYOUT)
     files["src/repro/core/wire.py"] = wire_source
+    files["src/repro/storage/journal.py"] = journal_source
     files["docs/ARCHITECTURE.md"] = docs
     report = run_passes(make_ctx(tmp_path, files), [WireSchemaPass()])
     assert {f.rule for f in report.findings} <= {"wire-schema"}
@@ -246,8 +259,7 @@ def test_wire_schema_catches_duplicate_value_and_missing_strategy(tmp_path):
     )
     assert "op ping2 reuses tag value 1 (already taken by ping)" in messages
     assert "'blob' has no entry in _FIELD_STRATEGIES" in messages
-    assert "'blob' has no entry in _FIELD_ENCODERS" in messages
-    assert "'blob' has no entry in _FIELD_DECODERS" in messages
+    assert "'blob' has no entry in FIELD_CODECS" in messages
 
 
 @pytest.mark.parametrize(
@@ -281,13 +293,45 @@ def test_wire_schema_catches_duplicate_value_and_missing_strategy(tmp_path):
         (  # a reply schema's field kinds need codecs too
             'PROV_REPLY_PONG: (("name", "text"),)',
             'PROV_REPLY_PONG: (("name", "u64"),)',
-            "'u64' has no entry in _FIELD_DECODERS",
+            "'u64' has no entry in FIELD_CODECS",
         ),
     ],
 )
 def test_wire_schema_reports_each_table_defect(tmp_path, old, new, expected):
     assert old in WIRE_OK
     assert expected in _wire_findings(tmp_path, WIRE_OK.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "old, new, docs, expected",
+    [
+        (  # a declared kind the layout table does not spell
+            "{K_NOTE: None, K_MARK: None}", "{K_NOTE: None}", DOCS_OK,
+            "record kind K_MARK has no layout in RECORD_CODECS",
+        ),
+        (  # a kind with no line in the record catalog
+            "K_MARK = 2", "K_MARK = 2", DOCS_OK.replace("| 2 | `MARK` | |\n", ""),
+            "record kind K_MARK has no catalog row",
+        ),
+        (  # the catalog line must carry the kind's value as well as its name
+            "K_MARK = 2", "K_MARK = 3", DOCS_OK,
+            "record kind K_MARK has no catalog row",
+        ),
+        (
+            "K_MARK = 2", "K_MARK = 1", DOCS_OK,
+            "record kind K_MARK reuses value 1 (already taken by K_NOTE)",
+        ),
+        (  # a row keyed by something that is not a declared kind
+            "K_MARK: None}", "K_MARK: None, 7: None}", DOCS_OK,
+            "RECORD_CODECS key is not a declared K_* record kind",
+        ),
+    ],
+)
+def test_wire_schema_reports_each_record_table_defect(tmp_path, old, new, docs, expected):
+    assert old in JOURNAL_OK
+    messages = _wire_findings(tmp_path, WIRE_OK, docs, JOURNAL_OK.replace(old, new))
+    assert expected in messages
+    assert "K_NOTE has no" not in messages and "ping" not in messages
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,26 @@ class TestTypedErrors:
         with pytest.raises(ProviderError, match="u32 out of range"):
             channel.backup_count("u")
 
+        # A wrong-*typed* return is out of contract too: whatever the codec
+        # raises on it answers with an error frame naming the type.
+        class WrongTypedProvider:
+            def prove_inclusion(self, identifier, value):
+                return 5
+
+            def backup_count(self, username):
+                return "seven"
+
+            def fetch_incrementals(self, username):
+                return [1, 2]
+
+        channel = _loopback(WrongTypedProvider())
+        with pytest.raises(ProviderError, match="int"):
+            channel.prove_inclusion(b"id", b"v")
+        with pytest.raises(ProviderError, match="TypeError"):
+            channel.backup_count("u")
+        with pytest.raises(ProviderError, match="TypeError"):
+            channel.fetch_incrementals("u")
+
     def test_unexpected_reply_kind_is_wire_error(self):
         channel = WireProviderChannel(
             lambda request: wire.encode_provider_reply(wire.PROV_REPLY_ACK, {})
