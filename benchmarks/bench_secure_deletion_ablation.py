@@ -2,20 +2,22 @@
 
 The paper: deleting one item from a 64 MB outsourced array by re-encrypting
 the whole array takes 48 minutes on a SoloKey; the Di Crescenzo key tree
-does it in logarithmic time, improving throughput ~4,423x.
+does it in logarithmic time, improving throughput ~4,423x (48 min / 4,423 =
+0.65 s: the tree side is the whole decrypt-and-puncture, not one delete).
 
 We reproduce the comparison two ways: (1) modeled at the full 64 MB scale on
-the SoloKey cost model, and (2) measured wall-clock on this host at a small
-scale with both real implementations.
+the SoloKey cost model — the tree side is the planner's one price; the
+paper's two numbers are rows of ``BENCH_paper_fidelity.json`` — and (2)
+measured wall-clock on this host at a small scale with both real
+implementations.
 """
 
-import math
 import time
 
 from repro.crypto.bloom import BloomParams
 from repro.hsm.costmodel import CostModel
 from repro.hsm.devices import SOLOKEY
-from repro.metering import metered
+from repro.sim.capacity import build_throughput_model
 from repro.storage.blockstore import InMemoryBlockStore
 from repro.storage.securedel import DeletedBlockError, NaiveSecureStore, SecureDeletionTree
 
@@ -33,42 +35,26 @@ def modeled_naive_delete_seconds() -> float:
     )
 
 
-def modeled_tree_delete_seconds() -> float:
-    """Metered real tree deletion, with depth scaled to a 64 MB array."""
-    store = InMemoryBlockStore()
-    tree = SecureDeletionTree.setup(store, [bytes(32)] * 64)
-    with metered() as meter:
-        tree.delete(7)
-    real_depth = tree.height
-    depth = math.ceil(math.log2(ARRAY_BYTES / 32))
-    scale = depth / real_depth
-    counts = {op: units * scale for op, units in meter.counts.items()}
-    return MODEL.seconds(counts)
-
-
 def test_secure_deletion_ablation_modeled(benchmark):
-    benchmark(modeled_tree_delete_seconds)
-    naive = modeled_naive_delete_seconds()
-    tree = modeled_tree_delete_seconds()
+    naive = benchmark(modeled_naive_delete_seconds)
+    operation = build_throughput_model(SOLOKEY).decrypt_puncture_seconds
     emit(
         "secure_deletion_ablation",
-        "Ablation: one deletion from a 64 MB outsourced key (SoloKey model)",
+        "Ablation: deleting from a 64 MB outsourced key (SoloKey model)",
         [
-            f"naive re-encryption: {naive / 60:8.1f} min   (paper: 48 min)",
-            f"key-tree deletion:   {tree:8.3f} s",
-            f"throughput gain:     {naive / tree:8,.0f}x   (paper: ~4,423x)",
+            f"naive re-encryption:          {naive / 60:8.1f} min",
+            f"key-tree decrypt-and-puncture:{operation:8.3f} s",
+            f"throughput gain:              {naive / operation:8,.0f}x",
         ],
         data={
             "metrics": {
                 "naive_reencrypt_s": naive,
-                "tree_delete_s": tree,
-                "throughput_gain": naive / tree,
+                "decrypt_puncture_s": operation,
+                "throughput_gain": naive / operation,
             }
         },
     )
-    assert 10 * 60 < naive < 120 * 60
-    assert tree < 5.0
-    assert naive / tree > 500
+    assert operation < naive / 500
 
 
 class _CountingStore(InMemoryBlockStore):

@@ -14,12 +14,6 @@ from reporting import emit, table
 
 ANNUAL = 1e9
 
-PAPER_ROWS = {
-    "SoloKey": (3037, "1/16", 189, "$60.7K"),
-    "YubiHSM 2": (1732, "1/16", 108, "$1.1M"),
-    "SafeNet A700": (40, "1/20", 2, "$738.7K"),
-}
-
 
 def test_table14_deployment_costs(benchmark):
     plans = benchmark(
@@ -40,7 +34,6 @@ def test_table14_deployment_costs(benchmark):
 
     rows = []
     for plan in plans:
-        paper = PAPER_ROWS.get(plan.device.name)
         rows.append(
             (
                 plan.device.name,
@@ -48,15 +41,11 @@ def test_table14_deployment_costs(benchmark):
                 f"1/{int(1 / plan.f_secret)}",
                 plan.tolerated_evil,
                 f"${plan.hardware_cost_usd / 1e3:,.1f}K",
-                f"{paper[0]:,} / {paper[3]}" if paper else "(extension row)",
             )
         )
-    lines = table(
-        ("device", "qty", "f_secret", "N_evil", "cost", "paper qty/cost"),
-        rows,
-        (16, 9, 10, 8, 12, 20),
-    )
+    lines = table(("device", "qty", "f_secret", "N_evil", "cost"), rows, (16, 9, 10, 8, 12))
     storage = storage_cost_per_year(1e9, 4.0)
+    solo, yubi, safenet = plans[0], plans[1], plans[2]
     lines.append("")
     lines.append(
         f"storage footnote: 4 GB x 1e9 users/yr on S3-IA = ${storage / 1e6:,.0f}M "
@@ -77,15 +66,20 @@ def test_table14_deployment_costs(benchmark):
                 }
                 for plan in plans
             ],
-            "metrics": {"storage_cost_usd_per_year": storage},
+            "metrics": {
+                "storage_cost_usd_per_year": storage,
+                "solokey_qty": solo.quantity,
+                "solokey_cost_usd": solo.hardware_cost_usd,
+                "yubihsm2_qty": yubi.quantity,
+                "yubihsm2_cost_usd": yubi.hardware_cost_usd,
+                "safenet_qty": safenet.quantity,
+                "safenet_cost_usd": safenet.hardware_cost_usd,
+            },
         },
     )
 
-    solo, yubi, safenet = plans[0], plans[1], plans[2]
-    # Same-order quantities and the paper's orderings:
-    assert 1000 < solo.quantity < 10_000  # paper: 3,037
-    assert yubi.quantity < solo.quantity  # faster device, fewer units
-    assert safenet.quantity < 200  # paper: 40
+    # The paper's orderings (its quantities: BENCH_paper_fidelity.json):
+    assert safenet.quantity < yubi.quantity < solo.quantity  # faster device, fewer units
     assert solo.hardware_cost_usd < yubi.hardware_cost_usd  # cheapest fleet
     assert solo.hardware_cost_usd < safenet.hardware_cost_usd
     assert storage > 100 * yubi.hardware_cost_usd

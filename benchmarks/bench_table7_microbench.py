@@ -90,29 +90,4 @@ def test_table7_microbenchmarks(benchmark):
     )
 
     assert abs(1.0 / model.seconds_per_op("ec_mult") - 7.69) < 1e-6  # calibration
-
-
-def test_cdc_vs_hid_recovery_impact(benchmark):
-    """The paper: transport-layer choice changes recovery I/O cost ~32x."""
-    model_cdc = CostModel(SOLOKEY, Transport.USB_CDC)
-    model_hid = CostModel(SOLOKEY, Transport.USB_HID)
-    counts = {"io_bytes": 17_000}  # one decrypt+puncture's node traffic
-    benchmark(lambda: model_cdc.seconds(counts))
-    cdc_s = model_cdc.seconds(counts)
-    hid_s = model_hid.seconds(counts)
-    emit(
-        "table7_io_ablation",
-        "USB class ablation on one decrypt+puncture's I/O",
-        [
-            f"CDC: {cdc_s * 1000:8.1f} ms",
-            f"HID: {hid_s * 1000:8.1f} ms   ({hid_s / cdc_s:.1f}x slower)",
-        ],
-        data={
-            "metrics": {
-                "cdc_s": cdc_s,
-                "hid_s": hid_s,
-                "hid_over_cdc": hid_s / cdc_s,
-            }
-        },
-    )
-    assert hid_s > 10 * cdc_s
+    assert hid > 10 * cdc  # the CDC rewrite is an order of magnitude on every byte moved

@@ -116,8 +116,8 @@ def security_loss_bits(num_hsms: int, cluster_size: int) -> float:
     Note: evaluating at the paper's N=3,100 gives 7.86 bits at n=40, while
     Figure 11 prints 6.81 — the figure's annotations correspond to N=1,500
     (log2(3·1500/40)=6.81, log2(3·1500/100)=5.49).  The *shape* (−log2(n)
-    decay, ~1.3 bits across n=40..100) is identical; EXPERIMENTS.md records
-    both evaluations.
+    decay, ~1.3 bits across n=40..100) is identical;
+    ``benchmarks/bench_fig11_cluster_size.py`` prints both evaluations.
     """
     return math.log2(3.0 * num_hsms / cluster_size)
 

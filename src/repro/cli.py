@@ -50,18 +50,16 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.analysis.bounds import minimum_cluster_size, security_loss_bits
     from repro.hsm.devices import SAFENET_A700, SOLOKEY, YUBIHSM2
-    from repro.sim.capacity import build_throughput_model, plan_deployment
+    from repro.sim.capacity import plan_deployment
 
     users = float(args.users)
     n = minimum_cluster_size(10 ** args.pin_digits)
     print(f"cluster size n = {n} for {args.pin_digits}-digit PINs")
-    for device in (SOLOKEY, YUBIHSM2, SAFENET_A700):
-        throughput = build_throughput_model(device)
-        plan = plan_deployment(device, users, cluster_size=n, throughput=throughput)
+    plans = [plan_deployment(d, users, cluster_size=n) for d in (SOLOKEY, YUBIHSM2, SAFENET_A700)]
+    for plan in plans:
         print(f"  {plan.describe()}")
-    solo = plan_deployment(SOLOKEY, users, cluster_size=n)
     print(f"security loss vs PIN guessing at the SoloKey plan: "
-          f"{security_loss_bits(solo.quantity, n):.2f} bits")
+          f"{security_loss_bits(plans[0].quantity, n):.2f} bits")
     return 0
 
 

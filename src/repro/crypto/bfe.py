@@ -53,19 +53,27 @@ reason, so the fused call reports exactly what ``decrypt`` followed by
 from __future__ import annotations
 
 import secrets
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro import metering
 from repro.crypto.bloom import BloomParams
 from repro.crypto.ec import ECPoint, P256, mult_each
-from repro.crypto.gcm import AuthenticationError, ae_decrypt, ae_encrypt
+from repro.crypto.gcm import AuthenticationError, ae_cost, ae_decrypt, ae_encrypt
 from repro.crypto.hashing import kdf, sha256
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.storage.blockstore import BlockStore
-from repro.storage.securedel import DeletedBlockError, SecureDeletionTree
+from repro.storage.securedel import (
+    DeletedBlockError,
+    SecureDeletionTree,
+    setup_counts,
+    tree_height,
+    walk_counts,
+)
 
 _SCALAR_LEN = 32
+_PAYLOAD_KEY_LEN = 16
 
 
 class PuncturedKeyError(Exception):
@@ -170,6 +178,34 @@ class BloomFilterEncryption:
             BfeSecretKey(params, tree),
         )
 
+    @staticmethod
+    def keygen_counts(params: BloomParams) -> Counter:
+        """What :meth:`keygen` — one key rotation — is billed: a ``g^x`` per
+        slot and the key tree's set-up.  The public key's Merkle commitment
+        (about 3 ``sha256_block`` per slot: 0.1 h of a SoloKey's 77 at the
+        paper's m) belongs to ``repro.crypto.merkle`` and is left out."""
+        counts = setup_counts(params.num_slots, _SCALAR_LEN)
+        counts["ec_mult"] = params.num_slots
+        return counts
+
+    @staticmethod
+    def decrypt_and_puncture_counts(params: BloomParams, plaintext_len: int) -> Counter:
+        """What :meth:`decrypt_and_puncture` of a ``plaintext_len``-byte
+        plaintext is billed on a key where the tag's k slots are live: one
+        read walk and k delete walks of the key tree, the first slot's leaf
+        fetched and opened, one ElGamal decryption (Table 7's row is the
+        whole decryption, so the ``ec_mult`` inside it is not billed again),
+        the wrapped payload key and the payload opened.  Hashing the tag to
+        its slots and the KDF (8 to 12 ``sha256_block``, under 1 ms on a
+        SoloKey) follow the tag's length, not the tree, and are left out."""
+        k = params.num_hashes
+        counts = walk_counts(tree_height(params.num_slots), reads=1, deletes=k, live=k)
+        opened = (_SCALAR_LEN, _PAYLOAD_KEY_LEN, plaintext_len)  # leaf, wrapped key, payload
+        counts["aes_block"] += sum(ae_cost(length)[0] for length in opened)
+        counts["io_bytes"] += ae_cost(_SCALAR_LEN)[1]  # only the leaf is fetched
+        counts["elgamal_dec"] = 1
+        return counts
+
     # -- encryption (client side) ---------------------------------------------
     @staticmethod
     def encrypt(
@@ -184,7 +220,7 @@ class BloomFilterEncryption:
             tag = sha256(b"bfe-tag", ephemeral.to_bytes(), context)
         slots = public.params.slots_for_tag(tag)
 
-        payload_key = secrets.token_bytes(16)
+        payload_key = secrets.token_bytes(_PAYLOAD_KEY_LEN)
         wrapped = []
         shared_points = mult_each([public.slot_pubkeys[slot] for slot in slots], r)
         for slot, shared in zip(slots, shared_points):

@@ -132,6 +132,13 @@ class AesGcm:
         return self._ctr_xor(nonce, ciphertext)
 
 
+def ae_cost(length: int) -> Tuple[int, int]:
+    """``(AES block operations, ciphertext bytes)`` of one :func:`ae_encrypt`
+    or :func:`ae_decrypt` of ``length`` bytes: the GHASH subkey, the tag mask
+    and one CTR block per 16 bytes; the nonce and the tag around the data."""
+    return 2 + (length + 15) // 16, AesGcm.NONCE_LEN + AesGcm.TAG_LEN + length
+
+
 def ae_encrypt(key: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
     """One-shot AE with a random nonce prepended (the paper's AEEncrypt)."""
     nonce = secrets.token_bytes(AesGcm.NONCE_LEN)

@@ -79,7 +79,7 @@ _SOLOKEY_RATES: Dict[str, float] = {
     # for short messages) is dominated by call overhead, not compression:
     # the paper's Figure 8 log-audit measurements imply ~3 ms to check one
     # ~54-hash insertion proof, i.e. ~17K compressions/s on the SoloKey's
-    # Cortex-M4.  We calibrate to that; see EXPERIMENTS.md.
+    # Cortex-M4.  We calibrate to that: 54 hashes / 3 ms.
     "sha256_block": 17_000.0,
 }
 

@@ -24,9 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
+from repro.crypto.bfe import BloomFilterEncryption
 from repro.crypto.bloom import BloomParams
 from repro.hsm.costmodel import CostModel, Transport
 from repro.hsm.devices import DeviceSpec, SOLOKEY
+
+# What one HSM job opens: a Shamir share of the transport key (4 + 32 bytes)
+# behind ``repro.core.lhe``'s length-prefixed username, taken as 10 bytes.
+SHARE_PLAINTEXT_LEN = 2 + 10 + 36
 
 
 @dataclass(frozen=True)
@@ -38,12 +43,6 @@ class HsmThroughputModel:
     rotation_seconds: float
     punctures_before_rotation: int
     log_audit_fraction: float = 0.11  # §9.1: ~11% of active cycles
-
-    @property
-    def service_rate(self) -> float:
-        """Decrypt-and-puncture jobs per second, ignoring rotation/log tax
-        (what the queueing model uses for in-service HSMs)."""
-        return 1.0 / self.decrypt_puncture_seconds
 
     @property
     def processing_seconds_between_rotations(self) -> float:
@@ -69,50 +68,23 @@ def build_throughput_model(
     bloom_params: Optional[BloomParams] = None,
     transport: Optional[Transport] = None,
 ) -> HsmThroughputModel:
-    """Price decrypt+puncture and rotation for a device via the cost model.
-
-    Operation counts per decrypt-and-puncture on Bloom parameters (m, k)
-    with a depth-``ceil(log2 m)`` secure-deletion tree:
-
-    - 1 ElGamal decryption (the surviving slot),
-    - read path + k delete paths: (k+1)·depth AES-GCM node decryptions and
-      k·depth re-encryptions, 2 blocks each,
-    - the same number of ~64-byte node ciphertexts over the transport.
-
-    Rotation = m fresh slot keypairs (m EC mults) + m tree setup AE blocks.
-    """
+    """Price one decrypt-and-puncture and one key rotation on ``device``:
+    the op counts are :class:`BloomFilterEncryption`'s own closed forms —
+    exactly what the metered operations report — at ``bloom_params``
+    (default: the paper's deployed key)."""
     if bloom_params is None:
         bloom_params = BloomParams.paper_deployment()
     model = CostModel(device, transport)
-    m = bloom_params.num_slots
-    k = bloom_params.num_hashes
-    depth = max(1, math.ceil(math.log2(m)))
-    node_bytes = 64  # two 16-byte keys + GCM nonce/tag overhead
-
-    counts: Dict[str, float] = {
-        "elgamal_dec": 1,
-        # read path for the decryption + k delete walks (down + re-encrypt up)
-        "aes_block": (depth + 3 * k * depth) * 2,
-        "io_bytes": (depth + 3 * k * depth) * node_bytes,
-        "flash_read_bytes": 16 * (k + 1),
-    }
-    decrypt_puncture = model.seconds(counts)
-
-    rotation_counts: Dict[str, float] = {
-        "ec_mult": m,  # fresh slot keypairs
-        "aes_block": 4 * m,  # tree setup encryption
-        "io_bytes": m * node_bytes,
-    }
-    rotation = model.seconds(rotation_counts)
-
-    # The paper rotates once half the slot keys are deleted; each puncture
-    # deletes k slots.
-    punctures_before_rotation = max(1, m // (2 * k))
+    job = BloomFilterEncryption.decrypt_and_puncture_counts(bloom_params, SHARE_PLAINTEXT_LEN)
     return HsmThroughputModel(
         device=device,
-        decrypt_puncture_seconds=decrypt_puncture,
-        rotation_seconds=rotation,
-        punctures_before_rotation=punctures_before_rotation,
+        decrypt_puncture_seconds=model.seconds(job),
+        rotation_seconds=model.seconds(BloomFilterEncryption.keygen_counts(bloom_params)),
+        # The paper rotates once half the slot keys are deleted; each
+        # puncture deletes k slots.
+        punctures_before_rotation=max(
+            1, bloom_params.num_slots // (2 * bloom_params.num_hashes)
+        ),
     )
 
 

@@ -43,19 +43,18 @@ tree, a ~4,423× throughput gap.
 from __future__ import annotations
 
 import secrets
+from collections import Counter
 from typing import Dict, Iterable, List, Sequence
 
 from repro import metering
-from repro.crypto.gcm import AesGcm, ae_decrypt, ae_encrypt
+from repro.crypto.gcm import ae_cost, ae_decrypt, ae_encrypt
 from repro.storage.blockstore import BlockStore
 
 KEY_LEN = 16
 _DELETED_KEY = b"\x00" * KEY_LEN  # the paper's "useless encryption key"
-# An internal node is two child keys under one AE call: what one transfer
-# moves and one open or seal costs (GHASH subkey, tag mask, one CTR block
-# per 16 bytes).
-_NODE_LEN = AesGcm.NONCE_LEN + AesGcm.TAG_LEN + 2 * KEY_LEN
-_NODE_AES_BLOCKS = 2 + 2 * KEY_LEN // 16
+# An internal node is two child keys under one AE call: what one open or
+# seal costs and one transfer moves.
+_NODE_AES_BLOCKS, _NODE_LEN = ae_cost(2 * KEY_LEN)
 
 
 class DeletedBlockError(Exception):
@@ -64,6 +63,40 @@ class DeletedBlockError(Exception):
 
 def _addr_aad(addr: int) -> bytes:
     return b"securedel-node" + addr.to_bytes(8, "big")
+
+
+def tree_height(blocks: int) -> int:
+    """Levels of internal nodes over ``blocks`` leaves (padded to 2^h)."""
+    return max(1, (max(1, blocks) - 1).bit_length())
+
+
+def walk_counts(height: int, reads: int, deletes: int, live: int) -> Counter:
+    """What the modeled device (module docstring) is billed for ``reads``
+    single-index reads and ``deletes`` delete targets, ``live`` of them not
+    yet deleted, on a tree of ``height``: h opens — a key read, a transfer
+    and a cold AE call each — per read and per delete target, h re-opens
+    and h seals per live target.  It is what :class:`PathWalk` leaves on
+    the meter; leaves are the caller's data and are not counted."""
+    opens = (reads + deletes) * height
+    nodes = opens + 2 * live * height
+    return Counter(
+        flash_read_bytes=opens * KEY_LEN,
+        io_bytes=nodes * _NODE_LEN,
+        aes_block=nodes * _NODE_AES_BLOCKS,
+    )
+
+
+def setup_counts(blocks: int, block_len: int) -> Counter:
+    """What :meth:`SecureDeletionTree.setup` is billed for ``blocks`` data
+    blocks of ``block_len`` bytes: one seal and one transfer per leaf (the
+    padding leaves are empty) and per internal node."""
+    leaves = 1 << tree_height(blocks)
+    counts: Counter = Counter()
+    for sealed, length in ((blocks, block_len), (leaves - blocks, 0), (leaves - 1, 2 * KEY_LEN)):
+        aes_blocks, size = ae_cost(length)
+        counts["aes_block"] += sealed * aes_blocks
+        counts["io_bytes"] += sealed * size
+    return counts
 
 
 class SecureDeletionTree:
@@ -82,8 +115,7 @@ class SecureDeletionTree:
         Runs in O(D) time and stores 2^(h+1) ciphertexts, where
         ``h = ceil(log2(len(blocks)))``.
         """
-        count = max(1, len(blocks))
-        height = max(1, (count - 1).bit_length())
+        height = tree_height(len(blocks))
         num_leaves = 1 << height
 
         # Generate keys level by level, leaves first.

@@ -92,7 +92,8 @@ class TestTheorem10:
         assert security_loss_bits(3100, 40) - security_loss_bits(3100, 80) == pytest.approx(1.0)
 
     def test_figure11_annotations_at_n1500(self):
-        """The figure's printed values match N=1,500 (see EXPERIMENTS.md)."""
+        """The figure's printed values are log2(3N/n) at N=1,500, not at
+        the deployment's 3,100 (which gives 7.86 and 6.54)."""
         assert security_loss_bits(1500, 40) == pytest.approx(6.81, abs=0.01)
         assert security_loss_bits(1500, 100) == pytest.approx(5.49, abs=0.01)
 
