@@ -300,9 +300,6 @@ class ServiceProvider:
             log.dict = AuthenticatedDictionary.from_entries(entries)
             log.epoch = state.shard_epochs.get(shard, 0)
             log.certified_transitions = list(state.shard_transitions.get(shard, []))
-            log.round_history = [
-                (t.old_digest, t.new_digest, t.root) for t in log.certified_transitions
-            ]
         provider.log.garbage_collections = state.garbage_collections
         for username, ciphertexts in state.backups.items():
             provider._backups[username] = list(ciphertexts)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import metering
 from repro.crypto.bfe import (
@@ -43,17 +43,18 @@ from repro.core.identifiers import parse_attempt_identifier
 from repro.crypto.ec import ECPoint
 from repro.crypto.elgamal import ElGamalCiphertext, HashedElGamal
 from repro.crypto.gcm import AuthenticationError
-from repro.crypto.merkle import IncrementalMerkleTree, MerkleTree
+from repro.crypto.merkle import MerkleTree
 from repro.log.authdict import InclusionProof, empty_digest, verify_extension, verify_includes
 from repro.log.distributed import (
     LogConfig,
     LogUpdateRejected,
     MultiSigScheme,
+    Transition,
     UpdateRound,
     audit_chunk_indices,
-    shard_transition_message,
+    on_committee,
 )
-from repro.log.sharded import ShardedInclusionProof, shard_leaf, shard_of
+from repro.log.sharded import CrossShardRoot, ShardedInclusionProof, shard_of
 from repro.metering import OpMeter
 from repro.storage.blockstore import BlockStore, InMemoryBlockStore
 
@@ -157,13 +158,10 @@ class HsmDevice:
         self._offer_lock = threading.Lock()
         # Incremental cross-shard root over _shard_digests: adopting one
         # lane's transition re-anchors in O(log S) hashes instead of the
-        # O(S) rebuild cross_shard_root pays.  Dirty lanes are detected by
-        # comparing against the cached leaves on read, so every digest
-        # mutation path (accept, sync, GC, reshard) is covered without
-        # hooks.  No lock: all _shard_digests access is already serialized
-        # by the device's FIFO worker discipline.
-        self._root_tree: Optional[IncrementalMerkleTree] = None
-        self._root_leaves: List[bytes] = []
+        # O(S) rebuild cross_shard_root pays.  No lock: all _shard_digests
+        # access is already serialized by the device's FIFO worker
+        # discipline.
+        self._root = CrossShardRoot()
         # Directory of fleet signing keys, installed at provisioning time so
         # the device can verify aggregate signatures (the paper's aggregate
         # public key).  index -> public key object.
@@ -225,37 +223,7 @@ class HsmDevice:
             with self.meter.attached():
                 for shard in pending:
                     self._sync_shard(shard)
-        return self._incremental_root()
-
-    def _incremental_root(self) -> bytes:
-        """The cross-shard root over this device's per-shard digests,
-        rehashing only the lanes that moved since the last read
-        (byte-identical to :func:`cross_shard_root`)."""
-        if self._root_tree is None or len(self._root_leaves) != len(
-            self._shard_digests
-        ):
-            # First sharded read, or the arity changed (reshard): rebuild.
-            self._root_leaves = list(self._shard_digests)
-            self._root_tree = IncrementalMerkleTree(
-                [shard_leaf(i, d) for i, d in enumerate(self._root_leaves)]
-            )
-            return self._root_tree.root
-        for index, digest in enumerate(self._shard_digests):
-            if digest != self._root_leaves[index]:
-                self._root_tree.update(index, shard_leaf(index, digest))
-                self._root_leaves[index] = digest
-        return self._root_tree.root
-
-    @property
-    def _log_digest(self) -> bytes:
-        # Legacy seam (tests re-sync unsharded devices through it).
-        return self._shard_digests[0]
-
-    @_log_digest.setter
-    def _log_digest(self, digest: bytes) -> None:
-        if len(self._shard_digests) != 1:
-            raise ValueError("sharded devices have no single writable digest")
-        self._shard_digests[0] = digest
+        return self._root.refresh(self._shard_digests).root
 
     def shard_digest(self, shard: int) -> bytes:
         """The device's digest for one shard lane."""
@@ -273,12 +241,12 @@ class HsmDevice:
             raise HsmUnavailableError(f"HSM {self.index} has fail-stopped")
 
     # -- log update protocol (HSM side of Figure 5) ------------------------------
-    def _round_shard(self, round_: UpdateRound) -> int:
-        """Validate a round's shard stamp against this device's arity."""
-        shard, num_shards = round_.shard, round_.num_shards
+    def _lane_of(self, step: Transition) -> int:
+        """Validate a step's lane stamp against this device's arity."""
+        shard, num_shards = step.shard, step.num_shards
         if num_shards != len(self._shard_digests) or not (0 <= shard < num_shards):
             raise LogUpdateRejected(
-                f"HSM {self.index}: round claims shard {shard}/{num_shards}, "
+                f"HSM {self.index}: step claims shard {shard}/{num_shards}, "
                 f"I track {len(self._shard_digests)} shard(s)"
             )
         return shard
@@ -287,7 +255,7 @@ class HsmDevice:
         """Audit C chunks of the proposed update; sign (d, d', R) if clean."""
         self._check_alive()
         with self.meter.attached():
-            shard = self._round_shard(round_)
+            shard = self._lane_of(round_)
             if round_.old_digest != self._shard_digests[shard]:
                 raise LogUpdateRejected(
                     f"HSM {self.index}: update does not build on my digest"
@@ -297,16 +265,7 @@ class HsmDevice:
             )
             for idx in indices:
                 self._audit_one_chunk(round_, idx)
-            return self.multisig_scheme.sign(
-                self._sig_keypair.secret,
-                shard_transition_message(
-                    shard,
-                    len(self._shard_digests),
-                    round_.old_digest,
-                    round_.new_digest,
-                    round_.root,
-                ),
-            )
+            return self.multisig_scheme.sign(self._sig_keypair.secret, round_.message())
 
     def audit_specific_chunks(self, round_: UpdateRound, indices: Sequence[int]) -> None:
         """Appendix B.3 coverage: audit chunks on behalf of a failed peer.
@@ -317,7 +276,7 @@ class HsmDevice:
         """
         self._check_alive()
         with self.meter.attached():
-            shard = self._round_shard(round_)
+            shard = self._lane_of(round_)
             if round_.old_digest != self._shard_digests[shard]:
                 raise LogUpdateRejected(
                     f"HSM {self.index}: coverage request for a foreign digest"
@@ -361,27 +320,15 @@ class HsmDevice:
         self, round_: UpdateRound, aggregate, signer_ids: Tuple[int, ...]
     ) -> None:
         """Adopt d' after verifying the aggregate signature and quorum."""
-        self._accept_transition(
-            round_.old_digest,
-            round_.new_digest,
-            round_.root,
-            aggregate,
-            signer_ids,
-            shard=round_.shard,
-            num_shards=round_.num_shards,
-        )
+        self._check_alive()
+        with self.meter.attached():
+            self._apply_transition(round_, aggregate, signer_ids)
 
     def accept_certified_transition(self, transition) -> None:
         """Catch-up path: replay a quorum-signed transition after downtime."""
-        self._accept_transition(
-            transition.old_digest,
-            transition.new_digest,
-            transition.root,
-            transition.aggregate,
-            transition.signer_ids,
-            shard=transition.shard,
-            num_shards=transition.num_shards,
-        )
+        self._check_alive()
+        with self.meter.attached():
+            self._apply_transition(transition, transition.aggregate, transition.signer_ids)
 
     def committee_for(self, shard: int) -> List[int]:
         """The shard's certifying committee: directory indices ≡ shard (mod S).
@@ -394,43 +341,14 @@ class HsmDevice:
         deployments choose ``S`` so ``N/S`` keeps that bound acceptable.
         """
         num_shards = len(self._shard_digests)
-        if num_shards == 1:
-            return sorted(self._sig_directory)
-        return sorted(i for i in self._sig_directory if i % num_shards == shard)
-
-    def _accept_transition(
-        self,
-        old_digest: bytes,
-        new_digest: bytes,
-        root: bytes,
-        aggregate,
-        signer_ids: Tuple[int, ...],
-        shard: int = 0,
-        num_shards: int = 1,
-    ) -> None:
-        self._check_alive()
-        with self.meter.attached():
-            self._apply_transition(
-                old_digest, new_digest, root, aggregate, signer_ids, shard, num_shards
-            )
+        return sorted(i for i in self._sig_directory if on_committee(i, shard, num_shards))
 
     def _apply_transition(
-        self,
-        old_digest: bytes,
-        new_digest: bytes,
-        root: bytes,
-        aggregate,
-        signer_ids: Tuple[int, ...],
-        shard: int,
-        num_shards: int,
+        self, step: Transition, aggregate, signer_ids: Tuple[int, ...]
     ) -> None:
-        """Verify + adopt one transition (caller provides metering context)."""
-        if num_shards != len(self._shard_digests) or not (0 <= shard < num_shards):
-            raise LogUpdateRejected(
-                f"HSM {self.index}: transition claims shard {shard}/{num_shards}, "
-                f"I track {len(self._shard_digests)} shard(s)"
-            )
-        if old_digest != self._shard_digests[shard]:
+        """Verify + adopt one digest step (caller provides metering context)."""
+        shard = self._lane_of(step)
+        if step.old_digest != self._shard_digests[shard]:
             raise LogUpdateRejected(
                 f"HSM {self.index}: aggregate is for a different base digest"
             )
@@ -453,12 +371,9 @@ class HsmDevice:
                 f"signers, need {quorum:.1f}"
             )
         publics = [self._sig_directory[i] for i in signer_ids]
-        message = shard_transition_message(
-            shard, num_shards, old_digest, new_digest, root
-        )
-        if not self.multisig_scheme.verify_aggregate(publics, message, aggregate):
+        if not self.multisig_scheme.verify_aggregate(publics, step.message(), aggregate):
             raise LogUpdateRejected(f"HSM {self.index}: aggregate signature invalid")
-        self._shard_digests[shard] = new_digest
+        self._shard_digests[shard] = step.new_digest
 
     # -- lazy adoption of foreign shard lanes ---------------------------------------
     def offer_certified_transition(self, transition) -> None:
@@ -514,15 +429,7 @@ class HsmDevice:
                 transition = queue.pop(0)
             if transition.old_digest != self._shard_digests[shard]:
                 continue
-            self._apply_transition(
-                transition.old_digest,
-                transition.new_digest,
-                transition.root,
-                transition.aggregate,
-                transition.signer_ids,
-                transition.shard,
-                transition.num_shards,
-            )
+            self._apply_transition(transition, transition.aggregate, transition.signer_ids)
 
     # -- recovery (step Ð of Figure 3) ---------------------------------------------
     def decrypt_share(self, request: DecryptShareRequest) -> ElGamalCiphertext:

@@ -44,6 +44,7 @@ MUTATING_METHODS = frozenset(
         "insert",
         "pop",
         "popleft",
+        "refresh",
         "remove",
         "setdefault",
         "update",

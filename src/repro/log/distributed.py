@@ -258,32 +258,53 @@ class ChunkPackage:
         return len(self.header.leaf_bytes()) + len(self.serialized_proofs())
 
 
-def transition_message(old_digest: bytes, new_digest: bytes, root: bytes) -> bytes:
-    """The message every HSM signs: the tuple (d, d', R)."""
-    return sha256(b"log-transition", old_digest, new_digest, root)
+@dataclass(frozen=True)
+class Transition:
+    """One digest step ``(d, d', R)`` on one shard lane — the value that
+    travels the log → HSM epoch leg.  A round proposes it, an intent
+    journals it, a quorum certifies it; each adds only its own fields.
 
-
-def shard_transition_message(
-    shard: int, num_shards: int, old_digest: bytes, new_digest: bytes, root: bytes
-) -> bytes:
-    """The signed transition message, domain-separated by shard lane.
-
-    All shards of a sharded log start from the same empty digest, so without
-    the ``(shard, num_shards)`` binding a quorum's endorsement of shard k's
-    first epoch would verify against shard j too.  ``num_shards == 1``
-    reproduces the legacy unsharded message byte-for-byte, keeping metered
-    ``sha256_block`` counts for unsharded deployments unchanged.
+    All shards of a sharded log start from the same empty digest, so
+    without the ``(shard, num_shards)`` stamp a quorum's endorsement of
+    shard k's first epoch would verify against shard j too.
     """
-    if num_shards == 1:
-        return transition_message(old_digest, new_digest, root)
-    return sha256(
-        b"log-transition-shard",
-        shard.to_bytes(4, "big"),
-        num_shards.to_bytes(4, "big"),
-        old_digest,
-        new_digest,
-        root,
-    )
+
+    old_digest: bytes
+    new_digest: bytes
+    root: bytes
+    shard: int = 0  # which shard lane the step belongs to
+    num_shards: int = 1  # sharding arity (1 = legacy unsharded log)
+
+    def message(self) -> bytes:
+        """The message every HSM signs, domain-separated by shard lane.
+        ``num_shards == 1`` is the legacy unsharded message byte-for-byte,
+        keeping metered ``sha256_block`` counts for unsharded deployments
+        unchanged."""
+        if self.num_shards == 1:
+            return sha256(b"log-transition", self.old_digest, self.new_digest, self.root)
+        return sha256(
+            b"log-transition-shard",
+            self.shard.to_bytes(4, "big"),
+            self.num_shards.to_bytes(4, "big"),
+            self.old_digest,
+            self.new_digest,
+            self.root,
+        )
+
+    def certified(self, aggregate, signer_ids: Sequence[int]) -> "CertifiedTransition":
+        """This step plus the quorum's aggregate signature over it."""
+        return CertifiedTransition(
+            self.old_digest, self.new_digest, self.root, self.shard, self.num_shards,
+            aggregate=aggregate, signer_ids=tuple(signer_ids),
+        )
+
+
+def on_committee(index: int, shard: int, num_shards: int) -> bool:
+    """The placement rule: device ``index`` certifies shard ``shard`` iff
+    ``index ≡ shard (mod S)`` — everyone when ``S == 1``.  The log picks
+    its committee with it, devices size the quorum with it, and crash
+    reconciliation asks the same devices."""
+    return index % num_shards == shard
 
 
 def audit_chunk_indices(
@@ -335,21 +356,16 @@ class LogConfig:
     num_shards: int = 1  # >1 partitions the log into independent epoch lanes
 
 
-@dataclass(frozen=True)
-class CertifiedTransition:
+@dataclass(frozen=True, kw_only=True)
+class CertifiedTransition(Transition):
     """A digest transition plus the quorum's aggregate signature over it."""
 
-    old_digest: bytes
-    new_digest: bytes
-    root: bytes
     aggregate: object
     signer_ids: Tuple[int, ...]
-    shard: int = 0  # which shard lane this transition belongs to
-    num_shards: int = 1  # sharding arity the signature is bound to
 
 
-@dataclass
-class UpdateRound:
+@dataclass(frozen=True, kw_only=True)
+class UpdateRound(Transition):
     """Everything the provider publishes for one update epoch.
 
     HSMs treat this object as the (untrusted) provider's response oracle;
@@ -357,14 +373,9 @@ class UpdateRound:
     HSM-side Merkle checks must catch.
     """
 
-    old_digest: bytes
-    new_digest: bytes
-    root: bytes
     num_chunks: int
     chunks: List[ChunkPackage]
     tree: MerkleTree
-    shard: int = 0  # which shard lane proposed this round
-    num_shards: int = 1  # sharding arity (1 = legacy unsharded log)
 
     def chunk_with_proof(self, index: int) -> Tuple[ChunkPackage, MerkleProof]:
         """Serve one chunk plus its Merkle inclusion proof under R."""
@@ -401,7 +412,6 @@ class DistributedLog:
         self.epoch = 0
         self.garbage_collections = 0
         self.archived_logs: List[List[Tuple[bytes, bytes]]] = []
-        self.round_history: List[Tuple[bytes, bytes, bytes]] = []
         self.certified_transitions: List[CertifiedTransition] = []
         # Optional durability hook (repro.storage.journal.ProviderJournal):
         # when set, run_update write-ahead-journals every epoch as
@@ -516,15 +526,16 @@ class DistributedLog:
             num_shards=self.num_shards,
         )
         self.epoch += 1
-        self.round_history.append((old_digest, self.dict.digest, tree.root))
         return round_
 
     def run_update(self, hsms: Sequence) -> None:
         """Drive a full epoch against the fleet; restart on fail-stops.
 
-        ``hsms`` are duck-typed: each must offer ``audit_log_update`` and
-        ``accept_log_digest`` (see ``repro.hsm.device.HsmDevice``) and an
-        ``is_failed`` attribute.
+        ``hsms`` are duck-typed (see ``repro.hsm.device.HsmDevice``): each
+        must offer ``index``, ``is_failed``, ``multisig_scheme``,
+        ``shard_digest(k)``, and the four epoch methods
+        ``audit_log_update``, ``audit_specific_chunks``,
+        ``accept_log_digest`` and ``accept_certified_transition``.
 
         The epoch is transactional: if certification fails (no quorum, bad
         chunk), the provider rolls its state back to ``d``.  Without the
@@ -575,17 +586,6 @@ class DistributedLog:
         self.dict = AuthenticatedDictionary.from_entries(self.ordered_entries)
         self.pending = pending_before + self.pending
         self.epoch -= 1
-        self.round_history.pop()
-
-    def _device_digest(self, hsm) -> bytes:
-        """The device's digest for *this* log's shard lane.
-
-        Sharded devices track one digest per shard; unsharded devices (and
-        duck-typed test doubles) expose the single ``log_digest``.
-        """
-        if self.num_shards > 1:
-            return hsm.shard_digest(self.shard_index)
-        return hsm.log_digest
 
     def certify_round(self, round_: UpdateRound, hsms: Sequence) -> None:
         """Collect audits + signatures for an already-prepared round."""
@@ -593,7 +593,7 @@ class DistributedLog:
         # HSMs that rejoined after missing rounds first replay the chain of
         # certified transitions from their stale digest to the current one.
         for hsm in online:
-            if self._device_digest(hsm) != round_.old_digest:
+            if hsm.shard_digest(self.shard_index) != round_.old_digest:
                 self.catch_up(hsm)
         signatures = []
         signer_ids = []
@@ -633,15 +633,7 @@ class DistributedLog:
         # (fail-stop below, or downtime) replays it from this chain via
         # ``catch_up`` — without it, one mid-loop failure would strand the
         # early acceptors on d' forever.
-        transition = CertifiedTransition(
-            old_digest=round_.old_digest,
-            new_digest=round_.new_digest,
-            root=round_.root,
-            aggregate=aggregate,
-            signer_ids=tuple(signer_ids),
-            shard=round_.shard,
-            num_shards=round_.num_shards,
-        )
+        transition = round_.certified(aggregate, signer_ids)
         self.certified_transitions.append(transition)
         # Durability: the commit record (with the quorum aggregate) lands
         # *before* any device accepts d'.  An intent left open by a crash
@@ -655,7 +647,7 @@ class DistributedLog:
         try:
             for hsm in online:
                 try:
-                    hsm.accept_log_digest(round_, aggregate, tuple(signer_ids))
+                    hsm.accept_log_digest(round_, aggregate, transition.signer_ids)
                 except Exception:
                     if getattr(hsm, "is_failed", False):
                         continue  # fail-stopped mid-accept: catches up later
@@ -690,22 +682,31 @@ class DistributedLog:
             hsm = survivors[position % len(survivors)]
             hsm.audit_specific_chunks(round_, [chunk_index])
 
+    def chain_after(self, digest: bytes) -> List[CertifiedTransition]:
+        """The certified chain's suffix from the *latest* transition that
+        starts at ``digest`` (empty if none does, or ``digest`` is the tip).
+
+        Latest, because every garbage collection restarts the chain at the
+        empty digest: a device sitting there after a GC must be fed the
+        newest generation, never the archived one.
+        """
+        chain = self.certified_transitions
+        if chain and chain[-1].new_digest == digest:
+            return []  # already current: no scan for the common case
+        for position in range(len(chain) - 1, -1, -1):
+            if chain[position].old_digest == digest:
+                return chain[position:]
+        return []
+
     def catch_up(self, hsm) -> None:
         """Replay quorum-signed digest transitions to a lagging HSM.
 
         A rejoining HSM never trusts the provider's word for the current
         digest: it verifies each transition's aggregate signature, exactly
-        as it would have live.
+        as it would have live.  If nothing in the chain starts at its
+        digest, nothing is replayed and the HSM will reject the round.
         """
-        chain = self.certified_transitions
-        position = None
-        for i, transition in enumerate(chain):
-            if transition.old_digest == self._device_digest(hsm):
-                position = i
-                break
-        if position is None:
-            return  # nothing applicable; the HSM will reject the round
-        for transition in chain[position:]:
+        for transition in self.chain_after(hsm.shard_digest(self.shard_index)):
             hsm.accept_certified_transition(transition)
 
     # -- garbage collection -------------------------------------------------------

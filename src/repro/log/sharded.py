@@ -28,7 +28,8 @@ its own copy of the shard digest and recomputes the identifier's shard
 itself (write-once stays intact: an identifier maps to exactly one shard,
 so no value can be re-logged in a sibling lane).
 
-The root is maintained *incrementally*: ``ShardedLog`` keeps a persistent
+The root is maintained *incrementally*: :class:`CrossShardRoot` (one
+under ``ShardedLog``, one in every sharded device) keeps a persistent
 :class:`~repro.crypto.merkle.IncrementalMerkleTree` over the shard-digest
 leaves and, on every root read, rehashes only the O(log S) paths of
 shards whose digest moved since the last read (detected by a byte compare
@@ -45,7 +46,7 @@ function of the identifier and ``num_shards``, the per-shard duplicate
 check *is* the global duplicate check — there is no cross-shard race.  The
 shard count is therefore part of the trusted configuration: HSMs bind
 ``(shard, num_shards)`` into every signed transition
-(:func:`~repro.log.distributed.shard_transition_message`) and refuse
+(:meth:`~repro.log.distributed.Transition.message`) and refuse
 rounds whose arity differs from their own.  Committee certification sizes
 the quorum to the committee, so the ``f_secret`` compromise bound applies
 per ``N/S``-device committee rather than fleet-wide — deployments pick
@@ -78,7 +79,7 @@ from repro.log.authdict import (
     InclusionProof,
     verify_includes,
 )
-from repro.log.distributed import DistributedLog, LogConfig, LogUpdateRejected
+from repro.log.distributed import DistributedLog, LogConfig, LogUpdateRejected, on_committee
 
 
 def shard_of(identifier: bytes, num_shards: int) -> int:
@@ -101,6 +102,37 @@ def shard_leaf(shard: int, digest: bytes) -> bytes:
 def cross_shard_root(digests: Sequence[bytes]) -> bytes:
     """The one value everything anchors to: Merkle over the shard digests."""
     return MerkleTree([shard_leaf(i, d) for i, d in enumerate(digests)]).root
+
+
+class CrossShardRoot:
+    """The compare-on-read incremental cross-shard root.
+
+    Dirtiness is a byte compare of each digest against the cached leaf —
+    O(S) comparisons but no hashing — so any mutation path (epoch commit,
+    rollback, GC, restore, adversarial subclassing) is picked up without
+    invalidation hooks, and only changed shards pay the O(log S) path
+    rehash.  Not synchronized: the owner serializes :meth:`refresh`.
+    """
+
+    def __init__(self) -> None:
+        self._leaves: List[bytes] = []
+        self._tree: Optional[IncrementalMerkleTree] = None
+
+    def refresh(self, digests: Sequence[bytes]) -> IncrementalMerkleTree:
+        """The root tree over ``digests``, byte-identical to
+        :func:`cross_shard_root` over the same list."""
+        if self._tree is None or len(self._leaves) != len(digests):
+            # First read, or the arity changed (reshard): build, O(S).
+            self._leaves = list(digests)
+            self._tree = IncrementalMerkleTree(
+                [shard_leaf(i, d) for i, d in enumerate(digests)]
+            )
+            return self._tree
+        for index, digest in enumerate(digests):
+            if digest != self._leaves[index]:
+                self._tree.update(index, shard_leaf(index, digest))
+                self._leaves[index] = digest
+        return self._tree
 
 
 @dataclass(frozen=True)
@@ -176,17 +208,14 @@ class ShardedLog:
     """
 
     #: Lock contract (see `repro.lintkit`'s lock-discipline pass): the
-    #: incremental root tree and its cached leaf digests are only mutated
-    #: under ``_root_lock``, so concurrent ``digest``/``prove_includes``
-    #: readers can never interleave partial path updates.
-    _GUARDED_BY = {
-        "_root_tree": "_root_lock",
-        "_root_leaves": "_root_lock",
-    }
+    #: incremental root is only refreshed under ``_root_lock``, so
+    #: concurrent ``digest``/``prove_includes`` readers can never
+    #: interleave partial path updates.
+    _GUARDED_BY = {"_root": "_root_lock"}
 
-    def __init__(self, config: Optional[LogConfig] = None, num_shards: Optional[int] = None) -> None:
+    def __init__(self, config: Optional[LogConfig] = None) -> None:
         self.config = config or LogConfig()
-        self.num_shards = num_shards if num_shards is not None else self.config.num_shards
+        self.num_shards = self.config.num_shards
         if self.num_shards < 2:
             raise ValueError(
                 "ShardedLog needs >= 2 shards (an unsharded log IS DistributedLog)"
@@ -199,13 +228,8 @@ class ShardedLog:
         self.garbage_collections = 0
         self.archived_logs: List[List[Tuple[bytes, bytes]]] = []
         self._journal = None
-        # Persistent cross-shard root: built once (O(S)), then every root
-        # read folds in only the shards whose digest moved (O(log S) each).
         self._root_lock = threading.Lock()
-        self._root_leaves: List[bytes] = [s.digest for s in self.shards]
-        self._root_tree = IncrementalMerkleTree(
-            [shard_leaf(i, d) for i, d in enumerate(self._root_leaves)]
-        )
+        self._root = CrossShardRoot()
 
     @property
     def journal(self):
@@ -241,24 +265,6 @@ class ShardedLog:
         """The committed value for ``identifier``, or None."""
         return self.shard_for(identifier).get(identifier)
 
-    # lint: unguarded[caller holds self._root_lock (digest / prove_includes)]
-    def _refresh_root(self) -> IncrementalMerkleTree:
-        """Fold dirty shard digests into the persistent root tree.
-
-        Called with ``_root_lock`` held.  Dirtiness is a byte compare of
-        each shard's current digest against the cached leaf value — O(S)
-        comparisons but no hashing — so any mutation path (epoch commit,
-        rollback, GC, restore, adversarial subclassing) is picked up
-        without explicit invalidation hooks; only changed shards pay the
-        O(log S) path rehash.
-        """
-        for index, shard in enumerate(self.shards):
-            digest = shard.digest
-            if digest != self._root_leaves[index]:
-                self._root_tree.update(index, shard_leaf(index, digest))
-                self._root_leaves[index] = digest
-        return self._root_tree
-
     @property
     def digest(self) -> bytes:
         """The cross-shard root: the single anchor for proofs and audits.
@@ -268,7 +274,7 @@ class ShardedLog:
         :func:`cross_shard_root` over the current shard digests.
         """
         with self._root_lock:
-            return self._refresh_root().root
+            return self._root.refresh(self.shard_digests).root
 
     @property
     def shard_digests(self) -> List[bytes]:
@@ -327,13 +333,12 @@ class ShardedLog:
         if inner is None:
             return None
         with self._root_lock:
-            tree = self._refresh_root()
-            shard_digest = self._root_leaves[shard_index]
-            shard_path = tree.prove(shard_index)
+            digests = self.shard_digests
+            shard_path = self._root.refresh(digests).prove(shard_index)
         return ShardedInclusionProof(
             shard=shard_index,
             num_shards=self.num_shards,
-            shard_digest=shard_digest,
+            shard_digest=digests[shard_index],
             shard_path=shard_path,
             inclusion=inner,
         )
@@ -346,10 +351,11 @@ class ShardedLog:
         epoch touches only its own N/S devices, so S lanes drive disjoint
         device sets in parallel, and each device verifies aggregates of
         N/S signatures instead of N.  Devices compute the same partition
-        from their signer directory (``HsmDevice.committee_for``) and size
-        the quorum to the committee.
+        from their signer directory (``HsmDevice.committee_for``, the same
+        :func:`~repro.log.distributed.on_committee` rule) and size the
+        quorum to the committee.
         """
-        return [h for h in hsms if h.index % self.num_shards == shard_index]
+        return [h for h in hsms if on_committee(h.index, shard_index, self.num_shards)]
 
     def run_shard_update(self, shard_index: int, hsms: Sequence) -> None:
         """One transactional update epoch on a single shard lane.
@@ -368,23 +374,10 @@ class ShardedLog:
         """
         shard = self.shards[shard_index]
         shard.run_update(self.committee(shard_index, hsms))
-        chain = shard.certified_transitions
-        if not chain:
-            return
         for hsm in hsms:
-            if hsm.index % self.num_shards == shard_index:
-                continue
-            frontier = hsm.offered_frontier(shard_index)
-            if frontier == chain[-1].new_digest:
-                continue  # already current (or fully queued)
-            # Walk back to the device's frontier; offer everything after it.
-            start = 0
-            for position in range(len(chain) - 1, -1, -1):
-                if chain[position].old_digest == frontier:
-                    start = position
-                    break
-            for transition in chain[start:]:
-                hsm.offer_certified_transition(transition)
+            if not on_committee(hsm.index, shard_index, self.num_shards):
+                for transition in shard.chain_after(hsm.offered_frontier(shard_index)):
+                    hsm.offer_certified_transition(transition)
 
     def run_update(self, hsms: Sequence) -> None:
         """Run every shard with queued work, one lane at a time.

@@ -81,7 +81,6 @@ _EPOCH_METHODS = frozenset(
 _DIRECT_NAMES = (
     "index",
     "is_failed",
-    "log_digest",
     "multisig_scheme",
     "shard_digest",
     "offered_frontier",

@@ -56,7 +56,7 @@ from repro.core.codec import (
 )
 from repro.core.lhe import LheCiphertext
 from repro.core.wire import RECOVERY_CIPHERTEXT
-from repro.log.distributed import CertifiedTransition
+from repro.log.distributed import CertifiedTransition, Transition, on_committee
 from repro.storage.blockstore import BlockStore, InMemoryBlockStore
 from repro.storage.wal import WriteAheadLog
 
@@ -123,17 +123,12 @@ def decode_aggregate(scheme: str, data: bytes) -> object:
 # ---------------------------------------------------------------------------
 # Restored state
 # ---------------------------------------------------------------------------
-@dataclass
-class OpenIntent:
-    """An epoch intent with no commit/rollback yet (a crash mid-epoch);
-    after ``seq``, the ``EPOCH_INTENT`` record's fields in record order."""
+@dataclass(frozen=True, kw_only=True)
+class OpenIntent(Transition):
+    """An epoch intent with no commit/rollback yet (a crash mid-epoch):
+    the ``EPOCH_INTENT`` record's digest step plus what only it carries."""
 
     seq: int  # WAL sequence number of the intent record
-    shard: int
-    num_shards: int
-    old_digest: bytes
-    new_digest: bytes
-    root: bytes
     entries: List[Tuple[bytes, bytes]]
 
 
@@ -163,18 +158,11 @@ class RestoredState:
         part of the restored chain.
         """
         signer_ids, aggregate = signature or ((), None)
-        transition = CertifiedTransition(
-            old_digest=intent.old_digest,
-            new_digest=intent.new_digest,
-            root=intent.root,
-            aggregate=aggregate,
-            signer_ids=signer_ids,
-            shard=intent.shard,
-            num_shards=intent.num_shards,
-        )
         self.shard_entries.setdefault(intent.shard, []).extend(intent.entries)
         self.shard_epochs[intent.shard] = self.shard_epochs.get(intent.shard, 0) + 1
-        self.shard_transitions.setdefault(intent.shard, []).append(transition)
+        self.shard_transitions.setdefault(intent.shard, []).append(
+            intent.certified(aggregate, signer_ids)
+        )
         self.open_intents.pop(intent.shard, None)
 
     def apply_rollback(self, intent: OpenIntent) -> None:
@@ -432,7 +420,10 @@ class ProviderJournal:
             username, attempt, blob = fields
             state.replies.setdefault((username, attempt), []).append(blob)
         elif kind == K_EPOCH_INTENT:
-            intent = OpenIntent(seq, *fields)
+            shard, num_shards, old_digest, new_digest, root, entries = fields
+            intent = OpenIntent(
+                old_digest, new_digest, root, shard, num_shards, seq=seq, entries=entries
+            )
             if intent.shard in state.open_intents:
                 raise JournalReplayError(
                     f"shard {intent.shard} has two unresolved epoch intents"
@@ -494,21 +485,13 @@ def reconcile_open_intents(
         committee = [
             hsm
             for hsm in hsms
-            if not hsm.is_failed
-            and (intent.num_shards == 1 or hsm.index % intent.num_shards == shard)
+            if not hsm.is_failed and on_committee(hsm.index, shard, intent.num_shards)
         ]
         if not committee:
             raise JournalReplayError(
                 f"no online committee device to reconcile shard {shard}"
             )
-        digests = {
-            (
-                hsm.shard_digest(shard)
-                if intent.num_shards > 1
-                else hsm.log_digest
-            )
-            for hsm in committee
-        }
+        digests = {hsm.shard_digest(shard) for hsm in committee}
         unexplained = digests - {intent.old_digest, intent.new_digest}
         if unexplained:
             raise JournalReplayError(

@@ -13,6 +13,7 @@ from repro.log.distributed import (
     DistributedLog,
     LogConfig,
     LogUpdateRejected,
+    Transition,
     audit_chunk_indices,
 )
 
@@ -32,9 +33,25 @@ def log(fleet):
     log = DistributedLog(CFG)
     # re-sync devices to a fresh empty log
     for hsm in fleet:
-        hsm._log_digest = log.digest
+        hsm._shard_digests[0] = log.digest
         hsm.garbage_collections_seen = 0
     return log
+
+
+class TestSignedBytes:
+    def test_signed_message_bytes_are_pinned(self):
+        """What a quorum signs, captured from the two module-level message
+        functions before ``Transition.message`` replaced them:
+        ``num_shards == 1`` is the legacy unsharded message."""
+        old, new, root = b"\xaa" * 32, b"\xbb" * 32, b"\xcc" * 32
+        assert Transition(old, new, root).message().hex() == (
+            "255b06b804420cb48bc4575794b11f7a9b698b96a6420a8fdf2b09ced1ca63b5"
+        )
+        sharded = Transition(old, new, root, shard=2, num_shards=4)
+        assert sharded.message().hex() == (
+            "2923099617b0200c64b59b9e060cb71b880815def7f9ba8db3ff76c35125fea6"
+        )
+        assert sharded.certified((), (1, 3)).message() == sharded.message()
 
 
 class TestHappyPath:
@@ -347,6 +364,26 @@ class TestGarbageCollection:
         # the identifier is reusable after GC
         log.insert(b"g1", b"h2")
         log.run_update(fleet.hsms)
+
+    def test_laggard_after_gc_is_replayed_the_newest_generation(self, fleet, log):
+        """Every GC restarts the certified chain at the empty digest, so a
+        device that sat through the GC and missed the first epoch after it
+        must be replayed from the *latest* transition starting there.
+        Replaying the archived generation strands it on the collected log's
+        final digest, and it then refuses every later epoch."""
+        for identifier in (b"gen1-a", b"gen1-b"):
+            log.insert(identifier, b"h")
+            log.run_update(fleet.hsms)
+        log.garbage_collect(fleet.hsms)
+        laggard = fleet[5]
+        laggard.fail_stop()
+        log.insert(b"gen2-a", b"h")
+        log.run_update(fleet.hsms)
+        laggard.restart()
+        for identifier in (b"gen2-b", b"gen2-c"):
+            log.insert(identifier, b"h")
+            log.run_update(fleet.hsms)
+            assert laggard.log_digest == log.digest
 
     def test_gc_budget_enforced(self, fleet, log):
         log.garbage_collect(fleet.hsms)

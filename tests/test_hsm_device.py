@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import typing
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.crypto.elgamal import HashedElGamal
 from repro.crypto.shamir import Share
 from repro.hsm.device import (
     DecryptShareRequest,
+    HsmDevice,
     HsmRefusedError,
     HsmUnavailableError,
 )
@@ -252,6 +254,13 @@ class TestMetering:
         after = fleet[hsm_index].meter.counts
         assert after["elgamal_dec"] > before.get("elgamal_dec", 0)
         assert after["elgamal_enc"] > before.get("elgamal_enc", 0)  # the reply
+
+
+class TestCommittee:
+    def test_unsharded_committee_is_the_directory_and_hints_resolve(self, env):
+        assert env[0][0].committee_for(0) == list(range(N))
+        # The module once annotated with ``List`` without importing it.
+        assert typing.get_type_hints(HsmDevice.committee_for)["return"] == typing.List[int]
 
 
 class TestCompromise:

@@ -573,13 +573,22 @@ def test_no_sharded_unsharded_probe_in_src():
     """One log interface: ``num_shards``, ``shards`` and ``has_pending``
     are real members of both logs, ``shard``/``num_shards`` real fields of
     rounds and transitions — so nothing under ``src/repro`` may fork on
-    them with a ``getattr``/``hasattr`` probe."""
+    them with a ``getattr``/``hasattr`` probe.  And one placement
+    arithmetic: ``% num_shards`` is written in ``on_committee`` (device →
+    committee) and ``shard_of`` (identifier → lane) and nowhere else."""
     import ast
 
     probed = {"num_shards", "shard", "shards", "has_pending"}
+    placement = ("on_committee", "shard_of")
     offenders = []
     for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = [
+            range(node.lineno, node.end_lineno + 1)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in placement
+        ]
+        for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
@@ -587,6 +596,12 @@ def test_no_sharded_unsharded_probe_in_src():
                 and len(node.args) >= 2
                 and isinstance(node.args[1], ast.Constant)
                 and node.args[1].value in probed
+            ) or (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Mod)
+                and "num_shards"
+                in (getattr(node.right, "id", None), getattr(node.right, "attr", None))
+                and not any(node.lineno in span for span in allowed)
             ):
                 offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
     assert offenders == []

@@ -389,8 +389,8 @@ class TestRecoveryService:
         device = service_deployment.fleet[0]
         fifo = service._epoch_fleet[0]
         assert fifo.index == 0 and fifo.is_failed is False
-        assert fifo.log_digest == device.log_digest
-        for name in ("decrypt_share", "extract_secrets", "rotate_keys",
+        assert fifo.shard_digest(0) == device.shard_digest(0)
+        for name in ("decrypt_share", "extract_secrets", "rotate_keys", "log_digest",
                      "fail_stop", "public_info", "install_signer_directory"):
             assert hasattr(device, name), name  # real device surface...
             with pytest.raises(AttributeError):

@@ -28,6 +28,7 @@ from repro.log import AuditFailure, ExternalAuditor
 from repro.log.authdict import AuthenticatedDictionary
 from repro.log.distributed import DistributedLog, LogConfig, LogUpdateRejected
 from repro.log.sharded import (
+    CrossShardRoot,
     ShardedInclusionProof,
     ShardedLog,
     cross_shard_root,
@@ -135,14 +136,16 @@ class TestCrossShardAnchor:
 # ---------------------------------------------------------------------------
 class TestIncrementalRoot:
     """``ShardedLog.digest`` is maintained with O(log S) path updates; it
-    must stay byte-identical to :func:`cross_shard_root` recomputed from
-    scratch after *any* mutation sequence."""
+    — and a bare :class:`CrossShardRoot` fed the same digest moves — must
+    stay byte-identical to :func:`cross_shard_root` recomputed from scratch
+    after *any* mutation sequence."""
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_root_matches_scratch_after_any_dirty_sequence(self, data):
         num_shards = data.draw(st.sampled_from([2, 3, 5, 8]))
         log = ShardedLog(LogConfig(num_shards=num_shards))
+        bare = CrossShardRoot()
         committed = {}
         counter = 0
         for _ in range(data.draw(st.integers(1, 10))):
@@ -168,11 +171,15 @@ class TestIncrementalRoot:
                     for i, v in committed.items()
                     if shard_of(i, num_shards) != k
                 }
-            assert log.digest == cross_shard_root(log.shard_digests)
+            digests = log.shard_digests
+            assert log.digest == bare.refresh(digests).root == cross_shard_root(digests)
         for identifier, value in committed.items():
             proof = log.prove_includes(identifier, value)
             assert proof is not None
             assert verify_includes_sharded(log.digest, identifier, value, proof)
+        # An arity change (a device's reshard) rebuilds instead of patching.
+        fewer = log.shard_digests[: data.draw(st.integers(1, num_shards - 1))]
+        assert bare.refresh(fewer).root == cross_shard_root(fewer)
 
     def test_migration_root_is_identical_to_scratch(self):
         """Reshard migration rebuilds every lane from genesis; the migrated
@@ -584,14 +591,14 @@ class TestCommitteeCertification:
     def test_off_committee_signers_cannot_certify_a_shard(self):
         """Compromised devices from *other* committees must not be able to
         forge a shard's transitions: quorum counts committee members only."""
-        from repro.log.distributed import CertifiedTransition, shard_transition_message
+        from repro.log.distributed import CertifiedTransition, Transition
 
         dep = Deployment.create(small_params(), rng=random.Random(104), shards=SHARDS)
         victim = dep.fleet[0]  # shard 0's committee is {0, 4}
         stolen = [dep.fleet[i].extract_secrets() for i in (1, 2)]  # off-committee
         old = victim.shard_digest(0)
         fake_new, root = b"\xab" * 32, b"\xcd" * 32
-        message = shard_transition_message(0, SHARDS, old, fake_new, root)
+        message = Transition(old, fake_new, root, 0, SHARDS).message()
         scheme = dep.fleet.multisig_scheme
         signatures = [scheme.sign(s.sig_secret, message) for s in stolen]
         forged = CertifiedTransition(
@@ -678,6 +685,28 @@ class TestShardedGarbageCollection:
         assert log.digest == empty.digest
         assert dep.fleet[0].log_digest == log.digest
         assert log.archived_logs[-1]  # history preserved for auditors
+
+    def test_post_gc_offers_are_the_newest_generation_only(self):
+        """A GC wipes every device's digests and offer queues and restarts
+        every chain at the empty digest: the next epoch must offer an
+        off-committee device the newest generation's suffix — not the
+        archived chain, which also starts at the empty digest."""
+        dep = Deployment.create(small_params(), rng=random.Random(82), shards=SHARDS)
+        log = dep.provider.log
+        same_lane = [
+            i for i in (b"rec|gen-%d|0" % n for n in range(256)) if shard_of(i, SHARDS) == 1
+        ]
+        foreign = dep.fleet[0]  # on shard 0's committee, so off shard 1's
+        for identifier in same_lane[:2]:
+            log.insert(identifier, b"h")
+            log.run_shard_update(1, dep.fleet.hsms)
+        dep.garbage_collect_log()
+        log.insert(same_lane[2], b"h")
+        log.run_shard_update(1, dep.fleet.hsms)
+        with foreign._offer_lock:
+            offered = list(foreign._pending_foreign[1])
+        assert offered == log.shards[1].certified_transitions[-1:]
+        assert foreign.log_digest == log.digest
 
 
 # ---------------------------------------------------------------------------
