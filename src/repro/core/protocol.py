@@ -67,9 +67,9 @@ class Deployment:
         per lane; see ``repro.log.sharded``), so no migration is needed.
 
         ``store`` opts into durability: the provider journals every escrow
-        mutation, outsourced HSM block, and committed epoch to it, and
-        :meth:`restore` rebuilds the whole deployment from the same store
-        after a crash.
+        mutation and committed epoch to it, each HSM writes its key array
+        in place in its own region of it, and :meth:`restore` rebuilds the
+        whole deployment from the same store after a crash.
         """
         if shards is not None:
             import dataclasses
@@ -100,12 +100,13 @@ class Deployment:
         (losing all memory), but the block store and the HSM fleet —
         separate trusted hardware whose keys and digests live inside their
         tamper boundaries — survived.  The journal is replayed (verifying
-        the WAL chain, so corrupted / swapped / replayed blocks are
+        the WAL chain, so corrupted / swapped / replayed records are
         detected, never silently restored), any epoch left half-committed
         by the crash is reconciled against the fleet's digests (completed
         if any committee device adopted it, rolled back otherwise — the
         epoch is atomic either way), each device is re-pointed at its
-        re-hosted key blocks, and the service wiring is rebuilt.
+        key-array region of the store (nothing to replay: the device
+        authenticates what it reads there), and the service wiring is rebuilt.
         """
         if shards is not None:
             import dataclasses

@@ -18,8 +18,8 @@ from repro.core.lhe import LheCiphertext
 from repro.log.authdict import AuthenticatedDictionary, InclusionProof
 from repro.log.distributed import DistributedLog, LogConfig
 from repro.log.sharded import ShardedLog
-from repro.storage.blockstore import BlockStore, InMemoryBlockStore
-from repro.storage.journal import JournaledBlockStore, ProviderJournal, RestoredState
+from repro.storage.blockstore import BlockStore, InMemoryBlockStore, RegionStore
+from repro.storage.journal import ProviderJournal, RestoredState
 
 
 class ProviderError(Exception):
@@ -42,18 +42,18 @@ class ServiceProvider:
         log_config: Optional[LogConfig] = None,
         store: Optional[BlockStore] = None,
     ) -> None:
-        """``store`` opts into durability: every escrow mutation, outsourced
-        HSM block, and committed log epoch is journaled to it
-        (``repro.storage.journal``), and ``Deployment.restore`` rebuilds
-        the provider from it after a crash.  None (the default) keeps the
-        provider purely in-memory with zero extra metered work."""
+        """``store`` opts into durability: every escrow mutation and
+        committed log epoch is journaled to it (``repro.storage.journal``),
+        each HSM's key array lives in place in its own region of it, and
+        ``Deployment.restore`` rebuilds the provider from it after a crash.
+        None (the default) keeps the provider purely in-memory with zero
+        extra metered work."""
         config = log_config or LogConfig()
         # num_shards > 1 partitions the log into independent epoch lanes
         # (see repro.log.sharded); 1 keeps the paper's single digest chain.
         self.log = ShardedLog(config) if config.num_shards > 1 else DistributedLog(config)
         # Durability journal (None = in-memory only).  Attached before any
-        # mutation so provisioning itself (HSM key blocks, genesis epochs)
-        # is replayable.
+        # mutation so provisioning itself (the genesis epochs) is replayable.
         self.journal: Optional[ProviderJournal] = None
         if store is not None:
             self.attach_journal(ProviderJournal(store))
@@ -64,7 +64,7 @@ class ServiceProvider:
         # (username, attempt) -> encrypted HSM replies (failure handling, §8)
         self._replies: Dict[Tuple[str, int], List[bytes]] = defaultdict(list)
         # HSM index -> block store hosting its outsourced BFE secret key
-        self.hsm_stores: Dict[int, InMemoryBlockStore] = {}
+        self.hsm_stores: Dict[int, BlockStore] = {}
         # Installed by the deployment: runs one log-update epoch on the fleet.
         self._update_runner: Optional[Callable[[], None]] = None
         # username -> first unused attempt slot, maintained incrementally so
@@ -236,9 +236,10 @@ class ServiceProvider:
         """The provider's durable state as one snapshot-able value.
 
         Captures exactly what the journal would reconstruct by replay:
-        committed entries, epochs, certified transitions, escrow, and HSM
-        blocks.  Pending batches, leases, and attempt counters are *not*
-        durable and are excluded by design.
+        committed entries, epochs, certified transitions and escrow (the
+        HSMs' key arrays are durable in place, in their own regions).
+        Pending batches, leases, and attempt counters are *not* durable and
+        are excluded by design.
         """
         state = RestoredState(
             num_shards=self.log.num_shards,
@@ -246,10 +247,6 @@ class ServiceProvider:
             backups={u: list(cts) for u, cts in self._backups.items() if cts},
             incrementals={u: list(bs) for u, bs in self._incrementals.items() if bs},
             replies={k: list(bs) for k, bs in self._replies.items() if bs},
-            hsm_blocks={
-                index: dict(store._blocks)
-                for index, store in self.hsm_stores.items()
-            },
         )
         for shard, log in enumerate(self.log.shards):
             state.shard_entries[shard] = list(log.ordered_entries)
@@ -307,10 +304,6 @@ class ServiceProvider:
             provider._incrementals[username] = list(blobs)
         for key, blobs in state.replies.items():
             provider._replies[key] = list(blobs)
-        for index, blocks in state.hsm_blocks.items():
-            provider.hsm_stores[index] = JournaledBlockStore.preloaded(
-                journal, index, blocks
-            )
         # Attempt counters are re-derived, not journaled: the committed log
         # is the ground truth for which slots are burnt (pending slots were
         # never served, so under-counting them only re-burns nothing).
@@ -328,10 +321,12 @@ class ServiceProvider:
         return provider
 
     # -- outsourced HSM key storage ----------------------------------------------------------
-    def storage_for_hsm(self, index: int) -> InMemoryBlockStore:
+    def storage_for_hsm(self, index: int) -> BlockStore:
+        """Where HSM ``index`` keeps its key array: its region of the
+        durable store when there is one, a store of its own otherwise."""
         if index not in self.hsm_stores:
             self.hsm_stores[index] = (
-                JournaledBlockStore(self.journal, index)
+                RegionStore(self.journal.store, index)
                 if self.journal is not None
                 else InMemoryBlockStore()
             )

@@ -538,9 +538,10 @@ class HsmDevice:
                     accept=bound_to_user,
                 )
             except AuthenticationError as exc:
-                # Either a key-tree block failed its tag (tampered or torn
-                # outsourced storage) or the share was not encrypted to this
-                # device (e.g. a wrong-PIN cluster that happens to overlap).
+                # Either a key-tree block failed its tag or was not served
+                # (tampered, torn or withheld outsourced storage) or the
+                # share was not encrypted to this device (e.g. a wrong-PIN
+                # cluster that happens to overlap).
                 # Both are seen before the first write: nothing was punctured.
                 raise HsmRefusedError(
                     f"HSM {self.index}: share does not decrypt under my keys"

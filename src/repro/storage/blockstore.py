@@ -17,6 +17,11 @@ the unit of atomicity, so ``CrashingBlockStore`` models a process dying
 mid-write-sequence by raising :class:`CrashError` after a configured number
 of puts — everything already written stays readable, everything after is
 lost, exactly the contract crash-recovery tests need.
+
+One durable store holds two owners' bytes: the provider's WAL records at the
+low addresses, which its chain hash vouches for, and one :class:`RegionStore`
+per HSM far above them, whose blocks the device alone vouches for (AE tag,
+address as associated data, parent re-keyed on every puncture).
 """
 
 from __future__ import annotations
@@ -81,6 +86,32 @@ class InMemoryBlockStore(BlockStore):
     def total_bytes(self) -> int:
         """Total bytes across all stored blocks (storage-footprint stats)."""
         return sum(len(b) for b in self._blocks.values())
+
+
+class RegionStore(BlockStore):
+    """One HSM's key array, in place in a fixed region of a shared store.
+
+    Address ``a`` of region ``index`` is address
+    ``2**62 + index * 2**40 + a`` of ``store`` — far above any WAL sequence
+    number, so the log sharing the store never walks, fences on or compacts
+    a key block.  A put is exactly one put on ``store`` (one atomic write,
+    one crash point), and a restart reads it back with nothing to replay.
+    """
+
+    def __init__(self, store: BlockStore, index: int) -> None:
+        self._store = store
+        self._base = (1 << 62) + (index << 40)
+
+    def get(self, addr: int) -> bytes:
+        """Return the region's block ``addr`` (KeyError if absent)."""
+        return self._store.get(self._base + addr)
+
+    def put(self, addr: int, block: bytes) -> None:
+        """Store the region's block ``addr``: one put on the shared store."""
+        self._store.put(self._base + addr, block)
+
+    def __contains__(self, addr: int) -> bool:
+        return self._base + addr in self._store
 
 
 class TamperingBlockStore(InMemoryBlockStore):

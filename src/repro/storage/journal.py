@@ -1,17 +1,20 @@
 """The provider's durability journal: what survives a process crash.
 
-Everything the paper's provider stores for years — recovery ciphertexts,
-incremental backups, the reply escrow, outsourced HSM key blocks, and the
-transparency log's committed digest chains — is journaled here as typed
-records on a :class:`~repro.storage.wal.WriteAheadLog`, so a restarted
-process (``Deployment.restore`` / ``RecoveryService.restart``) rebuilds the
-service from the block store alone.
+Everything only the provider can vouch for and stores for years — recovery
+ciphertexts, incremental backups, the reply escrow, and the transparency
+log's committed digest chains — is journaled here as typed records on a
+:class:`~repro.storage.wal.WriteAheadLog`, so a restarted process
+(``Deployment.restore`` / ``RecoveryService.restart``) rebuilds the service
+from the block store alone.
 
-**Durable:** backups, incrementals, reply escrow, HSM key blocks, committed
-epoch transitions (entries + quorum signature), garbage collections, and
-published cross-shard roots.  **Explicitly not durable:** pending log
-batches (sessions that never got an inclusion proof re-submit), epoch
-leases, and attempt counters (re-derived from the restored entries).
+**Durable:** backups, incrementals, reply escrow, committed epoch
+transitions (entries + quorum signature), garbage collections, and
+published cross-shard roots.  **Durable, not here:** the HSMs' key arrays —
+the *devices* vouch for those, each in place in its own
+:class:`~repro.storage.blockstore.RegionStore` of the same store.
+**Explicitly not durable:** pending log batches (sessions that never got an
+inclusion proof re-submit), epoch leases, and attempt counters (re-derived
+from the restored entries).
 
 Epochs are write-ahead transactional, mirroring ``run_update``'s in-memory
 rollback:
@@ -36,7 +39,7 @@ completes or rolls back the epoch atomically and no half-committed state
 survives a restart.
 
 Integrity: the WAL chain-hashes every record, so corrupted / swapped /
-replayed blocks from a :class:`~repro.storage.blockstore.TamperingBlockStore`
+replayed records from a :class:`~repro.storage.blockstore.TamperingBlockStore`
 are detected during replay, never silently restored.
 
 Formats: a record's payload layout is its row of :data:`RECORD_CODECS`
@@ -57,14 +60,14 @@ from repro.core.codec import (
 from repro.core.lhe import LheCiphertext
 from repro.core.wire import RECOVERY_CIPHERTEXT
 from repro.log.distributed import CertifiedTransition, Transition, on_committee
-from repro.storage.blockstore import BlockStore, InMemoryBlockStore
+from repro.storage.blockstore import BlockStore
 from repro.storage.wal import WriteAheadLog
 
-# Record kinds (one byte on the WAL).
+# Record kinds (one byte on the WAL).  4 is retired (it carried HSM key
+# blocks) and never reused: replay refuses it like any unknown kind.
 K_BACKUP = 1
 K_INCREMENTAL = 2
 K_REPLY = 3
-K_HSM_BLOCK = 4
 K_EPOCH_INTENT = 5
 K_EPOCH_COMMIT = 6
 K_EPOCH_ROLLBACK = 7
@@ -144,7 +147,6 @@ class RestoredState:
     backups: Dict[str, List[LheCiphertext]] = field(default_factory=dict)
     incrementals: Dict[str, List[bytes]] = field(default_factory=dict)
     replies: Dict[Tuple[str, int], List[bytes]] = field(default_factory=dict)
-    hsm_blocks: Dict[int, Dict[int, bytes]] = field(default_factory=dict)
     open_intents: Dict[int, OpenIntent] = field(default_factory=dict)
     last_publish_root: Optional[bytes] = None
 
@@ -227,16 +229,15 @@ def _state_fields(state: RestoredState) -> Tuple:
     }
     return (
         state.num_shards, state.garbage_collections, rows, state.backups,
-        state.incrementals, state.replies, state.hsm_blocks, state.last_publish_root or b"",
+        state.incrementals, state.replies, state.last_publish_root or b"",
     )
 
 
 def _state_from_fields(fields: Tuple) -> RestoredState:
-    num_shards, collections, rows, backups, incrementals, replies, blocks, root = fields
+    num_shards, collections, rows, backups, incrementals, replies, root = fields
     state = RestoredState(
         num_shards=num_shards, garbage_collections=collections, backups=backups,
-        incrementals=incrementals, replies=replies, hsm_blocks=blocks,
-        last_publish_root=root or None,
+        incrementals=incrementals, replies=replies, last_publish_root=root or None,
     )
     for shard, (entries, epoch, transitions) in rows.items():
         state.shard_entries[shard] = entries
@@ -259,7 +260,6 @@ STATE = converted(
         mapping(TEXT, seq(_CIPHERTEXT)),                          # username: backups
         mapping(TEXT, seq(BLOB)),                                 # username: incrementals
         mapping(tuple_of(TEXT, U32), seq(BLOB)),                  # (username, attempt): replies
-        mapping(U32, mapping(U64, BLOB)),                         # hsm: address: key block
         BLOB,                                                     # last published root, or empty
     ),
     _state_fields,
@@ -275,7 +275,6 @@ RECORD_CODECS: Dict[int, Codec] = {
     K_BACKUP: tuple_of(TEXT, _CIPHERTEXT),             # username, ciphertext
     K_INCREMENTAL: tuple_of(TEXT, BLOB),               # username, blob
     K_REPLY: tuple_of(TEXT, U32, BLOB),                # username, attempt, blob
-    K_HSM_BLOCK: tuple_of(U32, U64, BLOB),             # hsm index, address, block
     K_EPOCH_INTENT: tuple_of(U32, U32, BLOB, BLOB, BLOB, _ENTRIES),
     #                 shard, num_shards, old digest, new digest, root, entries
     K_EPOCH_COMMIT: tuple_of(U32, U64, _COMMIT_SIGNATURE),  # shard, intent seq, signature
@@ -323,10 +322,6 @@ class ProviderJournal:
     def record_reply(self, username: str, attempt: int, blob: bytes) -> None:
         """Journal one escrowed HSM reply."""
         self._append(K_REPLY, username, attempt, blob)
-
-    def record_hsm_block(self, index: int, addr: int, block: bytes) -> None:
-        """Journal one outsourced HSM key block write."""
-        self._append(K_HSM_BLOCK, index, addr, block)
 
     # -- epoch transactions ----------------------------------------------------
     def record_intent(
@@ -405,10 +400,7 @@ class ProviderJournal:
         if codec is None:
             raise JournalReplayError(f"unknown journal record kind {kind}")
         fields = codec.decode(payload)
-        if kind == K_HSM_BLOCK:  # first: all but a few dozen of a journal's records
-            index, addr, block = fields
-            state.hsm_blocks.setdefault(index, {})[addr] = block
-        elif kind == K_SNAPSHOT:
+        if kind == K_SNAPSHOT:
             (state,) = fields
         elif kind == K_BACKUP:
             username, ciphertext = fields
@@ -508,37 +500,3 @@ def reconcile_open_intents(
             outcomes[shard] = "rolled-back"
     return outcomes
 
-
-# ---------------------------------------------------------------------------
-# Journaled HSM block hosting
-# ---------------------------------------------------------------------------
-class JournaledBlockStore(InMemoryBlockStore):
-    """Provider-hosted HSM key storage whose writes ride the journal.
-
-    The secure-deletion tree's ``put``\\ s are journaled as ``HSM_BLOCK``
-    records so a restarted provider re-hosts every device's outsourced key
-    array; the device's in-boundary root key (which survives on the real
-    HSM) then reads it exactly as before.  Deletes are not journaled:
-    secure deletion re-keys paths by overwriting, and replaying the newest
-    write per address reproduces the final array.
-    """
-
-    def __init__(self, journal: ProviderJournal, hsm_index: int) -> None:
-        """A journaled store for HSM ``hsm_index``'s key blocks."""
-        super().__init__()
-        self._journal = journal
-        self._hsm_index = hsm_index
-
-    @classmethod
-    def preloaded(
-        cls, journal: ProviderJournal, hsm_index: int, blocks: Dict[int, bytes]
-    ) -> "JournaledBlockStore":
-        """A store rebuilt from restored blocks *without* re-journaling."""
-        store = cls(journal, hsm_index)
-        store._blocks = dict(blocks)
-        return store
-
-    def put(self, addr: int, block: bytes) -> None:
-        """Journal the write, then host the block."""
-        self._journal.record_hsm_block(self._hsm_index, addr, block)
-        super().put(addr, block)

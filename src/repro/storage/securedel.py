@@ -47,7 +47,7 @@ from collections import Counter
 from typing import Dict, Iterable, List, Sequence
 
 from repro import metering
-from repro.crypto.gcm import ae_cost, ae_decrypt, ae_encrypt
+from repro.crypto.gcm import AuthenticationError, ae_cost, ae_decrypt, ae_encrypt
 from repro.storage.blockstore import BlockStore
 
 KEY_LEN = 16
@@ -63,6 +63,17 @@ class DeletedBlockError(Exception):
 
 def _addr_aad(addr: int) -> bytes:
     return b"securedel-node" + addr.to_bytes(8, "big")
+
+
+def _open(store: BlockStore, key: bytes, addr: int) -> bytes:
+    """Fetch the block at ``addr`` and open it under ``key``.  A block the
+    provider withholds and a block that fails its tag are one fault — the
+    authentic block was not served — and raise the same error."""
+    try:
+        block = store.get(addr)
+    except KeyError as exc:
+        raise AuthenticationError(f"key-tree block {addr} was not served") from exc
+    return ae_decrypt(key, block, aad=_addr_aad(addr))
 
 
 def tree_height(blocks: int) -> int:
@@ -200,7 +211,7 @@ class PathWalk:
         for addr in self._union(self._indices):
             metering.count("flash_read_bytes", KEY_LEN)
             key = root_key if addr == 1 else self._child_key(addr)
-            self._payloads[addr] = ae_decrypt(key, store.get(addr), aad=_addr_aad(addr))
+            self._payloads[addr] = _open(store, key, addr)
         # Opens the calls above already reported, not yet set against a
         # modeled single-index walk (see ``_bill_walks``).
         self._opens_metered = len(self._payloads)
@@ -244,7 +255,7 @@ class PathWalk:
         leaf_key = self._child_key(leaf)
         if leaf_key == _DELETED_KEY:
             raise DeletedBlockError(f"block {index} was securely deleted")
-        return ae_decrypt(leaf_key, self._tree._store.get(leaf), aad=_addr_aad(leaf))
+        return _open(self._tree._store, leaf_key, leaf)
 
     def delete(self) -> int:
         """Securely delete every index of the walk that is still live and

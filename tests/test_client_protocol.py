@@ -111,48 +111,41 @@ class TestAttemptLimits:
 
 
 class TestFaultTolerance:
-    # The cluster samples HSM indices *with replacement* (Hash -> [N]^n), so
-    # one dead device can cover several share positions; both tests count
-    # surviving positions rather than assuming distinct cluster members
-    # (the salt is random, so anything less is a coin-flip, not a test).
+    # The cluster samples HSM indices *with replacement* (Hash -> [N]^n) and
+    # a device answers once per session, so a recovery has one share per
+    # *distinct* live cluster device: both tests count those.  The salt is
+    # random, so besides it they take one pinned salt whose cluster,
+    # [9, 10, 10, 9], has fewer distinct devices than positions.
+    SALTS = [None, bytes.fromhex("8d5a62b98f5979958fa3e35002ee1bbf")]
+
+    @staticmethod
+    def _backed_up_cluster(deployment, username, salt):
+        """A client with one backup under ``salt`` and the backup's distinct
+        cluster devices; every device is (back) online."""
+        deployment.restart_all_hsms()
+        client = deployment.new_client(f"{username}-{'pinned' if salt else 'random'}")
+        client._last_salt = salt
+        client.backup(b"data", pin="1234", reuse_salt=salt is not None)
+        ct = deployment.provider.fetch_backup(client.username)
+        return client, list(dict.fromkeys(client.lhe.select(ct.salt, "1234")))
 
     def test_recovery_with_failed_minority(self, fresh_deployment, unique_user):
-        from collections import Counter
-
-        client = fresh_deployment.new_client(unique_user)
-        client.backup(b"data", pin="1234")
-        ct = fresh_deployment.provider.fetch_backup(unique_user)
-        cluster = client.lhe.select(ct.salt, "1234")
-        # Kill up to t-1 devices while at least t share positions survive.
-        positions = Counter(cluster)
-        alive, dead = len(cluster), 0
-        for index in dict.fromkeys(cluster):
-            if dead == client.params.threshold - 1:
-                break
-            if alive - positions[index] < client.params.threshold:
-                continue
-            fresh_deployment.fleet[index].fail_stop()
-            alive -= positions[index]
-            dead += 1
-        assert client.recover(pin="1234") == b"data"
+        for salt in self.SALTS:
+            client, devices = self._backed_up_cluster(fresh_deployment, unique_user, salt)
+            # Kill up to t-1 devices while at least t distinct ones survive.
+            threshold = client.params.threshold
+            for index in devices[: min(threshold - 1, len(devices) - threshold)]:
+                fresh_deployment.fleet[index].fail_stop()
+            assert client.recover(pin="1234") == b"data"
 
     def test_recovery_fails_below_threshold(self, fresh_deployment, unique_user):
-        from collections import Counter
-
-        client = fresh_deployment.new_client(unique_user)
-        client.backup(b"data", pin="1234")
-        ct = fresh_deployment.provider.fetch_backup(unique_user)
-        cluster = client.lhe.select(ct.salt, "1234")
-        # Kill devices until fewer than t share positions survive.
-        alive = len(cluster)
-        for index, occupancy in Counter(cluster).most_common():
-            if alive < client.params.threshold:
-                break
-            fresh_deployment.fleet[index].fail_stop()
-            alive -= occupancy
-        assert alive < client.params.threshold
-        with pytest.raises(RecoveryError):
-            client.recover(pin="1234")
+        for salt in self.SALTS:
+            client, devices = self._backed_up_cluster(fresh_deployment, unique_user, salt)
+            # Leave fewer than t distinct devices alive.
+            for index in devices[client.params.threshold - 1 :]:
+                fresh_deployment.fleet[index].fail_stop()
+            with pytest.raises(RecoveryError):
+                client.recover(pin="1234")
 
 
 class TestMpkRefresh:

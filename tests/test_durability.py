@@ -12,18 +12,28 @@ Covers the claims the write-ahead design stands on:
    or rollback; record sequences no crash can produce are rejected.
 4. **Snapshots** — anchoring + compaction preserve the restored state and
    a stale (replayed) anchor dangles and fails loudly.
+5. **Ownership** — the HSMs' key arrays share the store but not the WAL:
+   the journal holds no key block, and tampering with one is caught by the
+   device at the read (a typed refusal), not by the chain at restore.
 """
 
 import random
 
 import pytest
 
+from repro.chaos.entropy import DeterministicEntropy
+from repro.core.client import RecoveryError
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.core.wire import WireFormatError
+from repro.hsm.device import HsmRefusedError
 from repro.log.distributed import CertifiedTransition
 from repro.storage.blockstore import InMemoryBlockStore, TamperingBlockStore
 from repro.storage.journal import (
+    K_BACKUP,
+    K_EPOCH_COMMIT,
+    K_EPOCH_INTENT,
+    K_REPLY,
     JournalReplayError,
     ProviderJournal,
     RestoredState,
@@ -222,12 +232,10 @@ class TestProviderJournal:
         journal.record_incremental("alice", b"inc-1")
         journal.record_incremental("alice", b"inc-2")
         journal.record_reply("bob", 3, b"escrowed-reply")
-        journal.record_hsm_block(5, 77, b"key-block")
         journal.record_publish(b"\xdd" * 32)
         state = journal.replay_state()
         assert state.incrementals == {"alice": [b"inc-1", b"inc-2"]}
         assert state.replies == {("bob", 3): [b"escrowed-reply"]}
-        assert state.hsm_blocks == {5: {77: b"key-block"}}
         assert state.last_publish_root == b"\xdd" * 32
 
     def test_intent_commit_applies_entries(self):
@@ -344,7 +352,6 @@ class TestProviderJournal:
             garbage_collections=2,
             incrementals={"alice": [b"blob"]},
             replies={("bob", 1): [b"reply-a", b"reply-b"]},
-            hsm_blocks={0: {4: b"block"}},
             last_publish_root=b"\xee" * 32,
         )
         decoded = decode_state(encode_state(state))
@@ -352,50 +359,163 @@ class TestProviderJournal:
 
 
 # ---------------------------------------------------------------------------
-# Tampering x restore (deployment level): detected, never silently restored
+# Tampering x restore (deployment level): each byte is vouched for by its
+# owner — a WAL record by the provider's chain (restore fails), a key-array
+# block by the device that wrote it (restore succeeds, the device refuses)
 # ---------------------------------------------------------------------------
+def _region_addr(hsm_index: int, addr: int) -> int:
+    """Where the durable store keeps address ``addr`` of HSM ``hsm_index``'s
+    key array (the layout of ``blockstore.RegionStore``, pinned here)."""
+    return (1 << 62) + hsm_index * (1 << 40) + addr
+
+
+def _crashed_deployment():
+    """A durable N=4 deployment on a TamperingBlockStore at the moment its
+    provider process dies: one recovery behind it (so key-tree nodes have
+    stale versions to serve) and one backup not yet recovered."""
+    store = TamperingBlockStore()
+    params = SystemParams.for_testing(num_hsms=4, cluster_size=4)
+    # Seeded salts: clusters are drawn with replacement, and the key-array
+    # tests need enough distinct devices besides the afflicted one.
+    with DeterministicEntropy(1):
+        dep = Deployment.create(params, rng=random.Random(7), store=store)
+        client = dep.new_client("alice", transport="direct")
+        client.backup(b"warm-up", "1234")
+        assert client.recover("1234") == b"warm-up"
+        client.backup(b"secret", "1234")
+    return params, store, dep
+
+
+def _survivor(store):
+    copy = TamperingBlockStore()
+    copy._blocks = dict(store._blocks)
+    copy.history.update({addr: list(v) for addr, v in store.history.items()})
+    return copy
+
+
 class TestTamperedRestore:
     @pytest.fixture(scope="class")
     def tampered_setup(self):
-        """One durable deployment on a TamperingBlockStore, with a backup."""
-        store = TamperingBlockStore()
-        params = SystemParams.for_testing(num_hsms=4, cluster_size=4)
-        dep = Deployment.create(params, rng=random.Random(7), store=store)
-        dep.new_client("alice", transport="direct").backup(b"secret", "1234")
+        params, store, dep = _crashed_deployment()
+        # Addresses 1..5, which the tests below tamper with, are WAL records.
+        assert len(dep.provider.journal.wal) >= 5
         return params, store, dep
-
-    def _survivor(self, store):
-        copy = TamperingBlockStore()
-        copy._blocks = dict(store._blocks)
-        copy.history = {addr: list(v) for addr, v in store.history.items()}
-        return copy
 
     def test_honest_store_restores(self, tampered_setup):
         # The control for the tests below: a pristine copy restores fine.
         params, store, dep = tampered_setup
-        restored = Deployment.restore(params, self._survivor(store), dep.fleet)
+        restored = Deployment.restore(params, _survivor(store), dep.fleet)
         assert restored.provider.journal is not None
         assert restored.provider.log.digest == dep.provider.log.digest
 
     def test_corrupted_block_detected_on_restore(self, tampered_setup):
         params, store, dep = tampered_setup
-        survivor = self._survivor(store)
+        survivor = _survivor(store)
         survivor.corrupt(3, bit=11)
         with pytest.raises(WalCorruptionError):
             Deployment.restore(params, survivor, dep.fleet)
 
     def test_swapped_blocks_detected_on_restore(self, tampered_setup):
         params, store, dep = tampered_setup
-        survivor = self._survivor(store)
+        survivor = _survivor(store)
         survivor.swap(2, 5)
         with pytest.raises(WalCorruptionError):
             Deployment.restore(params, survivor, dep.fleet)
 
     def test_replayed_block_detected_on_restore(self, tampered_setup):
         params, store, dep = tampered_setup
-        survivor = self._survivor(store)
+        survivor = _survivor(store)
         survivor.intercept = lambda addr, block: (
             survivor.history[1][0] if addr == 4 else block
         )
         with pytest.raises(WalCorruptionError):
             Deployment.restore(params, survivor, dep.fleet)
+
+
+def _corrupt(store, victim):
+    store.corrupt(_region_addr(victim, 1), bit=200)
+
+
+def _swap(store, victim):
+    store.swap(_region_addr(victim, 2), _region_addr(victim, 3))
+
+
+def _serve_stale(store, victim):
+    root = _region_addr(victim, 1)
+    assert len(store.history[root]) > 1  # the warm-up recovery re-keyed it
+    store._blocks[root] = store.history[root][0]
+
+
+def _withhold(store, victim):
+    store.delete(_region_addr(victim, 1))
+
+
+class TestTamperedKeyArray:
+    """The provider's chain no longer covers key blocks: whatever it does to
+    one is caught where the paper catches it — by the device, at the read."""
+
+    @pytest.mark.parametrize("fault", [_corrupt, _swap, _serve_stale, _withhold])
+    def test_restore_succeeds_and_the_device_refuses(self, fault):
+        params, store, dep = _crashed_deployment()
+        survivor = _survivor(store)
+        ciphertext = dep.provider.fetch_backup("alice")
+        cluster = dep.clients[0].lhe.select(ciphertext.salt, "1234")
+        victim = cluster[0]
+        assert len(set(cluster) - {victim}) >= params.threshold
+        fault(survivor, victim)
+
+        restored = Deployment.restore(params, survivor, dep.fleet)
+        assert restored.provider.log.digest == dep.provider.log.digest
+
+        def region():
+            low, high = _region_addr(victim, 0), _region_addr(victim + 1, 0)
+            return {a: b for a, b in survivor._blocks.items() if low <= a < high}
+
+        client = restored.new_client("alice")
+        secret = dep.fleet[victim].extract_secrets().bfe_secret
+        before = (region(), secret.tree.root_key, secret.punctures_done)
+        session = client.begin_recovery("1234")
+        with pytest.raises(HsmRefusedError):
+            client._channels(victim).decrypt_share(client._share_request(session, 0))
+        assert (region(), secret.tree.root_key, secret.punctures_done) == before
+        assert client.request_shares(session, "1234") == len(set(cluster) - {victim})
+        assert client.finish_recovery(session) == b"secret"
+
+        attempts = restored.provider.next_attempt_number("alice")
+        client.backup(b"again", "1234")
+        with pytest.raises(RecoveryError):
+            client.recover("9999")
+        assert restored.provider.next_attempt_number("alice") == attempts + 1
+
+
+class TestJournalHoldsNoKeyBlocks:
+    def test_only_what_the_provider_vouches_for_is_journaled(self):
+        params = SystemParams.for_testing(num_hsms=4, cluster_size=3, max_punctures=16)
+        store = InMemoryBlockStore()
+        with DeterministicEntropy(0xF0F1):
+            dep = Deployment.create(params, rng=random.Random(20), store=store)
+            wal = dep.provider.journal.wal
+            assert [kind for _, kind, _ in wal.replay()] == [K_EPOCH_INTENT, K_EPOCH_COMMIT]
+            client = dep.new_client("formats-user")
+            client.backup(b"formats payload", pin="2468")
+            cluster = client.lhe.select(dep.provider.fetch_backup("formats-user").salt, "2468")
+            records = len(wal)
+            assert client.recover(pin="2468") == b"formats payload"
+        # The recovery key's backup, one epoch, one escrowed reply per
+        # device asked — and no record per key-tree put.
+        assert [kind for _, kind, _ in wal.replay()][records:] == [
+            K_BACKUP, K_EPOCH_INTENT, K_EPOCH_COMMIT, *[K_REPLY] * len(set(cluster))
+        ]
+
+    def test_sharded_genesis_is_one_epoch_per_lane(self):
+        params = SystemParams.for_testing(num_hsms=12, cluster_size=3, max_punctures=8)
+        dep = Deployment.create(
+            params, rng=random.Random(20), shards=4, store=InMemoryBlockStore()
+        )
+        assert len(dep.provider.journal.wal) == 8
+
+    def test_retired_kind_is_refused_not_reused(self):
+        journal = ProviderJournal(InMemoryBlockStore())
+        journal.wal.append(4, b"\x00\x00\x00\x05" + b"\x00" * 8 + b"\x00\x00\x00\x00")
+        with pytest.raises(JournalReplayError, match="kind 4"):
+            journal.replay_state()

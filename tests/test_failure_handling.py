@@ -70,10 +70,11 @@ class TestIncrementalBackups:
 
 
 class TestTamperedKeyTreeBlock:
-    """One corrupted block of one HSM's outsourced key tree costs that HSM's
-    share and nothing else: the union walk sees the bad tag before anything
-    is decrypted or written, the device refuses with a typed error, and the
-    client finishes from the other shares."""
+    """One corrupted or withheld block of one HSM's outsourced key tree
+    costs that HSM's share and nothing else: the union walk sees the bad tag
+    (or the missing block) before anything is decrypted or written, the
+    device refuses with a typed error, and the client finishes from the
+    other shares."""
 
     @pytest.fixture(scope="class")
     def deployment(self):
@@ -86,10 +87,11 @@ class TestTamperedKeyTreeBlock:
         return Deployment.create(params, rng=random.Random(23))
 
     @staticmethod
-    def _corrupt_last_slot_parent(deployment, client, pin):
-        """Flip a byte in the leaf-parent node of the tag's *last* slot on
-        the first cluster HSM: slot 0 still decrypts, so the parent code
-        punctured three slots before the fourth delete tripped over it."""
+    def _corrupt_last_slot_parent(deployment, client, pin, withhold=False):
+        """Flip a byte in (or, with ``withhold``, stop serving) the
+        leaf-parent node of the tag's *last* slot on the first cluster HSM:
+        slot 0 still decrypts, so the parent code punctured three slots
+        before the fourth delete tripped over it."""
         ciphertext = deployment.provider.fetch_backup(client.username, -1)
         cluster = client.lhe.select(ciphertext.salt, pin)
         victim = cluster[0]
@@ -98,19 +100,35 @@ class TestTamperedKeyTreeBlock:
         last_slot = secret.params.slots_for_tag(ciphertext.share_ciphertexts[0].tag)[-1]
         addr = ((1 << secret.tree.height) + last_slot) // 2
         blocks = deployment.provider.hsm_stores[victim]._blocks
-        blocks[addr] = blocks[addr][:20] + bytes([blocks[addr][20] ^ 1]) + blocks[addr][21:]
+        if withhold:
+            del blocks[addr]
+        else:
+            blocks[addr] = blocks[addr][:20] + bytes([blocks[addr][20] ^ 1]) + blocks[addr][21:]
         return victim, secret
 
     @pytest.mark.parametrize("transport", ["direct", "wire"])
     def test_recovery_finishes_from_the_other_shares(self, deployment, transport):
+        self._refused_then_recovered(deployment, f"tampered-{transport}", transport)
+
+    @pytest.mark.parametrize("transport", ["direct", "wire"])
+    def test_withheld_block_is_refused_like_a_bad_tag(self, deployment, transport):
+        """Not serving the authentic block is one fault however it is done:
+        a missing block must not escape as a raw ``KeyError``."""
+        self._refused_then_recovered(
+            deployment, f"withheld-{transport}", transport, withhold=True
+        )
+
+    def _refused_then_recovered(self, deployment, username, transport, withhold=False):
         from repro.hsm.device import HsmRefusedError
 
-        client = deployment.new_client(f"tampered-{transport}", transport=transport)
+        client = deployment.new_client(username, transport=transport)
         # Seeded salts: clusters are drawn with replacement, and the test
         # needs one that is not the victim three times over.
         with DeterministicEntropy(16):
             client.backup(b"still recoverable", pin="2580")
-            victim, secret = self._corrupt_last_slot_parent(deployment, client, "2580")
+            victim, secret = self._corrupt_last_slot_parent(
+                deployment, client, "2580", withhold
+            )
             before = (secret.tree.root_key, secret.slots_deleted, secret.punctures_done)
             store_before = dict(deployment.provider.hsm_stores[victim]._blocks)
 

@@ -5,6 +5,13 @@ PR 20 re-expressed both byte-format modules (``core/wire.py``,
 the parent commit (PR 19, hand-written encoders) *before any source edit* by
 running exactly this file, and are never edited: a format that moves by one
 byte moves a digest.
+
+The *frames* digests are still those.  The two ``store`` digests and the
+record-kinds digest were re-captured once, at PR 23, which moved the HSMs'
+key arrays out of the WAL on purpose: a key block is no longer a kind-4
+record (plus a column of the snapshot) but one block at
+``2**62 + hsm * 2**40 + address`` of the same store.  Every surviving
+record kind's payload is byte-identical to the parent's.
 """
 
 import hashlib
@@ -34,19 +41,19 @@ def _absorb_store(digest, store: InMemoryBlockStore) -> None:
 
 
 class TestFormatsUnchanged:
-    # Captured at the parent commit (d8983dc); see the module docstring.
+    # "frames" captured at d8983dc, "store" at PR 23; see the module docstring.
     PARENT_DIGESTS = {
         1: {
             "frames": "ec138a5d07910af82fa09c8f22a36c048a9cdbf8fd62439fd99d407201f339b5",
-            "store": "b3b0343c3e0469f0782381ca732d03a72144e2998097ae59d2eff838d7a0073a",
+            "store": "c18adeb49e1a5ffc39ff1f60163f4ccba5158daab0eeab823fcca1f223b44e38",
         },
         2: {
             "frames": "5718053bfaf1ec80ef93fae8e355fc7ef8212c257b9f6c75c1401793b38a4d35",
-            "store": "9737d20eaf0e4cb2160e7d91e9a3376af63f02be15fce16b16928b90bd879904",
+            "store": "854a9c2a7029e7ac927b54fd176fa73917dce2bb7ef925e5dd829350d812e9a6",
         },
     }
     PARENT_RECORD_KINDS_DIGEST = (
-        "c4ed653ec7ab1d6252b0d7053fbc93672cb507a67e1ba46dc4412ed6a2b4dbc7"
+        "810a5db3b3f96ac5deedeea231f6676226f83d440225da78cd8906066524bca7"
     )
 
     @staticmethod
@@ -113,15 +120,14 @@ class TestFormatsUnchanged:
 
     @staticmethod
     def write_every_record_kind() -> InMemoryBlockStore:
-        """One record of every journal kind (both commit shapes, a key block
-        at a 2**40 address, an uncompacted snapshot) from fixed values."""
+        """One record of every journal kind (both commit shapes, an
+        uncompacted snapshot) from fixed values."""
         store = InMemoryBlockStore()
         journal = ProviderJournal(store)
         digests = [bytes([byte]) * 32 for byte in (0xAA, 0xBB, 0xCC, 0xDD)]
         entries = [(b"rec|a|0", b"h1"), (b"rec|b|7", b"")]
         journal.record_incremental("alice", b"inc-1")
         journal.record_reply("bob", 3, b"escrowed-reply")
-        journal.record_hsm_block(5, 1 << 40, b"key-block")
         seq = journal.record_intent(1, 2, digests[0], digests[1], digests[2], entries)
         journal.record_commit(
             1,

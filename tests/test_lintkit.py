@@ -607,6 +607,22 @@ def test_no_sharded_unsharded_probe_in_src():
     assert offenders == []
 
 
+def test_no_reach_into_another_stores_dict_in_src():
+    """A block has one owner: ``._blocks`` is ``storage/blockstore.py``'s
+    private dict, and nothing else under ``src/repro`` may read or copy it
+    (a second copy of a store's bytes is how a second owner grows back)."""
+    import ast
+
+    offenders = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        if path.relative_to(REPO_ROOT / "src" / "repro").as_posix() == "storage/blockstore.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "_blocks":
+                offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
+    assert offenders == []
+
+
 def test_no_getattr_passthrough_in_service():
     """The objects on the service's boundaries enumerate what crosses them
     (``wire.PROVIDER_OPS``, ``_EPOCH_METHODS`` + ``_DIRECT_NAMES``): nothing

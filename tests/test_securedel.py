@@ -197,6 +197,25 @@ class TestOnePassDeletion:
         assert tree.root_key == root_before
         assert store._blocks == blocks_before
 
+    @pytest.mark.parametrize("depth", [0, 3, 6])
+    def test_withheld_block_is_refused_like_a_bad_tag(self, depth):
+        """A block the provider does not serve is a block that fails its
+        tag: the same error, before any write (depth 6 is the leaf, which
+        only a read fetches)."""
+        store = TamperingBlockStore()
+        tree, blocks, _ = make_tree(64, store)
+        addr = tree._path_addrs(37)[depth]
+        withheld = store._blocks.pop(addr)
+        root_before, blocks_before = tree.root_key, dict(store._blocks)
+        with pytest.raises(AuthenticationError):
+            tree.read(37)
+        if depth < tree.height:
+            with pytest.raises(AuthenticationError):
+                tree.delete(37)
+        assert tree.root_key == root_before and store._blocks == blocks_before
+        store._blocks[addr] = withheld
+        assert tree.read(37) == blocks[37]
+
     def test_seeded_deletes_leave_the_parents_bytes_and_counts(self):
         """Same puts, same entropy draws in the same order, same modeled
         cost: captured by running this workload on the two-pass delete.
