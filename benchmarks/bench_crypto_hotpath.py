@@ -20,13 +20,26 @@ per-call window table, no precomputation):
   provisioned through ``precompute_signer_key`` exactly as
   ``HsmDevice.install_signer_directory`` does, so each verification is one
   comb chain) vs the sequential per-signature verification loop it replaced;
-- **comb_build** the one-off cost of one signer key's 511-entry comb table;
-- **field_inverse / mulmod** why the ladders are not run in lock step on
-  affine coordinates with one shared Montgomery inversion per step (ROADMAP
-  item 6(c)'s mechanism): a Jacobian doubling is 8 field multiplications, a
-  batched affine one 4 + 3 for the batching + a B-th of an inversion, so it
-  only pays beyond ``affine_breakeven_ladders`` = inverse/mulmod ladders —
-  a backup runs n·k = 12;
+- **fixed_base_batch** a device's slot keys, ``generator_mult_each`` over
+  185 scalars (one key of the ledger's fleets): the generator's comb walked
+  in lock step on shared-inversion affine additions, against the same 185
+  ``G * s`` one call at a time (``fixed_base_percall``), the two timed in
+  turns; reported per lane too;
+- **comb_build** the one-off cost of one signer key's 511-entry comb table
+  (lock-step subset sums), against the Jacobian fill it replaced
+  (``tests/reference_comb.py``), in turns;
+- **field_inverse / mulmod** what decides whether lock-step affine
+  arithmetic (one shared Montgomery inversion per step) pays, shape by
+  shape.  *Ladders*: a step is a doubling — 8 field multiplications
+  Jacobian, 4 + 3 for the batching + a B-th of an inversion affine — so B
+  ladders only pay beyond ``affine_breakeven_ladders`` = inverse/mulmod
+  (≈ 50); a backup runs n·k = 12, and they are not built.  *Comb lanes*: a
+  column is a doubling and a mixed addition, 19 multiplications Jacobian,
+  against two affine additions ``(acc + entry) + acc``, 12 and two B-ths of
+  an inversion, and the affine result needs no normalizing inversion:
+  ``affine_breakeven_comb_lanes`` is that arithmetic's break-even, and
+  ``lockstep_crossover_lanes`` the batch size at which the code was
+  measured to win (``ec._LOCKSTEP_MIN_LANES`` is set from it);
 
 and the symmetric fast path under the secure-deletion tree
 (``repro.crypto.aes``/``gcm``) against the byte-wise cipher and bit-serial
@@ -41,14 +54,17 @@ GF(2^128) multiply it replaced (kept in ``tests/reference_symmetric.py``):
 
 Acceptance gates (exit code 1 on regression):
 
-- full run: fixed-base ≥ 2.0x, variable_base_oneoff ≥ 1.1x, 16-signer
-  verify_aggregate ≥ 4.0x, aes_block ≥ 3.0x, ae_node_roundtrip ≥ 2.5x;
+- full run: fixed-base ≥ 2.0x, fixed_base_batch ≥ 1.25x the per-call comb,
+  variable_base_oneoff ≥ 1.1x, 16-signer verify_aggregate ≥ 4.0x,
+  aes_block ≥ 3.0x, ae_node_roundtrip ≥ 2.5x;
 - ``--quick`` (the CI perf-smoke lane): fixed-base ≥ 1.5x,
-  variable_base_oneoff ≥ 1.05x, verify_aggregate ≥ 2.5x, aes_block ≥ 2.0x.
+  fixed_base_batch ≥ 1.15x, variable_base_oneoff ≥ 1.05x,
+  verify_aggregate ≥ 2.5x, aes_block ≥ 2.0x.
 
 The variable-base floor is deliberately close to the measured ratio (≈ 1.2x
-one-off, ≈ 1.3x cached; a ladder is 256 doublings whatever the table), so
-those three rows are timed one call at a time, in turns.
+one-off, ≈ 1.3x cached; a ladder is 256 doublings whatever the table), and
+so is the batch's (≈ 1.4x), so those rows are timed one call at a time, in
+turns.
 
 Results go to stdout and to the machine-readable
 ``benchmarks/out/BENCH_crypto_hotpath.json`` (see ``_harness``).
@@ -72,6 +88,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 FULL_GATES = {
     "fixed_base_speedup": 2.0,
+    "fixed_base_batch_speedup": 1.25,
     "variable_base_oneoff_speedup": 1.1,
     "verify_aggregate_speedup": 4.0,
     "aes_block_speedup": 3.0,
@@ -79,6 +96,7 @@ FULL_GATES = {
 }
 QUICK_GATES = {
     "fixed_base_speedup": 1.5,
+    "fixed_base_batch_speedup": 1.15,
     "variable_base_oneoff_speedup": 1.05,
     "verify_aggregate_speedup": 2.5,
     "aes_block_speedup": 2.0,
@@ -88,8 +106,11 @@ QUICK_GATES = {
 SHARED_BASELINES = {
     "variable_base_oneoff": "variable_base_naive",
     "variable_base_cached": "variable_base_naive",
+    "fixed_base_batch": "fixed_base_percall",
 }
 
+BATCH_LANES = 185  # BloomParams.for_punctures(32, 4): one key of the ledger's fleets
+CROSSOVER_LANES = (8, 12, 16, 24, 47)  # batch sizes tried around the break-even
 SIGNERS = 16
 MULTI_TERMS = 8
 FIELD_OP_BATCH = 1000  # field operations per timed call (swamps the call itself)
@@ -185,7 +206,9 @@ def run_symmetric(min_seconds: float) -> dict:
 def run(min_seconds: float) -> dict:
     from repro.crypto.bfe import BloomFilterEncryption
     from repro.crypto.bloom import BloomParams
-    from repro.crypto.ec import N, P, P256, ECPoint, multi_mult, naive_mult
+    from reference_comb import jacobian_comb_fill
+    from repro.crypto import ec
+    from repro.crypto.ec import N, P, P256, ECPoint, generator_mult_each, multi_mult, naive_mult
     from repro.log.distributed import EcdsaMultiSig
     from repro.storage.blockstore import InMemoryBlockStore
 
@@ -212,6 +235,25 @@ def run(min_seconds: float) -> dict:
             min_seconds,
         )
     )
+
+    def batch_rows(lanes: int) -> dict:
+        batch = [rng.randrange(1, N) for _ in range(lanes)]
+        assert generator_mult_each(batch) == [G * s for s in batch]
+        return {
+            "fixed_base_batch": lambda: generator_mult_each(batch),
+            "fixed_base_percall": lambda: [G * s for s in batch],
+        }
+
+    records.update(interleaved_timed(batch_rows(BATCH_LANES), min_seconds))
+    # Around the break-even the lock step runs whatever the batch size.
+    threshold, ec._LOCKSTEP_MIN_LANES = ec._LOCKSTEP_MIN_LANES, 0
+    try:
+        for lanes in CROSSOVER_LANES:
+            pair = interleaved_timed(batch_rows(lanes), min_seconds / 4)
+            records[f"lockstep_{lanes}_lanes"] = pair["fixed_base_batch"]
+            records[f"lockstep_{lanes}_lanes_naive"] = pair["fixed_base_percall"]
+    finally:
+        ec._LOCKSTEP_MIN_LANES = threshold
 
     params = BloomParams.for_punctures(8, failure_exponent=4)
     assert params.num_hashes == 4
@@ -252,9 +294,15 @@ def run(min_seconds: float) -> dict:
     message = b"log-transition-digest"
     aggregate = scheme.aggregate([scheme.sign(kp.secret, message) for kp in keypairs])
     publics = [kp.public for kp in keypairs]
-    records["comb_build"] = metered_timed(
-        lambda: scheme.precompute_signer_key(ECPoint(publics[0].x, publics[0].y)),
-        min_seconds,
+    x, y = publics[0].x, publics[0].y
+    records.update(
+        interleaved_timed(
+            {
+                "comb_build": lambda: scheme.precompute_signer_key(ECPoint(x, y)),
+                "comb_build_naive": lambda: jacobian_comb_fill(x, y),
+            },
+            min_seconds,
+        )
     )
     for public in publics:  # what install_signer_directory does at provisioning
         scheme.precompute_signer_key(public)
@@ -284,17 +332,34 @@ def run(min_seconds: float) -> dict:
     return records
 
 
-def lockstep_affine_metrics(records: dict) -> dict:
-    """The record behind dropping lock-step affine ladders (see module doc)."""
+def lockstep_affine_metrics(records: dict, speedups: dict) -> dict:
+    """When one shared inversion per step pays, shape by shape (see module
+    doc): the arithmetic's break-even for ladders and for comb lanes, and
+    the batch size at which the comb's lock step was measured to win."""
     inverse_us = 1e6 / (records["field_inverse_x1000"]["ops_per_sec"] * FIELD_OP_BATCH)
     mulmod_us = 1e6 / (records["mulmod_x1000"]["ops_per_sec"] * FIELD_OP_BATCH)
-    jacobian_doubling, affine_doubling, batching = 8, 4, 3  # field multiplications
+    inverse = inverse_us / mulmod_us  # in field multiplications
+    jacobian_doubling, affine_doubling, batching = 8, 4, 3
+    columns, jacobian_column, affine_column, normalize = 29, 8 + 11, 2 * 6, 4
+    largest_loss = max(
+        (n for n in CROSSOVER_LANES if speedups[f"lockstep_{n}_lanes_speedup"] < 1.0), default=0
+    )
     return {
         "field_inverse_us": inverse_us,
         "mulmod_us": mulmod_us,
-        "inverse_over_mulmod": inverse_us / mulmod_us,
-        "affine_breakeven_ladders": (inverse_us / mulmod_us)
-        / (jacobian_doubling - affine_doubling - batching),
+        "inverse_over_mulmod": inverse,
+        "affine_breakeven_ladders": inverse / (jacobian_doubling - affine_doubling - batching),
+        # B lanes: 29 columns x 2 inversions shared B ways, against 7 fewer
+        # multiplications a column and the normalizing inversion saved.
+        "affine_breakeven_comb_lanes": 2 * columns * inverse
+        / (columns * (jacobian_column - affine_column) + inverse + normalize),
+        "lockstep_crossover_lanes": min(
+            (n for n in CROSSOVER_LANES if n > largest_loss), default=None
+        ),
+        "fixed_base_batch_us_per_lane": 1e6
+        / (records["fixed_base_batch"]["ops_per_sec"] * BATCH_LANES),
+        "fixed_base_percall_us_per_lane": 1e6
+        / (records["fixed_base_percall"]["ops_per_sec"] * BATCH_LANES),
     }
 
 
@@ -318,7 +383,7 @@ def main(argv=None) -> int:
             speedups[f"{label.removesuffix('_roundtrip')}_speedup"] = (
                 record["ops_per_sec"] / records[baseline]["ops_per_sec"]
             )
-    lockstep = lockstep_affine_metrics(records)
+    lockstep = lockstep_affine_metrics(records, speedups)
 
     rows = []
     for label, record in records.items():
@@ -336,10 +401,24 @@ def main(argv=None) -> int:
         lines.append(f"{label}: {value:.2f}x")
     lines.append("")
     lines.append(
-        "lock-step affine ladders (not built): field inverse"
+        "lock-step affine arithmetic: field inverse"
         f" {lockstep['field_inverse_us']:.1f} us = {lockstep['inverse_over_mulmod']:.0f} x"
-        f" mulmod {lockstep['mulmod_us']:.2f} us -> pays beyond"
-        f" {lockstep['affine_breakeven_ladders']:.0f} ladders (a backup runs 12)"
+        f" mulmod {lockstep['mulmod_us']:.2f} us"
+    )
+    lines.append(
+        f"  ladders (not built): pays beyond {lockstep['affine_breakeven_ladders']:.0f}"
+        " ladders (a backup runs 12)"
+    )
+    lines.append(
+        f"  comb lanes (generator_mult_each): {BATCH_LANES} lanes"
+        f" {lockstep['fixed_base_batch_us_per_lane']:.0f} us/lane vs per-call comb"
+        f" {lockstep['fixed_base_percall_us_per_lane']:.0f} us/lane; by the op count it pays"
+        f" beyond {lockstep['affine_breakeven_comb_lanes']:.0f} lanes, measured: "
+        + ", ".join(
+            f"{lanes}: {speedups[f'lockstep_{lanes}_lanes_speedup']:.2f}x"
+            for lanes in CROSSOVER_LANES
+        )
+        + f" -> wins from {lockstep['lockstep_crossover_lanes']} lanes"
     )
 
     gates = QUICK_GATES if args.quick else FULL_GATES

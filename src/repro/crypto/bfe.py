@@ -39,7 +39,11 @@ scalar, so they go through ``repro.crypto.ec.mult_each`` — one recoding of
 yet, one for the k results — and ``g^r`` rides the generator's comb.  The
 meter still sees k + 1 ``ec_mult`` and k ``elgamal_enc``.  Decryption's
 ``(g^r)^sk`` multiplies a fresh ephemeral by a slot secret read from the
-key tree: the only table built is of the public ephemeral.
+key tree: the only table built is of the public ephemeral.  Key generation
+— every rotation — is m ``g^x`` over fresh scalars: one call of
+``repro.crypto.ec.generator_mult_each``, which walks the generator's comb
+for all slots in lock step on shared-inversion affine arithmetic; the meter
+still sees m ``ec_mult``.
 
 What the meter sees is the paper's device, not this host: Decrypt walks one
 slot's path at a time until one survives, Puncture is a second call that
@@ -55,11 +59,12 @@ from __future__ import annotations
 import secrets
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Tuple
 
 from repro import metering
 from repro.crypto.bloom import BloomParams
-from repro.crypto.ec import ECPoint, P256, mult_each
+from repro.crypto.ec import ECPoint, P256, generator_mult_each, mult_each
 from repro.crypto.gcm import AuthenticationError, ae_cost, ae_decrypt, ae_encrypt
 from repro.crypto.hashing import kdf, sha256
 from repro.crypto.merkle import MerkleProof, MerkleTree
@@ -101,8 +106,14 @@ class BfePublicKey:
         In a deployment clients fetch only the slot keys they need plus these
         proofs, keeping per-HSM storage at kilobytes (the paper's 9.02 KB
         figure for a 40-HSM cluster)."""
-        tree = MerkleTree([p.to_bytes() for p in self.slot_pubkeys])
-        return tree.prove(index)
+        return self._tree.prove(index)
+
+    @cached_property
+    def _tree(self) -> MerkleTree:
+        """The commitment's tree, built on the first proof asked for and
+        kept with the key (a device that serves no proofs never holds it).
+        Not a field: equality and hashing do not see it."""
+        return MerkleTree([p.to_bytes() for p in self.slot_pubkeys])
 
     def verify_slot(self, index: int, pubkey: ECPoint, proof: MerkleProof) -> bool:
         return proof.index == index and MerkleTree.verify(
@@ -165,12 +176,8 @@ class BloomFilterEncryption:
         params: BloomParams, store: BlockStore, rng=None
     ) -> Tuple[BfePublicKey, BfeSecretKey]:
         """Generate slot keypairs and outsource the secret array to ``store``."""
-        secrets_list: List[int] = []
-        pubkeys: List[ECPoint] = []
-        for _ in range(params.num_slots):
-            scalar = P256.random_scalar(rng)
-            secrets_list.append(scalar)
-            pubkeys.append(P256.generator * scalar)
+        secrets_list = [P256.random_scalar(rng) for _ in range(params.num_slots)]
+        pubkeys = generator_mult_each(secrets_list)
         blocks = [s.to_bytes(_SCALAR_LEN, "big") for s in secrets_list]
         tree = SecureDeletionTree.setup(store, blocks)
         return (

@@ -10,16 +10,17 @@ P-256.  This module implements the curve from scratch:
 - SEC1 compressed point (de)serialization,
 - key generation and ECDSA sign/verify (RFC 6979-style deterministic nonces).
 
-Every fast multiply is ONE loop, :func:`_chain` — Horner over columns,
-``acc = 2·acc + Σ column`` — and a tier is only a way of laying a scalar out
-in columns of table entries.  The tiers follow how long a point lives and
-how often it is multiplied:
+Every fast multiply of one scalar is ONE loop, :func:`_chain` — Horner over
+columns, ``acc = 2·acc + Σ column`` — and a tier is only a way of laying a
+scalar out in columns of table entries; many scalars over one comb run the
+same Horner steps side by side (the lock step below).  The tiers follow how
+long a point lives and how often it is multiplied:
 
 - **Comb (provisioned points, the generator included)**: a Lim–Lee comb
   table of 9 teeth x 29 columns (``_build_comb``: 511 affine subset sums of
-  ``2^(29j)·Q``, normalized with a single Montgomery batch inversion) turns
-  a multiply into 29 doublings + at most 29 mixed additions, and a sum of
-  such multiplies into *one* 29-doubling chain (``_comb_mult``).  The
+  ``2^(29j)·Q``) turns a multiply into 29 doublings + at most 29 mixed
+  additions, and a sum of such multiplies into *one* 29-doubling chain
+  (``_comb_mult``).  The
   generator — keygen, hashed ElGamal, ECDSA sign/verify, every HSM decrypt —
   is simply the first provisioned point; its table is built once per
   process on first use.  Any other point gets a table only through an
@@ -35,6 +36,21 @@ how often it is multiplied:
   for it once and drops it with the point.  Tables hold multiples of the
   point only; the recoded digits of a (possibly secret) scalar are locals
   of the call.
+- **Lock step (many scalars, one provisioned point — a device's m slot
+  keys)**: :func:`generator_mult_each` walks the generator's comb for all
+  scalars at once.  A column is two batched affine additions,
+  ``(acc + entry) + acc`` (:func:`_add_each`: six field multiplications a
+  lane, against 19 for the chain's doubling and mixed addition), and all
+  lanes of a batch share ONE Montgomery inversion — nothing else: no
+  lane's arithmetic sees another's, so each result is bit-for-bit the
+  single-scalar chain's, already affine.  It pays from
+  ``_LOCKSTEP_MIN_LANES`` scalars up (an inversion is about 50
+  multiplications here, and a column costs two); ladders, whose step is a
+  doubling alone, would need about 50 lanes and are not run this way.
+  ``_build_comb`` fills its 502 subset sums the same way.  No new table:
+  the lock step reads the comb that is already there — multiples of a
+  public point only — and the column indices of the (secret) scalars are
+  locals of the call, dead when it returns.
 - **Reference**: :func:`naive_mult` keeps the original 4-bit fixed-window,
   rebuild-the-table-every-call algorithm (``_jac_mult``) as the baseline
   used by property tests and ``benchmarks/bench_crypto_hotpath.py``.
@@ -43,7 +59,8 @@ how often it is multiplied:
 (``Σ sᵢ·Pᵢ``: every term's columns merged into one chain, comb columns
 riding the ladder's last 29 steps), :func:`mult_each` multiplies many points
 by one scalar (one recoding, one batch inversion for the missing tables and
-one for the results — a BFE ciphertext's k slot keys), and
+one for the results — a BFE ciphertext's k slot keys),
+:func:`generator_mult_each` the generator by many scalars (above), and
 :meth:`_Curve.ecdsa_verify_batch` verifies many signatures with one batch
 inversion for the ``s`` values and one to normalize every result.  All
 batched paths are bit-for-bit deterministic — they produce exactly the same
@@ -177,6 +194,59 @@ def _jac_to_affine_batch(points: Sequence[_JPoint]) -> List[Optional[_Affine]]:
         zinv2 = (zinv * zinv) % P
         out.append(((x * zinv2) % P, (y * zinv2 * zinv) % P))
     return out
+
+
+def _add_each(
+    lefts: Sequence[Optional[_Affine]], rights: Sequence[Optional[_Affine]]
+) -> List[Optional[_Affine]]:
+    """``lefts[i] + rights[i]`` for every lane, affine in and affine out,
+    all lanes sharing ONE field inversion.
+
+    A lane's sum needs the slope of its chord — of its tangent, where both
+    sides are the same point — and the slopes' denominators are inverted
+    together (:func:`batch_inverse_mod`): six field multiplications per
+    addition, against eleven for a mixed Jacobian addition plus the
+    normalization afterwards.  Lanes share nothing but that inversion; each
+    result is bit-for-bit the point the Jacobian formulas normalize to.
+
+    Infinity is ``None``.  A lane with an infinity on either side is read
+    off (``∞ + Q = Q``) and the others ride the batch.  A pair of inverse
+    points is the one zero denominator: it sends the whole batch down the
+    general formulas, one inversion per lane, and cannot occur in a comb
+    (see :func:`_build_comb`, :func:`generator_mult_each`).
+    """
+    p = P
+    if None in lefts or None in rights:
+        sums = [right if left is None else left for left, right in zip(lefts, rights)]
+        finite = [
+            lane
+            for lane, (left, right) in enumerate(zip(lefts, rights))
+            if left is not None and right is not None
+        ]
+        added = _add_each([lefts[lane] for lane in finite], [rights[lane] for lane in finite])
+        for lane, point in zip(finite, added):
+            sums[lane] = point
+        return sums
+    # (numerator, denominator) of each lane's slope.  The same point: a = -3
+    # makes the tangent 3(x² - 1) / 2y.  Inverse points: y1 + y2 = p, the
+    # zero residue the batch inversion refuses.
+    slopes = [
+        (y2 - y1, x2 - x1) if x1 != x2 else (3 * (x1 * x1 - 1), y1 + y2)
+        for (x1, y1), (x2, y2) in zip(lefts, rights)  # type: ignore[misc]
+    ]
+    try:
+        inverses = batch_inverse_mod([denominator for _, denominator in slopes], p)
+    except ZeroDivisionError:
+        return [
+            _jac_to_affine(_jac_add((*left, 1), (*right, 1)))  # type: ignore[misc]
+            for left, right in zip(lefts, rights)
+        ]
+    sums = []
+    for (x1, y1), (x2, _), (numerator, _), inverse in zip(lefts, rights, slopes, inverses):  # type: ignore[misc]
+        slope = numerator * inverse % p
+        x3 = (slope * slope - x1 - x2) % p
+        sums.append((x3, (slope * (x1 - x3) - y1) % p))
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -332,25 +402,26 @@ def _build_comb(x: int, y: int) -> List[Optional[_Affine]]:
     """Comb table for the affine point ``Q = (x, y)``:
     ``table[b] = Σ_{j ∈ bits(b)} 2^(29j)·Q`` for ``b`` in 1..511.
 
-    232 doublings raise the nine tooth bases, 502 additions fill the
-    subset sums, and one Montgomery batch inversion normalizes all 511
-    entries to affine so every later addition is a mixed add.  No entry is
-    infinity: ``Q`` has prime order ``N`` and no subset sum of ``2^(29j)``
+    232 doublings raise the nine tooth bases, normalized together; then
+    each tooth is added to every entry below it in one lock-step batch
+    (:func:`_add_each`: 502 affine additions on eight shared inversions),
+    so the entries are affine as they are made and every later addition
+    is a mixed add.  No entry is infinity and no batch adds inverse
+    points: ``Q`` has prime order ``N`` and no subset sum of ``2^(29j)``
     is a multiple of ``N`` (``tests/test_ec_fastpath.py`` checks all 511).
 
     The table holds multiples of a *public* point only.
     """
-    jac: List[_JPoint] = [_INFINITY] * (1 << _COMB_TEETH)
-    tooth: _JPoint = (x, y, 1)
-    for j in range(_COMB_TEETH):
-        if j:
-            for _ in range(_COMB_COLUMNS):
-                tooth = _jac_double(tooth)
-        bit = 1 << j
-        jac[bit] = tooth
-        for lower in range(1, bit):
-            jac[bit | lower] = _jac_add(jac[lower], tooth)
-    return [None] + _jac_to_affine_batch(jac[1:])  # type: ignore[operator]
+    teeth: List[_JPoint] = [(x, y, 1)]
+    for _ in range(_COMB_TEETH - 1):
+        tooth = teeth[-1]
+        for _ in range(_COMB_COLUMNS):
+            tooth = _jac_double(tooth)
+        teeth.append(tooth)
+    table: List[Optional[_Affine]] = [None]
+    for base in _jac_to_affine_batch(teeth):
+        table += [base] + _add_each(table[1:], [base] * (len(table) - 1))
+    return table
 
 
 def _is_generator(x: Optional[int], y: Optional[int]) -> bool:
@@ -358,15 +429,20 @@ def _is_generator(x: Optional[int], y: Optional[int]) -> bool:
 
 
 # -- column builders ---------------------------------------------------------------
+def _comb_indices(scalar: int) -> List[int]:
+    """The 29 table indices of a scalar reduced mod N, most significant
+    column first (0 where a column's teeth are all zero)."""
+    # Written MSB-first, a scalar's bits at stride 29 are one column's teeth
+    # (top tooth first), so each column index is one slice and one parse.
+    bits = format(scalar, _COMB_BITS)
+    return [int(bits[column::_COMB_COLUMNS], 2) for column in range(_COMB_COLUMNS)]
+
+
 def _comb_columns(columns: List[_Column], scalar: int, table: Sequence[Optional[_Affine]]) -> None:
     """Add ``scalar·Q`` for a combed ``Q`` to ``columns``: one table entry
     in each of the last 29 columns whose teeth are not all zero.  The scalar
     must be reduced mod N."""
-    # Written MSB-first, a scalar's bits at stride 29 are one column's teeth
-    # (top tooth first), so each column index is one slice and one parse.
-    bits = format(scalar, _COMB_BITS)
-    for column in range(_COMB_COLUMNS):
-        index = int(bits[column::_COMB_COLUMNS], 2)
+    for column, index in enumerate(_comb_indices(scalar)):
         if index:
             columns[column - _COMB_COLUMNS] += (table[index],)  # type: ignore[operator]
 
@@ -626,10 +702,49 @@ def mult_each(points: Sequence[ECPoint], scalar: int) -> List[ECPoint]:
     return [ECPoint._from_affine(affine) for affine in _jac_to_affine_batch(products)]
 
 
+def generator_mult_each(scalars: Sequence[int]) -> List[ECPoint]:
+    """``s·G`` for every ``s`` in ``scalars``: one point, many scalars.
+
+    This is a device generating its Bloom-filter key — a ``g^x`` per slot.
+    The generator's comb is read in lock step: at each of the 29 columns
+    every lane adds its table entry and then what it held before,
+    ``(acc + entry) + acc = 2·acc + entry``, as two :func:`_add_each`
+    batches — two shared inversions per column for the whole batch, no
+    doubling formula, and results that are affine as they come.  A lane
+    whose column is empty, or that has not started, holds or adds an
+    infinity, which the batch reads off.  No lane ever adds inverse
+    points: both sums of a column are ``c·G`` with ``0 < c < N``, ``c``
+    being leading bits of the reduced scalar's teeth.  Each result is
+    bit-for-bit ``G * s``; a batch shorter than ``_LOCKSTEP_MIN_LANES``
+    simply runs the single-scalar chain per scalar.  The column indices of
+    the (secret) scalars are locals of the call, as the recoded digits of a
+    ladder are.
+
+    Metering: one ``ec_mult`` per scalar, exactly what the separate
+    multiplications report.
+    """
+    if scalars:
+        metering.count("ec_mult", len(scalars))
+    generator = P256.generator
+    if len(scalars) < _LOCKSTEP_MIN_LANES:
+        return [ECPoint._from_jac(generator._mult_jac(scalar)) for scalar in scalars]
+    table = generator._comb_table()
+    sums: List[Optional[_Affine]] = [None] * len(scalars)
+    for column in zip(*[_comb_indices(scalar % N) for scalar in scalars]):
+        sums = _add_each(_add_each(sums, [table[index] for index in column]), sums)  # type: ignore[index]
+    return [ECPoint._from_affine(affine) for affine in sums]
+
+
 # Batched verification processes triples this many at a time: big enough to
 # amortize the shared normalization, small enough that a bad aggregate can
 # only waste one chunk of work past its first invalid signature.
 _VERIFY_CHUNK = 8
+
+# :func:`generator_mult_each` walks the comb in lock step from this many
+# scalars up.  Below it a column's two shared inversions (an inversion is
+# about 50 field multiplications here) cost more than the affine formulas
+# save: the crossover ``benchmarks/bench_crypto_hotpath.py`` measures.
+_LOCKSTEP_MIN_LANES = 16
 
 
 class _Curve:

@@ -6,14 +6,15 @@ that performs curve or field heavy lifting actually calls
 ``metering.count``.  This pass keeps that discipline from rotting:
 
 - a configured set of *engine primitives* does the raw work
-  (``_jac_mult``, ``_chain``, ``_comb_mult``, ``_multi_mult_jac``,
-  ``_build_comb``, ``_build_windows``, ``batch_inverse_mod``);
+  (``_jac_mult``, ``_chain``, ``_add_each``, ``_comb_mult``,
+  ``_multi_mult_jac``, ``_build_comb``, ``_build_windows``,
+  ``batch_inverse_mod``);
 - any *private* function that calls an engine becomes an engine itself
   (taken to a fixpoint), mirroring how the real helpers layer
   (``_mult_jac`` -> ``_multi_mult_jac`` -> ``_chain``, ``_cache_windows``
   -> ``_build_windows``, ``_verify_chunk`` -> ``_multi_mult_jac``), so
   every public entry that reaches the chain — ``__mul__``, ``multi_mult``,
-  ``mult_each``, the verifiers — has to meter;
+  ``mult_each``, ``generator_mult_each``, the verifiers — has to meter;
 - every *public* function or method (dunders included) that is an engine
   or calls one directly must contain a ``metering.count(...)`` call, or
   carry a def-level ``# lint: unmetered[reason]`` suppression explaining
@@ -36,6 +37,7 @@ _DEFAULT_ENGINES = frozenset(
     {
         "_jac_mult",
         "_chain",
+        "_add_each",
         "_comb_mult",
         "_multi_mult_jac",
         "_build_comb",

@@ -126,12 +126,14 @@ def plan_deployment(
     throughput: Optional[HsmThroughputModel] = None,
     min_quantity: Optional[int] = None,
 ) -> DeploymentPlan:
-    """Size a fleet of ``device`` for ``annual_recoveries`` (Table 14)."""
+    """Size a fleet of ``device`` for ``annual_recoveries`` (Table 14):
+    enough units for the load, and never fewer than one cluster — a
+    recovery needs ``cluster_size`` distinct HSMs however fast each is."""
     if throughput is None:
         throughput = build_throughput_model(device)
     per_hsm_yearly_jobs = throughput.recoveries_per_hour * 24 * 365
     needed_jobs = annual_recoveries * cluster_size
-    quantity = max(1, math.ceil(needed_jobs / per_hsm_yearly_jobs))
+    quantity = max(cluster_size, math.ceil(needed_jobs / per_hsm_yearly_jobs))
     if min_quantity is not None:
         quantity = max(quantity, min_quantity)
     return DeploymentPlan(

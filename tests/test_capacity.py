@@ -199,9 +199,12 @@ class TestDeploymentPlanning:
         assert yubi.hardware_cost_usd > solo.hardware_cost_usd
 
     def test_safenet_needs_few_units(self):
-        """Table 14: a cluster of ~40 SafeNet A700s meets 1B/year."""
+        """Table 14: a cluster of 40 SafeNet A700s meets 1B/year — 11 would
+        carry the load, but a recovery needs n distinct HSMs."""
         plan = plan_deployment(SAFENET_A700, 1e9)
-        assert plan.quantity < 200
+        assert plan.quantity == 40
+        assert plan.hardware_cost_usd == pytest.approx(738.7e3, rel=1e-3)
+        assert plan_deployment(SAFENET_A700, 1e9, cluster_size=60).quantity == 60
 
     def test_min_quantity_respected(self):
         plan = plan_deployment(SAFENET_A700, 1e9, min_quantity=800)

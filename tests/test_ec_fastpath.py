@@ -9,6 +9,7 @@ implementations.
 """
 
 import gc
+import hashlib
 import random
 import secrets
 
@@ -18,10 +19,21 @@ from hypothesis import given, settings, strategies as st
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.crypto import ec as ec_module
-from repro.crypto.ec import N, P256, ECPoint, mult_each, multi_mult, naive_mult
+from repro.crypto.ec import (
+    N,
+    P256,
+    ECPoint,
+    generator_mult_each,
+    mult_each,
+    multi_mult,
+    naive_mult,
+)
 from repro.crypto.field import PrimeField, batch_inverse_mod
 from repro.log.distributed import EcdsaMultiSig
 from repro.metering import OpMeter, metered
+from repro.storage.blockstore import InMemoryBlockStore
+
+from reference_comb import jacobian_comb_fill
 
 G = P256.generator
 
@@ -202,6 +214,12 @@ class TestColumnBuilders:
         assert teeth * stride >= 256
         for index in range(1, 1 << teeth):
             assert sum(1 << (stride * j) for j in range(teeth) if index >> j & 1) % N
+
+    def test_comb_table_is_the_jacobian_fill_entry_for_entry(self, named_points):
+        """The lock-step fill against the one it replaced."""
+        rng = random.Random(24)
+        for point in [G, *named_points.values(), G * rng.randrange(1, N)]:
+            assert ec_module._build_comb(point.x, point.y) == jacobian_comb_fill(point.x, point.y)
 
     @given(scalar=st.integers(1, N - 1), other=st.integers(1, N - 1), seed=st.integers(1, 2**32))
     @settings(max_examples=10, deadline=None)
@@ -412,6 +430,114 @@ class TestMultEach:
         assert BloomFilterEncryption.decrypt(secret, ciphertext, context=b"ctx") == b"share"
 
 
+def add_each(lefts, rights):
+    """``_add_each`` over ECPoints, infinity included."""
+
+    def affine(point):
+        return None if point.is_infinity else (point.x, point.y)
+
+    sums = ec_module._add_each([affine(p) for p in lefts], [affine(p) for p in rights])
+    return [ECPoint._from_affine(entry) for entry in sums]
+
+
+class TestLockStep:
+    """Shared-inversion affine additions, and the generator's comb walked
+    over them for many scalars at once."""
+
+    @given(
+        seeds=st.lists(
+            st.tuples(st.integers(1, N - 1), st.integers(1, N - 1)), min_size=0, max_size=12
+        )
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_add_each_is_point_addition_lane_for_lane(self, seeds):
+        lefts = [G * a for a, _ in seeds]
+        rights = [G * b for _, b in seeds]  # a == b (a doubling) is drawn too
+        assert add_each(lefts, rights) == [p + q for p, q in zip(lefts, rights)]
+
+    def test_add_each_never_returns_a_wrong_point(self):
+        """Equal x-coordinates and infinities, alone and beside ordinary
+        lanes.  No reduced scalar reaches the inverse-points branch through
+        a comb, so it is driven here."""
+        infinity = ECPoint(None, None)
+        p, q, r = G * 5, G * 11, G * 23
+        lanes = [
+            (p, q),
+            (p, p),  # the tangent
+            (p, -p),  # inverse points: the zero denominator
+            (infinity, q),
+            (p, infinity),
+            (infinity, infinity),
+            (q, r),
+        ]
+        for picked in (lanes, lanes[:2], lanes[2:3], lanes[:1] + lanes[3:], lanes[3:6], [(r, r)] * 3):
+            lefts, rights = zip(*picked)
+            assert add_each(lefts, rights) == [a + b for a, b in picked]
+        assert add_each([], []) == []
+
+    @given(scalars=st.lists(st.integers(0, (1 << 256) - 1), min_size=0, max_size=64))
+    @settings(max_examples=10, deadline=None)
+    def test_batch_is_naive_mult_lane_for_lane(self, scalars):
+        assert generator_mult_each(scalars) == [naive_mult(G, s) for s in scalars]
+
+    def test_a_device_sized_batch(self):
+        rng = random.Random(185)
+        scalars = [rng.randrange(1, N) for _ in range(185)]
+        assert generator_mult_each(scalars) == [naive_mult(G, s) for s in scalars]
+
+    def test_edge_lanes_in_one_batch(self):
+        """Zero, the order, empty leading columns (an accumulator still at
+        infinity), empty middle columns, one column only, duplicates — with
+        enough ordinary lanes beside them that the batch runs in lock step."""
+        rng = random.Random(29)
+        twice = rng.randrange(1, N)
+        scalars = [
+            0, 1, 2, N - 1, N, N + 1, 1 << 29, (1 << 256) - 1,
+            (1 << 256) - 1 - N,  # the same scalar, reduced
+            sum(1 << (29 * tooth) for tooth in range(9)),  # the last column only
+            0x1EADBEEF << 87,  # one tooth: most columns empty
+            (1 << 232) - 1,  # top tooth empty
+            twice, twice, *COMB_EDGE_SCALARS,
+        ] + [rng.randrange(1, N) for _ in range(8)]
+        assert len(scalars) >= 2 * ec_module._LOCKSTEP_MIN_LANES
+        products = generator_mult_each(scalars)
+        assert products == [naive_mult(G, s) for s in scalars]
+        assert products[0].is_infinity and products[4].is_infinity
+
+    def test_short_batches_loop_the_single_scalar_chain(self, monkeypatch):
+        G.precompute()
+        monkeypatch.setattr(ec_module, "_add_each", None)  # not reached
+        scalars = list(range(ec_module._LOCKSTEP_MIN_LANES - 1))
+        assert generator_mult_each(scalars) == [G * s for s in scalars]
+
+    def test_metering_is_one_mult_per_scalar(self):
+        for lanes in (0, 3, 40):
+            with metered() as meter:
+                generator_mult_each(list(range(1, lanes + 1)))
+            assert meter.counts["ec_mult"] == lanes and set(meter.counts) <= {"ec_mult"}
+
+    # BloomFilterEncryption.keygen(for_punctures(32, 4), store, Random(7)) on
+    # the tree before keygen rode the lock step (PR 23): m = 185 slots.
+    PARENT_COMMITMENT = "43e2a5c5f29829369ad3b66497f3a8e1c8f88b635231c0d66e3ac9fb391573f8"
+    PARENT_SLOT_KEYS_SHA256 = "66a63800a04fb4dc52d0405c5573bc7e4b78cd1c6a120104d3adedb8bb4d7e95"
+
+    def test_keygen_yields_the_parents_key(self):
+        from repro.crypto.bfe import BloomFilterEncryption
+        from repro.crypto.bloom import BloomParams
+
+        params = BloomParams.for_punctures(32, failure_exponent=4)
+        with metered() as meter:
+            public, secret = BloomFilterEncryption.keygen(
+                params, InMemoryBlockStore(), random.Random(7)
+            )
+        assert meter.counts["ec_mult"] == params.num_slots == 185
+        assert public.commitment.hex() == self.PARENT_COMMITMENT
+        slot_keys = b"".join(key.to_bytes() for key in public.slot_pubkeys)
+        assert hashlib.sha256(slot_keys).hexdigest() == self.PARENT_SLOT_KEYS_SHA256
+        for slot, key in enumerate(public.slot_pubkeys):
+            assert naive_mult(G, int.from_bytes(secret.tree.read(slot), "big")) == key
+
+
 class TestNothingKeyedByAScalarOutlivesItsCall:
     """``TestForwardSecrecy`` for the curve: tables are multiples of the
     public point only, and recoded digits die with the call."""
@@ -443,6 +569,25 @@ class TestNothingKeyedByAScalarOutlivesItsCall:
         derived = {secret, shared.x, shared.y, summed.x, summed.y}
         for point in (ephemeral, third, signer, G):
             assert not derived & _reachable_values([point._wtab, point._comb])
+
+
+    def test_a_lock_step_batch_leaves_no_trace(self):
+        from test_symmetric_fastpath import _reachable_values
+
+        rng = random.Random(0x10C5)
+        secrets_list = [rng.randrange(1, N) for _ in range(2 * ec_module._LOCKSTEP_MIN_LANES)]
+        G.precompute()
+        gc.collect()
+        module_before = _reachable_values(vars(ec_module))
+        table_before = list(G._comb)
+
+        generator_mult_each(secrets_list)
+
+        # The module graph holds the generator and its comb: nothing was
+        # added to it, and the table is the one that was there.
+        gc.collect()
+        assert _reachable_values(vars(ec_module)) == module_before
+        assert G._comb == table_before
 
 
 class TestBatchInverse:
