@@ -37,7 +37,9 @@ Hot-path note: encryption's k slot-key multiplies ``pkᵢ^r`` share their
 scalar, so they go through ``repro.crypto.ec.mult_each`` — one recoding of
 ``r``, one batch inversion for whichever slot keys have no window table
 yet, one for the k results — and ``g^r`` rides the generator's comb.  The
-meter still sees k + 1 ``ec_mult`` and k ``elgamal_enc``.  Decryption's
+k wraps and the payload are one ``repro.crypto.gcm.seal_each``: their AES
+blocks are the lanes of one byte-sliced call.  The meter still sees k + 1
+``ec_mult``, k ``elgamal_enc`` and the k + 1 seals' ``aes_block``.  Decryption's
 ``(g^r)^sk`` multiplies a fresh ephemeral by a slot secret read from the
 key tree: the only table built is of the public ephemeral.  Key generation
 — every rotation — is m ``g^x`` over fresh scalars: one call of
@@ -65,7 +67,7 @@ from typing import Callable, List, Optional, Tuple
 from repro import metering
 from repro.crypto.bloom import BloomParams
 from repro.crypto.ec import ECPoint, P256, generator_mult_each, mult_each
-from repro.crypto.gcm import AuthenticationError, ae_cost, ae_decrypt, ae_encrypt
+from repro.crypto.gcm import AesGcm, AuthenticationError, ae_cost, ae_decrypt, seal_each
 from repro.crypto.hashing import kdf, sha256
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.storage.blockstore import BlockStore
@@ -79,6 +81,7 @@ from repro.storage.securedel import (
 
 _SCALAR_LEN = 32
 _PAYLOAD_KEY_LEN = 16
+_NONCE_LEN = AesGcm.NONCE_LEN
 
 
 class PuncturedKeyError(Exception):
@@ -228,12 +231,14 @@ class BloomFilterEncryption:
         slots = public.params.slots_for_tag(tag)
 
         payload_key = secrets.token_bytes(_PAYLOAD_KEY_LEN)
-        wrapped = []
+        messages = []
         shared_points = mult_each([public.slot_pubkeys[slot] for slot in slots], r)
         for slot, shared in zip(slots, shared_points):
             wrap_key = kdf("bfe-slot-wrap", shared.to_bytes(), tag, slot.to_bytes(4, "big"))
-            wrapped.append(ae_encrypt(wrap_key[:16], payload_key, aad=tag))
-        payload = ae_encrypt(payload_key, plaintext, aad=context)
+            messages.append((wrap_key[:16], secrets.token_bytes(_NONCE_LEN), payload_key, tag))
+        messages.append((payload_key, secrets.token_bytes(_NONCE_LEN), plaintext, context))
+        # The k wraps and the payload, nonces drawn in their sequential order.
+        *wrapped, payload = seal_each(messages)
         metering.count("elgamal_enc", len(slots))
         return BfeCiphertext(
             tag=tag, ephemeral=ephemeral, wrapped_keys=tuple(wrapped), payload=payload

@@ -30,12 +30,11 @@ of the multiply.
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
 
 from repro import metering
 from repro.crypto.ec import ECKeyPair, ECPoint, P256
-from repro.crypto.gcm import AesGcm, AuthenticationError
+from repro.crypto.gcm import ae_decrypt, ae_encrypt
 from repro.crypto.hashing import kdf
 
 
@@ -82,9 +81,7 @@ class HashedElGamal:
         ephemeral = P256.generator * r
         shared = public * r
         key = kdf("hashed-elgamal", shared.to_bytes(), context, length=16)
-        nonce = secrets.token_bytes(AesGcm.NONCE_LEN)
-        body = nonce + AesGcm(key).encrypt(nonce, plaintext, aad=context)
-        return ElGamalCiphertext(ephemeral=ephemeral, body=body)
+        return ElGamalCiphertext(ephemeral=ephemeral, body=ae_encrypt(key, plaintext, aad=context))
 
     @staticmethod
     def decrypt(secret: int, ciphertext: ElGamalCiphertext, context: bytes = b"") -> bytes:
@@ -92,7 +89,4 @@ class HashedElGamal:
         metering.count("elgamal_dec")
         shared = ciphertext.ephemeral * secret
         key = kdf("hashed-elgamal", shared.to_bytes(), context, length=16)
-        nonce = ciphertext.body[: AesGcm.NONCE_LEN]
-        if len(ciphertext.body) < AesGcm.NONCE_LEN + AesGcm.TAG_LEN:
-            raise AuthenticationError("ElGamal body too short")
-        return AesGcm(key).decrypt(nonce, ciphertext.body[AesGcm.NONCE_LEN :], aad=context)
+        return ae_decrypt(key, ciphertext.body, aad=context)

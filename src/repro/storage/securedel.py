@@ -19,6 +19,17 @@ top of the tree, so one batched delete costs ``|union|`` ``get``s and
 ``|union of live paths|`` ``put``s and moves the root key once, where k
 single deletes cost k·h of each and move it k times.
 
+Every node is an AE message under a key of its own, so sealing is the
+tree's main host cost.  :meth:`SecureDeletionTree.setup` (a level at a
+time) and :meth:`PathWalk.delete` (the whole re-key) hand their nodes to
+:func:`repro.crypto.gcm.seal_each`, which runs up to ``MAX_LANES`` cipher
+blocks — seven 32-byte nodes — as the lanes of one byte-sliced AES call.
+Keys and nonces are drawn inside the iterable it consumes, in the order
+the node-at-a-time code drew them, and the sealed nodes go to the same
+addresses in the same order, so under seeded entropy the bytes at rest are
+those of one seal per call.  The walk down opens one node per call: a
+node's key comes out of its parent.
+
 The *modeled* device does not batch.  Appendix C's HSM holds one key, walks
 one index at a time from the root, and on the way back up fetches and opens
 each node again before sealing it.  The cost model prices that device, not
@@ -44,13 +55,22 @@ from __future__ import annotations
 
 import secrets
 from collections import Counter
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Sequence
 
 from repro import metering
-from repro.crypto.gcm import AuthenticationError, ae_cost, ae_decrypt, ae_encrypt
+from repro.crypto.gcm import (
+    AesGcm,
+    AuthenticationError,
+    Message,
+    ae_cost,
+    ae_decrypt,
+    ae_encrypt,
+    seal_each,
+)
 from repro.storage.blockstore import BlockStore
 
 KEY_LEN = 16
+_NONCE_LEN = AesGcm.NONCE_LEN
 _DELETED_KEY = b"\x00" * KEY_LEN  # the paper's "useless encryption key"
 # An internal node is two child keys under one AE call: what one open or
 # seal costs and one transfer moves.
@@ -127,26 +147,21 @@ class SecureDeletionTree:
         ``h = ceil(log2(len(blocks)))``.
         """
         height = tree_height(len(blocks))
-        num_leaves = 1 << height
-
-        # Generate keys level by level, leaves first.
-        leaf_keys = [secrets.token_bytes(KEY_LEN) for _ in range(num_leaves)]
-        for i in range(num_leaves):
-            data = blocks[i] if i < len(blocks) else b""
-            addr = (1 << height) + i
-            store.put(addr, ae_encrypt(leaf_keys[i], data, aad=_addr_aad(addr)))
-
-        level_keys = leaf_keys
-        for level in range(height - 1, -1, -1):
-            width = 1 << level
-            parent_keys = [secrets.token_bytes(KEY_LEN) for _ in range(width)]
-            for j in range(width):
-                addr = (1 << level) + j
-                payload = level_keys[2 * j] + level_keys[2 * j + 1]
-                store.put(addr, ae_encrypt(parent_keys[j], payload, aad=_addr_aad(addr)))
-            level_keys = parent_keys
-
-        return SecureDeletionTree(store, height, level_keys[0])
+        keys = [secrets.token_bytes(KEY_LEN) for _ in range(1 << height)]
+        payloads = [blocks[i] if i < len(blocks) else b"" for i in range(1 << height)]
+        for first in (1 << level for level in range(height, -1, -1)):
+            # A level's keys are drawn before its nonces, and its nodes are
+            # put left to right: the node-at-a-time set-up's order.
+            nodes = (
+                (key, secrets.token_bytes(_NONCE_LEN), payload, _addr_aad(first + j))
+                for j, (key, payload) in enumerate(zip(keys, payloads))
+            )
+            for j, sealed in enumerate(seal_each(nodes)):
+                store.put(first + j, sealed)
+            if first > 1:
+                payloads = [keys[2 * j] + keys[2 * j + 1] for j in range(first // 2)]
+                keys = [secrets.token_bytes(KEY_LEN) for _ in range(first // 2)]
+        return SecureDeletionTree(store, height, keys[0])
 
     # -- internals ----------------------------------------------------------------
     def _path_addrs(self, index: int) -> List[int]:
@@ -264,7 +279,9 @@ class PathWalk:
         Bottom-up, each node sealed once under one fresh key with every
         replacement child key (zeroed at a deleted leaf, fresh below a
         re-keyed node) spliced into the payload the walk down opened; the
-        root goes last and the tree's root key moves once.  With no live
+        root goes last and the tree's root key moves once.  The whole re-key
+        is one :func:`~repro.crypto.gcm.seal_each`, its puts in the same
+        order as one seal per call made them.  With no live
         index nothing is written and the root key stays.  The walk is spent
         afterwards: its payloads held the keys just destroyed.
         """
@@ -287,14 +304,19 @@ class PathWalk:
             unmetered = 2 * self._tree.height * len(live) - len(rekeyed)
             metering.count("io_bytes", unmetered * _NODE_LEN)
             metering.count("aes_block", unmetered * _NODE_AES_BLOCKS)
-            for addr in reversed(rekeyed):
-                payload = self._payloads[addr]
-                payload = replaced.get(2 * addr, payload[:KEY_LEN]) + replaced.get(
-                    2 * addr + 1, payload[KEY_LEN:]
-                )
-                fresh = secrets.token_bytes(KEY_LEN)
-                store.put(addr, ae_encrypt(fresh, payload, aad=_addr_aad(addr)))
-                replaced[addr] = fresh
+
+            def nodes() -> Iterator[Message]:
+                # A node's fresh key, then its nonce: the node-at-a-time order.
+                for addr in reversed(rekeyed):
+                    payload = self._payloads[addr]
+                    payload = replaced.get(2 * addr, payload[:KEY_LEN]) + replaced.get(
+                        2 * addr + 1, payload[KEY_LEN:]
+                    )
+                    replaced[addr] = secrets.token_bytes(KEY_LEN)
+                    yield replaced[addr], secrets.token_bytes(_NONCE_LEN), payload, _addr_aad(addr)
+
+            for addr, sealed in zip(reversed(rekeyed), seal_each(nodes())):
+                store.put(addr, sealed)
             self._tree._root_key = replaced[1]
         self._payloads = {}
         return len(live)

@@ -1,8 +1,9 @@
-"""The symmetric fast path: T-table AES, nibble-table GHASH, int-XOR CTR.
+"""The symmetric fast path: byte-sliced AES, nibble-table GHASH, int-XOR CTR.
 
 Three properties hold the layer in place.  It must agree byte for byte
 with the byte-wise cipher and bit-serial GF(2^128) multiply it replaced
-(kept in ``tests/reference_symmetric.py``); it must not move what the
+(kept in ``tests/reference_symmetric.py``) — one block or many, one key or
+a key per lane, a message or a batch of them; it must not move what the
 ambient meter or the block store sees under seeded entropy — the paper's
 cost model prices blocks, not implementations; and it must not buy its
 speed with a cache of key material, because forward secrecy by secure
@@ -14,6 +15,7 @@ import gc
 import hashlib
 import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,8 +26,8 @@ from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.crypto import aes as aes_module
 from repro.crypto import gcm as gcm_module
-from repro.crypto.aes import Aes128
-from repro.crypto.gcm import AesGcm, AuthenticationError, ae_decrypt
+from repro.crypto.aes import MAX_LANES, Aes128, encrypt_blocks
+from repro.crypto.gcm import AesGcm, AuthenticationError, ae_cost, ae_decrypt, ae_encrypt, seal_each
 from repro.metering import OpMeter, metered
 from repro.storage import securedel as securedel_module
 from repro.storage.blockstore import InMemoryBlockStore
@@ -34,11 +36,39 @@ from repro.storage.securedel import SecureDeletionTree
 KEYS = st.binary(min_size=16, max_size=16)
 BLOCKS = st.binary(min_size=16, max_size=16)
 NONCES = st.binary(min_size=12, max_size=12)
+# Plaintext lengths around the block edges, and batches around the width cap.
+AE_LENGTHS = (0, 1, 15, 16, 17, 32, 33, 100)
 
 
 def _schedule_words(key: bytes):
-    """The fast cipher's key schedule flattened to FIPS-197's w[0..43]."""
-    return [word for round_key in Aes128(key)._round_keys for word in round_key]
+    """The fast cipher's key schedule — one lane's round-key rows —
+    flattened to FIPS-197's w[0..43]."""
+    return [
+        (round_key >> shift) & 0xFFFFFFFF
+        for round_key in aes_module._schedule(int.from_bytes(key, "big"), 1)
+        for shift in (96, 64, 32, 0)
+    ]
+
+
+def _hash_table(key: bytes):
+    """The GHASH table ``AesGcm(key)`` multiplies by: H out of the fused
+    cipher call every message makes."""
+    return AesGcm(key)._streams(bytes(12), 0)[0]
+
+
+def _random_messages(rng: random.Random, lengths, aad=None):
+    """A ``(key, nonce, plaintext, aad)`` for each length; ``aad`` random
+    (up to 40 bytes) unless given."""
+    return [
+        (rng.randbytes(16), rng.randbytes(12), rng.randbytes(length),
+         rng.randbytes(rng.randrange(40)) if aad is None else aad)
+        for length in lengths
+    ]
+
+
+def _reference_blocks(key: bytes, data: bytes) -> bytes:
+    cipher = ref.ReferenceAes128(key)
+    return b"".join(cipher.encrypt_block(data[i : i + 16]) for i in range(0, len(data), 16))
 
 
 class TestAgainstReference:
@@ -61,20 +91,20 @@ class TestAgainstReference:
     @settings(max_examples=40, deadline=None)
     def test_ghash(self, key, aad, ciphertext):
         h = int.from_bytes(ref.ReferenceAes128(key).encrypt_block(bytes(16)), "big")
-        assert AesGcm(key)._ghash(aad, ciphertext) == ref.ghash(h, aad, ciphertext)
+        assert gcm_module._ghash(_hash_table(key), aad, ciphertext) == ref.ghash(h, aad, ciphertext)
 
     @given(x=st.integers(0, (1 << 128) - 1), key=KEYS)
     @settings(max_examples=60, deadline=None)
     def test_field_multiply(self, x, key):
-        gcm = AesGcm(key)
+        table = _hash_table(key)
         h = int.from_bytes(ref.ReferenceAes128(key).encrypt_block(bytes(16)), "big")
-        assert gcm._mul_h(x) == ref.gf128_mul(x, h)
+        assert gcm_module._mul_h(table, x) == ref.gf128_mul(x, h)
 
     @pytest.mark.parametrize("x", [0, 1, 1 << 127, (1 << 128) - 1, 0xE1 << 120, 0xF, 0xF << 124])
     def test_field_multiply_edges(self, x):
         for key in (bytes(16), bytes(range(16)), b"\xff" * 16):
             h = int.from_bytes(ref.ReferenceAes128(key).encrypt_block(bytes(16)), "big")
-            assert AesGcm(key)._mul_h(x) == ref.gf128_mul(x, h)
+            assert gcm_module._mul_h(_hash_table(key), x) == ref.gf128_mul(x, h)
 
     @given(key=KEYS, nonce=NONCES, aad=st.binary(max_size=70), plaintext=st.binary(max_size=200))
     @settings(max_examples=40, deadline=None)
@@ -93,6 +123,101 @@ class TestAgainstReference:
             AesGcm(key).decrypt(nonce, bytes(sealed))
         with pytest.raises(AuthenticationError):
             ref.ReferenceAesGcm(key).decrypt(nonce, bytes(sealed))
+
+
+class TestByteSlicedKernel:
+    """Many lanes in one call, each under its own schedule: every lane must
+    come out what the oracle makes of that block alone, on both sides of
+    the width cap."""
+
+    @given(
+        key=KEYS,
+        data=st.integers(1, 2 * MAX_LANES + 1).flatmap(
+            lambda n: st.binary(min_size=16 * n, max_size=16 * n)
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_key_many_blocks(self, key, data):
+        assert encrypt_blocks([(Aes128(key), data)]) == _reference_blocks(key, data)
+
+    @pytest.mark.parametrize("blocks", range(1, 2 * MAX_LANES + 2))
+    def test_every_width_to_twice_the_cap(self, blocks):
+        rng = random.Random(blocks)
+        key, data = rng.randbytes(16), rng.randbytes(16 * blocks)
+        assert encrypt_blocks([(Aes128(key), data)]) == _reference_blocks(key, data)
+
+    @given(
+        runs=st.lists(st.tuples(KEYS, st.integers(0, MAX_LANES + 3)), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lanes_with_distinct_keys(self, runs, seed):
+        """Runs of any length under distinct keys, straddling calls."""
+        rng = random.Random(seed)
+        runs = [(key, rng.randbytes(16 * blocks)) for key, blocks in runs]
+        expected = b"".join(_reference_blocks(key, data) for key, data in runs)
+        assert encrypt_blocks([(Aes128(key), data) for key, data in runs]) == expected
+
+    def test_a_key_per_lane(self):
+        rng = random.Random(5)
+        lanes = [(rng.randbytes(16), rng.randbytes(16)) for _ in range(2 * MAX_LANES + 1)]
+        out = encrypt_blocks([(Aes128(key), block) for key, block in lanes])
+        assert out == b"".join(_reference_blocks(key, block) for key, block in lanes)
+
+    def test_calls_are_packed_to_the_cap(self):
+        """Runs are packed into calls of exactly ``MAX_LANES`` lanes but the
+        last, straddling where they must: no call is wider (the memory
+        bound the cap exists for) and none needlessly narrower."""
+        counts = (20, 2 * MAX_LANES, 3, 0, MAX_LANES - 1)
+        runs = [(Aes128(bytes(16)), bytes(16 * n)) for n in counts]
+        widths = [len(blocks) // 16 for _, blocks in aes_module._calls(runs)]
+        total = sum(counts)
+        assert widths == [MAX_LANES] * (total // MAX_LANES) + [total % MAX_LANES]
+
+    def test_rejects_a_partial_block(self):
+        with pytest.raises(ValueError):
+            encrypt_blocks([(Aes128(bytes(16)), bytes(17))])
+
+    @given(
+        lengths=st.lists(st.sampled_from(AE_LENGTHS), min_size=1, max_size=24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_seal_each_matches_sequential(self, lengths, seed):
+        messages = _random_messages(random.Random(seed), lengths)
+        sealed = seal_each(messages)
+        assert sealed == [n + AesGcm(k).encrypt(n, pt, aad) for k, n, pt, aad in messages]
+        reference = [n + ref.ReferenceAesGcm(k).encrypt(n, pt, aad) for k, n, pt, aad in messages]
+        assert sealed == reference
+
+    @pytest.mark.parametrize("length", AE_LENGTHS)
+    def test_seal_each_straddles_the_cap(self, length):
+        """Enough messages of one length that groups fill, split and carry
+        over the cap; every one opens under its own key."""
+        count = 2 * MAX_LANES // ae_cost(length)[0] + 3
+        messages = _random_messages(random.Random(length), [length] * count, aad=b"aad")
+        for (key, nonce, pt, aad), blob in zip(messages, seal_each(messages), strict=True):
+            assert blob == nonce + ref.ReferenceAesGcm(key).encrypt(nonce, pt, aad)
+            assert ae_decrypt(key, blob, aad) == pt
+
+    def test_seal_each_keeps_input_order(self):
+        """The iterable is consumed once, in order, and sealed in that order,
+        so keys and nonces drawn inside it are drawn in the caller's
+        sequential order and land where the caller puts them."""
+        drawn = []
+
+        def messages():
+            for i in range(3 * MAX_LANES):
+                drawn.append(i)
+                yield bytes([i]) * 16, bytes([i]) * 12, bytes(32), b""
+
+        sealed = seal_each(messages())
+        assert drawn == list(range(3 * MAX_LANES))
+        assert [blob[:12] for blob in sealed] == [bytes([i]) * 12 for i in range(3 * MAX_LANES)]
+
+    def test_seal_each_checks_nonces(self):
+        with pytest.raises(ValueError):
+            seal_each([(bytes(16), bytes(11), b"data", b"")])
 
 
 class TestStandardVectors:
@@ -218,16 +343,49 @@ class TestMeteringInvariance:
         assert read_blocks == 4 * 4
         assert delete_blocks == 3 * 4 * 3
 
+    def test_refused_open_bills_h_and_mask(self):
+        """The fused call computes the keystream before the tag is checked;
+        a refused open is still billed what the block-at-a-time open cost:
+        the hash subkey and the tag mask."""
+        blob = bytearray(ae_encrypt(bytes(16), bytes(100), b"aad"))
+        blob[-1] ^= 1
+        with metered() as meter:
+            with pytest.raises(AuthenticationError):
+                ae_decrypt(bytes(16), bytes(blob), b"aad")
+        assert meter.counts["aes_block"] == 2
+
+    @pytest.mark.parametrize("length", AE_LENGTHS)
+    def test_open_and_seal_bill_ae_cost(self, length):
+        with metered() as meter:
+            blob = ae_encrypt(bytes(16), bytes(length))
+        assert meter.counts["aes_block"] == ae_cost(length)[0]
+        with metered() as meter:
+            ae_decrypt(bytes(16), blob)
+        assert meter.counts["aes_block"] == ae_cost(length)[0]
+
+    def test_seal_each_bills_the_sequential_sum(self):
+        rng = random.Random(3)
+        lengths = [rng.choice(AE_LENGTHS) for _ in range(3 * MAX_LANES)]
+        messages = _random_messages(rng, lengths)
+        with metered() as meter:
+            seal_each(messages)
+        assert meter.counts["aes_block"] == sum(ae_cost(length)[0] for length in lengths)
+
 
 def _derived_material(key: bytes):
     """What a cache of ``key`` could hold: the bytes, the int, the schedule
-    words, the GHASH subkey and its table entries."""
+    words and 128-bit round keys, the rows a kernel call XORs them on as
+    (one key across 1 to ``MAX_LANES`` lanes), the GHASH subkey and its
+    table entries."""
     cipher = ref.ReferenceAes128(key)
     h = int.from_bytes(cipher.encrypt_block(bytes(16)), "big")
     material = {key, int.from_bytes(key, "big"), h, h.to_bytes(16, "big")}
-    for rk in cipher.round_keys[1:]:
-        material.add(bytes(rk))
-        material.update(int.from_bytes(bytes(rk[i : i + 4]), "big") for i in range(0, 16, 4))
+    material.update(gcm_module._nibble_multiples(h))
+    for index, rk in enumerate(cipher.round_keys):
+        if index:
+            material.add(bytes(rk))
+            material.update(int.from_bytes(bytes(rk[i : i + 4]), "big") for i in range(0, 16, 4))
+        material.update(int.from_bytes(bytes(rk) * n, "big") for n in range(1, MAX_LANES + 1))
     material.discard(0)
     return material
 
@@ -323,6 +481,51 @@ class TestForwardSecrecy:
             leaked = _reachable_values(vars(module)) & forbidden
             assert not leaked, f"{module.__name__} still holds deleted key material"
 
+    def test_batched_seals_leave_no_key_behind(self):
+        """A ``seal_each`` over fresh keys, then a tree set-up and a batched
+        delete (both sealed lane-wise): once the calls return, nothing
+        derived from any of those keys — round keys, rows, H — is
+        reachable from the modules' globals."""
+        rng = random.Random(17)
+        keys = [rng.randbytes(16) for _ in range(2 * MAX_LANES)]
+        seal_each([(key, rng.randbytes(12), rng.randbytes(32), b"aad") for key in keys])
+        store = InMemoryBlockStore()
+        tree = SecureDeletionTree.setup(store, [bytes([i]) * 32 for i in range(16)])
+        indices = [1, 6, 12]
+        dead = set(keys).union(*(_path_keys(tree, store, index) for index in indices))
+        assert tree.walk(indices).delete() == len(indices)
+        del tree
+        gc.collect()
+        forbidden = set().union(*(_derived_material(k) for k in dead))
+        for module in GUARDED_MODULES:
+            leaked = _reachable_values(vars(module)) & forbidden
+            assert not leaked, f"{module.__name__} still holds deleted key material"
+
+    def test_kernel_constants_fixed_and_small(self):
+        """The byte-sliced kernel's masks are built once at import for the
+        widest call: a few KB of key-independent ints.  Calls of every
+        width from 1 to 64 blocks and batches of 1 to 64 seals add no
+        module-level object — no cache by width, by key or by anything."""
+
+        def module_state():
+            return {
+                module.__name__: (sorted(vars(module)), _reachable_values(vars(module)))
+                for module in GUARDED_MODULES
+            }
+
+        before = module_state()
+        constants = [v for v in _reachable_values(vars(aes_module)) if isinstance(v, int)]
+        assert sum(sys.getsizeof(v) for v in constants) < 8 * 1024
+        rng = random.Random(23)
+        used = []
+        for width in range(1, 65):
+            used.append(rng.randbytes(16))
+            encrypt_blocks([(Aes128(used[-1]), rng.randbytes(16 * width))])
+            seal_each(_random_messages(rng, [32] * width))
+        gc.collect()
+        assert module_state() == before
+        assert not set(constants) & set().union(*(_derived_material(k) for k in used[:8]))
+
     def test_walker_finds_a_planted_cache(self):
         """The guard above is only as good as the walk: plant the kinds of
         cache a later change might add and check each is seen."""
@@ -357,6 +560,7 @@ class TestForwardSecrecy:
         """``src/`` holds exactly one AES and one GHASH, with no switch."""
         assert not hasattr(Aes128, "decrypt_block")
         assert not hasattr(aes_module, "_INV_SBOX")
+        assert not hasattr(aes_module, "_T0") and not hasattr(aes_module, "_build_round_tables")
         assert not hasattr(gcm_module, "_ghash_key_tables")
         assert list(inspect.signature(Aes128.__init__).parameters) == ["self", "key"]
         assert list(inspect.signature(AesGcm.__init__).parameters) == ["self", "key"]
