@@ -14,7 +14,7 @@ grows linearly with N instead of staying constant.
 from repro.analysis.bounds import security_loss_bits
 
 from bench_fig10_breakdown import HSM, safetypin_recovery_seconds
-from reporting import emit, table
+from reporting import emit_rows
 
 
 def recovery_seconds(cluster_size: int) -> float:
@@ -25,51 +25,40 @@ def recovery_seconds(cluster_size: int) -> float:
 def test_fig11_cluster_size_sweep(benchmark):
     benchmark(lambda: recovery_seconds(40))
 
-    sizes = list(range(40, 101, 10))
-    rows = []
-    for n in sizes:
-        rows.append(
-            (
-                n,
-                f"{recovery_seconds(n):.2f} s",
-                f"{security_loss_bits(3100, n):.2f}",
-                f"{security_loss_bits(1500, n):.2f}",
-            )
-        )
-    lines = table(
-        ("n", "recovery", "loss bits (N=3100)", "loss bits (N=1500)"),
-        rows,
-        (6, 12, 20, 20),
-    )
-    lines.append("")
-    lines.append("paper: annotations 6.81..5.49 bits — log2(3N/n) at N=1,500, not the 3,100")
-    lines.append("of its deployment: log2(4500/40) = 6.81, log2(4500/100) = 5.49")
-    times = [recovery_seconds(n) for n in sizes]
-    emit(
+    rows = [
+        {
+            "cluster_size": n,
+            "recovery_s": recovery_seconds(n),
+            "loss_bits_n3100": security_loss_bits(3100, n),
+            "loss_bits_n1500": security_loss_bits(1500, n),
+        }
+        for n in range(40, 101, 10)
+    ]
+    times = [r["recovery_s"] for r in rows]
+    emit_rows(
         "fig11_cluster_size",
         "Figure 11: recovery time vs cluster size",
-        lines,
-        data={
-            "results": [
-                {
-                    "cluster_size": n,
-                    "recovery_s": recovery_seconds(n),
-                    "loss_bits_n3100": security_loss_bits(3100, n),
-                    "loss_bits_n1500": security_loss_bits(1500, n),
-                }
-                for n in sizes
-            ],
-            "metrics": {
-                "recovery_s_at_n40": times[0],
-                "recovery_s_at_n100": times[-1],
-                "growth_n40_to_n100": times[-1] / times[0],
-            },
+        [
+            ("n", 6, lambda r: r["cluster_size"]),
+            ("recovery", 12, lambda r: f"{r['recovery_s']:.2f} s"),
+            ("loss bits (N=3100)", 20, lambda r: f"{r['loss_bits_n3100']:.2f}"),
+            ("loss bits (N=1500)", 20, lambda r: f"{r['loss_bits_n1500']:.2f}"),
+        ],
+        rows,
+        notes=[
+            "paper: annotations 6.81..5.49 bits — log2(3N/n) at N=1,500, not the 3,100",
+            "of its deployment: log2(4500/40) = 6.81, log2(4500/100) = 5.49",
+        ],
+        metrics={
+            "recovery_s_at_n40": times[0],
+            "recovery_s_at_n100": times[-1],
+            "growth_n40_to_n100": times[-1] / times[0],
         },
     )
 
     assert times == sorted(times)  # grows with n ...
     assert times[-1] / times[0] < 1.6  # ... but slowly
-    losses = [security_loss_bits(3100, n) for n in sizes]
+    losses = [r["loss_bits_n3100"] for r in rows]
     assert losses == sorted(losses, reverse=True)
 
 
@@ -87,31 +76,26 @@ def test_fig11_ablation_threshold_whole_fleet(benchmark):
         return participants * HSM.seconds({"elgamal_dec": 1})
 
     benchmark(lambda: rejected_design_seconds(3100))
-    rows = []
-    for n_fleet in (500, 1000, 3100, 10_000):
-        safetypin = recovery_seconds(40)
-        rejected = rejected_design_seconds(n_fleet)
-        rows.append((n_fleet, f"{safetypin:.2f} s", f"{rejected:.1f} s"))
-    lines = table(("N", "SafetyPin (n=40)", "threshold-6% design"), rows, (8, 18, 22))
-    lines.append("")
-    lines.append("SafetyPin is flat in N; the rejected design degrades linearly")
-    emit(
+    emit_rows(
         "fig11_ablation",
         "Ablation: hidden clusters vs fleet-wide threshold",
-        lines,
-        data={
-            "results": [
-                {
-                    "fleet_size": n_fleet,
-                    "safetypin_s": recovery_seconds(40),
-                    "rejected_threshold_s": rejected_design_seconds(n_fleet),
-                }
-                for n_fleet in (500, 1000, 3100, 10_000)
-            ],
-            "metrics": {
+        [
+            ("N", 8, lambda r: r["fleet_size"]),
+            ("SafetyPin (n=40)", 18, lambda r: f"{r['safetypin_s']:.2f} s"),
+            ("threshold-6% design", 22, lambda r: f"{r['rejected_threshold_s']:.1f} s"),
+        ],
+        [
+            {
+                "fleet_size": n_fleet,
                 "safetypin_s": recovery_seconds(40),
-                "rejected_threshold_s_at_n3100": rejected_design_seconds(3100),
-            },
+                "rejected_threshold_s": rejected_design_seconds(n_fleet),
+            }
+            for n_fleet in (500, 1000, 3100, 10_000)
+        ],
+        notes=["SafetyPin is flat in N; the rejected design degrades linearly"],
+        metrics={
+            "safetypin_s": recovery_seconds(40),
+            "rejected_threshold_s_at_n3100": rejected_design_seconds(3100),
         },
     )
     assert rejected_design_seconds(10_000) > 10 * recovery_seconds(40)

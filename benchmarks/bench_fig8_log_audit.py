@@ -21,7 +21,7 @@ from repro.hsm.devices import SOLOKEY
 from repro.log.authdict import AuthenticatedDictionary, verify_insertion
 from repro.metering import metered
 
-from reporting import emit, table
+from reporting import emit, emit_rows
 
 INSERTIONS = 10_000  # I: the batch size measured in the paper
 LOG_ENTRIES = 100_000_000  # steady-state log size (~one month of recoveries)
@@ -78,24 +78,20 @@ def test_fig8_log_audit_time(benchmark):
 
     sizes = [100, 500, 1000, 2500, 5000, 10_000]
     times = {n: audit_seconds(n) for n in sizes}
-    rows = [(n, f"{times[n]:.1f} s") for n in sizes]
-    lines = table(("N (HSMs)", "audit time"), rows, (10, 14))
-    lines.append("")
-    lines.append("paper: ~50 s at small N falling to ~20 s at N=10K (Fig. 8)")
-    lines.append(
-        f"shape check: t(100)/t(10K) = {times[100] / times[10_000]:.1f}x "
-        "(paper: ~2.5x)"
-    )
-    emit(
+    emit_rows(
         "fig8_log_audit",
         "Figure 8: log-audit time vs data-center size",
-        lines,
-        data={
-            "results": [
-                {"num_hsms": n, "audit_seconds": times[n]} for n in sizes
-            ],
-            "metrics": {"shape_ratio_100_vs_10k": times[100] / times[10_000]},
-        },
+        [
+            ("N (HSMs)", 10, lambda r: r["num_hsms"]),
+            ("audit time", 14, lambda r: f"{r['audit_seconds']:.1f} s"),
+        ],
+        [{"num_hsms": n, "audit_seconds": times[n]} for n in sizes],
+        notes=[
+            "paper: ~50 s at small N falling to ~20 s at N=10K (Fig. 8)",
+            f"shape check: t(100)/t(10K) = {times[100] / times[10_000]:.1f}x "
+            "(paper: ~2.5x)",
+        ],
+        metrics={"shape_ratio_100_vs_10k": times[100] / times[10_000]},
     )
 
     # The paper's qualitative claims must hold:

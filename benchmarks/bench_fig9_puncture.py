@@ -18,7 +18,7 @@ from repro.hsm.costmodel import CostBreakdown, CostModel
 from repro.hsm.devices import SOLOKEY
 from repro.sim.capacity import SHARE_PLAINTEXT_LEN, build_throughput_model
 
-from reporting import emit, table
+from reporting import emit, emit_rows
 
 MODEL = CostModel(SOLOKEY)
 SWEEP = (10, 100, 1000, 10_000, 100_000)
@@ -42,38 +42,27 @@ def test_fig9_decrypt_puncture_sweep(benchmark):
     sweep = {p: BloomParams.for_punctures(p, failure_exponent=16) for p in SWEEP}
     results = benchmark(lambda: {p: modeled_breakdown(params) for p, params in sweep.items()})
 
-    rows = []
-    for punctures, params in sweep.items():
-        breakdown = results[punctures]
-        rows.append(
-            (
-                f"{punctures:,}",
-                f"{params.secret_key_bytes() / 1024:,.0f} KB",
-                f"{breakdown.io * 1000:,.0f}",
-                f"{(breakdown.symmetric + breakdown.flash) * 1000:,.0f}",
-                f"{breakdown.public_key * 1000:,.0f}",
-                f"{breakdown.total:,.2f} s",
-            )
-        )
-    lines = table(
-        ("punctures", "key size", "io ms", "sym ms", "pk ms", "total"),
-        rows,
-        (12, 12, 10, 10, 10, 10),
-    )
-    lines.append("")
-    lines.append("paper: 0.25 s -> ~1 s over the same sweep; I/O + symmetric dominate")
     totals = [results[p].total for p in SWEEP]
-    emit(
+    emit_rows(
         "fig9_puncture",
         "Figure 9: decrypt+puncture vs puncture budget",
-        lines,
-        data={
-            "results": [{"punctures": p, **_split(results[p])} for p in SWEEP],
-            "metrics": {
-                "total_s_at_10_punctures": totals[0],
-                "total_s_at_100k_punctures": totals[-1],
-                "growth_over_four_decades": totals[-1] / totals[0],
-            },
+        [
+            ("punctures", 12, lambda r: f"{r['punctures']:,}"),
+            ("key size", 12, lambda r: f"{r['key_bytes'] / 1024:,.0f} KB"),
+            ("io ms", 10, lambda r: f"{r['io_s'] * 1000:,.0f}"),
+            ("sym ms", 10, lambda r: f"{r['symmetric_s'] * 1000:,.0f}"),
+            ("pk ms", 10, lambda r: f"{r['public_key_s'] * 1000:,.0f}"),
+            ("total", 10, lambda r: f"{r['total_s']:,.2f} s"),
+        ],
+        [
+            {"punctures": p, "key_bytes": params.secret_key_bytes(), **_split(results[p])}
+            for p, params in sweep.items()
+        ],
+        notes=["paper: 0.25 s -> ~1 s over the same sweep; I/O + symmetric dominate"],
+        metrics={
+            "total_s_at_10_punctures": totals[0],
+            "total_s_at_100k_punctures": totals[-1],
+            "growth_over_four_decades": totals[-1] / totals[0],
         },
     )
 

@@ -7,6 +7,9 @@ the gate fails; "open" causes say what is known and name ROADMAP item 3(c),
 they do not guess.  "Ours" is read from the ``metrics`` of the figure
 scripts' own records, all at ``BloomParams.paper_deployment()`` — so run
 those scripts first (CI's perf-smoke step lists them before this file).
+A number has one row: the SoloKey fleet for 1B recoveries/year is Table
+14's, which ``bench_planner.py`` asserts Figure 12's anchor and Figure
+13's any-finite fleet equal.
 """
 
 import json
@@ -16,7 +19,7 @@ from repro.hsm.devices import SOLOKEY
 from repro.sim.capacity import build_throughput_model
 
 import _harness
-from reporting import emit, table
+from reporting import emit_rows
 
 TOLERANCE = 0.10
 PRICE = (
@@ -38,15 +41,12 @@ CATALOG = [
     ("fig12_anchor", "rotation_h", 75, ""),
     ("fig12_anchor", "rotation_duty", 0.56, RATE),
     ("fig12_anchor", "jobs_per_hour_per_hsm", 1503.9, RATE),
-    ("fig12_anchor", "solokeys_needed", 3037, FLEET),
-    ("fig12_anchor", "budget_usd", 60.7e3, FLEET),
     ("table14_deployment", "solokey_qty", 3037, FLEET),
     ("table14_deployment", "solokey_cost_usd", 60.7e3, FLEET),
     ("table14_deployment", "yubihsm2_qty", 1732, SCALED),
     ("table14_deployment", "yubihsm2_cost_usd", 1.1e6, SCALED),
     ("table14_deployment", "safenet_qty", 40, ""),
     ("table14_deployment", "safenet_cost_usd", 738.7e3, ""),
-    ("fig13_tail_latency", "hsms_any_finite_at_1e9", 3037, FLEET),
     ("fig10_recovery", "recovery_log_s", 0.15,
      "open, ROADMAP 3(c): ours is one inclusion proof's hashes and bytes and nothing per"
      " HSM; where the paper's 0.15 s goes is not known"),
@@ -83,22 +83,21 @@ def unexplained(rows):
 def test_paper_fidelity_table():
     rows = fidelity_rows()
     blanked = unexplained([{**r, "cause": ""} for r in rows])
-    cells = [
-        (r["name"], f"{r['ours']:,.4g}", f"{r['paper']:,.4g}", f"{r['ratio']:.2f}",
-         "  " + r["cause"])
-        for r in rows
-    ]
-    emit(
+    emit_rows(
         "paper_fidelity",
         f"Paper fidelity (tolerance ±{TOLERANCE:.0%}): what one decrypt-and-puncture prices",
-        table(("record.metric", "ours", "paper", "ratio", "  cause"), cells, (46, 12, 12, 7, 0)),
-        data={
-            "results": rows,
-            "metrics": {
-                "rows": len(rows),
-                "rows_out_of_tolerance": len(blanked),
-                "rows_unexplained": len(unexplained(rows)),
-            },
+        [
+            ("record.metric", 46, lambda r: r["name"]),
+            ("ours", 12, lambda r: f"{r['ours']:,.4g}"),
+            ("paper", 12, lambda r: f"{r['paper']:,.4g}"),
+            ("ratio", 7, lambda r: f"{r['ratio']:.2f}"),
+            ("  cause", 0, lambda r: "  " + r["cause"]),
+        ],
+        rows,
+        metrics={
+            "rows": len(rows),
+            "rows_out_of_tolerance": len(blanked),
+            "rows_unexplained": len(unexplained(rows)),
         },
     )
     assert unexplained(rows) == []

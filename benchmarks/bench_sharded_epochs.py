@@ -67,7 +67,6 @@ from repro.log.distributed import LogConfig
 from repro.log.sharded import cross_shard_root
 from repro.metering import OpMeter
 from repro.service.batcher import EpochBatcher
-from repro.sim.queueing import EpochShardModel
 
 try:
     from reporting import emit, table
@@ -385,14 +384,6 @@ def main(argv=None) -> int:
     if latency_ratio > SCALE_LATENCY_RATIO_BOUND:
         scale_failures.append("scale_latency_ratio")
 
-    model = EpochShardModel(
-        arrival_rate=1000.0,
-        epoch_interval=600.0,
-        epoch_seconds=metrics["device_base_seconds_per_round"],
-        num_shards=SHARDS,
-        serial_fraction=0.1,
-    )
-
     lines = table(
         ("mode", "shards", "insertions", "ms/round", "ins/s", "speedup"),
         rows,
@@ -407,10 +398,6 @@ def main(argv=None) -> int:
     lines.append(
         f"device mode simulates {delay * 1000:.0f} ms per epoch-protocol call "
         "(SoloKey-class hardware; paper Table 2)"
-    )
-    lines.append(
-        f"EpochShardModel (serial_fraction=0.1) projects {model.speedup():.1f}x "
-        "for the same lane count"
     )
     lines.append(
         "shards=1 invariance (exact seed op counts + digest): "
@@ -462,11 +449,7 @@ def main(argv=None) -> int:
                 }
                 for mode, shards, ins, ms, rate, _ in rows
             ],
-            "metrics": dict(
-                metrics,
-                invariance_ok=invariance_ok,
-                modeled_speedup=model.speedup(),
-            ),
+            "metrics": dict(metrics, invariance_ok=invariance_ok),
             "scale": scale_results,
             "op_counts": {k: ambient.get(k, 0) for k in SEED_AMBIENT},
         },

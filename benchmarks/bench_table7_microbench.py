@@ -15,7 +15,7 @@ from repro.crypto.hashing import hmac_sha256
 from repro.hsm.costmodel import CostModel, Transport
 from repro.hsm.devices import SOLOKEY
 
-from reporting import emit, table
+from reporting import emit_rows
 
 PAPER_RATES = [
     ("pairing", 0.43),
@@ -49,44 +49,34 @@ def test_table7_microbenchmarks(benchmark):
     }
     benchmark(lambda: aes.encrypt_block(b"0123456789abcdef"))
 
-    rows = []
-    for op, paper_rate in PAPER_RATES:
-        modeled = 1.0 / model.seconds_per_op(op)
-        rows.append(
-            (
-                op,
-                f"{paper_rate:,.2f}",
-                f"{modeled:,.2f}",
-                f"{host[op]:,.0f}" if op in host else "-",
-            )
-        )
-    lines = table(
-        ("operation", "paper/s", "model/s", "this host/s"), rows, (16, 12, 12, 14)
-    )
-
     # I/O ablation: USB CDC vs HID (the paper's firmware rewrite).
     cdc = CostModel(SOLOKEY, Transport.USB_CDC).seconds_per_op("io_bytes")
     hid = CostModel(SOLOKEY, Transport.USB_HID).seconds_per_op("io_bytes")
-    lines.append("")
-    lines.append(f"I/O ablation: HID/CDC throughput ratio = {hid / cdc:.1f}x "
-                 "(paper: ~32x from 71.43 -> 2,277.9 RTT/s)")
-    lines.append("flash read: modeled 166,000 x 32 B/s (paper value, by construction)")
-    emit(
+    emit_rows(
         "table7_microbench",
         "Table 7: SoloKey microbenchmarks",
-        lines,
-        data={
-            "results": [
-                {
-                    "operation": op,
-                    "paper_per_sec": paper_rate,
-                    "model_per_sec": 1.0 / model.seconds_per_op(op),
-                    "host_per_sec": host.get(op),
-                }
-                for op, paper_rate in PAPER_RATES
-            ],
-            "metrics": {"hid_cdc_ratio": hid / cdc},
-        },
+        [
+            ("operation", 16, lambda r: r["operation"]),
+            ("paper/s", 12, lambda r: f"{r['paper_per_sec']:,.2f}"),
+            ("model/s", 12, lambda r: f"{r['model_per_sec']:,.2f}"),
+            ("this host/s", 14,
+             lambda r: "-" if r["host_per_sec"] is None else f"{r['host_per_sec']:,.0f}"),
+        ],
+        [
+            {
+                "operation": op,
+                "paper_per_sec": paper_rate,
+                "model_per_sec": 1.0 / model.seconds_per_op(op),
+                "host_per_sec": host.get(op),
+            }
+            for op, paper_rate in PAPER_RATES
+        ],
+        notes=[
+            f"I/O ablation: HID/CDC throughput ratio = {hid / cdc:.1f}x "
+            "(paper: ~32x from 71.43 -> 2,277.9 RTT/s)",
+            "flash read: modeled 166,000 x 32 B/s (paper value, by construction)",
+        ],
+        metrics={"hid_cdc_ratio": hid / cdc},
     )
 
     assert abs(1.0 / model.seconds_per_op("ec_mult") - 7.69) < 1e-6  # calibration

@@ -6,12 +6,13 @@ record survives pytest's output capturing, to a machine-readable
 ``benchmarks/out/BENCH_<name>.json`` (see ``_harness`` for the contract)
 whose ``lines`` field is the table exactly as printed.  Benchmarks pass
 structured numbers via ``data`` so the JSON carries raw values, not
-formatted strings.
+formatted strings; a table of rows goes through ``emit_rows``, which
+renders the text from the same dicts it records as ``results``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import _harness
 
@@ -31,3 +32,27 @@ def table(headers: Sequence[str], rows: Iterable[Sequence], widths: Sequence[int
     lines = [fmt(headers)]
     lines.extend(fmt(row) for row in rows)
     return lines
+
+
+def emit_rows(
+    name: str,
+    title: str,
+    columns: Sequence[Tuple[str, int, Callable[[dict], object]]],
+    rows: List[dict],
+    notes: Sequence[str] = (),
+    metrics: Optional[dict] = None,
+) -> None:
+    """Emit one table whose rows are spelled once: each row dict is a
+    ``results`` record, and a column ``(header, width, cell)`` renders it
+    with ``cell(row)``.  ``notes`` follow the table after a blank line."""
+    lines = table(
+        [header for header, _, _ in columns],
+        ([cell(row) for _, _, cell in columns] for row in rows),
+        [width for _, width, _ in columns],
+    )
+    if notes:
+        lines += ["", *notes]
+    data = {"results": rows}
+    if metrics is not None:
+        data["metrics"] = metrics
+    emit(name, title, lines, data=data)

@@ -7,8 +7,6 @@ that validates the analytic tail-latency curve empirically.
 """
 
 from repro.sim.queueing import (
-    EpochBatchModel,
-    EpochShardModel,
     MM1Queue,
     min_fleet_for_latency,
     fig13_series,
@@ -21,16 +19,12 @@ from repro.sim.capacity import (
 )
 from repro.sim.workload import (
     DiurnalWorkload,
-    PoissonWorkload,
     percentile,
-    simulate_queue_p99,
 )
 
 __all__ = [
     "DiurnalWorkload",
     "percentile",
-    "EpochBatchModel",
-    "EpochShardModel",
     "MM1Queue",
     "min_fleet_for_latency",
     "fig13_series",
@@ -38,6 +32,4 @@ __all__ = [
     "DeploymentPlan",
     "plan_deployment",
     "recoveries_per_year",
-    "PoissonWorkload",
-    "simulate_queue_p99",
 ]

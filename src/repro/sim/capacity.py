@@ -19,7 +19,6 @@ paper's own method for Figure 12 and Table 14.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -28,6 +27,7 @@ from repro.crypto.bfe import BloomFilterEncryption
 from repro.crypto.bloom import BloomParams
 from repro.hsm.costmodel import CostModel, Transport
 from repro.hsm.devices import DeviceSpec, SOLOKEY
+from repro.sim.queueing import min_fleet_for_latency
 
 # What one HSM job opens: a Shamir share of the transport key (4 + 32 bytes)
 # behind ``repro.core.lhe``'s length-prefixed username, taken as 10 bytes.
@@ -127,13 +127,14 @@ def plan_deployment(
     min_quantity: Optional[int] = None,
 ) -> DeploymentPlan:
     """Size a fleet of ``device`` for ``annual_recoveries`` (Table 14):
-    enough units for the load, and never fewer than one cluster — a
-    recovery needs ``cluster_size`` distinct HSMs however fast each is."""
+    the smallest fleet whose queues are stable under the load (Figure 13's
+    any-finite curve), and never fewer than one cluster — a recovery needs
+    ``cluster_size`` distinct HSMs however fast each is."""
     if throughput is None:
         throughput = build_throughput_model(device)
     per_hsm_yearly_jobs = throughput.recoveries_per_hour * 24 * 365
     needed_jobs = annual_recoveries * cluster_size
-    quantity = max(cluster_size, math.ceil(needed_jobs / per_hsm_yearly_jobs))
+    quantity = max(cluster_size, min_fleet_for_latency(needed_jobs, per_hsm_yearly_jobs, None))
     if min_quantity is not None:
         quantity = max(quantity, min_quantity)
     return DeploymentPlan(

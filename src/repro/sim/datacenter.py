@@ -7,7 +7,7 @@ assumptions by actually playing out a deployment timeline:
 - recovery jobs arrive as a Poisson process; each job fans out to the
   ``n`` HSMs of a (uniformly random) hidden cluster;
 - each HSM serves its own FIFO queue with exponential service times around
-  the cost-model mean;
+  the cost-model mean, log-audit share included;
 - each HSM counts punctures and goes offline for its rotation time once the
   Bloom filter is half-worn, exactly like the real device;
 - a job completes when ``t`` of its ``n`` shares are decrypted (extra
@@ -89,9 +89,11 @@ class DataCenterSimulator:
         """Simulate ``num_jobs`` Poisson arrivals at ``arrival_rate``/s."""
         rng = self.rng
         hsms = [_Hsm(i) for i in range(self.num_hsms)]
-        mean_service = self.throughput.decrypt_puncture_seconds
         rotation_s = self.throughput.rotation_seconds
         rotation_after = self.throughput.punctures_before_rotation
+        # A job carries its share of the log-audit tax, as the closed form
+        # (and so ``max_stable_rate``) charges it.
+        mean_service = self.throughput.processing_seconds_between_rotations / rotation_after
 
         latencies: List[float] = []
         t = 0.0

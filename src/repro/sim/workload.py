@@ -1,11 +1,9 @@
-"""Workload generation and discrete-event queue simulation.
+"""Workload generation and the shared percentile convention.
 
-Two uses:
-
-1. empirical validation of the analytic M/M/1 tail-latency model behind
-   Figure 13 (``simulate_queue_p99`` vs ``MM1Queue.latency_percentile``);
-2. driving multi-user protocol scenarios in tests and examples
-   (``PoissonWorkload`` produces arrival times and user/PIN pairs).
+``DiurnalWorkload`` draws the chaos campaign's arrivals; ``percentile`` is
+the one quantile rule the simulator, the chaos reports and the benchmark
+ledger read latencies by.  The discrete-event queue model is
+:class:`repro.sim.datacenter.DataCenterSimulator`.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 
 def percentile(samples: List[float], p: float) -> float:
@@ -30,40 +28,6 @@ def percentile(samples: List[float], p: float) -> float:
     ordered = sorted(samples)
     rank = min(len(ordered), max(1, math.ceil(p * len(ordered))))
     return ordered[rank - 1]
-
-
-#: Alias for call sites whose ``percentile=`` keyword shadows the function.
-_percentile = percentile
-
-
-@dataclass
-class PoissonWorkload:
-    """Poisson arrival process of recovery requests."""
-
-    rate_per_second: float
-    rng: random.Random
-
-    def arrival_times(self, count: int) -> List[float]:
-        """The first ``count`` arrival instants."""
-        t = 0.0
-        out = []
-        for _ in range(count):
-            t += self.rng.expovariate(self.rate_per_second)
-            out.append(t)
-        return out
-
-    def users(self, count: int, pin_length: int = 4) -> List[Tuple[str, str]]:
-        """Synthetic (username, PIN) pairs.
-
-        PINs are drawn uniformly; real-world PIN skew only *helps* the
-        attacker guess PINs, which is orthogonal to the systems behaviour
-        exercised here.
-        """
-        pairs = []
-        for i in range(count):
-            pin = "".join(self.rng.choice("0123456789") for _ in range(pin_length))
-            pairs.append((f"user{i}", pin))
-        return pairs
 
 
 @dataclass
@@ -116,49 +80,3 @@ class DiurnalWorkload:
             if self.rng.random() * peak <= self.rate_at(t):
                 out.append((t, self.rng.randrange(self.num_users)))
 
-
-def simulate_queue_p99(
-    arrival_rate: float,
-    service_rate: float,
-    num_jobs: int = 20000,
-    rng: Optional[random.Random] = None,
-    percentile: float = 0.99,
-) -> float:
-    """Discrete-event simulation of one M/M/1 queue; returns the empirical
-    sojourn-time percentile.  Used to validate the Figure 13 closed form."""
-    rng = rng or random.Random(0)
-    t = 0.0
-    server_free_at = 0.0
-    latencies = []
-    for _ in range(num_jobs):
-        t += rng.expovariate(arrival_rate)
-        start = max(t, server_free_at)
-        service = rng.expovariate(service_rate)
-        done = start + service
-        server_free_at = done
-        latencies.append(done - t)
-    return _percentile(latencies, percentile)
-
-
-def simulate_fleet_p99(
-    total_arrival_rate: float,
-    service_rate: float,
-    num_hsms: int,
-    num_jobs: int = 20000,
-    rng: Optional[random.Random] = None,
-    percentile: float = 0.99,
-) -> float:
-    """Jobs split uniformly at random over ``num_hsms`` independent queues
-    (how a provider load-balances recoveries across the fleet)."""
-    rng = rng or random.Random(0)
-    t = 0.0
-    free_at = [0.0] * num_hsms
-    latencies = []
-    for _ in range(num_jobs):
-        t += rng.expovariate(total_arrival_rate)
-        q = rng.randrange(num_hsms)
-        start = max(t, free_at[q])
-        done = start + rng.expovariate(service_rate)
-        free_at[q] = done
-        latencies.append(done - t)
-    return _percentile(latencies, percentile)

@@ -16,12 +16,14 @@ from repro.hsm.devices import SAFENET_A700, SOLOKEY, YUBIHSM2
 from repro.metering import metered
 from repro.sim.capacity import (
     SHARE_PLAINTEXT_LEN,
+    HsmThroughputModel,
     build_throughput_model,
     fig12_series,
     plan_deployment,
     recoveries_per_year,
     storage_cost_per_year,
 )
+from repro.sim.queueing import MM1Queue, min_fleet_for_latency
 from repro.storage import securedel
 from repro.storage.blockstore import InMemoryBlockStore
 from repro.storage.securedel import walk_counts
@@ -205,6 +207,15 @@ class TestDeploymentPlanning:
         assert plan.quantity == 40
         assert plan.hardware_cost_usd == pytest.approx(738.7e3, rel=1e-3)
         assert plan_deployment(SAFENET_A700, 1e9, cluster_size=60).quantity == 60
+
+    def test_load_that_fills_whole_hsms_gets_one_more(self):
+        """The plan is Figure 13's any-finite fleet: 100 HSMs' worth of load
+        on 100 HSMs is ρ = 1, an unstable queue."""
+        unit = HsmThroughputModel(SOLOKEY, 1.0, 0.0, 1, log_audit_fraction=0.0)
+        assert unit.recoveries_per_hour == 3600.0
+        plan = plan_deployment(SOLOKEY, 100 * 3600 * 24 * 365, cluster_size=1, throughput=unit)
+        assert plan.quantity == 101 == min_fleet_for_latency(100.0, 1.0, None)
+        assert MM1Queue(1.0, 100.0 / plan.quantity).stable
 
     def test_min_quantity_respected(self):
         plan = plan_deployment(SAFENET_A700, 1e9, min_quantity=800)

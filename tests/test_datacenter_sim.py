@@ -10,12 +10,13 @@ from repro.sim.datacenter import DataCenterSimulator
 from repro.sim.queueing import MM1Queue
 
 
-def fast_model(service_seconds=0.1, rotation_seconds=50.0, punctures=1000):
+def fast_model(service_seconds=0.1, rotation_seconds=50.0, punctures=1000, log_audit_fraction=0.11):
     return HsmThroughputModel(
         device=SOLOKEY,
         decrypt_puncture_seconds=service_seconds,
         rotation_seconds=rotation_seconds,
         punctures_before_rotation=punctures,
+        log_audit_fraction=log_audit_fraction,
     )
 
 
@@ -86,16 +87,23 @@ class TestBasics:
 class TestAgainstAnalyticModels:
     def test_light_load_matches_mm1(self):
         """At light load with t=n=1 the fleet is N independent M/M/1 queues;
-        mean latency must match the closed form within noise."""
+        mean and p99 latency must match the closed form within noise."""
         service = 0.2
-        sim = DataCenterSimulator(
-            4, 1, 1, fast_model(service, rotation_seconds=0.0, punctures=10**9),
-            rng=random.Random(4),
-        )
+        model = fast_model(service, rotation_seconds=0.0, punctures=10**9, log_audit_fraction=0.0)
+        sim = DataCenterSimulator(4, 1, 1, model, rng=random.Random(4))
         total_rate = 4 * 2.0  # per-queue λ=2, μ=5 -> mean sojourn 1/3 s
         result = sim.run(arrival_rate=total_rate, num_jobs=20_000)
-        analytic = MM1Queue(1 / service, 2.0).mean_latency()
-        assert result.mean_latency == pytest.approx(analytic, rel=0.2)
+        queue = MM1Queue(1 / service, 2.0)
+        assert result.mean_latency == pytest.approx(queue.mean_latency(), rel=0.2)
+        assert result.percentile(0.99) == pytest.approx(queue.latency_percentile(0.99), rel=0.15)
+
+    def test_occupancy_is_the_offered_load(self):
+        """Serving and rotating fill the share of the fleet's time the
+        closed form says the load takes: a job pays its log-audit share."""
+        model = fast_model(0.3, rotation_seconds=60.0, punctures=500)
+        sim = DataCenterSimulator(20, 4, 2, model, rng=random.Random(12))
+        result = sim.run(arrival_rate=0.6 * sim.max_stable_rate(), num_jobs=20_000)
+        assert result.busy_fraction + result.rotating_fraction == pytest.approx(0.6, abs=0.03)
 
     def test_threshold_beats_waiting_for_all(self):
         """t-of-n completion is faster than waiting for all n shares —

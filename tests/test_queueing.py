@@ -1,18 +1,10 @@
-"""M/M/1 queueing model and its empirical validation (Figure 13)."""
+"""M/M/1 queueing model and fleet sizing (Figure 13)."""
 
 import math
-import random
 
 import pytest
 
-from repro.sim.queueing import (
-    EpochBatchModel,
-    EpochShardModel,
-    MM1Queue,
-    fig13_series,
-    min_fleet_for_latency,
-)
-from repro.sim.workload import simulate_fleet_p99, simulate_queue_p99
+from repro.sim.queueing import MM1Queue, fig13_series, min_fleet_for_latency
 
 
 class TestMM1:
@@ -92,125 +84,3 @@ class TestFig13Series:
         infinite = dict(series[3][1])
         for load in strict:
             assert strict[load] >= loose[load] >= infinite[load]
-
-
-class TestEpochBatchModel:
-    def test_paper_scale_amortization(self):
-        # 3 sessions/s against the paper's 10-minute epoch: 1800 sessions
-        # share each run_update.
-        model = EpochBatchModel(
-            arrival_rate=3.0, epoch_interval=600.0, epoch_seconds=20.0
-        )
-        assert model.sessions_per_epoch == pytest.approx(1800.0)
-        assert model.speedup_vs_per_request() == pytest.approx(1800.0)
-        assert model.epoch_cost_per_session() == pytest.approx(20.0 / 1800.0)
-        assert model.mean_wait() == pytest.approx(300.0)
-        assert model.wait_percentile(0.99) == pytest.approx(594.0)
-
-    def test_empty_epochs_never_beat_per_request(self):
-        # Below one session per epoch the amortization floor is 1x: the
-        # lone session still pays the whole epoch.
-        model = EpochBatchModel(
-            arrival_rate=0.001, epoch_interval=10.0, epoch_seconds=5.0
-        )
-        assert model.speedup_vs_per_request() == 1.0
-        assert model.epoch_cost_per_session() == pytest.approx(5.0)
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            EpochBatchModel(arrival_rate=-1.0, epoch_interval=1.0, epoch_seconds=1.0)
-        with pytest.raises(ValueError):
-            EpochBatchModel(arrival_rate=1.0, epoch_interval=0.0, epoch_seconds=1.0)
-        with pytest.raises(ValueError):
-            EpochBatchModel(
-                arrival_rate=1.0, epoch_interval=1.0, epoch_seconds=1.0
-            ).wait_percentile(1.5)
-
-
-class TestEpochShardModel:
-    def test_one_shard_matches_unsharded_epoch(self):
-        model = EpochShardModel(
-            arrival_rate=10.0, epoch_interval=2.0, epoch_seconds=1.0, num_shards=1
-        )
-        assert model.lane_seconds() == pytest.approx(1.0)
-        assert model.speedup() == pytest.approx(1.0)
-
-    def test_speedup_grows_with_lanes_but_amdahl_bounds_it(self):
-        base = dict(
-            arrival_rate=10.0,
-            epoch_interval=2.0,
-            epoch_seconds=1.0,
-            serial_fraction=0.1,
-        )
-        speedups = [
-            EpochShardModel(num_shards=s, **base).speedup() for s in (1, 2, 4, 8)
-        ]
-        assert speedups == sorted(speedups)
-        assert speedups[2] >= 1.5  # the benchmark's 4-lane gate, analytically
-        # Amdahl ceiling: never beyond 1/serial_fraction.
-        assert all(s <= 1.0 / 0.1 + 1e-9 for s in speedups)
-
-    def test_per_shard_overhead_can_make_lanes_a_loss(self):
-        model = EpochShardModel(
-            arrival_rate=1.0,
-            epoch_interval=2.0,
-            epoch_seconds=0.1,
-            num_shards=8,
-            serial_fraction=0.0,
-            per_shard_overhead=0.05,
-        )
-        assert model.speedup() < 1.0  # sharding a tiny epoch is a loss
-
-    def test_amortized_cost_and_stability(self):
-        model = EpochShardModel(
-            arrival_rate=8.0,
-            epoch_interval=1.0,
-            epoch_seconds=0.8,
-            num_shards=4,
-            serial_fraction=0.25,
-        )
-        assert model.epoch_cost_per_session() == pytest.approx(
-            model.lane_seconds() / 8.0
-        )
-        assert model.max_stable_arrival_rate() == math.inf
-        saturated = EpochShardModel(
-            arrival_rate=8.0, epoch_interval=1.0, epoch_seconds=1.2, num_shards=1
-        )
-        assert saturated.max_stable_arrival_rate() == 0.0
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            EpochShardModel(
-                arrival_rate=1.0, epoch_interval=1.0, epoch_seconds=1.0, num_shards=0
-            )
-        with pytest.raises(ValueError):
-            EpochShardModel(
-                arrival_rate=1.0,
-                epoch_interval=1.0,
-                epoch_seconds=1.0,
-                serial_fraction=1.5,
-            )
-        with pytest.raises(ValueError):
-            EpochShardModel(
-                arrival_rate=1.0,
-                epoch_interval=1.0,
-                epoch_seconds=1.0,
-                per_shard_overhead=-0.1,
-            )
-
-
-class TestEmpiricalValidation:
-    def test_simulation_matches_analytic_p99(self):
-        """Discrete-event M/M/1 agrees with the closed form within noise."""
-        mu, lam = 1.0, 0.5
-        analytic = MM1Queue(mu, lam).latency_percentile(0.99)
-        simulated = simulate_queue_p99(lam, mu, num_jobs=40000, rng=random.Random(3))
-        assert simulated == pytest.approx(analytic, rel=0.15)
-
-    def test_fleet_simulation_close_to_single_queue_model(self):
-        mu = 1.0
-        total = 4.0
-        n = 8
-        analytic = MM1Queue(mu, total / n).latency_percentile(0.99)
-        simulated = simulate_fleet_p99(total, mu, n, num_jobs=40000, rng=random.Random(4))
-        assert simulated == pytest.approx(analytic, rel=0.25)
