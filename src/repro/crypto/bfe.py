@@ -44,8 +44,8 @@ blocks are the lanes of one byte-sliced call.  The meter still sees k + 1
 key tree: the only table built is of the public ephemeral.  Key generation
 — every rotation — is m ``g^x`` over fresh scalars: one call of
 ``repro.crypto.ec.generator_mult_each``, which walks the generator's comb
-for all slots in lock step on shared-inversion affine arithmetic; the meter
-still sees m ``ec_mult``.
+(six columns of five sub-tables) for all slots in lock step on
+shared-inversion affine arithmetic; the meter still sees m ``ec_mult``.
 
 What the meter sees is the paper's device, not this host: Decrypt walks one
 slot's path at a time until one survives, Puncture is a second call that
@@ -252,7 +252,14 @@ class BloomFilterEncryption:
         ciphertext: BfeCiphertext,
         context: bytes,
     ) -> bytes:
-        """Decrypt using the first slot whose key ``read_slot`` still yields."""
+        """Decrypt using the first slot whose key ``read_slot`` still yields.
+
+        An identity ephemeral is refused before any slot is read: every
+        slot's shared point would be ``∞``, so the wraps would open under
+        keys anyone can compute.
+        """
+        if ciphertext.ephemeral.is_infinity:
+            raise AuthenticationError("ephemeral is the identity point")
         tag = ciphertext.tag
         last_error: Optional[Exception] = None
         for position, slot in enumerate(slots):

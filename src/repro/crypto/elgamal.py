@@ -16,16 +16,16 @@ client's username, the recovery salt, and the n cluster public keys
 (Appendix A.4, last paragraph).  Callers pass that as ``context``.
 
 Hot-path note: ``g^r`` inside :meth:`HashedElGamal.encrypt` rides the
-generator's comb table in ``repro.crypto.ec`` (9 teeth x 29 columns: 29
-doublings + at most 29 mixed additions), and ``X^r`` is a signed-window
-ladder over the 8-entry table of odd multiples cached on the (long-lived)
-recipient key point, so repeated encryptions to the same key skip the table
-build.  Recipient keys never get a comb of their own: those are built only
-for the signer directory, at provisioning.
+generator's comb in ``repro.crypto.ec`` (9 teeth in five sub-tables of six
+columns: 6 doublings + at most 29 mixed additions), and ``X^r`` is a
+signed-window ladder over the 8-entry table of odd multiples cached on the
+(long-lived) recipient key point, so repeated encryptions to the same key
+skip the table build.  Recipient keys never get a comb of their own: those
+are built only for the signer directory, at provisioning.
 Decryption's ``(g^r)^x`` sees a fresh ephemeral point each time and
 therefore builds that small table once per call; the table holds multiples
 of the public ephemeral only, and the digits of the secret ``x`` are locals
-of the multiply.
+of the multiply.  An identity ephemeral is refused before that multiply.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from repro import metering
 from repro.crypto.ec import ECKeyPair, ECPoint, P256
-from repro.crypto.gcm import ae_decrypt, ae_encrypt
+from repro.crypto.gcm import AuthenticationError, ae_decrypt, ae_encrypt
 from repro.crypto.hashing import kdf
 
 
@@ -85,7 +85,13 @@ class HashedElGamal:
 
     @staticmethod
     def decrypt(secret: int, ciphertext: ElGamalCiphertext, context: bytes = b"") -> bytes:
-        """Decrypt; raises ``AuthenticationError`` on tampering or wrong key."""
+        """Decrypt; raises ``AuthenticationError`` on tampering or wrong key.
+
+        An identity ephemeral is refused before the multiply: ``∞^x`` is
+        ``∞`` for every key, so such a "ciphertext" is one anyone can make.
+        """
+        if ciphertext.ephemeral.is_infinity:
+            raise AuthenticationError("ephemeral is the identity point")
         metering.count("elgamal_dec")
         shared = ciphertext.ephemeral * secret
         key = kdf("hashed-elgamal", shared.to_bytes(), context, length=16)

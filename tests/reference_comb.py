@@ -1,10 +1,15 @@
-"""The comb-table fill ``repro.crypto.ec._build_comb`` ran before it went
-lock step (PR 24): general Jacobian additions for the 502 subset sums, one
-batch normalization of all 511 entries.
+"""The algorithms ``repro.crypto.ec``'s comb replaced, kept as references.
 
-Kept as the differential reference for the table's contents
-(``tests/test_ec_fastpath.py``) and as the baseline
-``benchmarks/bench_crypto_hotpath.py`` times ``comb_build`` against.
+- :func:`jacobian_comb_fill` is the one-table fill ``_build_comb`` ran
+  before it went lock step: general Jacobian additions for the 502 subset
+  sums, one batch normalization of all 511 entries.  It is the
+  differential reference for every table and sub-table
+  (``tests/test_ec_fastpath.py``) and the baseline
+  ``benchmarks/bench_crypto_hotpath.py`` times ``comb_build`` against.
+- :func:`one_table_generator_mult_each` is the lock step
+  ``generator_mult_each`` ran before the generator's comb was cut into
+  sub-tables: one 29-column table, two ``_add_each`` batches a column.  The
+  hot-path bench times ``fixed_base_batch`` against it in turns.
 """
 
 from repro.crypto import ec
@@ -23,3 +28,21 @@ def jacobian_comb_fill(x, y):
         for lower in range(1, bit):
             jac[bit | lower] = ec._jac_add(jac[lower], tooth)
     return [None] + ec._jac_to_affine_batch(jac[1:])
+
+
+def _column_indices(scalar):
+    """The 29 one-table indices of a reduced scalar, most significant
+    column first."""
+    bits = format(scalar, ec._COMB_BITS)
+    return [int(bits[column :: ec._COMB_COLUMNS], 2) for column in range(ec._COMB_COLUMNS)]
+
+
+def one_table_generator_mult_each(scalars, table):
+    """``s·G`` for every scalar over ``table``, the generator's one-table
+    comb (:func:`jacobian_comb_fill` of G): at each of the 29 columns,
+    ``(acc + entry) + acc`` as two ``_add_each`` batches — 58 shared
+    inversions a call.  Unmetered."""
+    sums = [None] * len(scalars)
+    for column in zip(*[_column_indices(scalar % ec.N) for scalar in scalars]):
+        sums = ec._add_each(ec._add_each(sums, [table[index] for index in column]), sums)
+    return [ec.ECPoint._from_affine(affine) for affine in sums]

@@ -33,9 +33,11 @@ from repro.log.distributed import EcdsaMultiSig
 from repro.metering import OpMeter, metered
 from repro.storage.blockstore import InMemoryBlockStore
 
-from reference_comb import jacobian_comb_fill
+from reference_comb import jacobian_comb_fill, one_table_generator_mult_each
 
 G = P256.generator
+GENERATOR_TABLES = ec_module._GENERATOR_COMB_TABLES
+GENERATOR_WIDTH = ec_module._comb_width(GENERATOR_TABLES)
 
 # Scalars where window/comb algorithms historically go wrong: zero, the
 # identity, all-ones digits, values at and just past the group order.
@@ -209,17 +211,27 @@ class TestColumnBuilders:
         assert ECPoint(*other[7]) == naive_mult(G, 15)
 
     def test_no_comb_subset_sum_is_a_multiple_of_the_order(self):
-        """``_build_comb`` relies on it: no table entry is infinity."""
+        """``_build_comb`` and the lock step rely on it: no entry of any
+        sub-table is infinity."""
         teeth, stride = ec_module._COMB_TEETH, ec_module._COMB_COLUMNS
-        assert teeth * stride >= 256
-        for index in range(1, 1 << teeth):
-            assert sum(1 << (stride * j) for j in range(teeth) if index >> j & 1) % N
+        assert teeth * stride >= 256 and (GENERATOR_TABLES - 1) * GENERATOR_WIDTH < stride
+        for shift in range(0, GENERATOR_TABLES * GENERATOR_WIDTH, GENERATOR_WIDTH):
+            for index in range(1, 1 << teeth):
+                assert sum(1 << (stride * j + shift) for j in range(teeth) if index >> j & 1) % N
 
     def test_comb_table_is_the_jacobian_fill_entry_for_entry(self, named_points):
-        """The lock-step fill against the one it replaced."""
+        """The lock-step fill against the one it replaced: a signer key's
+        one table, and every sub-table of the generator's comb against the
+        fill of the generator scaled by its sub-table's 2^(i·w)."""
         rng = random.Random(24)
         for point in [G, *named_points.values(), G * rng.randrange(1, N)]:
-            assert ec_module._build_comb(point.x, point.y) == jacobian_comb_fill(point.x, point.y)
+            assert ec_module._build_comb(point.x, point.y) == [jacobian_comb_fill(point.x, point.y)]
+        comb = G._comb_table()
+        assert comb == ec_module._build_comb(G.x, G.y, GENERATOR_TABLES)
+        assert len(comb) == GENERATOR_TABLES
+        for sub_table, entries in enumerate(comb):
+            scaled = naive_mult(G, 1 << (sub_table * GENERATOR_WIDTH))
+            assert entries == jacobian_comb_fill(scaled.x, scaled.y)
 
     @given(scalar=st.integers(1, N - 1), other=st.integers(1, N - 1), seed=st.integers(1, 2**32))
     @settings(max_examples=10, deadline=None)
@@ -227,11 +239,13 @@ class TestColumnBuilders:
         point = G * random.Random(seed).randrange(1, N)
         combed = precomputed(point)
         ec_module._cache_windows([point])
-        columns = [()] * ec_module._LADDER_COLUMNS
-        ec_module._comb_columns(columns, scalar, combed._comb)
-        assert not any(columns[: -ec_module._COMB_COLUMNS])
-        ec_module._ladder_columns(columns, ec_module._signed_digits(other), point._wtab)
-        assert ECPoint._from_jac(ec_module._chain(columns)) == naive_mult(point, scalar + other)
+        for base, width in ((combed, ec_module._COMB_COLUMNS), (G, GENERATOR_WIDTH)):
+            columns = [()] * ec_module._LADDER_COLUMNS
+            ec_module._comb_columns(columns, scalar, base._comb_table())
+            assert not any(columns[:-width])
+            ec_module._ladder_columns(columns, ec_module._signed_digits(other), point._wtab)
+            expected = naive_mult(base, scalar) + naive_mult(point, other)
+            assert ECPoint._from_jac(ec_module._chain(columns)) == expected
 
 
 def precomputed(point: ECPoint) -> ECPoint:
@@ -244,7 +258,10 @@ def precomputed(point: ECPoint) -> ECPoint:
 # Where a comb goes wrong: empty and single columns, block boundaries, the
 # group order, a scalar whose every column is zero but one, one tooth only —
 # for the 29-bit stride, and (still arbitrary scalars worth keeping) for the
-# 32-bit stride the table had before.
+# 32-bit stride the table had before — and the generator's sub-table
+# boundaries: scalars whose only set bits are bits i·w − 1 and i·w of a
+# tooth (the last column of sub-table i − 1 and the first of sub-table i).
+SUB_TABLE_BOUNDARIES = [i * GENERATOR_WIDTH for i in range(1, GENERATOR_TABLES)]
 COMB_EDGE_SCALARS = [
     0, 1, 2, N - 1, N, (1 << 29) - 1, 1 << 29, 1 << 232,
     sum(1 << (29 * tooth) for tooth in range(9)),  # column 0 only, all teeth
@@ -253,14 +270,25 @@ COMB_EDGE_SCALARS = [
     (1 << 32) - 1, 1 << 32, 1 << 224,
     sum(1 << (32 * tooth) for tooth in range(8)),
     0xDEADBEEF << 96,
+    *(3 << (edge - 1) for edge in SUB_TABLE_BOUNDARIES),  # tooth 0, one boundary
+    *(3 << (29 * 8 + edge - 1) for edge in SUB_TABLE_BOUNDARIES if 29 * 8 + edge < 256),  # top tooth
+    sum(3 << (29 * tooth + edge - 1) for tooth in range(8) for edge in SUB_TABLE_BOUNDARIES),
+    sum(1 << (29 * tooth + edge) for tooth in range(8) for edge in SUB_TABLE_BOUNDARIES),
 ]
 
 
 class TestComb:
     @pytest.mark.parametrize("scalar", COMB_EDGE_SCALARS)
     def test_comb_edge_scalars(self, scalar, named_points):
+        """Through the generator's sub-tables (``G * s``, a lone lane below
+        the lock step's crossover, a Straus sum with a combed signer key)
+        and through a signer key's one table."""
         for point in named_points.values():
             assert precomputed(point) * scalar == naive_mult(point, scalar)
+        assert generator_mult_each([scalar]) == [naive_mult(G, scalar)]
+        signer = precomputed(named_points["random"])
+        expected = naive_mult(G, scalar) + naive_mult(signer, scalar + 1)
+        assert multi_mult([(scalar, G), (scalar + 1, signer)]) == expected
 
     @given(scalar=st.integers(0, (1 << 256) - 1), seed=st.integers(1, 2**32))
     @settings(max_examples=15, deadline=None)
@@ -270,20 +298,27 @@ class TestComb:
 
     def test_table_shape_and_idempotence(self, named_points):
         point = precomputed(named_points["random"])
-        table = point._comb
+        comb = point._comb
+        (table,) = comb  # a signer key's comb is one table
         assert table[0] is None and len(table) == 512
         assert table[1] == (point.x, point.y)
         assert ECPoint(*table[0b101]) == naive_mult(point, 1 + (1 << 58))
         point.precompute()
-        assert point._comb is table  # the second call builds nothing
+        assert point._comb is comb  # the second call builds nothing
         infinity = ECPoint(None, None)
         infinity.precompute()
         assert infinity._comb is None and (infinity * 5).is_infinity
 
     def test_generator_copies_share_one_table(self):
-        copy = ECPoint(G.x, G.y)
+        """Every instance with the generator's coordinates — multiplied or
+        explicitly precomputed — shares the one comb of S sub-tables."""
+        copy, promoted = ECPoint(G.x, G.y), ECPoint(G.x, G.y)
         assert copy * 77 == naive_mult(G, 77)
-        assert copy._comb is G._comb and len(G._comb) == 512
+        promoted.precompute()
+        assert copy._comb is G._comb and promoted._comb is G._comb
+        assert len(G._comb) == GENERATOR_TABLES
+        assert all(sub[0] is None and len(sub) == 512 for sub in G._comb)
+        assert ECPoint(*G._comb[1][0b11]) == naive_mult(G, (1 + (1 << 29)) << GENERATOR_WIDTH)
 
     @given(
         scalars=st.lists(st.integers(0, N + 7), min_size=1, max_size=6),
@@ -326,7 +361,8 @@ class TestComb:
 
     def test_only_the_generator_and_the_signer_directory_carry_a_comb(self):
         """Promotion is explicit: after a backup + recovery exactly N + 1
-        tables exist — no BFE slot key, ephemeral point or client-side copy
+        combs exist — the generator's, of S sub-tables, and one table per
+        signer key; no BFE slot key, ephemeral point or client-side copy
         grew one — and restoring the deployment builds none."""
         from repro.storage.blockstore import InMemoryBlockStore
 
@@ -356,7 +392,11 @@ class TestComb:
         tables[id(G._comb)] = G
         assert len(tables) == len(directory) + 1 == 5
         assert {(p.x, p.y) for p in tables.values()} == directory | {(G.x, G.y)}
-        assert all(len(p._comb) - 1 == 511 for p in tables.values())
+        shapes = {
+            (p.x, p.y): [len(sub) - 1 for sub in p._comb] for p in tables.values()
+        }
+        assert shapes.pop((G.x, G.y)) == [511] * GENERATOR_TABLES
+        assert all(shape == [511] for shape in shapes.values())
 
         restored = Deployment.restore(params, store, deployment.fleet)
         again = restored.new_client("comb-population-user-2")
@@ -481,9 +521,14 @@ class TestLockStep:
         assert generator_mult_each(scalars) == [naive_mult(G, s) for s in scalars]
 
     def test_a_device_sized_batch(self):
+        """Against ``naive_mult`` and against the one-table lock step the
+        hot-path bench times it against."""
         rng = random.Random(185)
         scalars = [rng.randrange(1, N) for _ in range(185)]
-        assert generator_mult_each(scalars) == [naive_mult(G, s) for s in scalars]
+        products = generator_mult_each(scalars)
+        assert products == [naive_mult(G, s) for s in scalars]
+        one_table = jacobian_comb_fill(G.x, G.y)
+        assert one_table_generator_mult_each(scalars, one_table) == products
 
     def test_edge_lanes_in_one_batch(self):
         """Zero, the order, empty leading columns (an accumulator still at

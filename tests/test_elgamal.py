@@ -3,8 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.ec import ECPoint
 from repro.crypto.elgamal import ElGamalCiphertext, HashedElGamal
-from repro.crypto.gcm import AuthenticationError
+from repro.crypto.gcm import AuthenticationError, ae_encrypt
+from repro.crypto.hashing import kdf
+from repro.metering import metered
 
 
 class TestRoundtrip:
@@ -55,6 +58,19 @@ class TestBinding:
         frankenstein = ElGamalCiphertext(ct1.ephemeral, ct2.body)
         with pytest.raises(AuthenticationError):
             HashedElGamal.decrypt(kp.secret, frankenstein)
+
+    def test_identity_ephemeral_refused_before_the_multiply(self):
+        """``∞·x`` is ``∞`` under every key, so a body sealed under the KDF
+        of the identity would open for anyone: refused, as the client's
+        reply opener maps to a ⊥ share, with no decryption metered."""
+        identity = ECPoint(None, None)
+        key = kdf("hashed-elgamal", identity.to_bytes(), b"ctx", length=16)
+        forged = ElGamalCiphertext(identity, ae_encrypt(key, b"chosen share", aad=b"ctx"))
+        secret = HashedElGamal.keygen().secret
+        with metered() as meter:
+            with pytest.raises(AuthenticationError, match="identity"):
+                HashedElGamal.decrypt(secret, forged, context=b"ctx")
+        assert not meter.counts
 
     def test_too_short_body(self):
         kp = HashedElGamal.keygen()

@@ -8,11 +8,13 @@ import pytest
 
 from repro.core.identifiers import attempt_identifier
 from repro.core.lhe import BfePke, LocationHidingEncryption
-from repro.crypto.bfe import BloomFilterEncryption, PuncturedKeyError
+from repro.crypto.bfe import BfeCiphertext, BloomFilterEncryption, PuncturedKeyError
 from repro.crypto.bloom import BloomParams
 from repro.crypto.commit import commit_recovery
 from repro.crypto.ec import P256, ECPoint
 from repro.crypto.elgamal import HashedElGamal
+from repro.crypto.gcm import ae_encrypt
+from repro.crypto.hashing import kdf
 from repro.crypto.shamir import Share
 from repro.hsm.device import (
     DecryptShareRequest,
@@ -220,6 +222,42 @@ class TestIdentityResponseKey:
     def test_elgamal_refuses_the_identity(self):
         with pytest.raises(ValueError, match="identity"):
             HashedElGamal.encrypt(ECPoint(None, None), b"share", context=b"c")
+
+
+class TestIdentityEphemeral:
+    """A share ciphertext whose ephemeral is the identity decodes off the
+    wire, and ``∞·sk`` is ``∞`` for every slot key: its wraps open under
+    keys anyone can derive, so anyone could make the device "decrypt" a
+    share of their choosing and puncture the tag's slots for it."""
+
+    @pytest.mark.parametrize("transport", ["direct", "wire"])
+    def test_refused_before_anything_is_punctured(self, env, transport):
+        fleet = env[0]
+        username = f"hsm-identity-ephemeral-{transport}"
+        _, _, requests, _ = logged_request_for(env, username, "5150")
+        hsm_index, request = requests[0]
+        honest = request.share_ciphertext
+        identity = ECPoint(None, None)
+        payload_key = bytes(16)
+        slots = fleet[hsm_index].bloom_params.slots_for_tag(honest.tag)
+        wrap_keys = [
+            kdf("bfe-slot-wrap", identity.to_bytes(), honest.tag, slot.to_bytes(4, "big"))[:16]
+            for slot in slots
+        ]
+        prefix = len(username).to_bytes(2, "big") + username.encode()
+        forged = BfeCiphertext(
+            tag=honest.tag,
+            ephemeral=identity,
+            wrapped_keys=tuple(ae_encrypt(key, payload_key, aad=honest.tag) for key in wrap_keys),
+            payload=ae_encrypt(payload_key, prefix + bytes(36), aad=request.context),
+        )
+        channels = (wire_channels if transport == "wire" else direct_channels)(fleet)
+        secret = fleet[hsm_index]._bfe_secret
+        before = (secret.tree.root_key, secret.slots_deleted, secret.punctures_done)
+        with pytest.raises(HsmRefusedError, match="does not decrypt"):
+            channels(hsm_index).decrypt_share(dataclasses.replace(request, share_ciphertext=forged))
+        assert (secret.tree.root_key, secret.slots_deleted, secret.punctures_done) == before
+        channels(hsm_index).decrypt_share(request)  # the honest share is still there
 
 
 class TestRotation:
