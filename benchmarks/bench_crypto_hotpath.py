@@ -60,12 +60,16 @@ GF(2^128) multiply it replaced (kept in ``tests/reference_symmetric.py``):
 - **aes_key_expand** one key's 11 round-key rows at a node's 4 lanes (every
   message expands its key afresh);
 - **ghash_mul** one multiply by H (nibble table vs 128 bit steps);
-- **ae_node_roundtrip** ``AesGcm(key)`` + encrypt + ``AesGcm(key)`` +
-  decrypt of one 32-byte tree node with its 22-byte address AAD — the unit
-  of work ``SecureDeletionTree.delete`` repeats 3x per level;
+- **ae_node_roundtrip** a one-message ``seal_each`` and ``ae_decrypt`` of
+  one 32-byte tree node with its 22-byte address AAD — the unit of work the
+  cost model bills ``SecureDeletionTree.delete`` 3x per level;
 - **aes_seal_batch** the 511 seals of one key tree's set-up at 185 slots
   through one ``seal_each``, against the same seals one call each
-  (``aes_seal_percall``); reported per node too.
+  (``aes_seal_percall``); reported per node too;
+- **ae_open_level** one four-node level of a k = 4 walk down (four 32-byte
+  nodes, each under its own key and address) through one ``open_each``,
+  against four ``ae_decrypt`` calls (``ae_open_percall``); reported per
+  node too.
 
 Every symmetric row is timed in turns with its baseline.
 
@@ -74,16 +78,18 @@ Acceptance gates (exit code 1 on regression):
 - full run: fixed-base ≥ 2.0x, fixed_base_batch ≥ 1.4x the per-call comb
   and ≥ 1.4x the one-table lock step, variable_base_oneoff ≥ 1.1x,
   16-signer verify_aggregate ≥ 4.0x, aes_block ≥ 5.0x, ae_node_roundtrip
-  ≥ 4.5x, aes_seal_batch ≥ 1.35x the per-call seals;
+  ≥ 4.5x, aes_seal_batch ≥ 1.35x the per-call seals, ae_open_level ≥ 1.3x
+  the per-call opens;
 - ``--quick`` (the CI perf-smoke lane): fixed-base ≥ 1.5x,
   fixed_base_batch ≥ 1.3x the per-call comb and ≥ 1.3x the one-table lock
   step, variable_base_oneoff ≥ 1.05x, verify_aggregate ≥ 2.5x,
-  aes_block ≥ 4.0x, aes_seal_batch ≥ 1.25x.
+  aes_block ≥ 4.0x, aes_seal_batch ≥ 1.25x, ae_open_level ≥ 1.25x.
 
 The variable-base floor is deliberately close to the measured ratio (≈ 1.2x
 one-off, ≈ 1.3x cached; a ladder is 256 doublings whatever the table), and
-so are the batch's (≈ 1.5–1.6x against either baseline), so those rows are
-timed one call at a time, in turns.  The one-block AES row (≈ 2.2–3.4x the
+so are the batches' (≈ 1.5–1.6x against either baseline; ≈ 1.4–1.45x for a
+walk level's opens), so those rows are timed one call at a time, in turns.
+The one-block AES row (≈ 2.2–3.4x the
 reference) is not gated.
 
 Results go to stdout and to the machine-readable
@@ -115,6 +121,7 @@ FULL_GATES = {
     "aes_block_speedup": 5.0,
     "ae_node_speedup": 4.5,
     "aes_seal_batch_speedup": 1.35,
+    "ae_open_level_speedup": 1.3,
 }
 QUICK_GATES = {
     "fixed_base_speedup": 1.5,
@@ -124,6 +131,7 @@ QUICK_GATES = {
     "verify_aggregate_speedup": 2.5,
     "aes_block_speedup": 4.0,
     "aes_seal_batch_speedup": 1.25,
+    "ae_open_level_speedup": 1.25,
 }
 
 # Rows compared against another row's baseline instead of ``<label>_naive``.
@@ -132,10 +140,12 @@ SHARED_BASELINES = {
     "variable_base_cached": "variable_base_naive",
     "fixed_base_batch": "fixed_base_percall",
     "aes_seal_batch": "aes_seal_percall",
+    "ae_open_level": "ae_open_percall",
 }
 
 BATCH_LANES = 185  # BloomParams.for_punctures(32, 4): one key of the ledger's fleets
 NODE_BLOCKS = 4  # a 32-byte key-tree node: H, the tag mask, two CTR blocks
+LEVEL_NODES = 4  # a level of a k = 4 walk down, once the paths have split
 CROSSOVER_LANES = (4, 6, 8, 10, 12, 16, 24, 47)  # batch sizes tried around the break-even
 SIGNERS = 16
 MULTI_TERMS = 8
@@ -212,11 +222,12 @@ def _setup_seals(rng: random.Random) -> list:
 
 def run_symmetric(min_seconds: float) -> dict:
     """The symmetric rows, each beside its ``_naive`` reference row (or, for
-    the batch, beside the same seals made one call at a time)."""
+    the batches, beside the same messages one call each)."""
     import reference_symmetric as ref
     from repro.crypto import aes, gcm
     from repro.crypto.aes import Aes128, encrypt_blocks
-    from repro.crypto.gcm import AesGcm, seal_each
+    from repro.crypto.gcm import ae_decrypt, open_each, seal_each
+    from repro.storage.securedel import _addr_aad
 
     rng = random.Random(0xAE5)
     key, block, nonce = rng.randbytes(16), rng.randbytes(16), rng.randbytes(12)
@@ -224,7 +235,7 @@ def run_symmetric(min_seconds: float) -> dict:
     x = rng.getrandbits(128)
     fast_aes, ref_aes = Aes128(key), ref.ReferenceAes128(key)
     h = int.from_bytes(ref_aes.encrypt_block(bytes(16)), "big")
-    table = AesGcm(key)._streams(nonce, 0)[0]
+    table = gcm._key_streams([(fast_aes, nonce, 0)])[0][0]
     # A node's cipher work: H, the tag mask and two CTR blocks, one call.
     node_blocks = bytes(16) + b"".join(nonce + c.to_bytes(4, "big") for c in (1, 2, 3))
     assert encrypt_blocks([(fast_aes, node_blocks)]) == b"".join(
@@ -233,13 +244,23 @@ def run_symmetric(min_seconds: float) -> dict:
     assert fast_aes.encrypt_block(block) == ref_aes.encrypt_block(block)
     assert gcm._mul_h(table, x) == ref.gf128_mul(x, h)
 
-    def node_roundtrip(gcm_class):
-        sealed = gcm_class(key).encrypt(nonce, node, aad)
-        assert gcm_class(key).decrypt(nonce, sealed, aad) == node
+    def node_roundtrip():
+        (sealed,) = seal_each([(key, nonce, node, aad)])
+        assert ae_decrypt(key, sealed, aad) == node
+
+    def node_roundtrip_naive():
+        sealed = ref.ReferenceAesGcm(key).encrypt(nonce, node, aad)
+        assert ref.ReferenceAesGcm(key).decrypt(nonce, sealed, aad) == node
 
     key_row = int.from_bytes(key * NODE_BLOCKS, "big")
     seals = _setup_seals(rng)
-    assert seal_each(seals) == [n + AesGcm(k).encrypt(n, pt, a) for k, n, pt, a in seals]
+    assert seal_each(seals) == [seal_each([message])[0] for message in seals]
+    level = [
+        (rng.randbytes(16), rng.randbytes(12), rng.randbytes(32), _addr_aad(addr))
+        for addr in range(64, 64 + LEVEL_NODES)
+    ]
+    sealed_level = [(k, blob, a) for (k, _, _, a), blob in zip(level, seal_each(level))]
+    assert list(open_each(sealed_level)) == [pt for _, _, pt, _ in level]
     pairs = {
         "aes_block": (
             lambda: encrypt_blocks([(fast_aes, node_blocks)]),
@@ -251,13 +272,14 @@ def run_symmetric(min_seconds: float) -> dict:
             lambda: ref.ReferenceAes128(key),
         ),
         "ghash_mul": (lambda: gcm._mul_h(table, x), lambda: ref.gf128_mul(x, h)),
-        "ae_node_roundtrip": (
-            lambda: node_roundtrip(AesGcm),
-            lambda: node_roundtrip(ref.ReferenceAesGcm),
-        ),
+        "ae_node_roundtrip": (node_roundtrip, node_roundtrip_naive),
         "aes_seal_batch": (
             lambda: seal_each(seals),
-            lambda: [n + AesGcm(k).encrypt(n, pt, a) for k, n, pt, a in seals],
+            lambda: [seal_each([message]) for message in seals],
+        ),
+        "ae_open_level": (
+            lambda: list(open_each(sealed_level)),
+            lambda: [ae_decrypt(*message) for message in sealed_level],
         ),
     }
     records = {}
@@ -270,7 +292,8 @@ def run_symmetric(min_seconds: float) -> dict:
 def symmetric_metrics(records: dict) -> dict:
     """Per-block and per-node costs: a node's width beside the lone block
     (the one-block case is slower than the table cipher was, and is shown),
-    and one set-up's seals batched beside the same seals one call each."""
+    one set-up's seals batched beside the same seals one call each, and a
+    walk level's opens batched beside the same opens one call each."""
     nodes = len(_setup_seals(random.Random(0)))
     return {
         "aes_us_per_block_node_width": 1e6 / (records["aes_block"]["ops_per_sec"] * NODE_BLOCKS),
@@ -278,6 +301,9 @@ def symmetric_metrics(records: dict) -> dict:
         "aes_us_per_block_naive": 1e6 / records["aes_one_block_naive"]["ops_per_sec"],
         "aes_seal_batch_us_per_node": 1e6 / (records["aes_seal_batch"]["ops_per_sec"] * nodes),
         "aes_seal_percall_us_per_node": 1e6 / (records["aes_seal_percall"]["ops_per_sec"] * nodes),
+        "ae_open_level_us_per_node": 1e6 / (records["ae_open_level"]["ops_per_sec"] * LEVEL_NODES),
+        "ae_open_percall_us_per_node": 1e6
+        / (records["ae_open_percall"]["ops_per_sec"] * LEVEL_NODES),
     }
 
 
@@ -555,7 +581,9 @@ def main(argv=None) -> int:
         f" {NODE_BLOCKS} blocks, {symmetric['aes_us_per_block_one_block']:.1f} us for a lone block"
         f" (reference {symmetric['aes_us_per_block_naive']:.1f} us/block); one set-up's seals"
         f" {symmetric['aes_seal_batch_us_per_node']:.1f} us/node batched vs"
-        f" {symmetric['aes_seal_percall_us_per_node']:.1f} us/node one call each"
+        f" {symmetric['aes_seal_percall_us_per_node']:.1f} us/node one call each; a walk"
+        f" level's opens {symmetric['ae_open_level_us_per_node']:.1f} us/node batched vs"
+        f" {symmetric['ae_open_percall_us_per_node']:.1f} us/node one call each"
     )
 
     gates = QUICK_GATES if args.quick else FULL_GATES

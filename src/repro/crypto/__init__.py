@@ -1,9 +1,10 @@
 """Cryptographic substrate for the SafetyPin reproduction.
 
 Everything here is implemented from scratch on top of the Python standard
-library (``hashlib``, ``hmac``, ``secrets``): prime fields, NIST P-256,
-hashed ElGamal, AES-128-GCM, Shamir secret sharing, Merkle trees, BLS12-381
-pairings with aggregate signatures, and Bloom-filter puncturable encryption.
+library (``hashlib``, ``hmac``, ``secrets``): GF(p) helpers on plain ints,
+NIST P-256, hashed ElGamal, AES-128-GCM (``seal_each`` / ``open_each``),
+Shamir secret sharing, Merkle trees, BLS12-381 pairings with aggregate
+signatures, and Bloom-filter puncturable encryption.
 
 The implementations favour clarity and testability over raw speed; they are
 validated against published test vectors where vectors exist (AES, GCM,
@@ -12,9 +13,8 @@ share-reconstruction identities).
 """
 
 _EXPORTS = {
-    "PrimeField": ("repro.crypto.field", "PrimeField"),
-    "FieldElement": ("repro.crypto.field", "FieldElement"),
     "batch_inverse_mod": ("repro.crypto.field", "batch_inverse_mod"),
+    "lagrange_at_zero": ("repro.crypto.field", "lagrange_at_zero"),
     "P256": ("repro.crypto.ec", "P256"),
     "ECPoint": ("repro.crypto.ec", "ECPoint"),
     "ECKeyPair": ("repro.crypto.ec", "ECKeyPair"),
@@ -22,8 +22,11 @@ _EXPORTS = {
     "naive_mult": ("repro.crypto.ec", "naive_mult"),
     "HashedElGamal": ("repro.crypto.elgamal", "HashedElGamal"),
     "ElGamalCiphertext": ("repro.crypto.elgamal", "ElGamalCiphertext"),
-    "AesGcm": ("repro.crypto.gcm", "AesGcm"),
     "AuthenticationError": ("repro.crypto.gcm", "AuthenticationError"),
+    "ae_encrypt": ("repro.crypto.gcm", "ae_encrypt"),
+    "ae_decrypt": ("repro.crypto.gcm", "ae_decrypt"),
+    "seal_each": ("repro.crypto.gcm", "seal_each"),
+    "open_each": ("repro.crypto.gcm", "open_each"),
     "ShamirSharer": ("repro.crypto.shamir", "ShamirSharer"),
     "Share": ("repro.crypto.shamir", "Share"),
     "MerkleTree": ("repro.crypto.merkle", "MerkleTree"),

@@ -67,7 +67,7 @@ from typing import Callable, List, Optional, Tuple
 from repro import metering
 from repro.crypto.bloom import BloomParams
 from repro.crypto.ec import ECPoint, P256, generator_mult_each, mult_each
-from repro.crypto.gcm import AesGcm, AuthenticationError, ae_cost, ae_decrypt, seal_each
+from repro.crypto.gcm import NONCE_LEN, AuthenticationError, ae_cost, ae_decrypt, seal_each
 from repro.crypto.hashing import kdf, sha256
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.storage.blockstore import BlockStore
@@ -81,7 +81,6 @@ from repro.storage.securedel import (
 
 _SCALAR_LEN = 32
 _PAYLOAD_KEY_LEN = 16
-_NONCE_LEN = AesGcm.NONCE_LEN
 
 
 class PuncturedKeyError(Exception):
@@ -235,8 +234,8 @@ class BloomFilterEncryption:
         shared_points = mult_each([public.slot_pubkeys[slot] for slot in slots], r)
         for slot, shared in zip(slots, shared_points):
             wrap_key = kdf("bfe-slot-wrap", shared.to_bytes(), tag, slot.to_bytes(4, "big"))
-            messages.append((wrap_key[:16], secrets.token_bytes(_NONCE_LEN), payload_key, tag))
-        messages.append((payload_key, secrets.token_bytes(_NONCE_LEN), plaintext, context))
+            messages.append((wrap_key[:16], secrets.token_bytes(NONCE_LEN), payload_key, tag))
+        messages.append((payload_key, secrets.token_bytes(NONCE_LEN), plaintext, context))
         # The k wraps and the payload, nonces drawn in their sequential order.
         *wrapped, payload = seal_each(messages)
         metering.count("elgamal_enc", len(slots))

@@ -225,9 +225,6 @@ class FqP:
     def zero(cls) -> "FqP":
         return cls([0] * cls.degree)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
 
 class Fq2(FqP):
     """GF(Q^2) = Fq[u]/(u^2 + 1)."""

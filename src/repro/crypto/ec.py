@@ -66,8 +66,9 @@ multiplies many points by one scalar (one recoding, one batch inversion
 for the missing tables and one for the results — a BFE ciphertext's k
 slot keys),
 :func:`generator_mult_each` the generator by many scalars (above), and
-:meth:`_Curve.ecdsa_verify_batch` verifies many signatures with one batch
-inversion for the ``s`` values and one to normalize every result.  All
+:meth:`_Curve.ecdsa_verify_all` — the one verification entry, a single
+signature its one-triple case — verifies a chunk of signatures with one
+batch inversion for the ``s`` values and one to normalize every result.  All
 batched paths are bit-for-bit deterministic — they produce exactly the same
 points and accept/reject decisions as the sequential code — and metering is
 preserved: ``ec_mult``/``ecdsa_verify`` counts for a fixed workload are
@@ -688,7 +689,7 @@ def naive_mult(point: ECPoint, scalar: int) -> ECPoint:
     return ECPoint._from_jac(_jac_mult(point._jac(), scalar))
 
 
-def multi_mult(pairs: Sequence[Tuple[int, ECPoint]], count_ops: bool = True) -> ECPoint:
+def multi_mult(pairs: Sequence[Tuple[int, ECPoint]]) -> ECPoint:
     """Straus/Shamir multi-scalar multiplication: ``Σ sᵢ·Pᵢ`` in one pass.
 
     All terms share ONE doubling chain — 29 columns when every point is
@@ -698,12 +699,10 @@ def multi_mult(pairs: Sequence[Tuple[int, ECPoint]], count_ops: bool = True) -> 
     bit-for-bit the same point the ``k`` separate multiplications would
     sum to.
 
-    Metering: reports one ``ec_mult`` per pair (matching what the ``k``
-    separate ``P * s`` calls would have reported) unless ``count_ops`` is
-    False — internal callers that never metered per-multiplication, like
-    ``ecdsa_verify``, pass False to keep the paper's cost model exact.
+    Metering: one ``ec_mult`` per pair, what the ``k`` separate ``P * s``
+    calls would have reported.
     """
-    if count_ops and pairs:
+    if pairs:
         metering.count("ec_mult", len(pairs))
     live = [
         (scalar % N, point)
@@ -872,8 +871,8 @@ class _Curve:
         return r, s
 
     def ecdsa_verify(self, public: ECPoint, message: bytes, signature: Tuple[int, int]) -> bool:
-        metering.count("ecdsa_verify")
-        return self._verify_chunk([(public, message, signature)])[0]
+        """One signature: the one-triple case of :meth:`ecdsa_verify_all`."""
+        return self.ecdsa_verify_all([(public, message, signature)])
 
     def _verify_chunk(
         self, items: Sequence[Tuple[ECPoint, bytes, Tuple[int, int]]]
@@ -916,36 +915,11 @@ class _Curve:
             results.append(affine is not None and affine[0] % n == rs[0])
         return results
 
-    def ecdsa_verify_batch(
-        self, items: Sequence[Tuple[ECPoint, bytes, Tuple[int, int]]]
-    ) -> List[bool]:
-        """Verify many ``(public, message, signature)`` triples at once.
-
-        The ``s`` values are inverted with ONE Montgomery batch inversion
-        and the result points normalized with one more, instead of two
-        inversions per signature.  The outcome list is bit-for-bit what
-        sequential :meth:`ecdsa_verify` calls would return.
-
-        Metering mirrors a sequential short-circuiting caller: one
-        ``ecdsa_verify`` per item up to and including the first failure
-        (a modeled device stops checking there), so fixed-workload counts
-        are unchanged.  Callers that only need the conjunction should use
-        :meth:`ecdsa_verify_all`, which also stops *computing* early.
-        """
-        results = self._verify_chunk(items)
-        checked = len(results)
-        for index, ok in enumerate(results):
-            if not ok:
-                checked = index + 1
-                break
-        if checked:
-            metering.count("ecdsa_verify", checked)
-        return results
-
     def ecdsa_verify_all(
         self, items: Sequence[Tuple[ECPoint, bytes, Tuple[int, int]]]
     ) -> bool:
-        """True iff every triple verifies; stops at the first failure.
+        """True iff every triple verifies; stops at the first failure.  The
+        one verification entry: :meth:`ecdsa_verify` is its one-triple case.
 
         Triples are processed in chunks of ``_VERIFY_CHUNK``: the honest
         all-valid path pays two batch inversions per chunk (an inversion is

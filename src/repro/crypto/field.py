@@ -1,15 +1,18 @@
-"""Prime-field arithmetic.
+"""Prime-field arithmetic on plain ints.
 
-A small, explicit GF(p) implementation used by Shamir secret sharing and by
-the elliptic-curve code.  Field elements are immutable value objects; the
-field object owns the modulus and provides Lagrange interpolation (the
-reconstruction step of Shamir sharing).
+GF(p) has no wrapper type here: an element is an int in ``[0, p)`` and
+every helper takes the modulus.  These helpers cover the repo's uses —
+Montgomery batch inversion (Jacobian normalization, ECDSA ``s`` values),
+a uniform draw and Horner evaluation (the Shamir dealer's polynomial, which
+the threshold dealer reuses) and the Lagrange coefficients at zero (Shamir
+reconstruction and threshold recombination in the exponent both weight
+their shares by them).
 """
 
 from __future__ import annotations
 
 import secrets
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence
 
 
 # lint: unmetered[inversions are priced inside the callers' metered ops (ec_mult, ecdsa_verify); a new meter op would shift the exact op-count snapshots]
@@ -17,9 +20,7 @@ def batch_inverse_mod(values: Sequence[int], modulus: int) -> List[int]:
     """Montgomery's batch-inversion trick: invert ``k`` nonzero residues
     with ONE modular inversion plus ``3(k-1)`` multiplications.
 
-    The crypto fast paths (normalizing many Jacobian points, Lagrange
-    denominators in Shamir/threshold recombination) all funnel through this
-    helper; results are bit-identical to ``pow(v, -1, modulus)`` per value.
+    Results are bit-identical to ``pow(v, -1, modulus)`` per value.
     """
     if not values:
         return []
@@ -38,166 +39,37 @@ def batch_inverse_mod(values: Sequence[int], modulus: int) -> List[int]:
     return out
 
 
-class FieldElement:
-    """An element of GF(p).  Supports ``+ - * / **`` against elements and ints."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: "PrimeField") -> None:
-        self.value = value % field.modulus
-        self.field = field
-
-    # -- arithmetic -------------------------------------------------------
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field.modulus != self.field.modulus:
-                raise ValueError("cannot mix elements of different fields")
-            return other
-        if isinstance(other, int):
-            return FieldElement(other, self.field)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        return FieldElement(self.value + other.value, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        return FieldElement(self.value - other.value, self.field)
-
-    def __rsub__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        return FieldElement(other.value - self.value, self.field)
-
-    def __mul__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        return FieldElement(self.value * other.value, self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        return other * self.inverse()
-
-    def __pow__(self, exponent: int) -> "FieldElement":
-        return FieldElement(pow(self.value, exponent, self.field.modulus), self.field)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value, self.field)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero in GF(p)")
-        return FieldElement(pow(self.value, -1, self.field.modulus), self.field)
-
-    # -- comparison / hashing ---------------------------------------------
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.value == other % self.field.modulus
-        if isinstance(other, FieldElement):
-            return self.value == other.value and self.field.modulus == other.field.modulus
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.field.modulus))
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value} mod {self.field.modulus})"
-
-    # -- serialization ------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        return self.value.to_bytes(self.field.byte_length, "big")
+def random_element(modulus: int, rng=None) -> int:
+    """A uniform element: from ``rng`` (a ``random.Random``, for
+    deterministic tests) if given, else from the OS CSPRNG."""
+    return secrets.randbelow(modulus) if rng is None else rng.randrange(modulus)
 
 
-class PrimeField:
-    """GF(p) for a prime modulus p."""
+def eval_poly(coeffs: Sequence[int], x: int, modulus: int) -> int:
+    """The polynomial with low-to-high ``coeffs`` at ``x`` (Horner)."""
+    acc = 0
+    for coeff in reversed(coeffs):
+        acc = (acc * x + coeff) % modulus
+    return acc
 
-    def __init__(self, modulus: int) -> None:
-        if modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        self.modulus = modulus
-        self.byte_length = (modulus.bit_length() + 7) // 8
 
-    def __call__(self, value: int) -> FieldElement:
-        return FieldElement(value, self)
-
-    def zero(self) -> FieldElement:
-        return FieldElement(0, self)
-
-    def one(self) -> FieldElement:
-        return FieldElement(1, self)
-
-    def random(self, rng=None) -> FieldElement:
-        """Uniform random element.  ``rng`` may be a ``random.Random`` for
-        deterministic tests; defaults to the OS CSPRNG."""
-        if rng is None:
-            return FieldElement(secrets.randbelow(self.modulus), self)
-        return FieldElement(rng.randrange(self.modulus), self)
-
-    def from_bytes(self, data: bytes) -> FieldElement:
-        return FieldElement(int.from_bytes(data, "big"), self)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.modulus == self.modulus
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.modulus))
-
-    def __repr__(self) -> str:
-        return f"PrimeField(2^{self.modulus.bit_length() - 1}-ish modulus)"
-
-    # -- polynomial helpers (Shamir) ----------------------------------------
-    def eval_poly(self, coeffs: Sequence[FieldElement], x: FieldElement) -> FieldElement:
-        """Evaluate a polynomial given low-to-high coefficients (Horner)."""
-        acc = self.zero()
-        for coeff in reversed(coeffs):
-            acc = acc * x + coeff
-        return acc
-
-    # lint: unmetered[thin wrapper over batch_inverse_mod; same pricing rationale — callers meter the enclosing curve/verify op]
-    def batch_inverse(self, elements: Sequence[FieldElement]) -> List[FieldElement]:
-        """Invert many field elements with one modular inversion
-        (:func:`batch_inverse_mod`); identical results to per-element
-        :meth:`FieldElement.inverse`."""
-        return [
-            FieldElement(v, self)
-            for v in batch_inverse_mod([e.value for e in elements], self.modulus)
-        ]
-
-    # lint: unmetered[Shamir recombination is field-only work; the paper's cost model meters curve and AE ops, not GF(p) interpolation]
-    def lagrange_interpolate_at_zero(
-        self, points: Iterable[Tuple[FieldElement, FieldElement]]
-    ) -> FieldElement:
-        """Interpolate the unique degree-(k-1) polynomial through ``points``
-        and evaluate it at x=0.  This is Shamir reconstruction.
-
-        The k per-term denominators are inverted together with ONE modular
-        inversion (Montgomery batching) instead of one inversion per share —
-        the share-recombination hot path of every recovery."""
-        pts: List[Tuple[FieldElement, FieldElement]] = list(points)
-        xs = [p[0].value for p in pts]
-        if len(set(xs)) != len(xs):
-            raise ValueError("duplicate x-coordinates in interpolation")
-        modulus = self.modulus
-        nums: List[int] = []
-        dens: List[int] = []
-        for i, (xi, _) in enumerate(pts):
-            num, den = 1, 1
-            for j, (xj, _) in enumerate(pts):
-                if i == j:
-                    continue
-                num = (num * (-xj.value)) % modulus
-                den = (den * (xi.value - xj.value)) % modulus
-            nums.append(num)
-            dens.append(den)
-        den_invs = batch_inverse_mod(dens, modulus)
-        total = 0
-        for (_, yi), num, den_inv in zip(pts, nums, den_invs):
-            total = (total + yi.value * num * den_inv) % modulus
-        return FieldElement(total, self)
+# lint: unmetered[Lagrange recombination is field-only work; the paper's cost model meters curve and AE ops, not GF(p) interpolation]
+def lagrange_at_zero(xs: Sequence[int], modulus: int) -> List[int]:
+    """``λ_i = Π_{j≠i} x_j / (x_j − x_i)``: the weights that take the values
+    of a degree-``(k-1)`` polynomial at the ``k`` distinct ``xs`` to its
+    value at zero.  The ``k`` denominators share one modular inversion
+    (:func:`batch_inverse_mod`), so a recombination costs a single
+    ``pow(x, -1, p)`` whatever the threshold."""
+    if len({x % modulus for x in xs}) != len(xs):
+        raise ValueError("duplicate x-coordinates in interpolation")
+    nums: List[int] = []
+    dens: List[int] = []
+    for i, xi in enumerate(xs):
+        num, den = 1, 1
+        for j, xj in enumerate(xs):
+            if i != j:
+                num = (num * -xj) % modulus
+                den = (den * (xi - xj)) % modulus
+        nums.append(num)
+        dens.append(den)
+    return [(num * inv) % modulus for num, inv in zip(nums, batch_inverse_mod(dens, modulus))]

@@ -4,15 +4,17 @@ This is the paper's ``(AEEncrypt, AEDecrypt)`` scheme: it encrypts the backed
 up disk image under the transport key, wraps Shamir shares inside hashed
 ElGamal, and protects every node of the secure-deletion key tree.
 
-A message's cipher work is one :func:`repro.crypto.aes.encrypt_blocks`
-call: the zero block (the hash subkey H), ``nonce ‖ 1`` (the tag mask) and
-the counter blocks ``nonce ‖ 2, 3, …`` (the CTR keystream) are lanes of one
-byte-sliced call.  :func:`seal_each` goes one step wider: many messages,
-each under its own key and with a nonce its caller drew, share calls of up
-to ``MAX_LANES`` blocks — the key tree seals each level of a set-up and
-each re-key that way, a Bloom-filter ciphertext its k wraps and its
-payload — and every sealed message is byte for byte what
-``nonce + AesGcm(key).encrypt(nonce, plaintext, aad)`` returns.
+There are two entry points, :func:`seal_each` and :func:`open_each`, and
+:func:`ae_encrypt` / :func:`ae_decrypt` are their one-message case.  A
+message's cipher work — the zero block (the hash subkey H), ``nonce ‖ 1``
+(the tag mask) and the counter blocks ``nonce ‖ 2, 3, …`` (the CTR
+keystream) — is lanes of a :func:`repro.crypto.aes.encrypt_blocks` call,
+and many messages, each under its own key, share calls of up to
+``MAX_LANES`` blocks: the key tree seals a level of a set-up or a whole
+re-key that way and opens a level of its walk down, a Bloom-filter
+ciphertext its k wraps and its payload.  A sealed message is
+``nonce ‖ ciphertext ‖ tag`` with ``NONCE_LEN`` and ``TAG_LEN`` bytes
+around the data.
 
 GHASH multiplies by H four bits at a time through a 16-entry table of H's
 nibble multiples; keystream and tag mask are XORed on as big integers.  The
@@ -24,9 +26,10 @@ multiplies for a 32-byte node under its 22-byte address).
 
 Billing follows the block-at-a-time code, not the fused call: a seal is
 ``ae_cost(length)`` blocks; an open reports H and the tag mask, and the
-keystream blocks only once the tag has verified — a refused open costs 2.
-Validated against NIST GCM test vectors and, differentially, against a
-bit-serial reference in the test suite.
+keystream blocks only once the tag has verified — a refused open costs 2,
+and nothing after it in a batch is billed.  Validated against NIST GCM test
+vectors and, differentially, against a bit-serial reference in the test
+suite.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ class AuthenticationError(Exception):
     """Raised when a GCM tag (or any AE integrity check) fails."""
 
 
-_NONCE_LEN = 12
-_TAG_LEN = 16
+NONCE_LEN = 12
+TAG_LEN = 16
 _ZERO_BLOCK = bytes(16)
 
 # GCM's field is GF(2^128) mod x^128 + x^7 + x^2 + x + 1 with the bits
@@ -74,9 +77,12 @@ HashTable = Tuple[int, ...]
 # One message's key material out of the cipher: H's nibble table, the tag
 # mask and the keystream.
 Streams = Tuple[HashTable, int, bytes]
-# What :func:`seal_each` takes — (key, nonce, plaintext, aad) — and the same
-# with the key as its cipher.
+# What :func:`seal_each` takes — (key, nonce, plaintext, aad) — and what
+# :func:`open_each` takes — (key, nonce ‖ ciphertext ‖ tag, aad).
 Message = Tuple[bytes, bytes, bytes, bytes]
+Sealed = Tuple[bytes, bytes, bytes]
+# A message inside a call: (cipher, nonce, text, aad), ``text`` being the
+# plaintext of a seal or the ciphertext ‖ tag of an open.
 _Keyed = Tuple[Aes128, bytes, bytes, bytes]
 
 
@@ -130,7 +136,7 @@ def _key_streams(messages: Sequence[Tuple[Aes128, bytes, int]]) -> List[Streams]
     :func:`encrypt_blocks` call.  Not metered."""
     runs = []
     for cipher, nonce, length in messages:
-        if len(nonce) != _NONCE_LEN:
+        if len(nonce) != NONCE_LEN:
             raise ValueError("GCM nonce must be 12 bytes")
         counters = b"".join(nonce + c.to_bytes(4, "big") for c in range(1, 2 + (length + 15) // 16))
         runs.append((cipher, _ZERO_BLOCK + counters))
@@ -144,89 +150,49 @@ def _key_streams(messages: Sequence[Tuple[Aes128, bytes, int]]) -> List[Streams]
     return streams
 
 
-class AesGcm:
-    """AES-128-GCM with 12-byte nonces and 16-byte tags."""
-
-    NONCE_LEN = _NONCE_LEN
-    TAG_LEN = _TAG_LEN
-
-    def __init__(self, key: bytes) -> None:
-        self._aes = Aes128(key)
-
-    def _streams(self, nonce: bytes, length: int) -> Streams:
-        """This key's :func:`_key_streams` for one message."""
-        return _key_streams(((self._aes, nonce, length),))[0]
-
-    # -- public API -------------------------------------------------------------
-    def encrypt(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-        """Return ciphertext || 16-byte tag."""
-        return _seal([(self._aes, nonce, plaintext, aad)])[0]
-
-    def decrypt(self, nonce: bytes, data: bytes, aad: bytes = b"") -> bytes:
-        """Verify the tag and return the plaintext; raise on any tampering."""
-        if len(data) < self.TAG_LEN:
-            raise AuthenticationError("ciphertext shorter than tag")
-        ciphertext, tag = data[: -self.TAG_LEN], data[-self.TAG_LEN :]
-        streams = self._streams(nonce, len(ciphertext))
-        metering.count("aes_block", 2)  # H and the tag mask
-        if not constant_time_equal(tag, _tag(streams, aad, ciphertext)):
-            raise AuthenticationError("GCM tag mismatch")
-        metering.count("aes_block", ae_cost(len(ciphertext))[0] - 2)
-        return _xor(ciphertext, streams[2])
-
-
 def ae_cost(length: int) -> Tuple[int, int]:
     """``(AES block operations, ciphertext bytes)`` of one :func:`ae_encrypt`
     or :func:`ae_decrypt` of ``length`` bytes: the GHASH subkey, the tag mask
     and one CTR block per 16 bytes; the nonce and the tag around the data."""
-    return 2 + (length + 15) // 16, _NONCE_LEN + _TAG_LEN + length
+    return 2 + (length + 15) // 16, NONCE_LEN + TAG_LEN + length
 
 
 def ae_encrypt(key: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
     """One-shot AE with a random nonce prepended (the paper's AEEncrypt)."""
-    nonce = secrets.token_bytes(_NONCE_LEN)
-    return nonce + AesGcm(key).encrypt(nonce, plaintext, aad)
+    return seal_each([(key, secrets.token_bytes(NONCE_LEN), plaintext, aad)])[0]
 
 
 def ae_decrypt(key: bytes, data: bytes, aad: bytes = b"") -> bytes:
     """Inverse of :func:`ae_encrypt` (the paper's AEDecrypt)."""
-    if len(data) < _NONCE_LEN + _TAG_LEN:
-        raise AuthenticationError("AE ciphertext too short")
-    return AesGcm(key).decrypt(data[:_NONCE_LEN], data[_NONCE_LEN:], aad)
+    (plaintext,) = open_each([(key, data, aad)])
+    return plaintext
 
 
-def _seal(messages: Sequence[_Keyed]) -> List[bytes]:
-    """``ciphertext ‖ tag`` of each ``(cipher, nonce, plaintext, aad)``, the
-    cipher work of all of them one :func:`_key_streams` call; billed
-    ``ae_cost`` per message."""
-    all_streams = _key_streams([(cipher, nonce, len(pt)) for cipher, nonce, pt, _ in messages])
-    metering.count("aes_block", sum(ae_cost(len(pt))[0] for _, _, pt, _ in messages))
-    sealed = []
-    for (_, _, plaintext, aad), streams in zip(messages, all_streams):
-        ciphertext = _xor(plaintext, streams[2])
-        sealed.append(ciphertext + _tag(streams, aad, ciphertext))
-    return sealed
-
-
-def _groups(messages: Iterable[Message]) -> Iterator[List[_Keyed]]:
+def _groups(messages: Iterable[Message], tag_len: int) -> Iterator[List[_Keyed]]:
     """The messages, consumed lazily, in groups of at most ``MAX_LANES``
-    cipher blocks (a longer message is a group of its own)."""
+    cipher blocks (a longer message is a group of its own).  A text
+    shorter than ``tag_len`` cannot be opened: the group before it is
+    yielded, then :class:`AuthenticationError` raised in its place."""
     group: List[_Keyed] = []
     lanes = 0
-    for key, nonce, plaintext, aad in messages:
-        blocks = ae_cost(len(plaintext))[0]
+    for key, nonce, text, aad in messages:
+        if len(text) < tag_len:
+            if group:
+                yield group
+            raise AuthenticationError("AE ciphertext too short")
+        blocks = ae_cost(len(text) - tag_len)[0]
         if group and lanes + blocks > MAX_LANES:
             yield group
             group, lanes = [], 0
-        group.append((Aes128(key), nonce, plaintext, aad))
+        group.append((Aes128(key), nonce, text, aad))
         lanes += blocks
     if group:
         yield group
 
 
 def seal_each(messages: Iterable[Message]) -> List[bytes]:
-    """``nonce + AesGcm(key).encrypt(nonce, plaintext, aad)`` for every
-    ``(key, nonce, plaintext, aad)``, in order, with nonces the caller drew.
+    """``nonce ‖ ciphertext ‖ tag`` for every ``(key, nonce, plaintext,
+    aad)``, in order, with nonces the caller drew.
 
     A group of messages of up to ``MAX_LANES`` cipher blocks is one
     :func:`encrypt_blocks` call.  The iterable is consumed lazily and in
@@ -234,4 +200,32 @@ def seal_each(messages: Iterable[Message]) -> List[bytes]:
     in its sequential order.  Billed as the sequential calls:
     ``Σ ae_cost(len(plaintext))`` blocks.
     """
-    return [m[1] + body for group in _groups(messages) for m, body in zip(group, _seal(group))]
+    sealed = []
+    for group in _groups(messages, 0):
+        all_streams = _key_streams([(cipher, nonce, len(pt)) for cipher, nonce, pt, _ in group])
+        metering.count("aes_block", sum(ae_cost(len(pt))[0] for _, _, pt, _ in group))
+        for (_, nonce, plaintext, aad), streams in zip(group, all_streams):
+            ciphertext = _xor(plaintext, streams[2])
+            sealed.append(nonce + ciphertext + _tag(streams, aad, ciphertext))
+    return sealed
+
+
+def open_each(messages: Iterable[Sealed]) -> Iterator[bytes]:
+    """The plaintext of every ``(key, nonce ‖ ciphertext ‖ tag, aad)``, in
+    order, each yielded once its tag verifies: :func:`seal_each`'s twin,
+    in the same lazy groups of calls.  Billed and refused as a loop of
+    :func:`ae_decrypt`: a message bills 2 blocks when its turn comes and
+    the rest once its tag verifies; the first that fails (or is too short
+    to carry a tag) raises :class:`AuthenticationError`, nothing after it
+    billed — so a consumer billing its own work between yields stays in
+    step with the loop."""
+    split = ((key, data[:NONCE_LEN], data[NONCE_LEN:], aad) for key, data, aad in messages)
+    for group in _groups(split, TAG_LEN):
+        all_streams = _key_streams([(c, nonce, len(text) - TAG_LEN) for c, nonce, text, _ in group])
+        for (_, _, text, aad), streams in zip(group, all_streams):
+            ciphertext, tag = text[:-TAG_LEN], text[-TAG_LEN:]
+            metering.count("aes_block", 2)  # H and the tag mask
+            if not constant_time_equal(tag, _tag(streams, aad, ciphertext)):
+                raise AuthenticationError("GCM tag mismatch")
+            metering.count("aes_block", ae_cost(len(ciphertext))[0] - 2)
+            yield _xor(ciphertext, streams[2])

@@ -11,10 +11,10 @@ corrupted ones; :meth:`ShamirSharer.reconstruct` mirrors that, and
 :meth:`ShamirSharer.reconstruct_robust` additionally implements the paper's
 majority vote over the attached message ciphertexts.
 
-Recombination is a recovery hot path: Lagrange interpolation inverts all
-``t`` denominators with one batched modular inversion (see
-``PrimeField.lagrange_interpolate_at_zero``), so reconstructing a share set
-costs a single ``pow(x, -1, p)`` regardless of the threshold.
+Shares, coefficients and secrets are plain ints mod p; the polynomial and
+the Lagrange weights are :mod:`repro.crypto.field`'s helpers, the same ones
+:mod:`repro.crypto.threshold` recombines with, so reconstructing a share
+set costs a single ``pow(x, -1, p)`` regardless of the threshold.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import secrets as _secrets
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
-from repro.crypto.field import FieldElement, PrimeField
+from repro.crypto.field import eval_poly, lagrange_at_zero, random_element
 
 # The P-256 group order: a convenient ~256-bit prime field.
 DEFAULT_MODULUS = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
@@ -61,36 +61,31 @@ class ShamirSharer:
             raise ValueError("too many shares for field size")
         self.threshold = threshold
         self.num_shares = num_shares
-        self.field = PrimeField(modulus)
-
-    # -- embedding ------------------------------------------------------------
-    def _embed(self, secret: bytes) -> FieldElement:
-        value = int.from_bytes(secret, "big")
-        if value >= self.field.modulus:
-            raise ValueError("secret too large to embed in field")
-        return self.field(value)
-
-    def _extract(self, element: FieldElement, length: int) -> bytes:
-        try:
-            return element.value.to_bytes(length, "big")
-        except OverflowError:
-            # Corrupt shares can interpolate to a full-width field element;
-            # surface that as an invalid candidate, not a crash.
-            raise ValueError("reconstructed value does not fit the secret length")
+        self.modulus = modulus
 
     # -- sharing -----------------------------------------------------------------
     def share(self, secret: bytes, rng=None) -> List[Share]:
         """Split ``secret`` (at most 31 bytes for the default field) into
         ``num_shares`` shares, any ``threshold`` of which reconstruct it."""
-        coeffs = [self._embed(secret)]
-        for _ in range(self.threshold - 1):
-            coeffs.append(self.field.random(rng))
-        shares = []
-        for i in range(1, self.num_shares + 1):
-            x = self.field(i)
-            y = self.field.eval_poly(coeffs, x)
-            shares.append(Share(x=i, y=y.value))
-        return shares
+        value = int.from_bytes(secret, "big")
+        if value >= self.modulus:
+            raise ValueError("secret too large to embed in field")
+        coeffs = [value] + [random_element(self.modulus, rng) for _ in range(self.threshold - 1)]
+        return [
+            Share(x=x, y=eval_poly(coeffs, x, self.modulus)) for x in range(1, self.num_shares + 1)
+        ]
+
+    def _interpolate(self, shares: Sequence[Share], length: int) -> bytes:
+        """The secret ``shares`` reconstruct (``ValueError`` on a repeated
+        ``x`` or a value that does not fit ``length`` bytes)."""
+        weights = lagrange_at_zero([s.x for s in shares], self.modulus)
+        value = sum(s.y * weight for s, weight in zip(shares, weights)) % self.modulus
+        try:
+            return value.to_bytes(length, "big")
+        except OverflowError:
+            # Corrupt shares can interpolate to a full-width field element;
+            # surface that as an invalid candidate, not a crash.
+            raise ValueError("reconstructed value does not fit the secret length")
 
     def reconstruct(self, shares: Iterable[Optional[Share]], secret_length: int = 16) -> bytes:
         """Reconstruct from any >= threshold non-``None`` shares.
@@ -101,10 +96,7 @@ class ShamirSharer:
             raise ValueError(
                 f"need {self.threshold} shares, only {len(available)} available"
             )
-        points = [
-            (self.field(s.x), self.field(s.y)) for s in available[: self.threshold]
-        ]
-        return self._extract(self.field.lagrange_interpolate_at_zero(points), secret_length)
+        return self._interpolate(available[: self.threshold], secret_length)
 
     def reconstruct_robust(
         self,
@@ -125,17 +117,12 @@ class ShamirSharer:
         if len(available) < self.threshold:
             raise ValueError("not enough shares for robust reconstruction")
         rng = _secrets.SystemRandom()
-        # Wrap each share into field elements once; the attempt loop below
-        # only samples indices instead of rebuilding elements per subset.
-        wrapped = [(self.field(s.x), self.field(s.y)) for s in available]
         for _ in range(max_attempts):
-            points = [wrapped[i] for i in rng.sample(range(len(wrapped)), self.threshold)]
+            subset = [available[i] for i in rng.sample(range(len(available)), self.threshold)]
             try:
-                candidate = self._extract(
-                    self.field.lagrange_interpolate_at_zero(points), secret_length
-                )
+                candidate = self._interpolate(subset, secret_length)
             except ValueError:
-                continue  # corrupt subset interpolated out of range
+                continue  # a repeated x, or a corrupt subset interpolated out of range
             if verifier(candidate):
                 return candidate
         raise ValueError("robust reconstruction failed: too many corrupt shares")

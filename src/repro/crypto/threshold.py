@@ -13,7 +13,8 @@ recombination in the exponent.
 Protocol:
 
 - ``keygen``: a dealer shares a master secret ``x`` into t-of-N Shamir
-  shares; the public key is ``X = g^x``.  (The paper's variant would use a
+  shares (:class:`repro.crypto.shamir.ShamirSharer` over the curve order);
+  the public key is ``X = g^x``.  (The paper's variant would use a
   DKG; dealer-based sharing suffices for cost comparison.)
 - ``encrypt``: KEM ciphertext ``(g^r, AE(H(X^r), m))``.
 - ``partial_decrypt`` (one per participating HSM): ``(g^r)^{x_i}``.
@@ -32,9 +33,10 @@ from typing import List, Sequence, Tuple
 
 from repro import metering
 from repro.crypto.ec import ECPoint, P256, N as CURVE_ORDER, multi_mult
-from repro.crypto.field import PrimeField, batch_inverse_mod
+from repro.crypto.field import lagrange_at_zero, random_element
 from repro.crypto.gcm import ae_decrypt, ae_encrypt
 from repro.crypto.hashing import kdf
+from repro.crypto.shamir import ShamirSharer
 
 
 @dataclass(frozen=True)
@@ -63,18 +65,16 @@ def keygen(
 ) -> Tuple[ThresholdPublicKey, List[ThresholdKeyShare]]:
     if not (1 <= threshold <= num_parties):
         raise ValueError("need 1 <= t <= N")
-    field = PrimeField(CURVE_ORDER)
-    coeffs = [field.random(rng) for _ in range(threshold)]
-    master = coeffs[0]
-    shares = []
-    for i in range(1, num_parties + 1):
-        shares.append(
-            ThresholdKeyShare(index=i, scalar=field.eval_poly(coeffs, field(i)).value)
-        )
+    master = random_element(CURVE_ORDER, rng)
+    sharer = ShamirSharer(threshold, num_parties, modulus=CURVE_ORDER)
+    shares = [
+        ThresholdKeyShare(index=share.x, scalar=share.y)
+        for share in sharer.share(master.to_bytes(32, "big"), rng)
+    ]
     public = ThresholdPublicKey(
         threshold=threshold,
         num_parties=num_parties,
-        point=P256.generator * master.value,
+        point=P256.generator * master,
     )
     return public, shares
 
@@ -103,8 +103,9 @@ def combine(
 ) -> bytes:
     """Lagrange recombination in the exponent, then AE decryption.
 
-    The ``t`` Lagrange denominators are inverted with one batched modular
-    inversion, and ``Π partials^{λ_i}`` runs as a single Straus multi-scalar
+    The ``t`` Lagrange weights are Shamir reconstruction's
+    (:func:`repro.crypto.field.lagrange_at_zero`, one batched modular
+    inversion), and ``Π partials^{λ_i}`` runs as a single Straus multi-scalar
     multiplication (one shared doubling chain) instead of ``t`` independent
     point multiplications — same group element, ``t`` metered ``ec_mult``
     either way, a fraction of the wall-clock.
@@ -112,24 +113,7 @@ def combine(
     if len({i for i, _ in partials}) < public.threshold:
         raise ValueError(f"need {public.threshold} distinct partial decryptions")
     use = list({i: p for i, p in partials}.items())[: public.threshold]
-    indices = [i for i, _ in use]
-    # λ_i = Π_{j≠i} j / (j − i) mod curve order
-    nums, dens = [], []
-    for i in indices:
-        num, den = 1, 1
-        for j in indices:
-            if j == i:
-                continue
-            num = (num * j) % CURVE_ORDER
-            den = (den * (j - i)) % CURVE_ORDER
-        nums.append(num)
-        dens.append(den)
-    den_invs = batch_inverse_mod(dens, CURVE_ORDER)
-    shared = multi_mult(
-        [
-            ((num * den_inv) % CURVE_ORDER, partial)
-            for (_, partial), num, den_inv in zip(use, nums, den_invs)
-        ]
-    )
+    weights = lagrange_at_zero([i for i, _ in use], CURVE_ORDER)
+    shared = multi_mult([(weight, partial) for weight, (_, partial) in zip(weights, use)])
     key = kdf("threshold-elgamal", shared.to_bytes(), context, length=16)
     return ae_decrypt(key, ciphertext.body, aad=context)

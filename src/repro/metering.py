@@ -103,6 +103,25 @@ def count(op: str, units: float = 1) -> None:
         meter.counts[op] += units
 
 
+@contextlib.contextmanager
+def deferred() -> Iterator[OpMeter]:
+    """Count this thread's operations on a fresh meter *instead of* the
+    attached ones — work done ahead of the step the cost model charges it
+    to; :func:`report` hands the counts on when that step comes."""
+    meter = OpMeter()
+    held, _ACTIVE.meters = _ACTIVE.meters, [meter]
+    try:
+        yield meter
+    finally:
+        _ACTIVE.meters = held
+
+
+def report(meter: OpMeter) -> None:
+    """Report everything ``meter`` counted to the meters attached here."""
+    for op, units in meter.counts.items():
+        count(op, units)
+
+
 def active_meter() -> Optional[OpMeter]:
     """Return this thread's innermost attached meter, or ``None``."""
     return _ACTIVE.meters[-1] if _ACTIVE.meters else None

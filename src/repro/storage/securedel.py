@@ -27,8 +27,12 @@ blocks — seven 32-byte nodes — as the lanes of one byte-sliced AES call.
 Keys and nonces are drawn inside the iterable it consumes, in the order
 the node-at-a-time code drew them, and the sealed nodes go to the same
 addresses in the same order, so under seeded entropy the bytes at rest are
-those of one seal per call.  The walk down opens one node per call: a
-node's key comes out of its parent.
+those of one seal per call.  The walk down opens a tree level per
+:func:`repro.crypto.gcm.open_each`, root first — a node's key comes out of
+its parent, so the levels go in turn — and is billed in step with the
+node-at-a-time walk: a node's key read and transfer are reported just
+before its open, so a walk refused at any node leaves exactly what the
+node-at-a-time walk left on the meter.
 
 The *modeled* device does not batch.  Appendix C's HSM holds one key, walks
 one index at a time from the root, and on the way back up fetches and opens
@@ -55,22 +59,23 @@ from __future__ import annotations
 
 import secrets
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Sequence
+from itertools import groupby
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import metering
 from repro.crypto.gcm import (
-    AesGcm,
+    NONCE_LEN,
     AuthenticationError,
     Message,
     ae_cost,
     ae_decrypt,
     ae_encrypt,
+    open_each,
     seal_each,
 )
 from repro.storage.blockstore import BlockStore
 
 KEY_LEN = 16
-_NONCE_LEN = AesGcm.NONCE_LEN
 _DELETED_KEY = b"\x00" * KEY_LEN  # the paper's "useless encryption key"
 # An internal node is two child keys under one AE call: what one open or
 # seal costs and one transfer moves.
@@ -83,17 +88,6 @@ class DeletedBlockError(Exception):
 
 def _addr_aad(addr: int) -> bytes:
     return b"securedel-node" + addr.to_bytes(8, "big")
-
-
-def _open(store: BlockStore, key: bytes, addr: int) -> bytes:
-    """Fetch the block at ``addr`` and open it under ``key``.  A block the
-    provider withholds and a block that fails its tag are one fault — the
-    authentic block was not served — and raise the same error."""
-    try:
-        block = store.get(addr)
-    except KeyError as exc:
-        raise AuthenticationError(f"key-tree block {addr} was not served") from exc
-    return ae_decrypt(key, block, aad=_addr_aad(addr))
 
 
 def tree_height(blocks: int) -> int:
@@ -153,7 +147,7 @@ class SecureDeletionTree:
             # A level's keys are drawn before its nonces, and its nodes are
             # put left to right: the node-at-a-time set-up's order.
             nodes = (
-                (key, secrets.token_bytes(_NONCE_LEN), payload, _addr_aad(first + j))
+                (key, secrets.token_bytes(NONCE_LEN), payload, _addr_aad(first + j))
                 for j, (key, payload) in enumerate(zip(keys, payloads))
             )
             for j, sealed in enumerate(seal_each(nodes)):
@@ -198,10 +192,6 @@ class SecureDeletionTree:
         """The only secret the HSM must store (16 bytes)."""
         return self._root_key
 
-    def extract_root_key(self) -> bytes:
-        """Explicit escape hatch modelling HSM compromise in tests."""
-        return self._root_key
-
 
 class PathWalk:
     """The authenticated union of some indices' root-to-leaf paths, held
@@ -209,11 +199,11 @@ class PathWalk:
     :meth:`delete` all of them that are still live, in one re-key.
 
     Opening it is the walk down — every internal node on the union is
-    fetched and opened exactly once, parents before children, and a node
-    that fails its tag raises before anything is written.  The opened
-    payloads (every child key on the union) live in this object only:
-    :meth:`delete` destroys the keys in them and drops them, and the caller
-    drops the walk with its frame.
+    fetched and opened exactly once, a level per cipher call, parents
+    before children, and a node that fails its tag raises before anything
+    is written.  The opened payloads (every child key on the union) live in
+    this object only: :meth:`delete` destroys the keys in them and drops
+    them, and the caller drops the walk with its frame.
     """
 
     def __init__(self, tree: SecureDeletionTree, indices: Iterable[int]) -> None:
@@ -221,15 +211,43 @@ class PathWalk:
         self._indices = list(indices)
         if not all(0 <= index < (1 << tree.height) for index in self._indices):
             raise IndexError("block index out of range")
-        store, root_key = tree._store, tree._root_key
         self._payloads: Dict[int, bytes] = {}
-        for addr in self._union(self._indices):
-            metering.count("flash_read_bytes", KEY_LEN)
-            key = root_key if addr == 1 else self._child_key(addr)
-            self._payloads[addr] = _open(store, key, addr)
+        for _, level in groupby(self._union(self._indices), int.bit_length):
+            addrs = list(level)
+            keys = [tree._root_key] if addrs == [1] else [self._child_key(a) for a in addrs]
+            self._payloads.update(zip(addrs, self._open(addrs, keys, KEY_LEN)))
         # Opens the calls above already reported, not yet set against a
         # modeled single-index walk (see ``_bill_walks``).
         self._opens_metered = len(self._payloads)
+
+    def _open(self, addrs: Sequence[int], keys: Sequence[bytes], key_read: int) -> Iterator[bytes]:
+        """Fetch the blocks at ``addrs`` and open them under ``keys`` with
+        one :func:`~repro.crypto.gcm.open_each`, billed as one node at a
+        time: the host fetches ahead of the cipher call, but each node's
+        ``key_read`` flash bytes and transfer are reported just before its
+        own open.  A block the provider withholds and a block that fails its
+        tag are one fault — the authentic block was not served — and raise
+        the same error at the same point of the bill."""
+        store = self._tree._store
+        fetched: List[Tuple[Optional[bytes], metering.OpMeter]] = []
+        for addr in addrs:
+            with metering.deferred() as transfer:
+                try:
+                    fetched.append((store.get(addr), transfer))
+                except KeyError:
+                    fetched.append((None, transfer))
+                    break
+        opened = open_each(
+            (key, block, _addr_aad(addr)) for addr, key, (block, _) in zip(addrs, keys, fetched)
+            if block is not None
+        )
+        for addr, (block, transfer) in zip(addrs, fetched):
+            if key_read:
+                metering.count("flash_read_bytes", key_read)
+            metering.report(transfer)
+            if block is None:
+                raise AuthenticationError(f"key-tree block {addr} was not served")
+            yield next(opened)
 
     def _union(self, indices: Iterable[int]) -> List[int]:
         """The internal nodes on the paths to ``indices``, each once, root
@@ -270,7 +288,8 @@ class PathWalk:
         leaf_key = self._child_key(leaf)
         if leaf_key == _DELETED_KEY:
             raise DeletedBlockError(f"block {index} was securely deleted")
-        return _open(self._tree._store, leaf_key, leaf)
+        (data,) = self._open([leaf], [leaf_key], 0)
+        return data
 
     def delete(self) -> int:
         """Securely delete every index of the walk that is still live and
@@ -313,7 +332,7 @@ class PathWalk:
                         2 * addr + 1, payload[KEY_LEN:]
                     )
                     replaced[addr] = secrets.token_bytes(KEY_LEN)
-                    yield replaced[addr], secrets.token_bytes(_NONCE_LEN), payload, _addr_aad(addr)
+                    yield replaced[addr], secrets.token_bytes(NONCE_LEN), payload, _addr_aad(addr)
 
             for addr, sealed in zip(reversed(rekeyed), seal_each(nodes())):
                 store.put(addr, sealed)

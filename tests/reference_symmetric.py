@@ -6,15 +6,22 @@ byte state, ``_gmul`` per MixColumns term, a 128-iteration shift-and-add
 multiply in GF(2^128).  It is slow and obviously follows FIPS-197 and
 SP 800-38D line by line, which is what a differential oracle should be.
 It also keeps the inverse cipher, which ``src/`` no longer needs (GCM only
-ever runs AES forwards).  Nothing here is metered.
+ever runs AES forwards).  The cipher and GHASH here are not metered.
+
+:func:`reference_walk` is the key tree's walk down as it was before a tree
+level became one cipher call: a node at a time, each opened by its own
+``ae_decrypt`` and billed as it happens.  It is the oracle for what
+``PathWalk`` must leave on the meter wherever a walk is refused.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, Iterable, List
 
-from repro.crypto.gcm import AuthenticationError
+from repro import metering
+from repro.crypto.gcm import AuthenticationError, ae_decrypt
 from repro.crypto.hashing import constant_time_equal
+from repro.storage import securedel
 
 
 def _build_tables() -> tuple:
@@ -196,3 +203,27 @@ class ReferenceAesGcm:
         if not constant_time_equal(tag, self._tag(nonce, aad, ciphertext)):
             raise AuthenticationError("GCM tag mismatch")
         return self._ctr_xor(nonce, ciphertext)
+
+
+def reference_walk(tree: "securedel.SecureDeletionTree", indices: Iterable[int]) -> Dict[int, bytes]:
+    """The node-at-a-time walk down: every internal node on the union of the
+    indices' paths, root first, billed a key read, fetched and opened under
+    the key its parent's payload holds — one ``ae_decrypt`` per node.  A
+    withheld block raises :class:`AuthenticationError` like a bad tag.
+    Returns the opened payloads by address."""
+    store = tree._store
+    union = sorted({addr for index in indices for addr in tree._path_addrs(index)[:-1]})
+    payloads: Dict[int, bytes] = {}
+    for addr in union:
+        metering.count("flash_read_bytes", securedel.KEY_LEN)
+        if addr == 1:
+            key = tree.root_key
+        else:
+            parent = payloads[addr // 2]
+            key = parent[: securedel.KEY_LEN] if addr % 2 == 0 else parent[securedel.KEY_LEN :]
+        try:
+            block = store.get(addr)
+        except KeyError as exc:
+            raise AuthenticationError(f"key-tree block {addr} was not served") from exc
+        payloads[addr] = ae_decrypt(key, block, aad=securedel._addr_aad(addr))
+    return payloads

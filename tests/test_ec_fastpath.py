@@ -10,6 +10,7 @@ implementations.
 
 import gc
 import hashlib
+import inspect
 import random
 import secrets
 
@@ -28,7 +29,7 @@ from repro.crypto.ec import (
     multi_mult,
     naive_mult,
 )
-from repro.crypto.field import PrimeField, batch_inverse_mod
+from repro.crypto.field import batch_inverse_mod
 from repro.log.distributed import EcdsaMultiSig
 from repro.metering import OpMeter, metered
 from repro.storage.blockstore import InMemoryBlockStore
@@ -355,7 +356,7 @@ class TestComb:
         verdicts = [P256.ecdsa_verify(*item) for item in plain]
         assert verdicts == [True, False, False, False] * 3
         assert [P256.ecdsa_verify(*item) for item in combed] == verdicts
-        assert P256.ecdsa_verify_batch(combed) == verdicts
+        assert P256._verify_chunk(combed) == verdicts
         assert P256.ecdsa_verify_all(combed[::4]) and P256.ecdsa_verify_all(plain[::4])
         assert not P256.ecdsa_verify_all(combed) and not P256.ecdsa_verify_all(plain)
 
@@ -650,11 +651,6 @@ class TestBatchInverse:
     def test_empty(self):
         assert batch_inverse_mod([], N) == []
 
-    def test_field_wrapper(self):
-        field = PrimeField(97)
-        elements = [field(v) for v in (1, 5, 42, 96)]
-        assert field.batch_inverse(elements) == [e.inverse() for e in elements]
-
 
 class TestBatchVerify:
     @pytest.fixture(scope="class")
@@ -672,8 +668,12 @@ class TestBatchVerify:
         items[2] = (keypairs[2].public, b"wrong message", sigs[2])
         items[4] = (keypairs[4].public, message, (0, 1))  # out-of-range r
         sequential = [P256.ecdsa_verify(*item) for item in items]
-        assert P256.ecdsa_verify_batch(items) == sequential
+        assert P256._verify_chunk(items) == sequential
         assert sequential == [True, True, False, True, False, True]
+        # One verification entry: the chunk core meters nothing, and the
+        # batch entry and multi_mult's metering switch are gone.
+        assert not hasattr(P256, "ecdsa_verify_batch")
+        assert "count_ops" not in inspect.signature(multi_mult).parameters
 
     def test_verify_aggregate_accepts_and_rejects(self, signed):
         scheme, keypairs, message, sigs = signed
@@ -689,7 +689,7 @@ class TestBatchVerify:
         scheme, keypairs, message, sigs = signed
         infinity = ECPoint(None, None)
         assert not P256.ecdsa_verify(infinity, message, sigs[0])
-        assert P256.ecdsa_verify_batch([(infinity, message, sigs[0])]) == [False]
+        assert P256._verify_chunk([(infinity, message, sigs[0])]) == [False]
         publics = [infinity] + [kp.public for kp in keypairs[1:]]
         assert not scheme.verify_aggregate(publics, message, scheme.aggregate(sigs))
 
@@ -741,11 +741,9 @@ class TestBatchVerify:
             items[position] = (good[position][0], message, signature)
             sequential = [P256.ecdsa_verify(*item) for item in items]
             assert sequential == [i != position for i in range(count)], label
-            with metered() as batch_meter:
-                assert P256.ecdsa_verify_batch(items) == sequential, label
+            assert P256._verify_chunk(items) == sequential, label
             with metered() as all_meter:
                 assert not P256.ecdsa_verify_all(items), label
-            assert batch_meter.counts["ecdsa_verify"] == position + 1, label
             assert all_meter.counts["ecdsa_verify"] == position + 1, label
 
     def test_aggregate_metering_matches_short_circuit(self, signed):

@@ -1,113 +1,96 @@
-"""GF(p) arithmetic and Lagrange interpolation."""
+"""GF(p) on plain ints: batch inversion, Horner evaluation and the Lagrange
+weights at zero — and the bytes Shamir, the threshold dealer and LHE make
+with them, pinned to what the operator-overloaded field made."""
+
+import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.field import FieldElement, PrimeField
+from repro.chaos.entropy import DeterministicEntropy
+from repro.core.lhe import BfePke, ElGamalPke, LocationHidingEncryption
+from repro.crypto import field as field_module
+from repro.crypto import threshold
+from repro.crypto.bfe import BloomFilterEncryption
+from repro.crypto.bloom import BloomParams
+from repro.crypto.elgamal import HashedElGamal
+from repro.crypto.field import batch_inverse_mod, eval_poly, lagrange_at_zero
+from repro.crypto.shamir import ShamirSharer
+from repro.storage.blockstore import InMemoryBlockStore
 
 SMALL_PRIME = 101
 P256_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
 
-@pytest.fixture
-def field():
-    return PrimeField(SMALL_PRIME)
+def interpolate_at_zero(points, modulus):
+    """Σ yᵢ·λᵢ: the value at zero of the polynomial through ``points``."""
+    weights = lagrange_at_zero([x for x, _ in points], modulus)
+    return sum(y * weight for (_, y), weight in zip(points, weights)) % modulus
 
 
 class TestBasicArithmetic:
-    def test_addition_wraps(self, field):
-        assert field(100) + field(5) == field(4)
+    def test_addition_wraps(self):
+        assert eval_poly([100, 1], 5, SMALL_PRIME) == 4  # 100 + 5
 
-    def test_subtraction_wraps(self, field):
-        assert field(3) - field(10) == field(94)
+    def test_subtraction_wraps(self):
+        # λ = (2/(2-1), 1/(1-2)) = (2, -1)
+        assert lagrange_at_zero([1, 2], SMALL_PRIME) == [2, SMALL_PRIME - 1]
 
-    def test_multiplication(self, field):
-        assert field(20) * field(6) == field(19)  # 120 mod 101
+    def test_negation(self):
+        # Two points mirrored about zero weigh half each: λ = (-3/-6, 3/6).
+        assert lagrange_at_zero([3, -3], SMALL_PRIME) == [51, 51]  # 2 * 51 = 1 mod 101
 
-    def test_division_is_multiplication_by_inverse(self, field):
-        a, b = field(17), field(23)
-        assert (a / b) * b == a
+    def test_multiplication(self):
+        assert eval_poly([0, 20], 6, SMALL_PRIME) == 19  # 120 mod 101
 
-    def test_negation(self, field):
-        assert -field(1) == field(100)
+    def test_division_is_multiplication_by_inverse(self):
+        a, b = 17, 23
+        (b_inv,) = batch_inverse_mod([b], SMALL_PRIME)
+        assert a * b_inv * b % SMALL_PRIME == a
 
-    def test_power(self, field):
-        assert field(2) ** 10 == field(1024 % SMALL_PRIME)
+    def test_power(self):
+        assert eval_poly([0] * 10 + [1], 2, SMALL_PRIME) == 1024 % SMALL_PRIME
 
-    def test_fermat_little_theorem(self, field):
-        assert field(7) ** (SMALL_PRIME - 1) == field(1)
+    def test_fermat_little_theorem(self):
+        assert batch_inverse_mod([7], SMALL_PRIME) == [pow(7, SMALL_PRIME - 2, SMALL_PRIME)]
 
-    def test_int_coercion_both_sides(self, field):
-        assert 1 + field(2) == field(3)
-        assert field(2) + 1 == field(3)
-        assert 5 - field(2) == field(3)
-        assert 2 * field(4) == field(8)
+    def test_int_coercion_both_sides(self):
+        """Unreduced and negative ints go in; reduced ints come out."""
+        assert eval_poly([3 + SMALL_PRIME, 2 - SMALL_PRIME], 5 + SMALL_PRIME, SMALL_PRIME) == 13
+        assert lagrange_at_zero([1 + SMALL_PRIME, -SMALL_PRIME + 2], SMALL_PRIME) == [2, 100]
 
-    def test_zero_inverse_raises(self, field):
+    def test_zero_inverse_raises(self):
         with pytest.raises(ZeroDivisionError):
-            field(0).inverse()
-
-    def test_mixing_fields_raises(self, field):
-        other = PrimeField(103)
-        with pytest.raises(ValueError):
-            field(1) + other(1)
-
-    def test_modulus_validation(self):
-        with pytest.raises(ValueError):
-            PrimeField(1)
-
-
-class TestSerialization:
-    def test_roundtrip(self, field):
-        element = field(77)
-        assert field.from_bytes(element.to_bytes()) == element
-
-    def test_byte_length_large_field(self):
-        field = PrimeField(P256_ORDER)
-        assert field.byte_length == 32
-        assert len(field(1).to_bytes()) == 32
+            batch_inverse_mod([3, 0], SMALL_PRIME)
+        with pytest.raises(ZeroDivisionError):
+            batch_inverse_mod([SMALL_PRIME], SMALL_PRIME)
 
 
 class TestPolynomials:
-    def test_eval_poly_horner(self, field):
+    def test_eval_poly_horner(self):
         # p(x) = 3 + 2x + x^2 at x = 5 -> 38
-        coeffs = [field(3), field(2), field(1)]
-        assert field.eval_poly(coeffs, field(5)) == field(38 % SMALL_PRIME)
+        assert eval_poly([3, 2, 1], 5, SMALL_PRIME) == 38
 
-    def test_eval_constant(self, field):
-        assert field.eval_poly([field(9)], field(50)) == field(9)
+    def test_eval_constant(self):
+        assert eval_poly([9], 50, SMALL_PRIME) == 9
 
-    def test_interpolation_recovers_constant_term(self, field):
-        coeffs = [field(42), field(7), field(13)]
-        points = [
-            (field(x), field.eval_poly(coeffs, field(x))) for x in (1, 2, 3)
-        ]
-        assert field.lagrange_interpolate_at_zero(points) == field(42)
+    def test_interpolation_recovers_constant_term(self):
+        coeffs = [42, 7, 13]
+        points = [(x, eval_poly(coeffs, x, SMALL_PRIME)) for x in (1, 2, 3)]
+        assert interpolate_at_zero(points, SMALL_PRIME) == 42
 
-    def test_interpolation_duplicate_x_raises(self, field):
+    def test_interpolation_duplicate_x_raises(self):
         with pytest.raises(ValueError):
-            field.lagrange_interpolate_at_zero(
-                [(field(1), field(2)), (field(1), field(3))]
-            )
-
-
-@given(a=st.integers(0, P256_ORDER - 1), b=st.integers(0, P256_ORDER - 1))
-@settings(max_examples=50)
-def test_field_ring_axioms_large(a, b):
-    field = PrimeField(P256_ORDER)
-    fa, fb = field(a), field(b)
-    assert fa + fb == fb + fa
-    assert fa * fb == fb * fa
-    assert fa + field(0) == fa
-    assert fa * field(1) == fa
-    assert fa - fa == field(0)
+            lagrange_at_zero([1, 1], SMALL_PRIME)
+        with pytest.raises(ValueError):
+            lagrange_at_zero([1, 1 + SMALL_PRIME], SMALL_PRIME)
 
 
 @given(a=st.integers(1, P256_ORDER - 1))
 @settings(max_examples=50)
 def test_inverse_property(a):
-    field = PrimeField(P256_ORDER)
-    assert field(a) * field(a).inverse() == field(1)
+    assert a * batch_inverse_mod([a], P256_ORDER)[0] % P256_ORDER == 1
 
 
 @given(
@@ -117,7 +100,96 @@ def test_inverse_property(a):
 )
 @settings(max_examples=25)
 def test_interpolation_inverts_evaluation(secret, c1, c2):
-    field = PrimeField(P256_ORDER)
-    coeffs = [field(secret), field(c1), field(c2)]
-    points = [(field(x), field.eval_poly(coeffs, field(x))) for x in (5, 9, 11)]
-    assert field.lagrange_interpolate_at_zero(points) == field(secret)
+    coeffs = [secret, c1, c2]
+    points = [(x, eval_poly(coeffs, x, P256_ORDER)) for x in (5, 9, 11)]
+    assert interpolate_at_zero(points, P256_ORDER) == secret
+
+
+def _point_sets(modulus, seed):
+    """Seeded point sets of 1 to 5 points, each size once without and once
+    with an ``x = 0`` share."""
+    rng = random.Random(seed)
+    for t in range(1, 6):
+        for with_zero in (False, True):
+            xs = rng.sample(range(1, min(modulus, 10**6)), t)
+            if with_zero:
+                xs[rng.randrange(t)] = 0
+            yield xs, [rng.randrange(modulus) for _ in xs]
+
+
+class TestByteIdentity:
+    """Values and digests produced by ``PrimeField`` / ``FieldElement``
+    (``lagrange_interpolate_at_zero``, ``eval_poly``, ``random``) before the
+    field became plain ints; the int helpers must reproduce them."""
+
+    SMALL_VALUES = [95, 28, 4, 18, 93, 53, 38, 1, 52, 54]
+    P256_DIGEST = "4f93a1accd34ad7056aa1d06b808b24a6c5d53333ffa93ca0905906006eb4d34"
+    SHAMIR_DIGEST = "f48dc214d17313e013d4af65d6b6088c87aa00113db6e380e85341828a84b784"
+    THRESHOLD_DIGEST = "9360cbd75fb5ffd16b6b06ad0dd8c2a229050dc7b3c4ab5e2ed619e45086cc09"
+    LHE_DIGEST = "8aec4457f8cd60378a5c9e05027719c9d6a11ef1a0ef7dd51df100f0dbe0021e"
+
+    def test_lagrange_matches_the_field_class(self):
+        def values(modulus):
+            return [interpolate_at_zero(list(zip(xs, ys)), modulus) for xs, ys in _point_sets(modulus, 28)]
+
+        assert values(SMALL_PRIME) == self.SMALL_VALUES
+        large = values(P256_ORDER)
+        digest = hashlib.sha256(b"".join(v.to_bytes(32, "big") for v in large)).hexdigest()
+        assert digest == self.P256_DIGEST
+
+    def test_shamir_shares(self):
+        digest = hashlib.sha256()
+        with DeterministicEntropy(28):
+            for t, n in ((1, 1), (1, 3), (2, 3), (3, 5), (5, 8)):
+                for rng in (None, random.Random(t * 100 + n)):
+                    for share in ShamirSharer(t, n).share(bytes(range(t, t + 16)), rng=rng):
+                        digest.update(share.to_bytes())
+        assert digest.hexdigest() == self.SHAMIR_DIGEST
+
+    def test_threshold_keygen(self):
+        digest = hashlib.sha256()
+        with DeterministicEntropy(28):
+            for t, n in ((1, 1), (2, 4), (3, 7)):
+                for rng in (None, random.Random(t * 10 + n)):
+                    public, shares = threshold.keygen(t, n, rng=rng)
+                    digest.update(public.point.to_bytes())
+                    for share in shares:
+                        digest.update(share.index.to_bytes(4, "big"))
+                        digest.update(share.scalar.to_bytes(32, "big"))
+        assert digest.hexdigest() == self.THRESHOLD_DIGEST
+
+    def test_lhe_ciphertexts(self):
+        digest = hashlib.sha256()
+        with DeterministicEntropy(28):
+            keys = [HashedElGamal.keygen(random.Random(i)) for i in range(6)]
+            lhe = LocationHidingEncryption(6, 4, 2, pke=ElGamalPke())
+            for pin in ("1234", "0000"):
+                message = b"disk image " + pin.encode()
+                ct = lhe.encrypt([k.public for k in keys], pin, message, username="u")
+                digest.update(ct.ciphertext_hash())
+            params = BloomParams(num_slots=32, num_hashes=3, max_punctures=4, failure_exponent=4)
+            bfe_keys = [
+                BloomFilterEncryption.keygen(params, InMemoryBlockStore(), random.Random(50 + i))[0]
+                for i in range(4)
+            ]
+            lhe = LocationHidingEncryption(4, 3, 2, pke=BfePke())
+            ct = lhe.encrypt(bfe_keys, "4711", b"bfe payload", username="v")
+            digest.update(ct.ciphertext_hash())
+        assert digest.hexdigest() == self.LHE_DIGEST
+
+    def test_duplicate_x_raises_in_reconstruct_and_is_skipped_when_robust(self):
+        sharer = ShamirSharer(2, 4)
+        shares = sharer.share(b"0123456789abcdef")
+        with pytest.raises(ValueError):
+            sharer.reconstruct([shares[1], shares[1]])
+        # Half the draws pair a share with its own copy; each of those must
+        # be skipped, not raise, until a pair of distinct x's comes up.
+        duplicated = [shares[0], shares[0], shares[0], shares[2]]
+        secret = sharer.reconstruct_robust(duplicated, lambda c: c == b"0123456789abcdef")
+        assert secret == b"0123456789abcdef"
+        with pytest.raises(ValueError):
+            sharer.reconstruct_robust([shares[3]] * 4, lambda c: True)
+
+    def test_the_field_classes_are_gone(self):
+        assert not hasattr(field_module, "FieldElement")
+        assert not hasattr(field_module, "PrimeField")

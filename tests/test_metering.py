@@ -1,6 +1,6 @@
 """The operation meter and its nesting semantics."""
 
-from repro.metering import OpMeter, active_meter, count, metered
+from repro.metering import OpMeter, active_meter, count, deferred, metered, report
 
 
 class TestOpMeter:
@@ -37,6 +37,23 @@ class TestOpMeter:
                 count("op")
         assert outer.counts["op"] == 1
         assert inner.counts["op"] == 1
+
+    def test_deferred_counts_are_held_until_reported(self):
+        """Work done ahead of its step reaches no attached meter until it is
+        reported — once, whole — and a held meter never reported is dropped."""
+        with metered() as outer:
+            with deferred() as held:
+                count("io_bytes", 60)
+                with metered() as nested:
+                    count("io_bytes", 4)
+            with deferred() as dropped:
+                count("io_bytes", 1000)
+            assert dict(outer.counts) == {} and nested.counts["io_bytes"] == 4
+            count("flash_read_bytes", 16)
+            report(held)
+        assert dict(outer.counts) == {"flash_read_bytes": 16, "io_bytes": 64}
+        assert dropped.counts["io_bytes"] == 1000
+        assert active_meter() is None
 
     def test_detach_stops_counting(self):
         with metered() as meter:

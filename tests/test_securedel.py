@@ -5,6 +5,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_symmetric import reference_walk
 from repro.chaos.entropy import DeterministicEntropy
 from repro.crypto.gcm import AuthenticationError, ae_decrypt
 from repro.metering import metered
@@ -349,6 +350,52 @@ class TestBatchedWalk:
             walk.read(23)
             walk.delete()
         assert dict(one_walk.counts) == dict(one_by_one.counts)
+
+
+class TestWalkAtEveryFailurePoint:
+    """The walk down opens a tree level per cipher call, but the modeled
+    device opens a node at a time.  Against ``reference_walk`` — the
+    node-at-a-time walk it replaced — every refusal must come at the same
+    point of the bill: k = 4 walks, four nodes wide from the second level
+    down, each union node tampered with and then withheld in turn."""
+
+    @staticmethod
+    def _outcome(walk, tree, store, indices):
+        """(payloads or the exception type, the meter, puts made)."""
+        puts = sum(len(versions) for versions in store.history.values())
+        with metered() as meter:
+            try:
+                outcome = walk(tree, indices)
+            except Exception as exc:  # compared by type below
+                outcome = type(exc)
+        return outcome, dict(meter.counts), sum(len(v) for v in store.history.values()) - puts
+
+    @staticmethod
+    def _level_batched(tree, indices):
+        return tree.walk(indices)._payloads
+
+    @pytest.mark.parametrize("height, indices", [(7, [5, 40, 70, 120]), (9, [5, 150, 300, 480])])
+    def test_refused_anywhere_as_the_node_at_a_time_walk(self, height, indices):
+        store = TamperingBlockStore()
+        tree = SecureDeletionTree.setup(store, [bytes([i % 256]) * 32 for i in range(1 << height)])
+        union = sorted(_union(tree, indices))
+        assert max(sum(1 for a in union if a.bit_length() == d) for d in range(1, height + 1)) == 4
+
+        def both():
+            new = self._outcome(self._level_batched, tree, store, indices)
+            return new, self._outcome(reference_walk, tree, store, indices)
+
+        new, ref = both()
+        assert new == ref and isinstance(new[0], dict) and sorted(new[0]) == union
+        for addr in union:
+            store.corrupt(addr)
+            new, ref = both()
+            store.corrupt(addr)  # flip the bit back
+            assert new == ref and new[0] is AuthenticationError and new[2] == 0, addr
+            withheld = store._blocks.pop(addr)
+            new, ref = both()
+            store._blocks[addr] = withheld
+            assert new == ref and new[0] is AuthenticationError and new[2] == 0, addr
 
 
 class TestBatchForwardSecrecy:

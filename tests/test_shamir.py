@@ -38,7 +38,7 @@ class TestSharing:
         sharer = ShamirSharer(3, 3)
         secret = b"0123456789abcdef"
         shares = sharer.share(secret)
-        forged = Share(x=shares[2].x, y=(shares[2].y + 1) % sharer.field.modulus)
+        forged = Share(x=shares[2].x, y=(shares[2].y + 1) % sharer.modulus)
         wrong = sharer.reconstruct([shares[0], shares[1], forged])
         assert wrong != secret
 

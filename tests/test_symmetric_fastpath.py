@@ -27,7 +27,7 @@ from repro.core.protocol import Deployment
 from repro.crypto import aes as aes_module
 from repro.crypto import gcm as gcm_module
 from repro.crypto.aes import MAX_LANES, Aes128, encrypt_blocks
-from repro.crypto.gcm import AesGcm, AuthenticationError, ae_cost, ae_decrypt, ae_encrypt, seal_each
+from repro.crypto.gcm import AuthenticationError, ae_cost, ae_decrypt, ae_encrypt, open_each, seal_each
 from repro.metering import OpMeter, metered
 from repro.storage import securedel as securedel_module
 from repro.storage.blockstore import InMemoryBlockStore
@@ -51,9 +51,14 @@ def _schedule_words(key: bytes):
 
 
 def _hash_table(key: bytes):
-    """The GHASH table ``AesGcm(key)`` multiplies by: H out of the fused
-    cipher call every message makes."""
-    return AesGcm(key)._streams(bytes(12), 0)[0]
+    """The GHASH table a message under ``key`` multiplies by: H out of the
+    fused cipher call every message makes."""
+    return gcm_module._key_streams([(Aes128(key), bytes(12), 0)])[0][0]
+
+
+def _seal_one(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
+    """One message through :func:`seal_each`: ``nonce ‖ ciphertext ‖ tag``."""
+    return seal_each([(key, nonce, plaintext, aad)])[0]
 
 
 def _random_messages(rng: random.Random, lengths, aad=None):
@@ -109,18 +114,18 @@ class TestAgainstReference:
     @given(key=KEYS, nonce=NONCES, aad=st.binary(max_size=70), plaintext=st.binary(max_size=200))
     @settings(max_examples=40, deadline=None)
     def test_gcm_encrypt_decrypt(self, key, nonce, aad, plaintext):
-        sealed = AesGcm(key).encrypt(nonce, plaintext, aad)
-        assert sealed == ref.ReferenceAesGcm(key).encrypt(nonce, plaintext, aad)
-        assert AesGcm(key).decrypt(nonce, sealed, aad) == plaintext
-        assert ref.ReferenceAesGcm(key).decrypt(nonce, sealed, aad) == plaintext
+        sealed = _seal_one(key, nonce, plaintext, aad)
+        assert sealed == nonce + ref.ReferenceAesGcm(key).encrypt(nonce, plaintext, aad)
+        assert ae_decrypt(key, sealed, aad) == plaintext
+        assert ref.ReferenceAesGcm(key).decrypt(nonce, sealed[12:], aad) == plaintext
 
     @given(key=KEYS, nonce=NONCES, plaintext=st.binary(min_size=1, max_size=64), bit=st.integers(0, 7))
     @settings(max_examples=20, deadline=None)
     def test_both_reject_the_same_tampering(self, key, nonce, plaintext, bit):
-        sealed = bytearray(AesGcm(key).encrypt(nonce, plaintext))
+        sealed = bytearray(_seal_one(key, nonce, plaintext)[12:])
         sealed[len(sealed) // 2] ^= 1 << bit
         with pytest.raises(AuthenticationError):
-            AesGcm(key).decrypt(nonce, bytes(sealed))
+            ae_decrypt(key, nonce + bytes(sealed))
         with pytest.raises(AuthenticationError):
             ref.ReferenceAesGcm(key).decrypt(nonce, bytes(sealed))
 
@@ -186,7 +191,7 @@ class TestByteSlicedKernel:
     def test_seal_each_matches_sequential(self, lengths, seed):
         messages = _random_messages(random.Random(seed), lengths)
         sealed = seal_each(messages)
-        assert sealed == [n + AesGcm(k).encrypt(n, pt, aad) for k, n, pt, aad in messages]
+        assert sealed == [_seal_one(*message) for message in messages]
         reference = [n + ref.ReferenceAesGcm(k).encrypt(n, pt, aad) for k, n, pt, aad in messages]
         assert sealed == reference
 
@@ -219,6 +224,48 @@ class TestByteSlicedKernel:
         with pytest.raises(ValueError):
             seal_each([(bytes(16), bytes(11), b"data", b"")])
 
+    @given(
+        lengths=st.lists(st.sampled_from(AE_LENGTHS), min_size=1, max_size=24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_open_each_matches_sequential(self, lengths, seed):
+        messages = _random_messages(random.Random(seed), lengths)
+        sealed = [(key, blob, aad) for (key, _, _, aad), blob in zip(messages, seal_each(messages))]
+        opened = list(open_each(sealed))
+        assert opened == [pt for _, _, pt, _ in messages]
+        assert opened == [ae_decrypt(*message) for message in sealed]
+        assert opened == [
+            ref.ReferenceAesGcm(key).decrypt(blob[:12], blob[12:], aad) for key, blob, aad in sealed
+        ]
+
+    @pytest.mark.parametrize("length", AE_LENGTHS)
+    def test_open_each_straddles_the_cap(self, length):
+        count = 2 * MAX_LANES // ae_cost(length)[0] + 3
+        messages = _random_messages(random.Random(100 + length), [length] * count, aad=b"aad")
+        sealed = [(key, blob, aad) for (key, _, _, aad), blob in zip(messages, seal_each(messages))]
+        assert list(open_each(sealed)) == [pt for _, _, pt, _ in messages]
+
+    def test_open_each_is_lazy_and_in_order(self):
+        """The input is consumed a group at a time, and each plaintext is
+        yielded before the next group is even drawn: a consumer can bill
+        per message between yields, as it would between sequential calls."""
+        messages = _random_messages(random.Random(9), [32] * (2 * MAX_LANES), aad=b"")
+        sealed = [(key, blob, aad) for (key, _, _, aad), blob in zip(messages, seal_each(messages))]
+        drawn = []
+
+        def source():
+            for i, message in enumerate(sealed):
+                drawn.append(i)
+                yield message
+
+        opened = open_each(source())
+        assert drawn == []
+        assert next(opened) == messages[0][2]
+        per_group = MAX_LANES // ae_cost(32)[0]
+        assert drawn == list(range(per_group + 1))  # one group, and the message that closed it
+        assert list(opened) == [pt for _, _, pt, _ in messages[1:]]
+
 
 class TestStandardVectors:
     def test_fips197_a1_key_expansion(self):
@@ -246,16 +293,15 @@ class TestStandardVectors:
 
     def test_nist_case_3_four_blocks(self):
         tag = bytes.fromhex("4d5c2af327cd64a62cf35abd2ba6fab4")
-        gcm = AesGcm(self.KEY)
-        assert gcm.encrypt(self.IV, self.PLAINTEXT) == self.CIPHERTEXT + tag
-        assert gcm.decrypt(self.IV, self.CIPHERTEXT + tag) == self.PLAINTEXT
+        assert _seal_one(self.KEY, self.IV, self.PLAINTEXT) == self.IV + self.CIPHERTEXT + tag
+        assert ae_decrypt(self.KEY, self.IV + self.CIPHERTEXT + tag) == self.PLAINTEXT
 
     def test_nist_case_4_partial_block_and_unaligned_aad(self):
         aad = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
         tag = bytes.fromhex("5bc94fbc3221a5db94fae95ae7121a47")
-        gcm = AesGcm(self.KEY)
-        assert gcm.encrypt(self.IV, self.PLAINTEXT[:60], aad) == self.CIPHERTEXT[:60] + tag
-        assert gcm.decrypt(self.IV, self.CIPHERTEXT[:60] + tag, aad) == self.PLAINTEXT[:60]
+        sealed = self.IV + self.CIPHERTEXT[:60] + tag
+        assert _seal_one(self.KEY, self.IV, self.PLAINTEXT[:60], aad) == sealed
+        assert ae_decrypt(self.KEY, sealed, aad) == self.PLAINTEXT[:60]
 
     def test_reference_passes_the_same_vectors(self):
         """The reference is only worth diffing against if it is right."""
@@ -323,13 +369,13 @@ class TestMeteringInvariance:
     def test_ae_call_block_count(self):
         """Key set-up is one block (H), the tag mask one, CTR one per 16 bytes."""
         with metered() as meter:
-            AesGcm(bytes(16)).encrypt(bytes(12), bytes(33), aad=b"a")
+            _seal_one(bytes(16), bytes(12), bytes(33), aad=b"a")
         assert meter.counts["aes_block"] == 1 + 1 + 3
 
     def test_tree_walk_block_count(self):
-        """Reusing one AesGcm per path key inside a call must not change how
-        many blocks a read or delete costs: the old code rebuilt the object,
-        so the H block is charged per AE call, as before."""
+        """Opening a tree level in one cipher call must not change how many
+        blocks a read or delete costs: the H block is charged per node, as
+        one AE call per node charged it."""
         tree = SecureDeletionTree.setup(InMemoryBlockStore(), [bytes([i]) * 32 for i in range(8)])
         with metered() as meter:
             tree.read(5)
@@ -370,6 +416,41 @@ class TestMeteringInvariance:
         with metered() as meter:
             seal_each(messages)
         assert meter.counts["aes_block"] == sum(ae_cost(length)[0] for length in lengths)
+
+    def test_open_each_bills_the_sequential_sum(self):
+        rng = random.Random(4)
+        lengths = [rng.choice(AE_LENGTHS) for _ in range(3 * MAX_LANES)]
+        messages = _random_messages(rng, lengths)
+        sealed = [(key, blob, aad) for (key, _, _, aad), blob in zip(messages, seal_each(messages))]
+        with metered() as meter:
+            list(open_each(sealed))
+        assert meter.counts["aes_block"] == sum(ae_cost(length)[0] for length in lengths)
+
+    @pytest.mark.parametrize("fault", ["tag", "short"])
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    def test_open_each_refuses_mid_group_as_sequential_calls(self, fault, position):
+        """A bad message in the middle of a group: the ones before it are
+        yielded and billed in full, it is billed 2 blocks (a bad tag) or
+        nothing (too short to carry one), and nothing after it is billed —
+        what a loop of ``ae_decrypt`` leaves on the meter."""
+        messages = _random_messages(random.Random(position), [32, 0, 17, 32, 100, 16, 1, 33])
+        sealed = [(key, blob, aad) for (key, _, _, aad), blob in zip(messages, seal_each(messages))]
+        key, blob, aad = sealed[position]
+        sealed[position] = (key, blob[:20] if fault == "short" else blob[:-1] + bytes([blob[-1] ^ 1]), aad)
+
+        def outcome(opener):
+            opened = []
+            with metered() as meter:
+                with pytest.raises(AuthenticationError):
+                    for plaintext in opener(sealed):
+                        opened.append(plaintext)
+            return opened, dict(meter.counts)
+
+        batched = outcome(open_each)
+        assert batched == outcome(lambda items: (ae_decrypt(*item) for item in items))
+        assert batched[0] == [pt for _, _, pt, _ in messages[:position]]
+        owed = sum(ae_cost(len(pt))[0] for _, _, pt, _ in messages[:position])
+        assert batched[1].get("aes_block", 0) == owed + (2 if fault == "tag" else 0)
 
 
 def _derived_material(key: bytes):
@@ -501,6 +582,48 @@ class TestForwardSecrecy:
             leaked = _reachable_values(vars(module)) & forbidden
             assert not leaked, f"{module.__name__} still holds deleted key material"
 
+    def test_a_level_batched_walk_refused_mid_level_leaves_no_key_behind(self):
+        """A walk down four-wide levels, refused at the third node of the
+        fifth level: the keys opened above and beside it — held by the
+        walk's frames while the level's call ran — are reachable from no
+        module once the error is out."""
+        store = InMemoryBlockStore()
+        tree = SecureDeletionTree.setup(store, [bytes([i]) * 32 for i in range(64)])
+        indices = [5, 20, 40, 60]
+        opened = set().union(*(_path_keys(tree, store, index)[:-1] for index in indices))
+        bad = sorted(tree._path_addrs(index)[4] for index in indices)[2]
+        store._blocks[bad] = bytes(len(store._blocks[bad]))
+        with pytest.raises(AuthenticationError):
+            tree.walk(indices)
+        gc.collect()
+        forbidden = set().union(*(_derived_material(k) for k in opened))
+        for module in GUARDED_MODULES:
+            leaked = _reachable_values(vars(module)) & forbidden
+            assert not leaked, f"{module.__name__} still holds opened key material"
+
+    def test_open_each_refused_mid_group_leaves_no_key_behind(self):
+        """Six key-carrying messages in one group, the fourth with a bad
+        tag: neither a message key's round keys or H table nor an opened
+        payload key outlives the refused call in any module."""
+        rng = random.Random(29)
+        messages = [(rng.randbytes(16), rng.randbytes(12), rng.randbytes(32), b"node") for _ in range(6)]
+        sealed = [(key, blob, aad) for (key, _, _, aad), blob in zip(messages, seal_each(messages))]
+        key, blob, aad = sealed[3]
+        sealed[3] = (key, blob[:-1] + bytes([blob[-1] ^ 1]), aad)
+        opened = open_each(sealed)
+        payloads = [next(opened) for _ in range(3)]
+        with pytest.raises(AuthenticationError):
+            next(opened)
+        del opened
+        gc.collect()
+        dead = {k for k, _, _, _ in messages}
+        dead.update(p[:16] for p in payloads)
+        dead.update(p[16:] for p in payloads)
+        forbidden = set().union(*(_derived_material(k) for k in dead))
+        for module in GUARDED_MODULES:
+            leaked = _reachable_values(vars(module)) & forbidden
+            assert not leaked, f"{module.__name__} still holds opened key material"
+
     def test_kernel_constants_fixed_and_small(self):
         """The byte-sliced kernel's masks are built once at import for the
         widest call: a few KB of key-independent ints.  Calls of every
@@ -536,7 +659,7 @@ class TestForwardSecrecy:
             "module dict": {"_CACHE": {key: schedule}},
             "closure": {"f": (lambda k=key: k)},
             "object": {"_LAST": schedule},
-            "gcm object": {"_LAST": AesGcm(key)},
+            "gcm streams": {"_LAST": gcm_module._key_streams([(schedule, bytes(12), 0)])},
         }
         for label, namespace in planted.items():
             assert _reachable_values(namespace) & material, label
@@ -563,4 +686,6 @@ class TestForwardSecrecy:
         assert not hasattr(aes_module, "_T0") and not hasattr(aes_module, "_build_round_tables")
         assert not hasattr(gcm_module, "_ghash_key_tables")
         assert list(inspect.signature(Aes128.__init__).parameters) == ["self", "key"]
-        assert list(inspect.signature(AesGcm.__init__).parameters) == ["self", "key"]
+        # One AE spelling: seal_each / open_each, ae_encrypt / ae_decrypt
+        # their one-message case; no AE object and no per-node opener.
+        assert not hasattr(gcm_module, "AesGcm") and not hasattr(securedel_module, "_open")
