@@ -155,7 +155,7 @@ FIELD_OP_BATCH = 1000  # field operations per timed call (swamps the call itself
 def _naive_ecdsa_verify_loop(scheme_publics, message, aggregate):
     """The pre-fast-path ``verify_aggregate``: one naive verification per
     signature — two uncached scalar mults and one field inversion each."""
-    from repro.crypto.ec import P256, _jac_add, _jac_mult, _jac_to_affine
+    from repro.crypto.ec import P256, _jac_add, _jac_mult, _jac_to_affine_batch
     from repro.crypto.hashing import sha256
 
     n = P256.n
@@ -168,7 +168,7 @@ def _naive_ecdsa_verify_loop(scheme_publics, message, aggregate):
             _jac_mult(P256.generator._jac(), (z * w) % n),
             _jac_mult(public._jac(), (r * w) % n),
         )
-        affine = _jac_to_affine(pt)
+        (affine,) = _jac_to_affine_batch([pt])
         if affine is None or affine[0] % n != r:
             return False
     return True

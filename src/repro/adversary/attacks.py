@@ -9,7 +9,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.lhe import LheCiphertext, LocationHidingEncryption, parse_share_plaintext
+from repro.core.lhe import SHARE_PLAINTEXT, LheCiphertext, LocationHidingEncryption
 from repro.crypto.bfe import BloomFilterEncryption, PuncturedKeyError
 from repro.crypto.gcm import AuthenticationError
 from repro.crypto.shamir import Share
@@ -84,8 +84,7 @@ def decrypt_with_stolen_secrets(
         except (PuncturedKeyError, AuthenticationError):
             shares.append(None)
             continue
-        _, share = parse_share_plaintext(plaintext)
-        shares.append(share)
+        shares.append(SHARE_PLAINTEXT.decode(plaintext)[1])
     try:
         return lhe.reconstruct(ciphertext, shares, context)
     except Exception:

@@ -34,13 +34,14 @@ import secrets
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.core.codec import WireFormatError
 from repro.core.lhe import BfePke, LheCiphertext, LheError, LocationHidingEncryption
 from repro.core.params import SystemParams
 from repro.crypto.commit import commit_recovery
 from repro.crypto.ec import ECKeyPair, P256
 from repro.crypto.elgamal import ElGamalCiphertext, HashedElGamal
 from repro.crypto.gcm import AuthenticationError, ae_decrypt, ae_encrypt
-from repro.crypto.shamir import Share
+from repro.crypto.shamir import SHARE, Share
 from repro.hsm.device import (
     DecryptShareRequest,
     HsmRefusedError,
@@ -349,14 +350,14 @@ class Client:
         share drawn (the caller holds the meter)."""
         context = b"recovery-reply" + username.encode("utf-8")
         for blob in encrypted_replies:
-            # A reply that was corrupted in transit or escrow decodes or
-            # authenticates badly here; it counts as a ⊥ share (like a
-            # refusing HSM) rather than aborting the whole recovery — the
-            # remaining shares may still reach the threshold.
+            # A reply corrupted in transit or escrow, or whose authentic
+            # plaintext is not a share, counts as a ⊥ share (like a refusing
+            # HSM) rather than aborting the whole recovery — the remaining
+            # shares may still reach the threshold.
             try:
                 reply = ElGamalCiphertext.from_bytes(blob)
-                share = Share.from_bytes(HashedElGamal.decrypt(secret, reply, context=context))
-            except (AuthenticationError, ValueError):
+                share = SHARE.decode(HashedElGamal.decrypt(secret, reply, context=context))
+            except (AuthenticationError, ValueError, WireFormatError):
                 continue
             yield share
 

@@ -4,8 +4,10 @@ A :class:`Codec` holds the two directions of one format together —
 ``encode(value) -> bytes`` and ``read(reader) -> value`` — so a layout is
 one expression and its encoder and decoder cannot drift apart.
 ``core/wire.py`` (what is sent) and ``storage/journal.py`` (what is kept)
-build every message and record from the six primitives and the combinators
-below; nothing else in those modules packs or unpacks a field.
+build every message and record from the primitives and the combinators
+below; nothing else in those modules packs or unpacks a field.  Neither
+do the crypto layouts (``commit.OPENING``, ``merkle.MERKLE_PROOF``,
+``shamir.SHARE``, ``lhe.SHARE_PLAINTEXT``), which are codec values too.
 
 The strictness contract, stated once for every format built here: input
 arrives from untrusted parties, so a decoder either returns a value whose
@@ -16,8 +18,9 @@ count, or a field its type's constructor rejects (``ValueError`` becomes
 exception.  Encoders raise it for values the format cannot carry.
 
 Integers are big-endian and fixed-width, a blob is a ``u32`` length and
-the bytes, text is a UTF-8 blob, a sequence is a ``u32`` count and the
-items.  Journal replay decodes thousands of records per restart, so the
+the bytes, text is a UTF-8 blob (``TEXT16``: behind a ``u16``), a sequence
+is a ``u32`` (or ``count``) count and the items, ``fixed(n)`` is n bytes.
+Journal replay decodes thousands of records per restart, so the
 primitives read straight off the :class:`Reader` (``BLOB.read is
 Reader.blob``, integers are ``int.from_bytes(reader.take(n))``) and
 ``seq`` / ``tuple_of`` / ``converted`` bind their parts' ``encode`` /
@@ -98,28 +101,42 @@ def _integer(name: str, size: int, signed: bool = False) -> Codec:
 
 
 U8 = _integer("u8", 1)
+U16 = _integer("u16", 2)
 U32 = _integer("u32", 4)
 I32 = _integer("i32", 4, signed=True)
 U64 = _integer("u64", 8)
+U256 = _integer("u256", 32)
 BLOB = Codec(lambda data: U32.encode(len(data)) + data, Reader.blob)
 TEXT = Codec(lambda text: BLOB.encode(text.encode("utf-8")), Reader.text)
 
 
-def seq(item: Codec, build: type = list, limit: int = (1 << 32) - 1, what: str = "item") -> Codec:
-    """A ``u32`` count and that many ``item``\\ s, decoded into ``build``
+def fixed(size: int, what: str = "field") -> Codec:
+    """Exactly ``size`` bytes with no length (a digest); other lengths are unencodable."""
+
+    def encode(data: bytes) -> bytes:
+        if len(data) != size:
+            raise WireFormatError(f"{what} must be {size} bytes, got {len(data)}")
+        return data
+
+    return Codec(encode, lambda reader: reader.take(size))
+
+
+def seq(item: Codec, build: type = list, limit: int = (1 << 32) - 1, what: str = "item",
+        count: Codec = U32) -> Codec:
+    """A ``count`` (a ``u32``) and that many ``item``\\ s, decoded into ``build``
     (``list`` or ``tuple``).  ``limit`` is the plausibility bound: far above
     any honest count, low enough that a hostile prefix is refused outright."""
-    encode_item, read_item, read_count = item.encode, item.read, U32.read
+    (encode_item, read_item), (encode_count, read_count) = item, count
 
     def read(reader: Reader):
-        count = read_count(reader)
-        if count > limit:
+        found = read_count(reader)
+        if found > limit:
             raise WireFormatError(f"implausible {what} count")
-        values = [read_item(reader) for _ in range(count)]
+        values = [read_item(reader) for _ in range(found)]
         return values if build is list else build(values)
 
     return Codec(
-        lambda values: U32.encode(len(values)) + b"".join(map(encode_item, values)), read
+        lambda values: encode_count(len(values)) + b"".join(map(encode_item, values)), read
     )
 
 
@@ -152,6 +169,13 @@ def converted(item: Codec, to_wire: Callable, from_wire: Callable) -> Codec:
             raise WireFormatError(str(exc)) from exc
 
     return Codec(lambda value: encode_item(to_wire(value)), read)
+
+
+#: UTF-8 text behind a ``u16`` length (the username in the crypto layouts).
+TEXT16 = converted(
+    Codec(lambda data: U16.encode(len(data)) + data, lambda reader: reader.take(U16.read(reader))),
+    str.encode, bytes.decode,
+)
 
 
 def nested(item: Codec) -> Codec:

@@ -38,12 +38,13 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.codec import TEXT16, tuple_of
 from repro.crypto.bfe import BfeCiphertext, BfePublicKey, BfeSecretKey, BloomFilterEncryption
 from repro.crypto.ec import ECPoint
 from repro.crypto.elgamal import ElGamalCiphertext, HashedElGamal
 from repro.crypto.gcm import AuthenticationError, ae_decrypt, ae_encrypt
 from repro.crypto.hashing import hash_to_indices, sha256
-from repro.crypto.shamir import Share, ShamirSharer
+from repro.crypto.shamir import SHARE, Share, ShamirSharer
 
 TRANSPORT_KEY_LEN = 16
 SALT_LEN = 16
@@ -146,16 +147,9 @@ class LheCiphertext:
         return total
 
 
-def _share_plaintext(username: str, share: Share) -> bytes:
-    """The paper prepends the username to each share before encryption."""
-    user = username.encode("utf-8")
-    return len(user).to_bytes(2, "big") + user + share.to_bytes()
-
-
-def parse_share_plaintext(plaintext: bytes) -> Tuple[str, Share]:
-    ulen = int.from_bytes(plaintext[:2], "big")
-    username = plaintext[2 : 2 + ulen].decode("utf-8")
-    return username, Share.from_bytes(plaintext[2 + ulen :])
+#: What each share ciphertext encrypts: the paper prepends the username to
+#: the share.  The HSM reads it through this codec before it punctures.
+SHARE_PLAINTEXT = tuple_of(TEXT16, SHARE)
 
 
 def lhe_context(username: str, salt: bytes, cluster_key_digest: bytes) -> bytes:
@@ -221,11 +215,10 @@ class LocationHidingEncryption:
         # so recovering any of them revokes the whole series (§8).
         series_tag = sha256(b"safetypin-series", username.encode("utf-8"), salt)
 
-        share_cts = []
-        for share, pk in zip(shares, cluster_pks):
-            share_cts.append(
-                self.pke.encrypt(pk, _share_plaintext(username, share), context, tag=series_tag)
-            )
+        share_cts = [
+            self.pke.encrypt(pk, SHARE_PLAINTEXT.encode((username, share)), context, tag=series_tag)
+            for share, pk in zip(shares, cluster_pks)
+        ]
         payload = ae_encrypt(transport_key, message, aad=context)
         return LheCiphertext(
             salt=salt,
@@ -263,7 +256,7 @@ class LocationHidingEncryption:
         plaintext = self.pke.decrypt(
             secret, ciphertext.share_ciphertexts[position], context
         )
-        username, share = parse_share_plaintext(plaintext)
+        username, share = SHARE_PLAINTEXT.decode(plaintext)
         if username != ciphertext.username:
             raise LheError("share is bound to a different username")
         return share

@@ -7,7 +7,10 @@ deployment.  Each message is one :class:`~repro.core.codec.Codec` value
 below, built from the primitives and combinators of ``repro.core.codec``,
 so its encoder and decoder are one expression; the public ``encode_*`` /
 ``decode_*`` names are those values' two directions.  Formats carry an
-explicit version byte so they can evolve.
+explicit version byte so they can evolve.  The crypto layouts a message
+carries are codec values declared beside their types (``commit.OPENING``,
+``merkle.MERKLE_PROOF``) and travel ``nested``; only the two point
+encodings keep their own ``to_bytes`` / ``from_bytes`` (:func:`_as_blob`).
 
 All decoders are *strict* — the contract is stated once, in
 ``repro.core.codec``: trailing bytes, truncation, bad versions, unknown
@@ -26,10 +29,10 @@ from repro.core.codec import (
 )
 from repro.core.lhe import LheCiphertext
 from repro.crypto.bfe import BfeCiphertext
-from repro.crypto.commit import CommitmentOpening
+from repro.crypto.commit import OPENING
 from repro.crypto.ec import ECPoint
 from repro.crypto.elgamal import ElGamalCiphertext
-from repro.crypto.merkle import MerkleProof
+from repro.crypto.merkle import MERKLE_PROOF
 from repro.hsm.device import DecryptShareRequest
 from repro.log.authdict import InclusionProof, PathStep
 from repro.log.sharded import ShardedInclusionProof
@@ -43,22 +46,10 @@ def _versioned(body: Codec) -> Codec:
 
 
 def _as_blob(cls: type) -> Codec:
-    """A crypto type keeps its own ``to_bytes`` / ``from_bytes`` and travels
-    as a blob.  Some of those parsers tolerate what their serializer never
-    writes (bytes after a :class:`CommitmentOpening`, Merkle-path flag bytes
-    other than 0/1), so the value must re-encode to exactly the blob
-    received — or one message would have two byte strings."""
-
-    def parse(data: bytes):
-        try:
-            value = cls.from_bytes(data)
-        except IndexError as exc:  # a parser that ran off the end of its input
-            raise WireFormatError(f"truncated {cls.__name__} encoding") from exc
-        if value.to_bytes() != data:
-            raise WireFormatError(f"non-canonical {cls.__name__} encoding")
-        return value
-
-    return converted(BLOB, cls.to_bytes, parse)
+    """A point encoding — ``ECPoint``, or ``ElGamalCiphertext`` = point ‖
+    body — keeps its own strict ``to_bytes`` / ``from_bytes`` (point math,
+    not a layout) and travels as a blob."""
+    return converted(BLOB, cls.to_bytes, cls.from_bytes)
 
 
 _POINT = _as_blob(ECPoint)
@@ -164,7 +155,7 @@ INCLUSION_PROOF = union(
     (PROOF_PLAIN, InclusionProof, _PLAIN_PROOF),
     (PROOF_SHARDED, ShardedInclusionProof, record(
         _sharded_proof, shard=U32, num_shards=U32, shard_digest=BLOB,
-        shard_path=_as_blob(MerkleProof), inclusion=_PLAIN_PROOF,
+        shard_path=nested(MERKLE_PROOF), inclusion=_PLAIN_PROOF,
     )),
 )
 encode_inclusion_proof = INCLUSION_PROOF.encode
@@ -176,7 +167,7 @@ decode_inclusion_proof = INCLUSION_PROOF.decode
 # ---------------------------------------------------------------------------
 DECRYPT_REQUEST = _versioned(record(
     DecryptShareRequest, username=TEXT, log_identifier=BLOB, commitment=BLOB,
-    opening=_as_blob(CommitmentOpening), inclusion_proof=nested(INCLUSION_PROOF),
+    opening=nested(OPENING), inclusion_proof=nested(INCLUSION_PROOF),
     share_ciphertext=nested(BFE_CIPHERTEXT), context=BLOB, response_key=_POINT,
 ))
 encode_decrypt_request = DECRYPT_REQUEST.encode

@@ -5,7 +5,8 @@ chosen cluster, its recovery ciphertext) and logs the commitment ``h``
 (Section 4.2).  Each contacted HSM later receives the *opening* and checks
 that (a) the commitment matches the logged value and (b) the HSM itself is a
 member of the committed cluster.  The commitment is binding and hiding in the
-random-oracle model (SHA-256 with 32 bytes of randomness).
+random-oracle model (SHA-256 with 32 bytes of randomness).  The opening's
+byte layout is one codec value, :data:`OPENING`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import secrets
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+from repro.core.codec import TEXT16, U16, U32, fixed, record, seq
 from repro.crypto.hashing import constant_time_equal, sha256
 
 
@@ -31,44 +33,22 @@ class CommitmentOpening:
             self.username, self.cluster, self.ciphertext_hash, self.randomness
         )
 
-    def to_bytes(self) -> bytes:
-        user = self.username.encode("utf-8")
-        out = [
-            len(user).to_bytes(2, "big"),
-            user,
-            len(self.cluster).to_bytes(2, "big"),
-        ]
-        out.extend(i.to_bytes(4, "big") for i in self.cluster)
-        out.append(self.ciphertext_hash)
-        out.append(self.randomness)
-        return b"".join(out)
 
-    @staticmethod
-    def from_bytes(data: bytes) -> "CommitmentOpening":
-        ulen = int.from_bytes(data[:2], "big")
-        username = data[2 : 2 + ulen].decode("utf-8")
-        off = 2 + ulen
-        clen = int.from_bytes(data[off : off + 2], "big")
-        off += 2
-        cluster = tuple(
-            int.from_bytes(data[off + 4 * i : off + 4 * i + 4], "big") for i in range(clen)
-        )
-        off += 4 * clen
-        ciphertext_hash = data[off : off + 32]
-        randomness = data[off + 32 : off + 64]
-        if len(randomness) != 32:
-            raise ValueError("truncated commitment opening")
-        return CommitmentOpening(username, cluster, ciphertext_hash, randomness)
+#: An opening's bytes: the username behind a ``u16`` length, a ``u16``
+#: count of ``u32`` cluster indices, the ciphertext hash, the randomness.
+OPENING = record(
+    CommitmentOpening, username=TEXT16, cluster=seq(U32, tuple, what="cluster", count=U16),
+    ciphertext_hash=fixed(32, "ciphertext hash"), randomness=fixed(32, "randomness"),
+)
 
 
 def _commit_digest(
     username: str, cluster: Sequence[int], ciphertext_hash: bytes, randomness: bytes
 ) -> bytes:
-    cluster_bytes = b"".join(i.to_bytes(4, "big") for i in cluster)
     return sha256(
         b"safetypin-recovery-commitment",
         username.encode("utf-8"),
-        cluster_bytes,
+        b"".join(map(U32.encode, cluster)),
         ciphertext_hash,
         randomness,
     )

@@ -144,42 +144,6 @@ def _jac_add(p1: _JPoint, p2: _JPoint) -> _JPoint:
     return nx, ny, nz
 
 
-def _jac_add_affine(p1: _JPoint, x2: int, y2: int) -> _JPoint:
-    """Mixed addition: ``p1 + (x2, y2, 1)``.
-
-    Table entries on the fast paths are pre-normalized to affine (Z = 1),
-    which removes four field multiplications per addition versus the general
-    Jacobian formula.
-    """
-    x1, y1, z1 = p1
-    if z1 == 0:
-        return (x2, y2, 1)
-    z1sq = (z1 * z1) % P
-    u2 = (x2 * z1sq) % P
-    s2 = (y2 * z1sq * z1) % P
-    if x1 == u2:
-        if y1 != s2:
-            return _INFINITY
-        return _jac_double(p1)
-    h = (u2 - x1) % P
-    r = (s2 - y1) % P
-    hsq = (h * h) % P
-    hcu = (hsq * h) % P
-    nx = (r * r - hcu - 2 * x1 * hsq) % P
-    ny = (r * (x1 * hsq - nx) - y1 * hcu) % P
-    nz = (h * z1) % P
-    return nx, ny, nz
-
-
-def _jac_to_affine(pt: _JPoint) -> Optional[_Affine]:
-    x, y, z = pt
-    if z == 0:
-        return None
-    zinv = pow(z, -1, P)
-    zinv2 = (zinv * zinv) % P
-    return (x * zinv2) % P, (y * zinv2 * zinv) % P
-
-
 def _jac_to_affine_batch(points: Sequence[_JPoint]) -> List[Optional[_Affine]]:
     """Normalize many Jacobian points with ONE field inversion.
 
@@ -218,8 +182,9 @@ def _add_each(
     Infinity is ``None``.  A lane with an infinity on either side is read
     off (``∞ + Q = Q``) and the others ride the batch.  A pair of inverse
     points is the one zero denominator: it sends the whole batch down the
-    general formulas, one inversion per lane, and cannot occur in a comb
-    (see :func:`_build_comb`, :func:`generator_mult_each`).
+    general formulas, normalized together by :func:`_jac_to_affine_batch`,
+    and cannot occur in a comb (see :func:`_build_comb`,
+    :func:`generator_mult_each`).
     """
     p = P
     if None in lefts or None in rights:
@@ -243,10 +208,10 @@ def _add_each(
     try:
         inverses = batch_inverse_mod([denominator for _, denominator in slopes], p)
     except ZeroDivisionError:
-        return [
-            _jac_to_affine(_jac_add((*left, 1), (*right, 1)))  # type: ignore[misc]
+        return _jac_to_affine_batch([
+            _jac_add((*left, 1), (*right, 1))  # type: ignore[misc]
             for left, right in zip(lefts, rights)
-        ]
+        ])
     sums = []
     for (x1, y1), (x2, _), (numerator, _), inverse in zip(lefts, rights, slopes, inverses):  # type: ignore[misc]
         slope = numerator * inverse % p
@@ -297,8 +262,8 @@ def _chain(columns: Sequence[Sequence[_Affine]]) -> _JPoint:
     a = −3 doubling and the mixed addition are written out on local
     integers, so a step costs no call and no tuple.  An addition that meets
     the accumulator's own x-coordinate — the column holds the accumulator
-    or its negation — is handed to :func:`_jac_add_affine`, which doubles
-    or returns infinity; an accumulator at infinity (leading empty columns,
+    or its negation — is handed to :func:`_jac_add`, which doubles or
+    returns infinity; an accumulator at infinity (leading empty columns,
     or just after such a cancellation) skips its doubling and restarts from
     the next point.
     """
@@ -321,7 +286,7 @@ def _chain(columns: Sequence[Sequence[_Affine]]) -> _JPoint:
             zsq = z * z % p
             h = (x2 * zsq - x) % p
             if not h:
-                x, y, z = _jac_add_affine((x, y, z), x2, y2)
+                x, y, z = _jac_add((x, y, z), (x2, y2, 1))
                 continue
             r = (y2 * zsq % p * z - y) % p
             hsq = h * h % p
@@ -616,8 +581,9 @@ class ECPoint:
 
     @staticmethod
     def _from_jac(pt: _JPoint) -> "ECPoint":
-        return ECPoint._from_affine(_jac_to_affine(pt))
+        return ECPoint._from_affine(_jac_to_affine_batch([pt])[0])
 
+    # lint: unmetered[a point addition is not a priced op; it reaches the engines only through the shared normalization, _jac_to_affine_batch]
     def __add__(self, other: "ECPoint") -> "ECPoint":
         return ECPoint._from_jac(_jac_add(self._jac(), other._jac()))
 
@@ -821,17 +787,6 @@ class _Curve:
     def keygen(self, rng=None) -> "ECKeyPair":
         sk = self.random_scalar(rng)
         return ECKeyPair(secret=sk, public=self.generator * sk)
-
-    def hash_to_point(self, data: bytes) -> ECPoint:
-        """Try-and-increment hash onto the curve (used for commitments)."""
-        counter = 0
-        while True:
-            digest = sha256(b"p256-h2c", data, counter.to_bytes(4, "big"))
-            candidate = b"\x02" + digest
-            try:
-                return ECPoint.from_bytes(candidate)
-            except ValueError:
-                counter += 1
 
     # -- ECDSA ----------------------------------------------------------------
     def ecdsa_sign(self, secret: int, message: bytes) -> Tuple[int, int]:

@@ -82,19 +82,5 @@ def hash_to_indices(salt: bytes, pin: str, total: int, count: int) -> List[int]:
     return indices
 
 
-def hash_to_int(data: bytes, modulus: int) -> int:
-    """Map arbitrary bytes to a uniform integer in [0, modulus)."""
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    # 64 extra bits of slack make the modular bias negligible (< 2^-64).
-    need = (modulus.bit_length() + 64 + 7) // 8
-    out = b""
-    counter = 0
-    while len(out) < need:
-        out += sha256(b"hash-to-int", data, counter.to_bytes(4, "big"))
-        counter += 1
-    return int.from_bytes(out[:need], "big") % modulus
-
-
 def constant_time_equal(a: bytes, b: bytes) -> bool:
     return _hmac.compare_digest(a, b)

@@ -12,7 +12,9 @@ SafetyPin uses Merkle commitments in three places:
 
 This module provides a batch-built binary Merkle tree with inclusion proofs.
 Leaves are arbitrary byte strings; leaf and node hashing is domain-separated
-to rule out second-preimage-by-reinterpretation attacks.
+to rule out second-preimage-by-reinterpretation attacks.  A proof's byte
+layout (it travels inside a sharded inclusion proof) is one codec value,
+:data:`MERKLE_PROOF`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from repro.core.codec import U64, converted, fixed, record, seq, tagged
 from repro.crypto.hashing import sha256
 
 _LEAF_TAG = b"\x00merkle-leaf"
@@ -45,27 +48,14 @@ class MerkleProof:
     index: int
     path: Tuple[Tuple[bytes, bool], ...]
 
-    def to_bytes(self) -> bytes:
-        out = [self.index.to_bytes(8, "big"), len(self.path).to_bytes(4, "big")]
-        for sibling, is_left in self.path:
-            out.append(b"\x01" if is_left else b"\x00")
-            out.append(sibling)
-        return b"".join(out)
 
-    @staticmethod
-    def from_bytes(data: bytes) -> "MerkleProof":
-        index = int.from_bytes(data[:8], "big")
-        count = int.from_bytes(data[8:12], "big")
-        path = []
-        offset = 12
-        for _ in range(count):
-            is_left = data[offset] == 1
-            sibling = data[offset + 1 : offset + 33]
-            if len(sibling) != 32:
-                raise ValueError("truncated Merkle proof")
-            path.append((sibling, is_left))
-            offset += 33
-        return MerkleProof(index=index, path=tuple(path))
+#: A proof's bytes: the ``u64`` index, then a ``u32`` count of steps, each
+#: a flag byte (1 = the sibling is on the left) and the 32-byte sibling.
+MERKLE_PROOF = record(MerkleProof, index=U64, path=seq(converted(
+    tagged("Merkle path flag", dict.fromkeys((0, 1), fixed(32, "Merkle sibling"))),
+    lambda step: (bool(step[1]), step[0]),
+    lambda pair: (pair[1], pair[0] == 1),
+), tuple, what="Merkle path step"))
 
 
 class MerkleTree:

@@ -14,7 +14,9 @@ majority vote over the attached message ciphertexts.
 Shares, coefficients and secrets are plain ints mod p; the polynomial and
 the Lagrange weights are :mod:`repro.crypto.field`'s helpers, the same ones
 :mod:`repro.crypto.threshold` recombines with, so reconstructing a share
-set costs a single ``pow(x, -1, p)`` regardless of the threshold.
+set costs a single ``pow(x, -1, p)`` regardless of the threshold.  A
+share's byte layout (the plaintext an HSM replies with) is one codec value,
+:data:`SHARE`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import secrets as _secrets
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
+from repro.core.codec import U32, U256, record
 from repro.crypto.field import eval_poly, lagrange_at_zero, random_element
 
 # The P-256 group order: a convenient ~256-bit prime field.
@@ -36,17 +39,9 @@ class Share:
     x: int
     y: int
 
-    def to_bytes(self, byte_length: int = 32) -> bytes:
-        return self.x.to_bytes(4, "big") + self.y.to_bytes(byte_length, "big")
 
-    @staticmethod
-    def from_bytes(data: bytes, byte_length: int = 32) -> "Share":
-        if len(data) != 4 + byte_length:
-            raise ValueError("malformed share encoding")
-        return Share(
-            x=int.from_bytes(data[:4], "big"),
-            y=int.from_bytes(data[4:], "big"),
-        )
+#: A share's bytes: ``x`` as a ``u32``, then ``y`` in 32 bytes.
+SHARE = record(Share, x=U32, y=U256)
 
 
 class ShamirSharer:

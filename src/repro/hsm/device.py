@@ -39,11 +39,14 @@ from repro.crypto.bfe import (
 )
 from repro.crypto.bloom import BloomParams
 from repro.crypto.commit import CommitmentOpening, verify_opening
+from repro.core.codec import WireFormatError
 from repro.core.identifiers import parse_attempt_identifier
+from repro.core.lhe import SHARE_PLAINTEXT
 from repro.crypto.ec import ECPoint
 from repro.crypto.elgamal import ElGamalCiphertext, HashedElGamal
 from repro.crypto.gcm import AuthenticationError
 from repro.crypto.merkle import MerkleTree
+from repro.crypto.shamir import SHARE
 from repro.log.authdict import InclusionProof, empty_digest, verify_extension, verify_includes
 from repro.log.distributed import (
     LogConfig,
@@ -519,19 +522,20 @@ class HsmDevice:
                     f"HSM {self.index}: response key is the identity point"
                 )
             # (4)+(5) decrypt-and-puncture on one walk of the key tree: the
-            # plaintext must be bound to the user before anything is deleted,
+            # plaintext must be this user's share before anything is deleted,
             # and the key is punctured (forward security) before the reply.
-            username_bytes = request.username.encode("utf-8")
-            prefix = len(username_bytes).to_bytes(2, "big") + username_bytes
+            opened = []  # the (username, share) the accept check read
 
             def bound_to_user(plaintext: bytes) -> None:
-                if not plaintext.startswith(prefix):
-                    raise HsmRefusedError(
-                        f"HSM {self.index}: decrypted share is bound to another user"
-                    )
+                try:
+                    opened.append(SHARE_PLAINTEXT.decode(plaintext))
+                except WireFormatError as exc:
+                    raise HsmRefusedError(f"HSM {self.index}: malformed share plaintext") from exc
+                if opened[0][0] != request.username:
+                    raise HsmRefusedError(f"HSM {self.index}: share is bound to another user")
 
             try:
-                plaintext = BloomFilterEncryption.decrypt_and_puncture(
+                BloomFilterEncryption.decrypt_and_puncture(
                     self._bfe_secret,
                     request.share_ciphertext,
                     context=request.context,
@@ -546,12 +550,11 @@ class HsmDevice:
                 raise HsmRefusedError(
                     f"HSM {self.index}: share does not decrypt under my keys"
                 ) from exc
-            share_bytes = plaintext[len(prefix):]
             # (6) reply under the client's fresh per-recovery key (§8)
             return HashedElGamal.encrypt(
                 request.response_key,
-                share_bytes,
-                context=b"recovery-reply" + username_bytes,
+                SHARE.encode(opened[0][1]),
+                context=b"recovery-reply" + request.username.encode("utf-8"),
             )
 
     # -- key rotation (§9.1) ----------------------------------------------------------

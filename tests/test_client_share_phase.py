@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.chaos.entropy import DeterministicEntropy
 from repro.core.client import Client, RecoveryError
+from repro.core.codec import WireFormatError
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.core.provider import ProviderError
@@ -24,7 +25,7 @@ from repro.crypto.bfe import PuncturedKeyError
 from repro.crypto.elgamal import ElGamalCiphertext, HashedElGamal
 from repro.crypto.gcm import AuthenticationError
 from repro.crypto.hashing import hash_to_indices
-from repro.crypto.shamir import Share
+from repro.crypto.shamir import SHARE, Share
 from repro.hsm.device import HsmRefusedError, HsmUnavailableError
 from repro.service.channel import Channel, DirectProviderChannel, direct_channels
 
@@ -356,8 +357,8 @@ def _open_all_then_reconstruct(client, session, replies):
                 ElGamalCiphertext.from_bytes(blob),
                 context=b"recovery-reply" + session.username.encode("utf-8"),
             )
-            shares.append(Share.from_bytes(share_bytes))
-        except (AuthenticationError, ValueError):
+            shares.append(SHARE.decode(share_bytes))
+        except (AuthenticationError, ValueError, WireFormatError):
             continue
     if len(shares) < client.params.threshold:
         raise RecoveryError("below the threshold")
@@ -382,16 +383,19 @@ def _corrupt(session, blob, how):
     if how == "truncated":
         return blob[: len(blob) // 2]
     # "lying": a well-formed reply, authentic under the session's reply key,
-    # that carries a share off the polynomial.
+    # that carries a share off the polynomial; "garbled": an authentic reply
+    # whose plaintext is not a share at all (one byte past its layout).
     context = b"recovery-reply" + session.username.encode("utf-8")
-    share = Share.from_bytes(
-        HashedElGamal.decrypt(
-            session.response_keypair.secret, ElGamalCiphertext.from_bytes(blob), context=context
-        )
+    share_bytes = HashedElGamal.decrypt(
+        session.response_keypair.secret, ElGamalCiphertext.from_bytes(blob), context=context
     )
-    wrong = Share(x=share.x, y=share.y ^ 1)
+    if how == "garbled":
+        plaintext = share_bytes + b"\x00"
+    else:
+        share = SHARE.decode(share_bytes)
+        plaintext = SHARE.encode(Share(x=share.x, y=share.y ^ 1))
     return HashedElGamal.encrypt(
-        session.response_keypair.public, wrong.to_bytes(), context=context
+        session.response_keypair.public, plaintext, context=context
     ).to_bytes()
 
 
@@ -432,6 +436,19 @@ class TestOpenRepliesUntilTheBackupOpens:
         assert client.finish_recovery(flipped) == b"opens at t"
         assert _elgamal_decs(client) - before == deployment.params.threshold + 1
 
+    def test_authentic_reply_that_is_not_a_share_is_a_bottom(self, escrowed):
+        """Its plaintext fails ``SHARE.decode`` with a ``WireFormatError``
+        (not a ``ValueError``): still a ⊥ share, and one more reply opens."""
+        deployment, client, session = escrowed
+        replies = list(session.encrypted_replies)
+        garbled = dataclasses.replace(
+            session,
+            encrypted_replies=[_corrupt(session, replies[0], "garbled")] + replies[1:],
+        )
+        before = _elgamal_decs(client)
+        assert client.finish_recovery(garbled) == b"opens at t"
+        assert _elgamal_decs(client) - before == deployment.params.threshold + 1
+
     @given(data=st.data())
     @settings(
         max_examples=40,
@@ -442,7 +459,7 @@ class TestOpenRepliesUntilTheBackupOpens:
         _, client, session = escrowed
         damage = data.draw(
             st.lists(
-                st.sampled_from(["intact", "flipped", "truncated", "lying"]),
+                st.sampled_from(["intact", "flipped", "truncated", "lying", "garbled"]),
                 min_size=len(session.encrypted_replies),
                 max_size=len(session.encrypted_replies),
             )

@@ -1,29 +1,38 @@
 """The codec layer: every primitive and combinator round-trips, and every
 decoder keeps the strictness contract ``repro.core.codec`` states once —
-malformed bytes raise :class:`WireFormatError` and nothing else.
+malformed bytes raise :class:`WireFormatError` and nothing else.  So do the
+four crypto layouts built from them (``OPENING``, ``MERKLE_PROOF``,
+``SHARE``, ``SHARE_PLAINTEXT``).
 
 Also here, because they are properties of codecs composed in
 ``core/wire.py``: a decrypt-share request has exactly one byte string (no
-nested blob tolerates appended bytes), and a Merkle path that runs off its
-input is a wire error, not an ``IndexError``.
+nested blob tolerates appended bytes), and an opening or a Merkle path that
+is padded, cut short, over-counted or mis-flagged is a wire error on its
+own and inside a request frame.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import wire
 from repro.core.codec import (
-    BLOB, I32, TEXT, U8, U32, U64, Reader, WireFormatError,
-    converted, mapping, nested, optional, prefixed, record, seq, tagged, tuple_of, union,
+    BLOB, I32, TEXT, TEXT16, U8, U16, U32, U64, U256, Reader, WireFormatError,
+    converted, fixed, mapping, nested, optional, prefixed, record, seq, tagged, tuple_of, union,
 )
+from repro.core.lhe import SHARE_PLAINTEXT
+from repro.crypto.commit import OPENING, CommitmentOpening
+from repro.crypto.merkle import MERKLE_PROOF, MerkleProof
+from repro.crypto.shamir import SHARE, Share
 from test_wire_properties import decrypt_requests, sharded_proofs
 
 _SETTINGS = dict(max_examples=40, deadline=None)
 
 blobs = st.binary(max_size=24)
 u32s = st.integers(min_value=0, max_value=(1 << 32) - 1)
+digests = st.binary(min_size=32, max_size=32)
+shares = st.builds(Share, x=u32s, y=st.integers(0, (1 << 256) - 1))
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,22 @@ CODECS = [
     ("tagged", tagged("case", {1: U32, 7: BLOB}),
      st.tuples(st.just(1), u32s) | st.tuples(st.just(7), blobs)),
     ("union", union("kind", (1, int, U32), (2, bytes, BLOB)), u32s | blobs),
+    ("U16", U16, st.integers(0, (1 << 16) - 1)),
+    ("U256", U256, st.integers(0, (1 << 256) - 1)),
+    ("TEXT16", TEXT16, st.text(max_size=12)),
+    ("fixed", fixed(3), st.binary(min_size=3, max_size=3)),
+    ("seq-u16-count", seq(U8, count=U16), st.lists(st.integers(0, 255), max_size=5)),
+    # The crypto layouts.
+    ("OPENING", OPENING, st.builds(
+        CommitmentOpening, username=st.text(max_size=12),
+        cluster=st.lists(u32s, max_size=5).map(tuple), ciphertext_hash=digests, randomness=digests,
+    )),
+    ("MERKLE_PROOF", MERKLE_PROOF, st.builds(
+        MerkleProof, index=st.integers(0, (1 << 64) - 1),
+        path=st.lists(st.tuples(digests, st.booleans()), max_size=3).map(tuple),
+    )),
+    ("SHARE", SHARE, shares),
+    ("SHARE_PLAINTEXT", SHARE_PLAINTEXT, st.tuples(st.text(max_size=12), shares)),
 ]
 
 
@@ -94,7 +119,7 @@ class TestPrimitives:
     @pytest.mark.parametrize(
         "codec, low, high",
         [(U8, 0, 255), (U32, 0, (1 << 32) - 1), (I32, -(1 << 31), (1 << 31) - 1),
-         (U64, 0, (1 << 64) - 1)],
+         (U64, 0, (1 << 64) - 1), (U16, 0, (1 << 16) - 1), (U256, 0, (1 << 256) - 1)],
     )
     def test_integer_range_is_enforced_on_encode(self, codec, low, high):
         assert codec.decode(codec.encode(low)) == low
@@ -109,6 +134,15 @@ class TestPrimitives:
         assert U64.encode(1 << 40) == b"\x00\x00\x01\x00\x00\x00\x00\x00"
         assert BLOB.encode(b"ab") == b"\x00\x00\x00\x02ab"
         assert TEXT.encode("é") == b"\x00\x00\x00\x02\xc3\xa9"
+        assert U16.encode(1) == b"\x00\x01"
+        assert U256.encode(1) == bytes(31) + b"\x01"
+        assert TEXT16.encode("é") == b"\x00\x02\xc3\xa9"
+        assert fixed(2).encode(b"ab") == b"ab"
+        assert seq(U8, count=U16).encode([7]) == b"\x00\x01\x07"
+
+    def test_fixed_refuses_another_length(self):
+        with pytest.raises(WireFormatError, match="digest must be 2 bytes, got 3"):
+            fixed(2, "digest").encode(b"abc")
 
     def test_invalid_utf8_is_a_wire_error(self):
         with pytest.raises(WireFormatError, match="UTF-8"):
@@ -169,8 +203,9 @@ class TestCombinators:
             number.decode(TEXT.encode("forty-two"))
 
     def test_converted_does_not_mask_a_bug_in_its_helper(self):
-        # Only ValueError is the sender's fault; wire._as_blob catches the
-        # IndexError of a crypto parser running off untrusted bytes itself.
+        # Only ValueError is the sender's fault.  Every layout reads its
+        # input through a Reader, which raises WireFormatError when it runs
+        # out, so anything else escaping a helper is a bug and surfaces.
         first_byte = converted(BLOB, lambda n: bytes([n]), lambda data: data[0])
         assert first_byte.decode(BLOB.encode(b"\x07")) == 7
         with pytest.raises(IndexError):
@@ -220,9 +255,8 @@ class TestCombinators:
 
 class TestOneByteStringPerRequest:
     """``decode(b)`` succeeding means ``encode(decode(b)) == b`` — also for
-    the blobs *inside* a decrypt-share request, whose own parsers
-    (``CommitmentOpening.from_bytes``, ``MerkleProof.from_bytes``) do not
-    check what follows the value."""
+    the blobs *inside* a decrypt-share request: each is one whole message
+    of its layout's codec (``nested``), so bytes after it are refused."""
 
     @staticmethod
     def blobs_of(request):
@@ -231,7 +265,7 @@ class TestOneByteStringPerRequest:
             request.username.encode("utf-8"),
             request.log_identifier,
             request.commitment,
-            request.opening.to_bytes(),
+            OPENING.encode(request.opening),
             wire.encode_inclusion_proof(request.inclusion_proof),
             wire.encode_bfe_ciphertext(request.share_ciphertext),
             request.context,
@@ -253,7 +287,7 @@ class TestOneByteStringPerRequest:
     def test_padded_opening_is_rejected(self, request):
         blobs = self.blobs_of(request)
         blobs[3] += b"xyz"
-        with pytest.raises(WireFormatError, match="non-canonical"):
+        with pytest.raises(WireFormatError, match="3 trailing bytes"):
             wire.decode_decrypt_request(self.frame(blobs))
 
     @given(
@@ -286,27 +320,92 @@ class TestOneByteStringPerRequest:
             wire.decode_decrypt_request(self.frame(padded))
         proof = request.inclusion_proof
         assume(hasattr(proof, "shard_path"))
-        plain = wire.encode_inclusion_proof(proof.inclusion)[1:]
         padded = list(blobs)
-        padded[4] = (
-            bytes([wire.PROOF_SHARDED]) + U32.encode(proof.shard) + U32.encode(proof.num_shards)
-            + BLOB.encode(proof.shard_digest) + BLOB.encode(proof.shard_path.to_bytes() + extra)
-            + plain
-        )
+        padded[4] = sharded_proof_bytes(proof, MERKLE_PROOF.encode(proof.shard_path) + extra)
         with pytest.raises(WireFormatError):
             wire.decode_decrypt_request(self.frame(padded))
 
     @given(proof=sharded_proofs())
     @settings(max_examples=10, deadline=None)
     def test_merkle_path_running_off_its_input_is_a_wire_error(self, proof):
-        """``MerkleProof.from_bytes`` indexes past a truncated path: at the
-        parent commit that ``IndexError`` escaped ``decode_inclusion_proof``."""
-        path = proof.shard_path.to_bytes()
-        claims_one_more = path[:8] + (len(proof.shard_path.path) + 1).to_bytes(4, "big") + path[12:]
-        frame = (
-            bytes([wire.PROOF_SHARDED]) + U32.encode(proof.shard) + U32.encode(proof.num_shards)
-            + BLOB.encode(proof.shard_digest) + BLOB.encode(claims_one_more)
-            + wire.encode_inclusion_proof(proof.inclusion)[1:]
-        )
+        """A path count one past the steps present runs off the input: a
+        wire error, never a foreign exception."""
+        claims_one_more = over_counted_path(MERKLE_PROOF.encode(proof.shard_path))
         with pytest.raises(WireFormatError):
-            wire.decode_inclusion_proof(frame)
+            wire.decode_inclusion_proof(sharded_proof_bytes(proof, claims_one_more))
+
+
+def sharded_proof_bytes(proof, path: bytes) -> bytes:
+    """``proof``'s inclusion-proof encoding with ``path`` as its Merkle-path blob."""
+    return (
+        bytes([wire.PROOF_SHARDED]) + U32.encode(proof.shard) + U32.encode(proof.num_shards)
+        + BLOB.encode(proof.shard_digest) + BLOB.encode(path)
+        + wire.encode_inclusion_proof(proof.inclusion)[1:]
+    )
+
+
+def over_counted_path(data: bytes) -> bytes:
+    """A Merkle-path encoding whose step count claims one step more."""
+    return data[:8] + U32.encode(U32.decode(data[8:12]) + 1) + data[12:]
+
+
+def over_counted_opening(data: bytes) -> bytes:
+    """An opening encoding whose cluster count (after the username) claims
+    one index more."""
+    at = 2 + U16.decode(data[:2])
+    return data[:at] + U16.encode(U16.decode(data[at:at + 2]) + 1) + data[at + 2:]
+
+
+#: Ways to break an encoding its encoder never writes (a trailing byte is
+#: ``TestOneByteStringPerRequest``'s case).
+OPENING_MANGLES = {"cut short": lambda data: data[:-1], "over-long count": over_counted_opening}
+PATH_MANGLES = {
+    "cut short": lambda data: data[:-1],
+    "over-long count": over_counted_path,
+    # the first step's flag byte, just after the index and the count
+    "flag 2": lambda data: data[:12] + b"\x02" + data[13:],
+    "flag 255": lambda data: data[:12] + b"\xff" + data[13:],
+}
+
+
+class TestCryptoLayoutsAreStrict:
+    """Each crypto layout refuses bytes its encoder never writes, on its
+    own and inside a decrypt-share request frame.  The opening and the
+    Merkle path travel in the frame in the clear; a share and its
+    plaintext travel encrypted, so the device refuses those
+    (``test_hsm_device.TestMalformedSharePlaintext``).  Truncation at every
+    cut and a trailing byte, standalone, are ``TestEveryCodec`` rows."""
+
+    @pytest.mark.parametrize("mangle", sorted(OPENING_MANGLES))
+    @given(request=decrypt_requests())
+    @settings(max_examples=10, deadline=None)
+    def test_mangled_opening_is_refused(self, mangle, request):
+        mangled = OPENING_MANGLES[mangle](OPENING.encode(request.opening))
+        with pytest.raises(WireFormatError):
+            OPENING.decode(mangled)
+        blobs = TestOneByteStringPerRequest.blobs_of(request)
+        blobs[3] = mangled
+        with pytest.raises(WireFormatError):
+            wire.decode_decrypt_request(TestOneByteStringPerRequest.frame(blobs))
+
+    @pytest.mark.parametrize("mangle", sorted(PATH_MANGLES))
+    @given(request=decrypt_requests(), proof=sharded_proofs())
+    @settings(max_examples=10, deadline=None)
+    def test_mangled_merkle_path_is_refused(self, mangle, request, proof):
+        assume(proof.shard_path.path)  # a step whose flag to break
+        mangled = PATH_MANGLES[mangle](MERKLE_PROOF.encode(proof.shard_path))
+        with pytest.raises(WireFormatError):
+            MERKLE_PROOF.decode(mangled)
+        blobs = TestOneByteStringPerRequest.blobs_of(
+            replace(request, inclusion_proof=proof)
+        )
+        blobs[4] = sharded_proof_bytes(proof, mangled)
+        with pytest.raises(WireFormatError):
+            wire.decode_decrypt_request(TestOneByteStringPerRequest.frame(blobs))
+
+    @given(username=st.text(max_size=12), share=shares)
+    @settings(**_SETTINGS)
+    def test_over_long_username_length_is_refused(self, username, share):
+        data = SHARE_PLAINTEXT.encode((username, share))
+        with pytest.raises(WireFormatError):
+            SHARE_PLAINTEXT.decode(U16.encode(U16.decode(data[:2]) + 1) + data[2:])

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.commit import CommitmentOpening, commit_recovery, verify_opening
+from repro.core.codec import WireFormatError
+from repro.crypto.commit import OPENING, CommitmentOpening, commit_recovery, verify_opening
 
 
 class TestCommitment:
@@ -42,13 +43,13 @@ class TestCommitment:
 class TestSerialization:
     def test_roundtrip(self):
         _, opening = commit_recovery("alice", (3, 1, 4, 1, 5), b"\xcc" * 32)
-        restored = CommitmentOpening.from_bytes(opening.to_bytes())
+        restored = OPENING.decode(OPENING.encode(opening))
         assert restored == opening
 
     def test_truncated_rejected(self):
         _, opening = commit_recovery("alice", (3,), b"\xcc" * 32)
-        with pytest.raises(ValueError):
-            CommitmentOpening.from_bytes(opening.to_bytes()[:-4])
+        with pytest.raises(WireFormatError):
+            OPENING.decode(OPENING.encode(opening)[:-4])
 
     @given(
         username=st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=0x2FF), max_size=30),
@@ -58,5 +59,5 @@ class TestSerialization:
     @settings(max_examples=40)
     def test_roundtrip_property(self, username, cluster, ct_hash):
         h, opening = commit_recovery(username, cluster, ct_hash)
-        restored = CommitmentOpening.from_bytes(opening.to_bytes())
+        restored = OPENING.decode(OPENING.encode(opening))
         assert verify_opening(h, restored)

@@ -124,16 +124,6 @@ class TestEcdsa:
         assert P256.ecdsa_sign(123, b"m") == P256.ecdsa_sign(123, b"m")
 
 
-class TestHashToPoint:
-    def test_on_curve_and_deterministic(self):
-        point = P256.hash_to_point(b"seed")
-        assert point == P256.hash_to_point(b"seed")
-        ECPoint(point.x, point.y)
-
-    def test_different_inputs_differ(self):
-        assert P256.hash_to_point(b"a") != P256.hash_to_point(b"b")
-
-
 class TestMetering:
     def test_scalar_mult_reports(self):
         with metered() as meter:

@@ -153,11 +153,11 @@ def reference_chain(columns):
         acc = ec_module._jac_double(acc)
         for x, y in column:
             acc = ec_module._jac_add(acc, (x, y, 1))
-    return ec_module._jac_to_affine(acc)
+    return ec_module._jac_to_affine_batch([acc])[0]
 
 
 def chain(columns):
-    return ec_module._jac_to_affine(ec_module._chain(columns))
+    return ec_module._jac_to_affine_batch([ec_module._chain(columns)])[0]
 
 
 class TestChain:

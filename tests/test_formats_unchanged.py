@@ -6,6 +6,10 @@ the parent commit (PR 19, hand-written encoders) *before any source edit* by
 running exactly this file, and are never edited: a format that moves by one
 byte moves a digest.
 
+The four crypto layouts (a commitment opening, a Merkle path, a Shamir
+share and a share plaintext) became codec values later; their standalone
+bytes below were written by the hand-written encoders they replaced.
+
 The *frames* digests are still those.  The two ``store`` digests and the
 record-kinds digest were re-captured once, at PR 23, which moved the HSMs'
 key arrays out of the WAL on purpose: a key block is no longer a kind-4
@@ -21,8 +25,12 @@ import pytest
 
 from repro.chaos.entropy import DeterministicEntropy
 from repro.core.client import RecoveryError
+from repro.core.lhe import SHARE_PLAINTEXT
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
+from repro.crypto.commit import OPENING, CommitmentOpening
+from repro.crypto.merkle import MERKLE_PROOF, MerkleProof
+from repro.crypto.shamir import DEFAULT_MODULUS, SHARE, Share
 from repro.log.distributed import CertifiedTransition
 from repro.service.channel import HsmWireEndpoint, ProviderWireEndpoint
 from repro.storage.blockstore import InMemoryBlockStore
@@ -158,3 +166,44 @@ class TestFormatsUnchanged:
         blocks = hashlib.sha256()
         _absorb_store(blocks, self.write_every_record_kind())
         assert blocks.hexdigest() == self.PARENT_RECORD_KINDS_DIGEST
+
+
+class TestCryptoLayoutsUnchanged:
+    """Each crypto layout's standalone bytes for one fixed value, as the
+    hand-written ``to_bytes`` wrote them.  The opening and the Merkle path
+    are also inside the pinned frames (the path only at shards=2); a share
+    and its plaintext cross the wire only encrypted."""
+
+    SHARE_VALUE = Share(x=7, y=DEFAULT_MODULUS - 1)
+    PINNED = {
+        "opening": (
+            OPENING,
+            CommitmentOpening("zoë", (3, 1, 4, 1, 5), b"\xcc" * 32, bytes(range(32))),
+            "00047a6fc3ab00050000000300000001000000040000000100000005"
+            + "cc" * 32 + bytes(range(32)).hex(),
+        ),
+        "merkle_proof": (
+            MERKLE_PROOF,
+            MerkleProof(
+                index=5,
+                path=((b"\x11" * 32, True), (b"\x22" * 32, False), (b"\x33" * 32, True)),
+            ),
+            "000000000000000500000003" + "01" + "11" * 32 + "00" + "22" * 32 + "01" + "33" * 32,
+        ),
+        "share": (
+            SHARE,
+            SHARE_VALUE,
+            "00000007ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632550",
+        ),
+        "share_plaintext": (
+            SHARE_PLAINTEXT,
+            ("zoë", SHARE_VALUE),
+            "00047a6fc3ab00000007ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632550",
+        ),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(PINNED))
+    def test_standalone_bytes_unchanged(self, layout):
+        codec, value, pinned = self.PINNED[layout]
+        assert codec.encode(value).hex() == pinned
+        assert codec.decode(bytes.fromhex(pinned)) == value

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.hashing import (
     constant_time_equal,
     hash_to_indices,
-    hash_to_int,
     hmac_sha256,
     kdf,
     sha256,
@@ -76,16 +75,6 @@ class TestHashToIndices:
         indices = hash_to_indices(b"s", "99", total, count)
         assert len(indices) == count
         assert all(0 <= i < total for i in indices)
-
-
-class TestHashToInt:
-    def test_range(self):
-        for m in (1, 2, 7, 1 << 64, 10**30):
-            assert 0 <= hash_to_int(b"data", m) < m
-
-    def test_invalid_modulus(self):
-        with pytest.raises(ValueError):
-            hash_to_int(b"data", 0)
 
 
 class TestHelpers:

@@ -7,7 +7,7 @@ import typing
 import pytest
 
 from repro.core.identifiers import attempt_identifier
-from repro.core.lhe import BfePke, LocationHidingEncryption
+from repro.core.lhe import SHARE_PLAINTEXT, BfePke, LocationHidingEncryption
 from repro.crypto.bfe import BfeCiphertext, BloomFilterEncryption, PuncturedKeyError
 from repro.crypto.bloom import BloomParams
 from repro.crypto.commit import commit_recovery
@@ -15,7 +15,7 @@ from repro.crypto.ec import P256, ECPoint
 from repro.crypto.elgamal import HashedElGamal
 from repro.crypto.gcm import ae_encrypt
 from repro.crypto.hashing import kdf
-from repro.crypto.shamir import Share
+from repro.crypto.shamir import SHARE, Share
 from repro.hsm.device import (
     DecryptShareRequest,
     HsmDevice,
@@ -215,7 +215,7 @@ class TestIdentityResponseKey:
             share_bytes = HashedElGamal.decrypt(
                 kp.secret, reply, context=b"recovery-reply" + username.encode()
             )
-            shares.append(Share.from_bytes(share_bytes))
+            shares.append(SHARE.decode(share_bytes))
         context = lhe.context_for(ct, fleet.master_public_key(), pin)
         assert lhe.reconstruct(ct, shares, context) == b"still recoverable"
 
@@ -244,12 +244,13 @@ class TestIdentityEphemeral:
             kdf("bfe-slot-wrap", identity.to_bytes(), honest.tag, slot.to_bytes(4, "big"))[:16]
             for slot in slots
         ]
-        prefix = len(username).to_bytes(2, "big") + username.encode()
         forged = BfeCiphertext(
             tag=honest.tag,
             ephemeral=identity,
             wrapped_keys=tuple(ae_encrypt(key, payload_key, aad=honest.tag) for key in wrap_keys),
-            payload=ae_encrypt(payload_key, prefix + bytes(36), aad=request.context),
+            payload=ae_encrypt(
+                payload_key, SHARE_PLAINTEXT.encode((username, Share(0, 0))), aad=request.context
+            ),
         )
         channels = (wire_channels if transport == "wire" else direct_channels)(fleet)
         secret = fleet[hsm_index]._bfe_secret
@@ -258,6 +259,50 @@ class TestIdentityEphemeral:
             channels(hsm_index).decrypt_share(dataclasses.replace(request, share_ciphertext=forged))
         assert (secret.tree.root_key, secret.slots_deleted, secret.punctures_done) == before
         channels(hsm_index).decrypt_share(request)  # the honest share is still there
+
+
+class TestMalformedSharePlaintext:
+    """An authentic share ciphertext for the right user whose plaintext is
+    not ``(username, share)`` — here, one byte past the share — is refused
+    by the ``accept`` check, before anything is punctured or replied: the
+    key tree and the store are untouched, and the device bills exactly what
+    a refusal for another user's share of the same length bills."""
+
+    @pytest.mark.parametrize("transport", ["direct", "wire"])
+    def test_refused_before_anything_is_punctured(self, env, transport):
+        fleet = env[0]
+        username = f"hsm-malformed-share-{transport}"
+        _, _, requests, _ = logged_request_for(env, username, "6060")
+        hsm_index, request = requests[0]
+        device = fleet[hsm_index]
+        public = device.public_info().bfe_public
+        channel = (wire_channels if transport == "wire" else direct_channels)(fleet)(hsm_index)
+        secret = device._bfe_secret
+
+        def state():
+            return (
+                secret.tree.root_key, secret.slots_deleted, secret.punctures_done,
+                dict(device._store._blocks),
+            )
+
+        def refused(plaintext: bytes, reason: str):
+            """The meter delta of a refused request carrying ``plaintext``
+            under the honest request's tag (so the same key-tree walk)."""
+            forged = BloomFilterEncryption.encrypt(
+                public, plaintext, context=request.context, tag=request.share_ciphertext.tag
+            )
+            before, counts = state(), dict(device.meter.counts)
+            with pytest.raises(HsmRefusedError, match=reason):
+                channel.decrypt_share(dataclasses.replace(request, share_ciphertext=forged))
+            assert state() == before
+            return {op: n - counts.get(op, 0) for op, n in device.meter.counts.items()}
+
+        share = Share(x=1, y=2)
+        malformed = refused(SHARE_PLAINTEXT.encode((username, share)) + b"\x00", "malformed")
+        other_user = refused(SHARE_PLAINTEXT.encode((username + "x", share)), "another user")
+        assert malformed == other_user
+        assert malformed["aes_block"] > 0 and not malformed.get("elgamal_enc")
+        channel.decrypt_share(request)  # the honest share is still there
 
 
 class TestRotation:

@@ -14,8 +14,8 @@ from repro.core.lhe import (
     LheCiphertext,
     LheError,
     LocationHidingEncryption,
+    SHARE_PLAINTEXT,
     lhe_context,
-    parse_share_plaintext,
 )
 from repro.crypto.elgamal import HashedElGamal
 
@@ -128,7 +128,7 @@ class TestBinding:
         plaintext = ElGamalPke().decrypt(
             keys[cluster[0]].secret, ct.share_ciphertexts[0], context
         )
-        username, share = parse_share_plaintext(plaintext)
+        username, share = SHARE_PLAINTEXT.decode(plaintext)
         assert username == "alice"
         assert share.x == 1
 

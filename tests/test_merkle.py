@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.merkle import IncrementalMerkleTree, MerkleProof, MerkleTree
+from repro.core.codec import WireFormatError
+from repro.crypto.merkle import MERKLE_PROOF, IncrementalMerkleTree, MerkleTree
 
 
 class TestBasics:
@@ -53,15 +54,15 @@ class TestProofSerialization:
     def test_roundtrip(self):
         tree = MerkleTree([bytes([i]) for i in range(9)])
         proof = tree.prove(5)
-        restored = MerkleProof.from_bytes(proof.to_bytes())
+        restored = MERKLE_PROOF.decode(MERKLE_PROOF.encode(proof))
         assert restored == proof
         assert MerkleTree.verify(tree.root, bytes([5]), restored)
 
     def test_truncated_rejected(self):
         tree = MerkleTree([b"a", b"b"])
-        blob = tree.prove(0).to_bytes()
-        with pytest.raises(ValueError):
-            MerkleProof.from_bytes(blob[:-5])
+        blob = MERKLE_PROOF.encode(tree.prove(0))
+        with pytest.raises(WireFormatError):
+            MERKLE_PROOF.decode(blob[:-5])
 
 
 @given(leaves=st.lists(st.binary(max_size=40), min_size=1, max_size=40), data=st.data())

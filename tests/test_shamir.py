@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.shamir import Share, ShamirSharer
+from repro.core.codec import WireFormatError
+from repro.crypto.shamir import SHARE, Share, ShamirSharer
 
 
 class TestSharing:
@@ -69,11 +70,11 @@ class TestSharing:
 class TestShareSerialization:
     def test_roundtrip(self):
         share = Share(x=7, y=123456789)
-        assert Share.from_bytes(share.to_bytes()) == share
+        assert SHARE.decode(SHARE.encode(share)) == share
 
     def test_malformed_rejected(self):
-        with pytest.raises(ValueError):
-            Share.from_bytes(b"short")
+        with pytest.raises(WireFormatError):
+            SHARE.decode(b"short")
 
 
 class TestRobustReconstruction:
