@@ -455,17 +455,11 @@ class ChaosEngine:
         fleet — separate tamper-resistant hardware — survives).  In-flight
         sessions abort via the generation bump; the full journal-replay
         invariant runs immediately after the restore."""
-        sc = self.scenario
         self.generation += 1
         fleet = self.deployment.fleet
         if isinstance(self.store, CrashingBlockStore):
             self.store = self.store.blocks  # the durable image, disarmed
-        self.deployment = Deployment.restore(
-            self.params,
-            self.store,
-            fleet,
-            shards=sc.shards if sc.shards > 1 else None,
-        )
+        self.deployment = Deployment.restore(self.params, self.store, fleet)
         self._count("crash-restores")
         self._record_violations(run_invariant_checks(
             self.deployment.provider, self.usernames, self.served,

@@ -109,11 +109,9 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     print(f"provisioning {params.num_hsms} HSMs for {args.clients} concurrent "
           f"clients (batched epochs, {args.transport} transport"
           f"{shard_note})...")
-    dep = Deployment.create(params, rng=random.Random(args.seed))
+    dep = Deployment.create(params, rng=random.Random(args.seed), shards=args.shards)
     service = dep.recovery_service(
-        shards=args.shards if args.shards > 1 else None,
-        transport=args.transport,
-        tick_interval=args.tick_interval,
+        transport=args.transport, tick_interval=args.tick_interval
     )
     clients = [service.new_client(f"load-{i}") for i in range(args.clients)]
     errors: List[str] = []
@@ -227,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadtest.add_argument(
         "--shards", type=int, default=1,
-        help="log shards / parallel epoch lanes (>1 reshards the log)",
+        help="log shards / parallel epoch lanes",
     )
     loadtest.add_argument("--seed", type=int, default=7)
     loadtest.set_defaults(func=_cmd_loadtest)

@@ -111,7 +111,6 @@ class SystemParams:
         bloom_failure_exponent: int = 4,
         audit_count: int = 3,
         quorum_fraction: float = 0.75,
-        log_shards: int = 1,
     ) -> "SystemParams":
         """Scaled-down parameters that exercise every code path quickly."""
         return SystemParams(
@@ -123,5 +122,4 @@ class SystemParams:
             bloom_failure_exponent=bloom_failure_exponent,
             audit_count=audit_count,
             quorum_fraction=quorum_fraction,
-            log_shards=log_shards,
         )

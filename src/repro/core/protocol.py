@@ -9,12 +9,13 @@ collection, fault injection).
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from typing import List, Optional
 
 from repro.core.client import Client
 from repro.core.params import SystemParams
-from repro.core.provider import ServiceProvider
+from repro.core.provider import ProviderError, ServiceProvider
 from repro.hsm.fleet import HsmFleet
 from repro.log.distributed import BlsMultiSig, EcdsaMultiSig, MultiSigScheme
 from repro.log.membership import MembershipRegistry, MembershipVerifier
@@ -63,8 +64,9 @@ class Deployment:
         pass :class:`BlsMultiSig` for the paper's aggregate signatures.
 
         ``shards`` overrides ``params.log_shards``: ``shards >= 2``
-        provisions a sharded log from genesis (devices track one digest
-        per lane; see ``repro.log.sharded``), so no migration is needed.
+        provisions a sharded log (devices track one digest per lane; see
+        ``repro.log.sharded``).  The count is fixed here, for the life of
+        the deployment: :meth:`restore` reads it back from the fleet.
 
         ``store`` opts into durability: the provider journals every escrow
         mutation and committed epoch to it, each HSM writes its key array
@@ -72,8 +74,6 @@ class Deployment:
         whole deployment from the same store after a crash.
         """
         if shards is not None:
-            import dataclasses
-
             params = dataclasses.replace(params, log_shards=shards)
         provider = ServiceProvider(params.log_config(), store=store)
         fleet = HsmFleet(
@@ -92,7 +92,6 @@ class Deployment:
         params: SystemParams,
         store: BlockStore,
         fleet: HsmFleet,
-        shards: Optional[int] = None,
     ) -> "Deployment":
         """Rebuild a crashed deployment from its durable journal.
 
@@ -107,13 +106,20 @@ class Deployment:
         epoch is atomic either way), each device is re-pointed at its
         key-array region of the store (nothing to replay: the device
         authenticates what it reads there), and the service wiring is rebuilt.
-        """
-        if shards is not None:
-            import dataclasses
 
-            params = dataclasses.replace(params, log_shards=shards)
+        The shard count is the fleet's (devices are the trusted side and
+        fixed it at provisioning); a journal that disagrees is refused with
+        :class:`ProviderError` before reconciliation writes anything.
+        """
+        num_shards = fleet.hsms[0].num_shards
+        params = dataclasses.replace(params, log_shards=num_shards)
         journal = ProviderJournal(store)
         state = journal.replay_state()
+        if state.num_shards != num_shards:
+            raise ProviderError(
+                f"journal holds {state.num_shards}-shard state but the fleet"
+                f" tracks {num_shards} shards"
+            )
         reconcile_open_intents(state, journal, fleet.hsms)
         provider = ServiceProvider.restore(params.log_config(), journal, state)
         for hsm in fleet.hsms:
@@ -154,51 +160,13 @@ class Deployment:
         self.clients.append(client)
         return client
 
-    def recovery_service(self, shards: Optional[int] = None, **kwargs) -> "object":
+    def recovery_service(self, **kwargs) -> "object":
         """A concurrent :class:`~repro.service.recovery.RecoveryService`
-        front end over this deployment (batched epochs, per-HSM queues).
-
-        ``shards`` selects how many parallel epoch lanes the service runs:
-        it must match the deployment's log sharding, and if the log is
-        still unsharded the deployment is migrated first (one-way; see
-        :meth:`reshard_log`).  Provisioning with
-        ``Deployment.create(params, shards=S)`` avoids the migration.
-        """
+        front end over this deployment (batched epochs, per-HSM queues; one
+        epoch lane per log shard)."""
         from repro.service.recovery import RecoveryService
 
-        if shards is not None:
-            current = self.provider.log.num_shards
-            if shards != current:
-                if current != 1:
-                    raise ValueError(
-                        f"log already has {current} shards; resharding is one-way"
-                    )
-                if shards > 1:
-                    self.reshard_log(shards)
         return RecoveryService(self, **kwargs)
-
-    def reshard_log(self, shards: int) -> None:
-        """Migrate the (unsharded) log onto ``shards`` parallel lanes.
-
-        One-way provisioning step: every committed entry is re-routed to
-        its hash shard and re-certified by the full fleet through genesis
-        epochs (``ShardedLog.migrate``).  The pre-migration log is archived
-        so :meth:`~repro.log.auditor.ExternalAuditor.audit_reshard` can
-        verify completeness offline.
-        """
-        from repro.log.sharded import ShardedLog
-
-        if self.provider.journal is not None:
-            raise ValueError(
-                "resharding a durable deployment is not supported: provision"
-                " the final shard count up front (Deployment.create(shards=S,"
-                " store=...))"
-            )
-        self.provider.log = ShardedLog.migrate(
-            self.provider.log, shards, self.fleet.hsms
-        )
-        # The registry writes into whatever log the provider currently runs.
-        self.membership.rebind(self.provider.log)
 
     # -- maintenance ----------------------------------------------------------------
     def run_log_update(self) -> None:

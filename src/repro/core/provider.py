@@ -275,8 +275,9 @@ class ServiceProvider:
         """Rebuild a provider from a replayed (and reconciled) journal.
 
         ``state`` must have no open intents left (run
-        :func:`repro.storage.journal.reconcile_open_intents` first).
-        Attempt counters are re-derived from the restored log entries;
+        :func:`repro.storage.journal.reconcile_open_intents` first), and
+        ``log_config`` must carry its shard count (``Deployment.restore``
+        checks the journal's against the fleet's).  Attempt counters are re-derived from the restored log entries;
         pending batches are gone by design (their sessions never received
         inclusion proofs and will re-submit).
         """
@@ -284,11 +285,6 @@ class ServiceProvider:
         if state.open_intents:
             raise ProviderError(
                 "cannot restore with unresolved epoch intents (reconcile first)"
-            )
-        if state.num_shards not in (1, config.num_shards):
-            raise ProviderError(
-                f"journal holds {state.num_shards}-shard state but the config"
-                f" says {config.num_shards} shards"
             )
         provider = cls(config)
         for shard, log in enumerate(provider.log.shards):

@@ -147,10 +147,10 @@ class HsmDevice:
                 bloom_params, self._store, rng
             )
             self._sig_keypair = multisig_scheme.keygen(rng)
-        # One digest per shard lane of the log (a 1-element list for the
-        # legacy unsharded log).  The shard count is trusted configuration:
-        # it is bound into every signed transition, and write-once relies on
-        # identifier->shard routing being fixed.
+        # One digest per shard lane of the log (a 1-element list for an
+        # unsharded log).  The shard count is trusted configuration, fixed
+        # at provisioning: it is bound into every signed transition, and
+        # write-once relies on identifier->shard routing never changing.
         self._shard_digests = [empty_digest()] * max(1, self.log_config.num_shards)
         # Quorum-signed transitions for *foreign* shards (lanes whose
         # committee this device is not on), offered by the provider and
@@ -336,9 +336,9 @@ class HsmDevice:
     def committee_for(self, shard: int) -> List[int]:
         """The shard's certifying committee: directory indices ≡ shard (mod S).
 
-        With ``num_shards == 1`` every device is on the (single) committee,
-        reproducing the legacy full-fleet quorum.  Committees are a *cost*
-        partition, not a trust boundary: any honest device's signature
+        With ``num_shards == 1`` every device is on the (single) committee:
+        the paper's full-fleet quorum.  Committees are a *cost* partition,
+        not a trust boundary: any honest device's signature
         attests a real audit, and the quorum threshold is sized to the
         committee, so ``f_secret`` tolerance applies per committee —
         deployments choose ``S`` so ``N/S`` keeps that bound acceptable.
@@ -582,32 +582,6 @@ class HsmDevice:
             )
         self.garbage_collections_seen += 1
         self._shard_digests = [empty_digest()] * len(self._shard_digests)
-        with self._offer_lock:
-            self._pending_foreign = {}
-
-    # -- resharding (one-way provisioning step) -------------------------------------------
-    def accept_reshard(self, num_shards: int) -> None:
-        """Consent to the log migrating onto ``num_shards`` parallel lanes.
-
-        Strictly one-way and single-shot: only an unsharded device may
-        accept, so the provider cannot repeatedly reshuffle identifiers
-        between lanes (re-routing is what would reopen write-once).  The
-        device restarts every lane at the empty digest and then audits the
-        migrated content through ordinary epochs; completeness of the
-        migration (nothing dropped) is an external-auditor check, the same
-        trust class as garbage collection.
-        """
-        self._check_alive()
-        if num_shards < 2:
-            raise HsmRefusedError(
-                f"HSM {self.index}: resharding needs >= 2 shards, got {num_shards}"
-            )
-        if len(self._shard_digests) != 1:
-            raise HsmRefusedError(
-                f"HSM {self.index}: already tracking {len(self._shard_digests)} "
-                "shards; resharding is one-way"
-            )
-        self._shard_digests = [empty_digest()] * num_shards
         with self._offer_lock:
             self._pending_foreign = {}
 

@@ -8,9 +8,7 @@ ask whether any recovery attempt has ever been filed under its username,
 detecting attacks on its backup even when the attacker knew the PIN.
 
 Sharded logs audit the same way per shard, anchored to the cross-shard
-root (``audit_sharded_snapshot``), and a reshard migration's completeness
-— the one property device-held digests cannot show — is checked offline
-from the archived unsharded log (``audit_reshard``).
+root (``audit_sharded_snapshot``).
 
 Thread safety: auditors are external observers working on snapshot copies
 (entry lists); they hold no locks and never touch live log state, so one
@@ -103,30 +101,6 @@ class ExternalAuditor:
         if root != claimed_root:
             raise AuditFailure("shard contents do not match the published root")
         self.checked_digests.append(claimed_root)
-
-    def audit_reshard(
-        self,
-        old_entries: Sequence[Tuple[bytes, bytes]],
-        shard_entries: Sequence[Sequence[Tuple[bytes, bytes]]],
-    ) -> None:
-        """Check a reshard migration for completeness.
-
-        The one property HSMs cannot verify from digests alone: the new
-        shard partition must be exactly the hash partition of the archived
-        unsharded log — nothing dropped, nothing added, order preserved
-        within each shard.  (``old_entries`` is the last archive in
-        ``ShardedLog.archived_logs`` after a migration.)
-        """
-        from repro.log.sharded import partition_entries
-
-        expected = partition_entries(old_entries, len(shard_entries))
-        for shard, (want, got) in enumerate(zip(expected, shard_entries)):
-            # Entries pending at migration time ride the genesis epochs like
-            # fresh insertions, so the old log's partition is a prefix.
-            if list(got[: len(want)]) != list(want):
-                raise AuditFailure(
-                    f"shard {shard} does not extend the hash partition of the old log"
-                )
 
     # -- user-facing monitoring ---------------------------------------------------
     @staticmethod

@@ -273,7 +273,7 @@ class Transition:
     new_digest: bytes
     root: bytes
     shard: int = 0  # which shard lane the step belongs to
-    num_shards: int = 1  # sharding arity (1 = legacy unsharded log)
+    num_shards: int = 1  # sharding arity (1 = unsharded log)
 
     def message(self) -> bytes:
         """The message every HSM signs, domain-separated by shard lane.
@@ -403,7 +403,7 @@ class DistributedLog:
         if not (0 <= shard_index < num_shards):
             raise ValueError("need 0 <= shard_index < num_shards")
         self.config = config or LogConfig()
-        #: position of this log within a sharded partition (0 of 1 = legacy)
+        #: position of this log within a sharded partition (0 of 1 = unsharded)
         self.shard_index = shard_index
         self.num_shards = num_shards
         self.dict = AuthenticatedDictionary()
@@ -713,14 +713,15 @@ class DistributedLog:
     def garbage_collect(self, hsms: Sequence) -> None:
         """Reset the log (resets every user's attempt counter — §6.2).
 
-        The old log is archived so auditors can still replay history.  HSMs
-        count GCs and refuse after ``max_garbage_collections``, bounding how
-        often a malicious provider can reset PIN-attempt limits.
+        HSMs count GCs and refuse after ``max_garbage_collections``,
+        bounding how often a malicious provider can reset PIN-attempt
+        limits; only once they consent is the old log archived (so
+        auditors can still replay history) and reset.
         """
-        self.archived_logs.append(list(self.ordered_entries))
         for hsm in hsms:
             if not hsm.is_failed:
                 hsm.accept_garbage_collection()
+        self.archived_logs.append(list(self.ordered_entries))
         self.dict = AuthenticatedDictionary()
         self.ordered_entries = []
         self.pending = []

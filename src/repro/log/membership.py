@@ -86,10 +86,6 @@ class MembershipRegistry:
         self._log = log
         self._sequence = 0
 
-    def rebind(self, log) -> None:
-        """Point the registry at a replacement log (e.g. after resharding)."""
-        self._log = log
-
     def resume_from(self, entries: Sequence[Tuple[bytes, bytes]]) -> None:
         """Continue numbering past the events already in a restored log.
 

@@ -44,10 +44,12 @@ is byte-identical to it by construction (property-tested in
 Security note on write-once: because ``shard_of`` is a public deterministic
 function of the identifier and ``num_shards``, the per-shard duplicate
 check *is* the global duplicate check — there is no cross-shard race.  The
-shard count is therefore part of the trusted configuration: HSMs bind
-``(shard, num_shards)`` into every signed transition
-(:meth:`~repro.log.distributed.Transition.message`) and refuse
-rounds whose arity differs from their own.  Committee certification sizes
+shard count is therefore part of the trusted configuration, fixed when the
+deployment is provisioned (``Deployment.create(shards=S)``; a log is never
+re-partitioned, so no identifier ever changes lanes): HSMs bind ``(shard,
+num_shards)`` into every signed transition
+(:meth:`~repro.log.distributed.Transition.message`) and refuse rounds whose
+arity differs from their own.  Committee certification sizes
 the quorum to the committee, so the ``f_secret`` compromise bound applies
 per ``N/S``-device committee rather than fleet-wide — deployments pick
 ``S`` accordingly (extra signatures from off-committee auditors only add
@@ -67,10 +69,9 @@ read it after joining the lanes.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import sha256
 from repro.crypto.merkle import IncrementalMerkleTree, MerkleProof, MerkleTree
@@ -111,7 +112,9 @@ class CrossShardRoot:
     O(S) comparisons but no hashing — so any mutation path (epoch commit,
     rollback, GC, restore, adversarial subclassing) is picked up without
     invalidation hooks, and only changed shards pay the O(log S) path
-    rehash.  Not synchronized: the owner serializes :meth:`refresh`.
+    rehash.  A log's shard count is fixed when it is provisioned, so every
+    read passes as many digests as the first.  Not synchronized: the owner
+    serializes :meth:`refresh`.
     """
 
     def __init__(self) -> None:
@@ -121,8 +124,7 @@ class CrossShardRoot:
     def refresh(self, digests: Sequence[bytes]) -> IncrementalMerkleTree:
         """The root tree over ``digests``, byte-identical to
         :func:`cross_shard_root` over the same list."""
-        if self._tree is None or len(self._leaves) != len(digests):
-            # First read, or the arity changed (reshard): build, O(S).
+        if self._tree is None:  # first read: build, O(S)
             self._leaves = list(digests)
             self._tree = IncrementalMerkleTree(
                 [shard_leaf(i, d) for i, d in enumerate(digests)]
@@ -286,14 +288,6 @@ class ShardedLog:
         """All queued insertions, shard-major (each shard's order intact)."""
         return [entry for shard in self.shards for entry in shard.pending]
 
-    @pending.setter
-    def pending(self, entries: Sequence[Tuple[bytes, bytes]]) -> None:
-        buckets: List[List[Tuple[bytes, bytes]]] = [[] for _ in self.shards]
-        for identifier, value in entries:
-            buckets[shard_of(identifier, self.num_shards)].append((identifier, value))
-        for shard, bucket in zip(self.shards, buckets):
-            shard.pending = bucket
-
     @property
     def has_pending(self) -> bool:
         """O(1)-per-shard emptiness check (no queue snapshots)."""
@@ -406,14 +400,14 @@ class ShardedLog:
     def garbage_collect(self, hsms: Sequence) -> None:
         """Reset all shards as one logical GC (devices consent once each).
 
-        Mirrors ``DistributedLog.garbage_collect``: the combined log is
-        archived for auditors, every online HSM's (bounded) GC budget is
-        charged exactly one unit, and all shard chains restart empty.
+        Mirrors ``DistributedLog.garbage_collect``: every online HSM's
+        (bounded) GC budget is charged exactly one unit, then the combined
+        log is archived for auditors and all shard chains restart empty.
         """
-        self.archived_logs.append(self.ordered_entries)
         for hsm in hsms:
             if not hsm.is_failed:
                 hsm.accept_garbage_collection()
+        self.archived_logs.append(self.ordered_entries)
         for shard in self.shards:
             shard.dict = AuthenticatedDictionary()
             shard.ordered_entries = []
@@ -421,50 +415,3 @@ class ShardedLog:
         self.garbage_collections += 1
         if self._journal is not None:
             self._journal.record_gc(self.garbage_collections)
-
-    # -- migration from an unsharded log ----------------------------------------
-    @staticmethod
-    def migrate(log: DistributedLog, num_shards: int, hsms: Sequence) -> "ShardedLog":
-        """One-way migration of a live unsharded log onto ``num_shards`` lanes.
-
-        Every committed entry is re-routed to its hash shard (order
-        preserved within each shard) and re-certified through ordinary
-        genesis epochs: each device first consents via
-        ``accept_reshard`` (one-way — a device that is already sharded
-        refuses), then audits every shard's full content from the empty
-        digest exactly as it audits any epoch.  What devices *cannot*
-        check is completeness — that no pre-migration entry was dropped —
-        which is the same (bounded, auditable) trust class as garbage
-        collection; :meth:`repro.log.auditor.ExternalAuditor.audit_reshard`
-        verifies it offline from the archived unsharded log.
-
-        Requires the whole fleet online: resharding is a provisioning
-        operation, and a device that missed it could never rejoin (its
-        single-digest state matches no shard chain).
-        """
-        config = dataclasses.replace(log.config, num_shards=num_shards)
-        offline = [h for h in hsms if h.is_failed]
-        if offline:
-            raise LogUpdateRejected(
-                f"resharding needs the full fleet online ({len(offline)} failed)"
-            )
-        if num_shards > len(list(hsms)):
-            raise ValueError("more shards than devices: some committees would be empty")
-        sharded = ShardedLog(config)
-        for hsm in hsms:
-            hsm.accept_reshard(num_shards)
-        sharded.pending = list(log.ordered_entries) + list(log.pending)
-        sharded.run_update(hsms)
-        sharded.garbage_collections = log.garbage_collections
-        sharded.archived_logs = list(log.archived_logs) + [list(log.ordered_entries)]
-        return sharded
-
-
-def partition_entries(
-    entries: Sequence[Tuple[bytes, bytes]], num_shards: int
-) -> List[List[Tuple[bytes, bytes]]]:
-    """Order-preserving hash partition (the reference for reshard audits)."""
-    buckets: List[List[Tuple[bytes, bytes]]] = [[] for _ in range(num_shards)]
-    for identifier, value in entries:
-        buckets[shard_of(identifier, num_shards)].append((identifier, value))
-    return buckets

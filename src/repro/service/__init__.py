@@ -34,8 +34,8 @@ combined cross-shard root is published; a failed shard epoch rolls back
 and fails only its own tickets.
 
 :class:`~repro.service.recovery.RecoveryService` assembles the pieces into
-the deployment's front end; ``Deployment.recovery_service()`` builds one
-(pass ``shards=S`` for S lanes).
+the deployment's front end; ``Deployment.recovery_service()`` builds one,
+with one lane per log shard (``Deployment.create(params, shards=S)``).
 
 Thread safety: this package *is* the concurrency layer — every class
 documents its own contract.  The rule of thumb: device and shard state is

@@ -46,3 +46,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "all sessions recovered their backups" in out
         assert "log epochs committed" in out
+
+    def test_loadtest_sharded(self, capsys):
+        assert main(
+            ["loadtest", "--clients", "4", "--hsms", "8", "--cluster", "3",
+             "--shards", "2"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "across 2 shard lanes" in out
+        assert "all sessions recovered" in out

@@ -62,7 +62,9 @@ class TestRestoreRoundTrip:
         assert alice.recover("1234") == b"alice-secret"
         digest = dep.provider.log.digest
 
-        restored = Deployment.restore(params, store, dep.fleet, shards=SHARDS)
+        # ``params`` still says one shard: restore reads the count from the fleet.
+        restored = Deployment.restore(params, store, dep.fleet)
+        assert restored.provider.log.num_shards == restored.params.log_shards == SHARDS
         assert restored.provider.log.digest == digest
         # Attempt counters were re-derived from the committed entries.
         assert restored.provider.next_attempt_number(
@@ -84,7 +86,7 @@ class TestRestoreRoundTrip:
         blocks_before = len(store)
         dep.provider.snapshot()
         assert len(store) < blocks_before  # history actually reclaimed
-        restored = Deployment.restore(params, store, dep.fleet, shards=SHARDS)
+        restored = Deployment.restore(params, store, dep.fleet)
         assert restored.provider.log.digest == dep.provider.log.digest
         assert restored.new_client("bob", transport="direct").recover("9999") == b"bob-secret"
 
@@ -95,7 +97,7 @@ class TestRestoreRoundTrip:
         dep.provider.log.insert(b"rec|gc-user|0", b"h")
         dep.run_log_update()
         dep.garbage_collect_log()
-        restored = Deployment.restore(params, store, dep.fleet, shards=SHARDS)
+        restored = Deployment.restore(params, store, dep.fleet)
         assert restored.provider.log.garbage_collections == 1
         assert restored.provider.log.digest == dep.provider.log.digest
         assert restored.provider.log.ordered_entries == []
@@ -105,12 +107,23 @@ class TestRestoreRoundTrip:
         with pytest.raises(ProviderError):
             dep.provider.snapshot()
 
-    def test_resharding_a_durable_deployment_is_rejected(self):
-        dep = Deployment.create(
-            durable_params(), rng=random.Random(15), store=InMemoryBlockStore()
-        )
-        with pytest.raises(ValueError, match="durable"):
-            dep.reshard_log(2)
+    def test_journal_and_fleet_disagreeing_on_shards_is_refused(self):
+        """A 2-shard journal handed an unsharded fleet is refused before
+        reconciliation appends anything: its open intent stays open."""
+        store = CrashingBlockStore()
+        params = durable_params()
+        dep = Deployment.create(params, rng=random.Random(16), shards=SHARDS, store=store)
+        dep.provider.log.insert(identifier_on_shard(1, tag="arity"), b"h")
+        store.crash_after(1)  # the intent lands, its commit record does not
+        with pytest.raises(CrashError):
+            dep.provider.log.run_shard_update(1, dep.fleet.hsms)
+        survivor = store.blocks
+        records = len(survivor)
+        unsharded = Deployment.create(params, rng=random.Random(17)).fleet
+        with pytest.raises(ProviderError, match="shard"):
+            Deployment.restore(params, survivor, unsharded)
+        assert len(survivor) == records
+        assert list(ProviderJournal(survivor).replay_state().open_intents) == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +168,7 @@ class TestKillMidEpoch:
         survivor = store.blocks
         assert list(ProviderJournal(survivor).replay_state().open_intents) == [1]
 
-        restored = Deployment.restore(params, survivor, dep.fleet, shards=SHARDS)
+        restored = Deployment.restore(params, survivor, dep.fleet)
         rlog = restored.provider.log
         # Lane 0's certified digest survived; lane 1 rolled back atomically.
         assert rlog.shards[0].digest == digest0
@@ -184,7 +197,7 @@ class TestKillMidEpoch:
         log.run_shard_update(0, dep.fleet.hsms)
         log.run_shard_update(1, dep.fleet.hsms)
         # The process dies here: no EPOCH_PUBLISH record for this tick.
-        restored = Deployment.restore(params, store.blocks, dep.fleet, shards=SHARDS)
+        restored = Deployment.restore(params, store.blocks, dep.fleet)
         rlog = restored.provider.log
         assert rlog.digest == log.digest
         for shard in range(SHARDS):
@@ -223,7 +236,7 @@ class TestKillMidEpoch:
         survivor = store.blocks
         assert list(ProviderJournal(survivor).replay_state().open_intents) == [1]
         dep.fleet.restart_all()
-        restored = Deployment.restore(params, survivor, dep.fleet, shards=SHARDS)
+        restored = Deployment.restore(params, survivor, dep.fleet)
         rlog = restored.provider.log
         # Rolled back atomically: digest unchanged, the entry is gone, and
         # the journal holds no open transaction.
@@ -346,7 +359,7 @@ class TestCrashRestoreUnderFlakyChannel:
 
         # Phase 3: restart from exactly the durably-written blocks.
         survivor = store.blocks
-        restored = Deployment.restore(params, survivor, dep.fleet, shards=SHARDS)
+        restored = Deployment.restore(params, survivor, dep.fleet)
 
         # An independent journal replay agrees with the restored provider
         # (digest chain, counters, escrow) and no open intent survived.

@@ -116,7 +116,7 @@ class TestFormatsUnchanged:
             client.backup(b"post-snapshot payload", pin="2468")
         _absorb_store(blocks, store)
         # The bytes at rest are worth pinning only if they still restore.
-        restored = Deployment.restore(params, store, deployment.fleet, shards=shards)
+        restored = Deployment.restore(params, store, deployment.fleet)
         assert restored.provider.log.digest == deployment.provider.log.digest
         assert restored.provider.backup_count("formats-user") == 4
         return frames_digest, blocks.hexdigest()

@@ -1,5 +1,8 @@
 """Key rotation (§9.1) and log garbage collection (§6.2) at system level."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.core.client import RecoveryError
@@ -11,8 +14,6 @@ from repro.hsm.device import HsmRefusedError
 @pytest.fixture
 def tiny_deployment():
     """Very small Bloom keys so rotation triggers after a few recoveries."""
-    import random
-
     params = SystemParams.for_testing(
         num_hsms=8, cluster_size=3, max_punctures=2, bloom_failure_exponent=3
     )
@@ -95,3 +96,24 @@ class TestGarbageCollection:
             dep.garbage_collect_log()
         with pytest.raises(HsmRefusedError):
             dep.garbage_collect_log()
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_refused_gc_archives_and_resets_nothing(self, shards):
+        """A GC the devices refuse leaves the log as it was: no archive, no
+        count, entries kept — unsharded and sharded alike."""
+        params = dataclasses.replace(
+            SystemParams.for_testing(num_hsms=4, cluster_size=3),
+            max_garbage_collections=2,
+        )
+        dep = Deployment.create(params, rng=random.Random(22), shards=shards)
+        log = dep.provider.log
+        for _ in range(2):
+            dep.garbage_collect_log()
+        log.insert(b"rec|kept|0", b"h")
+        dep.run_log_update()
+        entries = list(log.ordered_entries)
+        with pytest.raises(HsmRefusedError):
+            dep.garbage_collect_log()
+        assert log.garbage_collections == 2
+        assert len(log.archived_logs) == 2
+        assert log.ordered_entries == entries

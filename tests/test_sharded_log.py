@@ -1,4 +1,4 @@
-"""The sharded log: routing, determinism, lane isolation, migration.
+"""The sharded log: routing, determinism, lane isolation, audits.
 
 Covers the three claims the sharded design stands on:
 
@@ -32,7 +32,6 @@ from repro.log.sharded import (
     ShardedInclusionProof,
     ShardedLog,
     cross_shard_root,
-    partition_entries,
     shard_of,
     verify_includes_sharded,
 )
@@ -177,28 +176,6 @@ class TestIncrementalRoot:
             proof = log.prove_includes(identifier, value)
             assert proof is not None
             assert verify_includes_sharded(log.digest, identifier, value, proof)
-        # An arity change (a device's reshard) rebuilds instead of patching.
-        fewer = log.shard_digests[: data.draw(st.integers(1, num_shards - 1))]
-        assert bare.refresh(fewer).root == cross_shard_root(fewer)
-
-    def test_migration_root_is_identical_to_scratch(self):
-        """Reshard migration rebuilds every lane from genesis; the migrated
-        log's incremental root and proofs must equal the from-scratch
-        construction."""
-        dep = Deployment.create(small_params(), rng=random.Random(7))
-        log = dep.provider.log
-        workload = fixed_workload(12)
-        for identifier, value in workload:
-            log.insert(identifier, value)
-        log.run_update(dep.fleet.hsms)
-        sharded = ShardedLog.migrate(log, SHARDS, dep.fleet.hsms)
-        assert sharded.digest == cross_shard_root(sharded.shard_digests)
-        for identifier, value in workload:
-            proof = sharded.prove_includes(identifier, value)
-            assert proof is not None
-            assert verify_includes_sharded(
-                sharded.digest, identifier, value, proof
-            )
 
     def test_proof_paths_match_scratch_tree(self, sharded_deployment):
         """Shard paths from the persistent tree are byte-identical to a
@@ -431,55 +408,21 @@ class TestDeviceShardChecks:
 
 
 # ---------------------------------------------------------------------------
-# Reshard migration
+# Membership events in a log sharded at provisioning
 # ---------------------------------------------------------------------------
 class TestReshardMigration:
-    def test_migration_preserves_entries_and_counters(self):
-        dep = Deployment.create(small_params(), rng=random.Random(71))
-        client = dep.new_client("migrator")
-        client.backup(b"pre-migration", pin="3333")
-        attempts_before = dep.provider.next_attempt_number("migrator")
-        entries_before = sorted(dep.provider.log.dict.items())
-
-        dep.reshard_log(SHARDS)
-        log = dep.provider.log
-        assert isinstance(log, ShardedLog)
-        assert sorted(log.dict.items()) == entries_before
-        assert dep.provider.next_attempt_number("migrator") == attempts_before
-        assert dep.provider.scan_attempt_number("migrator") == attempts_before
-        assert dep.fleet[0].log_digest == log.digest
-        # The archived unsharded log audits cleanly against the new shards.
-        auditor = ExternalAuditor()
-        auditor.audit_reshard(log.archived_logs[-1], log.shard_entries())
-        auditor.audit_sharded_snapshot(log.shard_entries(), log.digest)
-        # And the client's backup still recovers through sharded epochs.
-        assert client.recover("3333") == b"pre-migration"
-
-    def test_resharding_is_one_way(self):
-        dep = Deployment.create(small_params(), rng=random.Random(72), shards=2)
-        with pytest.raises(ValueError, match="one-way"):
-            dep.recovery_service(shards=4)
-        with pytest.raises(HsmRefusedError, match="one-way"):
-            dep.fleet[0].accept_reshard(8)
-
-    def test_reshard_requires_full_fleet(self):
-        dep = Deployment.create(small_params(), rng=random.Random(73))
-        dep.fleet[2].fail_stop()
-        with pytest.raises(LogUpdateRejected, match="online"):
-            dep.reshard_log(SHARDS)
-
     def test_membership_events_keep_flowing_after_reshard(self):
-        dep = Deployment.create(small_params(), rng=random.Random(74))
-        dep.reshard_log(SHARDS)
+        """A log's shard count is fixed at genesis; membership events keep
+        landing in it: a rotation event logged into the sharded log still
+        verifies against the published keys."""
+        dep = Deployment.create(small_params(), rng=random.Random(74), shards=SHARDS)
+        assert isinstance(dep.provider.log, ShardedLog)
         dep.verify_published_keys()
-        # Force-rotate one device; the rotation event must land in the
-        # *new* log (the registry was rebound) and still verify.
         info = dep.fleet[0].rotate_keys(dep.provider.storage_for_hsm(0))
         dep.membership.record_rotation(info)
         dep.provider.log.run_update(dep.fleet.hsms)
-        for hsm_client in dep.clients:
-            hsm_client.refresh_mpk(dep.fleet.master_public_key())
         dep.verify_published_keys()
+        assert dep.fleet[0].log_digest == dep.provider.log.digest
 
 
 # ---------------------------------------------------------------------------
@@ -512,14 +455,6 @@ class TestShardedAudits:
         entries[target].append(entries[donor].pop(0))
         with pytest.raises(AuditFailure, match="hashes"):
             ExternalAuditor().audit_sharded_snapshot(entries, log.digest)
-
-    def test_dropped_entry_fails_reshard_audit(self):
-        old = fixed_workload(24)
-        shard_entries = partition_entries(old, SHARDS)
-        donor = next(k for k, es in enumerate(shard_entries) if es)
-        shard_entries[donor].pop(0)  # "lost" during migration
-        with pytest.raises(AuditFailure):
-            ExternalAuditor().audit_reshard(old, shard_entries)
 
 
 # ---------------------------------------------------------------------------
