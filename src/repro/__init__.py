@@ -6,8 +6,7 @@ Corrigan-Gibbs, Mazières; OSDI 2020).  It contains:
 
 - ``repro.crypto``   -- every cryptographic primitive the paper relies on
   (NIST P-256, hashed ElGamal, AES-128-GCM, Shamir sharing, Merkle trees,
-  BLS12-381 pairings and aggregate signatures, Bloom-filter puncturable
-  encryption).
+  Bloom-filter puncturable encryption).
 - ``repro.storage``  -- outsourced storage with secure deletion (the
   Di Crescenzo key tree of Appendix C) over an untrusted block store.
 - ``repro.hsm``      -- the simulated HSM fleet and the operation-metering

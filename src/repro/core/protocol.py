@@ -17,7 +17,7 @@ from repro.core.client import Client
 from repro.core.params import SystemParams
 from repro.core.provider import ProviderError, ServiceProvider
 from repro.hsm.fleet import HsmFleet
-from repro.log.distributed import BlsMultiSig, EcdsaMultiSig, MultiSigScheme
+from repro.log.distributed import EcdsaMultiSig
 from repro.log.membership import MembershipRegistry, MembershipVerifier
 from repro.storage.blockstore import BlockStore
 from repro.storage.journal import ProviderJournal, reconcile_open_intents
@@ -53,15 +53,18 @@ class Deployment:
     @staticmethod
     def create(
         params: SystemParams,
-        multisig: Optional[MultiSigScheme] = None,
+        multisig: Optional[EcdsaMultiSig] = None,
         rng: Optional[random.Random] = None,
         shards: Optional[int] = None,
         store: Optional[BlockStore] = None,
     ) -> "Deployment":
         """Provision a deployment: HSM keygen, signer directory, log wiring.
 
-        ``multisig`` defaults to the concatenated-ECDSA scheme for speed;
-        pass :class:`BlsMultiSig` for the paper's aggregate signatures.
+        ``multisig`` does nothing: transitions are always signed with
+        :class:`EcdsaMultiSig`.  It accepts ``None`` or an ``EcdsaMultiSig``
+        (anything else is a ``TypeError``) and keeps its position only
+        because the end-to-end benchmark's workloads still pass it; it goes
+        with the next change to that benchmark.
 
         ``shards`` overrides ``params.log_shards``: ``shards >= 2``
         provisions a sharded log (devices track one digest per lane; see
@@ -73,13 +76,14 @@ class Deployment:
         in place in its own region of it, and :meth:`restore` rebuilds the
         whole deployment from the same store after a crash.
         """
+        if multisig is not None and not isinstance(multisig, EcdsaMultiSig):
+            raise TypeError(f"transitions are signed with EcdsaMultiSig, not {multisig!r}")
         if shards is not None:
             params = dataclasses.replace(params, log_shards=shards)
         provider = ServiceProvider(params.log_config(), store=store)
         fleet = HsmFleet(
             num_hsms=params.num_hsms,
             bloom_params=params.bloom_params(),
-            multisig_scheme=multisig or EcdsaMultiSig(),
             log_config=params.log_config(),
             rng=rng,
             store_factory=provider.storage_for_hsm,

@@ -3,13 +3,13 @@
 Everything here is implemented from scratch on top of the Python standard
 library (``hashlib``, ``hmac``, ``secrets``): GF(p) helpers on plain ints,
 NIST P-256, hashed ElGamal, AES-128-GCM (``seal_each`` / ``open_each``),
-Shamir secret sharing, Merkle trees, BLS12-381 pairings with aggregate
-signatures, and Bloom-filter puncturable encryption.
+Shamir secret sharing, Merkle trees, and Bloom-filter puncturable
+encryption.
 
 The implementations favour clarity and testability over raw speed; they are
 validated against published test vectors where vectors exist (AES, GCM,
-P-256) and against algebraic properties elsewhere (pairing bilinearity,
-share-reconstruction identities).
+P-256) and against algebraic properties elsewhere (share-reconstruction
+identities).
 """
 
 _EXPORTS = {

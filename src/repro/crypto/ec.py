@@ -28,7 +28,7 @@ long a point lives and how often it is multiplied:
   doublings a multiply, for a comb built once per process on first use.
   Any other point gets a one-table comb only through an explicit
   :meth:`ECPoint.precompute` at provisioning time (the signer directory,
-  via ``MultiSigScheme.precompute_signer_key``): never on reuse, and only
+  via ``EcdsaMultiSig.precompute_signer_key``): never on reuse, and only
   ever for public keys.
 - **Signed-window ladder (every other point)**: the scalar is recoded into
   width-5 signed digits (``_signed_digits``: odd, |d| <= 15, at least five

@@ -49,9 +49,9 @@ from repro.crypto.merkle import MerkleTree
 from repro.crypto.shamir import SHARE
 from repro.log.authdict import InclusionProof, empty_digest, verify_extension, verify_includes
 from repro.log.distributed import (
+    EcdsaMultiSig,
     LogConfig,
     LogUpdateRejected,
-    MultiSigScheme,
     Transition,
     UpdateRound,
     audit_chunk_indices,
@@ -125,14 +125,12 @@ class HsmDevice:
         self,
         index: int,
         bloom_params: BloomParams,
-        multisig_scheme: MultiSigScheme,
         log_config: Optional[LogConfig] = None,
         store: Optional[BlockStore] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
         self.index = index
         self.bloom_params = bloom_params
-        self.multisig_scheme = multisig_scheme
         self.log_config = log_config or LogConfig()
         self.meter = OpMeter()
         self.is_failed = False
@@ -146,7 +144,7 @@ class HsmDevice:
             self._bfe_public, self._bfe_secret = BloomFilterEncryption.keygen(
                 bloom_params, self._store, rng
             )
-            self._sig_keypair = multisig_scheme.keygen(rng)
+            self._sig_keypair = EcdsaMultiSig.keygen(rng)
         # One digest per shard lane of the log (a 1-element list for an
         # unsharded log).  The shard count is trusted configuration, fixed
         # at provisioning: it is bound into every signed transition, and
@@ -182,14 +180,15 @@ class HsmDevice:
     def install_signer_directory(self, directory: Dict[int, object]) -> None:
         """Install the fleet's signature public keys (run once at setup).
 
-        Each key goes through the scheme's provisioning hook, the only
-        place verification precomputation is attached: the key objects are
-        shared by every device of the fleet and the hook is idempotent, so
-        N devices build N tables, and a provider restart builds none.
+        Each key goes through :meth:`EcdsaMultiSig.precompute_signer_key`,
+        the only place verification precomputation is attached: the key
+        objects are shared by every device of the fleet and the hook is
+        idempotent, so N devices build N tables, and a provider restart
+        builds none.
         """
         self._sig_directory = dict(directory)
         for public in self._sig_directory.values():
-            self.multisig_scheme.precompute_signer_key(public)
+            EcdsaMultiSig.precompute_signer_key(public)
 
     def rehost_store(self, store: BlockStore) -> None:
         """Re-point this device at a (restored) provider-hosted block store.
@@ -268,7 +267,7 @@ class HsmDevice:
             )
             for idx in indices:
                 self._audit_one_chunk(round_, idx)
-            return self.multisig_scheme.sign(self._sig_keypair.secret, round_.message())
+            return EcdsaMultiSig.sign(self._sig_keypair.secret, round_.message())
 
     def audit_specific_chunks(self, round_: UpdateRound, indices: Sequence[int]) -> None:
         """Appendix B.3 coverage: audit chunks on behalf of a failed peer.
@@ -374,7 +373,7 @@ class HsmDevice:
                 f"signers, need {quorum:.1f}"
             )
         publics = [self._sig_directory[i] for i in signer_ids]
-        if not self.multisig_scheme.verify_aggregate(publics, step.message(), aggregate):
+        if not EcdsaMultiSig.verify_aggregate(publics, step.message(), aggregate):
             raise LogUpdateRejected(f"HSM {self.index}: aggregate signature invalid")
         self._shard_digests[shard] = step.new_digest
 

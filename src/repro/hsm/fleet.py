@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.crypto.bloom import BloomParams
 from repro.hsm.device import HsmDevice, HsmPublicInfo
-from repro.log.distributed import EcdsaMultiSig, LogConfig, MultiSigScheme
+from repro.log.distributed import LogConfig
 from repro.storage.blockstore import BlockStore
 
 
@@ -24,20 +24,17 @@ class HsmFleet:
         self,
         num_hsms: int,
         bloom_params: BloomParams,
-        multisig_scheme: Optional[MultiSigScheme] = None,
         log_config: Optional[LogConfig] = None,
         rng: Optional[random.Random] = None,
         store_factory: Optional[Callable[[int], BlockStore]] = None,
     ) -> None:
         if num_hsms < 1:
             raise ValueError("fleet needs at least one HSM")
-        self.multisig_scheme = multisig_scheme or EcdsaMultiSig()
         self.log_config = log_config or LogConfig()
         self.hsms: List[HsmDevice] = [
             HsmDevice(
                 index=i,
                 bloom_params=bloom_params,
-                multisig_scheme=self.multisig_scheme,
                 log_config=self.log_config,
                 rng=rng,
                 store=store_factory(i) if store_factory is not None else None,

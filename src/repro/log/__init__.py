@@ -26,7 +26,6 @@ from repro.log.distributed import (
     DistributedLog,
     LogUpdateRejected,
     EcdsaMultiSig,
-    BlsMultiSig,
 )
 from repro.log.auditor import ExternalAuditor, AuditFailure
 from repro.log.sharded import (
@@ -54,7 +53,6 @@ __all__ = [
     "DistributedLog",
     "LogUpdateRejected",
     "EcdsaMultiSig",
-    "BlsMultiSig",
     "ExternalAuditor",
     "AuditFailure",
     "ShardedInclusionProof",

@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto import blssig
 from repro.crypto.ec import ECKeyPair, P256
 from repro.crypto.hashing import sha256
 from repro.crypto.merkle import MerkleProof, MerkleTree
@@ -55,66 +54,44 @@ class LogUpdateRejected(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Pluggable multisignature schemes
+# The transition signature
 # ---------------------------------------------------------------------------
-class MultiSigScheme:
-    """Interface for the signature scheme used to endorse digest transitions.
+class EcdsaMultiSig:
+    """The signature that endorses digest transitions: the aggregate is the
+    tuple of per-signer ECDSA signatures over P-256.
 
-    The paper uses BLS multisignatures (constant-size aggregate, constant
-    verification cost).  We also provide a concatenated-ECDSA scheme: a valid
-    but non-compact aggregate, ~500× faster to run in pure Python, used by
-    default in tests.  The benchmark for Figure 8 accounts costs for BLS, as
-    deployed.
+    The paper certifies each epoch with a BLS aggregate (constant size, two
+    pairings to verify at any fleet size); the cost model still bills that
+    scheme from Table 7.  In pure Python a pairing costs seconds, so the
+    list of ECDSA signatures is cheaper at every fleet size this library
+    provisions, and it is the only scheme the log, the devices and the
+    journal speak.
     """
 
-    name = "abstract"
-
-    def keygen(self, rng=None):
-        """Generate one signer's keypair."""
-        raise NotImplementedError
-
-    def sign(self, secret, message: bytes):
-        """Sign ``message`` with one signer's secret."""
-        raise NotImplementedError
-
-    def aggregate(self, signatures: Sequence):
-        """Combine per-signer signatures into one aggregate."""
-        raise NotImplementedError
-
-    def verify_aggregate(self, publics: Sequence, message: bytes, aggregate) -> bool:
-        """Check that every listed public key's signer signed ``message``."""
-        raise NotImplementedError
-
-    def precompute_signer_key(self, public) -> None:
-        """Provisioning hook: called once per signer-directory key so a
-        scheme can attach verification precomputation to it.  The default
-        (and BLS, whose verification is two pairings regardless of the
-        signer count) does nothing."""
-
-
-class EcdsaMultiSig(MultiSigScheme):
-    """Aggregate = tuple of per-signer ECDSA signatures over P-256."""
-
-    name = "ecdsa-list"
-
-    def keygen(self, rng=None) -> ECKeyPair:
+    @staticmethod
+    def keygen(rng=None) -> ECKeyPair:
         """A fresh P-256 keypair."""
         return P256.keygen(rng)
 
-    def sign(self, secret: int, message: bytes) -> Tuple[int, int]:
+    @staticmethod
+    def sign(secret: int, message: bytes) -> Tuple[int, int]:
         """One ECDSA signature (r, s)."""
         return P256.ecdsa_sign(secret, message)
 
-    def aggregate(self, signatures: Sequence[Tuple[int, int]]):
+    @staticmethod
+    def aggregate(signatures: Sequence[Tuple[int, int]]):
         """The "aggregate" is simply the tuple of signatures."""
         return tuple(signatures)
 
-    def precompute_signer_key(self, public) -> None:
-        """Give the key a comb table, so each verification against it is
-        one 29-doubling chain shared with the generator term."""
+    @staticmethod
+    def precompute_signer_key(public) -> None:
+        """Provisioning hook, called once per signer-directory key: give the
+        key a comb table, so each verification against it is one
+        29-doubling chain shared with the generator term."""
         public.precompute()
 
-    def verify_aggregate(self, publics, message: bytes, aggregate) -> bool:
+    @staticmethod
+    def verify_aggregate(publics, message: bytes, aggregate) -> bool:
         """Batched verification: each signature's ``u1·G + u2·Q`` is one
         comb chain when ``Q`` was provisioned through
         :meth:`precompute_signer_key` (one ladder chain otherwise), and each
@@ -132,31 +109,6 @@ class EcdsaMultiSig(MultiSigScheme):
                 for pk, sig in zip(publics, aggregate)
             ]
         )
-
-
-class BlsMultiSig(MultiSigScheme):
-    """The paper's scheme: BLS multisignature, two pairings to verify."""
-
-    name = "bls"
-
-    def keygen(self, rng=None) -> blssig.BlsKeyPair:
-        """A fresh BLS12-381 keypair."""
-        return blssig.keygen(rng)
-
-    def sign(self, secret: int, message: bytes) -> blssig.BlsSignature:
-        """One BLS signature (a G1 point)."""
-        return blssig.sign(secret, message)
-
-    def aggregate(self, signatures: Sequence[blssig.BlsSignature]) -> blssig.BlsSignature:
-        """Sum the signatures into one constant-size aggregate."""
-        return blssig.aggregate_signatures(signatures)
-
-    def verify_aggregate(self, publics, message: bytes, aggregate) -> bool:
-        """Two pairings, regardless of the number of signers."""
-        pks = [
-            pk.public if isinstance(pk, blssig.BlsKeyPair) else pk for pk in publics
-        ]
-        return blssig.verify_aggregate(pks, message, aggregate)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +484,8 @@ class DistributedLog:
         """Drive a full epoch against the fleet; restart on fail-stops.
 
         ``hsms`` are duck-typed (see ``repro.hsm.device.HsmDevice``): each
-        must offer ``index``, ``is_failed``, ``multisig_scheme``,
-        ``shard_digest(k)``, and the four epoch methods
+        must offer ``index``, ``is_failed``, ``shard_digest(k)``, and the
+        four epoch methods
         ``audit_log_update``, ``audit_specific_chunks``,
         ``accept_log_digest`` and ``accept_certified_transition``.
 
@@ -625,8 +577,7 @@ class DistributedLog:
         uncovered = self._uncovered_chunks(round_, signer_ids)
         if uncovered:
             self._cover_chunks(round_, survivors, uncovered)
-        scheme = online[0].multisig_scheme
-        aggregate = scheme.aggregate(signatures)
+        aggregate = EcdsaMultiSig.aggregate(signatures)
         # Record the certified transition *before* fanning out acceptance:
         # once a quorum has signed, the transition is certified regardless
         # of who hears about it, and any device that misses the accept

@@ -16,8 +16,10 @@ Operation names used throughout the package:
 ``elgamal_enc``       hashed-ElGamal encryption (2 EC mults + AE)
 ``elgamal_dec``       hashed-ElGamal decryption (1 EC mult + AE)
 ``ecdsa_verify``      ECDSA/Schnorr-style verification (2 EC mults)
-``pairing``           BLS12-381 optimal-ate pairing
-``bls_sign``          BLS signature (1 G1 mult)
+``pairing``           priced by ``costmodel`` from Table 7; nothing in
+                      ``src/`` meters it
+``bls_sign``          priced by ``costmodel`` from Table 7; nothing in
+                      ``src/`` meters it
 ``aes_block``         one AES-128 block operation (16 bytes)
 ``sha256_block``      one SHA-256 compression (64-byte block)
 ``hmac``              one HMAC-SHA256 over a short message

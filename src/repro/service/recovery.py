@@ -81,7 +81,6 @@ _EPOCH_METHODS = frozenset(
 _DIRECT_NAMES = (
     "index",
     "is_failed",
-    "multisig_scheme",
     "shard_digest",
     "offered_frontier",
     "offer_certified_transition",

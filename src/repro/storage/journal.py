@@ -85,12 +85,13 @@ class JournalReplayError(Exception):
 # Aggregate-signature (de)serialization
 # ---------------------------------------------------------------------------
 def encode_aggregate_auto(aggregate: object) -> Tuple[Optional[str], Optional[bytes]]:
-    """Serialize a multisig aggregate, inferring the scheme from its shape.
+    """Serialize a multisig aggregate as ``("ecdsa-list", bytes)``.
 
-    Returns ``(scheme_name, bytes)`` — or ``(None, None)`` for aggregates
-    of schemes the journal cannot serialize (test doubles): the commit is
-    still durable, only the replayable signature material is dropped, so a
-    restored log can serve ``catch_up`` for every *decodable* transition.
+    Anything that is not a tuple of ``(r, s)`` pairs — an adversarial
+    provider can journal a garbage aggregate before the devices reject it —
+    gives ``(None, None)``: the commit is still durable, only the
+    replayable signature material is dropped, so a restored log can serve
+    ``catch_up`` for every *decodable* transition.
     """
     if isinstance(aggregate, tuple) and all(
         isinstance(sig, tuple) and len(sig) == 2 for sig in aggregate
@@ -98,9 +99,6 @@ def encode_aggregate_auto(aggregate: object) -> Tuple[Optional[str], Optional[by
         return "ecdsa-list", b"".join(
             r.to_bytes(32, "big") + s.to_bytes(32, "big") for r, s in aggregate
         )
-    to_bytes = getattr(aggregate, "to_bytes", None)
-    if callable(to_bytes):
-        return "bls", to_bytes()
     return None, None
 
 
@@ -116,10 +114,6 @@ def decode_aggregate(scheme: str, data: bytes) -> object:
             )
             for i in range(0, len(data), 64)
         )
-    if scheme == "bls":
-        from repro.crypto.blssig import BlsSignature
-
-        return BlsSignature.from_bytes(data)
     raise WireFormatError(f"unknown multisig scheme {scheme!r}")
 
 

@@ -16,7 +16,7 @@ from repro.adversary.attacks import (
 from repro.core.client import RecoveryError
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
-from repro.log.distributed import LogConfig, LogUpdateRejected
+from repro.log.distributed import EcdsaMultiSig, LogConfig, LogUpdateRejected
 
 
 class TestAdaptiveCorruption:
@@ -161,8 +161,8 @@ class TestCheatingProvider:
         half_b = list(fleet.online())[4:]
         sigs_a = [h.audit_log_update(round_a) for h in half_a]
         sigs_b = [h.audit_log_update(round_b) for h in half_b]
-        agg_a = fleet.multisig_scheme.aggregate(sigs_a)
-        agg_b = fleet.multisig_scheme.aggregate(sigs_b)
+        agg_a = EcdsaMultiSig.aggregate(sigs_a)
+        agg_b = EcdsaMultiSig.aggregate(sigs_b)
         with pytest.raises(LogUpdateRejected):
             half_a[0].accept_log_digest(round_a, agg_a, tuple(h.index for h in half_a))
         with pytest.raises(LogUpdateRejected):

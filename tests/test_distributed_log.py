@@ -11,6 +11,7 @@ from repro.hsm.fleet import HsmFleet
 from repro.log.authdict import verify_includes
 from repro.log.distributed import (
     DistributedLog,
+    EcdsaMultiSig,
     LogConfig,
     LogUpdateRejected,
     Transition,
@@ -194,8 +195,7 @@ class TestTamperDetection:
         log.insert(b"z", b"h")
         round_ = log.prepare_update(num_chunks=1)
         sigs = [h.audit_log_update(round_) for h in fleet.online()]
-        scheme = fleet.multisig_scheme
-        aggregate = scheme.aggregate(sigs)
+        aggregate = EcdsaMultiSig.aggregate(sigs)
         signers = tuple(h.index for h in fleet.online())
         # Tamper with the signer list (claim a different quorum)
         with pytest.raises(LogUpdateRejected):
@@ -206,7 +206,7 @@ class TestTamperDetection:
         round_ = log.prepare_update(num_chunks=1)
         few = list(fleet.online())[:2]
         sigs = [h.audit_log_update(round_) for h in few]
-        aggregate = fleet.multisig_scheme.aggregate(sigs)
+        aggregate = EcdsaMultiSig.aggregate(sigs)
         with pytest.raises(LogUpdateRejected):
             fleet[0].accept_log_digest(round_, aggregate, tuple(h.index for h in few))
 
@@ -214,7 +214,7 @@ class TestTamperDetection:
         log.insert(b"w", b"h")
         round_ = log.prepare_update(num_chunks=1)
         sigs = [h.audit_log_update(round_) for h in fleet.online()]
-        aggregate = fleet.multisig_scheme.aggregate(sigs)
+        aggregate = EcdsaMultiSig.aggregate(sigs)
         signers = tuple(h.index for h in fleet.online())[:-1] + (999,)
         with pytest.raises(LogUpdateRejected):
             fleet[0].accept_log_digest(round_, aggregate, signers)
@@ -223,7 +223,7 @@ class TestTamperDetection:
         log.insert(b"v", b"h")
         round_ = log.prepare_update(num_chunks=1)
         sigs = [h.audit_log_update(round_) for h in fleet.online()]
-        aggregate = fleet.multisig_scheme.aggregate(sigs)
+        aggregate = EcdsaMultiSig.aggregate(sigs)
         signers = tuple(h.index for h in fleet.online())
         padded = signers[:-1] + (signers[0],)
         with pytest.raises(LogUpdateRejected):
@@ -307,13 +307,20 @@ class TestMalformedAggregate:
     replayed journal record): any shape must be a typed rejection."""
 
     SHAPES = {
-        "none": lambda sigs: None,
-        "int": lambda sigs: 7,
-        "item-none": lambda sigs: sigs[:-1] + (None,),
-        "item-short": lambda sigs: sigs[:-1] + ((1,),),
-        "item-str": lambda sigs: sigs[:-1] + (("a", 2),),
-        "item-float": lambda sigs: sigs[:-1] + ((1.5, 2),),
-        "item-bool": lambda sigs: sigs[:-1] + ((True, 2),),
+        "none": lambda sigs, message: None,
+        "int": lambda sigs, message: 7,
+        "item-none": lambda sigs, message: sigs[:-1] + (None,),
+        "item-short": lambda sigs, message: sigs[:-1] + ((1,),),
+        "item-str": lambda sigs, message: sigs[:-1] + (("a", 2),),
+        "item-float": lambda sigs, message: sigs[:-1] + ((1.5, 2),),
+        "item-bool": lambda sigs, message: sigs[:-1] + ((True, 2),),
+        # A valid signature over the right message, by a key outside the
+        # signer directory.
+        "item-rogue": lambda sigs, message: sigs[:-1] + (
+            EcdsaMultiSig.sign(EcdsaMultiSig.keygen(random.Random(1)).secret, message),
+        ),
+        "items-swapped": lambda sigs, message: (sigs[1], sigs[0]) + sigs[2:],
+        "blob": lambda sigs, message: bytes(97),  # the size of a BLS aggregate
     }
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -327,7 +334,8 @@ class TestMalformedAggregate:
         stale = laggard.log_digest
         assert stale == genuine.old_digest != log.digest
         forged = dataclasses.replace(
-            genuine, aggregate=self.SHAPES[shape](tuple(genuine.aggregate))
+            genuine,
+            aggregate=self.SHAPES[shape](tuple(genuine.aggregate), genuine.message()),
         )
         with pytest.raises(LogUpdateRejected):
             laggard.accept_certified_transition(forged)
@@ -335,11 +343,11 @@ class TestMalformedAggregate:
         laggard.accept_certified_transition(genuine)
         assert laggard.log_digest == log.digest
 
-    def test_malformed_item_meters_like_a_range_check_failure(self, fleet):
+    def test_malformed_item_meters_like_a_range_check_failure(self):
         """One ``ecdsa_verify`` per item up to and including the bad one."""
         from repro.metering import metered
 
-        scheme = fleet.multisig_scheme
+        scheme = EcdsaMultiSig
         keys = [scheme.keygen(random.Random(seed)) for seed in range(4)]
         sigs = [scheme.sign(kp.secret, b"m") for kp in keys]
         for bad in (None, (1,), ("a", 2), (1.5, 2), (0, 1)):

@@ -36,6 +36,15 @@ class TestWiring:
     def test_update_runner_installed(self, fresh_deployment):
         fresh_deployment.provider.run_log_update()  # must not raise
 
+    def test_multisig_keyword_names_only_the_one_scheme(self):
+        """Transitions are always ECDSA-signed: ``multisig=`` takes
+        ``None`` or an ``EcdsaMultiSig`` and refuses anything else before
+        provisioning a device."""
+        params = SystemParams.for_testing(num_hsms=4, cluster_size=2)
+        for other in (object(), "bls"):
+            with pytest.raises(TypeError):
+                Deployment.create(params, multisig=other)
+
 
 class TestMaintenance:
     def test_fail_and_restart(self, fresh_deployment):

@@ -395,6 +395,9 @@ class TestRecoveryService:
             assert hasattr(device, name), name  # real device surface...
             with pytest.raises(AttributeError):
                 getattr(fifo, name)  # ...not reachable through the view
+        # The signature scheme is not device state.
+        assert not hasattr(device, "multisig_scheme")
+        assert not hasattr(fifo, "multisig_scheme")
         facade = service._facade
         for name in ("log", "journal", "run_log_update"):
             assert hasattr(service.provider, name), name

@@ -526,7 +526,7 @@ class TestCommitteeCertification:
     def test_off_committee_signers_cannot_certify_a_shard(self):
         """Compromised devices from *other* committees must not be able to
         forge a shard's transitions: quorum counts committee members only."""
-        from repro.log.distributed import CertifiedTransition, Transition
+        from repro.log.distributed import CertifiedTransition, EcdsaMultiSig, Transition
 
         dep = Deployment.create(small_params(), rng=random.Random(104), shards=SHARDS)
         victim = dep.fleet[0]  # shard 0's committee is {0, 4}
@@ -534,13 +534,12 @@ class TestCommitteeCertification:
         old = victim.shard_digest(0)
         fake_new, root = b"\xab" * 32, b"\xcd" * 32
         message = Transition(old, fake_new, root, 0, SHARDS).message()
-        scheme = dep.fleet.multisig_scheme
-        signatures = [scheme.sign(s.sig_secret, message) for s in stolen]
+        signatures = [EcdsaMultiSig.sign(s.sig_secret, message) for s in stolen]
         forged = CertifiedTransition(
             old_digest=old,
             new_digest=fake_new,
             root=root,
-            aggregate=scheme.aggregate(signatures),
+            aggregate=EcdsaMultiSig.aggregate(signatures),
             signer_ids=(1, 2),
             shard=0,
             num_shards=SHARDS,
