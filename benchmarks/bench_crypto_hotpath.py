@@ -13,8 +13,15 @@ per-call window table, no precomputation):
   ``variable_base_cached`` one long-lived public key (table already on the
   point) — both against ``naive_mult`` of the same key;
 - **bfe_encrypt_k4** one Bloom-filter ciphertext (``g^r`` + ``mult_each``
-  over k = 4 slot keys + the AE wraps), with the slot keys' tables cached
-  and with all four missing;
+  over k = 4 slot keys + the AE wraps) in the three states a client meets
+  a tag's slot keys in: ``_fresh`` (no table: the first ciphertext to
+  them builds the window tables), ``_promoted`` (the 4-tooth comb
+  ``mult_each`` swaps in on the second: 63 doublings a key) and
+  ``_cached``, the window-table ladders (256 doublings a key) every later
+  ciphertext ran before promotion, through ``tests/reference_comb.py``'s
+  ``window_mult_each``; timed in turns.  ``promoted_over_cached`` is the
+  gated ratio, ``slot_comb_kb`` what one promoted key's comb holds (by
+  tracemalloc) beside its window table's ``slot_window_kb``;
 - **multi-scalar** Straus ``Σ sᵢ·Pᵢ`` vs independent mults;
 - **batched** ``EcdsaMultiSig.verify_aggregate`` (16 signers, their keys
   provisioned through ``precompute_signer_key`` exactly as
@@ -77,13 +84,14 @@ Acceptance gates (exit code 1 on regression):
 
 - full run: fixed-base ≥ 2.0x, fixed_base_batch ≥ 1.4x the per-call comb
   and ≥ 1.4x the one-table lock step, variable_base_oneoff ≥ 1.1x,
-  16-signer verify_aggregate ≥ 4.0x, aes_block ≥ 5.0x, ae_node_roundtrip
-  ≥ 4.5x, aes_seal_batch ≥ 1.35x the per-call seals, ae_open_level ≥ 1.3x
-  the per-call opens;
+  bfe_encrypt_k4 promoted ≥ 1.5x cached, 16-signer verify_aggregate
+  ≥ 4.0x, aes_block ≥ 5.0x, ae_node_roundtrip ≥ 4.5x, aes_seal_batch
+  ≥ 1.35x the per-call seals, ae_open_level ≥ 1.3x the per-call opens;
 - ``--quick`` (the CI perf-smoke lane): fixed-base ≥ 1.5x,
   fixed_base_batch ≥ 1.3x the per-call comb and ≥ 1.3x the one-table lock
-  step, variable_base_oneoff ≥ 1.05x, verify_aggregate ≥ 2.5x,
-  aes_block ≥ 4.0x, aes_seal_batch ≥ 1.25x, ae_open_level ≥ 1.25x.
+  step, variable_base_oneoff ≥ 1.05x, bfe_encrypt_k4 promoted ≥ 1.4x
+  cached, verify_aggregate ≥ 2.5x, aes_block ≥ 4.0x, aes_seal_batch
+  ≥ 1.25x, ae_open_level ≥ 1.25x.
 
 The variable-base floor is deliberately close to the measured ratio (≈ 1.2x
 one-off, ≈ 1.3x cached; a ladder is 256 doublings whatever the table), and
@@ -117,6 +125,7 @@ FULL_GATES = {
     "fixed_base_batch_speedup": 1.4,
     "fixed_base_subtables_speedup": 1.4,
     "variable_base_oneoff_speedup": 1.1,
+    "promoted_over_cached": 1.5,
     "verify_aggregate_speedup": 4.0,
     "aes_block_speedup": 5.0,
     "ae_node_speedup": 4.5,
@@ -128,6 +137,7 @@ QUICK_GATES = {
     "fixed_base_batch_speedup": 1.3,
     "fixed_base_subtables_speedup": 1.3,
     "variable_base_oneoff_speedup": 1.05,
+    "promoted_over_cached": 1.4,
     "verify_aggregate_speedup": 2.5,
     "aes_block_speedup": 4.0,
     "aes_seal_batch_speedup": 1.25,
@@ -148,6 +158,7 @@ NODE_BLOCKS = 4  # a 32-byte key-tree node: H, the tag mask, two CTR blocks
 LEVEL_NODES = 4  # a level of a k = 4 walk down, once the paths have split
 CROSSOVER_LANES = (4, 6, 8, 10, 12, 16, 24, 47)  # batch sizes tried around the break-even
 SIGNERS = 16
+SLOT_KEYS_HELD = 64  # slot-key tables measured at once, so a key's KB is not the call's overhead
 MULTI_TERMS = 8
 FIELD_OP_BATCH = 1000  # field operations per timed call (swamps the call itself)
 
@@ -308,9 +319,10 @@ def symmetric_metrics(records: dict) -> dict:
 
 
 def run(min_seconds: float) -> dict:
+    from repro.crypto import bfe as bfe_module
     from repro.crypto.bfe import BloomFilterEncryption
     from repro.crypto.bloom import BloomParams
-    from reference_comb import jacobian_comb_fill, one_table_generator_mult_each
+    from reference_comb import jacobian_comb_fill, one_table_generator_mult_each, window_mult_each
     from repro.crypto import ec
     from repro.crypto.ec import N, P, P256, ECPoint, generator_mult_each, multi_mult, naive_mult
     from repro.log.distributed import EcdsaMultiSig
@@ -372,18 +384,29 @@ def run(min_seconds: float) -> dict:
     bfe_public, _ = BloomFilterEncryption.keygen(params, InMemoryBlockStore(), rng)
     tag = b"bench-tag"
     slot_keys = [bfe_public.slot_pubkeys[slot] for slot in params.slots_for_tag(tag)]
+    windows = ec._build_windows([(key.x, key.y) for key in slot_keys])
+    combs = [ec._build_comb(key.x, key.y, teeth=ec._SLOT_COMB_TEETH) for key in slot_keys]
+    nothing = [None] * len(slot_keys)
+    r = next_scalar()
+    assert window_mult_each(slot_keys, r) == ec.mult_each(slot_keys, r) == [k * r for k in slot_keys]
 
-    def bfe_encrypt(fresh: bool):
-        if fresh:  # what a client pays the first time it meets these slots
-            for key in slot_keys:
-                key._wtab = None
-        return BloomFilterEncryption.encrypt(bfe_public, b"share" * 8, context=b"ctx", tag=tag)
+    def bfe_encrypt(tables: list, slot_combs: list, multiply=ec.mult_each):
+        """One ciphertext to the tag's slots, the keys holding ``tables``
+        and ``slot_combs`` going in, multiplied through ``multiply``."""
+        for key, table, comb in zip(slot_keys, tables, slot_combs):
+            key._wtab, key._comb = table, comb
+        bfe_module.mult_each = multiply
+        try:
+            return BloomFilterEncryption.encrypt(bfe_public, b"share" * 8, context=b"ctx", tag=tag)
+        finally:
+            bfe_module.mult_each = ec.mult_each
 
     records.update(
         interleaved_timed(
             {
-                "bfe_encrypt_k4_cached": lambda: bfe_encrypt(False),
-                "bfe_encrypt_k4_fresh": lambda: bfe_encrypt(True),
+                "bfe_encrypt_k4_cached": lambda: bfe_encrypt(windows, nothing, window_mult_each),
+                "bfe_encrypt_k4_promoted": lambda: bfe_encrypt(nothing, combs),
+                "bfe_encrypt_k4_fresh": lambda: bfe_encrypt(nothing, nothing),
             },
             min_seconds,
         )
@@ -444,24 +467,45 @@ def run(min_seconds: float) -> dict:
     return records
 
 
-def comb_kb(tables: int) -> float:
-    """What building a comb of ``tables`` sub-tables over the generator
-    leaves allocated, by tracemalloc (free lists emptied first, so every
-    entry is a fresh allocation)."""
+def held_kb(build) -> float:
+    """What ``build()`` — a table over the generator — leaves allocated,
+    by tracemalloc (free lists emptied first, so every entry is a fresh
+    allocation)."""
     import gc
     import tracemalloc
-
-    from repro.crypto import ec
 
     gc.collect()
     tracemalloc.start()
     try:
-        comb = ec._build_comb(ec.GX, ec.GY, tables)
+        table = build()
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(comb) == tables
+    assert table
     return held / 1024
+
+
+def comb_kb(tables: int) -> float:
+    """What a 9-tooth comb of ``tables`` sub-tables holds."""
+    from repro.crypto import ec
+
+    return held_kb(lambda: ec._build_comb(ec.GX, ec.GY, tables))
+
+
+def slot_key_metrics(records: dict) -> dict:
+    """A promoted slot key against its window table: one ``bfe.encrypt``
+    over k = 4 keys each way, and what each table holds per key."""
+    from repro.crypto import ec
+
+    keys = SLOT_KEYS_HELD
+    return {
+        "bfe_encrypt_k4_promoted_ms": 1e3 / records["bfe_encrypt_k4_promoted"]["ops_per_sec"],
+        "bfe_encrypt_k4_cached_ms": 1e3 / records["bfe_encrypt_k4_cached"]["ops_per_sec"],
+        "slot_comb_kb": held_kb(
+            lambda: [ec._build_comb(ec.GX, ec.GY, teeth=ec._SLOT_COMB_TEETH) for _ in range(keys)]
+        ) / keys,
+        "slot_window_kb": held_kb(lambda: ec._build_windows([(ec.GX, ec.GY)] * keys)) / keys,
+    }
 
 
 def lockstep_affine_metrics(records: dict, speedups: dict) -> dict:
@@ -531,7 +575,12 @@ def main(argv=None) -> int:
     speedups["fixed_base_subtables_speedup"] = (
         records["fixed_base_batch"]["ops_per_sec"] / records["fixed_base_one_table"]["ops_per_sec"]
     )
+    speedups["promoted_over_cached"] = (
+        records["bfe_encrypt_k4_promoted"]["ops_per_sec"]
+        / records["bfe_encrypt_k4_cached"]["ops_per_sec"]
+    )
     lockstep = lockstep_affine_metrics(records, speedups)
+    slot = slot_key_metrics(records)
     symmetric = symmetric_metrics(records)
 
     rows = []
@@ -577,6 +626,12 @@ def main(argv=None) -> int:
         f" -> {speedups['fixed_base_subtables_speedup']:.2f}x"
     )
     lines.append(
+        f"slot keys (bfe_encrypt_k4): promoted {slot['bfe_encrypt_k4_promoted_ms']:.2f} ms vs"
+        f" window ladders {slot['bfe_encrypt_k4_cached_ms']:.2f} ms"
+        f" -> {speedups['promoted_over_cached']:.2f}x; a {ec._SLOT_COMB_TEETH}-tooth comb holds"
+        f" {slot['slot_comb_kb']:.1f} KB a key, a window table {slot['slot_window_kb']:.1f} KB"
+    )
+    lines.append(
         f"byte-sliced AES: {symmetric['aes_us_per_block_node_width']:.1f} us/block at a node's"
         f" {NODE_BLOCKS} blocks, {symmetric['aes_us_per_block_one_block']:.1f} us for a lone block"
         f" (reference {symmetric['aes_us_per_block_naive']:.1f} us/block); one set-up's seals"
@@ -599,7 +654,7 @@ def main(argv=None) -> int:
            + ", ".join(f"{m} >= {f:g}x" for m, f in gates.items()))
     )
 
-    metrics = dict(speedups, **lockstep, **symmetric)
+    metrics = dict(speedups, **lockstep, **slot, **symmetric)
     for label, record in records.items():
         metrics[f"{label}_ops_per_sec"] = record["ops_per_sec"]
     emit(

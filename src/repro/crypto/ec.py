@@ -26,17 +26,29 @@ long a point lives and how often it is multiplied:
   ElGamal, ECDSA sign/verify, every HSM decrypt — is the first provisioned
   point, and the one with ``_GENERATOR_COMB_TABLES`` (5) sub-tables: 6
   doublings a multiply, for a comb built once per process on first use.
-  Any other point gets a one-table comb only through an explicit
+  Any other point gets a one-table 9-tooth comb only through an explicit
   :meth:`ECPoint.precompute` at provisioning time (the signer directory,
   via ``EcdsaMultiSig.precompute_signer_key``): never on reuse, and only
   ever for public keys.
+- **Small comb (promoted slot keys)**: a BFE slot key is multiplied by a
+  fresh r in every ciphertext whose tag hashes to its slot, and a backup
+  series under one salt hashes every backup to the same k slots.  When
+  :func:`mult_each` meets a point that already holds a window table — its
+  second multiply — it replaces the table with a one-table comb of
+  ``_SLOT_COMB_TEETH`` (4) teeth over 64 bit positions: 15 affine subset
+  sums of ``2^(64j)·Q`` (192 doublings to build, about 0.8 of one
+  ladder), then 63 doublings + ≈ 60 mixed additions a multiply instead
+  of 256 + 43.  It is the same comb engine with fewer teeth: one index
+  reading of r serves all k keys.
+  A first multiply still builds only the cheap window table, so a one-off
+  point — an HSM-side ephemeral, a response key — never pays for a comb.
 - **Signed-window ladder (every other point)**: the scalar is recoded into
   width-5 signed digits (``_signed_digits``: odd, |d| <= 15, at least five
   positions apart) over the 8 odd multiples ``Q, 3Q, ..., 15Q`` — 256
   doublings + ~43 mixed additions.  The table is cached on the
   :class:`ECPoint` the first time it is multiplied, so long-lived points
-  (HSM ElGamal keys, BFE slot keys) build it once; a fresh ephemeral pays
-  for it once and drops it with the point.  Tables hold multiples of the
+  (HSM ElGamal keys) build it once; a fresh ephemeral pays for it once
+  and drops it with the point.  Tables hold multiples of the
   point only; the recoded digits of a (possibly secret) scalar are locals
   of the call.
 - **Lock step (many scalars, one provisioned point — a device's m slot
@@ -61,10 +73,10 @@ long a point lives and how often it is multiplied:
 
 :func:`multi_mult` exposes Straus/Shamir multi-scalar multiplication
 (``Σ sᵢ·Pᵢ``: every term's columns merged into one chain, a comb's
-columns riding the chain's last 29 — or w — steps), :func:`mult_each`
-multiplies many points by one scalar (one recoding, one batch inversion
-for the missing tables and one for the results — a BFE ciphertext's k
-slot keys),
+columns riding the chain's last 64, 29 or w steps), :func:`mult_each`
+multiplies many points by one scalar (one recoding, one comb reading,
+one batch inversion for the missing tables and one for the results — a
+BFE ciphertext's k slot keys),
 :func:`generator_mult_each` the generator by many scalars (above), and
 :meth:`_Curve.ecdsa_verify_all` — the one verification entry, a single
 signature its one-triple case — verifies a chunk of signatures with one
@@ -83,7 +95,7 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import metering
 from repro.crypto.field import batch_inverse_mod
@@ -348,75 +360,95 @@ def _build_windows(points: Sequence[_Affine]) -> List[List[_Affine]]:
     ]
 
 
-def _cache_windows(points: Sequence["ECPoint"]) -> None:
-    """Build the window table of every listed point that lacks one, all in
-    one batch.  A benign race between threads builds identical tables; the
-    single attribute assignment keeps each cache consistent either way."""
-    missing = [point for point in points if point._wtab is None]
+def _cache_windows(points: Sequence["ECPoint"]) -> List[List[_Affine]]:
+    """The window table of every listed point, building those that lack one
+    in one batch and caching them on their points.  The tables come back
+    aligned with ``points``, so a caller never re-reads ``_wtab`` (which
+    :func:`mult_each` may clear meanwhile); a benign race between threads
+    builds identical tables."""
+    tables = [point._wtab for point in points]
+    missing = [lane for lane, table in enumerate(tables) if table is None]
     if missing:
-        tables = _build_windows([(point.x, point.y) for point in missing])  # type: ignore[misc]
-        for point, table in zip(missing, tables):
-            point._wtab = table
+        built = _build_windows([(points[lane].x, points[lane].y) for lane in missing])  # type: ignore[misc]
+        for lane, table in zip(missing, built):
+            points[lane]._wtab = tables[lane] = table
+    return tables  # type: ignore[return-value]
 
 
-# -- Lim–Lee comb for provisioned points ----------------------------------------
-# 9 teeth x 29 bits: a scalar is read as nine 29-bit blocks laid one above
-# the other, and bit c of every block together is a nine-bit index into a
-# table of the teeth's 511 subset sums.  (9 x 29 = 261 >= 256; a tenth tooth
-# would double the table for three fewer columns.)  A comb of S sub-tables
-# cuts the 29 positions into S runs of w = ⌈29/S⌉: sub-table i is the same
-# 511 sums scaled by 2^(i·w), so a multiply is w columns of at most S
-# entries — w doublings instead of 29.  Only the generator, built once per
+# -- Lim–Lee combs ------------------------------------------------------------------
+# A comb of t teeth reads a scalar as t blocks of c = ⌈256/t⌉ bits laid one
+# above the other, and bit p of every block together is a t-bit index into
+# a table of the teeth's 2^t − 1 subset sums of 2^(c·j)·Q: a multiply is c
+# columns of at most one entry, c − 1 doublings.  A provisioned point's
+# comb has 9 teeth x 29 bits (9 x 29 = 261 >= 256; a tenth tooth would
+# double the table for three fewer columns), 511 entries.  A comb of S
+# sub-tables cuts the c positions into S runs of w = ⌈c/S⌉: sub-table i is
+# the same sums scaled by 2^(i·w), so a multiply is w columns of at most S
+# entries — w doublings instead of c.  Only the generator, built once per
 # process and multiplied by everything, has _GENERATOR_COMB_TABLES of them
 # (≈ 0.48 MB under tracemalloc, against ≈ 0.11 MB for one); a signer key
-# keeps one, since a dozen of them at five sub-tables would hold ≈ 4.4 MB more.
+# keeps one, since a dozen of them at five sub-tables would hold ≈ 4.4 MB
+# more.  A slot key :func:`mult_each` meets a second time gets the small
+# comb: _SLOT_COMB_TEETH = 4 teeth x 64 bits, one table of 15 entries
+# (≈ 2.9 KB, against its window table's 1.5 KB), 63 doublings a multiply.
 _COMB_TEETH = 9
-_COMB_COLUMNS = 29
-_COMB_BITS = f"0{_COMB_TEETH * _COMB_COLUMNS}b"
+_SLOT_COMB_TEETH = 4
 _GENERATOR_COMB_TABLES = 5
 
 _Comb = List[List[Optional[_Affine]]]  # the sub-tables; entry 0 of each is None
 
 
-def _comb_width(tables: int) -> int:
-    """The columns of a comb of ``tables`` sub-tables: ⌈29 / tables⌉."""
-    return -(-_COMB_COLUMNS // tables)
+def _comb_stride(teeth: int) -> int:
+    """The bit positions a tooth spans: ⌈256 / teeth⌉ (29 for 9, 64 for 4)."""
+    return -(-256 // teeth)
 
 
-def _build_comb(x: int, y: int, tables: int = 1) -> _Comb:
-    """Comb of ``tables`` sub-tables for the affine point ``Q = (x, y)``:
-    ``sub[i][b] = Σ_{j ∈ bits(b)} 2^(29j + i·w)·Q`` for ``b`` in 1..511,
-    ``w = _comb_width(tables)``.
+def _comb_width(tables: int, teeth: int = _COMB_TEETH) -> int:
+    """The columns of a comb of ``tables`` sub-tables: ⌈stride / tables⌉."""
+    return -(-_comb_stride(teeth) // tables)
 
-    One doubling chain raises the 9·``tables`` tooth bases in order of
-    their exponent (232 + (tables − 1)·w doublings), normalized together;
-    then, a sub-table at a time, each tooth is added to every entry below
-    it in one lock-step batch (:func:`_add_each`: 502 affine additions on
-    eight shared inversions), so the entries are affine as they are made
+
+def _comb_teeth(comb: _Comb) -> int:
+    """A comb's tooth count, read off its 2^teeth-entry sub-tables."""
+    return len(comb[0]).bit_length() - 1
+
+
+def _build_comb(x: int, y: int, tables: int = 1, teeth: int = _COMB_TEETH) -> _Comb:
+    """Comb of ``tables`` sub-tables of ``teeth`` teeth for the affine
+    point ``Q = (x, y)``: ``sub[i][b] = Σ_{j ∈ bits(b)} 2^(c·j + i·w)·Q``
+    for ``b`` in 1..2^teeth − 1, ``c = _comb_stride(teeth)``,
+    ``w = _comb_width(tables, teeth)``.
+
+    One doubling chain raises the teeth·``tables`` tooth bases in order of
+    their exponent (c·(teeth − 1) + (tables − 1)·w doublings: 232 + … for
+    9 teeth, 192 for 4), normalized together; then, a sub-table at a time,
+    each tooth is added to every entry below it in one lock-step batch
+    (:func:`_add_each`: 502 affine additions on eight shared inversions at
+    9 teeth, 11 on three at 4), so the entries are affine as they are made
     and every later addition is a mixed add.  (Filling all sub-tables in
     the same batches saves a few inversions but holds S tables' worth of
     working lists at once: ≈ 0.25 MB more peak resident at S = 5.)  No
     entry is infinity and no batch adds inverse points: ``Q`` has prime
-    order ``N`` and no subset sum of ``2^(29j + i·w)`` is a multiple of
-    ``N`` (``tests/test_ec_fastpath.py`` checks every sub-table's 511).
+    order ``N`` and no subset sum of ``2^(c·j + i·w)`` is a multiple of
+    ``N`` (``tests/test_ec_fastpath.py`` checks every sub-table's entries).
 
     The sub-tables hold multiples of a *public* point only.
     """
-    width = _comb_width(tables)
-    teeth: List[_JPoint] = []
+    stride, width = _comb_stride(teeth), _comb_width(tables, teeth)
+    bases: List[_JPoint] = []
     tooth: _JPoint = (x, y, 1)
     exponent = 0
-    for j in range(_COMB_TEETH):
+    for j in range(teeth):
         for i in range(tables):
-            for _ in range(_COMB_COLUMNS * j + width * i - exponent):
+            for _ in range(stride * j + width * i - exponent):
                 tooth = _jac_double(tooth)
-            exponent = _COMB_COLUMNS * j + width * i
-            teeth.append(tooth)
-    bases = _jac_to_affine_batch(teeth)
+            exponent = stride * j + width * i
+            bases.append(tooth)
+    affine = _jac_to_affine_batch(bases)
     subs: _Comb = []
     for i in range(tables):
         sub: List[Optional[_Affine]] = [None]
-        for base in bases[i::tables]:
+        for base in affine[i::tables]:
             sub += [base] + _add_each(sub[1:], [base] * (len(sub) - 1))
         subs.append(sub)
     return subs
@@ -427,24 +459,28 @@ def _is_generator(x: Optional[int], y: Optional[int]) -> bool:
 
 
 # -- column builders ---------------------------------------------------------------
-def _comb_index(bits: str, position: int) -> int:
-    """The table index of bit ``position`` (0..28) of every tooth of a
-    scalar written ``format(scalar, _COMB_BITS)``: 0 where those teeth are
-    all zero.  Written MSB-first, the bits at stride 29 are one position's
-    teeth, top tooth first, so an index is one slice and one parse.  Bit
-    ``position`` reads sub-table ``position // w`` in column
-    ``position % w`` — one layout for both shapes."""
-    return int(bits[_COMB_COLUMNS - 1 - position :: _COMB_COLUMNS], 2)
+def _comb_indices(scalar: int, teeth: int) -> List[int]:
+    """The table index of every bit position of a reduced scalar under a
+    comb of ``teeth`` teeth, lowest position first: index ``p`` gathers
+    bit ``p`` of every tooth, and is 0 where those bits are all zero.
+    Written MSB-first over teeth·c bits, the bits at stride c are one
+    position's teeth, top tooth first, so an index is one slice and one
+    parse.  Position ``p`` reads sub-table ``p // w`` in column ``p % w``
+    — one layout for every shape.  The indices depend on the scalar and
+    the tooth count only, so one reading serves every comb of that count
+    (a :func:`mult_each` call's k slot keys); they are locals of the call."""
+    stride = _comb_stride(teeth)
+    bits = format(scalar, f"0{teeth * stride}b")
+    return [int(bits[stride - 1 - position :: stride], 2) for position in range(stride)]
 
 
-def _comb_columns(columns: List[_Column], scalar: int, comb: _Comb) -> None:
-    """Add ``scalar·Q`` for a combed ``Q`` to ``columns``: in each of the
+def _comb_columns(columns: List[_Column], indices: Sequence[int], comb: _Comb) -> None:
+    """Add ``scalar·Q`` for a combed ``Q`` to ``columns``, the scalar given
+    as its :func:`_comb_indices` for ``comb``'s tooth count: in each of the
     last ``w`` columns, one entry from each sub-table whose teeth there are
-    not all zero.  The scalar must be reduced mod N."""
-    width = _comb_width(len(comb))
-    bits = format(scalar, _COMB_BITS)
-    for position in range(_COMB_COLUMNS):
-        index = _comb_index(bits, position)
+    not all zero."""
+    width = _comb_width(len(comb), _comb_teeth(comb))
+    for position, index in enumerate(indices):
         if index:
             columns[~(position % width)] += (comb[position // width][index],)  # type: ignore[operator]
 
@@ -463,14 +499,18 @@ def _ladder_columns(
             columns[~position] += ((x, P - y),)
 
 
-def _comb_mult(terms: Sequence[Tuple[int, _Comb]]) -> _JPoint:
-    """``Σ sᵢ·Pᵢ`` over ``(scalar, comb)`` terms in ONE chain as wide as
-    the widest comb: 29 doublings for a sum with a signer key in it, w for
-    the generator's sub-tables alone, plus at most 29 mixed additions per
-    term, against 256 doublings for a ladder over any one point."""
-    columns: List[_Column] = [()] * max(_comb_width(len(comb)) for _, comb in terms)
-    for scalar, comb in terms:
-        _comb_columns(columns, scalar, comb)
+def _comb_mult(terms: Sequence[Tuple[Sequence[int], _Comb]]) -> _JPoint:
+    """``Σ sᵢ·Pᵢ`` over ``(indices, comb)`` terms — each scalar as its
+    :func:`_comb_indices` — in ONE chain as wide as the widest comb: 64
+    doublings for a sum with a promoted slot key in it, 29 with a signer
+    key, w for the generator's sub-tables alone, plus at most one mixed
+    addition per column of each term, against 256 doublings for a ladder
+    over any one point."""
+    columns: List[_Column] = [()] * max(
+        _comb_width(len(comb), _comb_teeth(comb)) for _, comb in terms
+    )
+    for indices, comb in terms:
+        _comb_columns(columns, indices, comb)
     return _chain(columns)
 
 
@@ -479,26 +519,26 @@ def _multi_mult_jac(pairs: Sequence[Tuple[int, "ECPoint"]]) -> _JPoint:
 
     Scalars are assumed reduced mod N and nonzero, points non-infinity.
     When every point carries a comb (the generator, provisioned signer
-    keys) the sum is one comb chain.  Otherwise it is one ladder chain:
-    each remaining point lays its signed digits over its cached window
-    table, and the comb columns ride the ladder's last steps.
+    keys, promoted slot keys) the sum is one comb chain.  Otherwise it is
+    one ladder chain: each remaining point lays its signed digits over its
+    cached window table, and the comb columns ride the ladder's last steps.
     """
     combed = []
     laddered = []
     for scalar, point in pairs:
         comb = point._comb_table()
         if comb is not None:
-            combed.append((scalar, comb))
+            combed.append((_comb_indices(scalar, _comb_teeth(comb)), comb))
         else:
             laddered.append((scalar, point))
     if not laddered:
         return _comb_mult(combed)
-    _cache_windows([point for _, point in laddered])
     columns: List[_Column] = [()] * _LADDER_COLUMNS
-    for scalar, comb in combed:
-        _comb_columns(columns, scalar, comb)
-    for scalar, point in laddered:
-        _ladder_columns(columns, _signed_digits(scalar), point._wtab)  # type: ignore[arg-type]
+    for indices, comb in combed:
+        _comb_columns(columns, indices, comb)
+    windows = _cache_windows([point for _, point in laddered])
+    for (scalar, _), table in zip(laddered, windows):
+        _ladder_columns(columns, _signed_digits(scalar), table)
     return _chain(columns)
 
 
@@ -509,12 +549,14 @@ class ECPoint:
     (``_wtab``) the first time they are scalar-multiplied, so repeated
     multiplications of the same long-lived point — HSM ElGamal keys, BFE
     slot keys — skip the per-call table build.  A point that was explicitly
-    :meth:`precompute`d (a provisioned signer key) carries a one-table comb
-    (``_comb``) instead and multiplies with 29 doublings rather than 256;
-    the generator's coordinates always resolve to the one comb of
-    ``_GENERATOR_COMB_TABLES`` sub-tables held by ``P256.generator``.  Both
-    caches hold multiples of the (public) point only and are keyed on the
-    instance; equality/hashing ignore them.
+    :meth:`precompute`d (a provisioned signer key) carries a 9-tooth
+    one-table comb (``_comb``) instead and multiplies with 29 doublings
+    rather than 256; the generator's coordinates always resolve to the one
+    comb of ``_GENERATOR_COMB_TABLES`` sub-tables held by
+    ``P256.generator``.  A slot key that :func:`mult_each` meets with its
+    window table already cached trades it for a 4-tooth comb (63
+    doublings).  Both caches hold multiples of the (public) point only and
+    are keyed on the instance; equality/hashing ignore them.
     """
 
     __slots__ = ("x", "y", "_wtab", "_comb")
@@ -551,17 +593,20 @@ class ECPoint:
 
     # lint: unmetered[table build over a public key; verification meters ecdsa_verify]
     def precompute(self) -> None:
-        """Build this point's comb (idempotent; one table of 511 entries,
-        ~0.1 MB, about a dozen verifications' worth of work).
+        """Build this point's 9-tooth comb (a no-op on a point that holds a
+        comb already; one table of 511 entries, ~0.1 MB, about a dozen
+        verifications' worth of work).
 
-        Promotion is explicit: call it only at provisioning time for a
+        This promotion is explicit: call it only at provisioning time for a
         *public* key that will be verified against every epoch (the signer
-        directory).  Nothing promotes a point on reuse — a device holds
-        hundreds of BFE slot keys, and a table for each would cost hundreds
-        of MB for keys that are each used a handful of times.  The
-        generator's coordinates resolve to ``P256.generator``'s comb of
-        ``_GENERATOR_COMB_TABLES`` sub-tables, built once per process (a
-        benign race between threads builds identical ones).
+        directory).  Nothing gives a point the 9-tooth comb on reuse — a
+        device holds hundreds of BFE slot keys, and a 0.1 MB table for each
+        would cost tens of MB for keys that are each used a handful of
+        times; :func:`mult_each`'s second multiply gives a slot key the
+        4-tooth comb of 15 entries instead.  The generator's coordinates
+        resolve to ``P256.generator``'s comb of ``_GENERATOR_COMB_TABLES``
+        sub-tables, built once per process (a benign race between threads
+        builds identical ones).
         """
         if self._comb is not None or self.is_infinity:
             return
@@ -659,7 +704,8 @@ def multi_mult(pairs: Sequence[Tuple[int, ECPoint]]) -> ECPoint:
     """Straus/Shamir multi-scalar multiplication: ``Σ sᵢ·Pᵢ`` in one pass.
 
     All terms share ONE doubling chain — 29 columns when every point is
-    provisioned (the generator included), the ladder's 257 otherwise — so
+    provisioned (the generator included), 64 when every point is combed
+    and a promoted slot key takes part, the ladder's 257 otherwise — so
     ``k`` multiplications cost roughly one multiplication plus ``k``
     addition streams instead of ``k`` full multiplications.  The result is
     bit-for-bit the same point the ``k`` separate multiplications would
@@ -683,8 +729,16 @@ def multi_mult(pairs: Sequence[Tuple[int, ECPoint]]) -> ECPoint:
 def mult_each(points: Sequence[ECPoint], scalar: int) -> List[ECPoint]:
     """``scalar·P`` for every ``P`` in ``points``: one scalar, many points.
 
-    This is Bloom-filter encryption's ``pkᵢ^r`` over a tag's k slot keys.
-    The scalar is recoded once, the window tables the points still lack are
+    This is Bloom-filter encryption's ``pkᵢ^r`` over a tag's k slot keys,
+    and the one place a point is promoted on reuse.  A point met for the
+    first time gets its window table, as ``P * s`` would; a point that
+    already holds one — a slot key multiplied a second time — trades it
+    for a comb of ``_SLOT_COMB_TEETH`` teeth (192 doublings to build, about
+    0.8 of one ladder; then 63 doublings a multiply instead of 256).  So a
+    one-off point never pays for a comb, and no use is counted.  The
+    scalar is recoded once for the ladders and read into comb indices once
+    per tooth count, shared by every combed point; the window tables the
+    points still lack are
     normalized by ONE batch inversion and the k results by one more.  Each
     result is bit-for-bit ``P * scalar``; an identity point or a zero
     scalar yields the identity.
@@ -695,20 +749,29 @@ def mult_each(points: Sequence[ECPoint], scalar: int) -> List[ECPoint]:
     if points:
         metering.count("ec_mult", len(points))
     scalar %= N
-    digits = _signed_digits(scalar)
-    _cache_windows(
-        [p for p in points if not p.is_infinity and p._comb_table() is None]
-    )
-    products: List[_JPoint] = []
+    combs: List[Optional[_Comb]] = []
     for point in points:
-        comb = point._comb_table()
+        comb = None if point.is_infinity else point._comb_table()
+        if comb is None and point._wtab is not None:  # a second multiply
+            comb = point._comb = _build_comb(point.x, point.y, teeth=_SLOT_COMB_TEETH)  # type: ignore[arg-type]
+            point._wtab = None
+        combs.append(comb)
+    laddered = [p for p, comb in zip(points, combs) if comb is None and not p.is_infinity]
+    windows = iter(_cache_windows(laddered))
+    digits = _signed_digits(scalar)
+    indices: Dict[int, List[int]] = {}  # by tooth count
+    products: List[_JPoint] = []
+    for point, comb in zip(points, combs):
         if comb is not None:
-            products.append(_comb_mult([(scalar, comb)]))
+            teeth = _comb_teeth(comb)
+            if teeth not in indices:
+                indices[teeth] = _comb_indices(scalar, teeth)
+            products.append(_comb_mult([(indices[teeth], comb)]))
         elif point.is_infinity:
             products.append(_INFINITY)
         else:
             columns: List[_Column] = [()] * _LADDER_COLUMNS
-            _ladder_columns(columns, digits, point._wtab)  # type: ignore[arg-type]
+            _ladder_columns(columns, digits, next(windows))
             products.append(_chain(columns))
     return [ECPoint._from_affine(affine) for affine in _jac_to_affine_batch(products)]
 
@@ -742,13 +805,13 @@ def generator_mult_each(scalars: Sequence[int]) -> List[ECPoint]:
         return [ECPoint._from_jac(generator._mult_jac(scalar)) for scalar in scalars]
     comb: _Comb = generator._comb_table()  # type: ignore[assignment]
     width = _comb_width(len(comb))
-    lanes = [format(scalar % N, _COMB_BITS) for scalar in scalars]
+    lanes = [_comb_indices(scalar % N, _COMB_TEETH) for scalar in scalars]
     sums: List[Optional[_Affine]] = [None] * len(scalars)
     for column in range(width - 1, -1, -1):
         held = sums
-        for position in range(column, _COMB_COLUMNS, width):  # one per sub-table
+        for position in range(column, _comb_stride(_COMB_TEETH), width):  # one per sub-table
             sub = comb[position // width]
-            sums = _add_each(sums, [sub[_comb_index(bits, position)] for bits in lanes])
+            sums = _add_each(sums, [sub[indices[position]] for indices in lanes])
             if position == column:
                 sums = _add_each(sums, held)  # (acc + entry) + acc = 2·acc + entry
     return [ECPoint._from_affine(affine) for affine in sums]

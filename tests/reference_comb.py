@@ -10,9 +10,16 @@
   ``generator_mult_each`` ran before the generator's comb was cut into
   sub-tables: one 29-column table, two ``_add_each`` batches a column.  The
   hot-path bench times ``fixed_base_batch`` against it in turns.
+- :func:`window_mult_each` is ``mult_each`` before a slot key met a second
+  time was promoted to a 4-tooth comb: every point a ladder over its
+  cached window table.  The hot-path bench's ``bfe_encrypt_k4_cached``
+  row encrypts through it.
 """
 
+from repro import metering
 from repro.crypto import ec
+
+_STRIDE = ec._comb_stride(ec._COMB_TEETH)
 
 
 def jacobian_comb_fill(x, y):
@@ -21,7 +28,7 @@ def jacobian_comb_fill(x, y):
     tooth = (x, y, 1)
     for j in range(ec._COMB_TEETH):
         if j:
-            for _ in range(ec._COMB_COLUMNS):
+            for _ in range(_STRIDE):
                 tooth = ec._jac_double(tooth)
         bit = 1 << j
         jac[bit] = tooth
@@ -33,8 +40,8 @@ def jacobian_comb_fill(x, y):
 def _column_indices(scalar):
     """The 29 one-table indices of a reduced scalar, most significant
     column first."""
-    bits = format(scalar, ec._COMB_BITS)
-    return [int(bits[column :: ec._COMB_COLUMNS], 2) for column in range(ec._COMB_COLUMNS)]
+    bits = format(scalar, f"0{ec._COMB_TEETH * _STRIDE}b")
+    return [int(bits[column :: _STRIDE], 2) for column in range(_STRIDE)]
 
 
 def one_table_generator_mult_each(scalars, table):
@@ -46,3 +53,18 @@ def one_table_generator_mult_each(scalars, table):
     for column in zip(*[_column_indices(scalar % ec.N) for scalar in scalars]):
         sums = ec._add_each(ec._add_each(sums, [table[index] for index in column]), sums)
     return [ec.ECPoint._from_affine(affine) for affine in sums]
+
+
+def window_mult_each(points, scalar):
+    """``scalar·P`` for every finite, comb-less ``P`` in ``points``, each a
+    256-doubling ladder over its cached window table (built if missing),
+    one recoding and one normalizing inversion for all; never promotes.
+    Meters what ``mult_each`` does."""
+    metering.count("ec_mult", len(points))
+    digits = ec._signed_digits(scalar % ec.N)
+    products = []
+    for table in ec._cache_windows(points):
+        columns = [()] * ec._LADDER_COLUMNS
+        ec._ladder_columns(columns, digits, table)
+        products.append(ec._chain(columns))
+    return [ec.ECPoint._from_affine(affine) for affine in ec._jac_to_affine_batch(products)]

@@ -39,6 +39,9 @@ from reference_comb import jacobian_comb_fill, one_table_generator_mult_each
 G = P256.generator
 GENERATOR_TABLES = ec_module._GENERATOR_COMB_TABLES
 GENERATOR_WIDTH = ec_module._comb_width(GENERATOR_TABLES)
+STRIDE = ec_module._comb_stride(ec_module._COMB_TEETH)  # 29
+SLOT_TEETH = ec_module._SLOT_COMB_TEETH
+SLOT_STRIDE = ec_module._comb_stride(SLOT_TEETH)  # 64
 
 # Scalars where window/comb algorithms historically go wrong: zero, the
 # identity, all-ones digits, values at and just past the group order.
@@ -214,7 +217,7 @@ class TestColumnBuilders:
     def test_no_comb_subset_sum_is_a_multiple_of_the_order(self):
         """``_build_comb`` and the lock step rely on it: no entry of any
         sub-table is infinity."""
-        teeth, stride = ec_module._COMB_TEETH, ec_module._COMB_COLUMNS
+        teeth, stride = ec_module._COMB_TEETH, STRIDE
         assert teeth * stride >= 256 and (GENERATOR_TABLES - 1) * GENERATOR_WIDTH < stride
         for shift in range(0, GENERATOR_TABLES * GENERATOR_WIDTH, GENERATOR_WIDTH):
             for index in range(1, 1 << teeth):
@@ -238,11 +241,13 @@ class TestColumnBuilders:
     @settings(max_examples=10, deadline=None)
     def test_comb_columns_ride_the_ladders_last_steps(self, scalar, other, seed):
         point = G * random.Random(seed).randrange(1, N)
-        combed = precomputed(point)
+        combed, slot = precomputed(point), promoted(point)
         ec_module._cache_windows([point])
-        for base, width in ((combed, ec_module._COMB_COLUMNS), (G, GENERATOR_WIDTH)):
+        for base, width in ((combed, STRIDE), (G, GENERATOR_WIDTH), (slot, SLOT_STRIDE)):
+            comb = base._comb_table()
             columns = [()] * ec_module._LADDER_COLUMNS
-            ec_module._comb_columns(columns, scalar, base._comb_table())
+            indices = ec_module._comb_indices(scalar, ec_module._comb_teeth(comb))
+            ec_module._comb_columns(columns, indices, comb)
             assert not any(columns[:-width])
             ec_module._ladder_columns(columns, ec_module._signed_digits(other), point._wtab)
             expected = naive_mult(base, scalar) + naive_mult(point, other)
@@ -253,6 +258,16 @@ def precomputed(point: ECPoint) -> ECPoint:
     """A fresh instance with the same coordinates, carrying a comb table."""
     copy = ECPoint(point.x, point.y)
     copy.precompute()
+    return copy
+
+
+def promoted(point: ECPoint) -> ECPoint:
+    """A fresh instance with the same coordinates, promoted the way a slot
+    key is: by its second ``mult_each``."""
+    copy = ECPoint(point.x, point.y)
+    mult_each([copy], 1)
+    mult_each([copy], 1)
+    assert copy._wtab is None and ec_module._comb_teeth(copy._comb) == SLOT_TEETH
     return copy
 
 
@@ -361,25 +376,31 @@ class TestComb:
         assert not P256.ecdsa_verify_all(combed) and not P256.ecdsa_verify_all(plain)
 
     def test_only_the_generator_and_the_signer_directory_carry_a_comb(self):
-        """Promotion is explicit: after a backup + recovery exactly N + 1
-        combs exist — the generator's, of S sub-tables, and one table per
-        signer key; no BFE slot key, ephemeral point or client-side copy
-        grew one — and restoring the deployment builds none."""
+        """Promotion to the 9-tooth comb is explicit: after a backup +
+        recovery exactly N + 1 such combs exist — the generator's, of S
+        sub-tables, and one table per signer key; no BFE slot key, ephemeral
+        point or client-side copy grew one — and restoring the deployment
+        builds none.  Every other comb is the 4-tooth one of a BFE slot key
+        that the client's ``mult_each`` met a second time."""
         from repro.storage.blockstore import InMemoryBlockStore
 
-        def combed_points():
+        def combed_points(teeth=ec_module._COMB_TEETH):
             gc.collect()
             return [
                 obj for obj in gc.get_objects()
                 if type(obj) is ECPoint and obj._comb is not None
+                and ec_module._comb_teeth(obj._comb) == teeth
             ]
 
         before = {id(point._comb) for point in combed_points()}
+        small_before = {id(point._comb) for point in combed_points(SLOT_TEETH)}
         store = InMemoryBlockStore()
         params = SystemParams.for_testing(num_hsms=4, cluster_size=3)
         deployment = Deployment.create(params, rng=random.Random(7), store=store)
         client = deployment.new_client("comb-population-user")
         client.backup(b"payload", pin="1234")
+        # One salt, so the same slots: this backup promotes their keys.
+        client.backup(b"payload", pin="1234", reuse_salt=True)
         assert client.recover(pin="1234") == b"payload"
 
         directory = {
@@ -406,21 +427,32 @@ class TestComb:
         new_tables = {id(p._comb) for p in combed_points()} - before - set(tables)
         assert not new_tables
 
+        slot_keys = {
+            (key.x, key.y)
+            for info in deployment.fleet.master_public_key()
+            for key in info.bfe_public.slot_pubkeys
+        }
+        small = [p for p in combed_points(SLOT_TEETH) if id(p._comb) not in small_before]
+        assert small and {(p.x, p.y) for p in small} <= slot_keys
+        assert all(len(p._comb) == 1 and p._wtab is None for p in small)
+
 
 class TestMultEach:
     @pytest.mark.parametrize("scalar", EDGE_SCALARS)
     def test_edge_scalars_over_every_tier(self, scalar, named_points):
         fresh = ECPoint(named_points["small"].x, named_points["small"].y)
-        cached = named_points["random"]
+        cached = ECPoint(named_points["random"].x, named_points["random"].y)
         cached * 3  # carries a window table from here on
         points = [
             G, ECPoint(G.x, G.y), precomputed(cached), cached, fresh,
-            ECPoint(None, None), cached, fresh,
+            ECPoint(None, None), cached, fresh, promoted(fresh),
         ]
         assert fresh._wtab is None and cached._wtab is not None
         products = mult_each(points, scalar)
         assert products == [naive_mult(ECPoint(p.x, p.y), scalar) for p in points]
         assert points[2]._wtab is None  # a combed point never grows a window table
+        assert cached._wtab is None and ec_module._comb_teeth(cached._comb) == SLOT_TEETH
+        assert fresh._comb is None and len(fresh._wtab) == 8
 
     @given(
         scalar=st.integers(0, (1 << 256) - 1),
@@ -428,15 +460,19 @@ class TestMultEach:
     )
     @settings(max_examples=10, deadline=None)
     def test_matches_separate_multiplications(self, scalar, seeds):
+        """A first call leaves each point its window table, the second
+        trades it for the 4-tooth comb, and every call is ``P * s``."""
         points = [G * random.Random(seed).randrange(1, N) for seed in seeds]
         assert mult_each(points, scalar) == [naive_mult(p, scalar) for p in points]
-        assert all(len(p._wtab) == 8 for p in points)
-        assert mult_each(points, scalar) == [p * scalar for p in points]  # tables cached now
+        assert all(len(p._wtab) == 8 and p._comb is None for p in points)
+        assert mult_each(points, scalar) == [naive_mult(p, scalar) for p in points]
+        assert all(p._wtab is None and len(p._comb[0]) == 1 << SLOT_TEETH for p in points)
+        assert mult_each(points, scalar) == [p * scalar for p in points]  # combs read again
 
     @pytest.mark.parametrize("scalar", [0, 1, N - 1, N + 1, (1 << 256) - 1])
     def test_multi_mult_over_all_four_tiers(self, scalar, named_points):
         """Combed, cached, fresh and generator-copy terms in one Straus sum."""
-        cached = named_points["random"]
+        cached = ECPoint(named_points["random"].x, named_points["random"].y)
         cached * 3
         fresh = ECPoint(named_points["small"].x, named_points["small"].y)
         points = [precomputed(cached), cached, fresh, ECPoint(G.x, G.y), ECPoint(None, None)]
@@ -469,6 +505,102 @@ class TestMultEach:
         assert len(ciphertext.wrapped_keys) == k
         assert meter.counts["ec_mult"] == k + 1 and meter.counts["elgamal_enc"] == k
         assert BloomFilterEncryption.decrypt(secret, ciphertext, context=b"ctx") == b"share"
+
+
+# Scalars whose only set bits sit at the 4-tooth comb's tooth boundaries:
+# the top bit of one tooth and the bottom bit of the next, and bit 255.
+SLOT_TOOTH_SCALARS = [
+    *(3 << (SLOT_STRIDE * tooth - 1) for tooth in (1, 2, 3)),  # bits 63/64, 127/128, 191/192
+    *(1 << (SLOT_STRIDE * tooth - 1) for tooth in (1, 2, 3)),
+    *(1 << (SLOT_STRIDE * tooth) for tooth in (1, 2, 3)),
+    1 << 255,
+    (1 << 255) | (1 << 191) | (1 << 127) | (1 << 63),  # every tooth's top bit
+    sum(1 << (SLOT_STRIDE * tooth) for tooth in range(4)),  # every tooth's bottom bit
+    sum(3 << (SLOT_STRIDE * tooth - 1) for tooth in (1, 2, 3)) | (1 << 255),
+]
+
+
+class TestPromotedSlotKeys:
+    """A slot key met a second time by ``mult_each`` carries the 4-tooth
+    comb from then on, and every product over it is the ladder's."""
+
+    @pytest.fixture(scope="class")
+    def slot(self, named_points):
+        return promoted(named_points["random"])
+
+    @pytest.mark.parametrize("scalar", EDGE_SCALARS + SLOT_TOOTH_SCALARS)
+    def test_promoted_products_are_naive_mult(self, scalar, slot):
+        expected = naive_mult(slot, scalar)
+        assert mult_each([slot, slot], scalar) == [expected, expected]
+        assert slot * scalar == expected
+
+    def test_no_subset_sum_is_infinity(self, slot):
+        (table,) = slot._comb
+        assert table[0] is None and len(table) == 1 << SLOT_TEETH
+        for index in range(1, 1 << SLOT_TEETH):
+            multiple = sum(1 << (SLOT_STRIDE * j) for j in range(SLOT_TEETH) if index >> j & 1)
+            assert multiple % N and table[index] is not None
+            assert ECPoint(*table[index]) == naive_mult(slot, multiple)
+        assert slot._comb == ec_module._build_comb(slot.x, slot.y, teeth=SLOT_TEETH)
+
+    def test_first_call_leaves_a_window_table_and_the_second_the_comb(self, named_points):
+        point = ECPoint(named_points["small"].x, named_points["small"].y)
+        point * 5  # a plain multiply never promotes ...
+        point * 7
+        assert point._comb is None and len(point._wtab) == 8
+        mult_each([point], 11)  # ... a mult_each of a point holding a table does
+        assert point._wtab is None and ec_module._comb_teeth(point._comb) == SLOT_TEETH
+        comb = point._comb
+        mult_each([point], 13)
+        point.precompute()  # a point holding a comb keeps it
+        assert point._comb is comb
+        other = ECPoint(named_points["small"].x, named_points["small"].y)
+        mult_each([other], 17)
+        assert other._comb is None and len(other._wtab) == 8
+
+    @given(scalars=st.lists(st.integers(0, N + 7), min_size=3, max_size=6), seed=st.integers(1, 2**32))
+    @settings(max_examples=10, deadline=None)
+    def test_straus_sums_read_a_promoted_comb(self, scalars, seed, slot):
+        """A promoted key beside a signer's comb and the generator (one
+        64-column comb chain), and beside a ladder point too."""
+        rng = random.Random(seed)
+        signer = precomputed(G * rng.randrange(1, N))
+        plain = G * rng.randrange(1, N)
+        points = [slot, signer, ECPoint(G.x, G.y), plain, slot, G]
+        pairs = list(zip(scalars, points))
+        expected = ECPoint(None, None)
+        for scalar, point in pairs:
+            expected = expected + naive_mult(ECPoint(point.x, point.y), scalar)
+        assert multi_mult(pairs) == expected
+        combed = [pair for pair in pairs if pair[1] is not plain]
+        expected = ECPoint(None, None)
+        for scalar, point in combed:
+            expected = expected + naive_mult(ECPoint(point.x, point.y), scalar)
+        assert multi_mult(combed) == expected
+        assert plain._comb is None  # Straus sums never promote
+
+    def test_decrypt_share_and_finish_promote_no_point(self, monkeypatch):
+        """Only a client's repeated encryption promotes: the HSM's
+        ``(g^r)^sk`` and reply encryption and the client's opening of the
+        replies multiply one-off points, which keep at most a window table."""
+        params = SystemParams.for_testing(num_hsms=4, cluster_size=3)
+        deployment = Deployment.create(params, rng=random.Random(32))
+        client = deployment.new_client("promotion-user")
+        client.backup(b"payload", pin="1234")
+        session = client.begin_recovery("1234")
+
+        built = []
+        build = ec_module._build_comb
+        monkeypatch.setattr(
+            ec_module, "_build_comb", lambda *args, **kw: built.append(args) or build(*args, **kw)
+        )
+        client.request_shares(session, "1234")
+        assert client.finish_recovery(session) == b"payload"
+        assert built == []
+        one_off = [session.response_keypair.public] + [
+            ct.ephemeral for ct in session.ciphertext.share_ciphertexts
+        ]
+        assert all(point._comb is None for point in one_off)
 
 
 def add_each(lefts, rights):
@@ -596,6 +728,8 @@ class TestNothingKeyedByAScalarOutlivesItsCall:
         ephemeral = G * rng.randrange(1, N)
         twin, third = (ECPoint(ephemeral.x, ephemeral.y) for _ in range(2))
         signer = precomputed(G * rng.randrange(1, N))
+        slot = G * rng.randrange(1, N)
+        mult_each([slot], other)  # its window table; the next call promotes it
         assert ephemeral._wtab is None
         gc.collect()
         module_before = _reachable_values(vars(ec_module))
@@ -603,17 +737,20 @@ class TestNothingKeyedByAScalarOutlivesItsCall:
         shared = ephemeral * secret
         twin * other
         (each,) = mult_each([third], secret)
-        summed = multi_mult([(secret, G), (secret, signer)])
+        (slot_shared,) = mult_each([slot], secret)
+        summed = multi_mult([(secret, G), (secret, signer), (secret, slot)])
         assert each == shared
 
-        # The only state a multiply leaves is the point's window table, and
-        # it is the same table whatever the scalar was.
+        # The only state a multiply leaves is the point's window table or a
+        # promoted slot key's comb, and it is the same table whatever the
+        # scalar was.
         assert ephemeral._wtab == twin._wtab == third._wtab
-        assert ephemeral._comb is None and signer._wtab is None
+        assert ephemeral._comb is None and signer._wtab is None and slot._wtab is None
+        assert slot._comb == ec_module._build_comb(slot.x, slot.y, teeth=SLOT_TEETH)
         gc.collect()
         assert _reachable_values(vars(ec_module)) == module_before
-        derived = {secret, shared.x, shared.y, summed.x, summed.y}
-        for point in (ephemeral, third, signer, G):
+        derived = {secret, shared.x, shared.y, summed.x, summed.y, slot_shared.x, slot_shared.y}
+        for point in (ephemeral, third, signer, slot, G):
             assert not derived & _reachable_values([point._wtab, point._comb])
 
 
