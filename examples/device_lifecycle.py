@@ -19,6 +19,7 @@ Run:  python examples/device_lifecycle.py
 import random
 
 from repro import Deployment, SystemParams
+from repro.chaos import DeterministicEntropy
 
 
 def main() -> None:
@@ -89,4 +90,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    # Seeded entropy, so every run draws the same salts and so the same
+    # clusters: a cluster that names fewer than t distinct devices cannot be
+    # recovered yet (ROADMAP item 13).
+    with DeterministicEntropy(2026):
+        main()

@@ -24,11 +24,11 @@ the salt, and a digest of the n cluster public keys.
 Hot-path note: step 4 performs one PKE encryption per cluster member, and
 every one of those rides the crypto fast path in ``repro.crypto.ec`` — the
 generator's comb for each ephemeral ``g^r`` and, for the (long-lived) HSM
-public keys, a signed-window ladder over the table cached on each point
-(``mult_each`` for a BFE ciphertext's k slot keys) — while
-reconstruction's Shamir recombination batches its Lagrange-denominator
-inversions into a single modular inversion
-(``repro.crypto.field.batch_inverse_mod``).
+public keys, the 4-tooth comb ``mult_each`` builds on a BFE slot key's
+first use and reads on every later one (a hashed-ElGamal key rides a
+window ladder over the table cached on it) — while reconstruction's
+Shamir recombination takes its Lagrange weights from
+``repro.crypto.field.lagrange_at_zero``, one batched inversion for all.
 """
 
 from __future__ import annotations

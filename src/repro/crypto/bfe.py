@@ -35,12 +35,11 @@ keys", §9).  We implement that variant concretely:
 
 Hot-path note: encryption's k slot-key multiplies ``pkᵢ^r`` share their
 scalar, so they go through ``repro.crypto.ec.mult_each`` — one reading of
-``r``, one batch inversion for whichever slot keys have no table yet, one
-for the k results — and ``g^r`` rides the generator's comb.  A slot key's
-first ciphertext builds its window table (a 256-doubling ladder); its
-second swaps that for a 4-tooth comb, so every later ciphertext to it —
-a ``reuse_salt`` backup series hashes every backup to the same k slots —
-costs 63 doublings a key.  The
+``r``, one batch build of the 4-tooth combs the slot keys still lack, one
+batch inversion for the k results — and ``g^r`` rides the generator's
+comb.  A slot key's first ciphertext builds its comb (192 doublings), and
+every ciphertext to it — a ``reuse_salt`` backup series hashes every
+backup to the same k slots — costs 63 doublings a key.  The
 k wraps and the payload are one ``repro.crypto.gcm.seal_each``: their AES
 blocks are the lanes of one byte-sliced call.  The meter still sees k + 1
 ``ec_mult``, k ``elgamal_enc`` and the k + 1 seals' ``aes_block``.  Decryption's

@@ -30,27 +30,25 @@ long a point lives and how often it is multiplied:
   :meth:`ECPoint.precompute` at provisioning time (the signer directory,
   via ``EcdsaMultiSig.precompute_signer_key``): never on reuse, and only
   ever for public keys.
-- **Small comb (promoted slot keys)**: a BFE slot key is multiplied by a
-  fresh r in every ciphertext whose tag hashes to its slot, and a backup
-  series under one salt hashes every backup to the same k slots.  When
-  :func:`mult_each` meets a point that already holds a window table — its
-  second multiply — it replaces the table with a one-table comb of
-  ``_SLOT_COMB_TEETH`` (4) teeth over 64 bit positions: 15 affine subset
-  sums of ``2^(64j)·Q`` (192 doublings to build, about 0.8 of one
-  ladder), then 63 doublings + ≈ 60 mixed additions a multiply instead
-  of 256 + 43.  It is the same comb engine with fewer teeth: one index
-  reading of r serves all k keys.
-  A first multiply still builds only the cheap window table, so a one-off
-  point — an HSM-side ephemeral, a response key — never pays for a comb.
+- **Small comb (slot keys)**: a BFE slot key is multiplied by a fresh r in
+  every ciphertext whose tag hashes to its slot (a backup series under one
+  salt hashes every backup to the same k slots).  :func:`mult_each`, which
+  only BFE encryption calls, multiplies through combs alone: a point it
+  meets without one gets at once a one-table comb of ``_SLOT_COMB_TEETH``
+  (4) teeth over 64 bit positions — 15 affine subset sums of
+  ``2^(64j)·Q``, 192 doublings to build, a call's missing combs in one
+  batch — and every multiply is 63 doublings + ≈ 60 mixed additions
+  instead of 256 + 43.  ``P * s`` and Straus sums never build one, so a
+  one-off point — an HSM-side ephemeral, a response key — never pays.
 - **Signed-window ladder (every other point)**: the scalar is recoded into
   width-5 signed digits (``_signed_digits``: odd, |d| <= 15, at least five
   positions apart) over the 8 odd multiples ``Q, 3Q, ..., 15Q`` — 256
   doublings + ~43 mixed additions.  The table is cached on the
-  :class:`ECPoint` the first time it is multiplied, so long-lived points
-  (HSM ElGamal keys) build it once; a fresh ephemeral pays for it once
-  and drops it with the point.  Tables hold multiples of the
-  point only; the recoded digits of a (possibly secret) scalar are locals
-  of the call.
+  :class:`ECPoint` the first time ``P * s`` or a Straus sum multiplies
+  it, so long-lived points (HSM ElGamal keys) build it once; a fresh
+  ephemeral pays for it once and drops it with the point.  Tables hold
+  multiples of the point only; the recoded digits of a (possibly secret)
+  scalar are locals of the call.
 - **Lock step (many scalars, one provisioned point — a device's m slot
   keys)**: :func:`generator_mult_each` walks the generator's comb for all
   scalars at once.  A column is S + 1 batched affine additions,
@@ -63,7 +61,7 @@ long a point lives and how often it is multiplied:
   ``_LOCKSTEP_MIN_LANES`` scalars up (an inversion is about 50
   multiplications here, and a column costs S + 1); ladders, whose step is
   a doubling alone, would need about 50 lanes and are not run this way.
-  ``_build_comb`` fills its 502 subset sums a sub-table the same way.  No
+  ``_build_comb`` fills its subset sums a sub-table the same way.  No
   new table: the lock step reads the comb that is already there —
   multiples of a public point only — and the column indices of the
   (secret) scalars are locals of the call, dead when it returns.
@@ -74,9 +72,9 @@ long a point lives and how often it is multiplied:
 :func:`multi_mult` exposes Straus/Shamir multi-scalar multiplication
 (``Σ sᵢ·Pᵢ``: every term's columns merged into one chain, a comb's
 columns riding the chain's last 64, 29 or w steps), :func:`mult_each`
-multiplies many points by one scalar (one recoding, one comb reading,
-one batch inversion for the missing tables and one for the results — a
-BFE ciphertext's k slot keys),
+multiplies many points by one scalar (one comb reading per tooth count,
+one batch build of the missing combs and one batch inversion for the
+results — a BFE ciphertext's k slot keys),
 :func:`generator_mult_each` the generator by many scalars (above), and
 :meth:`_Curve.ecdsa_verify_all` — the one verification entry, a single
 signature its one-triple case — verifies a chunk of signatures with one
@@ -266,11 +264,13 @@ def _jac_mult(pt: _JPoint, scalar: int) -> _JPoint:
 _Column = Tuple[_Affine, ...]
 
 
-def _chain(columns: Sequence[Sequence[_Affine]]) -> _JPoint:
-    """Horner over columns, most significant first: ``acc = 2·acc + Σ column``.
+def _chain(columns: Sequence[Sequence[_Affine]], start: _JPoint = _INFINITY) -> _JPoint:
+    """Horner over columns, most significant first: ``acc = 2·acc + Σ column``,
+    from ``acc = start``.
 
     Every fast scalar multiply in this module is this loop over columns a
-    builder laid out (:func:`_comb_columns`, :func:`_ladder_columns`).  The
+    builder laid out (:func:`_comb_columns`, :func:`_ladder_columns`), and
+    :func:`_build_comb` raises its tooth bases with it over empty columns.  The
     a = −3 doubling and the mixed addition are written out on local
     integers, so a step costs no call and no tuple.  An addition that meets
     the accumulator's own x-coordinate — the column holds the accumulator
@@ -280,8 +280,7 @@ def _chain(columns: Sequence[Sequence[_Affine]]) -> _JPoint:
     the next point.
     """
     p = P
-    x = y = 1
-    z = 0
+    x, y, z = start
     for column in columns:
         if z:
             ysq = y * y % p
@@ -361,11 +360,11 @@ def _build_windows(points: Sequence[_Affine]) -> List[List[_Affine]]:
 
 
 def _cache_windows(points: Sequence["ECPoint"]) -> List[List[_Affine]]:
-    """The window table of every listed point, building those that lack one
-    in one batch and caching them on their points.  The tables come back
-    aligned with ``points``, so a caller never re-reads ``_wtab`` (which
-    :func:`mult_each` may clear meanwhile); a benign race between threads
-    builds identical tables."""
+    """The window table of every listed point — for ``P * s`` and Straus
+    sums — building those that lack one in one batch and caching them on
+    their points.  The tables come back aligned with ``points``, so a caller
+    never re-reads ``_wtab`` (which :func:`mult_each` clears); a benign race
+    between threads builds identical tables."""
     tables = [point._wtab for point in points]
     missing = [lane for lane, table in enumerate(tables) if table is None]
     if missing:
@@ -388,9 +387,9 @@ def _cache_windows(points: Sequence["ECPoint"]) -> List[List[_Affine]]:
 # process and multiplied by everything, has _GENERATOR_COMB_TABLES of them
 # (≈ 0.48 MB under tracemalloc, against ≈ 0.11 MB for one); a signer key
 # keeps one, since a dozen of them at five sub-tables would hold ≈ 4.4 MB
-# more.  A slot key :func:`mult_each` meets a second time gets the small
-# comb: _SLOT_COMB_TEETH = 4 teeth x 64 bits, one table of 15 entries
-# (≈ 2.9 KB, against its window table's 1.5 KB), 63 doublings a multiply.
+# more.  A slot key :func:`mult_each` meets gets the small comb:
+# _SLOT_COMB_TEETH = 4 teeth x 64 bits, one table of 15 entries (≈ 2.9 KB,
+# against a window table's 2.0 KB), 63 doublings a multiply.
 _COMB_TEETH = 9
 _SLOT_COMB_TEETH = 4
 _GENERATOR_COMB_TABLES = 5
@@ -413,45 +412,58 @@ def _comb_teeth(comb: _Comb) -> int:
     return len(comb[0]).bit_length() - 1
 
 
-def _build_comb(x: int, y: int, tables: int = 1, teeth: int = _COMB_TEETH) -> _Comb:
-    """Comb of ``tables`` sub-tables of ``teeth`` teeth for the affine
-    point ``Q = (x, y)``: ``sub[i][b] = Σ_{j ∈ bits(b)} 2^(c·j + i·w)·Q``
-    for ``b`` in 1..2^teeth − 1, ``c = _comb_stride(teeth)``,
-    ``w = _comb_width(tables, teeth)``.
+def _build_comb(
+    points: Sequence[_Affine], tables: int = 1, teeth: int = _COMB_TEETH
+) -> List[_Comb]:
+    """The comb of ``tables`` sub-tables of ``teeth`` teeth of every affine
+    ``Q`` in ``points``: ``sub[i][b] = Σ_{j ∈ bits(b)} 2^(c·j + i·w)·Q`` for
+    ``b`` in 1..2^teeth − 1, ``c = _comb_stride(teeth)``,
+    ``w = _comb_width(tables, teeth)`` — the generator's and a signer key's
+    as batches of one, a :func:`mult_each` call's missing slot-key combs as
+    one batch.
 
-    One doubling chain raises the teeth·``tables`` tooth bases in order of
-    their exponent (c·(teeth − 1) + (tables − 1)·w doublings: 232 + … for
-    9 teeth, 192 for 4), normalized together; then, a sub-table at a time,
-    each tooth is added to every entry below it in one lock-step batch
-    (:func:`_add_each`: 502 affine additions on eight shared inversions at
-    9 teeth, 11 on three at 4), so the entries are affine as they are made
-    and every later addition is a mixed add.  (Filling all sub-tables in
-    the same batches saves a few inversions but holds S tables' worth of
-    working lists at once: ≈ 0.25 MB more peak resident at S = 5.)  No
-    entry is infinity and no batch adds inverse points: ``Q`` has prime
-    order ``N`` and no subset sum of ``2^(c·j + i·w)`` is a multiple of
-    ``N`` (``tests/test_ec_fastpath.py`` checks every sub-table's entries).
+    One :func:`_chain` of doublings per point raises its teeth·``tables``
+    tooth bases in order of their exponent (c·(teeth − 1) + (tables − 1)·w
+    doublings: 232 + … for 9 teeth, 192 for 4), and ONE inversion
+    normalizes every point's bases; then, a sub-table at a time, each tooth
+    is added to every entry below it, every point's lanes in one lock-step
+    batch (:func:`_add_each`: 502 affine additions a point on eight shared
+    inversions at 9 teeth, 11 on three at 4), so the entries are affine as
+    they are made.  (Filling all sub-tables in the same batches saves a few
+    inversions but holds S tables' worth of working lists at once: ≈ 0.25
+    MB more peak resident at S = 5.)  Lanes share only the inversions, so a
+    comb is bit-for-bit its point's alone.  No entry is infinity and no
+    batch adds inverse points: ``Q`` has prime order ``N`` and no subset sum
+    of ``2^(c·j + i·w)`` is a multiple of ``N`` (``tests/test_ec_fastpath.py``
+    checks every entry).
 
-    The sub-tables hold multiples of a *public* point only.
+    The sub-tables hold multiples of *public* points only.
     """
     stride, width = _comb_stride(teeth), _comb_width(tables, teeth)
+    exponents = [stride * j + width * i for j in range(teeth) for i in range(tables)]
+    steps = [high - low for low, high in zip([0, *exponents], exponents)]
     bases: List[_JPoint] = []
-    tooth: _JPoint = (x, y, 1)
-    exponent = 0
-    for j in range(teeth):
-        for i in range(tables):
-            for _ in range(stride * j + width * i - exponent):
-                tooth = _jac_double(tooth)
-            exponent = stride * j + width * i
+    for x, y in points:
+        tooth: _JPoint = (x, y, 1)
+        for step in steps:
+            tooth = _chain([()] * step, tooth)
             bases.append(tooth)
     affine = _jac_to_affine_batch(bases)
-    subs: _Comb = []
+    combs: List[_Comb] = [[] for _ in points]
     for i in range(tables):
-        sub: List[Optional[_Affine]] = [None]
-        for base in affine[i::tables]:
-            sub += [base] + _add_each(sub[1:], [base] * (len(sub) - 1))
-        subs.append(sub)
-    return subs
+        subs: List[List[Optional[_Affine]]] = [[None] for _ in points]
+        for j in range(teeth):
+            below = (1 << j) - 1  # the entries tooth j is added to
+            tooth_bases = affine[j * tables + i :: teeth * tables]  # one a point
+            sums = _add_each(
+                [entry for sub in subs for entry in sub[1:]],
+                [base for base in tooth_bases for _ in range(below)],
+            )
+            for lane, (sub, base) in enumerate(zip(subs, tooth_bases)):
+                sub += [base, *sums[lane * below : (lane + 1) * below]]
+        for comb, sub in zip(combs, subs):
+            comb.append(sub)
+    return combs
 
 
 def _is_generator(x: Optional[int], y: Optional[int]) -> bool:
@@ -502,7 +514,7 @@ def _ladder_columns(
 def _comb_mult(terms: Sequence[Tuple[Sequence[int], _Comb]]) -> _JPoint:
     """``Σ sᵢ·Pᵢ`` over ``(indices, comb)`` terms — each scalar as its
     :func:`_comb_indices` — in ONE chain as wide as the widest comb: 64
-    doublings for a sum with a promoted slot key in it, 29 with a signer
+    doublings for a sum with a slot key in it, 29 with a signer
     key, w for the generator's sub-tables alone, plus at most one mixed
     addition per column of each term, against 256 doublings for a ladder
     over any one point."""
@@ -519,9 +531,9 @@ def _multi_mult_jac(pairs: Sequence[Tuple[int, "ECPoint"]]) -> _JPoint:
 
     Scalars are assumed reduced mod N and nonzero, points non-infinity.
     When every point carries a comb (the generator, provisioned signer
-    keys, promoted slot keys) the sum is one comb chain.  Otherwise it is
-    one ladder chain: each remaining point lays its signed digits over its
-    cached window table, and the comb columns ride the ladder's last steps.
+    keys, slot keys) the sum is one comb chain.  Otherwise it is one ladder
+    chain: each remaining point lays its signed digits over its cached
+    window table, and the comb columns ride the ladder's last steps.
     """
     combed = []
     laddered = []
@@ -546,17 +558,16 @@ class ECPoint:
     """An affine point on P-256 (or the point at infinity).
 
     Instances lazily cache the 8-entry window table of their odd multiples
-    (``_wtab``) the first time they are scalar-multiplied, so repeated
-    multiplications of the same long-lived point — HSM ElGamal keys, BFE
-    slot keys — skip the per-call table build.  A point that was explicitly
-    :meth:`precompute`d (a provisioned signer key) carries a 9-tooth
-    one-table comb (``_comb``) instead and multiplies with 29 doublings
-    rather than 256; the generator's coordinates always resolve to the one
-    comb of ``_GENERATOR_COMB_TABLES`` sub-tables held by
-    ``P256.generator``.  A slot key that :func:`mult_each` meets with its
-    window table already cached trades it for a 4-tooth comb (63
-    doublings).  Both caches hold multiples of the (public) point only and
-    are keyed on the instance; equality/hashing ignore them.
+    (``_wtab``) the first time ``P * s`` or a Straus sum multiplies them,
+    so repeated multiplications of the same long-lived point — HSM ElGamal
+    keys — skip the per-call table build.  A point carries a one-table
+    comb (``_comb``) instead when it was explicitly :meth:`precompute`d (9
+    teeth, a provisioned signer key: 29 doublings rather than 256) or met
+    by :func:`mult_each` (4 teeth, a BFE slot key: 63 doublings); the
+    generator's coordinates always resolve to the one comb of
+    ``_GENERATOR_COMB_TABLES`` sub-tables held by ``P256.generator``.
+    Both caches hold multiples of the (public) point only and are keyed on
+    the instance; equality/hashing ignore them.
     """
 
     __slots__ = ("x", "y", "_wtab", "_comb")
@@ -597,26 +608,25 @@ class ECPoint:
         comb already; one table of 511 entries, ~0.1 MB, about a dozen
         verifications' worth of work).
 
-        This promotion is explicit: call it only at provisioning time for a
-        *public* key that will be verified against every epoch (the signer
-        directory).  Nothing gives a point the 9-tooth comb on reuse — a
-        device holds hundreds of BFE slot keys, and a 0.1 MB table for each
-        would cost tens of MB for keys that are each used a handful of
-        times; :func:`mult_each`'s second multiply gives a slot key the
-        4-tooth comb of 15 entries instead.  The generator's coordinates
-        resolve to ``P256.generator``'s comb of ``_GENERATOR_COMB_TABLES``
-        sub-tables, built once per process (a benign race between threads
-        builds identical ones).
+        Call it only at provisioning time for a *public* key that will be
+        verified against every epoch (the signer directory).  Nothing else
+        gives a point the 9-tooth comb — a device holds hundreds of BFE
+        slot keys, and a 0.1 MB table for each would cost tens of MB for
+        keys that are each used a handful of times; :func:`mult_each` gives
+        a slot key the 4-tooth comb of 15 entries instead.  The generator's
+        coordinates resolve to ``P256.generator``'s comb of
+        ``_GENERATOR_COMB_TABLES`` sub-tables, built once per process (a
+        benign race between threads builds identical ones).
         """
         if self._comb is not None or self.is_infinity:
             return
         if _is_generator(self.x, self.y):
             generator = P256.generator
             if generator._comb is None:
-                generator._comb = _build_comb(GX, GY, _GENERATOR_COMB_TABLES)
+                (generator._comb,) = _build_comb([(GX, GY)], _GENERATOR_COMB_TABLES)
             self._comb = generator._comb
         else:
-            self._comb = _build_comb(self.x, self.y)  # type: ignore[arg-type]
+            (self._comb,) = _build_comb([(self.x, self.y)])  # type: ignore[list-item]
 
     @staticmethod
     def _from_affine(affine: Optional[_Affine]) -> "ECPoint":
@@ -705,7 +715,7 @@ def multi_mult(pairs: Sequence[Tuple[int, ECPoint]]) -> ECPoint:
 
     All terms share ONE doubling chain — 29 columns when every point is
     provisioned (the generator included), 64 when every point is combed
-    and a promoted slot key takes part, the ladder's 257 otherwise — so
+    and a slot key takes part, the ladder's 257 otherwise — so
     ``k`` multiplications cost roughly one multiplication plus ``k``
     addition streams instead of ``k`` full multiplications.  The result is
     bit-for-bit the same point the ``k`` separate multiplications would
@@ -727,21 +737,17 @@ def multi_mult(pairs: Sequence[Tuple[int, ECPoint]]) -> ECPoint:
 
 
 def mult_each(points: Sequence[ECPoint], scalar: int) -> List[ECPoint]:
-    """``scalar·P`` for every ``P`` in ``points``: one scalar, many points.
+    """``scalar·P`` for every ``P`` in ``points``: one scalar, many points —
+    Bloom-filter encryption's ``pkᵢ^r`` over a tag's k slot keys.
 
-    This is Bloom-filter encryption's ``pkᵢ^r`` over a tag's k slot keys,
-    and the one place a point is promoted on reuse.  A point met for the
-    first time gets its window table, as ``P * s`` would; a point that
-    already holds one — a slot key multiplied a second time — trades it
-    for a comb of ``_SLOT_COMB_TEETH`` teeth (192 doublings to build, about
-    0.8 of one ladder; then 63 doublings a multiply instead of 256).  So a
-    one-off point never pays for a comb, and no use is counted.  The
-    scalar is recoded once for the ladders and read into comb indices once
-    per tooth count, shared by every combed point; the window tables the
-    points still lack are
-    normalized by ONE batch inversion and the k results by one more.  Each
-    result is bit-for-bit ``P * scalar``; an identity point or a zero
-    scalar yields the identity.
+    Every product is a comb chain.  A finite point without a comb — a slot
+    key's first multiply — gets one of ``_SLOT_COMB_TEETH`` teeth on the
+    spot and drops any window table it held (192 doublings to build; then
+    63 doublings a multiply instead of a ladder's 256), all of a call's
+    missing combs in one :func:`_build_comb` batch.  The scalar is read
+    into comb indices once per tooth count and the results are normalized
+    by ONE batch inversion.  Each result is bit-for-bit ``P * scalar``; an
+    identity point or a zero scalar yields the identity.
 
     Metering: one ``ec_mult`` per point, exactly what the separate
     multiplications report.
@@ -749,30 +755,22 @@ def mult_each(points: Sequence[ECPoint], scalar: int) -> List[ECPoint]:
     if points:
         metering.count("ec_mult", len(points))
     scalar %= N
-    combs: List[Optional[_Comb]] = []
-    for point in points:
-        comb = None if point.is_infinity else point._comb_table()
-        if comb is None and point._wtab is not None:  # a second multiply
-            comb = point._comb = _build_comb(point.x, point.y, teeth=_SLOT_COMB_TEETH)  # type: ignore[arg-type]
-            point._wtab = None
-        combs.append(comb)
-    laddered = [p for p, comb in zip(points, combs) if comb is None and not p.is_infinity]
-    windows = iter(_cache_windows(laddered))
-    digits = _signed_digits(scalar)
+    missing = [point for point in points if not point.is_infinity and point._comb_table() is None]
+    if missing:
+        built = _build_comb([(p.x, p.y) for p in missing], teeth=_SLOT_COMB_TEETH)  # type: ignore[misc]
+        for point, comb in zip(missing, built):
+            point._comb, point._wtab = comb, None
     indices: Dict[int, List[int]] = {}  # by tooth count
     products: List[_JPoint] = []
-    for point, comb in zip(points, combs):
-        if comb is not None:
-            teeth = _comb_teeth(comb)
-            if teeth not in indices:
-                indices[teeth] = _comb_indices(scalar, teeth)
-            products.append(_comb_mult([(indices[teeth], comb)]))
-        elif point.is_infinity:
+    for point in points:
+        comb = point._comb
+        if comb is None:  # the identity
             products.append(_INFINITY)
-        else:
-            columns: List[_Column] = [()] * _LADDER_COLUMNS
-            _ladder_columns(columns, digits, next(windows))
-            products.append(_chain(columns))
+            continue
+        teeth = _comb_teeth(comb)
+        if teeth not in indices:
+            indices[teeth] = _comb_indices(scalar, teeth)
+        products.append(_comb_mult([(indices[teeth], comb)]))
     return [ECPoint._from_affine(affine) for affine in _jac_to_affine_batch(products)]
 
 

@@ -10,10 +10,10 @@
   ``generator_mult_each`` ran before the generator's comb was cut into
   sub-tables: one 29-column table, two ``_add_each`` batches a column.  The
   hot-path bench times ``fixed_base_batch`` against it in turns.
-- :func:`window_mult_each` is ``mult_each`` before a slot key met a second
-  time was promoted to a 4-tooth comb: every point a ladder over its
-  cached window table.  The hot-path bench's ``bfe_encrypt_k4_cached``
-  row encrypts through it.
+- :func:`window_mult_each` is ``mult_each`` before slot keys were combed:
+  every point a ladder over its cached window table.  The hot-path bench's
+  ``bfe_encrypt_k4_cached`` and ``bfe_encrypt_k4_fresh_window`` rows
+  encrypt through it.
 """
 
 from repro import metering
@@ -58,7 +58,7 @@ def one_table_generator_mult_each(scalars, table):
 def window_mult_each(points, scalar):
     """``scalar·P`` for every finite, comb-less ``P`` in ``points``, each a
     256-doubling ladder over its cached window table (built if missing),
-    one recoding and one normalizing inversion for all; never promotes.
+    one recoding and one normalizing inversion for all; never builds a comb.
     Meters what ``mult_each`` does."""
     metering.count("ec_mult", len(points))
     digits = ec._signed_digits(scalar % ec.N)

@@ -210,6 +210,26 @@ class TestOneRequestPerDistinctHsm:
         assert len(recording.log) == 2
         assert client.finish_recovery(session) == b"idempotent"
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RecoveryError,
+        reason="one decrypt-and-puncture must answer every cluster position"
+        " a device holds: ROADMAP item 13",
+    )
+    def test_cluster_of_fewer_than_t_distinct_devices(self):
+        """At N = 8, n = 4, t = 2, PIN 1234 under this salt names device 2
+        four times.  A device answers once per tag, so the honest recovery
+        gets one share of the two it needs ("need 2 shares, have 1"); 0.2 %
+        of random salts draw such a cluster at this shape."""
+        params = SystemParams.for_testing(num_hsms=8, cluster_size=4)
+        salt = (79).to_bytes(16, "big")
+        assert params.threshold == 2 and hash_to_indices(salt, "1234", 8, 4) == [2, 2, 2, 2]
+        deployment = Deployment.create(params, rng=random.Random(13))
+        client = deployment.new_client("one-device-user", transport="direct")
+        client._last_salt = salt  # the series salt the next backup reuses
+        client.backup(b"four positions, one device", "1234", reuse_salt=True)
+        assert client.recover("1234") == b"four positions, one device"
+
 
 class TestRefusalIsNotAnAnswer:
     """A device that refused, or could not be reached, punctured nothing:

@@ -40,6 +40,14 @@ def durable_params(**kwargs) -> SystemParams:
     return SystemParams.for_testing(**defaults)
 
 
+def seeded_backup(client, secret: bytes, pin: str, seed: int) -> None:
+    """``client.backup`` under seeded entropy: its salt, and so its cluster,
+    is the same every run, and never one of fewer than t distinct devices
+    (which no recovery can open yet: ROADMAP item 13)."""
+    with DeterministicEntropy(seed):
+        client.backup(secret, pin)
+
+
 def identifier_on_shard(shard: int, tag: str = "crash") -> bytes:
     """A recovery identifier that routes to ``shard`` under SHARDS lanes."""
     return next(
@@ -58,7 +66,7 @@ class TestRestoreRoundTrip:
         params = durable_params()
         dep = Deployment.create(params, rng=random.Random(11), shards=SHARDS, store=store)
         alice = dep.new_client("alice", transport="direct")
-        alice.backup(b"alice-secret", "1234")
+        seeded_backup(alice, b"alice-secret", "1234", seed=1)
         assert alice.recover("1234") == b"alice-secret"
         digest = dep.provider.log.digest
 
@@ -74,7 +82,7 @@ class TestRestoreRoundTrip:
         # backup's BFE tag was punctured by the pre-crash recovery, so a
         # fresh backup proves liveness).
         alice2 = restored.new_client("alice", transport="direct")
-        alice2.backup(b"alice-next", "1234")
+        seeded_backup(alice2, b"alice-next", "1234", seed=2)
         assert alice2.recover("1234") == b"alice-next"
 
     def test_snapshot_compaction_then_restore(self):
@@ -82,7 +90,7 @@ class TestRestoreRoundTrip:
         params = durable_params()
         dep = Deployment.create(params, rng=random.Random(12), shards=SHARDS, store=store)
         bob = dep.new_client("bob", transport="direct")
-        bob.backup(b"bob-secret", "9999")
+        seeded_backup(bob, b"bob-secret", "9999", seed=3)
         blocks_before = len(store)
         dep.provider.snapshot()
         assert len(store) < blocks_before  # history actually reclaimed
@@ -261,12 +269,12 @@ class TestServiceRestart:
         service = dep.recovery_service(transport="direct", tick_interval=0.01)
         with service:
             alice = service.new_client("alice")
-            alice.backup(b"pre-crash", "1234")
+            seeded_backup(alice, b"pre-crash", "1234", seed=4)
             assert alice.recover("1234") == b"pre-crash"
         revived = service.restart()
         with revived:
             alice2 = revived.new_client("alice")
-            alice2.backup(b"post-crash", "1234")
+            seeded_backup(alice2, b"post-crash", "1234", seed=5)
             assert alice2.recover("1234") == b"post-crash"
         # Sessions served after restart start from re-derived counters.
         provider = revived.provider

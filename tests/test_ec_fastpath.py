@@ -229,9 +229,9 @@ class TestColumnBuilders:
         fill of the generator scaled by its sub-table's 2^(i·w)."""
         rng = random.Random(24)
         for point in [G, *named_points.values(), G * rng.randrange(1, N)]:
-            assert ec_module._build_comb(point.x, point.y) == [jacobian_comb_fill(point.x, point.y)]
+            assert ec_module._build_comb([(point.x, point.y)]) == [[jacobian_comb_fill(point.x, point.y)]]
         comb = G._comb_table()
-        assert comb == ec_module._build_comb(G.x, G.y, GENERATOR_TABLES)
+        assert ec_module._build_comb([(G.x, G.y)], GENERATOR_TABLES) == [comb]
         assert len(comb) == GENERATOR_TABLES
         for sub_table, entries in enumerate(comb):
             scaled = naive_mult(G, 1 << (sub_table * GENERATOR_WIDTH))
@@ -241,7 +241,7 @@ class TestColumnBuilders:
     @settings(max_examples=10, deadline=None)
     def test_comb_columns_ride_the_ladders_last_steps(self, scalar, other, seed):
         point = G * random.Random(seed).randrange(1, N)
-        combed, slot = precomputed(point), promoted(point)
+        combed, slot = precomputed(point), slot_key(point)
         ec_module._cache_windows([point])
         for base, width in ((combed, STRIDE), (G, GENERATOR_WIDTH), (slot, SLOT_STRIDE)):
             comb = base._comb_table()
@@ -261,11 +261,10 @@ def precomputed(point: ECPoint) -> ECPoint:
     return copy
 
 
-def promoted(point: ECPoint) -> ECPoint:
-    """A fresh instance with the same coordinates, promoted the way a slot
-    key is: by its second ``mult_each``."""
+def slot_key(point: ECPoint) -> ECPoint:
+    """A fresh instance with the same coordinates, combed the way a slot key
+    is: by its first ``mult_each``."""
     copy = ECPoint(point.x, point.y)
-    mult_each([copy], 1)
     mult_each([copy], 1)
     assert copy._wtab is None and ec_module._comb_teeth(copy._comb) == SLOT_TEETH
     return copy
@@ -328,10 +327,10 @@ class TestComb:
     def test_generator_copies_share_one_table(self):
         """Every instance with the generator's coordinates — multiplied or
         explicitly precomputed — shares the one comb of S sub-tables."""
-        copy, promoted = ECPoint(G.x, G.y), ECPoint(G.x, G.y)
+        copy, explicit = ECPoint(G.x, G.y), ECPoint(G.x, G.y)
         assert copy * 77 == naive_mult(G, 77)
-        promoted.precompute()
-        assert copy._comb is G._comb and promoted._comb is G._comb
+        explicit.precompute()
+        assert copy._comb is G._comb and explicit._comb is G._comb
         assert len(G._comb) == GENERATOR_TABLES
         assert all(sub[0] is None and len(sub) == 512 for sub in G._comb)
         assert ECPoint(*G._comb[1][0b11]) == naive_mult(G, (1 + (1 << 29)) << GENERATOR_WIDTH)
@@ -376,12 +375,12 @@ class TestComb:
         assert not P256.ecdsa_verify_all(combed) and not P256.ecdsa_verify_all(plain)
 
     def test_only_the_generator_and_the_signer_directory_carry_a_comb(self):
-        """Promotion to the 9-tooth comb is explicit: after a backup +
-        recovery exactly N + 1 such combs exist — the generator's, of S
-        sub-tables, and one table per signer key; no BFE slot key, ephemeral
-        point or client-side copy grew one — and restoring the deployment
-        builds none.  Every other comb is the 4-tooth one of a BFE slot key
-        that the client's ``mult_each`` met a second time."""
+        """The 9-tooth comb is explicit: after a backup + recovery exactly
+        N + 1 such combs exist — the generator's, of S sub-tables, and one
+        table per signer key; no BFE slot key, ephemeral point or
+        client-side copy grew one — and restoring the deployment builds
+        none.  Every other comb is the 4-tooth one of a BFE slot key that
+        the client's ``mult_each`` met."""
         from repro.storage.blockstore import InMemoryBlockStore
 
         def combed_points(teeth=ec_module._COMB_TEETH):
@@ -399,7 +398,7 @@ class TestComb:
         deployment = Deployment.create(params, rng=random.Random(7), store=store)
         client = deployment.new_client("comb-population-user")
         client.backup(b"payload", pin="1234")
-        # One salt, so the same slots: this backup promotes their keys.
+        # One salt, so the same slots: this backup reads the combs the first built.
         client.backup(b"payload", pin="1234", reuse_salt=True)
         assert client.recover(pin="1234") == b"payload"
 
@@ -445,14 +444,19 @@ class TestMultEach:
         cached * 3  # carries a window table from here on
         points = [
             G, ECPoint(G.x, G.y), precomputed(cached), cached, fresh,
-            ECPoint(None, None), cached, fresh, promoted(fresh),
+            ECPoint(None, None), cached, fresh, slot_key(fresh),
         ]
         assert fresh._wtab is None and cached._wtab is not None
         products = mult_each(points, scalar)
         assert products == [naive_mult(ECPoint(p.x, p.y), scalar) for p in points]
-        assert points[2]._wtab is None  # a combed point never grows a window table
-        assert cached._wtab is None and ec_module._comb_teeth(cached._comb) == SLOT_TEETH
-        assert fresh._comb is None and len(fresh._wtab) == 8
+        # Every finite point now holds a comb and no window table: the
+        # generator's and the signer's as they were, a 4-tooth one on the
+        # others, the held window table dropped.
+        assert G._comb is points[1]._comb and len(G._comb) == GENERATOR_TABLES
+        assert ec_module._comb_teeth(points[2]._comb) == ec_module._COMB_TEETH
+        assert all(p._wtab is None for p in points)
+        for point in (cached, fresh, points[-1]):
+            assert len(point._comb) == 1 and ec_module._comb_teeth(point._comb) == SLOT_TEETH
 
     @given(
         scalar=st.integers(0, (1 << 256) - 1),
@@ -460,14 +464,16 @@ class TestMultEach:
     )
     @settings(max_examples=10, deadline=None)
     def test_matches_separate_multiplications(self, scalar, seeds):
-        """A first call leaves each point its window table, the second
-        trades it for the 4-tooth comb, and every call is ``P * s``."""
+        """A first call gives each point its 4-tooth comb and no window
+        table, a later one reads the same comb, and every call is
+        ``P * s``."""
         points = [G * random.Random(seed).randrange(1, N) for seed in seeds]
         assert mult_each(points, scalar) == [naive_mult(p, scalar) for p in points]
-        assert all(len(p._wtab) == 8 and p._comb is None for p in points)
-        assert mult_each(points, scalar) == [naive_mult(p, scalar) for p in points]
-        assert all(p._wtab is None and len(p._comb[0]) == 1 << SLOT_TEETH for p in points)
+        assert all(p._wtab is None and len(p._comb) == 1 for p in points)
+        assert all(len(p._comb[0]) == 1 << SLOT_TEETH for p in points)
+        combs = [p._comb for p in points]
         assert mult_each(points, scalar) == [p * scalar for p in points]  # combs read again
+        assert all(p._comb is comb and p._wtab is None for p, comb in zip(points, combs))
 
     @pytest.mark.parametrize("scalar", [0, 1, N - 1, N + 1, (1 << 256) - 1])
     def test_multi_mult_over_all_four_tiers(self, scalar, named_points):
@@ -520,16 +526,16 @@ SLOT_TOOTH_SCALARS = [
 ]
 
 
-class TestPromotedSlotKeys:
-    """A slot key met a second time by ``mult_each`` carries the 4-tooth
-    comb from then on, and every product over it is the ladder's."""
+class TestCombedSlotKeys:
+    """A slot key ``mult_each`` has met carries the 4-tooth comb from its
+    first multiply on, and every product over it is the ladder's."""
 
     @pytest.fixture(scope="class")
     def slot(self, named_points):
-        return promoted(named_points["random"])
+        return slot_key(named_points["random"])
 
     @pytest.mark.parametrize("scalar", EDGE_SCALARS + SLOT_TOOTH_SCALARS)
-    def test_promoted_products_are_naive_mult(self, scalar, slot):
+    def test_products_are_naive_mult(self, scalar, slot):
         expected = naive_mult(slot, scalar)
         assert mult_each([slot, slot], scalar) == [expected, expected]
         assert slot * scalar == expected
@@ -541,27 +547,46 @@ class TestPromotedSlotKeys:
             multiple = sum(1 << (SLOT_STRIDE * j) for j in range(SLOT_TEETH) if index >> j & 1)
             assert multiple % N and table[index] is not None
             assert ECPoint(*table[index]) == naive_mult(slot, multiple)
-        assert slot._comb == ec_module._build_comb(slot.x, slot.y, teeth=SLOT_TEETH)
+        assert ec_module._build_comb([(slot.x, slot.y)], teeth=SLOT_TEETH) == [slot._comb]
 
-    def test_first_call_leaves_a_window_table_and_the_second_the_comb(self, named_points):
+    def test_a_batch_builds_each_points_own_comb(self, named_points):
+        """One batch, a point repeated in it, against the one-point builder
+        — for slot-key combs and for 9-tooth combs of two sub-tables — and
+        every slot-key entry against ``naive_mult`` of its subset sum."""
+        rng = random.Random(33)
+        points = [named_points["random"], G * rng.randrange(1, N), named_points["random"], G]
+        affine = [(p.x, p.y) for p in points]
+        assert ec_module._build_comb([], teeth=SLOT_TEETH) == []
+        for tables, teeth in ((1, SLOT_TEETH), (2, ec_module._COMB_TEETH)):
+            combs = ec_module._build_comb(affine, tables, teeth)
+            assert combs == [ec_module._build_comb([a], tables, teeth)[0] for a in affine]
+            assert combs[0] == combs[2] and combs[0] is not combs[2]
+        for point, (table,) in zip(points, ec_module._build_comb(affine, teeth=SLOT_TEETH)):
+            assert table[0] is None and len(table) == 1 << SLOT_TEETH
+            for index in range(1, 1 << SLOT_TEETH):
+                multiple = sum(1 << (SLOT_STRIDE * j) for j in range(SLOT_TEETH) if index >> j & 1)
+                assert ECPoint(*table[index]) == naive_mult(point, multiple)
+
+    def test_the_first_mult_each_builds_the_comb(self, named_points):
         point = ECPoint(named_points["small"].x, named_points["small"].y)
-        point * 5  # a plain multiply never promotes ...
+        point * 5  # a plain multiply builds a window table only ...
         point * 7
         assert point._comb is None and len(point._wtab) == 8
-        mult_each([point], 11)  # ... a mult_each of a point holding a table does
+        mult_each([point], 11)  # ... mult_each gives the comb and drops the table
         assert point._wtab is None and ec_module._comb_teeth(point._comb) == SLOT_TEETH
         comb = point._comb
         mult_each([point], 13)
+        point * 17
         point.precompute()  # a point holding a comb keeps it
-        assert point._comb is comb
+        assert point._comb is comb and point._wtab is None
         other = ECPoint(named_points["small"].x, named_points["small"].y)
-        mult_each([other], 17)
-        assert other._comb is None and len(other._wtab) == 8
+        mult_each([other], 17)  # never multiplied before: the comb at once
+        assert other._wtab is None and other._comb == comb
 
     @given(scalars=st.lists(st.integers(0, N + 7), min_size=3, max_size=6), seed=st.integers(1, 2**32))
     @settings(max_examples=10, deadline=None)
-    def test_straus_sums_read_a_promoted_comb(self, scalars, seed, slot):
-        """A promoted key beside a signer's comb and the generator (one
+    def test_straus_sums_read_a_slot_comb(self, scalars, seed, slot):
+        """A slot key beside a signer's comb and the generator (one
         64-column comb chain), and beside a ladder point too."""
         rng = random.Random(seed)
         signer = precomputed(G * rng.randrange(1, N))
@@ -577,15 +602,16 @@ class TestPromotedSlotKeys:
         for scalar, point in combed:
             expected = expected + naive_mult(ECPoint(point.x, point.y), scalar)
         assert multi_mult(combed) == expected
-        assert plain._comb is None  # Straus sums never promote
+        assert multi_mult([(5, plain), (3, slot)]) == naive_mult(plain, 5) + naive_mult(slot, 3)
+        assert plain._comb is None and len(plain._wtab) == 8  # Straus sums build no comb
 
-    def test_decrypt_share_and_finish_promote_no_point(self, monkeypatch):
-        """Only a client's repeated encryption promotes: the HSM's
-        ``(g^r)^sk`` and reply encryption and the client's opening of the
-        replies multiply one-off points, which keep at most a window table."""
+    def test_decrypt_share_and_finish_build_no_comb(self, monkeypatch):
+        """Only a client's encryption combs a point: the HSM's ``(g^r)^sk``
+        and reply encryption and the client's opening of the replies
+        multiply one-off points, which keep at most a window table."""
         params = SystemParams.for_testing(num_hsms=4, cluster_size=3)
         deployment = Deployment.create(params, rng=random.Random(32))
-        client = deployment.new_client("promotion-user")
+        client = deployment.new_client("slot-comb-user")
         client.backup(b"payload", pin="1234")
         session = client.begin_recovery("1234")
 
@@ -728,9 +754,8 @@ class TestNothingKeyedByAScalarOutlivesItsCall:
         ephemeral = G * rng.randrange(1, N)
         twin, third = (ECPoint(ephemeral.x, ephemeral.y) for _ in range(2))
         signer = precomputed(G * rng.randrange(1, N))
-        slot = G * rng.randrange(1, N)
-        mult_each([slot], other)  # its window table; the next call promotes it
-        assert ephemeral._wtab is None
+        slot = G * rng.randrange(1, N)  # no table yet: its comb is built under the secret
+        assert ephemeral._wtab is None and slot._wtab is None and slot._comb is None
         gc.collect()
         module_before = _reachable_values(vars(ec_module))
 
@@ -742,11 +767,12 @@ class TestNothingKeyedByAScalarOutlivesItsCall:
         assert each == shared
 
         # The only state a multiply leaves is the point's window table or a
-        # promoted slot key's comb, and it is the same table whatever the
-        # scalar was.
-        assert ephemeral._wtab == twin._wtab == third._wtab
-        assert ephemeral._comb is None and signer._wtab is None and slot._wtab is None
-        assert slot._comb == ec_module._build_comb(slot.x, slot.y, teeth=SLOT_TEETH)
+        # slot key's comb, and it is the same table whatever the scalar was
+        # — the comb built during a multiply by the secret included.
+        assert ephemeral._wtab == twin._wtab and ephemeral._comb is None
+        assert signer._wtab is None and third._wtab is None and slot._wtab is None
+        for point in (third, slot):
+            assert ec_module._build_comb([(point.x, point.y)], teeth=SLOT_TEETH) == [point._comb]
         gc.collect()
         assert _reachable_values(vars(ec_module)) == module_before
         derived = {secret, shared.x, shared.y, summed.x, summed.y, slot_shared.x, slot_shared.y}

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.chaos.entropy import DeterministicEntropy
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 
@@ -93,7 +94,10 @@ class TestClientOpAccounting:
 
     def test_recovery_is_metered(self, shared_deployment, unique_user):
         client = shared_deployment.new_client(unique_user)
-        client.backup(b"data", pin="1234")
+        # A seeded salt: its cluster names at least t distinct devices
+        # (a recovery cannot open one that names fewer: ROADMAP item 13).
+        with DeterministicEntropy(1):
+            client.backup(b"data", pin="1234")
         before = dict(client.meter.counts)
         client.recover(pin="1234")
         after = client.meter.counts
