@@ -54,6 +54,7 @@ Run standalone:  ``PYTHONPATH=src python benchmarks/bench_sharded_epochs.py [--q
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import random
 import statistics
@@ -131,7 +132,7 @@ def _params() -> SystemParams:
 
 def _deployment(shards: int) -> Deployment:
     return Deployment.create(
-        _params(), rng=random.Random(17), shards=shards if shards > 1 else None
+        dataclasses.replace(_params(), log_shards=shards), rng=random.Random(17)
     )
 
 

@@ -28,7 +28,7 @@ Thread safety: none; one engine drives one single-threaded run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.adversary.attacks import BruteForcePinAttacker
@@ -259,11 +259,12 @@ class ChaosEngine:
         """Build the deployment the scenario describes (inside the entropy
         hijack, so HSM keygen is seed-determined too)."""
         sc = self.scenario
-        self.params = SystemParams.for_testing(
+        params = SystemParams.for_testing(
             num_hsms=sc.num_hsms,
             cluster_size=sc.cluster_size,
             max_punctures=sc.max_punctures,
         )
+        self.params = replace(params, log_shards=sc.shards)
         if sc.crashing_store:
             self.store = CrashingBlockStore()
         elif sc.durable:
@@ -273,7 +274,6 @@ class ChaosEngine:
         self.deployment = Deployment.create(
             self.params,
             rng=self.sched.substream("provision"),
-            shards=sc.shards if sc.shards > 1 else None,
             store=self.store,
         )
         self._model_free_at = {i: 0.0 for i in range(sc.num_hsms)}

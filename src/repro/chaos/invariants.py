@@ -54,11 +54,11 @@ class Violation:
 def check_digest_chain(provider) -> List[Violation]:
     """Replay committed entries per shard; digests must match exactly.
 
-    For sharded logs this also recomputes the cross-shard root *from
-    scratch* over the replayed shard digests and compares it to the live
-    ``log.digest`` — the live value is maintained incrementally (O(log S)
-    path updates per dirty shard), and this is the reference it must stay
-    byte-identical to.
+    It also recomputes the cross-shard root *from scratch* over the
+    replayed shard digests and compares it to the live ``log.digest`` —
+    the live value is maintained incrementally (O(log S) path updates per
+    dirty shard), and this is the reference it must stay byte-identical
+    to.
     """
     out: List[Violation] = []
     components = provider.log.shards  # each carries its own digest chain
@@ -78,14 +78,13 @@ def check_digest_chain(provider) -> List[Violation]:
                 f"shard {shard}: {len(log.pending)} entries left pending between"
                 " epochs",
             ))
-    if provider.log.num_shards > 1:
-        if cross_shard_root(replayed_digests) != provider.log.digest:
-            out.append(Violation(
-                "log-digest-chain",
-                "incrementally-maintained cross-shard root disagrees with the"
-                f" from-scratch Merkle root over all {len(components)} replayed"
-                " shard digests",
-            ))
+    if cross_shard_root(replayed_digests) != provider.log.digest:
+        out.append(Violation(
+            "log-digest-chain",
+            "incrementally-maintained cross-shard root disagrees with the"
+            f" from-scratch Merkle root over all {len(components)} replayed"
+            " shard digests",
+        ))
     return out
 
 

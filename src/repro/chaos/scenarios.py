@@ -92,7 +92,7 @@ class Scenario:
             raise ValueError(f"{self.name}: crash points require durable=True")
         if self.mid_epoch_crash_at is not None and not self.crashing_store:
             raise ValueError(f"{self.name}: mid-epoch crash requires crashing_store")
-        if self.shards > 1 and not 1 <= self.shards <= self.num_hsms:
+        if not 1 <= self.shards <= self.num_hsms:
             raise ValueError(f"{self.name}: bad shard count")
 
     def quick(self) -> "Scenario":

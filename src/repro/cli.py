@@ -94,6 +94,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
+    import dataclasses
     import random
     import threading
     import time
@@ -105,11 +106,12 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         cluster_size=args.cluster,
         max_punctures=max(16, 4 * args.clients),
     )
+    params = dataclasses.replace(params, log_shards=args.shards)
     shard_note = f", {args.shards} log shards" if args.shards > 1 else ""
     print(f"provisioning {params.num_hsms} HSMs for {args.clients} concurrent "
           f"clients (batched epochs, {args.transport} transport"
           f"{shard_note})...")
-    dep = Deployment.create(params, rng=random.Random(args.seed), shards=args.shards)
+    dep = Deployment.create(params, rng=random.Random(args.seed))
     service = dep.recovery_service(
         transport=args.transport, tick_interval=args.tick_interval
     )

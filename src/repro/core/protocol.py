@@ -66,10 +66,10 @@ class Deployment:
         because the end-to-end benchmark's workloads still pass it; it goes
         with the next change to that benchmark.
 
-        ``shards`` overrides ``params.log_shards``: ``shards >= 2``
-        provisions a sharded log (devices track one digest per lane; see
-        ``repro.log.sharded``).  The count is fixed here, for the life of
-        the deployment: :meth:`restore` reads it back from the fleet.
+        ``params.log_shards`` is fixed here for the deployment's life
+        (:meth:`restore` reads it back from the fleet).  ``shards``, a
+        second spelling that overrides it, stays (like ``multisig``) only
+        until the next change to the end-to-end benchmark, which passes it.
 
         ``store`` opts into durability: the provider journals every escrow
         mutation and committed epoch to it, each HSM writes its key array

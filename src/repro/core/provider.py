@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.identifiers import attempt_identifier, parse_attempt_identifier, user_prefix
 from repro.core.lhe import LheCiphertext
 from repro.log.authdict import AuthenticatedDictionary, InclusionProof
-from repro.log.distributed import DistributedLog, LogConfig
+from repro.log.distributed import LogConfig
 from repro.log.sharded import ShardedLog
 from repro.storage.blockstore import BlockStore, InMemoryBlockStore, RegionStore
 from repro.storage.journal import ProviderJournal, RestoredState
@@ -48,10 +48,9 @@ class ServiceProvider:
         ``Deployment.restore`` rebuilds the provider from it after a crash.
         None (the default) keeps the provider purely in-memory with zero
         extra metered work."""
-        config = log_config or LogConfig()
-        # num_shards > 1 partitions the log into independent epoch lanes
-        # (see repro.log.sharded); 1 keeps the paper's single digest chain.
-        self.log = ShardedLog(config) if config.num_shards > 1 else DistributedLog(config)
+        # num_shards independent epoch lanes (see repro.log.sharded); 1 is
+        # the paper's single digest chain.
+        self.log = ShardedLog(log_config)
         # Durability journal (None = in-memory only).  Attached before any
         # mutation so provisioning itself (the genesis epochs) is replayable.
         self.journal: Optional[ProviderJournal] = None

@@ -209,23 +209,19 @@ class HsmDevice:
 
     @property
     def log_digest(self) -> bytes:
-        """The device's single log anchor.
-
-        Unsharded: the one digest it tracks.  Sharded: the cross-shard
-        root over its per-shard digests — the same value
-        ``ShardedLog.digest`` publishes once every lane has committed.
-        Reading the anchor first verifies and applies any offered foreign
-        transitions (a trust-critical read must be current).
+        """The device's single log anchor: the cross-shard root over its
+        per-shard digests (the one digest itself when unsharded) — the
+        same value ``ShardedLog.digest`` publishes once every lane has
+        committed.  Reading the anchor first verifies and applies any
+        offered foreign transitions (a trust-critical read must be current).
         """
-        if len(self._shard_digests) == 1:
-            return self._shard_digests[0]
         with self._offer_lock:
             pending = sorted(self._pending_foreign)
         if pending:
             with self.meter.attached():
                 for shard in pending:
                     self._sync_shard(shard)
-        return self._root.refresh(self._shard_digests).root
+        return self._root.root(self._shard_digests)
 
     def shard_digest(self, shard: int) -> bytes:
         """The device's digest for one shard lane."""
@@ -459,42 +455,35 @@ class HsmDevice:
             # device verifies against the digest *it* tracks for the
             # identifier's shard — never against digests the proof claims —
             # and recomputes the shard routing itself, so a proof can never
-            # shop an identifier into a foreign lane.
+            # shop an identifier into a foreign lane.  A plain proof is
+            # shard 0 of a one-shard log.
             proof = request.inclusion_proof
-            num_shards = len(self._shard_digests)
             if isinstance(proof, ShardedInclusionProof):
-                if proof.num_shards != num_shards:
-                    raise HsmStaleProofError(
-                        f"HSM {self.index}: proof is for a {proof.num_shards}-shard "
-                        f"log, I track {num_shards} shard(s) (refresh the proof)"
-                    )
-                if proof.shard != shard_of(request.log_identifier, num_shards):
-                    raise HsmRefusedError(
-                        f"HSM {self.index}: identifier does not route to shard "
-                        f"{proof.shard}"
-                    )
-                # Off-committee lanes are adopted lazily: verify any offered
-                # quorum-signed transitions for this shard before judging
-                # the proof against it.
-                if proof.shard in self._pending_foreign:
-                    try:
-                        self._sync_shard(proof.shard)
-                    except LogUpdateRejected as exc:
-                        raise HsmRefusedError(
-                            f"HSM {self.index}: offered log transition invalid: {exc}"
-                        ) from exc
-                trusted_digest = self._shard_digests[proof.shard]
-                inner_proof = proof.inclusion
+                shard, arity, inner_proof = proof.shard, proof.num_shards, proof.inclusion
             else:
-                if num_shards != 1:
-                    raise HsmStaleProofError(
-                        f"HSM {self.index}: unsharded proof against a "
-                        f"{num_shards}-shard log (refresh the proof)"
-                    )
-                trusted_digest = self._shard_digests[0]
-                inner_proof = proof
+                shard, arity, inner_proof = 0, 1, proof
+            num_shards = len(self._shard_digests)
+            if arity != num_shards:
+                raise HsmStaleProofError(
+                    f"HSM {self.index}: proof is for a {arity}-shard log, I track "
+                    f"{num_shards} shard(s) (refresh the proof)"
+                )
+            if shard != shard_of(request.log_identifier, num_shards):
+                raise HsmRefusedError(
+                    f"HSM {self.index}: identifier does not route to shard {shard}"
+                )
+            # Off-committee lanes are adopted lazily: verify any offered
+            # quorum-signed transitions for this shard before judging the
+            # proof against it.
+            if shard in self._pending_foreign:
+                try:
+                    self._sync_shard(shard)
+                except LogUpdateRejected as exc:
+                    raise HsmRefusedError(
+                        f"HSM {self.index}: offered log transition invalid: {exc}"
+                    ) from exc
             if not verify_includes(
-                trusted_digest,
+                self._shard_digests[shard],
                 request.log_identifier,
                 request.commitment,
                 inner_proof,

@@ -9,11 +9,12 @@ accepts that ``(id, val)`` is in the log, no honest HSM will ever accept
 ``(id, val')`` for ``val' != val`` — identifiers are write-once, which is
 what bounds PIN-guessing attempts.
 
-At scale the log runs sharded (``repro.log.sharded``): S independent
-digest chains, each certified by its own device committee, anchored to one
-cross-shard Merkle root so proofs and audits still reference a single
-value.  ``shard_of`` is the public routing function; write-once holds
-because an identifier belongs to exactly one shard.
+The provider's log is a ``ShardedLog`` (``repro.log.sharded``) at every
+arity: S >= 1 independent digest chains (``DistributedLog`` lanes), each
+certified by its own device committee, anchored to one cross-shard Merkle
+root (the lone chain's digest when S = 1) so proofs and audits still
+reference a single value.  ``shard_of`` is the public routing function;
+write-once holds because an identifier belongs to exactly one shard.
 
 Thread safety: log objects are unsynchronized; the serving layer owns the
 locking (see each module's docstring).  Verifier-side helpers

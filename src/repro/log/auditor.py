@@ -8,7 +8,7 @@ ask whether any recovery attempt has ever been filed under its username,
 detecting attacks on its backup even when the attacker knew the PIN.
 
 Sharded logs audit the same way per shard, anchored to the cross-shard
-root (``audit_sharded_snapshot``).
+root (``audit_sharded_snapshot``); an unsharded log is its one-shard case.
 
 Thread safety: auditors are external observers working on snapshot copies
 (entry lists); they hold no locks and never touch live log state, so one
@@ -42,16 +42,9 @@ class ExternalAuditor:
     def audit_snapshot(
         self, entries: Sequence[Tuple[bytes, bytes]], claimed_digest: bytes
     ) -> None:
-        """Check that ``entries`` really hash to ``claimed_digest``."""
-        seen = set()
-        for identifier, _ in entries:
-            if identifier in seen:
-                raise AuditFailure(f"duplicate identifier in log: {identifier!r}")
-            seen.add(identifier)
-        digest = self.replay_digest(entries)
-        if digest != claimed_digest:
-            raise AuditFailure("log contents do not match the published digest")
-        self.checked_digests.append(claimed_digest)
+        """Check that ``entries`` really hash to ``claimed_digest``: the
+        one-shard case of :meth:`audit_sharded_snapshot`."""
+        self.audit_sharded_snapshot([entries], claimed_digest)
 
     def audit_extension(
         self,
@@ -73,7 +66,8 @@ class ExternalAuditor:
         shard_entries: Sequence[Sequence[Tuple[bytes, bytes]]],
         claimed_root: bytes,
     ) -> None:
-        """Audit a sharded log against its published cross-shard root.
+        """Audit a log against its published cross-shard root (the lone
+        shard's digest when ``len(shard_entries) == 1``).
 
         Checks that (a) every entry lives on the shard its identifier
         hashes to, (b) no identifier repeats anywhere in the partition, and
@@ -99,7 +93,7 @@ class ExternalAuditor:
             [self.replay_digest(entries) for entries in shard_entries]
         )
         if root != claimed_root:
-            raise AuditFailure("shard contents do not match the published root")
+            raise AuditFailure("log contents do not match the published root")
         self.checked_digests.append(claimed_root)
 
     # -- user-facing monitoring ---------------------------------------------------

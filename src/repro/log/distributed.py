@@ -22,20 +22,22 @@ chunks each, the probability that a bad chunk escapes every honest auditor
 is ``exp((2·f_secret − 1)·C)`` (§6.2) — about ``2^-128`` at the paper's
 parameters.
 
-Sharding (``repro.log.sharded``) runs one instance of this protocol per
-shard: a :class:`DistributedLog` then carries a ``shard_index`` within a
-``num_shards``-way partition, every round and certified transition is
-stamped with both, and the signed transition message is domain-separated by
-shard so a quorum's endorsement of shard *k* can never be replayed against
-shard *j* (all shards start from the same empty digest).  ``num_shards=1``
-keeps the exact legacy message bytes, so metered costs for unsharded
-deployments are unchanged.
+A :class:`DistributedLog` is one *lane* of the provider's log, never the
+log itself: :class:`~repro.log.sharded.ShardedLog` owns ``S >= 1`` of them
+(one when the deployment is unsharded) and is the only code that builds
+them.  A lane carries its ``shard_index`` within the
+``config.num_shards``-way partition, every round and certified transition
+is stamped with both, and the signed transition message is
+domain-separated by shard so a quorum's endorsement of shard *k* can never
+be replayed against shard *j* (all shards start from the same empty
+digest).  ``num_shards=1`` keeps the exact legacy message bytes, so metered
+costs for unsharded deployments are unchanged.  Routing, committees and
+garbage collection live in ``ShardedLog``.
 
 Thread safety: a :class:`DistributedLog` is *not* internally synchronized —
 callers must serialize access (the serving layer holds
-``EpochBatcher.lock`` around every log mutation; under
-:class:`~repro.log.sharded.ShardedLog`, concurrent epoch lanes are safe
-only because each lane touches a distinct shard instance).
+``EpochBatcher.lock`` around every log mutation; concurrent epoch lanes
+are safe only because each lane touches a distinct shard instance).
 """
 
 from __future__ import annotations
@@ -339,37 +341,29 @@ class UpdateRound(Transition):
 
 
 class DistributedLog:
-    """The service provider's log state plus the update-protocol driver.
+    """One epoch lane: its digest chain plus the update-protocol driver.
 
     This class is *untrusted* in the threat model: adversaries subclass it
     (see ``repro.adversary``) to serve bogus chunks, rewrite entries, or
     replay stale digests, and the HSM-side checks must catch every attempt.
     """
 
-    def __init__(
-        self,
-        config: Optional[LogConfig] = None,
-        shard_index: int = 0,
-        num_shards: int = 1,
-    ) -> None:
-        if not (0 <= shard_index < num_shards):
-            raise ValueError("need 0 <= shard_index < num_shards")
+    def __init__(self, config: Optional[LogConfig] = None, shard_index: int = 0) -> None:
         self.config = config or LogConfig()
-        #: position of this log within a sharded partition (0 of 1 = unsharded)
+        #: position of this lane within the log's ``config.num_shards`` lanes
         self.shard_index = shard_index
-        self.num_shards = num_shards
+        self.num_shards = self.config.num_shards
+        if not (0 <= shard_index < self.num_shards):
+            raise ValueError("need 0 <= shard_index < num_shards")
         self.dict = AuthenticatedDictionary()
         self.ordered_entries: List[Tuple[bytes, bytes]] = []
         self.pending = []
         self.epoch = 0
-        self.garbage_collections = 0
-        self.archived_logs: List[List[Tuple[bytes, bytes]]] = []
         self.certified_transitions: List[CertifiedTransition] = []
         # Optional durability hook (repro.storage.journal.ProviderJournal):
         # when set, run_update write-ahead-journals every epoch as
-        # intent -> commit/rollback and garbage_collect journals its reset.
-        # None (the default) keeps the log purely in-memory, byte-identical
-        # to the pre-durability behavior.
+        # intent -> commit/rollback.  None (the default) keeps the lane
+        # purely in-memory, byte-identical to the pre-durability behavior.
         self.journal = None
         # Handshake between run_update (which knows the intent's WAL seq)
         # and certify_round (which writes the commit record *before* the
@@ -403,24 +397,6 @@ class DistributedLog:
         """O(1) emptiness check — reading :attr:`pending` snapshots the
         whole queue, which a per-tick poll must not pay."""
         return bool(self._pending)
-
-    # -- epoch lanes: an unsharded log is one lane ------------------------------
-    @property
-    def shards(self) -> List["DistributedLog"]:
-        """The log's epoch lanes: just this log.  The serving layer drives
-        every log through ``shards`` / :meth:`shards_with_pending` /
-        :meth:`run_shard_update`; :class:`~repro.log.sharded.ShardedLog`
-        answers the same three with its ``S`` component logs."""
-        return [self]
-
-    def shards_with_pending(self) -> List[int]:
-        """Lane indices holding queued insertions: ``[0]`` or ``[]``."""
-        return [0] if self._pending else []
-
-    def run_shard_update(self, shard_index: int, hsms: Sequence) -> None:
-        """One transactional epoch on lane ``shard_index`` — the lone lane
-        0, so exactly :meth:`run_update` against the whole fleet."""
-        self.run_update(hsms)
 
     def insert(self, identifier: bytes, value: bytes) -> None:
         """Queue an identifier-value pair for the next update epoch."""
@@ -659,23 +635,3 @@ class DistributedLog:
         """
         for transition in self.chain_after(hsm.shard_digest(self.shard_index)):
             hsm.accept_certified_transition(transition)
-
-    # -- garbage collection -------------------------------------------------------
-    def garbage_collect(self, hsms: Sequence) -> None:
-        """Reset the log (resets every user's attempt counter — §6.2).
-
-        HSMs count GCs and refuse after ``max_garbage_collections``,
-        bounding how often a malicious provider can reset PIN-attempt
-        limits; only once they consent is the old log archived (so
-        auditors can still replay history) and reset.
-        """
-        for hsm in hsms:
-            if not hsm.is_failed:
-                hsm.accept_garbage_collection()
-        self.archived_logs.append(list(self.ordered_entries))
-        self.dict = AuthenticatedDictionary()
-        self.ordered_entries = []
-        self.pending = []
-        self.garbage_collections += 1
-        if self.journal is not None:
-            self.journal.record_gc(self.garbage_collections)

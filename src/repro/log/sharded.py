@@ -1,25 +1,27 @@
-"""Sharded transparency log: S independent digest chains, one anchor root.
+"""The provider's transparency log: S >= 1 digest chains, one anchor.
 
 The paper's deployment point is millions of users behind *one* log, whose
 update epoch is inherently serial: every insertion rides one digest chain
-and every HSM audits one round.  ``ShardedLog`` partitions the log into
-``S`` independent :class:`~repro.log.distributed.DistributedLog` shards —
-an insertion is routed by a stable hash of its identifier
-(:func:`shard_of`), each shard runs the full Figure 5 protocol on its own
-digest chain, certified by its own *committee* (the ``N/S`` devices with
-``index ≡ shard (mod S)``), and shard epochs never contend with each
-other: committees are disjoint, so ``S`` lanes drive disjoint device sets
-in parallel (see ``repro.service.batcher.EpochBatcher``), and each device
-verifies aggregates of ``N/S`` signatures instead of ``N``.  Devices off a
-shard's committee adopt its quorum-signed transitions *lazily*
+and every HSM audits one round.  ``ShardedLog``, the provider's log at every
+``S >= 1``, partitions the log into ``S`` independent
+:class:`~repro.log.distributed.DistributedLog` lanes — an insertion is
+routed by a stable hash of its identifier (:func:`shard_of`), each shard
+runs the full Figure 5 protocol on its own digest chain, certified by its
+own *committee* (the ``N/S`` devices with ``index ≡ shard (mod S)``), and
+shard epochs never contend with each other: committees are disjoint, so
+``S`` lanes drive disjoint device sets in parallel (see
+``repro.service.batcher.EpochBatcher``), and each device verifies
+aggregates of ``N/S`` signatures instead of ``N``.  Devices off a shard's
+committee adopt its quorum-signed transitions *lazily*
 (``HsmDevice.offer_certified_transition``), keeping the epoch's critical
 path free of fleet-wide fan-out.  This is the partitioning move of
 datacenter-scale designs (XOS-style state sharding): independent lanes,
-deterministic placement, and a thin combining layer.
+deterministic placement, and a thin combining layer.  ``S = 1`` is the
+paper's single chain: its root is the lane digest, its proof the plain one.
 
 Auditors and proofs still anchor to **one value**: the *cross-shard root*,
 a Merkle root over the ordered shard digests
-(:func:`cross_shard_root`).  An inclusion proof becomes a
+(:func:`cross_shard_root`).  With ``S >= 2`` an inclusion proof is a
 :class:`ShardedInclusionProof` — the per-shard BST proof plus the Merkle
 path from that shard's digest leaf to the root — so any verifier holding
 only the root can check membership (:func:`verify_includes_sharded`),
@@ -29,7 +31,7 @@ itself (write-once stays intact: an identifier maps to exactly one shard,
 so no value can be re-logged in a sibling lane).
 
 The root is maintained *incrementally*: :class:`CrossShardRoot` (one
-under ``ShardedLog``, one in every sharded device) keeps a persistent
+under ``ShardedLog``, one in every device) keeps a persistent
 :class:`~repro.crypto.merkle.IncrementalMerkleTree` over the shard-digest
 leaves and, on every root read, rehashes only the O(log S) paths of
 shards whose digest moved since the last read (detected by a byte compare
@@ -45,7 +47,7 @@ Security note on write-once: because ``shard_of`` is a public deterministic
 function of the identifier and ``num_shards``, the per-shard duplicate
 check *is* the global duplicate check — there is no cross-shard race.  The
 shard count is therefore part of the trusted configuration, fixed when the
-deployment is provisioned (``Deployment.create(shards=S)``; a log is never
+deployment is provisioned (``SystemParams.log_shards``; a log is never
 re-partitioned, so no identifier ever changes lanes): HSMs bind ``(shard,
 num_shards)`` into every signed transition
 (:meth:`~repro.log.distributed.Transition.message`) and refuse rounds whose
@@ -71,7 +73,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.hashing import sha256
 from repro.crypto.merkle import IncrementalMerkleTree, MerkleProof, MerkleTree
@@ -101,7 +103,10 @@ def shard_leaf(shard: int, digest: bytes) -> bytes:
 
 
 def cross_shard_root(digests: Sequence[bytes]) -> bytes:
-    """The one value everything anchors to: Merkle over the shard digests."""
+    """The one value everything anchors to: Merkle over the shard digests,
+    or the lone digest itself for a one-shard log (no hashing)."""
+    if len(digests) == 1:
+        return digests[0]
     return MerkleTree([shard_leaf(i, d) for i, d in enumerate(digests)]).root
 
 
@@ -121,8 +126,12 @@ class CrossShardRoot:
         self._leaves: List[bytes] = []
         self._tree: Optional[IncrementalMerkleTree] = None
 
+    def root(self, digests: Sequence[bytes]) -> bytes:
+        """:func:`cross_shard_root` over ``digests``, kept incrementally."""
+        return digests[0] if len(digests) == 1 else self.refresh(digests).root
+
     def refresh(self, digests: Sequence[bytes]) -> IncrementalMerkleTree:
-        """The root tree over ``digests``, byte-identical to
+        """The root tree over ``digests`` (``S >= 2``), byte-identical to
         :func:`cross_shard_root` over the same list."""
         if self._tree is None:  # first read: build, O(S)
             self._leaves = list(digests)
@@ -199,14 +208,13 @@ class _CombinedDictView:
 
 
 class ShardedLog:
-    """``S`` parallel epoch lanes behind the ``DistributedLog`` interface.
+    """``provider.log`` at every arity: ``S >= 1`` parallel epoch lanes.
 
-    Drop-in for ``provider.log``: the client-facing surface (``insert``,
-    ``get``, ``digest``, ``pending``, ``prove_includes``, ``dict``,
-    ``run_update``, ``garbage_collect``) matches ``DistributedLog``, with
-    ``digest`` meaning the cross-shard root and ``prove_includes``
-    returning :class:`ShardedInclusionProof`.  Like ``DistributedLog``,
-    this class is *untrusted* in the threat model.
+    ``digest`` is the cross-shard root and ``prove_includes`` returns a
+    :class:`ShardedInclusionProof` — at ``S = 1``, the lane digest and the
+    lane's plain proof.  The serving layer drives lanes through ``shards``,
+    :meth:`shards_with_pending` and :meth:`run_shard_update`.  Like
+    ``DistributedLog``, this class is *untrusted* in the threat model.
     """
 
     #: Lock contract (see `repro.lintkit`'s lock-discipline pass): the
@@ -218,13 +226,8 @@ class ShardedLog:
     def __init__(self, config: Optional[LogConfig] = None) -> None:
         self.config = config or LogConfig()
         self.num_shards = self.config.num_shards
-        if self.num_shards < 2:
-            raise ValueError(
-                "ShardedLog needs >= 2 shards (an unsharded log IS DistributedLog)"
-            )
         self.shards: List[DistributedLog] = [
-            DistributedLog(self.config, shard_index=k, num_shards=self.num_shards)
-            for k in range(self.num_shards)
+            DistributedLog(self.config, shard_index=k) for k in range(self.num_shards)
         ]
         self.dict = _CombinedDictView(self)
         self.garbage_collections = 0
@@ -276,7 +279,7 @@ class ShardedLog:
         :func:`cross_shard_root` over the current shard digests.
         """
         with self._root_lock:
-            return self._root.refresh(self.shard_digests).root
+            return self._root.root(self.shard_digests)
 
     @property
     def shard_digests(self) -> List[bytes]:
@@ -314,18 +317,18 @@ class ShardedLog:
 
     def prove_includes(
         self, identifier: bytes, value: bytes
-    ) -> Optional[ShardedInclusionProof]:
+    ) -> Optional[Union[InclusionProof, ShardedInclusionProof]]:
         """Root-anchored inclusion proof; None if not committed yet.
 
-        The shard path comes from the persistent root tree (refreshed for
-        dirty shards only) — no per-proof O(S) tree rebuild — and is
-        byte-identical to a path proved by a from-scratch
-        ``MerkleTree`` over the same digests.
+        The lane's plain proof at ``S = 1``.  Otherwise the shard path
+        comes from the persistent root tree (refreshed for dirty shards
+        only) — no per-proof O(S) tree rebuild — byte-identical to a path
+        proved by a from-scratch ``MerkleTree`` over the same digests.
         """
         shard_index = shard_of(identifier, self.num_shards)
         inner = self.shards[shard_index].prove_includes(identifier, value)
-        if inner is None:
-            return None
+        if inner is None or self.num_shards == 1:
+            return inner
         with self._root_lock:
             digests = self.shard_digests
             shard_path = self._root.refresh(digests).prove(shard_index)
@@ -398,11 +401,11 @@ class ShardedLog:
 
     # -- garbage collection ----------------------------------------------------
     def garbage_collect(self, hsms: Sequence) -> None:
-        """Reset all shards as one logical GC (devices consent once each).
+        """Reset the log, and so every user's attempt counter (§6.2).
 
-        Mirrors ``DistributedLog.garbage_collect``: every online HSM's
-        (bounded) GC budget is charged exactly one unit, then the combined
-        log is archived for auditors and all shard chains restart empty.
+        Every online HSM's bounded GC budget is charged one unit; only once
+        all consent is the log archived for auditors and every shard chain
+        restarted empty.
         """
         for hsm in hsms:
             if not hsm.is_failed:

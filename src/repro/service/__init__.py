@@ -27,15 +27,15 @@ digest-exact, served sessions hold an *epoch lease* until their share
 phase ends; the next tick waits for leases to drain (bounded), and clients
 that straddle an epoch anyway refresh their proof and retry once.
 
-**Shard lanes** (also :mod:`repro.service.batcher`).  Over a sharded log
-(``repro.log.sharded``) a tick groups waiters by their identifier's shard
-and fans one epoch per shard out to a lane-worker pool, joining before the
-combined cross-shard root is published; a failed shard epoch rolls back
-and fails only its own tickets.
+**Shard lanes** (also :mod:`repro.service.batcher`).  The log
+(``repro.log.sharded``) has ``S >= 1`` shards: a tick groups waiters by
+their identifier's shard and fans one epoch per shard out to a lane-worker
+pool, joining before the combined cross-shard root is published; a failed
+shard epoch rolls back and fails only its own tickets.
 
 :class:`~repro.service.recovery.RecoveryService` assembles the pieces into
 the deployment's front end; ``Deployment.recovery_service()`` builds one,
-with one lane per log shard (``Deployment.create(params, shards=S)``).
+with one lane per log shard (``SystemParams.log_shards``).
 
 Thread safety: this package *is* the concurrency layer — every class
 documents its own contract.  The rule of thumb: device and shard state is

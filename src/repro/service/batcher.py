@@ -6,11 +6,11 @@ reproduces that rhythm: sessions ``submit`` their log insertion and block on
 an :class:`EpochTicket`; each ``tick`` commits one update epoch per lane
 that has work and fans the inclusion proofs back to every waiter.
 
-There is one way to run an epoch.  Every log is a set of **epoch lanes**
-(``log.num_shards`` of them: one per shard of a
-:class:`~repro.log.sharded.ShardedLog`, exactly one for an unsharded
-:class:`~repro.log.distributed.DistributedLog`).  A tick groups the waiters
-by their identifier's lane, hands the runnable lanes to the ``lane_runner``
+There is one way to run an epoch.  The log, a
+:class:`~repro.log.sharded.ShardedLog` at every arity, is a set of
+``log.num_shards`` **epoch lanes** (exactly one when it is unsharded),
+each a :class:`~repro.log.distributed.DistributedLog`.  A tick groups the
+waiters by their identifier's lane, hands the runnable lanes to the ``lane_runner``
 (the service's lane workers: one FIFO worker per lane, HsmWorkerPool
 discipline), joins them, and only then publishes the combined root.  Lanes
 fail independently — a lane whose epoch is rejected rolls back and fails

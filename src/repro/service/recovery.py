@@ -9,7 +9,8 @@
   insertions ride one shared update epoch per tick instead of paying a
   full epoch each (the paper's every-~10-minutes batch);
 - a second, smaller ``HsmWorkerPool`` of **epoch lanes** — one FIFO worker
-  per log shard (``log.num_shards``; exactly one for an unsharded log).
+  per log shard (``log.num_shards`` lanes of the provider's ``ShardedLog``;
+  exactly one for an unsharded log).
   Every epoch runs on its lane's worker: a tick fans the lanes with work
   out through :meth:`RecoveryService.run_shard_epochs` and joins them;
 - a ticker thread that runs an epoch when the batcher signals demand — a
@@ -338,8 +339,8 @@ class RecoveryService:
         """Fan one epoch per listed shard out to the lane workers and join.
 
         Each lane commits its shard through ``log.run_shard_update`` (an
-        unsharded log's lone lane 0 is its ``run_update``) with device
-        calls still FIFO-serialized per HSM — the device pool must be
+        unsharded log's lone lane 0 is certified by the whole fleet) with
+        device calls still FIFO-serialized per HSM — the device pool must be
         running — so concurrent lanes interleave *across* devices but
         never within one.  Returns the per-shard outcome map the batcher
         uses to fail only the tickets of a rejected shard (that shard

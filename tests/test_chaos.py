@@ -9,6 +9,7 @@ file to the identical step, and the entropy hijack must restore every
 patched source on exit.
 """
 
+import dataclasses
 import os
 import random
 import secrets
@@ -169,6 +170,13 @@ class TestScenarios:
             tiny(crash_at=(0.5,))
         with pytest.raises(ValueError, match="crashing_store"):
             tiny(durable=True, mid_epoch_crash_at=0.5)
+
+    @pytest.mark.parametrize("shards", [0, -1])
+    def test_shard_count_below_one_is_refused(self, shards):
+        """A scenario must run the deployment it reports: no shard count
+        below one slips through to a silently unsharded log."""
+        with pytest.raises(ValueError, match="shard count"):
+            dataclasses.replace(SCENARIOS["baseline_diurnal"], shards=shards)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from repro.log.distributed import (
     Transition,
     audit_chunk_indices,
 )
+from repro.log.sharded import ShardedLog
 
 
 CFG = LogConfig(audit_count=3, quorum_fraction=0.75, max_garbage_collections=2)
@@ -28,15 +29,18 @@ def fleet():
     return HsmFleet(8, params, log_config=CFG, rng=random.Random(1))
 
 
-@pytest.fixture
-def log(fleet):
+def _fresh(fleet, log):
     fleet.restart_all()
-    log = DistributedLog(CFG)
     # re-sync devices to a fresh empty log
     for hsm in fleet:
         hsm._shard_digests[0] = log.digest
         hsm.garbage_collections_seen = 0
     return log
+
+
+@pytest.fixture
+def log(fleet):
+    return _fresh(fleet, DistributedLog(CFG))
 
 
 class TestSignedBytes:
@@ -361,11 +365,16 @@ class TestMalformedAggregate:
 
 
 class TestGarbageCollection:
+    @pytest.fixture
+    def log(self, fleet):
+        """GC belongs to the provider's log: a one-shard ShardedLog."""
+        return _fresh(fleet, ShardedLog(CFG))
+
     def test_gc_resets_log(self, fleet, log):
         log.insert(b"g1", b"h")
         log.run_update(fleet.hsms)
         log.garbage_collect(fleet.hsms)
-        assert log.digest == DistributedLog(CFG).digest
+        assert log.digest == ShardedLog(CFG).digest
         assert fleet[0].log_digest == log.digest
         # the old log is archived for auditors
         assert [e for e in log.archived_logs[-1]] == [(b"g1", b"h")]

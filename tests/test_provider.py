@@ -46,7 +46,7 @@ class TestAttemptNumbering:
 
     def test_committed_attempts_counted(self, provider):
         provider.log_recovery_attempt("alice", 0, b"h0")
-        provider.log.prepare_update(num_chunks=1)  # commit without HSMs
+        provider.log.shards[0].prepare_update(num_chunks=1)  # commit without HSMs
         assert provider.next_attempt_number("alice") == 1
 
     def test_numbering_is_per_user(self, provider):
@@ -67,7 +67,7 @@ class TestAttemptNumbering:
                 )
             provider.log_recovery_attempt("alice", step, b"h%d" % step)
             if step % 2:  # counters must survive pending -> committed moves
-                provider.log.prepare_update(num_chunks=1)
+                provider.log.shards[0].prepare_update(num_chunks=1)
         assert provider.next_attempt_number("alice") == 4
         assert provider.scan_attempt_number("alice") == 4
 
@@ -118,6 +118,6 @@ class TestWiring:
 
     def test_monitoring_view(self, provider):
         provider.log_recovery_attempt("alice", 0, b"h0")
-        provider.log.prepare_update(num_chunks=1)
+        provider.log.shards[0].prepare_update(num_chunks=1)
         attempts = provider.recovery_attempts_for("alice")
         assert attempts == [(attempt_identifier("alice", 0), b"h0")]

@@ -24,7 +24,9 @@ from repro.service.workers import HsmWorkerPool
 @pytest.fixture
 def batcher_provider():
     provider = ServiceProvider(LogConfig(audit_count=2))
-    provider.install_update_runner(lambda: provider.log.prepare_update(num_chunks=1))
+    provider.install_update_runner(
+        lambda: provider.log.shards[0].prepare_update(num_chunks=1)
+    )
     return provider
 
 

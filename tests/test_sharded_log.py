@@ -14,6 +14,7 @@ Covers the three claims the sharded design stands on:
    incorrectly (an identifier belongs to exactly one shard).
 """
 
+import dataclasses
 import random
 import threading
 
@@ -23,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.core.provider import ProviderError
+from repro.core.wire import PROOF_PLAIN, PROOF_SHARDED, encode_inclusion_proof
 from repro.hsm.device import HsmRefusedError, HsmStaleProofError
 from repro.log import AuditFailure, ExternalAuditor
 from repro.log.authdict import AuthenticatedDictionary
@@ -74,9 +76,26 @@ class TestShardRouting:
         shards = {shard_of(identifier, SHARDS) for identifier, _ in fixed_workload(64)}
         assert shards == set(range(SHARDS))
 
-    def test_sharded_log_requires_two_shards(self):
-        with pytest.raises(ValueError):
-            ShardedLog(LogConfig(num_shards=1))
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_one_log_type_at_every_arity(self, shards):
+        """The provider's log is a ShardedLog at every S; at S = 1 its
+        anchor is the lane digest and its proofs keep the plain envelope."""
+        params = dataclasses.replace(
+            SystemParams.for_testing(num_hsms=4, cluster_size=2), log_shards=shards
+        )
+        dep = Deployment.create(params, rng=random.Random(60 + shards))
+        log = dep.provider.log
+        assert isinstance(log, ShardedLog) and len(log.shards) == shards
+        log.insert(b"rec|arity|0", b"h-arity")
+        log.run_update(dep.fleet.hsms)
+        assert log.digest == cross_shard_root(log.shard_digests)
+        assert all(hsm.log_digest == log.digest for hsm in dep.fleet.hsms)
+        proof = log.prove_includes(b"rec|arity|0", b"h-arity")
+        if shards == 1:
+            assert log.digest == log.shards[0].digest
+            assert encode_inclusion_proof(proof)[0] == PROOF_PLAIN
+        else:
+            assert encode_inclusion_proof(proof)[0] == PROOF_SHARDED
 
     def test_duplicate_check_spans_pending_and_committed(self):
         log = ShardedLog(LogConfig(num_shards=SHARDS))
@@ -261,7 +280,7 @@ class TestUnshardedInvariance:
     def test_seed_counts_and_digest_unchanged(self):
         params = SystemParams.for_testing(num_hsms=8, cluster_size=3, audit_count=2)
         dep = Deployment.create(params, rng=random.Random(1234))
-        assert isinstance(dep.provider.log, DistributedLog)
+        assert isinstance(dep.provider.log, ShardedLog)
         meter = OpMeter()
         with meter.attached():
             for epoch in range(3):
@@ -429,23 +448,30 @@ class TestReshardMigration:
 # Sharded audits
 # ---------------------------------------------------------------------------
 class TestShardedAudits:
-    def _audited_log(self):
-        log = ShardedLog(LogConfig(num_shards=SHARDS))
+    def _audited_log(self, shards=SHARDS):
+        log = ShardedLog(LogConfig(num_shards=shards))
         for identifier, value in fixed_workload(24):
             log.shard_for(identifier).dict.insert(identifier, value)
             log.shard_for(identifier).ordered_entries.append((identifier, value))
         return log
 
     def test_honest_snapshot_passes(self):
-        log = self._audited_log()
-        ExternalAuditor().audit_sharded_snapshot(log.shard_entries(), log.digest)
+        for shards in (SHARDS, 1):
+            log = self._audited_log(shards)
+            ExternalAuditor().audit_sharded_snapshot(log.shard_entries(), log.digest)
+        # ``log`` is the one-shard log here: the unsharded audit spelling
+        ExternalAuditor().audit_snapshot(log.ordered_entries, log.digest)
 
     def test_tampered_value_detected(self):
-        log = self._audited_log()
-        entries = log.shard_entries()
-        entries[1][0] = (entries[1][0][0], b"forged")
+        for shards in (SHARDS, 1):
+            log = self._audited_log(shards)
+            entries = log.shard_entries()
+            lane = min(1, shards - 1)
+            entries[lane][0] = (entries[lane][0][0], b"forged")
+            with pytest.raises(AuditFailure):
+                ExternalAuditor().audit_sharded_snapshot(entries, log.digest)
         with pytest.raises(AuditFailure):
-            ExternalAuditor().audit_sharded_snapshot(entries, log.digest)
+            ExternalAuditor().audit_snapshot(entries[0], log.digest)
 
     def test_misplaced_entry_detected(self):
         log = self._audited_log()
