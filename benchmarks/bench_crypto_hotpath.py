@@ -4,9 +4,9 @@ Measures the fast paths the acceleration layer added to ``repro.crypto.ec``
 against the pre-fast-path algorithm (kept verbatim as ``naive_mult``:
 per-call window table, no precomputation):
 
-- **fixed-base** ``g^x`` via the generator's comb — 9 teeth, five
-  sub-tables of six columns each (the most-multiplied point in the system:
-  keygen, hashed ElGamal, ECDSA sign, HSM decrypt);
+- **fixed-base** ``g^x`` via the generator's comb — a signed comb of 10
+  teeth, five sub-tables of six columns each (the most-multiplied point in
+  the system: keygen, hashed ElGamal, ECDSA sign, HSM decrypt);
 - **variable-base** the signed-window ladder, both ways a point meets it:
   ``variable_base_oneoff`` multiplies a point never seen before (an HSM's
   ``(g^r)^x``: the 8-entry table is built inside the call) and
@@ -15,31 +15,44 @@ per-call window table, no precomputation):
 - **bfe_encrypt_k4** one Bloom-filter ciphertext (``g^r`` + ``mult_each``
   over k = 4 slot keys + the AE wraps), timed in turns in four states:
   ``_fresh`` (no table: the first ciphertext to the keys builds their
-  4-tooth combs in one batch), ``_combed`` (every later one: 63 doublings
-  a key), and the two a window-table ladder would give, through
-  ``tests/reference_comb.py``'s ``window_mult_each`` — ``_fresh_window``
-  (the window tables built inside the call) and ``_cached`` (tables held:
-  256 doublings a key).  Two gated ratios: ``combed_over_window``
-  (``_combed`` against ``_cached``) and ``fresh_over_fresh_window``, which
-  holds a first multiply to what the window ladder cost;
-  ``slot_comb_kb`` is what one key's comb holds (by tracemalloc) beside
-  a window table's ``slot_window_kb``;
+  5-tooth signed combs in one batch), ``_combed`` (every later one: 51
+  doublings a key), ``_unsigned`` (the same keys over the unsigned 4-tooth
+  combs of ``tests/reference_comb.py``: 63 doublings a key), and the two a
+  window-table ladder would give, through that file's
+  ``window_mult_each`` — ``_fresh_window`` (the window tables built
+  inside the call) and ``_cached`` (tables held: 256 doublings a key).
+  Three gated ratios: ``combed_over_window`` (``_combed`` against
+  ``_cached``), ``fresh_over_fresh_window``, which holds a first multiply
+  to what the window ladder cost, and ``signed_over_unsigned_slot``
+  (``_combed`` against ``_unsigned``); ``slot_comb_kb`` is what one key's
+  comb holds (by tracemalloc) beside a window table's ``slot_window_kb``
+  and the unsigned comb's ``unsigned_slot_comb_kb``;
 - **multi-scalar** Straus ``Σ sᵢ·Pᵢ`` vs independent mults;
 - **batched** ``EcdsaMultiSig.verify_aggregate`` (16 signers, their keys
   provisioned through ``precompute_signer_key`` exactly as
   ``HsmDevice.install_signer_directory`` does, so each verification is one
   comb chain) vs the sequential per-signature verification loop it replaced;
+  and a 12-signature aggregate (a 12-device fleet's certify round) over the
+  signed combs (``verify_aggregate_12``) against the same verification over
+  the unsigned 9-tooth combs of ``tests/reference_comb.py``
+  (``verify_aggregate_12_unsigned``), in turns: ``signed_over_unsigned_verify``;
 - **fixed_base_batch** a device's slot keys, ``generator_mult_each`` over
   185 scalars (one key of the ledger's fleets): the generator's sub-tables
   walked in lock step on shared-inversion affine additions, against the
   same 185 ``G * s`` one call at a time (``fixed_base_percall``) and
-  against the lock step over one 29-column table it replaced
+  against the unsigned lock step over one 29-column table it replaced
   (``fixed_base_one_table``, kept in ``tests/reference_comb.py``; the
   ratio is ``fixed_base_subtables_speedup``), the three timed in turns;
-  reported per lane too, beside ``generator_comb_kb`` — what the
-  generator's comb holds, by tracemalloc — and ``one_table_comb_kb``;
-- **comb_build** the one-off cost of one signer key's 511-entry comb table
-  (lock-step subset sums), against the Jacobian fill it replaced
+  reported per lane too;
+- **comb memory** what each tier's comb holds, by tracemalloc — the
+  generator's (``generator_comb_kb``), a signer key's one table
+  (``one_table_comb_kb``) and a slot key's (``slot_comb_kb``) — beside the
+  unsigned reference comb of one tooth fewer (``unsigned_*_comb_kb``); a
+  signed table stores one entry more than that comb (2^(t−1) against
+  2^(t−1) − 1), and ``*_comb_kb_over_unsigned`` is gated to at most that
+  entry ratio;
+- **comb_build** the one-off cost of one signer key's 512-entry signed
+  comb (lock-step sums), against the unsigned Jacobian fill of 511 entries
   (``tests/reference_comb.py``), in turns;
 - **field_inverse / mulmod** what decides whether lock-step affine
   arithmetic (one shared Montgomery inversion per step) pays, shape by
@@ -89,19 +102,25 @@ Acceptance gates (exit code 1 on regression):
   bfe_encrypt_k4 combed ≥ 1.5x cached and fresh ≥ 0.9x fresh_window,
   16-signer verify_aggregate
   ≥ 4.0x, aes_block ≥ 5.0x, ae_node_roundtrip ≥ 4.5x, aes_seal_batch
-  ≥ 1.35x the per-call seals, ae_open_level ≥ 1.3x the per-call opens;
+  ≥ 1.35x the per-call seals, ae_open_level ≥ 1.3x the per-call opens,
+  signed_over_unsigned_slot ≥ 1.08x, signed_over_unsigned_verify ≥ 1.05x;
 - ``--quick`` (the CI perf-smoke lane): fixed-base ≥ 1.5x,
   fixed_base_batch ≥ 1.3x the per-call comb and ≥ 1.3x the one-table lock
   step, variable_base_oneoff ≥ 1.05x, bfe_encrypt_k4 combed ≥ 1.4x
   cached and fresh ≥ 0.9x fresh_window, verify_aggregate ≥ 2.5x,
-  aes_block ≥ 4.0x, aes_seal_batch ≥ 1.25x, ae_open_level ≥ 1.25x.
+  aes_block ≥ 4.0x, aes_seal_batch ≥ 1.25x, ae_open_level ≥ 1.25x,
+  signed_over_unsigned_slot ≥ 1.04x, signed_over_unsigned_verify ≥ 1.02x;
+- both: every tier's ``*_comb_kb_over_unsigned`` at most its entry ratio
+  (the memory gate: 16/15 for a slot key, 512/511 for the others).
 
 The variable-base floor is deliberately close to the measured ratio (≈ 1.2x
 one-off, ≈ 1.3x cached; a ladder is 256 doublings whatever the table), and
 so are the batches' (≈ 1.5–1.6x against either baseline; ≈ 1.4–1.45x for a
-walk level's opens) and a first use's (≈ 0.94x: the comb's build and
-product run the ladder's ≈ 255 doublings and ≈ 17 more additions), so
-those rows are timed one call at a time, in turns.
+walk level's opens), a first use's (≈ 0.91x, 0.88–0.94x run to run: the
+comb's build and product run 259 doublings against the ladder's 256, and
+≈ 20 more additions and a few inversions) and the signed combs' over the
+unsigned (≈ 1.06–1.09x for a verification, ≈ 1.12–1.18x for an encrypt),
+so those rows are timed one call at a time, in turns.
 The one-block AES row (≈ 2.2–3.4x the
 reference) is not gated.
 
@@ -137,6 +156,8 @@ FULL_GATES = {
     "ae_node_speedup": 4.5,
     "aes_seal_batch_speedup": 1.35,
     "ae_open_level_speedup": 1.3,
+    "signed_over_unsigned_slot": 1.08,
+    "signed_over_unsigned_verify": 1.05,
 }
 QUICK_GATES = {
     "fixed_base_speedup": 1.5,
@@ -149,7 +170,13 @@ QUICK_GATES = {
     "aes_block_speedup": 4.0,
     "aes_seal_batch_speedup": 1.25,
     "ae_open_level_speedup": 1.25,
+    "signed_over_unsigned_slot": 1.04,
+    "signed_over_unsigned_verify": 1.02,
 }
+# The memory gate, in both modes: a signed comb of t teeth stores 2^(t−1)
+# entries a sub-table, one more than the unsigned comb of t − 1 teeth it
+# replaced, and may hold no more than that entry ratio of the latter's KB.
+COMB_TIERS = ("generator", "one_table", "slot")
 
 # Rows compared against another row's baseline instead of ``<label>_naive``.
 SHARED_BASELINES = {
@@ -165,6 +192,7 @@ NODE_BLOCKS = 4  # a 32-byte key-tree node: H, the tag mask, two CTR blocks
 LEVEL_NODES = 4  # a level of a k = 4 walk down, once the paths have split
 CROSSOVER_LANES = (4, 6, 8, 10, 12, 16, 24, 47)  # batch sizes tried around the break-even
 SIGNERS = 16
+CERTIFY_SIGNERS = 12  # a 12-device fleet's certify round verifies 12 signatures
 SLOT_KEYS_HELD = 64  # slot-key tables measured at once, so a key's KB is not the call's overhead
 MULTI_TERMS = 8
 FIELD_OP_BATCH = 1000  # field operations per timed call (swamps the call itself)
@@ -329,7 +357,15 @@ def run(min_seconds: float) -> dict:
     from repro.crypto import bfe as bfe_module
     from repro.crypto.bfe import BloomFilterEncryption
     from repro.crypto.bloom import BloomParams
-    from reference_comb import jacobian_comb_fill, one_table_generator_mult_each, window_mult_each
+    from reference_comb import (
+        UNSIGNED_SLOT_TEETH,
+        jacobian_comb_fill,
+        one_table_generator_mult_each,
+        unsigned_build_comb,
+        unsigned_mult_each,
+        unsigned_verify_all,
+        window_mult_each,
+    )
     from repro.crypto import ec
     from repro.crypto.ec import N, P, P256, ECPoint, generator_mult_each, multi_mult, naive_mult
     from repro.log.distributed import EcdsaMultiSig
@@ -367,7 +403,7 @@ def run(min_seconds: float) -> dict:
         }
 
     # The lock step over the generator's sub-tables, the same G * s one call
-    # at a time, and the lock step over one 29-column table, in turns.
+    # at a time, and the lock step over one unsigned 29-column table, in turns.
     batch = [rng.randrange(1, N) for _ in range(BATCH_LANES)]
     one_table = jacobian_comb_fill(G.x, G.y)
     assert one_table_generator_mult_each(batch, one_table) == generator_mult_each(batch)
@@ -393,9 +429,11 @@ def run(min_seconds: float) -> dict:
     slot_keys = [bfe_public.slot_pubkeys[slot] for slot in params.slots_for_tag(tag)]
     windows = ec._build_windows([(key.x, key.y) for key in slot_keys])
     combs = ec._build_comb([(key.x, key.y) for key in slot_keys], teeth=ec._SLOT_COMB_TEETH)
+    unsigned = unsigned_build_comb([(key.x, key.y) for key in slot_keys], teeth=UNSIGNED_SLOT_TEETH)
     nothing = [None] * len(slot_keys)
     r = next_scalar()
     assert window_mult_each(slot_keys, r) == ec.mult_each(slot_keys, r) == [k * r for k in slot_keys]
+    assert unsigned_mult_each(slot_keys, r, unsigned) == [k * r for k in slot_keys]
 
     def bfe_encrypt(tables: list, slot_combs: list, multiply=ec.mult_each):
         """One ciphertext to the tag's slots, the keys holding ``tables``
@@ -413,6 +451,9 @@ def run(min_seconds: float) -> dict:
             {
                 "bfe_encrypt_k4_cached": lambda: bfe_encrypt(windows, nothing, window_mult_each),
                 "bfe_encrypt_k4_combed": lambda: bfe_encrypt(nothing, combs),
+                "bfe_encrypt_k4_unsigned": lambda: bfe_encrypt(
+                    nothing, nothing, lambda points, s: unsigned_mult_each(points, s, unsigned)
+                ),
                 "bfe_encrypt_k4_fresh": lambda: bfe_encrypt(nothing, nothing),
                 "bfe_encrypt_k4_fresh_window": lambda: bfe_encrypt(
                     nothing, nothing, window_mult_each
@@ -458,6 +499,31 @@ def run(min_seconds: float) -> dict:
     records["verify_aggregate_naive"] = metered_timed(
         lambda: _naive_ecdsa_verify_loop(publics, message, aggregate), min_seconds
     )
+    # A certify round's aggregate over the signed combs and over the unsigned
+    # ones (the generator's five sub-tables and each signer's one table).
+    certify = aggregate[:CERTIFY_SIGNERS]
+    unsigned_generator = unsigned_build_comb([(G.x, G.y)], ec._GENERATOR_COMB_TABLES)[0]
+    unsigned_keys = unsigned_build_comb([(pk.x, pk.y) for pk in publics[:CERTIFY_SIGNERS]])
+
+    def verify_unsigned():
+        items = [(pk, message, sig) for pk, sig in zip(publics, certify)]
+        return unsigned_verify_all(items, unsigned_keys, unsigned_generator)
+
+    assert verify_unsigned() and not unsigned_verify_all(
+        [(publics[1], message, certify[0])], unsigned_keys[1:], unsigned_generator
+    )
+    records.update(
+        interleaved_timed(
+            {
+                "verify_aggregate_12": lambda: scheme.verify_aggregate(
+                    keypairs[:CERTIFY_SIGNERS], message, certify
+                ),
+                "verify_aggregate_12_unsigned": verify_unsigned,
+            },
+            min_seconds,
+        )
+    )
+
     records["ecdsa_sign"] = metered_timed(
         lambda: P256.ecdsa_sign(keypairs[0].secret, message), min_seconds
     )
@@ -479,8 +545,9 @@ def run(min_seconds: float) -> dict:
 
 def held_kb(build) -> float:
     """What ``build()`` — a table over the generator — leaves allocated,
-    by tracemalloc (free lists emptied first, so every entry is a fresh
-    allocation)."""
+    by tracemalloc (free lists emptied before, so every entry is a fresh
+    allocation, and after, so the build's freed temporaries are not
+    counted as held)."""
     import gc
     import tracemalloc
 
@@ -488,6 +555,7 @@ def held_kb(build) -> float:
     tracemalloc.start()
     try:
         table = build()
+        gc.collect()
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -495,17 +563,39 @@ def held_kb(build) -> float:
     return held / 1024
 
 
-def comb_kb(tables: int) -> float:
-    """What a 9-tooth comb of ``tables`` sub-tables holds."""
+def comb_memory_metrics() -> dict:
+    """What each tier's signed comb holds — the generator's sub-tables, a
+    signer key's one table, a slot key's — beside the unsigned reference
+    comb of one tooth fewer, the ratio of the two, and the ratio's ceiling:
+    the signed comb's entries over the unsigned comb's."""
+    from reference_comb import UNSIGNED_SLOT_TEETH, UNSIGNED_TEETH, unsigned_build_comb
     from repro.crypto import ec
 
-    return held_kb(lambda: ec._build_comb([(ec.GX, ec.GY)], tables))
+    keys = SLOT_KEYS_HELD  # slot combs measured a key at a time, this many at once
+    shapes = {  # tier: (sub-tables, teeth, unsigned teeth, combs held)
+        "generator": (ec._GENERATOR_COMB_TABLES, ec._COMB_TEETH, UNSIGNED_TEETH, 1),
+        "one_table": (1, ec._COMB_TEETH, UNSIGNED_TEETH, 1),
+        "slot": (1, ec._SLOT_COMB_TEETH, UNSIGNED_SLOT_TEETH, keys),
+    }
+    metrics = {}
+    for tier, (tables, teeth, unsigned_teeth, count) in shapes.items():
+        signed = held_kb(
+            lambda: [ec._build_comb([(ec.GX, ec.GY)], tables, teeth) for _ in range(count)]
+        ) / count
+        unsigned = held_kb(
+            lambda: [unsigned_build_comb([(ec.GX, ec.GY)], tables, unsigned_teeth) for _ in range(count)]
+        ) / count
+        metrics[f"{tier}_comb_kb"] = signed
+        metrics[f"unsigned_{tier}_comb_kb"] = unsigned
+        metrics[f"{tier}_comb_kb_over_unsigned"] = signed / unsigned
+        metrics[f"{tier}_comb_entry_ratio"] = (1 << (teeth - 1)) / ((1 << unsigned_teeth) - 1)
+    return metrics
 
 
 def slot_key_metrics(records: dict) -> dict:
-    """A slot key's comb against its window table: one ``bfe.encrypt``
-    over k = 4 keys each way, first use and later, and what each table
-    holds per key."""
+    """A slot key's comb against its window table and against the unsigned
+    comb: one ``bfe.encrypt`` over k = 4 keys each way, first use and
+    later, and what a window table holds per key."""
     from repro.crypto import ec
 
     keys = SLOT_KEYS_HELD
@@ -514,16 +604,12 @@ def slot_key_metrics(records: dict) -> dict:
             f"{label}_ms": 1e3 / records[label]["ops_per_sec"]
             for label in (
                 "bfe_encrypt_k4_combed",
+                "bfe_encrypt_k4_unsigned",
                 "bfe_encrypt_k4_cached",
                 "bfe_encrypt_k4_fresh",
                 "bfe_encrypt_k4_fresh_window",
             )
         },
-        # One build a key: a batch's freed temporaries would sit on the tuple
-        # free list and be counted as held.
-        "slot_comb_kb": held_kb(
-            lambda: [ec._build_comb([(ec.GX, ec.GY)], teeth=ec._SLOT_COMB_TEETH) for _ in range(keys)]
-        ) / keys,
         "slot_window_kb": held_kb(lambda: ec._build_windows([(ec.GX, ec.GY)] * keys)) / keys,
     }
 
@@ -564,8 +650,6 @@ def lockstep_affine_metrics(records: dict, speedups: dict) -> dict:
         / (records["fixed_base_percall"]["ops_per_sec"] * BATCH_LANES),
         "fixed_base_one_table_us_per_lane": 1e6
         / (records["fixed_base_one_table"]["ops_per_sec"] * BATCH_LANES),
-        "generator_comb_kb": comb_kb(tables),
-        "one_table_comb_kb": comb_kb(1),
     }
 
 
@@ -598,10 +682,13 @@ def main(argv=None) -> int:
     for ratio, (label, baseline) in {
         "combed_over_window": ("bfe_encrypt_k4_combed", "bfe_encrypt_k4_cached"),
         "fresh_over_fresh_window": ("bfe_encrypt_k4_fresh", "bfe_encrypt_k4_fresh_window"),
+        "signed_over_unsigned_slot": ("bfe_encrypt_k4_combed", "bfe_encrypt_k4_unsigned"),
+        "signed_over_unsigned_verify": ("verify_aggregate_12", "verify_aggregate_12_unsigned"),
     }.items():
         speedups[ratio] = records[label]["ops_per_sec"] / records[baseline]["ops_per_sec"]
     lockstep = lockstep_affine_metrics(records, speedups)
     slot = slot_key_metrics(records)
+    memory = comb_memory_metrics()
     symmetric = symmetric_metrics(records)
 
     rows = []
@@ -641,18 +728,34 @@ def main(argv=None) -> int:
     )
     lines.append(
         f"  generator's comb: {ec._GENERATOR_COMB_TABLES} sub-tables x {ec._comb_width(ec._GENERATOR_COMB_TABLES)}"
-        f" columns, {lockstep['generator_comb_kb']:.0f} KB"
-        f" (one 29-column table {lockstep['one_table_comb_kb']:.0f} KB); {BATCH_LANES} lanes over"
-        f" one table {lockstep['fixed_base_one_table_us_per_lane']:.0f} us/lane"
+        f" columns; {BATCH_LANES} lanes over one unsigned 29-column table"
+        f" {lockstep['fixed_base_one_table_us_per_lane']:.0f} us/lane"
         f" -> {speedups['fixed_base_subtables_speedup']:.2f}x"
     )
     lines.append(
         f"slot keys (bfe_encrypt_k4): combed {slot['bfe_encrypt_k4_combed_ms']:.2f} ms vs"
         f" window ladders {slot['bfe_encrypt_k4_cached_ms']:.2f} ms"
-        f" -> {speedups['combed_over_window']:.2f}x; first use {slot['bfe_encrypt_k4_fresh_ms']:.2f}"
+        f" -> {speedups['combed_over_window']:.2f}x, vs unsigned 4-tooth combs"
+        f" {slot['bfe_encrypt_k4_unsigned_ms']:.2f} ms -> {speedups['signed_over_unsigned_slot']:.2f}x;"
+        f" first use {slot['bfe_encrypt_k4_fresh_ms']:.2f}"
         f" ms vs {slot['bfe_encrypt_k4_fresh_window_ms']:.2f} ms"
-        f" -> {speedups['fresh_over_fresh_window']:.2f}x; a {ec._SLOT_COMB_TEETH}-tooth comb holds"
-        f" {slot['slot_comb_kb']:.1f} KB a key, a window table {slot['slot_window_kb']:.1f} KB"
+        f" -> {speedups['fresh_over_fresh_window']:.2f}x; a window table holds"
+        f" {slot['slot_window_kb']:.1f} KB a key"
+    )
+    lines.append(
+        f"{CERTIFY_SIGNERS}-signature aggregate: signed combs"
+        f" {1e3 / records['verify_aggregate_12']['ops_per_sec']:.2f} ms vs unsigned"
+        f" {1e3 / records['verify_aggregate_12_unsigned']['ops_per_sec']:.2f} ms"
+        f" -> {speedups['signed_over_unsigned_verify']:.2f}x"
+    )
+    lines.append(
+        "comb memory, signed vs unsigned (one tooth fewer): "
+        + "; ".join(
+            f"{tier} {memory[f'{tier}_comb_kb']:.1f} KB vs {memory[f'unsigned_{tier}_comb_kb']:.1f} KB"
+            f" = {memory[f'{tier}_comb_kb_over_unsigned']:.4f}"
+            f" (entries {memory[f'{tier}_comb_entry_ratio']:.4f})"
+            for tier in COMB_TIERS
+        )
     )
     lines.append(
         f"byte-sliced AES: {symmetric['aes_us_per_block_node_width']:.1f} us/block at a node's"
@@ -669,15 +772,21 @@ def main(argv=None) -> int:
         f"{metric} = {speedups[metric]:.2f}x < required {floor:g}x"
         for metric, floor in gates.items()
         if speedups[metric] < floor
+    ] + [
+        f"{tier}_comb_kb_over_unsigned = {memory[f'{tier}_comb_kb_over_unsigned']:.4f}"
+        f" > its entry ratio {memory[f'{tier}_comb_entry_ratio']:.4f}"
+        for tier in COMB_TIERS
+        if memory[f"{tier}_comb_kb_over_unsigned"] > memory[f"{tier}_comb_entry_ratio"]
     ]
     lines.append("")
     lines.append(
         f"gates ({'quick' if args.quick else 'full'}): "
         + ("FAIL: " + "; ".join(failures) if failures else "ok — "
-           + ", ".join(f"{m} >= {f:g}x" for m, f in gates.items()))
+           + ", ".join(f"{m} >= {f:g}x" for m, f in gates.items())
+           + ", every *_comb_kb_over_unsigned <= its entry ratio")
     )
 
-    metrics = dict(speedups, **lockstep, **slot, **symmetric)
+    metrics = dict(speedups, **lockstep, **slot, **memory, **symmetric)
     for label, record in records.items():
         metrics[f"{label}_ops_per_sec"] = record["ops_per_sec"]
     emit(

@@ -24,7 +24,7 @@ the salt, and a digest of the n cluster public keys.
 Hot-path note: step 4 performs one PKE encryption per cluster member, and
 every one of those rides the crypto fast path in ``repro.crypto.ec`` — the
 generator's comb for each ephemeral ``g^r`` and, for the (long-lived) HSM
-public keys, the 4-tooth comb ``mult_each`` builds on a BFE slot key's
+public keys, the 5-tooth signed comb ``mult_each`` builds on a BFE slot key's
 first use and reads on every later one (a hashed-ElGamal key rides a
 window ladder over the table cached on it) — while reconstruction's
 Shamir recombination takes its Lagrange weights from

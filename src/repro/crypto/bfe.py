@@ -35,20 +35,22 @@ keys", §9).  We implement that variant concretely:
 
 Hot-path note: encryption's k slot-key multiplies ``pkᵢ^r`` share their
 scalar, so they go through ``repro.crypto.ec.mult_each`` — one reading of
-``r``, one batch build of the 4-tooth combs the slot keys still lack, one
-batch inversion for the k results — and ``g^r`` rides the generator's
-comb.  A slot key's first ciphertext builds its comb (192 doublings), and
-every ciphertext to it — a ``reuse_salt`` backup series hashes every
-backup to the same k slots — costs 63 doublings a key.  The
+``r``, one batch build of the 5-tooth signed combs the slot keys still
+lack, one batch inversion for the k results — and ``g^r`` rides the
+generator's comb.  A slot key's first ciphertext builds its comb (208
+doublings), and every ciphertext to it — a ``reuse_salt`` backup series
+hashes every backup to the same k slots — costs 51 doublings and 52
+additions a key.  The
 k wraps and the payload are one ``repro.crypto.gcm.seal_each``: their AES
 blocks are the lanes of one byte-sliced call.  The meter still sees k + 1
 ``ec_mult``, k ``elgamal_enc`` and the k + 1 seals' ``aes_block``.  Decryption's
 ``(g^r)^sk`` multiplies a fresh ephemeral by a slot secret read from the
 key tree: the only table built is of the public ephemeral.  Key generation
 — every rotation — is m ``g^x`` over fresh scalars: one call of
-``repro.crypto.ec.generator_mult_each``, which walks the generator's comb
-(six columns of five sub-tables) for all slots in lock step on
-shared-inversion affine arithmetic; the meter still sees m ``ec_mult``.
+``repro.crypto.ec.generator_mult_each``, which walks the generator's
+signed comb (six columns of five sub-tables, 26 entries a scalar) for all
+slots in lock step on shared-inversion affine arithmetic; the meter still
+sees m ``ec_mult``.
 
 What the meter sees is the paper's device, not this host: Decrypt walks one
 slot's path at a time until one survives, Puncture is a second call that

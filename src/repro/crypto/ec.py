@@ -16,17 +16,18 @@ scalar out in columns of table entries; many scalars over one comb run the
 same Horner steps side by side (the lock step below).  The tiers follow how
 long a point lives and how often it is multiplied:
 
-- **Comb (provisioned points, the generator included)**: a Lim–Lee comb of
-  9 teeth over 29 bit positions (``_build_comb``: 511 affine subset sums of
-  ``2^(29j)·Q``) turns a multiply into 29 doublings + at most 29 mixed
-  additions, and a sum of such multiplies into *one* 29-doubling chain
-  (``_comb_mult``).  A comb is a list of such sub-tables, the i-th scaled
-  by ``2^(i·w)``, ``w = ⌈29/S⌉``, so S of them cut the chain to w
-  doublings with the same additions.  The generator — keygen, hashed
-  ElGamal, ECDSA sign/verify, every HSM decrypt — is the first provisioned
-  point, and the one with ``_GENERATOR_COMB_TABLES`` (5) sub-tables: 6
-  doublings a multiply, for a comb built once per process on first use.
-  Any other point gets a one-table 9-tooth comb only through an explicit
+- **Comb (provisioned points, the generator included)**: a zero-free
+  signed Lim–Lee comb of 10 teeth over 26 bit positions (``_build_comb``:
+  512 affine sums ``2^234·Q ± 2^(26j)·Q …``, their negations read free)
+  turns a multiply into 25 doublings + exactly 26 mixed additions, and a
+  sum of such multiplies into *one* 26-column chain (``_comb_mult``).  A
+  comb is a list of such sub-tables, the i-th scaled by ``2^(i·w)``,
+  ``w = ⌈26/S⌉``, so S of them cut the chain to w columns with the same
+  additions.  The generator — keygen, hashed ElGamal, ECDSA sign/verify,
+  every HSM decrypt — is the first provisioned point, and the one with
+  ``_GENERATOR_COMB_TABLES`` (5) sub-tables: 5 doublings a multiply, for
+  a comb built once per process on first use.
+  Any other point gets a one-table 10-tooth comb only through an explicit
   :meth:`ECPoint.precompute` at provisioning time (the signer directory,
   via ``EcdsaMultiSig.precompute_signer_key``): never on reuse, and only
   ever for public keys.
@@ -34,11 +35,11 @@ long a point lives and how often it is multiplied:
   every ciphertext whose tag hashes to its slot (a backup series under one
   salt hashes every backup to the same k slots).  :func:`mult_each`, which
   only BFE encryption calls, multiplies through combs alone: a point it
-  meets without one gets at once a one-table comb of ``_SLOT_COMB_TEETH``
-  (4) teeth over 64 bit positions — 15 affine subset sums of
-  ``2^(64j)·Q``, 192 doublings to build, a call's missing combs in one
-  batch — and every multiply is 63 doublings + ≈ 60 mixed additions
-  instead of 256 + 43.  ``P * s`` and Straus sums never build one, so a
+  meets without one gets at once a one-table signed comb of
+  ``_SLOT_COMB_TEETH`` (5) teeth over 52 bit positions — 16 affine
+  entries, 208 doublings to build, a call's missing combs in one batch —
+  and every multiply is 51 doublings + 52 mixed additions instead of
+  256 + 43.  ``P * s`` and Straus sums never build one, so a
   one-off point — an HSM-side ephemeral, a response key — never pays.
 - **Signed-window ladder (every other point)**: the scalar is recoded into
   width-5 signed digits (``_signed_digits``: odd, |d| <= 15, at least five
@@ -51,7 +52,7 @@ long a point lives and how often it is multiplied:
   scalar are locals of the call.
 - **Lock step (many scalars, one provisioned point — a device's m slot
   keys)**: :func:`generator_mult_each` walks the generator's comb for all
-  scalars at once.  A column is S + 1 batched affine additions,
+  scalars at once.  A column is up to S + 1 batched affine additions,
   ``(acc + entry) + acc`` and then one entry from each further sub-table
   (:func:`_add_each`: six field multiplications a lane, against 8 for the
   chain's doubling and 11 for each mixed addition), and all lanes of a
@@ -61,7 +62,7 @@ long a point lives and how often it is multiplied:
   ``_LOCKSTEP_MIN_LANES`` scalars up (an inversion is about 50
   multiplications here, and a column costs S + 1); ladders, whose step is
   a doubling alone, would need about 50 lanes and are not run this way.
-  ``_build_comb`` fills its subset sums a sub-table the same way.  No
+  ``_build_comb`` fills its signed sums a sub-table the same way.  No
   new table: the lock step reads the comb that is already there —
   multiples of a public point only — and the column indices of the
   (secret) scalars are locals of the call, dead when it returns.
@@ -71,7 +72,7 @@ long a point lives and how often it is multiplied:
 
 :func:`multi_mult` exposes Straus/Shamir multi-scalar multiplication
 (``Σ sᵢ·Pᵢ``: every term's columns merged into one chain, a comb's
-columns riding the chain's last 64, 29 or w steps), :func:`mult_each`
+columns riding the chain's last 52, 26 or w steps), :func:`mult_each`
 multiplies many points by one scalar (one comb reading per tooth count,
 one batch build of the missing combs and one batch inversion for the
 results — a BFE ciphertext's k slot keys),
@@ -193,8 +194,8 @@ def _add_each(
     off (``∞ + Q = Q``) and the others ride the batch.  A pair of inverse
     points is the one zero denominator: it sends the whole batch down the
     general formulas, normalized together by :func:`_jac_to_affine_batch`,
-    and cannot occur in a comb (see :func:`_build_comb`,
-    :func:`generator_mult_each`).
+    and does not occur in a comb build (see :func:`_build_comb`) or in the
+    lock step of a scalar not built for it (:func:`generator_mult_each`).
     """
     p = P
     if None in lefts or None in rights:
@@ -376,29 +377,38 @@ def _cache_windows(points: Sequence["ECPoint"]) -> List[List[_Affine]]:
 
 # -- Lim–Lee combs ------------------------------------------------------------------
 # A comb of t teeth reads a scalar as t blocks of c = ⌈256/t⌉ bits laid one
-# above the other, and bit p of every block together is a t-bit index into
-# a table of the teeth's 2^t − 1 subset sums of 2^(c·j)·Q: a multiply is c
-# columns of at most one entry, c − 1 doublings.  A provisioned point's
-# comb has 9 teeth x 29 bits (9 x 29 = 261 >= 256; a tenth tooth would
-# double the table for three fewer columns), 511 entries.  A comb of S
-# sub-tables cuts the c positions into S runs of w = ⌈c/S⌉: sub-table i is
-# the same sums scaled by 2^(i·w), so a multiply is w columns of at most S
-# entries — w doublings instead of c.  Only the generator, built once per
-# process and multiplied by everything, has _GENERATOR_COMB_TABLES of them
-# (≈ 0.48 MB under tracemalloc, against ≈ 0.11 MB for one); a signer key
-# keeps one, since a dozen of them at five sub-tables would hold ≈ 4.4 MB
-# more.  A slot key :func:`mult_each` meets gets the small comb:
-# _SLOT_COMB_TEETH = 4 teeth x 64 bits, one table of 15 entries (≈ 2.9 KB,
-# against a window table's 2.0 KB), 63 doublings a multiply.
-_COMB_TEETH = 9
-_SLOT_COMB_TEETH = 4
+# above the other, bit p of every block together making the column of 2^p.
+# The combs here are zero-free and signed (Hedabou, Pinel & Bénéteau, ISPEC
+# 2005): an odd scalar k < 2^L, L = t·c, is Σ d_i·2^i with every digit ±1
+# (d_i = 2·b_i − 1 over the bits b_i of B = (k >> 1) + 2^(L−1)), and an even
+# one is the negation of the odd N − k (every bit of its B complemented).
+# So every column adds exactly one entry: its t-bit index, top tooth first,
+# reads T[idx & half] when the top tooth's digit is +1 and −T[~idx & half]
+# otherwise (half = 2^(t−1) − 1), where
+#   T[m] = 2^(c(t−1))·Q + Σ_{j<t−1} ±2^(cj)·Q   (+ where bit j of m is set)
+# — 2^(t−1) entries, the negations free.  A multiply is c columns of one
+# entry, c − 1 doublings, and the table of t teeth holds one entry more
+# than an unsigned comb of t − 1 teeth (2^(t−1) − 1 subset sums): one tooth
+# more at about the same memory.  A provisioned point's comb has 10 teeth x 26
+# bits, 512 entries.  A comb of S sub-tables cuts the c positions into S
+# runs of w = ⌈c/S⌉: sub-table i is the same sums scaled by 2^(i·w), so a
+# multiply is w columns of S entries (fewer in the last run) — w doublings
+# instead of c.  Only the generator, built once per process and multiplied
+# by everything, has _GENERATOR_COMB_TABLES of them (≈ 0.46 MB under
+# tracemalloc, against ≈ 0.09 MB for one); a signer key keeps one, since a
+# dozen of them at five sub-tables would hold ≈ 4.4 MB more.  A slot key
+# :func:`mult_each` meets gets the small comb: _SLOT_COMB_TEETH = 5 teeth x
+# 52 bits, one table of 16 entries (≈ 3.1 KB, against a window table's
+# 1.5 KB), 51 doublings a multiply.
+_COMB_TEETH = 10
+_SLOT_COMB_TEETH = 5
 _GENERATOR_COMB_TABLES = 5
 
-_Comb = List[List[Optional[_Affine]]]  # the sub-tables; entry 0 of each is None
+_Comb = List[List[_Affine]]  # the sub-tables, 2^(teeth − 1) entries each
 
 
 def _comb_stride(teeth: int) -> int:
-    """The bit positions a tooth spans: ⌈256 / teeth⌉ (29 for 9, 64 for 4)."""
+    """The bit positions a tooth spans: ⌈256 / teeth⌉ (26 for 10, 52 for 5)."""
     return -(-256 // teeth)
 
 
@@ -408,59 +418,71 @@ def _comb_width(tables: int, teeth: int = _COMB_TEETH) -> int:
 
 
 def _comb_teeth(comb: _Comb) -> int:
-    """A comb's tooth count, read off its 2^teeth-entry sub-tables."""
-    return len(comb[0]).bit_length() - 1
+    """A comb's tooth count, read off its 2^(teeth − 1)-entry sub-tables."""
+    return len(comb[0]).bit_length()
 
 
 def _build_comb(
     points: Sequence[_Affine], tables: int = 1, teeth: int = _COMB_TEETH
 ) -> List[_Comb]:
     """The comb of ``tables`` sub-tables of ``teeth`` teeth of every affine
-    ``Q`` in ``points``: ``sub[i][b] = Σ_{j ∈ bits(b)} 2^(c·j + i·w)·Q`` for
-    ``b`` in 1..2^teeth − 1, ``c = _comb_stride(teeth)``,
-    ``w = _comb_width(tables, teeth)`` — the generator's and a signer key's
-    as batches of one, a :func:`mult_each` call's missing slot-key combs as
-    one batch.
+    ``Q`` in ``points``: ``sub[i][m] = 2^(i·w)·(B_top + Σ_{j<teeth−1} ±B_j)``,
+    ``B_j = 2^(c·j)·Q``, the sign of ``B_j`` that of bit ``j`` of ``m``,
+    ``c = _comb_stride(teeth)``, ``w = _comb_width(tables, teeth)`` — the
+    generator's and a signer key's as batches of one, a :func:`mult_each`
+    call's missing slot-key combs as one batch.
 
-    One :func:`_chain` of doublings per point raises its teeth·``tables``
-    tooth bases in order of their exponent (c·(teeth − 1) + (tables − 1)·w
-    doublings: 232 + … for 9 teeth, 192 for 4), and ONE inversion
-    normalizes every point's bases; then, a sub-table at a time, each tooth
-    is added to every entry below it, every point's lanes in one lock-step
-    batch (:func:`_add_each`: 502 affine additions a point on eight shared
-    inversions at 9 teeth, 11 on three at 4), so the entries are affine as
+    One :func:`_chain` of doublings per point raises every tooth base and
+    the double of every base below the top one, in order of their exponent
+    (c·(teeth − 1) + (tables − 1)·w doublings: 234 + … for 10 teeth, 208
+    for 5); each sub-table's first entry is ``B_top − Σ B_j``, and ONE
+    inversion normalizes those entries and every point's doubled bases.
+    Then, a sub-table at a time, ``sub[m | 2^j] = sub[m] + 2·B_j`` for
+    each lower tooth j in turn, every point's lanes in one lock-step batch
+    (:func:`_add_each`: 511 affine additions a point on nine shared
+    inversions at 10 teeth, 15 on four at 5), so the entries are affine as
     they are made.  (Filling all sub-tables in the same batches saves a few
     inversions but holds S tables' worth of working lists at once: ≈ 0.25
     MB more peak resident at S = 5.)  Lanes share only the inversions, so a
     comb is bit-for-bit its point's alone.  No entry is infinity and no
-    batch adds inverse points: ``Q`` has prime order ``N`` and no subset sum
-    of ``2^(c·j + i·w)`` is a multiple of ``N`` (``tests/test_ec_fastpath.py``
-    checks every entry).
+    batch adds inverse points: ``Q`` has prime order ``N`` and no signed
+    sum of the exponents is a multiple of ``N``
+    (``tests/test_ec_fastpath.py`` checks every entry).
 
     The sub-tables hold multiples of *public* points only.
     """
     stride, width = _comb_stride(teeth), _comb_width(tables, teeth)
-    exponents = [stride * j + width * i for j in range(teeth) for i in range(tables)]
-    steps = [high - low for low, high in zip([0, *exponents], exponents)]
-    bases: List[_JPoint] = []
+    top = stride * (teeth - 1)
+    exponents = sorted(
+        {top + width * i for i in range(tables)}
+        | {stride * j + width * i + d for j in range(teeth - 1) for i in range(tables) for d in (0, 1)}
+    )
+    rows: List[_JPoint] = []  # per point and sub-table: sub[i][0], then each 2·B_j
     for x, y in points:
+        raised: Dict[int, _JPoint] = {}
         tooth: _JPoint = (x, y, 1)
-        for step in steps:
-            tooth = _chain([()] * step, tooth)
-            bases.append(tooth)
-    affine = _jac_to_affine_batch(bases)
+        for low, high in zip([0, *exponents], exponents):
+            tooth = raised[high] = _chain([()] * (high - low), tooth)
+        for i in range(tables):
+            first = raised[top + width * i]
+            for j in range(teeth - 1):
+                bx, by, bz = raised[stride * j + width * i]
+                first = _jac_add(first, (bx, P - by, bz))
+            rows.append(first)
+            rows += [raised[stride * j + width * i + 1] for j in range(teeth - 1)]
+    affine = _jac_to_affine_batch(rows)
     combs: List[_Comb] = [[] for _ in points]
     for i in range(tables):
-        subs: List[List[Optional[_Affine]]] = [[None] for _ in points]
-        for j in range(teeth):
-            below = (1 << j) - 1  # the entries tooth j is added to
-            tooth_bases = affine[j * tables + i :: teeth * tables]  # one a point
+        lanes = [  # sub-table i's row of each point
+            affine[start : start + teeth] for start in range(i * teeth, len(affine), tables * teeth)
+        ]
+        subs = [[row[0]] for row in lanes]
+        for j in range(teeth - 1):
             sums = _add_each(
-                [entry for sub in subs for entry in sub[1:]],
-                [base for base in tooth_bases for _ in range(below)],
+                [entry for sub in subs for entry in sub],
+                [row[1 + j] for row in lanes for _ in range(1 << j)],
             )
-            for lane, (sub, base) in enumerate(zip(subs, tooth_bases)):
-                sub += [base, *sums[lane * below : (lane + 1) * below]]
+            subs = [sub + sums[lane << j : (lane + 1) << j] for lane, sub in enumerate(subs)]
         for comb, sub in zip(combs, subs):
             comb.append(sub)
     return combs
@@ -472,29 +494,45 @@ def _is_generator(x: Optional[int], y: Optional[int]) -> bool:
 
 # -- column builders ---------------------------------------------------------------
 def _comb_indices(scalar: int, teeth: int) -> List[int]:
-    """The table index of every bit position of a reduced scalar under a
-    comb of ``teeth`` teeth, lowest position first: index ``p`` gathers
-    bit ``p`` of every tooth, and is 0 where those bits are all zero.
-    Written MSB-first over teeth·c bits, the bits at stride c are one
+    """The table index of every bit position of a reduced, non-zero scalar
+    under a signed comb of ``teeth`` teeth, lowest position first: index
+    ``p`` gathers bit ``p`` of every tooth of the recoded ``B`` — an odd
+    scalar's ``(k >> 1) + 2^(L−1)``, an even one's the complement of
+    ``N − k``'s — and is never "no entry" (:func:`_comb_entry` reads it).
+    Written MSB-first over L = teeth·c bits, the bits at stride c are one
     position's teeth, top tooth first, so an index is one slice and one
     parse.  Position ``p`` reads sub-table ``p // w`` in column ``p % w``
     — one layout for every shape.  The indices depend on the scalar and
     the tooth count only, so one reading serves every comb of that count
     (a :func:`mult_each` call's k slot keys); they are locals of the call."""
     stride = _comb_stride(teeth)
-    bits = format(scalar, f"0{teeth * stride}b")
+    length = teeth * stride
+    if scalar & 1:
+        recoded = (scalar >> 1) | (1 << (length - 1))
+    else:
+        recoded = ((N - scalar) >> 1) ^ ((1 << (length - 1)) - 1)
+    bits = format(recoded, f"0{length}b")
     return [int(bits[stride - 1 - position :: stride], 2) for position in range(stride)]
+
+
+def _comb_entry(sub: Sequence[_Affine], index: int) -> _Affine:
+    """The point a :func:`_comb_indices` index adds from a signed sub-table
+    of ``len(sub)`` = 2^(teeth − 1) entries: ``sub[idx & half]`` when the
+    top tooth's bit is set, else ``−sub[~idx & half]``."""
+    half = len(sub) - 1
+    if index > half:
+        return sub[index & half]
+    x, y = sub[~index & half]
+    return x, P - y
 
 
 def _comb_columns(columns: List[_Column], indices: Sequence[int], comb: _Comb) -> None:
     """Add ``scalar·Q`` for a combed ``Q`` to ``columns``, the scalar given
     as its :func:`_comb_indices` for ``comb``'s tooth count: in each of the
-    last ``w`` columns, one entry from each sub-table whose teeth there are
-    not all zero."""
+    last ``w`` columns, one entry from each sub-table."""
     width = _comb_width(len(comb), _comb_teeth(comb))
     for position, index in enumerate(indices):
-        if index:
-            columns[~(position % width)] += (comb[position // width][index],)  # type: ignore[operator]
+        columns[~(position % width)] += (_comb_entry(comb[position // width], index),)
 
 
 def _ladder_columns(
@@ -513,11 +551,11 @@ def _ladder_columns(
 
 def _comb_mult(terms: Sequence[Tuple[Sequence[int], _Comb]]) -> _JPoint:
     """``Σ sᵢ·Pᵢ`` over ``(indices, comb)`` terms — each scalar as its
-    :func:`_comb_indices` — in ONE chain as wide as the widest comb: 64
-    doublings for a sum with a slot key in it, 29 with a signer
-    key, w for the generator's sub-tables alone, plus at most one mixed
-    addition per column of each term, against 256 doublings for a ladder
-    over any one point."""
+    :func:`_comb_indices` — in ONE chain as wide as the widest comb: 52
+    columns for a sum with a slot key in it, 26 with a signer key, w for
+    the generator's sub-tables alone, plus one mixed addition per bit
+    position of each term, against 256 doublings for a ladder over any one
+    point."""
     columns: List[_Column] = [()] * max(
         _comb_width(len(comb), _comb_teeth(comb)) for _, comb in terms
     )
@@ -561,11 +599,11 @@ class ECPoint:
     (``_wtab``) the first time ``P * s`` or a Straus sum multiplies them,
     so repeated multiplications of the same long-lived point — HSM ElGamal
     keys — skip the per-call table build.  A point carries a one-table
-    comb (``_comb``) instead when it was explicitly :meth:`precompute`d (9
-    teeth, a provisioned signer key: 29 doublings rather than 256) or met
-    by :func:`mult_each` (4 teeth, a BFE slot key: 63 doublings); the
-    generator's coordinates always resolve to the one comb of
-    ``_GENERATOR_COMB_TABLES`` sub-tables held by ``P256.generator``.
+    signed comb (``_comb``) instead when it was explicitly
+    :meth:`precompute`d (10 teeth, a provisioned signer key: 25 doublings
+    rather than 256) or met by :func:`mult_each` (5 teeth, a BFE slot key:
+    51 doublings); the generator's coordinates always resolve to the one
+    comb of ``_GENERATOR_COMB_TABLES`` sub-tables held by ``P256.generator``.
     Both caches hold multiples of the (public) point only and are keyed on
     the instance; equality/hashing ignore them.
     """
@@ -604,16 +642,16 @@ class ECPoint:
 
     # lint: unmetered[table build over a public key; verification meters ecdsa_verify]
     def precompute(self) -> None:
-        """Build this point's 9-tooth comb (a no-op on a point that holds a
-        comb already; one table of 511 entries, ~0.1 MB, about a dozen
-        verifications' worth of work).
+        """Build this point's 10-tooth comb (a no-op on a point that holds a
+        comb already; one signed table of 512 entries, ~0.1 MB, about a
+        dozen verifications' worth of work).
 
         Call it only at provisioning time for a *public* key that will be
         verified against every epoch (the signer directory).  Nothing else
-        gives a point the 9-tooth comb — a device holds hundreds of BFE
+        gives a point the 10-tooth comb — a device holds hundreds of BFE
         slot keys, and a 0.1 MB table for each would cost tens of MB for
         keys that are each used a handful of times; :func:`mult_each` gives
-        a slot key the 4-tooth comb of 15 entries instead.  The generator's
+        a slot key the 5-tooth comb of 16 entries instead.  The generator's
         coordinates resolve to ``P256.generator``'s comb of
         ``_GENERATOR_COMB_TABLES`` sub-tables, built once per process (a
         benign race between threads builds identical ones).
@@ -713,8 +751,8 @@ def naive_mult(point: ECPoint, scalar: int) -> ECPoint:
 def multi_mult(pairs: Sequence[Tuple[int, ECPoint]]) -> ECPoint:
     """Straus/Shamir multi-scalar multiplication: ``Σ sᵢ·Pᵢ`` in one pass.
 
-    All terms share ONE doubling chain — 29 columns when every point is
-    provisioned (the generator included), 64 when every point is combed
+    All terms share ONE doubling chain — 26 columns when every point is
+    provisioned (the generator included), 52 when every point is combed
     and a slot key takes part, the ladder's 257 otherwise — so
     ``k`` multiplications cost roughly one multiplication plus ``k``
     addition streams instead of ``k`` full multiplications.  The result is
@@ -742,12 +780,13 @@ def mult_each(points: Sequence[ECPoint], scalar: int) -> List[ECPoint]:
 
     Every product is a comb chain.  A finite point without a comb — a slot
     key's first multiply — gets one of ``_SLOT_COMB_TEETH`` teeth on the
-    spot and drops any window table it held (192 doublings to build; then
-    63 doublings a multiply instead of a ladder's 256), all of a call's
-    missing combs in one :func:`_build_comb` batch.  The scalar is read
-    into comb indices once per tooth count and the results are normalized
-    by ONE batch inversion.  Each result is bit-for-bit ``P * scalar``; an
-    identity point or a zero scalar yields the identity.
+    spot and drops any window table it held (208 doublings to build; then
+    51 doublings + 52 additions a multiply instead of a ladder's 256 + ≈
+    43), all of a call's missing combs in one :func:`_build_comb` batch.
+    The scalar is read into comb indices once per tooth count and the
+    results are normalized by ONE batch inversion.  Each result is
+    bit-for-bit ``P * scalar``; an identity point or a zero scalar yields
+    the identity (a zero scalar has no signed comb reading).
 
     Metering: one ``ec_mult`` per point, exactly what the separate
     multiplications report.
@@ -764,7 +803,7 @@ def mult_each(points: Sequence[ECPoint], scalar: int) -> List[ECPoint]:
     products: List[_JPoint] = []
     for point in points:
         comb = point._comb
-        if comb is None:  # the identity
+        if comb is None or not scalar:  # the identity, or a zero scalar
             products.append(_INFINITY)
             continue
         teeth = _comb_teeth(comb)
@@ -781,17 +820,19 @@ def generator_mult_each(scalars: Sequence[int]) -> List[ECPoint]:
     The generator's comb is read in lock step: at each of its w columns
     every lane adds its first sub-table's entry and then what it held
     before, ``(acc + entry) + acc = 2·acc + entry``, then each further
-    sub-table's entry — S + 1 :func:`_add_each` batches, S + 1 shared
-    inversions per column for the whole batch (36 at S = 5, against 58 over
-    one 29-column table), no doubling formula, and results that are affine
-    as they come.  A lane whose entry is empty, or that has not started,
-    holds or adds an infinity, which the batch reads off.  No lane ever
-    adds inverse points: every sum is ``c·G`` with ``0 < c < N``, ``c``
-    being some of the reduced scalar's bits shifted down by the columns
-    still to come.  Each result is bit-for-bit ``G * s``; a batch shorter
-    than ``_LOCKSTEP_MIN_LANES`` simply runs the single-scalar chain per
-    scalar.  The column indices of the (secret) scalars are locals of the
-    call, as the recoded digits of a ladder are.
+    sub-table's entry — one :func:`_add_each` batch per bit position plus
+    one per column, shared inversions for the whole batch (32 at 10 teeth
+    and S = 5: 26 positions over 6 columns, against 35 over the unsigned
+    9-tooth comb's five sub-tables and 58 over its one 29-column table), no
+    doubling formula, and results that are affine as they come.  A lane with a zero scalar adds
+    infinities, and one that has not started holds one; the batch reads
+    them off.  A lane's partial sums are signed sums of powers of two in
+    the exponent, never a multiple of ``N`` for a scalar that is not built
+    to make one, and :func:`_add_each` stays exact even then.  Each result
+    is bit-for-bit ``G * s``; a batch shorter than ``_LOCKSTEP_MIN_LANES``
+    simply runs the single-scalar chain per scalar.  The column indices of
+    the (secret) scalars are locals of the call, as the recoded digits of a
+    ladder are.
 
     Metering: one ``ec_mult`` per scalar, exactly what the separate
     multiplications report.
@@ -803,13 +844,16 @@ def generator_mult_each(scalars: Sequence[int]) -> List[ECPoint]:
         return [ECPoint._from_jac(generator._mult_jac(scalar)) for scalar in scalars]
     comb: _Comb = generator._comb_table()  # type: ignore[assignment]
     width = _comb_width(len(comb))
-    lanes = [_comb_indices(scalar % N, _COMB_TEETH) for scalar in scalars]
+    lanes = [_comb_indices(scalar % N, _COMB_TEETH) if scalar % N else None for scalar in scalars]
     sums: List[Optional[_Affine]] = [None] * len(scalars)
     for column in range(width - 1, -1, -1):
         held = sums
         for position in range(column, _comb_stride(_COMB_TEETH), width):  # one per sub-table
             sub = comb[position // width]
-            sums = _add_each(sums, [sub[indices[position]] for indices in lanes])
+            sums = _add_each(
+                sums,
+                [None if indices is None else _comb_entry(sub, indices[position]) for indices in lanes],
+            )
             if position == column:
                 sums = _add_each(sums, held)  # (acc + entry) + acc = 2·acc + entry
     return [ECPoint._from_affine(affine) for affine in sums]
@@ -824,7 +868,8 @@ _VERIFY_CHUNK = 8
 # scalars up.  Below it a column's S + 1 shared inversions (an inversion is
 # about 50 field multiplications here) cost more than the affine formulas
 # save: the crossover ``benchmarks/bench_crypto_hotpath.py`` measures (8
-# lanes 0.92×, 10 lanes 1.02× the single-scalar chain over the same comb).
+# lanes 0.92–0.96×, 10 lanes 1.03–1.06× the single-scalar chain over the
+# same signed comb).
 _LOCKSTEP_MIN_LANES = 10
 
 

@@ -16,8 +16,9 @@ client's username, the recovery salt, and the n cluster public keys
 (Appendix A.4, last paragraph).  Callers pass that as ``context``.
 
 Hot-path note: ``g^r`` inside :meth:`HashedElGamal.encrypt` rides the
-generator's comb in ``repro.crypto.ec`` (9 teeth in five sub-tables of six
-columns: 6 doublings + at most 29 mixed additions), and ``X^r`` is a
+generator's comb in ``repro.crypto.ec`` (a signed comb of 10 teeth in
+five sub-tables of six columns: 5 doublings + 26 mixed additions), and
+``X^r`` is a
 signed-window ladder over the 8-entry table of odd multiples cached on the
 (long-lived) recipient key point, so repeated encryptions to the same key
 skip the table build.  Recipient keys never get a comb of their own: those

@@ -89,7 +89,7 @@ class EcdsaMultiSig:
     def precompute_signer_key(public) -> None:
         """Provisioning hook, called once per signer-directory key: give the
         key a comb table, so each verification against it is one
-        29-doubling chain shared with the generator term."""
+        26-column chain (25 doublings) shared with the generator term."""
         public.precompute()
 
     @staticmethod

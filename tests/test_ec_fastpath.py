@@ -34,18 +34,37 @@ from repro.log.distributed import EcdsaMultiSig
 from repro.metering import OpMeter, metered
 from repro.storage.blockstore import InMemoryBlockStore
 
-from reference_comb import jacobian_comb_fill, one_table_generator_mult_each
+from reference_comb import (
+    UNSIGNED_TEETH,
+    jacobian_comb_fill,
+    one_table_generator_mult_each,
+    unsigned_build_comb,
+)
 
 G = P256.generator
 GENERATOR_TABLES = ec_module._GENERATOR_COMB_TABLES
 GENERATOR_WIDTH = ec_module._comb_width(GENERATOR_TABLES)
-STRIDE = ec_module._comb_stride(ec_module._COMB_TEETH)  # 29
+TEETH = ec_module._COMB_TEETH
+STRIDE = ec_module._comb_stride(TEETH)  # 26
 SLOT_TEETH = ec_module._SLOT_COMB_TEETH
-SLOT_STRIDE = ec_module._comb_stride(SLOT_TEETH)  # 64
+SLOT_STRIDE = ec_module._comb_stride(SLOT_TEETH)  # 52
+# The three tiers as (teeth, tables): the generator, a signer key, a slot key.
+TIERS = ((TEETH, GENERATOR_TABLES), (TEETH, 1), (SLOT_TEETH, 1))
 
 # Scalars where window/comb algorithms historically go wrong: zero, the
 # identity, all-ones digits, values at and just past the group order.
 EDGE_SCALARS = [0, 1, 2, 15, 16, 0xFFFF, N - 1, N, N + 1, (1 << 256) - 1]
+
+
+def signed_sum(index: int, teeth: int, shift: int = 0) -> int:
+    """The exponent entry ``index`` of a signed comb's sub-table scaled by
+    ``2^shift`` holds: ``+2^(c(t−1))`` for the top tooth, and ``±2^(cj)``
+    for each lower tooth j, + where bit j of ``index`` is set."""
+    stride = ec_module._comb_stride(teeth)
+    return sum(
+        (1 if j == teeth - 1 or index >> j & 1 else -1) << (stride * j + shift)
+        for j in range(teeth)
+    )
 
 
 def double_and_add(point: ECPoint, scalar: int) -> ECPoint:
@@ -215,27 +234,81 @@ class TestColumnBuilders:
         assert ECPoint(*other[7]) == naive_mult(G, 15)
 
     def test_no_comb_subset_sum_is_a_multiple_of_the_order(self):
-        """``_build_comb`` and the lock step rely on it: no entry of any
-        sub-table is infinity."""
-        teeth, stride = ec_module._COMB_TEETH, STRIDE
-        assert teeth * stride >= 256 and (GENERATOR_TABLES - 1) * GENERATOR_WIDTH < stride
-        for shift in range(0, GENERATOR_TABLES * GENERATOR_WIDTH, GENERATOR_WIDTH):
-            for index in range(1, 1 << teeth):
-                assert sum(1 << (stride * j + shift) for j in range(teeth) if index >> j & 1) % N
+        """``_build_comb`` relies on it, at every tier: no entry of any
+        sub-table is infinity, and no lock-step batch of the fill adds
+        inverse points (``sub[m] + 2·B_j`` with ``sub[m] = −2·B_j``)."""
+        for teeth, tables in TIERS:
+            stride, width = ec_module._comb_stride(teeth), ec_module._comb_width(tables, teeth)
+            assert teeth * stride >= 256 and (tables - 1) * width < stride
+            for shift in range(0, tables * width, width):
+                for index in range(1 << (teeth - 1)):
+                    entry = signed_sum(index, teeth, shift)
+                    assert entry % N
+                    for j in range(index.bit_length(), teeth - 1):  # the fill's additions
+                        assert (entry + (2 << (stride * j + shift))) % N
+
+    def test_every_comb_entry_is_its_signed_sum(self, named_points):
+        """Every entry of every sub-table at all three tiers — the
+        generator's five, a signer key's one, a slot key's one — is finite
+        and is ``naive_mult`` of its signed exponent sum."""
+        point = named_points["random"]
+        for (teeth, tables), base in zip(TIERS, (G, point, point)):
+            (comb,) = ec_module._build_comb([(base.x, base.y)], tables, teeth)
+            width = ec_module._comb_width(tables, teeth)
+            assert len(comb) == tables and ec_module._comb_teeth(comb) == teeth
+            for sub_table, entries in enumerate(comb):
+                assert len(entries) == 1 << (teeth - 1) and None not in entries
+                for index, entry in enumerate(entries):
+                    multiple = signed_sum(index, teeth, sub_table * width)
+                    assert ECPoint(*entry) == naive_mult(base, multiple % N)
+        assert G._comb_table() == ec_module._build_comb([(G.x, G.y)], GENERATOR_TABLES)[0]
 
     def test_comb_table_is_the_jacobian_fill_entry_for_entry(self, named_points):
-        """The lock-step fill against the one it replaced: a signer key's
-        one table, and every sub-table of the generator's comb against the
-        fill of the generator scaled by its sub-table's 2^(i·w)."""
+        """The unsigned reference engine's lock-step fill — the baseline the
+        hot-path bench times the signed combs against — against the
+        Jacobian fill it replaced: a one-table 9-tooth comb, and every
+        sub-table of the generator's five against the fill of the
+        generator scaled by its sub-table's 2^(i·w)."""
         rng = random.Random(24)
         for point in [G, *named_points.values(), G * rng.randrange(1, N)]:
-            assert ec_module._build_comb([(point.x, point.y)]) == [[jacobian_comb_fill(point.x, point.y)]]
-        comb = G._comb_table()
-        assert ec_module._build_comb([(G.x, G.y)], GENERATOR_TABLES) == [comb]
+            assert unsigned_build_comb([(point.x, point.y)]) == [[jacobian_comb_fill(point.x, point.y)]]
+        (comb,) = unsigned_build_comb([(G.x, G.y)], GENERATOR_TABLES)
         assert len(comb) == GENERATOR_TABLES
         for sub_table, entries in enumerate(comb):
-            scaled = naive_mult(G, 1 << (sub_table * GENERATOR_WIDTH))
+            scaled = naive_mult(G, 1 << (sub_table * ec_module._comb_width(GENERATOR_TABLES, UNSIGNED_TEETH)))
             assert entries == jacobian_comb_fill(scaled.x, scaled.y)
+
+    @given(scalar=st.integers(1, N - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_signed_indices_reproduce_the_scalar(self, scalar):
+        """At both tooth counts every position's index, read as a ±1 digit
+        per tooth, sums back to the scalar mod N, and ``N − k`` reads the
+        complement of ``k``'s indices (an even scalar is a negated odd one)."""
+        for teeth in (TEETH, SLOT_TEETH):
+            stride = ec_module._comb_stride(teeth)
+            indices = ec_module._comb_indices(scalar, teeth)
+            assert len(indices) == stride
+            digits = sum(
+                (1 if index >> j & 1 else -1) << (stride * j + position)
+                for position, index in enumerate(indices)
+                for j in range(teeth)
+            )
+            assert digits % N == scalar
+            complement = [index ^ ((1 << teeth) - 1) for index in indices]
+            assert ec_module._comb_indices(N - scalar, teeth) == complement
+
+    def test_comb_entry_negates_below_the_top_tooth(self, named_points):
+        """An index with the top tooth set reads its entry, one without it
+        the negation of the complement's."""
+        point = named_points["random"]
+        ((table,),) = ec_module._build_comb([(point.x, point.y)], teeth=SLOT_TEETH)
+        half = len(table) - 1
+        for index in range(1 << SLOT_TEETH):
+            entry = ECPoint(*ec_module._comb_entry(table, index))
+            if index > half:
+                assert entry == ECPoint(*table[index & half])
+            else:
+                assert entry == -ECPoint(*table[~index & half])
 
     @given(scalar=st.integers(1, N - 1), other=st.integers(1, N - 1), seed=st.integers(1, 2**32))
     @settings(max_examples=10, deadline=None)
@@ -270,14 +343,39 @@ def slot_key(point: ECPoint) -> ECPoint:
     return copy
 
 
+# The signed recoding's own edges: k and N − k (an even scalar is read as
+# the negation of an odd one, every index complemented), N − 2, 2^255, the
+# scalars whose recoded digits below the top are all −1 (1) or all +1
+# (N − 1), and those whose lower teeth's digits are all +1
+# (2^(c(t−1) + 1) − 1) or all −1 (its negation, N minus it), at both
+# tooth counts.
+PARITY_SCALARS = [3, 0x1EADBEEF << 87, 0x5A17 * (N // 0x10001)]
+SIGNED_EDGE_SCALARS = [
+    1, N - 1, 2, N - 2, 1 << 255,
+    *(N - k for k in PARITY_SCALARS), *PARITY_SCALARS,
+    *(
+        scalar
+        for stride, teeth in ((STRIDE, TEETH), (SLOT_STRIDE, SLOT_TEETH))
+        for scalar in ((2 << (stride * (teeth - 1))) - 1, N + 1 - (2 << (stride * (teeth - 1))))
+    ),
+]
+
 # Where a comb goes wrong: empty and single columns, block boundaries, the
 # group order, a scalar whose every column is zero but one, one tooth only —
-# for the 29-bit stride, and (still arbitrary scalars worth keeping) for the
-# 32-bit stride the table had before — and the generator's sub-table
-# boundaries: scalars whose only set bits are bits i·w − 1 and i·w of a
-# tooth (the last column of sub-table i − 1 and the first of sub-table i).
+# for the 26-bit stride, for the 29-bit stride of the unsigned 9-tooth comb
+# and (still arbitrary scalars worth keeping) for the 32-bit stride the
+# table had before that — and the generator's sub-table boundaries:
+# scalars whose only set bits are bits i·w − 1 and i·w of a tooth (the
+# last column of sub-table i − 1 and the first of sub-table i), at the 26-
+# and the 29-bit stride; then the signed recoding's edges.
 SUB_TABLE_BOUNDARIES = [i * GENERATOR_WIDTH for i in range(1, GENERATOR_TABLES)]
 COMB_EDGE_SCALARS = [
+    (1 << 26) - 1, 1 << 26, 1 << 234,
+    sum(1 << (26 * tooth) for tooth in range(10)),  # column 0 only, all teeth
+    0x3FFFFF << 234,  # top tooth only (bits 234..255)
+    *(3 << (26 * 9 + edge - 1) for edge in SUB_TABLE_BOUNDARIES if 26 * 9 + edge < 256),  # top tooth
+    sum(3 << (26 * tooth + edge - 1) for tooth in range(9) for edge in SUB_TABLE_BOUNDARIES),
+    sum(1 << (26 * tooth + edge) for tooth in range(9) for edge in SUB_TABLE_BOUNDARIES),
     0, 1, 2, N - 1, N, (1 << 29) - 1, 1 << 29, 1 << 232,
     sum(1 << (29 * tooth) for tooth in range(9)),  # column 0 only, all teeth
     0xFFFFFF << 232,  # top tooth only (bits 232..255)
@@ -289,7 +387,9 @@ COMB_EDGE_SCALARS = [
     *(3 << (29 * 8 + edge - 1) for edge in SUB_TABLE_BOUNDARIES if 29 * 8 + edge < 256),  # top tooth
     sum(3 << (29 * tooth + edge - 1) for tooth in range(8) for edge in SUB_TABLE_BOUNDARIES),
     sum(1 << (29 * tooth + edge) for tooth in range(8) for edge in SUB_TABLE_BOUNDARIES),
+    *SIGNED_EDGE_SCALARS,
 ]
+COMB_EDGE_SCALARS = list(dict.fromkeys(COMB_EDGE_SCALARS))  # one test id a value
 
 
 class TestComb:
@@ -315,9 +415,10 @@ class TestComb:
         point = precomputed(named_points["random"])
         comb = point._comb
         (table,) = comb  # a signer key's comb is one table
-        assert table[0] is None and len(table) == 512
-        assert table[1] == (point.x, point.y)
-        assert ECPoint(*table[0b101]) == naive_mult(point, 1 + (1 << 58))
+        assert len(table) == 512 and None not in table
+        all_minus = (1 << (STRIDE * (TEETH - 1))) - sum(1 << (STRIDE * j) for j in range(TEETH - 1))
+        assert ECPoint(*table[0]) == naive_mult(point, all_minus)
+        assert ECPoint(*table[0b101]) == naive_mult(point, signed_sum(0b101, TEETH) % N)
         point.precompute()
         assert point._comb is comb  # the second call builds nothing
         infinity = ECPoint(None, None)
@@ -332,8 +433,8 @@ class TestComb:
         explicit.precompute()
         assert copy._comb is G._comb and explicit._comb is G._comb
         assert len(G._comb) == GENERATOR_TABLES
-        assert all(sub[0] is None and len(sub) == 512 for sub in G._comb)
-        assert ECPoint(*G._comb[1][0b11]) == naive_mult(G, (1 + (1 << 29)) << GENERATOR_WIDTH)
+        assert all(None not in sub and len(sub) == 512 for sub in G._comb)
+        assert ECPoint(*G._comb[1][0b11]) == naive_mult(G, signed_sum(0b11, TEETH, GENERATOR_WIDTH) % N)
 
     @given(
         scalars=st.lists(st.integers(0, N + 7), min_size=1, max_size=6),
@@ -375,11 +476,11 @@ class TestComb:
         assert not P256.ecdsa_verify_all(combed) and not P256.ecdsa_verify_all(plain)
 
     def test_only_the_generator_and_the_signer_directory_carry_a_comb(self):
-        """The 9-tooth comb is explicit: after a backup + recovery exactly
+        """The 10-tooth comb is explicit: after a backup + recovery exactly
         N + 1 such combs exist — the generator's, of S sub-tables, and one
         table per signer key; no BFE slot key, ephemeral point or
         client-side copy grew one — and restoring the deployment builds
-        none.  Every other comb is the 4-tooth one of a BFE slot key that
+        none.  Every other comb is the 5-tooth one of a BFE slot key that
         the client's ``mult_each`` met."""
         from repro.storage.blockstore import InMemoryBlockStore
 
@@ -414,10 +515,10 @@ class TestComb:
         assert len(tables) == len(directory) + 1 == 5
         assert {(p.x, p.y) for p in tables.values()} == directory | {(G.x, G.y)}
         shapes = {
-            (p.x, p.y): [len(sub) - 1 for sub in p._comb] for p in tables.values()
+            (p.x, p.y): [len(sub) for sub in p._comb] for p in tables.values()
         }
-        assert shapes.pop((G.x, G.y)) == [511] * GENERATOR_TABLES
-        assert all(shape == [511] for shape in shapes.values())
+        assert shapes.pop((G.x, G.y)) == [512] * GENERATOR_TABLES
+        assert all(shape == [512] for shape in shapes.values())
 
         restored = Deployment.restore(params, store, deployment.fleet)
         again = restored.new_client("comb-population-user-2")
@@ -450,7 +551,7 @@ class TestMultEach:
         products = mult_each(points, scalar)
         assert products == [naive_mult(ECPoint(p.x, p.y), scalar) for p in points]
         # Every finite point now holds a comb and no window table: the
-        # generator's and the signer's as they were, a 4-tooth one on the
+        # generator's and the signer's as they were, a 5-tooth one on the
         # others, the held window table dropped.
         assert G._comb is points[1]._comb and len(G._comb) == GENERATOR_TABLES
         assert ec_module._comb_teeth(points[2]._comb) == ec_module._COMB_TEETH
@@ -464,13 +565,13 @@ class TestMultEach:
     )
     @settings(max_examples=10, deadline=None)
     def test_matches_separate_multiplications(self, scalar, seeds):
-        """A first call gives each point its 4-tooth comb and no window
+        """A first call gives each point its 5-tooth comb and no window
         table, a later one reads the same comb, and every call is
         ``P * s``."""
         points = [G * random.Random(seed).randrange(1, N) for seed in seeds]
         assert mult_each(points, scalar) == [naive_mult(p, scalar) for p in points]
         assert all(p._wtab is None and len(p._comb) == 1 for p in points)
-        assert all(len(p._comb[0]) == 1 << SLOT_TEETH for p in points)
+        assert all(len(p._comb[0]) == 1 << (SLOT_TEETH - 1) for p in points)
         combs = [p._comb for p in points]
         assert mult_each(points, scalar) == [p * scalar for p in points]  # combs read again
         assert all(p._comb is comb and p._wtab is None for p, comb in zip(points, combs))
@@ -487,6 +588,15 @@ class TestMultEach:
         for s, point in pairs:
             expected = expected + naive_mult(ECPoint(point.x, point.y), s)
         assert multi_mult(pairs) == expected
+
+    def test_a_zero_scalar_runs_no_chain(self, named_points, monkeypatch):
+        """A zero scalar has no signed comb reading: every product is the
+        identity without a chain being run over the combs."""
+        points = [slot_key(named_points["random"]), G, ECPoint(None, None)]
+        G.precompute()
+        monkeypatch.setattr(ec_module, "_chain", None)  # not reached
+        for scalar in (0, N, 2 * N):
+            assert all(p.is_infinity for p in mult_each(points, scalar))
 
     def test_metering_is_one_mult_per_point(self, named_points):
         points = [named_points["random"], ECPoint(None, None), G]
@@ -513,28 +623,36 @@ class TestMultEach:
         assert BloomFilterEncryption.decrypt(secret, ciphertext, context=b"ctx") == b"share"
 
 
-# Scalars whose only set bits sit at the 4-tooth comb's tooth boundaries:
-# the top bit of one tooth and the bottom bit of the next, and bit 255.
+# Scalars whose only set bits sit at a slot comb's tooth boundaries: the
+# top bit of one tooth and the bottom bit of the next, and bit 255 — at the
+# 5-tooth comb's 52-bit stride and at the 64-bit stride of the unsigned
+# 4-tooth comb before it — and the signed recoding's edges.
 SLOT_TOOTH_SCALARS = [
-    *(3 << (SLOT_STRIDE * tooth - 1) for tooth in (1, 2, 3)),  # bits 63/64, 127/128, 191/192
-    *(1 << (SLOT_STRIDE * tooth - 1) for tooth in (1, 2, 3)),
-    *(1 << (SLOT_STRIDE * tooth) for tooth in (1, 2, 3)),
-    1 << 255,
-    (1 << 255) | (1 << 191) | (1 << 127) | (1 << 63),  # every tooth's top bit
-    sum(1 << (SLOT_STRIDE * tooth) for tooth in range(4)),  # every tooth's bottom bit
-    sum(3 << (SLOT_STRIDE * tooth - 1) for tooth in (1, 2, 3)) | (1 << 255),
+    *(3 << (SLOT_STRIDE * tooth - 1) for tooth in (1, 2, 3, 4)),  # bits 51/52, ..., 207/208
+    *(1 << (SLOT_STRIDE * tooth - 1) for tooth in (1, 2, 3, 4)),
+    *(1 << (SLOT_STRIDE * tooth) for tooth in (1, 2, 3, 4)),
+    sum(1 << (SLOT_STRIDE * tooth - 1) for tooth in (1, 2, 3, 4)) | (1 << 255),  # every tooth's top bit
+    sum(1 << (SLOT_STRIDE * tooth) for tooth in range(5)),  # every tooth's bottom bit
+    sum(3 << (SLOT_STRIDE * tooth - 1) for tooth in (1, 2, 3, 4)) | (1 << 255),
+    *SIGNED_EDGE_SCALARS,
+    *(3 << (64 * tooth - 1) for tooth in (1, 2, 3)),  # bits 63/64, 127/128, 191/192
+    *(1 << (64 * tooth - 1) for tooth in (1, 2, 3)),
+    *(1 << (64 * tooth) for tooth in (1, 2, 3)),
+    (1 << 255) | (1 << 191) | (1 << 127) | (1 << 63),
+    sum(1 << (64 * tooth) for tooth in range(4)),
+    sum(3 << (64 * tooth - 1) for tooth in (1, 2, 3)) | (1 << 255),
 ]
 
 
 class TestCombedSlotKeys:
-    """A slot key ``mult_each`` has met carries the 4-tooth comb from its
+    """A slot key ``mult_each`` has met carries the 5-tooth comb from its
     first multiply on, and every product over it is the ladder's."""
 
     @pytest.fixture(scope="class")
     def slot(self, named_points):
         return slot_key(named_points["random"])
 
-    @pytest.mark.parametrize("scalar", EDGE_SCALARS + SLOT_TOOTH_SCALARS)
+    @pytest.mark.parametrize("scalar", list(dict.fromkeys(EDGE_SCALARS + SLOT_TOOTH_SCALARS)))
     def test_products_are_naive_mult(self, scalar, slot):
         expected = naive_mult(slot, scalar)
         assert mult_each([slot, slot], scalar) == [expected, expected]
@@ -542,17 +660,17 @@ class TestCombedSlotKeys:
 
     def test_no_subset_sum_is_infinity(self, slot):
         (table,) = slot._comb
-        assert table[0] is None and len(table) == 1 << SLOT_TEETH
-        for index in range(1, 1 << SLOT_TEETH):
-            multiple = sum(1 << (SLOT_STRIDE * j) for j in range(SLOT_TEETH) if index >> j & 1)
-            assert multiple % N and table[index] is not None
-            assert ECPoint(*table[index]) == naive_mult(slot, multiple)
+        assert len(table) == 1 << (SLOT_TEETH - 1)
+        for index, entry in enumerate(table):
+            multiple = signed_sum(index, SLOT_TEETH)
+            assert multiple % N and entry is not None
+            assert ECPoint(*entry) == naive_mult(slot, multiple % N)
         assert ec_module._build_comb([(slot.x, slot.y)], teeth=SLOT_TEETH) == [slot._comb]
 
     def test_a_batch_builds_each_points_own_comb(self, named_points):
         """One batch, a point repeated in it, against the one-point builder
-        — for slot-key combs and for 9-tooth combs of two sub-tables — and
-        every slot-key entry against ``naive_mult`` of its subset sum."""
+        — for slot-key combs and for 10-tooth combs of two sub-tables — and
+        every slot-key entry against ``naive_mult`` of its signed sum."""
         rng = random.Random(33)
         points = [named_points["random"], G * rng.randrange(1, N), named_points["random"], G]
         affine = [(p.x, p.y) for p in points]
@@ -562,10 +680,9 @@ class TestCombedSlotKeys:
             assert combs == [ec_module._build_comb([a], tables, teeth)[0] for a in affine]
             assert combs[0] == combs[2] and combs[0] is not combs[2]
         for point, (table,) in zip(points, ec_module._build_comb(affine, teeth=SLOT_TEETH)):
-            assert table[0] is None and len(table) == 1 << SLOT_TEETH
-            for index in range(1, 1 << SLOT_TEETH):
-                multiple = sum(1 << (SLOT_STRIDE * j) for j in range(SLOT_TEETH) if index >> j & 1)
-                assert ECPoint(*table[index]) == naive_mult(point, multiple)
+            assert len(table) == 1 << (SLOT_TEETH - 1)
+            for index, entry in enumerate(table):
+                assert ECPoint(*entry) == naive_mult(point, signed_sum(index, SLOT_TEETH) % N)
 
     def test_the_first_mult_each_builds_the_comb(self, named_points):
         point = ECPoint(named_points["small"].x, named_points["small"].y)
@@ -587,7 +704,7 @@ class TestCombedSlotKeys:
     @settings(max_examples=10, deadline=None)
     def test_straus_sums_read_a_slot_comb(self, scalars, seed, slot):
         """A slot key beside a signer's comb and the generator (one
-        64-column comb chain), and beside a ladder point too."""
+        52-column comb chain), and beside a ladder point too."""
         rng = random.Random(seed)
         signer = precomputed(G * rng.randrange(1, N))
         plain = G * rng.randrange(1, N)
@@ -689,24 +806,42 @@ class TestLockStep:
         one_table = jacobian_comb_fill(G.x, G.y)
         assert one_table_generator_mult_each(scalars, one_table) == products
 
-    def test_edge_lanes_in_one_batch(self):
-        """Zero, the order, empty leading columns (an accumulator still at
-        infinity), empty middle columns, one column only, duplicates — with
-        enough ordinary lanes beside them that the batch runs in lock step."""
+    def test_edge_lanes_in_one_batch(self, monkeypatch):
+        """Zero and the order (lanes of infinities), scalars whose unsigned
+        reading had empty leading or middle columns or one column only (a
+        signed comb adds an entry at every column), the signed recoding's
+        edges, duplicates — with enough ordinary lanes beside them that the
+        batch runs in lock step."""
         rng = random.Random(29)
         twice = rng.randrange(1, N)
         scalars = [
             0, 1, 2, N - 1, N, N + 1, 1 << 29, (1 << 256) - 1,
             (1 << 256) - 1 - N,  # the same scalar, reduced
-            sum(1 << (29 * tooth) for tooth in range(9)),  # the last column only
-            0x1EADBEEF << 87,  # one tooth: most columns empty
-            (1 << 232) - 1,  # top tooth empty
+            sum(1 << (29 * tooth) for tooth in range(9)),  # the 9-tooth comb's last column only
+            0x1EADBEEF << 87,  # one tooth
+            (1 << 232) - 1,  # the 9-tooth comb's top tooth empty
+            (1 << 234) - 1,  # the 10-tooth comb's top tooth empty
             twice, twice, *COMB_EDGE_SCALARS,
         ] + [rng.randrange(1, N) for _ in range(8)]
         assert len(scalars) >= 2 * ec_module._LOCKSTEP_MIN_LANES
+        G.precompute()
+        # A zero lane adds infinities, so no batch meets inverse points and
+        # falls back to the Jacobian formulas.
+        monkeypatch.setattr(ec_module, "_jac_add", None)
         products = generator_mult_each(scalars)
+        monkeypatch.undo()
         assert products == [naive_mult(G, s) for s in scalars]
         assert products[0].is_infinity and products[4].is_infinity
+
+    @pytest.mark.parametrize("lanes", [ec_module._LOCKSTEP_MIN_LANES - 1, ec_module._LOCKSTEP_MIN_LANES])
+    def test_both_sides_of_the_crossover(self, lanes):
+        """One batch just below ``_LOCKSTEP_MIN_LANES`` (the per-scalar
+        chain) and one at it (the lock step), edge lanes in both, equal the
+        per-scalar chain lane for lane."""
+        rng = random.Random(lanes)
+        scalars = [0, 1, N - 1, N - 2, 1 << 255] + [rng.randrange(1, N) for _ in range(lanes - 5)]
+        chains = [ECPoint._from_jac(G._mult_jac(s)) for s in scalars]
+        assert generator_mult_each(scalars) == chains == [naive_mult(G, s) for s in scalars]
 
     def test_short_batches_loop_the_single_scalar_chain(self, monkeypatch):
         G.precompute()
@@ -773,6 +908,11 @@ class TestNothingKeyedByAScalarOutlivesItsCall:
         assert signer._wtab is None and third._wtab is None and slot._wtab is None
         for point in (third, slot):
             assert ec_module._build_comb([(point.x, point.y)], teeth=SLOT_TEETH) == [point._comb]
+            assert len(point._comb[0]) == 1 << (SLOT_TEETH - 1)  # the signed 16-entry comb
+        # The signer's signed comb holds the sums it was built with: the
+        # negated entries a multiply reads are made in the call, not stored.
+        assert ec_module._build_comb([(signer.x, signer.y)]) == [signer._comb]
+        assert len(signer._comb[0]) == 1 << (TEETH - 1)
         gc.collect()
         assert _reachable_values(vars(ec_module)) == module_before
         derived = {secret, shared.x, shared.y, summed.x, summed.y, slot_shared.x, slot_shared.y}
