@@ -6,9 +6,21 @@ per-HSM puncturable work is parallel) while the bits of security lost
 relative to ideal PIN guessing *shrink* as log2(3N/n) (6.81 -> 5.49 bits in
 the figure, which corresponds to N=1,500; we print N=3,100 and N=1,500).
 
-The companion ablation prices the design the paper rejects in §1: threshold
-decryption across a fixed 6% of the whole fleet, whose per-recovery work
-grows linearly with N instead of staying constant.
+The companion ablation prices the design the paper rejects in §1:
+
+    "One way to achieve SafetyPin's security goal would be to
+    threshold-encrypt the client's hashed PIN and backup key in such a way
+    that decrypting the client's backup key would require the participation
+    of 6% of all HSMs in the system.  Unfortunately, this approach lacks
+    scalability."
+
+In a t-of-N threshold ElGamal KEM over P-256 (Shamir-shared secret key,
+Lagrange recombination in the exponent), each of the ``t ≈ 0.06·N``
+participating HSMs does one point multiplication — a partial decryption
+``(g^r)^{x_i}``, one ``elgamal_dec`` — for *every* recovery.  So the
+per-recovery work grows linearly with N instead of staying constant:
+adding HSMs adds work, not capacity.  The design is priced here from the
+device cost model, not implemented.
 """
 
 from repro.analysis.bounds import security_loss_bits
@@ -70,8 +82,8 @@ def test_fig11_ablation_threshold_whole_fleet(benchmark):
     """
 
     def rejected_design_seconds(num_hsms: int) -> float:
-        # One partial decryption (``repro.crypto.threshold``: one
-        # ``elgamal_dec``) per participant, and the client waits for them all.
+        # One partial decryption (``(g^r)^{x_i}``: one ``elgamal_dec``) per
+        # participant, and the client waits for them all.
         participants = max(1, int(num_hsms * 0.06))
         return participants * HSM.seconds({"elgamal_dec": 1})
 

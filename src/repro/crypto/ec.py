@@ -44,12 +44,12 @@ long a point lives and how often it is multiplied:
 - **Signed-window ladder (every other point)**: the scalar is recoded into
   width-5 signed digits (``_signed_digits``: odd, |d| <= 15, at least five
   positions apart) over the 8 odd multiples ``Q, 3Q, ..., 15Q`` — 256
-  doublings + ~43 mixed additions.  The table is cached on the
-  :class:`ECPoint` the first time ``P * s`` or a Straus sum multiplies
-  it, so long-lived points (HSM ElGamal keys) build it once; a fresh
-  ephemeral pays for it once and drops it with the point.  Tables hold
-  multiples of the point only; the recoded digits of a (possibly secret)
-  scalar are locals of the call.
+  doublings + ~43 mixed additions.  The table is built in the call and
+  dies with it: every point the protocol multiplies by a ladder is a
+  one-off (an HSM-side ephemeral, a response key, an unprovisioned
+  verification key), and the points it multiplies again carry combs.
+  Tables hold multiples of the point only; the recoded digits of a
+  (possibly secret) scalar are locals of the call.
 - **Lock step (many scalars, one provisioned point — a device's m slot
   keys)**: :func:`generator_mult_each` walks the generator's comb for all
   scalars at once.  A column is up to S + 1 batched affine additions,
@@ -360,21 +360,6 @@ def _build_windows(points: Sequence[_Affine]) -> List[List[_Affine]]:
     ]
 
 
-def _cache_windows(points: Sequence["ECPoint"]) -> List[List[_Affine]]:
-    """The window table of every listed point — for ``P * s`` and Straus
-    sums — building those that lack one in one batch and caching them on
-    their points.  The tables come back aligned with ``points``, so a caller
-    never re-reads ``_wtab`` (which :func:`mult_each` clears); a benign race
-    between threads builds identical tables."""
-    tables = [point._wtab for point in points]
-    missing = [lane for lane, table in enumerate(tables) if table is None]
-    if missing:
-        built = _build_windows([(points[lane].x, points[lane].y) for lane in missing])  # type: ignore[misc]
-        for lane, table in zip(missing, built):
-            points[lane]._wtab = tables[lane] = table
-    return tables  # type: ignore[return-value]
-
-
 # -- Lim–Lee combs ------------------------------------------------------------------
 # A comb of t teeth reads a scalar as t blocks of c = ⌈256/t⌉ bits laid one
 # above the other, bit p of every block together making the column of 2^p.
@@ -570,8 +555,9 @@ def _multi_mult_jac(pairs: Sequence[Tuple[int, "ECPoint"]]) -> _JPoint:
     Scalars are assumed reduced mod N and nonzero, points non-infinity.
     When every point carries a comb (the generator, provisioned signer
     keys, slot keys) the sum is one comb chain.  Otherwise it is one ladder
-    chain: each remaining point lays its signed digits over its cached
-    window table, and the comb columns ride the ladder's last steps.
+    chain: each remaining point lays its signed digits over a window table
+    built in the call (all of them in one :func:`_build_windows` batch),
+    and the comb columns ride the ladder's last steps.
     """
     combed = []
     laddered = []
@@ -586,7 +572,7 @@ def _multi_mult_jac(pairs: Sequence[Tuple[int, "ECPoint"]]) -> _JPoint:
     columns: List[_Column] = [()] * _LADDER_COLUMNS
     for indices, comb in combed:
         _comb_columns(columns, indices, comb)
-    windows = _cache_windows([point for _, point in laddered])
+    windows = _build_windows([(point.x, point.y) for _, point in laddered])  # type: ignore[misc]
     for (scalar, _), table in zip(laddered, windows):
         _ladder_columns(columns, _signed_digits(scalar), table)
     return _chain(columns)
@@ -595,25 +581,22 @@ def _multi_mult_jac(pairs: Sequence[Tuple[int, "ECPoint"]]) -> _JPoint:
 class ECPoint:
     """An affine point on P-256 (or the point at infinity).
 
-    Instances lazily cache the 8-entry window table of their odd multiples
-    (``_wtab``) the first time ``P * s`` or a Straus sum multiplies them,
-    so repeated multiplications of the same long-lived point — HSM ElGamal
-    keys — skip the per-call table build.  A point carries a one-table
-    signed comb (``_comb``) instead when it was explicitly
-    :meth:`precompute`d (10 teeth, a provisioned signer key: 25 doublings
-    rather than 256) or met by :func:`mult_each` (5 teeth, a BFE slot key:
-    51 doublings); the generator's coordinates always resolve to the one
-    comb of ``_GENERATOR_COMB_TABLES`` sub-tables held by ``P256.generator``.
-    Both caches hold multiples of the (public) point only and are keyed on
-    the instance; equality/hashing ignore them.
+    A point carries a one-table signed comb (``_comb``) when it was
+    explicitly :meth:`precompute`d (10 teeth, a provisioned signer key: 25
+    doublings rather than 256) or met by :func:`mult_each` (5 teeth, a BFE
+    slot key: 51 doublings); the generator's coordinates always resolve to
+    the one comb of ``_GENERATOR_COMB_TABLES`` sub-tables held by
+    ``P256.generator``.  Nothing else is cached: ``P * s`` and Straus sums
+    over a comb-less point leave it as it was.  A comb holds multiples of
+    the (public) point only and is keyed on the instance; equality/hashing
+    ignore it.
     """
 
-    __slots__ = ("x", "y", "_wtab", "_comb")
+    __slots__ = ("x", "y", "_comb")
 
     def __init__(self, x: Optional[int], y: Optional[int]) -> None:
         self.x = x
         self.y = y
-        self._wtab: Optional[List[_Affine]] = None
         self._comb: Optional[_Comb] = None
         if x is not None:
             if not (0 <= x < P and 0 <= y < P):  # type: ignore[operator]
@@ -780,9 +763,9 @@ def mult_each(points: Sequence[ECPoint], scalar: int) -> List[ECPoint]:
 
     Every product is a comb chain.  A finite point without a comb — a slot
     key's first multiply — gets one of ``_SLOT_COMB_TEETH`` teeth on the
-    spot and drops any window table it held (208 doublings to build; then
-    51 doublings + 52 additions a multiply instead of a ladder's 256 + ≈
-    43), all of a call's missing combs in one :func:`_build_comb` batch.
+    spot (208 doublings to build; then 51 doublings + 52 additions a
+    multiply instead of a ladder's 256 + ≈ 43), all of a call's missing
+    combs in one :func:`_build_comb` batch.
     The scalar is read into comb indices once per tooth count and the
     results are normalized by ONE batch inversion.  Each result is
     bit-for-bit ``P * scalar``; an identity point or a zero scalar yields
@@ -798,7 +781,7 @@ def mult_each(points: Sequence[ECPoint], scalar: int) -> List[ECPoint]:
     if missing:
         built = _build_comb([(p.x, p.y) for p in missing], teeth=_SLOT_COMB_TEETH)  # type: ignore[misc]
         for point, comb in zip(missing, built):
-            point._comb, point._wtab = comb, None
+            point._comb = comb
     indices: Dict[int, List[int]] = {}  # by tooth count
     products: List[_JPoint] = []
     for point in points:
@@ -944,8 +927,9 @@ class _Curve:
         and all result points ``u1·G + u2·Q`` normalized together — two
         Montgomery batch inversions per chunk instead of two per signature.
         ``u1·G`` and a provisioned ``Q`` share one comb chain, any other
-        ``Q`` joins a ladder chain over its cached window; neither reports
-        ``ec_mult`` (verification has always metered only ``ecdsa_verify``).
+        ``Q`` joins a ladder chain over a window table built in the call;
+        neither reports ``ec_mult`` (verification has always metered only
+        ``ecdsa_verify``).
         """
         n = self.n
         checked = [self._signature_in_range(signature) for _, _, signature in items]

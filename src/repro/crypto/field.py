@@ -3,10 +3,9 @@
 GF(p) has no wrapper type here: an element is an int in ``[0, p)`` and
 every helper takes the modulus.  These helpers cover the repo's uses —
 Montgomery batch inversion (Jacobian normalization, ECDSA ``s`` values),
-a uniform draw and Horner evaluation (the Shamir dealer's polynomial, which
-the threshold dealer reuses) and the Lagrange coefficients at zero (Shamir
-reconstruction and threshold recombination in the exponent both weight
-their shares by them).
+a uniform draw and Horner evaluation (the Shamir dealer's polynomial) and
+the Lagrange coefficients at zero (Shamir reconstruction weights its shares
+by them).
 """
 
 from __future__ import annotations

@@ -12,11 +12,10 @@ corrupted ones; :meth:`ShamirSharer.reconstruct` mirrors that, and
 majority vote over the attached message ciphertexts.
 
 Shares, coefficients and secrets are plain ints mod p; the polynomial and
-the Lagrange weights are :mod:`repro.crypto.field`'s helpers, the same ones
-:mod:`repro.crypto.threshold` recombines with, so reconstructing a share
-set costs a single ``pow(x, -1, p)`` regardless of the threshold.  A
-share's byte layout (the plaintext an HSM replies with) is one codec value,
-:data:`SHARE`.
+the Lagrange weights are :mod:`repro.crypto.field`'s helpers, so
+reconstructing a share set costs a single ``pow(x, -1, p)`` regardless of
+the threshold.  A share's byte layout (the plaintext an HSM replies with)
+is one codec value, :data:`SHARE`.
 """
 
 from __future__ import annotations

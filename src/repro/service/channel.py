@@ -26,10 +26,10 @@ devices throw, so protocol code is transport-agnostic.
 
 Each ``decrypt_share`` bottoms out in HSM-side ElGamal/BFE point
 multiplications, which since the crypto fast-path layer ride the generator's
-comb and per-key cached window tables in ``repro.crypto.ec`` — the channel
+comb and signed-window ladders in ``repro.crypto.ec`` — the channel
 turnaround (and therefore per-HSM queue drain rate in
-``service.workers``) tracks those table-backed rates rather than the naive
-rebuild-per-call cost.
+``service.workers``) tracks those rates rather than the naive fixed-window
+cost.
 
 Thread safety: channels are stateless pass-throughs (safe to share across
 threads); serialization of *device* state is not their job — wrap them

@@ -22,8 +22,9 @@
   sub-tables: one unsigned 29-column table, two ``_add_each`` batches a
   column.  The hot-path bench times ``fixed_base_batch`` against it in turns.
 - :func:`window_mult_each` is ``mult_each`` before slot keys were combed:
-  every point a ladder over its cached window table.  The hot-path bench's
-  ``bfe_encrypt_k4_cached`` and ``bfe_encrypt_k4_fresh_window`` rows
+  every point a ladder over its window table, held by the caller or built
+  in the call.  The hot-path bench's ``bfe_encrypt_k4_cached`` (tables
+  held) and ``bfe_encrypt_k4_fresh_window`` (built in the call) rows
   encrypt through it.
 """
 
@@ -177,15 +178,18 @@ def one_table_generator_mult_each(scalars, table):
     return [ec.ECPoint._from_affine(affine) for affine in sums]
 
 
-def window_mult_each(points, scalar):
-    """``scalar·P`` for every finite, comb-less ``P`` in ``points``, each a
-    256-doubling ladder over its cached window table (built if missing),
-    one recoding and one normalizing inversion for all; never builds a comb.
+def window_mult_each(points, scalar, tables=None):
+    """``scalar·P`` for every finite ``P`` in ``points``, each a 256-doubling
+    ladder over its window table — ``tables`` (aligned with ``points``) when
+    the caller holds them, else all built in the call in one batch — one
+    recoding and one normalizing inversion for all; never builds a comb.
     Meters what ``mult_each`` does."""
     metering.count("ec_mult", len(points))
+    if tables is None:
+        tables = ec._build_windows([(point.x, point.y) for point in points])
     digits = ec._signed_digits(scalar % ec.N)
     products = []
-    for table in ec._cache_windows(points):
+    for table in tables:
         columns = [()] * ec._LADDER_COLUMNS
         ec._ladder_columns(columns, digits, table)
         products.append(ec._chain(columns))

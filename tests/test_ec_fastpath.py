@@ -117,7 +117,7 @@ class TestAgainstDoubleAndAdd:
         point = G * random.Random(seed).randrange(1, N)
         expected = double_and_add(point, scalar)
         assert point * scalar == expected
-        # Second multiply hits the cached table and must agree.
+        # A second multiply builds the table again and must agree.
         assert point * scalar == expected
 
     @given(
@@ -315,14 +315,14 @@ class TestColumnBuilders:
     def test_comb_columns_ride_the_ladders_last_steps(self, scalar, other, seed):
         point = G * random.Random(seed).randrange(1, N)
         combed, slot = precomputed(point), slot_key(point)
-        ec_module._cache_windows([point])
+        (table,) = ec_module._build_windows([(point.x, point.y)])
         for base, width in ((combed, STRIDE), (G, GENERATOR_WIDTH), (slot, SLOT_STRIDE)):
             comb = base._comb_table()
             columns = [()] * ec_module._LADDER_COLUMNS
             indices = ec_module._comb_indices(scalar, ec_module._comb_teeth(comb))
             ec_module._comb_columns(columns, indices, comb)
             assert not any(columns[:-width])
-            ec_module._ladder_columns(columns, ec_module._signed_digits(other), point._wtab)
+            ec_module._ladder_columns(columns, ec_module._signed_digits(other), table)
             expected = naive_mult(base, scalar) + naive_mult(point, other)
             assert ECPoint._from_jac(ec_module._chain(columns)) == expected
 
@@ -339,7 +339,7 @@ def slot_key(point: ECPoint) -> ECPoint:
     is: by its first ``mult_each``."""
     copy = ECPoint(point.x, point.y)
     mult_each([copy], 1)
-    assert copy._wtab is None and ec_module._comb_teeth(copy._comb) == SLOT_TEETH
+    assert ec_module._comb_teeth(copy._comb) == SLOT_TEETH
     return copy
 
 
@@ -534,29 +534,28 @@ class TestComb:
         }
         small = [p for p in combed_points(SLOT_TEETH) if id(p._comb) not in small_before]
         assert small and {(p.x, p.y) for p in small} <= slot_keys
-        assert all(len(p._comb) == 1 and p._wtab is None for p in small)
+        assert all(len(p._comb) == 1 for p in small)
 
 
 class TestMultEach:
     @pytest.mark.parametrize("scalar", EDGE_SCALARS)
     def test_edge_scalars_over_every_tier(self, scalar, named_points):
         fresh = ECPoint(named_points["small"].x, named_points["small"].y)
-        cached = ECPoint(named_points["random"].x, named_points["random"].y)
-        cached * 3  # carries a window table from here on
+        multiplied = ECPoint(named_points["random"].x, named_points["random"].y)
+        multiplied * 3  # a plain multiply leaves the point as it was
         points = [
-            G, ECPoint(G.x, G.y), precomputed(cached), cached, fresh,
-            ECPoint(None, None), cached, fresh, slot_key(fresh),
+            G, ECPoint(G.x, G.y), precomputed(multiplied), multiplied, fresh,
+            ECPoint(None, None), multiplied, fresh, slot_key(fresh),
         ]
-        assert fresh._wtab is None and cached._wtab is not None
+        assert fresh._comb is None and multiplied._comb is None
         products = mult_each(points, scalar)
         assert products == [naive_mult(ECPoint(p.x, p.y), scalar) for p in points]
-        # Every finite point now holds a comb and no window table: the
-        # generator's and the signer's as they were, a 5-tooth one on the
-        # others, the held window table dropped.
+        # Every finite point now holds a comb: the generator's and the
+        # signer's as they were, a 5-tooth one on the others.
         assert G._comb is points[1]._comb and len(G._comb) == GENERATOR_TABLES
         assert ec_module._comb_teeth(points[2]._comb) == ec_module._COMB_TEETH
-        assert all(p._wtab is None for p in points)
-        for point in (cached, fresh, points[-1]):
+        assert all(p._comb is not None for p in points if not p.is_infinity)
+        for point in (multiplied, fresh, points[-1]):
             assert len(point._comb) == 1 and ec_module._comb_teeth(point._comb) == SLOT_TEETH
 
     @given(
@@ -565,24 +564,26 @@ class TestMultEach:
     )
     @settings(max_examples=10, deadline=None)
     def test_matches_separate_multiplications(self, scalar, seeds):
-        """A first call gives each point its 5-tooth comb and no window
-        table, a later one reads the same comb, and every call is
-        ``P * s``."""
+        """A first call gives each point its 5-tooth comb, a later one reads
+        the same comb, and every call is ``P * s``."""
         points = [G * random.Random(seed).randrange(1, N) for seed in seeds]
         assert mult_each(points, scalar) == [naive_mult(p, scalar) for p in points]
-        assert all(p._wtab is None and len(p._comb) == 1 for p in points)
+        assert all(len(p._comb) == 1 for p in points)
         assert all(len(p._comb[0]) == 1 << (SLOT_TEETH - 1) for p in points)
         combs = [p._comb for p in points]
         assert mult_each(points, scalar) == [p * scalar for p in points]  # combs read again
-        assert all(p._comb is comb and p._wtab is None for p, comb in zip(points, combs))
+        assert all(p._comb is comb for p, comb in zip(points, combs))
 
     @pytest.mark.parametrize("scalar", [0, 1, N - 1, N + 1, (1 << 256) - 1])
     def test_multi_mult_over_all_four_tiers(self, scalar, named_points):
-        """Combed, cached, fresh and generator-copy terms in one Straus sum."""
-        cached = ECPoint(named_points["random"].x, named_points["random"].y)
-        cached * 3
+        """Combed, once-multiplied, fresh and generator-copy terms in one
+        Straus sum."""
+        multiplied = ECPoint(named_points["random"].x, named_points["random"].y)
+        multiplied * 3
         fresh = ECPoint(named_points["small"].x, named_points["small"].y)
-        points = [precomputed(cached), cached, fresh, ECPoint(G.x, G.y), ECPoint(None, None)]
+        points = [
+            precomputed(multiplied), multiplied, fresh, ECPoint(G.x, G.y), ECPoint(None, None)
+        ]
         pairs = [(scalar + i, point) for i, point in enumerate(points)]
         expected = ECPoint(None, None)
         for s, point in pairs:
@@ -686,19 +687,19 @@ class TestCombedSlotKeys:
 
     def test_the_first_mult_each_builds_the_comb(self, named_points):
         point = ECPoint(named_points["small"].x, named_points["small"].y)
-        point * 5  # a plain multiply builds a window table only ...
+        point * 5  # a plain multiply builds nothing on the point ...
         point * 7
-        assert point._comb is None and len(point._wtab) == 8
-        mult_each([point], 11)  # ... mult_each gives the comb and drops the table
-        assert point._wtab is None and ec_module._comb_teeth(point._comb) == SLOT_TEETH
+        assert point._comb is None
+        mult_each([point], 11)  # ... mult_each gives it the comb
+        assert ec_module._comb_teeth(point._comb) == SLOT_TEETH
         comb = point._comb
         mult_each([point], 13)
         point * 17
         point.precompute()  # a point holding a comb keeps it
-        assert point._comb is comb and point._wtab is None
+        assert point._comb is comb
         other = ECPoint(named_points["small"].x, named_points["small"].y)
         mult_each([other], 17)  # never multiplied before: the comb at once
-        assert other._wtab is None and other._comb == comb
+        assert other._comb == comb
 
     @given(scalars=st.lists(st.integers(0, N + 7), min_size=3, max_size=6), seed=st.integers(1, 2**32))
     @settings(max_examples=10, deadline=None)
@@ -720,12 +721,12 @@ class TestCombedSlotKeys:
             expected = expected + naive_mult(ECPoint(point.x, point.y), scalar)
         assert multi_mult(combed) == expected
         assert multi_mult([(5, plain), (3, slot)]) == naive_mult(plain, 5) + naive_mult(slot, 3)
-        assert plain._comb is None and len(plain._wtab) == 8  # Straus sums build no comb
+        assert plain._comb is None  # Straus sums build no comb
 
     def test_decrypt_share_and_finish_build_no_comb(self, monkeypatch):
         """Only a client's encryption combs a point: the HSM's ``(g^r)^sk``
         and reply encryption and the client's opening of the replies
-        multiply one-off points, which keep at most a window table."""
+        multiply one-off points, which stay as they were."""
         params = SystemParams.for_testing(num_hsms=4, cluster_size=3)
         deployment = Deployment.create(params, rng=random.Random(32))
         client = deployment.new_client("slot-comb-user")
@@ -886,11 +887,14 @@ class TestNothingKeyedByAScalarOutlivesItsCall:
 
         rng = random.Random(0x5EC)
         secret, other = rng.randrange(1, N), rng.randrange(1, N)
-        ephemeral = G * rng.randrange(1, N)
+        ephemeral_key = rng.randrange(1, N)
+        ephemeral = G * ephemeral_key  # a key nothing provisioned
+        signature = P256.ecdsa_sign(ephemeral_key, b"one-off")
         twin, third = (ECPoint(ephemeral.x, ephemeral.y) for _ in range(2))
         signer = precomputed(G * rng.randrange(1, N))
-        slot = G * rng.randrange(1, N)  # no table yet: its comb is built under the secret
-        assert ephemeral._wtab is None and slot._wtab is None and slot._comb is None
+        slot = G * rng.randrange(1, N)  # no comb yet: it is built under the secret
+        assert slot._comb is None
+        ephemeral_before = [getattr(ephemeral, name) for name in ECPoint.__slots__]
         gc.collect()
         module_before = _reachable_values(vars(ec_module))
 
@@ -899,13 +903,16 @@ class TestNothingKeyedByAScalarOutlivesItsCall:
         (each,) = mult_each([third], secret)
         (slot_shared,) = mult_each([slot], secret)
         summed = multi_mult([(secret, G), (secret, signer), (secret, slot)])
+        one_off_sum = multi_mult([(secret, ephemeral), (other, G)])
+        assert P256.ecdsa_verify(ephemeral, b"one-off", signature)
         assert each == shared
 
-        # The only state a multiply leaves is the point's window table or a
-        # slot key's comb, and it is the same table whatever the scalar was
-        # — the comb built during a multiply by the secret included.
-        assert ephemeral._wtab == twin._wtab and ephemeral._comb is None
-        assert signer._wtab is None and third._wtab is None and slot._wtab is None
+        # The only state a multiply leaves is a slot key's comb, and it is
+        # the same comb whatever the scalar was — the one built during a
+        # multiply by the secret included.  ``P * s``, a Straus sum and a
+        # verification leave every slot of a comb-less point as it was.
+        assert [getattr(ephemeral, name) for name in ECPoint.__slots__] == ephemeral_before
+        assert twin._comb is None
         for point in (third, slot):
             assert ec_module._build_comb([(point.x, point.y)], teeth=SLOT_TEETH) == [point._comb]
             assert len(point._comb[0]) == 1 << (SLOT_TEETH - 1)  # the signed 16-entry comb
@@ -915,10 +922,12 @@ class TestNothingKeyedByAScalarOutlivesItsCall:
         assert len(signer._comb[0]) == 1 << (TEETH - 1)
         gc.collect()
         assert _reachable_values(vars(ec_module)) == module_before
-        derived = {secret, shared.x, shared.y, summed.x, summed.y, slot_shared.x, slot_shared.y}
+        derived = {
+            secret, shared.x, shared.y, summed.x, summed.y, slot_shared.x, slot_shared.y,
+            one_off_sum.x, one_off_sum.y,
+        }
         for point in (ephemeral, third, signer, slot, G):
-            assert not derived & _reachable_values([point._wtab, point._comb])
-
+            assert not derived & _reachable_values([point._comb])
 
     def test_a_lock_step_batch_leaves_no_trace(self):
         from test_symmetric_fastpath import _reachable_values
@@ -1105,6 +1114,6 @@ class TestMeteringInvariance:
         point = G * 7
         with metered() as meter:
             _ = G * 12345          # fixed-base comb path
-            _ = point * 54321      # cached-window path
+            _ = point * 54321      # window-ladder path
             _ = naive_mult(point, 99)  # baseline path
         assert meter.counts["ec_mult"] == 3

@@ -1,6 +1,6 @@
 """GF(p) on plain ints: batch inversion, Horner evaluation and the Lagrange
-weights at zero — and the bytes Shamir, the threshold dealer and LHE make
-with them, pinned to what the operator-overloaded field made."""
+weights at zero — and the bytes Shamir and LHE make with them, pinned to
+what the operator-overloaded field made."""
 
 import hashlib
 import random
@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from repro.chaos.entropy import DeterministicEntropy
 from repro.core.lhe import BfePke, ElGamalPke, LocationHidingEncryption
 from repro.crypto import field as field_module
-from repro.crypto import threshold
 from repro.crypto.bfe import BloomFilterEncryption
 from repro.crypto.bloom import BloomParams
 from repro.crypto.elgamal import HashedElGamal
@@ -125,7 +124,6 @@ class TestByteIdentity:
     SMALL_VALUES = [95, 28, 4, 18, 93, 53, 38, 1, 52, 54]
     P256_DIGEST = "4f93a1accd34ad7056aa1d06b808b24a6c5d53333ffa93ca0905906006eb4d34"
     SHAMIR_DIGEST = "f48dc214d17313e013d4af65d6b6088c87aa00113db6e380e85341828a84b784"
-    THRESHOLD_DIGEST = "9360cbd75fb5ffd16b6b06ad0dd8c2a229050dc7b3c4ab5e2ed619e45086cc09"
     LHE_DIGEST = "8aec4457f8cd60378a5c9e05027719c9d6a11ef1a0ef7dd51df100f0dbe0021e"
 
     def test_lagrange_matches_the_field_class(self):
@@ -145,18 +143,6 @@ class TestByteIdentity:
                     for share in ShamirSharer(t, n).share(bytes(range(t, t + 16)), rng=rng):
                         digest.update(SHARE.encode(share))
         assert digest.hexdigest() == self.SHAMIR_DIGEST
-
-    def test_threshold_keygen(self):
-        digest = hashlib.sha256()
-        with DeterministicEntropy(28):
-            for t, n in ((1, 1), (2, 4), (3, 7)):
-                for rng in (None, random.Random(t * 10 + n)):
-                    public, shares = threshold.keygen(t, n, rng=rng)
-                    digest.update(public.point.to_bytes())
-                    for share in shares:
-                        digest.update(share.index.to_bytes(4, "big"))
-                        digest.update(share.scalar.to_bytes(32, "big"))
-        assert digest.hexdigest() == self.THRESHOLD_DIGEST
 
     def test_lhe_ciphertexts(self):
         digest = hashlib.sha256()

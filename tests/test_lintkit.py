@@ -623,6 +623,59 @@ def test_no_reach_into_another_stores_dict_in_src():
     assert offenders == []
 
 
+def test_every_src_module_is_reached_from_an_entry_point():
+    """Code that nothing runs goes: every module under ``src/repro`` must be
+    in the static import closure of the entry points — ``repro.cli``,
+    ``benchmarks/``, ``examples/`` and ``scripts/`` — following ``repro``
+    imports (all absolute in this repo) and the helper files the entry
+    points import by bare name (``_harness``, ``reference_comb`` ...).
+    The one exemption is ``repro.adversary.games``: Appendix A's
+    Experiments 2 and 4, which only tests run."""
+    import ast
+
+    exempt = {"repro.adversary.games"}
+    src = REPO_ROOT / "src"
+    modules = {}
+    for path in (src / "repro").rglob("*.py"):
+        parts = path.relative_to(src).with_suffix("").parts
+        modules[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    helpers = {
+        path.stem: path
+        for directory in ("benchmarks", "benchmarks/e2e", "scripts", "examples", "tests")
+        for path in (REPO_ROOT / directory).glob("*.py")
+    }
+
+    def imported(path):
+        """Every dotted name an import in ``path`` may load."""
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                yield node.module
+                yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+    roots = [modules["repro.cli"]] + [
+        path
+        for directory in ("benchmarks", "examples", "scripts")
+        for path in sorted((REPO_ROOT / directory).rglob("*.py"))
+    ]
+    reached, seen, queue = {"repro.cli"}, set(), list(roots)
+    while queue:
+        path = queue.pop()
+        if path in seen:
+            continue
+        seen.add(path)
+        for target in imported(path):
+            if target in modules:
+                parts = target.split(".")
+                for depth in range(1, len(parts) + 1):  # a submodule runs its packages too
+                    reached.add(".".join(parts[:depth]))
+                    queue.append(modules[".".join(parts[:depth])])
+            elif target in helpers:
+                queue.append(helpers[target])
+    assert sorted(set(modules) - reached - exempt) == []
+
+
 def test_no_getattr_passthrough_in_service():
     """The objects on the service's boundaries enumerate what crosses them
     (``wire.PROVIDER_OPS``, ``_EPOCH_METHODS`` + ``_DIRECT_NAMES``): nothing

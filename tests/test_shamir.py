@@ -1,10 +1,18 @@
 """Shamir secret sharing: reconstruction identities and failure modes."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.codec import WireFormatError
-from repro.crypto.shamir import SHARE, Share, ShamirSharer
+from repro.crypto.ec import N, P256, multi_mult, naive_mult
+from repro.crypto.field import lagrange_at_zero
+from repro.crypto.shamir import DEFAULT_MODULUS, SHARE, Share, ShamirSharer
+from repro.metering import metered
+
+G = P256.generator
 
 
 class TestSharing:
@@ -95,6 +103,86 @@ class TestRobustReconstruction:
         bad = [Share(x=s.x, y=s.y ^ 1) for s in shares]
         with pytest.raises(ValueError):
             sharer.reconstruct_robust(bad, lambda c: False, max_attempts=8)
+
+
+class TestOverTheCurveOrder:
+    """The default field is the P-256 group order, so a share set of a
+    secret *scalar* ``x`` also recombines in the exponent: the Lagrange
+    weights of any ``t`` shares take the points ``B·x_i`` to ``B·x`` in one
+    Straus sum.  That is the algebra of the fleet-wide threshold design
+    ``bench_fig11_cluster_size.py`` prices (one ``B·x_i`` per participating
+    HSM per recovery); these tests pin it on the code that stays."""
+
+    T, SHARES = 3, 5
+
+    @pytest.fixture(scope="class")
+    def dealt(self):
+        rng = random.Random(37)
+        secret = rng.randrange(1, N)
+        shares = ShamirSharer(self.T, self.SHARES).share(secret.to_bytes(32, "big"), rng=rng)
+        return secret, shares
+
+    @staticmethod
+    def recombine(shares, base):
+        weights = lagrange_at_zero([s.x for s in shares], N)
+        return multi_mult([(w, base * s.y) for w, s in zip(weights, shares)])
+
+    def test_the_default_field_is_the_curve_order(self):
+        assert DEFAULT_MODULUS == N
+        assert ShamirSharer(2, 3).modulus == N
+
+    def test_a_full_width_scalar_embeds_and_reconstructs(self):
+        sharer = ShamirSharer(2, 3)
+        top = (N - 1).to_bytes(32, "big")
+        assert sharer.reconstruct(sharer.share(top)[1:], secret_length=32) == top
+        with pytest.raises(ValueError):
+            sharer.share(N.to_bytes(32, "big"))
+
+    def test_every_threshold_subset_recombines_the_public_key(self, dealt):
+        secret, shares = dealt
+        public = G * secret
+        for subset in itertools.combinations(shares, self.T):
+            assert self.recombine(subset, G) == public
+
+    def test_more_than_threshold_shares_recombine_to_the_same_point(self, dealt):
+        secret, shares = dealt
+        assert self.recombine(shares, G) == G * secret
+        assert self.recombine(shares[1:], G) == G * secret
+
+    def test_partials_of_a_one_off_point_recombine(self, dealt):
+        secret, shares = dealt
+        ephemeral = G * random.Random(41).randrange(1, N)
+        expected = naive_mult(ephemeral, secret)
+        assert self.recombine(shares[2:], ephemeral) == expected
+        assert self.recombine(shares[::2], ephemeral) == expected
+
+    def test_below_threshold_recombination_misses(self, dealt):
+        secret, shares = dealt
+        for subset in itertools.combinations(shares, self.T - 1):
+            assert self.recombine(subset, G) != G * secret
+
+    def test_a_corrupt_partial_moves_the_recombined_point(self, dealt):
+        secret, shares = dealt
+        subset = shares[: self.T]
+        weights = lagrange_at_zero([s.x for s in subset], N)
+        partials = [G * s.y for s in subset]
+        partials[0] = partials[0] + partials[0]
+        assert multi_mult(list(zip(weights, partials))) != G * secret
+
+    def test_recombination_meters_one_ec_mult_per_share(self):
+        """The rejected design's cost shape: the work of one recovery grows
+        with the number of shares that take part."""
+        rng = random.Random(43)
+
+        def mults_for(t):
+            shares = ShamirSharer(t, t).share(rng.randrange(1, N).to_bytes(32, "big"), rng=rng)
+            partials = [(w, G * s.y) for w, s in zip(lagrange_at_zero([s.x for s in shares], N), shares)]
+            with metered() as meter:
+                multi_mult(partials)
+            return meter.counts["ec_mult"]
+
+        assert mults_for(2) == 2
+        assert mults_for(8) == 8
 
 
 @given(
