@@ -99,7 +99,6 @@ _SLOW_METHODS = (
     "audit_log_update",
     "audit_specific_chunks",
     "accept_log_digest",
-    "accept_certified_transition",
 )
 
 

@@ -189,10 +189,21 @@ SCENARIOS: Dict[str, Scenario] = _catalog(
         adversary_at=(0.30, 0.60),
         device_loss=((0.45, 1, 0.0),),
     ),
+    Scenario(
+        name="gc_under_device_loss",
+        description=(
+            "Two devices are down across a log GC and return after it; later"
+            " rounds must keep certifying while they sit in the old generation."
+        ),
+        device_loss=((0.40, 2, 0.25),),
+        gc_at=(0.55,),
+    ),
 )
 
-#: The CI fast lane runs these two (in .quick() form).
-QUICK_SCENARIOS: Tuple[str, ...] = ("baseline_diurnal", "device_loss_wave")
+#: The CI fast lane runs these (in .quick() form).
+QUICK_SCENARIOS: Tuple[str, ...] = (
+    "baseline_diurnal", "device_loss_wave", "gc_under_device_loss"
+)
 
 #: The deliberately-violating demo scenario (excluded from SCENARIOS).
 DEMO_SCENARIO = Scenario(

@@ -115,10 +115,10 @@ class HsmDevice:
     """One hardware security module in the fleet."""
 
     #: Lock contract, checked by `repro.lintkit`'s lock-discipline pass:
-    #: the foreign-transition inbox is the only cross-thread state (epoch
-    #: lanes push offers while this device's worker drains them).
+    #: the offer queue is the only cross-thread state (epoch lanes push
+    #: offers while this device's worker drains them).
     _GUARDED_BY = {
-        "_pending_foreign": "_offer_lock",
+        "_offers": "_offer_lock",
     }
 
     def __init__(
@@ -150,12 +150,11 @@ class HsmDevice:
         # at provisioning: it is bound into every signed transition, and
         # write-once relies on identifier->shard routing never changing.
         self._shard_digests = [empty_digest()] * max(1, self.log_config.num_shards)
-        # Quorum-signed transitions for *foreign* shards (lanes whose
-        # committee this device is not on), offered by the provider and
-        # verified lazily on first use — see offer_certified_transition.
-        # The lock makes offers a cheap cross-thread push (epoch lanes
-        # enqueue directly; this device's worker drains at sync time).
-        self._pending_foreign: Dict[int, List] = {}
+        # Quorum-signed transitions this device missed, per shard lane,
+        # offered by the provider and verified lazily on first use (see
+        # offer_certified_transition); the lock makes an offer a cheap
+        # cross-thread push that this device's worker drains at sync time.
+        self._offers: Dict[int, List] = {}
         self._offer_lock = threading.Lock()
         # Incremental cross-shard root over _shard_digests: adopting one
         # lane's transition re-anchors in O(log S) hashes instead of the
@@ -213,10 +212,10 @@ class HsmDevice:
         per-shard digests (the one digest itself when unsharded) — the
         same value ``ShardedLog.digest`` publishes once every lane has
         committed.  Reading the anchor first verifies and applies any
-        offered foreign transitions (a trust-critical read must be current).
+        offered transitions (a trust-critical read must be current).
         """
         with self._offer_lock:
-            pending = sorted(self._pending_foreign)
+            pending = sorted(self._offers)
         if pending:
             with self.meter.attached():
                 for shard in pending:
@@ -254,6 +253,9 @@ class HsmDevice:
         self._check_alive()
         with self.meter.attached():
             shard = self._lane_of(round_)
+            if round_.num_chunks < 1:  # no audit set: nothing would be checked
+                raise LogUpdateRejected(f"HSM {self.index}: round has no chunks")
+            self._sync_shard(shard)
             if round_.old_digest != self._shard_digests[shard]:
                 raise LogUpdateRejected(
                     f"HSM {self.index}: update does not build on my digest"
@@ -322,12 +324,6 @@ class HsmDevice:
         with self.meter.attached():
             self._apply_transition(round_, aggregate, signer_ids)
 
-    def accept_certified_transition(self, transition) -> None:
-        """Catch-up path: replay a quorum-signed transition after downtime."""
-        self._check_alive()
-        with self.meter.attached():
-            self._apply_transition(transition, transition.aggregate, transition.signer_ids)
-
     def committee_for(self, shard: int) -> List[int]:
         """The shard's certifying committee: directory indices ≡ shard (mod S).
 
@@ -373,17 +369,20 @@ class HsmDevice:
             raise LogUpdateRejected(f"HSM {self.index}: aggregate signature invalid")
         self._shard_digests[shard] = step.new_digest
 
-    # -- lazy adoption of foreign shard lanes ---------------------------------------
+    # -- lazy adoption of missed transitions -----------------------------------------
     def offer_certified_transition(self, transition) -> None:
-        """Queue a foreign shard's quorum-signed transition for lazy adoption.
+        """Queue a quorum-signed transition this device missed, for lazy
+        adoption.
 
-        Devices off a shard's committee do not audit that shard's epochs;
-        the provider *offers* them each certified transition instead.  The
-        offer itself is unverified (a cheap thread-safe enqueue, so the
+        Devices off a shard's committee do not audit that shard's epochs,
+        and a committee device that was down missed the epochs run without
+        it; the provider *offers* them each certified transition instead —
+        the only way a device learns a transition it did not accept live.
+        The offer itself is unverified (a cheap thread-safe enqueue, so the
         epoch's wall clock never pays N aggregate verifications); the
-        device verifies the chain on first use — a decrypt anchored to that
-        shard, or a read of :attr:`log_digest` — charging its own meter
-        then.  A bogus offer can only cost the device one failed
+        device verifies the chain on first use — an audit or a decrypt on
+        that shard, or a read of :attr:`log_digest` — charging its own
+        meter then.  A bogus offer can only cost the device one failed
         verification: adoption requires the committee quorum's signature,
         so safety never rests on the offer queue.  If the queue overflows,
         newest offers are shed; the provider re-offers the missing suffix
@@ -393,17 +392,17 @@ class HsmDevice:
         if self.is_failed:
             return
         with self._offer_lock:
-            queue = self._pending_foreign.setdefault(transition.shard, [])
+            queue = self._offers.setdefault(transition.shard, [])
             if len(queue) < 4096:  # bound provider-driven memory
                 queue.append(transition)
 
     def offered_frontier(self, shard: int) -> bytes:
-        """Where this device's view of a foreign shard will be after a sync:
+        """Where this device's view of a shard will be after a sync:
         the last queued offer's end digest, or the adopted digest if the
         queue is empty.  The provider reads this (cheap, no crypto) to
         offer exactly the chain suffix the device is missing."""
         with self._offer_lock:
-            queue = self._pending_foreign.get(shard)
+            queue = self._offers.get(shard)
             if queue:
                 return queue[-1].new_digest
         return self._shard_digests[shard]
@@ -420,9 +419,9 @@ class HsmDevice:
         """
         while True:
             with self._offer_lock:
-                queue = self._pending_foreign.get(shard)
+                queue = self._offers.get(shard)
                 if not queue:
-                    self._pending_foreign.pop(shard, None)
+                    self._offers.pop(shard, None)
                     return
                 transition = queue.pop(0)
             if transition.old_digest != self._shard_digests[shard]:
@@ -472,10 +471,10 @@ class HsmDevice:
                 raise HsmRefusedError(
                     f"HSM {self.index}: identifier does not route to shard {shard}"
                 )
-            # Off-committee lanes are adopted lazily: verify any offered
+            # Missed transitions are adopted lazily: verify any offered
             # quorum-signed transitions for this shard before judging the
             # proof against it.
-            if shard in self._pending_foreign:
+            if shard in self._offers:
                 try:
                     self._sync_shard(shard)
                 except LogUpdateRejected as exc:
@@ -571,7 +570,7 @@ class HsmDevice:
         self.garbage_collections_seen += 1
         self._shard_digests = [empty_digest()] * len(self._shard_digests)
         with self._offer_lock:
-            self._pending_foreign = {}
+            self._offers = {}
 
     # -- compromise (tests only) --------------------------------------------------------------
     def extract_secrets(self) -> StolenSecrets:

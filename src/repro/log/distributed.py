@@ -460,10 +460,10 @@ class DistributedLog:
         """Drive a full epoch against the fleet; restart on fail-stops.
 
         ``hsms`` are duck-typed (see ``repro.hsm.device.HsmDevice``): each
-        must offer ``index``, ``is_failed``, ``shard_digest(k)``, and the
-        four epoch methods
-        ``audit_log_update``, ``audit_specific_chunks``,
-        ``accept_log_digest`` and ``accept_certified_transition``.
+        must offer ``index``, ``is_failed``, ``offered_frontier(k)``,
+        ``offer_certified_transition`` and the three epoch methods
+        ``audit_log_update``, ``audit_specific_chunks`` and
+        ``accept_log_digest``.
 
         The epoch is transactional: if certification fails (no quorum, bad
         chunk), the provider rolls its state back to ``d``.  Without the
@@ -517,12 +517,12 @@ class DistributedLog:
 
     def certify_round(self, round_: UpdateRound, hsms: Sequence) -> None:
         """Collect audits + signatures for an already-prepared round."""
-        online = [h for h in hsms if not h.is_failed]
-        # HSMs that rejoined after missing rounds first replay the chain of
-        # certified transitions from their stale digest to the current one.
-        for hsm in online:
-            if hsm.shard_digest(self.shard_index) != round_.old_digest:
-                self.catch_up(hsm)
+        # A device that missed rounds is offered the certified run past its
+        # frontier; one the run cannot bring to d (it was down through a
+        # GC) sits the round out like a fail-stopped one.
+        online = [
+            h for h in hsms if not h.is_failed and self.offer_missing(h, round_.old_digest)
+        ]
         signatures = []
         signer_ids = []
         survivors = []
@@ -557,17 +557,17 @@ class DistributedLog:
         # Record the certified transition *before* fanning out acceptance:
         # once a quorum has signed, the transition is certified regardless
         # of who hears about it, and any device that misses the accept
-        # (fail-stop below, or downtime) replays it from this chain via
-        # ``catch_up`` — without it, one mid-loop failure would strand the
-        # early acceptors on d' forever.
+        # (fail-stop below, or downtime) is offered it from this chain by
+        # a later epoch — without it, one mid-loop failure would strand
+        # the early acceptors on d' forever.
         transition = round_.certified(aggregate, signer_ids)
         self.certified_transitions.append(transition)
         # Durability: the commit record (with the quorum aggregate) lands
         # *before* any device accepts d'.  An intent left open by a crash
         # therefore proves no device moved — restart can roll it back
         # without consulting signatures — and every committed transition is
-        # replayable with its aggregate intact, so restored logs can serve
-        # catch_up / cross-lane healing to devices that missed the fan-out.
+        # replayable with its aggregate intact, so restored logs can offer
+        # it to devices that missed the fan-out.
         if self.journal is not None and self._journal_intent is not None:
             self.journal.record_commit(self.shard_index, self._journal_intent, transition)
             self._journal_committed = True
@@ -577,7 +577,7 @@ class DistributedLog:
                     hsm.accept_log_digest(round_, aggregate, transition.signer_ids)
                 except Exception:
                     if getattr(hsm, "is_failed", False):
-                        continue  # fail-stopped mid-accept: catches up later
+                        continue  # fail-stopped mid-accept: offered d' later
                     raise
         except Exception:
             # A genuine rejection (every device checks the same aggregate
@@ -610,28 +610,29 @@ class DistributedLog:
             hsm.audit_specific_chunks(round_, [chunk_index])
 
     def chain_after(self, digest: bytes) -> List[CertifiedTransition]:
-        """The certified chain's suffix from the *latest* transition that
+        """The contiguous certified run from the *latest* transition that
         starts at ``digest`` (empty if none does, or ``digest`` is the tip).
-
         Latest, because every garbage collection restarts the chain at the
-        empty digest: a device sitting there after a GC must be fed the
-        newest generation, never the archived one.
+        empty digest; contiguous, because the run then stops at that break,
+        so a device that was down through a GC stays in the old generation.
         """
         chain = self.certified_transitions
         if chain and chain[-1].new_digest == digest:
             return []  # already current: no scan for the common case
-        for position in range(len(chain) - 1, -1, -1):
-            if chain[position].old_digest == digest:
-                return chain[position:]
+        for start in range(len(chain) - 1, -1, -1):
+            if chain[start].old_digest == digest:
+                end = start + 1
+                while end < len(chain) and chain[end].old_digest == chain[end - 1].new_digest:
+                    end += 1
+                return chain[start:end]
         return []
 
-    def catch_up(self, hsm) -> None:
-        """Replay quorum-signed digest transitions to a lagging HSM.
-
-        A rejoining HSM never trusts the provider's word for the current
-        digest: it verifies each transition's aggregate signature, exactly
-        as it would have live.  If nothing in the chain starts at its
-        digest, nothing is replayed and the HSM will reject the round.
-        """
-        for transition in self.chain_after(hsm.shard_digest(self.shard_index)):
-            hsm.accept_certified_transition(transition)
+    def offer_missing(self, hsm, target: bytes) -> bool:
+        """Offer ``hsm`` the certified run past its offered frontier on this
+        lane unless the frontier is ``target``; whether it then is."""
+        frontier = hsm.offered_frontier(self.shard_index)
+        if frontier != target:
+            for transition in self.chain_after(frontier):
+                hsm.offer_certified_transition(transition)
+            frontier = hsm.offered_frontier(self.shard_index)
+        return frontier == target

@@ -11,13 +11,14 @@ own *committee* (the ``N/S`` devices with ``index ≡ shard (mod S)``), and
 shard epochs never contend with each other: committees are disjoint, so
 ``S`` lanes drive disjoint device sets in parallel (see
 ``repro.service.batcher.EpochBatcher``), and each device verifies
-aggregates of ``N/S`` signatures instead of ``N``.  Devices off a shard's
-committee adopt its quorum-signed transitions *lazily*
-(``HsmDevice.offer_certified_transition``), keeping the epoch's critical
-path free of fleet-wide fan-out.  This is the partitioning move of
-datacenter-scale designs (XOS-style state sharding): independent lanes,
-deterministic placement, and a thin combining layer.  ``S = 1`` is the
-paper's single chain: its root is the lane digest, its proof the plain one.
+aggregates of ``N/S`` signatures instead of ``N``.  A device adopts the
+transitions it did not accept live (off its committee, or while it was
+down) *lazily* (``HsmDevice.offer_certified_transition``), keeping the
+epoch's critical path free of fleet-wide fan-out.  This is the
+partitioning move of datacenter-scale designs (XOS-style state
+sharding): independent lanes, deterministic placement, and a thin
+combining layer.  ``S = 1`` is the paper's single chain: its root is the
+lane digest, its proof the plain one.
 
 Auditors and proofs still anchor to **one value**: the *cross-shard root*,
 a Merkle root over the ordered shard digests
@@ -306,11 +307,6 @@ class ShardedLog:
         """Total shard epochs committed (observability; lanes count singly)."""
         return sum(s.epoch for s in self.shards)
 
-    @property
-    def certified_transitions(self):
-        """Every shard's quorum-signed chain, shard-major."""
-        return [t for shard in self.shards for t in shard.certified_transitions]
-
     def shard_entries(self) -> List[List[Tuple[bytes, bytes]]]:
         """Per-shard ordered entry lists (what a sharded audit replays)."""
         return [list(shard.ordered_entries) for shard in self.shards]
@@ -362,19 +358,19 @@ class ShardedLog:
         re-queues its insertions; sibling lanes are untouched.  After the
         committee certifies, each off-committee device is *offered* (cheap,
         unverified, lock-guarded enqueue — no FIFO round-trip, no crypto)
-        the chain suffix past its ``offered_frontier``, so a device that
-        shed offers (queue overflow, dropped forgery) is re-fed the missing
-        transitions next epoch instead of being stranded; devices verify
-        the quorum signature lazily on first use.  Safe to call
-        concurrently for distinct shards: committees are disjoint, and the
-        offer queue is the device's only cross-lane state.
+        the chain suffix past its ``offered_frontier`` (``offer_missing``,
+        as committee laggards are), so a device that shed offers (queue
+        overflow, dropped forgery) is re-fed the missing transitions next
+        epoch instead of being stranded; devices verify the quorum
+        signature lazily on first use.  Safe to call concurrently for
+        distinct shards: committees are disjoint, and the offer queue is
+        the device's only cross-lane state.
         """
         shard = self.shards[shard_index]
         shard.run_update(self.committee(shard_index, hsms))
         for hsm in hsms:
             if not on_committee(hsm.index, shard_index, self.num_shards):
-                for transition in shard.chain_after(hsm.offered_frontier(shard_index)):
-                    hsm.offer_certified_transition(transition)
+                shard.offer_missing(hsm, shard.digest)
 
     def run_update(self, hsms: Sequence) -> None:
         """Run every shard with queued work, one lane at a time.

@@ -65,26 +65,17 @@ from repro.service.workers import HsmWorkerPool, queued_channels
 #: Device methods of the Figure 5 epoch protocol that mutate or read
 #: device state and therefore must serialize with decrypt-share traffic.
 _EPOCH_METHODS = frozenset(
-    (
-        "audit_log_update",
-        "audit_specific_chunks",
-        "accept_log_digest",
-        "accept_certified_transition",
-        "accept_garbage_collection",
-    )
+    ("audit_log_update", "audit_specific_chunks", "accept_log_digest")
 )
 
 #: What else a lane epoch asks of a device, answered on the calling thread
-#: as it always was: who it is, whether it is up, where its digests stand
-#: (reads), and the cross-shard offer queue (guarded by the device's own
-#: ``_offer_lock``).  With :data:`_EPOCH_METHODS` this is the whole device
-#: surface the service hands to the log.
+#: as it always was: who it is, whether it is up, and its offer queue —
+#: where its offered chain ends, and the enqueue that feeds it the
+#: transitions it missed (guarded by the device's own ``_offer_lock``).
+#: With :data:`_EPOCH_METHODS` this is the whole device surface the service
+#: hands to the log.
 _DIRECT_NAMES = (
-    "index",
-    "is_failed",
-    "shard_digest",
-    "offered_frontier",
-    "offer_certified_transition",
+    "index", "is_failed", "offered_frontier", "offer_certified_transition"
 )
 
 

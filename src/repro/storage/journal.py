@@ -90,8 +90,8 @@ def encode_aggregate_auto(aggregate: object) -> Tuple[Optional[str], Optional[by
     Anything that is not a tuple of ``(r, s)`` pairs — an adversarial
     provider can journal a garbage aggregate before the devices reject it —
     gives ``(None, None)``: the commit is still durable, only the
-    replayable signature material is dropped, so a restored log can serve
-    ``catch_up`` for every *decodable* transition.
+    replayable signature material is dropped, so a restored log can offer
+    every *decodable* transition to devices that missed it.
     """
     if isinstance(aggregate, tuple) and all(
         isinstance(sig, tuple) and len(sig) == 2 for sig in aggregate

@@ -223,6 +223,14 @@ class TestEngineBehaviour:
         assert report.counters.get("recovered", 0) == 0
         assert report.counters.get("modeled-dropped", 0) > 0
 
+    def test_devices_down_through_a_gc_do_not_stall_the_log(self):
+        """Two devices miss the GC and come back in the collected
+        generation: later epochs certify without them instead of raising."""
+        report = run_scenario(SCENARIOS["gc_under_device_loss"], 7, quick=True)
+        assert report.violations == []
+        assert report.counters.get("garbage-collections") == 1
+        assert report.counters.get("recovered", 0) > 0
+
     def test_mid_epoch_crash_restores_and_keeps_serving(self):
         report = run_scenario(SCENARIOS["kill_mid_epoch"], 7, quick=True)
         assert report.ok

@@ -195,6 +195,21 @@ class TestTamperDetection:
                 rejected += 1
         assert rejected == len(fleet.online())  # single chunk: all audit it
 
+    @pytest.mark.parametrize("num_chunks", [0, -1])
+    def test_round_without_chunks_is_refused(self, fleet, log, num_chunks):
+        """A round that claims no chunks gives every device an empty audit
+        set: unrefused, it would get any d' signed and adopted."""
+        log.insert(b"nc", b"h")
+        round_ = log.prepare_update(num_chunks=1)
+        bad = dataclasses.replace(
+            round_, new_digest=b"\x00" * 32, num_chunks=num_chunks, chunks=[]
+        )
+        before = [hsm.shard_digest(0) for hsm in fleet]
+        for hsm in fleet.online():
+            with pytest.raises(LogUpdateRejected, match="no chunks"):
+                hsm.audit_log_update(bad)
+        assert [hsm.shard_digest(0) for hsm in fleet] == before
+
     def test_bad_aggregate_signature_rejected(self, fleet, log):
         log.insert(b"z", b"h")
         round_ = log.prepare_update(num_chunks=1)
@@ -341,10 +356,11 @@ class TestMalformedAggregate:
             genuine,
             aggregate=self.SHAPES[shape](tuple(genuine.aggregate), genuine.message()),
         )
+        laggard.offer_certified_transition(forged)
         with pytest.raises(LogUpdateRejected):
-            laggard.accept_certified_transition(forged)
+            laggard.log_digest
         assert laggard.log_digest == stale
-        laggard.accept_certified_transition(genuine)
+        laggard.offer_certified_transition(genuine)
         assert laggard.log_digest == log.digest
 
     def test_malformed_item_meters_like_a_range_check_failure(self):

@@ -97,6 +97,25 @@ class TestGarbageCollection:
         with pytest.raises(HsmRefusedError):
             dep.garbage_collect_log()
 
+    def test_device_down_through_a_gc_does_not_stall_the_log(self):
+        """A device that misses an epoch and then the GC after it is left
+        in the collected generation: the certified chain cannot bring it to
+        the new generation's digest, so it sits every round out instead of
+        failing each epoch, and recoveries keep logging their attempts."""
+        params = SystemParams.for_testing(num_hsms=8, cluster_size=4)
+        dep = Deployment.create(params, rng=random.Random(23))
+        client = dep.new_client("gc-downtime")
+        client.backup(b"before", pin="2468")
+        dep.fleet[3].fail_stop()
+        client.recover(pin="2468")  # an epoch HSM 3 misses
+        dep.garbage_collect_log()
+        dep.fleet[3].restart()
+        for secret in (b"after-1", b"after-2"):
+            client.backup(secret, pin="2468")  # a recovery punctures its backup
+            assert client.recover(pin="2468") == secret
+        assert dep.provider.log.digest == dep.fleet[0].log_digest
+        assert dep.fleet[3].log_digest != dep.provider.log.digest
+
     @pytest.mark.parametrize("shards", [None, 2])
     def test_refused_gc_archives_and_resets_nothing(self, shards):
         """A GC the devices refuse leaves the log as it was: no archive, no

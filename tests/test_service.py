@@ -391,12 +391,19 @@ class TestRecoveryService:
         device = service_deployment.fleet[0]
         fifo = service._epoch_fleet[0]
         assert fifo.index == 0 and fifo.is_failed is False
-        assert fifo.shard_digest(0) == device.shard_digest(0)
         for name in ("decrypt_share", "extract_secrets", "rotate_keys", "log_digest",
-                     "fail_stop", "public_info", "install_signer_directory"):
+                     "fail_stop", "public_info", "install_signer_directory",
+                     "accept_garbage_collection", "shard_digest"):
             assert hasattr(device, name), name  # real device surface...
             with pytest.raises(AttributeError):
                 getattr(fifo, name)  # ...not reachable through the view
+        # A missed transition reaches a device only as an offer.
+        with pytest.raises(AttributeError):
+            getattr(fifo, "accept_certified_transition")
+        assert {n for n in dir(type(fifo)) if not n.startswith("_")} == {
+            "audit_log_update", "audit_specific_chunks", "accept_log_digest",
+            "index", "is_failed", "offered_frontier", "offer_certified_transition",
+        }
         # The signature scheme is not device state.
         assert not hasattr(device, "multisig_scheme")
         assert not hasattr(fifo, "multisig_scheme")

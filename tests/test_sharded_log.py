@@ -572,8 +572,9 @@ class TestCommitteeCertification:
         )
         # Two valid fleet signatures — a fleet-wide count would accept them
         # (0.75 * committee of 2 -> 1.5), but neither signer is on committee 0.
+        victim.offer_certified_transition(forged)
         with pytest.raises(LogUpdateRejected, match="committee"):
-            victim.accept_certified_transition(forged)
+            victim.log_digest
         assert victim.shard_digest(0) == old
 
     def test_shed_offers_heal_next_epoch(self):
@@ -591,7 +592,7 @@ class TestCommitteeCertification:
         # Simulate shed offers: wipe this shard's queue (genesis + first
         # epoch) before the device ever synced it.
         with foreign._offer_lock:
-            foreign._pending_foreign.pop(shard, None)
+            foreign._offers.pop(shard, None)
         # Next epoch on the same shard offers the full missing suffix.
         second = next(
             b"rec|heal-%d|0" % i
@@ -623,8 +624,11 @@ class TestCommitteeCertification:
             small_params(), rng=random.Random(103), shards=SHARDS
         )  # same seed: same keys, same pre-epoch digests
         victim = lagging.fleet[int(genuine.signer_ids[0])]
+        old = victim.shard_digest(shard)
+        victim.offer_certified_transition(unders)
         with pytest.raises(LogUpdateRejected, match="signers"):
-            victim.accept_certified_transition(unders)
+            victim.log_digest
+        assert victim.shard_digest(shard) == old
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +668,7 @@ class TestShardedGarbageCollection:
         log.insert(same_lane[2], b"h")
         log.run_shard_update(1, dep.fleet.hsms)
         with foreign._offer_lock:
-            offered = list(foreign._pending_foreign[1])
+            offered = list(foreign._offers[1])
         assert offered == log.shards[1].certified_transitions[-1:]
         assert foreign.log_digest == log.digest
 
