@@ -49,14 +49,14 @@ def membership_demo(deployment: Deployment) -> None:
     print("initial fleet verified against the logged membership history")
 
     hsm = deployment.fleet[2]
-    info = hsm.rotate_keys(deployment.provider.storage_for_hsm(2))
+    info = hsm.rotate_keys()
     deployment.membership.record_rotation(info)
     deployment.run_log_update()
     deployment.verify_published_keys()
     print("logged key rotation for HSM 2: still verifies")
 
     rogue = deployment.fleet[5]
-    rogue.rotate_keys(deployment.provider.storage_for_hsm(5))  # NOT logged
+    rogue.rotate_keys()  # NOT logged
     try:
         deployment.verify_published_keys()
         print("!! silent key substitution went unnoticed")

@@ -25,12 +25,11 @@ Quickstart::
 
     from repro import SystemParams, Deployment
 
-    params = SystemParams.for_testing(num_hsms=16, cluster_size=4)
+    params = SystemParams.for_testing(num_hsms=8, cluster_size=3)
     dep = Deployment.create(params)
-    client = dep.new_client("alice", pin="123456")
-    ct = client.backup(b"disk image bytes")
-    recovered = client.recover(ct, pin="123456")
-    assert recovered == b"disk image bytes"
+    client = dep.new_client("alice")
+    client.backup(b"disk image bytes", pin="1234")
+    assert client.recover(pin="1234") == b"disk image bytes"
 """
 
 # Public API re-exports are lazy so that `import repro.crypto.x` does not pull

@@ -26,7 +26,7 @@ every one of those rides the crypto fast path in ``repro.crypto.ec`` — the
 generator's comb for each ephemeral ``g^r`` and, for the (long-lived) HSM
 public keys, the 5-tooth signed comb ``mult_each`` builds on a BFE slot key's
 first use and reads on every later one (a hashed-ElGamal key rides a
-window ladder over the table cached on it) — while reconstruction's
+window ladder over a table built in the call) — while reconstruction's
 Shamir recombination takes its Lagrange weights from
 ``repro.crypto.field.lagrange_at_zero``, one batched inversion for all.
 """

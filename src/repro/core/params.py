@@ -40,7 +40,6 @@ class SystemParams:
     quorum_fraction: float = 0.9
     max_attempts_per_user: int = 5
     max_garbage_collections: int = 24
-    rotation_threshold: float = 0.5  # rotate once half the slot keys are gone
     use_paper_bloom: bool = False  # 64 MB / 2^21-slot keys (§9.1) vs generic sizing
     log_shards: int = 1  # >1 partitions the log into parallel epoch lanes
 

@@ -132,13 +132,9 @@ class Deployment:
         return Deployment(params=params, fleet=fleet, provider=provider, restored=True)
 
     # -- clients -----------------------------------------------------------------
-    def new_client(
-        self, username: str, pin: Optional[str] = None, transport: str = "wire"
-    ) -> Client:
-        """Create a client holding the authentic mpk.
-
-        ``pin`` is accepted for documentation symmetry but never stored; all
-        PIN-consuming operations take the PIN explicitly.
+    def new_client(self, username: str, transport: str = "wire") -> Client:
+        """Create a client holding the authentic mpk.  It stores no PIN:
+        every PIN-consuming operation takes the PIN explicitly.
 
         The client reaches HSMs only through the narrow ``Channel``
         interface and the provider only through the matching
@@ -176,17 +172,16 @@ class Deployment:
     def run_log_update(self) -> None:
         self.provider.log.run_update(self.fleet.hsms)
 
-    def rotate_keys_if_needed(self, threshold: Optional[float] = None) -> List[int]:
+    def rotate_keys_if_needed(self) -> List[int]:
         """Rotate any HSM whose Bloom key is half-deleted (§9.1).
 
         Returns the indices rotated; clients must ``refresh_mpk`` afterwards
         (the paper's daily keying-material download).
         """
-        threshold = threshold if threshold is not None else self.params.rotation_threshold
         rotated = []
         for hsm in self.fleet.online():
-            if hsm.needs_rotation(threshold):
-                info = hsm.rotate_keys(self.provider.storage_for_hsm(hsm.index))
+            if hsm.needs_rotation():
+                info = hsm.rotate_keys()
                 self.membership.record_rotation(info)
                 rotated.append(hsm.index)
         if rotated:

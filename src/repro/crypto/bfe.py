@@ -87,6 +87,10 @@ from repro.storage.securedel import (
 _SCALAR_LEN = 32
 _PAYLOAD_KEY_LEN = 16
 
+#: §9.1's rotation point: a key rotates once this share of its slot keys
+#: is deleted.
+ROTATION_FRACTION = 0.5
+
 
 class PuncturedKeyError(Exception):
     """Every Bloom slot of the ciphertext's tag has been deleted."""
@@ -170,9 +174,9 @@ class BfeSecretKey:
     def fraction_deleted(self) -> float:
         return self.slots_deleted / self.params.num_slots
 
-    def needs_rotation(self, threshold: float = 0.5) -> bool:
+    def needs_rotation(self) -> bool:
         """The paper rotates keys once half the secret-key elements are gone."""
-        return self.fraction_deleted() >= threshold
+        return self.fraction_deleted() >= ROTATION_FRACTION
 
 
 class BloomFilterEncryption:

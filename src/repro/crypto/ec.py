@@ -865,7 +865,6 @@ class _Curve:
         self.b = B
         self.n = N
         self.generator = ECPoint(GX, GY)
-        self.infinity = ECPoint(None, None)
 
     # -- keys ---------------------------------------------------------------
     def random_scalar(self, rng=None) -> int:

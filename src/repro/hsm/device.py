@@ -57,7 +57,7 @@ from repro.log.distributed import (
     audit_chunk_indices,
     on_committee,
 )
-from repro.log.sharded import CrossShardRoot, ShardedInclusionProof, shard_of
+from repro.log.sharded import ShardedInclusionProof, cross_shard_root, shard_of
 from repro.metering import OpMeter
 from repro.storage.blockstore import BlockStore, InMemoryBlockStore
 
@@ -156,12 +156,6 @@ class HsmDevice:
         # cross-thread push that this device's worker drains at sync time.
         self._offers: Dict[int, List] = {}
         self._offer_lock = threading.Lock()
-        # Incremental cross-shard root over _shard_digests: adopting one
-        # lane's transition re-anchors in O(log S) hashes instead of the
-        # O(S) rebuild cross_shard_root pays.  No lock: all _shard_digests
-        # access is already serialized by the device's FIFO worker
-        # discipline.
-        self._root = CrossShardRoot()
         # Directory of fleet signing keys, installed at provisioning time so
         # the device can verify aggregate signatures (the paper's aggregate
         # public key).  index -> public key object.
@@ -220,7 +214,7 @@ class HsmDevice:
             with self.meter.attached():
                 for shard in pending:
                     self._sync_shard(shard)
-        return self._root.root(self._shard_digests)
+        return cross_shard_root(self._shard_digests)
 
     def shard_digest(self, shard: int) -> bytes:
         """The device's digest for one shard lane."""
@@ -545,14 +539,14 @@ class HsmDevice:
             )
 
     # -- key rotation (§9.1) ----------------------------------------------------------
-    def needs_rotation(self, threshold: float = 0.5) -> bool:
-        return self._bfe_secret.needs_rotation(threshold)
+    def needs_rotation(self) -> bool:
+        return self._bfe_secret.needs_rotation()
 
-    def rotate_keys(self, store: Optional[BlockStore] = None) -> HsmPublicInfo:
-        """Generate a fresh puncturable keypair; bump the key epoch."""
+    def rotate_keys(self) -> HsmPublicInfo:
+        """Generate a fresh puncturable keypair into the store this device
+        owns; bump the key epoch."""
         self._check_alive()
         with self.meter.attached():
-            self._store = store if store is not None else InMemoryBlockStore()
             self._bfe_public, self._bfe_secret = BloomFilterEncryption.keygen(
                 self.bloom_params, self._store, self._rng
             )

@@ -196,10 +196,6 @@ class AuthenticatedDictionary:
         self._entries[identifier] = value
         return InsertionProof(identifier=identifier, value=value, steps=tuple(steps))
 
-    def snapshot_entries(self) -> Dict[bytes, bytes]:
-        """A copy of the raw entries (for external full-replay audits)."""
-        return dict(self._entries)
-
     @staticmethod
     def from_entries(entries: Iterable[Tuple[bytes, bytes]]) -> "AuthenticatedDictionary":
         """Rebuild a dictionary by replaying insertions in order.

@@ -31,8 +31,8 @@ its own copy of the shard digest and recomputes the identifier's shard
 itself (write-once stays intact: an identifier maps to exactly one shard,
 so no value can be re-logged in a sibling lane).
 
-The root is maintained *incrementally*: :class:`CrossShardRoot` (one
-under ``ShardedLog``, one in every device) keeps a persistent
+The log's root is maintained *incrementally*: :class:`CrossShardRoot`
+(one, under ``ShardedLog``) keeps a persistent
 :class:`~repro.crypto.merkle.IncrementalMerkleTree` over the shard-digest
 leaves and, on every root read, rehashes only the O(log S) paths of
 shards whose digest moved since the last read (detected by a byte compare
@@ -40,9 +40,9 @@ against the cached leaf values, so even out-of-band shard mutation —
 adversarial subclasses, chaos tampering — can never serve a stale root).
 An epoch that commits one shard therefore costs O(log S) hashing to
 re-anchor, not the O(S) rebuild :func:`cross_shard_root` pays — that
-function remains as the from-scratch reference, and the incremental root
-is byte-identical to it by construction (property-tested in
-``tests/test_sharded_log.py``).
+function is the from-scratch reference (and what a device's ``log_digest``
+computes on read), and the incremental root is byte-identical to it by
+construction (property-tested in ``tests/test_sharded_log.py``).
 
 Security note on write-once: because ``shard_of`` is a public deterministic
 function of the identifier and ``num_shards``, the per-shard duplicate

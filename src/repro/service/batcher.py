@@ -12,7 +12,7 @@ There is one way to run an epoch.  The log, a
 each a :class:`~repro.log.distributed.DistributedLog`.  A tick groups the
 waiters by their identifier's lane, hands the runnable lanes to the ``lane_runner``
 (the service's lane workers: one FIFO worker per lane, HsmWorkerPool
-discipline), joins them, and only then publishes the combined root.  Lanes
+discipline), joins them, and only then reads the combined root.  Lanes
 fail independently — a lane whose epoch is rejected rolls back and fails
 *its* tickets only, while sibling lanes commit (the paper's transactional
 ``run_update``, per lane).
@@ -42,11 +42,11 @@ into the next batch) without charging a session that finds the service idle
 half a period of sleep.  Lease expiry, deferred lanes and out-of-band
 ``log.insert``s raise no signal; the driver's fallback poll finds them.
 
-A tick that raises (a journal write failing after the lanes committed, a
-lane runner raising instead of reporting) fails the tickets it had taken
-off the queue with a typed ``ProviderError`` carrying the cause, leaves
-sessions it had already served alone, counts one ``tick_failures`` and
-re-raises: the batcher stays usable, and the driver decides what to do.
+A tick that raises (a lane runner raising instead of reporting, an
+inclusion proof failing after the lanes committed) fails the tickets it
+had taken off the queue with a typed ``ProviderError`` carrying the cause,
+leaves sessions it had already served alone, counts one ``tick_failures``
+and re-raises: the batcher stays usable, and the driver decides what to do.
 
 Thread safety: all mutable state (waiters, leases, counters) is guarded by
 ``self._lock``; the ``_drained`` condition wraps that same lock, so holding
@@ -190,10 +190,8 @@ class EpochBatcher:
     def __init__(
         self,
         provider: ServiceProvider,
+        lane_runner: Callable[[Sequence[int]], Dict[int, Optional[BaseException]]],
         lease_timeout: float = 10.0,
-        lane_runner: Optional[
-            Callable[[Sequence[int]], Dict[int, Optional[BaseException]]]
-        ] = None,
     ) -> None:
         """``lane_runner`` commits the epochs: called with the lane indices
         that have work and no outstanding lease this tick, it must commit
@@ -201,13 +199,9 @@ class EpochBatcher:
         per-lane outcome map (``None`` = committed, exception = that lane
         failed and rolled back).  The service passes a runner that fans
         the lanes out to its lane workers, every per-device protocol call
-        routed through that device's FIFO worker.
-
-        The default suits a standalone single-lane provider: it runs the
-        provider's installed update runner on the calling thread and
-        reports that one outcome for every lane asked for."""
+        routed through that device's FIFO worker."""
         self._provider = provider
-        self._lane_runner = lane_runner or self._run_provider_update
+        self._lane_runner = lane_runner
         self._lease_timeout = lease_timeout
         self._lock = threading.Lock()
         self._drained = threading.Condition(self._lock)
@@ -419,11 +413,8 @@ class EpochBatcher:
                     committed_lanes += 1
                     served += self._serve_waiters(shard_waiters, shard)
                 if committed_lanes:
-                    root = log.digest
                     self.epoch_sessions.append(served)
-                    self.epoch_digests.append(root)
-                    if self._provider.journal is not None:  # durable deployments
-                        self._provider.journal.record_publish(root)
+                    self.epoch_digests.append(log.digest)
                 return served
             except Exception as exc:
                 # Sessions already served keep their proofs and leases (the
@@ -436,18 +427,6 @@ class EpochBatcher:
             finally:
                 if lanes_ran:
                     self._last_epoch_end = time.monotonic()
-
-    def _run_provider_update(
-        self, shards: Sequence[int]
-    ) -> Dict[int, Optional[BaseException]]:
-        """The default ``lane_runner``: the provider's installed update
-        runner on the calling thread, its outcome reported for every lane
-        asked for."""
-        try:
-            self._provider.run_log_update()
-        except Exception as exc:  # per-lane isolation: fails this batch only
-            return dict.fromkeys(shards, exc)
-        return dict.fromkeys(shards)
 
     # lint: unguarded[called only with self._lock held (tick's defer path)]
     def _expire_lane(self, shard: int) -> None:

@@ -120,18 +120,7 @@ class HsmWorkerPool:
 
     def call(self, index: int, thunk: Callable[[], object]) -> object:
         """Run ``thunk`` on device ``index``'s worker, in FIFO order."""
-        job = self.submit(index, thunk)
-        if not job.done.wait(self._call_timeout):
-            raise TimeoutError(
-                f"device {index} did not serve the request within {self._call_timeout}s"
-            )
-        if job.error is not None:
-            raise job.error
-        return job.result
-
-    def queue_depth(self, index: int) -> int:
-        """Jobs currently waiting on worker ``index``'s FIFO."""
-        return self._queues[index].qsize()
+        return self.result(self.submit(index, thunk))
 
 
 class QueuedChannel(Channel):

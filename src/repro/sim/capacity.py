@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from repro.crypto.bfe import BloomFilterEncryption
+from repro.crypto.bfe import ROTATION_FRACTION, BloomFilterEncryption
 from repro.crypto.bloom import BloomParams
 from repro.hsm.costmodel import CostModel, Transport
 from repro.hsm.devices import DeviceSpec, SOLOKEY
@@ -80,10 +80,10 @@ def build_throughput_model(
         device=device,
         decrypt_puncture_seconds=model.seconds(job),
         rotation_seconds=model.seconds(BloomFilterEncryption.keygen_counts(bloom_params)),
-        # The paper rotates once half the slot keys are deleted; each
-        # puncture deletes k slots.
+        # A key rotates once ROTATION_FRACTION of its slot keys are
+        # deleted; each puncture deletes k slots.
         punctures_before_rotation=max(
-            1, bloom_params.num_slots // (2 * bloom_params.num_hashes)
+            1, int(bloom_params.num_slots * ROTATION_FRACTION) // bloom_params.num_hashes
         ),
     )
 

@@ -21,7 +21,7 @@ rotation downtime fractions — comparable against the closed-form models in
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.sim.capacity import HsmThroughputModel
@@ -58,12 +58,6 @@ class _Hsm:
     busy_time: float = 0.0
     rotating_time: float = 0.0
     rotations: int = 0
-
-
-@dataclass(order=True)
-class _Share:
-    ready_at: float
-    job_id: int = field(compare=False)
 
 
 class DataCenterSimulator:

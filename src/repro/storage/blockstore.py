@@ -183,19 +183,16 @@ class CrashingBlockStore(InMemoryBlockStore):
     def __init__(self) -> None:
         super().__init__()
         self._puts_until_crash: Optional[int] = None
-        self.crashed = False
 
     def crash_after(self, puts: int) -> None:
         """Arm the store: the (puts+1)-th future put raises ``CrashError``."""
         self._puts_until_crash = puts
-        self.crashed = False
 
     def put(self, addr: int, block: bytes) -> None:
         """Store the block, or raise :class:`CrashError` if the armed
         crash countdown has expired (the failing put is not applied)."""
         if self._puts_until_crash is not None:
             if self._puts_until_crash <= 0:
-                self.crashed = True
                 raise CrashError("simulated process crash during block put")
             self._puts_until_crash -= 1
         super().put(addr, block)

@@ -8,9 +8,9 @@ log's committed digest chains — is journaled here as typed records on a
 from the block store alone.
 
 **Durable:** backups, incrementals, reply escrow, committed epoch
-transitions (entries + quorum signature), garbage collections, and
-published cross-shard roots.  **Durable, not here:** the HSMs' key arrays —
-the *devices* vouch for those, each in place in its own
+transitions (entries + quorum signature) and garbage collections.
+**Durable, not here:** the HSMs' key arrays — the *devices* vouch for
+those, each in place in its own
 :class:`~repro.storage.blockstore.RegionStore` of the same store.
 **Explicitly not durable:** pending log batches (sessions that never got an
 inclusion proof re-submit), epoch leases, and attempt counters (re-derived
@@ -63,15 +63,15 @@ from repro.log.distributed import CertifiedTransition, Transition, on_committee
 from repro.storage.blockstore import BlockStore
 from repro.storage.wal import WriteAheadLog
 
-# Record kinds (one byte on the WAL).  4 is retired (it carried HSM key
-# blocks) and never reused: replay refuses it like any unknown kind.
+# Record kinds (one byte on the WAL).  4 (HSM key blocks) and 8 (published
+# cross-shard roots) are retired and never reused: replay refuses them like
+# any unknown kind.
 K_BACKUP = 1
 K_INCREMENTAL = 2
 K_REPLY = 3
 K_EPOCH_INTENT = 5
 K_EPOCH_COMMIT = 6
 K_EPOCH_ROLLBACK = 7
-K_EPOCH_PUBLISH = 8
 K_GC = 9
 K_SNAPSHOT = 10
 
@@ -142,16 +142,16 @@ class RestoredState:
     incrementals: Dict[str, List[bytes]] = field(default_factory=dict)
     replies: Dict[Tuple[str, int], List[bytes]] = field(default_factory=dict)
     open_intents: Dict[int, OpenIntent] = field(default_factory=dict)
-    last_publish_root: Optional[bytes] = None
 
     def apply_commit(self, intent: OpenIntent, signature: Optional[Tuple] = None) -> None:
         """Fold a committed intent into the durable per-shard state.
 
         ``signature`` is the commit record's ``(signer_ids, aggregate)``.  It
-        is None when the quorum signature could not be serialized (exotic
-        test schemes) or was lost to a crash between certification and the
-        commit record (the reconciled path) — the transition itself is still
-        part of the restored chain.
+        is None when the aggregate was not a list of ``(r, s)`` pairs (a
+        garbage aggregate the provider journaled before the devices refused
+        it) or was lost to a crash between certification and the commit
+        record (a reconciled commit) — the transition itself is still part
+        of the restored chain.
         """
         signer_ids, aggregate = signature or ((), None)
         self.shard_entries.setdefault(intent.shard, []).extend(intent.entries)
@@ -223,15 +223,15 @@ def _state_fields(state: RestoredState) -> Tuple:
     }
     return (
         state.num_shards, state.garbage_collections, rows, state.backups,
-        state.incrementals, state.replies, state.last_publish_root or b"",
+        state.incrementals, state.replies,
     )
 
 
 def _state_from_fields(fields: Tuple) -> RestoredState:
-    num_shards, collections, rows, backups, incrementals, replies, root = fields
+    num_shards, collections, rows, backups, incrementals, replies = fields
     state = RestoredState(
         num_shards=num_shards, garbage_collections=collections, backups=backups,
-        incrementals=incrementals, replies=replies, last_publish_root=root or None,
+        incrementals=incrementals, replies=replies,
     )
     for shard, (entries, epoch, transitions) in rows.items():
         state.shard_entries[shard] = entries
@@ -254,7 +254,6 @@ STATE = converted(
         mapping(TEXT, seq(_CIPHERTEXT)),                          # username: backups
         mapping(TEXT, seq(BLOB)),                                 # username: incrementals
         mapping(tuple_of(TEXT, U32), seq(BLOB)),                  # (username, attempt): replies
-        BLOB,                                                     # last published root, or empty
     ),
     _state_fields,
     _state_from_fields,
@@ -273,7 +272,6 @@ RECORD_CODECS: Dict[int, Codec] = {
     #                 shard, num_shards, old digest, new digest, root, entries
     K_EPOCH_COMMIT: tuple_of(U32, U64, _COMMIT_SIGNATURE),  # shard, intent seq, signature
     K_EPOCH_ROLLBACK: tuple_of(U32, U64),              # shard, intent seq
-    K_EPOCH_PUBLISH: tuple_of(BLOB),                   # cross-shard root
     K_GC: tuple_of(U32),                               # new GC total
     K_SNAPSHOT: tuple_of(STATE),                       # the whole state
 }
@@ -291,9 +289,9 @@ class ProviderJournal:
     from concurrent lanes, so no extra locking lives here.
     """
 
-    def __init__(self, store: BlockStore, domain: bytes = b"repro-journal") -> None:
+    def __init__(self, store: BlockStore) -> None:
         """Open the journal on ``store`` (verifying any existing records)."""
-        self.wal = WriteAheadLog(store, domain)
+        self.wal = WriteAheadLog(store, b"repro-journal")
 
     @property
     def store(self) -> BlockStore:
@@ -351,10 +349,6 @@ class ProviderJournal:
     def record_rollback(self, shard: int, intent_seq: int) -> None:
         """Roll an intent back (certification failed or never finished)."""
         self._append(K_EPOCH_ROLLBACK, shard, intent_seq)
-
-    def record_publish(self, root: bytes) -> None:
-        """Journal a published (cross-shard) root after a served tick."""
-        self._append(K_EPOCH_PUBLISH, root)
 
     def record_gc(self, count: int) -> None:
         """Journal a log garbage collection (``count`` = new GC total)."""
@@ -422,8 +416,6 @@ class ProviderJournal:
             state.apply_commit(intent, signature)
         elif kind == K_EPOCH_ROLLBACK:
             state.apply_rollback(self._open_intent(state, "rollback", *fields))
-        elif kind == K_EPOCH_PUBLISH:
-            (state.last_publish_root,) = fields
         elif kind == K_GC:
             state.shard_entries = {shard: [] for shard in state.shard_entries}
             (state.garbage_collections,) = fields

@@ -152,7 +152,7 @@ class TestMpkRefresh:
     def test_backup_after_rotation_uses_new_keys(self, fresh_deployment, unique_user):
         client = fresh_deployment.new_client(unique_user)
         hsm = fresh_deployment.fleet[0]
-        hsm.rotate_keys(fresh_deployment.provider.storage_for_hsm(0))
+        hsm.rotate_keys()
         client.refresh_mpk(fresh_deployment.fleet.master_public_key())
         client.backup(b"post-rotation", pin="1234")
         assert client.recover(pin="1234") == b"post-rotation"

@@ -1,8 +1,8 @@
 """Crash recovery: kill the provider mid-epoch, restart, lose nothing.
 
 The headline scenario the durability layer exists for: the provider
-process dies *between* a shard lane committing its epoch and the combined
-cross-shard root being published.  On restart:
+process dies *after* one shard lane committed its epoch and before the
+tick that ran it returned.  On restart:
 
 - no certified digest is lost — any epoch a committee device adopted is
   repaired to COMMIT (the fleet is ground truth; devices only accept a
@@ -141,7 +141,7 @@ class TestKillMidEpoch:
     def test_lane_commit_survives_crash_before_publish(self):
         """The headline: shard 0's lane commits its epoch, then the process
         dies while shard 1's commit record is being written — before the
-        combined cross-shard root is published.  Restart must keep shard
+        tick that ran both lanes returns.  Restart must keep shard
         0's certified digest intact and resolve shard 1 atomically: its
         commit record never landed, so no device ever heard of its epoch
         (acceptance fans out only after the commit is durable) and the
@@ -194,7 +194,7 @@ class TestKillMidEpoch:
 
     def test_committed_epochs_survive_a_crash_before_publish(self):
         """Both lanes commit durably; the process dies before the batcher
-        publishes the combined root.  Restart loses nothing: both certified
+        reads the combined root.  Restart loses nothing: both certified
         digests restore with their quorum aggregates replayable."""
         store = CrashingBlockStore()
         params = durable_params()
@@ -204,14 +204,14 @@ class TestKillMidEpoch:
         log.insert(identifier_on_shard(1, tag="pub"), b"h1")
         log.run_shard_update(0, dep.fleet.hsms)
         log.run_shard_update(1, dep.fleet.hsms)
-        # The process dies here: no EPOCH_PUBLISH record for this tick.
+        # The process dies here, before the tick that ran both lanes returns.
         restored = Deployment.restore(params, store.blocks, dep.fleet)
         rlog = restored.provider.log
         assert rlog.digest == log.digest
         for shard in range(SHARDS):
             assert rlog.shards[shard].digest == log.shards[shard].digest
             # The restored transition chain kept its quorum aggregates, so
-            # it can serve catch_up / healing to lagging devices.
+            # it can still be offered to devices that missed it.
             assert all(
                 t.aggregate is not None
                 for t in rlog.shards[shard].certified_transitions
@@ -256,6 +256,39 @@ class TestKillMidEpoch:
         rlog.insert(identifier, b"h-doomed")
         restored.run_log_update()
         assert (identifier, b"h-doomed") in rlog.ordered_entries
+
+
+# ---------------------------------------------------------------------------
+# Key rotation survives a restart
+# ---------------------------------------------------------------------------
+class TestRotationIsDurable:
+    def test_rotated_key_tree_survives_restart(self):
+        """A device rotates into the store it owns, so after a restart it
+        reads its new key tree back from the durable store and answers
+        every session whose cluster names it.  (A rotation into a
+        throwaway store left the durable region holding the old tree, and
+        the restored device refused every such share.)"""
+        store = InMemoryBlockStore()
+        params = SystemParams.for_testing(num_hsms=4, cluster_size=3, max_punctures=16)
+        dep = Deployment.create(params, rng=random.Random(5), store=store)
+        info = dep.fleet[0].rotate_keys()
+        dep.membership.record_rotation(info)
+        dep.run_log_update()
+
+        restored = Deployment.restore(params, store, dep.fleet)
+        named = 0
+        for seed in range(64):
+            if named == 3:
+                break
+            client = restored.new_client(f"rotated-{seed}", transport="direct")
+            seeded_backup(client, b"rotated secret", "0001", seed=seed)
+            session = client.begin_recovery("0001")
+            client.request_shares(session, "0001")
+            assert client.finish_recovery(session) == b"rotated secret"
+            if 0 in session.cluster:
+                named += 1
+                assert 0 in session.answered_hsms
+        assert named == 3
 
 
 # ---------------------------------------------------------------------------

@@ -230,11 +230,9 @@ class TestProviderJournal:
         journal.record_incremental("alice", b"inc-1")
         journal.record_incremental("alice", b"inc-2")
         journal.record_reply("bob", 3, b"escrowed-reply")
-        journal.record_publish(b"\xdd" * 32)
         state = journal.replay_state()
         assert state.incrementals == {"alice": [b"inc-1", b"inc-2"]}
         assert state.replies == {("bob", 3): [b"escrowed-reply"]}
-        assert state.last_publish_root == b"\xdd" * 32
 
     def test_intent_commit_applies_entries(self):
         journal = ProviderJournal(InMemoryBlockStore())
@@ -350,7 +348,6 @@ class TestProviderJournal:
             garbage_collections=2,
             incrementals={"alice": [b"blob"]},
             replies={("bob", 1): [b"reply-a", b"reply-b"]},
-            last_publish_root=b"\xee" * 32,
         )
         decoded = decode_state(encode_state(state))
         assert decoded == state
@@ -519,4 +516,9 @@ class TestJournalHoldsNoKeyBlocks:
         journal = ProviderJournal(InMemoryBlockStore())
         journal.wal.append(4, b"\x00\x00\x00\x05" + b"\x00" * 8 + b"\x00\x00\x00\x00")
         with pytest.raises(JournalReplayError, match="kind 4"):
+            journal.replay_state()
+        # 8 carried the batcher's published cross-shard root (one blob).
+        journal = ProviderJournal(InMemoryBlockStore())
+        journal.wal.append(8, b"\x00\x00\x00\x20" + b"\xdd" * 32)
+        with pytest.raises(JournalReplayError, match="kind 8"):
             journal.replay_state()

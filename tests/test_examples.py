@@ -35,3 +35,14 @@ def test_examples_directory_is_complete():
     """Every .py file in examples/ is exercised by this test module."""
     present = {f for f in os.listdir(EXAMPLES_DIR) if f.endswith(".py")}
     assert present == set(ALL_EXAMPLES)
+
+
+def test_package_docstring_quickstart_runs():
+    """The ``Quickstart::`` block of ``repro``'s docstring is the first
+    code a reader copies: it must run against the current API."""
+    import textwrap
+
+    import repro
+
+    block = repro.__doc__.split("Quickstart::", 1)[1]
+    exec(compile(textwrap.dedent(block), "repro.__doc__", "exec"), {})

@@ -676,6 +676,43 @@ def test_every_src_module_is_reached_from_an_entry_point():
     assert sorted(set(modules) - reached - exempt) == []
 
 
+def test_every_src_name_is_referenced():
+    """Code that nothing calls goes, one name at a time: every ``def`` and
+    ``class`` name under ``src/repro`` (dunders exempt) must occur as a
+    word somewhere in the repo's Python outside its own definitions —
+    a call, an import, a ``getattr`` string or a docstring reference."""
+    import ast
+    import re
+    from collections import Counter
+
+    word = re.compile(r"\w+")
+    src = REPO_ROOT / "src" / "repro"
+    occurrences, own, defined = Counter(), Counter(), {}
+    for path in sorted(REPO_ROOT.rglob("*.py")):
+        if any(part.startswith(".") for part in path.relative_to(REPO_ROOT).parts):
+            continue
+        text = path.read_text()
+        occurrences.update(word.findall(text))
+        spans = {}
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            spans.setdefault(node.name, set()).update(range(start, node.end_lineno + 1))
+            if src in path.parents:
+                defined.setdefault(node.name, f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
+        lines = text.splitlines()
+        for name, covered in spans.items():
+            pattern = re.compile(rf"\b{re.escape(name)}\b")
+            own[name] += sum(len(pattern.findall(lines[n - 1])) for n in covered)
+    orphans = sorted(
+        f"{where} {name}" for name, where in defined.items() if occurrences[name] <= own[name]
+    )
+    assert orphans == []
+
+
 def test_no_getattr_passthrough_in_service():
     """The objects on the service's boundaries enumerate what crosses them
     (``wire.PROVIDER_OPS``, ``_EPOCH_METHODS`` + ``_DIRECT_NAMES``): nothing

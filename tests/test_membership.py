@@ -57,7 +57,7 @@ class TestDeploymentIntegration:
 
     def test_rotation_is_logged_and_still_verifies(self, fresh_deployment):
         hsm = fresh_deployment.fleet[0]
-        info = hsm.rotate_keys(fresh_deployment.provider.storage_for_hsm(0))
+        info = hsm.rotate_keys()
         fresh_deployment.membership.record_rotation(info)
         fresh_deployment.run_log_update()
         fresh_deployment.verify_published_keys()
@@ -66,7 +66,7 @@ class TestDeploymentIntegration:
         """The §2 attack: the provider swaps an HSM's advertised key for its
         own without logging it.  The client's membership check must fire."""
         hsm = fresh_deployment.fleet[1]
-        hsm.rotate_keys(fresh_deployment.provider.storage_for_hsm(1))  # not logged!
+        hsm.rotate_keys()  # not logged!
         with pytest.raises(MembershipViolation):
             fresh_deployment.verify_published_keys()
 
@@ -84,7 +84,7 @@ class TestDeploymentIntegration:
         """The paper's 'replace the whole fleet in a day' alarm."""
         dep = fresh_deployment
         for hsm in list(dep.fleet)[:8]:
-            info = hsm.rotate_keys(dep.provider.storage_for_hsm(hsm.index))
+            info = hsm.rotate_keys()
             dep.membership.record_rotation(info)
         dep.run_log_update()
         events = MembershipVerifier.events_from_log(

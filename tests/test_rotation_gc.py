@@ -35,7 +35,7 @@ class TestRotation:
         dep = tiny_deployment
         client = dep.new_client("epoch-watcher")
         assert client._config_epoch() == 0
-        dep.fleet[0].rotate_keys(dep.provider.storage_for_hsm(0))
+        dep.fleet[0].rotate_keys()
         # deployment-level rotation refresh
         dep.rotate_keys_if_needed()  # no-op but harmless
         client.refresh_mpk(dep.fleet.master_public_key())
@@ -44,7 +44,7 @@ class TestRotation:
     def test_backup_recover_works_after_rotation(self, tiny_deployment):
         dep = tiny_deployment
         for hsm in dep.fleet:
-            hsm.rotate_keys(dep.provider.storage_for_hsm(hsm.index))
+            hsm.rotate_keys()
         client = dep.new_client("post-rotate")
         client.refresh_mpk(dep.fleet.master_public_key())
         client.backup(b"fresh keys", pin="1234")
@@ -59,7 +59,7 @@ class TestRotation:
         ct = dep.provider.fetch_backup("stale")
         cluster = set(client.lhe.select(ct.salt, "1234"))
         for index in cluster:
-            dep.fleet[index].rotate_keys(dep.provider.storage_for_hsm(index))
+            dep.fleet[index].rotate_keys()
         with pytest.raises(RecoveryError):
             client.recover(pin="1234")
 

@@ -23,16 +23,25 @@ from repro.service.workers import HsmWorkerPool
 # ---------------------------------------------------------------------------
 @pytest.fixture
 def batcher_provider():
-    provider = ServiceProvider(LogConfig(audit_count=2))
-    provider.install_update_runner(
-        lambda: provider.log.shards[0].prepare_update(num_chunks=1)
-    )
-    return provider
+    return ServiceProvider(LogConfig(audit_count=2))
+
+
+def commit_lanes(provider):
+    """A lane runner that commits each listed lane with a bare
+    ``prepare_update`` — no device fleet, so the tests isolate the
+    batcher's own bookkeeping."""
+
+    def lane_runner(shards):
+        for k in shards:
+            provider.log.shards[k].prepare_update(num_chunks=1)
+        return dict.fromkeys(shards)
+
+    return lane_runner
 
 
 class TestEpochBatcher:
     def test_one_tick_serves_all_waiters(self, batcher_provider):
-        batcher = EpochBatcher(batcher_provider)
+        batcher = EpochBatcher(batcher_provider, commit_lanes(batcher_provider))
         tickets = [
             batcher.submit(f"user{i}", 0, b"commit%d" % i) for i in range(3)
         ]
@@ -47,12 +56,12 @@ class TestEpochBatcher:
             )
 
     def test_tick_without_work_is_a_noop(self, batcher_provider):
-        batcher = EpochBatcher(batcher_provider)
+        batcher = EpochBatcher(batcher_provider, commit_lanes(batcher_provider))
         assert batcher.tick() == 0
         assert batcher.epochs_run == 0
 
     def test_duplicate_insertion_fails_that_ticket_only(self, batcher_provider):
-        batcher = EpochBatcher(batcher_provider)
+        batcher = EpochBatcher(batcher_provider, commit_lanes(batcher_provider))
         good = batcher.submit("dup", 0, b"h0")
         bad = batcher.submit("dup", 0, b"h1")
         batcher.tick()
@@ -61,13 +70,15 @@ class TestEpochBatcher:
             bad.wait(timeout=1)
 
     def test_wait_without_tick_times_out(self, batcher_provider):
-        batcher = EpochBatcher(batcher_provider)
+        batcher = EpochBatcher(batcher_provider, commit_lanes(batcher_provider))
         ticket = batcher.submit("alone", 0, b"h")
         with pytest.raises(ServiceTimeout):
             ticket.wait(timeout=0.05)
 
     def test_leases_defer_the_next_epoch(self, batcher_provider):
-        batcher = EpochBatcher(batcher_provider, lease_timeout=10.0)
+        batcher = EpochBatcher(
+            batcher_provider, commit_lanes(batcher_provider), lease_timeout=10.0
+        )
         batcher.submit("leaseholder", 0, b"h")
         batcher.tick()
         assert batcher.outstanding_leases() == 1
@@ -88,7 +99,9 @@ class TestEpochBatcher:
         assert batcher.lease_timeouts == 0
 
     def test_lease_timeout_keeps_the_log_live(self, batcher_provider):
-        batcher = EpochBatcher(batcher_provider, lease_timeout=0.05)
+        batcher = EpochBatcher(
+            batcher_provider, commit_lanes(batcher_provider), lease_timeout=0.05
+        )
         batcher.submit("crashed-client", 0, b"h")
         batcher.tick()  # lease taken, never released
         batcher.submit("healthy", 0, b"h2")
@@ -422,7 +435,9 @@ class TestBatcherRegressions:
         """Regression: a ticket whose ``wait`` timed out used to be resolved
         anyway and granted an epoch lease nobody would ever release,
         stalling the *next* tick for the full lease_timeout."""
-        batcher = EpochBatcher(batcher_provider, lease_timeout=30.0)
+        batcher = EpochBatcher(
+            batcher_provider, commit_lanes(batcher_provider), lease_timeout=30.0
+        )
         ghost = batcher.submit("ghost", 0, b"h-ghost")
         with pytest.raises(ServiceTimeout):
             ghost.wait(timeout=0.05)  # the session walks away
@@ -442,7 +457,7 @@ class TestBatcherRegressions:
     def test_resolution_beats_abandonment_when_racing(self, batcher_provider):
         """A ticket resolved before ``wait`` re-checks under the lock is
         served normally (the timeout lapsed but the result arrived)."""
-        batcher = EpochBatcher(batcher_provider)
+        batcher = EpochBatcher(batcher_provider, commit_lanes(batcher_provider))
         ticket = batcher.submit("racer", 0, b"h-race")
         batcher.tick()  # resolves before wait is even called
         identifier, proof = ticket.wait(timeout=0.0)
@@ -513,7 +528,7 @@ class TestBatcherRegressions:
         """Regression: a ValueError from the insertion (reserved '|' in the
         username, negative attempt) used to escape ``submit`` raw instead
         of failing the ticket like the duplicate-identifier KeyError."""
-        batcher = EpochBatcher(batcher_provider)
+        batcher = EpochBatcher(batcher_provider, commit_lanes(batcher_provider))
         bad_name = batcher.submit("bad|user", 0, b"h")
         bad_attempt = batcher.submit("fine", -1, b"h")
         good = batcher.submit("fine", 0, b"h")
@@ -534,20 +549,10 @@ LANE_ARITIES = (1, 4)
 
 def _stub_lane_batcher(num_shards=4, lease_timeout=30.0):
     """A provider (unsharded at ``num_shards=1``) whose lanes commit via
-    bare ``prepare_update`` — no device fleet, so the tests isolate the
-    batcher's lease bookkeeping."""
+    bare ``prepare_update`` (:func:`commit_lanes`)."""
     provider = ServiceProvider(LogConfig(audit_count=2, num_shards=num_shards))
-    log = provider.log
-
-    def lane_runner(shards):
-        outcomes = {}
-        for k in shards:
-            log.shards[k].prepare_update(num_chunks=1)
-            outcomes[k] = None
-        return outcomes
-
     return provider, EpochBatcher(
-        provider, lease_timeout=lease_timeout, lane_runner=lane_runner
+        provider, commit_lanes(provider), lease_timeout=lease_timeout
     )
 
 
@@ -884,7 +889,7 @@ class TestQuietPeriodClock:
     ``tick``'s return value, which is sessions served."""
 
     def test_idle_ticks_do_not_push_it(self, batcher_provider):
-        batcher = EpochBatcher(batcher_provider)
+        batcher = EpochBatcher(batcher_provider, commit_lanes(batcher_provider))
         assert batcher.tick() == 0
         assert batcher.quiet_remaining(30.0) <= 0
         batcher.submit("clock-user", 0, b"h")
@@ -896,7 +901,7 @@ class TestQuietPeriodClock:
         assert batcher.quiet_remaining(30.0) <= before
 
     def test_an_epoch_that_serves_nobody_counts(self, batcher_provider):
-        batcher = EpochBatcher(batcher_provider)
+        batcher = EpochBatcher(batcher_provider, commit_lanes(batcher_provider))
         batcher_provider.log.insert(b"out-of-band", b"value")
         assert batcher.tick() == 0  # committed an entry, served no session
         assert batcher.epochs_run == 1
@@ -937,22 +942,30 @@ class TestTickFailures:
         assert batcher.quiet_remaining(30.0) > 0  # the lanes were entered
 
     def test_failure_after_the_lanes_committed_spares_served_sessions(
-        self, batcher_provider
+        self, batcher_provider, monkeypatch
     ):
-        """The journal refusing ``record_publish`` comes after the epoch:
-        the sessions already hold proofs and leases and must keep them."""
+        """A proof failing after the epoch committed: the session already
+        served keeps its proof and lease, the next one gets a typed error."""
+        log = batcher_provider.log
+        prove, proved = log.prove_includes, []
 
-        class RefusingJournal:
-            def record_publish(self, root):
-                raise OSError("disk full")
+        def prove_once(identifier, value):
+            proved.append(identifier)
+            if len(proved) == 2:
+                raise OSError("proof store gone")
+            return prove(identifier, value)
 
-        batcher = EpochBatcher(batcher_provider)
-        ticket = batcher.submit("published", 0, b"h")
-        batcher_provider.journal = RefusingJournal()
+        batcher = EpochBatcher(batcher_provider, commit_lanes(batcher_provider))
+        served = batcher.submit("served", 0, b"h")
+        refused = batcher.submit("refused", 0, b"h2")
+        monkeypatch.setattr(log, "prove_includes", prove_once)
         with pytest.raises(OSError):
             batcher.tick()
-        identifier, proof = ticket.wait(timeout=0)
-        assert verify_includes(batcher_provider.log.digest, identifier, b"h", proof)
+        identifier, proof = served.wait(timeout=0)
+        assert verify_includes(log.digest, identifier, b"h", proof)
+        with pytest.raises(ProviderError, match="tick failed") as caught:
+            refused.wait(timeout=0)
+        assert isinstance(caught.value.__cause__, OSError)
         assert batcher.outstanding_leases() == 1
         assert batcher.stats()["tick_failures"] == 1
 

@@ -437,7 +437,7 @@ class TestReshardMigration:
         dep = Deployment.create(small_params(), rng=random.Random(74), shards=SHARDS)
         assert isinstance(dep.provider.log, ShardedLog)
         dep.verify_published_keys()
-        info = dep.fleet[0].rotate_keys(dep.provider.storage_for_hsm(0))
+        info = dep.fleet[0].rotate_keys()
         dep.membership.record_rotation(info)
         dep.provider.log.run_update(dep.fleet.hsms)
         dep.verify_published_keys()
