@@ -6,8 +6,8 @@ one expression and its encoder and decoder cannot drift apart.
 ``core/wire.py`` (what is sent) and ``storage/journal.py`` (what is kept)
 build every message and record from the primitives and the combinators
 below; nothing else in those modules packs or unpacks a field.  Neither
-do the crypto layouts (``commit.OPENING``, ``merkle.MERKLE_PROOF``,
-``shamir.SHARE``, ``lhe.SHARE_PLAINTEXT``), which are codec values too.
+do the crypto layouts (``commit.OPENING``, ``shamir.SHARE``,
+``lhe.SHARE_PLAINTEXT``), which are codec values too.
 
 The strictness contract, stated once for every format built here: input
 arrives from untrusted parties, so a decoder either returns a value whose

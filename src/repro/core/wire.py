@@ -8,9 +8,9 @@ below, built from the primitives and combinators of ``repro.core.codec``,
 so its encoder and decoder are one expression; the public ``encode_*`` /
 ``decode_*`` names are those values' two directions.  Formats carry an
 explicit version byte so they can evolve.  The crypto layouts a message
-carries are codec values declared beside their types (``commit.OPENING``,
-``merkle.MERKLE_PROOF``) and travel ``nested``; only the two point
-encodings keep their own ``to_bytes`` / ``from_bytes`` (:func:`_as_blob`).
+carries are codec values declared beside their types (``commit.OPENING``)
+and travel ``nested``; only the two point encodings keep their own
+``to_bytes`` / ``from_bytes`` (:func:`_as_blob`).
 
 All decoders are *strict* — the contract is stated once, in
 ``repro.core.codec``: trailing bytes, truncation, bad versions, unknown
@@ -32,10 +32,8 @@ from repro.crypto.bfe import BfeCiphertext
 from repro.crypto.commit import OPENING
 from repro.crypto.ec import ECPoint
 from repro.crypto.elgamal import ElGamalCiphertext
-from repro.crypto.merkle import MERKLE_PROOF
 from repro.hsm.device import DecryptShareRequest
 from repro.log.authdict import InclusionProof, PathStep
-from repro.log.sharded import ShardedInclusionProof
 
 WIRE_VERSION = 1
 
@@ -65,11 +63,9 @@ BFE_CIPHERTEXT = record(
 encode_bfe_ciphertext = BFE_CIPHERTEXT.encode
 decode_bfe_ciphertext = BFE_CIPHERTEXT.decode
 
-_SHARE_CIPHERTEXT = union(
-    "share-ciphertext kind",
-    (1, BfeCiphertext, BFE_CIPHERTEXT),
-    (2, ElGamalCiphertext, _ELGAMAL),
-)
+#: Only BFE share ciphertexts travel; ``lhe.ElGamalPke`` (Appendix A's
+#: games) is never serialized.
+_SHARE_CIPHERTEXT = union("share-ciphertext kind", (1, BfeCiphertext, BFE_CIPHERTEXT))
 #: The client's uploaded recovery ciphertext (§4.1).
 RECOVERY_CIPHERTEXT = _versioned(record(
     LheCiphertext, salt=BLOB, username=TEXT, threshold=U32, num_hsms=U32, config_epoch=U32,
@@ -128,34 +124,16 @@ def encode_decrypt_error(status: int, message: str) -> bytes:
 # ---------------------------------------------------------------------------
 # Log inclusion proofs
 # ---------------------------------------------------------------------------
-#: Proof-kind tags: a plain BST proof against a single log digest, or a
-#: sharded proof carrying the shard routing and the Merkle path from the
-#: shard digest to the cross-shard root.
+#: Proof-kind tag: a BST proof against one lane's digest, at every arity.
 PROOF_PLAIN = 1
-PROOF_SHARDED = 2
 
-_PLAIN_PROOF = record(
-    InclusionProof,
-    steps=seq(record(PathStep, idh=BLOB, value=BLOB, other=BLOB), tuple, 4096, "proof-step"),
-    left=BLOB, right=BLOB,
-)
-
-
-def _sharded_proof(**fields) -> ShardedInclusionProof:
-    if not (2 <= fields["num_shards"] <= 4096):
-        raise WireFormatError("implausible shard count")
-    if fields["shard"] >= fields["num_shards"]:
-        raise WireFormatError("shard index out of range")
-    return ShardedInclusionProof(**fields)
-
-
-#: A plain or sharded inclusion proof, tagged by kind.
+#: An inclusion proof behind its kind byte.
 INCLUSION_PROOF = union(
     "inclusion-proof kind",
-    (PROOF_PLAIN, InclusionProof, _PLAIN_PROOF),
-    (PROOF_SHARDED, ShardedInclusionProof, record(
-        _sharded_proof, shard=U32, num_shards=U32, shard_digest=BLOB,
-        shard_path=nested(MERKLE_PROOF), inclusion=_PLAIN_PROOF,
+    (PROOF_PLAIN, InclusionProof, record(
+        InclusionProof,
+        steps=seq(record(PathStep, idh=BLOB, value=BLOB, other=BLOB), tuple, 4096, "proof-step"),
+        left=BLOB, right=BLOB,
     )),
 )
 encode_inclusion_proof = INCLUSION_PROOF.encode
@@ -180,8 +158,8 @@ decode_decrypt_request = DECRYPT_REQUEST.decode
 # Every provider interaction crosses the untrusted operator's network, so
 # the whole surface is framed: ``[version u8][op u8][body]`` requests and
 # ``[version u8][kind u8][body]`` replies, with bodies described by the
-# op table and the reply schemas below.  Inclusion proofs ride the same tagged
-# PROOF_PLAIN/PROOF_SHARDED envelope as the client->HSM leg, and failures
+# op table and the reply schemas below.  Inclusion proofs ride the same
+# kind-tagged envelope as the client->HSM leg, and failures
 # travel as typed PROV_REPLY_ERROR frames — a provider can answer with an
 # error *status*, never with a live Python exception.
 

@@ -12,9 +12,7 @@ SafetyPin uses Merkle commitments in three places:
 
 This module provides a batch-built binary Merkle tree with inclusion proofs.
 Leaves are arbitrary byte strings; leaf and node hashing is domain-separated
-to rule out second-preimage-by-reinterpretation attacks.  A proof's byte
-layout (it travels inside a sharded inclusion proof) is one codec value,
-:data:`MERKLE_PROOF`.
+to rule out second-preimage-by-reinterpretation attacks.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.core.codec import U64, converted, fixed, record, seq, tagged
 from repro.crypto.hashing import sha256
 
 _LEAF_TAG = b"\x00merkle-leaf"
@@ -47,15 +44,6 @@ class MerkleProof:
 
     index: int
     path: Tuple[Tuple[bytes, bool], ...]
-
-
-#: A proof's bytes: the ``u64`` index, then a ``u32`` count of steps, each
-#: a flag byte (1 = the sibling is on the left) and the 32-byte sibling.
-MERKLE_PROOF = record(MerkleProof, index=U64, path=seq(converted(
-    tagged("Merkle path flag", dict.fromkeys((0, 1), fixed(32, "Merkle sibling"))),
-    lambda step: (bool(step[1]), step[0]),
-    lambda pair: (pair[1], pair[0] == 1),
-), tuple, what="Merkle path step"))
 
 
 class MerkleTree:

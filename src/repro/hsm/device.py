@@ -57,7 +57,7 @@ from repro.log.distributed import (
     audit_chunk_indices,
     on_committee,
 )
-from repro.log.sharded import ShardedInclusionProof, cross_shard_root, shard_of
+from repro.log.sharded import cross_shard_root, shard_of
 from repro.metering import OpMeter
 from repro.storage.blockstore import BlockStore, InMemoryBlockStore
 
@@ -135,7 +135,6 @@ class HsmDevice:
         self.meter = OpMeter()
         self.is_failed = False
         self.key_epoch = 0
-        self.rotations = 0
         self.garbage_collections_seen = 0
         self._rng = rng
         self._store = store if store is not None else InMemoryBlockStore()
@@ -445,26 +444,10 @@ class HsmDevice:
                     f"HSM {self.index}: attempt {attempt_no} exceeds the per-user limit"
                 )
             # (1) the recovery attempt is in the log the HSM trusts.  The
-            # device verifies against the digest *it* tracks for the
-            # identifier's shard — never against digests the proof claims —
-            # and recomputes the shard routing itself, so a proof can never
-            # shop an identifier into a foreign lane.  A plain proof is
-            # shard 0 of a one-shard log.
-            proof = request.inclusion_proof
-            if isinstance(proof, ShardedInclusionProof):
-                shard, arity, inner_proof = proof.shard, proof.num_shards, proof.inclusion
-            else:
-                shard, arity, inner_proof = 0, 1, proof
-            num_shards = len(self._shard_digests)
-            if arity != num_shards:
-                raise HsmStaleProofError(
-                    f"HSM {self.index}: proof is for a {arity}-shard log, I track "
-                    f"{num_shards} shard(s) (refresh the proof)"
-                )
-            if shard != shard_of(request.log_identifier, num_shards):
-                raise HsmRefusedError(
-                    f"HSM {self.index}: identifier does not route to shard {shard}"
-                )
+            # device routes the identifier to its shard itself and verifies
+            # against the digest *it* tracks for that shard, so a proof from
+            # any other lane cannot verify.
+            shard = shard_of(request.log_identifier, len(self._shard_digests))
             # Missed transitions are adopted lazily: verify any offered
             # quorum-signed transitions for this shard before judging the
             # proof against it.
@@ -479,7 +462,7 @@ class HsmDevice:
                 self._shard_digests[shard],
                 request.log_identifier,
                 request.commitment,
-                inner_proof,
+                request.inclusion_proof,
             ):
                 raise HsmStaleProofError(
                     f"HSM {self.index}: recovery attempt not proven against my"
@@ -551,7 +534,6 @@ class HsmDevice:
                 self.bloom_params, self._store, self._rng
             )
             self.key_epoch += 1
-            self.rotations += 1
         return self.public_info()
 
     # -- garbage collection (§6.2) --------------------------------------------------------

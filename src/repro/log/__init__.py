@@ -12,13 +12,14 @@ what bounds PIN-guessing attempts.
 The provider's log is a ``ShardedLog`` (``repro.log.sharded``) at every
 arity: S >= 1 independent digest chains (``DistributedLog`` lanes), each
 certified by its own device committee, anchored to one cross-shard Merkle
-root (the lone chain's digest when S = 1) so proofs and audits still
-reference a single value.  ``shard_of`` is the public routing function;
-write-once holds because an identifier belongs to exactly one shard.
+root (the lone chain's digest when S = 1) so audits still reference a
+single value.  A proof is its lane's plain proof at every S.  ``shard_of``
+is the public routing function; write-once holds because an identifier
+belongs to exactly one shard.
 
 Thread safety: log objects are unsynchronized; the serving layer owns the
 locking (see each module's docstring).  Verifier-side helpers
-(``verify_includes``, ``verify_includes_sharded``, multisig verification)
+(``verify_includes``, multisig verification)
 are pure and thread-safe.
 """
 
@@ -29,13 +30,7 @@ from repro.log.distributed import (
     EcdsaMultiSig,
 )
 from repro.log.auditor import ExternalAuditor, AuditFailure
-from repro.log.sharded import (
-    ShardedInclusionProof,
-    ShardedLog,
-    cross_shard_root,
-    shard_of,
-    verify_includes_sharded,
-)
+from repro.log.sharded import ShardedLog, cross_shard_root, shard_of
 from repro.log.membership import (
     MembershipEvent,
     MembershipRegistry,
@@ -56,9 +51,7 @@ __all__ = [
     "EcdsaMultiSig",
     "ExternalAuditor",
     "AuditFailure",
-    "ShardedInclusionProof",
     "ShardedLog",
     "cross_shard_root",
     "shard_of",
-    "verify_includes_sharded",
 ]

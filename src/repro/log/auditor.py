@@ -11,9 +11,8 @@ Sharded logs audit the same way per shard, anchored to the cross-shard
 root (``audit_sharded_snapshot``); an unsharded log is its one-shard case.
 
 Thread safety: auditors are external observers working on snapshot copies
-(entry lists); they hold no locks and never touch live log state, so one
-auditor instance should not be shared across threads (it accumulates
-``checked_digests``) but any number may run in parallel on their own.
+(entry lists); they hold no locks, keep no state past a call and never
+touch live log state, so any number may run in parallel.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ class ExternalAuditor:
 
     def __init__(self, name: str = "auditor") -> None:
         self.name = name
-        self.checked_digests: List[bytes] = []
 
     # -- digest replay --------------------------------------------------------
     def replay_digest(self, entries: Sequence[Tuple[bytes, bytes]]) -> bytes:
@@ -94,7 +92,6 @@ class ExternalAuditor:
         )
         if root != claimed_root:
             raise AuditFailure("log contents do not match the published root")
-        self.checked_digests.append(claimed_root)
 
     # -- user-facing monitoring ---------------------------------------------------
     @staticmethod

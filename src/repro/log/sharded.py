@@ -18,18 +18,15 @@ epoch's critical path free of fleet-wide fan-out.  This is the
 partitioning move of datacenter-scale designs (XOS-style state
 sharding): independent lanes, deterministic placement, and a thin
 combining layer.  ``S = 1`` is the paper's single chain: its root is the
-lane digest, its proof the plain one.
+lane digest.
 
-Auditors and proofs still anchor to **one value**: the *cross-shard root*,
-a Merkle root over the ordered shard digests
-(:func:`cross_shard_root`).  With ``S >= 2`` an inclusion proof is a
-:class:`ShardedInclusionProof` — the per-shard BST proof plus the Merkle
-path from that shard's digest leaf to the root — so any verifier holding
-only the root can check membership (:func:`verify_includes_sharded`),
-while an HSM that tracks the per-shard digests directly verifies against
-its own copy of the shard digest and recomputes the identifier's shard
-itself (write-once stays intact: an identifier maps to exactly one shard,
-so no value can be re-logged in a sibling lane).
+At every ``S`` a proof is the lane's plain BST proof (``PROOF_PLAIN`` on
+the wire): an HSM tracks one digest per lane, recomputes the
+identifier's lane itself and verifies the proof against its own copy of
+that lane's digest (write-once stays intact: an identifier maps to exactly
+one shard, so no value can be re-logged in a sibling lane).  Auditors
+anchor to **one value**: the *cross-shard root*, a Merkle root over the
+ordered shard digests (:func:`cross_shard_root`).
 
 The log's root is maintained *incrementally*: :class:`CrossShardRoot`
 (one, under ``ShardedLog``) keeps a persistent
@@ -73,16 +70,11 @@ read it after joining the lanes.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import sha256
-from repro.crypto.merkle import IncrementalMerkleTree, MerkleProof, MerkleTree
-from repro.log.authdict import (
-    AuthenticatedDictionary,
-    InclusionProof,
-    verify_includes,
-)
+from repro.crypto.merkle import IncrementalMerkleTree, MerkleTree
+from repro.log.authdict import AuthenticatedDictionary, InclusionProof
 from repro.log.distributed import DistributedLog, LogConfig, LogUpdateRejected, on_committee
 
 
@@ -104,7 +96,7 @@ def shard_leaf(shard: int, digest: bytes) -> bytes:
 
 
 def cross_shard_root(digests: Sequence[bytes]) -> bytes:
-    """The one value everything anchors to: Merkle over the shard digests,
+    """The one value auditors anchor to: Merkle over the shard digests,
     or the lone digest itself for a one-shard log (no hashing)."""
     if len(digests) == 1:
         return digests[0]
@@ -120,7 +112,7 @@ class CrossShardRoot:
     invalidation hooks, and only changed shards pay the O(log S) path
     rehash.  A log's shard count is fixed when it is provisioned, so every
     read passes as many digests as the first.  Not synchronized: the owner
-    serializes :meth:`refresh`.
+    serializes :meth:`root`.
     """
 
     def __init__(self) -> None:
@@ -129,63 +121,18 @@ class CrossShardRoot:
 
     def root(self, digests: Sequence[bytes]) -> bytes:
         """:func:`cross_shard_root` over ``digests``, kept incrementally."""
-        return digests[0] if len(digests) == 1 else self.refresh(digests).root
-
-    def refresh(self, digests: Sequence[bytes]) -> IncrementalMerkleTree:
-        """The root tree over ``digests`` (``S >= 2``), byte-identical to
-        :func:`cross_shard_root` over the same list."""
+        if len(digests) == 1:
+            return digests[0]
         if self._tree is None:  # first read: build, O(S)
             self._leaves = list(digests)
             self._tree = IncrementalMerkleTree(
                 [shard_leaf(i, d) for i, d in enumerate(digests)]
             )
-            return self._tree
         for index, digest in enumerate(digests):
             if digest != self._leaves[index]:
                 self._tree.update(index, shard_leaf(index, digest))
                 self._leaves[index] = digest
-        return self._tree
-
-
-@dataclass(frozen=True)
-class ShardedInclusionProof:
-    """Inclusion proof for a sharded log, anchored to the cross-shard root.
-
-    ``inclusion`` proves ``(identifier, value)`` under ``shard_digest`` (the
-    ordinary Merkle-BST proof); ``shard_path`` proves that
-    ``shard_leaf(shard, shard_digest)`` is leaf ``shard`` under the
-    cross-shard root.  HSMs, which track the shard digests themselves,
-    verify ``inclusion`` directly against their own copy; root-only
-    verifiers (clients, auditors) use :func:`verify_includes_sharded`.
-    """
-
-    shard: int
-    num_shards: int
-    shard_digest: bytes
-    shard_path: MerkleProof
-    inclusion: InclusionProof
-
-
-def verify_includes_sharded(
-    root: bytes, identifier: bytes, value: bytes, proof: ShardedInclusionProof
-) -> bool:
-    """DoesInclude against the cross-shard root alone.
-
-    Checks (a) the identifier really routes to the claimed shard, (b) the
-    BST proof verifies under the claimed shard digest, and (c) the claimed
-    shard digest is committed at leaf ``shard`` under ``root``.
-    """
-    if proof.num_shards < 2 or not (0 <= proof.shard < proof.num_shards):
-        return False
-    if shard_of(identifier, proof.num_shards) != proof.shard:
-        return False
-    if not verify_includes(proof.shard_digest, identifier, value, proof.inclusion):
-        return False
-    if proof.shard_path.index != proof.shard:
-        return False
-    return MerkleTree.verify(
-        root, shard_leaf(proof.shard, proof.shard_digest), proof.shard_path
-    )
+        return self._tree.root
 
 
 class _CombinedDictView:
@@ -211,8 +158,7 @@ class _CombinedDictView:
 class ShardedLog:
     """``provider.log`` at every arity: ``S >= 1`` parallel epoch lanes.
 
-    ``digest`` is the cross-shard root and ``prove_includes`` returns a
-    :class:`ShardedInclusionProof` — at ``S = 1``, the lane digest and the
+    ``digest`` is the cross-shard root and ``prove_includes`` returns the
     lane's plain proof.  The serving layer drives lanes through ``shards``,
     :meth:`shards_with_pending` and :meth:`run_shard_update`.  Like
     ``DistributedLog``, this class is *untrusted* in the threat model.
@@ -220,8 +166,8 @@ class ShardedLog:
 
     #: Lock contract (see `repro.lintkit`'s lock-discipline pass): the
     #: incremental root is only refreshed under ``_root_lock``, so
-    #: concurrent ``digest``/``prove_includes`` readers can never
-    #: interleave partial path updates.
+    #: concurrent ``digest`` readers can never interleave partial path
+    #: updates.
     _GUARDED_BY = {"_root": "_root_lock"}
 
     def __init__(self, config: Optional[LogConfig] = None) -> None:
@@ -273,7 +219,7 @@ class ShardedLog:
 
     @property
     def digest(self) -> bytes:
-        """The cross-shard root: the single anchor for proofs and audits.
+        """The cross-shard root: the single anchor for audits.
 
         Incrementally maintained — reading it after an epoch rehashes only
         the committed shards' root paths, byte-identical to
@@ -311,30 +257,9 @@ class ShardedLog:
         """Per-shard ordered entry lists (what a sharded audit replays)."""
         return [list(shard.ordered_entries) for shard in self.shards]
 
-    def prove_includes(
-        self, identifier: bytes, value: bytes
-    ) -> Optional[Union[InclusionProof, ShardedInclusionProof]]:
-        """Root-anchored inclusion proof; None if not committed yet.
-
-        The lane's plain proof at ``S = 1``.  Otherwise the shard path
-        comes from the persistent root tree (refreshed for dirty shards
-        only) — no per-proof O(S) tree rebuild — byte-identical to a path
-        proved by a from-scratch ``MerkleTree`` over the same digests.
-        """
-        shard_index = shard_of(identifier, self.num_shards)
-        inner = self.shards[shard_index].prove_includes(identifier, value)
-        if inner is None or self.num_shards == 1:
-            return inner
-        with self._root_lock:
-            digests = self.shard_digests
-            shard_path = self._root.refresh(digests).prove(shard_index)
-        return ShardedInclusionProof(
-            shard=shard_index,
-            num_shards=self.num_shards,
-            shard_digest=digests[shard_index],
-            shard_path=shard_path,
-            inclusion=inner,
-        )
+    def prove_includes(self, identifier: bytes, value: bytes) -> Optional[InclusionProof]:
+        """The identifier's lane proof; None if not committed yet."""
+        return self.shard_for(identifier).prove_includes(identifier, value)
 
     # -- epochs ----------------------------------------------------------------
     def committee(self, shard_index: int, hsms: Sequence) -> List:

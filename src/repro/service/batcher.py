@@ -175,7 +175,6 @@ class EpochBatcher:
         "_lease_shards": ("_lock", "_drained"),
         "_lane_blocked_since": ("_lock", "_drained"),
         "epochs_run": ("_lock", "_drained"),
-        "entries_committed": ("_lock", "_drained"),
         "sessions_served": ("_lock", "_drained"),
         "lease_timeouts": ("_lock", "_drained"),
         "lease_timeouts_by_shard": ("_lock", "_drained"),
@@ -228,7 +227,6 @@ class EpochBatcher:
         # ticks and ticks that only deferred do not move it.
         self._last_epoch_end: Optional[float] = None
         self.epochs_run = 0
-        self.entries_committed = 0
         self.sessions_served = 0
         self.lease_timeouts = 0
         #: per-shard split of ``lease_timeouts`` (every dropped straggler
@@ -409,7 +407,6 @@ class EpochBatcher:
                         _fail_tickets(shard_waiters, f"shard {shard} epoch failed", error)
                         continue
                     self.epochs_run += 1
-                    self.entries_committed += len(shard_waiters)
                     committed_lanes += 1
                     served += self._serve_waiters(shard_waiters, shard)
                 if committed_lanes:
@@ -511,7 +508,6 @@ class EpochBatcher:
         with self._lock:
             return {
                 "epochs_run": self.epochs_run,
-                "entries_committed": self.entries_committed,
                 "sessions_served": self.sessions_served,
                 "epoch_sessions": list(self.epoch_sessions),
                 "lease_timeouts": self.lease_timeouts,

@@ -1,20 +1,20 @@
 """The codec layer: every primitive and combinator round-trips, and every
 decoder keeps the strictness contract ``repro.core.codec`` states once —
 malformed bytes raise :class:`WireFormatError` and nothing else.  So do the
-four crypto layouts built from them (``OPENING``, ``MERKLE_PROOF``,
-``SHARE``, ``SHARE_PLAINTEXT``).
+three crypto layouts built from them (``OPENING``, ``SHARE``,
+``SHARE_PLAINTEXT``), and the inclusion proof a request carries nested.
 
 Also here, because they are properties of codecs composed in
 ``core/wire.py``: a decrypt-share request has exactly one byte string (no
-nested blob tolerates appended bytes), and an opening or a Merkle path that
-is padded, cut short, over-counted or mis-flagged is a wire error on its
-own and inside a request frame.
+nested blob tolerates appended bytes), and an opening or an inclusion
+proof that is padded, cut short, over-counted or (the proof) of another
+kind is a wire error on its own and inside a request frame.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core import wire
 from repro.core.codec import (
@@ -23,9 +23,8 @@ from repro.core.codec import (
 )
 from repro.core.lhe import SHARE_PLAINTEXT
 from repro.crypto.commit import OPENING, CommitmentOpening
-from repro.crypto.merkle import MERKLE_PROOF, MerkleProof
 from repro.crypto.shamir import SHARE, Share
-from test_wire_properties import decrypt_requests, sharded_proofs
+from test_wire_properties import decrypt_requests, inclusion_proofs
 
 _SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -81,12 +80,10 @@ CODECS = [
         CommitmentOpening, username=st.text(max_size=12),
         cluster=st.lists(u32s, max_size=5).map(tuple), ciphertext_hash=digests, randomness=digests,
     )),
-    ("MERKLE_PROOF", MERKLE_PROOF, st.builds(
-        MerkleProof, index=st.integers(0, (1 << 64) - 1),
-        path=st.lists(st.tuples(digests, st.booleans()), max_size=3).map(tuple),
-    )),
     ("SHARE", SHARE, shares),
     ("SHARE_PLAINTEXT", SHARE_PLAINTEXT, st.tuples(st.text(max_size=12), shares)),
+    # The one inclusion-proof layout, at every arity.
+    ("INCLUSION_PROOF", wire.INCLUSION_PROOF, inclusion_proofs),
 ]
 
 
@@ -305,8 +302,7 @@ class TestOneByteStringPerRequest:
     @given(request=decrypt_requests(), extra=st.binary(min_size=1, max_size=6))
     @settings(**_SETTINGS)
     def test_lengthened_blob_two_levels_down_never_decodes(self, request, extra):
-        """The point inside the share ciphertext, and the Merkle path inside
-        a sharded proof."""
+        """The point inside the share ciphertext."""
         blobs = self.blobs_of(request)
         ct = request.share_ciphertext
         head = BLOB.encode(ct.tag) + BLOB.encode(ct.ephemeral.to_bytes())
@@ -318,35 +314,6 @@ class TestOneByteStringPerRequest:
         )
         with pytest.raises(WireFormatError):
             wire.decode_decrypt_request(self.frame(padded))
-        proof = request.inclusion_proof
-        assume(hasattr(proof, "shard_path"))
-        padded = list(blobs)
-        padded[4] = sharded_proof_bytes(proof, MERKLE_PROOF.encode(proof.shard_path) + extra)
-        with pytest.raises(WireFormatError):
-            wire.decode_decrypt_request(self.frame(padded))
-
-    @given(proof=sharded_proofs())
-    @settings(max_examples=10, deadline=None)
-    def test_merkle_path_running_off_its_input_is_a_wire_error(self, proof):
-        """A path count one past the steps present runs off the input: a
-        wire error, never a foreign exception."""
-        claims_one_more = over_counted_path(MERKLE_PROOF.encode(proof.shard_path))
-        with pytest.raises(WireFormatError):
-            wire.decode_inclusion_proof(sharded_proof_bytes(proof, claims_one_more))
-
-
-def sharded_proof_bytes(proof, path: bytes) -> bytes:
-    """``proof``'s inclusion-proof encoding with ``path`` as its Merkle-path blob."""
-    return (
-        bytes([wire.PROOF_SHARDED]) + U32.encode(proof.shard) + U32.encode(proof.num_shards)
-        + BLOB.encode(proof.shard_digest) + BLOB.encode(path)
-        + wire.encode_inclusion_proof(proof.inclusion)[1:]
-    )
-
-
-def over_counted_path(data: bytes) -> bytes:
-    """A Merkle-path encoding whose step count claims one step more."""
-    return data[:8] + U32.encode(U32.decode(data[8:12]) + 1) + data[12:]
 
 
 def over_counted_opening(data: bytes) -> bytes:
@@ -359,20 +326,21 @@ def over_counted_opening(data: bytes) -> bytes:
 #: Ways to break an encoding its encoder never writes (a trailing byte is
 #: ``TestOneByteStringPerRequest``'s case).
 OPENING_MANGLES = {"cut short": lambda data: data[:-1], "over-long count": over_counted_opening}
-PATH_MANGLES = {
+PROOF_MANGLES = {
     "cut short": lambda data: data[:-1],
-    "over-long count": over_counted_path,
-    # the first step's flag byte, just after the index and the count
-    "flag 2": lambda data: data[:12] + b"\x02" + data[13:],
-    "flag 255": lambda data: data[:12] + b"\xff" + data[13:],
+    # the step count, just after the kind byte
+    "over-long count": lambda data: data[:1] + U32.encode(U32.decode(data[1:5]) + 1) + data[5:],
+    "kind 0": lambda data: b"\x00" + data[1:],
+    # the retired sharded kind, in front of a plain body
+    "kind 2": lambda data: b"\x02" + data[1:],
 }
 
 
 class TestCryptoLayoutsAreStrict:
-    """Each crypto layout refuses bytes its encoder never writes, on its
-    own and inside a decrypt-share request frame.  The opening and the
-    Merkle path travel in the frame in the clear; a share and its
-    plaintext travel encrypted, so the device refuses those
+    """Each crypto layout, and the inclusion proof, refuses bytes its
+    encoder never writes, on its own and inside a decrypt-share request
+    frame.  The opening and the proof travel in the frame in the clear; a
+    share and its plaintext travel encrypted, so the device refuses those
     (``test_hsm_device.TestMalformedSharePlaintext``).  Truncation at every
     cut and a trailing byte, standalone, are ``TestEveryCodec`` rows."""
 
@@ -388,18 +356,15 @@ class TestCryptoLayoutsAreStrict:
         with pytest.raises(WireFormatError):
             wire.decode_decrypt_request(TestOneByteStringPerRequest.frame(blobs))
 
-    @pytest.mark.parametrize("mangle", sorted(PATH_MANGLES))
-    @given(request=decrypt_requests(), proof=sharded_proofs())
+    @pytest.mark.parametrize("mangle", sorted(PROOF_MANGLES))
+    @given(request=decrypt_requests())
     @settings(max_examples=10, deadline=None)
-    def test_mangled_merkle_path_is_refused(self, mangle, request, proof):
-        assume(proof.shard_path.path)  # a step whose flag to break
-        mangled = PATH_MANGLES[mangle](MERKLE_PROOF.encode(proof.shard_path))
+    def test_mangled_inclusion_proof_is_refused(self, mangle, request):
+        mangled = PROOF_MANGLES[mangle](wire.encode_inclusion_proof(request.inclusion_proof))
         with pytest.raises(WireFormatError):
-            MERKLE_PROOF.decode(mangled)
-        blobs = TestOneByteStringPerRequest.blobs_of(
-            replace(request, inclusion_proof=proof)
-        )
-        blobs[4] = sharded_proof_bytes(proof, mangled)
+            wire.decode_inclusion_proof(mangled)
+        blobs = TestOneByteStringPerRequest.blobs_of(request)
+        blobs[4] = mangled
         with pytest.raises(WireFormatError):
             wire.decode_decrypt_request(TestOneByteStringPerRequest.frame(blobs))
 

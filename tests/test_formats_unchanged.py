@@ -6,11 +6,18 @@ the parent commit (PR 19, hand-written encoders) *before any source edit* by
 running exactly this file, and are never edited: a format that moves by one
 byte moves a digest.
 
-The four crypto layouts (a commitment opening, a Merkle path, a Shamir
-share and a share plaintext) became codec values later; their standalone
-bytes below were written by the hand-written encoders they replaced.
+The three crypto layouts (a commitment opening, a Shamir share and a
+share plaintext) became codec values later; their standalone bytes below
+were written by the hand-written encoders they replaced.
 
-The *frames* digests are still those.  The two ``store`` digests and the
+The shards=1 *frames* digest is still that one.  The shards=2 frames
+digest moved once, when a sharded log's proof became its lane's plain
+proof, and was compared frame by frame against the parent's: of the 34
+frames, 11 (3 PROVEN replies, 8 decrypt-share requests) each lost the
+93-byte root-anchored envelope — the shard and arity ``u32``s, the 36-byte
+lane-digest blob and the 49-byte Merkle-path blob — their proof-kind byte
+went 2 → 1 and the enclosing nested length dropped by 93.  Every other
+byte is the parent's.  The two ``store`` digests and the
 record-kinds digest were re-captured twice, each time for a retired record
 kind, and compared block by block against the parent's store:
 
@@ -32,13 +39,14 @@ import random
 import pytest
 
 from repro.chaos.entropy import DeterministicEntropy
+from repro.core import wire
 from repro.core.client import RecoveryError
 from repro.core.lhe import SHARE_PLAINTEXT
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.crypto.commit import OPENING, CommitmentOpening
-from repro.crypto.merkle import MERKLE_PROOF, MerkleProof
 from repro.crypto.shamir import DEFAULT_MODULUS, SHARE, Share
+from repro.log.authdict import InclusionProof, PathStep
 from repro.log.distributed import CertifiedTransition
 from repro.service.channel import HsmWireEndpoint, ProviderWireEndpoint
 from repro.storage.blockstore import InMemoryBlockStore
@@ -57,14 +65,15 @@ def _absorb_store(digest, store: InMemoryBlockStore) -> None:
 
 
 class TestFormatsUnchanged:
-    # "frames" captured at d8983dc, "store" re-captured; see the module docstring.
+    # "frames" captured at d8983dc (shards=2 moved once), "store" re-captured;
+    # see the module docstring.
     PARENT_DIGESTS = {
         1: {
             "frames": "ec138a5d07910af82fa09c8f22a36c048a9cdbf8fd62439fd99d407201f339b5",
             "store": "417bc64ecf781c685d1c833267adf4513e14ed32746461242a6c77e22058ea38",
         },
         2: {
-            "frames": "5718053bfaf1ec80ef93fae8e355fc7ef8212c257b9f6c75c1401793b38a4d35",
+            "frames": "3cb6f031ecf6cab8459d6d7783599fcff56fb295f3650adaabb7f7d958764641",
             "store": "5218a601b55b650e2040387fc2a2480ffbb1f8229749d458cec7cd554168c833",
         },
     }
@@ -174,12 +183,29 @@ class TestFormatsUnchanged:
         _absorb_store(blocks, self.write_every_record_kind())
         assert blocks.hexdigest() == self.PARENT_RECORD_KINDS_DIGEST
 
+    def test_plain_proof_bytes_unchanged(self):
+        """The one proof layout left is the parent's ``PROOF_PLAIN``
+        envelope, byte for byte: the shards=2 frames lost the sharded
+        envelope and nothing else.  These bytes are the parent encoder's."""
+        proof = InclusionProof(
+            steps=(PathStep(idh=b"\x11" * 32, value=b"\x22" * 3, other=b"\x33" * 32),),
+            left=b"\x44" * 32,
+            right=b"\x55" * 32,
+        )
+        pinned = (
+            "01" + "00000001"
+            + "00000020" + "11" * 32 + "00000003" + "22" * 3 + "00000020" + "33" * 32
+            + "00000020" + "44" * 32 + "00000020" + "55" * 32
+        )
+        assert wire.encode_inclusion_proof(proof).hex() == pinned
+        assert wire.decode_inclusion_proof(bytes.fromhex(pinned)) == proof
+
 
 class TestCryptoLayoutsUnchanged:
     """Each crypto layout's standalone bytes for one fixed value, as the
-    hand-written ``to_bytes`` wrote them.  The opening and the Merkle path
-    are also inside the pinned frames (the path only at shards=2); a share
-    and its plaintext cross the wire only encrypted."""
+    hand-written ``to_bytes`` wrote them.  The opening is also inside the
+    pinned frames; a share and its plaintext cross the wire only
+    encrypted."""
 
     SHARE_VALUE = Share(x=7, y=DEFAULT_MODULUS - 1)
     PINNED = {
@@ -188,14 +214,6 @@ class TestCryptoLayoutsUnchanged:
             CommitmentOpening("zoë", (3, 1, 4, 1, 5), b"\xcc" * 32, bytes(range(32))),
             "00047a6fc3ab00050000000300000001000000040000000100000005"
             + "cc" * 32 + bytes(range(32)).hex(),
-        ),
-        "merkle_proof": (
-            MERKLE_PROOF,
-            MerkleProof(
-                index=5,
-                path=((b"\x11" * 32, True), (b"\x22" * 32, False), (b"\x33" * 32, True)),
-            ),
-            "000000000000000500000003" + "01" + "11" * 32 + "00" + "22" * 32 + "01" + "33" * 32,
         ),
         "share": (
             SHARE,

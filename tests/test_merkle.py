@@ -3,8 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.codec import WireFormatError
-from repro.crypto.merkle import MERKLE_PROOF, IncrementalMerkleTree, MerkleTree
+from repro.crypto.merkle import IncrementalMerkleTree, MerkleProof, MerkleTree
 
 
 class TestBasics:
@@ -31,6 +30,27 @@ class TestBasics:
         tree = MerkleTree([b"a", b"b", b"c", b"d"])
         assert not MerkleTree.verify(tree.root, b"a", tree.prove(1))
 
+    def test_tampered_sibling_rejected(self):
+        tree = MerkleTree([bytes([i]) for i in range(9)])
+        proof = tree.prove(5)
+        for step in range(len(proof.path)):
+            path = list(proof.path)
+            sibling, is_left = path[step]
+            path[step] = (bytes([sibling[0] ^ 1]) + sibling[1:], is_left)
+            forged = MerkleProof(index=proof.index, path=tuple(path))
+            assert not MerkleTree.verify(tree.root, bytes([5]), forged)
+
+    def test_flipped_side_rejected(self):
+        """A sibling hashed on the wrong side folds to another root."""
+        tree = MerkleTree([bytes([i]) for i in range(9)])
+        proof = tree.prove(5)
+        for step in range(len(proof.path)):
+            path = list(proof.path)
+            sibling, is_left = path[step]
+            path[step] = (sibling, not is_left)
+            forged = MerkleProof(index=proof.index, path=tuple(path))
+            assert not MerkleTree.verify(tree.root, bytes([5]), forged)
+
     def test_out_of_range_raises(self):
         tree = MerkleTree([b"a"])
         with pytest.raises(IndexError):
@@ -48,21 +68,6 @@ class TestBasics:
         t1 = MerkleTree([b"a", b"b"])
         t2 = MerkleTree([t1.root])
         assert t1.root != t2.root
-
-
-class TestProofSerialization:
-    def test_roundtrip(self):
-        tree = MerkleTree([bytes([i]) for i in range(9)])
-        proof = tree.prove(5)
-        restored = MERKLE_PROOF.decode(MERKLE_PROOF.encode(proof))
-        assert restored == proof
-        assert MerkleTree.verify(tree.root, bytes([5]), restored)
-
-    def test_truncated_rejected(self):
-        tree = MerkleTree([b"a", b"b"])
-        blob = MERKLE_PROOF.encode(tree.prove(0))
-        with pytest.raises(WireFormatError):
-            MERKLE_PROOF.decode(blob[:-5])
 
 
 @given(leaves=st.lists(st.binary(max_size=40), min_size=1, max_size=40), data=st.data())

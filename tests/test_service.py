@@ -454,6 +454,28 @@ class TestBatcherRegressions:
         assert time.monotonic() - start < 5.0
         live.wait(timeout=1)
 
+    def test_every_committed_entry_is_served_or_abandoned(self, batcher_provider):
+        """The batcher keeps no count of committed entries: every entry an
+        epoch commits belongs to a session it served or one that walked
+        away, and a rejected insertion commits nothing."""
+        batcher = EpochBatcher(
+            batcher_provider, commit_lanes(batcher_provider), lease_timeout=30.0
+        )
+        ghost = batcher.submit("walks-away", 0, b"h-ghost")
+        with pytest.raises(ServiceTimeout):
+            ghost.wait(timeout=0.05)
+        live = [batcher.submit(f"stays-{i}", 0, b"h-%d" % i) for i in range(2)]
+        duplicate = batcher.submit("stays-0", 0, b"h-again")
+        assert batcher.tick() == 2
+        for ticket in live:
+            ticket.wait(timeout=1)
+        with pytest.raises(ProviderError):
+            duplicate.wait(timeout=1)
+        committed = sum(len(shard.ordered_entries) for shard in batcher_provider.log.shards)
+        assert committed == 3
+        assert committed == batcher.sessions_served + batcher.abandoned_sessions
+        assert "entries_committed" not in batcher.stats()
+
     def test_resolution_beats_abandonment_when_racing(self, batcher_provider):
         """A ticket resolved before ``wait`` re-checks under the lock is
         served normally (the timeout lapsed but the result arrived)."""

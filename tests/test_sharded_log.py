@@ -21,22 +21,16 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.chaos.entropy import DeterministicEntropy
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.core.provider import ProviderError
-from repro.core.wire import PROOF_PLAIN, PROOF_SHARDED, encode_inclusion_proof
+from repro.core.wire import PROOF_PLAIN, encode_inclusion_proof
 from repro.hsm.device import HsmRefusedError, HsmStaleProofError
 from repro.log import AuditFailure, ExternalAuditor
-from repro.log.authdict import AuthenticatedDictionary
+from repro.log.authdict import AuthenticatedDictionary, verify_includes
 from repro.log.distributed import DistributedLog, LogConfig, LogUpdateRejected
-from repro.log.sharded import (
-    CrossShardRoot,
-    ShardedInclusionProof,
-    ShardedLog,
-    cross_shard_root,
-    shard_of,
-    verify_includes_sharded,
-)
+from repro.log.sharded import CrossShardRoot, ShardedLog, cross_shard_root, shard_of
 from repro.metering import OpMeter
 
 SHARDS = 4
@@ -79,7 +73,8 @@ class TestShardRouting:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_one_log_type_at_every_arity(self, shards):
         """The provider's log is a ShardedLog at every S; at S = 1 its
-        anchor is the lane digest and its proofs keep the plain envelope."""
+        anchor is the lane digest, and at every S a proof is the lane's
+        plain proof."""
         params = dataclasses.replace(
             SystemParams.for_testing(num_hsms=4, cluster_size=2), log_shards=shards
         )
@@ -91,11 +86,22 @@ class TestShardRouting:
         assert log.digest == cross_shard_root(log.shard_digests)
         assert all(hsm.log_digest == log.digest for hsm in dep.fleet.hsms)
         proof = log.prove_includes(b"rec|arity|0", b"h-arity")
+        assert encode_inclusion_proof(proof)[0] == PROOF_PLAIN
+        lane_digest = log.shard_for(b"rec|arity|0").digest
+        assert verify_includes(lane_digest, b"rec|arity|0", b"h-arity", proof)
         if shards == 1:
-            assert log.digest == log.shards[0].digest
-            assert encode_inclusion_proof(proof)[0] == PROOF_PLAIN
-        else:
-            assert encode_inclusion_proof(proof)[0] == PROOF_SHARDED
+            assert log.digest == lane_digest
+
+    def test_proof_is_none_until_its_lane_commits(self):
+        log = ShardedLog(LogConfig(num_shards=SHARDS))
+        log.insert(b"rec|pending|0", b"h-pending")
+        assert log.prove_includes(b"rec|pending|0", b"h-pending") is None
+        for k in log.shards_with_pending():
+            log.shards[k].prepare_update(num_chunks=1)
+        proof = log.prove_includes(b"rec|pending|0", b"h-pending")
+        lane_digest = log.shard_for(b"rec|pending|0").digest
+        assert verify_includes(lane_digest, b"rec|pending|0", b"h-pending", proof)
+        assert log.prove_includes(b"rec|pending|0", b"h-other") is None
 
     def test_duplicate_check_spans_pending_and_committed(self):
         log = ShardedLog(LogConfig(num_shards=SHARDS))
@@ -116,37 +122,35 @@ class TestCrossShardAnchor:
         assert dep.fleet[0].log_digest == log.digest
         assert log.digest == cross_shard_root(log.shard_digests)
 
-    def test_root_anchored_proof_verifies(self, sharded_deployment):
+    def test_lane_proof_verifies_only_under_its_lane_digest(self, sharded_deployment):
+        """What a device checks: the proof against its own digest for the
+        lane the identifier routes to — no other lane's, and not the root."""
         dep = sharded_deployment
         log = dep.provider.log
         log.insert(b"rec|anchor|0", b"h-anchor")
         log.run_update(dep.fleet.hsms)
         proof = log.prove_includes(b"rec|anchor|0", b"h-anchor")
-        assert isinstance(proof, ShardedInclusionProof)
-        assert verify_includes_sharded(log.digest, b"rec|anchor|0", b"h-anchor", proof)
-        # ... and anchors exactly to the devices' single trust value.
-        assert verify_includes_sharded(
-            dep.fleet[0].log_digest, b"rec|anchor|0", b"h-anchor", proof
-        )
+        lane = shard_of(b"rec|anchor|0", SHARDS)
+        device = dep.fleet[0]
+        assert device.log_digest == log.digest  # adopts any offered epochs
+        assert verify_includes(device.shard_digest(lane), b"rec|anchor|0", b"h-anchor", proof)
+        for other in range(SHARDS):
+            if other != lane:
+                assert not verify_includes(
+                    device.shard_digest(other), b"rec|anchor|0", b"h-anchor", proof
+                )
+        assert not verify_includes(log.digest, b"rec|anchor|0", b"h-anchor", proof)
 
-    def test_forged_shard_digest_fails_root_verification(self, sharded_deployment):
-        log = sharded_deployment.provider.log
-        log.insert(b"rec|forge|0", b"h-forge")
-        log.run_update(sharded_deployment.fleet.hsms)
-        proof = log.prove_includes(b"rec|forge|0", b"h-forge")
-        import dataclasses
-
-        forged = dataclasses.replace(proof, shard_digest=b"\x00" * 32)
-        assert not verify_includes_sharded(
-            log.digest, b"rec|forge|0", b"h-forge", forged
-        )
-        wrong_shard = dataclasses.replace(proof, shard=(proof.shard + 1) % SHARDS)
-        assert not verify_includes_sharded(
-            log.digest, b"rec|forge|0", b"h-forge", wrong_shard
-        )
-        assert not verify_includes_sharded(
-            b"\x11" * 32, b"rec|forge|0", b"h-forge", proof
-        )
+    def test_every_lane_digest_moves_the_root(self):
+        """The auditors' anchor binds each lane's digest and its place."""
+        digests = [bytes([k]) * 32 for k in range(SHARDS)]
+        root = cross_shard_root(digests)
+        for k in range(SHARDS):
+            forged = list(digests)
+            forged[k] = b"\xee" * 32
+            assert cross_shard_root(forged) != root
+        swapped = [digests[1], digests[0]] + digests[2:]
+        assert cross_shard_root(swapped) != root
 
 
 # ---------------------------------------------------------------------------
@@ -190,27 +194,11 @@ class TestIncrementalRoot:
                     if shard_of(i, num_shards) != k
                 }
             digests = log.shard_digests
-            assert log.digest == bare.refresh(digests).root == cross_shard_root(digests)
+            assert log.digest == bare.root(digests) == cross_shard_root(digests)
         for identifier, value in committed.items():
             proof = log.prove_includes(identifier, value)
             assert proof is not None
-            assert verify_includes_sharded(log.digest, identifier, value, proof)
-
-    def test_proof_paths_match_scratch_tree(self, sharded_deployment):
-        """Shard paths from the persistent tree are byte-identical to a
-        fresh MerkleTree over the same shard-digest leaves."""
-        from repro.crypto.merkle import MerkleTree
-        from repro.log.sharded import shard_leaf
-
-        log = sharded_deployment.provider.log
-        log.insert(b"rec|path-eq|0", b"h-path")
-        log.run_update(sharded_deployment.fleet.hsms)
-        scratch = MerkleTree(
-            [shard_leaf(i, d) for i, d in enumerate(log.shard_digests)]
-        )
-        assert log.digest == scratch.root
-        proof = log.prove_includes(b"rec|path-eq|0", b"h-path")
-        assert proof.shard_path == scratch.prove(proof.shard)
+            assert verify_includes(log.shard_for(identifier).digest, identifier, value, proof)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +354,7 @@ class TestLaneIsolation:
             served = service.tick()
             assert served == 1
             identifier, proof = good.wait(timeout=5)
-            assert verify_includes_sharded(log.digest, identifier, b"h-good", proof)
+            assert verify_includes(log.shard_for(identifier).digest, identifier, b"h-good", proof)
             with pytest.raises(ProviderError):
                 bad.wait(timeout=5)
             stats_failures = service.batcher.epoch_failures
@@ -389,41 +377,52 @@ class TestDeviceShardChecks:
         with pytest.raises(LogUpdateRejected, match="shard"):
             sharded_deployment.fleet[0].audit_log_update(round_)
 
-    def test_shard_shopping_is_refused(self, sharded_deployment):
-        """A proof claiming a foreign shard must be refused even if the
-        inner BST proof is genuine (write-once must not span lanes)."""
+    def test_proof_under_another_digest_reads_as_stale(self, sharded_deployment):
+        """A genuine proof under a digest the device does not hold for the
+        identifier's lane (here one from a log holding only this entry)
+        asks for a refresh — the client retry path."""
         dep = sharded_deployment
-        client = dep.new_client("shard-shopper")
-        client.backup(b"payload", pin="1111")
-        session = client.begin_recovery("1111", backup_recovery_key=False)
-        import dataclasses
-
-        proof = session.inclusion_proof
-        assert isinstance(proof, ShardedInclusionProof)
-        session.inclusion_proof = dataclasses.replace(
-            proof, shard=(proof.shard + 1) % SHARDS
-        )
-        request = client._share_request(session, 0)
-        with pytest.raises(HsmRefusedError):
-            dep.fleet[session.cluster[0]].decrypt_share(request)
-        # Restore the honest proof: recovery then completes.
-        session.inclusion_proof = proof
-        obtained = client.request_shares(session, "1111")
-        assert obtained >= dep.params.threshold
-        assert client.finish_recovery(session) == b"payload"
-
-    def test_arity_mismatch_reads_as_stale(self, sharded_deployment):
-        """An unsharded proof against sharded devices asks for a refresh
-        (the client retry path), not a hard refusal."""
-        dep = sharded_deployment
-        client = dep.new_client("arity-mismatch")
+        client = dep.new_client("other-digest")
         client.backup(b"x", pin="2222")
         session = client.begin_recovery("2222", backup_recovery_key=False)
-        sharded_proof = session.inclusion_proof
-        session.inclusion_proof = sharded_proof.inclusion  # strip the envelope
+        alone = AuthenticatedDictionary()
+        alone.insert(session.log_identifier, session.commitment)
+        session.inclusion_proof = alone.prove_includes(session.log_identifier, session.commitment)
         request = client._share_request(session, 0)
         with pytest.raises(HsmStaleProofError):
             dep.fleet[session.cluster[0]].decrypt_share(request)
+
+    def test_shard_shopping_is_refused(self):
+        """A genuine proof from a lane the identifier does not route to is
+        refused: the device routes the identifier itself, so write-once
+        never spans lanes.  A deployment of its own: the misrouted entry
+        would fail later audits of the shared one."""
+        dep = Deployment.create(small_params(), rng=random.Random(43), shards=SHARDS)
+        log = dep.provider.log
+        client = dep.new_client("shard-shopper")
+        with DeterministicEntropy(43):  # a cluster of >= t distinct devices
+            client.backup(b"payload", pin="1111")
+        session = client.begin_recovery("1111", backup_recovery_key=False)
+        identifier, commitment = session.log_identifier, session.commitment
+        foreign = (shard_of(identifier, SHARDS) + 1) % SHARDS
+        log.shards[foreign].insert(identifier, commitment)
+        log.run_shard_update(foreign, dep.fleet.hsms)
+        shopped = log.shards[foreign].prove_includes(identifier, commitment)
+        assert verify_includes(log.shards[foreign].digest, identifier, commitment, shopped)
+        device = dep.fleet[session.cluster[0]]
+        # The device adopts the foreign lane's epoch too, so it holds the
+        # digest the shopped proof verifies under.
+        assert device.log_digest == log.digest
+        honest = session.inclusion_proof
+        session.inclusion_proof = shopped
+        request = client._share_request(session, 0)
+        with pytest.raises(HsmRefusedError):
+            device.decrypt_share(request)
+        # Restore the honest proof: recovery then completes.
+        session.inclusion_proof = honest
+        obtained = client.request_shares(session, "1111")
+        assert obtained >= dep.params.threshold
+        assert client.finish_recovery(session) == b"payload"
 
 
 # ---------------------------------------------------------------------------

@@ -77,15 +77,28 @@ class TestRecoveryCiphertext:
         with pytest.raises(wire.WireFormatError):
             wire.decode_recovery_ciphertext(b"\x77" + blob[1:])
 
-    def test_elgamal_variant(self):
+    def test_elgamal_share_kind_is_refused(self):
+        """Only BFE share ciphertexts travel.  An ``ElGamalPke`` ciphertext
+        (Appendix A's instantiation for the games) has no wire kind, and
+        the bytes the retired kind 2 gave it are a wire error."""
+        from repro.core.codec import BLOB, TEXT, U32
         from repro.core.lhe import ElGamalPke
         from repro.crypto.elgamal import HashedElGamal
 
         keys = [HashedElGamal.keygen() for _ in range(5)]
         lhe = LocationHidingEncryption(5, 2, 1, pke=ElGamalPke())
         ct = lhe.encrypt([k.public for k in keys], "9999", b"m", username="bob")
-        decoded = wire.decode_recovery_ciphertext(wire.encode_recovery_ciphertext(ct))
-        assert decoded == ct
+        with pytest.raises(wire.WireFormatError):
+            wire.encode_recovery_ciphertext(ct)
+        counts = (ct.threshold, ct.num_hsms, ct.config_epoch, len(ct.share_ciphertexts))
+        kind_two = (
+            bytes([wire.WIRE_VERSION]) + BLOB.encode(ct.salt) + TEXT.encode(ct.username)
+            + b"".join(map(U32.encode, counts))
+            + b"".join(b"\x02" + BLOB.encode(share.to_bytes()) for share in ct.share_ciphertexts)
+            + BLOB.encode(ct.payload)
+        )
+        with pytest.raises(wire.WireFormatError):
+            wire.decode_recovery_ciphertext(kind_two)
 
 
 class TestInclusionProof:

@@ -19,15 +19,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import wire
+from repro.core.codec import BLOB
 from repro.core.lhe import LheCiphertext
 from repro.crypto.bfe import BfeCiphertext
 from repro.crypto.commit import commit_recovery
 from repro.crypto.ec import P256
 from repro.crypto.elgamal import ElGamalCiphertext
-from repro.crypto.merkle import MerkleProof
 from repro.hsm.device import DecryptShareRequest
 from repro.log.authdict import InclusionProof, PathStep
-from repro.log.sharded import ShardedInclusionProof
 
 # Valid curve points are expensive to make; sample from a fixed pool.
 _POINTS = tuple(P256.keygen(random.Random(seed)).public for seed in range(8))
@@ -55,9 +54,7 @@ recovery_ciphertexts = st.builds(
     LheCiphertext,
     salt=blobs,
     username=usernames,
-    share_ciphertexts=st.lists(
-        st.one_of(bfe_ciphertexts, elgamal_ciphertexts), max_size=4
-    ).map(tuple),
+    share_ciphertexts=st.lists(bfe_ciphertexts, max_size=4).map(tuple),
     payload=blobs,
     threshold=u32s,
     num_hsms=u32s,
@@ -75,26 +72,6 @@ inclusion_proofs = st.builds(
 
 
 @st.composite
-def sharded_proofs(draw):
-    num_shards = draw(st.integers(min_value=2, max_value=8))
-    shard = draw(st.integers(min_value=0, max_value=num_shards - 1))
-    path = MerkleProof(
-        index=shard,
-        path=tuple(
-            (draw(digests), draw(st.booleans()))
-            for _ in range(draw(st.integers(min_value=0, max_value=4)))
-        ),
-    )
-    return ShardedInclusionProof(
-        shard=shard,
-        num_shards=num_shards,
-        shard_digest=draw(digests),
-        shard_path=path,
-        inclusion=draw(inclusion_proofs),
-    )
-
-
-@st.composite
 def decrypt_requests(draw):
     username = draw(usernames)
     cluster = tuple(draw(st.lists(st.integers(0, 1000), min_size=1, max_size=4)))
@@ -104,7 +81,7 @@ def decrypt_requests(draw):
         log_identifier=draw(blobs),
         commitment=opening.commitment(),
         opening=opening,
-        inclusion_proof=draw(st.one_of(inclusion_proofs, sharded_proofs())),
+        inclusion_proof=draw(inclusion_proofs),
         share_ciphertext=draw(bfe_ciphertexts),
         context=draw(blobs),
         response_key=draw(points),
@@ -172,23 +149,34 @@ class TestInclusionProofWire:
         assert wire.decode_inclusion_proof(encoded) == proof
         _assert_rejects_mangling(encoded, wire.decode_inclusion_proof)
 
-    @given(proof=sharded_proofs())
+    @given(proof=inclusion_proofs, kind=st.integers(0, 255).filter(lambda k: k != wire.PROOF_PLAIN))
     @settings(**_SETTINGS)
-    def test_sharded_roundtrip_and_mangling(self, proof):
+    def test_only_the_plain_kind_decodes(self, proof, kind):
         encoded = wire.encode_inclusion_proof(proof)
-        assert wire.decode_inclusion_proof(encoded) == proof
-        _assert_rejects_mangling(encoded, wire.decode_inclusion_proof)
+        with pytest.raises(wire.WireFormatError):
+            wire.decode_inclusion_proof(bytes([kind]) + encoded[1:])
 
-    def test_shard_out_of_range_rejected(self):
-        proof = ShardedInclusionProof(
-            shard=5,
-            num_shards=4,
-            shard_digest=b"\x00" * 32,
-            shard_path=MerkleProof(index=5, path=()),
-            inclusion=InclusionProof(steps=(), left=b"\x00" * 32, right=b"\x00" * 32),
+    @given(
+        proof=inclusion_proofs,
+        lane=st.integers(0, 7),
+        lane_digest=digests,
+        path=st.lists(st.tuples(digests, st.booleans()), max_size=3),
+    )
+    @settings(**_SETTINGS)
+    def test_retired_sharded_envelope_is_refused(self, proof, lane, lane_digest, path):
+        """The root-anchored envelope an older sender wrote (kind 2: lane,
+        arity, lane digest, Merkle path to the cross-shard root, then the
+        plain body) is a wire error, not a proof."""
+        merkle_path = (lane.to_bytes(8, "big") + len(path).to_bytes(4, "big") + b"".join(
+            bytes([is_left]) + sibling for sibling, is_left in path
+        ))
+        envelope = (
+            b"\x02" + lane.to_bytes(4, "big") + (8).to_bytes(4, "big")
+            + BLOB.encode(lane_digest) + BLOB.encode(merkle_path)
+            + wire.encode_inclusion_proof(proof)[1:]
         )
         with pytest.raises(wire.WireFormatError):
-            wire.decode_inclusion_proof(wire.encode_inclusion_proof(proof))
+            wire.decode_inclusion_proof(envelope)
 
 
 _FIELD_STRATEGIES = {
@@ -197,8 +185,8 @@ _FIELD_STRATEGIES = {
     "u32": u32s,
     "i32": st.integers(min_value=-(1 << 31), max_value=(1 << 31) - 1),
     "recovery_ct": recovery_ciphertexts,
-    "proof": st.one_of(inclusion_proofs, sharded_proofs()),
-    "opt_proof": st.one_of(st.none(), inclusion_proofs, sharded_proofs()),
+    "proof": inclusion_proofs,
+    "opt_proof": st.one_of(st.none(), inclusion_proofs),
     "blobs": st.lists(blobs, max_size=4),
     "entries": st.lists(st.tuples(blobs, blobs), max_size=4),
     "err_status": st.sampled_from(wire._PROVIDER_ERROR_STATUSES),
