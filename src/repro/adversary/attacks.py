@@ -7,10 +7,10 @@ security test means the deployed code path actually resisted the attack.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.lhe import SHARE_PLAINTEXT, LheCiphertext, LocationHidingEncryption
-from repro.crypto.bfe import BloomFilterEncryption, PuncturedKeyError
+from repro.core.lhe import LheCiphertext, LheError, LocationHidingEncryption
+from repro.crypto.bfe import BfeSecretKey, PuncturedKeyError
 from repro.crypto.gcm import AuthenticationError
 from repro.crypto.shamir import Share
 from repro.hsm.device import StolenSecrets
@@ -53,6 +53,39 @@ class BruteForcePinAttacker:
 # ---------------------------------------------------------------------------
 # Adaptive HSM corruption (Theorem 10 / Remark 5)
 # ---------------------------------------------------------------------------
+def open_with_keys(
+    lhe: LocationHidingEncryption,
+    ciphertext: LheCiphertext,
+    keys: Mapping[int, BfeSecretKey],
+    pin: str,
+    mpk: Sequence,
+) -> Optional[bytes]:
+    """Open ``ciphertext`` under ``pin`` with only the HSM keys in ``keys``.
+
+    Each cluster position whose key is held is decrypted, every other one is
+    ⊥, and the plaintext is reconstructed — or ``None`` if it does not open.
+    Appendix A's games (both challengers and the Remark 5 adversary) and the
+    stolen-key attack all open shares here.
+    """
+    cluster = lhe.select(ciphertext.salt, pin)
+    context = lhe.context_for(ciphertext, mpk, pin)
+
+    def shares() -> Iterator[Optional[Share]]:
+        for position, index in enumerate(cluster):
+            if index not in keys:
+                yield None
+                continue
+            try:
+                yield lhe.decrypt_share(keys[index], position, ciphertext, context)
+            except (PuncturedKeyError, AuthenticationError, LheError):
+                yield None
+
+    try:
+        return lhe.reconstruct(ciphertext, shares(), context)
+    except (LheError, ValueError):
+        return None
+
+
 def decrypt_with_stolen_secrets(
     lhe: LocationHidingEncryption,
     ciphertext: LheCiphertext,
@@ -66,29 +99,8 @@ def decrypt_with_stolen_secrets(
     set covers >= t members of the hidden cluster — exactly the win
     condition of the security game.
     """
-    by_index = {s.index: s for s in stolen}
-    cluster = lhe.select(ciphertext.salt, pin_guess)
-    context = lhe.context_for(ciphertext, mpk, pin_guess)
-    shares: List[Optional[Share]] = []
-    for position, hsm_index in enumerate(cluster):
-        secrets_ = by_index.get(hsm_index)
-        if secrets_ is None:
-            shares.append(None)
-            continue
-        try:
-            plaintext = BloomFilterEncryption.decrypt(
-                secrets_.bfe_secret,
-                ciphertext.share_ciphertexts[position],
-                context=context,
-            )
-        except (PuncturedKeyError, AuthenticationError):
-            shares.append(None)
-            continue
-        shares.append(SHARE_PLAINTEXT.decode(plaintext)[1])
-    try:
-        return lhe.reconstruct(ciphertext, shares, context)
-    except Exception:
-        return None
+    keys = {s.index: s.bfe_secret for s in stolen}
+    return open_with_keys(lhe, ciphertext, keys, pin_guess, mpk)
 
 
 class AdaptiveCorruptionAttacker:

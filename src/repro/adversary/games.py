@@ -11,19 +11,26 @@ test suite can *measure* the quantities the theorems bound:
   advantage, compared against Theorem 10's ``3N/(n|P|)`` bound and the
   generic lower bound ``f·N/(n|P|)``.
 
-Games run over the hashed-ElGamal instantiation (Appendix A.4) at small
-parameters so thousands of trials fit in test time.
+Games run over the deployed instantiation, Bloom-filter encryption (§7),
+at small parameters so thousands of trials fit in test time.  The
+challenger draws its N keypairs once per ``estimate_*`` call and reuses
+them across trials: a game punctures no key, so a trial depends only on
+Select, the failure draw and the corruptions.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.lhe import ElGamalPke, LocationHidingEncryption
-from repro.crypto.elgamal import HashedElGamal
-from repro.crypto.gcm import AuthenticationError
+from repro.adversary.attacks import open_with_keys
+from repro.core.lhe import LocationHidingEncryption
+from repro.crypto.bfe import BfePublicKey, BfeSecretKey, BloomFilterEncryption
+from repro.crypto.bloom import BloomParams
+from repro.storage.blockstore import InMemoryBlockStore
+
+Keypairs = List[Tuple[BfePublicKey, BfeSecretKey]]
 
 
 @dataclass
@@ -43,16 +50,23 @@ class GameParams:
 
 
 def _scheme(params: GameParams) -> LocationHidingEncryption:
-    return LocationHidingEncryption(
-        params.num_hsms, params.cluster_size, params.threshold, pke=ElGamalPke()
-    )
+    return LocationHidingEncryption(params.num_hsms, params.cluster_size, params.threshold)
+
+
+def challenger_keys(params: GameParams, rng: random.Random) -> Keypairs:
+    """The challenger's N keypairs: the smallest Bloom key (no game punctures)."""
+    bloom = BloomParams.for_punctures(1, failure_exponent=1)
+    return [
+        BloomFilterEncryption.keygen(bloom, InMemoryBlockStore(), rng)
+        for _ in range(params.num_hsms)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Experiment 2: correctness
 # ---------------------------------------------------------------------------
 def correctness_experiment(
-    params: GameParams, pin: str, message: bytes, rng: random.Random
+    params: GameParams, keys: Keypairs, pin: str, message: bytes, rng: random.Random
 ) -> bool:
     """One run of Experiment 2; returns True iff recovery succeeded.
 
@@ -60,32 +74,21 @@ def correctness_experiment(
     only surviving keys.
     """
     lhe = _scheme(params)
-    keys = [HashedElGamal.keygen(rng) for _ in range(params.num_hsms)]
-    publics = [k.public for k in keys]
+    publics = [public for public, _ in keys]
     ct = lhe.encrypt(publics, pin, message, username="exp2")
-    failed = {i for i in range(params.num_hsms) if rng.random() < params.f_live}
-    cluster = lhe.select(ct.salt, pin)
-    context = lhe.context_for(ct, publics, pin)
-    shares = []
-    for position, index in enumerate(cluster):
-        if index in failed:
-            shares.append(None)
-            continue
-        shares.append(lhe.decrypt_share(keys[index].secret, position, ct, context))
-    try:
-        return lhe.reconstruct(ct, shares, context) == message
-    except Exception:
-        return False
+    live = {i: secret for i, (_, secret) in enumerate(keys) if rng.random() >= params.f_live}
+    return open_with_keys(lhe, ct, live, pin, publics) == message
 
 
 def estimate_correctness_failure(
     params: GameParams, trials: int, seed: int = 0
 ) -> float:
     rng = random.Random(seed)
+    keys = challenger_keys(params, rng)
     failures = 0
     for t in range(trials):
         pin = rng.choice(params.pin_space)
-        if not correctness_experiment(params, pin, b"msg", rng):
+        if not correctness_experiment(params, keys, pin, b"msg", rng):
             failures += 1
     return failures / trials
 
@@ -129,22 +132,7 @@ class Remark5Adversary:
                 continue  # cannot afford this PIN's cluster
             for index in needed:
                 corrupted[index] = corrupt(index)
-            context = lhe.context_for(ciphertext, publics, pin)
-            shares = []
-            for position, index in enumerate(cluster):
-                if index not in corrupted:
-                    shares.append(None)
-                    continue
-                try:
-                    shares.append(
-                        lhe.decrypt_share(corrupted[index], position, ciphertext, context)
-                    )
-                except (AuthenticationError, Exception):
-                    shares.append(None)
-            try:
-                plaintext = lhe.reconstruct(ciphertext, shares, context)
-            except Exception:
-                continue
+            plaintext = open_with_keys(lhe, ciphertext, corrupted, pin, publics)
             if plaintext == msg0:
                 return 0
             if plaintext == msg1:
@@ -153,13 +141,12 @@ class Remark5Adversary:
 
 
 def security_experiment(
-    params: GameParams, adversary, beta: int, rng: random.Random
+    params: GameParams, keys: Keypairs, adversary, beta: int, rng: random.Random
 ) -> int:
     """One run of Experiment 4 with challenge bit ``beta``; returns the
     adversary's guess."""
     lhe = _scheme(params)
-    keys = [HashedElGamal.keygen(rng) for _ in range(params.num_hsms)]
-    publics = [k.public for k in keys]
+    publics = [public for public, _ in keys]
     salt = bytes(rng.randrange(256) for _ in range(16))
     pin = rng.choice(params.pin_space)
     msg0, msg1 = b"message-zero!!!!", b"message-one!!!!!"
@@ -174,7 +161,7 @@ def security_experiment(
         handed_out.add(index)
         if len(handed_out) > budget:
             raise RuntimeError("adversary exceeded its corruption budget")
-        return keys[index].secret
+        return keys[index][1]
 
     return adversary.play(
         params, lhe, publics, salt, ct, msg0, msg1, corrupt, rng
@@ -186,11 +173,12 @@ def estimate_advantage(
 ) -> float:
     """|Pr[guess=1 | beta=1] − Pr[guess=1 | beta=0]| over ``trials`` runs."""
     rng = random.Random(seed)
+    keys = challenger_keys(params, rng)
     ones_when_one = 0
     ones_when_zero = 0
     half = trials // 2
     for _ in range(half):
-        ones_when_one += security_experiment(params, adversary, 1, rng)
+        ones_when_one += security_experiment(params, keys, adversary, 1, rng)
     for _ in range(half):
-        ones_when_zero += security_experiment(params, adversary, 0, rng)
+        ones_when_zero += security_experiment(params, keys, adversary, 0, rng)
     return abs(ones_when_one / half - ones_when_zero / half)

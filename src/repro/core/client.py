@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.codec import WireFormatError
-from repro.core.lhe import BfePke, LheCiphertext, LheError, LocationHidingEncryption
+from repro.core.lhe import LheCiphertext, LheError, LocationHidingEncryption
 from repro.core.params import SystemParams
 from repro.crypto.commit import commit_recovery
 from repro.crypto.ec import ECKeyPair, P256
@@ -100,16 +100,10 @@ class Client:
 
         ``provider`` is a :class:`repro.service.channel.ProviderChannel` —
         the same boundary for the provider leg (backup storage, attempt
-        logging, proof refresh, reply escrow).  A bare provider(-facade)
-        object is accepted for convenience and wrapped in the direct
-        reference channel; deployment wiring passes the wire channel so
-        this leg, too, crosses bytes only."""
-        from repro.service.channel import DirectProviderChannel, ProviderChannel
-
+        logging, proof refresh, reply escrow); deployment wiring passes the
+        wire channel so this leg, too, crosses bytes only."""
         self.username = username
         self.params = params
-        if not isinstance(provider, ProviderChannel):
-            provider = DirectProviderChannel(provider)
         self.provider = provider
         self._channels = channels
         self.mpk = list(mpk)
@@ -117,7 +111,6 @@ class Client:
             num_hsms=params.num_hsms,
             cluster_size=params.cluster_size,
             threshold=params.threshold,
-            pke=BfePke(),
         )
         self.meter = OpMeter()
         self._last_salt: Optional[bytes] = None

@@ -12,21 +12,19 @@ which keys to steal.  Construction (Figure 15):
    accounts) to ``pk_{i_j}`` with a key-private PKE;
 5. output (salt, the n share ciphertexts, AE_k(msg)).
 
-The PKE is pluggable: :class:`ElGamalPke` gives exactly the hashed-ElGamal
-instantiation analysed in Appendix A; :class:`BfePke` (the deployment
-default) swaps in Bloom-filter encryption so HSMs can puncture after
-recovery (§7).  Both are key-private, which the location-hiding property
-requires.
+Appendix A analyses the construction over hashed ElGamal; the PKE here is
+the one the HSMs run, Bloom-filter encryption (§7), so a device can
+puncture after recovery.  It is key-private too, which location hiding
+requires, and Appendix A's games (``repro.adversary.games``) play it.
 
 Domain separation follows Appendix A.4: the PKE context binds the username,
 the salt, and a digest of the n cluster public keys.
 
-Hot-path note: step 4 performs one PKE encryption per cluster member, and
+Hot-path note: step 4 performs one BFE encryption per cluster member, and
 every one of those rides the crypto fast path in ``repro.crypto.ec`` — the
 generator's comb for each ephemeral ``g^r`` and, for the (long-lived) HSM
-public keys, the 5-tooth signed comb ``mult_each`` builds on a BFE slot key's
-first use and reads on every later one (a hashed-ElGamal key rides a
-window ladder over a table built in the call) — while reconstruction's
+slot keys, the 5-tooth signed comb ``mult_each`` builds on a slot key's
+first use and reads on every later one — while reconstruction's
 Shamir recombination takes its Lagrange weights from
 ``repro.crypto.field.lagrange_at_zero``, one batched inversion for all.
 """
@@ -40,8 +38,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.codec import TEXT16, tuple_of
 from repro.crypto.bfe import BfeCiphertext, BfePublicKey, BfeSecretKey, BloomFilterEncryption
-from repro.crypto.ec import ECPoint
-from repro.crypto.elgamal import ElGamalCiphertext, HashedElGamal
 from repro.crypto.gcm import AuthenticationError, ae_decrypt, ae_encrypt
 from repro.crypto.hashing import hash_to_indices, sha256
 from repro.crypto.shamir import SHARE, Share, ShamirSharer
@@ -52,45 +48,6 @@ SALT_LEN = 16
 
 class LheError(Exception):
     """Raised on malformed or unreconstructable LHE ciphertexts."""
-
-
-# ---------------------------------------------------------------------------
-# Pluggable key-private PKE
-# ---------------------------------------------------------------------------
-class ElGamalPke:
-    """Figure 15's instantiation: hashed ElGamal over P-256."""
-
-    name = "hashed-elgamal"
-
-    def encrypt(self, public: ECPoint, plaintext: bytes, context: bytes, tag=None):
-        return HashedElGamal.encrypt(public, plaintext, context=context)
-
-    def decrypt(self, secret: int, ciphertext: ElGamalCiphertext, context: bytes) -> bytes:
-        return HashedElGamal.decrypt(secret, ciphertext, context=context)
-
-    def public_of(self, info) -> ECPoint:
-        """Extract an encryption key from an HSM public-info record."""
-        return info if isinstance(info, ECPoint) else info.public
-
-
-class BfePke:
-    """The deployment PKE: puncturable Bloom-filter encryption (§7).
-
-    The puncture ``tag`` is derived from (username, salt) by the LHE layer,
-    so every backup a user makes under one salt shares its Bloom slots: one
-    recovery punctures the entire series (§8).
-    """
-
-    name = "bloom-filter-encryption"
-
-    def encrypt(self, public: BfePublicKey, plaintext: bytes, context: bytes, tag=None):
-        return BloomFilterEncryption.encrypt(public, plaintext, context=context, tag=tag)
-
-    def decrypt(self, secret: BfeSecretKey, ciphertext: BfeCiphertext, context: bytes) -> bytes:
-        return BloomFilterEncryption.decrypt(secret, ciphertext, context=context)
-
-    def public_of(self, info) -> BfePublicKey:
-        return info if isinstance(info, BfePublicKey) else info.bfe_public
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +64,7 @@ class LheCiphertext:
 
     salt: bytes
     username: str
-    share_ciphertexts: Tuple[object, ...]
+    share_ciphertexts: Tuple[BfeCiphertext, ...]
     payload: bytes
     threshold: int
     num_hsms: int
@@ -128,15 +85,10 @@ class LheCiphertext:
             self.config_epoch.to_bytes(4, "big"),
         ]
         for ct in self.share_ciphertexts:
-            if isinstance(ct, BfeCiphertext):
-                parts.append(ct.tag)
-                parts.append(ct.ephemeral.to_bytes())
-                parts.extend(ct.wrapped_keys)
-                parts.append(ct.payload)
-            elif isinstance(ct, ElGamalCiphertext):
-                parts.append(ct.to_bytes())
-            else:  # pragma: no cover - unknown PKE ciphertext type
-                parts.append(repr(ct).encode())
+            parts.append(ct.tag)
+            parts.append(ct.ephemeral.to_bytes())
+            parts.extend(ct.wrapped_keys)
+            parts.append(ct.payload)
         return sha256(b"lhe-ciphertext", *parts)
 
     def size_bytes(self) -> int:
@@ -152,6 +104,11 @@ class LheCiphertext:
 SHARE_PLAINTEXT = tuple_of(TEXT16, SHARE)
 
 
+def _bfe_key(info) -> BfePublicKey:
+    """An HSM's encryption key from its public-info record (or the key)."""
+    return info if isinstance(info, BfePublicKey) else info.bfe_public
+
+
 def lhe_context(username: str, salt: bytes, cluster_key_digest: bytes) -> bytes:
     """Appendix A.4 domain separation: username || salt || cluster keys."""
     return sha256(b"lhe-context", username.encode("utf-8"), salt, cluster_key_digest)
@@ -161,21 +118,14 @@ def lhe_context(username: str, salt: bytes, cluster_key_digest: bytes) -> bytes:
 # The scheme
 # ---------------------------------------------------------------------------
 class LocationHidingEncryption:
-    """Figure 15's five routines, parameterized by (N, n, t, PKE)."""
+    """Figure 15's five routines, parameterized by (N, n, t)."""
 
-    def __init__(
-        self,
-        num_hsms: int,
-        cluster_size: int,
-        threshold: int,
-        pke=None,
-    ) -> None:
+    def __init__(self, num_hsms: int, cluster_size: int, threshold: int) -> None:
         if not (1 <= threshold <= cluster_size <= num_hsms):
             raise ValueError("need 1 <= t <= n <= N")
         self.num_hsms = num_hsms
         self.cluster_size = cluster_size
         self.threshold = threshold
-        self.pke = pke if pke is not None else BfePke()
         self._sharer = ShamirSharer(threshold, cluster_size)
 
     # -- Select -----------------------------------------------------------------
@@ -208,7 +158,7 @@ class LocationHidingEncryption:
         shares = self._sharer.share(transport_key)
         cluster = self.select(salt, pin)
 
-        cluster_pks = [self.pke.public_of(public_keys[i]) for i in cluster]
+        cluster_pks = [_bfe_key(public_keys[i]) for i in cluster]
         key_digest = self._cluster_key_digest(cluster_pks)
         context = lhe_context(username, salt, key_digest)
         # All of this user's backups under this salt share one puncture tag,
@@ -216,7 +166,9 @@ class LocationHidingEncryption:
         series_tag = sha256(b"safetypin-series", username.encode("utf-8"), salt)
 
         share_cts = [
-            self.pke.encrypt(pk, SHARE_PLAINTEXT.encode((username, share)), context, tag=series_tag)
+            BloomFilterEncryption.encrypt(
+                pk, SHARE_PLAINTEXT.encode((username, share)), context=context, tag=series_tag
+            )
             for share, pk in zip(shares, cluster_pks)
         ]
         payload = ae_encrypt(transport_key, message, aad=context)
@@ -230,31 +182,23 @@ class LocationHidingEncryption:
             config_epoch=config_epoch,
         )
 
-    def _cluster_key_digest(self, cluster_pks: Sequence) -> bytes:
-        parts = []
-        for pk in cluster_pks:
-            if isinstance(pk, BfePublicKey):
-                parts.append(pk.commitment)
-            elif isinstance(pk, ECPoint):
-                parts.append(pk.to_bytes())
-            else:  # pragma: no cover
-                parts.append(repr(pk).encode())
-        return sha256(b"cluster-keys", *parts)
+    def _cluster_key_digest(self, cluster_pks: Sequence[BfePublicKey]) -> bytes:
+        return sha256(b"cluster-keys", *(pk.commitment for pk in cluster_pks))
 
     def context_for(self, ciphertext: LheCiphertext, public_keys: Sequence, pin: str) -> bytes:
         cluster = self.select(ciphertext.salt, pin)
-        cluster_pks = [self.pke.public_of(public_keys[i]) for i in cluster]
+        cluster_pks = [_bfe_key(public_keys[i]) for i in cluster]
         return lhe_context(
             ciphertext.username, ciphertext.salt, self._cluster_key_digest(cluster_pks)
         )
 
     # -- Decrypt (single share; runs on one HSM) -------------------------------------
     def decrypt_share(
-        self, secret, position: int, ciphertext: LheCiphertext, context: bytes
+        self, secret: BfeSecretKey, position: int, ciphertext: LheCiphertext, context: bytes
     ) -> Share:
         """``Decrypt(sk_{i_j}, i_j, ct) -> σ_j``: recover one Shamir share."""
-        plaintext = self.pke.decrypt(
-            secret, ciphertext.share_ciphertexts[position], context
+        plaintext = BloomFilterEncryption.decrypt(
+            secret, ciphertext.share_ciphertexts[position], context=context
         )
         username, share = SHARE_PLAINTEXT.decode(plaintext)
         if username != ciphertext.username:

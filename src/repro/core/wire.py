@@ -63,8 +63,8 @@ BFE_CIPHERTEXT = record(
 encode_bfe_ciphertext = BFE_CIPHERTEXT.encode
 decode_bfe_ciphertext = BFE_CIPHERTEXT.decode
 
-#: Only BFE share ciphertexts travel; ``lhe.ElGamalPke`` (Appendix A's
-#: games) is never serialized.
+#: Only BFE share ciphertexts travel: a share's one kind is the ciphertext
+#: the HSMs decrypt (a hashed-ElGamal share has no wire kind).
 _SHARE_CIPHERTEXT = union("share-ciphertext kind", (1, BfeCiphertext, BFE_CIPHERTEXT))
 #: The client's uploaded recovery ciphertext (§4.1).
 RECOVERY_CIPHERTEXT = _versioned(record(

@@ -66,7 +66,6 @@ from __future__ import annotations
 import secrets
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, List, Optional, Tuple
 
 from repro import metering
@@ -74,7 +73,7 @@ from repro.crypto.bloom import BloomParams
 from repro.crypto.ec import ECPoint, P256, generator_mult_each, mult_each
 from repro.crypto.gcm import NONCE_LEN, AuthenticationError, ae_cost, ae_decrypt, seal_each
 from repro.crypto.hashing import kdf, sha256
-from repro.crypto.merkle import MerkleProof, MerkleTree
+from repro.crypto.merkle import MerkleTree
 from repro.storage.blockstore import BlockStore
 from repro.storage.securedel import (
     DeletedBlockError,
@@ -109,26 +108,6 @@ class BfePublicKey:
         tree = MerkleTree([p.to_bytes() for p in slot_pubkeys])
         return BfePublicKey(
             params=params, slot_pubkeys=tuple(slot_pubkeys), commitment=tree.root
-        )
-
-    def slot_proof(self, index: int) -> MerkleProof:
-        """Merkle proof that ``slot_pubkeys[index]`` is committed.
-
-        In a deployment clients fetch only the slot keys they need plus these
-        proofs, keeping per-HSM storage at kilobytes (the paper's 9.02 KB
-        figure for a 40-HSM cluster)."""
-        return self._tree.prove(index)
-
-    @cached_property
-    def _tree(self) -> MerkleTree:
-        """The commitment's tree, built on the first proof asked for and
-        kept with the key (a device that serves no proofs never holds it).
-        Not a field: equality and hashing do not see it."""
-        return MerkleTree([p.to_bytes() for p in self.slot_pubkeys])
-
-    def verify_slot(self, index: int, pubkey: ECPoint, proof: MerkleProof) -> bool:
-        return proof.index == index and MerkleTree.verify(
-            self.commitment, pubkey.to_bytes(), proof
         )
 
     def size_bytes(self) -> int:

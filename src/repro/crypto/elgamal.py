@@ -3,26 +3,29 @@
 The scheme: a keypair is ``(x, g^x)``.  To encrypt message ``m`` to public
 key ``X``, sample ``r``, output ``(g^r, AEEncrypt(Hash'(X^r || context), m))``.
 
-Two properties matter for SafetyPin:
+Appendix A analyses location hiding over this scheme, but the deployment
+encrypts shares with Bloom-filter encryption (``repro.crypto.bfe``, whose
+slots are ElGamal keys).  Hashed ElGamal itself carries the HSM's reply to
+the client's per-recovery key (§8) and the baseline system's shares.
 
 - **Key privacy** (Bellare et al. 2001): the ciphertext reveals nothing about
   which public key it was encrypted to.  Hashed ElGamal ciphertexts are a
   uniform group element plus an AE ciphertext under an independent-looking
-  key, so they are key-private — the heart of location hiding.
+  key, so they are key-private.
 - **CCA security**: follows from CDH + the random-oracle KDF + the AE scheme.
 
-The paper prescribes domain separation: the KDF input is prefixed with the
-client's username, the recovery salt, and the n cluster public keys
-(Appendix A.4, last paragraph).  Callers pass that as ``context``.
+Callers bind their domain through ``context`` (Appendix A.4, last
+paragraph, prefixes the KDF input with the username, the recovery salt
+and the n cluster public keys).
 
 Hot-path note: ``g^r`` inside :meth:`HashedElGamal.encrypt` rides the
 generator's comb in ``repro.crypto.ec`` (a signed comb of 10 teeth in
 five sub-tables of six columns: 5 doublings + 26 mixed additions), and
 ``X^r`` is a
-signed-window ladder over the 8-entry table of odd multiples cached on the
-(long-lived) recipient key point, so repeated encryptions to the same key
-skip the table build.  Recipient keys never get a comb of their own: those
-are built only for the signer directory, at provisioning.
+signed-window ladder over an 8-entry table of odd multiples of ``X``
+built in the call; nothing caches it on the key point.  Recipient keys
+never get a comb of their own: those are built only for the signer
+directory, at provisioning.
 Decryption's ``(g^r)^x`` sees a fresh ephemeral point each time and
 therefore builds that small table once per call; the table holds multiples
 of the public ephemeral only, and the digits of the secret ``x`` are locals

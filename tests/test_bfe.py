@@ -201,34 +201,6 @@ class TestDecryptAndPuncture:
 
 
 class TestPublicKey:
-    def test_slot_proofs(self, keypair):
-        pub, _ = keypair
-        for index in (0, 1, pub.params.num_slots - 1):
-            proof = pub.slot_proof(index)
-            assert pub.verify_slot(index, pub.slot_pubkeys[index], proof)
-
-    def test_proofs_share_one_tree_built_on_the_first(self, small_params):
-        """Two proofs hash the leaves once; keygen keeps no tree; the cached
-        tree is no part of the key's value."""
-        pub, _ = BFE.keygen(small_params, InMemoryBlockStore())
-        assert "_tree" not in vars(pub)
-        with metered() as first:
-            proof = pub.slot_proof(0)
-        with metered() as second:
-            other = pub.slot_proof(pub.params.num_slots - 1)
-        assert first.counts["sha256_block"] >= 2 * pub.params.num_slots - 1
-        assert second.counts["sha256_block"] == 0
-        assert pub.verify_slot(0, pub.slot_pubkeys[0], proof)
-        assert pub.verify_slot(other.index, pub.slot_pubkeys[-1], other)
-        twin = BfePublicKey.from_slots(pub.params, list(pub.slot_pubkeys))
-        assert twin == pub and hash(twin) == hash(pub) and "_tree" not in vars(twin)
-
-    def test_wrong_slot_rejected(self, keypair):
-        pub, _ = keypair
-        proof = pub.slot_proof(0)
-        assert not pub.verify_slot(0, pub.slot_pubkeys[1], proof)
-        assert not pub.verify_slot(1, pub.slot_pubkeys[0], proof)
-
     def test_size_accounting(self, keypair):
         pub, _ = keypair
         assert pub.size_bytes() == 33 * pub.params.num_slots
@@ -237,3 +209,13 @@ class TestPublicKey:
         pub1, _ = BFE.keygen(small_params, InMemoryBlockStore())
         pub2, _ = BFE.keygen(small_params, InMemoryBlockStore())
         assert pub1.commitment != pub2.commitment
+
+    def test_from_slots_rebuilds_the_key(self, keypair):
+        """The commitment is a function of the slot keys alone: the same
+        slots give an equal key, and changing one slot changes it."""
+        pub, _ = keypair
+        slots = list(pub.slot_pubkeys)
+        twin = BfePublicKey.from_slots(pub.params, slots)
+        assert twin == pub and hash(twin) == hash(pub)
+        slots[-1] = slots[0]
+        assert BfePublicKey.from_slots(pub.params, slots).commitment != pub.commitment

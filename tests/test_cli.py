@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -55,3 +56,10 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "across 2 shard lanes" in out
         assert "all sessions recovered" in out
+
+    def test_attack_fallback(self, capsys, monkeypatch, tmp_path):
+        """Without ``examples/`` next to the package, ``attack`` runs the
+        stolen-key attack inline: one HSM is below the threshold."""
+        monkeypatch.setattr(cli, "__file__", str(tmp_path / "src" / "repro" / "cli.py"))
+        assert main(["attack"]) == 0
+        assert "one stolen HSM decrypts: None" in capsys.readouterr().out

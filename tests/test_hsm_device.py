@@ -7,7 +7,7 @@ import typing
 import pytest
 
 from repro.core.identifiers import attempt_identifier
-from repro.core.lhe import SHARE_PLAINTEXT, BfePke, LocationHidingEncryption
+from repro.core.lhe import SHARE_PLAINTEXT, LocationHidingEncryption
 from repro.crypto.bfe import BfeCiphertext, BloomFilterEncryption, PuncturedKeyError
 from repro.crypto.bloom import BloomParams
 from repro.crypto.commit import commit_recovery
@@ -39,7 +39,7 @@ def env():
     params = BloomParams.for_punctures(64, failure_exponent=4)
     fleet = HsmFleet(N, params, log_config=CFG, rng=rng)
     log = DistributedLog(CFG)
-    lhe = LocationHidingEncryption(N, CLUSTER, T, BfePke())
+    lhe = LocationHidingEncryption(N, CLUSTER, T)
     mpk = fleet.master_public_key()
     return fleet, log, lhe, mpk
 

@@ -1,36 +1,43 @@
 """Location-hiding encryption (Figure 15) in isolation.
 
-Uses the plain hashed-ElGamal PKE (the exact Appendix A instantiation) so
-these tests are independent of the puncturable-encryption machinery.
+Runs over the Bloom-filter encryption keys the HSMs hold.  Only
+``TestBfePkeVariant`` punctures, on keys of its own, so one unpunctured key
+universe serves the rest of the module.
 """
 
 import random
+from collections import namedtuple
 
 import pytest
 
 from repro.core.lhe import (
-    BfePke,
-    ElGamalPke,
     LheCiphertext,
     LheError,
     LocationHidingEncryption,
     SHARE_PLAINTEXT,
     lhe_context,
 )
-from repro.crypto.elgamal import HashedElGamal
+from repro.crypto.bfe import BloomFilterEncryption, PuncturedKeyError
+from repro.crypto.bloom import BloomParams
+from repro.storage.blockstore import InMemoryBlockStore
 
 N, CLUSTER, T = 12, 4, 2
+Keypair = namedtuple("Keypair", "public secret")
 
 
 @pytest.fixture(scope="module")
 def keys():
     rng = random.Random(4)
-    return [HashedElGamal.keygen(rng) for _ in range(N)]
+    params = BloomParams.for_punctures(4, failure_exponent=4)
+    return [
+        Keypair(*BloomFilterEncryption.keygen(params, InMemoryBlockStore(), rng))
+        for _ in range(N)
+    ]
 
 
 @pytest.fixture(scope="module")
 def lhe():
-    return LocationHidingEncryption(N, CLUSTER, T, pke=ElGamalPke())
+    return LocationHidingEncryption(N, CLUSTER, T)
 
 
 def decrypt_all(lhe, keys, ct, pin):
@@ -125,8 +132,8 @@ class TestBinding:
         ct = lhe.encrypt(publics, "1234", b"msg", username="alice")
         cluster = lhe.select(ct.salt, "1234")
         context = lhe.context_for(ct, publics, "1234")
-        plaintext = ElGamalPke().decrypt(
-            keys[cluster[0]].secret, ct.share_ciphertexts[0], context
+        plaintext = BloomFilterEncryption.decrypt(
+            keys[cluster[0]].secret, ct.share_ciphertexts[0], context=context
         )
         username, share = SHARE_PLAINTEXT.decode(plaintext)
         assert username == "alice"
@@ -174,18 +181,15 @@ class TestCiphertext:
 
 class TestBfePkeVariant:
     def test_roundtrip_with_puncturable_pke(self):
-        """The deployment configuration: LHE over Bloom-filter encryption."""
-        from repro.crypto.bfe import BloomFilterEncryption
-        from repro.crypto.bloom import BloomParams
-        from repro.storage.blockstore import InMemoryBlockStore
-
+        """The deployment configuration: the cluster HSMs' shares recover the
+        message, and once each has punctured, no share opens again."""
         params = BloomParams.for_punctures(4, failure_exponent=4)
         pairs = [
-            BloomFilterEncryption.keygen(params, InMemoryBlockStore())
-            for _ in range(6)
+            BloomFilterEncryption.keygen(params, InMemoryBlockStore(), random.Random(i))
+            for i in range(6)
         ]
         publics = [pub for pub, _ in pairs]
-        lhe = LocationHidingEncryption(6, 3, 2, pke=BfePke())
+        lhe = LocationHidingEncryption(6, 3, 2)
         ct = lhe.encrypt(publics, "4321", b"data", username="bob")
         cluster = lhe.select(ct.salt, "4321")
         context = lhe.context_for(ct, publics, "4321")
@@ -194,3 +198,8 @@ class TestBfePkeVariant:
             for pos, idx in enumerate(cluster)
         ]
         assert lhe.reconstruct(ct, shares, context) == b"data"
+        for pos, idx in enumerate(cluster):
+            BloomFilterEncryption.puncture(pairs[idx][1], ct.share_ciphertexts[pos])
+        for pos, idx in enumerate(cluster):
+            with pytest.raises(PuncturedKeyError):
+                lhe.decrypt_share(pairs[idx][1], pos, ct, context)

@@ -1,8 +1,8 @@
 """Property-based tests over location-hiding encryption.
 
-Uses the hashed-ElGamal instantiation with a small fixed key universe so
-hypothesis can explore messages, PINs, thresholds, and failure patterns
-without paying keygen per example.
+Uses the deployed Bloom-filter encryption with a small fixed key universe
+(never punctured) so hypothesis can explore messages, PINs, thresholds, and
+failure patterns without paying keygen per example.
 """
 
 import random
@@ -10,13 +10,21 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.lhe import ElGamalPke, LheError, LocationHidingEncryption
-from repro.crypto.elgamal import HashedElGamal
+from repro.core.lhe import LheError, LocationHidingEncryption
+from repro.crypto.bfe import BloomFilterEncryption
+from repro.crypto.bloom import BloomParams
+from repro.storage.blockstore import InMemoryBlockStore
 
 N_KEYS = 10
 _RNG = random.Random(43)
-KEYS = [HashedElGamal.keygen(_RNG) for _ in range(N_KEYS)]
-PUBLICS = [k.public for k in KEYS]
+_PAIRS = [
+    BloomFilterEncryption.keygen(
+        BloomParams.for_punctures(1, failure_exponent=1), InMemoryBlockStore(), _RNG
+    )
+    for _ in range(N_KEYS)
+]
+PUBLICS = [public for public, _ in _PAIRS]
+SECRETS = [secret for _, secret in _PAIRS]
 
 
 def _decrypt(lhe, ct, pin, drop=frozenset()):
@@ -27,7 +35,7 @@ def _decrypt(lhe, ct, pin, drop=frozenset()):
         if position in drop:
             shares.append(None)
         else:
-            shares.append(lhe.decrypt_share(KEYS[index].secret, position, ct, context))
+            shares.append(lhe.decrypt_share(SECRETS[index], position, ct, context))
     return lhe.reconstruct(ct, shares, context)
 
 
@@ -40,7 +48,7 @@ def _decrypt(lhe, ct, pin, drop=frozenset()):
 )
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_roundtrip_property(message, pin, username):
-    lhe = LocationHidingEncryption(N_KEYS, 4, 2, pke=ElGamalPke())
+    lhe = LocationHidingEncryption(N_KEYS, 4, 2)
     ct = lhe.encrypt(PUBLICS, pin, message, username=username)
     assert _decrypt(lhe, ct, pin) == message
 
@@ -53,7 +61,7 @@ def test_roundtrip_property(message, pin, username):
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_any_threshold_subset_reconstructs(threshold, extra, data):
     cluster_size = threshold + extra
-    lhe = LocationHidingEncryption(N_KEYS, cluster_size, threshold, pke=ElGamalPke())
+    lhe = LocationHidingEncryption(N_KEYS, cluster_size, threshold)
     ct = lhe.encrypt(PUBLICS, "7777", b"msg", username="prop")
     # Drop everything except a random size-`threshold` subset of positions.
     keep = set(
@@ -68,7 +76,7 @@ def test_any_threshold_subset_reconstructs(threshold, extra, data):
 @given(data=st.data())
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_below_threshold_never_reconstructs(data):
-    lhe = LocationHidingEncryption(N_KEYS, 4, 3, pke=ElGamalPke())
+    lhe = LocationHidingEncryption(N_KEYS, 4, 3)
     ct = lhe.encrypt(PUBLICS, "1212", b"msg", username="prop")
     keep = set(data.draw(st.permutations([0, 1, 2, 3]))[:2])  # t-1 shares
     drop = frozenset(range(4)) - keep

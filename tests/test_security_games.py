@@ -8,27 +8,31 @@ import pytest
 from repro.adversary.games import (
     GameParams,
     Remark5Adversary,
+    challenger_keys,
     correctness_experiment,
     estimate_advantage,
     estimate_correctness_failure,
     security_experiment,
 )
 from repro.analysis.bounds import correctness_failure_exact
+from repro.core import wire
 
 
 class TestExperiment2Correctness:
     def test_no_failures_always_succeeds(self):
         params = GameParams(f_live=0.0)
         rng = random.Random(1)
+        keys = challenger_keys(params, rng)
         assert all(
-            correctness_experiment(params, "5", b"m", rng) for _ in range(10)
+            correctness_experiment(params, keys, "5", b"m", rng) for _ in range(10)
         )
 
     def test_all_failed_always_fails(self):
         params = GameParams(f_live=1.0)
         rng = random.Random(2)
+        keys = challenger_keys(params, rng)
         assert not any(
-            correctness_experiment(params, "5", b"m", rng) for _ in range(5)
+            correctness_experiment(params, keys, "5", b"m", rng) for _ in range(5)
         )
 
     def test_empirical_failure_matches_binomial(self):
@@ -65,8 +69,24 @@ class TestExperiment4Security:
                     corrupt(i)  # blows the budget
                 return 0
 
+        rng = random.Random(5)
+        keys = challenger_keys(GameParams(), rng)
         with pytest.raises(RuntimeError):
-            security_experiment(GameParams(), GreedyAdversary(), 0, random.Random(5))
+            security_experiment(GameParams(), keys, GreedyAdversary(), 0, rng)
+
+    def test_challenge_is_the_ciphertext_devices_decrypt(self):
+        """The challenge has the recovery-ciphertext wire format: the games
+        play the scheme the HSMs run, not an instantiation no device sees."""
+
+        class WireAdversary:
+            def play(self, params, lhe, publics, salt, ct, m0, m1, corrupt, rng):
+                blob = wire.encode_recovery_ciphertext(ct)
+                assert wire.decode_recovery_ciphertext(blob) == ct
+                return 0
+
+        rng = random.Random(9)
+        keys = challenger_keys(GameParams(), rng)
+        assert security_experiment(GameParams(), keys, WireAdversary(), 1, rng) == 0
 
     def test_full_budget_adversary_wins_sometimes(self):
         """With f_secret large enough to cover several PINs' clusters, the

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import wire
-from repro.core.lhe import BfePke, LocationHidingEncryption
+from repro.core.lhe import LocationHidingEncryption
 from repro.crypto.bfe import BloomFilterEncryption
 from repro.crypto.bloom import BloomParams
 from repro.log.authdict import AuthenticatedDictionary
@@ -15,7 +15,7 @@ from repro.storage.blockstore import InMemoryBlockStore
 def bfe_setup():
     params = BloomParams.for_punctures(4, failure_exponent=4)
     pairs = [BloomFilterEncryption.keygen(params, InMemoryBlockStore()) for _ in range(6)]
-    lhe = LocationHidingEncryption(6, 3, 2, pke=BfePke())
+    lhe = LocationHidingEncryption(6, 3, 2)
     return pairs, lhe
 
 
@@ -77,17 +77,20 @@ class TestRecoveryCiphertext:
         with pytest.raises(wire.WireFormatError):
             wire.decode_recovery_ciphertext(b"\x77" + blob[1:])
 
-    def test_elgamal_share_kind_is_refused(self):
-        """Only BFE share ciphertexts travel.  An ``ElGamalPke`` ciphertext
-        (Appendix A's instantiation for the games) has no wire kind, and
-        the bytes the retired kind 2 gave it are a wire error."""
+    def test_elgamal_share_kind_is_refused(self, bfe_setup):
+        """Only BFE share ciphertexts travel.  A hashed-ElGamal share
+        ciphertext has no wire kind, and the bytes the retired kind 2 gave
+        it are a wire error."""
+        import dataclasses
+
         from repro.core.codec import BLOB, TEXT, U32
-        from repro.core.lhe import ElGamalPke
         from repro.crypto.elgamal import HashedElGamal
 
-        keys = [HashedElGamal.keygen() for _ in range(5)]
-        lhe = LocationHidingEncryption(5, 2, 1, pke=ElGamalPke())
-        ct = lhe.encrypt([k.public for k in keys], "9999", b"m", username="bob")
+        pairs, lhe = bfe_setup
+        ct = lhe.encrypt([pub for pub, _ in pairs], "9999", b"m", username="bob")
+        public = HashedElGamal.keygen().public
+        elgamal_shares = tuple(HashedElGamal.encrypt(public, b"share") for _ in ct.share_ciphertexts)
+        ct = dataclasses.replace(ct, share_ciphertexts=elgamal_shares)
         with pytest.raises(wire.WireFormatError):
             wire.encode_recovery_ciphertext(ct)
         counts = (ct.threshold, ct.num_hsms, ct.config_epoch, len(ct.share_ciphertexts))
