@@ -8,9 +8,9 @@ work) two ways:
 - **cpu mode** — in-process devices, no simulated latency.  Isolates the
   *algorithmic* win of committee certification: each shard's epoch is
   audited and signed by its own N/S-device committee, so per-round
-  aggregate-verification work falls from N·N to N·N/S signatures (plus
-  smaller per-shard chunk trees), while off-committee devices adopt
-  foreign transitions lazily.
+  aggregate-verification work falls from N·⌈q·N⌉ to N·⌈q·N/S⌉ signatures
+  (a certificate carries a quorum; plus smaller per-shard chunk trees),
+  while off-committee devices adopt foreign transitions lazily.
 - **device mode** — every epoch-protocol device call pays a fixed service
   latency (SoloKey-class hardware is *slow*: the paper's Table 2 puts one
   P-256 multiplication at ~1.2 s, so tens of milliseconds per protocol
@@ -38,7 +38,8 @@ Acceptance gates (exit code 1 on regression):
 
 - cpu-mode speedup at 4 shards >= 1.5x, and device-mode speedup >= 1.5x;
 - the fixed seeded workload at shards=1 meters *exactly* the seed's
-  operation counts and digest (sharding must cost nothing when off);
+  operation counts and digest (sharding must cost nothing when off; the
+  workload and its constants live in ``tests/unsharded_invariance.py``);
 - at S=64 and S=256 with one lane held busy: idle ticks < 10 ms, busy-lane
   tick latency < 5% of ``lease_timeout`` and S-independent (S=256/S=64
   median ratio <= 8), incremental root byte-identical to the from-scratch
@@ -56,6 +57,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import random
 import statistics
 import sys
@@ -74,6 +76,10 @@ try:
 except ImportError:  # running as a module from the repo root
     from benchmarks.reporting import emit, table
 
+# The shards=1 workload and its constants are the test suite's.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from unsharded_invariance import SEED_AMBIENT, invariance_counts, invariance_moved  # noqa: E402
+
 SHARDS = 4
 HSMS = 8
 CLUSTER = 3
@@ -88,12 +94,6 @@ SCALE_IDLE_TICK_BOUND = 0.010  # seconds; real cost is microseconds
 SCALE_BUSY_TICK_FRACTION = 0.05  # of SCALE_LEASE_TIMEOUT
 SCALE_LATENCY_RATIO_BOUND = 8.0  # S=256 vs S=64 median busy-tick ratio
 SCALE_ROOT_RATIO_BOUND = 8.0  # from-scratch vs incremental hash blocks
-
-#: The shards=1 invariance constants, captured on the pre-sharding tree
-#: (commit 0a64ddd) by running exactly ``_invariance_counts``'s workload.
-SEED_AMBIENT = {"sha256_block": 8242, "ec_mult": 24, "ecdsa_verify": 192, "hmac": 24}
-SEED_DEVICE = {"sha256_block": 8499, "ec_mult": 416, "ecdsa_verify": 256}
-SEED_DIGEST = "c0dc9c0d982ec92dda58e216f616687823120537da44e64da9d32170452f8e2b"
 
 _SLOW_METHODS = (
     "audit_log_update",
@@ -283,25 +283,6 @@ def _run_scale_lane(num_shards: int, waves: int, wave_size: int) -> dict:
     }
 
 
-def _invariance_counts():
-    """The fixed seeded shards=1 workload; must meter the seed's counts."""
-    params = SystemParams.for_testing(num_hsms=8, cluster_size=3, audit_count=2)
-    dep = Deployment.create(params, rng=random.Random(1234))
-    meter = OpMeter()
-    with meter.attached():
-        for epoch in range(3):
-            for i in range(16):
-                dep.provider.log.insert(
-                    b"bench|u%d-%d|0" % (epoch, i), b"commitment-%d-%d" % (epoch, i)
-                )
-            dep.provider.log.run_update(dep.fleet.hsms)
-    device = {}
-    for hsm in dep.fleet.hsms:
-        for key, value in hsm.meter.snapshot().items():
-            device[key] = device.get(key, 0) + value
-    return meter.snapshot(), device, dep.provider.log.digest.hex()
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -320,12 +301,8 @@ def main(argv=None) -> int:
     delay = (args.device_ms or (10.0 if args.quick else 25.0)) / 1000.0
 
     # -- shards=1 must cost nothing: exact seed counts -----------------------
-    ambient, device, digest = _invariance_counts()
-    invariance_ok = (
-        all(ambient.get(k, 0) == v for k, v in SEED_AMBIENT.items())
-        and all(device.get(k, 0) == v for k, v in SEED_DEVICE.items())
-        and digest == SEED_DIGEST
-    )
+    ambient, device, digest = invariance_counts()
+    invariance_ok = not invariance_moved(ambient, device, digest)
 
     rows = []
     metrics = {}

@@ -56,6 +56,7 @@ from repro.log.distributed import (
     UpdateRound,
     audit_chunk_indices,
     on_committee,
+    quorum_size,
 )
 from repro.log.sharded import cross_shard_root, shard_of
 from repro.metering import OpMeter
@@ -351,11 +352,11 @@ class HsmDevice:
         # but they never substitute for committee consent.)
         committee = set(self.committee_for(shard))
         committee_signers = [i for i in signer_ids if i in committee]
-        quorum = self.log_config.quorum_fraction * len(committee)
+        quorum = quorum_size(self.log_config.quorum_fraction, len(committee))
         if len(committee_signers) < quorum:
             raise LogUpdateRejected(
                 f"HSM {self.index}: only {len(committee_signers)} committee "
-                f"signers, need {quorum:.1f}"
+                f"signers, need {quorum}"
             )
         publics = [self._sig_directory[i] for i in signer_ids]
         if not EcdsaMultiSig.verify_aggregate(publics, step.message(), aggregate):

@@ -253,13 +253,13 @@ def verify_extension(
     """DoesExtend for a batch: chain single-insertion proofs."""
     digest = old_digest
     for proof in proofs:
-        leaf = _node_hash(_id_hash(proof.identifier), proof.value, _EMPTY, _EMPTY)
         idh = _id_hash(proof.identifier)
         for step in proof.steps:
             if step.idh == idh:
                 return False
         if _fold_path(idh, _EMPTY, proof.steps) != digest:
             return False
+        leaf = _node_hash(idh, proof.value, _EMPTY, _EMPTY)
         digest = _fold_path(idh, leaf, proof.steps)
     return digest == new_digest
 

@@ -14,8 +14,10 @@ minutes):
    checking (a) its Merkle inclusion under ``R``, (b) its extension proofs,
    and (c) boundary conditions (first chunk starts at ``d``, last ends at
    ``d'``).  If all pass, the HSM signs ``(d, d', R)``.
-4. The provider aggregates the signatures; each HSM verifies the aggregate
-   against the expected signer set and, if a quorum signed, adopts ``d'``.
+4. The provider aggregates the first :func:`quorum_size` signatures (the
+   fewest a device accepts; more would only cost every device more
+   verifications); each HSM verifies the aggregate against the claimed
+   signer set and, if a quorum of its committee signed, adopts ``d'``.
 
 With at most an ``f_secret`` fraction compromised and ``C = λ`` audited
 chunks each, the probability that a bad chunk escapes every honest auditor
@@ -42,6 +44,7 @@ are safe only because each lane touches a distinct shard instance).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -60,7 +63,8 @@ class LogUpdateRejected(Exception):
 # ---------------------------------------------------------------------------
 class EcdsaMultiSig:
     """The signature that endorses digest transitions: the aggregate is the
-    tuple of per-signer ECDSA signatures over P-256.
+    tuple of per-signer ECDSA signatures over P-256, one per claimed
+    signer.  The log sends a quorum's and no more (:func:`quorum_size`).
 
     The paper certifies each epoch with a BLS aggregate (constant size, two
     pairings to verify at any fleet size); the cost model still bills that
@@ -259,6 +263,14 @@ def on_committee(index: int, shard: int, num_shards: int) -> bool:
     its committee with it, devices size the quorum with it, and crash
     reconciliation asks the same devices."""
     return index % num_shards == shard
+
+
+def quorum_size(fraction: float, members: int) -> int:
+    """The fewest signers a device accepts on a ``members``-device
+    committee: the smallest count not below ``fraction · members``.  The
+    provider sizes its certificates with it and devices check them with
+    it, so the two can never disagree on a fractional product."""
+    return math.ceil(fraction * members)
 
 
 def audit_chunk_indices(
@@ -540,19 +552,25 @@ class DistributedLog:
             raise LogUpdateRejected("no online HSMs to certify the update")
         # Fail fast on a lost quorum *before* any device adopts d': the
         # devices would all reject the aggregate anyway (their quorum check
-        # uses the same directory), and raising here keeps acceptance
-        # all-or-nothing so a rollback cannot strand devices on d'.
-        quorum = self.config.quorum_fraction * len(list(hsms))
+        # sizes the same committee with the same quorum_size), and raising
+        # here keeps acceptance all-or-nothing so a rollback cannot strand
+        # devices on d'.
+        quorum = quorum_size(self.config.quorum_fraction, len(list(hsms)))
         if len(signatures) < quorum:
             raise LogUpdateRejected(
-                f"only {len(signatures)} signers, need {quorum:.1f} for a quorum"
+                f"only {len(signatures)} signers, need {quorum} for a quorum"
             )
         # Appendix B.3: audit sets are deterministic in (R, node id), so the
         # survivors can recompute which chunks the failed HSMs would have
-        # audited and recursively cover any gap.
+        # audited and recursively cover any gap.  Every signer's audit
+        # counts here, not only the quorum's.
         uncovered = self._uncovered_chunks(round_, signer_ids)
         if uncovered:
             self._cover_chunks(round_, survivors, uncovered)
+        # The certificate carries the first quorum of signers and no more:
+        # a device accepts any quorum, so each signature past it would only
+        # cost every acceptor (and every later adopter) a verification.
+        del signatures[quorum:], signer_ids[quorum:]
         aggregate = EcdsaMultiSig.aggregate(signatures)
         # Record the certified transition *before* fanning out acceptance:
         # once a quorum has signed, the transition is certified regardless

@@ -11,6 +11,7 @@ from repro.log.authdict import (
     verify_includes,
     verify_insertion,
 )
+from repro.metering import metered
 
 
 def filled(n=20):
@@ -154,6 +155,17 @@ class TestBatchExtension:
         d = filled(5)
         assert verify_extension(d.digest, d.digest, [])
         assert not verify_extension(d.digest, empty_digest(), [])
+
+    def test_one_proof_costs_what_verify_insertion_costs(self):
+        """A batch of one is verify_insertion: one identifier hash, not two."""
+        d = filled(5)
+        old = d.digest
+        proof = d.insert_with_proof(b"single", b"v")
+        with metered() as single:
+            assert verify_insertion(old, d.digest, proof)
+        with metered() as batch:
+            assert verify_extension(old, d.digest, [proof])
+        assert batch.counts["sha256_block"] == single.counts["sha256_block"] > 0
 
 
 @given(

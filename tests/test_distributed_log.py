@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.crypto.bloom import BloomParams
-from repro.hsm.device import HsmRefusedError
+from repro.hsm.device import HsmDevice, HsmRefusedError
 from repro.hsm.fleet import HsmFleet
 from repro.log.authdict import verify_includes
 from repro.log.distributed import (
@@ -16,6 +16,7 @@ from repro.log.distributed import (
     LogUpdateRejected,
     Transition,
     audit_chunk_indices,
+    quorum_size,
 )
 from repro.log.sharded import ShardedLog
 
@@ -319,6 +320,106 @@ class TestFailureAndCatchUp:
         log.insert(b"c3", b"h")
         log.run_update(fleet.hsms)
         assert fleet[6].log_digest == log.digest
+
+
+def _quorum_fleet(num_hsms, quorum_fraction, num_shards=1):
+    cfg = LogConfig(audit_count=2, quorum_fraction=quorum_fraction, num_shards=num_shards)
+    params = BloomParams.for_punctures(4, failure_exponent=4)
+    return HsmFleet(num_hsms, params, log_config=cfg, rng=random.Random(43)), ShardedLog(cfg)
+
+
+def _run_epoch(fleet, log, tag):
+    for i in range(2 * len(fleet)):
+        log.insert(f"{tag}-{i}".encode(), b"h")
+    log.run_update(fleet.hsms)
+
+
+def _accept_verifications(monkeypatch):
+    """Record each device's ``ecdsa_verify`` count per accept, by index."""
+    accepts = {}
+    original = HsmDevice.accept_log_digest
+
+    def accept(self, round_, aggregate, signer_ids):
+        before = self.meter.counts["ecdsa_verify"]
+        original(self, round_, aggregate, signer_ids)
+        accepts.setdefault(self.index, []).append(self.meter.counts["ecdsa_verify"] - before)
+
+    monkeypatch.setattr(HsmDevice, "accept_log_digest", accept)
+    return accepts
+
+
+class TestQuorumCertificate:
+    """A certificate carries the first ``quorum_size`` signers, the fewest a
+    device accepts, however many devices signed."""
+
+    def test_twelve_devices_verify_nine_signatures_each(self, monkeypatch):
+        fleet, log = _quorum_fleet(12, 0.75)
+        assert quorum_size(0.75, 12) == 9
+        accepts = _accept_verifications(monkeypatch)
+        _run_epoch(fleet, log, "wide")
+        (transition,) = log.shards[0].certified_transitions
+        assert len(transition.signer_ids) == len(transition.aggregate) == 9
+        assert transition.signer_ids == tuple(range(9))  # signer order
+        assert accepts == {i: [9] for i in range(12)}
+        assert all(hsm.log_digest == log.digest for hsm in fleet)
+
+    @pytest.mark.parametrize(
+        "num_hsms, quorum_fraction, num_shards",
+        [(4, 0.6, 1), (6, 0.75, 2)],
+        ids=["q0.6-N4", "q0.75-S2"],
+    )
+    def test_fractional_quorum_is_rounded_up(self, num_hsms, quorum_fraction, num_shards):
+        """q·|C| is 2.4 and 2.25: a certificate needs 3 signers, so 3 are
+        accepted by every committee device and 2 are refused."""
+        fleet, log = _quorum_fleet(num_hsms, quorum_fraction, num_shards)
+        _run_epoch(fleet, log, "first")
+        for lane in log.shards:
+            committee = log.committee(lane.shard_index, fleet.hsms)
+            quorum = quorum_size(quorum_fraction, len(committee))
+            assert quorum == 3
+            (transition,) = lane.certified_transitions
+            assert len(transition.signer_ids) == len(transition.aggregate) == quorum
+            assert all(h.shard_digest(lane.shard_index) == lane.digest for h in committee)
+
+        for i in range(4 * num_shards):
+            log.insert(f"second-{i}".encode(), b"h")
+        assert log.shards_with_pending() == list(range(num_shards))
+        for lane in log.shards:
+            committee = log.committee(lane.shard_index, fleet.hsms)
+            round_ = lane.prepare_update(num_chunks=len(committee))
+            signatures = [h.audit_log_update(round_) for h in committee]
+            signers = tuple(h.index for h in committee)
+            for hsm in committee:
+                with pytest.raises(LogUpdateRejected, match="only 2 committee signers"):
+                    hsm.accept_log_digest(
+                        round_, EcdsaMultiSig.aggregate(signatures[:2]), signers[:2]
+                    )
+                hsm.accept_log_digest(round_, EcdsaMultiSig.aggregate(signatures[:3]), signers[:3])
+                assert hsm.shard_digest(lane.shard_index) == lane.digest
+
+    def test_restarted_devices_adopt_the_quorum_certificate(self, monkeypatch):
+        """Ten of twelve online still certify with nine; the two restarted
+        devices adopt that certificate from their offer queue at the next
+        epoch's audit, verifying nine signatures, then accept the new one."""
+        fleet, log = _quorum_fleet(12, 0.75)
+        down = [3, 7]
+        for index in down:
+            fleet[index].fail_stop()
+        _run_epoch(fleet, log, "down")
+        (missed,) = log.shards[0].certified_transitions
+        assert len(missed.signer_ids) == len(missed.aggregate) == 9
+        assert not set(down) & set(missed.signer_ids)
+
+        fleet.restart(down)
+        before = {hsm.index: hsm.meter.counts["ecdsa_verify"] for hsm in fleet}
+        accepts = _accept_verifications(monkeypatch)
+        _run_epoch(fleet, log, "back")
+        latest = log.shards[0].certified_transitions[-1]
+        assert len(latest.signer_ids) == len(latest.aggregate) == 9
+        assert accepts == {i: [9] for i in range(12)}
+        spent = {h.index: h.meter.counts["ecdsa_verify"] - before[h.index] for h in fleet}
+        assert spent == {i: 18 if i in down else 9 for i in range(12)}
+        assert all(hsm.log_digest == log.digest for hsm in fleet)
 
 
 class TestMalformedAggregate:

@@ -31,6 +31,17 @@ kind, and compared block by block against the parent's store:
   are the chain hashes of the records after those and the anchor.
 
 Every surviving record kind's payload is byte-identical to the parent's.
+
+The shards=1 ``store`` digest moved once more, when a certificate came to
+carry a quorum of signatures instead of every committee device's, and was
+compared block by block against the parent's store.  At N = 4 and
+q = 0.75 the quorum is 3: each of the 4 ``EPOCH_COMMIT`` records decodes
+to the parent's shard, intent seq and the first 3 of its 4 signer ids and
+signatures, and the snapshot to the parent's state with each certified
+transition trimmed the same way.  The other moved blocks are chain hashes
+and the anchor; every HSM key block and every other payload is the
+parent's.  The shards=2 committees have 2 devices and need both, so
+nothing there moved.
 """
 
 import hashlib
@@ -70,7 +81,7 @@ class TestFormatsUnchanged:
     PARENT_DIGESTS = {
         1: {
             "frames": "ec138a5d07910af82fa09c8f22a36c048a9cdbf8fd62439fd99d407201f339b5",
-            "store": "417bc64ecf781c685d1c833267adf4513e14ed32746461242a6c77e22058ea38",
+            "store": "9a3648262c7e58e46c84587107c027effbdb06bca7aa5af89b6f45d32a3a3096",
         },
         2: {
             "frames": "3cb6f031ecf6cab8459d6d7783599fcff56fb295f3650adaabb7f7d958764641",

@@ -8,7 +8,8 @@ Covers the three claims the sharded design stands on:
    workers), because shard content depends only on the insertion stream.
 2. **Invariance at one shard** — the shard-aware refactor of the device
    and log code meters *exactly* the seed's operation counts for an
-   unsharded deployment (constants captured from the pre-refactor tree).
+   unsharded deployment (workload and constants in
+   ``unsharded_invariance.py``, captured from the pre-refactor tree).
 3. **Isolation** — a shard whose epoch fails rolls back and fails alone;
    sibling lanes commit, and the write-once guarantee never spans lanes
    incorrectly (an identifier belongs to exactly one shard).
@@ -32,6 +33,7 @@ from repro.log.authdict import AuthenticatedDictionary, verify_includes
 from repro.log.distributed import DistributedLog, LogConfig, LogUpdateRejected
 from repro.log.sharded import CrossShardRoot, ShardedLog, cross_shard_root, shard_of
 from repro.metering import OpMeter
+from unsharded_invariance import invariance_counts, invariance_deployment, invariance_moved
 
 SHARDS = 4
 
@@ -259,35 +261,12 @@ class TestShardDeterminism:
 # Metering invariance at shards=1 (the seed's exact operation counts)
 # ---------------------------------------------------------------------------
 class TestUnshardedInvariance:
-    # Captured from the pre-sharding tree (commit 0a64ddd) by running this
-    # exact workload; the shard-aware refactor must not move a single count.
-    AMBIENT = {"sha256_block": 8242, "ec_mult": 24, "ecdsa_verify": 192, "hmac": 24}
-    DEVICE = {"sha256_block": 8499, "ec_mult": 416, "ecdsa_verify": 256}
-    DIGEST = "c0dc9c0d982ec92dda58e216f616687823120537da44e64da9d32170452f8e2b"
-
+    # The workload and its constants are unsharded_invariance's, shared
+    # with benchmarks/bench_sharded_epochs.py.
     def test_seed_counts_and_digest_unchanged(self):
-        params = SystemParams.for_testing(num_hsms=8, cluster_size=3, audit_count=2)
-        dep = Deployment.create(params, rng=random.Random(1234))
+        dep = invariance_deployment()
         assert isinstance(dep.provider.log, ShardedLog)
-        meter = OpMeter()
-        with meter.attached():
-            for epoch in range(3):
-                for i in range(16):
-                    dep.provider.log.insert(
-                        b"bench|u%d-%d|0" % (epoch, i),
-                        b"commitment-%d-%d" % (epoch, i),
-                    )
-                dep.provider.log.run_update(dep.fleet.hsms)
-        ambient = meter.snapshot()
-        device = {}
-        for hsm in dep.fleet.hsms:
-            for key, value in hsm.meter.snapshot().items():
-                device[key] = device.get(key, 0) + value
-        for key, expected in self.AMBIENT.items():
-            assert ambient.get(key, 0) == expected, f"ambient {key} moved"
-        for key, expected in self.DEVICE.items():
-            assert device.get(key, 0) == expected, f"device {key} moved"
-        assert dep.provider.log.digest.hex() == self.DIGEST
+        assert invariance_moved(*invariance_counts(dep)) == []
 
 
 # ---------------------------------------------------------------------------
