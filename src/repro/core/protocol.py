@@ -175,8 +175,9 @@ class Deployment:
     def rotate_keys_if_needed(self) -> List[int]:
         """Rotate any HSM whose Bloom key is half-deleted (§9.1).
 
-        Returns the indices rotated; clients must ``refresh_mpk`` afterwards
-        (the paper's daily keying-material download).
+        Returns the indices rotated.  Clients get the rotated keys before
+        the epoch that logs them: the old keys are already destroyed, so a
+        failed epoch (its error propagates) must not leave them in use.
         """
         rotated = []
         for hsm in self.fleet.online():
@@ -185,10 +186,10 @@ class Deployment:
                 self.membership.record_rotation(info)
                 rotated.append(hsm.index)
         if rotated:
-            self.provider.log.run_update(self.fleet.hsms)
             mpk = self.fleet.master_public_key()
             for client in self.clients:
                 client.refresh_mpk(mpk)
+            self.provider.log.run_update(self.fleet.hsms)
         return rotated
 
     def verify_published_keys(self) -> None:

@@ -235,7 +235,7 @@ class ServiceProvider:
         """The provider's durable state as one snapshot-able value.
 
         Captures exactly what the journal would reconstruct by replay:
-        committed entries, epochs, certified transitions and escrow (the
+        committed entries, certified transitions and escrow (the
         HSMs' key arrays are durable in place, in their own regions).
         Pending batches, leases, and attempt counters are *not* durable and
         are excluded by design.
@@ -249,7 +249,6 @@ class ServiceProvider:
         )
         for shard, log in enumerate(self.log.shards):
             state.shard_entries[shard] = list(log.ordered_entries)
-            state.shard_epochs[shard] = log.epoch
             state.shard_transitions[shard] = list(log.certified_transitions)
         return state
 
@@ -290,7 +289,6 @@ class ServiceProvider:
             entries = state.shard_entries.get(shard, [])
             log.ordered_entries = list(entries)
             log.dict = AuthenticatedDictionary.from_entries(entries)
-            log.epoch = state.shard_epochs.get(shard, 0)
             log.certified_transitions = list(state.shard_transitions.get(shard, []))
         provider.log.garbage_collections = state.garbage_collections
         for username, ciphertexts in state.backups.items():

@@ -370,7 +370,6 @@ class DistributedLog:
         self.dict = AuthenticatedDictionary()
         self.ordered_entries: List[Tuple[bytes, bytes]] = []
         self.pending = []
-        self.epoch = 0
         self.certified_transitions: List[CertifiedTransition] = []
         # Optional durability hook (repro.storage.journal.ProviderJournal):
         # when set, run_update write-ahead-journals every epoch as
@@ -430,6 +429,11 @@ class DistributedLog:
         """Inclusion proof against the current digest; None if absent."""
         return self.dict.prove_includes(identifier, value)
 
+    @property
+    def epoch(self) -> int:
+        """Epochs this lane has committed: its certified chain's length."""
+        return len(self.certified_transitions)
+
     # -- the Figure 5 update round ------------------------------------------------
     def prepare_update(self, num_chunks: int) -> UpdateRound:
         """Apply pending insertions chunk-by-chunk and commit to the round."""
@@ -465,7 +469,6 @@ class DistributedLog:
             shard=self.shard_index,
             num_shards=self.num_shards,
         )
-        self.epoch += 1
         return round_
 
     def run_update(self, hsms: Sequence) -> None:
@@ -525,7 +528,6 @@ class DistributedLog:
         del self.ordered_entries[entries_before:]
         self.dict = AuthenticatedDictionary.from_entries(self.ordered_entries)
         self.pending = pending_before + self.pending
-        self.epoch -= 1
 
     def certify_round(self, round_: UpdateRound, hsms: Sequence) -> None:
         """Collect audits + signatures for an already-prepared round."""

@@ -45,7 +45,9 @@ are detected during replay, never silently restored.
 Formats: a record's payload layout is its row of :data:`RECORD_CODECS`
 (``repro.core.codec`` values; the snapshot is the :data:`STATE` codec made
 of the same pieces) and is spelled nowhere else — the ``record_*`` writers
-encode through the table, replay decodes through it and only folds.
+encode through the table, replay decodes through it and only folds.  A
+certificate is one codec value, ``_SIGNATURE``, in a commit and a snapshot
+alike; a lane's epoch count is not stored: it is its chain's length.
 """
 
 from __future__ import annotations
@@ -54,8 +56,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.codec import (
-    BLOB, TEXT, U32, U64, Codec, WireFormatError,
-    converted, mapping, nested, optional, record, seq, tuple_of,
+    BLOB, TEXT, U32, U64, U256, Codec, converted, mapping, nested, optional, seq, tuple_of,
 )
 from repro.core.lhe import LheCiphertext
 from repro.core.wire import RECOVERY_CIPHERTEXT
@@ -82,42 +83,6 @@ class JournalReplayError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Aggregate-signature (de)serialization
-# ---------------------------------------------------------------------------
-def encode_aggregate_auto(aggregate: object) -> Tuple[Optional[str], Optional[bytes]]:
-    """Serialize a multisig aggregate as ``("ecdsa-list", bytes)``.
-
-    Anything that is not a tuple of ``(r, s)`` pairs — an adversarial
-    provider can journal a garbage aggregate before the devices reject it —
-    gives ``(None, None)``: the commit is still durable, only the
-    replayable signature material is dropped, so a restored log can offer
-    every *decodable* transition to devices that missed it.
-    """
-    if isinstance(aggregate, tuple) and all(
-        isinstance(sig, tuple) and len(sig) == 2 for sig in aggregate
-    ):
-        return "ecdsa-list", b"".join(
-            r.to_bytes(32, "big") + s.to_bytes(32, "big") for r, s in aggregate
-        )
-    return None, None
-
-
-def decode_aggregate(scheme: str, data: bytes) -> object:
-    """Inverse of :func:`encode_aggregate_auto` for a known scheme name."""
-    if scheme == "ecdsa-list":
-        if len(data) % 64:
-            raise WireFormatError("ecdsa-list aggregate not a multiple of 64B")
-        return tuple(
-            (
-                int.from_bytes(data[i : i + 32], "big"),
-                int.from_bytes(data[i + 32 : i + 64], "big"),
-            )
-            for i in range(0, len(data), 64)
-        )
-    raise WireFormatError(f"unknown multisig scheme {scheme!r}")
-
-
-# ---------------------------------------------------------------------------
 # Restored state
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True, kw_only=True)
@@ -129,13 +94,19 @@ class OpenIntent(Transition):
     entries: List[Tuple[bytes, bytes]]
 
 
+def _certified(step: Transition, signature: Optional[Tuple]) -> CertifiedTransition:
+    """``step`` under a stored ``(signer_ids, aggregate)`` signature, or
+    with none (no signer ids, no aggregate) when the signature is absent."""
+    signer_ids, aggregate = signature or ((), None)
+    return step.certified(aggregate, signer_ids)
+
+
 @dataclass
 class RestoredState:
     """Everything a replayed journal reconstructs (and a snapshot stores)."""
 
     num_shards: int = 1
     shard_entries: Dict[int, List[Tuple[bytes, bytes]]] = field(default_factory=dict)
-    shard_epochs: Dict[int, int] = field(default_factory=dict)
     shard_transitions: Dict[int, List[CertifiedTransition]] = field(default_factory=dict)
     garbage_collections: int = 0
     backups: Dict[str, List[LheCiphertext]] = field(default_factory=dict)
@@ -153,11 +124,9 @@ class RestoredState:
         record (a reconciled commit) — the transition itself is still part
         of the restored chain.
         """
-        signer_ids, aggregate = signature or ((), None)
         self.shard_entries.setdefault(intent.shard, []).extend(intent.entries)
-        self.shard_epochs[intent.shard] = self.shard_epochs.get(intent.shard, 0) + 1
         self.shard_transitions.setdefault(intent.shard, []).append(
-            intent.certified(aggregate, signer_ids)
+            _certified(intent, signature)
         )
         self.open_intents.pop(intent.shard, None)
 
@@ -174,51 +143,40 @@ _CIPHERTEXT = nested(RECOVERY_CIPHERTEXT)
 _SIGNERS = seq(U32, tuple)
 
 
-def _stored_aggregate(aggregate: object) -> Optional[Tuple[str, bytes]]:
-    scheme, data = encode_aggregate_auto(aggregate)
-    return None if scheme is None else (scheme, data)
+def _storable_signature(signature: Optional[Tuple]) -> Optional[Tuple]:
+    aggregate = signature and signature[1]
+    pairs = isinstance(aggregate, tuple) and all(
+        isinstance(sig, tuple) and len(sig) == 2 for sig in aggregate
+    )
+    return signature if pairs else None
 
 
-#: A quorum aggregate as ``(scheme, bytes)``.  One the journal cannot
-#: serialize is stored as absent, like None, and so decodes as None.
-_AGGREGATE = converted(
-    optional(tuple_of(TEXT, BLOB)),
-    _stored_aggregate,
-    lambda stored: None if stored is None else decode_aggregate(*stored),
-)
-
-
-def _stored_signature(signature: Optional[Tuple]) -> Optional[Tuple]:
-    stored = None if signature is None else _stored_aggregate(signature[1])
-    return None if stored is None else (stored[0], signature[0], stored[1])
-
-
-#: An ``EPOCH_COMMIT``'s optional ``(signer_ids, aggregate)``, laid out as
-#: scheme, signer ids, aggregate bytes.
-_COMMIT_SIGNATURE = converted(
-    optional(tuple_of(TEXT, _SIGNERS, BLOB)),
-    _stored_signature,
-    lambda stored: None if stored is None else (stored[1], decode_aggregate(stored[0], stored[2])),
+#: A certificate's optional ``(signer_ids, aggregate)``: the signer ids and
+#: the quorum's ``(r, s)`` pairs.  An aggregate that is not a tuple of
+#: ``(r, s)`` pairs — an adversarial provider can journal a garbage one
+#: before the devices reject it — is stored as absent, like None: the
+#: commit is still durable, only its replayable signature is dropped.
+_SIGNATURE = converted(
+    optional(tuple_of(_SIGNERS, seq(tuple_of(U256, U256), tuple))),
+    _storable_signature,
+    lambda stored: stored,
 )
 
 #: A committed transition inside a snapshot; its lane (shard, arity) is not
 #: stored with it — decoding fills it from the shard row.
-_TRANSITION = record(
-    CertifiedTransition, old_digest=BLOB, new_digest=BLOB, root=BLOB,
-    signer_ids=_SIGNERS, aggregate=_AGGREGATE,
+_TRANSITION = converted(
+    tuple_of(BLOB, BLOB, BLOB, _SIGNATURE),
+    lambda t: (t.old_digest, t.new_digest, t.root, (t.signer_ids, t.aggregate)),
+    lambda fields: _certified(Transition(*fields[:3]), fields[3]),
 )
 
 
 def _state_fields(state: RestoredState) -> Tuple:
     if state.open_intents:
         raise ValueError("cannot snapshot with unresolved epoch intents")
-    shards = set(state.shard_entries) | set(state.shard_epochs) | set(state.shard_transitions)
+    shards = set(state.shard_entries) | set(state.shard_transitions)
     rows = {
-        shard: (
-            state.shard_entries.get(shard, []),
-            state.shard_epochs.get(shard, 0),
-            state.shard_transitions.get(shard, []),
-        )
+        shard: (state.shard_entries.get(shard, []), state.shard_transitions.get(shard, []))
         for shard in shards
     }
     return (
@@ -233,9 +191,8 @@ def _state_from_fields(fields: Tuple) -> RestoredState:
         num_shards=num_shards, garbage_collections=collections, backups=backups,
         incrementals=incrementals, replies=replies,
     )
-    for shard, (entries, epoch, transitions) in rows.items():
+    for shard, (entries, transitions) in rows.items():
         state.shard_entries[shard] = entries
-        state.shard_epochs[shard] = epoch
         state.shard_transitions[shard] = [
             replace(t, shard=shard, num_shards=num_shards) for t in transitions
         ]
@@ -250,7 +207,7 @@ STATE = converted(
     tuple_of(
         U32,                                                      # num_shards
         U32,                                                      # garbage collections
-        mapping(U32, tuple_of(_ENTRIES, U32, seq(_TRANSITION))),  # shard: entries, epoch, chain
+        mapping(U32, tuple_of(_ENTRIES, seq(_TRANSITION))),       # shard: entries, chain
         mapping(TEXT, seq(_CIPHERTEXT)),                          # username: backups
         mapping(TEXT, seq(BLOB)),                                 # username: incrementals
         mapping(tuple_of(TEXT, U32), seq(BLOB)),                  # (username, attempt): replies
@@ -270,7 +227,7 @@ RECORD_CODECS: Dict[int, Codec] = {
     K_REPLY: tuple_of(TEXT, U32, BLOB),                # username, attempt, blob
     K_EPOCH_INTENT: tuple_of(U32, U32, BLOB, BLOB, BLOB, _ENTRIES),
     #                 shard, num_shards, old digest, new digest, root, entries
-    K_EPOCH_COMMIT: tuple_of(U32, U64, _COMMIT_SIGNATURE),  # shard, intent seq, signature
+    K_EPOCH_COMMIT: tuple_of(U32, U64, _SIGNATURE),    # shard, intent seq, signature
     K_EPOCH_ROLLBACK: tuple_of(U32, U64),              # shard, intent seq
     K_GC: tuple_of(U32),                               # new GC total
     K_SNAPSHOT: tuple_of(STATE),                       # the whole state

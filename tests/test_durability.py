@@ -17,6 +17,7 @@ Covers the claims the write-ahead design stands on:
    device at the read (a typed refusal), not by the chain at restore.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -27,7 +28,8 @@ from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.core.wire import WireFormatError
 from repro.hsm.device import HsmRefusedError
-from repro.log.distributed import CertifiedTransition
+from repro.log.distributed import CertifiedTransition, LogUpdateRejected
+from repro.log.sharded import shard_of
 from repro.storage.blockstore import InMemoryBlockStore, TamperingBlockStore
 from repro.storage.journal import (
     K_BACKUP,
@@ -36,10 +38,9 @@ from repro.storage.journal import (
     K_REPLY,
     JournalReplayError,
     ProviderJournal,
+    RECORD_CODECS,
     RestoredState,
-    decode_aggregate,
     decode_state,
-    encode_aggregate_auto,
     encode_state,
 )
 from repro.storage.wal import WalCorruptionError, WriteAheadLog
@@ -184,29 +185,30 @@ class TestWriteAheadLog:
 
 
 # ---------------------------------------------------------------------------
-# Aggregate-signature serialization
+# Certificate-signature serialization (inside an EPOCH_COMMIT record)
 # ---------------------------------------------------------------------------
+COMMIT = RECORD_CODECS[K_EPOCH_COMMIT]
+
+
 class TestAggregateCodec:
-    def test_ecdsa_list_round_trips(self):
-        aggregate = ((12345, 67890), (2**200, 3**100))
-        scheme, data = encode_aggregate_auto(aggregate)
-        assert scheme == "ecdsa-list"
-        assert decode_aggregate(scheme, data) == aggregate
+    def test_signature_round_trips(self):
+        signature = ((0, 5), ((12345, 67890), (2**200, 3**100)))
+        data = COMMIT.encode((0, 7, signature))
+        assert COMMIT.decode(data) == (0, 7, signature)
+        # flag, two u32 signer ids behind their count, two 64-byte (r, s)
+        # pairs behind theirs: no scheme tag, no byte length.
+        assert len(data) == 4 + 8 + 1 + (4 + 2 * 4) + (4 + 2 * 64)
+        with pytest.raises(WireFormatError):
+            COMMIT.decode(data[:-1])  # an (r, s) pair cut short
 
     def test_unserializable_aggregate_degrades_to_none(self):
         class HasToBytes:  # the shape the journal once tagged "bls"
             def to_bytes(self):
                 return b"\x01" * 96
 
-        assert encode_aggregate_auto(object()) == (None, None)
-        assert encode_aggregate_auto(HasToBytes()) == (None, None)
-
-    def test_unknown_scheme_rejected(self):
-        for scheme in ("rot13", "bls"):
-            with pytest.raises(WireFormatError, match="unknown multisig scheme"):
-                decode_aggregate(scheme, b"\x01" * 97)
-        with pytest.raises(WireFormatError):
-            decode_aggregate("ecdsa-list", b"\x00" * 63)  # not a 64B multiple
+        for aggregate in (object(), HasToBytes(), ((1, 2), (3,)), None):
+            data = COMMIT.encode((0, 7, ((0, 1), aggregate)))
+            assert COMMIT.decode(data) == (0, 7, None)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +244,6 @@ class TestProviderJournal:
         state = journal.replay_state()
         assert state.open_intents == {}
         assert state.shard_entries[0] == entries
-        assert state.shard_epochs[0] == 1
         # The committed transition replays equal to the one that was recorded.
         assert state.shard_transitions[0] == [_transition()]
 
@@ -328,7 +329,6 @@ class TestProviderJournal:
         state = RestoredState(
             num_shards=2,
             shard_entries={0: [(b"id", b"v")], 1: []},
-            shard_epochs={0: 3, 1: 1},
             shard_transitions={
                 0: [
                     # The lane is not stored with the transition: decoding
@@ -522,3 +522,45 @@ class TestJournalHoldsNoKeyBlocks:
         journal.wal.append(8, b"\x00\x00\x00\x20" + b"\xdd" * 32)
         with pytest.raises(JournalReplayError, match="kind 8"):
             journal.replay_state()
+
+
+# ---------------------------------------------------------------------------
+# A lane's epoch count is its certified chain's length, live and restored
+# ---------------------------------------------------------------------------
+class TestRestoredEpochs:
+    def test_restored_lane_counts_the_live_lanes_epochs(self):
+        """Epochs before a snapshot, epochs after it and a rolled-back one:
+        the restored lanes count what the live lanes count."""
+        params = dataclasses.replace(
+            SystemParams.for_testing(num_hsms=4, cluster_size=3, max_punctures=8),
+            log_shards=2,
+        )
+        store = InMemoryBlockStore()
+        dep = Deployment.create(params, rng=random.Random(24), store=store)
+        log = dep.provider.log
+
+        def commit(tag: str, count: int) -> None:
+            for i in range(count):
+                log.insert(b"rec|%s-%d|0" % (tag.encode("ascii"), i), b"h")
+                dep.run_log_update()
+
+        commit("before", 3)
+        dep.provider.snapshot()
+        commit("after", 2)
+        # A committee of 2 needs both signers: lane 0's next epoch fails.
+        dep.fleet[0].fail_stop()
+        identifier = next(
+            b"rec|doomed-%d|0" % i for i in range(256)
+            if shard_of(b"rec|doomed-%d|0" % i, 2) == 0
+        )
+        log.insert(identifier, b"h")
+        epochs = [lane.epoch for lane in log.shards]
+        with pytest.raises(LogUpdateRejected):
+            dep.run_log_update()
+        assert [lane.epoch for lane in log.shards] == epochs
+        dep.fleet[0].restart()
+
+        restored = Deployment.restore(params, store, dep.fleet).provider.log
+        assert [lane.epoch for lane in restored.shards] == epochs
+        assert [len(lane.certified_transitions) for lane in restored.shards] == epochs
+        assert restored.epoch == log.epoch == sum(epochs)

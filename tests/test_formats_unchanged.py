@@ -42,6 +42,34 @@ transition trimmed the same way.  The other moved blocks are chain hashes
 and the anchor; every HSM key block and every other payload is the
 parent's.  The shards=2 committees have 2 devices and need both, so
 nothing there moved.
+
+All three store digests moved once more, when a certificate's signature
+lost its scheme tag and a lane its stored epoch count, and each was
+compared block by block against the parent's store, each store's records
+decoded by the codecs of the code that wrote them:
+
+- ``store`` at shards=1: each of the 4 ``EPOCH_COMMIT`` records is 14
+  bytes shorter (239 → 225) — the scheme-name text (a ``u32`` length
+  and 10 bytes) is gone, and the aggregate's ``u32`` byte length
+  became a ``u32`` count of ``(r, s)`` pairs — and decodes to the
+  parent's shard, intent seq, signer ids and aggregate.  The snapshot is
+  60 bytes shorter (9760 → 9700): 14 per certified transition, for the
+  same two fields, times 4, plus the shard row's 4-byte epoch ``u32``;
+  it decodes to the parent's state, whose epoch count equalled the
+  lane's chain length.
+- ``store`` at shards=2: each of the 5 commits is 14 bytes shorter (171 →
+  157); the snapshot is 78 bytes shorter (9670 → 9592): 5 transitions at
+  14 bytes and two shard rows at 4.
+- the record-kinds store: the signed commit is 14 bytes shorter (171 →
+  157), the unsigned one is the parent's 13 bytes.  The first snapshot is
+  26 bytes shorter (491 → 465): its signed transition lost 14 bytes, its
+  unsigned one 4 (the parent stored an empty signer-id list beside an
+  absent aggregate; an absent signature is now one flag byte), and each
+  of its two shard rows 4.  The empty snapshot is the parent's 24 bytes.
+
+Every other moved block is a chain hash or the anchor; every HSM key
+block and every other payload is the parent's, and both frames digests
+did not move.
 """
 
 import hashlib
@@ -81,15 +109,15 @@ class TestFormatsUnchanged:
     PARENT_DIGESTS = {
         1: {
             "frames": "ec138a5d07910af82fa09c8f22a36c048a9cdbf8fd62439fd99d407201f339b5",
-            "store": "9a3648262c7e58e46c84587107c027effbdb06bca7aa5af89b6f45d32a3a3096",
+            "store": "fcf5d270a1224160f1e1a54c770c681f7bcf3048db886d32d1d5233f8efe0e70",
         },
         2: {
             "frames": "3cb6f031ecf6cab8459d6d7783599fcff56fb295f3650adaabb7f7d958764641",
-            "store": "5218a601b55b650e2040387fc2a2480ffbb1f8229749d458cec7cd554168c833",
+            "store": "99a7b1dcffb8bda1a8e9e4b15600e7ffa08cbcc9354e28e417e7b2cb63751847",
         },
     }
     PARENT_RECORD_KINDS_DIGEST = (
-        "259f67ad5d504bab6c9c9942c0ae9524a44665d1c8199362c7766452c51c468e"
+        "21604eb6aee3dfea8ea3d2e69e0b462a3f588f9268eeda81cb511fc4f836aff2"
     )
 
     @staticmethod

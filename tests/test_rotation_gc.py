@@ -5,10 +5,13 @@ import random
 
 import pytest
 
+from repro.chaos.entropy import DeterministicEntropy
 from repro.core.client import RecoveryError
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.hsm.device import HsmRefusedError
+from repro.log.distributed import LogUpdateRejected
+from repro.log.membership import MembershipViolation
 
 
 @pytest.fixture
@@ -63,6 +66,37 @@ class TestRotation:
         with pytest.raises(RecoveryError):
             client.recover(pin="1234")
 
+    def test_failed_rotation_epoch_still_refreshes_clients(self, tiny_deployment):
+        """A device destroys its old keys as it rotates, so a client must
+        hold the rotated mpk even when the epoch logging the rotation fails:
+        the retry rotates nothing, and a stale client would back up to
+        destroyed keys."""
+        dep = tiny_deployment
+        watcher = dep.new_client("watcher")
+        with DeterministicEntropy(21):
+            for i in range(8):
+                if any(hsm.needs_rotation() for hsm in dep.fleet):
+                    break
+                client = dep.new_client(f"wear{i}")
+                client.backup(b"data", pin="1234")
+                assert client.recover(pin="1234") == b"data"
+        worn = [hsm.index for hsm in dep.fleet if hsm.needs_rotation()]
+        assert worn
+        # Three fail-stopped bystanders leave 5 of 8 signers: no quorum at q = 0.75.
+        for hsm in [hsm for hsm in dep.fleet if hsm.index not in worn][:3]:
+            hsm.fail_stop()
+        with pytest.raises(LogUpdateRejected, match="need 6 for a quorum"):
+            dep.rotate_keys_if_needed()
+        assert watcher.mpk == dep.fleet.master_public_key()
+        dep.restart_all_hsms()
+        assert dep.rotate_keys_if_needed() == []
+        assert watcher.mpk == dep.fleet.master_public_key()
+        # The rotations' membership events were not lost with the epoch.
+        dep.provider.log.run_update(dep.fleet.hsms)
+        dep.verify_published_keys()
+        watcher.backup(b"after rotation", pin="1234")
+        assert watcher.recover(pin="1234") == b"after rotation"
+
 
 class TestGarbageCollection:
     def test_gc_resets_attempt_budget(self, tiny_deployment):
@@ -115,6 +149,21 @@ class TestGarbageCollection:
             assert client.recover(pin="2468") == secret
         assert dep.provider.log.digest == dep.fleet[0].log_digest
         assert dep.fleet[3].log_digest != dep.provider.log.digest
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=MembershipViolation,
+        reason="ROADMAP item 11: a GC empties every lane, genesis membership included",
+    )
+    def test_gc_keeps_the_fleet_membership_verifiable(self):
+        """An honest fleet's published keys still verify after a GC: the
+        collected log must carry the fleet's current membership into the
+        new generation, or every client's mpk check refuses the fleet."""
+        params = SystemParams.for_testing(num_hsms=4, cluster_size=3, max_punctures=8)
+        dep = Deployment.create(params, rng=random.Random(1))
+        dep.verify_published_keys()
+        dep.garbage_collect_log()
+        dep.verify_published_keys()
 
     @pytest.mark.parametrize("shards", [None, 2])
     def test_refused_gc_archives_and_resets_nothing(self, shards):
