@@ -23,7 +23,7 @@ the salt, and a digest of the n cluster public keys.
 Hot-path note: step 4 performs one BFE encryption per cluster member, and
 every one of those rides the crypto fast path in ``repro.crypto.ec`` — the
 generator's comb for each ephemeral ``g^r`` and, for the (long-lived) HSM
-slot keys, the 5-tooth signed comb ``mult_each`` builds on a slot key's
+slot keys, the 6-tooth signed comb ``mult_each`` builds on a slot key's
 first use and reads on every later one — while reconstruction's
 Shamir recombination takes its Lagrange weights from
 ``repro.crypto.field.lagrange_at_zero``, one batched inversion for all.

@@ -35,12 +35,12 @@ keys", §9).  We implement that variant concretely:
 
 Hot-path note: encryption's k slot-key multiplies ``pkᵢ^r`` share their
 scalar, so they go through ``repro.crypto.ec.mult_each`` — one reading of
-``r``, one batch build of the 5-tooth signed combs the slot keys still
+``r``, one batch build of the 6-tooth signed combs the slot keys still
 lack, one batch inversion for the k results — and ``g^r`` rides the
-generator's comb.  A slot key's first ciphertext builds its comb (208
-doublings), and every ciphertext to it — a ``reuse_salt`` backup series
-hashes every backup to the same k slots — costs 51 doublings and 52
-additions a key.  The
+generator's comb.  A slot key's first ciphertext builds its comb (215
+doublings and 31 additions), and every ciphertext to it — a
+``reuse_salt`` backup series hashes every backup to the same k slots —
+costs 42 doublings and 43 additions a key.  The
 k wraps and the payload are one ``repro.crypto.gcm.seal_each``: their AES
 blocks are the lanes of one byte-sliced call.  The meter still sees k + 1
 ``ec_mult``, k ``elgamal_enc`` and the k + 1 seals' ``aes_block``.  Decryption's

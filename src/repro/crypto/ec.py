@@ -36,11 +36,12 @@ long a point lives and how often it is multiplied:
   salt hashes every backup to the same k slots).  :func:`mult_each`, which
   only BFE encryption calls, multiplies through combs alone: a point it
   meets without one gets at once a one-table signed comb of
-  ``_SLOT_COMB_TEETH`` (5) teeth over 52 bit positions — 16 affine
-  entries, 208 doublings to build, a call's missing combs in one batch —
-  and every multiply is 51 doublings + 52 mixed additions instead of
-  256 + 43.  ``P * s`` and Straus sums never build one, so a
-  one-off point — an HSM-side ephemeral, a response key — never pays.
+  ``_SLOT_COMB_TEETH`` (6) teeth over 43 bit positions — 32 affine
+  entries, 215 doublings and 31 fill additions to build, a call's missing
+  combs in one batch — and every multiply is 42 doublings + 43 mixed
+  additions instead of 256 + 43.  ``P * s`` and Straus sums never build
+  one, so a one-off point — an HSM-side ephemeral, a response key —
+  never pays.
 - **Signed-window ladder (every other point)**: the scalar is recoded into
   width-5 signed digits (``_signed_digits``: odd, |d| <= 15, at least five
   positions apart) over the 8 odd multiples ``Q, 3Q, ..., 15Q`` — 256
@@ -72,7 +73,7 @@ long a point lives and how often it is multiplied:
 
 :func:`multi_mult` exposes Straus/Shamir multi-scalar multiplication
 (``Σ sᵢ·Pᵢ``: every term's columns merged into one chain, a comb's
-columns riding the chain's last 52, 26 or w steps), :func:`mult_each`
+columns riding the chain's last 43, 26 or w steps), :func:`mult_each`
 multiplies many points by one scalar (one comb reading per tooth count,
 one batch build of the missing combs and one batch inversion for the
 results — a BFE ciphertext's k slot keys),
@@ -382,18 +383,18 @@ def _build_windows(points: Sequence[_Affine]) -> List[List[_Affine]]:
 # by everything, has _GENERATOR_COMB_TABLES of them (≈ 0.46 MB under
 # tracemalloc, against ≈ 0.09 MB for one); a signer key keeps one, since a
 # dozen of them at five sub-tables would hold ≈ 4.4 MB more.  A slot key
-# :func:`mult_each` meets gets the small comb: _SLOT_COMB_TEETH = 5 teeth x
-# 52 bits, one table of 16 entries (≈ 3.1 KB, against a window table's
-# 1.5 KB), 51 doublings a multiply.
+# :func:`mult_each` meets gets the small comb: _SLOT_COMB_TEETH = 6 teeth x
+# 43 bits, one table of 32 entries (≈ 6.0 KB, against a window table's
+# 1.5 KB), 42 doublings a multiply.
 _COMB_TEETH = 10
-_SLOT_COMB_TEETH = 5
+_SLOT_COMB_TEETH = 6
 _GENERATOR_COMB_TABLES = 5
 
 _Comb = List[List[_Affine]]  # the sub-tables, 2^(teeth − 1) entries each
 
 
 def _comb_stride(teeth: int) -> int:
-    """The bit positions a tooth spans: ⌈256 / teeth⌉ (26 for 10, 52 for 5)."""
+    """The bit positions a tooth spans: ⌈256 / teeth⌉ (26 for 10, 43 for 6)."""
     return -(-256 // teeth)
 
 
@@ -419,13 +420,13 @@ def _build_comb(
 
     One :func:`_chain` of doublings per point raises every tooth base and
     the double of every base below the top one, in order of their exponent
-    (c·(teeth − 1) + (tables − 1)·w doublings: 234 + … for 10 teeth, 208
-    for 5); each sub-table's first entry is ``B_top − Σ B_j``, and ONE
+    (c·(teeth − 1) + (tables − 1)·w doublings: 234 + … for 10 teeth, 215
+    for 6); each sub-table's first entry is ``B_top − Σ B_j``, and ONE
     inversion normalizes those entries and every point's doubled bases.
     Then, a sub-table at a time, ``sub[m | 2^j] = sub[m] + 2·B_j`` for
     each lower tooth j in turn, every point's lanes in one lock-step batch
     (:func:`_add_each`: 511 affine additions a point on nine shared
-    inversions at 10 teeth, 15 on four at 5), so the entries are affine as
+    inversions at 10 teeth, 31 on five at 6), so the entries are affine as
     they are made.  (Filling all sub-tables in the same batches saves a few
     inversions but holds S tables' worth of working lists at once: ≈ 0.25
     MB more peak resident at S = 5.)  Lanes share only the inversions, so a
@@ -536,7 +537,7 @@ def _ladder_columns(
 
 def _comb_mult(terms: Sequence[Tuple[Sequence[int], _Comb]]) -> _JPoint:
     """``Σ sᵢ·Pᵢ`` over ``(indices, comb)`` terms — each scalar as its
-    :func:`_comb_indices` — in ONE chain as wide as the widest comb: 52
+    :func:`_comb_indices` — in ONE chain as wide as the widest comb: 43
     columns for a sum with a slot key in it, 26 with a signer key, w for
     the generator's sub-tables alone, plus one mixed addition per bit
     position of each term, against 256 doublings for a ladder over any one
@@ -583,8 +584,8 @@ class ECPoint:
 
     A point carries a one-table signed comb (``_comb``) when it was
     explicitly :meth:`precompute`d (10 teeth, a provisioned signer key: 25
-    doublings rather than 256) or met by :func:`mult_each` (5 teeth, a BFE
-    slot key: 51 doublings); the generator's coordinates always resolve to
+    doublings rather than 256) or met by :func:`mult_each` (6 teeth, a BFE
+    slot key: 42 doublings); the generator's coordinates always resolve to
     the one comb of ``_GENERATOR_COMB_TABLES`` sub-tables held by
     ``P256.generator``.  Nothing else is cached: ``P * s`` and Straus sums
     over a comb-less point leave it as it was.  A comb holds multiples of
@@ -634,7 +635,7 @@ class ECPoint:
         gives a point the 10-tooth comb — a device holds hundreds of BFE
         slot keys, and a 0.1 MB table for each would cost tens of MB for
         keys that are each used a handful of times; :func:`mult_each` gives
-        a slot key the 5-tooth comb of 16 entries instead.  The generator's
+        a slot key the 6-tooth comb of 32 entries instead.  The generator's
         coordinates resolve to ``P256.generator``'s comb of
         ``_GENERATOR_COMB_TABLES`` sub-tables, built once per process (a
         benign race between threads builds identical ones).
@@ -735,7 +736,7 @@ def multi_mult(pairs: Sequence[Tuple[int, ECPoint]]) -> ECPoint:
     """Straus/Shamir multi-scalar multiplication: ``Σ sᵢ·Pᵢ`` in one pass.
 
     All terms share ONE doubling chain — 26 columns when every point is
-    provisioned (the generator included), 52 when every point is combed
+    provisioned (the generator included), 43 when every point is combed
     and a slot key takes part, the ladder's 257 otherwise — so
     ``k`` multiplications cost roughly one multiplication plus ``k``
     addition streams instead of ``k`` full multiplications.  The result is
@@ -763,9 +764,9 @@ def mult_each(points: Sequence[ECPoint], scalar: int) -> List[ECPoint]:
 
     Every product is a comb chain.  A finite point without a comb — a slot
     key's first multiply — gets one of ``_SLOT_COMB_TEETH`` teeth on the
-    spot (208 doublings to build; then 51 doublings + 52 additions a
-    multiply instead of a ladder's 256 + ≈ 43), all of a call's missing
-    combs in one :func:`_build_comb` batch.
+    spot (215 doublings and 31 fill additions to build; then 42 doublings
+    + 43 additions a multiply instead of a ladder's 256 + ≈ 43), all of a
+    call's missing combs in one :func:`_build_comb` batch.
     The scalar is read into comb indices once per tooth count and the
     results are normalized by ONE batch inversion.  Each result is
     bit-for-bit ``P * scalar``; an identity point or a zero scalar yields

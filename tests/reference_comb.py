@@ -5,9 +5,11 @@
   fill of the 2^t − 1 subset sums ``Σ_{j ∈ bits(b)} 2^(c·j + i·w)·Q``,
   entry 0 empty), :func:`unsigned_indices` and :func:`unsigned_columns` (a
   position adds an entry only where its teeth are not all zero), at
-  ``UNSIGNED_TEETH`` = 9 for the generator and signer keys and
-  ``UNSIGNED_SLOT_TEETH`` = 4 for slot keys — one tooth fewer than the
-  signed combs, and one entry fewer a table.  :func:`unsigned_mult_each` and :func:`unsigned_verify_all`
+  ``UNSIGNED_TEETH`` = 9 for the generator and signer keys — one tooth
+  fewer than their signed combs, and one entry fewer a table — and
+  ``UNSIGNED_SLOT_TEETH`` = 4 for slot keys, the comb the signed 5-tooth
+  slot comb replaced (today's has 6 teeth: 32 entries against 15).
+  :func:`unsigned_mult_each` and :func:`unsigned_verify_all`
   are ``mult_each`` and ``ecdsa_verify_all`` over it, and the hot-path
   bench times the signed engine against them (``signed_over_unsigned_slot``,
   ``signed_over_unsigned_verify``) and weighs both engines' tables

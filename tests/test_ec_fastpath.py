@@ -47,7 +47,7 @@ GENERATOR_WIDTH = ec_module._comb_width(GENERATOR_TABLES)
 TEETH = ec_module._COMB_TEETH
 STRIDE = ec_module._comb_stride(TEETH)  # 26
 SLOT_TEETH = ec_module._SLOT_COMB_TEETH
-SLOT_STRIDE = ec_module._comb_stride(SLOT_TEETH)  # 52
+SLOT_STRIDE = ec_module._comb_stride(SLOT_TEETH)  # 43
 # The three tiers as (teeth, tables): the generator, a signer key, a slot key.
 TIERS = ((TEETH, GENERATOR_TABLES), (TEETH, 1), (SLOT_TEETH, 1))
 
@@ -347,15 +347,17 @@ def slot_key(point: ECPoint) -> ECPoint:
 # the negation of an odd one, every index complemented), N − 2, 2^255, the
 # scalars whose recoded digits below the top are all −1 (1) or all +1
 # (N − 1), and those whose lower teeth's digits are all +1
-# (2^(c(t−1) + 1) − 1) or all −1 (its negation, N minus it), at both
-# tooth counts.
+# (2^(c(t−1) + 1) − 1) or all −1 (its negation, N minus it), at every
+# tooth count: the 10-tooth comb's, the slot comb's and the 5-tooth slot
+# comb's it replaced.
 PARITY_SCALARS = [3, 0x1EADBEEF << 87, 0x5A17 * (N // 0x10001)]
 SIGNED_EDGE_SCALARS = [
     1, N - 1, 2, N - 2, 1 << 255,
     *(N - k for k in PARITY_SCALARS), *PARITY_SCALARS,
     *(
         scalar
-        for stride, teeth in ((STRIDE, TEETH), (SLOT_STRIDE, SLOT_TEETH))
+        for teeth in (TEETH, 5, SLOT_TEETH)
+        for stride in (ec_module._comb_stride(teeth),)
         for scalar in ((2 << (stride * (teeth - 1))) - 1, N + 1 - (2 << (stride * (teeth - 1))))
     ),
 ]
@@ -480,8 +482,8 @@ class TestComb:
         N + 1 such combs exist — the generator's, of S sub-tables, and one
         table per signer key; no BFE slot key, ephemeral point or
         client-side copy grew one — and restoring the deployment builds
-        none.  Every other comb is the 5-tooth one of a BFE slot key that
-        the client's ``mult_each`` met."""
+        none.  Every other comb is the small one (``SLOT_TEETH`` teeth) of
+        a BFE slot key that the client's ``mult_each`` met."""
         from repro.storage.blockstore import InMemoryBlockStore
 
         def combed_points(teeth=ec_module._COMB_TEETH):
@@ -551,7 +553,7 @@ class TestMultEach:
         products = mult_each(points, scalar)
         assert products == [naive_mult(ECPoint(p.x, p.y), scalar) for p in points]
         # Every finite point now holds a comb: the generator's and the
-        # signer's as they were, a 5-tooth one on the others.
+        # signer's as they were, a slot comb on the others.
         assert G._comb is points[1]._comb and len(G._comb) == GENERATOR_TABLES
         assert ec_module._comb_teeth(points[2]._comb) == ec_module._COMB_TEETH
         assert all(p._comb is not None for p in points if not p.is_infinity)
@@ -564,7 +566,7 @@ class TestMultEach:
     )
     @settings(max_examples=10, deadline=None)
     def test_matches_separate_multiplications(self, scalar, seeds):
-        """A first call gives each point its 5-tooth comb, a later one reads
+        """A first call gives each point its slot comb, a later one reads
         the same comb, and every call is ``P * s``."""
         points = [G * random.Random(seed).randrange(1, N) for seed in seeds]
         assert mult_each(points, scalar) == [naive_mult(p, scalar) for p in points]
@@ -624,29 +626,42 @@ class TestMultEach:
         assert BloomFilterEncryption.decrypt(secret, ciphertext, context=b"ctx") == b"share"
 
 
-# Scalars whose only set bits sit at a slot comb's tooth boundaries: the
-# top bit of one tooth and the bottom bit of the next, and bit 255 — at the
-# 5-tooth comb's 52-bit stride and at the 64-bit stride of the unsigned
-# 4-tooth comb before it — and the signed recoding's edges.
+def tooth_boundary_scalars(teeth: int) -> list:
+    """Scalars whose only set bits sit at the tooth boundaries of a comb of
+    ``teeth`` teeth: the top bit of one tooth and the bottom bit of the
+    next (bits c − 1 and c, 2c − 1 and 2c, ...), every tooth's top bit with
+    bit 255, and every tooth's bottom bit."""
+    stride, inner = ec_module._comb_stride(teeth), range(1, teeth)
+    return [
+        *(3 << (stride * tooth - 1) for tooth in inner),
+        *(1 << (stride * tooth - 1) for tooth in inner),
+        *(1 << (stride * tooth) for tooth in inner),
+        sum(1 << (stride * tooth - 1) for tooth in inner) | (1 << 255),
+        sum(1 << (stride * tooth) for tooth in range(teeth)),
+        sum(3 << (stride * tooth - 1) for tooth in inner) | (1 << 255),
+    ]
+
+
+# Where a slot comb goes wrong: its tooth boundaries at the 6-tooth comb's
+# 43-bit stride, 2^43 ± 1, 2^86 ± 1 and the later teeth's bottom bits with
+# their N − x twins, the same boundaries at the 52-bit stride of the
+# 5-tooth comb before it and the 64-bit stride of the unsigned 4-tooth
+# comb before that, and the signed recoding's edges.
+SIX_TOOTH_EDGES = [
+    (1 << 43) - 1, (1 << 43) + 1, (1 << 86) - 1, (1 << 86) + 1, 1 << 129, 1 << 172, 1 << 215,
+]
 SLOT_TOOTH_SCALARS = [
-    *(3 << (SLOT_STRIDE * tooth - 1) for tooth in (1, 2, 3, 4)),  # bits 51/52, ..., 207/208
-    *(1 << (SLOT_STRIDE * tooth - 1) for tooth in (1, 2, 3, 4)),
-    *(1 << (SLOT_STRIDE * tooth) for tooth in (1, 2, 3, 4)),
-    sum(1 << (SLOT_STRIDE * tooth - 1) for tooth in (1, 2, 3, 4)) | (1 << 255),  # every tooth's top bit
-    sum(1 << (SLOT_STRIDE * tooth) for tooth in range(5)),  # every tooth's bottom bit
-    sum(3 << (SLOT_STRIDE * tooth - 1) for tooth in (1, 2, 3, 4)) | (1 << 255),
+    *tooth_boundary_scalars(6),
+    *SIX_TOOTH_EDGES,
+    *(N - edge for edge in SIX_TOOTH_EDGES),
+    *tooth_boundary_scalars(5),
     *SIGNED_EDGE_SCALARS,
-    *(3 << (64 * tooth - 1) for tooth in (1, 2, 3)),  # bits 63/64, 127/128, 191/192
-    *(1 << (64 * tooth - 1) for tooth in (1, 2, 3)),
-    *(1 << (64 * tooth) for tooth in (1, 2, 3)),
-    (1 << 255) | (1 << 191) | (1 << 127) | (1 << 63),
-    sum(1 << (64 * tooth) for tooth in range(4)),
-    sum(3 << (64 * tooth - 1) for tooth in (1, 2, 3)) | (1 << 255),
+    *tooth_boundary_scalars(4),
 ]
 
 
 class TestCombedSlotKeys:
-    """A slot key ``mult_each`` has met carries the 5-tooth comb from its
+    """A slot key ``mult_each`` has met carries the slot comb from its
     first multiply on, and every product over it is the ladder's."""
 
     @pytest.fixture(scope="class")
@@ -701,11 +716,34 @@ class TestCombedSlotKeys:
         mult_each([other], 17)  # never multiplied before: the comb at once
         assert other._comb == comb
 
+    def test_five_and_six_tooth_combs_agree(self, named_points):
+        """The same keys under the 5-tooth comb the slot comb replaced and
+        under the 6-tooth one: bit-for-bit equal products, alone and in one
+        call that reads the scalar at both tooth counts, and each call
+        meters one ``ec_mult`` a point."""
+        rng = random.Random(45)
+        keys = [named_points["random"], named_points["small"]] + [G * rng.randrange(1, N) for _ in range(3)]
+        affine = [(key.x, key.y) for key in keys]
+        five, six = [ECPoint(*a) for a in affine], [ECPoint(*a) for a in affine]
+        for points, teeth in ((five, 5), (six, 6)):
+            for point, comb in zip(points, ec_module._build_comb(affine, teeth=teeth)):
+                point._comb = comb
+        for scalar in (1, 2, N - 1, (1 << 215) | (1 << 43), rng.randrange(1, N)):
+            products = []
+            for points in (five, six, five + six):
+                with metered() as meter:
+                    products.append(mult_each(points, scalar))
+                assert meter.counts["ec_mult"] == len(points)
+            assert [(p.x, p.y) for p in products[0]] == [(p.x, p.y) for p in products[1]]
+            assert products[2] == products[0] + products[1]
+        assert products[0] == [naive_mult(key, scalar) for key in keys]
+        assert [ec_module._comb_teeth(p._comb) for p in five + six] == [5] * 5 + [6] * 5
+
     @given(scalars=st.lists(st.integers(0, N + 7), min_size=3, max_size=6), seed=st.integers(1, 2**32))
     @settings(max_examples=10, deadline=None)
     def test_straus_sums_read_a_slot_comb(self, scalars, seed, slot):
         """A slot key beside a signer's comb and the generator (one
-        52-column comb chain), and beside a ladder point too."""
+        43-column comb chain), and beside a ladder point too."""
         rng = random.Random(seed)
         signer = precomputed(G * rng.randrange(1, N))
         plain = G * rng.randrange(1, N)
@@ -915,7 +953,7 @@ class TestNothingKeyedByAScalarOutlivesItsCall:
         assert twin._comb is None
         for point in (third, slot):
             assert ec_module._build_comb([(point.x, point.y)], teeth=SLOT_TEETH) == [point._comb]
-            assert len(point._comb[0]) == 1 << (SLOT_TEETH - 1)  # the signed 16-entry comb
+            assert len(point._comb[0]) == 1 << (SLOT_TEETH - 1)  # the signed 2^(t−1)-entry comb
         # The signer's signed comb holds the sums it was built with: the
         # negated entries a multiply reads are made in the call, not stored.
         assert ec_module._build_comb([(signer.x, signer.y)]) == [signer._comb]
