@@ -6,11 +6,11 @@ C · (I/N) insertions, so audit time falls from ~50 s toward ~20 s as N goes
 from 100 to 10K (the floor is the per-epoch fixed cost).
 
 We regenerate the curve by (1) metering the *real* verifier
-(``verify_insertion``) on a live authenticated dictionary to get exact
-operation counts per insertion, (2) scaling the path length to a 100M-entry
-tree, and (3) pricing on the SoloKey cost model.  The ablation at the end
-shows why the randomized-audit design exists: having every HSM check every
-insertion would not scale at all.
+(``verify_extension`` of one insertion proof) on a live authenticated
+dictionary to get exact operation counts per insertion, (2) scaling the path
+length to a 100M-entry tree, and (3) pricing on the SoloKey cost model.  The
+ablation at the end shows why the randomized-audit design exists: having
+every HSM check every insertion would not scale at all.
 """
 
 import math
@@ -18,7 +18,7 @@ import math
 from repro.crypto.hashing import sha256
 from repro.hsm.costmodel import CostModel
 from repro.hsm.devices import SOLOKEY
-from repro.log.authdict import AuthenticatedDictionary, verify_insertion
+from repro.log.authdict import AuthenticatedDictionary, verify_extension
 from repro.metering import metered
 
 from reporting import emit, emit_rows
@@ -39,7 +39,7 @@ def _measured_per_insertion_counts():
     proof = d.insert_with_proof(b"probe", b"v")
     depth = len(proof.steps)
     with metered() as meter:
-        assert verify_insertion(old, d.digest, proof)
+        assert verify_extension(old, d.digest, [proof])
     blocks = meter.counts.get("sha256_block", 0)
     return blocks / max(1, depth), depth
 
@@ -74,7 +74,7 @@ def test_fig8_log_audit_time(benchmark):
     old = d.digest
     proof = d.insert_with_proof(b"bench", b"v")
     new = d.digest
-    benchmark(lambda: verify_insertion(old, new, proof))
+    benchmark(lambda: verify_extension(old, new, [proof]))
 
     sizes = [100, 500, 1000, 2500, 5000, 10_000]
     times = {n: audit_seconds(n) for n in sizes}

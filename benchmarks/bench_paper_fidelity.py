@@ -3,7 +3,7 @@ beside ours, in one table that can fail: ``BENCH_paper_fidelity.json``.
 
 A row is ``name, ours, paper, ratio, tolerance, cause`` with ratio =
 ours / paper.  A ratio outside 1 ± tolerance needs a written ``cause`` or
-the gate fails; "open" causes say what is known and name ROADMAP item 3(c),
+the gate fails; "open" causes say what is known and name ROADMAP item 7,
 they do not guess.  "Ours" is read from the ``metrics`` of the figure
 scripts' own records, all at ``BloomParams.paper_deployment()`` — so run
 those scripts first (CI's perf-smoke step lists them before this file).
@@ -23,12 +23,12 @@ from reporting import emit_rows
 
 TOLERANCE = 0.10
 PRICE = (
-    "open, ROADMAP 3(c): the closed form bills (3k+1)·h = 273 key-tree node operations of"
+    "open, ROADMAP 7: the closed form bills (3k+1)·h = 273 key-tree node operations of"
     " 4 AES blocks (0.30 s), one ElGamal decryption (0.15 s) and 16 KB of transfers"
     " (0.01 s); what the paper's other 0.22 s was spent on is not known"
 )
 RATE = (
-    "open, ROADMAP 3(c): follows the price — 2^18 jobs per 77.0 h rotating + 37.3 h serving;"
+    "open, ROADMAP 7: follows the price — 2^18 jobs per 77.0 h rotating + 37.3 h serving;"
     " the paper's 1,503.9/h is a 174 h cycle, which its own 75 h and 56 % (134 h) do not give"
 )
 FLEET = "jobs_per_hour_per_hsm's ratio inverted: nothing else in the planner differs"
@@ -48,17 +48,17 @@ CATALOG = [
     ("table14_deployment", "safenet_qty", 40, ""),
     ("table14_deployment", "safenet_cost_usd", 738.7e3, ""),
     ("fig10_recovery", "recovery_log_s", 0.15,
-     "open, ROADMAP 3(c): ours is one inclusion proof's hashes and bytes and nothing per"
+     "open, ROADMAP 7: ours is one inclusion proof's hashes and bytes and nothing per"
      " HSM; where the paper's 0.15 s goes is not known"),
     ("fig10_recovery", "recovery_location_hiding_s", 0.18,
-     "open, ROADMAP 3(c): the HSM's reply encryption alone (elgamal_enc = two g^x at"
+     "open, ROADMAP 7: the HSM's reply encryption alone (elgamal_enc = two g^x at"
      " 7.69/s) is 0.26 s, more than the paper's whole slice"),
     ("fig10_recovery", "recovery_puncturable_s", 0.68, PRICE),
     ("fig10_recovery", "recovery_total_s", 1.01, TOTAL),
     ("fig11_cluster_size", "recovery_s_at_n40", 1.01, TOTAL),
     ("fig11_cluster_size", "growth_n40_to_n100", 1.25 / 1.01, ""),
     ("secure_deletion_ablation", "naive_reencrypt_s", 48 * 60,
-     "open, ROADMAP 3(c): 2 x 2^22 AES blocks at Table 7's 3,703.7/s are 37.7 min and"
+     "open, ROADMAP 7: 2 x 2^22 AES blocks at Table 7's 3,703.7/s are 37.7 min and"
      " 128 MB over CDC 1.1 min; 48 min at that rate is 2.5 block operations per 16 bytes"),
     ("secure_deletion_ablation", "decrypt_puncture_s", 48 * 60 / 4423, PRICE),
     ("secure_deletion_ablation", "throughput_gain", 4423, "its two rows above, divided"),

@@ -64,7 +64,7 @@ def membership_demo(deployment: Deployment) -> None:
         print(f"silent key substitution caught: {exc}")
 
     events = MembershipVerifier.events_from_log(
-        list(deployment.provider.log.dict.items())
+        list(deployment.provider.log.items())
     )
     fraction = MembershipVerifier.replacement_fraction(
         events, len(deployment.fleet), window=4

@@ -11,8 +11,6 @@ is the CI fast-lane gate::
 Options:
     --json                 machine-readable report on stdout
     --passes a,b,c         run a subset (secrets,locks,wire,metering,docs)
-    --baseline FILE        filter findings recorded in FILE (check mode)
-    --write-baseline FILE  record the current findings and exit 0
     --root DIR             repo root for cross-file checks (default: cwd)
     --list-rules           print the rule catalog and exit
 """
@@ -34,9 +32,7 @@ from repro.lintkit.engine import (  # noqa: E402
     RULE_ALIASES,
     ScanContext,
     collect_files,
-    read_baseline,
     run_passes,
-    write_baseline,
 )
 
 _RULE_CATALOG = [
@@ -61,10 +57,6 @@ def main(argv=None) -> int:
     parser.add_argument("--json", action="store_true", help="JSON report on stdout")
     parser.add_argument("--passes", default=None,
                         help="comma-separated pass names (default: all)")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="filter findings whose fingerprint is in FILE")
-    parser.add_argument("--write-baseline", default=None, metavar="FILE",
-                        help="record current findings as the baseline, exit 0")
     parser.add_argument("--root", default=".", metavar="DIR",
                         help="repo root for cross-file checks (default: cwd)")
     parser.add_argument("--list-rules", action="store_true",
@@ -93,25 +85,7 @@ def main(argv=None) -> int:
     if not files:
         print("repro_lint: no Python files under the given paths", file=sys.stderr)
         return 2
-    ctx = ScanContext(root, files)
-
-    baseline = None
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.is_file():
-            print(f"repro_lint: baseline {baseline_path} not found", file=sys.stderr)
-            return 2
-        baseline = read_baseline(baseline_path)
-
-    report = run_passes(ctx, passes, baseline=baseline)
-
-    if args.write_baseline:
-        write_baseline(Path(args.write_baseline), report.findings)
-        print(
-            f"repro_lint: wrote baseline with {len(report.findings)} finding(s)"
-            f" to {args.write_baseline}"
-        )
-        return 0
+    report = run_passes(ScanContext(root, files), passes)
 
     if args.json:
         print(report.to_json())
@@ -121,7 +95,6 @@ def main(argv=None) -> int:
         summary = (
             f"repro_lint: {len(report.findings)} finding(s),"
             f" {len(report.suppressed)} suppressed,"
-            f" {len(report.baselined)} baselined,"
             f" {report.files_scanned} file(s) scanned"
         )
         print(summary if report.findings else f"{summary} — clean")

@@ -183,8 +183,10 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     client.backup(b"secret", pin="1234")
     ct = dep.provider.fetch_backup("victim")
     stolen = dep.fleet.compromise([0])
-    print("one stolen HSM decrypts:",
-          decrypt_with_stolen_secrets(client.lhe, ct, stolen, "1234", client.mpk))
+    # The cluster is drawn with replacement, so HSM 0 may hold t positions.
+    held = client.lhe.select(ct.salt, "1234").count(0)
+    print(f"one stolen HSM holding {held} of t = {client.lhe.threshold} positions"
+          " decrypts:", decrypt_with_stolen_secrets(client.lhe, ct, stolen, "1234", client.mpk))
     return 0
 
 

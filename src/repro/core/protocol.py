@@ -44,7 +44,7 @@ class Deployment:
         # §6 third use: membership changes are logged before taking effect.
         self.membership = MembershipRegistry(provider.log)
         if restored:
-            self.membership.resume_from(provider.log.dict.items())
+            self.membership.resume_from(provider.log.items())
         else:
             self.membership.record_fleet(fleet.master_public_key())
             provider.log.run_update(fleet.hsms)
@@ -196,7 +196,7 @@ class Deployment:
         """Client-side mpk verification against the logged membership
         history (raises MembershipViolation on any substitution)."""
         MembershipVerifier.verify_mpk(
-            self.fleet.master_public_key(), list(self.provider.log.dict.items())
+            self.fleet.master_public_key(), list(self.provider.log.items())
         )
 
     def garbage_collect_log(self) -> None:

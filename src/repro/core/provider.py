@@ -168,7 +168,7 @@ class ServiceProvider:
         cross-check for the incremental counters (used by the test suite)."""
         prefix = user_prefix(username)
         used = set()
-        for identifier, _ in self.log.dict.items():
+        for identifier, _ in self.log.items():
             if identifier.startswith(prefix):
                 used.add(identifier)
         for identifier, _ in self.log.pending:
@@ -217,7 +217,7 @@ class ServiceProvider:
         prefix = user_prefix(username)
         return [
             (identifier, value)
-            for identifier, value in self.log.dict.items()
+            for identifier, value in self.log.items()
             if identifier.startswith(prefix)
         ]
 
@@ -302,7 +302,7 @@ class ServiceProvider:
         # never served, so under-counting them only re-burns nothing).
         with provider._attempt_lock:
             provider._attempt_generation = provider.log.garbage_collections
-            for identifier, _ in provider.log.dict.items():
+            for identifier, _ in provider.log.items():
                 try:
                     username, attempt = parse_attempt_identifier(identifier)
                 except ValueError:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from repro.crypto.hashing import sha256
+from repro.crypto.hashing import distinct_indices
 
 
 @dataclass(frozen=True)
@@ -79,31 +79,13 @@ class BloomParams:
     def slots_for_tag(self, tag: bytes) -> List[int]:
         """The ``k`` slot indices for a ciphertext tag (distinct, ordered).
 
-        Uses counter-mode SHA-256 with rejection of duplicates so a tag maps
-        to ``num_hashes`` *distinct* slots (duplicates would weaken the
-        deletion guarantee).
+        :func:`~repro.crypto.hashing.distinct_indices` rejects duplicates,
+        so a tag maps to ``num_hashes`` *distinct* slots (duplicates would
+        weaken the deletion guarantee).
         """
         if self.num_hashes > self.num_slots:
             raise ValueError("more hashes than slots")
-        slots: List[int] = []
-        seen = set()
-        counter = 0
-        bound = (1 << 64) - ((1 << 64) % self.num_slots)
-        while len(slots) < self.num_hashes:
-            block = sha256(b"bfe-slots", tag, counter.to_bytes(8, "big"))
-            counter += 1
-            for off in range(0, 32, 8):
-                draw = int.from_bytes(block[off : off + 8], "big")
-                if draw >= bound:
-                    continue
-                slot = draw % self.num_slots
-                if slot in seen:
-                    continue
-                seen.add(slot)
-                slots.append(slot)
-                if len(slots) == self.num_hashes:
-                    break
-        return slots
+        return distinct_indices((b"bfe-slots", tag), self.num_slots, self.num_hashes)
 
     def failure_probability(self, punctures_done: int) -> float:
         """Probability that a fresh ciphertext is undecryptable after

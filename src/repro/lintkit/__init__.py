@@ -11,7 +11,7 @@ walking the AST — no third-party linter, no plugins, importable anywhere
 the repo runs.
 
 Layout: :mod:`repro.lintkit.engine` holds the reusable pieces (finding
-model, suppression comments, baselines, pass protocol, the runner);
+model, suppression comments, pass protocol, the runner);
 one module per analysis pass lives alongside it.  ``scripts/repro_lint.py``
 is the CLI; ``docs/STATIC_ANALYSIS.md`` is the rule catalog.
 """

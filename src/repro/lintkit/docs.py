@@ -19,12 +19,13 @@ ids: ``docstring-missing`` and ``docstring-thin`` (suppression alias
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro.lintkit.engine import Finding, LintPass, ScanContext
 
 MIN_MODULE = 120  # characters — a one-liner is not a module contract
 
+#: Repo-relative path prefixes the pass scans: the documented surface.
 _DEFAULT_SCOPES = (
     "src/repro/service/",
     "src/repro/log/",
@@ -55,17 +56,12 @@ class DocstringPass(LintPass):
     name = "docs"
     rules = ("docstring-missing", "docstring-thin")
 
-    def __init__(self, include: Optional[Sequence[str]] = None) -> None:
-        """``include`` limits the pass to repo-relative path prefixes
-        (defaults to the PR 4 documentation surface)."""
-        self._include = tuple(_DEFAULT_SCOPES if include is None else include)
-
     def run(self, ctx: ScanContext) -> List[Finding]:
         findings: List[Finding] = []
         for source in ctx.files:
             if source.tree is None:
                 continue
-            if not any(source.rel.startswith(prefix) for prefix in self._include):
+            if not source.rel.startswith(_DEFAULT_SCOPES):
                 continue
             findings.extend(self._check_module(source.rel, source.tree))
         return sorted(set(findings))

@@ -1,10 +1,9 @@
-"""The lintkit core: findings, suppressions, baselines, and the pass runner.
+"""The lintkit core: findings, suppressions, and the pass runner.
 
 Everything here is pass-agnostic.  A *pass* is any object with a ``name``
 and a ``run(ctx) -> List[Finding]`` method; the runner parses every file
 once, hands all passes the same :class:`ScanContext`, applies suppression
-comments and (optionally) a baseline, and returns a deterministic,
-sorted :class:`Report`.
+comments, and returns a deterministic, sorted :class:`Report`.
 
 Suppression syntax — one rule per comment, justification required::
 
@@ -14,16 +13,11 @@ The comment may sit on the flagged line itself, or on a ``def`` line (or
 the line directly above it) to suppress that rule for the whole function.
 An empty justification is itself reported (rule ``bad-suppression``) and
 the suppression is ignored: the written reason is the audit trail.
-
-Baselines are JSON files of finding fingerprints (rule + path + message,
-line numbers excluded so pure reformatting does not churn them).  Check
-mode filters baselined findings out; write mode records the current set.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import json
 import re
@@ -58,19 +52,13 @@ class Finding:
         """Human-readable one-liner (the CLI's default output format)."""
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
-    def fingerprint(self) -> str:
-        """Stable identity for baselines: rule + path + message, no line."""
-        raw = f"{self.rule}|{self.path}|{self.message}".encode("utf-8")
-        return hashlib.sha256(raw).hexdigest()[:16]
-
     def as_dict(self) -> Dict[str, object]:
-        """JSON-output shape (also carries the fingerprint)."""
+        """JSON-output shape."""
         return {
             "path": self.path,
             "line": self.line,
             "rule": self.rule,
             "message": self.message,
-            "fingerprint": self.fingerprint(),
         }
 
 
@@ -191,12 +179,11 @@ class Report:
 
     findings: List[Finding]
     suppressed: List[Tuple[Finding, Suppression]] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
 
     @property
     def clean(self) -> bool:
-        """True when nothing unsuppressed (and unbaselined) remains."""
+        """True when nothing unsuppressed remains."""
         return not self.findings
 
     def to_json(self) -> str:
@@ -205,7 +192,6 @@ class Report:
             {
                 "findings": [f.as_dict() for f in self.findings],
                 "suppressed": len(self.suppressed),
-                "baselined": len(self.baselined),
                 "files_scanned": self.files_scanned,
             },
             indent=2,
@@ -288,13 +274,8 @@ def _covering_suppression(source: SourceFile, finding: Finding) -> Optional[Supp
     return None
 
 
-def run_passes(
-    ctx: ScanContext,
-    passes: Sequence[LintPass],
-    baseline: Optional[Set[str]] = None,
-) -> Report:
-    """Run ``passes`` over ``ctx`` and return a sorted, suppression-applied
-    report.  ``baseline`` (a set of fingerprints) filters known findings."""
+def run_passes(ctx: ScanContext, passes: Sequence[LintPass]) -> Report:
+    """Run ``passes`` over ``ctx``; return a sorted, suppression-applied report."""
     raw: List[Finding] = []
     for source in ctx.files:
         if source.parse_error:
@@ -306,39 +287,7 @@ def run_passes(
     raw = sorted(set(raw))
     active, suppressed, bad = _apply_suppressions(ctx, raw)
     active = sorted(set(active) | set(bad))
-    baselined: List[Finding] = []
-    if baseline:
-        kept = []
-        for finding in active:
-            if finding.fingerprint() in baseline:
-                baselined.append(finding)
-            else:
-                kept.append(finding)
-        active = kept
-    return Report(
-        findings=active,
-        suppressed=suppressed,
-        baselined=baselined,
-        files_scanned=len(ctx.files),
-    )
-
-
-# -- baseline files -----------------------------------------------------------
-def write_baseline(path: Path, findings: Sequence[Finding]) -> None:
-    """Record ``findings`` as the accepted baseline at ``path``."""
-    doc = {
-        "version": 1,
-        "fingerprints": sorted({f.fingerprint() for f in findings}),
-    }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def read_baseline(path: Path) -> Set[str]:
-    """Load the fingerprint set written by :func:`write_baseline`."""
-    doc = json.loads(path.read_text())
-    if not isinstance(doc, dict) or doc.get("version") != 1:
-        raise ValueError(f"unsupported baseline format in {path}")
-    return set(doc.get("fingerprints", []))
+    return Report(findings=active, suppressed=suppressed, files_scanned=len(ctx.files))
 
 
 # -- shared AST helpers (used by several passes) -------------------------------

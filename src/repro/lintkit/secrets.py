@@ -24,7 +24,7 @@ material.  Rule id: ``secret-taint`` (suppression alias ``secret``).
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Set
 
 from repro.lintkit.engine import Finding, LintPass, ScanContext, identifier_segments
 
@@ -100,6 +100,7 @@ _LOGGING_METHODS = frozenset(
     {"debug", "info", "warning", "error", "exception", "critical", "log"}
 )
 
+#: Repo-relative path prefixes the pass scans.
 _DEFAULT_SCOPES = ("src/repro/core/", "src/repro/crypto/", "src/repro/hsm/")
 
 
@@ -117,17 +118,12 @@ class SecretTaintPass(LintPass):
     name = "secrets"
     rules = ("secret-taint",)
 
-    def __init__(self, include: Optional[Sequence[str]] = None) -> None:
-        """``include`` limits the pass to files whose repo-relative path
-        starts with one of the given prefixes (defaults to core/crypto/hsm)."""
-        self._include = tuple(_DEFAULT_SCOPES if include is None else include)
-
     def run(self, ctx: ScanContext) -> List[Finding]:
         findings: List[Finding] = []
         for source in ctx.files:
             if source.tree is None:
                 continue
-            if not any(source.rel.startswith(prefix) for prefix in self._include):
+            if not source.rel.startswith(_DEFAULT_SCOPES):
                 continue
             for func in _functions(source.tree):
                 findings.extend(self._check_function(source.rel, func))

@@ -6,7 +6,10 @@ Implements the five routines of §6.1 in the style of Nissim–Naor:
 - ``ProveIncludes(L, id, val) -> π``       — :meth:`prove_includes`
 - ``DoesInclude(d, id, val, π) -> {0,1}``  — :func:`verify_includes`
 - ``ProveExtends(L, L') -> π``             — :meth:`insert_with_proof` (chained)
-- ``DoesExtend(d, d', π) -> {0,1}``        — :func:`verify_insertion` / :func:`verify_extension`
+- ``DoesExtend(d, d', π) -> {0,1}``        — :func:`verify_extension`
+
+Both provers search through one walk (``_walk``); every verifier runs one
+check that the target is not on its own path (``_off_path``).
 
 Identifiers are ordered by their SHA-256 hash, so the BST is keyed by
 uniformly random values and stays balanced in expectation with no rotations.
@@ -129,28 +132,24 @@ class AuthenticatedDictionary:
         return self._entries.items()
 
     # -- search helpers ----------------------------------------------------------
-    def _search_path(self, idh: bytes) -> Tuple[List[PathStep], Optional[_Node]]:
-        """Walk toward ``idh``; return (steps above, node-or-None at target)."""
+    def _walk(self, idh: bytes) -> Tuple[List[PathStep], List[_Node], Optional[_Node]]:
+        """Walk toward ``idh``: (steps above, nodes above, node at ``idh`` or None)."""
         steps: List[PathStep] = []
+        nodes: List[_Node] = []
         node = self._root
         while node is not None and node.idh != idh:
-            if idh < node.idh:
-                other = node.right.hash if node.right else _EMPTY
-                steps.append(PathStep(node.idh, node.value, other))
-                node = node.left
-            else:
-                other = node.left.hash if node.left else _EMPTY
-                steps.append(PathStep(node.idh, node.value, other))
-                node = node.right
-        return steps, node
+            nodes.append(node)
+            taken, other = (node.left, node.right) if idh < node.idh else (node.right, node.left)
+            steps.append(PathStep(node.idh, node.value, other.hash if other else _EMPTY))
+            node = taken
+        return steps, nodes, node
 
     # -- the five routines -------------------------------------------------------
     def prove_includes(self, identifier: bytes, value: bytes) -> Optional[InclusionProof]:
         """ProveIncludes: None if (id, val) is not in the log."""
         if self._entries.get(identifier) != value:
             return None
-        idh = _id_hash(identifier)
-        steps, node = self._search_path(idh)
+        steps, _, node = self._walk(_id_hash(identifier))
         assert node is not None
         return InclusionProof(
             steps=tuple(steps),
@@ -167,21 +166,9 @@ class AuthenticatedDictionary:
         if identifier in self._entries:
             raise KeyError(f"identifier already defined in log: {identifier!r}")
         idh = _id_hash(identifier)
-        steps: List[PathStep] = []
-        parents: List[_Node] = []
-        node = self._root
-        while node is not None:
-            if idh == node.idh:  # pragma: no cover - blocked by _entries check
-                raise KeyError("identifier hash collision")
-            parents.append(node)
-            if idh < node.idh:
-                other = node.right.hash if node.right else _EMPTY
-                steps.append(PathStep(node.idh, node.value, other))
-                node = node.left
-            else:
-                other = node.left.hash if node.left else _EMPTY
-                steps.append(PathStep(node.idh, node.value, other))
-                node = node.right
+        steps, parents, found = self._walk(idh)
+        if found is not None:  # pragma: no cover - blocked by _entries check
+            raise KeyError("identifier hash collision")
         new_node = _Node(idh, value)
         if parents:
             parent = parents[-1]
@@ -211,6 +198,11 @@ class AuthenticatedDictionary:
 
 
 # -- verifier-side routines (run on HSMs; no tree state needed) -----------------
+def _off_path(idh: bytes, steps: Sequence[PathStep]) -> bool:
+    """The target may end its search path (inclusion) but never lie on it."""
+    return all(step.idh != idh for step in steps)
+
+
 def verify_includes(
     digest: bytes, identifier: bytes, value: bytes, proof: InclusionProof
 ) -> bool:
@@ -220,44 +212,22 @@ def verify_includes(
     ambient meter via the hash calls.
     """
     idh = _id_hash(identifier)
-    for step in proof.steps:
-        if step.idh == idh:
-            return False  # malformed: target may appear only at the end
+    if not _off_path(idh, proof.steps):
+        return False
     node = _node_hash(idh, value, proof.left, proof.right)
     return _fold_path(idh, node, proof.steps) == digest
-
-
-def verify_insertion(old_digest: bytes, new_digest: bytes, proof: InsertionProof) -> bool:
-    """DoesExtend for a single insertion.
-
-    Checks, against the *same* search path, that (a) the identifier was
-    absent from the old tree and the path really hashes to ``old_digest``,
-    and (b) attaching the new leaf at that empty position yields exactly
-    ``new_digest``.
-    """
-    idh = _id_hash(proof.identifier)
-    # The path must be a valid search path for idh: every step's comparison
-    # is implied, but the target must not equal any step (absence).
-    for step in proof.steps:
-        if step.idh == idh:
-            return False
-    if _fold_path(idh, _EMPTY, proof.steps) != old_digest:
-        return False
-    leaf = _node_hash(idh, proof.value, _EMPTY, _EMPTY)
-    return _fold_path(idh, leaf, proof.steps) == new_digest
 
 
 def verify_extension(
     old_digest: bytes, new_digest: bytes, proofs: Sequence[InsertionProof]
 ) -> bool:
-    """DoesExtend for a batch: chain single-insertion proofs."""
+    """DoesExtend for a batch: chain single-insertion proofs.  Each path
+    must hash to the digest so far with the identifier absent, and to the
+    next digest with the new leaf attached at that empty position."""
     digest = old_digest
     for proof in proofs:
         idh = _id_hash(proof.identifier)
-        for step in proof.steps:
-            if step.idh == idh:
-                return False
-        if _fold_path(idh, _EMPTY, proof.steps) != digest:
+        if not _off_path(idh, proof.steps) or _fold_path(idh, _EMPTY, proof.steps) != digest:
             return False
         leaf = _node_hash(idh, proof.value, _EMPTY, _EMPTY)
         digest = _fold_path(idh, leaf, proof.steps)

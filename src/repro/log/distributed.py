@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.ec import ECKeyPair, P256
-from repro.crypto.hashing import sha256
+from repro.crypto.hashing import distinct_indices, sha256
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.log.authdict import AuthenticatedDictionary, InsertionProof
 
@@ -285,27 +285,8 @@ def audit_chunk_indices(
     """
     if num_chunks <= 0:
         return []
-    picks: List[int] = []
     seed = sha256(b"audit-chunks", root, hsm_id.to_bytes(8, "big"))
-    counter = 0
-    bound = (1 << 64) - ((1 << 64) % num_chunks)
-    want = min(audit_count, num_chunks)
-    seen = set()
-    while len(picks) < want:
-        block = sha256(seed, counter.to_bytes(8, "big"))
-        counter += 1
-        for off in range(0, 32, 8):
-            draw = int.from_bytes(block[off : off + 8], "big")
-            if draw >= bound:
-                continue
-            idx = draw % num_chunks
-            if idx in seen:
-                continue
-            seen.add(idx)
-            picks.append(idx)
-            if len(picks) == want:
-                break
-    return picks
+    return distinct_indices((seed,), num_chunks, audit_count)
 
 
 # ---------------------------------------------------------------------------

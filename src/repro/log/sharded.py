@@ -135,26 +135,6 @@ class CrossShardRoot:
         return self._tree.root
 
 
-class _CombinedDictView:
-    """Read-only union of the shard dictionaries (``provider.log.dict``)."""
-
-    def __init__(self, sharded: "ShardedLog") -> None:
-        self._sharded = sharded
-
-    def __len__(self) -> int:
-        return sum(len(s.dict) for s in self._sharded.shards)
-
-    def __contains__(self, identifier: bytes) -> bool:
-        return identifier in self._sharded.shard_for(identifier).dict
-
-    def get(self, identifier: bytes) -> Optional[bytes]:
-        return self._sharded.shard_for(identifier).dict.get(identifier)
-
-    def items(self) -> Iterable[Tuple[bytes, bytes]]:
-        for shard in self._sharded.shards:
-            yield from shard.dict.items()
-
-
 class ShardedLog:
     """``provider.log`` at every arity: ``S >= 1`` parallel epoch lanes.
 
@@ -176,7 +156,6 @@ class ShardedLog:
         self.shards: List[DistributedLog] = [
             DistributedLog(self.config, shard_index=k) for k in range(self.num_shards)
         ]
-        self.dict = _CombinedDictView(self)
         self.garbage_collections = 0
         self.archived_logs: List[List[Tuple[bytes, bytes]]] = []
         self._journal = None
@@ -213,9 +192,10 @@ class ShardedLog:
         """Queue an insertion on the identifier's shard lane."""
         self.shard_for(identifier).insert(identifier, value)
 
-    def get(self, identifier: bytes) -> Optional[bytes]:
-        """The committed value for ``identifier``, or None."""
-        return self.shard_for(identifier).get(identifier)
+    def items(self) -> Iterable[Tuple[bytes, bytes]]:
+        """Every committed ``(identifier, value)`` pair, shard-major."""
+        for shard in self.shards:
+            yield from shard.dict.items()
 
     @property
     def digest(self) -> bytes:

@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 from repro.log.authdict import (
     AuthenticatedDictionary,
     InsertionProof,
+    _EMPTY,
+    _fold_path,
+    _id_hash,
+    _node_hash,
     empty_digest,
     verify_extension,
     verify_includes,
-    verify_insertion,
 )
 from repro.metering import metered
 
@@ -86,25 +89,25 @@ class TestInsertionProofs:
         d = filled(8)
         old = d.digest
         proof = d.insert_with_proof(b"new-id", b"new-val")
-        assert verify_insertion(old, d.digest, proof)
+        assert verify_extension(old, d.digest, [proof])
 
     def test_first_insertion_into_empty(self):
         d = AuthenticatedDictionary()
         old = d.digest
         proof = d.insert_with_proof(b"k", b"v")
-        assert verify_insertion(old, d.digest, proof)
+        assert verify_extension(old, d.digest, [proof])
 
     def test_wrong_new_digest_rejected(self):
         d = filled(8)
         old = d.digest
         proof = d.insert_with_proof(b"new-id", b"new-val")
-        assert not verify_insertion(old, old, proof)
+        assert not verify_extension(old, old, [proof])
 
     def test_wrong_old_digest_rejected(self):
         d = filled(8)
         other = filled(9).digest
         proof = d.insert_with_proof(b"new-id", b"new-val")
-        assert not verify_insertion(other, d.digest, proof)
+        assert not verify_extension(other, d.digest, [proof])
 
     def test_value_swap_rejected(self):
         """The append-only core: a proof for (id, v) cannot certify (id, v')."""
@@ -112,7 +115,7 @@ class TestInsertionProofs:
         old = d.digest
         proof = d.insert_with_proof(b"new-id", b"real-value")
         forged = InsertionProof(b"new-id", b"forged-value", proof.steps)
-        assert not verify_insertion(old, d.digest, forged)
+        assert not verify_extension(old, d.digest, [forged])
 
     def test_cannot_prove_reinsertion_of_existing_id(self):
         """Soundness of absence: no valid insertion proof exists for an
@@ -123,7 +126,7 @@ class TestInsertionProofs:
         # the target appears on its own path.
         real = d.prove_includes(b"id5", b"val5")
         forged = InsertionProof(b"id5", b"other", real.steps)
-        assert not verify_insertion(old, d.digest, forged)
+        assert not verify_extension(old, d.digest, [forged])
 
 
 class TestBatchExtension:
@@ -157,12 +160,16 @@ class TestBatchExtension:
         assert not verify_extension(d.digest, empty_digest(), [])
 
     def test_one_proof_costs_what_verify_insertion_costs(self):
-        """A batch of one is verify_insertion: one identifier hash, not two."""
+        """A batch of one bills one single-insertion check: one identifier
+        hash, one leaf hash and two folds of the path, not two id hashes."""
         d = filled(5)
         old = d.digest
         proof = d.insert_with_proof(b"single", b"v")
         with metered() as single:
-            assert verify_insertion(old, d.digest, proof)
+            idh = _id_hash(proof.identifier)
+            assert _fold_path(idh, _EMPTY, proof.steps) == old
+            leaf = _node_hash(idh, proof.value, _EMPTY, _EMPTY)
+            assert _fold_path(idh, leaf, proof.steps) == d.digest
         with metered() as batch:
             assert verify_extension(old, d.digest, [proof])
         assert batch.counts["sha256_block"] == single.counts["sha256_block"] > 0
@@ -186,7 +193,7 @@ def test_insert_prove_verify_property(entries):
         digests.append(d.digest)
     # every step verifies, and the chain verifies end to end
     for i, proof in enumerate(proofs):
-        assert verify_insertion(digests[i], digests[i + 1], proof)
+        assert verify_extension(digests[i], digests[i + 1], [proof])
     assert verify_extension(digests[0], digests[-1], proofs)
     # every entry has a working inclusion proof
     for identifier, value in entries:

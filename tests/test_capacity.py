@@ -69,7 +69,7 @@ class TestOnePrice:
         assert set(closed) == {"aes_block", "io_bytes", "flash_read_bytes", "elgamal_dec"}
         assert {op: real[op] for op in closed} == dict(closed)
         # Left out of the closed form, by design: the multiply already
-        # inside the ElGamal row (ROADMAP 3(c): the count pass bills both),
+        # inside the ElGamal row (ROADMAP 4(b): the count pass bills both),
         # and the tag hashing + KDF, bounded here rather than modeled.
         assert real["ec_mult"] == 1
         assert 0 < real["sha256_block"] <= 16

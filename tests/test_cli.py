@@ -1,5 +1,7 @@
 """CLI smoke tests (each command exercises the real stack)."""
 
+import re
+
 import pytest
 
 from repro import cli
@@ -59,7 +61,15 @@ class TestCommands:
 
     def test_attack_fallback(self, capsys, monkeypatch, tmp_path):
         """Without ``examples/`` next to the package, ``attack`` runs the
-        stolen-key attack inline: one HSM is below the threshold."""
+        stolen-key attack inline.  The cluster is drawn from [N]^n with
+        replacement, so the stolen HSM decrypts exactly when it holds at
+        least t of the n positions."""
         monkeypatch.setattr(cli, "__file__", str(tmp_path / "src" / "repro" / "cli.py"))
         assert main(["attack"]) == 0
-        assert "one stolen HSM decrypts: None" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        match = re.search(
+            r"one stolen HSM holding (\d+) of t = (\d+) positions decrypts: (.*)", out
+        )
+        assert match, out
+        held, threshold, result = int(match[1]), int(match[2]), match[3]
+        assert result == ("None" if held < threshold else repr(b"secret"))

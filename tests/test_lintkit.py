@@ -5,8 +5,8 @@ tree: the bad snippet contains exactly the violation the rule exists for
 (secret through an assignment and an f-string, an unguarded write, an
 orphan wire tag, an unmetered multiply, an undocumented module), the good
 snippet is the compliant version.  On top of that, the engine mechanics —
-suppressions, justification requirement, baselines, deterministic
-ordering — are covered directly, and a smoke test runs the real CLI over
+suppressions, justification requirement, deterministic ordering — are
+covered directly, and a smoke test runs the real CLI over
 ``src/repro`` and requires a clean exit, which is the CI gate's contract.
 """
 
@@ -23,12 +23,9 @@ import pytest
 from repro.lintkit import default_passes
 from repro.lintkit.docs import DocstringPass
 from repro.lintkit.engine import (
-    Finding,
     ScanContext,
     collect_files,
-    read_baseline,
     run_passes,
-    write_baseline,
 )
 from repro.lintkit.locks import LockDisciplinePass
 from repro.lintkit.metering import MeteringPass
@@ -450,7 +447,7 @@ def test_docstring_pass_out_of_scope_file_ignored(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# engine mechanics: determinism, baselines, line-level suppression
+# engine mechanics: determinism, line-level suppression
 # ---------------------------------------------------------------------------
 def test_findings_are_deterministic_and_sorted(tmp_path):
     files = {
@@ -475,27 +472,6 @@ def test_line_level_suppression_with_reason(tmp_path):
     report = run_passes(ctx, [SecretTaintPass()])
     assert report.clean
     assert report.suppressed and all(sup.reason for _, sup in report.suppressed)
-
-
-def test_baseline_roundtrip(tmp_path):
-    ctx = make_ctx(tmp_path, {"src/repro/crypto/bad.py": BAD_TAINT})
-    report = run_passes(ctx, [SecretTaintPass()])
-    assert report.findings
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, report.findings)
-    fingerprints = read_baseline(baseline_file)
-    rerun = run_passes(ctx, [SecretTaintPass()], baseline=fingerprints)
-    assert rerun.clean
-    assert len(rerun.baselined) == len(report.findings)
-
-
-def test_fingerprints_are_line_independent(tmp_path):
-    finding_a = Finding(path="x.py", line=3, rule="secret-taint", message="m")
-    finding_b = Finding(path="x.py", line=30, rule="secret-taint", message="m")
-    assert finding_a.fingerprint() == finding_b.fingerprint()
-    assert finding_a.fingerprint() != Finding(
-        path="x.py", line=3, rule="secret-taint", message="other"
-    ).fingerprint()
 
 
 def test_suppression_comments_in_strings_are_ignored(tmp_path):
@@ -544,24 +520,6 @@ def test_cli_fails_on_seeded_violation(tmp_path):
     )
     assert result.returncode == 1
     assert "secret-taint" in result.stdout
-
-
-def test_cli_baseline_write_then_check(tmp_path):
-    bad = tmp_path / "src" / "repro" / "crypto" / "bad.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text(BAD_TAINT)
-    baseline = tmp_path / "lint-baseline.json"
-    wrote = _run_cli(
-        "src/repro", "--root", str(tmp_path), "--write-baseline", str(baseline),
-        cwd=tmp_path,
-    )
-    assert wrote.returncode == 0, wrote.stdout + wrote.stderr
-    checked = _run_cli(
-        "src/repro", "--root", str(tmp_path), "--baseline", str(baseline),
-        cwd=tmp_path,
-    )
-    assert checked.returncode == 0, checked.stdout + checked.stderr
-    assert "baselined" in checked.stdout
 
 
 def test_cli_rejects_unknown_pass():

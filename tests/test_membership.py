@@ -50,7 +50,7 @@ class TestFolding:
 class TestDeploymentIntegration:
     def test_initial_fleet_logged_and_verifiable(self, fresh_deployment):
         fresh_deployment.verify_published_keys()  # must not raise
-        entries = list(fresh_deployment.provider.log.dict.items())
+        entries = list(fresh_deployment.provider.log.items())
         events = MembershipVerifier.events_from_log(entries)
         assert len(events) == len(fresh_deployment.fleet)
         assert all(e.action == ADD for e in events)
@@ -77,7 +77,7 @@ class TestDeploymentIntegration:
         ghost = dataclasses.replace(mpk[0], index=999)
         with pytest.raises(MembershipViolation):
             MembershipVerifier.verify_mpk(
-                list(mpk) + [ghost], list(fresh_deployment.provider.log.dict.items())
+                list(mpk) + [ghost], list(fresh_deployment.provider.log.items())
             )
 
     def test_bulk_replacement_detector(self, fresh_deployment):
@@ -88,7 +88,7 @@ class TestDeploymentIntegration:
             dep.membership.record_rotation(info)
         dep.run_log_update()
         events = MembershipVerifier.events_from_log(
-            list(dep.provider.log.dict.items())
+            list(dep.provider.log.items())
         )
         fraction = MembershipVerifier.replacement_fraction(
             events, len(dep.fleet), window=8

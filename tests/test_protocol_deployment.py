@@ -20,7 +20,7 @@ class TestWiring:
             assert len(store) > 0  # the encrypted key tree lives there
 
     def test_membership_bootstrap_logged(self, fresh_deployment):
-        entries = list(fresh_deployment.provider.log.dict.items())
+        entries = list(fresh_deployment.provider.log.items())
         membership_entries = [i for i, _ in entries if i.startswith(b"mbr|")]
         assert len(membership_entries) == len(fresh_deployment.fleet)
 

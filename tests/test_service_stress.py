@@ -123,7 +123,7 @@ def test_sixteen_threaded_clients_interleave_backup_and_recovery():
     assert not provider.log.pending
     replayed = AuthenticatedDictionary.from_entries(provider.log.ordered_entries)
     assert replayed.digest == provider.log.digest
-    logged = [identifier for identifier, _ in provider.log.dict.items()]
+    logged = [identifier for identifier, _ in provider.log.items()]
     assert len(logged) == len(set(logged))
     # every recovery identifier in the log parses and stays under the limit
     recovery_ids = [i for i in logged if i.startswith(b"rec|")]
