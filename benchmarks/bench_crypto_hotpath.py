@@ -6,7 +6,7 @@ per-call window table, no precomputation):
 
 - **fixed-base** ``g^x`` via the generator's comb — a signed comb of 10
   teeth, five sub-tables of six columns each (the most-multiplied point in
-  the system: keygen, hashed ElGamal, ECDSA sign, HSM decrypt);
+  the system: keygen, hashed ElGamal, signing nonces, HSM decrypt);
 - **variable-base** the signed-window ladder, both ways a point meets it:
   ``variable_base_oneoff`` multiplies a point never seen before (an HSM's
   ``(g^r)^x``: the 8-entry table is built inside the call) and
@@ -33,14 +33,21 @@ per-call window table, no precomputation):
   comb holds (by tracemalloc) beside a window table's ``slot_window_kb``
   and the unsigned comb's ``unsigned_slot_comb_kb``;
 - **multi-scalar** Straus ``Σ sᵢ·Pᵢ`` vs independent mults;
-- **batched** ``EcdsaMultiSig.verify_aggregate`` (16 signers, their keys
-  provisioned through ``precompute_signer_key`` exactly as
-  ``HsmDevice.install_signer_directory`` does, so each verification is one
-  comb chain) vs the sequential per-signature verification loop it replaced;
-  and a 12-signature aggregate (a 12-device fleet's whole committee) over the
-  signed combs (``verify_aggregate_12``) against the same verification over
-  the unsigned 9-tooth combs of ``tests/reference_comb.py``
-  (``verify_aggregate_12_unsigned``), in turns: ``signed_over_unsigned_verify``;
+- **certificate check** ``SchnorrMultiSig.verify_aggregate``, a log
+  certificate ``(R, s)`` checked as ``s·G = R + c·Σ Xᵢ`` (16 signers, their
+  keys provisioned through ``precompute_signer_key`` exactly as
+  ``HsmFleet.signer_directory`` does, so the check is one comb
+  chain) vs the same equation over ``naive_mult`` (``verify_aggregate``);
+  a 12-signer certificate (a 12-device fleet's whole committee) over the
+  signed combs (``verify_aggregate_12``) against the same check over the
+  unsigned 9-tooth combs of ``tests/reference_comb.py``
+  (``verify_aggregate_12_unsigned``), in turns:
+  ``signed_over_unsigned_verify``; and the check against the quorum list of
+  ECDSA signatures it replaced (``tests/reference_ecdsa.py``) at a
+  12-device fleet's quorum of 9 and a 4-device fleet's 3, in turns:
+  ``certificate_over_ecdsa_9`` and ``certificate_over_ecdsa_3``;
+  ``certificate_sign_9`` is one signer's share of a 9-signer certificate
+  (its nonce and commitment, the 9 openings, the challenge, ``sᵢ``);
 - **fixed_base_batch** a device's slot keys, ``generator_mult_each`` over
   185 scalars (one key of the ledger's fleets): the generator's sub-tables
   walked in lock step on shared-inversion affine additions, against the
@@ -106,15 +113,17 @@ Acceptance gates (exit code 1 on regression):
   and ≥ 1.4x the one-table lock step, variable_base_oneoff ≥ 1.1x,
   bfe_encrypt_k4 combed ≥ 1.5x cached, ≥ 1.08x five_tooth and fresh
   ≥ 0.9x fresh_window, 16-signer verify_aggregate
-  ≥ 4.0x, aes_block ≥ 5.0x, ae_node_roundtrip ≥ 4.5x, aes_seal_batch
+  ≥ 4.0x, certificate_over_ecdsa_9 ≥ 2.0x, certificate_over_ecdsa_3
+  ≥ 1.4x, aes_block ≥ 5.0x, ae_node_roundtrip ≥ 4.5x, aes_seal_batch
   ≥ 1.35x the per-call seals, ae_open_level ≥ 1.3x the per-call opens,
   signed_over_unsigned_slot ≥ 1.08x, signed_over_unsigned_verify ≥ 1.05x;
 - ``--quick`` (the CI perf-smoke lane): fixed-base ≥ 1.5x,
   fixed_base_batch ≥ 1.3x the per-call comb and ≥ 1.3x the one-table lock
   step, variable_base_oneoff ≥ 1.05x, bfe_encrypt_k4 combed ≥ 1.4x
   cached, ≥ 1.05x five_tooth and fresh ≥ 0.9x fresh_window,
-  verify_aggregate ≥ 2.5x,
-  aes_block ≥ 4.0x, aes_seal_batch ≥ 1.25x, ae_open_level ≥ 1.25x,
+  verify_aggregate ≥ 2.5x, certificate_over_ecdsa_9 ≥ 1.8x,
+  certificate_over_ecdsa_3 ≥ 1.3x, aes_block ≥ 4.0x, aes_seal_batch ≥ 1.25x,
+  ae_open_level ≥ 1.25x,
   signed_over_unsigned_slot ≥ 1.04x, signed_over_unsigned_verify ≥ 1.02x;
 - both: every tier's ``*_comb_kb_over_unsigned`` at most its entry ratio
   (the memory gate: 32/15 for a slot key, 512/511 for the others).
@@ -126,8 +135,10 @@ walk level's opens), a first use's (≈ 0.90x, 0.87–0.93x run to run: the
 comb's build and product run 257 doublings against the ladder's 256, and
 ≈ 28 more additions and a few inversions), the 6-tooth slot combs' over
 the 5-tooth (≈ 1.12–1.18x for an encrypt) and the signed combs' over the
-unsigned (≈ 1.06–1.09x for a verification, ≈ 1.24–1.35x for an encrypt),
-so those rows are timed one call at a time, in turns.
+unsigned (≈ 1.04–1.06x for a 12-signer certificate check, ≈ 1.24–1.35x
+for an encrypt) and the certificate's over the ECDSA list it replaced
+(≈ 2.2–2.3x at 9 signers, ≈ 1.7–1.8x at 3), so those rows are timed one
+call at a time, in turns.
 The one-block AES row (≈ 2.2–3.4x the
 reference) is not gated.
 
@@ -160,6 +171,8 @@ FULL_GATES = {
     "six_over_five_slot": 1.08,
     "fresh_over_fresh_window": 0.9,
     "verify_aggregate_speedup": 4.0,
+    "certificate_over_ecdsa_9": 2.0,
+    "certificate_over_ecdsa_3": 1.4,
     "aes_block_speedup": 5.0,
     "ae_node_speedup": 4.5,
     "aes_seal_batch_speedup": 1.35,
@@ -176,6 +189,8 @@ QUICK_GATES = {
     "six_over_five_slot": 1.05,
     "fresh_over_fresh_window": 0.9,
     "verify_aggregate_speedup": 2.5,
+    "certificate_over_ecdsa_9": 1.8,
+    "certificate_over_ecdsa_3": 1.3,
     "aes_block_speedup": 4.0,
     "aes_seal_batch_speedup": 1.25,
     "ae_open_level_speedup": 1.25,
@@ -202,35 +217,29 @@ NODE_BLOCKS = 4  # a 32-byte key-tree node: H, the tag mask, two CTR blocks
 LEVEL_NODES = 4  # a level of a k = 4 walk down, once the paths have split
 CROSSOVER_LANES = (4, 6, 8, 10, 12, 16, 24, 47)  # batch sizes tried around the break-even
 SIGNERS = 16
-# A 12-signature aggregate: a 12-device fleet's whole committee.  A certify
-# round's certificate now carries a quorum (9 of 12 at q = 0.75); the row
-# keeps 12 so its figures stay comparable with earlier records.
+# A 12-signer certificate: a 12-device fleet's whole committee.  A certify
+# round's certificate carries a quorum (9 of 12 at q = 0.75); the row keeps
+# 12 so its figures stay comparable with earlier records.
 CERTIFY_SIGNERS = 12
+# The quorums the ECDSA comparison runs at: 9 of 12 devices, 3 of 4.
+QUORUMS = (9, 3)
 SLOT_KEYS_HELD = 64  # slot-key tables measured at once, so a key's KB is not the call's overhead
 MULTI_TERMS = 8
 FIELD_OP_BATCH = 1000  # field operations per timed call (swamps the call itself)
 
 
-def _naive_ecdsa_verify_loop(scheme_publics, message, aggregate):
-    """The pre-fast-path ``verify_aggregate``: one naive verification per
-    signature — two uncached scalar mults and one field inversion each."""
-    from repro.crypto.ec import P256, _jac_add, _jac_mult, _jac_to_affine_batch
-    from repro.crypto.hashing import sha256
+def _naive_certificate_check(publics, message, aggregate):
+    """``s·G = R + c·Σ Xᵢ`` over the pre-fast-path algorithm: one
+    ``naive_mult`` a term, summed point by point."""
+    from repro.crypto.ec import N, P256, ECPoint, naive_mult
+    from repro.log.distributed import SchnorrMultiSig
 
-    n = P256.n
-    for public, (r, s) in zip(scheme_publics, aggregate):
-        if not (1 <= r < n and 1 <= s < n):
-            return False
-        z = int.from_bytes(sha256(b"ecdsa", message), "big") % n
-        w = pow(s, -1, n)
-        pt = _jac_add(
-            _jac_mult(P256.generator._jac(), (z * w) % n),
-            _jac_mult(public._jac(), (r * w) % n),
-        )
-        (affine,) = _jac_to_affine_batch([pt])
-        if affine is None or affine[0] % n != r:
-            return False
-    return True
+    nonce, s = aggregate
+    c = SchnorrMultiSig.challenge(publics, nonce, message)
+    total = naive_mult(P256.generator, s)
+    for public in publics:
+        total = total + naive_mult(ECPoint(public.x, public.y), N - c)
+    return total == nonce
 
 
 def interleaved_timed(fns: dict, min_seconds: float) -> dict:
@@ -375,14 +384,15 @@ def run(min_seconds: float) -> dict:
         jacobian_comb_fill,
         one_table_generator_mult_each,
         unsigned_build_comb,
+        unsigned_certificate_check,
         unsigned_mult_each,
-        unsigned_verify_all,
         window_mult_each,
     )
+    from reference_ecdsa import ecdsa_sign, verify_quorum_list
     from repro import metering
     from repro.crypto import ec
     from repro.crypto.ec import N, P, P256, ECPoint, generator_mult_each, multi_mult, naive_mult
-    from repro.log.distributed import EcdsaMultiSig
+    from repro.log.distributed import SchnorrMultiSig
     from repro.storage.blockstore import InMemoryBlockStore
 
     rng = random.Random(0xFA57)
@@ -507,11 +517,34 @@ def run(min_seconds: float) -> dict:
 
     records["multi_scalar_naive"] = metered_timed(independent_sum, min_seconds)
 
-    scheme = EcdsaMultiSig()
+    scheme = SchnorrMultiSig
     keypairs = [scheme.keygen(random.Random(seed)) for seed in range(SIGNERS)]
-    message = b"log-transition-digest"
-    aggregate = scheme.aggregate([scheme.sign(kp.secret, message) for kp in keypairs])
     publics = [kp.public for kp in keypairs]
+    message = b"log-transition-digest"
+
+    def certificate(count):
+        """The first ``count`` signers' certificate, made as the three
+        rounds make it."""
+        sessions = [scheme.nonce() for _ in range(count)]
+        nonces = [point for _, point in sessions]
+        challenge = scheme.challenge(publics[:count], ec.point_sum(nonces), message)
+        shares = [
+            scheme.sign(kp.secret, k, challenge) for kp, (k, _) in zip(keypairs, sessions)
+        ]
+        return scheme.aggregate(nonces, shares)
+
+    def signer_share(count):
+        """One signer's work across the rounds of a ``count``-signer
+        certificate: its nonce and commitment, every opening, the
+        challenge and its share."""
+        secret, point = scheme.nonce()
+        commitments = [scheme.commit(point)] + opened[: count - 1]
+        nonces = [point] + others[: count - 1]
+        assert all(scheme.commit(p) == c for p, c in zip(nonces, commitments))
+        challenge = scheme.challenge(publics[:count], ec.point_sum(nonces), message)
+        return scheme.sign(keypairs[0].secret, secret, challenge)
+
+    aggregate = certificate(SIGNERS)
     x, y = publics[0].x, publics[0].y
     records.update(
         interleaved_timed(
@@ -522,43 +555,66 @@ def run(min_seconds: float) -> dict:
             min_seconds,
         )
     )
-    for public in publics:  # what install_signer_directory does at provisioning
+    for public in publics:  # what HsmFleet.signer_directory does at provisioning
         scheme.precompute_signer_key(public)
-    assert scheme.verify_aggregate(keypairs, message, aggregate)
+    assert scheme.verify_aggregate(publics, message, aggregate)
+    assert _naive_certificate_check(publics, message, aggregate)
     records["verify_aggregate"] = metered_timed(
-        lambda: scheme.verify_aggregate(keypairs, message, aggregate), min_seconds
+        lambda: scheme.verify_aggregate(publics, message, aggregate), min_seconds
     )
     records["verify_aggregate_naive"] = metered_timed(
-        lambda: _naive_ecdsa_verify_loop(publics, message, aggregate), min_seconds
+        lambda: _naive_certificate_check(publics, message, aggregate), min_seconds
     )
-    # A certify round's aggregate over the signed combs and over the unsigned
-    # ones (the generator's five sub-tables and each signer's one table).
-    certify = aggregate[:CERTIFY_SIGNERS]
+    # A certify round's certificate over the signed combs and over the
+    # unsigned ones (the generator's five sub-tables and each signer's one
+    # table).
+    certify = certificate(CERTIFY_SIGNERS)
     unsigned_generator = unsigned_build_comb([(G.x, G.y)], ec._GENERATOR_COMB_TABLES)[0]
     unsigned_keys = unsigned_build_comb([(pk.x, pk.y) for pk in publics[:CERTIFY_SIGNERS]])
 
     def verify_unsigned():
-        items = [(pk, message, sig) for pk, sig in zip(publics, certify)]
-        return unsigned_verify_all(items, unsigned_keys, unsigned_generator)
+        return unsigned_certificate_check(
+            publics[:CERTIFY_SIGNERS], unsigned_keys, unsigned_generator, message, certify
+        )
 
-    assert verify_unsigned() and not unsigned_verify_all(
-        [(publics[1], message, certify[0])], unsigned_keys[1:], unsigned_generator
+    assert verify_unsigned() and not unsigned_certificate_check(
+        publics[:CERTIFY_SIGNERS], unsigned_keys, unsigned_generator, b"other", certify
     )
     records.update(
         interleaved_timed(
             {
                 "verify_aggregate_12": lambda: scheme.verify_aggregate(
-                    keypairs[:CERTIFY_SIGNERS], message, certify
+                    publics[:CERTIFY_SIGNERS], message, certify
                 ),
                 "verify_aggregate_12_unsigned": verify_unsigned,
             },
             min_seconds,
         )
     )
-
-    records["ecdsa_sign"] = metered_timed(
-        lambda: P256.ecdsa_sign(keypairs[0].secret, message), min_seconds
-    )
+    # The certificate against the quorum list of ECDSA signatures it
+    # replaced, over the same provisioned keys.
+    for quorum in QUORUMS:
+        cert = certificate(quorum)
+        signatures = tuple(ecdsa_sign(kp.secret, message) for kp in keypairs[:quorum])
+        keys = publics[:quorum]
+        assert scheme.verify_aggregate(keys, message, cert)
+        assert verify_quorum_list(keys, message, signatures)
+        records.update(
+            interleaved_timed(
+                {
+                    f"certificate_{quorum}": lambda keys=keys, cert=cert: scheme.verify_aggregate(
+                        keys, message, cert
+                    ),
+                    f"ecdsa_list_{quorum}": lambda keys=keys, sigs=signatures: verify_quorum_list(
+                        keys, message, sigs
+                    ),
+                },
+                min_seconds,
+            )
+        )
+    others = [scheme.nonce()[1] for _ in range(max(QUORUMS))]
+    opened = [scheme.commit(point) for point in others]
+    records["certificate_sign_9"] = metered_timed(lambda: signer_share(9), min_seconds)
 
     a, b = rng.randrange(1, P), rng.randrange(1, P)
 
@@ -718,6 +774,10 @@ def main(argv=None) -> int:
         "fresh_over_fresh_window": ("bfe_encrypt_k4_fresh", "bfe_encrypt_k4_fresh_window"),
         "signed_over_unsigned_slot": ("bfe_encrypt_k4_combed", "bfe_encrypt_k4_unsigned"),
         "signed_over_unsigned_verify": ("verify_aggregate_12", "verify_aggregate_12_unsigned"),
+        **{
+            f"certificate_over_ecdsa_{quorum}": (f"certificate_{quorum}", f"ecdsa_list_{quorum}")
+            for quorum in QUORUMS
+        },
     }.items():
         speedups[ratio] = records[label]["ops_per_sec"] / records[baseline]["ops_per_sec"]
     lockstep = lockstep_affine_metrics(records, speedups)
@@ -779,11 +839,17 @@ def main(argv=None) -> int:
         f" {slot['slot_window_kb']:.1f} KB a key"
     )
     lines.append(
-        f"{CERTIFY_SIGNERS}-signature aggregate: signed combs"
+        f"{CERTIFY_SIGNERS}-signer certificate: signed combs"
         f" {1e3 / records['verify_aggregate_12']['ops_per_sec']:.2f} ms vs unsigned"
         f" {1e3 / records['verify_aggregate_12_unsigned']['ops_per_sec']:.2f} ms"
         f" -> {speedups['signed_over_unsigned_verify']:.2f}x"
     )
+    for quorum in QUORUMS:
+        lines.append(
+            f"{quorum}-signer certificate {1e3 / records[f'certificate_{quorum}']['ops_per_sec']:.2f} ms"
+            f" vs the ECDSA quorum list {1e3 / records[f'ecdsa_list_{quorum}']['ops_per_sec']:.2f} ms"
+            f" -> {speedups[f'certificate_over_ecdsa_{quorum}']:.2f}x"
+        )
     lines.append(
         "comb memory, signed vs the unsigned comb each replaced: "
         + "; ".join(

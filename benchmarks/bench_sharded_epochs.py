@@ -70,6 +70,7 @@ from repro.log.distributed import LogConfig
 from repro.log.sharded import cross_shard_root
 from repro.metering import OpMeter
 from repro.service.batcher import EpochBatcher
+from repro.service.recovery import _EPOCH_METHODS
 
 try:
     from reporting import emit, table
@@ -95,19 +96,15 @@ SCALE_BUSY_TICK_FRACTION = 0.05  # of SCALE_LEASE_TIMEOUT
 SCALE_LATENCY_RATIO_BOUND = 8.0  # S=256 vs S=64 median busy-tick ratio
 SCALE_ROOT_RATIO_BOUND = 8.0  # from-scratch vs incremental hash blocks
 
-_SLOW_METHODS = (
-    "audit_log_update",
-    "audit_specific_chunks",
-    "accept_log_digest",
-)
-
-
 class SlowDevice:
     """An HSM whose epoch-protocol calls pay a fixed service latency.
 
     Models the serial-link device of the paper's deployment; the sleep
     releases the GIL, so waits overlap across devices exactly as real
-    hardware would.  (Offers stay free: they are an asynchronous enqueue.)
+    hardware would.  The delayed calls are the service's own list of the
+    epoch rounds a device's FIFO serializes (``_EPOCH_METHODS``), so a round
+    added there pays the link too.  (Offers stay free: they are an
+    asynchronous enqueue.)
     """
 
     def __init__(self, device, delay: float) -> None:
@@ -116,7 +113,7 @@ class SlowDevice:
 
     def __getattr__(self, name):
         attr = getattr(self._device, name)
-        if name in _SLOW_METHODS:
+        if name in _EPOCH_METHODS:
             def slow_call(*args, **kwargs):
                 time.sleep(self._delay)
                 return attr(*args, **kwargs)

@@ -17,7 +17,7 @@ from repro.core.client import Client
 from repro.core.params import SystemParams
 from repro.core.provider import ProviderError, ServiceProvider
 from repro.hsm.fleet import HsmFleet
-from repro.log.distributed import EcdsaMultiSig
+from repro.log.distributed import SchnorrMultiSig
 from repro.log.membership import MembershipRegistry, MembershipVerifier
 from repro.storage.blockstore import BlockStore
 from repro.storage.journal import ProviderJournal, reconcile_open_intents
@@ -53,7 +53,7 @@ class Deployment:
     @staticmethod
     def create(
         params: SystemParams,
-        multisig: Optional[EcdsaMultiSig] = None,
+        multisig: Optional[SchnorrMultiSig] = None,
         rng: Optional[random.Random] = None,
         shards: Optional[int] = None,
         store: Optional[BlockStore] = None,
@@ -61,8 +61,9 @@ class Deployment:
         """Provision a deployment: HSM keygen, signer directory, log wiring.
 
         ``multisig`` does nothing: transitions are always signed with
-        :class:`EcdsaMultiSig`.  It accepts ``None`` or an ``EcdsaMultiSig``
-        (anything else is a ``TypeError``) and keeps its position only
+        :class:`SchnorrMultiSig`.  It accepts ``None`` or a
+        ``SchnorrMultiSig`` (``EcdsaMultiSig`` is its former name; anything
+        else is a ``TypeError``) and keeps its position only
         because the end-to-end benchmark's workloads still pass it; it goes
         with the next change to that benchmark.
 
@@ -76,8 +77,8 @@ class Deployment:
         in place in its own region of it, and :meth:`restore` rebuilds the
         whole deployment from the same store after a crash.
         """
-        if multisig is not None and not isinstance(multisig, EcdsaMultiSig):
-            raise TypeError(f"transitions are signed with EcdsaMultiSig, not {multisig!r}")
+        if multisig is not None and not isinstance(multisig, SchnorrMultiSig):
+            raise TypeError(f"transitions are signed with SchnorrMultiSig, not {multisig!r}")
         if shards is not None:
             params = dataclasses.replace(params, log_shards=shards)
         provider = ServiceProvider(params.log_config(), store=store)

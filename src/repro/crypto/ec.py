@@ -1,14 +1,16 @@
 """NIST P-256 elliptic-curve arithmetic with a layered fast path.
 
-The paper's public-key operations (hashed ElGamal, ECDSA verification in the
-Table 7 microbenchmarks, the "g^x/sec" column of Table 2) all run over NIST
-P-256.  This module implements the curve from scratch:
+The paper's public-key operations (hashed ElGamal, signature verification
+in the Table 7 microbenchmarks, the "g^x/sec" column of Table 2) all run
+over NIST P-256.  This module implements the curve from scratch:
 
 - Jacobian-coordinate point addition/doubling (no field inversions on the
   hot path; one inversion to normalize),
 - scalar multiplication, tiered as below,
 - SEC1 compressed point (de)serialization,
-- key generation and ECDSA sign/verify (RFC 6979-style deterministic nonces).
+- key generation and the Schnorr check ``s·G = R + c·Σ Xᵢ``
+  (:meth:`_Curve.schnorr_verify`) under the log's certificates; the
+  signing rounds are ``repro.log.distributed.SchnorrMultiSig``'s.
 
 Every fast multiply of one scalar is ONE loop, :func:`_chain` — Horner over
 columns, ``acc = 2·acc + Σ column`` — and a tier is only a way of laying a
@@ -23,13 +25,13 @@ long a point lives and how often it is multiplied:
   sum of such multiplies into *one* 26-column chain (``_comb_mult``).  A
   comb is a list of such sub-tables, the i-th scaled by ``2^(i·w)``,
   ``w = ⌈26/S⌉``, so S of them cut the chain to w columns with the same
-  additions.  The generator — keygen, hashed ElGamal, ECDSA sign/verify,
-  every HSM decrypt — is the first provisioned point, and the one with
-  ``_GENERATOR_COMB_TABLES`` (5) sub-tables: 5 doublings a multiply, for
-  a comb built once per process on first use.
+  additions.  The generator — keygen, hashed ElGamal, signing nonces and
+  the certificate check, every HSM decrypt — is the first provisioned
+  point, and the one with ``_GENERATOR_COMB_TABLES`` (5) sub-tables: 5
+  doublings a multiply, for a comb built once per process on first use.
   Any other point gets a one-table 10-tooth comb only through an explicit
   :meth:`ECPoint.precompute` at provisioning time (the signer directory,
-  via ``EcdsaMultiSig.precompute_signer_key``): never on reuse, and only
+  via ``SchnorrMultiSig.precompute_signer_key``): never on reuse, and only
   ever for public keys.
 - **Small comb (slot keys)**: a BFE slot key is multiplied by a fresh r in
   every ciphertext whose tag hashes to its slot (a backup series under one
@@ -78,14 +80,14 @@ multiplies many points by one scalar (one comb reading per tooth count,
 one batch build of the missing combs and one batch inversion for the
 results — a BFE ciphertext's k slot keys),
 :func:`generator_mult_each` the generator by many scalars (above), and
-:meth:`_Curve.ecdsa_verify_all` — the one verification entry, a single
-signature its one-triple case — verifies a chunk of signatures with one
-batch inversion for the ``s`` values and one to normalize every result.  All
-batched paths are bit-for-bit deterministic — they produce exactly the same
-points and accept/reject decisions as the sequential code — and metering is
-preserved: ``ec_mult``/``ecdsa_verify`` counts for a fixed workload are
-identical to the pre-fast-path implementation (the paper's cost accounting
-must not drift; only wall-clock changes).
+:meth:`_Curve.schnorr_verify` — the one verification entry — checks a
+certificate as one Straus sum, ``s·G`` and every ``−c·Xᵢ`` over the
+signers' combs, compared with ``R`` without an inversion.  All batched
+paths are bit-for-bit deterministic — they produce exactly the same points
+and accept/reject decisions as the sequential code — and metering is
+preserved: ``ec_mult`` counts for a fixed workload are identical to the
+pre-fast-path implementation, and a verification is one ``ecdsa_verify``
+(the paper's cost accounting must not drift; only wall-clock changes).
 
 Scalar multiplications report ``ec_mult`` to the ambient meter; this is the
 paper's fundamental public-key cost unit (SoloKey: 7.69 ops/sec).
@@ -99,7 +101,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import metering
 from repro.crypto.field import batch_inverse_mod
-from repro.crypto.hashing import hmac_sha256, sha256
 
 # NIST P-256 domain parameters (FIPS 186-4, D.1.2.3).
 P = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
@@ -721,6 +722,33 @@ class ECPoint:
         return ECPoint(x, y)
 
 
+def is_curve_point(value) -> bool:
+    """Is ``value`` a finite point of P-256?  For points that arrive from an
+    untrusted party: an :class:`ECPoint` built through its constructor
+    always is one when finite, but one assembled another way need not be,
+    and this check never raises on it."""
+    if not isinstance(value, ECPoint):
+        return False
+    x, y = getattr(value, "x", None), getattr(value, "y", None)
+    if type(x) is not int or type(y) is not int:
+        return False
+    try:
+        ECPoint(x, y)  # the constructor's range and curve checks
+    except ValueError:
+        return False
+    return True
+
+
+# lint: unmetered[a point addition is not a priced op; the sum reaches the engines only through one normalization]
+def point_sum(points: Sequence[ECPoint]) -> ECPoint:
+    """``Σ Pᵢ`` (the identity for none): Jacobian additions and one
+    normalization, against one inversion an addition for ``P + Q``."""
+    total = _INFINITY
+    for point in points:
+        total = _jac_add(total, point._jac())
+    return ECPoint._from_jac(total)
+
+
 def naive_mult(point: ECPoint, scalar: int) -> ECPoint:
     """The pre-fast-path algorithm: per-call window table, no caching.
 
@@ -843,11 +871,6 @@ def generator_mult_each(scalars: Sequence[int]) -> List[ECPoint]:
     return [ECPoint._from_affine(affine) for affine in sums]
 
 
-# Batched verification processes triples this many at a time: big enough to
-# amortize the shared normalization, small enough that a bad aggregate can
-# only waste one chunk of work past its first invalid signature.
-_VERIFY_CHUNK = 8
-
 # :func:`generator_mult_each` walks the comb in lock step from this many
 # scalars up.  Below it a column's S + 1 shared inversions (an inversion is
 # about 50 field multiplications here) cost more than the affine formulas
@@ -858,7 +881,8 @@ _LOCKSTEP_MIN_LANES = 10
 
 
 class _Curve:
-    """The P-256 group object: generator, order, key generation, ECDSA."""
+    """The P-256 group object: generator, order, key generation, the
+    Schnorr check."""
 
     def __init__(self) -> None:
         self.p = P
@@ -877,114 +901,40 @@ class _Curve:
         sk = self.random_scalar(rng)
         return ECKeyPair(secret=sk, public=self.generator * sk)
 
-    # -- ECDSA ----------------------------------------------------------------
-    def ecdsa_sign(self, secret: int, message: bytes) -> Tuple[int, int]:
-        """Deterministic ECDSA (RFC 6979-flavoured nonce derivation).
-
-        The per-signature ``g^k`` rides the generator's comb.
-        """
-        z = int.from_bytes(sha256(b"ecdsa", message), "big") % self.n
-        k_seed = hmac_sha256(secret.to_bytes(32, "big"), sha256(b"nonce", message))
-        k = (int.from_bytes(k_seed, "big") % (self.n - 1)) + 1
-        while True:
-            point = self.generator * k
-            r = point.x % self.n  # type: ignore[union-attr]
-            if r == 0:
-                k = (k + 1) % self.n or 1
-                continue
-            s = (pow(k, -1, self.n) * (z + r * secret)) % self.n
-            if s == 0:
-                k = (k + 1) % self.n or 1
-                continue
-            return r, s
-
-    def _signature_in_range(self, signature) -> Optional[Tuple[int, int]]:
-        """``(r, s)`` if the signature is a pair of plain ints in ``[1, n)``,
-        else ``None`` (it arrives from the untrusted provider: a malformed
-        one is a rejection, not an exception)."""
-        if not (
-            isinstance(signature, (tuple, list))
-            and len(signature) == 2
-            and type(signature[0]) is int
-            and type(signature[1]) is int
-        ):
-            return None
-        r, s = signature
-        if not (1 <= r < self.n and 1 <= s < self.n):
-            return None
-        return r, s
-
-    def ecdsa_verify(self, public: ECPoint, message: bytes, signature: Tuple[int, int]) -> bool:
-        """One signature: the one-triple case of :meth:`ecdsa_verify_all`."""
-        return self.ecdsa_verify_all([(public, message, signature)])
-
-    def _verify_chunk(
-        self, items: Sequence[Tuple[ECPoint, bytes, Tuple[int, int]]]
-    ) -> List[bool]:
-        """Unmetered verification core: verdicts for a slice of triples.
-
-        The ``s`` values that pass the range check are inverted together
-        and all result points ``u1·G + u2·Q`` normalized together — two
-        Montgomery batch inversions per chunk instead of two per signature.
-        ``u1·G`` and a provisioned ``Q`` share one comb chain, any other
-        ``Q`` joins a ladder chain over a window table built in the call;
-        neither reports ``ec_mult`` (verification has always metered only
-        ``ecdsa_verify``).
-        """
-        n = self.n
-        checked = [self._signature_in_range(signature) for _, _, signature in items]
-        inverses = iter(batch_inverse_mod([rs[1] for rs in checked if rs is not None], n))
-        points: List[_JPoint] = []
-        for (public, message, _), rs in zip(items, checked):
-            if rs is None:
-                continue
-            w = next(inverses)
-            z = int.from_bytes(sha256(b"ecdsa", message), "big") % n
-            # Zero scalars and the identity point contribute nothing
-            # (u·∞ = ∞); dropping them here keeps an attacker-supplied
-            # infinity "public key" on the returns-False path instead of
-            # crashing the verifier.
-            pairs = [
-                (u, pt)
-                for u, pt in ((z * w % n, self.generator), (rs[0] * w % n, public))
-                if u and not pt.is_infinity
-            ]
-            points.append(_multi_mult_jac(pairs) if pairs else _INFINITY)
-        normalized = iter(_jac_to_affine_batch(points))
-        results: List[bool] = []
-        for rs in checked:
-            if rs is None:
-                results.append(False)
-                continue
-            affine = next(normalized)
-            results.append(affine is not None and affine[0] % n == rs[0])
-        return results
-
-    def ecdsa_verify_all(
-        self, items: Sequence[Tuple[ECPoint, bytes, Tuple[int, int]]]
+    # -- Schnorr verification -------------------------------------------------
+    def schnorr_verify(
+        self, publics: Sequence[ECPoint], challenge: int, nonce: ECPoint, s: int
     ) -> bool:
-        """True iff every triple verifies; stops at the first failure.  The
-        one verification entry: :meth:`ecdsa_verify` is its one-triple case.
+        """Does ``s·G = R + c·Σ Xᵢ`` hold, for ``R = nonce`` and ``Xᵢ`` in
+        ``publics``?  The one verification entry (a log certificate, a
+        proof of possession).
 
-        Triples are processed in chunks of ``_VERIFY_CHUNK``: the honest
-        all-valid path pays two batch inversions per chunk (an inversion is
-        microseconds; the scalar multiplications dominate), while a rejected
-        aggregate costs at most one chunk of wasted candidate computations
-        beyond the failing signature — the sequential loop's early-abort cost bound, up to a
-        constant — instead of paying for all N.  Metering is exactly the
-        sequential short-circuit: one ``ecdsa_verify`` per triple up to and
-        including the first failure.
+        ``s·G`` and every ``−c·Xᵢ`` are one Straus sum: one comb chain when
+        each key was provisioned with :meth:`ECPoint.precompute` (26
+        columns, one mixed addition a key a column), which is cheaper than
+        summing ``X_S`` and laddering it below about ten keys.  The sum is
+        compared with ``R`` in Jacobian coordinates, so no inversion runs.
+        ``nonce`` must be a finite curve point (:func:`is_curve_point`);
+        ``s`` arrives from an untrusted party, and one outside ``[1, n)``
+        or not an int is a rejection, never an exception.
+
+        Metering: one ``ecdsa_verify`` (the cost model's verification),
+        whatever the number of keys.
         """
-        checked = 0
-        for start in range(0, len(items), _VERIFY_CHUNK):
-            for ok in self._verify_chunk(items[start : start + _VERIFY_CHUNK]):
-                checked += 1
-                if not ok:
-                    metering.count("ecdsa_verify", checked)
-                    return False
-        if checked:
-            metering.count("ecdsa_verify", checked)
-        return True
+        metering.count("ecdsa_verify")
+        if not (type(s) is int and 1 <= s < self.n and publics):
+            return False
+        if any(public.is_infinity for public in publics):
+            return False
+        c = challenge % self.n
+        pairs = [(s, self.generator)]
+        if c:
+            pairs += [(self.n - c, public) for public in publics]
+        x, y, z = _multi_mult_jac(pairs)
+        if z == 0:
+            return False
+        zsq = z * z % P
+        return x == nonce.x * zsq % P and y == nonce.y * zsq * z % P  # type: ignore[operator]
 
 
 @dataclass(frozen=True)

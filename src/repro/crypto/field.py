@@ -14,7 +14,7 @@ import secrets
 from typing import List, Sequence
 
 
-# lint: unmetered[inversions are priced inside the callers' metered ops (ec_mult, ecdsa_verify); a new meter op would shift the exact op-count snapshots]
+# lint: unmetered[inversions are priced inside the callers' metered ops (ec_mult; ecdsa_verify, the certificate check); a new meter op would shift the exact op-count snapshots]
 def batch_inverse_mod(values: Sequence[int], modulus: int) -> List[int]:
     """Montgomery's batch-inversion trick: invert ``k`` nonzero residues
     with ONE modular inversion plus ``3(k-1)`` multiplications.

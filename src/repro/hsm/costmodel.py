@@ -68,6 +68,9 @@ class Transport(enum.Enum):
 # SoloKey base rates, ops per second.
 _SOLOKEY_RATES: Dict[str, float] = {
     "pairing": 0.43,
+    # One signature check at Table 7's ECDSA-verify rate: a device's one
+    # Schnorr check of a log certificate (s·G − c·X_S, two multiplies like
+    # an ECDSA verify), or a proof of possession.
     "ecdsa_verify": 5.85,
     "elgamal_dec": 6.67,
     "ec_mult": 7.69,

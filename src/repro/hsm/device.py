@@ -8,8 +8,9 @@ compromise in tests).
 
 Firmware surface:
 
-- ``audit_log_update`` / ``accept_log_digest`` — the HSM side of the
-  Figure 5 protocol.
+- ``audit_log_update`` / ``reveal_nonce`` / ``sign_transition`` /
+  ``accept_log_digest`` — the HSM side of the Figure 5 protocol: audit and
+  commit to a nonce, reveal it, sign, and adopt a certified digest.
 - ``decrypt_share`` — the recovery step: check the logged commitment,
   Bloom-filter-decrypt the client's key share, *puncture*, and reply
   encrypted under the client's per-recovery public key.
@@ -42,16 +43,16 @@ from repro.crypto.commit import CommitmentOpening, verify_opening
 from repro.core.codec import WireFormatError
 from repro.core.identifiers import parse_attempt_identifier
 from repro.core.lhe import SHARE_PLAINTEXT
-from repro.crypto.ec import ECPoint
+from repro.crypto.ec import ECPoint, is_curve_point, point_sum
 from repro.crypto.elgamal import ElGamalCiphertext, HashedElGamal
 from repro.crypto.gcm import AuthenticationError
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.shamir import SHARE
 from repro.log.authdict import InclusionProof, empty_digest, verify_extension, verify_includes
 from repro.log.distributed import (
-    EcdsaMultiSig,
     LogConfig,
     LogUpdateRejected,
+    SchnorrMultiSig,
     Transition,
     UpdateRound,
     audit_chunk_indices,
@@ -86,6 +87,7 @@ class HsmPublicInfo:
     bfe_public: BfePublicKey
     sig_public: object
     key_epoch: int
+    sig_proof: Tuple[ECPoint, int]  # proof of possession of sig_public
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,20 @@ class DecryptShareRequest:
     response_key: ECPoint  # fresh per-recovery public key (§8)
 
 
+@dataclass
+class _SigningSession:
+    """One nonce's life between the epoch rounds: the transition it may
+    sign and that transition's message, the nonce and its commitment, and —
+    once revealed — the signer set's commitments, fixed from then on."""
+
+    step: Transition
+    message: bytes
+    nonce_secret: int
+    nonce: ECPoint
+    commitment: bytes
+    signers: Optional[Dict[int, bytes]] = None
+
+
 @dataclass(frozen=True)
 class StolenSecrets:
     """What a physical attacker extracts from a compromised HSM."""
@@ -110,6 +126,13 @@ class StolenSecrets:
     bfe_secret: BfeSecretKey
     sig_secret: int
     log_digest: bytes
+
+
+def _step_of(round_: Transition) -> Transition:
+    """The digest step ``round_`` proposes, without what a round adds."""
+    return Transition(
+        round_.old_digest, round_.new_digest, round_.root, round_.shard, round_.num_shards
+    )
 
 
 class HsmDevice:
@@ -144,7 +167,8 @@ class HsmDevice:
             self._bfe_public, self._bfe_secret = BloomFilterEncryption.keygen(
                 bloom_params, self._store, rng
             )
-            self._sig_keypair = EcdsaMultiSig.keygen(rng)
+            self._sig_keypair = SchnorrMultiSig.keygen(rng)
+            self._sig_proof = SchnorrMultiSig.prove_possession(index, self._sig_keypair)
         # One digest per shard lane of the log (a 1-element list for an
         # unsharded log).  The shard count is trusted configuration, fixed
         # at provisioning: it is bound into every signed transition, and
@@ -160,6 +184,9 @@ class HsmDevice:
         # the device can verify aggregate signatures (the paper's aggregate
         # public key).  index -> public key object.
         self._sig_directory: Dict[int, object] = {}
+        # The signing nonce between the epoch rounds; device RAM, so it
+        # never outlives a fail-stop or a restart.
+        self._session: Optional[_SigningSession] = None
 
     # -- provisioning -------------------------------------------------------
     def public_info(self) -> HsmPublicInfo:
@@ -168,20 +195,18 @@ class HsmDevice:
             bfe_public=self._bfe_public,
             sig_public=self._sig_keypair.public,
             key_epoch=self.key_epoch,
+            sig_proof=self._sig_proof,
         )
 
     def install_signer_directory(self, directory: Dict[int, object]) -> None:
         """Install the fleet's signature public keys (run once at setup).
 
-        Each key goes through :meth:`EcdsaMultiSig.precompute_signer_key`,
-        the only place verification precomputation is attached: the key
-        objects are shared by every device of the fleet and the hook is
-        idempotent, so N devices build N tables, and a provider restart
-        builds none.
+        The directory comes from :meth:`HsmFleet.signer_directory`, which
+        checked every key's proof of possession and gave it its comb; the
+        key objects are shared by every device of the fleet, so N devices
+        hold N tables, and a provider restart builds none.
         """
         self._sig_directory = dict(directory)
-        for public in self._sig_directory.values():
-            EcdsaMultiSig.precompute_signer_key(public)
 
     def rehost_store(self, store: BlockStore) -> None:
         """Re-point this device at a (restored) provider-hosted block store.
@@ -223,9 +248,11 @@ class HsmDevice:
     # -- failure injection -----------------------------------------------------
     def fail_stop(self) -> None:
         self.is_failed = True
+        self._session = None
 
     def restart(self) -> None:
         self.is_failed = False
+        self._session = None
 
     def _check_alive(self) -> None:
         if self.is_failed:
@@ -242,9 +269,12 @@ class HsmDevice:
             )
         return shard
 
-    def audit_log_update(self, round_: UpdateRound):
-        """Audit C chunks of the proposed update; sign (d, d', R) if clean."""
+    def audit_log_update(self, round_: UpdateRound) -> bytes:
+        """Audit C chunks of the proposed update; if they are clean, draw a
+        fresh signing nonce for ``(d, d', R)`` and return its commitment.
+        Any earlier nonce is dropped first, so a refused audit leaves none."""
         self._check_alive()
+        self._session = None
         with self.meter.attached():
             shard = self._lane_of(round_)
             if round_.num_chunks < 1:  # no audit set: nothing would be checked
@@ -259,7 +289,67 @@ class HsmDevice:
             )
             for idx in indices:
                 self._audit_one_chunk(round_, idx)
-            return EcdsaMultiSig.sign(self._sig_keypair.secret, round_.message())
+            nonce_secret, nonce = SchnorrMultiSig.nonce(self._rng)
+            commitment = SchnorrMultiSig.commit(nonce)
+            self._session = _SigningSession(
+                _step_of(round_), round_.message(), nonce_secret, nonce, commitment
+            )
+            return commitment
+
+    def _session_for(self, round_: Transition) -> _SigningSession:
+        """The live signing session for ``round_``, or a refusal: this
+        device signs only a transition it audited, under its last nonce."""
+        session = self._session
+        if session is None or session.step != _step_of(round_):
+            raise LogUpdateRejected(f"HSM {self.index}: no audited nonce for this round")
+        return session
+
+    def reveal_nonce(self, round_: UpdateRound, commitments: Dict[int, bytes]) -> ECPoint:
+        """Round two: open this device's nonce commitment, once the signer
+        set's commitments (``index -> H(Rᵢ)``) are fixed.  A device reveals
+        once per nonce, and only to a set of known signers that holds its
+        own commitment."""
+        self._check_alive()
+        with self.meter.attached():
+            session = self._session_for(round_)
+            if session.signers is not None:
+                raise LogUpdateRejected(f"HSM {self.index}: nonce already revealed")
+            if commitments.get(self.index) != session.commitment:
+                raise LogUpdateRejected(
+                    f"HSM {self.index}: signer set does not hold my commitment"
+                )
+            unknown = [i for i in commitments if i not in self._sig_directory]
+            if unknown:
+                raise LogUpdateRejected(f"HSM {self.index}: unknown signers {unknown}")
+            session.signers = dict(commitments)
+            return session.nonce
+
+    def sign_transition(self, round_: UpdateRound, nonces: Dict[int, ECPoint]) -> int:
+        """Round three: this device's share ``sᵢ = kᵢ + c·xᵢ`` of the
+        certificate, for ``R = Σ Rⱼ`` over the revealed ``nonces`` (``index
+        -> Rⱼ``).  Each nonce must open the commitment fixed at the reveal.
+        The nonce is erased before anything is checked, so a device answers
+        at most once for it."""
+        self._check_alive()
+        with self.meter.attached():
+            session = self._session_for(round_)
+            self._session = None
+            signers = session.signers
+            if signers is None:
+                raise LogUpdateRejected(f"HSM {self.index}: nonce not revealed")
+            if set(nonces) != set(signers):
+                raise LogUpdateRejected(f"HSM {self.index}: nonces for another signer set")
+            for index, point in nonces.items():
+                if not is_curve_point(point) or SchnorrMultiSig.commit(point) != signers[index]:
+                    raise LogUpdateRejected(
+                        f"HSM {self.index}: signer {index}'s nonce does not open its commitment"
+                    )
+            nonce = point_sum(list(nonces.values()))
+            publics = [self._sig_directory[i] for i in signers]
+            challenge = SchnorrMultiSig.challenge(publics, nonce, session.message)
+            return SchnorrMultiSig.sign(
+                self._sig_keypair.secret, session.nonce_secret, challenge
+            )
 
     def audit_specific_chunks(self, round_: UpdateRound, indices: Sequence[int]) -> None:
         """Appendix B.3 coverage: audit chunks on behalf of a failed peer.
@@ -359,7 +449,7 @@ class HsmDevice:
                 f"signers, need {quorum}"
             )
         publics = [self._sig_directory[i] for i in signer_ids]
-        if not EcdsaMultiSig.verify_aggregate(publics, step.message(), aggregate):
+        if not SchnorrMultiSig.verify_aggregate(publics, step.message(), aggregate):
             raise LogUpdateRejected(f"HSM {self.index}: aggregate signature invalid")
         self._shard_digests[shard] = step.new_digest
 

@@ -1,7 +1,8 @@
 """Fleet management: provisioning and operating N HSMs.
 
 The fleet object owns device construction, installs the signer directory on
-every device (the paper's "aggregate public key" distribution at setup),
+every device (the paper's "aggregate public key" distribution at setup)
+once each key's proof of possession checks out,
 publishes the master public key ``mpk = (pk_1, ..., pk_N)``, and provides
 fault-injection and compromise helpers used by the evaluation.
 """
@@ -9,11 +10,11 @@ fault-injection and compromise helpers used by the evaluation.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.crypto.bloom import BloomParams
 from repro.hsm.device import HsmDevice, HsmPublicInfo
-from repro.log.distributed import LogConfig
+from repro.log.distributed import LogConfig, SchnorrMultiSig
 from repro.storage.blockstore import BlockStore
 
 
@@ -41,11 +42,26 @@ class HsmFleet:
             )
             for i in range(num_hsms)
         ]
-        directory: Dict[int, object] = {
-            h.index: h.public_info().sig_public for h in self.hsms
-        }
+        directory = self.signer_directory(h.public_info() for h in self.hsms)
         for hsm in self.hsms:
             hsm.install_signer_directory(directory)
+
+    @staticmethod
+    def signer_directory(infos: Iterable[HsmPublicInfo]) -> Dict[int, object]:
+        """``index -> signing key`` for the devices' public infos, each key's
+        proof of possession checked once here rather than on every device
+        (N checks, not N²).  Certificates sum their signers' keys, so a key
+        with no valid proof — a rogue ``a·G − Σ X_honest`` would let its
+        maker sign for the whole set — is a ``ValueError``.  Each key gets
+        its comb here (:meth:`SchnorrMultiSig.precompute_signer_key`, the
+        only place a signer key gets one), first, so the check rides it."""
+        directory: Dict[int, object] = {}
+        for info in infos:
+            SchnorrMultiSig.precompute_signer_key(info.sig_public)
+            if not SchnorrMultiSig.verify_possession(info.index, info.sig_public, info.sig_proof):
+                raise ValueError(f"HSM {info.index}: signing key has no valid proof of possession")
+            directory[info.index] = info.sig_public
+        return directory
 
     # -- public key material -------------------------------------------------
     def __len__(self) -> int:

@@ -12,9 +12,9 @@ that performs curve or field heavy lifting actually calls
 - any *private* function that calls an engine becomes an engine itself
   (taken to a fixpoint), mirroring how the real helpers layer
   (``_mult_jac`` -> ``_multi_mult_jac`` -> ``_chain`` and
-  ``_build_windows``, ``_verify_chunk`` -> ``_multi_mult_jac``), so
-  every public entry that reaches the chain — ``__mul__``, ``multi_mult``,
-  ``mult_each``, ``generator_mult_each``, the verifiers — has to meter;
+  ``_build_windows``), so every public entry that reaches the chain —
+  ``__mul__``, ``multi_mult``, ``mult_each``, ``generator_mult_each``,
+  ``schnorr_verify`` — has to meter;
 - every *public* function or method (dunders included) that is an engine
   or calls one directly must contain a ``metering.count(...)`` call, or
   carry a def-level ``# lint: unmetered[reason]`` suppression explaining

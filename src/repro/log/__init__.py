@@ -27,7 +27,7 @@ from repro.log.authdict import AuthenticatedDictionary, InclusionProof, Insertio
 from repro.log.distributed import (
     DistributedLog,
     LogUpdateRejected,
-    EcdsaMultiSig,
+    SchnorrMultiSig,
 )
 from repro.log.auditor import ExternalAuditor, AuditFailure
 from repro.log.sharded import ShardedLog, cross_shard_root, shard_of
@@ -48,7 +48,7 @@ __all__ = [
     "InsertionProof",
     "DistributedLog",
     "LogUpdateRejected",
-    "EcdsaMultiSig",
+    "SchnorrMultiSig",
     "ExternalAuditor",
     "AuditFailure",
     "ShardedLog",

@@ -13,10 +13,11 @@ minutes):
    audit set and failures are recoverable — fetching each chunk package and
    checking (a) its Merkle inclusion under ``R``, (b) its extension proofs,
    and (c) boundary conditions (first chunk starts at ``d``, last ends at
-   ``d'``).  If all pass, the HSM signs ``(d, d', R)``.
-4. The provider aggregates the first :func:`quorum_size` signatures (the
-   fewest a device accepts; more would only cost every device more
-   verifications); each HSM verifies the aggregate against the claimed
+   ``d'``).  If all pass, the HSM commits to a fresh signing nonce.
+4. The first :func:`quorum_size` auditors (the fewest a device accepts;
+   more would only widen every device's check) reveal their nonces and
+   sign ``(d, d', R)`` into one Schnorr multisignature
+   (:class:`SchnorrMultiSig`); each HSM verifies it against the claimed
    signer set and, if a quorum of its committee signed, adopts ``d'``.
 
 With at most an ``f_secret`` fraction compromised and ``C = λ`` audited
@@ -48,7 +49,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.ec import ECKeyPair, P256
+from repro.crypto.ec import N, P256, ECKeyPair, ECPoint, is_curve_point, point_sum
 from repro.crypto.hashing import distinct_indices, sha256
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.log.authdict import AuthenticatedDictionary, InsertionProof
@@ -61,17 +62,32 @@ class LogUpdateRejected(Exception):
 # ---------------------------------------------------------------------------
 # The transition signature
 # ---------------------------------------------------------------------------
-class EcdsaMultiSig:
-    """The signature that endorses digest transitions: the aggregate is the
-    tuple of per-signer ECDSA signatures over P-256, one per claimed
-    signer.  The log sends a quorum's and no more (:func:`quorum_size`).
+class SchnorrMultiSig:
+    """The signature that endorses digest transitions: a Schnorr
+    multisignature over P-256.  A certificate is the signer ids plus one
+    ``(R, s)`` with ``s·G = R + c·X_S``, where ``X_S = Σ Xᵢ`` over the
+    signers and ``c = H(domain, X_S, R, message)``: one check for a device,
+    whatever the quorum's size.
 
-    The paper certifies each epoch with a BLS aggregate (constant size, two
-    pairings to verify at any fleet size); the cost model still bills that
-    scheme from Table 7.  In pure Python a pairing costs seconds, so the
-    list of ECDSA signatures is cheaper at every fleet size this library
-    provisions, and it is the only scheme the log, the devices and the
-    journal speak.
+    Signing is MuSig's three rounds (Maxwell, Poelstra, Seurin and Wuille,
+    2019), which stops the concurrent-session forgeries of Drijvers et al.
+    (S&P 2019): each signer commits to its nonce point ``Rᵢ = kᵢ·G`` with
+    ``H(Rᵢ)`` (:meth:`nonce`, :meth:`commit`), reveals ``Rᵢ`` only once
+    every signer's commitment is fixed, and answers ``sᵢ = kᵢ + c·xᵢ``
+    (:meth:`sign`) for ``R = Σ Rᵢ``; the aggregate is ``(R, Σ sᵢ)``.  The
+    device side of the rounds is ``HsmDevice.audit_log_update``,
+    ``reveal_nonce`` and ``sign_transition``.
+
+    Keys are summed without MuSig's coefficients, so a rogue key
+    ``a·G − Σ X_honest`` must be kept out of the directory: every key
+    carries a proof of possession (:meth:`prove_possession`), a Schnorr
+    signature on the key and its index that ``HsmFleet`` checks once as it
+    builds the directory.
+
+    The paper certifies each epoch with a BLS aggregate (two pairings at any
+    fleet size); the cost model still bills that scheme from Table 7.  In
+    pure Python a pairing costs seconds, and this check costs one comb
+    chain.
     """
 
     @staticmethod
@@ -80,41 +96,96 @@ class EcdsaMultiSig:
         return P256.keygen(rng)
 
     @staticmethod
-    def sign(secret: int, message: bytes) -> Tuple[int, int]:
-        """One ECDSA signature (r, s)."""
-        return P256.ecdsa_sign(secret, message)
+    def nonce(rng=None) -> Tuple[int, ECPoint]:
+        """A fresh nonce ``k`` and its point ``k·G``: one per signing
+        session, never reused."""
+        secret = P256.random_scalar(rng)
+        return secret, P256.generator * secret
 
     @staticmethod
-    def aggregate(signatures: Sequence[Tuple[int, int]]):
-        """The "aggregate" is simply the tuple of signatures."""
-        return tuple(signatures)
+    def commit(point: ECPoint) -> bytes:
+        """The commitment ``H(Rᵢ)`` a signer sends before any nonce is seen."""
+        return sha256(b"log-nonce", point.to_bytes())
+
+    @staticmethod
+    def challenge(publics: Sequence[ECPoint], nonce: ECPoint, message: bytes) -> int:
+        """``c = H(domain, X_S, R, message)`` for the signer keys ``publics``."""
+        aggregate_key = point_sum(publics)
+        digest = sha256(b"log-certificate", aggregate_key.to_bytes(), nonce.to_bytes(), message)
+        return int.from_bytes(digest, "big") % N
+
+    @staticmethod
+    def sign(secret: int, nonce_secret: int, challenge: int) -> int:
+        """One signer's share ``sᵢ = kᵢ + c·xᵢ``."""
+        return (nonce_secret + challenge * secret) % N
+
+    @staticmethod
+    def aggregate(nonces: Sequence[ECPoint], shares: Sequence[int]) -> Tuple[ECPoint, int]:
+        """The certificate's ``(R, s) = (Σ Rᵢ, Σ sᵢ)``."""
+        return point_sum(nonces), sum(shares) % N
+
+    @staticmethod
+    def prove_possession(index: int, keypair: ECKeyPair) -> Tuple[ECPoint, int]:
+        """A Schnorr signature on the key and its directory index.  It signs
+        one fixed message, so its nonce is derived from the secret and the
+        index (the same proof every time, and no draw from the caller's
+        randomness)."""
+        seed = sha256(
+            b"possession-nonce", keypair.secret.to_bytes(32, "big"), index.to_bytes(8, "big")
+        )
+        nonce_secret = int.from_bytes(seed, "big") % (N - 1) + 1
+        nonce = P256.generator * nonce_secret
+        challenge = SchnorrMultiSig._possession_challenge(index, keypair.public, nonce)
+        return nonce, SchnorrMultiSig.sign(keypair.secret, nonce_secret, challenge)
+
+    @staticmethod
+    def verify_possession(index: int, public, proof) -> bool:
+        """Does ``proof`` show that whoever made ``public`` holds its secret?"""
+        if not (is_curve_point(public) and SchnorrMultiSig._well_formed(proof)):
+            return False
+        nonce, s = proof
+        challenge = SchnorrMultiSig._possession_challenge(index, public, nonce)
+        return P256.schnorr_verify([public], challenge, nonce, s)
+
+    @staticmethod
+    def _possession_challenge(index: int, public: ECPoint, nonce: ECPoint) -> int:
+        digest = sha256(
+            b"key-possession", index.to_bytes(8, "big"), public.to_bytes(), nonce.to_bytes()
+        )
+        return int.from_bytes(digest, "big") % N
+
+    @staticmethod
+    def _well_formed(signature) -> bool:
+        """Is ``signature`` a pair ``(R, s)`` with ``R`` a finite curve point?
+        (``s`` is range-checked by the verification itself.)"""
+        return (
+            isinstance(signature, tuple) and len(signature) == 2 and is_curve_point(signature[0])
+        )
 
     @staticmethod
     def precompute_signer_key(public) -> None:
         """Provisioning hook, called once per signer-directory key: give the
-        key a comb table, so each verification against it is one
-        26-column chain (25 doublings) shared with the generator term."""
+        key a comb table, so its ``−c·Xᵢ`` term is 26 mixed additions in the
+        check's one chain."""
         public.precompute()
 
     @staticmethod
     def verify_aggregate(publics, message: bytes, aggregate) -> bool:
-        """Batched verification: each signature's ``u1·G + u2·Q`` is one
-        comb chain when ``Q`` was provisioned through
-        :meth:`precompute_signer_key` (one ladder chain otherwise), and each
-        chunk's ``s`` values and result points are inverted by Montgomery
-        batch inversion.  Accept/reject decisions, metered ``ecdsa_verify``
-        counts, and the early-abort cost bound on bad aggregates all match
-        the sequential short-circuiting loop this replaces.  The aggregate
-        is untrusted input: anything that is not a sequence of one
-        signature per key is a rejection, never an exception."""
-        if not isinstance(aggregate, (tuple, list)) or len(publics) != len(aggregate):
+        """Check a certificate ``(R, s)`` against its signers' keys: one
+        :meth:`~repro.crypto.ec._Curve.schnorr_verify`, one ``ecdsa_verify``
+        on the meter.  The aggregate is untrusted input: anything that is
+        not an ``(R, s)`` pair with ``R`` a finite curve point and ``s`` in
+        ``[1, n)`` is a rejection, never an exception."""
+        if not (publics and SchnorrMultiSig._well_formed(aggregate)):
             return False
-        return P256.ecdsa_verify_all(
-            [
-                (pk.public if isinstance(pk, ECKeyPair) else pk, message, sig)
-                for pk, sig in zip(publics, aggregate)
-            ]
-        )
+        nonce, s = aggregate
+        challenge = SchnorrMultiSig.challenge(publics, nonce, message)
+        return P256.schnorr_verify(publics, challenge, nonce, s)
+
+
+#: The scheme's former name, kept for the end-to-end benchmark's workloads
+#: and tracer, which still spell it; it goes with the next change to them.
+EcdsaMultiSig = SchnorrMultiSig
 
 
 # ---------------------------------------------------------------------------
@@ -511,50 +582,35 @@ class DistributedLog:
         self.pending = pending_before + self.pending
 
     def certify_round(self, round_: UpdateRound, hsms: Sequence) -> None:
-        """Collect audits + signatures for an already-prepared round."""
+        """Collect audits and a quorum's multisignature for an
+        already-prepared round, then fan acceptance out."""
         # A device that missed rounds is offered the certified run past its
         # frontier; one the run cannot bring to d (it was down through a
         # GC) sits the round out like a fail-stopped one.
         online = [
             h for h in hsms if not h.is_failed and self.offer_missing(h, round_.old_digest)
         ]
-        signatures = []
-        signer_ids = []
-        survivors = []
-        for hsm in online:
-            try:
-                sig = hsm.audit_log_update(round_)
-            except Exception as exc:
-                if getattr(hsm, "is_failed", False):
-                    continue  # fail-stopped mid-audit: B.3 coverage below
-                raise
-            signatures.append(sig)
-            signer_ids.append(hsm.index)
-            survivors.append(hsm)
-        if not signatures:
+        commitments, survivors = self._commit_nonces(round_, online)
+        if not survivors:
             raise LogUpdateRejected("no online HSMs to certify the update")
         # Fail fast on a lost quorum *before* any device adopts d': the
-        # devices would all reject the aggregate anyway (their quorum check
-        # sizes the same committee with the same quorum_size), and raising
-        # here keeps acceptance all-or-nothing so a rollback cannot strand
-        # devices on d'.
+        # devices would all reject the certificate anyway (their quorum
+        # check sizes the same committee with the same quorum_size), and
+        # raising here keeps acceptance all-or-nothing so a rollback cannot
+        # strand devices on d'.
         quorum = quorum_size(self.config.quorum_fraction, len(list(hsms)))
-        if len(signatures) < quorum:
+        if len(survivors) < quorum:
             raise LogUpdateRejected(
-                f"only {len(signatures)} signers, need {quorum} for a quorum"
+                f"only {len(survivors)} signers, need {quorum} for a quorum"
             )
         # Appendix B.3: audit sets are deterministic in (R, node id), so the
         # survivors can recompute which chunks the failed HSMs would have
-        # audited and recursively cover any gap.  Every signer's audit
+        # audited and recursively cover any gap.  Every auditor's audit
         # counts here, not only the quorum's.
-        uncovered = self._uncovered_chunks(round_, signer_ids)
+        uncovered = self._uncovered_chunks(round_, [h.index for h in survivors])
         if uncovered:
             self._cover_chunks(round_, survivors, uncovered)
-        # The certificate carries the first quorum of signers and no more:
-        # a device accepts any quorum, so each signature past it would only
-        # cost every acceptor (and every later adopter) a verification.
-        del signatures[quorum:], signer_ids[quorum:]
-        aggregate = EcdsaMultiSig.aggregate(signatures)
+        aggregate, signer_ids = self._sign(round_, survivors, commitments, quorum)
         # Record the certified transition *before* fanning out acceptance:
         # once a quorum has signed, the transition is certified regardless
         # of who hears about it, and any device that misses the accept
@@ -563,12 +619,12 @@ class DistributedLog:
         # the early acceptors on d' forever.
         transition = round_.certified(aggregate, signer_ids)
         self.certified_transitions.append(transition)
-        # Durability: the commit record (with the quorum aggregate) lands
+        # Durability: the commit record (with the certificate) lands
         # *before* any device accepts d'.  An intent left open by a crash
         # therefore proves no device moved — restart can roll it back
         # without consulting signatures — and every committed transition is
-        # replayable with its aggregate intact, so restored logs can offer
-        # it to devices that missed the fan-out.
+        # replayable with its certificate intact, so restored logs can
+        # offer it to devices that missed the fan-out.
         if self.journal is not None and self._journal_intent is not None:
             self.journal.record_commit(self.shard_index, self._journal_intent, transition)
             self._journal_committed = True
@@ -581,11 +637,55 @@ class DistributedLog:
                         continue  # fail-stopped mid-accept: offered d' later
                     raise
         except Exception:
-            # A genuine rejection (every device checks the same aggregate
+            # A genuine rejection (every device checks the same certificate
             # deterministically, so the first device refuses before any
             # accepts): the transition never took effect.
             self.certified_transitions.pop()
             raise
+
+    @staticmethod
+    def _commit_nonces(round_: UpdateRound, devices: Sequence):
+        """Round one: each device audits and commits to a fresh nonce.
+        Returns the commitments by index and the devices that answered (a
+        device that fail-stops mid-audit drops out; any other refusal is a
+        genuine rejection and propagates)."""
+        commitments: Dict[int, bytes] = {}
+        answered = []
+        for hsm in devices:
+            try:
+                commitments[hsm.index] = hsm.audit_log_update(round_)
+            except Exception:
+                if getattr(hsm, "is_failed", False):
+                    continue  # fail-stopped mid-audit: B.3 coverage covers it
+                raise
+            answered.append(hsm)
+        return commitments, answered
+
+    def _sign(self, round_: UpdateRound, auditors: Sequence, commitments, quorum: int):
+        """Rounds two and three over the first ``quorum`` auditors: each
+        reveals its nonce once every commitment is fixed, then signs.  The
+        certificate carries that quorum and no more, since a device accepts
+        any quorum.  A signer that fail-stops between the rounds takes its
+        nonce with it, so the surviving auditors commit again with fresh
+        nonces and a new quorum signs; below quorum the epoch fails.
+        Returns the ``(R, s)`` aggregate and the signer ids."""
+        while True:
+            if len(auditors) < quorum:
+                raise LogUpdateRejected(
+                    f"only {len(auditors)} signers left, need {quorum} for a quorum"
+                )
+            signers = auditors[:quorum]
+            chosen = {hsm.index: commitments[hsm.index] for hsm in signers}
+            try:
+                nonces = {hsm.index: hsm.reveal_nonce(round_, chosen) for hsm in signers}
+                shares = [hsm.sign_transition(round_, nonces) for hsm in signers]
+            except Exception:
+                if not any(getattr(hsm, "is_failed", False) for hsm in signers):
+                    raise
+                live = [hsm for hsm in auditors if not hsm.is_failed]
+                commitments, auditors = self._commit_nonces(round_, live)
+                continue
+            return SchnorrMultiSig.aggregate(list(nonces.values()), shares), tuple(chosen)
 
     def _uncovered_chunks(self, round_: UpdateRound, signer_ids: Sequence[int]) -> List[int]:
         """Chunks not in any signer's deterministic audit set."""

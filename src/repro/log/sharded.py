@@ -10,8 +10,8 @@ runs the full Figure 5 protocol on its own digest chain, certified by its
 own *committee* (the ``N/S`` devices with ``index ≡ shard (mod S)``), and
 shard epochs never contend with each other: committees are disjoint, so
 ``S`` lanes drive disjoint device sets in parallel (see
-``repro.service.batcher.EpochBatcher``), and each device verifies
-aggregates of ``N/S`` signatures instead of ``N``.  A device adopts the
+``repro.service.batcher.EpochBatcher``), and each lane's signing rounds
+and certificate span ``N/S`` devices instead of ``N``.  A device adopts the
 transitions it did not accept live (off its committee, or while it was
 down) *lazily* (``HsmDevice.offer_certified_transition``), keeping the
 epoch's critical path free of fleet-wide fan-out.  This is the
@@ -247,8 +247,8 @@ class ShardedLog:
 
         Static committees are what make lanes contention-free: each lane's
         epoch touches only its own N/S devices, so S lanes drive disjoint
-        device sets in parallel, and each device verifies aggregates of
-        N/S signatures instead of N.  Devices compute the same partition
+        device sets in parallel, and a certificate sums N/S signer keys
+        instead of N.  Devices compute the same partition
         from their signer directory (``HsmDevice.committee_for``, the same
         :func:`~repro.log.distributed.on_committee` rule) and size the
         quorum to the committee.

@@ -15,7 +15,9 @@ Operation names used throughout the package:
 ``ec_mult``           NIST P-256 scalar multiplication (the paper's "g^x")
 ``elgamal_enc``       hashed-ElGamal encryption (2 EC mults + AE)
 ``elgamal_dec``       hashed-ElGamal decryption (1 EC mult + AE)
-``ecdsa_verify``      ECDSA/Schnorr-style verification (2 EC mults)
+``ecdsa_verify``      one signature verification, Table 7's ECDSA row: a
+                      log certificate or a proof of possession, one
+                      Schnorr check over any number of signer keys
 ``pairing``           priced by ``costmodel`` from Table 7; nothing in
                       ``src/`` meters it
 ``bls_sign``          priced by ``costmodel`` from Table 7; nothing in

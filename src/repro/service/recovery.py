@@ -65,7 +65,10 @@ from repro.service.workers import HsmWorkerPool, queued_channels
 #: Device methods of the Figure 5 epoch protocol that mutate or read
 #: device state and therefore must serialize with decrypt-share traffic.
 _EPOCH_METHODS = frozenset(
-    ("audit_log_update", "audit_specific_chunks", "accept_log_digest")
+    (
+        "audit_log_update", "reveal_nonce", "sign_transition",
+        "audit_specific_chunks", "accept_log_digest",
+    )
 )
 
 #: What else a lane epoch asks of a device, answered on the calling thread

@@ -8,7 +8,8 @@ log's committed digest chains — is journaled here as typed records on a
 from the block store alone.
 
 **Durable:** backups, incrementals, reply escrow, committed epoch
-transitions (entries + quorum signature) and garbage collections.
+transitions (entries + the quorum's certificate: signer ids and one
+``(R, s)``) and garbage collections.
 **Durable, not here:** the HSMs' key arrays — the *devices* vouch for
 those, each in place in its own
 :class:`~repro.storage.blockstore.RegionStore` of the same store.
@@ -21,8 +22,8 @@ rollback:
 
 1. ``EPOCH_INTENT`` (shard, digests, root, the entries being applied) lands
    after ``prepare_update`` but *before* any HSM is asked to certify;
-2. ``EPOCH_COMMIT`` (binding the intent's sequence number, plus the quorum
-   aggregate) lands once a quorum has signed but *before* the acceptance
+2. ``EPOCH_COMMIT`` (binding the intent's sequence number, plus the
+   quorum's certificate) lands once a quorum has signed but *before* the acceptance
    fan-out — the decision is durable before any device is exposed to it —
    and ``EPOCH_ROLLBACK`` lands after a live certification failure.
 
@@ -56,10 +57,12 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.codec import (
-    BLOB, TEXT, U32, U64, U256, Codec, converted, mapping, nested, optional, seq, tuple_of,
+    BLOB, TEXT, U32, U64, U256, Codec, converted, fixed, mapping, nested, optional, seq,
+    tuple_of,
 )
 from repro.core.lhe import LheCiphertext
 from repro.core.wire import RECOVERY_CIPHERTEXT
+from repro.crypto.ec import ECPoint, is_curve_point
 from repro.log.distributed import CertifiedTransition, Transition, on_committee
 from repro.storage.blockstore import BlockStore
 from repro.storage.wal import WriteAheadLog
@@ -118,7 +121,7 @@ class RestoredState:
         """Fold a committed intent into the durable per-shard state.
 
         ``signature`` is the commit record's ``(signer_ids, aggregate)``.  It
-        is None when the aggregate was not a list of ``(r, s)`` pairs (a
+        is None when the aggregate was not an ``(R, s)`` certificate (a
         garbage aggregate the provider journaled before the devices refused
         it) or was lost to a crash between certification and the commit
         record (a reconciled commit) — the transition itself is still part
@@ -143,21 +146,29 @@ _CIPHERTEXT = nested(RECOVERY_CIPHERTEXT)
 _SIGNERS = seq(U32, tuple)
 
 
+_NONCE = converted(fixed(33, "nonce point"), ECPoint.to_bytes, ECPoint.from_bytes)
+
+
 def _storable_signature(signature: Optional[Tuple]) -> Optional[Tuple]:
     aggregate = signature and signature[1]
-    pairs = isinstance(aggregate, tuple) and all(
-        isinstance(sig, tuple) and len(sig) == 2 for sig in aggregate
+    storable = (
+        isinstance(aggregate, tuple)
+        and len(aggregate) == 2
+        and is_curve_point(aggregate[0])
+        and type(aggregate[1]) is int
+        and 0 <= aggregate[1] < 1 << 256
     )
-    return signature if pairs else None
+    return signature if storable else None
 
 
 #: A certificate's optional ``(signer_ids, aggregate)``: the signer ids and
-#: the quorum's ``(r, s)`` pairs.  An aggregate that is not a tuple of
-#: ``(r, s)`` pairs — an adversarial provider can journal a garbage one
-#: before the devices reject it — is stored as absent, like None: the
-#: commit is still durable, only its replayable signature is dropped.
+#: the multisignature ``(R, s)``, a 33-byte compressed point and a 32-byte
+#: scalar.  An aggregate that is not such a pair — an adversarial provider
+#: can journal a garbage one before the devices reject it — is stored as
+#: absent, like None: the commit is still durable, only its replayable
+#: signature is dropped.
 _SIGNATURE = converted(
-    optional(tuple_of(_SIGNERS, seq(tuple_of(U256, U256), tuple))),
+    optional(tuple_of(_SIGNERS, tuple_of(_NONCE, U256))),
     _storable_signature,
     lambda stored: stored,
 )

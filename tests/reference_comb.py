@@ -9,8 +9,9 @@
   fewer than their signed combs, and one entry fewer a table — and
   ``UNSIGNED_SLOT_TEETH`` = 4 for slot keys, the comb the signed 5-tooth
   slot comb replaced (today's has 6 teeth: 32 entries against 15).
-  :func:`unsigned_mult_each` and :func:`unsigned_verify_all`
-  are ``mult_each`` and ``ecdsa_verify_all`` over it, and the hot-path
+  :func:`unsigned_mult_each` and :func:`unsigned_certificate_check`
+  are ``mult_each`` and the log certificate check
+  (``SchnorrMultiSig.verify_aggregate``) over it, and the hot-path
   bench times the signed engine against them (``signed_over_unsigned_slot``,
   ``signed_over_unsigned_verify``) and weighs both engines' tables
   (``*_comb_kb``).
@@ -32,8 +33,6 @@
 
 from repro import metering
 from repro.crypto import ec
-from repro.crypto.field import batch_inverse_mod
-from repro.crypto.hashing import sha256
 
 UNSIGNED_TEETH = 9
 UNSIGNED_SLOT_TEETH = 4
@@ -115,42 +114,22 @@ def unsigned_mult_each(points, scalar, combs):
     return [ec.ECPoint._from_affine(affine) for affine in ec._jac_to_affine_batch(products)]
 
 
-def unsigned_verify_all(items, key_combs, generator_comb):
-    """``ecdsa_verify_all`` over unsigned combs: ``items`` are ``(public,
-    message, signature)`` triples with finite keys, ``key_combs`` their
-    keys' combs, ``generator_comb`` G's.  The same steps as
-    ``P256.ecdsa_verify_all`` — range checks, chunks of ``_VERIFY_CHUNK``
-    with one batch inversion of the in-range ``s`` values and one of the
-    results, the early abort — and the same metering."""
-    n = ec.N
-    checked = 0
-    for start in range(0, len(items), ec._VERIFY_CHUNK):
-        chunk = items[start : start + ec._VERIFY_CHUNK]
-        combs = key_combs[start : start + ec._VERIFY_CHUNK]
-        in_range = [ec.P256._signature_in_range(signature) for _, _, signature in chunk]
-        inverses = iter(batch_inverse_mod([rs[1] for rs in in_range if rs is not None], n))
-        points = []
-        for (_, message, _), comb, rs in zip(chunk, combs, in_range):
-            if rs is None:
-                continue
-            w = next(inverses)
-            z = int.from_bytes(sha256(b"ecdsa", message), "big") % n
-            terms = [
-                (unsigned_indices(u, unsigned_teeth(table)), table)
-                for u, table in ((z * w % n, generator_comb), (rs[0] * w % n, comb))
-                if u
-            ]
-            points.append(unsigned_comb_mult(terms) if terms else ec._INFINITY)
-        normalized = iter(ec._jac_to_affine_batch(points))
-        for rs in in_range:
-            checked += 1
-            affine = None if rs is None else next(normalized)
-            if affine is None or affine[0] % n != rs[0]:
-                metering.count("ecdsa_verify", checked)
-                return False
-    if checked:
-        metering.count("ecdsa_verify", checked)
-    return True
+def unsigned_certificate_check(publics, key_combs, generator_comb, message, aggregate):
+    """``SchnorrMultiSig.verify_aggregate`` over unsigned combs: ``publics``
+    are the signer keys, ``key_combs`` their combs, ``generator_comb`` G's.
+    The same steps — the challenge over ``X_S``, ``s·G`` and every
+    ``−c·Xᵢ`` in one chain, compared with ``R`` in Jacobian coordinates —
+    and the same metering."""
+    from repro.log.distributed import SchnorrMultiSig
+
+    metering.count("ecdsa_verify")
+    nonce, s = aggregate
+    c = SchnorrMultiSig.challenge(publics, nonce, message)
+    terms = [(unsigned_indices(s, UNSIGNED_TEETH), generator_comb)]
+    terms += [(unsigned_indices(ec.N - c, UNSIGNED_TEETH), comb) for comb in key_combs]
+    x, y, z = unsigned_comb_mult(terms)
+    zsq = z * z % ec.P
+    return z != 0 and x == nonce.x * zsq % ec.P and y == nonce.y * zsq * z % ec.P
 
 
 def jacobian_comb_fill(x, y):

@@ -16,7 +16,9 @@ from repro.adversary.attacks import (
 from repro.core.client import RecoveryError
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
-from repro.log.distributed import EcdsaMultiSig, LogConfig, LogUpdateRejected
+from repro.log.distributed import LogConfig, LogUpdateRejected
+
+from multisig_rounds import run_rounds
 
 
 class TestAdaptiveCorruption:
@@ -159,14 +161,12 @@ class TestCheatingProvider:
         round_a, round_b = log.equivocate([(b"a", b"1")], [(b"b", b"2")])
         half_a = list(fleet.online())[:4]
         half_b = list(fleet.online())[4:]
-        sigs_a = [h.audit_log_update(round_a) for h in half_a]
-        sigs_b = [h.audit_log_update(round_b) for h in half_b]
-        agg_a = EcdsaMultiSig.aggregate(sigs_a)
-        agg_b = EcdsaMultiSig.aggregate(sigs_b)
+        certificate_a = run_rounds(half_a, round_a)
+        certificate_b = run_rounds(half_b, round_b)
         with pytest.raises(LogUpdateRejected):
-            half_a[0].accept_log_digest(round_a, agg_a, tuple(h.index for h in half_a))
+            half_a[0].accept_log_digest(round_a, *certificate_a)
         with pytest.raises(LogUpdateRejected):
-            half_b[0].accept_log_digest(round_b, agg_b, tuple(h.index for h in half_b))
+            half_b[0].accept_log_digest(round_b, *certificate_b)
 
 
 class TestStatisticalLocationHiding:

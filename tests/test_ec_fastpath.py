@@ -23,6 +23,7 @@ from repro.crypto import ec as ec_module
 from repro.crypto.ec import (
     N,
     P256,
+    ECKeyPair,
     ECPoint,
     generator_mult_each,
     mult_each,
@@ -30,16 +31,24 @@ from repro.crypto.ec import (
     naive_mult,
 )
 from repro.crypto.field import batch_inverse_mod
-from repro.log.distributed import EcdsaMultiSig
+from repro.log.distributed import SchnorrMultiSig
 from repro.metering import OpMeter, metered
 from repro.storage.blockstore import InMemoryBlockStore
 
+import reference_ecdsa
+from multisig_rounds import certificate
 from reference_comb import (
     UNSIGNED_TEETH,
     jacobian_comb_fill,
     one_table_generator_mult_each,
     unsigned_build_comb,
 )
+from reference_ecdsa import VERIFY_CHUNK, ecdsa_sign, ecdsa_verify_all, verify_quorum_list
+
+
+def ecdsa_verify(public, message, signature):
+    return ecdsa_verify_all([(public, message, signature)])
+
 
 G = P256.generator
 GENERATOR_TABLES = ec_module._GENERATOR_COMB_TABLES
@@ -455,27 +464,28 @@ class TestComb:
         assert multi_mult(pairs) == expected
 
     def test_verdicts_identical_with_and_without_comb(self):
-        scheme = EcdsaMultiSig()
-        keypairs = [scheme.keygen(random.Random(seed)) for seed in range(3)]
+        """A certificate check reads each signer's comb when it has one and
+        ladders it otherwise; the verdict is the same either way."""
+        keypairs = [SchnorrMultiSig.keygen(random.Random(seed)) for seed in range(3)]
         message = b"epoch transition"
-        cases = []
-        for kp in keypairs:
-            r, s = scheme.sign(kp.secret, message)
-            cases += [
-                (kp.public, (r, s)),
-                (kp.public, (r ^ 1, s)),
-                (kp.public, (r, s ^ 1)),
-                (keypairs[0].public if kp is not keypairs[0] else keypairs[1].public, (r, s)),
-            ]
-        plain = [(ECPoint(pk.x, pk.y), message, sig) for pk, sig in cases]
-        combed = [(precomputed(pk), message, sig) for pk, sig in cases]
-        assert all(item[0]._comb is None for item in plain)
-        verdicts = [P256.ecdsa_verify(*item) for item in plain]
-        assert verdicts == [True, False, False, False] * 3
-        assert [P256.ecdsa_verify(*item) for item in combed] == verdicts
-        assert P256._verify_chunk(combed) == verdicts
-        assert P256.ecdsa_verify_all(combed[::4]) and P256.ecdsa_verify_all(plain[::4])
-        assert not P256.ecdsa_verify_all(combed) and not P256.ecdsa_verify_all(plain)
+        nonce, s = certificate(keypairs, message)
+        other = SchnorrMultiSig.keygen(random.Random(99)).public
+        publics = [kp.public for kp in keypairs]
+        cases = [
+            (publics, (nonce, s)),
+            (publics, (nonce, s ^ 1)),
+            (publics, (-nonce, s)),
+            (publics[:2] + [other], (nonce, s)),
+            (publics[:2], (nonce, s)),
+        ]
+        plain = [([ECPoint(pk.x, pk.y) for pk in keys], sig) for keys, sig in cases]
+        combed = [([precomputed(pk) for pk in keys], sig) for keys, sig in cases]
+        assert all(pk._comb is None for keys, _ in plain for pk in keys)
+        verdicts = [SchnorrMultiSig.verify_aggregate(keys, message, sig) for keys, sig in plain]
+        assert verdicts == [True, False, False, False, False]
+        assert [
+            SchnorrMultiSig.verify_aggregate(keys, message, sig) for keys, sig in combed
+        ] == verdicts
 
     def test_only_the_generator_and_the_signer_directory_carry_a_comb(self):
         """The 10-tooth comb is explicit: after a backup + recovery exactly
@@ -927,7 +937,7 @@ class TestNothingKeyedByAScalarOutlivesItsCall:
         secret, other = rng.randrange(1, N), rng.randrange(1, N)
         ephemeral_key = rng.randrange(1, N)
         ephemeral = G * ephemeral_key  # a key nothing provisioned
-        signature = P256.ecdsa_sign(ephemeral_key, b"one-off")
+        proof = SchnorrMultiSig.prove_possession(0, ECKeyPair(ephemeral_key, ephemeral))
         twin, third = (ECPoint(ephemeral.x, ephemeral.y) for _ in range(2))
         signer = precomputed(G * rng.randrange(1, N))
         slot = G * rng.randrange(1, N)  # no comb yet: it is built under the secret
@@ -942,7 +952,7 @@ class TestNothingKeyedByAScalarOutlivesItsCall:
         (slot_shared,) = mult_each([slot], secret)
         summed = multi_mult([(secret, G), (secret, signer), (secret, slot)])
         one_off_sum = multi_mult([(secret, ephemeral), (other, G)])
-        assert P256.ecdsa_verify(ephemeral, b"one-off", signature)
+        assert SchnorrMultiSig.verify_possession(0, ephemeral, proof)
         assert each == shared
 
         # The only state a multiply leaves is a slot key's comb, and it is
@@ -1003,79 +1013,85 @@ class TestBatchInverse:
 
 
 class TestBatchVerify:
+    """The reference quorum list (``tests/reference_ecdsa.py``): the
+    baseline the hot-path bench times the certificate check against must
+    itself be the verifier it was — batched, early-aborting, and metered
+    as the sequential loop."""
+
     @pytest.fixture(scope="class")
     def signed(self):
-        scheme = EcdsaMultiSig()
-        keypairs = [scheme.keygen(random.Random(seed)) for seed in range(6)]
+        keypairs = [SchnorrMultiSig.keygen(random.Random(seed)) for seed in range(6)]
         message = b"epoch transition"
-        sigs = [scheme.sign(kp.secret, message) for kp in keypairs]
-        return scheme, keypairs, message, sigs
+        sigs = [ecdsa_sign(kp.secret, message) for kp in keypairs]
+        return [kp.public for kp in keypairs], message, sigs
 
     def test_batch_matches_sequential(self, signed):
-        scheme, keypairs, message, sigs = signed
-        items = [(kp.public, message, sig) for kp, sig in zip(keypairs, sigs)]
+        publics, message, sigs = signed
+        items = [(pk, message, sig) for pk, sig in zip(publics, sigs)]
         # Corrupt a couple of entries in characteristic ways.
-        items[2] = (keypairs[2].public, b"wrong message", sigs[2])
-        items[4] = (keypairs[4].public, message, (0, 1))  # out-of-range r
-        sequential = [P256.ecdsa_verify(*item) for item in items]
-        assert P256._verify_chunk(items) == sequential
+        items[2] = (publics[2], b"wrong message", sigs[2])
+        items[4] = (publics[4], message, (0, 1))  # out-of-range r
+        sequential = [ecdsa_verify(*item) for item in items]
+        assert reference_ecdsa._verify_chunk(items) == sequential
         assert sequential == [True, True, False, True, False, True]
-        # One verification entry: the chunk core meters nothing, and the
-        # batch entry and multi_mult's metering switch are gone.
-        assert not hasattr(P256, "ecdsa_verify_batch")
+        # No ECDSA is left in the library, and multi_mult's metering switch
+        # is gone.
+        assert not any(name.startswith("ecdsa") for name in dir(P256))
         assert "count_ops" not in inspect.signature(multi_mult).parameters
 
     def test_verify_aggregate_accepts_and_rejects(self, signed):
-        scheme, keypairs, message, sigs = signed
-        aggregate = scheme.aggregate(sigs)
-        assert scheme.verify_aggregate(keypairs, message, aggregate)
-        bad = scheme.aggregate([sigs[1]] + sigs[1:])  # first sig swapped
-        assert not scheme.verify_aggregate(keypairs, message, bad)
-        assert not scheme.verify_aggregate(keypairs[:-1], message, aggregate)
+        publics, message, sigs = signed
+        assert verify_quorum_list(publics, message, tuple(sigs))
+        bad = tuple([sigs[1]] + sigs[1:])  # first sig swapped
+        assert not verify_quorum_list(publics, message, bad)
+        assert not verify_quorum_list(publics[:-1], message, tuple(sigs))
 
     def test_infinity_public_key_rejected_not_crashed(self, signed):
-        """An attacker-supplied identity point as a signer key must land on
-        the returns-False path, as the pre-fast-path verifier did."""
-        scheme, keypairs, message, sigs = signed
+        """An identity point as a signer key lands on the returns-False
+        path, in the reference list and in the certificate check alike."""
+        publics, message, sigs = signed
         infinity = ECPoint(None, None)
-        assert not P256.ecdsa_verify(infinity, message, sigs[0])
-        assert P256._verify_chunk([(infinity, message, sigs[0])]) == [False]
-        publics = [infinity] + [kp.public for kp in keypairs[1:]]
-        assert not scheme.verify_aggregate(publics, message, scheme.aggregate(sigs))
+        assert not ecdsa_verify(infinity, message, sigs[0])
+        assert reference_ecdsa._verify_chunk([(infinity, message, sigs[0])]) == [False]
+        assert not verify_quorum_list([infinity] + publics[1:], message, tuple(sigs))
+        keypairs = [SchnorrMultiSig.keygen(random.Random(seed)) for seed in range(3)]
+        cert = certificate(keypairs, message)
+        keys = [kp.public for kp in keypairs]
+        assert SchnorrMultiSig.verify_aggregate(keys, message, cert)
+        assert not SchnorrMultiSig.verify_aggregate([infinity] + keys[1:], message, cert)
+        assert not SchnorrMultiSig.verify_aggregate(keys + [infinity], message, cert)
 
     def test_verify_all_short_circuits_computation(self, signed):
         """ecdsa_verify_all must stop at the first failing chunk: a bad
-        aggregate costs one chunk of work, not all N verifications."""
-        from repro.crypto import ec as ec_module
-
-        scheme, keypairs, message, sigs = signed
-        items = [(kp.public, message, sig) for kp, sig in zip(keypairs, sigs)]
-        assert P256.ecdsa_verify_all(items)
-        assert not P256.ecdsa_verify_all([(keypairs[0].public, b"bad", sigs[0])] + items)
+        list costs one chunk of work, not all N verifications."""
+        publics, message, sigs = signed
+        items = [(pk, message, sig) for pk, sig in zip(publics, sigs)]
+        assert ecdsa_verify_all(items)
+        assert not ecdsa_verify_all([(publics[0], b"bad", sigs[0])] + items)
         calls = []
-        original = ec_module._Curve._verify_chunk
+        original = reference_ecdsa._verify_chunk
 
-        def counting(self, chunk):
+        def counting(chunk):
             calls.append(len(chunk))
-            return original(self, chunk)
+            return original(chunk)
 
-        ec_module._Curve._verify_chunk = counting
+        reference_ecdsa._verify_chunk = counting
         try:
-            many = [(keypairs[0].public, b"wrong", sigs[0])] + items * 4
-            assert not P256.ecdsa_verify_all(many)
+            many = [(publics[0], b"wrong", sigs[0])] + items * 4
+            assert not ecdsa_verify_all(many)
         finally:
-            ec_module._Curve._verify_chunk = original
-        assert sum(calls) <= ec_module._VERIFY_CHUNK  # only the first chunk ran
+            reference_ecdsa._verify_chunk = original
+        assert sum(calls) <= VERIFY_CHUNK  # only the first chunk ran
 
-    @pytest.mark.parametrize("position", range(ec_module._VERIFY_CHUNK))
+    @pytest.mark.parametrize("position", range(VERIFY_CHUNK))
     def test_bad_signature_at_each_position_of_a_chunk(self, signed, position):
         """The chunk's ``s`` values are inverted together; whatever sits at
         whichever position, verdicts and ``ecdsa_verify`` counts are the
         sequential short-circuiting loop's."""
-        scheme, keypairs, message, sigs = signed
-        count = ec_module._VERIFY_CHUNK + 2  # one full chunk and a partial one
+        publics, message, sigs = signed
+        count = VERIFY_CHUNK + 2  # one full chunk and a partial one
         good = [
-            (keypairs[i % len(keypairs)].public, message, sigs[i % len(sigs)])
+            (publics[i % len(publics)], message, sigs[i % len(sigs)])
             for i in range(count)
         ]
         r, s = good[position][2]
@@ -1089,26 +1105,33 @@ class TestBatchVerify:
         for label, signature in spoiled.items():
             items = list(good)
             items[position] = (good[position][0], message, signature)
-            sequential = [P256.ecdsa_verify(*item) for item in items]
+            sequential = [ecdsa_verify(*item) for item in items]
             assert sequential == [i != position for i in range(count)], label
-            assert P256._verify_chunk(items) == sequential, label
+            assert reference_ecdsa._verify_chunk(items) == sequential, label
             with metered() as all_meter:
-                assert not P256.ecdsa_verify_all(items), label
+                assert not ecdsa_verify_all(items), label
             assert all_meter.counts["ecdsa_verify"] == position + 1, label
 
     def test_aggregate_metering_matches_short_circuit(self, signed):
-        """The sequential loop metered one ecdsa_verify per signature up to
-        and including the first failure; the batch path must report the
-        same counts or the modeled device costs drift."""
-        scheme, keypairs, message, sigs = signed
-        aggregate = scheme.aggregate(sigs)
+        """The reference list meters one ecdsa_verify per signature up to
+        and including the first failure; the certificate check meters one,
+        whatever the signer count and whether or not it holds."""
+        publics, message, sigs = signed
         with metered() as meter:
-            scheme.verify_aggregate(keypairs, message, aggregate)
+            verify_quorum_list(publics, message, tuple(sigs))
         assert meter.counts["ecdsa_verify"] == len(sigs)
-        bad = scheme.aggregate(sigs[:3] + [(1, 1)] + sigs[4:])
+        bad = tuple(sigs[:3] + [(1, 1)] + sigs[4:])
         with metered() as meter:
-            scheme.verify_aggregate(keypairs, message, bad)
+            verify_quorum_list(publics, message, bad)
         assert meter.counts["ecdsa_verify"] == 4  # stops at first bad signature
+        keypairs = [SchnorrMultiSig.keygen(random.Random(seed)) for seed in range(6)]
+        nonce, s = certificate(keypairs, message)
+        for good in (True, False):
+            with metered() as meter:
+                assert SchnorrMultiSig.verify_aggregate(
+                    [kp.public for kp in keypairs], message, (nonce, s if good else s ^ 1)
+                ) == good
+            assert meter.counts["ecdsa_verify"] == 1
 
 
 class TestMeteringInvariance:
@@ -1129,7 +1152,18 @@ class TestMeteringInvariance:
     # 12 verifications go, each 1 ecdsa_verify + 1 sha256_block (the
     # message hash); and verify_extension hashes each of the 24 audited
     # insertions' identifiers once, not twice (24 sha256_block).
-    SEED_COUNTS = {"ec_mult": 338, "ecdsa_verify": 60, "sha256_block": 2518}
+    # Re-derived when certificates became one Schnorr multisignature (was
+    # ec_mult 338, ecdsa_verify 60, sha256_block 2518).  ec_mult +6: each
+    # of the 6 keys' proof of possession is one k·G (a Schnorr nonce costs
+    # the k·G an ECDSA signature did).  ecdsa_verify 18: 2 epochs x 6
+    # acceptors x 1 check, plus the fleet's 6 possession checks.
+    # sha256_block +80: -84 for ECDSA (12 signatures x 2 blocks, 60
+    # verifications x 1), +24 for the proofs (6 nonce derivations x 2
+    # blocks, 12 challenges x 2), +62 for nonce commitments (12 commits,
+    # 2 epochs x 5 signers x 5 openings) and +66 for certificate
+    # challenges (3 blocks x 11 computations an epoch: 5 signers, 6
+    # acceptors).
+    SEED_COUNTS = {"ec_mult": 344, "ecdsa_verify": 18, "sha256_block": 2598}
 
     def run_fixed_workload(self):
         """One seeded backup+recovery; all randomness from one PRNG so the

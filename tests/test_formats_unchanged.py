@@ -70,6 +70,24 @@ decoded by the codecs of the code that wrote them:
 Every other moved block is a chain hash or the anchor; every HSM key
 block and every other payload is the parent's, and both frames digests
 did not move.
+
+All three store digests moved once more, when a certificate became one
+Schnorr multisignature: a signature is the signer ids plus a 33-byte
+compressed ``R`` and a 32-byte ``s`` instead of a ``u32`` count and a
+64-byte ``(r, s)`` pair a signer, which is ``64·k − 61`` bytes fewer for
+``k`` signers.  The per-kind block sizes of each store were compared with
+the parent's, and only these moved:
+
+- ``store`` at shards=1 (quorum 3): each of the 4 ``EPOCH_COMMIT`` records
+  225 → 94 bytes; the snapshot 9700 → 9176 (4 transitions at 131).
+- ``store`` at shards=2 (quorum 2): each of the 5 commits 157 → 90; the
+  snapshot 9592 → 9257 (5 transitions at 67).
+- the record-kinds store: its fixed certificate became ``(3·G, 4·2^200)``
+  for the two signers; the signed commit 157 → 90 and the first snapshot
+  465 → 398.
+
+Every other moved block is a chain hash or the anchor; both frames digests
+did not move, since certificates never cross the client wire.
 """
 
 import hashlib
@@ -84,6 +102,7 @@ from repro.core.lhe import SHARE_PLAINTEXT
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.crypto.commit import OPENING, CommitmentOpening
+from repro.crypto.ec import P256
 from repro.crypto.shamir import DEFAULT_MODULUS, SHARE, Share
 from repro.log.authdict import InclusionProof, PathStep
 from repro.log.distributed import CertifiedTransition
@@ -109,15 +128,15 @@ class TestFormatsUnchanged:
     PARENT_DIGESTS = {
         1: {
             "frames": "ec138a5d07910af82fa09c8f22a36c048a9cdbf8fd62439fd99d407201f339b5",
-            "store": "fcf5d270a1224160f1e1a54c770c681f7bcf3048db886d32d1d5233f8efe0e70",
+            "store": "56cf03904fbcc03d4fda677243a918f5acd257c0ce125a97f4f003a42c48c848",
         },
         2: {
             "frames": "3cb6f031ecf6cab8459d6d7783599fcff56fb295f3650adaabb7f7d958764641",
-            "store": "99a7b1dcffb8bda1a8e9e4b15600e7ffa08cbcc9354e28e417e7b2cb63751847",
+            "store": "3f3d0f40b34d8161d1a6c2472fdb891db6e6db992c6505f5f87755858a25242a",
         },
     }
     PARENT_RECORD_KINDS_DIGEST = (
-        "21604eb6aee3dfea8ea3d2e69e0b462a3f588f9268eeda81cb511fc4f836aff2"
+        "52abb302609d3e337b52c87c533f0ebcd38af91db26d95e5d95bf1836fadabde"
     )
 
     @staticmethod
@@ -200,7 +219,7 @@ class TestFormatsUnchanged:
                 old_digest=digests[0],
                 new_digest=digests[1],
                 root=digests[2],
-                aggregate=((1, 2), (3 << 200, 4)),
+                aggregate=(P256.generator * 3, 4 << 200),
                 signer_ids=(1, 3),
                 shard=1,
                 num_shards=2,

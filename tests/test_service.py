@@ -414,7 +414,8 @@ class TestRecoveryService:
         with pytest.raises(AttributeError):
             getattr(fifo, "accept_certified_transition")
         assert {n for n in dir(type(fifo)) if not n.startswith("_")} == {
-            "audit_log_update", "audit_specific_chunks", "accept_log_digest",
+            "audit_log_update", "reveal_nonce", "sign_transition",
+            "audit_specific_chunks", "accept_log_digest",
             "index", "is_failed", "offered_frontier", "offer_certified_transition",
         }
         # The signature scheme is not device state.

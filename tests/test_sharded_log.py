@@ -530,7 +530,9 @@ class TestCommitteeCertification:
     def test_off_committee_signers_cannot_certify_a_shard(self):
         """Compromised devices from *other* committees must not be able to
         forge a shard's transitions: quorum counts committee members only."""
-        from repro.log.distributed import CertifiedTransition, EcdsaMultiSig, Transition
+        from repro.crypto.ec import ECKeyPair
+        from repro.log.distributed import CertifiedTransition, Transition
+        from multisig_rounds import certificate
 
         dep = Deployment.create(small_params(), rng=random.Random(104), shards=SHARDS)
         victim = dep.fleet[0]  # shard 0's committee is {0, 4}
@@ -538,17 +540,19 @@ class TestCommitteeCertification:
         old = victim.shard_digest(0)
         fake_new, root = b"\xab" * 32, b"\xcd" * 32
         message = Transition(old, fake_new, root, 0, SHARDS).message()
-        signatures = [EcdsaMultiSig.sign(s.sig_secret, message) for s in stolen]
+        keypairs = [
+            ECKeyPair(s.sig_secret, dep.fleet[s.index].public_info().sig_public) for s in stolen
+        ]
         forged = CertifiedTransition(
             old_digest=old,
             new_digest=fake_new,
             root=root,
-            aggregate=EcdsaMultiSig.aggregate(signatures),
+            aggregate=certificate(keypairs, message),
             signer_ids=(1, 2),
             shard=0,
             num_shards=SHARDS,
         )
-        # Two valid fleet signatures — a fleet-wide count would accept them
+        # A valid two-signer certificate — a fleet-wide count would accept it
         # (0.75 * committee of 2 -> 1.5), but neither signer is on committee 0.
         victim.offer_certified_transition(forged)
         with pytest.raises(LogUpdateRejected, match="committee"):

@@ -330,7 +330,14 @@ class TestMeteringInvariance:
     # 2069): 2 epochs x 4 acceptors each verify a 3-of-4 aggregate
     # (q = 0.75), so 8 message hashes go, and verify_extension hashes each
     # of the 16 audited insertions' identifiers once, not twice.
-    PARENT_COUNTS = {"aes_block": 4692, "sha256_block": 2045, "flash_read_bytes": 1120}
+    # Re-derived when certificates became one Schnorr multisignature (was
+    # sha256_block 2045): an epoch's ECDSA hashing (4 signatures at 2
+    # blocks, 3 x 4 verifications at 1: 20) became 34 blocks (4 nonce
+    # commitments, 3 signers x 3 openings, a 3-block challenge for 3
+    # signers and 4 acceptors), +28 over the 2 epochs; and the 4 keys'
+    # proofs of possession add 24 (2 blocks to derive each nonce and 2 for
+    # each challenge, made at keygen and checked by the fleet).
+    PARENT_COUNTS = {"aes_block": 4692, "sha256_block": 2097, "flash_read_bytes": 1120}
     # Re-captured at PR 16 (was e87aa60f…): decrypt-and-puncture re-keys the
     # union of a tag's k paths in one pass, so the nodes the paths share are
     # rewritten once instead of k times — fewer puts, fewer fresh-key and

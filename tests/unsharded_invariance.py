@@ -15,6 +15,19 @@ signatures (6 of 8 at q = 0.75) instead of all 8, which is 2 fewer
 ``ecdsa_verify`` and 2 fewer ``sha256_block`` (the message hash) for each
 of 8 acceptors an epoch, and ``verify_extension`` hashes each identifier
 once, which is 1 ``sha256_block`` fewer an audited insertion.
+
+They moved again when a certificate became one Schnorr multisignature of
+the same 6 signers.  Each of 8 acceptors checks it once, so
+``ecdsa_verify`` is divided by 6 (144 → 24 ambient over the 3 epochs, 192
+→ 32 on the devices, which also ran the genesis epoch), and the
+RFC 6979 ``hmac`` of each ECDSA signature is gone (24 → 0).  A nonce's
+``k·G`` replaces a signature's, so ambient ``ec_mult`` stays 24; each of
+the 8 devices' proof of possession adds one at keygen (416 → 424).  An
+epoch's hashing went from 64 blocks (8 signatures at 2, 48 verifications
+at 1) to 86 (8 nonce commitments, 6 signers x 6 openings, and a 3-block
+challenge for each of 6 signers and 8 acceptors): ``sha256_block`` +66
+ambient (3 epochs) and +120 on the devices (4 epochs, plus 8 proofs at 2
+blocks for the nonce and 2 for the challenge).  The digest did not move.
 """
 
 from __future__ import annotations
@@ -26,8 +39,8 @@ from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.metering import OpMeter
 
-SEED_AMBIENT = {"sha256_block": 8090, "ec_mult": 24, "ecdsa_verify": 144, "hmac": 24}
-SEED_DEVICE = {"sha256_block": 8314, "ec_mult": 416, "ecdsa_verify": 192}
+SEED_AMBIENT = {"sha256_block": 8156, "ec_mult": 24, "ecdsa_verify": 24, "hmac": 0}
+SEED_DEVICE = {"sha256_block": 8434, "ec_mult": 424, "ecdsa_verify": 32}
 SEED_DIGEST = "c0dc9c0d982ec92dda58e216f616687823120537da44e64da9d32170452f8e2b"
 
 
