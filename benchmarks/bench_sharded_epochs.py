@@ -20,7 +20,7 @@ work) two ways:
   waits.  This isolates the *parallelism* win.
 
 A third lane pushes the shard count into the hundreds (S=64 and S=256,
-HSM-free lane stubs) and measures the two costs that used to cap S:
+HSM-free lane stubs) and measures the two tick costs that used to cap S:
 
 - **idle-lane tick cost** — a tick with nothing submitted and nothing
   pending must return via the O(1) ``has_pending`` probe, even while a
@@ -28,11 +28,9 @@ HSM-free lane stubs) and measures the two costs that used to cap S:
   out the full ``lease_timeout``);
 - **busy-lane independence** — with one shard's session holding its lease,
   every other lane's tick must commit unimpeded: tick latency stays
-  milliseconds-scale and independent of S, never ``lease_timeout``-bound;
-- **root maintenance** — after one shard commits, re-reading the
-  cross-shard root must hash only the dirty O(log S) path, stay
-  byte-identical to a from-scratch ``cross_shard_root`` recompute, and
-  cost a small fraction of it.
+  milliseconds-scale and independent of S, never ``lease_timeout``-bound
+  (each tick reads the cross-shard root, which is ``cross_shard_root``
+  over the shard digests, rebuilt on every read).
 
 Acceptance gates (exit code 1 on regression):
 
@@ -42,8 +40,7 @@ Acceptance gates (exit code 1 on regression):
   workload and its constants live in ``tests/unsharded_invariance.py``);
 - at S=64 and S=256 with one lane held busy: idle ticks < 10 ms, busy-lane
   tick latency < 5% of ``lease_timeout`` and S-independent (S=256/S=64
-  median ratio <= 8), incremental root byte-identical to the from-scratch
-  recompute with >= 8x fewer hash blocks (O(log S) path vs O(S) rebuild).
+  median ratio <= 8).
 
 Results go to stdout and to the machine-readable
 ``benchmarks/out/BENCH_sharded_epochs.json`` (schema 1, see
@@ -56,7 +53,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import random
 import statistics
@@ -67,8 +63,6 @@ from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.core.provider import ServiceProvider
 from repro.log.distributed import LogConfig
-from repro.log.sharded import cross_shard_root
-from repro.metering import OpMeter
 from repro.service.batcher import EpochBatcher
 from repro.service.recovery import _EPOCH_METHODS
 
@@ -94,7 +88,6 @@ SCALE_LEASE_TIMEOUT = 30.0
 SCALE_IDLE_TICK_BOUND = 0.010  # seconds; real cost is microseconds
 SCALE_BUSY_TICK_FRACTION = 0.05  # of SCALE_LEASE_TIMEOUT
 SCALE_LATENCY_RATIO_BOUND = 8.0  # S=256 vs S=64 median busy-tick ratio
-SCALE_ROOT_RATIO_BOUND = 8.0  # from-scratch vs incremental hash blocks
 
 class SlowDevice:
     """An HSM whose epoch-protocol calls pay a fixed service latency.
@@ -181,12 +174,12 @@ def _run_device_mode(shards: int, rounds: int, batch: int, delay: float) -> floa
 
 
 def _run_scale_lane(num_shards: int, waves: int, wave_size: int) -> dict:
-    """Lease independence + root maintenance at S shards (HSM-free lanes).
+    """Lease independence at S shards (HSM-free lanes).
 
     Builds a real sharded provider + batcher, but commits each lane's
     epoch with a bare ``prepare_update`` instead of a device fleet — the
-    costs under test (lease bookkeeping, tick dispatch, cross-shard root
-    maintenance) live entirely on the provider side.
+    costs under test (lease bookkeeping, tick dispatch, the cross-shard
+    root read) live entirely on the provider side.
 
     One session is served and never releases its lease, holding its shard's
     lane busy for the whole run.  The measured ticks then show (a) idle
@@ -253,20 +246,6 @@ def _run_scale_lane(num_shards: int, waves: int, wave_size: int) -> dict:
     assert batcher.outstanding_leases(busy_shard) == 1  # straggler untouched
     assert batcher.lease_timeouts == 0  # nobody waited it out
 
-    # Root maintenance: dirty exactly one shard, then meter the incremental
-    # re-read against a from-scratch recompute of the same value.
-    clean_shard = (busy_shard + 1) % num_shards
-    log.shards[clean_shard].insert(b"root-maint|probe|0", b"probe")
-    log.shards[clean_shard].prepare_update(num_chunks=1)
-    meter = OpMeter()
-    with meter.attached():
-        incremental_root = log.digest
-    incremental_blocks = meter.snapshot().get("sha256_block", 0)
-    meter = OpMeter()
-    with meter.attached():
-        scratch_root = cross_shard_root([s.digest for s in log.shards])
-    scratch_blocks = meter.snapshot().get("sha256_block", 0)
-
     return {
         "num_shards": num_shards,
         "busy_shard": busy_shard,
@@ -274,9 +253,6 @@ def _run_scale_lane(num_shards: int, waves: int, wave_size: int) -> dict:
         "busy_tick_seconds_median": statistics.median(busy_samples),
         "busy_tick_seconds_max": max(busy_samples),
         "sessions_served": served_total,
-        "root_incremental_sha256_blocks": incremental_blocks,
-        "root_scratch_sha256_blocks": scratch_blocks,
-        "root_identical": incremental_root == scratch_root,
     }
 
 
@@ -321,7 +297,7 @@ def main(argv=None) -> int:
              f"{batch / sharded:.0f}", f"{speedup:.2f}x")
         )
 
-    # -- hundreds of shards: lease independence + root maintenance -----------
+    # -- hundreds of shards: lease independence -------------------------------
     scale_waves = 5 if args.quick else 8
     scale_results = [_run_scale_lane(s, scale_waves, 16) for s in SCALE_SHARDS]
     scale_failures = []
@@ -331,9 +307,6 @@ def main(argv=None) -> int:
             "idle_tick_seconds_median",
             "busy_tick_seconds_median",
             "busy_tick_seconds_max",
-            "root_incremental_sha256_blocks",
-            "root_scratch_sha256_blocks",
-            "root_identical",
         ):
             metrics[f"scale{s}_{key}"] = res[key]
         if res["idle_tick_seconds_median"] >= SCALE_IDLE_TICK_BOUND:
@@ -342,14 +315,6 @@ def main(argv=None) -> int:
             SCALE_LEASE_TIMEOUT * SCALE_BUSY_TICK_FRACTION
         ):
             scale_failures.append(f"scale{s}_busy_tick")
-        if not res["root_identical"]:
-            scale_failures.append(f"scale{s}_root_identical")
-        if res["root_scratch_sha256_blocks"] < (
-            SCALE_ROOT_RATIO_BOUND * res["root_incremental_sha256_blocks"]
-        ):
-            scale_failures.append(f"scale{s}_root_ratio")
-        if res["root_incremental_sha256_blocks"] > 6 * math.log2(s) + 12:
-            scale_failures.append(f"scale{s}_root_not_logS")
     latency_ratio = (
         scale_results[-1]["busy_tick_seconds_median"]
         / max(scale_results[0]["busy_tick_seconds_median"], 1e-9)
@@ -385,10 +350,7 @@ def main(argv=None) -> int:
             f"{res['idle_tick_seconds_median'] * 1e6:.0f} us, busy-lane tick "
             f"median {res['busy_tick_seconds_median'] * 1e3:.1f} ms (max "
             f"{res['busy_tick_seconds_max'] * 1e3:.1f} ms, lease_timeout "
-            f"{SCALE_LEASE_TIMEOUT:.0f} s), root maintenance "
-            f"{res['root_incremental_sha256_blocks']} vs "
-            f"{res['root_scratch_sha256_blocks']} hash blocks from scratch, "
-            "roots " + ("identical" if res["root_identical"] else "DIVERGED")
+            f"{SCALE_LEASE_TIMEOUT:.0f} s)"
         )
     lines.append(
         f"busy-tick latency ratio S={SCALE_SHARDS[-1]}/S={SCALE_SHARDS[0]}: "
@@ -402,9 +364,8 @@ def main(argv=None) -> int:
         f"gates: cpu >= {GATES['cpu_speedup']}x, device >= "
         f"{GATES['device_speedup']}x, idle tick < "
         f"{SCALE_IDLE_TICK_BOUND * 1e3:.0f} ms, busy tick < "
-        f"{SCALE_LEASE_TIMEOUT * SCALE_BUSY_TICK_FRACTION:.1f} s, root "
-        f"incremental <= 6*log2(S)+12 blocks and >= "
-        f"{SCALE_ROOT_RATIO_BOUND:.0f}x under from-scratch -> "
+        f"{SCALE_LEASE_TIMEOUT * SCALE_BUSY_TICK_FRACTION:.1f} s, busy-tick "
+        f"ratio <= {SCALE_LATENCY_RATIO_BOUND:.0f}x -> "
         + ("PASS" if not failed_gates and invariance_ok else "FAIL")
     )
 

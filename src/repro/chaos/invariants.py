@@ -7,9 +7,8 @@ so any breakage is pinned to an exact step index:
 
 - **log-digest-chain** — replaying each (shard) log's committed entries
   through a fresh authenticated dictionary reproduces its live digest;
-  nothing is left pending between epochs; and for sharded logs the
-  incrementally-maintained cross-shard root matches a from-scratch
-  Merkle recompute over the replayed shard digests.
+  nothing is left pending between epochs; and the published cross-shard
+  root is the root over the replayed shard digests.
 - **attempt-counters** — the O(1) per-user attempt counters are never
   *behind* the reference full-log scan (behind would re-issue a logged
   attempt number: corruption; ahead only under-serves, by design).
@@ -54,11 +53,8 @@ class Violation:
 def check_digest_chain(provider) -> List[Violation]:
     """Replay committed entries per shard; digests must match exactly.
 
-    It also recomputes the cross-shard root *from scratch* over the
-    replayed shard digests and compares it to the live ``log.digest`` —
-    the live value is maintained incrementally (O(log S) path updates per
-    dirty shard), and this is the reference it must stay byte-identical
-    to.
+    It also computes the cross-shard root over the replayed shard digests
+    and compares it to the published ``log.digest``.
     """
     out: List[Violation] = []
     components = provider.log.shards  # each carries its own digest chain
@@ -81,9 +77,8 @@ def check_digest_chain(provider) -> List[Violation]:
     if cross_shard_root(replayed_digests) != provider.log.digest:
         out.append(Violation(
             "log-digest-chain",
-            "incrementally-maintained cross-shard root disagrees with the"
-            f" from-scratch Merkle root over all {len(components)} replayed"
-            " shard digests",
+            "published cross-shard root disagrees with the root over all"
+            f" {len(components)} replayed shard digests",
         ))
     return out
 

@@ -19,7 +19,7 @@ from repro.log.authdict import AuthenticatedDictionary, InclusionProof
 from repro.log.distributed import LogConfig
 from repro.log.sharded import ShardedLog
 from repro.storage.blockstore import BlockStore, InMemoryBlockStore, RegionStore
-from repro.storage.journal import ProviderJournal, RestoredState
+from repro.storage.journal import JournalReplayError, ProviderJournal, RestoredState
 
 
 class ProviderError(Exception):
@@ -277,7 +277,8 @@ class ServiceProvider:
         ``log_config`` must carry its shard count (``Deployment.restore``
         checks the journal's against the fleet's).  Attempt counters are re-derived from the restored log entries;
         pending batches are gone by design (their sessions never received
-        inclusion proofs and will re-submit).
+        inclusion proofs and will re-submit).  Committed entries that repeat
+        an identifier are a :class:`JournalReplayError`.
         """
         config = log_config or LogConfig()
         if state.open_intents:
@@ -288,7 +289,12 @@ class ServiceProvider:
         for shard, log in enumerate(provider.log.shards):
             entries = state.shard_entries.get(shard, [])
             log.ordered_entries = list(entries)
-            log.dict = AuthenticatedDictionary.from_entries(entries)
+            try:
+                log.dict = AuthenticatedDictionary.from_entries(entries)
+            except KeyError as exc:
+                raise JournalReplayError(
+                    f"shard {shard}: committed entries repeat an identifier"
+                ) from exc
             log.certified_transitions = list(state.shard_transitions.get(shard, []))
         provider.log.garbage_collections = state.garbage_collections
         for username, ciphertexts in state.backups.items():

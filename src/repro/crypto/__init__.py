@@ -30,7 +30,6 @@ _EXPORTS = {
     "ShamirSharer": ("repro.crypto.shamir", "ShamirSharer"),
     "Share": ("repro.crypto.shamir", "Share"),
     "MerkleTree": ("repro.crypto.merkle", "MerkleTree"),
-    "IncrementalMerkleTree": ("repro.crypto.merkle", "IncrementalMerkleTree"),
     "MerkleProof": ("repro.crypto.merkle", "MerkleProof"),
     "BloomFilterEncryption": ("repro.crypto.bfe", "BloomFilterEncryption"),
     "PuncturedKeyError": ("repro.crypto.bfe", "PuncturedKeyError"),

@@ -99,36 +99,3 @@ class MerkleTree:
     def empty_root() -> bytes:
         return _EMPTY_ROOT
 
-
-class IncrementalMerkleTree(MerkleTree):
-    """A Merkle tree over a fixed leaf set that supports O(log n) updates.
-
-    Byte-compatible with :class:`MerkleTree`: for any sequence of
-    ``update`` calls, ``root`` and every ``prove`` path are identical to a
-    tree rebuilt from scratch over the same leaves (the sharded log's
-    cross-shard root relies on this — verifiers never learn which
-    construction produced the value).  ``update(i, leaf)`` rehashes only
-    the leaf and its root path: one leaf hash plus one node hash per
-    level, instead of the ``2n-1`` hashes a rebuild pays.
-
-    The leaf *count* is fixed at construction (the sharded log's arity is
-    part of the trusted configuration, so the shard-digest leaf set never
-    grows); only leaf values change.  Not internally synchronized —
-    callers serialize updates (``ShardedLog`` holds ``_root_lock``).
-    """
-
-    def update(self, index: int, leaf: bytes) -> None:
-        """Replace the leaf at ``index``; rehash only its path to the root."""
-        if not (0 <= index < self.leaf_count):
-            raise IndexError("leaf index out of range")
-        levels = self._levels
-        levels[0][index] = _leaf_hash(leaf)
-        idx = index
-        for depth in range(len(levels) - 1):
-            level = levels[depth]
-            parent = idx // 2
-            left = level[2 * parent]
-            right = level[2 * parent + 1] if 2 * parent + 1 < len(level) else left
-            levels[depth + 1][parent] = _node_hash(left, right)
-            idx = parent
-        self.root = levels[-1][0]

@@ -17,7 +17,8 @@ minutes):
 4. The first :func:`quorum_size` auditors (the fewest a device accepts;
    more would only widen every device's check) reveal their nonces and
    sign ``(d, d', R)`` into one Schnorr multisignature
-   (:class:`SchnorrMultiSig`); each HSM verifies it against the claimed
+   (:class:`SchnorrMultiSig`); the provider checks it once before it
+   commits the epoch, and each HSM verifies it against the claimed
    signer set and, if a quorum of its committee signed, adopts ``d'``.
 
 With at most an ``f_secret`` fraction compromised and ``C = λ`` audited
@@ -428,12 +429,6 @@ class DistributedLog:
         # intent -> commit/rollback.  None (the default) keeps the lane
         # purely in-memory, byte-identical to the pre-durability behavior.
         self.journal = None
-        # Handshake between run_update (which knows the intent's WAL seq)
-        # and certify_round (which writes the commit record *before* the
-        # acceptance fan-out, so the quorum decision is durable before any
-        # device is exposed to it).
-        self._journal_intent: Optional[int] = None
-        self._journal_committed = False
 
     # -- client-facing ----------------------------------------------------------
     @property
@@ -556,20 +551,18 @@ class DistributedLog:
                 round_.root,
                 self.ordered_entries[entries_before:],
             )
-        self._journal_intent = intent_seq
-        self._journal_committed = False
+        epoch_before = self.epoch
         try:
-            self.certify_round(round_, hsms)
+            self.certify_round(round_, hsms, intent_seq)
         except Exception:
-            self._rollback_failed_round(entries_before, pending_before)
-            # A crash (or failure) before the commit record landed rolls the
-            # intent back; after it landed the epoch is already durable and
-            # the journal must not contradict it.
-            if intent_seq is not None and not self._journal_committed:
-                self.journal.record_rollback(self.shard_index, intent_seq)
+            # Before the commit point the epoch never happened: memory and
+            # the journal both roll it back.  Past it nothing undoes the
+            # epoch, and the journal already says so.
+            if self.epoch == epoch_before:
+                self._rollback_failed_round(entries_before, pending_before)
+                if intent_seq is not None:
+                    self.journal.record_rollback(self.shard_index, intent_seq)
             raise
-        finally:
-            self._journal_intent = None
 
     def _rollback_failed_round(
         self, entries_before: int, pending_before: List[Tuple[bytes, bytes]]
@@ -581,9 +574,12 @@ class DistributedLog:
         self.dict = AuthenticatedDictionary.from_entries(self.ordered_entries)
         self.pending = pending_before + self.pending
 
-    def certify_round(self, round_: UpdateRound, hsms: Sequence) -> None:
+    def certify_round(
+        self, round_: UpdateRound, hsms: Sequence, intent_seq: Optional[int] = None
+    ) -> None:
         """Collect audits and a quorum's multisignature for an
-        already-prepared round, then fan acceptance out."""
+        already-prepared round, commit it (journaling the commit against
+        the intent at ``intent_seq``), then fan acceptance out."""
         # A device that missed rounds is offered the certified run past its
         # frontier; one the run cannot bring to d (it was down through a
         # GC) sits the round out like a fail-stopped one.
@@ -611,37 +607,25 @@ class DistributedLog:
         if uncovered:
             self._cover_chunks(round_, survivors, uncovered)
         aggregate, signer_ids = self._sign(round_, survivors, commitments, quorum)
-        # Record the certified transition *before* fanning out acceptance:
-        # once a quorum has signed, the transition is certified regardless
-        # of who hears about it, and any device that misses the accept
-        # (fail-stop below, or downtime) is offered it from this chain by
-        # a later epoch — without it, one mid-loop failure would strand
-        # the early acceptors on d' forever.
+        # The commit point: the commit record (with the certificate) lands,
+        # then the transition joins the chain, both *before* any device
+        # accepts d'.  An intent left open by a crash therefore proves no
+        # device moved — restart can roll it back without consulting
+        # signatures — and every committed transition is replayable with
+        # its certificate intact, so restored logs can offer it to devices
+        # that missed the fan-out.
         transition = round_.certified(aggregate, signer_ids)
+        if intent_seq is not None:
+            self.journal.record_commit(self.shard_index, intent_seq, transition)
         self.certified_transitions.append(transition)
-        # Durability: the commit record (with the certificate) lands
-        # *before* any device accepts d'.  An intent left open by a crash
-        # therefore proves no device moved — restart can roll it back
-        # without consulting signatures — and every committed transition is
-        # replayable with its certificate intact, so restored logs can
-        # offer it to devices that missed the fan-out.
-        if self.journal is not None and self._journal_intent is not None:
-            self.journal.record_commit(self.shard_index, self._journal_intent, transition)
-            self._journal_committed = True
-        try:
-            for hsm in online:
-                try:
-                    hsm.accept_log_digest(round_, aggregate, transition.signer_ids)
-                except Exception:
-                    if getattr(hsm, "is_failed", False):
-                        continue  # fail-stopped mid-accept: offered d' later
+        # Nothing undoes a committed epoch: a device that refuses it (or
+        # fail-stops mid-accept) is left behind and offered it later.
+        for hsm in online:
+            try:
+                hsm.accept_log_digest(round_, aggregate, transition.signer_ids)
+            except Exception as exc:
+                if not (isinstance(exc, LogUpdateRejected) or hsm.is_failed):
                     raise
-        except Exception:
-            # A genuine rejection (every device checks the same certificate
-            # deterministically, so the first device refuses before any
-            # accepts): the transition never took effect.
-            self.certified_transitions.pop()
-            raise
 
     @staticmethod
     def _commit_nonces(round_: UpdateRound, devices: Sequence):
@@ -665,10 +649,12 @@ class DistributedLog:
         """Rounds two and three over the first ``quorum`` auditors: each
         reveals its nonce once every commitment is fixed, then signs.  The
         certificate carries that quorum and no more, since a device accepts
-        any quorum.  A signer that fail-stops between the rounds takes its
-        nonce with it, so the surviving auditors commit again with fresh
-        nonces and a new quorum signs; below quorum the epoch fails.
-        Returns the ``(R, s)`` aggregate and the signer ids."""
+        any quorum.  The aggregate is checked once against the signers'
+        keys before anything commits.  A signer lost between the rounds
+        takes its nonce with it, and one whose share fails
+        ``sᵢ·G = Rᵢ + c·Xᵢ`` is dropped, so the surviving auditors commit
+        again with fresh nonces and a new quorum signs; below quorum the
+        epoch fails.  Returns the ``(R, s)`` aggregate and the signer ids."""
         while True:
             if len(auditors) < quorum:
                 raise LogUpdateRejected(
@@ -682,10 +668,23 @@ class DistributedLog:
             except Exception:
                 if not any(getattr(hsm, "is_failed", False) for hsm in signers):
                     raise
-                live = [hsm for hsm in auditors if not hsm.is_failed]
-                commitments, auditors = self._commit_nonces(round_, live)
-                continue
-            return SchnorrMultiSig.aggregate(list(nonces.values()), shares), tuple(chosen)
+                dropped = set()
+            else:
+                aggregate = SchnorrMultiSig.aggregate(list(nonces.values()), shares)
+                publics = [hsm.public_info().sig_public for hsm in signers]
+                message = round_.message()
+                if SchnorrMultiSig.verify_aggregate(publics, message, aggregate):
+                    return aggregate, tuple(chosen)
+                challenge = SchnorrMultiSig.challenge(publics, aggregate[0], message)
+                dropped = {
+                    hsm.index
+                    for hsm, public, share in zip(signers, publics, shares)
+                    if not P256.schnorr_verify([public], challenge, nonces[hsm.index], share)
+                }
+                if not dropped:
+                    raise LogUpdateRejected("the certificate does not verify")
+            live = [h for h in auditors if not h.is_failed and h.index not in dropped]
+            commitments, auditors = self._commit_nonces(round_, live)
 
     def _uncovered_chunks(self, round_: UpdateRound, signer_ids: Sequence[int]) -> List[int]:
         """Chunks not in any signer's deterministic audit set."""

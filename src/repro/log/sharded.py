@@ -26,20 +26,9 @@ identifier's lane itself and verifies the proof against its own copy of
 that lane's digest (write-once stays intact: an identifier maps to exactly
 one shard, so no value can be re-logged in a sibling lane).  Auditors
 anchor to **one value**: the *cross-shard root*, a Merkle root over the
-ordered shard digests (:func:`cross_shard_root`).
-
-The log's root is maintained *incrementally*: :class:`CrossShardRoot`
-(one, under ``ShardedLog``) keeps a persistent
-:class:`~repro.crypto.merkle.IncrementalMerkleTree` over the shard-digest
-leaves and, on every root read, rehashes only the O(log S) paths of
-shards whose digest moved since the last read (detected by a byte compare
-against the cached leaf values, so even out-of-band shard mutation —
-adversarial subclasses, chaos tampering — can never serve a stale root).
-An epoch that commits one shard therefore costs O(log S) hashing to
-re-anchor, not the O(S) rebuild :func:`cross_shard_root` pays — that
-function is the from-scratch reference (and what a device's ``log_digest``
-computes on read), and the incremental root is byte-identical to it by
-construction (property-tested in ``tests/test_sharded_log.py``).
+ordered shard digests (:func:`cross_shard_root`), recomputed on every read
+of ``ShardedLog.digest`` — the same function a device's ``log_digest``
+calls, so the two can only agree.
 
 Security note on write-once: because ``shard_of`` is a public deterministic
 function of the identifier and ``num_shards``, the per-shard duplicate
@@ -60,20 +49,18 @@ Thread safety: individual shards are plain (unsynchronized)
 one-lane-per-shard discipline: at most one thread drives
 ``run_shard_update(k, ...)`` for a given ``k`` at a time, and client-facing
 mutation (``insert``/``prove_includes``/``pending``) is serialized by the
-caller (the serving layer holds ``EpochBatcher.lock``).  ``digest`` holds
-``_root_lock`` while folding dirty shard digests into the incremental
-root tree, so concurrent root reads never corrupt the tree; it may still
-race benignly with a committing lane — callers that need a settled root
-read it after joining the lanes.
+caller (the serving layer holds ``EpochBatcher.lock``).  ``digest`` reads
+the shard digests without a lock, so it may race benignly with a
+committing lane — callers that need a settled root read it after joining
+the lanes.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import sha256
-from repro.crypto.merkle import IncrementalMerkleTree, MerkleTree
+from repro.crypto.merkle import MerkleTree
 from repro.log.authdict import AuthenticatedDictionary, InclusionProof
 from repro.log.distributed import DistributedLog, LogConfig, LogUpdateRejected, on_committee
 
@@ -103,38 +90,6 @@ def cross_shard_root(digests: Sequence[bytes]) -> bytes:
     return MerkleTree([shard_leaf(i, d) for i, d in enumerate(digests)]).root
 
 
-class CrossShardRoot:
-    """The compare-on-read incremental cross-shard root.
-
-    Dirtiness is a byte compare of each digest against the cached leaf —
-    O(S) comparisons but no hashing — so any mutation path (epoch commit,
-    rollback, GC, restore, adversarial subclassing) is picked up without
-    invalidation hooks, and only changed shards pay the O(log S) path
-    rehash.  A log's shard count is fixed when it is provisioned, so every
-    read passes as many digests as the first.  Not synchronized: the owner
-    serializes :meth:`root`.
-    """
-
-    def __init__(self) -> None:
-        self._leaves: List[bytes] = []
-        self._tree: Optional[IncrementalMerkleTree] = None
-
-    def root(self, digests: Sequence[bytes]) -> bytes:
-        """:func:`cross_shard_root` over ``digests``, kept incrementally."""
-        if len(digests) == 1:
-            return digests[0]
-        if self._tree is None:  # first read: build, O(S)
-            self._leaves = list(digests)
-            self._tree = IncrementalMerkleTree(
-                [shard_leaf(i, d) for i, d in enumerate(digests)]
-            )
-        for index, digest in enumerate(digests):
-            if digest != self._leaves[index]:
-                self._tree.update(index, shard_leaf(index, digest))
-                self._leaves[index] = digest
-        return self._tree.root
-
-
 class ShardedLog:
     """``provider.log`` at every arity: ``S >= 1`` parallel epoch lanes.
 
@@ -143,12 +98,6 @@ class ShardedLog:
     :meth:`shards_with_pending` and :meth:`run_shard_update`.  Like
     ``DistributedLog``, this class is *untrusted* in the threat model.
     """
-
-    #: Lock contract (see `repro.lintkit`'s lock-discipline pass): the
-    #: incremental root is only refreshed under ``_root_lock``, so
-    #: concurrent ``digest`` readers can never interleave partial path
-    #: updates.
-    _GUARDED_BY = {"_root": "_root_lock"}
 
     def __init__(self, config: Optional[LogConfig] = None) -> None:
         self.config = config or LogConfig()
@@ -159,8 +108,6 @@ class ShardedLog:
         self.garbage_collections = 0
         self.archived_logs: List[List[Tuple[bytes, bytes]]] = []
         self._journal = None
-        self._root_lock = threading.Lock()
-        self._root = CrossShardRoot()
 
     @property
     def journal(self):
@@ -199,14 +146,8 @@ class ShardedLog:
 
     @property
     def digest(self) -> bytes:
-        """The cross-shard root: the single anchor for audits.
-
-        Incrementally maintained — reading it after an epoch rehashes only
-        the committed shards' root paths, byte-identical to
-        :func:`cross_shard_root` over the current shard digests.
-        """
-        with self._root_lock:
-            return self._root.root(self.shard_digests)
+        """The cross-shard root: the single anchor for audits."""
+        return cross_shard_root(self.shard_digests)
 
     @property
     def shard_digests(self) -> List[bytes]:

@@ -72,13 +72,14 @@ _EPOCH_METHODS = frozenset(
 )
 
 #: What else a lane epoch asks of a device, answered on the calling thread
-#: as it always was: who it is, whether it is up, and its offer queue —
-#: where its offered chain ends, and the enqueue that feeds it the
-#: transitions it missed (guarded by the device's own ``_offer_lock``).
-#: With :data:`_EPOCH_METHODS` this is the whole device surface the service
-#: hands to the log.
+#: as it always was: who it is, whether it is up, its public keys (the lane
+#: checks a certificate against its signers' before committing it), and
+#: its offer queue — where its offered chain ends, and the enqueue that
+#: feeds it the transitions it missed (guarded by the device's own
+#: ``_offer_lock``).  With :data:`_EPOCH_METHODS` this is the whole device
+#: surface the service hands to the log.
 _DIRECT_NAMES = (
-    "index", "is_failed", "offered_frontier", "offer_certified_transition"
+    "index", "is_failed", "public_info", "offered_frontier", "offer_certified_transition"
 )
 
 

@@ -536,6 +536,24 @@ class TestJournalHoldsNoKeyBlocks:
 # ---------------------------------------------------------------------------
 # A lane's epoch count is its certified chain's length, live and restored
 # ---------------------------------------------------------------------------
+class TestRepeatedIdentifiers:
+    def test_committed_entries_that_repeat_an_identifier_fail_the_replay(self):
+        """A journal that commits one identifier twice (the same entries
+        journaled by two epochs) is refused with the replay's typed error,
+        not the dictionary's ``KeyError``."""
+        params = SystemParams.for_testing(num_hsms=4, cluster_size=3, max_punctures=8)
+        store = InMemoryBlockStore()
+        dep = Deployment.create(params, rng=random.Random(25), store=store)
+        lane = dep.provider.log.shards[0]
+        journal = dep.provider.journal
+        seq = journal.record_intent(
+            0, 1, lane.digest, b"\xbb" * 32, b"\xcc" * 32, lane.ordered_entries[:1]
+        )
+        journal.record_commit(0, seq, None)
+        with pytest.raises(JournalReplayError, match="repeat an identifier"):
+            Deployment.restore(params, store, dep.fleet)
+
+
 class TestRestoredEpochs:
     def test_restored_lane_counts_the_live_lanes_epochs(self):
         """Epochs before a snapshot, epochs after it and a rolled-back one:

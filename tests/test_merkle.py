@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.merkle import IncrementalMerkleTree, MerkleProof, MerkleTree
+from repro.crypto.merkle import MerkleProof, MerkleTree
 
 
 class TestBasics:
@@ -85,57 +85,3 @@ def test_noninclusion_property(leaves):
     proof = tree.prove(0)
     assert not MerkleTree.verify(tree.root, leaves[1], proof)
 
-
-class TestIncremental:
-    """IncrementalMerkleTree must stay byte-identical to a rebuild."""
-
-    def test_update_matches_rebuild(self):
-        leaves = [bytes([i]) * 3 for i in range(11)]
-        tree = IncrementalMerkleTree(leaves)
-        for index, new in ((4, b"x"), (0, b"y"), (10, b"z"), (4, b"w")):
-            leaves[index] = new
-            tree.update(index, new)
-            rebuilt = MerkleTree(leaves)
-            assert tree.root == rebuilt.root
-            for i in range(len(leaves)):
-                assert tree.prove(i) == rebuilt.prove(i)
-
-    def test_single_leaf_update(self):
-        tree = IncrementalMerkleTree([b"a"])
-        tree.update(0, b"b")
-        assert tree.root == MerkleTree([b"b"]).root
-        assert MerkleTree.verify(tree.root, b"b", tree.prove(0))
-
-    def test_out_of_range_raises(self):
-        tree = IncrementalMerkleTree([b"a", b"b"])
-        with pytest.raises(IndexError):
-            tree.update(2, b"c")
-        with pytest.raises(IndexError):
-            tree.update(-1, b"c")
-
-    @given(
-        leaves=st.lists(st.binary(max_size=24), min_size=1, max_size=40),
-        data=st.data(),
-    )
-    @settings(max_examples=40)
-    def test_any_update_sequence_matches_rebuild(self, leaves, data):
-        """After *any* sequence of updates — including odd leaf counts,
-        where the tree duplicates the last node up each level — root and
-        every proof path equal a from-scratch build."""
-        tree = IncrementalMerkleTree(leaves)
-        updates = data.draw(
-            st.lists(
-                st.tuples(
-                    st.integers(0, len(leaves) - 1), st.binary(max_size=24)
-                ),
-                max_size=8,
-            )
-        )
-        for index, new in updates:
-            leaves[index] = new
-            tree.update(index, new)
-        rebuilt = MerkleTree(leaves)
-        assert tree.root == rebuilt.root
-        index = data.draw(st.integers(0, len(leaves) - 1))
-        assert tree.prove(index) == rebuilt.prove(index)
-        assert MerkleTree.verify(tree.root, leaves[index], tree.prove(index))

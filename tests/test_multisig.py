@@ -7,7 +7,10 @@ to a fresh nonce), ``reveal_nonce`` and ``sign_transition`` — and these
 tests hold each round to its rule: one answer per nonce, openings that
 match, only rounds it audited and signer sets it is in, no nonce past a
 crash.  Keys are summed, so the directory admits only keys with a proof of
-possession; the rogue-key forgery that check stops is shown here too.
+possession; the rogue-key forgery that check stops is shown here too.  The
+lane checks each certificate before it commits the epoch, so a bogus share
+costs a retry, not the epoch, and the journal never holds a commit that
+memory does not.
 """
 
 import dataclasses
@@ -16,11 +19,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.params import SystemParams
+from repro.core.protocol import Deployment
 from repro.crypto.bloom import BloomParams
 from repro.crypto.ec import N, P, P256, ECKeyPair, ECPoint, naive_mult, point_sum
-from repro.hsm.device import HsmUnavailableError
+from repro.hsm.device import HsmDevice, HsmUnavailableError
 from repro.hsm.fleet import HsmFleet
 from repro.log.distributed import DistributedLog, LogConfig, LogUpdateRejected, SchnorrMultiSig
+from repro.storage.blockstore import InMemoryBlockStore
+from repro.storage.journal import K_EPOCH_INTENT, K_EPOCH_ROLLBACK
 
 from multisig_rounds import certificate, run_rounds
 
@@ -218,6 +225,106 @@ class TestCrashes:
                 log.run_update(fleet.hsms)
         assert log.digest == before and not log.certified_transitions
         assert all(hsm.shard_digest(0) == before for hsm in fleet)
+
+
+def _durable(seed):
+    """A durable N = 4 deployment (q = 0.75: three signers), genesis run."""
+    params = SystemParams.for_testing(num_hsms=4, cluster_size=3, max_punctures=8)
+    store = InMemoryBlockStore()
+    return params, store, Deployment.create(params, rng=random.Random(seed), store=store)
+
+
+def _journal_agrees(dep):
+    """The journal replays to the chain and entries the lane holds."""
+    state = dep.provider.journal.replay_state()
+    lane = dep.provider.log.shards[0]
+    assert not state.open_intents
+    assert state.shard_transitions[0] == lane.certified_transitions
+    assert state.shard_entries[0] == lane.ordered_entries
+
+
+class TestOneCommitPoint:
+    """An epoch commits at one point: the commit record, then the chain.
+    Before it the lane checks the certificate, and a signer whose share
+    fails ``sᵢ·G = Rᵢ + c·Xᵢ`` is dropped like a lost one; past it nothing
+    undoes the epoch, and a device that refuses it is left behind."""
+
+    @staticmethod
+    def _bogus_signer(patches, victim):
+        sign = HsmDevice.sign_transition
+
+        def bogus(self, round_, nonces):
+            share = sign(self, round_, nonces)
+            return (share + 1) % N if self is victim else share
+
+        patches.setattr(HsmDevice, "sign_transition", bogus)
+
+    def test_a_bogus_share_is_dropped_and_the_honest_quorum_commits(self, monkeypatch):
+        params, store, dep = _durable(31)
+        log = dep.provider.log
+        self._bogus_signer(monkeypatch, dep.fleet[0])
+        log.insert(b"rec|bogus-a|0", b"h")
+        log.run_update(dep.fleet.hsms)
+        assert log.shards[0].certified_transitions[-1].signer_ids == (1, 2, 3)
+        assert all(hsm.log_digest == log.digest for hsm in dep.fleet)
+        _journal_agrees(dep)
+        log.insert(b"rec|bogus-b|0", b"h")
+        log.run_update(dep.fleet.hsms)
+        _journal_agrees(dep)
+        restored = Deployment.restore(params, store, dep.fleet).provider.log
+        assert restored.digest == log.digest
+        assert restored.shards[0].certified_transitions == log.shards[0].certified_transitions
+
+    def test_without_the_bogus_signer_below_quorum_the_epoch_rolls_back(self, monkeypatch):
+        params, store, dep = _durable(32)
+        log = dep.provider.log
+        self._bogus_signer(monkeypatch, dep.fleet[0])
+        dep.fleet[3].fail_stop()
+        before, records = log.digest, len(dep.provider.journal.wal)
+        log.insert(b"rec|bogus-c|0", b"h")
+        with pytest.raises(LogUpdateRejected, match="need 3"):
+            log.run_update(dep.fleet.hsms)
+        kinds = [kind for _, kind, _ in dep.provider.journal.wal.replay()]
+        assert kinds[records:] == [K_EPOCH_INTENT, K_EPOCH_ROLLBACK]
+        assert log.digest == before and log.pending == [(b"rec|bogus-c|0", b"h")]
+        assert all(hsm.shard_digest(0) == before for hsm in dep.fleet)
+        _journal_agrees(dep)
+        dep.fleet[3].restart()
+        log.run_update(dep.fleet.hsms)
+        restored = Deployment.restore(params, store, dep.fleet).provider.log
+        assert restored.digest == log.digest != before
+
+    def test_a_device_that_refuses_acceptance_is_left_behind(self, monkeypatch):
+        params, store, dep = _durable(33)
+        log = dep.provider.log
+        lane = log.shards[0]
+        refuser = dep.fleet[2]
+        accept = HsmDevice.accept_log_digest
+
+        def refusing(self, round_, aggregate, signer_ids):
+            if self is refuser:
+                raise LogUpdateRejected("refused")
+            return accept(self, round_, aggregate, signer_ids)
+
+        behind = log.digest
+        log.insert(b"rec|refused-a|0", b"h")
+        with monkeypatch.context() as patches:
+            patches.setattr(HsmDevice, "accept_log_digest", refusing)
+            log.run_update(dep.fleet.hsms)
+        # The epoch stands, in memory and in the journal alike.
+        assert lane.epoch == 2 and lane.certified_transitions[-1].old_digest == behind
+        assert log.digest != behind and not log.pending
+        _journal_agrees(dep)
+        assert refuser.offered_frontier(0) == behind
+        assert all(hsm.shard_digest(0) == log.digest for hsm in dep.fleet if hsm is not refuser)
+        # The next epoch offers it the transition it refused, and it catches up.
+        log.insert(b"rec|refused-b|0", b"h")
+        log.run_update(dep.fleet.hsms)
+        assert all(hsm.log_digest == log.digest for hsm in dep.fleet)
+        _journal_agrees(dep)
+        restored = Deployment.restore(params, store, dep.fleet).provider.log
+        assert restored.digest == log.digest
+        assert restored.shards[0].certified_transitions == lane.certified_transitions
 
 
 class TestRogueKeys:

@@ -404,8 +404,10 @@ class TestRecoveryService:
         device = service_deployment.fleet[0]
         fifo = service._epoch_fleet[0]
         assert fifo.index == 0 and fifo.is_failed is False
+        # Its public keys are: the lane checks a certificate against them.
+        assert fifo.public_info() == device.public_info()
         for name in ("decrypt_share", "extract_secrets", "rotate_keys", "log_digest",
-                     "fail_stop", "public_info", "install_signer_directory",
+                     "fail_stop", "install_signer_directory",
                      "accept_garbage_collection", "shard_digest"):
             assert hasattr(device, name), name  # real device surface...
             with pytest.raises(AttributeError):
@@ -416,7 +418,8 @@ class TestRecoveryService:
         assert {n for n in dir(type(fifo)) if not n.startswith("_")} == {
             "audit_log_update", "reveal_nonce", "sign_transition",
             "audit_specific_chunks", "accept_log_digest",
-            "index", "is_failed", "offered_frontier", "offer_certified_transition",
+            "index", "is_failed", "public_info", "offered_frontier",
+            "offer_certified_transition",
         }
         # The signature scheme is not device state.
         assert not hasattr(device, "multisig_scheme")

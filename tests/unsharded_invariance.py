@@ -28,6 +28,14 @@ at 1) to 86 (8 nonce commitments, 6 signers x 6 openings, and a 3-block
 challenge for each of 6 signers and 8 acceptors): ``sha256_block`` +66
 ambient (3 epochs) and +120 on the devices (4 epochs, plus 8 proofs at 2
 blocks for the nonce and 2 for the challenge).  The digest did not move.
+
+The ambient counts moved once more when the lane began checking each
+certificate against its signers' keys before committing it: one
+``ecdsa_verify`` an epoch (24 → 27), and 6 ``sha256_block`` an epoch
+(8156 → 8174) — the transition message (14 + 3·32 bytes and four 8-byte
+length prefixes: 3 blocks) and the challenge (15 + 33 + 33 + 32 bytes and
+four prefixes: 3 blocks).  The check runs on the provider's thread, so the
+device counts and the digest did not move.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.metering import OpMeter
 
-SEED_AMBIENT = {"sha256_block": 8156, "ec_mult": 24, "ecdsa_verify": 24, "hmac": 0}
+SEED_AMBIENT = {"sha256_block": 8174, "ec_mult": 24, "ecdsa_verify": 27, "hmac": 0}
 SEED_DEVICE = {"sha256_block": 8434, "ec_mult": 424, "ecdsa_verify": 32}
 SEED_DIGEST = "c0dc9c0d982ec92dda58e216f616687823120537da44e64da9d32170452f8e2b"
 
