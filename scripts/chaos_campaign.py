@@ -3,8 +3,9 @@
 
 Every scenario is executed at a fixed seed under the seeded scheduler and
 entropy hijack, so a campaign run is exactly reproducible; the run emits
-``benchmarks/out/BENCH_chaos_campaign.json`` (schema 1) with per-scenario
-tail latency and invariant-violation counts (target: zero), and any
+``benchmarks/out/BENCH_chaos_campaign.json`` (schema 1) with each
+scenario's ``ChaosReport.as_dict()`` (digests, counters, invariant
+violations — target: zero — and op counts), and any
 violation additionally dumps a replay file that ``scripts/chaos_replay.py``
 re-executes to the identical step.  Exits nonzero if any scenario records
 a violation.
@@ -56,11 +57,6 @@ except ImportError:  # pragma: no cover
 DEFAULT_SEED = 20260808
 
 
-def _fmt_s(value) -> str:
-    """Milliseconds-precision seconds column (blank for missing)."""
-    return f"{value:.3f}" if value is not None else "-"
-
-
 def run_campaign(args) -> int:
     """Run the selected scenarios; emit the BENCH record; return exit code."""
     if args.scenarios:
@@ -90,34 +86,15 @@ def run_campaign(args) -> int:
                   file=sys.stderr)
         rows.append((
             name, report.steps, report.modeled_arrivals, report.live_sessions,
-            report.counters.get("recovered", 0),
-            _fmt_s(report.modeled_p50), _fmt_s(report.modeled_p99),
-            _fmt_s(report.live_p99), len(report.violations),
+            report.counters.get("recovered", 0), len(report.violations),
             f"{report.wall_seconds:.1f}",
         ))
-        results.append({
-            "scenario": name,
-            "seed": report.seed,
-            "quick": args.quick,
-            "steps": report.steps,
-            "trace_digest": report.trace_digest,
-            "final_log_digest": report.final_log_digest,
-            "modeled_arrivals": report.modeled_arrivals,
-            "live_sessions": report.live_sessions,
-            "modeled_p50_s": report.modeled_p50,
-            "modeled_p99_s": report.modeled_p99,
-            "live_p50_s": report.live_p50,
-            "live_p99_s": report.live_p99,
-            "counters": report.counters,
-            "violations": [v.as_dict() for v in report.violations],
-            "wall_seconds": report.wall_seconds,
-        })
+        results.append({**report.as_dict(), "quick": args.quick})
 
     lines = table(
-        ["scenario", "steps", "modeled", "live", "ok",
-         "mp50(s)", "mp99(s)", "lp99(s)", "viol", "wall(s)"],
+        ["scenario", "steps", "modeled", "live", "ok", "viol", "wall(s)"],
         rows,
-        [18, 7, 9, 6, 5, 9, 9, 9, 6, 9],
+        [18, 7, 9, 6, 5, 6, 9],
     )
     lines.append("")
     lines.append(

@@ -49,7 +49,7 @@ from repro.service.channel import (
     direct_channels,
 )
 from repro.sim.faults import FlakyProviderChannel, FrameDropped
-from repro.sim.workload import DiurnalWorkload, percentile
+from repro.sim.workload import DiurnalWorkload
 from repro.storage.blockstore import (
     CrashError,
     CrashingBlockStore,
@@ -104,7 +104,6 @@ class _LiveSession:
     pin_used: str
     wrong_pin: bool
     generation: int
-    modeled_latency: Optional[float]
     secret: bytes = b""
     client: Optional[Client] = None
     session: object = None
@@ -123,10 +122,6 @@ class ChaosReport:
     violations: List[Violation]
     modeled_arrivals: int
     live_sessions: int
-    modeled_p50: float
-    modeled_p99: float
-    live_p50: Optional[float]
-    live_p99: Optional[float]
     op_counts: Dict[str, float]
     wall_seconds: float
     trace: List[str] = field(default_factory=list, repr=False)
@@ -136,9 +131,9 @@ class ChaosReport:
         """True iff the run finished with zero invariant violations."""
         return not self.violations
 
-    def as_dict(self, include_trace: bool = False) -> Dict[str, object]:
-        """JSON-ready summary (the trace is large; opt in explicitly)."""
-        out: Dict[str, object] = {
+    def as_dict(self) -> Dict[str, object]:
+        """JSON-ready summary (the trace is left out: it is large)."""
+        return {
             "scenario": self.scenario,
             "seed": self.seed,
             "steps": self.steps,
@@ -148,16 +143,9 @@ class ChaosReport:
             "violations": [v.as_dict() for v in self.violations],
             "modeled_arrivals": self.modeled_arrivals,
             "live_sessions": self.live_sessions,
-            "modeled_p50_s": self.modeled_p50,
-            "modeled_p99_s": self.modeled_p99,
-            "live_p50_s": self.live_p50,
-            "live_p99_s": self.live_p99,
             "op_counts": {k: self.op_counts[k] for k in sorted(self.op_counts)},
             "wall_seconds": self.wall_seconds,
         }
-        if include_trace:
-            out["trace"] = list(self.trace)
-        return out
 
 
 class ChaosEngine:
@@ -173,7 +161,6 @@ class ChaosEngine:
         self._sessions_rng = self.sched.substream("sessions")
         self._faults_rng = self.sched.substream("faults")
         self._adversary_rng = self.sched.substream("adversary")
-        self._model_rng = self.sched.substream("queue-model")
         # Mutable world state.
         self.deployment: Optional[Deployment] = None
         self.params: Optional[SystemParams] = None
@@ -185,9 +172,6 @@ class ChaosEngine:
         self.violations: List[Violation] = []
         self.counters: Dict[str, int] = {}
         self._flaky_windows: List[Tuple[float, float, int]] = []
-        self._model_free_at: Dict[int, float] = {}
-        self._modeled_latencies: List[float] = []
-        self._live_latencies: List[float] = []
         self._arrivals = 0
         self._live_spawned = 0
         self._live_stride = 1  # widened in _schedule to spread the sample
@@ -276,42 +260,14 @@ class ChaosEngine:
             rng=self.sched.substream("provision"),
             store=self.store,
         )
-        self._model_free_at = {i: 0.0 for i in range(sc.num_hsms)}
         self.sched.note(
             "provision",
             f"hsms={sc.num_hsms} cluster={sc.cluster_size} shards={sc.shards}"
             f" durable={sc.durable}",
         )
 
-    # -- the modeled queue (full-population tail latency) ----------------------
-    def _model_job(self, t: float) -> Optional[float]:
-        """Latency of one modeled recovery at virtual time ``t``: the
-        threshold-th share completion across a sampled cluster of currently
-        reachable HSMs, each an exponential server with its own queue.
-        Returns ``None`` (counted as dropped) when fewer than ``threshold``
-        devices are reachable."""
-        sc = self.scenario
-        fleet = self.deployment.fleet
-        online = [
-            i for i in range(sc.num_hsms)
-            if not fleet.hsms[i].is_failed and i not in self.partitioned
-        ]
-        if len(online) < self.params.threshold:
-            self._count("modeled-dropped")
-            return None
-        cluster = self._model_rng.sample(online, min(sc.cluster_size, len(online)))
-        completions = []
-        for index in cluster:
-            start = max(t, self._model_free_at[index])
-            done = start + self._model_rng.expovariate(1.0 / sc.model_service_seconds)
-            self._model_free_at[index] = done
-            completions.append(done)
-        completions.sort()
-        need = min(self.params.threshold, len(completions))
-        return completions[need - 1] - t
-
     # -- live sessions ---------------------------------------------------------
-    def _spawn_session(self, t: float, uid: int, modeled_latency: Optional[float]) -> None:
+    def _spawn_session(self, t: float, uid: int) -> None:
         """Sample one modeled arrival as a live protocol session."""
         sc = self.scenario
         sid = self._live_spawned
@@ -333,7 +289,6 @@ class ChaosEngine:
             pin_used=pin_used,
             wrong_pin=wrong_pin,
             generation=self.generation,
-            modeled_latency=modeled_latency,
         )
         self.sched.at(t, "session-begin", self._guarded(lambda: self._session_begin(sess)))
 
@@ -393,27 +348,22 @@ class ChaosEngine:
             return f"sid={sess.sid} UNCLEAN wrong-secret"
         self._count("recovered")
         self.served[sess.session.log_identifier] = sess.username
-        if sess.modeled_latency is not None:
-            self._live_latencies.append(sess.modeled_latency)
         return f"sid={sess.sid} recovered"
 
     # -- traffic ---------------------------------------------------------------
     def _traffic_wave(self, workload: DiurnalWorkload, start: float, end: float) -> str:
-        """Draw one window of modeled arrivals; run each through the queue
-        model and sample every ``live_every``-th as a live session."""
+        """Draw one window of modeled arrivals and sample every
+        ``live_every``-th as a live session."""
         sc = self.scenario
         spawned = 0
         arrivals = workload.arrivals(start, end)
         for t, uid in arrivals:
             self._arrivals += 1
-            latency = self._model_job(t)
-            if latency is not None:
-                self._modeled_latencies.append(latency)
             if (
                 self._arrivals % self._live_stride == 0
                 and self._live_spawned < sc.max_live_sessions
             ):
-                self._spawn_session(t, uid, latency)
+                self._spawn_session(t, uid)
                 spawned += 1
         return f"arrivals={len(arrivals)} live={spawned}"
 
@@ -662,16 +612,6 @@ class ChaosEngine:
             violations=list(self.violations),
             modeled_arrivals=self._arrivals,
             live_sessions=self._live_spawned,
-            modeled_p50=percentile(self._modeled_latencies, 0.50),
-            modeled_p99=percentile(self._modeled_latencies, 0.99),
-            live_p50=(
-                percentile(self._live_latencies, 0.50)
-                if self._live_latencies else None
-            ),
-            live_p99=(
-                percentile(self._live_latencies, 0.99)
-                if self._live_latencies else None
-            ),
             op_counts=self.deployment.fleet.total_op_counts(),
             wall_seconds=time.monotonic() - wall_start,
             trace=list(self.sched.trace),

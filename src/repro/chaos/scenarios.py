@@ -71,7 +71,6 @@ class Scenario:
     live_every: int = 400  # every Nth modeled arrival becomes a live session
     max_live_sessions: int = 30
     wrong_pin_fraction: float = 0.1
-    model_service_seconds: float = 0.35  # per decrypt-puncture, SoloKey-ish
     session_spread_seconds: float = 45.0  # virtual begin->shares/finish gap
     # -- maintenance & invariant sweeps ---------------------------------------
     check_points: int = 8

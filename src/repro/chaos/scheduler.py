@@ -17,7 +17,7 @@ finish phases).
 
 Randomness: the scheduler owns a master ``random.Random`` plus labelled
 ``substream``s (domain-separated by :func:`repro.chaos.entropy.derive_seed`)
-so each component — workload, faults, adversary, queue model — draws
+so each component — workload, faults, adversary, sessions — draws
 from its own stream and adding one component never shifts another's.
 
 Thread safety: none; the scheduler is the single-threaded heart of a

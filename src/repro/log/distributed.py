@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crypto.ec import N, P256, ECKeyPair, ECPoint, is_curve_point, point_sum
 from repro.crypto.hashing import distinct_indices, sha256
@@ -424,6 +424,9 @@ class DistributedLog:
         self.ordered_entries: List[Tuple[bytes, bytes]] = []
         self.pending = []
         self.certified_transitions: List[CertifiedTransition] = []
+        #: devices dropped from a quorum for a bad signature share; later
+        #: quorums of this lane ask them last
+        self.bad_signers: Set[int] = set()
         # Optional durability hook (repro.storage.journal.ProviderJournal):
         # when set, run_update write-ahead-journals every epoch as
         # intent -> commit/rollback.  None (the default) keeps the lane
@@ -522,10 +525,12 @@ class DistributedLog:
         """Drive a full epoch against the fleet; restart on fail-stops.
 
         ``hsms`` are duck-typed (see ``repro.hsm.device.HsmDevice``): each
-        must offer ``index``, ``is_failed``, ``offered_frontier(k)``,
-        ``offer_certified_transition`` and the three epoch methods
-        ``audit_log_update``, ``audit_specific_chunks`` and
-        ``accept_log_digest``.
+        must offer ``index``, ``is_failed``, ``public_info()``,
+        ``offered_frontier(k)``, ``offer_certified_transition`` and the five
+        epoch methods ``audit_log_update``, ``reveal_nonce``,
+        ``sign_transition``, ``audit_specific_chunks`` and
+        ``accept_log_digest`` — the names ``service.recovery`` lists as
+        ``_DIRECT_NAMES`` and ``_EPOCH_METHODS``.
 
         The epoch is transactional: if certification fails (no quorum, bad
         chunk), the provider rolls its state back to ``d``.  Without the
@@ -646,13 +651,14 @@ class DistributedLog:
         return commitments, answered
 
     def _sign(self, round_: UpdateRound, auditors: Sequence, commitments, quorum: int):
-        """Rounds two and three over the first ``quorum`` auditors: each
-        reveals its nonce once every commitment is fixed, then signs.  The
-        certificate carries that quorum and no more, since a device accepts
-        any quorum.  The aggregate is checked once against the signers'
-        keys before anything commits.  A signer lost between the rounds
-        takes its nonce with it, and one whose share fails
-        ``sᵢ·G = Rᵢ + c·Xᵢ`` is dropped, so the surviving auditors commit
+        """Rounds two and three over the first ``quorum`` auditors, those
+        in :attr:`bad_signers` last: each reveals its nonce once every
+        commitment is fixed, then signs.  The certificate carries that
+        quorum and no more, since a device accepts any quorum.  The
+        aggregate is checked once against the signers' keys before
+        anything commits.  A signer lost between the rounds takes its nonce
+        with it, and one whose share fails ``sᵢ·G = Rᵢ + c·Xᵢ`` is dropped
+        and joins :attr:`bad_signers`, so the surviving auditors commit
         again with fresh nonces and a new quorum signs; below quorum the
         epoch fails.  Returns the ``(R, s)`` aggregate and the signer ids."""
         while True:
@@ -660,7 +666,7 @@ class DistributedLog:
                 raise LogUpdateRejected(
                     f"only {len(auditors)} signers left, need {quorum} for a quorum"
                 )
-            signers = auditors[:quorum]
+            signers = sorted(auditors, key=lambda hsm: hsm.index in self.bad_signers)[:quorum]
             chosen = {hsm.index: commitments[hsm.index] for hsm in signers}
             try:
                 nonces = {hsm.index: hsm.reveal_nonce(round_, chosen) for hsm in signers}
@@ -683,6 +689,7 @@ class DistributedLog:
                 }
                 if not dropped:
                     raise LogUpdateRejected("the certificate does not verify")
+                self.bad_signers |= dropped
             live = [h for h in auditors if not h.is_failed and h.index not in dropped]
             commitments, auditors = self._commit_nonces(round_, live)
 

@@ -112,8 +112,12 @@ class HsmWireEndpoint:
         self._device = device
 
     def handle_decrypt_share(self, request_bytes: bytes) -> bytes:
-        """Decode, run the device, encode the outcome (reply or status)."""
-        request = wire.decode_decrypt_request(request_bytes)
+        """Decode, run the device, encode the outcome (reply or status).  A
+        request that does not decode is refused before the device sees it."""
+        try:
+            request = wire.decode_decrypt_request(request_bytes)
+        except wire.WireFormatError as exc:
+            return wire.encode_decrypt_error(wire.REPLY_REFUSED, f"malformed request: {exc}")
         try:
             reply = self._device.decrypt_share(request)
         except _ERROR_TYPES as exc:

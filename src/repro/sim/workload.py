@@ -1,8 +1,8 @@
 """Workload generation and the shared percentile convention.
 
 ``DiurnalWorkload`` draws the chaos campaign's arrivals; ``percentile`` is
-the one quantile rule the simulator, the chaos reports and the benchmark
-ledger read latencies by.  The discrete-event queue model is
+the one quantile rule the simulator and the benchmark ledger read
+latencies by.  The discrete-event queue model is
 :class:`repro.sim.datacenter.DataCenterSimulator`.
 """
 

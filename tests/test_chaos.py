@@ -214,14 +214,13 @@ class TestEngineBehaviour:
         assert report.ok
         assert report.counters.get("recovered", 0) > 0
         assert report.modeled_arrivals > 500
-        assert report.modeled_p50 <= report.modeled_p99
 
-    def test_total_partition_fails_clean_and_drops_modeled_jobs(self):
+    def test_total_partition_fails_clean(self):
         scenario = tiny(partitions=((0.0, 1.0, 1.0),), rotation_points=0)
         report = run_scenario(scenario, 5)
         assert report.ok  # liveness loss is NOT a safety violation
         assert report.counters.get("recovered", 0) == 0
-        assert report.counters.get("modeled-dropped", 0) > 0
+        assert report.counters.get("session-fail:RecoveryError", 0) > 0
 
     def test_devices_down_through_a_gc_do_not_stall_the_log(self):
         """Two devices miss the GC and come back in the collected

@@ -275,6 +275,31 @@ class TestOneCommitPoint:
         assert restored.digest == log.digest
         assert restored.shards[0].certified_transitions == log.shards[0].certified_transitions
 
+    def test_a_bogus_signer_goes_last_in_later_quorums(self, monkeypatch):
+        """Only the epoch that catches the bad share pays the retry: 7
+        audits and 6 signature shares, then 4 and 3 an epoch."""
+        params, store, dep = _durable(34)
+        log = dep.provider.log
+        self._bogus_signer(monkeypatch, dep.fleet[0])
+        calls = {"audit_log_update": 0, "sign_transition": 0}
+        for name in calls:
+            method = getattr(HsmDevice, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(HsmDevice, name, counted)
+        costs = []
+        for epoch in range(3):
+            calls.update(dict.fromkeys(calls, 0))
+            log.insert(b"rec|bogus-last|%d" % epoch, b"h")
+            log.run_update(dep.fleet.hsms)
+            costs.append((calls["audit_log_update"], calls["sign_transition"]))
+        assert costs == [(7, 6), (4, 3), (4, 3)]
+        assert log.shards[0].bad_signers == {0}
+        assert all(t.signer_ids == (1, 2, 3) for t in log.shards[0].certified_transitions[-3:])
+
     def test_without_the_bogus_signer_below_quorum_the_epoch_rolls_back(self, monkeypatch):
         params, store, dep = _durable(32)
         log = dep.provider.log

@@ -218,6 +218,30 @@ class TestWireChannel:
         with pytest.raises(PuncturedKeyError):
             channel.decrypt_share(request)
 
+    def test_a_malformed_request_is_refused_on_the_wire(
+        self, shared_deployment, unique_user
+    ):
+        """A request that does not decode gets a REPLY_REFUSED frame, not an
+        exception out of the endpoint, and the device's key tree is left as
+        it was: the honest request still decrypts afterwards."""
+        from repro.core import wire
+
+        client = shared_deployment.new_client(unique_user)
+        client.backup(b"x", pin="1234")
+        session = client.begin_recovery("1234", backup_recovery_key=False)
+        device = shared_deployment.fleet[session.cluster[0]]
+        request = client._share_request(session, 0)
+        honest = wire.encode_decrypt_request(request)
+        endpoint = HsmWireEndpoint(device)
+        blocks = dict(device._store._blocks)
+        for malformed in (b"\x00", honest[: len(honest) // 2]):
+            # The transport swaps the client's frame for the malformed one.
+            channel = WireChannel(lambda _frame, bad=malformed: endpoint.handle_decrypt_share(bad))
+            with pytest.raises(HsmRefusedError, match="malformed request"):
+                channel.decrypt_share(request)
+        assert device._store._blocks == blocks
+        WireChannel(endpoint).decrypt_share(request)
+
     def test_stale_proof_refresh_survives_an_interleaved_epoch(
         self, fresh_deployment, unique_user
     ):
