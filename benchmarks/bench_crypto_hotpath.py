@@ -33,21 +33,31 @@ per-call window table, no precomputation):
   comb holds (by tracemalloc) beside a window table's ``slot_window_kb``
   and the unsigned comb's ``unsigned_slot_comb_kb``;
 - **multi-scalar** Straus ``Σ sᵢ·Pᵢ`` vs independent mults;
-- **certificate check** ``SchnorrMultiSig.verify_aggregate``, a log
-  certificate ``(R, s)`` checked as ``s·G = R + c·Σ Xᵢ`` (16 signers, their
+- **certificate check**, a log certificate ``(R, s)`` checked as
+  ``s·G = R + c·Σ Xᵢ``.  A device checks it against its signer set's
+  aggregate key ``X_S``, summed and combed (6 teeth) once per set
+  (``SchnorrMultiSig.aggregate_key`` / ``verify_aggregate``): at a
+  12-device fleet's quorum of 9 and a 4-device fleet's 3, in turns with
+  the per-key chain it replaced (``tests/multisig_rounds.per_key_check``:
+  ``X_S`` summed for the challenge, then ``P256.schnorr_verify`` with one
+  ``−c·Xᵢ`` term a signer key), ``aggregate_key_check_{9,3}`` against
+  ``per_key_check_{9,3}``: ``aggregate_key_over_per_key_9`` and ``_3``;
+  ``aggregate_key_build`` is one 9-signer key's sum and comb, and
+  ``aggregate_key_kb`` what one key holds (by tracemalloc).  The rows
+  kept from before the aggregate key time the per-key chain, on signer
   keys provisioned through ``precompute_signer_key`` exactly as
-  ``HsmFleet.signer_directory`` does, so the check is one comb
-  chain) vs the same equation over ``naive_mult`` (``verify_aggregate``);
-  a 12-signer certificate (a 12-device fleet's whole committee) over the
-  signed combs (``verify_aggregate_12``) against the same check over the
-  unsigned 9-tooth combs of ``tests/reference_comb.py``
+  ``HsmFleet.signer_directory`` does: 16 signers against the same
+  equation over ``naive_mult`` (``verify_aggregate``); a 12-signer chain
+  (a 12-device fleet's whole committee) over the signed combs
+  (``verify_aggregate_12``) against the same chain over the unsigned
+  9-tooth combs of ``tests/reference_comb.py``
   (``verify_aggregate_12_unsigned``), in turns:
-  ``signed_over_unsigned_verify``; and the check against the quorum list of
-  ECDSA signatures it replaced (``tests/reference_ecdsa.py``) at a
-  12-device fleet's quorum of 9 and a 4-device fleet's 3, in turns:
-  ``certificate_over_ecdsa_9`` and ``certificate_over_ecdsa_3``;
-  ``certificate_sign_9`` is one signer's share of a 9-signer certificate
-  (its nonce and commitment, the 9 openings, the challenge, ``sᵢ``);
+  ``signed_over_unsigned_verify``; and the chain against the quorum list
+  of ECDSA signatures it replaced (``tests/reference_ecdsa.py``) at 9 and
+  3 signers, in turns: ``certificate_over_ecdsa_9`` and
+  ``certificate_over_ecdsa_3``; ``certificate_sign_9`` is one signer's
+  share of a 9-signer certificate (its nonce and commitment, the 9
+  openings, the challenge over the key it holds, ``sᵢ``);
 - **fixed_base_batch** a device's slot keys, ``generator_mult_each`` over
   185 scalars (one key of the ledger's fleets): the generator's sub-tables
   walked in lock step on shared-inversion affine additions, against the
@@ -114,7 +124,8 @@ Acceptance gates (exit code 1 on regression):
   bfe_encrypt_k4 combed ≥ 1.5x cached, ≥ 1.08x five_tooth and fresh
   ≥ 0.9x fresh_window, 16-signer verify_aggregate
   ≥ 4.0x, certificate_over_ecdsa_9 ≥ 2.0x, certificate_over_ecdsa_3
-  ≥ 1.4x, aes_block ≥ 5.0x, ae_node_roundtrip ≥ 4.5x, aes_seal_batch
+  ≥ 1.4x, aggregate_key_over_per_key_9 ≥ 2.5x,
+  aggregate_key_over_per_key_3 ≥ 1.2x, aes_block ≥ 5.0x, ae_node_roundtrip ≥ 4.5x, aes_seal_batch
   ≥ 1.35x the per-call seals, ae_open_level ≥ 1.3x the per-call opens,
   signed_over_unsigned_slot ≥ 1.08x, signed_over_unsigned_verify ≥ 1.05x;
 - ``--quick`` (the CI perf-smoke lane): fixed-base ≥ 1.5x,
@@ -122,7 +133,8 @@ Acceptance gates (exit code 1 on regression):
   step, variable_base_oneoff ≥ 1.05x, bfe_encrypt_k4 combed ≥ 1.4x
   cached, ≥ 1.05x five_tooth and fresh ≥ 0.9x fresh_window,
   verify_aggregate ≥ 2.5x, certificate_over_ecdsa_9 ≥ 1.8x,
-  certificate_over_ecdsa_3 ≥ 1.3x, aes_block ≥ 4.0x, aes_seal_batch ≥ 1.25x,
+  certificate_over_ecdsa_3 ≥ 1.3x, aggregate_key_over_per_key_9 ≥ 2.4x,
+  aggregate_key_over_per_key_3 ≥ 1.15x, aes_block ≥ 4.0x, aes_seal_batch ≥ 1.25x,
   ae_open_level ≥ 1.25x,
   signed_over_unsigned_slot ≥ 1.04x, signed_over_unsigned_verify ≥ 1.02x;
 - both: every tier's ``*_comb_kb_over_unsigned`` at most its entry ratio
@@ -173,6 +185,8 @@ FULL_GATES = {
     "verify_aggregate_speedup": 4.0,
     "certificate_over_ecdsa_9": 2.0,
     "certificate_over_ecdsa_3": 1.4,
+    "aggregate_key_over_per_key_9": 2.5,
+    "aggregate_key_over_per_key_3": 1.2,
     "aes_block_speedup": 5.0,
     "ae_node_speedup": 4.5,
     "aes_seal_batch_speedup": 1.35,
@@ -191,6 +205,8 @@ QUICK_GATES = {
     "verify_aggregate_speedup": 2.5,
     "certificate_over_ecdsa_9": 1.8,
     "certificate_over_ecdsa_3": 1.3,
+    "aggregate_key_over_per_key_9": 2.4,
+    "aggregate_key_over_per_key_3": 1.15,
     "aes_block_speedup": 4.0,
     "aes_seal_batch_speedup": 1.25,
     "ae_open_level_speedup": 1.25,
@@ -221,8 +237,10 @@ SIGNERS = 16
 # round's certificate carries a quorum (9 of 12 at q = 0.75); the row keeps
 # 12 so its figures stay comparable with earlier records.
 CERTIFY_SIGNERS = 12
-# The quorums the ECDSA comparison runs at: 9 of 12 devices, 3 of 4.
+# The quorums the ECDSA and aggregate-key comparisons run at: 9 of 12
+# devices, 3 of 4.
 QUORUMS = (9, 3)
+AGGREGATE_KEYS_HELD = 16  # aggregate keys measured at once, as SLOT_KEYS_HELD
 SLOT_KEYS_HELD = 64  # slot-key tables measured at once, so a key's KB is not the call's overhead
 MULTI_TERMS = 8
 FIELD_OP_BATCH = 1000  # field operations per timed call (swamps the call itself)
@@ -231,11 +249,11 @@ FIELD_OP_BATCH = 1000  # field operations per timed call (swamps the call itself
 def _naive_certificate_check(publics, message, aggregate):
     """``s·G = R + c·Σ Xᵢ`` over the pre-fast-path algorithm: one
     ``naive_mult`` a term, summed point by point."""
-    from repro.crypto.ec import N, P256, ECPoint, naive_mult
-    from repro.log.distributed import SchnorrMultiSig
+    from repro.crypto.ec import N, P256, ECPoint, naive_mult, point_sum
+    from repro.log.distributed import AggregateKey, SchnorrMultiSig
 
     nonce, s = aggregate
-    c = SchnorrMultiSig.challenge(publics, nonce, message)
+    c = SchnorrMultiSig.challenge(AggregateKey((), point_sum(publics)), nonce, message)
     total = naive_mult(P256.generator, s)
     for public in publics:
         total = total + naive_mult(ECPoint(public.x, public.y), N - c)
@@ -388,11 +406,12 @@ def run(min_seconds: float) -> dict:
         unsigned_mult_each,
         window_mult_each,
     )
+    from multisig_rounds import per_key_check
     from reference_ecdsa import ecdsa_sign, verify_quorum_list
     from repro import metering
     from repro.crypto import ec
     from repro.crypto.ec import N, P, P256, ECPoint, generator_mult_each, multi_mult, naive_mult
-    from repro.log.distributed import SchnorrMultiSig
+    from repro.log.distributed import AggregateKey, SchnorrMultiSig
     from repro.storage.blockstore import InMemoryBlockStore
 
     rng = random.Random(0xFA57)
@@ -527,7 +546,8 @@ def run(min_seconds: float) -> dict:
         rounds make it."""
         sessions = [scheme.nonce() for _ in range(count)]
         nonces = [point for _, point in sessions]
-        challenge = scheme.challenge(publics[:count], ec.point_sum(nonces), message)
+        key = AggregateKey((), ec.point_sum(publics[:count]))
+        challenge = scheme.challenge(key, ec.point_sum(nonces), message)
         shares = [
             scheme.sign(kp.secret, k, challenge) for kp, (k, _) in zip(keypairs, sessions)
         ]
@@ -541,7 +561,7 @@ def run(min_seconds: float) -> dict:
         commitments = [scheme.commit(point)] + opened[: count - 1]
         nonces = [point] + others[: count - 1]
         assert all(scheme.commit(p) == c for p, c in zip(nonces, commitments))
-        challenge = scheme.challenge(publics[:count], ec.point_sum(nonces), message)
+        challenge = scheme.challenge(held_keys[count], ec.point_sum(nonces), message)
         return scheme.sign(keypairs[0].secret, secret, challenge)
 
     aggregate = certificate(SIGNERS)
@@ -557,10 +577,10 @@ def run(min_seconds: float) -> dict:
     )
     for public in publics:  # what HsmFleet.signer_directory does at provisioning
         scheme.precompute_signer_key(public)
-    assert scheme.verify_aggregate(publics, message, aggregate)
+    assert per_key_check(publics, message, aggregate)
     assert _naive_certificate_check(publics, message, aggregate)
     records["verify_aggregate"] = metered_timed(
-        lambda: scheme.verify_aggregate(publics, message, aggregate), min_seconds
+        lambda: per_key_check(publics, message, aggregate), min_seconds
     )
     records["verify_aggregate_naive"] = metered_timed(
         lambda: _naive_certificate_check(publics, message, aggregate), min_seconds
@@ -583,7 +603,7 @@ def run(min_seconds: float) -> dict:
     records.update(
         interleaved_timed(
             {
-                "verify_aggregate_12": lambda: scheme.verify_aggregate(
+                "verify_aggregate_12": lambda: per_key_check(
                     publics[:CERTIFY_SIGNERS], message, certify
                 ),
                 "verify_aggregate_12_unsigned": verify_unsigned,
@@ -591,18 +611,22 @@ def run(min_seconds: float) -> dict:
             min_seconds,
         )
     )
-    # The certificate against the quorum list of ECDSA signatures it
-    # replaced, over the same provisioned keys.
+    # The per-key chain against the quorum list of ECDSA signatures it
+    # replaced, over the same provisioned keys; then the check against the
+    # quorum's aggregate key against that chain.
+    held_keys = {}
     for quorum in QUORUMS:
         cert = certificate(quorum)
         signatures = tuple(ecdsa_sign(kp.secret, message) for kp in keypairs[:quorum])
         keys = publics[:quorum]
-        assert scheme.verify_aggregate(keys, message, cert)
+        held = held_keys[quorum] = scheme.aggregate_key(range(quorum), keys)
+        assert per_key_check(keys, message, cert) and scheme.verify_aggregate(held, message, cert)
+        assert not scheme.verify_aggregate(held, b"other", cert)
         assert verify_quorum_list(keys, message, signatures)
         records.update(
             interleaved_timed(
                 {
-                    f"certificate_{quorum}": lambda keys=keys, cert=cert: scheme.verify_aggregate(
+                    f"certificate_{quorum}": lambda keys=keys, cert=cert: per_key_check(
                         keys, message, cert
                     ),
                     f"ecdsa_list_{quorum}": lambda keys=keys, sigs=signatures: verify_quorum_list(
@@ -612,6 +636,23 @@ def run(min_seconds: float) -> dict:
                 min_seconds,
             )
         )
+        records.update(
+            interleaved_timed(
+                {
+                    f"aggregate_key_check_{quorum}": lambda held=held, cert=cert: (
+                        scheme.verify_aggregate(held, message, cert)
+                    ),
+                    f"per_key_check_{quorum}": lambda keys=keys, cert=cert: per_key_check(
+                        keys, message, cert
+                    ),
+                },
+                min_seconds,
+            )
+        )
+    quorum_keys = publics[: max(QUORUMS)]
+    records["aggregate_key_build"] = metered_timed(
+        lambda: scheme.aggregate_key(range(len(quorum_keys)), quorum_keys), min_seconds
+    )
     others = [scheme.nonce()[1] for _ in range(max(QUORUMS))]
     opened = [scheme.commit(point) for point in others]
     records["certificate_sign_9"] = metered_timed(lambda: signer_share(9), min_seconds)
@@ -678,6 +719,26 @@ def comb_memory_metrics() -> dict:
         metrics[f"{tier}_comb_kb_over_unsigned"] = signed / unsigned
         metrics[f"{tier}_comb_entry_ratio"] = (1 << (teeth - 1)) / ((1 << unsigned_teeth) - 1)
     return metrics
+
+
+def aggregate_key_metrics(records: dict) -> dict:
+    """What one 9-signer aggregate key costs to build (from its timed row)
+    and holds (by tracemalloc, ``AGGREGATE_KEYS_HELD`` keys at once)."""
+    from repro.crypto.ec import P256
+    from repro.log.distributed import SchnorrMultiSig
+
+    signers = max(QUORUMS)
+    publics = [P256.generator * (seed + 2) for seed in range(signers)]
+    return {
+        "aggregate_key_build_ms": 1e3 / records["aggregate_key_build"]["ops_per_sec"],
+        "aggregate_key_kb": held_kb(
+            lambda: [
+                SchnorrMultiSig.aggregate_key(range(signers), publics)
+                for _ in range(AGGREGATE_KEYS_HELD)
+            ]
+        )
+        / AGGREGATE_KEYS_HELD,
+    }
 
 
 def slot_key_metrics(records: dict) -> dict:
@@ -778,11 +839,19 @@ def main(argv=None) -> int:
             f"certificate_over_ecdsa_{quorum}": (f"certificate_{quorum}", f"ecdsa_list_{quorum}")
             for quorum in QUORUMS
         },
+        **{
+            f"aggregate_key_over_per_key_{quorum}": (
+                f"aggregate_key_check_{quorum}",
+                f"per_key_check_{quorum}",
+            )
+            for quorum in QUORUMS
+        },
     }.items():
         speedups[ratio] = records[label]["ops_per_sec"] / records[baseline]["ops_per_sec"]
     lockstep = lockstep_affine_metrics(records, speedups)
     slot = slot_key_metrics(records)
     memory = comb_memory_metrics()
+    memory.update(aggregate_key_metrics(records))
     symmetric = symmetric_metrics(records)
 
     rows = []
@@ -846,10 +915,21 @@ def main(argv=None) -> int:
     )
     for quorum in QUORUMS:
         lines.append(
-            f"{quorum}-signer certificate {1e3 / records[f'certificate_{quorum}']['ops_per_sec']:.2f} ms"
+            f"{quorum}-signer per-key chain {1e3 / records[f'certificate_{quorum}']['ops_per_sec']:.2f} ms"
             f" vs the ECDSA quorum list {1e3 / records[f'ecdsa_list_{quorum}']['ops_per_sec']:.2f} ms"
             f" -> {speedups[f'certificate_over_ecdsa_{quorum}']:.2f}x"
         )
+    for quorum in QUORUMS:
+        lines.append(
+            f"{quorum}-signer certificate on its aggregate key"
+            f" {1e3 / records[f'aggregate_key_check_{quorum}']['ops_per_sec']:.2f} ms"
+            f" vs the per-key chain {1e3 / records[f'per_key_check_{quorum}']['ops_per_sec']:.2f} ms"
+            f" -> {speedups[f'aggregate_key_over_per_key_{quorum}']:.2f}x"
+        )
+    lines.append(
+        f"aggregate key of {max(QUORUMS)} signers: {memory['aggregate_key_build_ms']:.2f} ms to"
+        f" sum and comb, {memory['aggregate_key_kb']:.1f} KB held"
+    )
     lines.append(
         "comb memory, signed vs the unsigned comb each replaced: "
         + "; ".join(

@@ -9,8 +9,9 @@ over NIST P-256.  This module implements the curve from scratch:
 - scalar multiplication, tiered as below,
 - SEC1 compressed point (de)serialization,
 - key generation and the Schnorr check ``s·G = R + c·Σ Xᵢ``
-  (:meth:`_Curve.schnorr_verify`) under the log's certificates; the
-  signing rounds are ``repro.log.distributed.SchnorrMultiSig``'s.
+  (:meth:`_Curve.schnorr_verify`) under the log's certificates, whose
+  key sum :func:`combed_sum` combs once per signer set; the signing
+  rounds are ``repro.log.distributed.SchnorrMultiSig``'s.
 
 Every fast multiply of one scalar is ONE loop, :func:`_chain` — Horner over
 columns, ``acc = 2·acc + Σ column`` — and a tier is only a way of laying a
@@ -33,17 +34,19 @@ long a point lives and how often it is multiplied:
   :meth:`ECPoint.precompute` at provisioning time (the signer directory,
   via ``SchnorrMultiSig.precompute_signer_key``): never on reuse, and only
   ever for public keys.
-- **Small comb (slot keys)**: a BFE slot key is multiplied by a fresh r in
-  every ciphertext whose tag hashes to its slot (a backup series under one
-  salt hashes every backup to the same k slots).  :func:`mult_each`, which
-  only BFE encryption calls, multiplies through combs alone: a point it
-  meets without one gets at once a one-table signed comb of
-  ``_SLOT_COMB_TEETH`` (6) teeth over 43 bit positions — 32 affine
-  entries, 215 doublings and 31 fill additions to build, a call's missing
-  combs in one batch — and every multiply is 42 doublings + 43 mixed
-  additions instead of 256 + 43.  ``P * s`` and Straus sums never build
-  one, so a one-off point — an HSM-side ephemeral, a response key —
-  never pays.
+- **Small comb (slot keys, aggregate keys)**: a BFE slot key is
+  multiplied by a fresh r in every ciphertext whose tag hashes to its slot
+  (a backup series under one salt hashes every backup to the same k
+  slots).  :func:`mult_each`, which only BFE encryption calls, multiplies
+  through combs alone: a point it meets without one gets at once a
+  one-table signed comb of ``_SLOT_COMB_TEETH`` (6) teeth over 43 bit
+  positions — 32 affine entries, 215 doublings and 31 fill additions to
+  build, a call's missing combs in one batch — and every multiply is 42
+  doublings + 43 mixed additions instead of 256 + 43.  A signer set's
+  aggregate key ``X_S`` gets the same comb from :func:`combed_sum` (≈ 6 KB
+  a device and lane; a 10-tooth one would hold 0.09 MB).  ``P * s`` and
+  Straus sums never build one, so a one-off point — an HSM-side
+  ephemeral, a response key — never pays.
 - **Signed-window ladder (every other point)**: the scalar is recoded into
   width-5 signed digits (``_signed_digits``: odd, |d| <= 15, at least five
   positions apart) over the 8 odd multiples ``Q, 3Q, ..., 15Q`` — 256
@@ -81,8 +84,9 @@ one batch build of the missing combs and one batch inversion for the
 results — a BFE ciphertext's k slot keys),
 :func:`generator_mult_each` the generator by many scalars (above), and
 :meth:`_Curve.schnorr_verify` — the one verification entry — checks a
-certificate as one Straus sum, ``s·G`` and every ``−c·Xᵢ`` over the
-signers' combs, compared with ``R`` without an inversion.  All batched
+certificate as one Straus sum, ``s·G`` and ``−c·X_S`` over the aggregate
+key's comb (or ``−c·Xᵢ`` over each key's, for a proof of possession or one
+signer's share), compared with ``R`` without an inversion.  All batched
 paths are bit-for-bit deterministic — they produce exactly the same points
 and accept/reject decisions as the sequential code — and metering is
 preserved: ``ec_mult`` counts for a fixed workload are identical to the
@@ -384,9 +388,10 @@ def _build_windows(points: Sequence[_Affine]) -> List[List[_Affine]]:
 # by everything, has _GENERATOR_COMB_TABLES of them (≈ 0.46 MB under
 # tracemalloc, against ≈ 0.09 MB for one); a signer key keeps one, since a
 # dozen of them at five sub-tables would hold ≈ 4.4 MB more.  A slot key
-# :func:`mult_each` meets gets the small comb: _SLOT_COMB_TEETH = 6 teeth x
-# 43 bits, one table of 32 entries (≈ 6.0 KB, against a window table's
-# 1.5 KB), 42 doublings a multiply.
+# :func:`mult_each` meets, and an aggregate key :func:`combed_sum` makes,
+# gets the small comb: _SLOT_COMB_TEETH = 6 teeth x 43 bits, one table of
+# 32 entries (≈ 6.0 KB, against a window table's 1.5 KB), 42 doublings a
+# multiply.
 _COMB_TEETH = 10
 _SLOT_COMB_TEETH = 6
 _GENERATOR_COMB_TABLES = 5
@@ -585,8 +590,9 @@ class ECPoint:
 
     A point carries a one-table signed comb (``_comb``) when it was
     explicitly :meth:`precompute`d (10 teeth, a provisioned signer key: 25
-    doublings rather than 256) or met by :func:`mult_each` (6 teeth, a BFE
-    slot key: 42 doublings); the generator's coordinates always resolve to
+    doublings rather than 256), met by :func:`mult_each` (6 teeth, a BFE
+    slot key: 42 doublings) or made by :func:`combed_sum` (6 teeth, a
+    signer set's aggregate key); the generator's coordinates always resolve to
     the one comb of ``_GENERATOR_COMB_TABLES`` sub-tables held by
     ``P256.generator``.  Nothing else is cached: ``P * s`` and Straus sums
     over a comb-less point leave it as it was.  A comb holds multiples of
@@ -636,7 +642,9 @@ class ECPoint:
         gives a point the 10-tooth comb — a device holds hundreds of BFE
         slot keys, and a 0.1 MB table for each would cost tens of MB for
         keys that are each used a handful of times; :func:`mult_each` gives
-        a slot key the 6-tooth comb of 32 entries instead.  The generator's
+        a slot key the 6-tooth comb of 32 entries instead, and
+        :func:`combed_sum` a signer set's aggregate key, which every
+        device holds one of per lane.  The generator's
         coordinates resolve to ``P256.generator``'s comb of
         ``_GENERATOR_COMB_TABLES`` sub-tables, built once per process (a
         benign race between threads builds identical ones).
@@ -749,6 +757,25 @@ def point_sum(points: Sequence[ECPoint]) -> ECPoint:
     return ECPoint._from_jac(total)
 
 
+# lint: unmetered[table build over a sum of public keys; the check that uses it meters ecdsa_verify]
+def combed_sum(points: Sequence[ECPoint]) -> ECPoint:
+    """``Σ Pᵢ`` with its own one-table comb of ``_SLOT_COMB_TEETH`` teeth:
+    a signer set's aggregate key ``X_S``, made once per set so that a
+    certificate check is one 43-column chain over ``s·G`` and ``−c·X_S``
+    whatever the set's size (≈ 1.1–1.5 ms and ≈ 6 KB to build).  The identity
+    — no points, or a sum that cancels — carries no comb.
+
+    A 6-tooth comb, not the signer keys' 10-tooth one: a device holds one
+    aggregate key per lane, and 0.09 MB for each would cost several MB a
+    fleet for ≈ 0.2 ms a check.  The comb holds multiples of the (public)
+    sum only.
+    """
+    total = point_sum(points)
+    if not total.is_infinity:
+        (total._comb,) = _build_comb([(total.x, total.y)], teeth=_SLOT_COMB_TEETH)  # type: ignore[list-item]
+    return total
+
+
 def naive_mult(point: ECPoint, scalar: int) -> ECPoint:
     """The pre-fast-path algorithm: per-call window table, no caching.
 
@@ -794,7 +821,8 @@ def mult_each(points: Sequence[ECPoint], scalar: int) -> List[ECPoint]:
     key's first multiply — gets one of ``_SLOT_COMB_TEETH`` teeth on the
     spot (215 doublings and 31 fill additions to build; then 42 doublings
     + 43 additions a multiply instead of a ladder's 256 + ≈ 43), all of a
-    call's missing combs in one :func:`_build_comb` batch.
+    call's missing combs in one :func:`_build_comb` batch.  (The same tier
+    serves a signer set's aggregate key, combed by :func:`combed_sum`.)
     The scalar is read into comb indices once per tooth count and the
     results are normalized by ONE batch inversion.  Each result is
     bit-for-bit ``P * scalar``; an identity point or a zero scalar yields
@@ -906,14 +934,19 @@ class _Curve:
         self, publics: Sequence[ECPoint], challenge: int, nonce: ECPoint, s: int
     ) -> bool:
         """Does ``s·G = R + c·Σ Xᵢ`` hold, for ``R = nonce`` and ``Xᵢ`` in
-        ``publics``?  The one verification entry (a log certificate, a
-        proof of possession).
+        ``publics``?  The one verification entry: a log certificate
+        (``publics`` is its signer set's one aggregate key), a proof of
+        possession and one signer's share (one signer key each).
 
-        ``s·G`` and every ``−c·Xᵢ`` are one Straus sum: one comb chain when
-        each key was provisioned with :meth:`ECPoint.precompute` (26
-        columns, one mixed addition a key a column), which is cheaper than
-        summing ``X_S`` and laddering it below about ten keys.  The sum is
-        compared with ``R`` in Jacobian coordinates, so no inversion runs.
+        ``s·G`` and every ``−c·Xᵢ`` are one Straus sum, one comb chain when
+        every key carries a comb.  An aggregate key from :func:`combed_sum`
+        is 43 columns and one mixed addition a column, whatever the signer
+        count; a list of keys provisioned with :meth:`ECPoint.precompute` is
+        26 columns and one addition a key a column, so it costs more from
+        about three keys up (≈ 1.9 ms at nine against ≈ 0.7 ms) — which is
+        why a certificate is checked against its sum, combed once per
+        signer set.  The sum is compared with ``R`` in Jacobian coordinates,
+        so no inversion runs.
         ``nonce`` must be a finite curve point (:func:`is_curve_point`);
         ``s`` arrives from an untrusted party, and one outside ``[1, n)``
         or not an int is a rejection, never an exception.

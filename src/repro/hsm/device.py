@@ -50,6 +50,7 @@ from repro.crypto.merkle import MerkleTree
 from repro.crypto.shamir import SHARE
 from repro.log.authdict import InclusionProof, empty_digest, verify_extension, verify_includes
 from repro.log.distributed import (
+    AggregateKey,
     LogConfig,
     LogUpdateRejected,
     SchnorrMultiSig,
@@ -187,6 +188,10 @@ class HsmDevice:
         # The signing nonce between the epoch rounds; device RAM, so it
         # never outlives a fail-stop or a restart.
         self._session: Optional[_SigningSession] = None
+        # lane -> the aggregate key of the last signer set seen on it,
+        # summed and combed from the directory above; device RAM too, and
+        # public: a fail-stop, a restart or a new directory drops it.
+        self._aggregate_keys: Dict[int, AggregateKey] = {}
 
     # -- provisioning -------------------------------------------------------
     def public_info(self) -> HsmPublicInfo:
@@ -204,9 +209,14 @@ class HsmDevice:
         The directory comes from :meth:`HsmFleet.signer_directory`, which
         checked every key's proof of possession and gave it its comb; the
         key objects are shared by every device of the fleet, so N devices
-        hold N tables, and a provider restart builds none.
+        hold N tables, and a provider restart builds none.  Those 10-tooth
+        combs serve the proofs and a lane's check of one signer's share;
+        a certificate is checked against the signer set's aggregate key,
+        which each device sums from this directory and combs itself, once
+        per lane and signer set.  A new directory drops those keys.
         """
         self._sig_directory = dict(directory)
+        self._aggregate_keys = {}
 
     def rehost_store(self, store: BlockStore) -> None:
         """Re-point this device at a (restored) provider-hosted block store.
@@ -249,10 +259,12 @@ class HsmDevice:
     def fail_stop(self) -> None:
         self.is_failed = True
         self._session = None
+        self._aggregate_keys = {}
 
     def restart(self) -> None:
         self.is_failed = False
         self._session = None
+        self._aggregate_keys = {}
 
     def _check_alive(self) -> None:
         if self.is_failed:
@@ -345,8 +357,8 @@ class HsmDevice:
                         f"HSM {self.index}: signer {index}'s nonce does not open its commitment"
                     )
             nonce = point_sum(list(nonces.values()))
-            publics = [self._sig_directory[i] for i in signers]
-            challenge = SchnorrMultiSig.challenge(publics, nonce, session.message)
+            key = self._aggregate_key(session.step.shard, tuple(signers))
+            challenge = SchnorrMultiSig.challenge(key, nonce, session.message)
             return SchnorrMultiSig.sign(
                 self._sig_keypair.secret, session.nonce_secret, challenge
             )
@@ -448,10 +460,24 @@ class HsmDevice:
                 f"HSM {self.index}: only {len(committee_signers)} committee "
                 f"signers, need {quorum}"
             )
-        publics = [self._sig_directory[i] for i in signer_ids]
-        if not SchnorrMultiSig.verify_aggregate(publics, step.message(), aggregate):
+        key = self._aggregate_key(shard, tuple(signer_ids))
+        if not SchnorrMultiSig.verify_aggregate(key, step.message(), aggregate):
             raise LogUpdateRejected(f"HSM {self.index}: aggregate signature invalid")
         self._shard_digests[shard] = step.new_digest
+
+    def _aggregate_key(self, shard: int, signers: Tuple[int, ...]) -> AggregateKey:
+        """Lane ``shard``'s aggregate key for ``signers`` (all in the
+        directory): the one this device holds if the set is the same, else
+        one summed and combed from its own directory, which replaces it —
+        one entry a lane, rebuilt only when the signer set changes.  The
+        key returned always sums ``signers``, so two threads racing here
+        (an offer sync beside an epoch call) cost a rebuild, never a
+        wrong key."""
+        key = self._aggregate_keys.get(shard)
+        if key is None or key.signers != signers:
+            publics = [self._sig_directory[i] for i in signers]
+            key = self._aggregate_keys[shard] = SchnorrMultiSig.aggregate_key(signers, publics)
+        return key
 
     # -- lazy adoption of missed transitions -----------------------------------------
     def offer_certified_transition(self, transition) -> None:

@@ -19,7 +19,8 @@ minutes):
    sign ``(d, d', R)`` into one Schnorr multisignature
    (:class:`SchnorrMultiSig`); the provider checks it once before it
    commits the epoch, and each HSM verifies it against the claimed
-   signer set and, if a quorum of its committee signed, adopts ``d'``.
+   signer set's aggregate key (:class:`AggregateKey`, summed and combed
+   once per set) and, if a quorum of its committee signed, adopts ``d'``.
 
 With at most an ``f_secret`` fraction compromised and ``C = λ`` audited
 chunks each, the probability that a bad chunk escapes every honest auditor
@@ -50,7 +51,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.crypto.ec import N, P256, ECKeyPair, ECPoint, is_curve_point, point_sum
+from repro.crypto.ec import N, P256, ECKeyPair, ECPoint, combed_sum, is_curve_point, point_sum
 from repro.crypto.hashing import distinct_indices, sha256
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.log.authdict import AuthenticatedDictionary, InsertionProof
@@ -63,6 +64,22 @@ class LogUpdateRejected(Exception):
 # ---------------------------------------------------------------------------
 # The transition signature
 # ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class AggregateKey:
+    """A signer set's aggregate key ``X_S = Σ Xᵢ``: the signer ids it
+    sums, in certificate order, and the sum (with the comb
+    :meth:`SchnorrMultiSig.aggregate_key` gives it).  Every certificate
+    check and every signer's challenge reads one.
+
+    A device keeps one per lane and a lane keeps its own, each built from
+    its own copy of the keys and rebuilt only when a certificate names
+    another signer set (the quorum is the same set almost every epoch).
+    It holds public values only, and no two holders share one."""
+
+    signers: Tuple[int, ...]
+    point: ECPoint
+
+
 class SchnorrMultiSig:
     """The signature that endorses digest transitions: a Schnorr
     multisignature over P-256.  A certificate is the signer ids plus one
@@ -77,7 +94,9 @@ class SchnorrMultiSig:
     every signer's commitment is fixed, and answers ``sᵢ = kᵢ + c·xᵢ``
     (:meth:`sign`) for ``R = Σ Rᵢ``; the aggregate is ``(R, Σ sᵢ)``.  The
     device side of the rounds is ``HsmDevice.audit_log_update``,
-    ``reveal_nonce`` and ``sign_transition``.
+    ``reveal_nonce`` and ``sign_transition``.  The challenge and the check
+    take the signer set's :class:`AggregateKey` (:meth:`aggregate_key`),
+    which a device and a lane build once per set.
 
     Keys are summed without MuSig's coefficients, so a rogue key
     ``a·G − Σ X_honest`` must be kept out of the directory: every key
@@ -88,7 +107,7 @@ class SchnorrMultiSig:
     The paper certifies each epoch with a BLS aggregate (two pairings at any
     fleet size); the cost model still bills that scheme from Table 7.  In
     pure Python a pairing costs seconds, and this check costs one comb
-    chain.
+    chain over ``s·G`` and ``−c·X_S``.
     """
 
     @staticmethod
@@ -109,10 +128,21 @@ class SchnorrMultiSig:
         return sha256(b"log-nonce", point.to_bytes())
 
     @staticmethod
-    def challenge(publics: Sequence[ECPoint], nonce: ECPoint, message: bytes) -> int:
-        """``c = H(domain, X_S, R, message)`` for the signer keys ``publics``."""
-        aggregate_key = point_sum(publics)
-        digest = sha256(b"log-certificate", aggregate_key.to_bytes(), nonce.to_bytes(), message)
+    def aggregate_key(signers: Sequence[int], publics: Sequence[ECPoint]) -> AggregateKey:
+        """The aggregate key of ``signers``, whose keys are ``publics``:
+        their sum with a 6-tooth comb (:func:`~repro.crypto.ec.combed_sum`,
+        ≈ 1.1–1.5 ms and ≈ 6 KB), so a check costs the same at any signer
+        count.  A set with no key, or with the identity among its keys,
+        gets the identity, which no check accepts: a sum would otherwise
+        simply skip such a key."""
+        if not publics or any(public.is_infinity for public in publics):
+            return AggregateKey(tuple(signers), ECPoint(None, None))
+        return AggregateKey(tuple(signers), combed_sum(publics))
+
+    @staticmethod
+    def challenge(key: AggregateKey, nonce: ECPoint, message: bytes) -> int:
+        """``c = H(domain, X_S, R, message)`` for the signer set's ``key``."""
+        digest = sha256(b"log-certificate", key.point.to_bytes(), nonce.to_bytes(), message)
         return int.from_bytes(digest, "big") % N
 
     @staticmethod
@@ -171,17 +201,18 @@ class SchnorrMultiSig:
         public.precompute()
 
     @staticmethod
-    def verify_aggregate(publics, message: bytes, aggregate) -> bool:
-        """Check a certificate ``(R, s)`` against its signers' keys: one
-        :meth:`~repro.crypto.ec._Curve.schnorr_verify`, one ``ecdsa_verify``
-        on the meter.  The aggregate is untrusted input: anything that is
-        not an ``(R, s)`` pair with ``R`` a finite curve point and ``s`` in
-        ``[1, n)`` is a rejection, never an exception."""
-        if not (publics and SchnorrMultiSig._well_formed(aggregate)):
+    def verify_aggregate(key: AggregateKey, message: bytes, aggregate) -> bool:
+        """Check a certificate ``(R, s)`` against its signer set's
+        aggregate ``key``: one :meth:`~repro.crypto.ec._Curve.schnorr_verify`
+        over ``X_S`` alone, one ``ecdsa_verify`` on the meter.  The
+        aggregate is untrusted input: anything that is not an ``(R, s)``
+        pair with ``R`` a finite curve point and ``s`` in ``[1, n)`` is a
+        rejection, never an exception."""
+        if not SchnorrMultiSig._well_formed(aggregate):
             return False
         nonce, s = aggregate
-        challenge = SchnorrMultiSig.challenge(publics, nonce, message)
-        return P256.schnorr_verify(publics, challenge, nonce, s)
+        challenge = SchnorrMultiSig.challenge(key, nonce, message)
+        return P256.schnorr_verify([key.point], challenge, nonce, s)
 
 
 #: The scheme's former name, kept for the end-to-end benchmark's workloads
@@ -427,6 +458,9 @@ class DistributedLog:
         #: devices dropped from a quorum for a bad signature share; later
         #: quorums of this lane ask them last
         self.bad_signers: Set[int] = set()
+        # The last quorum's aggregate key, built from the signers'
+        # public_info(); the lane's own, shared with no device.
+        self._signer_key: Optional[AggregateKey] = None
         # Optional durability hook (repro.storage.journal.ProviderJournal):
         # when set, run_update write-ahead-journals every epoch as
         # intent -> commit/rollback.  None (the default) keeps the lane
@@ -660,7 +694,10 @@ class DistributedLog:
         with it, and one whose share fails ``sᵢ·G = Rᵢ + c·Xᵢ`` is dropped
         and joins :attr:`bad_signers`, so the surviving auditors commit
         again with fresh nonces and a new quorum signs; below quorum the
-        epoch fails.  Returns the ``(R, s)`` aggregate and the signer ids."""
+        epoch fails.  Returns the ``(R, s)`` aggregate and the signer ids.
+
+        The check reads the lane's aggregate key for the quorum, rebuilt
+        only when the quorum is another set than the last one."""
         while True:
             if len(auditors) < quorum:
                 raise LogUpdateRejected(
@@ -677,11 +714,12 @@ class DistributedLog:
                 dropped = set()
             else:
                 aggregate = SchnorrMultiSig.aggregate(list(nonces.values()), shares)
-                publics = [hsm.public_info().sig_public for hsm in signers]
+                key = self._quorum_key(signers)
                 message = round_.message()
-                if SchnorrMultiSig.verify_aggregate(publics, message, aggregate):
+                if SchnorrMultiSig.verify_aggregate(key, message, aggregate):
                     return aggregate, tuple(chosen)
-                challenge = SchnorrMultiSig.challenge(publics, aggregate[0], message)
+                challenge = SchnorrMultiSig.challenge(key, aggregate[0], message)
+                publics = [hsm.public_info().sig_public for hsm in signers]
                 dropped = {
                     hsm.index
                     for hsm, public, share in zip(signers, publics, shares)
@@ -692,6 +730,17 @@ class DistributedLog:
                 self.bad_signers |= dropped
             live = [h for h in auditors if not h.is_failed and h.index not in dropped]
             commitments, auditors = self._commit_nonces(round_, live)
+
+    def _quorum_key(self, signers: Sequence) -> AggregateKey:
+        """The aggregate key of ``signers`` (devices): the lane's last one
+        if they are the same set, else a fresh one from their
+        ``public_info()`` that replaces it."""
+        ids = tuple(hsm.index for hsm in signers)
+        key = self._signer_key
+        if key is None or key.signers != ids:
+            publics = [hsm.public_info().sig_public for hsm in signers]
+            key = self._signer_key = SchnorrMultiSig.aggregate_key(ids, publics)
+        return key
 
     def _uncovered_chunks(self, round_: UpdateRound, signer_ids: Sequence[int]) -> List[int]:
         """Chunks not in any signer's deterministic audit set."""

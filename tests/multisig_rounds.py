@@ -1,4 +1,5 @@
-"""Certificates made the two ways a test needs them.
+"""Certificates made the two ways a test needs them, and the check before
+aggregate keys.
 
 - :func:`run_rounds` drives the three signing rounds over real devices, as
   ``DistributedLog.certify_round`` does for its quorum: every device audits
@@ -6,12 +7,17 @@
 - :func:`certificate` is what whoever holds every signer's secret can make
   alone: the same ``(R, s)``, with no device involved (an attacker holding
   stolen keys, or a bench needing a valid certificate).
+- :func:`per_key_check` is the certificate check as it ran before a signer
+  set's aggregate key was combed: ``X_S`` summed for the challenge, then one
+  chain with a term for every signer's key.  It is the baseline the
+  combed-key check is compared with, in tests and in
+  ``benchmarks/bench_crypto_hotpath.py``.
 """
 
 import random
 
-from repro.crypto.ec import point_sum
-from repro.log.distributed import SchnorrMultiSig
+from repro.crypto.ec import P256, point_sum
+from repro.log.distributed import AggregateKey, SchnorrMultiSig
 
 
 def run_rounds(devices, round_):
@@ -27,10 +33,21 @@ def certificate(keypairs, message, seed=0):
     rng = random.Random(seed)
     sessions = [SchnorrMultiSig.nonce(rng) for _ in keypairs]
     nonces = [point for _, point in sessions]
-    challenge = SchnorrMultiSig.challenge(
-        [kp.public for kp in keypairs], point_sum(nonces), message
-    )
+    key = SchnorrMultiSig.aggregate_key(range(len(keypairs)), [kp.public for kp in keypairs])
+    challenge = SchnorrMultiSig.challenge(key, point_sum(nonces), message)
     shares = [
         SchnorrMultiSig.sign(kp.secret, k, challenge) for kp, (k, _) in zip(keypairs, sessions)
     ]
     return SchnorrMultiSig.aggregate(nonces, shares)
+
+
+def per_key_check(publics, message, aggregate) -> bool:
+    """``SchnorrMultiSig.verify_aggregate`` as it was over a list of signer
+    keys: the challenge over their plain sum (no comb), then
+    ``P256.schnorr_verify`` with a ``−c·Xᵢ`` term for each key, on each
+    key's own comb if it has one."""
+    if not (publics and SchnorrMultiSig._well_formed(aggregate)):
+        return False
+    nonce, s = aggregate
+    challenge = SchnorrMultiSig.challenge(AggregateKey((), point_sum(publics)), nonce, message)
+    return P256.schnorr_verify(publics, challenge, nonce, s)

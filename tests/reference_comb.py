@@ -10,8 +10,8 @@
   ``UNSIGNED_SLOT_TEETH`` = 4 for slot keys, the comb the signed 5-tooth
   slot comb replaced (today's has 6 teeth: 32 entries against 15).
   :func:`unsigned_mult_each` and :func:`unsigned_certificate_check`
-  are ``mult_each`` and the log certificate check
-  (``SchnorrMultiSig.verify_aggregate``) over it, and the hot-path
+  are ``mult_each`` and the per-key log certificate check (one term a
+  signer key, ``multisig_rounds.per_key_check``) over it, and the hot-path
   bench times the signed engine against them (``signed_over_unsigned_slot``,
   ``signed_over_unsigned_verify``) and weighs both engines' tables
   (``*_comb_kb``).
@@ -115,16 +115,17 @@ def unsigned_mult_each(points, scalar, combs):
 
 
 def unsigned_certificate_check(publics, key_combs, generator_comb, message, aggregate):
-    """``SchnorrMultiSig.verify_aggregate`` over unsigned combs: ``publics``
-    are the signer keys, ``key_combs`` their combs, ``generator_comb`` G's.
+    """The per-key certificate check (``multisig_rounds.per_key_check``)
+    over unsigned combs: ``publics`` are the signer keys, ``key_combs``
+    their combs, ``generator_comb`` G's.
     The same steps — the challenge over ``X_S``, ``s·G`` and every
     ``−c·Xᵢ`` in one chain, compared with ``R`` in Jacobian coordinates —
     and the same metering."""
-    from repro.log.distributed import SchnorrMultiSig
+    from repro.log.distributed import AggregateKey, SchnorrMultiSig
 
     metering.count("ecdsa_verify")
     nonce, s = aggregate
-    c = SchnorrMultiSig.challenge(publics, nonce, message)
+    c = SchnorrMultiSig.challenge(AggregateKey((), ec.point_sum(publics)), nonce, message)
     terms = [(unsigned_indices(s, UNSIGNED_TEETH), generator_comb)]
     terms += [(unsigned_indices(ec.N - c, UNSIGNED_TEETH), comb) for comb in key_combs]
     x, y, z = unsigned_comb_mult(terms)

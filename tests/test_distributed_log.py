@@ -470,15 +470,15 @@ class TestMalformedAggregate:
 
         scheme = SchnorrMultiSig
         keypairs = [scheme.keygen(random.Random(seed)) for seed in range(4)]
-        keys = [kp.public for kp in keypairs]
+        key = scheme.aggregate_key(range(4), [kp.public for kp in keypairs])
         nonce, s = certificate(keypairs, b"m")
         for bad in (None, "a", 1.5, 0, N, s ^ 1):
             with metered() as meter:
-                assert not scheme.verify_aggregate(keys, b"m", (nonce, bad))
+                assert not scheme.verify_aggregate(key, b"m", (nonce, bad))
             assert meter.counts["ecdsa_verify"] == 1
         for aggregate in (None, 7, (ECPoint(None, None), s), (nonce,)):
             with metered() as meter:
-                assert not scheme.verify_aggregate(keys, b"m", aggregate)
+                assert not scheme.verify_aggregate(key, b"m", aggregate)
             assert meter.counts["ecdsa_verify"] == 0  # not a certificate's shape
 
 

@@ -29,14 +29,15 @@ from repro.crypto.ec import (
     mult_each,
     multi_mult,
     naive_mult,
+    point_sum,
 )
 from repro.crypto.field import batch_inverse_mod
-from repro.log.distributed import SchnorrMultiSig
+from repro.log.distributed import AggregateKey, SchnorrMultiSig
 from repro.metering import OpMeter, metered
 from repro.storage.blockstore import InMemoryBlockStore
 
 import reference_ecdsa
-from multisig_rounds import certificate
+from multisig_rounds import certificate, per_key_check
 from reference_comb import (
     UNSIGNED_TEETH,
     jacobian_comb_fill,
@@ -464,8 +465,9 @@ class TestComb:
         assert multi_mult(pairs) == expected
 
     def test_verdicts_identical_with_and_without_comb(self):
-        """A certificate check reads each signer's comb when it has one and
-        ladders it otherwise; the verdict is the same either way."""
+        """A certificate check reads the aggregate key's comb when it has
+        one and ladders the key otherwise, and the per-key chain reads each
+        signer's comb or ladders it; the verdict is the same every way."""
         keypairs = [SchnorrMultiSig.keygen(random.Random(seed)) for seed in range(3)]
         message = b"epoch transition"
         nonce, s = certificate(keypairs, message)
@@ -481,11 +483,21 @@ class TestComb:
         plain = [([ECPoint(pk.x, pk.y) for pk in keys], sig) for keys, sig in cases]
         combed = [([precomputed(pk) for pk in keys], sig) for keys, sig in cases]
         assert all(pk._comb is None for keys, _ in plain for pk in keys)
-        verdicts = [SchnorrMultiSig.verify_aggregate(keys, message, sig) for keys, sig in plain]
+        laddered_sums = [AggregateKey((), point_sum(keys)) for keys, _ in plain]
+        assert all(key.point._comb is None for key in laddered_sums)
+        verdicts = [
+            SchnorrMultiSig.verify_aggregate(key, message, sig)
+            for key, (_, sig) in zip(laddered_sums, plain)
+        ]
         assert verdicts == [True, False, False, False, False]
+        combed_sums = [SchnorrMultiSig.aggregate_key(range(len(keys)), keys) for keys, _ in plain]
+        assert all(key.point._comb is not None for key in combed_sums)
         assert [
-            SchnorrMultiSig.verify_aggregate(keys, message, sig) for keys, sig in combed
+            SchnorrMultiSig.verify_aggregate(key, message, sig)
+            for key, (_, sig) in zip(combed_sums, plain)
         ] == verdicts
+        for keyed in (plain, combed):
+            assert [per_key_check(keys, message, sig) for keys, sig in keyed] == verdicts
 
     def test_only_the_generator_and_the_signer_directory_carry_a_comb(self):
         """The 10-tooth comb is explicit: after a backup + recovery exactly
@@ -493,7 +505,8 @@ class TestComb:
         table per signer key; no BFE slot key, ephemeral point or
         client-side copy grew one — and restoring the deployment builds
         none.  Every other comb is the small one (``SLOT_TEETH`` teeth) of
-        a BFE slot key that the client's ``mult_each`` met."""
+        a BFE slot key that the client's ``mult_each`` met or of a signer
+        set's aggregate key that a device or a lane holds."""
         from repro.storage.blockstore import InMemoryBlockStore
 
         def combed_points(teeth=ec_module._COMB_TEETH):
@@ -544,8 +557,12 @@ class TestComb:
             for info in deployment.fleet.master_public_key()
             for key in info.bfe_public.slot_pubkeys
         }
+        held = [key for hsm in deployment.fleet for key in hsm._aggregate_keys.values()]
+        held += [lane._signer_key for dep in (deployment, restored) for lane in dep.provider.log.shards]
+        aggregate_keys = {(key.point.x, key.point.y) for key in held if key is not None}
+        assert aggregate_keys and not aggregate_keys & slot_keys
         small = [p for p in combed_points(SLOT_TEETH) if id(p._comb) not in small_before]
-        assert small and {(p.x, p.y) for p in small} <= slot_keys
+        assert small and {(p.x, p.y) for p in small} <= slot_keys | aggregate_keys
         assert all(len(p._comb) == 1 for p in small)
 
 
@@ -1057,9 +1074,15 @@ class TestBatchVerify:
         keypairs = [SchnorrMultiSig.keygen(random.Random(seed)) for seed in range(3)]
         cert = certificate(keypairs, message)
         keys = [kp.public for kp in keypairs]
-        assert SchnorrMultiSig.verify_aggregate(keys, message, cert)
-        assert not SchnorrMultiSig.verify_aggregate([infinity] + keys[1:], message, cert)
-        assert not SchnorrMultiSig.verify_aggregate(keys + [infinity], message, cert)
+
+        def key(publics):
+            return SchnorrMultiSig.aggregate_key(range(len(publics)), publics)
+
+        assert SchnorrMultiSig.verify_aggregate(key(keys), message, cert)
+        assert not SchnorrMultiSig.verify_aggregate(key([infinity] + keys[1:]), message, cert)
+        # The sum ignores an identity term, so the key itself must refuse it.
+        assert not SchnorrMultiSig.verify_aggregate(key(keys + [infinity]), message, cert)
+        assert not per_key_check(keys + [infinity], message, cert)
 
     def test_verify_all_short_circuits_computation(self, signed):
         """ecdsa_verify_all must stop at the first failing chunk: a bad
@@ -1126,10 +1149,11 @@ class TestBatchVerify:
         assert meter.counts["ecdsa_verify"] == 4  # stops at first bad signature
         keypairs = [SchnorrMultiSig.keygen(random.Random(seed)) for seed in range(6)]
         nonce, s = certificate(keypairs, message)
+        key = SchnorrMultiSig.aggregate_key(range(6), [kp.public for kp in keypairs])
         for good in (True, False):
             with metered() as meter:
                 assert SchnorrMultiSig.verify_aggregate(
-                    [kp.public for kp in keypairs], message, (nonce, s if good else s ^ 1)
+                    key, message, (nonce, s if good else s ^ 1)
                 ) == good
             assert meter.counts["ecdsa_verify"] == 1
 

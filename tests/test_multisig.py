@@ -10,7 +10,9 @@ crash.  Keys are summed, so the directory admits only keys with a proof of
 possession; the rogue-key forgery that check stops is shown here too.  The
 lane checks each certificate before it commits the epoch, so a bogus share
 costs a retry, not the epoch, and the journal never holds a commit that
-memory does not.
+memory does not.  A certificate is checked against its signer set's
+aggregate key, which each device and each lane sums and combs for itself,
+one per lane, rebuilt when the set changes.
 """
 
 import dataclasses
@@ -25,11 +27,18 @@ from repro.crypto.bloom import BloomParams
 from repro.crypto.ec import N, P, P256, ECKeyPair, ECPoint, naive_mult, point_sum
 from repro.hsm.device import HsmDevice, HsmUnavailableError
 from repro.hsm.fleet import HsmFleet
-from repro.log.distributed import DistributedLog, LogConfig, LogUpdateRejected, SchnorrMultiSig
+from repro.log.distributed import (
+    AggregateKey,
+    DistributedLog,
+    LogConfig,
+    LogUpdateRejected,
+    SchnorrMultiSig,
+)
+from repro.log.sharded import ShardedLog
 from repro.storage.blockstore import InMemoryBlockStore
 from repro.storage.journal import K_EPOCH_INTENT, K_EPOCH_ROLLBACK
 
-from multisig_rounds import certificate, run_rounds
+from multisig_rounds import certificate, per_key_check, run_rounds
 
 CFG = LogConfig(audit_count=2, quorum_fraction=0.75)
 G = P256.generator
@@ -53,6 +62,11 @@ def _round(log, tag=b"u"):
 
 def _accepted(fleet, round_):
     return all(hsm.shard_digest(0) == round_.new_digest for hsm in fleet)
+
+
+def _key(publics):
+    """The aggregate key of ``publics``, as signers 0, 1, …"""
+    return SchnorrMultiSig.aggregate_key(range(len(publics)), publics)
 
 
 class TestRounds:
@@ -352,6 +366,130 @@ class TestOneCommitPoint:
         assert restored.shards[0].certified_transitions == lane.certified_transitions
 
 
+def _wide_fleet(seed=5):
+    """Twelve devices at q = 0.75: a quorum of nine."""
+    params = BloomParams.for_punctures(4, failure_exponent=4)
+    return HsmFleet(12, params, log_config=CFG, rng=random.Random(seed))
+
+
+class TestAggregateKeys:
+    """Each device keeps one aggregate key a lane and each lane its own:
+    built from the holder's own copy of the keys, replaced when a
+    certificate names another signer set, never shared, never past a
+    crash."""
+
+    def test_a_new_quorum_replaces_every_devices_key(self, log):
+        fleet = _wide_fleet()
+        log.insert(b"k0", b"h")
+        log.run_update(fleet.hsms)
+        first = {hsm.index: hsm._aggregate_keys[0] for hsm in fleet}
+        assert all(key.signers == tuple(range(9)) for key in first.values())
+        fleet[0].fail_stop()
+        log.insert(b"k1", b"h")
+        log.run_update(fleet.hsms)
+        signers = tuple(range(1, 10))
+        assert log.certified_transitions[-1].signer_ids == signers
+        expected = point_sum([fleet[i].public_info().sig_public for i in signers])
+        for hsm in fleet.hsms[1:]:
+            assert hsm.shard_digest(0) == log.digest
+            assert list(hsm._aggregate_keys) == [0]
+            key = hsm._aggregate_keys[0]
+            assert key is not first[hsm.index]
+            assert key.signers == signers and key.point == expected
+        assert fleet[0]._aggregate_keys == {}
+
+    def test_a_certificate_is_checked_against_the_set_it_names(self, log):
+        """Signed by 1…9 but naming 0…8, a certificate is refused by a
+        device that holds 0…8's key and by one that holds 1…9's; named
+        truly, both accept it."""
+        fleet = _wide_fleet()
+        log.insert(b"k0", b"h")
+        log.run_update(fleet.hsms)
+        round_ = _round(log, b"k1")
+        aggregate, signers = run_rounds(fleet.hsms[1:10], round_)
+        named = tuple(range(9))
+        assert signers == tuple(range(1, 10))
+        holders = {named: fleet[11], signers: fleet[1]}
+        for held, device in holders.items():
+            assert device._aggregate_keys[0].signers == held
+            with pytest.raises(LogUpdateRejected, match="invalid"):
+                device.accept_log_digest(round_, aggregate, named)
+            assert device.shard_digest(0) == round_.old_digest
+        for device in holders.values():
+            device.accept_log_digest(round_, aggregate, signers)
+            assert device.shard_digest(0) == round_.new_digest
+            assert device._aggregate_keys[0].signers == signers
+
+    def test_no_key_is_shared_and_a_device_holds_one_a_lane(self):
+        """At S = 4 every device ends up holding one key for each lane —
+        its committee's from the live accept, the others' from adopting
+        offers — and no two holders, devices or lanes, share a key, a sum
+        or a comb."""
+        config = LogConfig(audit_count=2, quorum_fraction=0.75, num_shards=4)
+        params = BloomParams.for_punctures(4, failure_exponent=4)
+        fleet = HsmFleet(8, params, log_config=config, rng=random.Random(6))
+        log = ShardedLog(config)
+        for epoch in range(2):
+            for i in range(32):
+                log.insert(b"rec|key-cache-%d-%d|0" % (epoch, i), b"h")
+            assert all(lane.has_pending for lane in log.shards)
+            log.run_update(fleet.hsms)
+            assert all(hsm.log_digest == log.digest for hsm in fleet)
+        for hsm in fleet:
+            assert sorted(hsm._aggregate_keys) == list(range(hsm.num_shards))
+        keys = [key for hsm in fleet for key in hsm._aggregate_keys.values()]
+        keys += [lane._signer_key for lane in log.shards]
+        for part in (lambda key: key, lambda key: key.point, lambda key: key.point._comb):
+            assert len({id(part(key)) for key in keys}) == len(keys) == 8 * 4 + 4
+        for lane in log.shards:
+            held = [hsm._aggregate_keys[lane.shard_index] for hsm in fleet]
+            assert {key.signers for key in held} == {lane._signer_key.signers}
+            assert {key.point for key in held} == {lane._signer_key.point}
+
+    @pytest.mark.parametrize("drop", ["fail_stop", "restart", "install_signer_directory"])
+    def test_a_crash_or_a_new_directory_drops_the_keys(self, fleet, log, drop):
+        round_ = _round(log)
+        aggregate, signers = run_rounds(fleet.hsms[:3], round_)
+        for hsm in fleet:
+            hsm.accept_log_digest(round_, aggregate, signers)
+        device = fleet[3]
+        assert device._aggregate_keys[0].signers == signers
+        if drop == "install_signer_directory":
+            device.install_signer_directory(HsmFleet.signer_directory(h.public_info() for h in fleet))
+        else:
+            getattr(device, drop)()
+        assert device._aggregate_keys == {}
+        device.restart()
+        after = _round(log, b"v")
+        aggregate, signers = run_rounds(fleet.hsms[:3], after)
+        device.accept_log_digest(after, aggregate, signers)
+        assert device.shard_digest(0) == after.new_digest
+        assert list(device._aggregate_keys) == [0]
+
+    def test_the_identity_among_the_keys_is_a_rejection(self, fleet, log):
+        """A sum skips an identity key, so the key refuses it: a
+        certificate by 0, 1, 2 that also names a signer whose key is the
+        identity (installed past the fleet's proof check) is refused."""
+        keypairs = [P256.keygen(random.Random(seed)) for seed in range(3)]
+        cert = certificate(keypairs, b"transition")
+        publics = [kp.public for kp in keypairs]
+        infinity = ECPoint(None, None)
+        assert SchnorrMultiSig.verify_aggregate(_key(publics), b"transition", cert)
+        for keys in (publics + [infinity], [infinity] + publics[1:], [infinity], []):
+            key = _key(keys)
+            assert key.point.is_infinity and key.point._comb is None
+            assert not SchnorrMultiSig.verify_aggregate(key, b"transition", cert)
+        round_ = _round(log)
+        aggregate, signers = run_rounds(fleet.hsms[:3], round_)
+        victim = fleet[3]
+        directory = {i: fleet[i].public_info().sig_public for i in signers}
+        victim.install_signer_directory({**directory, 3: infinity})
+        with pytest.raises(LogUpdateRejected, match="invalid"):
+            victim.accept_log_digest(round_, aggregate, signers + (3,))
+        victim.accept_log_digest(round_, aggregate, signers)
+        assert victim.shard_digest(0) == round_.new_digest
+
+
 class TestRogueKeys:
     def test_the_fleet_refuses_a_key_without_a_valid_proof(self, fleet):
         infos = [hsm.public_info() for hsm in fleet]
@@ -386,9 +524,9 @@ class TestRogueKeys:
         # The certificate is over X_S = a·G, which is the sum of the set.
         assert point_sum([directory[i] for i in signers]) == G * a
         nonce, s = forged
-        challenge = SchnorrMultiSig.challenge([G * a], nonce, round_.message())
+        challenge = SchnorrMultiSig.challenge(_key([G * a]), nonce, round_.message())
         assert challenge == SchnorrMultiSig.challenge(
-            [directory[i] for i in signers], nonce, round_.message()
+            _key([directory[i] for i in signers]), nonce, round_.message()
         )
         victim.accept_log_digest(round_, forged, signers)
         assert victim.shard_digest(0) == round_.new_digest  # forged: no honest device signed
@@ -409,7 +547,8 @@ class TestMalformedCertificates:
 
     def test_malformed_certificates_are_rejections_not_exceptions(self, signed):
         publics, message, (nonce, s) = signed
-        assert SchnorrMultiSig.verify_aggregate(publics, message, (nonce, s))
+        key = _key(publics)
+        assert SchnorrMultiSig.verify_aggregate(key, message, (nonce, s))
         malformed = [
             (ECPoint(None, None), s),  # R at infinity
             (self._off_curve(nonce), s),  # R off the curve
@@ -428,8 +567,8 @@ class TestMalformedCertificates:
             b"\x00" * 65,
         ]
         for aggregate in malformed:
-            assert not SchnorrMultiSig.verify_aggregate(publics, message, aggregate), aggregate
-        assert not SchnorrMultiSig.verify_aggregate([], message, (nonce, s))
+            assert not SchnorrMultiSig.verify_aggregate(key, message, aggregate), aggregate
+        assert not SchnorrMultiSig.verify_aggregate(_key([]), message, (nonce, s))
 
     def test_duplicate_or_unknown_signer_ids_are_refused(self, fleet, log):
         round_ = _round(log)
@@ -458,7 +597,7 @@ def _naive_check(publics, message, aggregate) -> bool:
     nonce, s = aggregate
     if not 1 <= s < N:
         return False
-    c = SchnorrMultiSig.challenge(publics, nonce, message)
+    c = SchnorrMultiSig.challenge(AggregateKey((), point_sum(publics)), nonce, message)
     right = nonce
     for public in publics:
         right = right + naive_mult(public, c)
@@ -490,6 +629,7 @@ class TestFastCheckMatchesNaive:
             publics[rng.randrange(signers)] = P256.keygen(rng).public
         elif tamper == "drop" and signers > 1:
             publics = publics[1:]
-        fast = SchnorrMultiSig.verify_aggregate(publics, message, (nonce, s))
+        fast = SchnorrMultiSig.verify_aggregate(_key(publics), message, (nonce, s))
         assert fast == _naive_check(publics, message, (nonce, s))
+        assert per_key_check(publics, message, (nonce, s)) == fast
         assert fast == (tamper == "none" or (tamper == "drop" and signers == 1))
