@@ -34,30 +34,22 @@ per-call window table, no precomputation):
   and the unsigned comb's ``unsigned_slot_comb_kb``;
 - **multi-scalar** Straus ``Σ sᵢ·Pᵢ`` vs independent mults;
 - **certificate check**, a log certificate ``(R, s)`` checked as
-  ``s·G = R + c·Σ Xᵢ``.  A device checks it against its signer set's
-  aggregate key ``X_S``, summed and combed (6 teeth) once per set
-  (``SchnorrMultiSig.aggregate_key`` / ``verify_aggregate``): at a
-  12-device fleet's quorum of 9 and a 4-device fleet's 3, in turns with
-  the per-key chain it replaced (``tests/multisig_rounds.per_key_check``:
-  ``X_S`` summed for the challenge, then ``P256.schnorr_verify`` with one
-  ``−c·Xᵢ`` term a signer key), ``aggregate_key_check_{9,3}`` against
-  ``per_key_check_{9,3}``: ``aggregate_key_over_per_key_9`` and ``_3``;
-  ``aggregate_key_build`` is one 9-signer key's sum and comb, and
-  ``aggregate_key_kb`` what one key holds (by tracemalloc).  The rows
-  kept from before the aggregate key time the per-key chain, on signer
-  keys provisioned through ``precompute_signer_key`` exactly as
-  ``HsmFleet.signer_directory`` does: 16 signers against the same
-  equation over ``naive_mult`` (``verify_aggregate``); a 12-signer chain
-  (a 12-device fleet's whole committee) over the signed combs
-  (``verify_aggregate_12``) against the same chain over the unsigned
-  9-tooth combs of ``tests/reference_comb.py``
-  (``verify_aggregate_12_unsigned``), in turns:
-  ``signed_over_unsigned_verify``; and the chain against the quorum list
-  of ECDSA signatures it replaced (``tests/reference_ecdsa.py``) at 9 and
-  3 signers, in turns: ``certificate_over_ecdsa_9`` and
-  ``certificate_over_ecdsa_3``; ``certificate_sign_9`` is one signer's
-  share of a 9-signer certificate (its nonce and commitment, the 9
-  openings, the challenge over the key it holds, ``sᵢ``);
+  ``s·G = R + c·X_S`` against its signer set's aggregate key ``X_S``,
+  summed and combed (6 teeth) once per set
+  (``SchnorrMultiSig.aggregate_key`` / ``verify_aggregate``), at a
+  12-device fleet's quorum of 9 (``aggregate_key_check_9``), in turns
+  with the same ``verify_aggregate`` over the same sum without its comb
+  (``uncombed_key_check_9``: ``AggregateKey(ids, point_sum(keys))``, a
+  ladder every check): ``aggregate_key_over_uncombed``.  The model: a
+  43-column comb chain against a 257-doubling ladder (``s·G``'s 26
+  additions ride the last 6 columns of either), ≈ 43 additions for
+  ``−c·X_S`` each way and a window table built in the ladder's call —
+  ≈ 1,100 against ≈ 3,000 field multiplications, ≈ 2.7x, whatever the
+  signer count.  ``aggregate_key_build`` is one 9-signer key's sum and
+  comb, ``aggregate_key_kb`` what one key holds (by tracemalloc), and
+  ``certificate_sign_9`` one signer's share of a 9-signer certificate
+  (its nonce and commitment, the 9 openings, the challenge over the key
+  it holds, ``sᵢ``);
 - **fixed_base_batch** a device's slot keys, ``generator_mult_each`` over
   185 scalars (one key of the ledger's fleets): the generator's sub-tables
   walked in lock step on shared-inversion affine additions, against the
@@ -66,16 +58,13 @@ per-call window table, no precomputation):
   (``fixed_base_one_table``, kept in ``tests/reference_comb.py``; the
   ratio is ``fixed_base_subtables_speedup``), the three timed in turns;
   reported per lane too;
-- **comb memory** what each tier's comb holds, by tracemalloc — the
-  generator's (``generator_comb_kb``), a signer key's one table
-  (``one_table_comb_kb``) and a slot key's (``slot_comb_kb``) — beside the
-  unsigned reference comb each replaced (``unsigned_*_comb_kb``: one
-  tooth fewer, two for a slot key); a signed table of t teeth stores
-  2^(t−1) entries against that comb's 2^u − 1 at u teeth, and
-  ``*_comb_kb_over_unsigned`` is gated to at most that entry ratio;
-- **comb_build** the one-off cost of one signer key's 512-entry signed
-  comb (lock-step sums), against the unsigned Jacobian fill of 511 entries
-  (``tests/reference_comb.py``), in turns;
+- **comb memory** what each comb shape holds, by tracemalloc — the
+  generator's (``generator_comb_kb``) and a slot key's (``slot_comb_kb``,
+  an aggregate key's shape too) — beside the unsigned reference comb each
+  replaced (``unsigned_*_comb_kb``: one tooth fewer, two for a slot key);
+  a signed table of t teeth stores 2^(t−1) entries against that comb's
+  2^u − 1 at u teeth, and ``*_comb_kb_over_unsigned`` is gated to at most
+  that entry ratio;
 - **field_inverse / mulmod** what decides whether lock-step affine
   arithmetic (one shared Montgomery inversion per step) pays, shape by
   shape.  *Ladders*: a step is a doubling — 8 field multiplications
@@ -122,23 +111,19 @@ Acceptance gates (exit code 1 on regression):
 - full run: fixed-base ≥ 2.0x, fixed_base_batch ≥ 1.4x the per-call comb
   and ≥ 1.4x the one-table lock step, variable_base_oneoff ≥ 1.1x,
   bfe_encrypt_k4 combed ≥ 1.5x cached, ≥ 1.08x five_tooth and fresh
-  ≥ 0.9x fresh_window, 16-signer verify_aggregate
-  ≥ 4.0x, certificate_over_ecdsa_9 ≥ 2.0x, certificate_over_ecdsa_3
-  ≥ 1.4x, aggregate_key_over_per_key_9 ≥ 2.5x,
-  aggregate_key_over_per_key_3 ≥ 1.2x, aes_block ≥ 5.0x, ae_node_roundtrip ≥ 4.5x, aes_seal_batch
+  ≥ 0.9x fresh_window, aggregate_key_over_uncombed ≥ 2.3x,
+  aes_block ≥ 5.0x, ae_node_roundtrip ≥ 4.5x, aes_seal_batch
   ≥ 1.35x the per-call seals, ae_open_level ≥ 1.3x the per-call opens,
-  signed_over_unsigned_slot ≥ 1.08x, signed_over_unsigned_verify ≥ 1.05x;
+  signed_over_unsigned_slot ≥ 1.08x;
 - ``--quick`` (the CI perf-smoke lane): fixed-base ≥ 1.5x,
   fixed_base_batch ≥ 1.3x the per-call comb and ≥ 1.3x the one-table lock
   step, variable_base_oneoff ≥ 1.05x, bfe_encrypt_k4 combed ≥ 1.4x
   cached, ≥ 1.05x five_tooth and fresh ≥ 0.9x fresh_window,
-  verify_aggregate ≥ 2.5x, certificate_over_ecdsa_9 ≥ 1.8x,
-  certificate_over_ecdsa_3 ≥ 1.3x, aggregate_key_over_per_key_9 ≥ 2.4x,
-  aggregate_key_over_per_key_3 ≥ 1.15x, aes_block ≥ 4.0x, aes_seal_batch ≥ 1.25x,
-  ae_open_level ≥ 1.25x,
-  signed_over_unsigned_slot ≥ 1.04x, signed_over_unsigned_verify ≥ 1.02x;
+  aggregate_key_over_uncombed ≥ 2.2x, aes_block ≥ 4.0x,
+  aes_seal_batch ≥ 1.25x, ae_open_level ≥ 1.25x,
+  signed_over_unsigned_slot ≥ 1.04x;
 - both: every tier's ``*_comb_kb_over_unsigned`` at most its entry ratio
-  (the memory gate: 32/15 for a slot key, 512/511 for the others).
+  (the memory gate: 32/15 for a slot key, 512/511 for the generator).
 
 The variable-base floor is deliberately close to the measured ratio (≈ 1.2x
 one-off, ≈ 1.3x cached; a ladder is 256 doublings whatever the table), and
@@ -147,10 +132,9 @@ walk level's opens), a first use's (≈ 0.90x, 0.87–0.93x run to run: the
 comb's build and product run 257 doublings against the ladder's 256, and
 ≈ 28 more additions and a few inversions), the 6-tooth slot combs' over
 the 5-tooth (≈ 1.12–1.18x for an encrypt) and the signed combs' over the
-unsigned (≈ 1.04–1.06x for a 12-signer certificate check, ≈ 1.24–1.35x
-for an encrypt) and the certificate's over the ECDSA list it replaced
-(≈ 2.2–2.3x at 9 signers, ≈ 1.7–1.8x at 3), so those rows are timed one
-call at a time, in turns.
+unsigned (≈ 1.24–1.35x for an encrypt), so those rows are timed one call
+at a time, in turns; so is the aggregate key's comb against no comb
+(≈ 2.5–2.7x, against the model's ≈ 2.7x).
 The one-block AES row (≈ 2.2–3.4x the
 reference) is not gated.
 
@@ -182,17 +166,12 @@ FULL_GATES = {
     "combed_over_window": 1.5,
     "six_over_five_slot": 1.08,
     "fresh_over_fresh_window": 0.9,
-    "verify_aggregate_speedup": 4.0,
-    "certificate_over_ecdsa_9": 2.0,
-    "certificate_over_ecdsa_3": 1.4,
-    "aggregate_key_over_per_key_9": 2.5,
-    "aggregate_key_over_per_key_3": 1.2,
+    "aggregate_key_over_uncombed": 2.3,
     "aes_block_speedup": 5.0,
     "ae_node_speedup": 4.5,
     "aes_seal_batch_speedup": 1.35,
     "ae_open_level_speedup": 1.3,
     "signed_over_unsigned_slot": 1.08,
-    "signed_over_unsigned_verify": 1.05,
 }
 QUICK_GATES = {
     "fixed_base_speedup": 1.5,
@@ -202,22 +181,17 @@ QUICK_GATES = {
     "combed_over_window": 1.4,
     "six_over_five_slot": 1.05,
     "fresh_over_fresh_window": 0.9,
-    "verify_aggregate_speedup": 2.5,
-    "certificate_over_ecdsa_9": 1.8,
-    "certificate_over_ecdsa_3": 1.3,
-    "aggregate_key_over_per_key_9": 2.4,
-    "aggregate_key_over_per_key_3": 1.15,
+    "aggregate_key_over_uncombed": 2.2,
     "aes_block_speedup": 4.0,
     "aes_seal_batch_speedup": 1.25,
     "ae_open_level_speedup": 1.25,
     "signed_over_unsigned_slot": 1.04,
-    "signed_over_unsigned_verify": 1.02,
 }
 # The memory gate, in both modes: a signed comb of t teeth stores 2^(t−1)
 # entries a sub-table against the 2^u − 1 of the unsigned comb of u teeth
 # it replaced (u = t − 1, and 4 for a 6-tooth slot comb), and may hold no
 # more than that entry ratio of the latter's KB.
-COMB_TIERS = ("generator", "one_table", "slot")
+COMB_TIERS = ("generator", "slot")
 
 # Rows compared against another row's baseline instead of ``<label>_naive``.
 SHARED_BASELINES = {
@@ -232,32 +206,11 @@ BATCH_LANES = 185  # BloomParams.for_punctures(32, 4): one key of the ledger's f
 NODE_BLOCKS = 4  # a 32-byte key-tree node: H, the tag mask, two CTR blocks
 LEVEL_NODES = 4  # a level of a k = 4 walk down, once the paths have split
 CROSSOVER_LANES = (4, 6, 8, 10, 12, 16, 24, 47)  # batch sizes tried around the break-even
-SIGNERS = 16
-# A 12-signer certificate: a 12-device fleet's whole committee.  A certify
-# round's certificate carries a quorum (9 of 12 at q = 0.75); the row keeps
-# 12 so its figures stay comparable with earlier records.
-CERTIFY_SIGNERS = 12
-# The quorums the ECDSA and aggregate-key comparisons run at: 9 of 12
-# devices, 3 of 4.
-QUORUMS = (9, 3)
+QUORUM = 9  # the certificate rows' signers: a 12-device fleet's quorum
 AGGREGATE_KEYS_HELD = 16  # aggregate keys measured at once, as SLOT_KEYS_HELD
 SLOT_KEYS_HELD = 64  # slot-key tables measured at once, so a key's KB is not the call's overhead
 MULTI_TERMS = 8
 FIELD_OP_BATCH = 1000  # field operations per timed call (swamps the call itself)
-
-
-def _naive_certificate_check(publics, message, aggregate):
-    """``s·G = R + c·Σ Xᵢ`` over the pre-fast-path algorithm: one
-    ``naive_mult`` a term, summed point by point."""
-    from repro.crypto.ec import N, P256, ECPoint, naive_mult, point_sum
-    from repro.log.distributed import AggregateKey, SchnorrMultiSig
-
-    nonce, s = aggregate
-    c = SchnorrMultiSig.challenge(AggregateKey((), point_sum(publics)), nonce, message)
-    total = naive_mult(P256.generator, s)
-    for public in publics:
-        total = total + naive_mult(ECPoint(public.x, public.y), N - c)
-    return total == nonce
 
 
 def interleaved_timed(fns: dict, min_seconds: float) -> dict:
@@ -397,17 +350,15 @@ def run(min_seconds: float) -> dict:
     from repro.crypto import bfe as bfe_module
     from repro.crypto.bfe import BloomFilterEncryption
     from repro.crypto.bloom import BloomParams
+    from multisig_rounds import certificate
     from reference_comb import (
         UNSIGNED_SLOT_TEETH,
         jacobian_comb_fill,
         one_table_generator_mult_each,
         unsigned_build_comb,
-        unsigned_certificate_check,
         unsigned_mult_each,
         window_mult_each,
     )
-    from multisig_rounds import per_key_check
-    from reference_ecdsa import ecdsa_sign, verify_quorum_list
     from repro import metering
     from repro.crypto import ec
     from repro.crypto.ec import N, P, P256, ECPoint, generator_mult_each, multi_mult, naive_mult
@@ -482,8 +433,8 @@ def run(min_seconds: float) -> dict:
     tag = b"bench-tag"
     slot_keys = [bfe_public.slot_pubkeys[slot] for slot in params.slots_for_tag(tag)]
     windows = ec._build_windows([(key.x, key.y) for key in slot_keys])
-    combs = ec._build_comb([(key.x, key.y) for key in slot_keys], teeth=ec._SLOT_COMB_TEETH)
-    five_tooth = ec._build_comb([(key.x, key.y) for key in slot_keys], teeth=5)
+    combs = ec._build_comb([(key.x, key.y) for key in slot_keys], 1, ec._SLOT_COMB_TEETH)
+    five_tooth = ec._build_comb([(key.x, key.y) for key in slot_keys], 1, 5)
     unsigned = unsigned_build_comb([(key.x, key.y) for key in slot_keys], teeth=UNSIGNED_SLOT_TEETH)
     nothing = [None] * len(slot_keys)
     r = next_scalar()
@@ -536,126 +487,48 @@ def run(min_seconds: float) -> dict:
 
     records["multi_scalar_naive"] = metered_timed(independent_sum, min_seconds)
 
+    # A certificate checked on its aggregate key's comb, and on the same
+    # sum with no comb (a ladder), in turns.
     scheme = SchnorrMultiSig
-    keypairs = [scheme.keygen(random.Random(seed)) for seed in range(SIGNERS)]
+    keypairs = [scheme.keygen(random.Random(seed)) for seed in range(QUORUM)]
     publics = [kp.public for kp in keypairs]
     message = b"log-transition-digest"
+    held = scheme.aggregate_key(range(QUORUM), publics)
+    uncombed = AggregateKey(held.signers, ec.point_sum(publics))
+    cert = certificate(keypairs, message)
+    for key in (held, uncombed):
+        assert scheme.verify_aggregate(key, message, cert)
+        assert not scheme.verify_aggregate(key, b"other", cert)
+    records.update(
+        interleaved_timed(
+            {
+                f"aggregate_key_check_{QUORUM}": lambda: scheme.verify_aggregate(held, message, cert),
+                f"uncombed_key_check_{QUORUM}": lambda: scheme.verify_aggregate(
+                    uncombed, message, cert
+                ),
+            },
+            min_seconds,
+        )
+    )
+    assert uncombed.point._comb is None  # a ladder every check
+    records["aggregate_key_build"] = metered_timed(
+        lambda: scheme.aggregate_key(range(QUORUM), publics), min_seconds
+    )
+    others = [scheme.nonce()[1] for _ in range(QUORUM - 1)]
+    opened = [scheme.commit(point) for point in others]
 
-    def certificate(count):
-        """The first ``count`` signers' certificate, made as the three
-        rounds make it."""
-        sessions = [scheme.nonce() for _ in range(count)]
-        nonces = [point for _, point in sessions]
-        key = AggregateKey((), ec.point_sum(publics[:count]))
-        challenge = scheme.challenge(key, ec.point_sum(nonces), message)
-        shares = [
-            scheme.sign(kp.secret, k, challenge) for kp, (k, _) in zip(keypairs, sessions)
-        ]
-        return scheme.aggregate(nonces, shares)
-
-    def signer_share(count):
-        """One signer's work across the rounds of a ``count``-signer
+    def signer_share():
+        """One signer's work across the rounds of a ``QUORUM``-signer
         certificate: its nonce and commitment, every opening, the
         challenge and its share."""
         secret, point = scheme.nonce()
-        commitments = [scheme.commit(point)] + opened[: count - 1]
-        nonces = [point] + others[: count - 1]
+        commitments = [scheme.commit(point)] + opened
+        nonces = [point] + others
         assert all(scheme.commit(p) == c for p, c in zip(nonces, commitments))
-        challenge = scheme.challenge(held_keys[count], ec.point_sum(nonces), message)
+        challenge = scheme.challenge(held, ec.point_sum(nonces), message)
         return scheme.sign(keypairs[0].secret, secret, challenge)
 
-    aggregate = certificate(SIGNERS)
-    x, y = publics[0].x, publics[0].y
-    records.update(
-        interleaved_timed(
-            {
-                "comb_build": lambda: scheme.precompute_signer_key(ECPoint(x, y)),
-                "comb_build_naive": lambda: jacobian_comb_fill(x, y),
-            },
-            min_seconds,
-        )
-    )
-    for public in publics:  # what HsmFleet.signer_directory does at provisioning
-        scheme.precompute_signer_key(public)
-    assert per_key_check(publics, message, aggregate)
-    assert _naive_certificate_check(publics, message, aggregate)
-    records["verify_aggregate"] = metered_timed(
-        lambda: per_key_check(publics, message, aggregate), min_seconds
-    )
-    records["verify_aggregate_naive"] = metered_timed(
-        lambda: _naive_certificate_check(publics, message, aggregate), min_seconds
-    )
-    # A certify round's certificate over the signed combs and over the
-    # unsigned ones (the generator's five sub-tables and each signer's one
-    # table).
-    certify = certificate(CERTIFY_SIGNERS)
-    unsigned_generator = unsigned_build_comb([(G.x, G.y)], ec._GENERATOR_COMB_TABLES)[0]
-    unsigned_keys = unsigned_build_comb([(pk.x, pk.y) for pk in publics[:CERTIFY_SIGNERS]])
-
-    def verify_unsigned():
-        return unsigned_certificate_check(
-            publics[:CERTIFY_SIGNERS], unsigned_keys, unsigned_generator, message, certify
-        )
-
-    assert verify_unsigned() and not unsigned_certificate_check(
-        publics[:CERTIFY_SIGNERS], unsigned_keys, unsigned_generator, b"other", certify
-    )
-    records.update(
-        interleaved_timed(
-            {
-                "verify_aggregate_12": lambda: per_key_check(
-                    publics[:CERTIFY_SIGNERS], message, certify
-                ),
-                "verify_aggregate_12_unsigned": verify_unsigned,
-            },
-            min_seconds,
-        )
-    )
-    # The per-key chain against the quorum list of ECDSA signatures it
-    # replaced, over the same provisioned keys; then the check against the
-    # quorum's aggregate key against that chain.
-    held_keys = {}
-    for quorum in QUORUMS:
-        cert = certificate(quorum)
-        signatures = tuple(ecdsa_sign(kp.secret, message) for kp in keypairs[:quorum])
-        keys = publics[:quorum]
-        held = held_keys[quorum] = scheme.aggregate_key(range(quorum), keys)
-        assert per_key_check(keys, message, cert) and scheme.verify_aggregate(held, message, cert)
-        assert not scheme.verify_aggregate(held, b"other", cert)
-        assert verify_quorum_list(keys, message, signatures)
-        records.update(
-            interleaved_timed(
-                {
-                    f"certificate_{quorum}": lambda keys=keys, cert=cert: per_key_check(
-                        keys, message, cert
-                    ),
-                    f"ecdsa_list_{quorum}": lambda keys=keys, sigs=signatures: verify_quorum_list(
-                        keys, message, sigs
-                    ),
-                },
-                min_seconds,
-            )
-        )
-        records.update(
-            interleaved_timed(
-                {
-                    f"aggregate_key_check_{quorum}": lambda held=held, cert=cert: (
-                        scheme.verify_aggregate(held, message, cert)
-                    ),
-                    f"per_key_check_{quorum}": lambda keys=keys, cert=cert: per_key_check(
-                        keys, message, cert
-                    ),
-                },
-                min_seconds,
-            )
-        )
-    quorum_keys = publics[: max(QUORUMS)]
-    records["aggregate_key_build"] = metered_timed(
-        lambda: scheme.aggregate_key(range(len(quorum_keys)), quorum_keys), min_seconds
-    )
-    others = [scheme.nonce()[1] for _ in range(max(QUORUMS))]
-    opened = [scheme.commit(point) for point in others]
-    records["certificate_sign_9"] = metered_timed(lambda: signer_share(9), min_seconds)
+    records[f"certificate_sign_{QUORUM}"] = metered_timed(signer_share, min_seconds)
 
     a, b = rng.randrange(1, P), rng.randrange(1, P)
 
@@ -693,8 +566,8 @@ def held_kb(build) -> float:
 
 
 def comb_memory_metrics() -> dict:
-    """What each tier's signed comb holds — the generator's sub-tables, a
-    signer key's one table, a slot key's — beside the unsigned reference
+    """What each shape's signed comb holds — the generator's sub-tables, a
+    slot key's one table — beside the unsigned reference
     comb of one tooth fewer, the ratio of the two, and the ratio's ceiling:
     the signed comb's entries over the unsigned comb's."""
     from reference_comb import UNSIGNED_SLOT_TEETH, UNSIGNED_TEETH, unsigned_build_comb
@@ -703,7 +576,6 @@ def comb_memory_metrics() -> dict:
     keys = SLOT_KEYS_HELD  # slot combs measured a key at a time, this many at once
     shapes = {  # tier: (sub-tables, teeth, unsigned teeth, combs held)
         "generator": (ec._GENERATOR_COMB_TABLES, ec._COMB_TEETH, UNSIGNED_TEETH, 1),
-        "one_table": (1, ec._COMB_TEETH, UNSIGNED_TEETH, 1),
         "slot": (1, ec._SLOT_COMB_TEETH, UNSIGNED_SLOT_TEETH, keys),
     }
     metrics = {}
@@ -727,7 +599,7 @@ def aggregate_key_metrics(records: dict) -> dict:
     from repro.crypto.ec import P256
     from repro.log.distributed import SchnorrMultiSig
 
-    signers = max(QUORUMS)
+    signers = QUORUM
     publics = [P256.generator * (seed + 2) for seed in range(signers)]
     return {
         "aggregate_key_build_ms": 1e3 / records["aggregate_key_build"]["ops_per_sec"],
@@ -777,7 +649,7 @@ def lockstep_affine_metrics(records: dict, speedups: dict) -> dict:
     jacobian_doubling, affine_doubling, batching = 8, 4, 3
     mixed_addition, affine_addition, normalize = 11, 6, 4
     tables = ec._GENERATOR_COMB_TABLES
-    columns, batches = ec._comb_width(tables), tables + 1  # a column's _add_each batches
+    columns, batches = ec._comb_width(tables, ec._COMB_TEETH), tables + 1  # a column's _add_each batches
     jacobian_column = jacobian_doubling + tables * mixed_addition
     largest_loss = max(
         (n for n in CROSSOVER_LANES if speedups[f"lockstep_{n}_lanes_speedup"] < 1.0), default=0
@@ -834,18 +706,7 @@ def main(argv=None) -> int:
         "six_over_five_slot": ("bfe_encrypt_k4_combed", "bfe_encrypt_k4_five_tooth"),
         "fresh_over_fresh_window": ("bfe_encrypt_k4_fresh", "bfe_encrypt_k4_fresh_window"),
         "signed_over_unsigned_slot": ("bfe_encrypt_k4_combed", "bfe_encrypt_k4_unsigned"),
-        "signed_over_unsigned_verify": ("verify_aggregate_12", "verify_aggregate_12_unsigned"),
-        **{
-            f"certificate_over_ecdsa_{quorum}": (f"certificate_{quorum}", f"ecdsa_list_{quorum}")
-            for quorum in QUORUMS
-        },
-        **{
-            f"aggregate_key_over_per_key_{quorum}": (
-                f"aggregate_key_check_{quorum}",
-                f"per_key_check_{quorum}",
-            )
-            for quorum in QUORUMS
-        },
+        "aggregate_key_over_uncombed": (f"aggregate_key_check_{QUORUM}", f"uncombed_key_check_{QUORUM}"),
     }.items():
         speedups[ratio] = records[label]["ops_per_sec"] / records[baseline]["ops_per_sec"]
     lockstep = lockstep_affine_metrics(records, speedups)
@@ -890,7 +751,8 @@ def main(argv=None) -> int:
         + f" -> wins from {lockstep['lockstep_crossover_lanes']} lanes"
     )
     lines.append(
-        f"  generator's comb: {ec._GENERATOR_COMB_TABLES} sub-tables x {ec._comb_width(ec._GENERATOR_COMB_TABLES)}"
+        f"  generator's comb: {ec._GENERATOR_COMB_TABLES} sub-tables x"
+        f" {ec._comb_width(ec._GENERATOR_COMB_TABLES, ec._COMB_TEETH)}"
         f" columns; {BATCH_LANES} lanes over one unsigned 29-column table"
         f" {lockstep['fixed_base_one_table_us_per_lane']:.0f} us/lane"
         f" -> {speedups['fixed_base_subtables_speedup']:.2f}x"
@@ -908,26 +770,14 @@ def main(argv=None) -> int:
         f" {slot['slot_window_kb']:.1f} KB a key"
     )
     lines.append(
-        f"{CERTIFY_SIGNERS}-signer certificate: signed combs"
-        f" {1e3 / records['verify_aggregate_12']['ops_per_sec']:.2f} ms vs unsigned"
-        f" {1e3 / records['verify_aggregate_12_unsigned']['ops_per_sec']:.2f} ms"
-        f" -> {speedups['signed_over_unsigned_verify']:.2f}x"
+        f"{QUORUM}-signer certificate on its aggregate key's comb"
+        f" {1e3 / records[f'aggregate_key_check_{QUORUM}']['ops_per_sec']:.2f} ms"
+        f" vs the same sum on a ladder"
+        f" {1e3 / records[f'uncombed_key_check_{QUORUM}']['ops_per_sec']:.2f} ms"
+        f" -> {speedups['aggregate_key_over_uncombed']:.2f}x"
     )
-    for quorum in QUORUMS:
-        lines.append(
-            f"{quorum}-signer per-key chain {1e3 / records[f'certificate_{quorum}']['ops_per_sec']:.2f} ms"
-            f" vs the ECDSA quorum list {1e3 / records[f'ecdsa_list_{quorum}']['ops_per_sec']:.2f} ms"
-            f" -> {speedups[f'certificate_over_ecdsa_{quorum}']:.2f}x"
-        )
-    for quorum in QUORUMS:
-        lines.append(
-            f"{quorum}-signer certificate on its aggregate key"
-            f" {1e3 / records[f'aggregate_key_check_{quorum}']['ops_per_sec']:.2f} ms"
-            f" vs the per-key chain {1e3 / records[f'per_key_check_{quorum}']['ops_per_sec']:.2f} ms"
-            f" -> {speedups[f'aggregate_key_over_per_key_{quorum}']:.2f}x"
-        )
     lines.append(
-        f"aggregate key of {max(QUORUMS)} signers: {memory['aggregate_key_build_ms']:.2f} ms to"
+        f"aggregate key of {QUORUM} signers: {memory['aggregate_key_build_ms']:.2f} ms to"
         f" sum and comb, {memory['aggregate_key_kb']:.1f} KB held"
     )
     lines.append(

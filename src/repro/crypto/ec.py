@@ -8,32 +8,27 @@ over NIST P-256.  This module implements the curve from scratch:
   hot path; one inversion to normalize),
 - scalar multiplication, tiered as below,
 - SEC1 compressed point (de)serialization,
-- key generation and the Schnorr check ``s·G = R + c·Σ Xᵢ``
-  (:meth:`_Curve.schnorr_verify`) under the log's certificates, whose
-  key sum :func:`combed_sum` combs once per signer set; the signing
+- key generation and the Schnorr check ``s·G = R + c·X``
+  (:meth:`_Curve.schnorr_verify`, one key) under the log's certificates,
+  whose key sum :func:`combed_sum` combs once per signer set; the signing
   rounds are ``repro.log.distributed.SchnorrMultiSig``'s.
 
 Every fast multiply of one scalar is ONE loop, :func:`_chain` — Horner over
 columns, ``acc = 2·acc + Σ column`` — and a tier is only a way of laying a
 scalar out in columns of table entries; many scalars over one comb run the
 same Horner steps side by side (the lock step below).  The tiers follow how
-long a point lives and how often it is multiplied:
+long a point lives and how often it is multiplied.  Two comb shapes exist,
+the generator's and the small one; every other point runs on a ladder:
 
-- **Comb (provisioned points, the generator included)**: a zero-free
-  signed Lim–Lee comb of 10 teeth over 26 bit positions (``_build_comb``:
-  512 affine sums ``2^234·Q ± 2^(26j)·Q …``, their negations read free)
-  turns a multiply into 25 doublings + exactly 26 mixed additions, and a
-  sum of such multiplies into *one* 26-column chain (``_comb_mult``).  A
-  comb is a list of such sub-tables, the i-th scaled by ``2^(i·w)``,
-  ``w = ⌈26/S⌉``, so S of them cut the chain to w columns with the same
-  additions.  The generator — keygen, hashed ElGamal, signing nonces and
-  the certificate check, every HSM decrypt — is the first provisioned
-  point, and the one with ``_GENERATOR_COMB_TABLES`` (5) sub-tables: 5
-  doublings a multiply, for a comb built once per process on first use.
-  Any other point gets a one-table 10-tooth comb only through an explicit
-  :meth:`ECPoint.precompute` at provisioning time (the signer directory,
-  via ``SchnorrMultiSig.precompute_signer_key``): never on reuse, and only
-  ever for public keys.
+- **Generator comb**: a zero-free signed Lim–Lee comb of 10 teeth over
+  26 bit positions (``_build_comb``: 512 affine sums ``2^234·G ±
+  2^(26j)·G …``, their negations read free) turns a multiply into 25
+  doublings + exactly 26 mixed additions (``_comb_mult``).  A comb is a
+  list of such sub-tables, the i-th scaled by ``2^(i·w)``, ``w = ⌈26/S⌉``,
+  so S of them cut the chain to w columns with the same additions.  The
+  generator — keygen, hashed ElGamal, signing nonces and the certificate
+  check, every HSM decrypt — has ``_GENERATOR_COMB_TABLES`` (5) of them:
+  5 doublings a multiply, for a comb built once per process on first use.
 - **Small comb (slot keys, aggregate keys)**: a BFE slot key is
   multiplied by a fresh r in every ciphertext whose tag hashes to its slot
   (a backup series under one salt hashes every backup to the same k
@@ -46,17 +41,18 @@ long a point lives and how often it is multiplied:
   aggregate key ``X_S`` gets the same comb from :func:`combed_sum` (≈ 6 KB
   a device and lane; a 10-tooth one would hold 0.09 MB).  ``P * s`` and
   Straus sums never build one, so a one-off point — an HSM-side
-  ephemeral, a response key — never pays.
+  ephemeral, a response key, a signer key — never pays.
 - **Signed-window ladder (every other point)**: the scalar is recoded into
   width-5 signed digits (``_signed_digits``: odd, |d| <= 15, at least five
   positions apart) over the 8 odd multiples ``Q, 3Q, ..., 15Q`` — 256
   doublings + ~43 mixed additions.  The table is built in the call and
   dies with it: every point the protocol multiplies by a ladder is a
-  one-off (an HSM-side ephemeral, a response key, an unprovisioned
-  verification key), and the points it multiplies again carry combs.
-  Tables hold multiples of the point only; the recoded digits of a
-  (possibly secret) scalar are locals of the call.
-- **Lock step (many scalars, one provisioned point — a device's m slot
+  one-off (an HSM-side ephemeral, a response key) or rarely multiplied (a
+  signer key: its proof of possession once, a bad share's check), and the
+  points it multiplies again carry combs.  Tables hold multiples of the
+  point only; the recoded digits of a (possibly secret) scalar are locals
+  of the call.
+- **Lock step (many scalars over the generator — a device's m slot
   keys)**: :func:`generator_mult_each` walks the generator's comb for all
   scalars at once.  A column is up to S + 1 batched affine additions,
   ``(acc + entry) + acc`` and then one entry from each further sub-table
@@ -78,15 +74,15 @@ long a point lives and how often it is multiplied:
 
 :func:`multi_mult` exposes Straus/Shamir multi-scalar multiplication
 (``Σ sᵢ·Pᵢ``: every term's columns merged into one chain, a comb's
-columns riding the chain's last 43, 26 or w steps), :func:`mult_each`
+columns riding the chain's last 43 or w steps), :func:`mult_each`
 multiplies many points by one scalar (one comb reading per tooth count,
 one batch build of the missing combs and one batch inversion for the
 results — a BFE ciphertext's k slot keys),
 :func:`generator_mult_each` the generator by many scalars (above), and
-:meth:`_Curve.schnorr_verify` — the one verification entry — checks a
-certificate as one Straus sum, ``s·G`` and ``−c·X_S`` over the aggregate
-key's comb (or ``−c·Xᵢ`` over each key's, for a proof of possession or one
-signer's share), compared with ``R`` without an inversion.  All batched
+:meth:`_Curve.schnorr_verify` — the one verification entry, over one key —
+checks a certificate as one Straus sum, ``s·G`` and ``−c·X_S`` over the
+aggregate key's comb (``−c·Xᵢ`` on a ladder, for a proof of possession or
+one signer's share), compared with ``R`` without an inversion.  All batched
 paths are bit-for-bit deterministic — they produce exactly the same points
 and accept/reject decisions as the sequential code — and metering is
 preserved: ``ec_mult`` counts for a fixed workload are identical to the
@@ -380,18 +376,16 @@ def _build_windows(points: Sequence[_Affine]) -> List[List[_Affine]]:
 # — 2^(t−1) entries, the negations free.  A multiply is c columns of one
 # entry, c − 1 doublings, and the table of t teeth holds one entry more
 # than an unsigned comb of t − 1 teeth (2^(t−1) − 1 subset sums): one tooth
-# more at about the same memory.  A provisioned point's comb has 10 teeth x 26
-# bits, 512 entries.  A comb of S sub-tables cuts the c positions into S
-# runs of w = ⌈c/S⌉: sub-table i is the same sums scaled by 2^(i·w), so a
-# multiply is w columns of S entries (fewer in the last run) — w doublings
-# instead of c.  Only the generator, built once per process and multiplied
-# by everything, has _GENERATOR_COMB_TABLES of them (≈ 0.46 MB under
-# tracemalloc, against ≈ 0.09 MB for one); a signer key keeps one, since a
-# dozen of them at five sub-tables would hold ≈ 4.4 MB more.  A slot key
-# :func:`mult_each` meets, and an aggregate key :func:`combed_sum` makes,
-# gets the small comb: _SLOT_COMB_TEETH = 6 teeth x 43 bits, one table of
-# 32 entries (≈ 6.0 KB, against a window table's 1.5 KB), 42 doublings a
-# multiply.
+# more at about the same memory.  A comb of S sub-tables cuts the c positions
+# into S runs of w = ⌈c/S⌉: sub-table i is the same sums scaled by 2^(i·w),
+# so a multiply is w columns of S entries (fewer in the last run) — w
+# doublings instead of c.  Two shapes are built.  The generator, built once
+# per process and multiplied by everything, has _GENERATOR_COMB_TABLES
+# sub-tables of _COMB_TEETH = 10 teeth x 26 bits, 512 entries each (≈ 0.46 MB
+# under tracemalloc).  A slot key :func:`mult_each` meets, and an aggregate
+# key :func:`combed_sum` makes, gets the small comb: _SLOT_COMB_TEETH = 6
+# teeth x 43 bits, one table of 32 entries (≈ 6.0 KB, against a window
+# table's 1.5 KB), 42 doublings a multiply.
 _COMB_TEETH = 10
 _SLOT_COMB_TEETH = 6
 _GENERATOR_COMB_TABLES = 5
@@ -404,7 +398,7 @@ def _comb_stride(teeth: int) -> int:
     return -(-256 // teeth)
 
 
-def _comb_width(tables: int, teeth: int = _COMB_TEETH) -> int:
+def _comb_width(tables: int, teeth: int) -> int:
     """The columns of a comb of ``tables`` sub-tables: ⌈stride / tables⌉."""
     return -(-_comb_stride(teeth) // tables)
 
@@ -414,15 +408,13 @@ def _comb_teeth(comb: _Comb) -> int:
     return len(comb[0]).bit_length()
 
 
-def _build_comb(
-    points: Sequence[_Affine], tables: int = 1, teeth: int = _COMB_TEETH
-) -> List[_Comb]:
+def _build_comb(points: Sequence[_Affine], tables: int, teeth: int) -> List[_Comb]:
     """The comb of ``tables`` sub-tables of ``teeth`` teeth of every affine
     ``Q`` in ``points``: ``sub[i][m] = 2^(i·w)·(B_top + Σ_{j<teeth−1} ±B_j)``,
     ``B_j = 2^(c·j)·Q``, the sign of ``B_j`` that of bit ``j`` of ``m``,
     ``c = _comb_stride(teeth)``, ``w = _comb_width(tables, teeth)`` — the
-    generator's and a signer key's as batches of one, a :func:`mult_each`
-    call's missing slot-key combs as one batch.
+    generator's and an aggregate key's as batches of one, a
+    :func:`mult_each` call's missing slot-key combs as one batch.
 
     One :func:`_chain` of doublings per point raises every tooth base and
     the double of every base below the top one, in order of their exponent
@@ -544,10 +536,9 @@ def _ladder_columns(
 def _comb_mult(terms: Sequence[Tuple[Sequence[int], _Comb]]) -> _JPoint:
     """``Σ sᵢ·Pᵢ`` over ``(indices, comb)`` terms — each scalar as its
     :func:`_comb_indices` — in ONE chain as wide as the widest comb: 43
-    columns for a sum with a slot key in it, 26 with a signer key, w for
-    the generator's sub-tables alone, plus one mixed addition per bit
-    position of each term, against 256 doublings for a ladder over any one
-    point."""
+    columns for a sum with a 6-tooth comb in it, w for the generator's
+    sub-tables alone, plus one mixed addition per bit position of each
+    term, against 256 doublings for a ladder over any one point."""
     columns: List[_Column] = [()] * max(
         _comb_width(len(comb), _comb_teeth(comb)) for _, comb in terms
     )
@@ -560,8 +551,8 @@ def _multi_mult_jac(pairs: Sequence[Tuple[int, "ECPoint"]]) -> _JPoint:
     """Straus/Shamir interleaved multi-scalar multiply (no metering).
 
     Scalars are assumed reduced mod N and nonzero, points non-infinity.
-    When every point carries a comb (the generator, provisioned signer
-    keys, slot keys) the sum is one comb chain.  Otherwise it is one ladder
+    When every point carries a comb (the generator, slot keys, aggregate
+    keys) the sum is one comb chain.  Otherwise it is one ladder
     chain: each remaining point lays its signed digits over a window table
     built in the call (all of them in one :func:`_build_windows` batch),
     and the comb columns ride the ladder's last steps.
@@ -588,16 +579,14 @@ def _multi_mult_jac(pairs: Sequence[Tuple[int, "ECPoint"]]) -> _JPoint:
 class ECPoint:
     """An affine point on P-256 (or the point at infinity).
 
-    A point carries a one-table signed comb (``_comb``) when it was
-    explicitly :meth:`precompute`d (10 teeth, a provisioned signer key: 25
-    doublings rather than 256), met by :func:`mult_each` (6 teeth, a BFE
-    slot key: 42 doublings) or made by :func:`combed_sum` (6 teeth, a
-    signer set's aggregate key); the generator's coordinates always resolve to
-    the one comb of ``_GENERATOR_COMB_TABLES`` sub-tables held by
-    ``P256.generator``.  Nothing else is cached: ``P * s`` and Straus sums
-    over a comb-less point leave it as it was.  A comb holds multiples of
-    the (public) point only and is keyed on the instance; equality/hashing
-    ignore it.
+    A point carries a one-table 6-tooth signed comb (``_comb``) when it
+    was met by :func:`mult_each` (a BFE slot key: 42 doublings rather than
+    256) or made by :func:`combed_sum` (a signer set's aggregate key); the
+    generator's coordinates always resolve to the one comb of
+    ``_GENERATOR_COMB_TABLES`` sub-tables held by ``P256.generator``.
+    Nothing else is cached: ``P * s`` and Straus sums over a comb-less
+    point leave it as it was.  A comb holds multiples of the (public)
+    point only and is keyed on the instance; equality/hashing ignore it.
     """
 
     __slots__ = ("x", "y", "_comb")
@@ -622,42 +611,18 @@ class ECPoint:
         return (self.x, self.y, 1)  # type: ignore[return-value]
 
     def _comb_table(self) -> Optional[_Comb]:
-        """This point's comb, or ``None`` if it was never provisioned.
+        """This point's comb, or ``None`` if it has none.
 
         Every instance with the generator's coordinates shares the one
-        comb built (on first use) for ``P256.generator``.
+        comb of ``P256.generator``, built on first use (a benign race
+        between threads builds identical ones).
         """
         if self._comb is None and _is_generator(self.x, self.y):
-            self.precompute()
-        return self._comb
-
-    # lint: unmetered[table build over a public key; verification meters ecdsa_verify]
-    def precompute(self) -> None:
-        """Build this point's 10-tooth comb (a no-op on a point that holds a
-        comb already; one signed table of 512 entries, ~0.1 MB, about a
-        dozen verifications' worth of work).
-
-        Call it only at provisioning time for a *public* key that will be
-        verified against every epoch (the signer directory).  Nothing else
-        gives a point the 10-tooth comb — a device holds hundreds of BFE
-        slot keys, and a 0.1 MB table for each would cost tens of MB for
-        keys that are each used a handful of times; :func:`mult_each` gives
-        a slot key the 6-tooth comb of 32 entries instead, and
-        :func:`combed_sum` a signer set's aggregate key, which every
-        device holds one of per lane.  The generator's
-        coordinates resolve to ``P256.generator``'s comb of
-        ``_GENERATOR_COMB_TABLES`` sub-tables, built once per process (a
-        benign race between threads builds identical ones).
-        """
-        if self._comb is not None or self.is_infinity:
-            return
-        if _is_generator(self.x, self.y):
             generator = P256.generator
             if generator._comb is None:
-                (generator._comb,) = _build_comb([(GX, GY)], _GENERATOR_COMB_TABLES)
+                (generator._comb,) = _build_comb([(GX, GY)], _GENERATOR_COMB_TABLES, _COMB_TEETH)
             self._comb = generator._comb
-        else:
-            (self._comb,) = _build_comb([(self.x, self.y)])  # type: ignore[list-item]
+        return self._comb
 
     @staticmethod
     def _from_affine(affine: Optional[_Affine]) -> "ECPoint":
@@ -765,14 +730,14 @@ def combed_sum(points: Sequence[ECPoint]) -> ECPoint:
     whatever the set's size (≈ 1.1–1.5 ms and ≈ 6 KB to build).  The identity
     — no points, or a sum that cancels — carries no comb.
 
-    A 6-tooth comb, not the signer keys' 10-tooth one: a device holds one
+    A 6-tooth comb, not the generator's 10-tooth shape: a device holds one
     aggregate key per lane, and 0.09 MB for each would cost several MB a
     fleet for ≈ 0.2 ms a check.  The comb holds multiples of the (public)
     sum only.
     """
     total = point_sum(points)
     if not total.is_infinity:
-        (total._comb,) = _build_comb([(total.x, total.y)], teeth=_SLOT_COMB_TEETH)  # type: ignore[list-item]
+        (total._comb,) = _build_comb([(total.x, total.y)], 1, _SLOT_COMB_TEETH)  # type: ignore[list-item]
     return total
 
 
@@ -790,9 +755,9 @@ def naive_mult(point: ECPoint, scalar: int) -> ECPoint:
 def multi_mult(pairs: Sequence[Tuple[int, ECPoint]]) -> ECPoint:
     """Straus/Shamir multi-scalar multiplication: ``Σ sᵢ·Pᵢ`` in one pass.
 
-    All terms share ONE doubling chain — 26 columns when every point is
-    provisioned (the generator included), 43 when every point is combed
-    and a slot key takes part, the ladder's 257 otherwise — so
+    All terms share ONE doubling chain — the generator's 6 columns when it
+    is the only point, 43 when every point is combed and a 6-tooth comb
+    takes part, the ladder's 257 otherwise — so
     ``k`` multiplications cost roughly one multiplication plus ``k``
     addition streams instead of ``k`` full multiplications.  The result is
     bit-for-bit the same point the ``k`` separate multiplications would
@@ -836,7 +801,7 @@ def mult_each(points: Sequence[ECPoint], scalar: int) -> List[ECPoint]:
     scalar %= N
     missing = [point for point in points if not point.is_infinity and point._comb_table() is None]
     if missing:
-        built = _build_comb([(p.x, p.y) for p in missing], teeth=_SLOT_COMB_TEETH)  # type: ignore[misc]
+        built = _build_comb([(p.x, p.y) for p in missing], 1, _SLOT_COMB_TEETH)  # type: ignore[misc]
         for point, comb in zip(missing, built):
             point._comb = comb
     indices: Dict[int, List[int]] = {}  # by tooth count
@@ -883,7 +848,7 @@ def generator_mult_each(scalars: Sequence[int]) -> List[ECPoint]:
     if len(scalars) < _LOCKSTEP_MIN_LANES:
         return [ECPoint._from_jac(generator._mult_jac(scalar)) for scalar in scalars]
     comb: _Comb = generator._comb_table()  # type: ignore[assignment]
-    width = _comb_width(len(comb))
+    width = _comb_width(len(comb), _COMB_TEETH)
     lanes = [_comb_indices(scalar % N, _COMB_TEETH) if scalar % N else None for scalar in scalars]
     sums: List[Optional[_Affine]] = [None] * len(scalars)
     for column in range(width - 1, -1, -1):
@@ -930,39 +895,30 @@ class _Curve:
         return ECKeyPair(secret=sk, public=self.generator * sk)
 
     # -- Schnorr verification -------------------------------------------------
-    def schnorr_verify(
-        self, publics: Sequence[ECPoint], challenge: int, nonce: ECPoint, s: int
-    ) -> bool:
-        """Does ``s·G = R + c·Σ Xᵢ`` hold, for ``R = nonce`` and ``Xᵢ`` in
-        ``publics``?  The one verification entry: a log certificate
-        (``publics`` is its signer set's one aggregate key), a proof of
-        possession and one signer's share (one signer key each).
+    def schnorr_verify(self, public: ECPoint, challenge: int, nonce: ECPoint, s: int) -> bool:
+        """Does ``s·G = R + c·X`` hold, for ``R = nonce`` and ``X =
+        public``?  The one verification entry: a log certificate (``X`` is
+        its signer set's aggregate key), a proof of possession and one
+        signer's share (``X`` is one signer key).
 
-        ``s·G`` and every ``−c·Xᵢ`` are one Straus sum, one comb chain when
-        every key carries a comb.  An aggregate key from :func:`combed_sum`
-        is 43 columns and one mixed addition a column, whatever the signer
-        count; a list of keys provisioned with :meth:`ECPoint.precompute` is
-        26 columns and one addition a key a column, so it costs more from
-        about three keys up (≈ 1.9 ms at nine against ≈ 0.7 ms) — which is
-        why a certificate is checked against its sum, combed once per
-        signer set.  The sum is compared with ``R`` in Jacobian coordinates,
-        so no inversion runs.
-        ``nonce`` must be a finite curve point (:func:`is_curve_point`);
-        ``s`` arrives from an untrusted party, and one outside ``[1, n)``
-        or not an int is a rejection, never an exception.
+        ``s·G`` and ``−c·X`` are one Straus sum: one 43-column comb chain
+        over an aggregate key from :func:`combed_sum`, whatever the signer
+        count, and a ladder over a signer key, which carries no comb.  The
+        sum is compared with ``R`` in Jacobian coordinates, so no inversion
+        runs.  ``nonce`` must be a finite curve point
+        (:func:`is_curve_point`); ``s`` arrives from an untrusted party, and
+        one outside ``[1, n)`` or not an int is a rejection, never an
+        exception.
 
-        Metering: one ``ecdsa_verify`` (the cost model's verification),
-        whatever the number of keys.
+        Metering: one ``ecdsa_verify`` (the cost model's verification).
         """
         metering.count("ecdsa_verify")
-        if not (type(s) is int and 1 <= s < self.n and publics):
-            return False
-        if any(public.is_infinity for public in publics):
+        if not (type(s) is int and 1 <= s < self.n) or public.is_infinity:
             return False
         c = challenge % self.n
         pairs = [(s, self.generator)]
         if c:
-            pairs += [(self.n - c, public) for public in publics]
+            pairs.append((self.n - c, public))
         x, y, z = _multi_mult_jac(pairs)
         if z == 0:
             return False

@@ -207,11 +207,8 @@ class HsmDevice:
         """Install the fleet's signature public keys (run once at setup).
 
         The directory comes from :meth:`HsmFleet.signer_directory`, which
-        checked every key's proof of possession and gave it its comb; the
-        key objects are shared by every device of the fleet, so N devices
-        hold N tables, and a provider restart builds none.  Those 10-tooth
-        combs serve the proofs and a lane's check of one signer's share;
-        a certificate is checked against the signer set's aggregate key,
+        checked every key's proof of possession; its keys carry no table.
+        A certificate is checked against the signer set's aggregate key,
         which each device sums from this directory and combs itself, once
         per lane and signer set.  A new directory drops those keys.
         """

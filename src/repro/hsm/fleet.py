@@ -52,12 +52,11 @@ class HsmFleet:
         proof of possession checked once here rather than on every device
         (N checks, not N²).  Certificates sum their signers' keys, so a key
         with no valid proof — a rogue ``a·G − Σ X_honest`` would let its
-        maker sign for the whole set — is a ``ValueError``.  Each key gets
-        its comb here (:meth:`SchnorrMultiSig.precompute_signer_key`, the
-        only place a signer key gets one), first, so the check rides it."""
+        maker sign for the whole set — is a ``ValueError``.  A key gets no
+        comb: certificates are checked against the signers' combed sum, so
+        a key is multiplied only here and in one signer's share check."""
         directory: Dict[int, object] = {}
         for info in infos:
-            SchnorrMultiSig.precompute_signer_key(info.sig_public)
             if not SchnorrMultiSig.verify_possession(info.index, info.sig_public, info.sig_proof):
                 raise ValueError(f"HSM {info.index}: signing key has no valid proof of possession")
             directory[info.index] = info.sig_public

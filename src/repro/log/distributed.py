@@ -176,7 +176,7 @@ class SchnorrMultiSig:
             return False
         nonce, s = proof
         challenge = SchnorrMultiSig._possession_challenge(index, public, nonce)
-        return P256.schnorr_verify([public], challenge, nonce, s)
+        return P256.schnorr_verify(public, challenge, nonce, s)
 
     @staticmethod
     def _possession_challenge(index: int, public: ECPoint, nonce: ECPoint) -> int:
@@ -194,13 +194,6 @@ class SchnorrMultiSig:
         )
 
     @staticmethod
-    def precompute_signer_key(public) -> None:
-        """Provisioning hook, called once per signer-directory key: give the
-        key a comb table, so its ``−c·Xᵢ`` term is 26 mixed additions in the
-        check's one chain."""
-        public.precompute()
-
-    @staticmethod
     def verify_aggregate(key: AggregateKey, message: bytes, aggregate) -> bool:
         """Check a certificate ``(R, s)`` against its signer set's
         aggregate ``key``: one :meth:`~repro.crypto.ec._Curve.schnorr_verify`
@@ -212,7 +205,7 @@ class SchnorrMultiSig:
             return False
         nonce, s = aggregate
         challenge = SchnorrMultiSig.challenge(key, nonce, message)
-        return P256.schnorr_verify([key.point], challenge, nonce, s)
+        return P256.schnorr_verify(key.point, challenge, nonce, s)
 
 
 #: The scheme's former name, kept for the end-to-end benchmark's workloads
@@ -723,7 +716,7 @@ class DistributedLog:
                 dropped = {
                     hsm.index
                     for hsm, public, share in zip(signers, publics, shares)
-                    if not P256.schnorr_verify([public], challenge, nonces[hsm.index], share)
+                    if not P256.schnorr_verify(public, challenge, nonces[hsm.index], share)
                 }
                 if not dropped:
                     raise LogUpdateRejected("the certificate does not verify")

@@ -7,16 +7,15 @@ aggregate keys.
 - :func:`certificate` is what whoever holds every signer's secret can make
   alone: the same ``(R, s)``, with no device involved (an attacker holding
   stolen keys, or a bench needing a valid certificate).
-- :func:`per_key_check` is the certificate check as it ran before a signer
-  set's aggregate key was combed: ``X_S`` summed for the challenge, then one
-  chain with a term for every signer's key.  It is the baseline the
-  combed-key check is compared with, in tests and in
-  ``benchmarks/bench_crypto_hotpath.py``.
+- :func:`per_key_check` is the certificate check written out over the
+  signers' keys: ``X_S`` summed for the challenge, then one ``multi_mult``
+  with a ``−c·Xᵢ`` term for every key.  It shares neither the aggregate key
+  nor ``P256.schnorr_verify`` with the check it is an oracle for.
 """
 
 import random
 
-from repro.crypto.ec import P256, point_sum
+from repro.crypto.ec import N, P256, multi_mult, point_sum
 from repro.log.distributed import AggregateKey, SchnorrMultiSig
 
 
@@ -42,12 +41,15 @@ def certificate(keypairs, message, seed=0):
 
 
 def per_key_check(publics, message, aggregate) -> bool:
-    """``SchnorrMultiSig.verify_aggregate`` as it was over a list of signer
-    keys: the challenge over their plain sum (no comb), then
-    ``P256.schnorr_verify`` with a ``−c·Xᵢ`` term for each key, on each
-    key's own comb if it has one."""
+    """``SchnorrMultiSig.verify_aggregate`` written out over a list of
+    signer keys: the challenge over their plain sum, then ``s·G − c·X₁ − …
+    − c·Xₖ == R`` as one ``multi_mult`` — on each key's comb if it has
+    one, on a ladder if not.  An identity key, or an ``s`` outside
+    ``[1, n)``, is a rejection."""
     if not (publics and SchnorrMultiSig._well_formed(aggregate)):
         return False
     nonce, s = aggregate
+    if not (type(s) is int and 1 <= s < N) or any(public.is_infinity for public in publics):
+        return False
     challenge = SchnorrMultiSig.challenge(AggregateKey((), point_sum(publics)), nonce, message)
-    return P256.schnorr_verify(publics, challenge, nonce, s)
+    return multi_mult([(s, P256.generator)] + [(N - challenge, X) for X in publics]) == nonce

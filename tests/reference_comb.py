@@ -5,21 +5,18 @@
   fill of the 2^t − 1 subset sums ``Σ_{j ∈ bits(b)} 2^(c·j + i·w)·Q``,
   entry 0 empty), :func:`unsigned_indices` and :func:`unsigned_columns` (a
   position adds an entry only where its teeth are not all zero), at
-  ``UNSIGNED_TEETH`` = 9 for the generator and signer keys — one tooth
-  fewer than their signed combs, and one entry fewer a table — and
-  ``UNSIGNED_SLOT_TEETH`` = 4 for slot keys, the comb the signed 5-tooth
-  slot comb replaced (today's has 6 teeth: 32 entries against 15).
-  :func:`unsigned_mult_each` and :func:`unsigned_certificate_check`
-  are ``mult_each`` and the per-key log certificate check (one term a
-  signer key, ``multisig_rounds.per_key_check``) over it, and the hot-path
-  bench times the signed engine against them (``signed_over_unsigned_slot``,
-  ``signed_over_unsigned_verify``) and weighs both engines' tables
-  (``*_comb_kb``).
+  ``UNSIGNED_TEETH`` = 9 for the generator — one tooth fewer than its
+  signed comb, and one entry fewer a table — and ``UNSIGNED_SLOT_TEETH`` =
+  4 for slot keys, the comb the signed 5-tooth slot comb replaced (today's
+  has 6 teeth: 32 entries against 15).  :func:`unsigned_mult_each` is
+  ``mult_each`` over it, and the hot-path bench times the signed engine
+  against it (``signed_over_unsigned_slot``) and weighs both engines'
+  tables (``*_comb_kb``).
 - :func:`jacobian_comb_fill` is the one-table 9-tooth fill before it went
   lock step: general Jacobian additions for the 502 subset sums, one batch
   normalization of all 511 entries.  It is the differential reference for
-  :func:`unsigned_build_comb` and the baseline
-  ``benchmarks/bench_crypto_hotpath.py`` times ``comb_build`` against.
+  :func:`unsigned_build_comb`, and the generator's one-table comb that
+  :func:`one_table_generator_mult_each` walks.
 - :func:`one_table_generator_mult_each` is the lock step
   ``generator_mult_each`` ran before the generator's comb was cut into
   sub-tables: one unsigned 29-column table, two ``_add_each`` batches a
@@ -112,25 +109,6 @@ def unsigned_mult_each(points, scalar, combs):
     indices = unsigned_indices(scalar, unsigned_teeth(combs[0]))
     products = [unsigned_comb_mult([(indices, comb)]) for comb in combs]
     return [ec.ECPoint._from_affine(affine) for affine in ec._jac_to_affine_batch(products)]
-
-
-def unsigned_certificate_check(publics, key_combs, generator_comb, message, aggregate):
-    """The per-key certificate check (``multisig_rounds.per_key_check``)
-    over unsigned combs: ``publics`` are the signer keys, ``key_combs``
-    their combs, ``generator_comb`` G's.
-    The same steps — the challenge over ``X_S``, ``s·G`` and every
-    ``−c·Xᵢ`` in one chain, compared with ``R`` in Jacobian coordinates —
-    and the same metering."""
-    from repro.log.distributed import AggregateKey, SchnorrMultiSig
-
-    metering.count("ecdsa_verify")
-    nonce, s = aggregate
-    c = SchnorrMultiSig.challenge(AggregateKey((), ec.point_sum(publics)), nonce, message)
-    terms = [(unsigned_indices(s, UNSIGNED_TEETH), generator_comb)]
-    terms += [(unsigned_indices(ec.N - c, UNSIGNED_TEETH), comb) for comb in key_combs]
-    x, y, z = unsigned_comb_mult(terms)
-    zsq = z * z % ec.P
-    return z != 0 and x == nonce.x * zsq % ec.P and y == nonce.y * zsq * z % ec.P
 
 
 def jacobian_comb_fill(x, y):

@@ -9,13 +9,15 @@ This module keeps that scheme as it ran:
   (one ``hmac``) riding the generator's comb;
 - :func:`ecdsa_verify_all` — chunks of ``VERIFY_CHUNK`` triples, one batch
   inversion of the chunk's ``s`` values and one of its results, ``u1·G +
-  u2·Q`` as one comb chain for a provisioned ``Q``, the early abort, and
+  u2·Q`` as one chain, the early abort, and
   one ``ecdsa_verify`` a triple up to and including the first failure;
 - :func:`verify_quorum_list` — the certificate check over that list.
 
-``benchmarks/bench_crypto_hotpath.py`` times the Schnorr certificate check
-against :func:`verify_quorum_list` (``certificate_over_ecdsa_9``,
-``certificate_over_ecdsa_3``).
+No bench row times against it any more. It stays as an independent
+check of the curve code it runs on: a textbook verifier built from
+``_multi_mult_jac`` (``u1·G`` on the generator's comb, ``u2·Q`` on a
+ladder, one chain) and ``_jac_to_affine_batch``, whose verdicts must be
+the sequential loop's, and of the cost model's ``ecdsa_verify`` meter.
 """
 
 from typing import List, Optional, Sequence, Tuple

@@ -25,6 +25,7 @@ from repro.crypto.ec import (
     P256,
     ECKeyPair,
     ECPoint,
+    combed_sum,
     generator_mult_each,
     mult_each,
     multi_mult,
@@ -53,13 +54,13 @@ def ecdsa_verify(public, message, signature):
 
 G = P256.generator
 GENERATOR_TABLES = ec_module._GENERATOR_COMB_TABLES
-GENERATOR_WIDTH = ec_module._comb_width(GENERATOR_TABLES)
 TEETH = ec_module._COMB_TEETH
-STRIDE = ec_module._comb_stride(TEETH)  # 26
+GENERATOR_WIDTH = ec_module._comb_width(GENERATOR_TABLES, TEETH)
 SLOT_TEETH = ec_module._SLOT_COMB_TEETH
 SLOT_STRIDE = ec_module._comb_stride(SLOT_TEETH)  # 43
-# The three tiers as (teeth, tables): the generator, a signer key, a slot key.
-TIERS = ((TEETH, GENERATOR_TABLES), (TEETH, 1), (SLOT_TEETH, 1))
+# The two comb shapes as (teeth, tables): the generator's, and the small
+# one of a slot key or an aggregate key.
+TIERS = ((TEETH, GENERATOR_TABLES), (SLOT_TEETH, 1))
 
 # Scalars where window/comb algorithms historically go wrong: zero, the
 # identity, all-ones digits, values at and just past the group order.
@@ -258,11 +259,11 @@ class TestColumnBuilders:
                         assert (entry + (2 << (stride * j + shift))) % N
 
     def test_every_comb_entry_is_its_signed_sum(self, named_points):
-        """Every entry of every sub-table at all three tiers — the
-        generator's five, a signer key's one, a slot key's one — is finite
-        and is ``naive_mult`` of its signed exponent sum."""
+        """Every entry of every sub-table of both shapes — the generator's
+        five, a slot or aggregate key's one — is finite and is
+        ``naive_mult`` of its signed exponent sum."""
         point = named_points["random"]
-        for (teeth, tables), base in zip(TIERS, (G, point, point)):
+        for (teeth, tables), base in zip(TIERS, (G, point)):
             (comb,) = ec_module._build_comb([(base.x, base.y)], tables, teeth)
             width = ec_module._comb_width(tables, teeth)
             assert len(comb) == tables and ec_module._comb_teeth(comb) == teeth
@@ -271,7 +272,7 @@ class TestColumnBuilders:
                 for index, entry in enumerate(entries):
                     multiple = signed_sum(index, teeth, sub_table * width)
                     assert ECPoint(*entry) == naive_mult(base, multiple % N)
-        assert G._comb_table() == ec_module._build_comb([(G.x, G.y)], GENERATOR_TABLES)[0]
+        assert G._comb_table() == ec_module._build_comb([(G.x, G.y)], GENERATOR_TABLES, TEETH)[0]
 
     def test_comb_table_is_the_jacobian_fill_entry_for_entry(self, named_points):
         """The unsigned reference engine's lock-step fill — the baseline the
@@ -311,7 +312,7 @@ class TestColumnBuilders:
         """An index with the top tooth set reads its entry, one without it
         the negation of the complement's."""
         point = named_points["random"]
-        ((table,),) = ec_module._build_comb([(point.x, point.y)], teeth=SLOT_TEETH)
+        ((table,),) = ec_module._build_comb([(point.x, point.y)], 1, SLOT_TEETH)
         half = len(table) - 1
         for index in range(1 << SLOT_TEETH):
             entry = ECPoint(*ec_module._comb_entry(table, index))
@@ -324,9 +325,9 @@ class TestColumnBuilders:
     @settings(max_examples=10, deadline=None)
     def test_comb_columns_ride_the_ladders_last_steps(self, scalar, other, seed):
         point = G * random.Random(seed).randrange(1, N)
-        combed, slot = precomputed(point), slot_key(point)
+        key, slot = summed_key(point), slot_key(point)
         (table,) = ec_module._build_windows([(point.x, point.y)])
-        for base, width in ((combed, STRIDE), (G, GENERATOR_WIDTH), (slot, SLOT_STRIDE)):
+        for base, width in ((G, GENERATOR_WIDTH), (key, SLOT_STRIDE), (slot, SLOT_STRIDE)):
             comb = base._comb_table()
             columns = [()] * ec_module._LADDER_COLUMNS
             indices = ec_module._comb_indices(scalar, ec_module._comb_teeth(comb))
@@ -337,11 +338,12 @@ class TestColumnBuilders:
             assert ECPoint._from_jac(ec_module._chain(columns)) == expected
 
 
-def precomputed(point: ECPoint) -> ECPoint:
-    """A fresh instance with the same coordinates, carrying a comb table."""
-    copy = ECPoint(point.x, point.y)
-    copy.precompute()
-    return copy
+def summed_key(point: ECPoint) -> ECPoint:
+    """A fresh instance with the same coordinates, combed the way an
+    aggregate key is: by :func:`combed_sum` (a sum of one key)."""
+    key = combed_sum([point])
+    assert key == point and ec_module._comb_teeth(key._comb) == SLOT_TEETH
+    return key
 
 
 def slot_key(point: ECPoint) -> ECPoint:
@@ -408,42 +410,48 @@ class TestComb:
     @pytest.mark.parametrize("scalar", COMB_EDGE_SCALARS)
     def test_comb_edge_scalars(self, scalar, named_points):
         """Through the generator's sub-tables (``G * s``, a lone lane below
-        the lock step's crossover, a Straus sum with a combed signer key)
-        and through a signer key's one table."""
+        the lock step's crossover, a Straus sum with an aggregate key) and
+        through the 6-tooth table of an aggregate key over every named
+        point, the generator's coordinates included."""
+        assert ECPoint(G.x, G.y) * scalar == naive_mult(G, scalar)
         for point in named_points.values():
-            assert precomputed(point) * scalar == naive_mult(point, scalar)
+            assert summed_key(point) * scalar == naive_mult(point, scalar)
         assert generator_mult_each([scalar]) == [naive_mult(G, scalar)]
-        signer = precomputed(named_points["random"])
-        expected = naive_mult(G, scalar) + naive_mult(signer, scalar + 1)
-        assert multi_mult([(scalar, G), (scalar + 1, signer)]) == expected
+        key = summed_key(named_points["random"])
+        expected = naive_mult(G, scalar) + naive_mult(key, scalar + 1)
+        assert multi_mult([(scalar, G), (scalar + 1, key)]) == expected
 
     @given(scalar=st.integers(0, (1 << 256) - 1), seed=st.integers(1, 2**32))
     @settings(max_examples=15, deadline=None)
     def test_comb_random_points(self, scalar, seed):
         point = G * random.Random(seed).randrange(1, N)
-        assert precomputed(point) * scalar == naive_mult(point, scalar)
+        assert summed_key(point) * scalar == naive_mult(point, scalar)
 
     def test_table_shape_and_idempotence(self, named_points):
-        point = precomputed(named_points["random"])
+        point = summed_key(named_points["random"])
         comb = point._comb
-        (table,) = comb  # a signer key's comb is one table
-        assert len(table) == 512 and None not in table
-        all_minus = (1 << (STRIDE * (TEETH - 1))) - sum(1 << (STRIDE * j) for j in range(TEETH - 1))
+        (table,) = comb  # an aggregate key's comb is one table
+        assert len(table) == 1 << (SLOT_TEETH - 1) and None not in table
+        all_minus = (1 << (SLOT_STRIDE * (SLOT_TEETH - 1))) - sum(
+            1 << (SLOT_STRIDE * j) for j in range(SLOT_TEETH - 1)
+        )
         assert ECPoint(*table[0]) == naive_mult(point, all_minus)
-        assert ECPoint(*table[0b101]) == naive_mult(point, signed_sum(0b101, TEETH) % N)
-        point.precompute()
-        assert point._comb is comb  # the second call builds nothing
-        infinity = ECPoint(None, None)
-        infinity.precompute()
-        assert infinity._comb is None and (infinity * 5).is_infinity
+        assert ECPoint(*table[0b101]) == naive_mult(point, signed_sum(0b101, SLOT_TEETH) % N)
+        mult_each([point], 5)
+        assert point._comb_table() is comb  # reading it again builds nothing
+        for infinity in (combed_sum([]), combed_sum([point, -point])):
+            assert infinity.is_infinity and infinity._comb is None
+            assert (infinity * 5).is_infinity
 
     def test_generator_copies_share_one_table(self):
-        """Every instance with the generator's coordinates — multiplied or
-        explicitly precomputed — shares the one comb of S sub-tables."""
-        copy, explicit = ECPoint(G.x, G.y), ECPoint(G.x, G.y)
+        """Every instance with the generator's coordinates — multiplied,
+        read for its comb or met by ``mult_each`` — shares the one comb of
+        S sub-tables."""
+        copy, read, met = (ECPoint(G.x, G.y) for _ in range(3))
         assert copy * 77 == naive_mult(G, 77)
-        explicit.precompute()
-        assert copy._comb is G._comb and explicit._comb is G._comb
+        assert read._comb_table() is G._comb
+        mult_each([met], 5)
+        assert all(point._comb is G._comb for point in (copy, read, met))
         assert len(G._comb) == GENERATOR_TABLES
         assert all(None not in sub and len(sub) == 512 for sub in G._comb)
         assert ECPoint(*G._comb[1][0b11]) == naive_mult(G, signed_sum(0b11, TEETH, GENERATOR_WIDTH) % N)
@@ -458,7 +466,7 @@ class TestComb:
         pairs = []
         for i, scalar in enumerate(scalars):
             point = G * rng.randrange(1, N)
-            pairs.append((scalar, (G, precomputed(point), point)[i % 3]))
+            pairs.append((scalar, (G, summed_key(point), point)[i % 3]))
         expected = ECPoint(None, None)
         for scalar, point in pairs:
             expected = expected + naive_mult(ECPoint(point.x, point.y), scalar)
@@ -466,8 +474,9 @@ class TestComb:
 
     def test_verdicts_identical_with_and_without_comb(self):
         """A certificate check reads the aggregate key's comb when it has
-        one and ladders the key otherwise, and the per-key chain reads each
-        signer's comb or ladders it; the verdict is the same every way."""
+        one and ladders the key otherwise, and the written-out per-key
+        oracle reads each key's comb or ladders it; the verdict is the same
+        every way."""
         keypairs = [SchnorrMultiSig.keygen(random.Random(seed)) for seed in range(3)]
         message = b"epoch transition"
         nonce, s = certificate(keypairs, message)
@@ -481,7 +490,7 @@ class TestComb:
             (publics[:2], (nonce, s)),
         ]
         plain = [([ECPoint(pk.x, pk.y) for pk in keys], sig) for keys, sig in cases]
-        combed = [([precomputed(pk) for pk in keys], sig) for keys, sig in cases]
+        combed = [([summed_key(pk) for pk in keys], sig) for keys, sig in cases]
         assert all(pk._comb is None for keys, _ in plain for pk in keys)
         laddered_sums = [AggregateKey((), point_sum(keys)) for keys, _ in plain]
         assert all(key.point._comb is None for key in laddered_sums)
@@ -499,26 +508,23 @@ class TestComb:
         for keyed in (plain, combed):
             assert [per_key_check(keys, message, sig) for keys, sig in keyed] == verdicts
 
-    def test_only_the_generator_and_the_signer_directory_carry_a_comb(self):
-        """The 10-tooth comb is explicit: after a backup + recovery exactly
-        N + 1 such combs exist — the generator's, of S sub-tables, and one
-        table per signer key; no BFE slot key, ephemeral point or
-        client-side copy grew one — and restoring the deployment builds
-        none.  Every other comb is the small one (``SLOT_TEETH`` teeth) of
-        a BFE slot key that the client's ``mult_each`` met or of a signer
-        set's aggregate key that a device or a lane holds."""
+    def test_only_the_generator_carries_a_ten_tooth_comb(self):
+        """After create, two backups, a recovery and a restore, exactly one
+        10-tooth comb exists — the generator's, of S sub-tables — and no
+        signer-directory key carries a comb of any shape: a key's proof of
+        possession and a share check run on a ladder.  Every other comb
+        the workload made is the small one (``SLOT_TEETH`` teeth) of a BFE
+        slot key that the client's ``mult_each`` met or of a signer set's
+        aggregate key that a device or a lane holds."""
         from repro.storage.blockstore import InMemoryBlockStore
 
-        def combed_points(teeth=ec_module._COMB_TEETH):
+        def combed_points():
             gc.collect()
             return [
-                obj for obj in gc.get_objects()
-                if type(obj) is ECPoint and obj._comb is not None
-                and ec_module._comb_teeth(obj._comb) == teeth
+                obj for obj in gc.get_objects() if type(obj) is ECPoint and obj._comb is not None
             ]
 
         before = {id(point._comb) for point in combed_points()}
-        small_before = {id(point._comb) for point in combed_points(SLOT_TEETH)}
         store = InMemoryBlockStore()
         params = SystemParams.for_testing(num_hsms=4, cluster_size=3)
         deployment = Deployment.create(params, rng=random.Random(7), store=store)
@@ -527,30 +533,20 @@ class TestComb:
         # One salt, so the same slots: this backup reads the combs the first built.
         client.backup(b"payload", pin="1234", reuse_salt=True)
         assert client.recover(pin="1234") == b"payload"
-
-        directory = {
-            (info.sig_public.x, info.sig_public.y)
-            for info in deployment.fleet.master_public_key()
-        }
-        tables = {}
-        for point in combed_points():
-            if id(point._comb) not in before:
-                tables[id(point._comb)] = point
-        tables[id(G._comb)] = G
-        assert len(tables) == len(directory) + 1 == 5
-        assert {(p.x, p.y) for p in tables.values()} == directory | {(G.x, G.y)}
-        shapes = {
-            (p.x, p.y): [len(sub) for sub in p._comb] for p in tables.values()
-        }
-        assert shapes.pop((G.x, G.y)) == [512] * GENERATOR_TABLES
-        assert all(shape == [512] for shape in shapes.values())
-
         restored = Deployment.restore(params, store, deployment.fleet)
         again = restored.new_client("comb-population-user-2")
         again.backup(b"payload", pin="4321")
         assert again.recover(pin="4321") == b"payload"
-        new_tables = {id(p._comb) for p in combed_points()} - before - set(tables)
-        assert not new_tables
+
+        points = combed_points()
+        ten_tooth = {id(p._comb) for p in points if ec_module._comb_teeth(p._comb) == TEETH}
+        assert ten_tooth == {id(G._comb)}
+        assert [len(sub) for sub in G._comb] == [1 << (TEETH - 1)] * GENERATOR_TABLES
+
+        directory = [info.sig_public for info in deployment.fleet.master_public_key()]
+        directory += [key for hsm in deployment.fleet for key in hsm._sig_directory.values()]
+        assert len({(key.x, key.y) for key in directory}) == params.num_hsms
+        assert all(key._comb is None for key in directory)
 
         slot_keys = {
             (key.x, key.y)
@@ -561,9 +557,9 @@ class TestComb:
         held += [lane._signer_key for dep in (deployment, restored) for lane in dep.provider.log.shards]
         aggregate_keys = {(key.point.x, key.point.y) for key in held if key is not None}
         assert aggregate_keys and not aggregate_keys & slot_keys
-        small = [p for p in combed_points(SLOT_TEETH) if id(p._comb) not in small_before]
+        small = [p for p in points if id(p._comb) not in before and p._comb is not G._comb]
         assert small and {(p.x, p.y) for p in small} <= slot_keys | aggregate_keys
-        assert all(len(p._comb) == 1 for p in small)
+        assert all(len(p._comb) == 1 and ec_module._comb_teeth(p._comb) == SLOT_TEETH for p in small)
 
 
 class TestMultEach:
@@ -572,17 +568,19 @@ class TestMultEach:
         fresh = ECPoint(named_points["small"].x, named_points["small"].y)
         multiplied = ECPoint(named_points["random"].x, named_points["random"].y)
         multiplied * 3  # a plain multiply leaves the point as it was
+        key = summed_key(multiplied)
+        comb = key._comb
         points = [
-            G, ECPoint(G.x, G.y), precomputed(multiplied), multiplied, fresh,
+            G, ECPoint(G.x, G.y), key, multiplied, fresh,
             ECPoint(None, None), multiplied, fresh, slot_key(fresh),
         ]
         assert fresh._comb is None and multiplied._comb is None
         products = mult_each(points, scalar)
         assert products == [naive_mult(ECPoint(p.x, p.y), scalar) for p in points]
         # Every finite point now holds a comb: the generator's and the
-        # signer's as they were, a slot comb on the others.
+        # aggregate key's as they were, a slot comb on the others.
         assert G._comb is points[1]._comb and len(G._comb) == GENERATOR_TABLES
-        assert ec_module._comb_teeth(points[2]._comb) == ec_module._COMB_TEETH
+        assert key._comb is comb
         assert all(p._comb is not None for p in points if not p.is_infinity)
         for point in (multiplied, fresh, points[-1]):
             assert len(point._comb) == 1 and ec_module._comb_teeth(point._comb) == SLOT_TEETH
@@ -611,7 +609,7 @@ class TestMultEach:
         multiplied * 3
         fresh = ECPoint(named_points["small"].x, named_points["small"].y)
         points = [
-            precomputed(multiplied), multiplied, fresh, ECPoint(G.x, G.y), ECPoint(None, None)
+            summed_key(multiplied), multiplied, fresh, ECPoint(G.x, G.y), ECPoint(None, None)
         ]
         pairs = [(scalar + i, point) for i, point in enumerate(points)]
         expected = ECPoint(None, None)
@@ -623,7 +621,7 @@ class TestMultEach:
         """A zero scalar has no signed comb reading: every product is the
         identity without a chain being run over the combs."""
         points = [slot_key(named_points["random"]), G, ECPoint(None, None)]
-        G.precompute()
+        G._comb_table()
         monkeypatch.setattr(ec_module, "_chain", None)  # not reached
         for scalar in (0, N, 2 * N):
             assert all(p.is_infinity for p in mult_each(points, scalar))
@@ -708,21 +706,21 @@ class TestCombedSlotKeys:
             multiple = signed_sum(index, SLOT_TEETH)
             assert multiple % N and entry is not None
             assert ECPoint(*entry) == naive_mult(slot, multiple % N)
-        assert ec_module._build_comb([(slot.x, slot.y)], teeth=SLOT_TEETH) == [slot._comb]
+        assert ec_module._build_comb([(slot.x, slot.y)], 1, SLOT_TEETH) == [slot._comb]
 
     def test_a_batch_builds_each_points_own_comb(self, named_points):
         """One batch, a point repeated in it, against the one-point builder
-        — for slot-key combs and for 10-tooth combs of two sub-tables — and
+        — for slot-key combs and for combs of the generator's shape — and
         every slot-key entry against ``naive_mult`` of its signed sum."""
         rng = random.Random(33)
         points = [named_points["random"], G * rng.randrange(1, N), named_points["random"], G]
         affine = [(p.x, p.y) for p in points]
-        assert ec_module._build_comb([], teeth=SLOT_TEETH) == []
-        for tables, teeth in ((1, SLOT_TEETH), (2, ec_module._COMB_TEETH)):
+        assert ec_module._build_comb([], 1, SLOT_TEETH) == []
+        for teeth, tables in TIERS:
             combs = ec_module._build_comb(affine, tables, teeth)
             assert combs == [ec_module._build_comb([a], tables, teeth)[0] for a in affine]
             assert combs[0] == combs[2] and combs[0] is not combs[2]
-        for point, (table,) in zip(points, ec_module._build_comb(affine, teeth=SLOT_TEETH)):
+        for point, (table,) in zip(points, ec_module._build_comb(affine, 1, SLOT_TEETH)):
             assert len(table) == 1 << (SLOT_TEETH - 1)
             for index, entry in enumerate(table):
                 assert ECPoint(*entry) == naive_mult(point, signed_sum(index, SLOT_TEETH) % N)
@@ -737,8 +735,7 @@ class TestCombedSlotKeys:
         comb = point._comb
         mult_each([point], 13)
         point * 17
-        point.precompute()  # a point holding a comb keeps it
-        assert point._comb is comb
+        assert point._comb_table() is comb  # a point holding a comb keeps it
         other = ECPoint(named_points["small"].x, named_points["small"].y)
         mult_each([other], 17)  # never multiplied before: the comb at once
         assert other._comb == comb
@@ -753,7 +750,7 @@ class TestCombedSlotKeys:
         affine = [(key.x, key.y) for key in keys]
         five, six = [ECPoint(*a) for a in affine], [ECPoint(*a) for a in affine]
         for points, teeth in ((five, 5), (six, 6)):
-            for point, comb in zip(points, ec_module._build_comb(affine, teeth=teeth)):
+            for point, comb in zip(points, ec_module._build_comb(affine, 1, teeth)):
                 point._comb = comb
         for scalar in (1, 2, N - 1, (1 << 215) | (1 << 43), rng.randrange(1, N)):
             products = []
@@ -769,12 +766,12 @@ class TestCombedSlotKeys:
     @given(scalars=st.lists(st.integers(0, N + 7), min_size=3, max_size=6), seed=st.integers(1, 2**32))
     @settings(max_examples=10, deadline=None)
     def test_straus_sums_read_a_slot_comb(self, scalars, seed, slot):
-        """A slot key beside a signer's comb and the generator (one
+        """A slot key beside an aggregate key's comb and the generator (one
         43-column comb chain), and beside a ladder point too."""
         rng = random.Random(seed)
-        signer = precomputed(G * rng.randrange(1, N))
+        key = summed_key(G * rng.randrange(1, N))
         plain = G * rng.randrange(1, N)
-        points = [slot, signer, ECPoint(G.x, G.y), plain, slot, G]
+        points = [slot, key, ECPoint(G.x, G.y), plain, slot, G]
         pairs = list(zip(scalars, points))
         expected = ECPoint(None, None)
         for scalar, point in pairs:
@@ -890,7 +887,7 @@ class TestLockStep:
             twice, twice, *COMB_EDGE_SCALARS,
         ] + [rng.randrange(1, N) for _ in range(8)]
         assert len(scalars) >= 2 * ec_module._LOCKSTEP_MIN_LANES
-        G.precompute()
+        G._comb_table()
         # A zero lane adds infinities, so no batch meets inverse points and
         # falls back to the Jacobian formulas.
         monkeypatch.setattr(ec_module, "_jac_add", None)
@@ -910,7 +907,7 @@ class TestLockStep:
         assert generator_mult_each(scalars) == chains == [naive_mult(G, s) for s in scalars]
 
     def test_short_batches_loop_the_single_scalar_chain(self, monkeypatch):
-        G.precompute()
+        G._comb_table()
         monkeypatch.setattr(ec_module, "_add_each", None)  # not reached
         scalars = list(range(ec_module._LOCKSTEP_MIN_LANES - 1))
         assert generator_mult_each(scalars) == [G * s for s in scalars]
@@ -956,7 +953,7 @@ class TestNothingKeyedByAScalarOutlivesItsCall:
         ephemeral = G * ephemeral_key  # a key nothing provisioned
         proof = SchnorrMultiSig.prove_possession(0, ECKeyPair(ephemeral_key, ephemeral))
         twin, third = (ECPoint(ephemeral.x, ephemeral.y) for _ in range(2))
-        signer = precomputed(G * rng.randrange(1, N))
+        key = summed_key(G * rng.randrange(1, N))
         slot = G * rng.randrange(1, N)  # no comb yet: it is built under the secret
         assert slot._comb is None
         ephemeral_before = [getattr(ephemeral, name) for name in ECPoint.__slots__]
@@ -967,7 +964,7 @@ class TestNothingKeyedByAScalarOutlivesItsCall:
         twin * other
         (each,) = mult_each([third], secret)
         (slot_shared,) = mult_each([slot], secret)
-        summed = multi_mult([(secret, G), (secret, signer), (secret, slot)])
+        summed = multi_mult([(secret, G), (secret, key), (secret, slot)])
         one_off_sum = multi_mult([(secret, ephemeral), (other, G)])
         assert SchnorrMultiSig.verify_possession(0, ephemeral, proof)
         assert each == shared
@@ -979,19 +976,20 @@ class TestNothingKeyedByAScalarOutlivesItsCall:
         assert [getattr(ephemeral, name) for name in ECPoint.__slots__] == ephemeral_before
         assert twin._comb is None
         for point in (third, slot):
-            assert ec_module._build_comb([(point.x, point.y)], teeth=SLOT_TEETH) == [point._comb]
+            assert ec_module._build_comb([(point.x, point.y)], 1, SLOT_TEETH) == [point._comb]
             assert len(point._comb[0]) == 1 << (SLOT_TEETH - 1)  # the signed 2^(t−1)-entry comb
-        # The signer's signed comb holds the sums it was built with: the
-        # negated entries a multiply reads are made in the call, not stored.
-        assert ec_module._build_comb([(signer.x, signer.y)]) == [signer._comb]
-        assert len(signer._comb[0]) == 1 << (TEETH - 1)
+        # The aggregate key's signed comb holds the sums it was built with:
+        # the negated entries a multiply reads are made in the call, not stored.
+        assert ec_module._build_comb([(key.x, key.y)], 1, SLOT_TEETH) == [key._comb]
+        # So does the generator's, which every multiply above read.
+        assert ec_module._build_comb([(G.x, G.y)], GENERATOR_TABLES, TEETH) == [G._comb]
         gc.collect()
         assert _reachable_values(vars(ec_module)) == module_before
         derived = {
             secret, shared.x, shared.y, summed.x, summed.y, slot_shared.x, slot_shared.y,
             one_off_sum.x, one_off_sum.y,
         }
-        for point in (ephemeral, third, signer, slot, G):
+        for point in (ephemeral, third, key, slot, G):
             assert not derived & _reachable_values([point._comb])
 
     def test_a_lock_step_batch_leaves_no_trace(self):
@@ -999,7 +997,7 @@ class TestNothingKeyedByAScalarOutlivesItsCall:
 
         rng = random.Random(0x10C5)
         secrets_list = [rng.randrange(1, N) for _ in range(2 * ec_module._LOCKSTEP_MIN_LANES)]
-        G.precompute()
+        G._comb_table()
         gc.collect()
         module_before = _reachable_values(vars(ec_module))
         table_before = list(G._comb)
@@ -1030,10 +1028,10 @@ class TestBatchInverse:
 
 
 class TestBatchVerify:
-    """The reference quorum list (``tests/reference_ecdsa.py``): the
-    baseline the hot-path bench times the certificate check against must
-    itself be the verifier it was — batched, early-aborting, and metered
-    as the sequential loop."""
+    """The reference quorum list (``tests/reference_ecdsa.py``): a textbook
+    ECDSA on the library's chain and batch normalization must be the
+    verifier it was — batched, early-aborting, and metered as the
+    sequential loop."""
 
     @pytest.fixture(scope="class")
     def signed(self):
@@ -1051,10 +1049,6 @@ class TestBatchVerify:
         sequential = [ecdsa_verify(*item) for item in items]
         assert reference_ecdsa._verify_chunk(items) == sequential
         assert sequential == [True, True, False, True, False, True]
-        # No ECDSA is left in the library, and multi_mult's metering switch
-        # is gone.
-        assert not any(name.startswith("ecdsa") for name in dir(P256))
-        assert "count_ops" not in inspect.signature(multi_mult).parameters
 
     def test_verify_aggregate_accepts_and_rejects(self, signed):
         publics, message, sigs = signed
@@ -1065,24 +1059,13 @@ class TestBatchVerify:
 
     def test_infinity_public_key_rejected_not_crashed(self, signed):
         """An identity point as a signer key lands on the returns-False
-        path, in the reference list and in the certificate check alike."""
+        path of the reference list (the certificate check's case is
+        ``TestSchnorrVerify``'s)."""
         publics, message, sigs = signed
         infinity = ECPoint(None, None)
         assert not ecdsa_verify(infinity, message, sigs[0])
         assert reference_ecdsa._verify_chunk([(infinity, message, sigs[0])]) == [False]
         assert not verify_quorum_list([infinity] + publics[1:], message, tuple(sigs))
-        keypairs = [SchnorrMultiSig.keygen(random.Random(seed)) for seed in range(3)]
-        cert = certificate(keypairs, message)
-        keys = [kp.public for kp in keypairs]
-
-        def key(publics):
-            return SchnorrMultiSig.aggregate_key(range(len(publics)), publics)
-
-        assert SchnorrMultiSig.verify_aggregate(key(keys), message, cert)
-        assert not SchnorrMultiSig.verify_aggregate(key([infinity] + keys[1:]), message, cert)
-        # The sum ignores an identity term, so the key itself must refuse it.
-        assert not SchnorrMultiSig.verify_aggregate(key(keys + [infinity]), message, cert)
-        assert not per_key_check(keys + [infinity], message, cert)
 
     def test_verify_all_short_circuits_computation(self, signed):
         """ecdsa_verify_all must stop at the first failing chunk: a bad
@@ -1137,8 +1120,8 @@ class TestBatchVerify:
 
     def test_aggregate_metering_matches_short_circuit(self, signed):
         """The reference list meters one ecdsa_verify per signature up to
-        and including the first failure; the certificate check meters one,
-        whatever the signer count and whether or not it holds."""
+        and including the first failure (the certificate check meters one:
+        ``TestSchnorrVerify::test_a_check_meters_one_verification``)."""
         publics, message, sigs = signed
         with metered() as meter:
             verify_quorum_list(publics, message, tuple(sigs))
@@ -1147,6 +1130,70 @@ class TestBatchVerify:
         with metered() as meter:
             verify_quorum_list(publics, message, bad)
         assert meter.counts["ecdsa_verify"] == 4  # stops at first bad signature
+
+
+class TestSchnorrVerify:
+    """``P256.schnorr_verify`` checks one key: an aggregate key on its
+    6-tooth comb, a signer key (a proof of possession, one signer's share)
+    on a ladder.  Either way a check is one ``ecdsa_verify``."""
+
+    def test_one_key_and_no_signer_comb(self):
+        """No ECDSA is left in the library, the verification entry takes
+        one key, and nothing gives a signer key a comb."""
+        assert not any(name.startswith("ecdsa") for name in dir(P256))
+        assert "count_ops" not in inspect.signature(multi_mult).parameters
+        assert list(inspect.signature(P256.schnorr_verify).parameters) == [
+            "public", "challenge", "nonce", "s",
+        ]
+        assert not hasattr(ECPoint, "precompute")
+        assert not hasattr(SchnorrMultiSig, "precompute_signer_key")
+
+    def test_a_share_check_on_a_ladder_matches_it_on_a_comb(self):
+        """One signer's share, and a proof of possession, checked against
+        the bare key (a ladder) and against the same key combed: the same
+        verdicts, good or spoiled, and the bare key builds no comb."""
+        keypairs = [SchnorrMultiSig.keygen(random.Random(seed)) for seed in range(3)]
+        sessions = [SchnorrMultiSig.nonce(random.Random(10 + seed)) for seed in range(3)]
+        key = SchnorrMultiSig.aggregate_key(range(3), [kp.public for kp in keypairs])
+        nonce = point_sum([point for _, point in sessions])
+        challenge = SchnorrMultiSig.challenge(key, nonce, b"epoch transition")
+        for kp, (secret, point) in zip(keypairs, sessions):
+            share = SchnorrMultiSig.sign(kp.secret, secret, challenge)
+            bare = ECPoint(kp.public.x, kp.public.y)
+            for s, good in ((share, True), (share ^ 1, False), (0, False), (N, False), (str(share), False)):
+                verdicts = {
+                    P256.schnorr_verify(public, challenge, point, s)
+                    for public in (bare, summed_key(kp.public))
+                }
+                assert verdicts == {good}
+            proof = SchnorrMultiSig.prove_possession(4, kp)
+            assert SchnorrMultiSig.verify_possession(4, bare, proof)
+            assert not SchnorrMultiSig.verify_possession(5, bare, proof)
+            assert bare._comb is None
+
+    def test_infinity_public_key_rejected_not_crashed(self):
+        """An identity point as a signer key lands on the returns-False
+        path, in the certificate check and in the per-key oracle alike."""
+        message = b"epoch transition"
+        infinity = ECPoint(None, None)
+        keypairs = [SchnorrMultiSig.keygen(random.Random(seed)) for seed in range(3)]
+        cert = certificate(keypairs, message)
+        keys = [kp.public for kp in keypairs]
+
+        def key(publics):
+            return SchnorrMultiSig.aggregate_key(range(len(publics)), publics)
+
+        assert SchnorrMultiSig.verify_aggregate(key(keys), message, cert)
+        assert not SchnorrMultiSig.verify_aggregate(key([infinity] + keys[1:]), message, cert)
+        # The sum ignores an identity term, so the key itself must refuse it.
+        assert not SchnorrMultiSig.verify_aggregate(key(keys + [infinity]), message, cert)
+        assert not per_key_check(keys + [infinity], message, cert)
+        assert not P256.schnorr_verify(infinity, 5, *cert)
+
+    def test_a_check_meters_one_verification(self):
+        """The certificate check meters one ``ecdsa_verify``, whatever the
+        signer count and whether or not it holds; so does a signer key's."""
+        message = b"epoch transition"
         keypairs = [SchnorrMultiSig.keygen(random.Random(seed)) for seed in range(6)]
         nonce, s = certificate(keypairs, message)
         key = SchnorrMultiSig.aggregate_key(range(6), [kp.public for kp in keypairs])
@@ -1156,6 +1203,10 @@ class TestBatchVerify:
                     key, message, (nonce, s if good else s ^ 1)
                 ) == good
             assert meter.counts["ecdsa_verify"] == 1
+        proof = SchnorrMultiSig.prove_possession(0, keypairs[0])
+        with metered() as meter:
+            assert SchnorrMultiSig.verify_possession(0, keypairs[0].public, proof)
+        assert meter.counts["ecdsa_verify"] == 1
 
 
 class TestMeteringInvariance:
