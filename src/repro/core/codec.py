@@ -7,7 +7,8 @@ one expression and its encoder and decoder cannot drift apart.
 build every message and record from the primitives and the combinators
 below; nothing else in those modules packs or unpacks a field.  Neither
 do the crypto layouts (``commit.OPENING``, ``shamir.SHARE``,
-``lhe.SHARE_PLAINTEXT``), which are codec values too.
+``lhe.SHARE_PLAINTEXT``, ``ec.POINT``, ``bfe.BFE_CIPHERTEXT``,
+``lhe.RECOVERY_CIPHERTEXT``), which are codec values too.
 
 The strictness contract, stated once for every format built here: input
 arrives from untrusted parties, so a decoder either returns a value whose
@@ -232,6 +233,17 @@ def prefixed(byte: int, body: Codec, what: str) -> Codec:
         return read_body(reader)
 
     return Codec(lambda value: prefix + encode_body(value), read)
+
+
+#: The version byte every wire message starts with: the messages of
+#: ``core/wire.py`` and the recovery ciphertext beside its type in
+#: ``core/lhe.py``.
+WIRE_VERSION = 1
+
+
+def versioned(body: Codec) -> Codec:
+    """``body`` behind the :data:`WIRE_VERSION` byte."""
+    return prefixed(WIRE_VERSION, body, "wire version")
 
 
 def tagged(what: str, cases: Dict[int, Codec]) -> Codec:

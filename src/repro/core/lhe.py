@@ -36,9 +36,15 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.codec import TEXT16, tuple_of
-from repro.crypto.bfe import BfeCiphertext, BfePublicKey, BfeSecretKey, BloomFilterEncryption
-from repro.crypto.gcm import AuthenticationError, ae_decrypt, ae_encrypt
+from repro.core.codec import BLOB, TEXT, TEXT16, U32, fixed, record, seq, tuple_of, union, versioned
+from repro.crypto.bfe import (
+    BFE_CIPHERTEXT,
+    BfeCiphertext,
+    BfePublicKey,
+    BfeSecretKey,
+    BloomFilterEncryption,
+)
+from repro.crypto.gcm import AuthenticationError, open_one_time, seal_one_time
 from repro.crypto.hashing import hash_to_indices, sha256
 from repro.crypto.shamir import SHARE, Share, ShamirSharer
 
@@ -75,33 +81,31 @@ class LheCiphertext:
         return len(self.share_ciphertexts)
 
     def ciphertext_hash(self) -> bytes:
-        """Digest bound into the recovery commitment."""
-        parts = [
-            self.salt,
-            self.username.encode("utf-8"),
-            self.payload,
-            self.threshold.to_bytes(4, "big"),
-            self.num_hsms.to_bytes(4, "big"),
-            self.config_epoch.to_bytes(4, "big"),
-        ]
-        for ct in self.share_ciphertexts:
-            parts.append(ct.tag)
-            parts.append(ct.ephemeral.to_bytes())
-            parts.extend(ct.wrapped_keys)
-            parts.append(ct.payload)
-        return sha256(b"lhe-ciphertext", *parts)
+        """Digest bound into the recovery commitment: of the bytes the
+        provider stores (:data:`RECOVERY_CIPHERTEXT`)."""
+        return sha256(b"lhe-ciphertext", RECOVERY_CIPHERTEXT.encode(self))
 
     def size_bytes(self) -> int:
-        """Approximate wire size (paper: 16.5 KB at n=40)."""
-        total = len(self.salt) + len(self.payload) + 12
-        for ct in self.share_ciphertexts:
-            total += len(ct)
-        return total
+        """Encoded bytes: what the provider stores and relays (the paper's
+        is 16.5 KB at n = 40)."""
+        return len(RECOVERY_CIPHERTEXT.encode(self))
 
 
 #: What each share ciphertext encrypts: the paper prepends the username to
 #: the share.  The HSM reads it through this codec before it punctures.
 SHARE_PLAINTEXT = tuple_of(TEXT16, SHARE)
+
+#: Only BFE share ciphertexts travel: a share's one kind is the ciphertext
+#: the HSMs decrypt (a hashed-ElGamal share has no wire kind).
+_SHARE_CIPHERTEXT = union("share-ciphertext kind", (1, BfeCiphertext, BFE_CIPHERTEXT))
+#: The client's uploaded recovery ciphertext (§4.1): the 16-byte salt, then
+#: the share ciphertexts and the payload (``ciphertext ‖ tag`` under the
+#: one-time transport key).
+RECOVERY_CIPHERTEXT = versioned(record(
+    LheCiphertext, salt=fixed(SALT_LEN, "salt"), username=TEXT, threshold=U32, num_hsms=U32,
+    config_epoch=U32, share_ciphertexts=seq(_SHARE_CIPHERTEXT, tuple, 4096, "share"),
+    payload=BLOB,
+))
 
 
 def _bfe_key(info) -> BfePublicKey:
@@ -171,7 +175,8 @@ class LocationHidingEncryption:
             )
             for share, pk in zip(shares, cluster_pks)
         ]
-        payload = ae_encrypt(transport_key, message, aad=context)
+        # The transport key is fresh and seals this one message.
+        (payload,) = seal_one_time([(transport_key, message, context)])
         return LheCiphertext(
             salt=salt,
             username=username,
@@ -231,7 +236,7 @@ class LocationHidingEncryption:
 
         def verifier(candidate_key: bytes) -> bool:
             try:
-                opened.append(ae_decrypt(candidate_key, ciphertext.payload, aad=context))
+                opened.append(open_one_time(candidate_key, ciphertext.payload, context))
             except AuthenticationError:
                 return False
             return True

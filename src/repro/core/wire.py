@@ -7,10 +7,15 @@ deployment.  Each message is one :class:`~repro.core.codec.Codec` value
 below, built from the primitives and combinators of ``repro.core.codec``,
 so its encoder and decoder are one expression; the public ``encode_*`` /
 ``decode_*`` names are those values' two directions.  Formats carry an
-explicit version byte so they can evolve.  The crypto layouts a message
-carries are codec values declared beside their types (``commit.OPENING``)
-and travel ``nested``; only the two point encodings keep their own
-``to_bytes`` / ``from_bytes`` (:func:`_as_blob`).
+explicit version byte (``codec.WIRE_VERSION``) so they can evolve.  The
+crypto layouts a message carries are codec values declared beside their
+types and used here: ``commit.OPENING`` travels ``nested``, and a
+recovery ciphertext is ``lhe.RECOVERY_CIPHERTEXT`` over
+``bfe.BFE_CIPHERTEXT`` (declared there so ``LheCiphertext`` can measure and
+hash its own encoding).  A field whose length is fixed by construction
+(a digest, a tag, a salt, a one-time wrap) is ``fixed(n)`` with no length
+prefix.  Only the two point encodings keep their own ``to_bytes`` /
+``from_bytes`` and travel as blobs (``ec.POINT``, ``_ELGAMAL``).
 
 All decoders are *strict* — the contract is stated once, in
 ``repro.core.codec``: trailing bytes, truncation, bad versions, unknown
@@ -24,53 +29,26 @@ from __future__ import annotations
 from typing import Dict, NamedTuple, Tuple
 
 from repro.core.codec import (
-    BLOB, I32, TEXT, U8, U32, Codec, WireFormatError,
-    converted, nested, optional, prefixed, record, seq, tagged, tuple_of, union,
+    BLOB, I32, TEXT, U8, U32, WIRE_VERSION, Codec, WireFormatError,
+    converted, fixed, nested, optional, record, seq, tagged, tuple_of, union, versioned,
 )
-from repro.core.lhe import LheCiphertext
-from repro.crypto.bfe import BfeCiphertext
+from repro.core.lhe import RECOVERY_CIPHERTEXT
+from repro.crypto.bfe import BFE_CIPHERTEXT
 from repro.crypto.commit import OPENING
-from repro.crypto.ec import ECPoint
+from repro.crypto.ec import POINT
 from repro.crypto.elgamal import ElGamalCiphertext
 from repro.hsm.device import DecryptShareRequest
 from repro.log.authdict import InclusionProof, PathStep
 
-WIRE_VERSION = 1
-
-
-def _versioned(body: Codec) -> Codec:
-    """``body`` behind the version byte."""
-    return prefixed(WIRE_VERSION, body, "wire version")
-
-
-def _as_blob(cls: type) -> Codec:
-    """A point encoding — ``ECPoint``, or ``ElGamalCiphertext`` = point ‖
-    body — keeps its own strict ``to_bytes`` / ``from_bytes`` (point math,
-    not a layout) and travels as a blob."""
-    return converted(BLOB, cls.to_bytes, cls.from_bytes)
-
-
-_POINT = _as_blob(ECPoint)
-_ELGAMAL = _as_blob(ElGamalCiphertext)
+#: An ElGamal ciphertext (point ‖ body) keeps its own strict ``to_bytes`` /
+#: ``from_bytes`` and travels as a blob, as a point does (``ec.POINT``).
+_ELGAMAL = converted(BLOB, ElGamalCiphertext.to_bytes, ElGamalCiphertext.from_bytes)
 
 # ---------------------------------------------------------------------------
-# BFE and recovery (LHE) ciphertexts
+# BFE and recovery (LHE) ciphertexts: declared beside their types
 # ---------------------------------------------------------------------------
-BFE_CIPHERTEXT = record(
-    BfeCiphertext, tag=BLOB, ephemeral=_POINT,
-    wrapped_keys=seq(BLOB, tuple, 4096, "wrapped-key"), payload=BLOB,
-)
 encode_bfe_ciphertext = BFE_CIPHERTEXT.encode
 decode_bfe_ciphertext = BFE_CIPHERTEXT.decode
-
-#: Only BFE share ciphertexts travel: a share's one kind is the ciphertext
-#: the HSMs decrypt (a hashed-ElGamal share has no wire kind).
-_SHARE_CIPHERTEXT = union("share-ciphertext kind", (1, BfeCiphertext, BFE_CIPHERTEXT))
-#: The client's uploaded recovery ciphertext (§4.1).
-RECOVERY_CIPHERTEXT = _versioned(record(
-    LheCiphertext, salt=BLOB, username=TEXT, threshold=U32, num_hsms=U32, config_epoch=U32,
-    share_ciphertexts=seq(_SHARE_CIPHERTEXT, tuple, 4096, "share"), payload=BLOB,
-))
 encode_recovery_ciphertext = RECOVERY_CIPHERTEXT.encode
 decode_recovery_ciphertext = RECOVERY_CIPHERTEXT.decode
 
@@ -99,7 +77,7 @@ _REPLY_ERROR_STATUSES = (
 
 #: A reply is ``(status, payload)``: an :class:`ElGamalCiphertext` under
 #: :data:`REPLY_OK`, a human-readable message under the error statuses.
-_DECRYPT_REPLY = _versioned(tagged(
+_DECRYPT_REPLY = versioned(tagged(
     "reply status", {REPLY_OK: _ELGAMAL, **dict.fromkeys(_REPLY_ERROR_STATUSES, TEXT)},
 ))
 decode_decrypt_reply = _DECRYPT_REPLY.decode
@@ -126,14 +104,17 @@ def encode_decrypt_error(status: int, message: str) -> bytes:
 # ---------------------------------------------------------------------------
 #: Proof-kind tag: a BST proof against one lane's digest, at every arity.
 PROOF_PLAIN = 1
+#: A node's identifier hash and every subtree hash are SHA-256 digests; a
+#: step's value is a log record of any length and keeps its blob length.
+_HASH = fixed(32, "proof hash")
 
 #: An inclusion proof behind its kind byte.
 INCLUSION_PROOF = union(
     "inclusion-proof kind",
     (PROOF_PLAIN, InclusionProof, record(
         InclusionProof,
-        steps=seq(record(PathStep, idh=BLOB, value=BLOB, other=BLOB), tuple, 4096, "proof-step"),
-        left=BLOB, right=BLOB,
+        steps=seq(record(PathStep, idh=_HASH, value=BLOB, other=_HASH), tuple, 4096, "proof-step"),
+        left=_HASH, right=_HASH,
     )),
 )
 encode_inclusion_proof = INCLUSION_PROOF.encode
@@ -143,10 +124,10 @@ decode_inclusion_proof = INCLUSION_PROOF.decode
 # ---------------------------------------------------------------------------
 # Decrypt-share requests (client -> HSM, step Ï of Figure 3)
 # ---------------------------------------------------------------------------
-DECRYPT_REQUEST = _versioned(record(
+DECRYPT_REQUEST = versioned(record(
     DecryptShareRequest, username=TEXT, log_identifier=BLOB, commitment=BLOB,
     opening=nested(OPENING), inclusion_proof=nested(INCLUSION_PROOF),
-    share_ciphertext=nested(BFE_CIPHERTEXT), context=BLOB, response_key=_POINT,
+    share_ciphertext=nested(BFE_CIPHERTEXT), context=BLOB, response_key=POINT,
 ))
 encode_decrypt_request = DECRYPT_REQUEST.encode
 decode_decrypt_request = DECRYPT_REQUEST.decode
@@ -299,7 +280,7 @@ def _frame(what: str, schemas: Dict[int, Tuple[Tuple[str, str], ...]]) -> Codec:
             lambda row: dict(zip(names, row)),
         )
 
-    return _versioned(
+    return versioned(
         tagged(f"{what} tag", {tag: body(tag, schema) for tag, schema in schemas.items()})
     )
 

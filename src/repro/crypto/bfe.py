@@ -41,8 +41,10 @@ generator's comb.  A slot key's first ciphertext builds its comb (215
 doublings and 31 additions), and every ciphertext to it — a
 ``reuse_salt`` backup series hashes every backup to the same k slots —
 costs 42 doublings and 43 additions a key.  The
-k wraps and the payload are one ``repro.crypto.gcm.seal_each``: their AES
-blocks are the lanes of one byte-sliced call.  The meter still sees k + 1
+k wraps and the payload are one ``repro.crypto.gcm.seal_one_time``: their
+AES blocks are the lanes of one byte-sliced call, and each key seals
+exactly one message, so each goes out as ``ciphertext ‖ tag`` under the
+constant ``ONE_TIME_NONCE``.  The meter still sees k + 1
 ``ec_mult``, k ``elgamal_enc`` and the k + 1 seals' ``aes_block``.  Decryption's
 ``(g^r)^sk`` multiplies a fresh ephemeral by a slot secret read from the
 key tree: the only table built is of the public ephemeral.  Key generation
@@ -69,9 +71,16 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro import metering
+from repro.core.codec import BLOB, fixed, record, seq
 from repro.crypto.bloom import BloomParams
-from repro.crypto.ec import ECPoint, P256, generator_mult_each, mult_each
-from repro.crypto.gcm import NONCE_LEN, AuthenticationError, ae_cost, ae_decrypt, seal_each
+from repro.crypto.ec import POINT, ECPoint, P256, generator_mult_each, mult_each
+from repro.crypto.gcm import (
+    TAG_LEN,
+    AuthenticationError,
+    ae_cost,
+    open_one_time,
+    seal_one_time,
+)
 from repro.crypto.hashing import kdf, sha256
 from repro.crypto.merkle import MerkleTree
 from repro.storage.blockstore import BlockStore
@@ -85,6 +94,12 @@ from repro.storage.securedel import (
 
 _SCALAR_LEN = 32
 _PAYLOAD_KEY_LEN = 16
+#: A tag is a SHA-256 digest: of the ephemeral by default, of the
+#: (username, salt) series in SafetyPin.
+TAG_BYTES = 32
+#: A wrap is the payload key sealed under its one-time slot key:
+#: ``ciphertext ‖ tag``, the nonce being the constant ``ONE_TIME_NONCE``.
+WRAP_BYTES = _PAYLOAD_KEY_LEN + TAG_LEN
 
 #: §9.1's rotation point: a key rotates once this share of its slot keys
 #: is deleted.
@@ -133,8 +148,16 @@ class BfeCiphertext:
     wrapped_keys: Tuple[bytes, ...]
     payload: bytes
 
-    def __len__(self) -> int:
-        return len(self.tag) + 33 + sum(len(w) for w in self.wrapped_keys) + len(self.payload)
+
+#: A BFE ciphertext's bytes: the 32-byte tag, the ephemeral (a point blob,
+#: so the identity's 1-byte encoding is carried and refused by the
+#: opener), a count of 32-byte wraps and the payload blob.  Wraps and
+#: payload are ``ciphertext ‖ tag`` under one-time keys (no nonce).
+BFE_CIPHERTEXT = record(
+    BfeCiphertext, tag=fixed(TAG_BYTES, "bfe tag"), ephemeral=POINT,
+    wrapped_keys=seq(fixed(WRAP_BYTES, "wrapped key"), tuple, 4096, "wrapped-key"),
+    payload=BLOB,
+)
 
 
 class BfeSecretKey:
@@ -222,10 +245,11 @@ class BloomFilterEncryption:
         shared_points = mult_each([public.slot_pubkeys[slot] for slot in slots], r)
         for slot, shared in zip(slots, shared_points):
             wrap_key = kdf("bfe-slot-wrap", shared.to_bytes(), tag, slot.to_bytes(4, "big"))
-            messages.append((wrap_key[:16], secrets.token_bytes(NONCE_LEN), payload_key, tag))
-        messages.append((payload_key, secrets.token_bytes(NONCE_LEN), plaintext, context))
-        # The k wraps and the payload, nonces drawn in their sequential order.
-        *wrapped, payload = seal_each(messages)
+            messages.append((wrap_key[:16], payload_key, tag))
+        messages.append((payload_key, plaintext, context))
+        # Each wrap key is a KDF of a fresh r·pk and its slot, and the
+        # payload key is fresh: every key here seals one message.
+        *wrapped, payload = seal_one_time(messages)
         metering.count("elgamal_enc", len(slots))
         return BfeCiphertext(
             tag=tag, ephemeral=ephemeral, wrapped_keys=tuple(wrapped), payload=payload
@@ -260,14 +284,14 @@ class BloomFilterEncryption:
             metering.count("elgamal_dec")
             wrap_key = kdf("bfe-slot-wrap", shared.to_bytes(), tag, slot.to_bytes(4, "big"))
             try:
-                payload_key = ae_decrypt(wrap_key[:16], ciphertext.wrapped_keys[position], aad=tag)
+                payload_key = open_one_time(wrap_key[:16], ciphertext.wrapped_keys[position], tag)
             except AuthenticationError as exc:
                 last_error = exc
                 continue
             # The payload's associated data binds the LHE context; a wrong
             # context (e.g. a wrong-PIN cluster digest) fails authentication
             # here even when the slot key itself was right.
-            return ae_decrypt(payload_key, ciphertext.payload, aad=context)
+            return open_one_time(payload_key, ciphertext.payload, context)
         raise PuncturedKeyError(
             "no surviving Bloom slot can decrypt this ciphertext"
         ) from last_error

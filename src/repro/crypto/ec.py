@@ -100,6 +100,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import metering
+from repro.core.codec import BLOB, converted
 from repro.crypto.field import batch_inverse_mod
 
 # NIST P-256 domain parameters (FIPS 186-4, D.1.2.3).
@@ -693,6 +694,11 @@ class ECPoint:
         if (y & 1) != (data[0] & 1):
             y = P - y
         return ECPoint(x, y)
+
+
+#: A point on the wire: its own strict encoding (33 bytes, or the
+#: identity's 1) behind a blob length.
+POINT = converted(BLOB, ECPoint.to_bytes, ECPoint.from_bytes)
 
 
 def is_curve_point(value) -> bool:

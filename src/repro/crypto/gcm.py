@@ -48,6 +48,16 @@ class AuthenticationError(Exception):
 
 NONCE_LEN = 12
 TAG_LEN = 16
+
+#: The nonce of a key that encrypts exactly one message, and only of such
+#: a key: SP 800-38D §8.2.1's deterministic construction with one
+#: invocation per key, so the (key, nonce) pair is still never repeated.
+#: A Bloom-filter slot wrap (its key a KDF of a fresh ``r·pk`` and the
+#: slot), a Bloom-filter payload (a fresh 16-byte key) and the LHE payload
+#: (a fresh transport key) seal under it.  A key that seals again — the
+#: incremental backups' master key, a key-tree node key — draws a random
+#: nonce for every message.
+ONE_TIME_NONCE = bytes(NONCE_LEN)
 _ZERO_BLOCK = bytes(16)
 
 # GCM's field is GF(2^128) mod x^128 + x^7 + x^2 + x + 1 with the bits
@@ -166,6 +176,21 @@ def ae_decrypt(key: bytes, data: bytes, aad: bytes = b"") -> bytes:
     """Inverse of :func:`ae_encrypt` (the paper's AEDecrypt)."""
     (plaintext,) = open_each([(key, data, aad)])
     return plaintext
+
+
+def seal_one_time(messages: Iterable[Tuple[bytes, bytes, bytes]]) -> List[bytes]:
+    """``ciphertext ‖ tag`` for every ``(key, plaintext, aad)`` whose key
+    encrypts this one message: :func:`seal_each` under
+    :data:`ONE_TIME_NONCE`, the constant left off.  Billed as
+    :func:`seal_each`."""
+    sealed = seal_each((key, ONE_TIME_NONCE, plaintext, aad) for key, plaintext, aad in messages)
+    return [data[NONCE_LEN:] for data in sealed]
+
+
+def open_one_time(key: bytes, data: bytes, aad: bytes = b"") -> bytes:
+    """Inverse of :func:`seal_one_time`: :func:`ae_decrypt` of
+    ``ONE_TIME_NONCE ‖ data``."""
+    return ae_decrypt(key, ONE_TIME_NONCE + data, aad)
 
 
 def _groups(messages: Iterable[Message], tag_len: int) -> Iterator[List[_Keyed]]:

@@ -9,7 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from reference_symmetric import ReferenceAes128
 from repro.crypto.aes import Aes128
-from repro.crypto.gcm import AuthenticationError, ae_decrypt, ae_encrypt, open_each, seal_each
+from repro.crypto.gcm import (
+    ONE_TIME_NONCE,
+    AuthenticationError,
+    ae_decrypt,
+    ae_encrypt,
+    open_each,
+    open_one_time,
+    seal_each,
+    seal_one_time,
+)
+from repro.metering import metered
 
 
 def seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
@@ -120,6 +130,29 @@ class TestGcmBehaviour:
     def test_roundtrip_property(self, key, plaintext, aad):
         nonce = bytes(12)
         assert unseal(key, nonce, seal(key, nonce, plaintext, aad), aad) == plaintext
+
+
+class TestOneTimeAe:
+    """A key that seals one message seals under ``ONE_TIME_NONCE`` and is
+    held without it; what is metered is :func:`ae_encrypt`'s."""
+
+    def test_is_seal_each_under_the_constant_without_it(self):
+        key = bytes(range(16))
+        (body,) = seal_one_time([(key, b"one message", b"aad")])
+        assert ONE_TIME_NONCE == bytes(12)
+        assert body == seal(key, ONE_TIME_NONCE, b"one message", b"aad")
+        assert open_one_time(key, body, b"aad") == b"one message"
+        with pytest.raises(AuthenticationError):
+            open_one_time(key, body, b"other aad")
+
+    def test_billed_as_the_random_nonce_calls(self):
+        key, message = bytes(16), b"m" * 40
+        with metered() as one_time:
+            (body,) = seal_one_time([(key, message, b"")])
+            open_one_time(key, body)
+        with metered() as random_nonce:
+            ae_decrypt(key, ae_encrypt(key, message))
+        assert one_time.counts == random_nonce.counts
 
 
 class TestOneShotAe:

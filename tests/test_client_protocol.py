@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.client import RecoveryError
+from test_crash_recovery import seeded_backup
 
 
 class TestBackupRecover:
@@ -149,10 +150,29 @@ class TestFaultTolerance:
 
 
 class TestMpkRefresh:
-    def test_backup_after_rotation_uses_new_keys(self, fresh_deployment, unique_user):
-        client = fresh_deployment.new_client(unique_user)
-        hsm = fresh_deployment.fleet[0]
-        hsm.rotate_keys()
-        client.refresh_mpk(fresh_deployment.fleet.master_public_key())
-        client.backup(b"post-rotation", pin="1234")
+    @staticmethod
+    def backup_and_recover_after_rotation(deployment, username, seed):
+        """Rotate HSM 0, refresh the mpk, back up under ``seed`` and recover.
+        The backup's salt is its seeded stream's first draw, so its cluster
+        is fixed (``test_crash_recovery.seeded_backup``)."""
+        client = deployment.new_client(username)
+        deployment.fleet[0].rotate_keys()
+        client.refresh_mpk(deployment.fleet.master_public_key())
+        seeded_backup(client, b"post-rotation", "1234", seed)
         assert client.recover(pin="1234") == b"post-rotation"
+
+    def test_backup_after_rotation_uses_new_keys(self, fresh_deployment, unique_user):
+        """Seed 1's salt names HSMs 3, 6, 5 and 13 (N = 16, n = 4, t = 2)."""
+        self.backup_and_recover_after_rotation(fresh_deployment, unique_user, seed=1)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RecoveryError,
+        reason="one decrypt-and-puncture must answer every cluster position"
+        " a device holds: ROADMAP item 13",
+    )
+    def test_backup_after_rotation_on_a_one_device_cluster(self, fresh_deployment, unique_user):
+        """Seed 2956's salt names HSM 10 at all four positions: the device
+        answers once, so the recovery has one share of the two it needs.
+        About 1 in 4,096 random salts does this at N = 16, n = 4."""
+        self.backup_and_recover_after_rotation(fresh_deployment, unique_user, seed=2956)

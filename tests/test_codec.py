@@ -302,16 +302,13 @@ class TestOneByteStringPerRequest:
     @given(request=decrypt_requests(), extra=st.binary(min_size=1, max_size=6))
     @settings(**_SETTINGS)
     def test_lengthened_blob_two_levels_down_never_decodes(self, request, extra):
-        """The point inside the share ciphertext."""
+        """The point inside the share ciphertext (after its fixed tag)."""
         blobs = self.blobs_of(request)
         ct = request.share_ciphertext
-        head = BLOB.encode(ct.tag) + BLOB.encode(ct.ephemeral.to_bytes())
+        head = ct.tag + BLOB.encode(ct.ephemeral.to_bytes())
         assert blobs[5].startswith(head)
         padded = list(blobs)
-        padded[5] = (
-            BLOB.encode(ct.tag) + BLOB.encode(ct.ephemeral.to_bytes() + extra)
-            + blobs[5][len(head):]
-        )
+        padded[5] = ct.tag + BLOB.encode(ct.ephemeral.to_bytes() + extra) + blobs[5][len(head):]
         with pytest.raises(WireFormatError):
             wire.decode_decrypt_request(self.frame(padded))
 

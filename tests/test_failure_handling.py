@@ -4,6 +4,7 @@ import pytest
 
 from repro.chaos.entropy import DeterministicEntropy
 from repro.core.client import RecoveryError
+from repro.crypto.gcm import NONCE_LEN, ONE_TIME_NONCE
 
 
 class TestResumeAfterDeviceFailure:
@@ -50,6 +51,20 @@ class TestIncrementalBackups:
             b"monday photos",
             b"tuesday notes",
         ]
+
+    def test_increments_under_one_master_key_draw_their_own_nonces(
+        self, shared_deployment, unique_user
+    ):
+        """The master key seals every increment, so each draws a random
+        nonce and carries it: the one-time constant is not for it."""
+        client = shared_deployment.new_client(unique_user)
+        client.enable_incremental_backups("1234")
+        client.incremental_backup(b"same bytes")
+        client.incremental_backup(b"same bytes")
+        first, second = shared_deployment.provider.fetch_incrementals(unique_user)
+        assert first[:NONCE_LEN] != second[:NONCE_LEN]
+        assert ONE_TIME_NONCE not in (first[:NONCE_LEN], second[:NONCE_LEN])
+        assert first != second
 
     def test_incrementals_require_enabling(self, shared_deployment, unique_user):
         client = shared_deployment.new_client(unique_user)

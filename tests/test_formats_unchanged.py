@@ -88,6 +88,38 @@ the parent's, and only these moved:
 
 Every other moved block is a chain hash or the anchor; both frames digests
 did not move, since certificates never cross the client wire.
+
+All four workload digests moved once more, when a recovery ciphertext
+stopped carrying bytes its reader already knows: the five AE messages of
+each share ciphertext (k = 4 wraps and the payload) and the LHE payload
+seal under one-time keys with the constant ``gcm.ONE_TIME_NONCE``, so
+none carries its 12-byte nonce, and a field whose length the format
+fixes lost its ``u32`` length (a share ciphertext's tag and wraps, the
+salt, and an inclusion proof's ``idh``, ``other``, ``left`` and
+``right``).  A share ciphertext is 80 bytes shorter (349 → 269: 5
+nonces, the tag's and 4 wraps' lengths) and a recovery ciphertext at
+n = 3 256 bytes shorter (3 × 80, the salt's length, the payload's nonce);
+a proof of s steps is 8·s + 8 bytes shorter.  The workload was compared
+frame by frame and block by block against the parent's on a copy of this
+code that draws and discards the 16 nonces the parent drew (so the
+entropy stream, and with it every salt and cluster, is the parent's):
+every frame lines up with the parent's, and only these moved:
+
+- each ``upload_backup`` request and ``fetch_backup`` reply: −256 (7 and 3
+  of them at shards=1, 14 and 6 at shards=2);
+- each decrypt-share request: −80 for its share ciphertext, plus 8·s + 8
+  for its proof (−104 at s = 2, −112 at s = 3);
+- each ``log_and_prove`` reply: −(8·s + 8) for its proof (−24, −32);
+- the one WAL record of the post-snapshot backup: 1215 → 959 (−256) at
+  both arities, and the snapshot, which holds the 6 stored backups:
+  9209 → 7673 at shards=1 and 9290 → 7754 at shards=2 (−6 × 256).
+
+Every other frame and block is the parent's, chain hashes and the anchor
+aside.  The committed digests are of this code, whose entropy stream is
+16 nonces a recovery ciphertext shorter, so later salts, clusters and
+keys differ from the parent's (shards=1 sends 32 frames, not 37: its
+clusters name fewer distinct devices).  ``PARENT_RECORD_KINDS_DIGEST``
+did not move: no record of that store holds a ciphertext or a proof.
 """
 
 import hashlib
@@ -123,16 +155,16 @@ def _absorb_store(digest, store: InMemoryBlockStore) -> None:
 
 
 class TestFormatsUnchanged:
-    # "frames" captured at d8983dc (shards=2 moved once), "store" re-captured;
-    # see the module docstring.
+    # Re-captured when the one-time nonces and fixed-length fields left the
+    # recovery ciphertext and the proof; see the module docstring.
     PARENT_DIGESTS = {
         1: {
-            "frames": "ec138a5d07910af82fa09c8f22a36c048a9cdbf8fd62439fd99d407201f339b5",
-            "store": "56cf03904fbcc03d4fda677243a918f5acd257c0ce125a97f4f003a42c48c848",
+            "frames": "477d0ff37a057bed5a59d11a2c756aac057d6c719579367c9186cfb4f0b12f6e",
+            "store": "e64c72c65eab920129d497a066bfb4be0b0871781a99505708ed3438f2a0d5d0",
         },
         2: {
-            "frames": "3cb6f031ecf6cab8459d6d7783599fcff56fb295f3650adaabb7f7d958764641",
-            "store": "3f3d0f40b34d8161d1a6c2472fdb891db6e6db992c6505f5f87755858a25242a",
+            "frames": "6bd75137608af2440c02cd69fced556094ce6ec99fa4698831f01f9e2b6c5dbb",
+            "store": "51ff1d7f8d716c0e54abf8f098194b80e330195c5b250c38ea63fa16ed138e90",
         },
     }
     PARENT_RECORD_KINDS_DIGEST = (
@@ -242,9 +274,11 @@ class TestFormatsUnchanged:
         assert blocks.hexdigest() == self.PARENT_RECORD_KINDS_DIGEST
 
     def test_plain_proof_bytes_unchanged(self):
-        """The one proof layout left is the parent's ``PROOF_PLAIN``
-        envelope, byte for byte: the shards=2 frames lost the sharded
-        envelope and nothing else.  These bytes are the parent encoder's."""
+        """The one proof layout left is the ``PROOF_PLAIN`` envelope: the
+        shards=2 frames lost the sharded envelope and nothing else.  These
+        bytes are the parent encoder's with the ``u32`` lengths of the
+        four 32-byte hashes (a step's ``idh`` and ``other``, ``left``,
+        ``right``) gone; the step's 3-byte value keeps its length."""
         proof = InclusionProof(
             steps=(PathStep(idh=b"\x11" * 32, value=b"\x22" * 3, other=b"\x33" * 32),),
             left=b"\x44" * 32,
@@ -252,8 +286,8 @@ class TestFormatsUnchanged:
         )
         pinned = (
             "01" + "00000001"
-            + "00000020" + "11" * 32 + "00000003" + "22" * 3 + "00000020" + "33" * 32
-            + "00000020" + "44" * 32 + "00000020" + "55" * 32
+            + "11" * 32 + "00000003" + "22" * 3 + "33" * 32
+            + "44" * 32 + "55" * 32
         )
         assert wire.encode_inclusion_proof(proof).hex() == pinned
         assert wire.decode_inclusion_proof(bytes.fromhex(pinned)) == proof

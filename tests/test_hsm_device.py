@@ -13,7 +13,7 @@ from repro.crypto.bloom import BloomParams
 from repro.crypto.commit import commit_recovery
 from repro.crypto.ec import P256, ECPoint
 from repro.crypto.elgamal import HashedElGamal
-from repro.crypto.gcm import ae_encrypt
+from repro.crypto.gcm import seal_one_time
 from repro.crypto.hashing import kdf
 from repro.crypto.shamir import SHARE, Share
 from repro.hsm.device import (
@@ -244,13 +244,12 @@ class TestIdentityEphemeral:
             kdf("bfe-slot-wrap", identity.to_bytes(), honest.tag, slot.to_bytes(4, "big"))[:16]
             for slot in slots
         ]
+        *wraps, payload = seal_one_time(
+            [(key, payload_key, honest.tag) for key in wrap_keys]
+            + [(payload_key, SHARE_PLAINTEXT.encode((username, Share(0, 0))), request.context)]
+        )
         forged = BfeCiphertext(
-            tag=honest.tag,
-            ephemeral=identity,
-            wrapped_keys=tuple(ae_encrypt(key, payload_key, aad=honest.tag) for key in wrap_keys),
-            payload=ae_encrypt(
-                payload_key, SHARE_PLAINTEXT.encode((username, Share(0, 0))), aad=request.context
-            ),
+            tag=honest.tag, ephemeral=identity, wrapped_keys=tuple(wraps), payload=payload
         )
         channels = (wire_channels if transport == "wire" else direct_channels)(fleet)
         secret = fleet[hsm_index]._bfe_secret

@@ -43,7 +43,7 @@ def _loopback(provider) -> WireProviderChannel:
 
 def _ciphertext(tag: bytes = b"ct") -> LheCiphertext:
     return LheCiphertext(
-        salt=b"salt-" + tag,
+        salt=(b"salt-" + tag).ljust(16, b"."),  # a salt is 16 bytes
         username="wire-user",
         share_ciphertexts=(),
         payload=b"payload-" + tag,

@@ -12,6 +12,7 @@ from repro.core.protocol import Deployment
 from repro.hsm.device import HsmRefusedError
 from repro.log.distributed import LogUpdateRejected
 from repro.log.membership import MembershipViolation
+from test_crash_recovery import seeded_backup
 
 
 @pytest.fixture
@@ -131,24 +132,47 @@ class TestGarbageCollection:
         with pytest.raises(HsmRefusedError):
             dep.garbage_collect_log()
 
-    def test_device_down_through_a_gc_does_not_stall_the_log(self):
-        """A device that misses an epoch and then the GC after it is left
-        in the collected generation: the certified chain cannot bring it to
-        the new generation's digest, so it sits every round out instead of
-        failing each epoch, and recoveries keep logging their attempts."""
+    @staticmethod
+    def down_through_a_gc(seeds):
+        """HSM 3 misses an epoch and the GC after it; three backups, each
+        under its seed (its salt, and so its cluster, fixed as in
+        ``test_crash_recovery.seeded_backup``), are recovered around it."""
         params = SystemParams.for_testing(num_hsms=8, cluster_size=4)
         dep = Deployment.create(params, rng=random.Random(23))
         client = dep.new_client("gc-downtime")
-        client.backup(b"before", pin="2468")
+        seeds = iter(seeds)
+        seeded_backup(client, b"before", "2468", next(seeds))
         dep.fleet[3].fail_stop()
         client.recover(pin="2468")  # an epoch HSM 3 misses
         dep.garbage_collect_log()
         dep.fleet[3].restart()
         for secret in (b"after-1", b"after-2"):
-            client.backup(secret, pin="2468")  # a recovery punctures its backup
+            seeded_backup(client, secret, "2468", next(seeds))  # a recovery punctures its backup
             assert client.recover(pin="2468") == secret
+        return dep
+
+    def test_device_down_through_a_gc_does_not_stall_the_log(self):
+        """A device that misses an epoch and then the GC after it is left
+        in the collected generation: the certified chain cannot bring it to
+        the new generation's digest, so it sits every round out instead of
+        failing each epoch, and recoveries keep logging their attempts.
+        Seeds 1, 2 and 4 name HSMs (0, 2, 7, 5), (3, 5, 0, 1) and
+        (0, 1, 2, 5): at least t = 2 distinct devices besides HSM 3."""
+        dep = self.down_through_a_gc(seeds=(1, 2, 4))
         assert dep.provider.log.digest == dep.fleet[0].log_digest
         assert dep.fleet[3].log_digest != dep.provider.log.digest
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RecoveryError,
+        reason="one decrypt-and-puncture must answer every cluster position"
+        " a device holds: ROADMAP item 13",
+    )
+    def test_one_device_cluster_does_not_recover_around_a_gc(self):
+        """Seed 565's salt names HSM 5 at all four positions, so the first
+        recovery gets one share of the two it needs; 1 in 512 random salts
+        does this at N = 8, n = 4."""
+        self.down_through_a_gc(seeds=(565, 2, 4))
 
     @pytest.mark.xfail(
         strict=True,

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import wire
-from repro.core.lhe import LocationHidingEncryption
+from repro.core.lhe import SHARE_PLAINTEXT, LocationHidingEncryption
 from repro.crypto.bfe import BloomFilterEncryption
 from repro.crypto.bloom import BloomParams
+from repro.crypto.hashing import sha256
+from repro.crypto.shamir import Share
 from repro.log.authdict import AuthenticatedDictionary
 from repro.storage.blockstore import InMemoryBlockStore
 
@@ -42,6 +44,27 @@ class TestBfeCiphertext:
             wire.decode_bfe_ciphertext(wire.encode_bfe_ciphertext(ct) + b"x")
 
 
+class TestOneTimeNonces:
+    """Every AE message of a BFE ciphertext is under a key that seals only
+    it, so it travels as ``ciphertext ‖ tag`` (the opener prepends
+    ``gcm.ONE_TIME_NONCE``), and its fixed-length fields carry no length."""
+
+    def test_share_ciphertext_at_k4_is_269_bytes(self):
+        params = BloomParams.for_punctures(16, failure_exponent=4)
+        public, secret = BloomFilterEncryption.keygen(params, InMemoryBlockStore())
+        plaintext = SHARE_PLAINTEXT.encode(("size-probe", Share(1, 5)))
+        assert params.num_hashes == 4 and len(plaintext) == 48
+        ct = BloomFilterEncryption.encrypt(public, plaintext, context=b"c", tag=bytes(32))
+        # tag 32, ephemeral blob 4 + 33, 4 wraps of 32 behind a count,
+        # payload blob 4 + 48 + 16: 80 bytes fewer than with nonces and lengths.
+        encoded = wire.encode_bfe_ciphertext(ct)
+        assert len(encoded) == 32 + 37 + 4 + 4 * 32 + 4 + 48 + 16 == 269
+        assert [len(wrap) for wrap in ct.wrapped_keys] == [32] * 4
+        decoded = wire.decode_bfe_ciphertext(encoded)
+        assert decoded == ct
+        assert BloomFilterEncryption.decrypt_and_puncture(secret, decoded, context=b"c") == plaintext
+
+
 class TestRecoveryCiphertext:
     def test_roundtrip(self, bfe_setup):
         pairs, lhe = bfe_setup
@@ -51,6 +74,9 @@ class TestRecoveryCiphertext:
         decoded = wire.decode_recovery_ciphertext(blob)
         assert decoded == ct
         assert decoded.ciphertext_hash() == ct.ciphertext_hash()
+        # One spelling: the size is the encoding's, the hash is over it.
+        assert ct.size_bytes() == len(blob)
+        assert ct.ciphertext_hash() == sha256(b"lhe-ciphertext", blob)
 
     def test_decoded_ciphertext_still_decrypts(self, bfe_setup):
         pairs, lhe = bfe_setup

@@ -13,15 +13,16 @@ exactly those bytes (i.e. the corruption changed the message, never the
 parse).
 """
 
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import wire
 from repro.core.codec import BLOB
-from repro.core.lhe import LheCiphertext
-from repro.crypto.bfe import BfeCiphertext
+from repro.core.lhe import SALT_LEN, LheCiphertext
+from repro.crypto.bfe import TAG_BYTES, WRAP_BYTES, BfeCiphertext
 from repro.crypto.commit import commit_recovery
 from repro.crypto.ec import P256
 from repro.crypto.elgamal import ElGamalCiphertext
@@ -34,6 +35,10 @@ _POINTS = tuple(P256.keygen(random.Random(seed)).public for seed in range(8))
 points = st.sampled_from(_POINTS)
 blobs = st.binary(max_size=48)
 digests = st.binary(min_size=32, max_size=32)
+#: The lengths the formats fix: a BFE wrap (16-byte key ‖ 16-byte GCM tag,
+#: no nonce) and a recovery ciphertext's salt.  A tag is a digest.
+wraps = st.binary(min_size=WRAP_BYTES, max_size=WRAP_BYTES)
+salts = st.binary(min_size=SALT_LEN, max_size=SALT_LEN)
 u32s = st.integers(min_value=0, max_value=(1 << 32) - 1)
 usernames = st.text(
     alphabet=st.characters(blacklist_characters="|", blacklist_categories=("Cs",)),
@@ -42,9 +47,9 @@ usernames = st.text(
 
 bfe_ciphertexts = st.builds(
     BfeCiphertext,
-    tag=blobs,
+    tag=digests,
     ephemeral=points,
-    wrapped_keys=st.lists(blobs, max_size=5).map(tuple),
+    wrapped_keys=st.lists(wraps, max_size=5).map(tuple),
     payload=blobs,
 )
 
@@ -52,7 +57,7 @@ elgamal_ciphertexts = st.builds(ElGamalCiphertext, ephemeral=points, body=blobs)
 
 recovery_ciphertexts = st.builds(
     LheCiphertext,
-    salt=blobs,
+    salt=salts,
     username=usernames,
     share_ciphertexts=st.lists(bfe_ciphertexts, max_size=4).map(tuple),
     payload=blobs,
@@ -177,6 +182,47 @@ class TestInclusionProofWire:
         )
         with pytest.raises(wire.WireFormatError):
             wire.decode_inclusion_proof(envelope)
+
+
+class TestFixedLengthFields:
+    """A field whose length the format fixes carries no length prefix, so
+    the encoder refuses any other length rather than write bytes a
+    decoder would split differently."""
+
+    @staticmethod
+    def _refuses(encode, value):
+        with pytest.raises(wire.WireFormatError, match="must be"):
+            encode(value)
+
+    @given(ct=bfe_ciphertexts, which=st.sampled_from(["tag", "wrap"]), bad=st.binary(max_size=48))
+    @settings(**_SETTINGS)
+    def test_bfe_tag_and_wraps(self, ct, which, bad):
+        assume(len(bad) != (TAG_BYTES if which == "tag" else WRAP_BYTES))
+        if which == "tag":
+            ct = dataclasses.replace(ct, tag=bad)
+        else:
+            ct = dataclasses.replace(ct, wrapped_keys=ct.wrapped_keys + (bad,))
+        self._refuses(wire.encode_bfe_ciphertext, ct)
+
+    @given(ct=recovery_ciphertexts,
+           salt=st.binary(max_size=40).filter(lambda b: len(b) != SALT_LEN))
+    @settings(**_SETTINGS)
+    def test_salt(self, ct, salt):
+        self._refuses(wire.encode_recovery_ciphertext, dataclasses.replace(ct, salt=salt))
+
+    @given(proof=inclusion_proofs,
+           field=st.sampled_from(["idh", "other", "left", "right"]),
+           bad=st.binary(max_size=40).filter(lambda b: len(b) != 32))
+    @settings(**_SETTINGS)
+    def test_proof_hashes(self, proof, field, bad):
+        if field in ("left", "right"):
+            proof = dataclasses.replace(proof, **{field: bad})
+        else:
+            step = PathStep(idh=b"\x00" * 32, value=b"v", other=b"\x00" * 32)
+            proof = dataclasses.replace(
+                proof, steps=proof.steps + (dataclasses.replace(step, **{field: bad}),)
+            )
+        self._refuses(wire.encode_inclusion_proof, proof)
 
 
 _FIELD_STRATEGIES = {
