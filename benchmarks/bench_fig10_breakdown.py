@@ -13,8 +13,10 @@ are rows of ``BENCH_paper_fidelity.json``.  The pytest benchmark times a
 real end-to-end backup+recovery at test scale.
 """
 
+import dataclasses
 import math
 import random
+from itertools import cycle, islice
 
 import pytest
 
@@ -175,32 +177,35 @@ def test_fig10_recovery_breakdown(benchmark, small_deployment):
     assert ours["total"] > 2 * base
 
 
-#: The size probe's recovery ciphertext encoded by the parent commit's
-#: ``wire.encode_recovery_ciphertext`` (same deployment, user, PIN and
-#: payload): each one-time AE message carried a 12-byte nonce, and the
-#: tag, the wraps and the salt a 4-byte length.  The parent's
-#: ``size_bytes()`` summed fields by hand and said 1,023 B.
-PARENT_CT_BYTES = 1149
+#: The size probe's recovery ciphertext, and the same ciphertext with n =
+#: 40 shares, encoded by the parent commit's ``wire.encode_recovery_ciphertext``
+#: (same deployment, user, PIN and payload): each share carried the 32-byte
+#: series tag, a kind byte and a 4-byte length in front of its ephemeral.
+PARENT_CT_BYTES = 893
+PARENT_CT_BYTES_AT_N40 = 10_883
 
 
 def layout_bytes(n: int, k: int, username: str, message_len: int) -> int:
     """What ``lhe.RECOVERY_CIPHERTEXT`` spends on a recovery ciphertext of
     ``n`` shares at ``k`` Bloom hashes, derived from the layout: the version
     byte, the 16-byte salt, the username text, three ``u32``s and the share
-    count; per share a kind byte, a 32-byte tag, the 33-byte ephemeral
-    blob, the wrap count and k wraps of 32 bytes (16-byte key ‖ GCM tag),
-    and the payload blob (the share plaintext — username ``u16`` text,
-    ``u32`` x, 32-byte y — and its GCM tag); then the LHE payload blob (the
-    message and its tag).  No one-time AE message carries a nonce."""
+    count; per share the 33-byte ephemeral (its prefix gives its length),
+    the wrap count and k wraps of 32 bytes (16-byte key ‖ GCM tag), and the
+    payload blob (the share plaintext — username ``u16`` text, ``u32`` x,
+    32-byte y — and its GCM tag); then the LHE payload blob (the message
+    and its tag).  No one-time AE message carries a nonce, and no share its
+    tag (the reader derives it from the username and salt) or a kind."""
     name = len(username.encode("utf-8"))
     share_plaintext = 2 + name + 4 + 32
-    share = 1 + 32 + (4 + 33) + (4 + 32 * k) + (4 + share_plaintext + 16)
+    share = 33 + (4 + 32 * k) + (4 + share_plaintext + 16)
     return 1 + 16 + (4 + name) + 12 + 4 + n * share + (4 + message_len + 16)
 
 
 def test_fig10_ciphertext_sizes(benchmark, small_deployment):
     """§9.2: SafetyPin recovery ciphertexts are 16.5 KB vs 130 B baseline.
-    Sizes are encoded bytes, what the provider stores and relays."""
+    Sizes are encoded bytes, what the provider stores and relays; the
+    paper's n = 40 is the probe's ciphertext encoded with 40 shares (each
+    of its shares' bodies is as long as the others)."""
     client = small_deployment.new_client("size-probe")
     client.backup(b"x" * 16, pin="1234")
     small_ct = small_deployment.provider.fetch_backup("size-probe")
@@ -209,9 +214,10 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment):
     encoded = small_ct.size_bytes()
     k = small_deployment.params.bloom_params().num_hashes
     bound = layout_bytes(small_ct.cluster_size, k, "size-probe", 16)
-    # The paper's n = 40 by the probe's bytes per share, before and after.
-    paper_scale = encoded / small_ct.cluster_size * CLUSTER
-    parent_scale = PARENT_CT_BYTES / small_ct.cluster_size * CLUSTER
+    paper_ct = dataclasses.replace(
+        small_ct, share_ciphertexts=tuple(islice(cycle(small_ct.share_ciphertexts), CLUSTER))
+    )
+    paper_scale = paper_ct.size_bytes()
     gates = {"safetypin_ct_bytes_max": bound}
     failures = [f"safetypin_ct_bytes = {encoded} > derived layout {bound}"] if encoded > bound else []
     from repro.baseline.system import BaselineSystem
@@ -220,8 +226,9 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment):
     lines = [
         f"SafetyPin n={small_ct.cluster_size}, k={k}: {encoded} B encoded "
         f"(parent: {PARENT_CT_BYTES} B; derived layout: {bound} B)",
-        f"SafetyPin at n=40 (extrapolated): {paper_scale / 1024:.1f} KB "
-        f"(parent: {parent_scale / 1024:.1f} KB; paper: 16.5 KB)",
+        f"SafetyPin at n={CLUSTER}: {paper_scale} B = {paper_scale / 1000:.1f} KB encoded "
+        f"(parent: {PARENT_CT_BYTES_AT_N40} B; derived layout: "
+        f"{layout_bytes(CLUSTER, k, 'size-probe', 16)} B; paper: 16.5 KB)",
         f"baseline: {baseline_ct.size_bytes()} B (paper: ~130 B)",
     ]
     emit(
@@ -233,7 +240,7 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment):
                 "safetypin_ct_bytes": encoded,
                 "parent_safetypin_ct_bytes": PARENT_CT_BYTES,
                 "safetypin_ct_bytes_at_n40": paper_scale,
-                "parent_safetypin_ct_bytes_at_n40": parent_scale,
+                "parent_safetypin_ct_bytes_at_n40": PARENT_CT_BYTES_AT_N40,
                 "baseline_ct_bytes": baseline_ct.size_bytes(),
             },
             "gates": gates,
@@ -241,5 +248,6 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment):
         },
     )
     assert not failures, failures
-    assert 4 < paper_scale / 1024 < 40
+    assert paper_scale == layout_bytes(CLUSTER, k, "size-probe", 16)
+    assert 4 < paper_scale / 1000 < 40
     assert baseline_ct.size_bytes() < 250

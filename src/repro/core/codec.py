@@ -7,8 +7,9 @@ one expression and its encoder and decoder cannot drift apart.
 build every message and record from the primitives and the combinators
 below; nothing else in those modules packs or unpacks a field.  Neither
 do the crypto layouts (``commit.OPENING``, ``shamir.SHARE``,
-``lhe.SHARE_PLAINTEXT``, ``ec.POINT``, ``bfe.BFE_CIPHERTEXT``,
-``lhe.RECOVERY_CIPHERTEXT``), which are codec values too.
+``lhe.SHARE_PLAINTEXT``, ``ec.POINT``, ``bfe.BFE_BODY``,
+``bfe.BFE_CIPHERTEXT``, ``lhe.RECOVERY_CIPHERTEXT``), which are codec
+values too.
 
 The strictness contract, stated once for every format built here: input
 arrives from untrusted parties, so a decoder either returns a value whose
@@ -33,7 +34,6 @@ share across threads; a ``Reader`` belongs to one ``decode`` call.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any, Callable, Dict, NamedTuple, Tuple
 
 
@@ -266,18 +266,3 @@ def tagged(what: str, cases: Dict[int, Codec]) -> Codec:
 
     return Codec(encode, read)
 
-
-def union(what: str, *rows: Tuple[int, type, Codec]) -> Codec:
-    """One of several types, told apart on the wire by a tag byte.  Rows are
-    ``(tag, type, codec)``; a value travels under the first row whose type
-    it is an instance of, and a value of no row's type is unencodable."""
-
-    def with_tag(value):
-        for tag, kind, _ in rows:
-            if isinstance(value, kind):
-                return tag, value
-        raise WireFormatError(f"no {what} for a {type(value).__name__}")
-
-    return converted(
-        tagged(what, {tag: codec for tag, _, codec in rows}), with_tag, itemgetter(1)
-    )

@@ -36,9 +36,12 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.codec import BLOB, TEXT, TEXT16, U32, fixed, record, seq, tuple_of, union, versioned
+from repro import metering
+from repro.core.codec import (
+    BLOB, TEXT, TEXT16, U32, WireFormatError, converted, fixed, seq, tuple_of, versioned,
+)
 from repro.crypto.bfe import (
-    BFE_CIPHERTEXT,
+    BFE_BODY,
     BfeCiphertext,
     BfePublicKey,
     BfeSecretKey,
@@ -95,16 +98,55 @@ class LheCiphertext:
 #: the share.  The HSM reads it through this codec before it punctures.
 SHARE_PLAINTEXT = tuple_of(TEXT16, SHARE)
 
-#: Only BFE share ciphertexts travel: a share's one kind is the ciphertext
-#: the HSMs decrypt (a hashed-ElGamal share has no wire kind).
-_SHARE_CIPHERTEXT = union("share-ciphertext kind", (1, BfeCiphertext, BFE_CIPHERTEXT))
-#: The client's uploaded recovery ciphertext (§4.1): the 16-byte salt, then
-#: the share ciphertexts and the payload (``ciphertext ‖ tag`` under the
-#: one-time transport key).
-RECOVERY_CIPHERTEXT = versioned(record(
-    LheCiphertext, salt=fixed(SALT_LEN, "salt"), username=TEXT, threshold=U32, num_hsms=U32,
-    config_epoch=U32, share_ciphertexts=seq(_SHARE_CIPHERTEXT, tuple, 4096, "share"),
-    payload=BLOB,
+
+def series_tag(username: str, salt: bytes) -> bytes:
+    """The puncture tag of every share ciphertext of this user's backups
+    under ``salt``: recovering any of them revokes the whole series (§8)."""
+    return sha256(b"safetypin-series", username.encode("utf-8"), salt)
+
+
+def _unbilled_series_tag(username: str, salt: bytes) -> bytes:
+    """:func:`series_tag` for the recovery ciphertext's codec: rebuilding a
+    field the sender left off is reading, not a protocol step, so the
+    hash is not billed."""
+    with metering.deferred():
+        return series_tag(username, salt)
+
+
+def _recovery_to_wire(ct: LheCiphertext) -> tuple:
+    tag = _unbilled_series_tag(ct.username, ct.salt)
+    if any(not isinstance(share, BfeCiphertext) or share.tag != tag
+           for share in ct.share_ciphertexts):
+        raise WireFormatError("a share is not a BFE ciphertext under its series tag")
+    bodies = [share.body() for share in ct.share_ciphertexts]
+    return ct.salt, ct.username, ct.threshold, ct.num_hsms, ct.config_epoch, bodies, ct.payload
+
+
+def _recovery_from_wire(fields: tuple) -> LheCiphertext:
+    salt, username, threshold, num_hsms, config_epoch, bodies, payload = fields
+    tag = _unbilled_series_tag(username, salt)
+    return LheCiphertext(
+        salt=salt,
+        username=username,
+        share_ciphertexts=tuple(BfeCiphertext(tag, *body) for body in bodies),
+        payload=payload,
+        threshold=threshold,
+        num_hsms=num_hsms,
+        config_epoch=config_epoch,
+    )
+
+
+#: The client's uploaded recovery ciphertext (§4.1): the 16-byte salt, the
+#: username, then the share ciphertexts — each a BFE body, its tag being
+#: the :func:`series_tag` its reader rebuilds from the username and salt
+#: (a share under any other tag is unencodable) — and the payload
+#: (``ciphertext ‖ tag`` under the one-time transport key).
+RECOVERY_CIPHERTEXT = versioned(converted(
+    tuple_of(
+        fixed(SALT_LEN, "salt"), TEXT, U32, U32, U32, seq(BFE_BODY, tuple, 4096, "share"), BLOB
+    ),
+    _recovery_to_wire,
+    _recovery_from_wire,
 ))
 
 
@@ -165,13 +207,10 @@ class LocationHidingEncryption:
         cluster_pks = [_bfe_key(public_keys[i]) for i in cluster]
         key_digest = self._cluster_key_digest(cluster_pks)
         context = lhe_context(username, salt, key_digest)
-        # All of this user's backups under this salt share one puncture tag,
-        # so recovering any of them revokes the whole series (§8).
-        series_tag = sha256(b"safetypin-series", username.encode("utf-8"), salt)
-
+        tag = series_tag(username, salt)
         share_cts = [
             BloomFilterEncryption.encrypt(
-                pk, SHARE_PLAINTEXT.encode((username, share)), context=context, tag=series_tag
+                pk, SHARE_PLAINTEXT.encode((username, share)), context=context, tag=tag
             )
             for share, pk in zip(shares, cluster_pks)
         ]

@@ -10,12 +10,15 @@ so its encoder and decoder are one expression; the public ``encode_*`` /
 explicit version byte (``codec.WIRE_VERSION``) so they can evolve.  The
 crypto layouts a message carries are codec values declared beside their
 types and used here: ``commit.OPENING`` travels ``nested``, and a
-recovery ciphertext is ``lhe.RECOVERY_CIPHERTEXT`` over
-``bfe.BFE_CIPHERTEXT`` (declared there so ``LheCiphertext`` can measure and
-hash its own encoding).  A field whose length is fixed by construction
-(a digest, a tag, a salt, a one-time wrap) is ``fixed(n)`` with no length
-prefix.  Only the two point encodings keep their own ``to_bytes`` /
-``from_bytes`` and travel as blobs (``ec.POINT``, ``_ELGAMAL``).
+recovery ciphertext is ``lhe.RECOVERY_CIPHERTEXT`` over ``bfe.BFE_BODY``
+(declared there so ``LheCiphertext`` can measure and hash its own
+encoding; its shares' series tag is rebuilt by its reader, while the
+stand-alone ``bfe.BFE_CIPHERTEXT`` of a decrypt request carries its tag).
+A field whose length is fixed by construction (a digest, a tag, a salt, a
+one-time wrap) is ``fixed(n)`` with no length prefix, and a point
+(``ec.POINT``) is its SEC1 encoding, whose prefix byte gives its length.
+Only the ElGamal reply keeps its own ``to_bytes`` / ``from_bytes`` and
+travels as a blob (``_ELGAMAL``).
 
 All decoders are *strict* — the contract is stated once, in
 ``repro.core.codec``: trailing bytes, truncation, bad versions, unknown
@@ -30,7 +33,7 @@ from typing import Dict, NamedTuple, Tuple
 
 from repro.core.codec import (
     BLOB, I32, TEXT, U8, U32, WIRE_VERSION, Codec, WireFormatError,
-    converted, fixed, nested, optional, record, seq, tagged, tuple_of, union, versioned,
+    converted, fixed, nested, optional, record, seq, tagged, tuple_of, versioned,
 )
 from repro.core.lhe import RECOVERY_CIPHERTEXT
 from repro.crypto.bfe import BFE_CIPHERTEXT
@@ -41,7 +44,7 @@ from repro.hsm.device import DecryptShareRequest
 from repro.log.authdict import InclusionProof, PathStep
 
 #: An ElGamal ciphertext (point ‖ body) keeps its own strict ``to_bytes`` /
-#: ``from_bytes`` and travels as a blob, as a point does (``ec.POINT``).
+#: ``from_bytes`` and travels as a blob.
 _ELGAMAL = converted(BLOB, ElGamalCiphertext.to_bytes, ElGamalCiphertext.from_bytes)
 
 # ---------------------------------------------------------------------------
@@ -102,20 +105,16 @@ def encode_decrypt_error(status: int, message: str) -> bytes:
 # ---------------------------------------------------------------------------
 # Log inclusion proofs
 # ---------------------------------------------------------------------------
-#: Proof-kind tag: a BST proof against one lane's digest, at every arity.
-PROOF_PLAIN = 1
 #: A node's identifier hash and every subtree hash are SHA-256 digests; a
 #: step's value is a log record of any length and keeps its blob length.
 _HASH = fixed(32, "proof hash")
 
-#: An inclusion proof behind its kind byte.
-INCLUSION_PROOF = union(
-    "inclusion-proof kind",
-    (PROOF_PLAIN, InclusionProof, record(
-        InclusionProof,
-        steps=seq(record(PathStep, idh=_HASH, value=BLOB, other=_HASH), tuple, 4096, "proof-step"),
-        left=_HASH, right=_HASH,
-    )),
+#: An inclusion proof: the BST proof against one lane's digest, the one
+#: kind at every arity, so it carries no kind byte.
+INCLUSION_PROOF = record(
+    InclusionProof,
+    steps=seq(record(PathStep, idh=_HASH, value=BLOB, other=_HASH), tuple, 4096, "proof-step"),
+    left=_HASH, right=_HASH,
 )
 encode_inclusion_proof = INCLUSION_PROOF.encode
 decode_inclusion_proof = INCLUSION_PROOF.decode
@@ -139,8 +138,8 @@ decode_decrypt_request = DECRYPT_REQUEST.decode
 # Every provider interaction crosses the untrusted operator's network, so
 # the whole surface is framed: ``[version u8][op u8][body]`` requests and
 # ``[version u8][kind u8][body]`` replies, with bodies described by the
-# op table and the reply schemas below.  Inclusion proofs ride the same
-# kind-tagged envelope as the client->HSM leg, and failures
+# op table and the reply schemas below.  Inclusion proofs travel as on
+# the client->HSM leg, and failures
 # travel as typed PROV_REPLY_ERROR frames — a provider can answer with an
 # error *status*, never with a live Python exception.
 

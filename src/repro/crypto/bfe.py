@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro import metering
-from repro.core.codec import BLOB, fixed, record, seq
+from repro.core.codec import BLOB, converted, fixed, seq, tuple_of
 from repro.crypto.bloom import BloomParams
 from repro.crypto.ec import POINT, ECPoint, P256, generator_mult_each, mult_each
 from repro.crypto.gcm import (
@@ -148,15 +148,26 @@ class BfeCiphertext:
     wrapped_keys: Tuple[bytes, ...]
     payload: bytes
 
+    def body(self) -> Tuple[ECPoint, Tuple[bytes, ...], bytes]:
+        """Everything but the tag: what :data:`BFE_BODY` encodes."""
+        return self.ephemeral, self.wrapped_keys, self.payload
 
-#: A BFE ciphertext's bytes: the 32-byte tag, the ephemeral (a point blob,
-#: so the identity's 1-byte encoding is carried and refused by the
-#: opener), a count of 32-byte wraps and the payload blob.  Wraps and
-#: payload are ``ciphertext ‖ tag`` under one-time keys (no nonce).
-BFE_CIPHERTEXT = record(
-    BfeCiphertext, tag=fixed(TAG_BYTES, "bfe tag"), ephemeral=POINT,
-    wrapped_keys=seq(fixed(WRAP_BYTES, "wrapped key"), tuple, 4096, "wrapped-key"),
-    payload=BLOB,
+
+#: A BFE ciphertext's bytes after its tag, as :meth:`BfeCiphertext.body`:
+#: the ephemeral (a self-delimiting point, so the identity's 1-byte
+#: encoding is carried and refused by the opener), a count of 32-byte
+#: wraps and the payload blob.  Wraps and payload are ``ciphertext ‖ tag``
+#: under one-time keys (no nonce).  A recovery ciphertext carries its
+#: shares this way, since their reader derives the tag.
+BFE_BODY = tuple_of(
+    POINT, seq(fixed(WRAP_BYTES, "wrapped key"), tuple, 4096, "wrapped-key"), BLOB
+)
+#: A stand-alone BFE ciphertext (the copy a decrypt request carries): the
+#: 32-byte tag, then the body.
+BFE_CIPHERTEXT = converted(
+    tuple_of(fixed(TAG_BYTES, "bfe tag"), BFE_BODY),
+    lambda ciphertext: (ciphertext.tag, ciphertext.body()),
+    lambda fields: BfeCiphertext(fields[0], *fields[1]),
 )
 
 

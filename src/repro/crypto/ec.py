@@ -100,7 +100,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import metering
-from repro.core.codec import BLOB, converted
+from repro.core.codec import Codec, Reader, WireFormatError, converted
 from repro.crypto.field import batch_inverse_mod
 
 # NIST P-256 domain parameters (FIPS 186-4, D.1.2.3).
@@ -696,9 +696,21 @@ class ECPoint:
         return ECPoint(x, y)
 
 
-#: A point on the wire: its own strict encoding (33 bytes, or the
-#: identity's 1) behind a blob length.
-POINT = converted(BLOB, ECPoint.to_bytes, ECPoint.from_bytes)
+def _sec1(reader: Reader) -> bytes:
+    """A compressed point's bytes, as many as its prefix says."""
+    prefix = reader.take(1)
+    if prefix == b"\x00":
+        return prefix
+    if prefix in (b"\x02", b"\x03"):
+        return prefix + reader.take(32)
+    raise WireFormatError(f"unknown point prefix {prefix[0]}")
+
+
+#: A point on the wire: its strict SEC1 encoding, with no length, since
+#: the prefix delimits it — ``0x00`` is the identity's one byte (carried,
+#: and refused by the opener), ``0x02`` or ``0x03`` is followed by the
+#: 32-byte x, and any other prefix is refused.
+POINT = converted(Codec(lambda data: data, _sec1), ECPoint.to_bytes, ECPoint.from_bytes)
 
 
 def is_curve_point(value) -> bool:

@@ -38,13 +38,15 @@ from dataclasses import dataclass
 
 from repro import metering
 from repro.crypto.ec import ECKeyPair, ECPoint, P256
-from repro.crypto.gcm import AuthenticationError, ae_decrypt, ae_encrypt
+from repro.crypto.gcm import AuthenticationError, open_one_time, seal_one_time
 from repro.crypto.hashing import kdf
 
 
 @dataclass(frozen=True)
 class ElGamalCiphertext:
-    """``(g^r, AE ciphertext)`` with the AE nonce folded into the body."""
+    """``(g^r, AE ciphertext)``.  The AE key is derived from a fresh ``r``
+    and seals this one message, so the body is ``ciphertext ‖ tag`` under
+    the constant ``gcm.ONE_TIME_NONCE``, which it does not carry."""
 
     ephemeral: ECPoint
     body: bytes
@@ -85,7 +87,8 @@ class HashedElGamal:
         ephemeral = P256.generator * r
         shared = public * r
         key = kdf("hashed-elgamal", shared.to_bytes(), context, length=16)
-        return ElGamalCiphertext(ephemeral=ephemeral, body=ae_encrypt(key, plaintext, aad=context))
+        (body,) = seal_one_time([(key, plaintext, context)])
+        return ElGamalCiphertext(ephemeral=ephemeral, body=body)
 
     @staticmethod
     def decrypt(secret: int, ciphertext: ElGamalCiphertext, context: bytes = b"") -> bytes:
@@ -99,4 +102,4 @@ class HashedElGamal:
         metering.count("elgamal_dec")
         shared = ciphertext.ephemeral * secret
         key = kdf("hashed-elgamal", shared.to_bytes(), context, length=16)
-        return ae_decrypt(key, ciphertext.body, aad=context)
+        return open_one_time(key, ciphertext.body, aad=context)

@@ -53,8 +53,9 @@ TAG_LEN = 16
 #: a key: SP 800-38D §8.2.1's deterministic construction with one
 #: invocation per key, so the (key, nonce) pair is still never repeated.
 #: A Bloom-filter slot wrap (its key a KDF of a fresh ``r·pk`` and the
-#: slot), a Bloom-filter payload (a fresh 16-byte key) and the LHE payload
-#: (a fresh transport key) seal under it.  A key that seals again — the
+#: slot), a Bloom-filter payload (a fresh 16-byte key), the LHE payload
+#: (a fresh transport key) and a hashed-ElGamal body (its key a KDF of a
+#: fresh ``r·X``) seal under it.  A key that seals again — the
 #: incremental backups' master key, a key-tree node key — draws a random
 #: nonce for every message.
 ONE_TIME_NONCE = bytes(NONCE_LEN)

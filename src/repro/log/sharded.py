@@ -20,8 +20,8 @@ sharding): independent lanes, deterministic placement, and a thin
 combining layer.  ``S = 1`` is the paper's single chain: its root is the
 lane digest.
 
-At every ``S`` a proof is the lane's plain BST proof (``PROOF_PLAIN`` on
-the wire): an HSM tracks one digest per lane, recomputes the
+At every ``S`` a proof is the lane's plain BST proof (``wire.INCLUSION_PROOF``
+on the wire): an HSM tracks one digest per lane, recomputes the
 identifier's lane itself and verifies the proof against its own copy of
 that lane's digest (write-once stays intact: an identifier maps to exactly
 one shard, so no value can be re-logged in a sibling lane).  Auditors

@@ -1,14 +1,16 @@
 """The codec layer: every primitive and combinator round-trips, and every
 decoder keeps the strictness contract ``repro.core.codec`` states once —
 malformed bytes raise :class:`WireFormatError` and nothing else.  So do the
-three crypto layouts built from them (``OPENING``, ``SHARE``,
-``SHARE_PLAINTEXT``), and the inclusion proof a request carries nested.
+crypto layouts built from them (``OPENING``, ``SHARE``,
+``SHARE_PLAINTEXT``, the self-delimiting ``ec.POINT``), and the inclusion
+proof a request carries nested.
 
 Also here, because they are properties of codecs composed in
 ``core/wire.py``: a decrypt-share request has exactly one byte string (no
 nested blob tolerates appended bytes), and an opening or an inclusion
-proof that is padded, cut short, over-counted or (the proof) of another
-kind is a wire error on its own and inside a request frame.
+proof that is padded, cut short, over-counted or (the proof) behind the
+kind byte it no longer carries is a wire error on its own and inside a
+request frame.
 """
 
 from dataclasses import dataclass
@@ -19,10 +21,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core import wire
 from repro.core.codec import (
     BLOB, I32, TEXT, TEXT16, U8, U16, U32, U64, U256, Reader, WireFormatError,
-    converted, fixed, mapping, nested, optional, prefixed, record, seq, tagged, tuple_of, union,
+    converted, fixed, mapping, nested, optional, prefixed, record, seq, tagged, tuple_of,
 )
 from repro.core.lhe import SHARE_PLAINTEXT
 from repro.crypto.commit import OPENING, CommitmentOpening
+from repro.crypto.ec import POINT, P256, ECPoint
 from repro.crypto.shamir import SHARE, Share
 from test_wire_properties import decrypt_requests, inclusion_proofs
 
@@ -69,7 +72,6 @@ CODECS = [
     ("prefixed", prefixed(3, BLOB, "widget version"), blobs),
     ("tagged", tagged("case", {1: U32, 7: BLOB}),
      st.tuples(st.just(1), u32s) | st.tuples(st.just(7), blobs)),
-    ("union", union("kind", (1, int, U32), (2, bytes, BLOB)), u32s | blobs),
     ("U16", U16, st.integers(0, (1 << 16) - 1)),
     ("U256", U256, st.integers(0, (1 << 256) - 1)),
     ("TEXT16", TEXT16, st.text(max_size=12)),
@@ -82,6 +84,7 @@ CODECS = [
     )),
     ("SHARE", SHARE, shares),
     ("SHARE_PLAINTEXT", SHARE_PLAINTEXT, st.tuples(st.text(max_size=12), shares)),
+    ("POINT", POINT, st.sampled_from([ECPoint(None, None), P256.generator, P256.generator * 3])),
     # The one inclusion-proof layout, at every arity.
     ("INCLUSION_PROOF", wire.INCLUSION_PROOF, inclusion_proofs),
 ]
@@ -171,20 +174,6 @@ class TestCombinators:
         with pytest.raises(WireFormatError, match="unsupported widget version 4"):
             versioned.decode(b"\x04\x09")
 
-    def test_union_rejects_unknown_tag_and_unencodable_type(self):
-        either = union("widget kind", (1, int, U32), (2, bytes, BLOB))
-        assert either.encode(5)[0] == 1 and either.encode(b"x")[0] == 2
-        with pytest.raises(WireFormatError, match="unknown widget kind 3"):
-            either.decode(b"\x03" + U32.encode(5))
-        with pytest.raises(WireFormatError, match="no widget kind for a str"):
-            either.encode("five")
-
-    def test_union_picks_the_first_matching_row(self):
-        # bool is an int: row order decides, as isinstance chains do.
-        either = union("kind", (1, bool, U8), (2, int, U32))
-        assert either.encode(True) == b"\x01\x01"
-        assert either.encode(7) == b"\x02" + U32.encode(7)
-
     def test_tagged_rejects_unknown_tag_both_ways(self):
         cases = tagged("status", {0: BLOB, 4: TEXT})
         assert cases.decode(cases.encode((4, "gone"))) == (4, "gone")
@@ -257,7 +246,8 @@ class TestOneByteStringPerRequest:
 
     @staticmethod
     def blobs_of(request):
-        """The request frame's eight top-level blobs, in wire order."""
+        """The request frame's seven top-level blobs and its response key
+        (a point, which delimits itself), in wire order."""
         blobs = [
             request.username.encode("utf-8"),
             request.log_identifier,
@@ -273,7 +263,8 @@ class TestOneByteStringPerRequest:
 
     @staticmethod
     def frame(blobs) -> bytes:
-        return bytes([wire.WIRE_VERSION]) + b"".join(map(BLOB.encode, blobs))
+        *nested_blobs, response_key = blobs
+        return bytes([wire.WIRE_VERSION]) + b"".join(map(BLOB.encode, nested_blobs)) + response_key
 
     #: The blobs that hold a structured value (the others are opaque bytes:
     #: lengthening one makes a *different* valid request).
@@ -299,18 +290,19 @@ class TestOneByteStringPerRequest:
         with pytest.raises(WireFormatError):
             wire.decode_decrypt_request(self.frame(blobs))
 
-    @given(request=decrypt_requests(), extra=st.binary(min_size=1, max_size=6))
+    @given(request=decrypt_requests(), prefix=st.integers(0, 255).filter(lambda b: b not in (0, 2, 3)))
     @settings(**_SETTINGS)
-    def test_lengthened_blob_two_levels_down_never_decodes(self, request, extra):
-        """The point inside the share ciphertext (after its fixed tag)."""
+    def test_bad_point_prefix_two_levels_down_never_decodes(self, request, prefix):
+        """The point inside the share ciphertext (after its fixed tag) has
+        no length: its prefix byte says how long it is, and a prefix no
+        point has is refused."""
         blobs = self.blobs_of(request)
         ct = request.share_ciphertext
-        head = ct.tag + BLOB.encode(ct.ephemeral.to_bytes())
-        assert blobs[5].startswith(head)
-        padded = list(blobs)
-        padded[5] = ct.tag + BLOB.encode(ct.ephemeral.to_bytes() + extra) + blobs[5][len(head):]
-        with pytest.raises(WireFormatError):
-            wire.decode_decrypt_request(self.frame(padded))
+        assert blobs[5].startswith(ct.tag + ct.ephemeral.to_bytes())
+        mangled = list(blobs)
+        mangled[5] = ct.tag + bytes([prefix]) + blobs[5][len(ct.tag) + 1:]
+        with pytest.raises(WireFormatError, match=f"unknown point prefix {prefix}"):
+            wire.decode_decrypt_request(self.frame(mangled))
 
 
 def over_counted_opening(data: bytes) -> bytes:
@@ -325,11 +317,10 @@ def over_counted_opening(data: bytes) -> bytes:
 OPENING_MANGLES = {"cut short": lambda data: data[:-1], "over-long count": over_counted_opening}
 PROOF_MANGLES = {
     "cut short": lambda data: data[:-1],
-    # the step count, just after the kind byte
-    "over-long count": lambda data: data[:1] + U32.encode(U32.decode(data[1:5]) + 1) + data[5:],
-    "kind 0": lambda data: b"\x00" + data[1:],
-    # the retired sharded kind, in front of a plain body
-    "kind 2": lambda data: b"\x02" + data[1:],
+    # the step count, the proof's first field
+    "over-long count": lambda data: U32.encode(U32.decode(data[:4]) + 1) + data[4:],
+    # the kind byte an older sender wrote in front of the proof
+    "kind byte in front": lambda data: b"\x01" + data,
 }
 
 
@@ -371,3 +362,36 @@ class TestCryptoLayoutsAreStrict:
         data = SHARE_PLAINTEXT.encode((username, share))
         with pytest.raises(WireFormatError):
             SHARE_PLAINTEXT.decode(U16.encode(U16.decode(data[:2]) + 1) + data[2:])
+
+
+class TestPoint:
+    """``ec.POINT`` is a point's SEC1 encoding with no length: the prefix
+    byte says how many bytes follow."""
+
+    def test_identity_is_one_byte_and_a_finite_point_33(self):
+        identity, point = ECPoint(None, None), P256.generator * 5
+        assert POINT.encode(identity) == b"\x00" and POINT.decode(b"\x00") == identity
+        encoded = POINT.encode(point)
+        assert len(encoded) == 33 and encoded[0] in (2, 3)
+        assert POINT.decode(encoded) == point
+
+    def test_any_other_prefix_is_refused(self):
+        body = POINT.encode(P256.generator)[1:]
+        for prefix in set(range(256)) - {0, 2, 3}:
+            with pytest.raises(WireFormatError, match=f"unknown point prefix {prefix}"):
+                POINT.decode(bytes([prefix]) + body)
+
+    def test_truncation_and_an_off_curve_x_are_refused(self):
+        encoded = POINT.encode(P256.generator * 7)
+        for cut in range(len(encoded)):
+            with pytest.raises(WireFormatError):
+                POINT.decode(encoded[:cut])
+        x = 0
+        while True:  # the first x with no point on the curve
+            x += 1
+            try:
+                ECPoint.from_bytes(b"\x02" + x.to_bytes(32, "big"))
+            except ValueError:
+                break
+        with pytest.raises(WireFormatError, match="not on curve"):
+            POINT.decode(b"\x02" + x.to_bytes(32, "big"))

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.ec import ECPoint
 from repro.crypto.elgamal import ElGamalCiphertext, HashedElGamal
-from repro.crypto.gcm import AuthenticationError, ae_encrypt
+from repro.crypto.gcm import AuthenticationError, seal_one_time
 from repro.crypto.hashing import kdf
 from repro.metering import metered
 
@@ -65,7 +65,8 @@ class TestBinding:
         reply opener maps to a ⊥ share, with no decryption metered."""
         identity = ECPoint(None, None)
         key = kdf("hashed-elgamal", identity.to_bytes(), b"ctx", length=16)
-        forged = ElGamalCiphertext(identity, ae_encrypt(key, b"chosen share", aad=b"ctx"))
+        (body,) = seal_one_time([(key, b"chosen share", b"ctx")])
+        forged = ElGamalCiphertext(identity, body)
         secret = HashedElGamal.keygen().secret
         with metered() as meter:
             with pytest.raises(AuthenticationError, match="identity"):
@@ -90,8 +91,9 @@ class TestSerialization:
     def test_length(self):
         kp = HashedElGamal.keygen()
         ct = HashedElGamal.encrypt(kp.public, b"12345")
-        # 33 (point) + 12 (nonce) + 5 (body) + 16 (tag)
-        assert len(ct) == 33 + 12 + 5 + 16
+        # 33 (point) + 5 (body) + 16 (tag): the key seals this one message,
+        # so the body carries no nonce.
+        assert len(ct) == 33 + 5 + 16
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):

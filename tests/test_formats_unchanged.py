@@ -120,6 +120,37 @@ aside.  The committed digests are of this code, whose entropy stream is
 keys differ from the parent's (shards=1 sends 32 frames, not 37: its
 clusters name fewer distinct devices).  ``PARENT_RECORD_KINDS_DIGEST``
 did not move: no record of that store holds a ciphertext or a proof.
+
+All four workload digests moved once more, when a recovery ciphertext
+stopped sending what its reader already holds: its shares lost the 32-byte
+series tag (rebuilt from the username and salt), the one-row kind byte and
+the ``u32`` length in front of the ephemeral point (a point's SEC1 prefix
+gives its length), 37 bytes a share and 111 a ciphertext at n = 3; an
+inclusion proof lost its kind byte; and the HSM's hashed-ElGamal reply,
+whose key seals one message, lost its 12-byte nonce.  The workload was
+compared frame by frame and block by block against the parent's on a copy
+of this code that draws and discards the 12 nonce bytes the parent drew
+for each reply (so the entropy stream is the parent's): every frame lines
+up with the parent's, and only these moved, at both arities:
+
+- each ``upload_backup`` request and ``fetch_backup`` reply: −111 (7 and 3);
+- each decrypt-share request: −9 (its share's point length, the response
+  key's length, the proof's kind byte);
+- each OK decrypt-share reply and each ``store_reply`` request: −12 (4
+  each; the refusals are the parent's bytes);
+- each ``log_and_prove`` reply: −1 (3), and its request and the
+  ``recovery_attempts_for`` reply kept their lengths but carry other
+  commitments, which bind ``ciphertext_hash``;
+- each backup WAL record: −111 (954 → 843 for the user's, 990 → 879 for
+  a recovery key's; 6 before the snapshot and the post-snapshot one), each
+  escrowed-reply record −12 (154 → 142, 4 of them), and the snapshot −714
+  (6 × 111 + 4 × 12: 7471 → 6757 at shards=1, 7653 → 6939 at shards=2).
+  The intent and commit records kept their lengths, with other
+  commitments and certificates.
+
+Every other frame and block is the parent's, chain hashes and the anchor
+aside.  The committed digests are of this code, whose entropy stream is 12
+bytes a reply shorter (shards=1 sends 33 frames, not 32).
 """
 
 import hashlib
@@ -155,16 +186,16 @@ def _absorb_store(digest, store: InMemoryBlockStore) -> None:
 
 
 class TestFormatsUnchanged:
-    # Re-captured when the one-time nonces and fixed-length fields left the
-    # recovery ciphertext and the proof; see the module docstring.
+    # Re-captured when the series tag, kind bytes and point lengths left the
+    # recovery ciphertext and the reply its nonce; see the module docstring.
     PARENT_DIGESTS = {
         1: {
-            "frames": "477d0ff37a057bed5a59d11a2c756aac057d6c719579367c9186cfb4f0b12f6e",
-            "store": "e64c72c65eab920129d497a066bfb4be0b0871781a99505708ed3438f2a0d5d0",
+            "frames": "08c2ac4ce74e0906086c08204e9eb6abf9354205383df56f507a68b81a3f065b",
+            "store": "89a4fc66ac8030691d8619d0d6530e94d517ab4a79fd574231f3556fadf820e8",
         },
         2: {
-            "frames": "6bd75137608af2440c02cd69fced556094ce6ec99fa4698831f01f9e2b6c5dbb",
-            "store": "51ff1d7f8d716c0e54abf8f098194b80e330195c5b250c38ea63fa16ed138e90",
+            "frames": "046e5f1f12fdfba0d943d0125ef8ca30d154b94ab8fe0f94cde8d4730dbc636a",
+            "store": "1d6ddd153824ea7eb24fb40a4546e57d56280a3df16e3f5c23aeb55afd3426ef",
         },
     }
     PARENT_RECORD_KINDS_DIGEST = (
@@ -274,18 +305,19 @@ class TestFormatsUnchanged:
         assert blocks.hexdigest() == self.PARENT_RECORD_KINDS_DIGEST
 
     def test_plain_proof_bytes_unchanged(self):
-        """The one proof layout left is the ``PROOF_PLAIN`` envelope: the
+        """The one proof layout left is the lane's plain proof: the
         shards=2 frames lost the sharded envelope and nothing else.  These
         bytes are the parent encoder's with the ``u32`` lengths of the
         four 32-byte hashes (a step's ``idh`` and ``other``, ``left``,
-        ``right``) gone; the step's 3-byte value keeps its length."""
+        ``right``) gone, and then its kind byte (``01``, the one kind);
+        the step's 3-byte value keeps its length."""
         proof = InclusionProof(
             steps=(PathStep(idh=b"\x11" * 32, value=b"\x22" * 3, other=b"\x33" * 32),),
             left=b"\x44" * 32,
             right=b"\x55" * 32,
         )
         pinned = (
-            "01" + "00000001"
+            "00000001"
             + "11" * 32 + "00000003" + "22" * 3 + "33" * 32
             + "44" * 32 + "55" * 32
         )

@@ -6,6 +6,7 @@ import typing
 
 import pytest
 
+from repro.core import wire
 from repro.core.identifiers import attempt_identifier
 from repro.core.lhe import SHARE_PLAINTEXT, LocationHidingEncryption
 from repro.crypto.bfe import BfeCiphertext, BloomFilterEncryption, PuncturedKeyError
@@ -251,6 +252,12 @@ class TestIdentityEphemeral:
         forged = BfeCiphertext(
             tag=honest.tag, ephemeral=identity, wrapped_keys=tuple(wraps), payload=payload
         )
+        if transport == "wire":
+            # The identity travels as its one-byte encoding, 32 fewer than
+            # the honest ephemeral's, and decodes to the identity.
+            forged_bytes = wire.encode_bfe_ciphertext(forged)
+            assert len(forged_bytes) == len(wire.encode_bfe_ciphertext(honest)) - 32
+            assert wire.decode_bfe_ciphertext(forged_bytes).ephemeral.is_infinity
         channels = (wire_channels if transport == "wire" else direct_channels)(fleet)
         secret = fleet[hsm_index]._bfe_secret
         before = (secret.tree.root_key, secret.slots_deleted, secret.punctures_done)

@@ -26,7 +26,7 @@ from repro.chaos.entropy import DeterministicEntropy
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.core.provider import ProviderError
-from repro.core.wire import PROOF_PLAIN, encode_inclusion_proof
+from repro.core.wire import decode_inclusion_proof, encode_inclusion_proof
 from repro.hsm.device import HsmRefusedError, HsmStaleProofError
 from repro.log import AuditFailure, ExternalAuditor
 from repro.log.authdict import AuthenticatedDictionary, verify_includes
@@ -88,7 +88,7 @@ class TestShardRouting:
         assert log.digest == cross_shard_root(log.shard_digests)
         assert all(hsm.log_digest == log.digest for hsm in dep.fleet.hsms)
         proof = log.prove_includes(b"rec|arity|0", b"h-arity")
-        assert encode_inclusion_proof(proof)[0] == PROOF_PLAIN
+        assert decode_inclusion_proof(encode_inclusion_proof(proof)) == proof
         lane_digest = log.shard_for(b"rec|arity|0").digest
         assert verify_includes(lane_digest, b"rec|arity|0", b"h-arity", proof)
         if shards == 1:

@@ -345,7 +345,10 @@ class TestMeteringInvariance:
     # nonces and fixed fields' lengths (was sha256_block 2109): −5 in
     # ``ciphertext_hash``, SHA-256 over the ciphertext's encoding (16
     # blocks) instead of over its label and 27 length-prefixed parts (21).
-    PARENT_COUNTS = {"aes_block": 4692, "sha256_block": 2104, "flash_read_bytes": 1120}
+    # Re-derived when a recovery ciphertext's shares stopped carrying their
+    # series tag, kind byte and point length (was sha256_block 2104): −2 in
+    # ``ciphertext_hash``, over an encoding 111 bytes shorter.
+    PARENT_COUNTS = {"aes_block": 4692, "sha256_block": 2102, "flash_read_bytes": 1120}
     # Re-captured at PR 16 (was e87aa60f…): decrypt-and-puncture re-keys the
     # union of a tag's k paths in one pass, so the nodes the paths share are
     # rewritten once instead of k times — fewer puts, fewer fresh-key and
@@ -356,7 +359,10 @@ class TestMeteringInvariance:
     # LHE payload): the re-key's fresh keys and nonces are later draws of
     # the seeded stream.  A copy of the code that draws and discards those
     # 16 nonces writes the old digest, block for block.
-    PARENT_STORE_DIGEST = "087682dd59174d7fd07327f2807bf6bd5f8dd8365ce80a9157d1a49af82ef2d3"
+    # Re-captured again (was 087682dd…) when the HSM's ElGamal reply began
+    # sealing under the one-time nonce and stopped drawing 12 bytes: a copy
+    # that draws and discards them writes the old digest.
+    PARENT_STORE_DIGEST = "cda7e4450b070a65cb81e97c7eab44a93f49c61106be86a6a7335f9a071b0c34"
 
     @staticmethod
     def run_fixed_workload():

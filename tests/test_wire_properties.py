@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import wire
 from repro.core.codec import BLOB
-from repro.core.lhe import SALT_LEN, LheCiphertext
+from repro.core.lhe import SALT_LEN, LheCiphertext, series_tag
 from repro.crypto.bfe import TAG_BYTES, WRAP_BYTES, BfeCiphertext
 from repro.crypto.commit import commit_recovery
 from repro.crypto.ec import P256
@@ -55,16 +55,26 @@ bfe_ciphertexts = st.builds(
 
 elgamal_ciphertexts = st.builds(ElGamalCiphertext, ephemeral=points, body=blobs)
 
-recovery_ciphertexts = st.builds(
-    LheCiphertext,
-    salt=salts,
-    username=usernames,
-    share_ciphertexts=st.lists(bfe_ciphertexts, max_size=4).map(tuple),
-    payload=blobs,
-    threshold=u32s,
-    num_hsms=u32s,
-    config_epoch=u32s,
-)
+
+@st.composite
+def _recovery_ciphertexts(draw):
+    """A recovery ciphertext whose shares carry the series tag of its drawn
+    username and salt, the one tag the format can carry."""
+    salt, username = draw(salts), draw(usernames)
+    shares = draw(st.lists(bfe_ciphertexts, max_size=4))
+    tag = series_tag(username, salt)
+    return LheCiphertext(
+        salt=salt,
+        username=username,
+        share_ciphertexts=tuple(dataclasses.replace(share, tag=tag) for share in shares),
+        payload=draw(blobs),
+        threshold=draw(u32s),
+        num_hsms=draw(u32s),
+        config_epoch=draw(u32s),
+    )
+
+
+recovery_ciphertexts = _recovery_ciphertexts()
 
 inclusion_proofs = st.builds(
     InclusionProof,
@@ -126,6 +136,30 @@ class TestBfeCiphertextWire:
 
 
 class TestRecoveryCiphertextWire:
+    """A share inside a recovery ciphertext travels without its tag: the
+    reader rebuilds the series tag from the username and salt beside it."""
+
+    @given(ct=recovery_ciphertexts, tag=digests, which=st.integers(0, 3))
+    @settings(**_SETTINGS)
+    def test_a_share_under_another_tag_is_unencodable(self, ct, tag, which):
+        assume(ct.share_ciphertexts and tag != series_tag(ct.username, ct.salt))
+        shares = list(ct.share_ciphertexts)
+        which %= len(shares)
+        shares[which] = dataclasses.replace(shares[which], tag=tag)
+        with pytest.raises(wire.WireFormatError, match="series tag"):
+            wire.encode_recovery_ciphertext(dataclasses.replace(ct, share_ciphertexts=tuple(shares)))
+
+    @given(ct=recovery_ciphertexts)
+    @settings(**_SETTINGS)
+    def test_decode_rebuilds_the_series_tag(self, ct):
+        assume(ct.share_ciphertexts)
+        tag = series_tag(ct.username, ct.salt)
+        encoded = wire.encode_recovery_ciphertext(ct)
+        assert tag not in encoded
+        decoded = wire.decode_recovery_ciphertext(encoded)
+        assert [share.tag for share in decoded.share_ciphertexts] == [tag] * ct.cluster_size
+        assert decoded == ct
+
     @given(ct=recovery_ciphertexts)
     @settings(**_SETTINGS)
     def test_roundtrip_and_mangling(self, ct):
@@ -154,12 +188,14 @@ class TestInclusionProofWire:
         assert wire.decode_inclusion_proof(encoded) == proof
         _assert_rejects_mangling(encoded, wire.decode_inclusion_proof)
 
-    @given(proof=inclusion_proofs, kind=st.integers(0, 255).filter(lambda k: k != wire.PROOF_PLAIN))
+    @given(proof=inclusion_proofs, kind=st.integers(0, 255))
     @settings(**_SETTINGS)
-    def test_only_the_plain_kind_decodes(self, proof, kind):
+    def test_a_kind_byte_in_front_is_refused(self, proof, kind):
+        """A proof has one kind and carries no kind byte: the proof an
+        older sender wrote behind one is a wire error, whatever the byte."""
         encoded = wire.encode_inclusion_proof(proof)
         with pytest.raises(wire.WireFormatError):
-            wire.decode_inclusion_proof(bytes([kind]) + encoded[1:])
+            wire.decode_inclusion_proof(bytes([kind]) + encoded)
 
     @given(
         proof=inclusion_proofs,
@@ -178,7 +214,7 @@ class TestInclusionProofWire:
         envelope = (
             b"\x02" + lane.to_bytes(4, "big") + (8).to_bytes(4, "big")
             + BLOB.encode(lane_digest) + BLOB.encode(merkle_path)
-            + wire.encode_inclusion_proof(proof)[1:]
+            + wire.encode_inclusion_proof(proof)
         )
         with pytest.raises(wire.WireFormatError):
             wire.decode_inclusion_proof(envelope)
@@ -208,7 +244,11 @@ class TestFixedLengthFields:
            salt=st.binary(max_size=40).filter(lambda b: len(b) != SALT_LEN))
     @settings(**_SETTINGS)
     def test_salt(self, ct, salt):
-        self._refuses(wire.encode_recovery_ciphertext, dataclasses.replace(ct, salt=salt))
+        # The shares keep the series tag of the new salt: only its length is wrong.
+        tag = series_tag(ct.username, salt)
+        shares = tuple(dataclasses.replace(share, tag=tag) for share in ct.share_ciphertexts)
+        ct = dataclasses.replace(ct, salt=salt, share_ciphertexts=shares)
+        self._refuses(wire.encode_recovery_ciphertext, ct)
 
     @given(proof=inclusion_proofs,
            field=st.sampled_from(["idh", "other", "left", "right"]),
