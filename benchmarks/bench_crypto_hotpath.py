@@ -15,7 +15,8 @@ per-call window table, no precomputation):
   point that kept one would pay) — both against ``naive_mult`` of the same
   key;
 - **bfe_encrypt_k4** one Bloom-filter ciphertext (``g^r`` + ``mult_each``
-  over k = 4 slot keys + the AE wraps), timed in turns in four states:
+  over k = 4 slot keys + the k masked wraps and the payload's one seal),
+  timed in turns in four states:
   ``_fresh`` (no table: the first ciphertext to the keys builds their
   6-tooth signed combs in one batch), ``_combed`` (every later one: 42
   doublings a key), ``_five_tooth`` (the same keys over 5-tooth signed

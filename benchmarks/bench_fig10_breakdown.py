@@ -179,10 +179,10 @@ def test_fig10_recovery_breakdown(benchmark, small_deployment):
 
 #: The size probe's recovery ciphertext, and the same ciphertext with n =
 #: 40 shares, encoded by the parent commit's ``wire.encode_recovery_ciphertext``
-#: (same deployment, user, PIN and payload): each share carried the 32-byte
-#: series tag, a kind byte and a 4-byte length in front of its ephemeral.
-PARENT_CT_BYTES = 893
-PARENT_CT_BYTES_AT_N40 = 10_883
+#: (same deployment, user, PIN and payload): each of a share's k wraps was
+#: a one-time GCM message, 16-byte key ‖ 16-byte tag.
+PARENT_CT_BYTES = 782
+PARENT_CT_BYTES_AT_N40 = 9_403
 
 
 def layout_bytes(n: int, k: int, username: str, message_len: int) -> int:
@@ -190,14 +190,15 @@ def layout_bytes(n: int, k: int, username: str, message_len: int) -> int:
     ``n`` shares at ``k`` Bloom hashes, derived from the layout: the version
     byte, the 16-byte salt, the username text, three ``u32``s and the share
     count; per share the 33-byte ephemeral (its prefix gives its length),
-    the wrap count and k wraps of 32 bytes (16-byte key ‖ GCM tag), and the
-    payload blob (the share plaintext — username ``u16`` text, ``u32`` x,
-    32-byte y — and its GCM tag); then the LHE payload blob (the message
-    and its tag).  No one-time AE message carries a nonce, and no share its
-    tag (the reader derives it from the username and salt) or a kind."""
+    the wrap count and k wraps of 16 bytes (the masked key, no GCM tag:
+    the payload's tag checks it), and the payload blob (the share
+    plaintext — username ``u16`` text, ``u32`` x, 32-byte y — and its GCM
+    tag); then the LHE payload blob (the message and its tag).  No
+    one-time AE message carries a nonce, and no share its tag (the reader
+    derives it from the username and salt) or a kind."""
     name = len(username.encode("utf-8"))
     share_plaintext = 2 + name + 4 + 32
-    share = 33 + (4 + 32 * k) + (4 + share_plaintext + 16)
+    share = 33 + (4 + 16 * k) + (4 + share_plaintext + 16)
     return 1 + 16 + (4 + name) + 12 + 4 + n * share + (4 + message_len + 16)
 
 

@@ -15,7 +15,7 @@ recovery ciphertext is ``lhe.RECOVERY_CIPHERTEXT`` over ``bfe.BFE_BODY``
 encoding; its shares' series tag is rebuilt by its reader, while the
 stand-alone ``bfe.BFE_CIPHERTEXT`` of a decrypt request carries its tag).
 A field whose length is fixed by construction (a digest, a tag, a salt, a
-one-time wrap) is ``fixed(n)`` with no length prefix, and a point
+BFE wrap) is ``fixed(n)`` with no length prefix, and a point
 (``ec.POINT``) is its SEC1 encoding, whose prefix byte gives its length.
 Only the ElGamal reply keeps its own ``to_bytes`` / ``from_bytes`` and
 travels as a blob (``_ELGAMAL``).
@@ -43,9 +43,18 @@ from repro.crypto.elgamal import ElGamalCiphertext
 from repro.hsm.device import DecryptShareRequest
 from repro.log.authdict import InclusionProof, PathStep
 
+
+def _elgamal_bytes(ciphertext: ElGamalCiphertext) -> bytes:
+    # ``from_bytes`` reads a 33-byte point, so the identity's 1-byte
+    # encoding is a value this layout cannot carry.
+    if ciphertext.ephemeral.is_infinity:
+        raise WireFormatError("an ElGamal ephemeral must be a finite point")
+    return ciphertext.to_bytes()
+
+
 #: An ElGamal ciphertext (point ‖ body) keeps its own strict ``to_bytes`` /
 #: ``from_bytes`` and travels as a blob.
-_ELGAMAL = converted(BLOB, ElGamalCiphertext.to_bytes, ElGamalCiphertext.from_bytes)
+_ELGAMAL = converted(BLOB, _elgamal_bytes, ElGamalCiphertext.from_bytes)
 
 # ---------------------------------------------------------------------------
 # BFE and recovery (LHE) ciphertexts: declared beside their types

@@ -17,9 +17,12 @@ keys", §9).  We implement that variant concretely:
 - The public key is the array of ``m`` slot public keys, committed by a
   Merkle root so a client can verify any slot key it fetches against a
   constant-size, attestable value.
-- Encryption: a fresh DH ephemeral ``g^r`` is hashed (with context) into a
-  tag; the tag selects ``k`` slots; a random payload key is AE-wrapped under
-  each slot's DH shared secret; the payload is AE-encrypted once.
+- Encryption (Derler et al.'s BFE-KEM): a fresh DH ephemeral ``g^r`` is
+  hashed (with context) into a tag; the tag selects ``k`` slots; a random
+  16-byte key ``K`` is masked once per slot, ``K ⊕ kdf(r·pkᵢ, tag, slot)``,
+  and the payload is AE-encrypted once under a KDF of ``K``, the tag, the
+  ephemeral and every mask.  The payload's tag is the one integrity check:
+  a changed ephemeral, tag or mask gives an unrelated payload key.
 - Puncture: securely delete the ``k`` slot secret keys for the ciphertext's
   tag.  Decryption of *that* ciphertext becomes impossible; an unrelated
   ciphertext fails only if all its own slots are gone (probability
@@ -41,13 +44,14 @@ generator's comb.  A slot key's first ciphertext builds its comb (215
 doublings and 31 additions), and every ciphertext to it — a
 ``reuse_salt`` backup series hashes every backup to the same k slots —
 costs 42 doublings and 43 additions a key.  The
-k wraps and the payload are one ``repro.crypto.gcm.seal_one_time``: their
-AES blocks are the lanes of one byte-sliced call, and each key seals
-exactly one message, so each goes out as ``ciphertext ‖ tag`` under the
-constant ``ONE_TIME_NONCE``.  The meter still sees k + 1
-``ec_mult``, k ``elgamal_enc`` and the k + 1 seals' ``aes_block``.  Decryption's
+k masks are XORs with a KDF output, and the payload is one
+``repro.crypto.gcm.seal_one_time`` (its key seals exactly one message, so
+it goes out as ``ciphertext ‖ tag`` under the constant
+``ONE_TIME_NONCE``).  The meter still sees k + 1 ``ec_mult``, k
+``elgamal_enc`` and the payload seal's ``aes_block``.  Decryption's
 ``(g^r)^sk`` multiplies a fresh ephemeral by a slot secret read from the
-key tree: the only table built is of the public ephemeral.  Key generation
+key tree — at the first live slot only — and the only table built is of
+the public ephemeral.  Key generation
 — every rotation — is m ``g^x`` over fresh scalars: one call of
 ``repro.crypto.ec.generator_mult_each``, which walks the generator's
 signed comb (six columns of five sub-tables, 26 entries a scalar) for all
@@ -74,13 +78,7 @@ from repro import metering
 from repro.core.codec import BLOB, converted, fixed, seq, tuple_of
 from repro.crypto.bloom import BloomParams
 from repro.crypto.ec import POINT, ECPoint, P256, generator_mult_each, mult_each
-from repro.crypto.gcm import (
-    TAG_LEN,
-    AuthenticationError,
-    ae_cost,
-    open_one_time,
-    seal_one_time,
-)
+from repro.crypto.gcm import AuthenticationError, ae_cost, open_one_time, seal_one_time
 from repro.crypto.hashing import kdf, sha256
 from repro.crypto.merkle import MerkleTree
 from repro.storage.blockstore import BlockStore
@@ -97,13 +95,30 @@ _PAYLOAD_KEY_LEN = 16
 #: A tag is a SHA-256 digest: of the ephemeral by default, of the
 #: (username, salt) series in SafetyPin.
 TAG_BYTES = 32
-#: A wrap is the payload key sealed under its one-time slot key:
-#: ``ciphertext ‖ tag``, the nonce being the constant ``ONE_TIME_NONCE``.
-WRAP_BYTES = _PAYLOAD_KEY_LEN + TAG_LEN
+#: A wrap is the 16-byte key ``K`` XORed with its slot's mask, and carries
+#: no tag of its own: the payload's tag checks it.
+WRAP_BYTES = _PAYLOAD_KEY_LEN
 
 #: §9.1's rotation point: a key rotates once this share of its slot keys
 #: is deleted.
 ROTATION_FRACTION = 0.5
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
+def _slot_mask(shared: ECPoint, tag: bytes, slot: int) -> bytes:
+    """What ``K`` is XORed with in ``slot``'s wrap: a KDF of the shared
+    point ``r·pk_slot``, bound to the tag and the slot."""
+    return kdf("bfe-slot-wrap", shared.to_bytes(), tag, slot.to_bytes(4, "big"))[:WRAP_BYTES]
+
+
+def _payload_key(key: bytes, tag: bytes, ephemeral: ECPoint, wraps: Tuple[bytes, ...]) -> bytes:
+    """The payload's one-time key: a KDF of ``K`` over everything else the
+    ciphertext carries, so no open runs under a key that differs from the
+    honest one by a known XOR."""
+    return kdf("bfe-payload", key, tag, ephemeral.to_bytes(), *wraps)[:_PAYLOAD_KEY_LEN]
 
 
 class PuncturedKeyError(Exception):
@@ -138,9 +153,10 @@ class BfeCiphertext:
     from the DH ephemeral (one puncture = one ciphertext, the classic BFE
     behaviour); SafetyPin instead derives it from (username, salt) so that
     recovering any backup in a salt-sharing series revokes the whole series
-    (§8 "multiple recovery ciphertexts").  Tag integrity is enforced by
-    using the tag as AE associated data on the wrapped keys: a swapped tag
-    selects the wrong slots and fails authentication.
+    (§8 "multiple recovery ciphertexts").  Tag integrity comes from the
+    KDFs: every slot mask and the payload key are derived over the tag, so
+    a swapped tag (or ephemeral, or wrap) gives an unrelated payload key
+    and the payload's authentication fails.
     """
 
     tag: bytes
@@ -155,10 +171,10 @@ class BfeCiphertext:
 
 #: A BFE ciphertext's bytes after its tag, as :meth:`BfeCiphertext.body`:
 #: the ephemeral (a self-delimiting point, so the identity's 1-byte
-#: encoding is carried and refused by the opener), a count of 32-byte
-#: wraps and the payload blob.  Wraps and payload are ``ciphertext ‖ tag``
-#: under one-time keys (no nonce).  A recovery ciphertext carries its
-#: shares this way, since their reader derives the tag.
+#: encoding is carried and refused by the opener), a count of 16-byte
+#: wraps and the payload blob.  The payload is ``ciphertext ‖ tag`` under a
+#: one-time key (no nonce).  A recovery ciphertext carries its shares this
+#: way, since their reader derives the tag.
 BFE_BODY = tuple_of(
     POINT, seq(fixed(WRAP_BYTES, "wrapped key"), tuple, 4096, "wrapped-key"), BLOB
 )
@@ -225,13 +241,14 @@ class BloomFilterEncryption:
         plaintext is billed on a key where the tag's k slots are live: one
         read walk and k delete walks of the key tree, the first slot's leaf
         fetched and opened, one ElGamal decryption (Table 7's row is the
-        whole decryption, so the ``ec_mult`` inside it is not billed again),
-        the wrapped payload key and the payload opened.  Hashing the tag to
-        its slots and the KDF (8 to 12 ``sha256_block``, under 1 ms on a
-        SoloKey) follow the tag's length, not the tree, and are left out."""
+        whole decryption, so the ``ec_mult`` inside it is not billed again)
+        and the payload opened; the wrap is an XOR.  Hashing the tag to its
+        slots and the two KDFs (a dozen or so ``sha256_block``, under 1 ms
+        on a SoloKey) follow the tag's length, not the tree, and are left
+        out."""
         k = params.num_hashes
         counts = walk_counts(tree_height(params.num_slots), reads=1, deletes=k, live=k)
-        opened = (_SCALAR_LEN, _PAYLOAD_KEY_LEN, plaintext_len)  # leaf, wrapped key, payload
+        opened = (_SCALAR_LEN, plaintext_len)  # leaf, payload
         counts["aes_block"] += sum(ae_cost(length)[0] for length in opened)
         counts["io_bytes"] += ae_cost(_SCALAR_LEN)[1]  # only the leaf is fetched
         counts["elgamal_dec"] = 1
@@ -251,20 +268,15 @@ class BloomFilterEncryption:
             tag = sha256(b"bfe-tag", ephemeral.to_bytes(), context)
         slots = public.params.slots_for_tag(tag)
 
-        payload_key = secrets.token_bytes(_PAYLOAD_KEY_LEN)
-        messages = []
+        key = secrets.token_bytes(_PAYLOAD_KEY_LEN)
         shared_points = mult_each([public.slot_pubkeys[slot] for slot in slots], r)
-        for slot, shared in zip(slots, shared_points):
-            wrap_key = kdf("bfe-slot-wrap", shared.to_bytes(), tag, slot.to_bytes(4, "big"))
-            messages.append((wrap_key[:16], payload_key, tag))
-        messages.append((payload_key, plaintext, context))
-        # Each wrap key is a KDF of a fresh r·pk and its slot, and the
-        # payload key is fresh: every key here seals one message.
-        *wrapped, payload = seal_one_time(messages)
-        metering.count("elgamal_enc", len(slots))
-        return BfeCiphertext(
-            tag=tag, ephemeral=ephemeral, wrapped_keys=tuple(wrapped), payload=payload
+        wraps = tuple(
+            _xor(key, _slot_mask(shared, tag, slot)) for slot, shared in zip(slots, shared_points)
         )
+        # The payload key is a KDF of a fresh K: it seals this one message.
+        (payload,) = seal_one_time([(_payload_key(key, tag, ephemeral, wraps), plaintext, context)])
+        metering.count("elgamal_enc", len(slots))
+        return BfeCiphertext(tag=tag, ephemeral=ephemeral, wrapped_keys=wraps, payload=payload)
 
     # -- decryption (HSM side) ---------------------------------------------------
     @staticmethod
@@ -274,35 +286,36 @@ class BloomFilterEncryption:
         ciphertext: BfeCiphertext,
         context: bytes,
     ) -> bytes:
-        """Decrypt using the first slot whose key ``read_slot`` still yields.
+        """Decrypt at the first slot whose key ``read_slot`` still yields.
 
         An identity ephemeral is refused before any slot is read: every
-        slot's shared point would be ``∞``, so the wraps would open under
-        keys anyone can compute.
+        slot's shared point would be ``∞``, so the masks would be ones
+        anyone can compute.  The first live slot is the only one unmasked:
+        if the payload does not open under what it gives, no other slot's
+        would either (an honest ciphertext's live slots all give ``K``),
+        so :class:`AuthenticationError` is raised with no further multiply.
         """
         if ciphertext.ephemeral.is_infinity:
             raise AuthenticationError("ephemeral is the identity point")
-        tag = ciphertext.tag
+        tag, wraps = ciphertext.tag, ciphertext.wrapped_keys
+        if len(wraps) != len(slots):
+            raise AuthenticationError(f"{len(wraps)} wraps for {len(slots)} Bloom slots")
         last_error: Optional[Exception] = None
-        for position, slot in enumerate(slots):
+        for wrap, slot in zip(wraps, slots):
             try:
                 scalar_bytes = read_slot(slot)
             except DeletedBlockError as exc:
                 last_error = exc
                 continue
-            scalar = int.from_bytes(scalar_bytes, "big")
-            shared = ciphertext.ephemeral * scalar
+            shared = ciphertext.ephemeral * int.from_bytes(scalar_bytes, "big")
             metering.count("elgamal_dec")
-            wrap_key = kdf("bfe-slot-wrap", shared.to_bytes(), tag, slot.to_bytes(4, "big"))
-            try:
-                payload_key = open_one_time(wrap_key[:16], ciphertext.wrapped_keys[position], tag)
-            except AuthenticationError as exc:
-                last_error = exc
-                continue
+            key = _xor(wrap, _slot_mask(shared, tag, slot))
             # The payload's associated data binds the LHE context; a wrong
             # context (e.g. a wrong-PIN cluster digest) fails authentication
             # here even when the slot key itself was right.
-            return open_one_time(payload_key, ciphertext.payload, context)
+            return open_one_time(
+                _payload_key(key, tag, ciphertext.ephemeral, wraps), ciphertext.payload, context
+            )
         raise PuncturedKeyError(
             "no surviving Bloom slot can decrypt this ciphertext"
         ) from last_error

@@ -11,8 +11,7 @@ message's cipher work — the zero block (the hash subkey H), ``nonce ‖ 1``
 keystream) — is lanes of a :func:`repro.crypto.aes.encrypt_blocks` call,
 and many messages, each under its own key, share calls of up to
 ``MAX_LANES`` blocks: the key tree seals a level of a set-up or a whole
-re-key that way and opens a level of its walk down, a Bloom-filter
-ciphertext its k wraps and its payload.  A sealed message is
+re-key that way and opens a level of its walk down.  A sealed message is
 ``nonce ‖ ciphertext ‖ tag`` with ``NONCE_LEN`` and ``TAG_LEN`` bytes
 around the data.
 
@@ -52,10 +51,9 @@ TAG_LEN = 16
 #: The nonce of a key that encrypts exactly one message, and only of such
 #: a key: SP 800-38D §8.2.1's deterministic construction with one
 #: invocation per key, so the (key, nonce) pair is still never repeated.
-#: A Bloom-filter slot wrap (its key a KDF of a fresh ``r·pk`` and the
-#: slot), a Bloom-filter payload (a fresh 16-byte key), the LHE payload
-#: (a fresh transport key) and a hashed-ElGamal body (its key a KDF of a
-#: fresh ``r·X``) seal under it.  A key that seals again — the
+#: A Bloom-filter payload (its key a KDF of a fresh 16-byte key), the LHE
+#: payload (a fresh transport key) and a hashed-ElGamal body (its key a
+#: KDF of a fresh ``r·X``) seal under it.  A key that seals again — the
 #: incremental backups' master key, a key-tree node key — draws a random
 #: nonce for every message.
 ONE_TIME_NONCE = bytes(NONCE_LEN)

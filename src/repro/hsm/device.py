@@ -622,8 +622,8 @@ class HsmDevice:
             except AuthenticationError as exc:
                 # Either a key-tree block failed its tag or was not served
                 # (tampered, torn or withheld outsourced storage) or the
-                # share was not encrypted to this device (e.g. a wrong-PIN
-                # cluster that happens to overlap).
+                # share does not open at its first live slot (encrypted to
+                # another device, under a wrong PIN's context, or tampered).
                 # Both are seen before the first write: nothing was punctured.
                 raise HsmRefusedError(
                     f"HSM {self.index}: share does not decrypt under my keys"

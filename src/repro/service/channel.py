@@ -113,7 +113,8 @@ class HsmWireEndpoint:
 
     def handle_decrypt_share(self, request_bytes: bytes) -> bytes:
         """Decode, run the device, encode the outcome (reply or status).  A
-        request that does not decode is refused before the device sees it."""
+        request that does not decode is refused before the device sees it,
+        and a reply the wire cannot carry is answered as a refusal."""
         try:
             request = wire.decode_decrypt_request(request_bytes)
         except wire.WireFormatError as exc:
@@ -122,7 +123,10 @@ class HsmWireEndpoint:
             reply = self._device.decrypt_share(request)
         except _ERROR_TYPES as exc:
             return wire.encode_decrypt_error(_status_for(exc), str(exc))
-        return wire.encode_decrypt_reply(reply)
+        try:
+            return wire.encode_decrypt_reply(reply)
+        except wire.WireFormatError as exc:
+            return wire.encode_decrypt_error(wire.REPLY_REFUSED, f"unencodable reply: {exc}")
 
 
 class WireChannel(Channel):
@@ -136,9 +140,13 @@ class WireChannel(Channel):
         self._transport: Callable[[bytes], bytes] = transport
 
     def decrypt_share(self, request: DecryptShareRequest) -> ElGamalCiphertext:
-        """Round-trip through bytes; re-raise error statuses client-side."""
+        """Round-trip through bytes; re-raise error statuses client-side.
+        A reply frame that does not decode is a refusal."""
         reply_bytes = self._transport(wire.encode_decrypt_request(request))
-        status, payload = wire.decode_decrypt_reply(reply_bytes)
+        try:
+            status, payload = wire.decode_decrypt_reply(reply_bytes)
+        except wire.WireFormatError as exc:
+            raise HsmRefusedError(f"malformed reply: {exc}") from exc
         if status == wire.REPLY_OK:
             return payload
         raise _STATUS_EXCEPTIONS[status](payload)

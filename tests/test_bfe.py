@@ -1,5 +1,7 @@
 """Bloom-filter (puncturable) encryption."""
 
+import dataclasses
+
 import pytest
 
 from repro.crypto.bfe import (
@@ -219,3 +221,48 @@ class TestPublicKey:
         assert twin == pub and hash(twin) == hash(pub)
         slots[-1] = slots[0]
         assert BfePublicKey.from_slots(pub.params, slots).commitment != pub.commitment
+
+
+class TestKemWraps:
+    """A wrap is ``K`` XORed with its slot's mask and carries no tag: the
+    payload's tag is the one check, made at the first live slot only."""
+
+    @staticmethod
+    def _ciphertext(small_params):
+        pub, sec = BFE.keygen(small_params, InMemoryBlockStore())
+        ct = BFE.encrypt(pub, b"share", context=b"c")
+        return sec, ct, sec.params.slots_for_tag(ct.tag)
+
+    @pytest.mark.parametrize("live", range(4))  # k = 4 at ``small_params``
+    def test_every_slot_alone_unmasks_k(self, small_params, live):
+        """Each wrap on its own opens the payload, with the slots before it
+        deleted (the decrypt goes on to the next live slot) and those after
+        it too.  With all k deleted it is ``PuncturedKeyError``
+        (``TestPuncturing``)."""
+        sec, ct, slots = self._ciphertext(small_params)
+        for slot in slots[:live] + slots[live + 1:]:
+            sec.tree.delete(slot)
+        with metered() as meter:
+            assert BFE.decrypt(sec, ct, context=b"c") == b"share"
+        assert (meter.counts["ec_mult"], meter.counts["elgamal_dec"]) == (1, 1)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_a_bad_wrap_is_refused_after_one_multiply(self, small_params, position):
+        """A flipped wrap, the first live slot's or any other, changes the
+        payload key: refused, and no further slot's ECDH is run."""
+        sec, ct, _ = self._ciphertext(small_params)
+        wraps = list(ct.wrapped_keys)
+        wraps[position] = bytes([wraps[position][0] ^ 1]) + wraps[position][1:]
+        forged = dataclasses.replace(ct, wrapped_keys=tuple(wraps))
+        with metered() as meter, pytest.raises(AuthenticationError):
+            BFE.decrypt(sec, forged, context=b"c")
+        assert (meter.counts["ec_mult"], meter.counts["elgamal_dec"]) == (1, 1)
+        assert BFE.decrypt(sec, ct, context=b"c") == b"share"
+
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_a_wrap_count_other_than_k_is_refused(self, small_params, change):
+        sec, ct, _ = self._ciphertext(small_params)
+        wraps = ct.wrapped_keys[:-1] if change == "drop" else ct.wrapped_keys + (bytes(16),)
+        with metered() as meter, pytest.raises(AuthenticationError):
+            BFE.decrypt(sec, dataclasses.replace(ct, wrapped_keys=wraps), context=b"c")
+        assert meter.counts["ec_mult"] == 0

@@ -22,12 +22,18 @@ from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.core.provider import ProviderError
 from repro.crypto.bfe import PuncturedKeyError
+from repro.crypto.ec import ECPoint
 from repro.crypto.elgamal import ElGamalCiphertext, HashedElGamal
 from repro.crypto.gcm import AuthenticationError
 from repro.crypto.hashing import hash_to_indices
 from repro.crypto.shamir import SHARE, Share
 from repro.hsm.device import HsmRefusedError, HsmUnavailableError
-from repro.service.channel import Channel, DirectProviderChannel, direct_channels
+from repro.service.channel import (
+    Channel,
+    DirectProviderChannel,
+    direct_channels,
+    wire_channels,
+)
 
 PIN = "2468"
 
@@ -90,8 +96,8 @@ class _RecordingChannel(Channel):
                 rec.after(index, nth)
 
 
-def _client(deployment, username, before=None, after=None, provider=None):
-    recording = _Recording(direct_channels(deployment.fleet), before, after)
+def _client(deployment, username, before=None, after=None, provider=None, inner=None):
+    recording = _Recording(inner or direct_channels(deployment.fleet), before, after)
     client = Client(
         username=username,
         params=deployment.params,
@@ -305,6 +311,33 @@ class TestRefusalIsNotAnAnswer:
         ]
         assert session.answered_hsms == {repeated, other}
         assert client.finish_recovery(session) == b"back in time"
+
+
+class TestReplyTheWireCannotCarry:
+    def test_counts_as_a_bottom_share(self, narrow):
+        """A faulty device decrypts, punctures and replies with an identity
+        ephemeral, which the reply's layout cannot carry: its endpoint
+        answers REPLY_REFUSED, and the recovery finishes from the others
+        instead of raising ``WireFormatError``."""
+
+        class IdentityReply:
+            def __init__(self, device):
+                self.device = device
+
+            def decrypt_share(self, request):
+                body = self.device.decrypt_share(request).body
+                return ElGamalCiphertext(ECPoint(None, None), body)
+
+        devices = list(narrow.fleet)
+        client, recording = _client(narrow, "uncarried-reply-user", inner=wire_channels(devices))
+        cluster = _backup(client, b"two others carry it", _all_distinct)
+        devices[cluster[0]] = IdentityReply(devices[cluster[0]])
+        session = client.begin_recovery(PIN)
+        assert client.request_shares(session, PIN) == 2
+        assert recording.log == [
+            (cluster[0], "HsmRefusedError"), (cluster[1], "reply"), (cluster[2], "reply"),
+        ]
+        assert client.finish_recovery(session) == b"two others carry it"
 
 
 class TestStaleProofRetry:

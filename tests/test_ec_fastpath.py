@@ -1256,7 +1256,13 @@ class TestMeteringInvariance:
     # ``ciphertext_hash``, SHA-256 over an encoding 111 bytes shorter (832
     # against 943: 14 blocks, not 16).  The reply's dropped nonce draw moves
     # nothing here: a copy that draws and discards it counts the same.
-    SEED_COUNTS = {"ec_mult": 344, "ecdsa_verify": 20, "sha256_block": 2597}
+    # Re-derived when a share's k wraps became KEM masks (was sha256_block
+    # 2597): +6 a BFE encryption or decryption for the payload key's KDF
+    # (over K, the tag, the ephemeral and 4 wraps: 4 blocks, 2 to expand),
+    # over 6 encryptions (the backup's 3 shares and the recovery-key
+    # backup's 3) and 2 decryptions, and −3 in ``ciphertext_hash`` over an
+    # encoding 192 bytes shorter (640 against 832: 11 blocks, not 14).
+    SEED_COUNTS = {"ec_mult": 344, "ecdsa_verify": 20, "sha256_block": 2642}
 
     def run_fixed_workload(self):
         """One seeded backup+recovery; all randomness from one PRNG so the

@@ -151,6 +151,27 @@ up with the parent's, and only these moved, at both arities:
 Every other frame and block is the parent's, chain hashes and the anchor
 aside.  The committed digests are of this code, whose entropy stream is 12
 bytes a reply shorter (shards=1 sends 33 frames, not 32).
+
+All four workload digests moved once more, when a share ciphertext's k
+wraps became 16-byte KEM masks (``K`` XORed with a slot's KDF output, no
+GCM tag), 64 bytes a share and 192 a recovery ciphertext at n = 3.  The
+entropy stream did not change, so the workload was compared frame by frame
+and block by block against the parent's directly: both arities send the
+parent's 35 frames in the parent's order, and only these moved:
+
+- each ``upload_backup`` request and ``fetch_backup`` reply: −192 (7 and 3);
+- each decrypt-share request: −64 (11 of them);
+- the wrong-PIN recovery's replies from devices the share was not
+  encrypted to (3 at shards=1, 1 at shards=2): they said "punctured"
+  (status 2) after trying every slot and now say "refused" (status 1)
+  after the first live one, 8 bytes shorter for the device's message;
+- each backup WAL record: −192 (843 → 651 for the user's, 879 → 687 for a
+  recovery key's; 6 before the snapshot and the post-snapshot one, 848 →
+  656), and the snapshot −1152 (6 × 192: 6757 → 5605 at shards=1, 6939 →
+  5787 at shards=2).
+
+Every other frame and block is the parent's, chain hashes and the anchor
+aside.
 """
 
 import hashlib
@@ -186,16 +207,16 @@ def _absorb_store(digest, store: InMemoryBlockStore) -> None:
 
 
 class TestFormatsUnchanged:
-    # Re-captured when the series tag, kind bytes and point lengths left the
-    # recovery ciphertext and the reply its nonce; see the module docstring.
+    # Re-captured when a share's wraps became 16-byte KEM masks; see the
+    # module docstring.
     PARENT_DIGESTS = {
         1: {
-            "frames": "08c2ac4ce74e0906086c08204e9eb6abf9354205383df56f507a68b81a3f065b",
-            "store": "89a4fc66ac8030691d8619d0d6530e94d517ab4a79fd574231f3556fadf820e8",
+            "frames": "ddf7a92ed31c4c4315d0252cc1d1c7745ccc02c4658c7c94b9d742b974df8c42",
+            "store": "4e55f4315efc71360eccbb1d25f548a3625ddc9db93130c63310f968853494d2",
         },
         2: {
-            "frames": "046e5f1f12fdfba0d943d0125ef8ca30d154b94ab8fe0f94cde8d4730dbc636a",
-            "store": "1d6ddd153824ea7eb24fb40a4546e57d56280a3df16e3f5c23aeb55afd3426ef",
+            "frames": "ebd3eb6e9f0e22caab92683b694a2449e53113c616c3a77e7a34d94fba74c015",
+            "store": "8034a1e57e4b5a8194680e1f7c3b30009ffe7eab0eb17e8d624d4b5fed82f442",
         },
     }
     PARENT_RECORD_KINDS_DIGEST = (

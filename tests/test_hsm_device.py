@@ -15,7 +15,7 @@ from repro.crypto.commit import commit_recovery
 from repro.crypto.ec import P256, ECPoint
 from repro.crypto.elgamal import HashedElGamal
 from repro.crypto.gcm import seal_one_time
-from repro.crypto.hashing import kdf
+from repro.crypto.hashing import hash_to_indices, kdf
 from repro.crypto.shamir import SHARE, Share
 from repro.hsm.device import (
     DecryptShareRequest,
@@ -227,8 +227,8 @@ class TestIdentityResponseKey:
 
 class TestIdentityEphemeral:
     """A share ciphertext whose ephemeral is the identity decodes off the
-    wire, and ``∞·sk`` is ``∞`` for every slot key: its wraps open under
-    keys anyone can derive, so anyone could make the device "decrypt" a
+    wire, and ``∞·sk`` is ``∞`` for every slot key: its wraps unmask under
+    masks anyone can derive, so anyone could make the device "decrypt" a
     share of their choosing and puncture the tag's slots for it."""
 
     @pytest.mark.parametrize("transport", ["direct", "wire"])
@@ -239,19 +239,17 @@ class TestIdentityEphemeral:
         hsm_index, request = requests[0]
         honest = request.share_ciphertext
         identity = ECPoint(None, None)
-        payload_key = bytes(16)
         slots = fleet[hsm_index].bloom_params.slots_for_tag(honest.tag)
-        wrap_keys = [
+        # K = 0, so each wrap is its slot's mask.
+        wraps = tuple(
             kdf("bfe-slot-wrap", identity.to_bytes(), honest.tag, slot.to_bytes(4, "big"))[:16]
             for slot in slots
-        ]
-        *wraps, payload = seal_one_time(
-            [(key, payload_key, honest.tag) for key in wrap_keys]
-            + [(payload_key, SHARE_PLAINTEXT.encode((username, Share(0, 0))), request.context)]
         )
-        forged = BfeCiphertext(
-            tag=honest.tag, ephemeral=identity, wrapped_keys=tuple(wraps), payload=payload
+        payload_key = kdf("bfe-payload", bytes(16), honest.tag, identity.to_bytes(), *wraps)[:16]
+        (payload,) = seal_one_time(
+            [(payload_key, SHARE_PLAINTEXT.encode((username, Share(0, 0))), request.context)]
         )
+        forged = BfeCiphertext(tag=honest.tag, ephemeral=identity, wrapped_keys=wraps, payload=payload)
         if transport == "wire":
             # The identity travels as its one-byte encoding, 32 fewer than
             # the honest ephemeral's, and decodes to the identity.
@@ -265,6 +263,88 @@ class TestIdentityEphemeral:
             channels(hsm_index).decrypt_share(dataclasses.replace(request, share_ciphertext=forged))
         assert (secret.tree.root_key, secret.slots_deleted, secret.punctures_done) == before
         channels(hsm_index).decrypt_share(request)  # the honest share is still there
+
+
+def _device_state(device):
+    """Everything a decrypt-and-puncture could change on ``device``."""
+    secret = device._bfe_secret
+    return (
+        secret.tree.root_key, secret.slots_deleted, secret.punctures_done,
+        dict(device._store._blocks),
+    )
+
+
+def _flip(data: bytes) -> bytes:
+    return bytes([data[0] ^ 1]) + data[1:]
+
+
+class TestShareForAnotherDevice:
+    """A share encrypted to one cluster device and sent to another: the
+    second device's first live slot unmasks a wrong ``K``, the payload
+    does not open, and the device refuses after that one multiply with
+    nothing punctured.  (A device used to try every slot, then answer
+    "punctured" although it had deleted nothing.)"""
+
+    @pytest.mark.parametrize("transport", ["direct", "wire"])
+    def test_refused_after_one_multiply(self, env, transport):
+        fleet = env[0]
+        pin = "8642"
+        salt = next(
+            candidate for candidate in (i.to_bytes(16, "big") for i in range(64))
+            if len(set(hash_to_indices(candidate, pin, N, CLUSTER))) > 1
+        )
+        _, _, requests, _ = logged_request_for(env, f"hsm-other-device-{transport}", pin, salt=salt)
+        owner, owned = requests[0]
+        other, other_request = next(pair for pair in requests if pair[0] != owner)
+        device = fleet[other]
+        channel = (wire_channels if transport == "wire" else direct_channels)(fleet)(other)
+        before, counts = _device_state(device), dict(device.meter.counts)
+        misdirected = dataclasses.replace(other_request, share_ciphertext=owned.share_ciphertext)
+        with pytest.raises(HsmRefusedError, match="does not decrypt"):
+            channel.decrypt_share(misdirected)
+        spent = {op: device.meter.counts[op] - counts.get(op, 0) for op in ("ec_mult", "elgamal_dec")}
+        assert spent == {"ec_mult": 1, "elgamal_dec": 1}
+        assert _device_state(device) == before
+        channel.decrypt_share(other_request)  # its own share is still there
+
+
+class TestTamperedShareCiphertext:
+    """Every field of a share ciphertext is bound into the payload key: a
+    changed ephemeral, tag, wrap or payload is refused, nothing punctured."""
+
+    @pytest.fixture(scope="class")
+    def logged(self, env):
+        _, _, requests, _ = logged_request_for(env, "hsm-tampered-share", "9753")
+        return requests[0]
+
+    @staticmethod
+    def _tampered(ciphertext, field):
+        if field == "ephemeral":
+            return dataclasses.replace(ciphertext, ephemeral=P256.generator * 5)
+        if field == "tag":
+            return dataclasses.replace(ciphertext, tag=_flip(ciphertext.tag))
+        if field == "payload":
+            return dataclasses.replace(ciphertext, payload=_flip(ciphertext.payload))
+        position = int(field[len("wrap "):])
+        wraps = list(ciphertext.wrapped_keys)
+        wraps[position] = _flip(wraps[position])
+        return dataclasses.replace(ciphertext, wrapped_keys=tuple(wraps))
+
+    @pytest.mark.parametrize("transport", ["direct", "wire"])
+    @pytest.mark.parametrize(
+        "field", ["ephemeral", "tag", "wrap 0", "wrap 1", "wrap 2", "wrap 3", "payload"]
+    )
+    def test_refused_with_the_store_untouched(self, env, logged, field, transport):
+        fleet = env[0]
+        hsm_index, request = logged
+        device = fleet[hsm_index]
+        assert len(request.share_ciphertext.wrapped_keys) == 4
+        channel = (wire_channels if transport == "wire" else direct_channels)(fleet)(hsm_index)
+        before = _device_state(device)
+        forged = self._tampered(request.share_ciphertext, field)
+        with pytest.raises(HsmRefusedError, match="does not decrypt"):
+            channel.decrypt_share(dataclasses.replace(request, share_ciphertext=forged))
+        assert _device_state(device) == before
 
 
 class TestMalformedSharePlaintext:
@@ -283,13 +363,6 @@ class TestMalformedSharePlaintext:
         device = fleet[hsm_index]
         public = device.public_info().bfe_public
         channel = (wire_channels if transport == "wire" else direct_channels)(fleet)(hsm_index)
-        secret = device._bfe_secret
-
-        def state():
-            return (
-                secret.tree.root_key, secret.slots_deleted, secret.punctures_done,
-                dict(device._store._blocks),
-            )
 
         def refused(plaintext: bytes, reason: str):
             """The meter delta of a refused request carrying ``plaintext``
@@ -297,10 +370,10 @@ class TestMalformedSharePlaintext:
             forged = BloomFilterEncryption.encrypt(
                 public, plaintext, context=request.context, tag=request.share_ciphertext.tag
             )
-            before, counts = state(), dict(device.meter.counts)
+            before, counts = _device_state(device), dict(device.meter.counts)
             with pytest.raises(HsmRefusedError, match=reason):
                 channel.decrypt_share(dataclasses.replace(request, share_ciphertext=forged))
-            assert state() == before
+            assert _device_state(device) == before
             return {op: n - counts.get(op, 0) for op, n in device.meter.counts.items()}
 
         share = Share(x=1, y=2)

@@ -19,6 +19,7 @@ from repro.core.lhe import (
 )
 from repro.crypto.bfe import BloomFilterEncryption, PuncturedKeyError
 from repro.crypto.bloom import BloomParams
+from repro.crypto.gcm import AuthenticationError
 from repro.storage.blockstore import InMemoryBlockStore
 
 N, CLUSTER, T = 12, 4, 2
@@ -124,7 +125,7 @@ class TestBinding:
         wrong_context = lhe_context(
             "alice", ct.salt, lhe._cluster_key_digest([publics[i] for i in wrong_cluster])
         )
-        with pytest.raises(Exception):
+        with pytest.raises(AuthenticationError):
             lhe.decrypt_share(keys[wrong_cluster[0]].secret, 0, ct, wrong_context)
 
     def test_share_plaintext_binds_username(self, lhe, keys):

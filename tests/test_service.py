@@ -242,6 +242,29 @@ class TestWireChannel:
         assert device._store._blocks == blocks
         WireChannel(endpoint).decrypt_share(request)
 
+    def test_a_reply_the_wire_cannot_carry_is_a_refusal(self, shared_deployment, unique_user):
+        """A faulty device's reply whose ephemeral is the identity has no
+        encoding: the endpoint answers REPLY_REFUSED, and a reply frame
+        that does not decode is a refusal on the client's side too."""
+        from repro.crypto.ec import ECPoint
+        from repro.crypto.elgamal import ElGamalCiphertext
+
+        client = shared_deployment.new_client(unique_user)
+        client.backup(b"x", pin="1234")
+        session = client.begin_recovery("1234", backup_recovery_key=False)
+        device = shared_deployment.fleet[session.cluster[0]]
+        request = client._share_request(session, 0)
+
+        class IdentityReply:
+            def decrypt_share(self, request):
+                return ElGamalCiphertext(ECPoint(None, None), device.decrypt_share(request).body)
+
+        with pytest.raises(HsmRefusedError, match="unencodable reply"):
+            WireChannel(HsmWireEndpoint(IdentityReply())).decrypt_share(request)
+        for junk in (b"", b"\x01", b"\x01\x00\x00\x00\x00\x37" + bytes(55)):
+            with pytest.raises(HsmRefusedError, match="malformed reply"):
+                WireChannel(lambda _frame, reply=junk: reply).decrypt_share(request)
+
     def test_stale_proof_refresh_survives_an_interleaved_epoch(
         self, fresh_deployment, unique_user
     ):

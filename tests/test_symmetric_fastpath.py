@@ -348,7 +348,13 @@ class TestMeteringInvariance:
     # Re-derived when a recovery ciphertext's shares stopped carrying their
     # series tag, kind byte and point length (was sha256_block 2104): −2 in
     # ``ciphertext_hash``, over an encoding 111 bytes shorter.
-    PARENT_COUNTS = {"aes_block": 4692, "sha256_block": 2102, "flash_read_bytes": 1120}
+    # Re-derived when a share's k wraps became KEM masks (was aes_block
+    # 4692, sha256_block 2104): a BFE encryption seals no wraps (−4 x 3
+    # blocks) and a decryption opens none (−3), over 6 encryptions (the
+    # backup's 3 shares and the nested backup's 3) and 2 decryptions, −78;
+    # the payload key's KDF adds 6 sha256_block to each of those 8, and
+    # ``ciphertext_hash`` over an encoding 192 bytes shorter hashes 3 fewer.
+    PARENT_COUNTS = {"aes_block": 4614, "sha256_block": 2147, "flash_read_bytes": 1120}
     # Re-captured at PR 16 (was e87aa60f…): decrypt-and-puncture re-keys the
     # union of a tag's k paths in one pass, so the nodes the paths share are
     # rewritten once instead of k times — fewer puts, fewer fresh-key and

@@ -45,22 +45,23 @@ class TestBfeCiphertext:
 
 
 class TestOneTimeNonces:
-    """Every AE message of a BFE ciphertext is under a key that seals only
-    it, so it travels as ``ciphertext ‖ tag`` (the opener prepends
-    ``gcm.ONE_TIME_NONCE``), and its fixed-length fields carry no length."""
+    """A BFE ciphertext's one AE message, its payload, is under a key that
+    seals only it, so it travels as ``ciphertext ‖ tag`` (the opener
+    prepends ``gcm.ONE_TIME_NONCE``); its wraps are bare 16-byte masks, and
+    its fixed-length fields carry no length."""
 
-    def test_share_ciphertext_at_k4_is_265_bytes(self):
+    def test_share_ciphertext_at_k4_is_201_bytes(self):
         params = BloomParams.for_punctures(16, failure_exponent=4)
         public, secret = BloomFilterEncryption.keygen(params, InMemoryBlockStore())
         plaintext = SHARE_PLAINTEXT.encode(("size-probe", Share(1, 5)))
         assert params.num_hashes == 4 and len(plaintext) == 48
         ct = BloomFilterEncryption.encrypt(public, plaintext, context=b"c", tag=bytes(32))
-        # tag 32, ephemeral 33 (its prefix gives its length), 4 wraps of 32
-        # behind a count, payload blob 4 + 48 + 16: 84 bytes fewer than with
-        # nonces and lengths.
+        # tag 32, ephemeral 33 (its prefix gives its length), 4 wraps of 16
+        # behind a count, payload blob 4 + 48 + 16: 64 bytes fewer than with
+        # a GCM tag on each wrap.
         encoded = wire.encode_bfe_ciphertext(ct)
-        assert len(encoded) == 32 + 33 + 4 + 4 * 32 + 4 + 48 + 16 == 265
-        assert [len(wrap) for wrap in ct.wrapped_keys] == [32] * 4
+        assert len(encoded) == 32 + 33 + 4 + 4 * 16 + 4 + 48 + 16 == 201
+        assert [len(wrap) for wrap in ct.wrapped_keys] == [16] * 4
         decoded = wire.decode_bfe_ciphertext(encoded)
         assert decoded == ct
         assert BloomFilterEncryption.decrypt_and_puncture(secret, decoded, context=b"c") == plaintext
@@ -95,20 +96,21 @@ class TestRecoveryCiphertext:
         ]
         assert lhe.reconstruct(ct, shares, context) == b"msg"
 
-    def test_at_n3_k4_is_798_bytes(self):
+    def test_at_n3_k4_is_606_bytes(self):
         """The ledger's shape: a 10-character username, a 32-byte payload.
-        Each share is its body alone (233 bytes: no tag, kind byte or point
-        length), 111 bytes a ciphertext fewer than when it carried them."""
+        Each share is its body alone (169 bytes: no tag, kind byte or point
+        length, and 16-byte wraps), 192 bytes a ciphertext fewer than when
+        each wrap carried a GCM tag."""
         params = BloomParams.for_punctures(16, failure_exponent=4)
         publics = [BloomFilterEncryption.keygen(params, InMemoryBlockStore())[0] for _ in range(3)]
         ct = LocationHidingEncryption(3, 3, 2).encrypt(
             publics, "1234", bytes(32), username="size-probe"
         )
         encoded = wire.encode_recovery_ciphertext(ct)
-        share = 33 + 4 + 4 * 32 + 4 + 48 + 16
+        share = 33 + 4 + 4 * 16 + 4 + 48 + 16
         # version, salt, username, threshold / N / epoch, share count, payload blob
-        assert len(encoded) == 1 + 16 + 4 + 10 + 3 * 4 + 4 + 3 * share + 4 + 32 + 16 == 798
-        assert share == len(wire.encode_bfe_ciphertext(ct.share_ciphertexts[0])) - 32 == 233
+        assert len(encoded) == 1 + 16 + 4 + 10 + 3 * 4 + 4 + 3 * share + 4 + 32 + 16 == 606
+        assert share == len(wire.encode_bfe_ciphertext(ct.share_ciphertexts[0])) - 32 == 169
         assert wire.decode_recovery_ciphertext(encoded) == ct
 
     def test_bad_version_rejected(self, bfe_setup):

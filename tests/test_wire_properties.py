@@ -24,7 +24,7 @@ from repro.core.codec import BLOB
 from repro.core.lhe import SALT_LEN, LheCiphertext, series_tag
 from repro.crypto.bfe import TAG_BYTES, WRAP_BYTES, BfeCiphertext
 from repro.crypto.commit import commit_recovery
-from repro.crypto.ec import P256
+from repro.crypto.ec import P256, ECPoint
 from repro.crypto.elgamal import ElGamalCiphertext
 from repro.hsm.device import DecryptShareRequest
 from repro.log.authdict import InclusionProof, PathStep
@@ -35,8 +35,8 @@ _POINTS = tuple(P256.keygen(random.Random(seed)).public for seed in range(8))
 points = st.sampled_from(_POINTS)
 blobs = st.binary(max_size=48)
 digests = st.binary(min_size=32, max_size=32)
-#: The lengths the formats fix: a BFE wrap (16-byte key ‖ 16-byte GCM tag,
-#: no nonce) and a recovery ciphertext's salt.  A tag is a digest.
+#: The lengths the formats fix: a BFE wrap (a 16-byte masked key, no tag
+#: or nonce) and a recovery ciphertext's salt.  A tag is a digest.
 wraps = st.binary(min_size=WRAP_BYTES, max_size=WRAP_BYTES)
 salts = st.binary(min_size=SALT_LEN, max_size=SALT_LEN)
 u32s = st.integers(min_value=0, max_value=(1 << 32) - 1)
@@ -463,6 +463,13 @@ class TestDecryptReplyWire:
         encoded = wire.encode_decrypt_error(status, message)
         assert wire.decode_decrypt_reply(encoded) == (status, message)
         _assert_rejects_mangling(encoded, wire.decode_decrypt_reply)
+
+    def test_an_identity_ephemeral_is_unencodable(self):
+        """``ElGamalCiphertext.from_bytes`` reads a 33-byte point, so the
+        identity's 1-byte encoding cannot travel: the encoder refuses it
+        rather than write 55 bytes its own decoder rejects."""
+        with pytest.raises(wire.WireFormatError, match="finite point"):
+            wire.encode_decrypt_reply(ElGamalCiphertext(ECPoint(None, None), bytes(48)))
 
     def test_ok_is_not_an_error_status(self):
         with pytest.raises(wire.WireFormatError):
