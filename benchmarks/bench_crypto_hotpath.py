@@ -460,7 +460,7 @@ def run(min_seconds: float) -> dict:
             key._comb = comb
         bfe_module.mult_each = multiply
         try:
-            return BloomFilterEncryption.encrypt(bfe_public, b"share" * 8, context=b"ctx", tag=tag)
+            return BloomFilterEncryption.encrypt([bfe_public], [b"share" * 8], context=b"ctx", tag=tag)
         finally:
             bfe_module.mult_each = ec.mult_each
 

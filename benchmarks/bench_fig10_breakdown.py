@@ -179,34 +179,36 @@ def test_fig10_recovery_breakdown(benchmark, small_deployment):
 
 #: The size probe's recovery ciphertext, and the same ciphertext with n =
 #: 40 shares, encoded by the parent commit's ``wire.encode_recovery_ciphertext``
-#: (same deployment, user, PIN and payload): each of a share's k wraps was
-#: a one-time GCM message, 16-byte key ‖ 16-byte tag.
-PARENT_CT_BYTES = 782
-PARENT_CT_BYTES_AT_N40 = 9_403
+#: (same deployment, user, PIN and payload): each share carried a 33-byte
+#: ephemeral of its own.
+PARENT_CT_BYTES = 590
+PARENT_CT_BYTES_AT_N40 = 6_843
 
 
 def layout_bytes(n: int, k: int, username: str, message_len: int) -> int:
     """What ``lhe.RECOVERY_CIPHERTEXT`` spends on a recovery ciphertext of
     ``n`` shares at ``k`` Bloom hashes, derived from the layout: the version
-    byte, the 16-byte salt, the username text, three ``u32``s and the share
-    count; per share the 33-byte ephemeral (its prefix gives its length),
-    the wrap count and k wraps of 16 bytes (the masked key, no GCM tag:
-    the payload's tag checks it), and the payload blob (the share
-    plaintext — username ``u16`` text, ``u32`` x, 32-byte y — and its GCM
-    tag); then the LHE payload blob (the message and its tag).  No
+    byte, the 16-byte salt, the username text, three ``u32``s, the shares'
+    one 33-byte ephemeral (its prefix gives its length) and the share
+    count; per share the wrap count and k wraps of 16 bytes (the masked
+    key, no GCM tag: the payload's tag checks it), and the payload blob
+    (the share plaintext — username ``u16`` text, ``u32`` x, 32-byte y —
+    and its GCM tag); then the LHE payload blob (the message and its tag).  No
     one-time AE message carries a nonce, and no share its tag (the reader
-    derives it from the username and salt) or a kind."""
+    derives it from the username and salt), its position (its index), an
+    ephemeral of its own or a kind."""
     name = len(username.encode("utf-8"))
     share_plaintext = 2 + name + 4 + 32
-    share = 33 + (4 + 16 * k) + (4 + share_plaintext + 16)
-    return 1 + 16 + (4 + name) + 12 + 4 + n * share + (4 + message_len + 16)
+    share = (4 + 16 * k) + (4 + share_plaintext + 16)
+    return 1 + 16 + (4 + name) + 12 + 33 + 4 + n * share + (4 + message_len + 16)
 
 
 def test_fig10_ciphertext_sizes(benchmark, small_deployment):
     """§9.2: SafetyPin recovery ciphertexts are 16.5 KB vs 130 B baseline.
     Sizes are encoded bytes, what the provider stores and relays; the
     paper's n = 40 is the probe's ciphertext encoded with 40 shares (each
-    of its shares' bodies is as long as the others)."""
+    of its shares' bodies is as long as the others), renumbered so that
+    each one's position is its index."""
     client = small_deployment.new_client("size-probe")
     client.backup(b"x" * 16, pin="1234")
     small_ct = small_deployment.provider.fetch_backup("size-probe")
@@ -215,9 +217,10 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment):
     encoded = small_ct.size_bytes()
     k = small_deployment.params.bloom_params().num_hashes
     bound = layout_bytes(small_ct.cluster_size, k, "size-probe", 16)
-    paper_ct = dataclasses.replace(
-        small_ct, share_ciphertexts=tuple(islice(cycle(small_ct.share_ciphertexts), CLUSTER))
-    )
+    paper_ct = dataclasses.replace(small_ct, share_ciphertexts=tuple(
+        dataclasses.replace(share, position=position)
+        for position, share in enumerate(islice(cycle(small_ct.share_ciphertexts), CLUSTER))
+    ))
     paper_scale = paper_ct.size_bytes()
     gates = {"safetypin_ct_bytes_max": bound}
     failures = [f"safetypin_ct_bytes = {encoded} > derived layout {bound}"] if encoded > bound else []

@@ -20,13 +20,18 @@ requires, and Appendix A's games (``repro.adversary.games``) play it.
 Domain separation follows Appendix A.4: the PKE context binds the username,
 the salt, and a digest of the n cluster public keys.
 
-Hot-path note: step 4 performs one BFE encryption per cluster member, and
-every one of those rides the crypto fast path in ``repro.crypto.ec`` — the
-generator's comb for each ephemeral ``g^r`` and, for the (long-lived) HSM
-slot keys, the 6-tooth signed comb ``mult_each`` builds on a slot key's
-first use and reads on every later one — while reconstruction's
-Shamir recombination takes its Lagrange weights from
-``repro.crypto.field.lagrange_at_zero``, one batched inversion for all.
+Step 4 is one multi-recipient BFE encryption: the n shares reuse one
+``r``, so the recovery ciphertext carries one ephemeral ``g^r``, and
+each share's masks bind its position, so a device the cluster names twice
+gets unrelated masks at its two positions (see ``repro.crypto.bfe``).
+
+Hot-path note: step 4 is one ``g^r`` on the generator's comb and one
+``repro.crypto.ec.mult_each`` over the cluster's n·k slot keys — the
+6-tooth signed comb it builds on a (long-lived) slot key's first use and
+reads on every later one, one batch inversion for all n·k products — not
+a ``g^r`` per member; reconstruction's Shamir recombination takes its
+Lagrange weights from ``repro.crypto.field.lagrange_at_zero``, one batched
+inversion for all.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from repro.crypto.bfe import (
     BfeSecretKey,
     BloomFilterEncryption,
 )
+from repro.crypto.ec import POINT
 from repro.crypto.gcm import AuthenticationError, open_one_time, seal_one_time
 from repro.crypto.hashing import hash_to_indices, sha256
 from repro.crypto.shamir import SHARE, Share, ShamirSharer
@@ -115,20 +121,31 @@ def _unbilled_series_tag(username: str, salt: bytes) -> bytes:
 
 def _recovery_to_wire(ct: LheCiphertext) -> tuple:
     tag = _unbilled_series_tag(ct.username, ct.salt)
-    if any(not isinstance(share, BfeCiphertext) or share.tag != tag
-           for share in ct.share_ciphertexts):
+    shares = ct.share_ciphertexts
+    if not shares:
+        raise WireFormatError("a recovery ciphertext has no shares")
+    if any(not isinstance(share, BfeCiphertext) or share.tag != tag for share in shares):
         raise WireFormatError("a share is not a BFE ciphertext under its series tag")
-    bodies = [share.body() for share in ct.share_ciphertexts]
-    return ct.salt, ct.username, ct.threshold, ct.num_hsms, ct.config_epoch, bodies, ct.payload
+    ephemeral = shares[0].ephemeral
+    if any(share.ephemeral != ephemeral or share.position != position
+           for position, share in enumerate(shares)):
+        raise WireFormatError("a share has an ephemeral of its own or a position not its index")
+    bodies = [share.body() for share in shares]
+    return (ct.salt, ct.username, ct.threshold, ct.num_hsms, ct.config_epoch,
+            ephemeral, bodies, ct.payload)
 
 
 def _recovery_from_wire(fields: tuple) -> LheCiphertext:
-    salt, username, threshold, num_hsms, config_epoch, bodies, payload = fields
+    salt, username, threshold, num_hsms, config_epoch, ephemeral, bodies, payload = fields
+    if not bodies:
+        raise WireFormatError("a recovery ciphertext has no shares")
     tag = _unbilled_series_tag(username, salt)
     return LheCiphertext(
         salt=salt,
         username=username,
-        share_ciphertexts=tuple(BfeCiphertext(tag, *body) for body in bodies),
+        share_ciphertexts=tuple(
+            BfeCiphertext(tag, ephemeral, position, *body) for position, body in enumerate(bodies)
+        ),
         payload=payload,
         threshold=threshold,
         num_hsms=num_hsms,
@@ -137,13 +154,16 @@ def _recovery_from_wire(fields: tuple) -> LheCiphertext:
 
 
 #: The client's uploaded recovery ciphertext (§4.1): the 16-byte salt, the
-#: username, then the share ciphertexts — each a BFE body, its tag being
-#: the :func:`series_tag` its reader rebuilds from the username and salt
-#: (a share under any other tag is unencodable) — and the payload
-#: (``ciphertext ‖ tag`` under the one-time transport key).
+#: username, the one ephemeral every share was encrypted under, then the
+#: share ciphertexts — each a BFE body, its tag being the
+#: :func:`series_tag` its reader rebuilds from the username and salt and
+#: its position its index (a share under any other tag, ephemeral or
+#: position is unencodable, and so is a ciphertext with no share) — and
+#: the payload (``ciphertext ‖ tag`` under the one-time transport key).
 RECOVERY_CIPHERTEXT = versioned(converted(
     tuple_of(
-        fixed(SALT_LEN, "salt"), TEXT, U32, U32, U32, seq(BFE_BODY, tuple, 4096, "share"), BLOB
+        fixed(SALT_LEN, "salt"), TEXT, U32, U32, U32, POINT,
+        seq(BFE_BODY, tuple, 4096, "share"), BLOB,
     ),
     _recovery_to_wire,
     _recovery_from_wire,
@@ -207,13 +227,12 @@ class LocationHidingEncryption:
         cluster_pks = [_bfe_key(public_keys[i]) for i in cluster]
         key_digest = self._cluster_key_digest(cluster_pks)
         context = lhe_context(username, salt, key_digest)
-        tag = series_tag(username, salt)
-        share_cts = [
-            BloomFilterEncryption.encrypt(
-                pk, SHARE_PLAINTEXT.encode((username, share)), context=context, tag=tag
-            )
-            for share, pk in zip(shares, cluster_pks)
-        ]
+        share_cts = BloomFilterEncryption.encrypt(
+            cluster_pks,
+            [SHARE_PLAINTEXT.encode((username, share)) for share in shares],
+            context=context,
+            tag=series_tag(username, salt),
+        )
         # The transport key is fresh and seals this one message.
         (payload,) = seal_one_time([(transport_key, message, context)])
         return LheCiphertext(

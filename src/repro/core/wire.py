@@ -12,8 +12,10 @@ crypto layouts a message carries are codec values declared beside their
 types and used here: ``commit.OPENING`` travels ``nested``, and a
 recovery ciphertext is ``lhe.RECOVERY_CIPHERTEXT`` over ``bfe.BFE_BODY``
 (declared there so ``LheCiphertext`` can measure and hash its own
-encoding; its shares' series tag is rebuilt by its reader, while the
-stand-alone ``bfe.BFE_CIPHERTEXT`` of a decrypt request carries its tag).
+encoding; it carries the one ephemeral its shares were encrypted under,
+and its reader rebuilds each share's series tag and takes its position
+from its index, while the stand-alone ``bfe.BFE_CIPHERTEXT`` of a
+decrypt request carries its tag, its ephemeral and its ``u16`` position).
 A field whose length is fixed by construction (a digest, a tag, a salt, a
 BFE wrap) is ``fixed(n)`` with no length prefix, and a point
 (``ec.POINT``) is its SEC1 encoding, whose prefix byte gives its length.

@@ -17,12 +17,27 @@ keys", §9).  We implement that variant concretely:
 - The public key is the array of ``m`` slot public keys, committed by a
   Merkle root so a client can verify any slot key it fetches against a
   constant-size, attestable value.
-- Encryption (Derler et al.'s BFE-KEM): a fresh DH ephemeral ``g^r`` is
-  hashed (with context) into a tag; the tag selects ``k`` slots; a random
-  16-byte key ``K`` is masked once per slot, ``K ⊕ kdf(r·pkᵢ, tag, slot)``,
-  and the payload is AE-encrypted once under a KDF of ``K``, the tag, the
-  ephemeral and every mask.  The payload's tag is the one integrity check:
-  a changed ephemeral, tag or mask gives an unrelated payload key.
+- Encryption (Derler et al.'s BFE-KEM, multi-recipient): one fresh DH
+  ephemeral ``g^r`` serves every recipient of the call (SafetyPin's n
+  cluster members); with no tag given it is hashed (with context) into
+  the tag, and the tag selects ``k`` slots of each recipient's key.  The
+  recipient at position ``j`` gets its own random 16-byte key ``K_j``,
+  masked once per slot, ``K_j ⊕ kdf(r·pkᵢ, tag, slot, j)``, and its
+  payload AE-encrypted once under a KDF of ``K_j``, the tag, the
+  ephemeral and its masks.  The payload's tag is the one integrity check:
+  a changed ephemeral, tag, position or mask gives an unrelated payload
+  key.  Reusing ``r`` across recipients is sound under the same
+  assumption as reusing it across one key's slots (Kurosawa, PKC 2002;
+  Bellare, Boldyreva and Staddon, PKC 2003).
+- Position binding and location hiding: a cluster is drawn with
+  replacement, so one device may be named at two positions.  Without the
+  position in the mask KDF its two shares would get equal masks, and the
+  XOR of their wraps would be ``K_a ⊕ K_b`` at every slot, telling an
+  observer the cluster repeats a device.  With it, every (device,
+  position) pair's masks are independent random-oracle outputs.  A
+  corrupted key tests a ciphertext exactly as it did when every share had
+  its own ephemeral: it computes ``sk·R`` once and checks each position's
+  masks against it, as it checked each ``R_j`` before.
 - Puncture: securely delete the ``k`` slot secret keys for the ciphertext's
   tag.  Decryption of *that* ciphertext becomes impossible; an unrelated
   ciphertext fails only if all its own slots are gone (probability
@@ -36,19 +51,19 @@ keys", §9).  We implement that variant concretely:
   index at a time for ``decrypt``, which stops at the first surviving
   slot; one batch for the punctures).
 
-Hot-path note: encryption's k slot-key multiplies ``pkᵢ^r`` share their
-scalar, so they go through ``repro.crypto.ec.mult_each`` — one reading of
-``r``, one batch build of the 6-tooth signed combs the slot keys still
-lack, one batch inversion for the k results — and ``g^r`` rides the
-generator's comb.  A slot key's first ciphertext builds its comb (215
-doublings and 31 additions), and every ciphertext to it — a
+Hot-path note: an encryption's n·k slot-key multiplies ``pkᵢ^r`` share
+their scalar, so they go through ``repro.crypto.ec.mult_each`` — one
+reading of ``r``, one batch build of the 6-tooth signed combs the slot
+keys still lack, one batch inversion for the n·k results — and the one
+``g^r`` rides the generator's comb.  A slot key's first ciphertext builds
+its comb (215 doublings and 31 additions), and every ciphertext to it — a
 ``reuse_salt`` backup series hashes every backup to the same k slots —
-costs 42 doublings and 43 additions a key.  The
-k masks are XORs with a KDF output, and the payload is one
-``repro.crypto.gcm.seal_one_time`` (its key seals exactly one message, so
-it goes out as ``ciphertext ‖ tag`` under the constant
-``ONE_TIME_NONCE``).  The meter still sees k + 1 ``ec_mult``, k
-``elgamal_enc`` and the payload seal's ``aes_block``.  Decryption's
+costs 42 doublings and 43 additions a key.  The masks are XORs with a
+KDF output, and the n payloads are one ``repro.crypto.gcm.seal_one_time``
+batch (each key seals exactly one message, so it goes out as
+``ciphertext ‖ tag`` under the constant ``ONE_TIME_NONCE``).  The meter
+sees 1 + n·k ``ec_mult``, n·k ``elgamal_enc`` and the payload seals'
+``aes_block``.  Decryption's
 ``(g^r)^sk`` multiplies a fresh ephemeral by a slot secret read from the
 key tree — at the first live slot only — and the only table built is of
 the public ephemeral.  Key generation
@@ -72,10 +87,10 @@ from __future__ import annotations
 import secrets
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import metering
-from repro.core.codec import BLOB, converted, fixed, seq, tuple_of
+from repro.core.codec import BLOB, U16, converted, fixed, seq, tuple_of
 from repro.crypto.bloom import BloomParams
 from repro.crypto.ec import POINT, ECPoint, P256, generator_mult_each, mult_each
 from repro.crypto.gcm import AuthenticationError, ae_cost, open_one_time, seal_one_time
@@ -108,10 +123,13 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-def _slot_mask(shared: ECPoint, tag: bytes, slot: int) -> bytes:
+def _slot_mask(shared: ECPoint, tag: bytes, slot: int, position: int) -> bytes:
     """What ``K`` is XORed with in ``slot``'s wrap: a KDF of the shared
-    point ``r·pk_slot``, bound to the tag and the slot."""
-    return kdf("bfe-slot-wrap", shared.to_bytes(), tag, slot.to_bytes(4, "big"))[:WRAP_BYTES]
+    point ``r·pk_slot``, bound to the tag, the slot and the recipient's
+    position (one device named at two positions gets unrelated masks)."""
+    return kdf(
+        "bfe-slot-wrap", shared.to_bytes(), tag, slot.to_bytes(4, "big"), position.to_bytes(2, "big")
+    )[:WRAP_BYTES]
 
 
 def _payload_key(key: bytes, tag: bytes, ephemeral: ECPoint, wraps: Tuple[bytes, ...]) -> bytes:
@@ -146,7 +164,8 @@ class BfePublicKey:
 
 @dataclass(frozen=True)
 class BfeCiphertext:
-    """``(tag, g^r, [wrapped payload key per slot], payload AE ciphertext)``.
+    """``(tag, g^r, position, [wrapped payload key per slot], payload AE
+    ciphertext)``.
 
     The *tag* names the Bloom slots this ciphertext lives in; puncturing the
     tag kills every ciphertext that used it.  By default the tag is derived
@@ -157,33 +176,40 @@ class BfeCiphertext:
     KDFs: every slot mask and the payload key are derived over the tag, so
     a swapped tag (or ephemeral, or wrap) gives an unrelated payload key
     and the payload's authentication fails.
+
+    The *position* is the recipient's index in the encryption that made
+    it (a share's place in its cluster).  Every recipient of one
+    encryption holds the same ephemeral, so the position is what keeps a
+    device named twice from getting equal masks; it enters every slot mask
+    too, so a changed position unmasks another key and fails like a
+    changed wrap.
     """
 
     tag: bytes
     ephemeral: ECPoint
+    position: int
     wrapped_keys: Tuple[bytes, ...]
     payload: bytes
 
-    def body(self) -> Tuple[ECPoint, Tuple[bytes, ...], bytes]:
-        """Everything but the tag: what :data:`BFE_BODY` encodes."""
-        return self.ephemeral, self.wrapped_keys, self.payload
+    def body(self) -> Tuple[Tuple[bytes, ...], bytes]:
+        """What is this recipient's alone: what :data:`BFE_BODY` encodes."""
+        return self.wrapped_keys, self.payload
 
 
-#: A BFE ciphertext's bytes after its tag, as :meth:`BfeCiphertext.body`:
-#: the ephemeral (a self-delimiting point, so the identity's 1-byte
-#: encoding is carried and refused by the opener), a count of 16-byte
-#: wraps and the payload blob.  The payload is ``ciphertext ‖ tag`` under a
-#: one-time key (no nonce).  A recovery ciphertext carries its shares this
-#: way, since their reader derives the tag.
-BFE_BODY = tuple_of(
-    POINT, seq(fixed(WRAP_BYTES, "wrapped key"), tuple, 4096, "wrapped-key"), BLOB
-)
+#: A BFE ciphertext's own bytes, as :meth:`BfeCiphertext.body`: a count of
+#: 16-byte wraps and the payload blob (``ciphertext ‖ tag`` under a
+#: one-time key, no nonce).  A recovery ciphertext carries its shares this
+#: way: their reader derives the tag, takes the one ephemeral from the
+#: ciphertext and the position from the share's index.
+BFE_BODY = tuple_of(seq(fixed(WRAP_BYTES, "wrapped key"), tuple, 4096, "wrapped-key"), BLOB)
 #: A stand-alone BFE ciphertext (the copy a decrypt request carries): the
-#: 32-byte tag, then the body.
+#: 32-byte tag, the ephemeral (a self-delimiting point, so the identity's
+#: 1-byte encoding is carried and refused by the opener), the ``u16``
+#: position, then the body.
 BFE_CIPHERTEXT = converted(
-    tuple_of(fixed(TAG_BYTES, "bfe tag"), BFE_BODY),
-    lambda ciphertext: (ciphertext.tag, ciphertext.body()),
-    lambda fields: BfeCiphertext(fields[0], *fields[1]),
+    tuple_of(fixed(TAG_BYTES, "bfe tag"), POINT, U16, BFE_BODY),
+    lambda ciphertext: (ciphertext.tag, ciphertext.ephemeral, ciphertext.position, ciphertext.body()),
+    lambda fields: BfeCiphertext(*fields[:3], *fields[3]),
 )
 
 
@@ -257,26 +283,40 @@ class BloomFilterEncryption:
     # -- encryption (client side) ---------------------------------------------
     @staticmethod
     def encrypt(
-        public: BfePublicKey,
-        plaintext: bytes,
+        publics: Sequence[BfePublicKey],
+        plaintexts: Sequence[bytes],
         context: bytes = b"",
         tag: Optional[bytes] = None,
-    ) -> BfeCiphertext:
+    ) -> List[BfeCiphertext]:
+        """``plaintexts[j]`` to ``publics[j]`` at position ``j``, every
+        ciphertext under one ephemeral ``g^r`` and one tag (see the module
+        docstring).  One recipient is a one-element list."""
+        if len(publics) != len(plaintexts):
+            raise ValueError(f"{len(publics)} keys for {len(plaintexts)} plaintexts")
         r = P256.random_scalar()
         ephemeral = P256.generator * r
         if tag is None:
             tag = sha256(b"bfe-tag", ephemeral.to_bytes(), context)
-        slots = public.params.slots_for_tag(tag)
+        slots = [public.params.slots_for_tag(tag) for public in publics]
 
-        key = secrets.token_bytes(_PAYLOAD_KEY_LEN)
-        shared_points = mult_each([public.slot_pubkeys[slot] for slot in slots], r)
-        wraps = tuple(
-            _xor(key, _slot_mask(shared, tag, slot)) for slot, shared in zip(slots, shared_points)
+        keys = [secrets.token_bytes(_PAYLOAD_KEY_LEN) for _ in publics]
+        shared_points = iter(mult_each(
+            [public.slot_pubkeys[slot] for public, row in zip(publics, slots) for slot in row], r
+        ))
+        wraps = [
+            tuple(_xor(key, _slot_mask(next(shared_points), tag, slot, position)) for slot in row)
+            for position, (key, row) in enumerate(zip(keys, slots))
+        ]
+        # Each payload key is a KDF of a fresh K: it seals this one message.
+        payloads = seal_one_time(
+            (_payload_key(key, tag, ephemeral, row), plaintext, context)
+            for key, row, plaintext in zip(keys, wraps, plaintexts)
         )
-        # The payload key is a KDF of a fresh K: it seals this one message.
-        (payload,) = seal_one_time([(_payload_key(key, tag, ephemeral, wraps), plaintext, context)])
-        metering.count("elgamal_enc", len(slots))
-        return BfeCiphertext(tag=tag, ephemeral=ephemeral, wrapped_keys=wraps, payload=payload)
+        metering.count("elgamal_enc", sum(map(len, slots)))
+        return [
+            BfeCiphertext(tag, ephemeral, position, row, payload)
+            for position, (row, payload) in enumerate(zip(wraps, payloads))
+        ]
 
     # -- decryption (HSM side) ---------------------------------------------------
     @staticmethod
@@ -309,7 +349,7 @@ class BloomFilterEncryption:
                 continue
             shared = ciphertext.ephemeral * int.from_bytes(scalar_bytes, "big")
             metering.count("elgamal_dec")
-            key = _xor(wrap, _slot_mask(shared, tag, slot))
+            key = _xor(wrap, _slot_mask(shared, tag, slot, ciphertext.position))
             # The payload's associated data binds the LHE context; a wrong
             # context (e.g. a wrong-PIN cluster digest) fails authentication
             # here even when the slot key itself was right.

@@ -798,13 +798,15 @@ def multi_mult(pairs: Sequence[Tuple[int, ECPoint]]) -> ECPoint:
 
 def mult_each(points: Sequence[ECPoint], scalar: int) -> List[ECPoint]:
     """``scalar·P`` for every ``P`` in ``points``: one scalar, many points —
-    Bloom-filter encryption's ``pkᵢ^r`` over a tag's k slot keys.
+    Bloom-filter encryption's ``pkᵢ^r`` over a tag's k slot keys of each
+    of its n recipients.
 
     Every product is a comb chain.  A finite point without a comb — a slot
     key's first multiply — gets one of ``_SLOT_COMB_TEETH`` teeth on the
     spot (215 doublings and 31 fill additions to build; then 42 doublings
     + 43 additions a multiply instead of a ladder's 256 + ≈ 43), all of a
-    call's missing combs in one :func:`_build_comb` batch.  (The same tier
+    call's missing combs in one :func:`_build_comb` batch, one for each
+    distinct instance however often it is listed.  (The same tier
     serves a signer set's aggregate key, combed by :func:`combed_sum`.)
     The scalar is read into comb indices once per tooth count and the
     results are normalized by ONE batch inversion.  Each result is
@@ -817,7 +819,11 @@ def mult_each(points: Sequence[ECPoint], scalar: int) -> List[ECPoint]:
     if points:
         metering.count("ec_mult", len(points))
     scalar %= N
-    missing = [point for point in points if not point.is_infinity and point._comb_table() is None]
+    # One comb per instance: a device named twice in a cluster lists its
+    # slot keys twice, and both entries read the comb built once.
+    missing = list({
+        id(point): point for point in points if not point.is_infinity and point._comb_table() is None
+    }.values())
     if missing:
         built = _build_comb([(p.x, p.y) for p in missing], 1, _SLOT_COMB_TEETH)  # type: ignore[misc]
         for point, comb in zip(missing, built):

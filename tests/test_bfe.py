@@ -30,40 +30,40 @@ def keypair(small_params):
 class TestRoundtrip:
     def test_encrypt_decrypt(self, keypair):
         pub, sec = keypair
-        ct = BFE.encrypt(pub, b"payload", context=b"ctx")
+        (ct,) = BFE.encrypt([pub], [b"payload"], context=b"ctx")
         assert BFE.decrypt(sec, ct, context=b"ctx") == b"payload"
 
     def test_context_binding(self, keypair):
         pub, sec = keypair
-        ct = BFE.encrypt(pub, b"payload", context=b"user-a")
+        (ct,) = BFE.encrypt([pub], [b"payload"], context=b"user-a")
         with pytest.raises(Exception):
             BFE.decrypt(sec, ct, context=b"user-b")
 
     def test_large_payload(self, keypair):
         pub, sec = keypair
         message = bytes(range(256)) * 40
-        ct = BFE.encrypt(pub, message, context=b"c")
+        (ct,) = BFE.encrypt([pub], [message], context=b"c")
         assert BFE.decrypt(sec, ct, context=b"c") == message
 
 
 class TestPuncturing:
     def test_punctured_ciphertext_is_dead(self, keypair):
         pub, sec = keypair
-        ct = BFE.encrypt(pub, b"secret", context=b"c")
+        (ct,) = BFE.encrypt([pub], [b"secret"], context=b"c")
         BFE.puncture(sec, ct, context=b"c")
         with pytest.raises(PuncturedKeyError):
             BFE.decrypt(sec, ct, context=b"c")
 
     def test_other_ciphertexts_survive(self, keypair):
         pub, sec = keypair
-        ct1 = BFE.encrypt(pub, b"one", context=b"c")
-        ct2 = BFE.encrypt(pub, b"two", context=b"c")
+        (ct1,) = BFE.encrypt([pub], [b"one"], context=b"c")
+        (ct2,) = BFE.encrypt([pub], [b"two"], context=b"c")
         BFE.puncture(sec, ct1, context=b"c")
         assert BFE.decrypt(sec, ct2, context=b"c") == b"two"
 
     def test_puncture_is_idempotent(self, keypair):
         pub, sec = keypair
-        ct = BFE.encrypt(pub, b"x", context=b"c")
+        (ct,) = BFE.encrypt([pub], [b"x"], context=b"c")
         BFE.puncture(sec, ct, context=b"c")
         BFE.puncture(sec, ct, context=b"c")
         assert sec.punctures_done == 2
@@ -75,7 +75,7 @@ class TestPuncturing:
         assert not sec.needs_rotation()
         punctures = 0
         while not sec.needs_rotation() and punctures < 50:
-            ct = BFE.encrypt(pub, b"x", context=b"c")
+            (ct,) = BFE.encrypt([pub], [b"x"], context=b"c")
             BFE.puncture(sec, ct, context=b"c")
             punctures += 1
         assert sec.needs_rotation()
@@ -86,7 +86,7 @@ class TestPuncturing:
         post-puncture HSM root key cannot decrypt a punctured ciphertext."""
         store = InMemoryBlockStore()
         pub, sec = BFE.keygen(small_params, store)
-        ct = BFE.encrypt(pub, b"forward secret", context=b"c")
+        (ct,) = BFE.encrypt([pub], [b"forward secret"], context=b"c")
         BFE.puncture(sec, ct, context=b"c")
         # Attacker clones all current storage + HSM state; still dead:
         with pytest.raises(PuncturedKeyError):
@@ -106,7 +106,7 @@ class TestDecryptAndPuncture:
 
     def test_decrypts_then_the_ciphertext_is_dead(self, counted):
         pub, sec, _ = counted
-        ct = BFE.encrypt(pub, b"share", context=b"c")
+        (ct,) = BFE.encrypt([pub], [b"share"], context=b"c")
         assert BFE.decrypt_and_puncture(sec, ct, context=b"c") == b"share"
         assert (sec.punctures_done, sec.slots_deleted) == (1, sec.params.num_hashes)
         with pytest.raises(PuncturedKeyError):
@@ -119,7 +119,7 @@ class TestDecryptAndPuncture:
         """gets = |union of the k paths| + the leaf it decrypted from,
         puts = |union of the live paths|, and the root key moves once."""
         pub, sec, store = counted
-        ct = BFE.encrypt(pub, b"share", context=b"c")
+        (ct,) = BFE.encrypt([pub], [b"share"], context=b"c")
         slots = sec.params.slots_for_tag(ct.tag)
         union = _union(sec.tree, slots)
         assert len(union) < len(slots) * sec.tree.height
@@ -130,7 +130,7 @@ class TestDecryptAndPuncture:
         """Slots another puncture already took are skipped by the decrypt
         and by the re-key: the puts are the union of the *live* paths."""
         pub, sec, store = counted
-        ct = BFE.encrypt(pub, b"share", context=b"c")
+        (ct,) = BFE.encrypt([pub], [b"share"], context=b"c")
         slots = sec.params.slots_for_tag(ct.tag)
         sec.tree.delete(slots[0])
         store.gets = store.puts = 0
@@ -141,7 +141,7 @@ class TestDecryptAndPuncture:
 
     def test_accept_raising_leaves_everything_untouched(self, counted):
         pub, sec, store = counted
-        ct = BFE.encrypt(pub, b"share", context=b"c")
+        (ct,) = BFE.encrypt([pub], [b"share"], context=b"c")
         root_before, blocks_before = sec.tree.root_key, dict(store._blocks)
         seen = []
 
@@ -162,7 +162,7 @@ class TestDecryptAndPuncture:
 
     def test_wrong_context_leaves_everything_untouched(self, counted):
         pub, sec, store = counted
-        ct = BFE.encrypt(pub, b"share", context=b"user-a")
+        (ct,) = BFE.encrypt([pub], [b"share"], context=b"user-a")
         root_before = sec.tree.root_key
         with pytest.raises(AuthenticationError):
             BFE.decrypt_and_puncture(sec, ct, context=b"user-b")
@@ -171,7 +171,7 @@ class TestDecryptAndPuncture:
 
     def test_puncture_tag_is_one_batched_delete(self, counted):
         pub, sec, store = counted
-        ct = BFE.encrypt(pub, b"x", context=b"c")
+        (ct,) = BFE.encrypt([pub], [b"x"], context=b"c")
         union = _union(sec.tree, sec.params.slots_for_tag(ct.tag))
         BFE.puncture_tag(sec, ct.tag)
         assert (store.gets, store.puts) == (len(union), len(union))
@@ -189,7 +189,7 @@ class TestDecryptAndPuncture:
         counts = []
         for fused in (False, True):
             pub, sec = BFE.keygen(small_params, InMemoryBlockStore())
-            ct = BFE.encrypt(pub, b"share", context=b"c", tag=tag)
+            (ct,) = BFE.encrypt([pub], [b"share"], context=b"c", tag=tag)
             for slot in sec.params.slots_for_tag(tag)[:already_gone]:
                 sec.tree.delete(slot)
             with metered() as meter:
@@ -230,7 +230,7 @@ class TestKemWraps:
     @staticmethod
     def _ciphertext(small_params):
         pub, sec = BFE.keygen(small_params, InMemoryBlockStore())
-        ct = BFE.encrypt(pub, b"share", context=b"c")
+        (ct,) = BFE.encrypt([pub], [b"share"], context=b"c")
         return sec, ct, sec.params.slots_for_tag(ct.tag)
 
     @pytest.mark.parametrize("live", range(4))  # k = 4 at ``small_params``

@@ -33,7 +33,7 @@ class TestFalsePositiveRate:
         trials = 120
         dead = 0
         for i in range(trials):
-            ct = BFE.encrypt(pub, b"probe", context=b"trial%d" % i)
+            (ct,) = BFE.encrypt([pub], [b"probe"], context=b"trial%d" % i)
             try:
                 BFE.decrypt(sec, ct, context=b"trial%d" % i)
             except PuncturedKeyError:

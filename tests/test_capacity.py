@@ -64,7 +64,7 @@ class TestOnePrice:
         self, num_slots, num_hashes, plaintext_len
     ):
         params, public, secret, _ = _fresh_key(num_slots, num_hashes)
-        ciphertext = BFE.encrypt(public, b"s" * plaintext_len, context=b"ctx")
+        (ciphertext,) = BFE.encrypt([public], [b"s" * plaintext_len], context=b"ctx")
         _, real = _metered(lambda: BFE.decrypt_and_puncture(secret, ciphertext, context=b"ctx"))
         closed = BFE.decrypt_and_puncture_counts(params, plaintext_len)
         assert set(closed) == {"aes_block", "io_bytes", "flash_read_bytes", "elgamal_dec"}
@@ -112,7 +112,7 @@ class TestOnePrice:
         after = BFE.decrypt_and_puncture_counts(params, 16)
         assert after["aes_block"] - before["aes_block"] == (3 * 4 + 1) * secret.tree.height
         assert build_throughput_model(SOLOKEY).decrypt_puncture_seconds > price
-        ciphertext = BFE.encrypt(public, b"s" * 16, context=b"ctx")
+        (ciphertext,) = BFE.encrypt([public], [b"s" * 16], context=b"ctx")
         _, real = _metered(lambda: BFE.decrypt_and_puncture(secret, ciphertext, context=b"ctx"))
         assert before["aes_block"] < real["aes_block"] < after["aes_block"]
 

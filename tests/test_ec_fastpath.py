@@ -644,11 +644,58 @@ class TestMultEach:
             params, InMemoryBlockStore(), random.Random(5)
         )
         with metered() as meter:
-            ciphertext = BloomFilterEncryption.encrypt(public, b"share", context=b"ctx")
+            (ciphertext,) = BloomFilterEncryption.encrypt([public], [b"share"], context=b"ctx")
         k = params.num_hashes
         assert len(ciphertext.wrapped_keys) == k
         assert meter.counts["ec_mult"] == k + 1 and meter.counts["elgamal_enc"] == k
         assert BloomFilterEncryption.decrypt(secret, ciphertext, context=b"ctx") == b"share"
+
+    def test_lhe_encrypt_bills_one_ephemeral_and_one_comb_a_distinct_key(self, monkeypatch):
+        """A location-hiding encryption at (n, k) is one ``g^r`` and one
+        ``mult_each`` over the cluster's n·k slot keys: 1 + n·k ``ec_mult``
+        and n·k ``elgamal_enc``, every product ``naive_mult``'s.  A device
+        the cluster names twice lists its k slot keys twice, and each of
+        them gets one comb."""
+        from repro.core.lhe import LocationHidingEncryption
+        from repro.crypto import bfe as bfe_module
+        from repro.crypto.bfe import BloomFilterEncryption
+        from repro.crypto.bloom import BloomParams
+        from repro.storage.blockstore import InMemoryBlockStore
+
+        params = BloomParams.for_punctures(4, failure_exponent=4)
+        publics = [
+            BloomFilterEncryption.keygen(params, InMemoryBlockStore(), random.Random(40 + i))[0]
+            for i in range(3)
+        ]
+        lhe = LocationHidingEncryption(3, 3, 2)
+        salt = next(
+            salt for salt in (bytes([i]) * 16 for i in range(256))
+            if len(set(lhe.select(salt, "2580"))) == 2
+        )
+        calls, built = [], []
+
+        def spy_mult_each(points, scalar):
+            products = mult_each(points, scalar)
+            calls.append((list(points), scalar, products))
+            return products
+
+        def spy_build_comb(points, tables, teeth):
+            if teeth == SLOT_TEETH:
+                built.append(len(points))
+            return build_comb(points, tables, teeth)
+
+        build_comb = ec_module._build_comb
+        monkeypatch.setattr(bfe_module, "mult_each", spy_mult_each)
+        monkeypatch.setattr(ec_module, "_build_comb", spy_build_comb)
+        with metered() as meter:
+            ciphertext = lhe.encrypt(publics, "2580", b"message", username="u", salt=salt)
+        n, k = lhe.cluster_size, params.num_hashes
+        assert meter.counts["ec_mult"] == 1 + n * k and meter.counts["elgamal_enc"] == n * k
+        ((points, scalar, products),) = calls
+        assert len(points) == n * k
+        assert products == [naive_mult(ECPoint(p.x, p.y), scalar) for p in points]
+        assert {share.ephemeral for share in ciphertext.share_ciphertexts} == {naive_mult(G, scalar)}
+        assert built == [len({id(point) for point in points})] == [2 * k]
 
 
 def tooth_boundary_scalars(teeth: int) -> list:
@@ -1262,7 +1309,15 @@ class TestMeteringInvariance:
     # over 6 encryptions (the backup's 3 shares and the recovery-key
     # backup's 3) and 2 decryptions, and −3 in ``ciphertext_hash`` over an
     # encoding 192 bytes shorter (640 against 832: 11 blocks, not 14).
-    SEED_COUNTS = {"ec_mult": 344, "ecdsa_verify": 20, "sha256_block": 2642}
+    # Re-derived when a recovery ciphertext's n shares came to share one
+    # ephemeral (was ec_mult 344, sha256_block 2642): ec_mult −4, one
+    # ``g^r`` instead of n = 3 in each of the 2 LHE encryptions (the backup
+    # and the recovery-key backup); sha256_block −1 in ``ciphertext_hash``,
+    # over an encoding 66 bytes shorter (574 against 640: 10 blocks, not
+    # 11).  The slot-mask KDF's 2-byte position keeps it at 2 blocks (124
+    # bytes hashed, not 114).  The one ``r`` drawn where n were moves no
+    # count: a copy that draws and discards the other two counts the same.
+    SEED_COUNTS = {"ec_mult": 340, "ecdsa_verify": 20, "sha256_block": 2641}
 
     def run_fixed_workload(self):
         """One seeded backup+recovery; all randomness from one PRNG so the

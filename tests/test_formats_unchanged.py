@@ -172,6 +172,32 @@ parent's 35 frames in the parent's order, and only these moved:
 
 Every other frame and block is the parent's, chain hashes and the anchor
 aside.
+
+All four workload digests moved once more, when the n shares of a
+recovery ciphertext came to share one ephemeral (one ``r``, one 33-byte
+point carried once) and each share's slot masks to bind its position:
+33·(n − 1) = 66 bytes a recovery ciphertext at n = 3, while a decrypt
+request's stand-alone share gained its ``u16`` position.  The code draws
+one scalar an encryption, not n, so the workload was compared frame by
+frame and block by block against the parent's on a copy of this code that
+draws and discards the parent's 2nd and 3rd scalars where the parent drew
+them (so the entropy stream, and with it every salt and cluster, is the
+parent's): both arities send the parent's 32 frames in the parent's order,
+and only these moved:
+
+- each ``upload_backup`` request and ``fetch_backup`` reply: −66 (7 and 3);
+- each decrypt-share request: +2 (7 of them, the wrong-PIN recovery's 3
+  refusals included; every reply is the parent's length);
+- each backup WAL record: −66 (651 → 585 for the user's, 687 → 621 for a
+  recovery key's; 6 before the snapshot and the post-snapshot one, 656 →
+  590), and the snapshot −396 (6 × 66: 5605 → 5209 at shards=1, 5787 →
+  5391 at shards=2).
+
+Every other frame and block is the parent's length, chain hashes, the
+anchor and the commitments that bind ``ciphertext_hash`` aside.  The
+committed digests are of this code, whose entropy stream is two scalars a
+recovery ciphertext shorter (shards=1 sends 34 frames, not 32: its
+clusters name more distinct devices).
 """
 
 import hashlib
@@ -207,16 +233,16 @@ def _absorb_store(digest, store: InMemoryBlockStore) -> None:
 
 
 class TestFormatsUnchanged:
-    # Re-captured when a share's wraps became 16-byte KEM masks; see the
-    # module docstring.
+    # Re-captured when a recovery ciphertext's shares came to share one
+    # ephemeral; see the module docstring.
     PARENT_DIGESTS = {
         1: {
-            "frames": "ddf7a92ed31c4c4315d0252cc1d1c7745ccc02c4658c7c94b9d742b974df8c42",
-            "store": "4e55f4315efc71360eccbb1d25f548a3625ddc9db93130c63310f968853494d2",
+            "frames": "49b80a1a109e1fe1275ac29f5597e7e5dc3cd381a2ddee4b159fcd7f3ea150b8",
+            "store": "cec0bcee82c623bbb44bd88fe76227c9fb9ce860fa0494cb80231ad72348382f",
         },
         2: {
-            "frames": "ebd3eb6e9f0e22caab92683b694a2449e53113c616c3a77e7a34d94fba74c015",
-            "store": "8034a1e57e4b5a8194680e1f7c3b30009ffe7eab0eb17e8d624d4b5fed82f442",
+            "frames": "420b3f1ecffd9233a6679fa4fe02a70507e631fea2510dcb0e35e1d6ff85e091",
+            "store": "d386a0ab491799f8fab3c843cd8d3c612f7394878e656b384aeef0ac4ffb8286",
         },
     }
     PARENT_RECORD_KINDS_DIGEST = (

@@ -241,15 +241,19 @@ class TestIdentityEphemeral:
         identity = ECPoint(None, None)
         slots = fleet[hsm_index].bloom_params.slots_for_tag(honest.tag)
         # K = 0, so each wrap is its slot's mask.
+        position = honest.position.to_bytes(2, "big")
         wraps = tuple(
-            kdf("bfe-slot-wrap", identity.to_bytes(), honest.tag, slot.to_bytes(4, "big"))[:16]
+            kdf("bfe-slot-wrap", identity.to_bytes(), honest.tag, slot.to_bytes(4, "big"), position)[:16]
             for slot in slots
         )
         payload_key = kdf("bfe-payload", bytes(16), honest.tag, identity.to_bytes(), *wraps)[:16]
         (payload,) = seal_one_time(
             [(payload_key, SHARE_PLAINTEXT.encode((username, Share(0, 0))), request.context)]
         )
-        forged = BfeCiphertext(tag=honest.tag, ephemeral=identity, wrapped_keys=wraps, payload=payload)
+        forged = BfeCiphertext(
+            tag=honest.tag, ephemeral=identity, position=honest.position, wrapped_keys=wraps,
+            payload=payload,
+        )
         if transport == "wire":
             # The identity travels as its one-byte encoding, 32 fewer than
             # the honest ephemeral's, and decodes to the identity.
@@ -310,7 +314,8 @@ class TestShareForAnotherDevice:
 
 class TestTamperedShareCiphertext:
     """Every field of a share ciphertext is bound into the payload key: a
-    changed ephemeral, tag, wrap or payload is refused, nothing punctured."""
+    changed ephemeral, tag, position, wrap or payload is refused after one
+    multiply, nothing punctured."""
 
     @pytest.fixture(scope="class")
     def logged(self, env):
@@ -325,6 +330,8 @@ class TestTamperedShareCiphertext:
             return dataclasses.replace(ciphertext, tag=_flip(ciphertext.tag))
         if field == "payload":
             return dataclasses.replace(ciphertext, payload=_flip(ciphertext.payload))
+        if field == "position":
+            return dataclasses.replace(ciphertext, position=ciphertext.position ^ 1)
         position = int(field[len("wrap "):])
         wraps = list(ciphertext.wrapped_keys)
         wraps[position] = _flip(wraps[position])
@@ -332,7 +339,8 @@ class TestTamperedShareCiphertext:
 
     @pytest.mark.parametrize("transport", ["direct", "wire"])
     @pytest.mark.parametrize(
-        "field", ["ephemeral", "tag", "wrap 0", "wrap 1", "wrap 2", "wrap 3", "payload"]
+        "field",
+        ["ephemeral", "tag", "position", "wrap 0", "wrap 1", "wrap 2", "wrap 3", "payload"],
     )
     def test_refused_with_the_store_untouched(self, env, logged, field, transport):
         fleet = env[0]
@@ -340,11 +348,12 @@ class TestTamperedShareCiphertext:
         device = fleet[hsm_index]
         assert len(request.share_ciphertext.wrapped_keys) == 4
         channel = (wire_channels if transport == "wire" else direct_channels)(fleet)(hsm_index)
-        before = _device_state(device)
+        before, multiplies = _device_state(device), device.meter.counts["ec_mult"]
         forged = self._tampered(request.share_ciphertext, field)
         with pytest.raises(HsmRefusedError, match="does not decrypt"):
             channel.decrypt_share(dataclasses.replace(request, share_ciphertext=forged))
         assert _device_state(device) == before
+        assert device.meter.counts["ec_mult"] == multiplies + 1
 
 
 class TestMalformedSharePlaintext:
@@ -367,8 +376,8 @@ class TestMalformedSharePlaintext:
         def refused(plaintext: bytes, reason: str):
             """The meter delta of a refused request carrying ``plaintext``
             under the honest request's tag (so the same key-tree walk)."""
-            forged = BloomFilterEncryption.encrypt(
-                public, plaintext, context=request.context, tag=request.share_ciphertext.tag
+            (forged,) = BloomFilterEncryption.encrypt(
+                [public], [plaintext], context=request.context, tag=request.share_ciphertext.tag
             )
             before, counts = _device_state(device), dict(device.meter.counts)
             with pytest.raises(HsmRefusedError, match=reason):
@@ -400,7 +409,7 @@ class TestRotation:
         fleet, log, lhe, mpk = env
         hsm = fleet[1]
         pub = hsm.public_info().bfe_public
-        ct = BloomFilterEncryption.encrypt(pub, b"old secret", context=b"c")
+        (ct,) = BloomFilterEncryption.encrypt([pub], [b"old secret"], context=b"c")
         hsm.rotate_keys()
         with pytest.raises(Exception):
             BloomFilterEncryption.decrypt(hsm._bfe_secret, ct, context=b"c")

@@ -5,19 +5,21 @@ Runs over the Bloom-filter encryption keys the HSMs hold.  Only
 universe serves the rest of the module.
 """
 
+import dataclasses
 import random
 from collections import namedtuple
 
 import pytest
 
 from repro.core.lhe import (
+    RECOVERY_CIPHERTEXT,
     LheCiphertext,
     LheError,
     LocationHidingEncryption,
     SHARE_PLAINTEXT,
     lhe_context,
 )
-from repro.crypto.bfe import BloomFilterEncryption, PuncturedKeyError
+from repro.crypto.bfe import BFE_BODY, BloomFilterEncryption, PuncturedKeyError
 from repro.crypto.bloom import BloomParams
 from repro.crypto.gcm import AuthenticationError
 from repro.storage.blockstore import InMemoryBlockStore
@@ -178,6 +180,66 @@ class TestCiphertext:
             LocationHidingEncryption(4, 5, 2)
         with pytest.raises(ValueError):
             LocationHidingEncryption(10, 4, 0)
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+class TestRepeatedDevice:
+    """The cluster is drawn with replacement and every share is under one
+    ephemeral, so a device named at two positions is told apart only by
+    the position its masks bind."""
+
+    @pytest.fixture(scope="class")
+    def repeated(self, lhe, keys):
+        publics = [kp.public for kp in keys]
+        salt = next(
+            salt for salt in (bytes([i]) * 16 for i in range(256))
+            if len(set(lhe.select(salt, "1234"))) == CLUSTER - 1
+        )
+        ct = lhe.encrypt(publics, "1234", b"msg", username="alice", salt=salt)
+        cluster = lhe.select(salt, "1234")
+        first, second = (
+            [position for position, index in enumerate(cluster) if cluster.count(index) == 2]
+        )
+        return ct, cluster, first, second, lhe.context_for(ct, publics, "1234")
+
+    def test_wrap_xors_differ_at_every_slot(self, repeated):
+        """Without the position the two shares' masks would be equal, so
+        their wraps' XOR would be ``K_a ⊕ K_b`` at every slot: a repeat an
+        observer could see."""
+        ct, _, first, second, _ = repeated
+        a, b = ct.share_ciphertexts[first], ct.share_ciphertexts[second]
+        assert a.tag == b.tag and a.ephemeral == b.ephemeral
+        xors = [_xor(x, y) for x, y in zip(a.wrapped_keys, b.wrapped_keys)]
+        assert len(xors) == len(a.wrapped_keys) and len(set(xors)) == len(xors)
+
+    def test_each_share_opens_only_at_its_own_position(self, lhe, keys, repeated):
+        ct, cluster, first, second, context = repeated
+        secret = keys[cluster[first]].secret
+        assert cluster[first] == cluster[second]
+        for position, other in ((first, second), (second, first)):
+            share = ct.share_ciphertexts[position]
+            username, _ = SHARE_PLAINTEXT.decode(BloomFilterEncryption.decrypt(secret, share, context))
+            assert username == "alice"
+            moved = dataclasses.replace(share, position=other)
+            with pytest.raises(AuthenticationError):
+                BloomFilterEncryption.decrypt(secret, moved, context)
+        message, _ = decrypt_all(lhe, keys, ct, "1234")
+        assert message == b"msg"
+
+    def test_the_ciphertext_encodes_one_point(self, repeated):
+        ct = repeated[0]
+        ephemeral = ct.share_ciphertexts[0].ephemeral
+        assert all(share.ephemeral == ephemeral for share in ct.share_ciphertexts)
+        assert [share.position for share in ct.share_ciphertexts] == list(range(CLUSTER))
+        encoded = RECOVERY_CIPHERTEXT.encode(ct)
+        assert encoded.count(ephemeral.to_bytes()) == 1
+        # Every share after the first adds its wraps and payload, no point.
+        first = dataclasses.replace(ct, share_ciphertexts=ct.share_ciphertexts[:1])
+        others = sum(len(BFE_BODY.encode(share.body())) for share in ct.share_ciphertexts[1:])
+        assert len(encoded) == len(RECOVERY_CIPHERTEXT.encode(first)) + others
 
 
 class TestBfePkeVariant:

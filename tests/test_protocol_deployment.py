@@ -82,15 +82,16 @@ class TestMaintenance:
 
 class TestClientOpAccounting:
     def test_backup_op_counts_match_formula(self, shared_deployment, unique_user):
-        """Figure 10's model rests on backup = n·(k+1) point mults; the real
-        client must perform exactly that many."""
+        """A backup is one ``g^r`` and n·k slot multiplies: its n shares
+        share one ephemeral.  (Figure 10's save model prices the paper's
+        client, which made an ephemeral a share: n·(k+1).)"""
         client = shared_deployment.new_client(unique_user)
         before = client.meter.counts.get("ec_mult", 0)
         client.backup(b"data", pin="1234")
         mults = client.meter.counts.get("ec_mult", 0) - before
         n = shared_deployment.params.cluster_size
         k = shared_deployment.params.bloom_params().num_hashes
-        assert mults == n * (k + 1)
+        assert mults == 1 + n * k
 
     def test_recovery_is_metered(self, shared_deployment, unique_user):
         client = shared_deployment.new_client(unique_user)

@@ -22,10 +22,12 @@ import pytest
 
 from repro.core import wire
 from repro.core.identifiers import attempt_identifier
-from repro.core.lhe import LheCiphertext
+from repro.core.lhe import LheCiphertext, series_tag
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.core.provider import ProviderError, ServiceProvider
+from repro.crypto.bfe import BfeCiphertext
+from repro.crypto.ec import P256
 from repro.log.authdict import InclusionProof, PathStep
 from repro.metering import OpMeter
 from repro.service.batcher import ServiceTimeout
@@ -42,10 +44,14 @@ def _loopback(provider) -> WireProviderChannel:
 
 
 def _ciphertext(tag: bytes = b"ct") -> LheCiphertext:
+    """A stand-in recovery ciphertext: its one share (a ciphertext carries
+    at least one, under its series tag) opens nowhere."""
+    salt = (b"salt-" + tag).ljust(16, b".")  # a salt is 16 bytes
+    share = BfeCiphertext(series_tag("wire-user", salt), P256.generator, 0, (), b"share-" + tag)
     return LheCiphertext(
-        salt=(b"salt-" + tag).ljust(16, b"."),  # a salt is 16 bytes
+        salt=salt,
         username="wire-user",
-        share_ciphertexts=(),
+        share_ciphertexts=(share,),
         payload=b"payload-" + tag,
         threshold=2,
         num_hsms=4,

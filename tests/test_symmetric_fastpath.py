@@ -354,7 +354,11 @@ class TestMeteringInvariance:
     # backup's 3 shares and the nested backup's 3) and 2 decryptions, −78;
     # the payload key's KDF adds 6 sha256_block to each of those 8, and
     # ``ciphertext_hash`` over an encoding 192 bytes shorter hashes 3 fewer.
-    PARENT_COUNTS = {"aes_block": 4614, "sha256_block": 2147, "flash_read_bytes": 1120}
+    # Re-derived when a recovery ciphertext's n shares came to share one
+    # ephemeral (was sha256_block 2147): ``ciphertext_hash`` over an
+    # encoding 66 bytes shorter (591 against 657 bytes) hashes 10 blocks,
+    # not 11.  The slot-mask KDF stays at 2 blocks with its position.
+    PARENT_COUNTS = {"aes_block": 4614, "sha256_block": 2146, "flash_read_bytes": 1120}
     # Re-captured at PR 16 (was e87aa60f…): decrypt-and-puncture re-keys the
     # union of a tag's k paths in one pass, so the nodes the paths share are
     # rewritten once instead of k times — fewer puts, fewer fresh-key and
@@ -368,7 +372,11 @@ class TestMeteringInvariance:
     # Re-captured again (was 087682dd…) when the HSM's ElGamal reply began
     # sealing under the one-time nonce and stopped drawing 12 bytes: a copy
     # that draws and discards them writes the old digest.
-    PARENT_STORE_DIGEST = "cda7e4450b070a65cb81e97c7eab44a93f49c61106be86a6a7335f9a071b0c34"
+    # Re-captured again (was cda7e445…) when an LHE encryption began
+    # drawing one scalar for its n shares instead of one each: the re-key's
+    # draws come two scalars earlier in each of the two encryptions.  A
+    # copy that draws and discards those scalars writes the old digest.
+    PARENT_STORE_DIGEST = "5229d692671828f26c87cc3cb7a4290dd1256f6c90a68d36e07c1bb138de8baa"
 
     @staticmethod
     def run_fixed_workload():

@@ -24,14 +24,14 @@ def bfe_setup():
 class TestBfeCiphertext:
     def test_roundtrip(self, bfe_setup):
         pairs, _ = bfe_setup
-        ct = BloomFilterEncryption.encrypt(pairs[0][0], b"payload", context=b"c")
+        (ct,) = BloomFilterEncryption.encrypt([pairs[0][0]], [b"payload"], context=b"c")
         decoded = wire.decode_bfe_ciphertext(wire.encode_bfe_ciphertext(ct))
         assert decoded == ct
         assert BloomFilterEncryption.decrypt(pairs[0][1], decoded, context=b"c") == b"payload"
 
     def test_truncation_rejected(self, bfe_setup):
         pairs, _ = bfe_setup
-        ct = BloomFilterEncryption.encrypt(pairs[0][0], b"payload", context=b"c")
+        (ct,) = BloomFilterEncryption.encrypt([pairs[0][0]], [b"payload"], context=b"c")
         blob = wire.encode_bfe_ciphertext(ct)
         for cut in (1, len(blob) // 2, len(blob) - 1):
             with pytest.raises(wire.WireFormatError):
@@ -39,7 +39,7 @@ class TestBfeCiphertext:
 
     def test_trailing_bytes_rejected(self, bfe_setup):
         pairs, _ = bfe_setup
-        ct = BloomFilterEncryption.encrypt(pairs[0][0], b"p", context=b"c")
+        (ct,) = BloomFilterEncryption.encrypt([pairs[0][0]], [b"p"], context=b"c")
         with pytest.raises(wire.WireFormatError):
             wire.decode_bfe_ciphertext(wire.encode_bfe_ciphertext(ct) + b"x")
 
@@ -50,17 +50,17 @@ class TestOneTimeNonces:
     prepends ``gcm.ONE_TIME_NONCE``); its wraps are bare 16-byte masks, and
     its fixed-length fields carry no length."""
 
-    def test_share_ciphertext_at_k4_is_201_bytes(self):
+    def test_share_ciphertext_at_k4_is_203_bytes(self):
         params = BloomParams.for_punctures(16, failure_exponent=4)
         public, secret = BloomFilterEncryption.keygen(params, InMemoryBlockStore())
         plaintext = SHARE_PLAINTEXT.encode(("size-probe", Share(1, 5)))
         assert params.num_hashes == 4 and len(plaintext) == 48
-        ct = BloomFilterEncryption.encrypt(public, plaintext, context=b"c", tag=bytes(32))
-        # tag 32, ephemeral 33 (its prefix gives its length), 4 wraps of 16
-        # behind a count, payload blob 4 + 48 + 16: 64 bytes fewer than with
-        # a GCM tag on each wrap.
+        (ct,) = BloomFilterEncryption.encrypt([public], [plaintext], context=b"c", tag=bytes(32))
+        # tag 32, ephemeral 33 (its prefix gives its length), the u16
+        # position, 4 wraps of 16 behind a count, payload blob 4 + 48 + 16:
+        # 2 bytes more than before the position was bound.
         encoded = wire.encode_bfe_ciphertext(ct)
-        assert len(encoded) == 32 + 33 + 4 + 4 * 16 + 4 + 48 + 16 == 201
+        assert len(encoded) == 32 + 33 + 2 + 4 + 4 * 16 + 4 + 48 + 16 == 203
         assert [len(wrap) for wrap in ct.wrapped_keys] == [16] * 4
         decoded = wire.decode_bfe_ciphertext(encoded)
         assert decoded == ct
@@ -96,21 +96,24 @@ class TestRecoveryCiphertext:
         ]
         assert lhe.reconstruct(ct, shares, context) == b"msg"
 
-    def test_at_n3_k4_is_606_bytes(self):
+    def test_at_n3_k4_is_540_bytes(self):
         """The ledger's shape: a 10-character username, a 32-byte payload.
-        Each share is its body alone (169 bytes: no tag, kind byte or point
-        length, and 16-byte wraps), 192 bytes a ciphertext fewer than when
-        each wrap carried a GCM tag."""
+        The ciphertext carries its shares' one ephemeral once, and each
+        share is its wraps and payload alone (136 bytes: no tag, point or
+        position), 66 bytes fewer than when each share had an ephemeral of
+        its own."""
         params = BloomParams.for_punctures(16, failure_exponent=4)
         publics = [BloomFilterEncryption.keygen(params, InMemoryBlockStore())[0] for _ in range(3)]
         ct = LocationHidingEncryption(3, 3, 2).encrypt(
             publics, "1234", bytes(32), username="size-probe"
         )
         encoded = wire.encode_recovery_ciphertext(ct)
-        share = 33 + 4 + 4 * 16 + 4 + 48 + 16
-        # version, salt, username, threshold / N / epoch, share count, payload blob
-        assert len(encoded) == 1 + 16 + 4 + 10 + 3 * 4 + 4 + 3 * share + 4 + 32 + 16 == 606
-        assert share == len(wire.encode_bfe_ciphertext(ct.share_ciphertexts[0])) - 32 == 169
+        share = 4 + 4 * 16 + 4 + 48 + 16
+        # version, salt, username, threshold / N / epoch, ephemeral, share
+        # count, payload blob
+        assert len(encoded) == 1 + 16 + 4 + 10 + 3 * 4 + 33 + 4 + 3 * share + 4 + 32 + 16 == 540
+        # A stand-alone share adds its tag, the ephemeral and its position.
+        assert share == len(wire.encode_bfe_ciphertext(ct.share_ciphertexts[0])) - 32 - 33 - 2 == 136
         assert wire.decode_recovery_ciphertext(encoded) == ct
 
     def test_bad_version_rejected(self, bfe_setup):

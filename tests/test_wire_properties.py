@@ -20,9 +20,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import wire
-from repro.core.codec import BLOB
+from repro.core.codec import BLOB, U32
 from repro.core.lhe import SALT_LEN, LheCiphertext, series_tag
-from repro.crypto.bfe import TAG_BYTES, WRAP_BYTES, BfeCiphertext
+from repro.crypto.bfe import BFE_BODY, TAG_BYTES, WRAP_BYTES, BfeCiphertext
 from repro.crypto.commit import commit_recovery
 from repro.crypto.ec import P256, ECPoint
 from repro.crypto.elgamal import ElGamalCiphertext
@@ -49,6 +49,7 @@ bfe_ciphertexts = st.builds(
     BfeCiphertext,
     tag=digests,
     ephemeral=points,
+    position=st.integers(min_value=0, max_value=(1 << 16) - 1),
     wrapped_keys=st.lists(wraps, max_size=5).map(tuple),
     payload=blobs,
 )
@@ -59,14 +60,18 @@ elgamal_ciphertexts = st.builds(ElGamalCiphertext, ephemeral=points, body=blobs)
 @st.composite
 def _recovery_ciphertexts(draw):
     """A recovery ciphertext whose shares carry the series tag of its drawn
-    username and salt, the one tag the format can carry."""
-    salt, username = draw(salts), draw(usernames)
-    shares = draw(st.lists(bfe_ciphertexts, max_size=4))
+    username and salt, one drawn ephemeral and their index as position: the
+    one tag, ephemeral and positions the format can carry."""
+    salt, username, ephemeral = draw(salts), draw(usernames), draw(points)
+    shares = draw(st.lists(bfe_ciphertexts, min_size=1, max_size=4))
     tag = series_tag(username, salt)
     return LheCiphertext(
         salt=salt,
         username=username,
-        share_ciphertexts=tuple(dataclasses.replace(share, tag=tag) for share in shares),
+        share_ciphertexts=tuple(
+            dataclasses.replace(share, tag=tag, ephemeral=ephemeral, position=position)
+            for position, share in enumerate(shares)
+        ),
         payload=draw(blobs),
         threshold=draw(u32s),
         num_hsms=draw(u32s),
@@ -142,7 +147,7 @@ class TestRecoveryCiphertextWire:
     @given(ct=recovery_ciphertexts, tag=digests, which=st.integers(0, 3))
     @settings(**_SETTINGS)
     def test_a_share_under_another_tag_is_unencodable(self, ct, tag, which):
-        assume(ct.share_ciphertexts and tag != series_tag(ct.username, ct.salt))
+        assume(tag != series_tag(ct.username, ct.salt))
         shares = list(ct.share_ciphertexts)
         which %= len(shares)
         shares[which] = dataclasses.replace(shares[which], tag=tag)
@@ -152,13 +157,51 @@ class TestRecoveryCiphertextWire:
     @given(ct=recovery_ciphertexts)
     @settings(**_SETTINGS)
     def test_decode_rebuilds_the_series_tag(self, ct):
-        assume(ct.share_ciphertexts)
+        """And the shares' one ephemeral, encoded once, and each share's
+        position, its index."""
         tag = series_tag(ct.username, ct.salt)
+        ephemeral = ct.share_ciphertexts[0].ephemeral
         encoded = wire.encode_recovery_ciphertext(ct)
-        assert tag not in encoded
+        assert tag not in encoded and encoded.count(ephemeral.to_bytes()) == 1
         decoded = wire.decode_recovery_ciphertext(encoded)
         assert [share.tag for share in decoded.share_ciphertexts] == [tag] * ct.cluster_size
+        assert [share.position for share in decoded.share_ciphertexts] == list(range(ct.cluster_size))
+        assert {share.ephemeral for share in decoded.share_ciphertexts} == {ephemeral}
         assert decoded == ct
+
+    @given(ct=recovery_ciphertexts, other=points, which=st.integers(0, 3))
+    @settings(**_SETTINGS)
+    def test_a_share_with_an_ephemeral_of_its_own_is_unencodable(self, ct, other, which):
+        assume(len(ct.share_ciphertexts) > 1 and other != ct.share_ciphertexts[0].ephemeral)
+        shares = list(ct.share_ciphertexts)
+        which %= len(shares)
+        shares[which] = dataclasses.replace(shares[which], ephemeral=other)
+        with pytest.raises(wire.WireFormatError, match="ephemeral of its own"):
+            wire.encode_recovery_ciphertext(dataclasses.replace(ct, share_ciphertexts=tuple(shares)))
+
+    @given(ct=recovery_ciphertexts, shift=st.integers(1, (1 << 16) - 1), which=st.integers(0, 3))
+    @settings(**_SETTINGS)
+    def test_a_share_whose_position_is_not_its_index_is_unencodable(self, ct, shift, which):
+        shares = list(ct.share_ciphertexts)
+        which %= len(shares)
+        misplaced = (which + shift) % (1 << 16)
+        shares[which] = dataclasses.replace(shares[which], position=misplaced)
+        with pytest.raises(wire.WireFormatError, match="position not its index"):
+            wire.encode_recovery_ciphertext(dataclasses.replace(ct, share_ciphertexts=tuple(shares)))
+
+    @given(ct=recovery_ciphertexts)
+    @settings(**_SETTINGS)
+    def test_no_share_is_unencodable_and_undecodable(self, ct):
+        """With no share there is no ephemeral to carry, and the bytes that
+        would stand for one are refused."""
+        with pytest.raises(wire.WireFormatError, match="no shares"):
+            wire.encode_recovery_ciphertext(dataclasses.replace(ct, share_ciphertexts=()))
+        one = dataclasses.replace(ct, share_ciphertexts=ct.share_ciphertexts[:1])
+        encoded = wire.encode_recovery_ciphertext(one)
+        body = len(BFE_BODY.encode(one.share_ciphertexts[0].body())) + len(BLOB.encode(ct.payload))
+        emptied = encoded[:-body - 4] + U32.encode(0) + BLOB.encode(ct.payload)
+        with pytest.raises(wire.WireFormatError, match="no shares"):
+            wire.decode_recovery_ciphertext(emptied)
 
     @given(ct=recovery_ciphertexts)
     @settings(**_SETTINGS)
