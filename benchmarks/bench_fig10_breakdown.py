@@ -179,10 +179,10 @@ def test_fig10_recovery_breakdown(benchmark, small_deployment):
 
 #: The size probe's recovery ciphertext, and the same ciphertext with n =
 #: 40 shares, encoded by the parent commit's ``wire.encode_recovery_ciphertext``
-#: (same deployment, user, PIN and payload): each share carried a 33-byte
-#: ephemeral of its own.
-PARENT_CT_BYTES = 590
-PARENT_CT_BYTES_AT_N40 = 6_843
+#: (same deployment, user, PIN and payload): each share's plaintext carried
+#: the username, a ``u32`` x and a 32-byte y.
+PARENT_CT_BYTES = 524
+PARENT_CT_BYTES_AT_N40 = 5_556
 
 
 def layout_bytes(n: int, k: int, username: str, message_len: int) -> int:
@@ -192,13 +192,14 @@ def layout_bytes(n: int, k: int, username: str, message_len: int) -> int:
     one 33-byte ephemeral (its prefix gives its length) and the share
     count; per share the wrap count and k wraps of 16 bytes (the masked
     key, no GCM tag: the payload's tag checks it), and the payload blob
-    (the share plaintext — username ``u16`` text, ``u32`` x, 32-byte y —
-    and its GCM tag); then the LHE payload blob (the message and its tag).  No
-    one-time AE message carries a nonce, and no share its tag (the reader
-    derives it from the username and salt), its position (its index), an
-    ephemeral of its own or a kind."""
+    (the share plaintext — ``u16`` x, 17-byte y — and its GCM tag); then
+    the LHE payload blob (the message and its tag).  No one-time AE
+    message carries a nonce, and no share its tag (the reader derives it
+    from the username and salt), its position (its index), an ephemeral
+    of its own, a kind or the username (its owner is the payload's
+    associated data)."""
     name = len(username.encode("utf-8"))
-    share_plaintext = 2 + name + 4 + 32
+    share_plaintext = 2 + 17
     share = (4 + 16 * k) + (4 + share_plaintext + 16)
     return 1 + 16 + (4 + name) + 12 + 33 + 4 + n * share + (4 + message_len + 16)
 

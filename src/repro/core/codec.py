@@ -7,7 +7,7 @@ one expression and its encoder and decoder cannot drift apart.
 build every message and record from the primitives and the combinators
 below; nothing else in those modules packs or unpacks a field.  Neither
 do the crypto layouts (``commit.OPENING``, ``shamir.SHARE``,
-``lhe.SHARE_PLAINTEXT``, ``ec.POINT``, ``bfe.BFE_BODY``,
+``lhe.SHARE_OWNER``, ``ec.POINT``, ``bfe.BFE_BODY``,
 ``bfe.BFE_CIPHERTEXT``, ``lhe.RECOVERY_CIPHERTEXT``), which are codec
 values too.
 
@@ -106,6 +106,7 @@ U16 = _integer("u16", 2)
 U32 = _integer("u32", 4)
 I32 = _integer("i32", 4, signed=True)
 U64 = _integer("u64", 8)
+U136 = _integer("u136", 17)
 U256 = _integer("u256", 32)
 BLOB = Codec(lambda data: U32.encode(len(data)) + data, Reader.blob)
 TEXT = Codec(lambda text: BLOB.encode(text.encode("utf-8")), Reader.text)

@@ -8,8 +8,8 @@ which keys to steal.  Construction (Figure 15):
 1. sample an AES transport key ``k`` and a random salt;
 2. split ``k`` into ``t``-of-``n`` Shamir shares;
 3. ``(i_1..i_n) = Hash(salt, pin)`` selects the cluster;
-4. encrypt share ``j`` (prefixed with the username, binding ciphertexts to
-   accounts) to ``pk_{i_j}`` with a key-private PKE;
+4. encrypt share ``j`` to ``pk_{i_j}`` with a key-private PKE, its
+   associated data binding it to the account (:func:`share_owner`);
 5. output (salt, the n share ciphertexts, AE_k(msg)).
 
 Appendix A analyses the construction over hashed ElGamal; the PKE here is
@@ -100,9 +100,20 @@ class LheCiphertext:
         return len(RECOVERY_CIPHERTEXT.encode(self))
 
 
-#: What each share ciphertext encrypts: the paper prepends the username to
-#: the share.  The HSM reads it through this codec before it punctures.
-SHARE_PLAINTEXT = tuple_of(TEXT16, SHARE)
+#: A share ciphertext's owner, bound as its payload's associated data
+#: rather than carried in its plaintext (the paper prepends the username
+#: to the share): the username and the LHE context, each behind its
+#: length.  The context of a decrypt request is a blob the client picks,
+#: so a bare ``context ‖ username`` would let ``(context ‖ b"x", "alice")``
+#: open a share sealed for ``(context, "xalice")``.
+SHARE_OWNER = tuple_of(TEXT16, BLOB)
+
+
+def share_owner(username: str, context: bytes) -> bytes:
+    """The associated data of ``username``'s share under ``context``: what
+    the client seals each share under and the device opens it under,
+    rebuilt by the device from the request's own username."""
+    return SHARE_OWNER.encode((username, context))
 
 
 def series_tag(username: str, salt: bytes) -> bytes:
@@ -229,8 +240,8 @@ class LocationHidingEncryption:
         context = lhe_context(username, salt, key_digest)
         share_cts = BloomFilterEncryption.encrypt(
             cluster_pks,
-            [SHARE_PLAINTEXT.encode((username, share)) for share in shares],
-            context=context,
+            [SHARE.encode(share) for share in shares],
+            context=share_owner(username, context),
             tag=series_tag(username, salt),
         )
         # The transport key is fresh and seals this one message.
@@ -261,12 +272,11 @@ class LocationHidingEncryption:
     ) -> Share:
         """``Decrypt(sk_{i_j}, i_j, ct) -> σ_j``: recover one Shamir share."""
         plaintext = BloomFilterEncryption.decrypt(
-            secret, ciphertext.share_ciphertexts[position], context=context
+            secret,
+            ciphertext.share_ciphertexts[position],
+            context=share_owner(ciphertext.username, context),
         )
-        username, share = SHARE_PLAINTEXT.decode(plaintext)
-        if username != ciphertext.username:
-            raise LheError("share is bound to a different username")
-        return share
+        return SHARE.decode(plaintext)
 
     # -- Reconstruct -----------------------------------------------------------------
     def reconstruct(

@@ -54,8 +54,10 @@ TAG_LEN = 16
 #: A Bloom-filter payload (its key a KDF of a fresh 16-byte key), the LHE
 #: payload (a fresh transport key) and a hashed-ElGamal body (its key a
 #: KDF of a fresh ``r·X``) seal under it.  A key that seals again — the
-#: incremental backups' master key, a key-tree node key — draws a random
-#: nonce for every message.
+#: incremental backups' master key — draws a random nonce for every
+#: message.  A key-tree node draws one too, although its key seals only
+#: it: ``SecureDeletionTree.setup`` and ``PathWalk.delete`` draw a fresh
+#: key for every node they seal.
 ONE_TIME_NONCE = bytes(NONCE_LEN)
 _ZERO_BLOCK = bytes(16)
 

@@ -2,9 +2,10 @@
 
 SafetyPin splits the AES transport key into ``t``-of-``n`` shares, encrypts
 one share to each HSM in the PIN-selected cluster, and reconstructs from any
-``t`` decrypted shares (Figure 15).  We share over the P-256 scalar field so
-a share is the same size as a curve scalar; 128-bit AES keys embed with room
-to spare.
+``t`` decrypted shares (Figure 15).  We share over GF(2^128 + 51), the
+smallest prime field every 16-byte transport key embeds in, so a share's
+``y`` takes 17 bytes; a sharer built with another ``modulus=`` (the P-256
+order, say) shares over that field instead.
 
 ``Reconstruct`` in the paper tolerates *missing* shares (fail-stop HSMs), not
 corrupted ones; :meth:`ShamirSharer.reconstruct` mirrors that, and
@@ -24,11 +25,11 @@ import secrets as _secrets
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
-from repro.core.codec import U32, U256, record
+from repro.core.codec import U16, U136, record
 from repro.crypto.field import eval_poly, lagrange_at_zero, random_element
 
-# The P-256 group order: a convenient ~256-bit prime field.
-DEFAULT_MODULUS = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
+# The smallest prime above 2^128: every 128-bit AES key is a field element.
+DEFAULT_MODULUS = (1 << 128) + 51
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,9 @@ class Share:
     y: int
 
 
-#: A share's bytes: ``x`` as a ``u32``, then ``y`` in 32 bytes.
-SHARE = record(Share, x=U32, y=U256)
+#: A share's bytes: ``x`` as a ``u16``, then ``y`` in 17 bytes (the
+#: default field's elements; a ``y`` of a wider field is unencodable).
+SHARE = record(Share, x=U16, y=U136)
 
 
 class ShamirSharer:
@@ -59,7 +61,7 @@ class ShamirSharer:
 
     # -- sharing -----------------------------------------------------------------
     def share(self, secret: bytes, rng=None) -> List[Share]:
-        """Split ``secret`` (at most 31 bytes for the default field) into
+        """Split ``secret`` (at most 16 bytes for the default field) into
         ``num_shares`` shares, any ``threshold`` of which reconstruct it."""
         value = int.from_bytes(secret, "big")
         if value >= self.modulus:

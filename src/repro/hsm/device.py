@@ -42,7 +42,7 @@ from repro.crypto.bloom import BloomParams
 from repro.crypto.commit import CommitmentOpening, verify_opening
 from repro.core.codec import WireFormatError
 from repro.core.identifiers import parse_attempt_identifier
-from repro.core.lhe import SHARE_PLAINTEXT
+from repro.core.lhe import share_owner
 from repro.crypto.ec import ECPoint, is_curve_point, point_sum
 from repro.crypto.elgamal import ElGamalCiphertext, HashedElGamal
 from repro.crypto.gcm import AuthenticationError
@@ -600,38 +600,38 @@ class HsmDevice:
                     f"HSM {self.index}: response key is the identity point"
                 )
             # (4)+(5) decrypt-and-puncture on one walk of the key tree: the
-            # plaintext must be this user's share before anything is deleted,
-            # and the key is punctured (forward security) before the reply.
-            opened = []  # the (username, share) the accept check read
-
-            def bound_to_user(plaintext: bytes) -> None:
+            # share opens only under this user's associated data, which the
+            # device builds from the request's username; the plaintext must
+            # be a share before anything is deleted, and the key is
+            # punctured (forward security) before the reply.
+            def well_formed(plaintext: bytes) -> None:
                 try:
-                    opened.append(SHARE_PLAINTEXT.decode(plaintext))
+                    SHARE.decode(plaintext)
                 except WireFormatError as exc:
                     raise HsmRefusedError(f"HSM {self.index}: malformed share plaintext") from exc
-                if opened[0][0] != request.username:
-                    raise HsmRefusedError(f"HSM {self.index}: share is bound to another user")
 
             try:
-                BloomFilterEncryption.decrypt_and_puncture(
+                share_bytes = BloomFilterEncryption.decrypt_and_puncture(
                     self._bfe_secret,
                     request.share_ciphertext,
-                    context=request.context,
-                    accept=bound_to_user,
+                    context=share_owner(request.username, request.context),
+                    accept=well_formed,
                 )
             except AuthenticationError as exc:
                 # Either a key-tree block failed its tag or was not served
                 # (tampered, torn or withheld outsourced storage) or the
                 # share does not open at its first live slot (encrypted to
-                # another device, under a wrong PIN's context, or tampered).
-                # Both are seen before the first write: nothing was punctured.
+                # another device or another user, under a wrong PIN's
+                # context, or tampered).  Both are seen before the first
+                # write: nothing was punctured.
                 raise HsmRefusedError(
                     f"HSM {self.index}: share does not decrypt under my keys"
                 ) from exc
-            # (6) reply under the client's fresh per-recovery key (§8)
+            # (6) reply under the client's fresh per-recovery key (§8); a
+            # plaintext that decodes strictly is its share's encoding.
             return HashedElGamal.encrypt(
                 request.response_key,
-                SHARE.encode(opened[0][1]),
+                share_bytes,
                 context=b"recovery-reply" + request.username.encode("utf-8"),
             )
 

@@ -25,13 +25,14 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.crypto.bfe import ROTATION_FRACTION, BloomFilterEncryption
 from repro.crypto.bloom import BloomParams
+from repro.crypto.shamir import SHARE, Share
 from repro.hsm.costmodel import CostModel, Transport
 from repro.hsm.devices import DeviceSpec, SOLOKEY
 from repro.sim.queueing import min_fleet_for_latency
 
-# What one HSM job opens: a Shamir share of the transport key (4 + 32 bytes)
-# behind ``repro.core.lhe``'s length-prefixed username, taken as 10 bytes.
-SHARE_PLAINTEXT_LEN = 2 + 10 + 36
+# What one HSM job opens: one Shamir share of the transport key, encoded
+# (its owner is associated data, not plaintext).
+SHARE_PLAINTEXT_LEN = len(SHARE.encode(Share(x=0, y=0)))
 
 
 @dataclass(frozen=True)

@@ -120,8 +120,11 @@ class TestOnePrice:
         paper = BloomParams.paper_deployment()
         assert solokey_model == build_throughput_model(SOLOKEY, paper)
         counts = BFE.decrypt_and_puncture_counts(paper, SHARE_PLAINTEXT_LEN)
-        # 1104 until the wrap became an XOR: its open's 3 blocks went.
-        assert counts["aes_block"] == 1101 and counts["io_bytes"] == 16_440
+        # 1104 until the wrap became an XOR: its open's 3 blocks went; 1101
+        # until the payload became the 19-byte share, one CTR block (its
+        # 29 fewer bytes are not transferred: only the leaf is fetched).
+        assert SHARE_PLAINTEXT_LEN == 19
+        assert counts["aes_block"] == 1100 and counts["io_bytes"] == 16_440
         assert solokey_model.decrypt_puncture_seconds == CostModel(SOLOKEY).seconds(counts)
         assert solokey_model.rotation_seconds == CostModel(SOLOKEY).seconds(
             BFE.keygen_counts(paper)

@@ -2,7 +2,7 @@
 decoder keeps the strictness contract ``repro.core.codec`` states once —
 malformed bytes raise :class:`WireFormatError` and nothing else.  So do the
 crypto layouts built from them (``OPENING``, ``SHARE``,
-``SHARE_PLAINTEXT``, the self-delimiting ``ec.POINT``), and the inclusion
+``SHARE_OWNER``, the self-delimiting ``ec.POINT``), and the inclusion
 proof a request carries nested.
 
 Also here, because they are properties of codecs composed in
@@ -20,10 +20,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import wire
 from repro.core.codec import (
-    BLOB, I32, TEXT, TEXT16, U8, U16, U32, U64, U256, Reader, WireFormatError,
+    BLOB, I32, TEXT, TEXT16, U8, U16, U32, U64, U136, U256, Reader, WireFormatError,
     converted, fixed, mapping, nested, optional, prefixed, record, seq, tagged, tuple_of,
 )
-from repro.core.lhe import SHARE_PLAINTEXT
+from repro.core.lhe import SHARE_OWNER
 from repro.crypto.commit import OPENING, CommitmentOpening
 from repro.crypto.ec import POINT, P256, ECPoint
 from repro.crypto.shamir import SHARE, Share
@@ -34,7 +34,7 @@ _SETTINGS = dict(max_examples=40, deadline=None)
 blobs = st.binary(max_size=24)
 u32s = st.integers(min_value=0, max_value=(1 << 32) - 1)
 digests = st.binary(min_size=32, max_size=32)
-shares = st.builds(Share, x=u32s, y=st.integers(0, (1 << 256) - 1))
+shares = st.builds(Share, x=st.integers(0, (1 << 16) - 1), y=st.integers(0, (1 << 136) - 1))
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,7 @@ CODECS = [
     ("tagged", tagged("case", {1: U32, 7: BLOB}),
      st.tuples(st.just(1), u32s) | st.tuples(st.just(7), blobs)),
     ("U16", U16, st.integers(0, (1 << 16) - 1)),
+    ("U136", U136, st.integers(0, (1 << 136) - 1)),
     ("U256", U256, st.integers(0, (1 << 256) - 1)),
     ("TEXT16", TEXT16, st.text(max_size=12)),
     ("fixed", fixed(3), st.binary(min_size=3, max_size=3)),
@@ -83,7 +84,7 @@ CODECS = [
         cluster=st.lists(u32s, max_size=5).map(tuple), ciphertext_hash=digests, randomness=digests,
     )),
     ("SHARE", SHARE, shares),
-    ("SHARE_PLAINTEXT", SHARE_PLAINTEXT, st.tuples(st.text(max_size=12), shares)),
+    ("SHARE_OWNER", SHARE_OWNER, st.tuples(st.text(max_size=12), blobs)),
     ("POINT", POINT, st.sampled_from([ECPoint(None, None), P256.generator, P256.generator * 3])),
     # The one inclusion-proof layout, at every arity.
     ("INCLUSION_PROOF", wire.INCLUSION_PROOF, inclusion_proofs),
@@ -119,7 +120,8 @@ class TestPrimitives:
     @pytest.mark.parametrize(
         "codec, low, high",
         [(U8, 0, 255), (U32, 0, (1 << 32) - 1), (I32, -(1 << 31), (1 << 31) - 1),
-         (U64, 0, (1 << 64) - 1), (U16, 0, (1 << 16) - 1), (U256, 0, (1 << 256) - 1)],
+         (U64, 0, (1 << 64) - 1), (U16, 0, (1 << 16) - 1), (U136, 0, (1 << 136) - 1),
+         (U256, 0, (1 << 256) - 1)],
     )
     def test_integer_range_is_enforced_on_encode(self, codec, low, high):
         assert codec.decode(codec.encode(low)) == low
@@ -135,6 +137,7 @@ class TestPrimitives:
         assert BLOB.encode(b"ab") == b"\x00\x00\x00\x02ab"
         assert TEXT.encode("é") == b"\x00\x00\x00\x02\xc3\xa9"
         assert U16.encode(1) == b"\x00\x01"
+        assert U136.encode(1) == bytes(16) + b"\x01"
         assert U256.encode(1) == bytes(31) + b"\x01"
         assert TEXT16.encode("é") == b"\x00\x02\xc3\xa9"
         assert fixed(2).encode(b"ab") == b"ab"
@@ -328,8 +331,9 @@ class TestCryptoLayoutsAreStrict:
     """Each crypto layout, and the inclusion proof, refuses bytes its
     encoder never writes, on its own and inside a decrypt-share request
     frame.  The opening and the proof travel in the frame in the clear; a
-    share and its plaintext travel encrypted, so the device refuses those
-    (``test_hsm_device.TestMalformedSharePlaintext``).  Truncation at every
+    share travels encrypted, so the device refuses a malformed one
+    (``test_hsm_device.TestMalformedSharePlaintext``), and its owner is
+    associated data the device builds, never sent.  Truncation at every
     cut and a trailing byte, standalone, are ``TestEveryCodec`` rows."""
 
     @pytest.mark.parametrize("mangle", sorted(OPENING_MANGLES))
@@ -356,12 +360,12 @@ class TestCryptoLayoutsAreStrict:
         with pytest.raises(WireFormatError):
             wire.decode_decrypt_request(TestOneByteStringPerRequest.frame(blobs))
 
-    @given(username=st.text(max_size=12), share=shares)
+    @given(username=st.text(max_size=12), context=blobs)
     @settings(**_SETTINGS)
-    def test_over_long_username_length_is_refused(self, username, share):
-        data = SHARE_PLAINTEXT.encode((username, share))
+    def test_over_long_username_length_is_refused(self, username, context):
+        data = SHARE_OWNER.encode((username, context))
         with pytest.raises(WireFormatError):
-            SHARE_PLAINTEXT.decode(U16.encode(U16.decode(data[:2]) + 1) + data[2:])
+            SHARE_OWNER.decode(U16.encode(U16.decode(data[:2]) + 1) + data[2:])
 
 
 class TestPoint:

@@ -1317,7 +1317,13 @@ class TestMeteringInvariance:
     # 11).  The slot-mask KDF's 2-byte position keeps it at 2 blocks (124
     # bytes hashed, not 114).  The one ``r`` drawn where n were moves no
     # count: a copy that draws and discards the other two counts the same.
-    SEED_COUNTS = {"ec_mult": 340, "ecdsa_verify": 20, "sha256_block": 2641}
+    # Re-derived when a share's plaintext became the 19-byte share, its
+    # owner bound as associated data (was sha256_block 2641): −2 in
+    # ``ciphertext_hash``, over an encoding 120 bytes shorter (454 against
+    # 574: 3 × (2 + 21 + 36 − 19) for this 21-character username; 8 blocks,
+    # not 10).  At t = 1 the sharer draws nothing, so the stream is the
+    # parent's.
+    SEED_COUNTS = {"ec_mult": 340, "ecdsa_verify": 20, "sha256_block": 2639}
 
     def run_fixed_workload(self):
         """One seeded backup+recovery; all randomness from one PRNG so the

@@ -14,7 +14,7 @@ from repro.crypto import field as field_module
 from repro.crypto.bfe import BloomFilterEncryption
 from repro.crypto.bloom import BloomParams
 from repro.crypto.field import batch_inverse_mod, eval_poly, lagrange_at_zero
-from repro.crypto.shamir import SHARE, ShamirSharer
+from repro.crypto.shamir import ShamirSharer
 from repro.storage.blockstore import InMemoryBlockStore
 
 SMALL_PRIME = 101
@@ -147,7 +147,17 @@ class TestByteIdentity:
     # shorter (501 → 435).  A copy that draws and discards the parent's
     # 2nd and 3rd scalars keeps every key the parent drew and hashes to
     # 63563c8c…, the same layout.
-    LHE_DIGEST = "b25b4f8a0417db9e8901ee259cf8f6460db1b22c2ecc5be2150f126f02ebb972"
+    # Re-captured again (was b25b4f8a…) when Shamir moved to GF(2^128 + 51)
+    # and a share's plaintext became the 19-byte share, its owner bound as
+    # associated data: the encoding is 60 bytes shorter (435 → 375, 3 ×
+    # (2 + 1 + 36 − 19) for the username "v").  The one coefficient draw
+    # reads 17 bytes (and rejects about half) where the parent read 32, so
+    # the ephemeral, the slot keys and the wraps are drawn from other bytes
+    # of the stream; the salt, the tag and the LHE payload are the
+    # parent's.  A copy that draws the parent's 32 bytes for the
+    # coefficient keeps the parent's ephemeral and wraps too and hashes to
+    # 7219bf00…, the same layout.
+    LHE_DIGEST = "12fa33ae1b886632ae535fbb8a32fa161f4011c3b7c304289d90cd59d25fd48f"
 
     def test_lagrange_matches_the_field_class(self):
         def values(modulus):
@@ -159,12 +169,16 @@ class TestByteIdentity:
         assert digest == self.P256_DIGEST
 
     def test_shamir_shares(self):
+        """Over the P-256 order (the default field when the digest was
+        taken), each share hashed as that field's layout wrote it: a
+        ``u32`` x and a 32-byte y."""
         digest = hashlib.sha256()
         with DeterministicEntropy(28):
             for t, n in ((1, 1), (1, 3), (2, 3), (3, 5), (5, 8)):
                 for rng in (None, random.Random(t * 100 + n)):
-                    for share in ShamirSharer(t, n).share(bytes(range(t, t + 16)), rng=rng):
-                        digest.update(SHARE.encode(share))
+                    sharer = ShamirSharer(t, n, modulus=P256_ORDER)
+                    for share in sharer.share(bytes(range(t, t + 16)), rng=rng):
+                        digest.update(share.x.to_bytes(4, "big") + share.y.to_bytes(32, "big"))
         assert digest.hexdigest() == self.SHAMIR_DIGEST
 
     def test_lhe_ciphertexts(self):

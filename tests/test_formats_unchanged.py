@@ -6,9 +6,11 @@ the parent commit (PR 19, hand-written encoders) *before any source edit* by
 running exactly this file, and are never edited: a format that moves by one
 byte moves a digest.
 
-The three crypto layouts (a commitment opening, a Shamir share and a
-share plaintext) became codec values later; their standalone bytes below
-were written by the hand-written encoders they replaced.
+The crypto layouts (a commitment opening, a Shamir share and a share
+plaintext) became codec values later; their standalone bytes below were
+written by the hand-written encoders they replaced.  The share's moved
+once on purpose, and the share plaintext gave way to the share's owner
+(see ``TestCryptoLayoutsUnchanged``).
 
 The shards=1 *frames* digest is still that one.  The shards=2 frames
 digest moved once, when a sharded log's proof became its lane's plain
@@ -198,6 +200,33 @@ anchor and the commitments that bind ``ciphertext_hash`` aside.  The
 committed digests are of this code, whose entropy stream is two scalars a
 recovery ciphertext shorter (shards=1 sends 34 frames, not 32: its
 clusters name more distinct devices).
+
+All four workload digests moved once more, when a share's plaintext
+became the 19-byte ``shamir.SHARE`` over GF(2^128 + 51) (``u16`` x,
+17-byte y) and its owner the payload's associated data: 19 + |username|
+bytes a share shorter, 17 a reply.  The workload's threshold is 1, so the
+sharer draws no coefficient and the entropy stream is the parent's (a
+copy of this code that draws the parent's 32 bytes a coefficient writes
+the same digests); it was compared frame by frame and block by block
+against the parent's directly.  Both arities send the parent's frames in
+the parent's order, and only these moved:
+
+- each ``upload_backup`` request: −93 for the user's (3 × (19 + 12), 4 of
+  them), −105 for a recovery key's (its username is 4 characters longer,
+  3 of them); each ``fetch_backup`` reply −93 (3);
+- each decrypt-share request: −31 (8 at shards=1, 7 at shards=2, the
+  wrong-PIN recovery's 3 refusals included);
+- each OK decrypt-share reply and each ``store_reply`` request: −17 (5
+  each at shards=1, 4 at shards=2; the refusals are the parent's bytes);
+- each backup WAL record: −93 for the user's (585 → 492, 584 → 491,
+  583 → 490, the post-snapshot one 590 → 497) and −105 for a recovery
+  key's (621 → 516, 3 of them); each escrowed-reply record −17 (142 →
+  125); the snapshot −679 at shards=1 (3 × 93 + 3 × 105 + 5 × 17: 5298
+  → 4619) and −662 at shards=2 (4 replies: 5391 → 4729).
+
+Every other frame and block is the parent's length, chain hashes, the
+anchor and the commitments that bind ``ciphertext_hash`` aside.
+``PARENT_RECORD_KINDS_DIGEST`` did not move.
 """
 
 import hashlib
@@ -208,7 +237,7 @@ import pytest
 from repro.chaos.entropy import DeterministicEntropy
 from repro.core import wire
 from repro.core.client import RecoveryError
-from repro.core.lhe import SHARE_PLAINTEXT
+from repro.core.lhe import SHARE_OWNER
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.crypto.commit import OPENING, CommitmentOpening
@@ -233,16 +262,16 @@ def _absorb_store(digest, store: InMemoryBlockStore) -> None:
 
 
 class TestFormatsUnchanged:
-    # Re-captured when a recovery ciphertext's shares came to share one
-    # ephemeral; see the module docstring.
+    # Re-captured when a share's plaintext became the 19-byte share with
+    # its owner bound as associated data; see the module docstring.
     PARENT_DIGESTS = {
         1: {
-            "frames": "49b80a1a109e1fe1275ac29f5597e7e5dc3cd381a2ddee4b159fcd7f3ea150b8",
-            "store": "cec0bcee82c623bbb44bd88fe76227c9fb9ce860fa0494cb80231ad72348382f",
+            "frames": "4ae5c8c12024204870de91437487c5c133c60a410fd986c90555a824cec47722",
+            "store": "54b593663c637ce758dd3c8aac9bf2a4be332e79ceeb72b36dfaed9b2bfa4873",
         },
         2: {
-            "frames": "420b3f1ecffd9233a6679fa4fe02a70507e631fea2510dcb0e35e1d6ff85e091",
-            "store": "d386a0ab491799f8fab3c843cd8d3c612f7394878e656b384aeef0ac4ffb8286",
+            "frames": "75903806579c1e4560e21de197b6625ab12c8954ec3d10922bc89160448109e6",
+            "store": "b020952722a1776ca7d1b96f6026ff12e82630834331c3c249de584a1765233a",
         },
     }
     PARENT_RECORD_KINDS_DIGEST = (
@@ -375,8 +404,13 @@ class TestFormatsUnchanged:
 class TestCryptoLayoutsUnchanged:
     """Each crypto layout's standalone bytes for one fixed value, as the
     hand-written ``to_bytes`` wrote them.  The opening is also inside the
-    pinned frames; a share and its plaintext cross the wire only
-    encrypted."""
+    pinned frames; a share crosses the wire only encrypted, and its owner
+    (the share payload's associated data) not at all.  The share's bytes
+    moved once on purpose, when Shamir moved from the P-256 order to
+    GF(2^128 + 51): ``x`` went ``u32`` → ``u16`` and ``y`` 32 → 17 bytes
+    (``00000007`` + the 32-byte order − 1 before); the owner replaced the
+    ``(username, share)`` plaintext, whose username it encodes the same
+    way."""
 
     SHARE_VALUE = Share(x=7, y=DEFAULT_MODULUS - 1)
     PINNED = {
@@ -389,12 +423,12 @@ class TestCryptoLayoutsUnchanged:
         "share": (
             SHARE,
             SHARE_VALUE,
-            "00000007ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632550",
+            "0007" + "01" + "00" * 15 + "32",
         ),
-        "share_plaintext": (
-            SHARE_PLAINTEXT,
-            ("zoë", SHARE_VALUE),
-            "00047a6fc3ab00000007ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632550",
+        "share_owner": (
+            SHARE_OWNER,
+            ("zoë", b"\xcc" * 3),
+            "00047a6fc3ab" + "00000003" + "cc" * 3,
         ),
     }
 

@@ -8,13 +8,13 @@ import pytest
 
 from repro.core import wire
 from repro.core.identifiers import attempt_identifier
-from repro.core.lhe import SHARE_PLAINTEXT, LocationHidingEncryption
+from repro.core.lhe import LocationHidingEncryption, share_owner
 from repro.crypto.bfe import BfeCiphertext, BloomFilterEncryption, PuncturedKeyError
 from repro.crypto.bloom import BloomParams
 from repro.crypto.commit import commit_recovery
 from repro.crypto.ec import P256, ECPoint
 from repro.crypto.elgamal import HashedElGamal
-from repro.crypto.gcm import seal_one_time
+from repro.crypto.gcm import ae_cost, seal_one_time
 from repro.crypto.hashing import hash_to_indices, kdf
 from repro.crypto.shamir import SHARE, Share
 from repro.hsm.device import (
@@ -89,7 +89,7 @@ class TestDecryptShare:
         share_bytes = HashedElGamal.decrypt(
             kp.secret, reply, context=b"recovery-reply" + b"hsm-t1"
         )
-        assert len(share_bytes) == 36  # 4-byte x + 32-byte y
+        assert len(share_bytes) == 19  # 2-byte x + 17-byte y
 
     def test_unlogged_attempt_refused(self, env):
         fleet, log, lhe, mpk = env
@@ -248,7 +248,7 @@ class TestIdentityEphemeral:
         )
         payload_key = kdf("bfe-payload", bytes(16), honest.tag, identity.to_bytes(), *wraps)[:16]
         (payload,) = seal_one_time(
-            [(payload_key, SHARE_PLAINTEXT.encode((username, Share(0, 0))), request.context)]
+            [(payload_key, SHARE.encode(Share(0, 0)), share_owner(username, request.context))]
         )
         forged = BfeCiphertext(
             tag=honest.tag, ephemeral=identity, position=honest.position, wrapped_keys=wraps,
@@ -358,10 +358,12 @@ class TestTamperedShareCiphertext:
 
 class TestMalformedSharePlaintext:
     """An authentic share ciphertext for the right user whose plaintext is
-    not ``(username, share)`` — here, one byte past the share — is refused
-    by the ``accept`` check, before anything is punctured or replied: the
-    key tree and the store are untouched, and the device bills exactly what
-    a refusal for another user's share of the same length bills."""
+    not a share — here, one byte past it — is refused by the ``accept``
+    check, before anything is punctured or replied: the key tree and the
+    store are untouched.  It bills its whole payload open (4 blocks for 20
+    bytes).  A share sealed for another user bills the same walk and
+    multiply but fails its tag after the 2-block start of that open, the
+    owner being the payload's associated data."""
 
     @pytest.mark.parametrize("transport", ["direct", "wire"])
     def test_refused_before_anything_is_punctured(self, env, transport):
@@ -373,11 +375,12 @@ class TestMalformedSharePlaintext:
         public = device.public_info().bfe_public
         channel = (wire_channels if transport == "wire" else direct_channels)(fleet)(hsm_index)
 
-        def refused(plaintext: bytes, reason: str):
+        def refused(plaintext: bytes, owner: str, reason: str):
             """The meter delta of a refused request carrying ``plaintext``
             under the honest request's tag (so the same key-tree walk)."""
             (forged,) = BloomFilterEncryption.encrypt(
-                [public], [plaintext], context=request.context, tag=request.share_ciphertext.tag
+                [public], [plaintext], context=share_owner(owner, request.context),
+                tag=request.share_ciphertext.tag,
             )
             before, counts = _device_state(device), dict(device.meter.counts)
             with pytest.raises(HsmRefusedError, match=reason):
@@ -385,12 +388,77 @@ class TestMalformedSharePlaintext:
             assert _device_state(device) == before
             return {op: n - counts.get(op, 0) for op, n in device.meter.counts.items()}
 
-        share = Share(x=1, y=2)
-        malformed = refused(SHARE_PLAINTEXT.encode((username, share)) + b"\x00", "malformed")
-        other_user = refused(SHARE_PLAINTEXT.encode((username + "x", share)), "another user")
+        plaintext = SHARE.encode(Share(x=1, y=2))
+        malformed = refused(plaintext + b"\x00", username, "malformed")
+        other_user = refused(plaintext, username + "x", "does not decrypt")
+        assert malformed.pop("aes_block") - other_user.pop("aes_block") == ae_cost(20)[0] - 2 == 2
         assert malformed == other_user
-        assert malformed["aes_block"] > 0 and not malformed.get("elgamal_enc")
+        assert malformed["ec_mult"] == 1 and not malformed.get("elgamal_enc")
         channel.decrypt_share(request)  # the honest share is still there
+
+
+class TestShareOwnerBinding:
+    """A share's owner is its payload's associated data, the codec value
+    ``(username, context)`` the device builds from the request's own
+    username.  The context is a blob the client picks, so a bare
+    ``context ‖ username`` would let a request logged for ``alice`` with
+    context ``c ‖ b"x"`` open ``xalice``'s share sealed under ``c``.  Both
+    that forgery and a share presented for another user are refused after
+    one multiply, with nothing punctured."""
+
+    PIN = "2468"
+
+    @pytest.fixture(scope="class", params=["direct", "wire"])
+    def owners(self, request, env):
+        """Requests logged for ``alice`` and ``bob`` under one salt and PIN
+        (so one cluster), and ``xalice``'s backup under them, not logged."""
+        fleet, log, lhe, _ = env
+        transport = request.param
+        alice, bob = f"alice-{transport}", f"bob-{transport}"
+        salt = f"owners-{transport}".encode().ljust(16, b".")
+        logged = [
+            logged_request_for(env, username, self.PIN, salt=salt)[2][0] for username in (alice, bob)
+        ]
+        # Logging bob's attempt moved the digest alice's proof was made for.
+        alice_request, bob_request = [
+            (index, dataclasses.replace(req, inclusion_proof=log.prove_includes(
+                req.log_identifier, req.commitment)))
+            for index, req in logged
+        ]
+        mpk = fleet.master_public_key()
+        xalice_ct = lhe.encrypt(mpk, self.PIN, b"msg", username="x" + alice, salt=salt)
+        channels = (wire_channels if transport == "wire" else direct_channels)(fleet)
+        return (alice, alice_request, bob_request, xalice_ct,
+                lhe.context_for(xalice_ct, mpk, self.PIN), channels)
+
+    @staticmethod
+    def refused_after_one_multiply(fleet, channels, hsm_index, forged):
+        device = fleet[hsm_index]
+        before, multiplies = _device_state(device), device.meter.counts["ec_mult"]
+        with pytest.raises(HsmRefusedError, match="does not decrypt"):
+            channels(hsm_index).decrypt_share(forged)
+        assert device.meter.counts["ec_mult"] == multiplies + 1
+        assert _device_state(device) == before
+
+    def test_a_context_shifted_into_the_username_is_refused(self, env, owners):
+        alice, (hsm_index, request), _, xalice_ct, xalice_context, channels = owners
+        shifted = xalice_context + b"x"
+        assert shifted + alice.encode() == xalice_context + ("x" + alice).encode()
+        assert share_owner(alice, shifted) != share_owner("x" + alice, xalice_context)
+        forged = dataclasses.replace(
+            request, share_ciphertext=xalice_ct.share_ciphertexts[0], context=shifted
+        )
+        self.refused_after_one_multiply(env[0], channels, hsm_index, forged)
+
+    def test_a_share_presented_for_another_user_is_refused(self, env, owners):
+        _, (hsm_index, alice_request), (bob_index, bob_request), _, _, channels = owners
+        assert bob_index == hsm_index  # one salt and PIN: one cluster
+        forged = dataclasses.replace(
+            bob_request, share_ciphertext=alice_request.share_ciphertext,
+            context=alice_request.context,
+        )
+        self.refused_after_one_multiply(env[0], channels, hsm_index, forged)
+        channels(hsm_index).decrypt_share(alice_request)  # alice's share is still there
 
 
 class TestRotation:

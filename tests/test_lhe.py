@@ -16,12 +16,13 @@ from repro.core.lhe import (
     LheCiphertext,
     LheError,
     LocationHidingEncryption,
-    SHARE_PLAINTEXT,
     lhe_context,
+    share_owner,
 )
 from repro.crypto.bfe import BFE_BODY, BloomFilterEncryption, PuncturedKeyError
 from repro.crypto.bloom import BloomParams
 from repro.crypto.gcm import AuthenticationError
+from repro.crypto.shamir import SHARE
 from repro.storage.blockstore import InMemoryBlockStore
 
 N, CLUSTER, T = 12, 4, 2
@@ -130,17 +131,23 @@ class TestBinding:
         with pytest.raises(AuthenticationError):
             lhe.decrypt_share(keys[wrong_cluster[0]].secret, 0, ct, wrong_context)
 
-    def test_share_plaintext_binds_username(self, lhe, keys):
+    def test_share_is_bound_to_its_username(self, lhe, keys):
+        """A share's plaintext is the share alone; its owner is the
+        payload's associated data, so it opens for no other username."""
         publics = [kp.public for kp in keys]
         ct = lhe.encrypt(publics, "1234", b"msg", username="alice")
         cluster = lhe.select(ct.salt, "1234")
         context = lhe.context_for(ct, publics, "1234")
+        secret, share_ct = keys[cluster[0]].secret, ct.share_ciphertexts[0]
         plaintext = BloomFilterEncryption.decrypt(
-            keys[cluster[0]].secret, ct.share_ciphertexts[0], context=context
+            secret, share_ct, context=share_owner("alice", context)
         )
-        username, share = SHARE_PLAINTEXT.decode(plaintext)
-        assert username == "alice"
-        assert share.x == 1
+        assert len(plaintext) == 19 and SHARE.decode(plaintext).x == 1
+        for wrong in (share_owner("bob", context), context, context + b"alice"):
+            with pytest.raises(AuthenticationError):
+                BloomFilterEncryption.decrypt(secret, share_ct, context=wrong)
+        with pytest.raises(AuthenticationError):
+            lhe.decrypt_share(secret, 0, dataclasses.replace(ct, username="bob"), context)
 
     def test_corrupt_share_recovered_robustly(self, lhe, keys):
         from repro.crypto.shamir import Share
@@ -221,11 +228,11 @@ class TestRepeatedDevice:
         assert cluster[first] == cluster[second]
         for position, other in ((first, second), (second, first)):
             share = ct.share_ciphertexts[position]
-            username, _ = SHARE_PLAINTEXT.decode(BloomFilterEncryption.decrypt(secret, share, context))
-            assert username == "alice"
+            owner = share_owner("alice", context)
+            SHARE.decode(BloomFilterEncryption.decrypt(secret, share, owner))
             moved = dataclasses.replace(share, position=other)
             with pytest.raises(AuthenticationError):
-                BloomFilterEncryption.decrypt(secret, moved, context)
+                BloomFilterEncryption.decrypt(secret, moved, owner)
         message, _ = decrypt_all(lhe, keys, ct, "1234")
         assert message == b"msg"
 

@@ -13,6 +13,64 @@ from repro.crypto.shamir import DEFAULT_MODULUS, SHARE, Share, ShamirSharer
 from repro.metering import metered
 
 G = P256.generator
+P = DEFAULT_MODULUS
+
+#: Fixed Miller–Rabin bases, the first twelve primes (a proof of
+#: primality only below 3.3·10^24; above it, a strong probable prime).
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def strong_probable_prime(n: int) -> bool:
+    """``n`` passes the strong-probable-prime test to every base in
+    :data:`BASES`."""
+    if n < 2:
+        return False
+    if any(n % base == 0 for base in BASES):
+        return n in BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in BASES:
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class TestTheField:
+    """Shares live in GF(2^128 + 51): the smallest prime above 2^128, so
+    every 16-byte transport key is a field element and a ``y`` is 17
+    bytes."""
+
+    def test_the_modulus_is_the_smallest_prime_above_2_128(self):
+        assert P == (1 << 128) + 51
+        assert strong_probable_prime(P)
+        assert not any(strong_probable_prime(n) for n in range((1 << 128) + 1, P))
+        assert strong_probable_prime(N)  # the test accepts a known prime
+
+    def test_the_largest_key_shares_and_reconstructs(self):
+        sharer = ShamirSharer(3, 5)
+        top = b"\xff" * 16
+        shares = sharer.share(top)
+        assert sharer.reconstruct(shares[2:]) == top
+        assert sharer.reconstruct(shares[:3]) == top
+
+    def test_a_corrupt_set_interpolating_past_2_128_is_refused(self):
+        """At ``x`` = 1, 2 the weights are 2 and −1, so moving the second
+        ``y`` to ``2·y_1 − (p − 1)`` interpolates to ``p − 1``: no 16-byte
+        key, a ``ValueError`` (an invalid candidate), not a crash."""
+        sharer = ShamirSharer(2, 3)
+        first, second, _ = sharer.share(b"k" * 16)
+        corrupt = Share(x=second.x, y=(2 * first.y - (P - 1)) % P)
+        with pytest.raises(ValueError, match="does not fit"):
+            sharer.reconstruct([first, corrupt])
+        assert sharer.reconstruct([first, corrupt], secret_length=17) == (P - 1).to_bytes(17, "big")
 
 
 class TestSharing:
@@ -80,6 +138,20 @@ class TestShareSerialization:
         share = Share(x=7, y=123456789)
         assert SHARE.decode(SHARE.encode(share)) == share
 
+    def test_a_y_above_2_128_takes_17_bytes(self):
+        for y in ((1 << 128), (1 << 128) + 7, P - 1):
+            encoded = SHARE.encode(Share(x=3, y=y))
+            assert len(encoded) == 2 + 17
+            assert encoded[2:] == y.to_bytes(17, "big")
+            assert SHARE.decode(encoded) == Share(x=3, y=y)
+
+    def test_x_and_y_beyond_the_layout_are_unencodable(self):
+        assert len(SHARE.encode(Share(x=(1 << 16) - 1, y=(1 << 136) - 1))) == 19
+        with pytest.raises(WireFormatError, match="out of range"):
+            SHARE.encode(Share(x=1 << 16, y=1))
+        with pytest.raises(WireFormatError, match="out of range"):
+            SHARE.encode(Share(x=1, y=1 << 136))
+
     def test_malformed_rejected(self):
         with pytest.raises(WireFormatError):
             SHARE.decode(b"short")
@@ -106,10 +178,10 @@ class TestRobustReconstruction:
 
 
 class TestOverTheCurveOrder:
-    """The default field is the P-256 group order, so a share set of a
-    secret *scalar* ``x`` also recombines in the exponent: the Lagrange
-    weights of any ``t`` shares take the points ``B·x_i`` to ``B·x`` in one
-    Straus sum.  That is the algebra of the fleet-wide threshold design
+    """Over the P-256 group order (``modulus=N``), a share set of a secret
+    *scalar* ``x`` also recombines in the exponent: the Lagrange weights
+    of any ``t`` shares take the points ``B·x_i`` to ``B·x`` in one Straus
+    sum.  That is the algebra of the fleet-wide threshold design
     ``bench_fig11_cluster_size.py`` prices (one ``B·x_i`` per participating
     HSM per recovery); these tests pin it on the code that stays."""
 
@@ -119,7 +191,9 @@ class TestOverTheCurveOrder:
     def dealt(self):
         rng = random.Random(37)
         secret = rng.randrange(1, N)
-        shares = ShamirSharer(self.T, self.SHARES).share(secret.to_bytes(32, "big"), rng=rng)
+        shares = ShamirSharer(self.T, self.SHARES, modulus=N).share(
+            secret.to_bytes(32, "big"), rng=rng
+        )
         return secret, shares
 
     @staticmethod
@@ -127,12 +201,13 @@ class TestOverTheCurveOrder:
         weights = lagrange_at_zero([s.x for s in shares], N)
         return multi_mult([(w, base * s.y) for w, s in zip(weights, shares)])
 
-    def test_the_default_field_is_the_curve_order(self):
-        assert DEFAULT_MODULUS == N
-        assert ShamirSharer(2, 3).modulus == N
+    def test_the_curve_order_is_asked_for_not_the_default(self):
+        assert DEFAULT_MODULUS == (1 << 128) + 51 != N
+        assert ShamirSharer(2, 3).modulus == DEFAULT_MODULUS
+        assert ShamirSharer(2, 3, modulus=N).modulus == N
 
     def test_a_full_width_scalar_embeds_and_reconstructs(self):
-        sharer = ShamirSharer(2, 3)
+        sharer = ShamirSharer(2, 3, modulus=N)
         top = (N - 1).to_bytes(32, "big")
         assert sharer.reconstruct(sharer.share(top)[1:], secret_length=32) == top
         with pytest.raises(ValueError):
@@ -175,7 +250,9 @@ class TestOverTheCurveOrder:
         rng = random.Random(43)
 
         def mults_for(t):
-            shares = ShamirSharer(t, t).share(rng.randrange(1, N).to_bytes(32, "big"), rng=rng)
+            shares = ShamirSharer(t, t, modulus=N).share(
+                rng.randrange(1, N).to_bytes(32, "big"), rng=rng
+            )
             partials = [(w, G * s.y) for w, s in zip(lagrange_at_zero([s.x for s in shares], N), shares)]
             with metered() as meter:
                 multi_mult(partials)

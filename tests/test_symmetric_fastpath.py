@@ -358,7 +358,17 @@ class TestMeteringInvariance:
     # ephemeral (was sha256_block 2147): ``ciphertext_hash`` over an
     # encoding 66 bytes shorter (591 against 657 bytes) hashes 10 blocks,
     # not 11.  The slot-mask KDF stays at 2 blocks with its position.
-    PARENT_COUNTS = {"aes_block": 4614, "sha256_block": 2146, "flash_read_bytes": 1120}
+    # Re-derived when a share's plaintext became the 19-byte share, its
+    # owner bound as associated data (was aes_block 4614, sha256_block
+    # 2146).  aes_block −22: each share payload seals in 4 blocks, not 6
+    # (the 63-byte plaintext of this 25-character username; 3 shares) or 7
+    # (the nested backup's 29-character one; 3 shares), −15; each of the 2
+    # devices serving a share opens its payload in 2 blocks fewer and seals
+    # its 19-byte reply in 1 fewer, −6; the client opens the 1 reply it
+    # needs in 1 fewer.  sha256_block −2: ``ciphertext_hash`` over an
+    # encoding 132 bytes shorter (459 against 591) hashes 8 blocks, not 10.
+    # At t = 1 the sharer draws nothing, so the store digest did not move.
+    PARENT_COUNTS = {"aes_block": 4592, "sha256_block": 2144, "flash_read_bytes": 1120}
     # Re-captured at PR 16 (was e87aa60f…): decrypt-and-puncture re-keys the
     # union of a tag's k paths in one pass, so the nodes the paths share are
     # rewritten once instead of k times — fewer puts, fewer fresh-key and

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import wire
-from repro.core.lhe import SHARE_PLAINTEXT, LocationHidingEncryption
+from repro.core.lhe import LocationHidingEncryption
 from repro.crypto.bfe import BloomFilterEncryption
 from repro.crypto.bloom import BloomParams
 from repro.crypto.hashing import sha256
-from repro.crypto.shamir import Share
+from repro.crypto.shamir import SHARE, Share
 from repro.log.authdict import AuthenticatedDictionary
 from repro.storage.blockstore import InMemoryBlockStore
 
@@ -50,17 +50,18 @@ class TestOneTimeNonces:
     prepends ``gcm.ONE_TIME_NONCE``); its wraps are bare 16-byte masks, and
     its fixed-length fields carry no length."""
 
-    def test_share_ciphertext_at_k4_is_203_bytes(self):
+    def test_share_ciphertext_at_k4_is_174_bytes(self):
         params = BloomParams.for_punctures(16, failure_exponent=4)
         public, secret = BloomFilterEncryption.keygen(params, InMemoryBlockStore())
-        plaintext = SHARE_PLAINTEXT.encode(("size-probe", Share(1, 5)))
-        assert params.num_hashes == 4 and len(plaintext) == 48
+        plaintext = SHARE.encode(Share(1, 5))
+        assert params.num_hashes == 4 and len(plaintext) == 19
         (ct,) = BloomFilterEncryption.encrypt([public], [plaintext], context=b"c", tag=bytes(32))
         # tag 32, ephemeral 33 (its prefix gives its length), the u16
-        # position, 4 wraps of 16 behind a count, payload blob 4 + 48 + 16:
-        # 2 bytes more than before the position was bound.
+        # position, 4 wraps of 16 behind a count, payload blob 4 + 19 + 16:
+        # the share alone, its owner being associated data (29 bytes fewer
+        # than a u16-prefixed 10-character username, a u32 x and a 32-byte y).
         encoded = wire.encode_bfe_ciphertext(ct)
-        assert len(encoded) == 32 + 33 + 2 + 4 + 4 * 16 + 4 + 48 + 16 == 203
+        assert len(encoded) == 32 + 33 + 2 + 4 + 4 * 16 + 4 + 19 + 16 == 174
         assert [len(wrap) for wrap in ct.wrapped_keys] == [16] * 4
         decoded = wire.decode_bfe_ciphertext(encoded)
         assert decoded == ct
@@ -96,24 +97,25 @@ class TestRecoveryCiphertext:
         ]
         assert lhe.reconstruct(ct, shares, context) == b"msg"
 
-    def test_at_n3_k4_is_540_bytes(self):
+    def test_at_n3_k4_is_453_bytes(self):
         """The ledger's shape: a 10-character username, a 32-byte payload.
         The ciphertext carries its shares' one ephemeral once, and each
-        share is its wraps and payload alone (136 bytes: no tag, point or
-        position), 66 bytes fewer than when each share had an ephemeral of
-        its own."""
+        share is its wraps and payload alone (107 bytes: no tag, point or
+        position), its payload the 19-byte share with no username: 29
+        bytes a share fewer than when the plaintext carried the username
+        and a 32-byte y."""
         params = BloomParams.for_punctures(16, failure_exponent=4)
         publics = [BloomFilterEncryption.keygen(params, InMemoryBlockStore())[0] for _ in range(3)]
         ct = LocationHidingEncryption(3, 3, 2).encrypt(
             publics, "1234", bytes(32), username="size-probe"
         )
         encoded = wire.encode_recovery_ciphertext(ct)
-        share = 4 + 4 * 16 + 4 + 48 + 16
+        share = 4 + 4 * 16 + 4 + 19 + 16
         # version, salt, username, threshold / N / epoch, ephemeral, share
         # count, payload blob
-        assert len(encoded) == 1 + 16 + 4 + 10 + 3 * 4 + 33 + 4 + 3 * share + 4 + 32 + 16 == 540
+        assert len(encoded) == 1 + 16 + 4 + 10 + 3 * 4 + 33 + 4 + 3 * share + 4 + 32 + 16 == 453
         # A stand-alone share adds its tag, the ephemeral and its position.
-        assert share == len(wire.encode_bfe_ciphertext(ct.share_ciphertexts[0])) - 32 - 33 - 2 == 136
+        assert share == len(wire.encode_bfe_ciphertext(ct.share_ciphertexts[0])) - 32 - 33 - 2 == 107
         assert wire.decode_recovery_ciphertext(encoded) == ct
 
     def test_bad_version_rejected(self, bfe_setup):
