@@ -16,15 +16,19 @@ real end-to-end backup+recovery at test scale.
 import dataclasses
 import math
 import random
+import statistics
 from itertools import cycle, islice
 
 import pytest
 
+from repro.core import wire
+from repro.core.identifiers import attempt_identifier
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.crypto.bloom import BloomParams
 from repro.hsm.costmodel import CostModel
 from repro.hsm.devices import PIXEL4, SOLOKEY
+from repro.log.authdict import AuthenticatedDictionary, empty_digest
 from repro.sim.capacity import build_throughput_model
 
 from reporting import emit, table
@@ -179,37 +183,150 @@ def test_fig10_recovery_breakdown(benchmark, small_deployment):
 
 #: The size probe's recovery ciphertext, and the same ciphertext with n =
 #: 40 shares, encoded by the parent commit's ``wire.encode_recovery_ciphertext``
-#: (same deployment, user, PIN and payload): each share's plaintext carried
-#: the username, a ``u32`` x and a 32-byte y.
-PARENT_CT_BYTES = 524
-PARENT_CT_BYTES_AT_N40 = 5_556
+#: (same deployment, user, PIN and payload): every length, count and header
+#: integer was a ``u32``.
+PARENT_CT_BYTES = 437
+PARENT_CT_BYTES_AT_N40 = 4_396
+
+#: The seeded logs whose inclusion proofs the proof layout gate encodes.
+PROOF_LOG_SIZES = (30, 100, 400)
 
 
-def layout_bytes(n: int, k: int, username: str, message_len: int) -> int:
+def varint_bytes(value: int) -> int:
+    """The length of ``value`` as a ``codec.VARINT``: seven bits a byte."""
+    return max(1, (value.bit_length() + 6) // 7)
+
+
+def blob_bytes(size: int) -> int:
+    """A blob of ``size`` bytes: its varint length and the bytes."""
+    return varint_bytes(size) + size
+
+
+def layout_bytes(n: int, k: int, username: str, message_len: int, header: tuple) -> int:
     """What ``lhe.RECOVERY_CIPHERTEXT`` spends on a recovery ciphertext of
     ``n`` shares at ``k`` Bloom hashes, derived from the layout: the version
-    byte, the 16-byte salt, the username text, three ``u32``s, the shares'
-    one 33-byte ephemeral (its prefix gives its length) and the share
-    count; per share the wrap count and k wraps of 16 bytes (the masked
-    key, no GCM tag: the payload's tag checks it), and the payload blob
-    (the share plaintext — ``u16`` x, 17-byte y — and its GCM tag); then
-    the LHE payload blob (the message and its tag).  No one-time AE
-    message carries a nonce, and no share its tag (the reader derives it
-    from the username and salt), its position (its index), an ephemeral
-    of its own, a kind or the username (its owner is the payload's
-    associated data)."""
-    name = len(username.encode("utf-8"))
+    byte, the 16-byte salt, the username text, the ``header`` integers
+    (threshold, N, config epoch, varints), the shares' one 33-byte
+    ephemeral (its prefix gives its length) and the share count; per share
+    the wrap count and k wraps of 16 bytes (the masked key, no GCM tag: the
+    payload's tag checks it), and the payload blob (the share plaintext —
+    ``u16`` x, 17-byte y — and its GCM tag); then the LHE payload blob (the
+    message and its tag).  Every length and count is a varint.  No
+    one-time AE message carries a nonce, and no share its tag (the reader
+    derives it from the username and salt), its position (its index), an
+    ephemeral of its own, a kind or the username (its owner is the
+    payload's associated data)."""
     share_plaintext = 2 + 17
-    share = (4 + 16 * k) + (4 + share_plaintext + 16)
-    return 1 + 16 + (4 + name) + 12 + 33 + 4 + n * share + (4 + message_len + 16)
+    share = varint_bytes(k) + 16 * k + blob_bytes(share_plaintext + 16)
+    return (
+        1 + 16 + blob_bytes(len(username.encode("utf-8")))
+        + sum(map(varint_bytes, header)) + 33 + varint_bytes(n) + n * share
+        + blob_bytes(message_len + 16)
+    )
 
 
-def test_fig10_ciphertext_sizes(benchmark, small_deployment):
+def proof_layout_bytes(proof) -> int:
+    """What ``wire.INCLUSION_PROOF`` spends on ``proof``, derived from its
+    steps: the step count; per step the 32-byte identifier hash, the value
+    blob and the untaken subtree; then the two child subtrees.  A subtree
+    hash is one flag byte, and the 32 bytes unless it is the empty
+    subtree's digest."""
+    empty = empty_digest()
+
+    def subtree(digest: bytes) -> int:
+        return 1 if digest == empty else 33
+
+    return (
+        varint_bytes(len(proof.steps))
+        + sum(32 + blob_bytes(len(step.value)) + subtree(step.other) for step in proof.steps)
+        + subtree(proof.left) + subtree(proof.right)
+    )
+
+
+def parent_proof_bytes(proof) -> int:
+    """The same proof in the parent's layout: a ``u32`` count and value
+    lengths, and every subtree hash its 32 bytes."""
+    return 4 + sum(32 + 4 + len(step.value) + 32 for step in proof.steps) + 64
+
+
+def seeded_log_proofs(size: int):
+    """Every entry's inclusion proof in a log of ``size`` recovery-attempt
+    entries (the provider's identifiers, 32-byte commitments), seeded by
+    its size."""
+    rng = random.Random(size)
+    entries = [
+        (attempt_identifier(f"user-{i}", rng.randrange(4)), rng.randbytes(32))
+        for i in range(size)
+    ]
+    log = AuthenticatedDictionary()
+    for identifier, value in entries:
+        log.insert(identifier, value)
+    return [log.prove_includes(identifier, value) for identifier, value in entries]
+
+
+def proof_sizes() -> tuple:
+    """Per seeded log size, the mean encoded proof bytes and the mean in
+    the parent's layout; and the most bytes any of those proofs encodes to
+    beyond its derived layout (the gate holds it at 0)."""
+    sizes, excess = {}, []
+    for size in PROOF_LOG_SIZES:
+        encoded, parent = [], []
+        for proof in seeded_log_proofs(size):
+            got = len(wire.encode_inclusion_proof(proof))
+            excess.append(got - proof_layout_bytes(proof))
+            encoded.append(got)
+            parent.append(parent_proof_bytes(proof))
+        sizes[size] = (statistics.mean(encoded), statistics.mean(parent))
+    return sizes, max(excess)
+
+
+def recovery_frame_bytes(deployment, monkeypatch) -> dict:
+    """One backup and recovery over the wire transport: bytes (request and
+    reply) per provider op and for the decrypt-share leg, summed over the
+    frames of that kind (a channel binds its endpoint's ``handle`` when it
+    is built, so the recorders go in before the client)."""
+    from repro.service.channel import HsmWireEndpoint, ProviderWireEndpoint
+
+    totals = {}
+
+    def add(name: str, request: bytes, reply: bytes) -> None:
+        totals[name] = totals.get(name, 0) + len(request) + len(reply)
+
+    def provider(handle):
+        def recorded(self, request):
+            reply = handle(self, request)
+            op, _ = wire.decode_provider_request(request)
+            add(next(row.method for row in wire.PROVIDER_OPS if row.tag == op), request, reply)
+            return reply
+        return recorded
+
+    def hsm(handle):
+        def recorded(self, request):
+            reply = handle(self, request)
+            add("decrypt_share", request, reply)
+            return reply
+        return recorded
+
+    monkeypatch.setattr(ProviderWireEndpoint, "handle", provider(ProviderWireEndpoint.handle))
+    monkeypatch.setattr(
+        HsmWireEndpoint, "handle_decrypt_share", hsm(HsmWireEndpoint.handle_decrypt_share)
+    )
+    client = deployment.new_client("frame-probe")
+    client.backup(b"x" * 16, pin="1234")
+    assert client.recover(pin="1234") == b"x" * 16
+    monkeypatch.undo()
+    return dict(sorted(totals.items()))
+
+
+def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
     """§9.2: SafetyPin recovery ciphertexts are 16.5 KB vs 130 B baseline.
     Sizes are encoded bytes, what the provider stores and relays; the
     paper's n = 40 is the probe's ciphertext encoded with 40 shares (each
     of its shares' bodies is as long as the others), renumbered so that
-    each one's position is its index."""
+    each one's position is its index.  Beside the ciphertext, the largest
+    frame of a recovery: the log's inclusion proof, gated against its
+    derived layout at three seeded log sizes, and one recovery's bytes per
+    frame kind."""
     client = small_deployment.new_client("size-probe")
     client.backup(b"x" * 16, pin="1234")
     small_ct = small_deployment.provider.fetch_backup("size-probe")
@@ -217,14 +334,19 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment):
 
     encoded = small_ct.size_bytes()
     k = small_deployment.params.bloom_params().num_hashes
-    bound = layout_bytes(small_ct.cluster_size, k, "size-probe", 16)
+    header = (small_ct.threshold, small_ct.num_hsms, small_ct.config_epoch)
+    bound = layout_bytes(small_ct.cluster_size, k, "size-probe", 16, header)
     paper_ct = dataclasses.replace(small_ct, share_ciphertexts=tuple(
         dataclasses.replace(share, position=position)
         for position, share in enumerate(islice(cycle(small_ct.share_ciphertexts), CLUSTER))
     ))
     paper_scale = paper_ct.size_bytes()
-    gates = {"safetypin_ct_bytes_max": bound}
+    proofs, proof_excess = proof_sizes()
+    frames = recovery_frame_bytes(small_deployment, monkeypatch)
+    gates = {"safetypin_ct_bytes_max": bound, "proof_bytes_over_layout_max": 0}
     failures = [f"safetypin_ct_bytes = {encoded} > derived layout {bound}"] if encoded > bound else []
+    if proof_excess > 0:
+        failures.append(f"an inclusion proof encodes to {proof_excess} B over its derived layout")
     from repro.baseline.system import BaselineSystem
 
     baseline_ct = BaselineSystem().new_client("b").backup(b"k" * 16, pin="123456")
@@ -233,8 +355,16 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment):
         f"(parent: {PARENT_CT_BYTES} B; derived layout: {bound} B)",
         f"SafetyPin at n={CLUSTER}: {paper_scale} B = {paper_scale / 1000:.1f} KB encoded "
         f"(parent: {PARENT_CT_BYTES_AT_N40} B; derived layout: "
-        f"{layout_bytes(CLUSTER, k, 'size-probe', 16)} B; paper: 16.5 KB)",
+        f"{layout_bytes(CLUSTER, k, 'size-probe', 16, header)} B; paper: 16.5 KB)",
         f"baseline: {baseline_ct.size_bytes()} B (paper: ~130 B)",
+        *(
+            f"inclusion proof, {size}-entry log: {mean:.1f} B mean encoded "
+            f"({parent:.1f} B in the u32 layout with every subtree hash spelled out)"
+            for size, (mean, parent) in proofs.items()
+        ),
+        "one recovery's bytes per frame kind (requests and replies): " + ", ".join(
+            f"{name} {size}" for name, size in frames.items()
+        ),
     ]
     emit(
         "fig10_sizes",
@@ -247,12 +377,19 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment):
                 "safetypin_ct_bytes_at_n40": paper_scale,
                 "parent_safetypin_ct_bytes_at_n40": PARENT_CT_BYTES_AT_N40,
                 "baseline_ct_bytes": baseline_ct.size_bytes(),
+                **{f"proof_bytes_mean_at_{size}": mean for size, (mean, _) in proofs.items()},
+                **{
+                    f"u32_layout_proof_bytes_mean_at_{size}": parent
+                    for size, (_, parent) in proofs.items()
+                },
+                "proof_bytes_over_layout": proof_excess,
+                "recovery_frame_bytes": frames,
             },
             "gates": gates,
             "gate_failures": failures,
         },
     )
     assert not failures, failures
-    assert paper_scale == layout_bytes(CLUSTER, k, "size-probe", 16)
+    assert paper_scale == layout_bytes(CLUSTER, k, "size-probe", 16, header)
     assert 4 < paper_scale / 1000 < 40
     assert baseline_ct.size_bytes() < 250

@@ -17,7 +17,11 @@ both ways and measures:
 
 It also checks the acceptance property: a batched run of >= 8 concurrent
 recoveries commits exactly one log epoch per batch tick, and batched
-throughput beats per-request throughput.  Two exact rows hold the client's
+throughput beats per-request throughput.  One run of each is a few
+seconds on a busy 2-core host, where a single window of each mode lost
+that comparison about once in four runs, so each mode runs ``WINDOWS``
+alternating windows (per-request, then every batched concurrency, again)
+and the comparison is of their medians, every window recorded.  Two exact rows hold the client's
 share of the work on that run: the fleet serves one decrypt-and-puncture
 request per *distinct* member of each session's cluster (clusters are drawn
 with replacement; a repeated member's second request could only be
@@ -33,6 +37,7 @@ Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_service_throughput.p
 
 import contextlib
 import random
+import statistics
 import threading
 import time
 
@@ -47,6 +52,7 @@ except ImportError:  # running as a script from the repo root
 
 CONCURRENCY_LEVELS = (2, 8, 16)
 SESSIONS = 16  # recoveries per measured run
+WINDOWS = 5  # alternating windows of each mode; a mode's rate is their median
 HSMS = 12
 CLUSTER = 3
 
@@ -124,12 +130,9 @@ def _run_sessions(new_client, concurrency: int, recover_guard=None):
     return time.perf_counter() - start, errors
 
 
-def test_service_throughput():
-    rows = []
-    batched_best = 0.0
-    acceptance = {}
-
-    # Per-request baseline: no service, one epoch inside every recovery.
+def _per_request_window():
+    """One window of the per-request baseline: no service, one epoch inside
+    every recovery.  Returns (elapsed seconds, epochs)."""
     deployment = _fresh_deployment()
     epochs_before = deployment.provider.log.epoch
     elapsed, errors = _run_sessions(
@@ -138,58 +141,76 @@ def test_service_throughput():
     assert not errors, errors
     epochs = deployment.provider.log.epoch - epochs_before
     assert epochs == SESSIONS  # exactly the seed's one epoch per recovery
-    per_request_rate = SESSIONS / elapsed
-    rows.append(("per-request", SESSIONS, SESSIONS, f"{elapsed:.2f}", epochs,
-                 f"{per_request_rate:.1f}"))
+    return elapsed, epochs
 
-    for concurrency in CONCURRENCY_LEVELS:
-        deployment, service = _fresh_service()
-        epochs_before = deployment.provider.log.epoch
-        with service, _share_request_outcomes() as outcomes:
-            elapsed, errors = _run_sessions(service.new_client, concurrency)
-        assert not errors, errors
-        epochs = deployment.provider.log.epoch - epochs_before
-        rate = SESSIONS / elapsed
-        rows.append(
-            ("batched", concurrency, SESSIONS, f"{elapsed:.2f}", epochs, f"{rate:.1f}")
-        )
-        batched_best = max(batched_best, rate)
-        if concurrency >= 8:
-            # Salts are live entropy here, so the expected request count is
-            # read off the clusters this run's sessions actually drew.  A
-            # request bounced for a stale proof never reached the key tree
-            # and was re-sent with a fresh one: not a second request.
-            served = sum(outcome is not HsmStaleProofError for outcome in outcomes)
-            clusters = [
-                client.lhe.select(
-                    deployment.provider.fetch_backup(client.username).salt, "4242"
-                )
-                for client in service.clients
-            ]
-            acceptance = {
-                "stats": service.stats(),
-                "epochs": epochs,
-                "concurrency": concurrency,
-                "threshold": deployment.params.threshold,
-                "hsm_requests_per_recovery": served / SESSIONS,
-                "distinct_members_per_cluster": sum(len(set(c)) for c in clusters) / SESSIONS,
-                "client_reply_opens_per_recovery": sum(
-                    client.meter.counts["elgamal_dec"] for client in service.clients
-                ) / SESSIONS,
-            }
 
-    # Acceptance: >= 8 concurrent recoveries, exactly one epoch per tick that
-    # served sessions, and batched beats per-request throughput.
+def _batched_window(concurrency: int):
+    """One window of batched epochs through ``RecoveryService`` at
+    ``concurrency`` threads.  Returns (elapsed seconds, epochs, the
+    acceptance record of a run of >= 8 concurrent recoveries or None)."""
+    deployment, service = _fresh_service()
+    epochs_before = deployment.provider.log.epoch
+    with service, _share_request_outcomes() as outcomes:
+        elapsed, errors = _run_sessions(service.new_client, concurrency)
+    assert not errors, errors
+    epochs = deployment.provider.log.epoch - epochs_before
+    if concurrency < 8:
+        return elapsed, epochs, None
+    # Salts are live entropy here, so the expected request count is read
+    # off the clusters this run's sessions actually drew.  A request
+    # bounced for a stale proof never reached the key tree and was re-sent
+    # with a fresh one: not a second request.
+    served = sum(outcome is not HsmStaleProofError for outcome in outcomes)
+    clusters = [
+        client.lhe.select(deployment.provider.fetch_backup(client.username).salt, "4242")
+        for client in service.clients
+    ]
+    acceptance = {
+        "stats": service.stats(),
+        "threshold": deployment.params.threshold,
+        "hsm_requests_per_recovery": served / SESSIONS,
+        "distinct_members_per_cluster": sum(len(set(c)) for c in clusters) / SESSIONS,
+        "client_reply_opens_per_recovery": sum(
+            client.meter.counts["elgamal_dec"] for client in service.clients
+        ) / SESSIONS,
+    }
+    # Acceptance: >= 8 concurrent recoveries and exactly one epoch per
+    # tick that served sessions; the client asks each distinct cluster
+    # member once and opens t replies.
     stats = acceptance["stats"]
     assert stats["sessions_served"] >= 8
     assert stats["epochs_run"] == len(stats["epoch_sessions"])  # one epoch per tick
     assert stats["epochs_run"] < stats["sessions_served"]  # epochs are shared
+    assert (acceptance["hsm_requests_per_recovery"]
+            == acceptance["distinct_members_per_cluster"] <= CLUSTER)
+    assert acceptance["client_reply_opens_per_recovery"] == acceptance["threshold"]
+    return elapsed, epochs, acceptance
+
+
+def test_service_throughput():
+    rows = []
+    rates = {}  # (mode, threads) -> one sessions/s a window
+    acceptance = {}
+    for window in range(WINDOWS):
+        runs = [("per-request", SESSIONS)] + [("batched", c) for c in CONCURRENCY_LEVELS]
+        for mode, concurrency in runs:
+            if mode == "per-request":
+                elapsed, epochs = _per_request_window()
+            else:
+                elapsed, epochs, accepted = _batched_window(concurrency)
+                acceptance = accepted or acceptance
+            rate = SESSIONS / elapsed
+            rates.setdefault((mode, concurrency), []).append(rate)
+            rows.append((window, mode, concurrency, SESSIONS, f"{elapsed:.2f}", epochs,
+                         f"{rate:.1f}"))
+
+    # Batched beats per-request throughput, median against median.
+    medians = {key: statistics.median(values) for key, values in rates.items()}
+    per_request_rate = medians[("per-request", SESSIONS)]
+    batched_best = max(medians[("batched", c)] for c in CONCURRENCY_LEVELS)
     assert batched_best > per_request_rate
-    # The client asks each distinct cluster member once and opens t replies.
     hsm_requests = acceptance["hsm_requests_per_recovery"]
     reply_opens = acceptance["client_reply_opens_per_recovery"]
-    assert hsm_requests == acceptance["distinct_members_per_cluster"] <= CLUSTER
-    assert reply_opens == acceptance["threshold"]
 
     # Wire overhead of the provider RPC leg: the same batched workload over
     # the byte-framed channel vs the direct-call reference path, plus the
@@ -212,15 +233,15 @@ def test_service_throughput():
     # Project the measured arrival rate onto the paper's 10-minute epoch.
     sessions_per_epoch = batched_best * 600.0
     lines = table(
-        ("mode", "threads", "sessions", "seconds", "epochs", "sess/s"),
+        ("window", "mode", "threads", "sessions", "seconds", "epochs", "sess/s"),
         rows,
-        (14, 9, 10, 9, 8, 8),
+        (7, 14, 9, 10, 9, 8, 8),
     )
     lines.append("")
     lines.append(
         f"batched {batched_best:.1f} sess/s vs per-request "
         f"{per_request_rate:.1f} sess/s "
-        f"({batched_best / per_request_rate:.1f}x)"
+        f"({batched_best / per_request_rate:.1f}x; medians of {WINDOWS} windows)"
     )
     lines.append(
         "at this rate with the paper's 10-min epoch: "
@@ -245,6 +266,7 @@ def test_service_throughput():
         data={
             "results": [
                 {
+                    "window": window,
                     "mode": mode,
                     "threads": concurrency,
                     "sessions": sessions,
@@ -252,7 +274,7 @@ def test_service_throughput():
                     "epochs": epochs,
                     "sessions_per_sec": float(rate),
                 }
-                for mode, concurrency, sessions, seconds, epochs, rate in rows
+                for window, mode, concurrency, sessions, seconds, epochs, rate in rows
             ],
             "metrics": {
                 "batched_sessions_per_sec": batched_best,

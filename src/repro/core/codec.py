@@ -19,15 +19,21 @@ count, or a field its type's constructor rejects (``ValueError`` becomes
 ``WireFormatError``) — never a partially parsed object, never a foreign
 exception.  Encoders raise it for values the format cannot carry.
 
-Integers are big-endian and fixed-width, a blob is a ``u32`` length and
-the bytes, text is a UTF-8 blob (``TEXT16``: behind a ``u16``), a sequence
-is a ``u32`` (or ``count``) count and the items, ``fixed(n)`` is n bytes.
-Journal replay decodes thousands of records per restart, so the
-primitives read straight off the :class:`Reader` (``BLOB.read is
-Reader.blob``, integers are ``int.from_bytes(reader.take(n))``) and
-``seq`` / ``tuple_of`` / ``converted`` bind their parts' ``encode`` /
-``read`` once, when the format is built: ISSUE 20's prototype, with
-``struct`` lambdas and a generator inside ``tuple_of``, replayed a 12-HSM
+Fixed-width integers are big-endian; a :data:`VARINT` is an unsigned
+integer below 2**32 in minimal LEB128 (seven bits a byte, low group
+first, the top bit set on every byte but the last: one byte up to 127,
+at most five).  A blob is a varint length and the bytes, text is a UTF-8
+blob (``TEXT16``: behind a ``u16``), a sequence is a varint (or
+``count``) count and the items, ``fixed(n)`` is n bytes.  A varint that
+is not minimal (a last byte of zero after the first), runs past five
+bytes or exceeds the ``u32`` range is refused, so each value has one
+spelling.  Journal replay decodes thousands of records per restart, so
+the primitives read straight off the :class:`Reader` (``BLOB.read is
+Reader.blob``, ``VARINT.read is Reader.varint``, both returning at once
+for a one-byte varint; integers are ``int.from_bytes(reader.take(n))``)
+and ``seq`` / ``tuple_of`` / ``converted`` bind their parts' ``encode``
+/ ``read`` once, when the format is built: a first version with
+``struct`` lambdas and a generator inside ``tuple_of`` replayed a 12-HSM
 journal 47 % slower.  Codecs are immutable after construction and safe to
 share across threads; a ``Reader`` belongs to one ``decode`` call.
 """
@@ -59,9 +65,44 @@ class Reader:
         self._offset = end
         return self._data[start:end]
 
+    def varint(self) -> int:
+        """A minimal LEB128 unsigned integer below 2**32 (see :data:`VARINT`)."""
+        data, offset = self._data, self._offset
+        if offset >= len(data):
+            raise WireFormatError("truncated message")
+        byte = data[offset]
+        if byte < 0x80:
+            self._offset = offset + 1
+            return byte
+        value, shift = byte & 0x7F, 7
+        while True:
+            offset += 1
+            if offset >= len(data):
+                raise WireFormatError("truncated message")
+            byte = data[offset]
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                break
+            shift += 7
+            if shift > 28:
+                raise WireFormatError("varint longer than 5 bytes")
+        if byte == 0:
+            raise WireFormatError("varint not minimal")
+        if value >> 32:
+            raise WireFormatError("varint: u32 out of range")
+        self._offset = offset + 1
+        return value
+
     def blob(self) -> bytes:
-        """A ``u32`` length and that many bytes."""
-        return self.take(int.from_bytes(self.take(4), "big"))
+        """A varint length and that many bytes."""
+        data, start = self._data, self._offset
+        if start < len(data) and data[start] < 0x80:
+            end = start + 1 + data[start]
+            if end > len(data):
+                raise WireFormatError("truncated message")
+            self._offset = end
+            return data[start + 1:end]
+        return self.take(self.varint())
 
     def text(self) -> str:
         """A blob holding valid UTF-8."""
@@ -108,7 +149,21 @@ I32 = _integer("i32", 4, signed=True)
 U64 = _integer("u64", 8)
 U136 = _integer("u136", 17)
 U256 = _integer("u256", 32)
-BLOB = Codec(lambda data: U32.encode(len(data)) + data, Reader.blob)
+def _varint_bytes(value: int) -> bytes:
+    if not 0 <= value < 1 << 32:
+        raise WireFormatError("varint: u32 out of range")
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+#: An unsigned integer below 2**32 in minimal LEB128: a length, a count,
+#: an attempt number or a small header integer, one byte up to 127.
+VARINT = Codec(_varint_bytes, Reader.varint)
+BLOB = Codec(lambda data: _varint_bytes(len(data)) + data, Reader.blob)
 TEXT = Codec(lambda text: BLOB.encode(text.encode("utf-8")), Reader.text)
 
 
@@ -124,8 +179,8 @@ def fixed(size: int, what: str = "field") -> Codec:
 
 
 def seq(item: Codec, build: type = list, limit: int = (1 << 32) - 1, what: str = "item",
-        count: Codec = U32) -> Codec:
-    """A ``count`` (a ``u32``) and that many ``item``\\ s, decoded into ``build``
+        count: Codec = VARINT) -> Codec:
+    """A ``count`` (a varint) and that many ``item``\\ s, decoded into ``build``
     (``list`` or ``tuple``).  ``limit`` is the plausibility bound: far above
     any honest count, low enough that a hostile prefix is refused outright."""
     (encode_item, read_item), (encode_count, read_count) = item, count

@@ -43,7 +43,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro import metering
 from repro.core.codec import (
-    BLOB, TEXT, TEXT16, U32, WireFormatError, converted, fixed, seq, tuple_of, versioned,
+    BLOB, TEXT, TEXT16, VARINT, WireFormatError, converted, fixed, seq, tuple_of, versioned,
 )
 from repro.crypto.bfe import (
     BFE_BODY,
@@ -165,7 +165,8 @@ def _recovery_from_wire(fields: tuple) -> LheCiphertext:
 
 
 #: The client's uploaded recovery ciphertext (§4.1): the 16-byte salt, the
-#: username, the one ephemeral every share was encrypted under, then the
+#: username, the threshold, N and the config epoch (varints, a byte each
+#: below 128), the one ephemeral every share was encrypted under, then the
 #: share ciphertexts — each a BFE body, its tag being the
 #: :func:`series_tag` its reader rebuilds from the username and salt and
 #: its position its index (a share under any other tag, ephemeral or
@@ -173,7 +174,7 @@ def _recovery_from_wire(fields: tuple) -> LheCiphertext:
 #: the payload (``ciphertext ‖ tag`` under the one-time transport key).
 RECOVERY_CIPHERTEXT = versioned(converted(
     tuple_of(
-        fixed(SALT_LEN, "salt"), TEXT, U32, U32, U32, POINT,
+        fixed(SALT_LEN, "salt"), TEXT, VARINT, VARINT, VARINT, POINT,
         seq(BFE_BODY, tuple, 4096, "share"), BLOB,
     ),
     _recovery_to_wire,

@@ -17,8 +17,12 @@ and its reader rebuilds each share's series tag and takes its position
 from its index, while the stand-alone ``bfe.BFE_CIPHERTEXT`` of a
 decrypt request carries its tag, its ephemeral and its ``u16`` position).
 A field whose length is fixed by construction (a digest, a tag, a salt, a
-BFE wrap) is ``fixed(n)`` with no length prefix, and a point
-(``ec.POINT``) is its SEC1 encoding, whose prefix byte gives its length.
+BFE wrap) is ``fixed(n)`` with no length prefix, a point (``ec.POINT``)
+is its SEC1 encoding, whose prefix byte gives its length, and every other
+length, count and small integer (an attempt number, a ``COUNT`` reply, a
+recovery ciphertext's header) is a ``codec.VARINT``, one byte below 128.
+An inclusion proof's subtree hash is one flag byte, and the 32 bytes
+only when it is not the empty subtree's digest.
 Only the ElGamal reply keeps its own ``to_bytes`` / ``from_bytes`` and
 travels as a blob (``_ELGAMAL``).
 
@@ -34,7 +38,7 @@ from __future__ import annotations
 from typing import Dict, NamedTuple, Tuple
 
 from repro.core.codec import (
-    BLOB, I32, TEXT, U8, U32, WIRE_VERSION, Codec, WireFormatError,
+    BLOB, I32, TEXT, U8, VARINT, WIRE_VERSION, Codec, Reader, WireFormatError,
     converted, fixed, nested, optional, record, seq, tagged, tuple_of, versioned,
 )
 from repro.core.lhe import RECOVERY_CIPHERTEXT
@@ -43,7 +47,7 @@ from repro.crypto.commit import OPENING
 from repro.crypto.ec import POINT
 from repro.crypto.elgamal import ElGamalCiphertext
 from repro.hsm.device import DecryptShareRequest
-from repro.log.authdict import InclusionProof, PathStep
+from repro.log.authdict import InclusionProof, PathStep, empty_digest
 
 
 def _elgamal_bytes(ciphertext: ElGamalCiphertext) -> bytes:
@@ -116,16 +120,42 @@ def encode_decrypt_error(status: int, message: str) -> bytes:
 # ---------------------------------------------------------------------------
 # Log inclusion proofs
 # ---------------------------------------------------------------------------
-#: A node's identifier hash and every subtree hash are SHA-256 digests; a
-#: step's value is a log record of any length and keeps its blob length.
+#: A step's identifier hash is a SHA-256 digest, its 32 bytes on the wire;
+#: its value is a log record of any length and keeps its blob length.
 _HASH = fixed(32, "proof hash")
+_EMPTY_SUBTREE = empty_digest()
+
+
+def _encode_subtree(digest: bytes) -> bytes:
+    return b"\x00" if digest == _EMPTY_SUBTREE else b"\x01" + _HASH.encode(digest)
+
+
+def _read_subtree(reader: Reader) -> bytes:
+    flag = reader.take(1)[0]
+    if flag == 0:
+        return _EMPTY_SUBTREE
+    if flag != 1:
+        raise WireFormatError(f"bad subtree flag {flag}")
+    digest = reader.take(32)
+    if digest == _EMPTY_SUBTREE:
+        raise WireFormatError("an empty subtree spelled out in full")
+    return digest
+
+
+#: A subtree hash (a step's ``other``, ``left``, ``right``): one ``00``
+#: byte for the empty subtree's digest (``authdict.empty_digest()``; about
+#: half the subtree hashes of a search path are a leaf's missing
+#: children), ``01`` and the 32 bytes for any other.  ``01`` before the
+#: empty digest is refused, so a proof has one spelling, and the decoder
+#: rebuilds the very ``InclusionProof`` the prover made.
+_SUBTREE = Codec(_encode_subtree, _read_subtree)
 
 #: An inclusion proof: the BST proof against one lane's digest, the one
 #: kind at every arity, so it carries no kind byte.
 INCLUSION_PROOF = record(
     InclusionProof,
-    steps=seq(record(PathStep, idh=_HASH, value=BLOB, other=_HASH), tuple, 4096, "proof-step"),
-    left=_HASH, right=_HASH,
+    steps=seq(record(PathStep, idh=_HASH, value=BLOB, other=_SUBTREE), tuple, 4096, "proof-step"),
+    left=_SUBTREE, right=_SUBTREE,
 )
 encode_inclusion_proof = INCLUSION_PROOF.encode
 decode_inclusion_proof = INCLUSION_PROOF.decode
@@ -191,7 +221,7 @@ def _err_status(status: int) -> int:
 FIELD_CODECS: Dict[str, Codec] = {
     "text": TEXT,
     "blob": BLOB,
-    "u32": U32,
+    "varint": VARINT,
     "i32": I32,
     "recovery_ct": nested(RECOVERY_CIPHERTEXT),
     "proof": nested(INCLUSION_PROOF),
@@ -231,22 +261,22 @@ PROVIDER_OPS: Tuple[ProviderOp, ...] = (
     ProviderOp(6, "next_attempt_number", (("username", "text"),), PROV_REPLY_COUNT),
     ProviderOp(7, "reserve_attempt_number", (("username", "text"),), PROV_REPLY_COUNT),
     ProviderOp(8, "log_recovery_attempt",
-               (("username", "text"), ("attempt", "u32"), ("commitment", "blob")),
+               (("username", "text"), ("attempt", "varint"), ("commitment", "blob")),
                PROV_REPLY_LOGGED),
     ProviderOp(9, "log_and_prove",
-               (("username", "text"), ("attempt", "u32"), ("commitment", "blob")),
+               (("username", "text"), ("attempt", "varint"), ("commitment", "blob")),
                PROV_REPLY_PROVEN),
     ProviderOp(10, "prove_inclusion",
                (("identifier", "blob"), ("value", "blob")),
                PROV_REPLY_PROOF),
     ProviderOp(11, "share_phase_done",
-               (("username", "text"), ("attempt", "u32")),
+               (("username", "text"), ("attempt", "varint")),
                PROV_REPLY_ACK),
     ProviderOp(12, "store_reply",
-               (("username", "text"), ("attempt", "u32"), ("reply", "blob")),
+               (("username", "text"), ("attempt", "varint"), ("reply", "blob")),
                PROV_REPLY_ACK),
     ProviderOp(13, "fetch_replies",
-               (("username", "text"), ("attempt", "u32")),
+               (("username", "text"), ("attempt", "varint")),
                PROV_REPLY_BLOBS),
     ProviderOp(14, "recovery_attempts_for", (("username", "text"),), PROV_REPLY_ENTRIES),
 )
@@ -259,7 +289,7 @@ PROVIDER_REQUEST_SCHEMAS: Dict[int, Tuple[Tuple[str, str], ...]] = {
 #: Body schema per reply kind.
 PROVIDER_REPLY_SCHEMAS: Dict[int, Tuple[Tuple[str, str], ...]] = {
     PROV_REPLY_ACK: (),
-    PROV_REPLY_COUNT: (("value", "u32"),),
+    PROV_REPLY_COUNT: (("value", "varint"),),
     PROV_REPLY_BACKUP: (("ciphertext", "recovery_ct"),),
     PROV_REPLY_BLOBS: (("blobs", "blobs"),),
     PROV_REPLY_PROOF: (("proof", "opt_proof"),),

@@ -20,13 +20,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import wire
 from repro.core.codec import (
-    BLOB, I32, TEXT, TEXT16, U8, U16, U32, U64, U136, U256, Reader, WireFormatError,
+    BLOB, I32, TEXT, TEXT16, U8, U16, U32, U64, U136, U256, VARINT, Reader, WireFormatError,
     converted, fixed, mapping, nested, optional, prefixed, record, seq, tagged, tuple_of,
 )
 from repro.core.lhe import SHARE_OWNER
 from repro.crypto.commit import OPENING, CommitmentOpening
 from repro.crypto.ec import POINT, P256, ECPoint
 from repro.crypto.shamir import SHARE, Share
+from repro.log.authdict import InclusionProof, PathStep, empty_digest
 from test_wire_properties import decrypt_requests, inclusion_proofs
 
 _SETTINGS = dict(max_examples=40, deadline=None)
@@ -55,6 +56,7 @@ CODECS = [
     ("U32", U32, u32s),
     ("I32", I32, st.integers(-(1 << 31), (1 << 31) - 1)),
     ("U64", U64, st.integers(0, (1 << 64) - 1)),
+    ("VARINT", VARINT, u32s),
     ("BLOB", BLOB, blobs),
     ("TEXT", TEXT, st.text(max_size=12)),
     ("seq", seq(U32), st.lists(u32s, max_size=5)),
@@ -134,14 +136,16 @@ class TestPrimitives:
         assert U32.encode(1) == b"\x00\x00\x00\x01"
         assert I32.encode(-1) == b"\xff\xff\xff\xff"
         assert U64.encode(1 << 40) == b"\x00\x00\x01\x00\x00\x00\x00\x00"
-        assert BLOB.encode(b"ab") == b"\x00\x00\x00\x02ab"
-        assert TEXT.encode("é") == b"\x00\x00\x00\x02\xc3\xa9"
+        assert BLOB.encode(b"ab") == b"\x02ab"
+        assert BLOB.encode(b"\x00" * 200) == b"\xc8\x01" + b"\x00" * 200
+        assert TEXT.encode("é") == b"\x02\xc3\xa9"
         assert U16.encode(1) == b"\x00\x01"
         assert U136.encode(1) == bytes(16) + b"\x01"
         assert U256.encode(1) == bytes(31) + b"\x01"
         assert TEXT16.encode("é") == b"\x00\x02\xc3\xa9"
         assert fixed(2).encode(b"ab") == b"ab"
         assert seq(U8, count=U16).encode([7]) == b"\x00\x01\x07"
+        assert seq(U8).encode([7]) == b"\x01\x07"
 
     def test_fixed_refuses_another_length(self):
         with pytest.raises(WireFormatError, match="digest must be 2 bytes, got 3"):
@@ -149,7 +153,102 @@ class TestPrimitives:
 
     def test_invalid_utf8_is_a_wire_error(self):
         with pytest.raises(WireFormatError, match="UTF-8"):
-            TEXT.decode(b"\x00\x00\x00\x01\xff")
+            TEXT.decode(b"\x01\xff")
+
+
+class TestVarint:
+    """``VARINT`` is minimal LEB128 below 2**32: one spelling a value."""
+
+    @pytest.mark.parametrize("value, size", [
+        (0, 1), (127, 1), (128, 2), (16_383, 2), (16_384, 3), ((1 << 32) - 1, 5),
+    ])
+    def test_edges_round_trip_at_their_length(self, value, size):
+        encoded = VARINT.encode(value)
+        assert len(encoded) == size and VARINT.decode(encoded) == value
+
+    def test_layout_is_low_group_first(self):
+        assert VARINT.encode(128) == b"\x80\x01"
+        assert VARINT.encode(300) == b"\xac\x02"
+        assert VARINT.encode((1 << 32) - 1) == b"\xff\xff\xff\xff\x0f"
+
+    @pytest.mark.parametrize("data, match", [
+        (b"\x80\x00", "not minimal"),                      # 0 spelled in two bytes
+        (b"\xff\x00", "not minimal"),                      # 127 spelled in two bytes
+        (b"\x80\x80\x80\x80\x80\x01", "longer than 5"),    # a sixth byte
+        (b"\x80\x80\x80\x80\x10", "out of range"),         # 2**32
+        (b"\xff\xff\xff\xff\x7f", "out of range"),
+        (b"\x80", "truncated"),
+        (b"\xff\xff", "truncated"),
+        (b"", "truncated"),
+    ])
+    def test_malformed_is_refused(self, data, match):
+        with pytest.raises(WireFormatError, match=match):
+            VARINT.decode(data)
+        with pytest.raises(WireFormatError):
+            BLOB.decode(data + bytes(200))  # as a length, too
+
+    @pytest.mark.parametrize("value", [-1, 1 << 32, 1 << 40])
+    def test_outside_u32_is_unencodable(self, value):
+        with pytest.raises(WireFormatError, match="u32 out of range"):
+            VARINT.encode(value)
+
+    def test_blob_length_past_one_byte(self):
+        for size in (127, 128, 300):
+            data = bytes(range(256)) * 2
+            encoded = BLOB.encode(data[:size])
+            assert encoded == VARINT.encode(size) + data[:size]
+            assert BLOB.decode(encoded) == data[:size]
+            with pytest.raises(WireFormatError, match="truncated"):
+                BLOB.decode(encoded[:-1])
+
+
+EMPTY = empty_digest()
+
+
+class TestSubtreeHashes:
+    """An inclusion proof's subtree hash (a step's ``other``, ``left``,
+    ``right``) is ``00`` for the empty subtree and ``01`` and the 32
+    bytes for any other; a step's ``idh`` stays 32 bytes."""
+
+    LEAF = InclusionProof(steps=(), left=EMPTY, right=EMPTY)
+
+    def test_empty_subtrees_are_one_byte_each(self):
+        assert wire.encode_inclusion_proof(self.LEAF) == b"\x00\x00\x00"
+        proof = InclusionProof(
+            steps=(PathStep(idh=b"\x11" * 32, value=b"v", other=EMPTY),),
+            left=b"\x22" * 32, right=EMPTY,
+        )
+        encoded = wire.encode_inclusion_proof(proof)
+        assert encoded == (
+            b"\x01" + b"\x11" * 32 + b"\x01v" + b"\x00" + b"\x01" + b"\x22" * 32 + b"\x00"
+        )
+        assert wire.decode_inclusion_proof(encoded) == proof
+
+    @pytest.mark.parametrize("flag", [2, 3, 0x80, 0xFF])
+    def test_any_other_flag_is_refused(self, flag):
+        with pytest.raises(WireFormatError, match=f"bad subtree flag {flag}"):
+            wire.decode_inclusion_proof(b"\x00" + bytes([flag]) + b"\x22" * 32 + b"\x00")
+
+    def test_the_empty_digest_spelled_out_is_refused(self):
+        for spelled in (b"\x00\x01" + EMPTY + b"\x00", b"\x00\x00\x01" + EMPTY):
+            with pytest.raises(WireFormatError, match="empty subtree spelled out"):
+                wire.decode_inclusion_proof(spelled)
+        step = b"\x01" + b"\x11" * 32 + b"\x00" + b"\x01" + EMPTY
+        with pytest.raises(WireFormatError, match="empty subtree spelled out"):
+            wire.decode_inclusion_proof(step + b"\x00\x00")
+
+    @given(proof=inclusion_proofs)
+    @settings(**_SETTINGS)
+    def test_random_proofs_are_one_byte_string(self, proof):
+        encoded = wire.encode_inclusion_proof(proof)
+        assert wire.encode_inclusion_proof(wire.decode_inclusion_proof(encoded)) == encoded
+        hashes = [step.other for step in proof.steps] + [proof.left, proof.right]
+        empties = sum(digest == EMPTY for digest in hashes)
+        assert len(encoded) == (
+            len(VARINT.encode(len(proof.steps)))
+            + sum(32 + len(BLOB.encode(step.value)) for step in proof.steps)
+            + len(hashes) + 32 * (len(hashes) - empties)
+        )
 
 
 class TestCombinators:
@@ -157,13 +256,15 @@ class TestCombinators:
         bounded = seq(U8, limit=3, what="widget")
         assert bounded.decode(bounded.encode([1, 2, 3])) == [1, 2, 3]
         with pytest.raises(WireFormatError, match="implausible widget count"):
-            bounded.decode(U32.encode(4) + bytes(4))
+            bounded.decode(VARINT.encode(4) + bytes(4))
 
     def test_seq_hostile_count_is_refused_before_reading(self):
+        hostile = VARINT.encode((1 << 32) - 1)
+        assert hostile == b"\xff\xff\xff\xff\x0f"
         with pytest.raises(WireFormatError, match="implausible"):
-            seq(BLOB, limit=4096).decode(b"\xff\xff\xff\xff")
+            seq(BLOB, limit=4096).decode(hostile)
         with pytest.raises(WireFormatError, match="truncated"):
-            seq(BLOB).decode(b"\xff\xff\xff\xff")  # unbounded: runs out of input
+            seq(BLOB).decode(hostile)  # unbounded: runs out of input
 
     def test_optional_rejects_flag_two(self):
         maybe = optional(U8, "optional-widget")
@@ -225,21 +326,22 @@ class TestCombinators:
         assert list(shuffled) == keys  # insertion order really differs
         encoded = table.encode(shuffled)
         assert encoded == table.encode(items)
-        assert encoded == U32.encode(len(items)) + b"".join(
+        assert encoded == VARINT.encode(len(items)) + b"".join(
             TEXT.encode(key) + U32.encode(items[key]) for key in sorted(items)
         )
         assert table.decode(encoded) == items
 
     def test_mapping_refuses_unsorted_and_repeated_keys(self):
         table = mapping(U8, U8)
-        assert table.decode(b"\x00\x00\x00\x02\x01\x09\x02\x09") == {1: 9, 2: 9}
+        assert table.decode(b"\x02\x01\x09\x02\x09") == {1: 9, 2: 9}
         for pairs in (b"\x02\x09\x01\x09", b"\x01\x09\x01\x08"):
             with pytest.raises(WireFormatError, match="sorted order"):
-                table.decode(b"\x00\x00\x00\x02" + pairs)
+                table.decode(b"\x02" + pairs)
 
     def test_primitive_reads_are_the_reader_methods(self):
         # The replay-speed finding the module docstring records.
         assert BLOB.read is Reader.blob and TEXT.read is Reader.text
+        assert VARINT.read is Reader.varint
 
 
 class TestOneByteStringPerRequest:
@@ -318,10 +420,16 @@ def over_counted_opening(data: bytes) -> bytes:
 #: Ways to break an encoding its encoder never writes (a trailing byte is
 #: ``TestOneByteStringPerRequest``'s case).
 OPENING_MANGLES = {"cut short": lambda data: data[:-1], "over-long count": over_counted_opening}
+def over_counted_proof(data: bytes) -> bytes:
+    """A proof encoding whose step count (its first field, a varint)
+    claims one step more."""
+    count = VARINT.read(Reader(data))
+    return VARINT.encode(count + 1) + data[len(VARINT.encode(count)):]
+
+
 PROOF_MANGLES = {
     "cut short": lambda data: data[:-1],
-    # the step count, the proof's first field
-    "over-long count": lambda data: U32.encode(U32.decode(data[:4]) + 1) + data[4:],
+    "over-long count": over_counted_proof,
     # the kind byte an older sender wrote in front of the proof
     "kind byte in front": lambda data: b"\x01" + data,
 }
@@ -362,10 +470,22 @@ class TestCryptoLayoutsAreStrict:
 
     @given(username=st.text(max_size=12), context=blobs)
     @settings(**_SETTINGS)
-    def test_over_long_username_length_is_refused(self, username, context):
+    def test_over_long_username_length_never_reads_as_the_owner(self, username, context):
+        """A username length one too long takes the context's varint
+        length into the username.  With no context left to read it is
+        refused; otherwise it is refused or re-cuts the bytes into another
+        owner that encodes to exactly them (``("", b"\\t" + 9 bytes)``
+        becomes ``("\\n", 9 bytes)``), never this owner and never a partial
+        parse: the owner is associated data, so what matters is that one
+        byte string is one owner."""
         data = SHARE_OWNER.encode((username, context))
-        with pytest.raises(WireFormatError):
-            SHARE_OWNER.decode(U16.encode(U16.decode(data[:2]) + 1) + data[2:])
+        mangled = U16.encode(U16.decode(data[:2]) + 1) + data[2:]
+        try:
+            owner = SHARE_OWNER.decode(mangled)
+        except WireFormatError:
+            return
+        assert context and owner != (username, context)
+        assert SHARE_OWNER.encode(owner) == mangled
 
 
 class TestPoint:

@@ -196,13 +196,13 @@ class TestAggregateCodec:
         signature = ((0, 5), (P256.generator * 12345, 3**100))
         data = COMMIT.encode((0, 7, signature))
         assert COMMIT.decode(data) == (0, 7, signature)
-        # flag, two u32 signer ids behind their count, a 33-byte compressed
-        # R and a 32-byte s: no scheme tag, no byte length.
-        assert len(data) == 4 + 8 + 1 + (4 + 2 * 4) + 33 + 32
+        # flag, two u32 signer ids behind their one-byte varint count, a
+        # 33-byte compressed R and a 32-byte s: no scheme tag, no byte length.
+        assert len(data) == 4 + 8 + 1 + (1 + 2 * 4) + 33 + 32
         with pytest.raises(WireFormatError):
             COMMIT.decode(data[:-1])  # s cut short
         bad_point = bytearray(data)
-        bad_point[4 + 8 + 1 + 12] = 4  # R's prefix byte is no SEC1 compressed form
+        bad_point[4 + 8 + 1 + 9] = 4  # R's prefix byte is no SEC1 compressed form
         with pytest.raises(WireFormatError):
             COMMIT.decode(bytes(bad_point))
 

@@ -1323,7 +1323,14 @@ class TestMeteringInvariance:
     # 574: 3 × (2 + 21 + 36 − 19) for this 21-character username; 8 blocks,
     # not 10).  At t = 1 the sharer draws nothing, so the stream is the
     # parent's.
-    SEED_COUNTS = {"ec_mult": 340, "ecdsa_verify": 20, "sha256_block": 2639}
+    # Re-derived when lengths, counts and header integers became varints
+    # (was sha256_block 2639): −1 in ``ciphertext_hash``, over an encoding
+    # 36 bytes shorter (418 against 454: the username's length, the three
+    # header integers, the share count, 3 shares' wrap counts and payload
+    # lengths and the payload's length, 3 bytes each; 448 bytes hashed with
+    # the label and both parts' 8-byte lengths, 7 blocks, not 8).  Nothing
+    # draws differently, and no multiply or check moved.
+    SEED_COUNTS = {"ec_mult": 340, "ecdsa_verify": 20, "sha256_block": 2638}
 
     def run_fixed_workload(self):
         """One seeded backup+recovery; all randomness from one PRNG so the

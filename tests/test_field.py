@@ -157,7 +157,17 @@ class TestByteIdentity:
     # parent's.  A copy that draws the parent's 32 bytes for the
     # coefficient keeps the parent's ephemeral and wraps too and hashes to
     # 7219bf00…, the same layout.
-    LHE_DIGEST = "12fa33ae1b886632ae535fbb8a32fa161f4011c3b7c304289d90cd59d25fd48f"
+    # Re-captured again (was 12fa33ae…) when lengths, counts and the three
+    # header integers became one-byte varints: the encoding is 36 bytes
+    # shorter (375 → 339: the username's length, threshold / N / epoch,
+    # the share count, 3 shares' wrap counts and payload lengths, the
+    # payload's length, 3 bytes each).  Every drawn byte is the parent's;
+    # the share owner's context length is a varint too, so each share
+    # payload's 16-byte GCM tag is new and its 19 ciphertext bytes are the
+    # parent's.  A copy that keeps the parent's spelling for the owner and
+    # for the hash decodes to the parent's ciphertext and hashes to
+    # 12fa33ae…, the same values.
+    LHE_DIGEST = "423bfaffefee0df0581a10290b383180c993f8e8e0c213d4f8e67b02b6b99ae3"
 
     def test_lagrange_matches_the_field_class(self):
         def values(modulus):

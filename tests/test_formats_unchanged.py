@@ -227,6 +227,64 @@ the parent's order, and only these moved:
 Every other frame and block is the parent's length, chain hashes, the
 anchor and the commitments that bind ``ciphertext_hash`` aside.
 ``PARENT_RECORD_KINDS_DIGEST`` did not move.
+
+All five digests moved once more, when every blob and text length, every
+sequence count, the provider frames' attempt numbers and counts and a
+recovery ciphertext's threshold, N and config epoch became minimal LEB128
+varints (one byte below 128 where they were ``u32``s: −3 each), and an
+inclusion proof's subtree hash (a step's ``other``, ``left``, ``right``)
+became ``00`` for the empty subtree's digest and ``01`` and the 32 bytes
+otherwise (−31 an empty one, +1 any other).  The entropy stream did not
+change.  The workload was compared frame by frame and record by record
+against the parent's on a copy of this code that keeps the parent's
+spelling where a spelling feeds a hash or a tag (the share owner, which
+is associated data, and ``ciphertext_hash``), so every drawn and derived
+value is the parent's: both arities send the parent's frames and write the
+parent's records in the parent's order, every one decodes (each with its
+own code's codecs) to a value equal to the parent's, and so every moved
+byte is a length, a count, a header integer or a subtree flag.  By kind,
+at shards=1 (shards=2 alike unless given):
+
+- each ``upload_backup`` request −41 (7): the username's length, the
+  nested ciphertext's (2 bytes now, past 127) and the ciphertext's 36 —
+  the username's length, the three header integers, the share count, each
+  of 3 shares' wrap count and payload length, the payload's length;
+  each ``fetch_backup`` reply −38 (3);
+- each request naming only a username −3 (5), and ``fetch_backup``'s
+  (username, ``i32``) −3 (3); each (username, attempt) request −6 (3);
+  ``upload_incremental`` −6; ``log_and_prove`` −9 (3); ``store_reply`` −9
+  (5, 4 at shards=2); each COUNT reply −3 (10); the incrementals reply
+  −6 and the entries reply −21 (its count and 3 entries' 6 lengths);
+- a proof of s steps with e empty subtrees among its s + 2 changes by
+  −1 − 2·s − 32·e (count −3, each value's length −3, −31 or +1 a
+  subtree): each ``log_and_prove`` reply −74, −106 or −108 (s = 2, e = 2;
+  s = 2, e = 3; s = 3, e = 3), with its identifier's and the nested
+  proof's lengths (at shards=2 −138 twice, s = 2, e = 4, and −106); each
+  acknowledgement is the parent's 2 bytes; each decrypt-share request −23 (its username,
+  identifier, commitment, opening, context and nested share lengths, and
+  the share's wrap count and payload length) plus its proof's: −94, −126,
+  −128 (s = 2, e = 2; s = 2, e = 3; s = 3, e = 3), at shards=2 −158 (s =
+  2, e = 4) and −126; each decrypt-share reply −3 (its ElGamal blob's or
+  its message's length);
+- each backup WAL record −41 (7), the incremental and each reply record
+  −6 (their username's and blob's lengths; a reply's attempt stays a
+  ``u32`` in the journal), each intent record −18 or −36 (its 3 digests'
+  lengths, the entry count, 2 lengths an entry: 1 or 4 entries; 2 at
+  shards=2, −24), each commit −3 (its signer count), and the snapshot
+  −396 (4586 → 4190; at shards=2 −411, 4696 → 4285);
+- the record-kinds store: the incremental and reply records −6, the
+  intents −12 (no entries) and −24 twice (2 entries), the signed commit −3, the
+  unsigned commit, the rollback and the GC record unchanged (no length or
+  count in them), the first snapshot −63 (398 → 335) and the empty one
+  −12 (its four map counts: 24 → 12).
+
+In this code the share owner is spelled with a varint context length too,
+so each share payload's GCM tag is another 16 bytes, and
+``ciphertext_hash`` hashes the new spelling, so the commitments, the log's
+digests, the proofs' hashes and the certificates that bind it are other
+bytes of the same lengths (38 of 93 frames and records at shards=1 differ
+from the copy's in value, 36 of 90 at shards=2, none of the record-kinds
+store).
 """
 
 import hashlib
@@ -243,7 +301,7 @@ from repro.core.protocol import Deployment
 from repro.crypto.commit import OPENING, CommitmentOpening
 from repro.crypto.ec import P256
 from repro.crypto.shamir import DEFAULT_MODULUS, SHARE, Share
-from repro.log.authdict import InclusionProof, PathStep
+from repro.log.authdict import InclusionProof, PathStep, empty_digest
 from repro.log.distributed import CertifiedTransition
 from repro.service.channel import HsmWireEndpoint, ProviderWireEndpoint
 from repro.storage.blockstore import InMemoryBlockStore
@@ -262,20 +320,20 @@ def _absorb_store(digest, store: InMemoryBlockStore) -> None:
 
 
 class TestFormatsUnchanged:
-    # Re-captured when a share's plaintext became the 19-byte share with
-    # its owner bound as associated data; see the module docstring.
+    # Re-captured when lengths, counts and header integers became varints
+    # and an empty subtree one byte; see the module docstring.
     PARENT_DIGESTS = {
         1: {
-            "frames": "4ae5c8c12024204870de91437487c5c133c60a410fd986c90555a824cec47722",
-            "store": "54b593663c637ce758dd3c8aac9bf2a4be332e79ceeb72b36dfaed9b2bfa4873",
+            "frames": "3ab869adaa74119fa4484869a07d12f1681a25cebd3c10ddd6fd28b75ad32b3a",
+            "store": "3aebd2d0722d3adcc9020377ed556c69f5d0860c082a1fca26d09945433c99cd",
         },
         2: {
-            "frames": "75903806579c1e4560e21de197b6625ab12c8954ec3d10922bc89160448109e6",
-            "store": "b020952722a1776ca7d1b96f6026ff12e82630834331c3c249de584a1765233a",
+            "frames": "0ef901084ddb2d05b3677713e352747675fc64a9e29088f06207ba2c22aeb783",
+            "store": "ccd9a3a1988d5646fa821495e6b82f973c3116c3589cf9ca5749d48065064dd4",
         },
     }
     PARENT_RECORD_KINDS_DIGEST = (
-        "52abb302609d3e337b52c87c533f0ebcd38af91db26d95e5d95bf1836fadabde"
+        "5af7d1a3732a92fa74caf3cc4203b0c72998618085105519eeae54346fe5d5de"
     )
 
     @staticmethod
@@ -386,19 +444,24 @@ class TestFormatsUnchanged:
         bytes are the parent encoder's with the ``u32`` lengths of the
         four 32-byte hashes (a step's ``idh`` and ``other``, ``left``,
         ``right``) gone, and then its kind byte (``01``, the one kind);
-        the step's 3-byte value keeps its length."""
+        the step's 3-byte value keeps its length.  Then the step count
+        and the value's length became one-byte varints (``00000001`` →
+        ``01``, ``00000003`` → ``03``) and each subtree hash got its flag
+        byte, ``01`` before the 32 bytes, or ``00`` alone for the empty
+        subtree's digest (the second proof: the same step over two empty
+        children, 64 bytes shorter)."""
         proof = InclusionProof(
             steps=(PathStep(idh=b"\x11" * 32, value=b"\x22" * 3, other=b"\x33" * 32),),
             left=b"\x44" * 32,
             right=b"\x55" * 32,
         )
-        pinned = (
-            "00000001"
-            + "11" * 32 + "00000003" + "22" * 3 + "33" * 32
-            + "44" * 32 + "55" * 32
-        )
+        step = "01" + "11" * 32 + "03" + "22" * 3 + "01" + "33" * 32
+        pinned = step + "01" + "44" * 32 + "01" + "55" * 32
         assert wire.encode_inclusion_proof(proof).hex() == pinned
         assert wire.decode_inclusion_proof(bytes.fromhex(pinned)) == proof
+        leaf = InclusionProof(steps=proof.steps, left=empty_digest(), right=empty_digest())
+        assert wire.encode_inclusion_proof(leaf).hex() == step + "00" + "00"
+        assert wire.decode_inclusion_proof(bytes.fromhex(step + "0000")) == leaf
 
 
 class TestCryptoLayoutsUnchanged:
@@ -410,7 +473,8 @@ class TestCryptoLayoutsUnchanged:
     GF(2^128 + 51): ``x`` went ``u32`` → ``u16`` and ``y`` 32 → 17 bytes
     (``00000007`` + the 32-byte order − 1 before); the owner replaced the
     ``(username, share)`` plaintext, whose username it encodes the same
-    way."""
+    way.  The owner's context length moved once, when a blob's length
+    became a varint (``00000003`` → ``03``)."""
 
     SHARE_VALUE = Share(x=7, y=DEFAULT_MODULUS - 1)
     PINNED = {
@@ -428,7 +492,7 @@ class TestCryptoLayoutsUnchanged:
         "share_owner": (
             SHARE_OWNER,
             ("zoë", b"\xcc" * 3),
-            "00047a6fc3ab" + "00000003" + "cc" * 3,
+            "00047a6fc3ab" + "03" + "cc" * 3,
         ),
     }
 

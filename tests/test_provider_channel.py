@@ -121,7 +121,7 @@ _PROOF = InclusionProof(
 _CANNED = {
     "text": "wire-user",
     "blob": b"\x00blob\xff",
-    "u32": 7,
+    "varint": 7,
     "i32": -1,
     "recovery_ct": _ciphertext(),
     "proof": _PROOF,
@@ -246,7 +246,7 @@ class TestTypedErrors:
     def test_unencodable_reply_answers_typed_error_frame(self):
         class OutOfContractProvider:
             def backup_count(self, username):
-                return 1 << 40  # does not fit the COUNT reply's u32
+                return 1 << 40  # does not fit the COUNT reply's varint (a u32)
 
         channel = _loopback(OutOfContractProvider())
         with pytest.raises(ProviderError, match="u32 out of range"):

@@ -50,18 +50,18 @@ class TestOneTimeNonces:
     prepends ``gcm.ONE_TIME_NONCE``); its wraps are bare 16-byte masks, and
     its fixed-length fields carry no length."""
 
-    def test_share_ciphertext_at_k4_is_174_bytes(self):
+    def test_share_ciphertext_at_k4_is_168_bytes(self):
         params = BloomParams.for_punctures(16, failure_exponent=4)
         public, secret = BloomFilterEncryption.keygen(params, InMemoryBlockStore())
         plaintext = SHARE.encode(Share(1, 5))
         assert params.num_hashes == 4 and len(plaintext) == 19
         (ct,) = BloomFilterEncryption.encrypt([public], [plaintext], context=b"c", tag=bytes(32))
         # tag 32, ephemeral 33 (its prefix gives its length), the u16
-        # position, 4 wraps of 16 behind a count, payload blob 4 + 19 + 16:
-        # the share alone, its owner being associated data (29 bytes fewer
-        # than a u16-prefixed 10-character username, a u32 x and a 32-byte y).
+        # position, 4 wraps of 16 behind a one-byte varint count, payload
+        # blob 1 + 19 + 16: the share alone, its owner being associated
+        # data.  The count and the payload length were u32s (174 bytes).
         encoded = wire.encode_bfe_ciphertext(ct)
-        assert len(encoded) == 32 + 33 + 2 + 4 + 4 * 16 + 4 + 19 + 16 == 174
+        assert len(encoded) == 32 + 33 + 2 + 1 + 4 * 16 + 1 + 19 + 16 == 168
         assert [len(wrap) for wrap in ct.wrapped_keys] == [16] * 4
         decoded = wire.decode_bfe_ciphertext(encoded)
         assert decoded == ct
@@ -97,25 +97,27 @@ class TestRecoveryCiphertext:
         ]
         assert lhe.reconstruct(ct, shares, context) == b"msg"
 
-    def test_at_n3_k4_is_453_bytes(self):
+    def test_at_n3_k4_is_417_bytes(self):
         """The ledger's shape: a 10-character username, a 32-byte payload.
         The ciphertext carries its shares' one ephemeral once, and each
-        share is its wraps and payload alone (107 bytes: no tag, point or
-        position), its payload the 19-byte share with no username: 29
-        bytes a share fewer than when the plaintext carried the username
-        and a 32-byte y."""
+        share is its wraps and payload alone (101 bytes: no tag, point or
+        position), its payload the 19-byte share with no username.  Every
+        length, count and header integer is a one-byte varint: 36 bytes
+        fewer than the 453 of ``u32`` ones (the username's length, the
+        three header integers, the share count, each share's wrap count
+        and payload length, and the payload's length, 3 bytes each)."""
         params = BloomParams.for_punctures(16, failure_exponent=4)
         publics = [BloomFilterEncryption.keygen(params, InMemoryBlockStore())[0] for _ in range(3)]
         ct = LocationHidingEncryption(3, 3, 2).encrypt(
             publics, "1234", bytes(32), username="size-probe"
         )
         encoded = wire.encode_recovery_ciphertext(ct)
-        share = 4 + 4 * 16 + 4 + 19 + 16
+        share = 1 + 4 * 16 + 1 + 19 + 16
         # version, salt, username, threshold / N / epoch, ephemeral, share
         # count, payload blob
-        assert len(encoded) == 1 + 16 + 4 + 10 + 3 * 4 + 33 + 4 + 3 * share + 4 + 32 + 16 == 453
+        assert len(encoded) == 1 + 16 + 1 + 10 + 3 * 1 + 33 + 1 + 3 * share + 1 + 32 + 16 == 417
         # A stand-alone share adds its tag, the ephemeral and its position.
-        assert share == len(wire.encode_bfe_ciphertext(ct.share_ciphertexts[0])) - 32 - 33 - 2 == 107
+        assert share == len(wire.encode_bfe_ciphertext(ct.share_ciphertexts[0])) - 32 - 33 - 2 == 101
         assert wire.decode_recovery_ciphertext(encoded) == ct
 
     def test_bad_version_rejected(self, bfe_setup):

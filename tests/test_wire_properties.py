@@ -20,14 +20,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import wire
-from repro.core.codec import BLOB, U32
+from repro.core.codec import BLOB, VARINT
 from repro.core.lhe import SALT_LEN, LheCiphertext, series_tag
 from repro.crypto.bfe import BFE_BODY, TAG_BYTES, WRAP_BYTES, BfeCiphertext
 from repro.crypto.commit import commit_recovery
 from repro.crypto.ec import P256, ECPoint
 from repro.crypto.elgamal import ElGamalCiphertext
 from repro.hsm.device import DecryptShareRequest
-from repro.log.authdict import InclusionProof, PathStep
+from repro.log.authdict import InclusionProof, PathStep, empty_digest
 
 # Valid curve points are expensive to make; sample from a fixed pool.
 _POINTS = tuple(P256.keygen(random.Random(seed)).public for seed in range(8))
@@ -81,13 +81,15 @@ def _recovery_ciphertexts(draw):
 
 recovery_ciphertexts = _recovery_ciphertexts()
 
+#: A subtree hash: the empty subtree's digest (one byte on the wire) or any other.
+subtrees = st.just(empty_digest()) | digests
 inclusion_proofs = st.builds(
     InclusionProof,
     steps=st.lists(
-        st.builds(PathStep, idh=digests, value=blobs, other=digests), max_size=6
+        st.builds(PathStep, idh=digests, value=blobs, other=subtrees), max_size=6
     ).map(tuple),
-    left=digests,
-    right=digests,
+    left=subtrees,
+    right=subtrees,
 )
 
 
@@ -199,7 +201,7 @@ class TestRecoveryCiphertextWire:
         one = dataclasses.replace(ct, share_ciphertexts=ct.share_ciphertexts[:1])
         encoded = wire.encode_recovery_ciphertext(one)
         body = len(BFE_BODY.encode(one.share_ciphertexts[0].body())) + len(BLOB.encode(ct.payload))
-        emptied = encoded[:-body - 4] + U32.encode(0) + BLOB.encode(ct.payload)
+        emptied = encoded[:-body - 1] + VARINT.encode(0) + BLOB.encode(ct.payload)
         with pytest.raises(wire.WireFormatError, match="no shares"):
             wire.decode_recovery_ciphertext(emptied)
 
@@ -311,7 +313,7 @@ class TestFixedLengthFields:
 _FIELD_STRATEGIES = {
     "text": usernames,
     "blob": blobs,
-    "u32": u32s,
+    "varint": u32s,
     "i32": st.integers(min_value=-(1 << 31), max_value=(1 << 31) - 1),
     "recovery_ct": recovery_ciphertexts,
     "proof": inclusion_proofs,
