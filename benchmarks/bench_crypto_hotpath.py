@@ -94,7 +94,7 @@ GF(2^128) multiply it replaced (kept in ``tests/reference_symmetric.py``):
 - **aes_key_expand** one key's 11 round-key rows at a node's 4 lanes (every
   message expands its key afresh);
 - **ghash_mul** one multiply by H (nibble table vs 128 bit steps);
-- **ae_node_roundtrip** a one-message ``seal_each`` and ``ae_decrypt`` of
+- **ae_node_roundtrip** a one-message ``seal_each`` and ``open_each`` of
   one 32-byte tree node with its 22-byte address AAD — the unit of work the
   cost model bills ``SecureDeletionTree.delete`` 3x per level;
 - **aes_seal_batch** the 511 seals of one key tree's set-up at 185 slots
@@ -102,7 +102,7 @@ GF(2^128) multiply it replaced (kept in ``tests/reference_symmetric.py``):
   (``aes_seal_percall``); reported per node too;
 - **ae_open_level** one four-node level of a k = 4 walk down (four 32-byte
   nodes, each under its own key and address) through one ``open_each``,
-  against four ``ae_decrypt`` calls (``ae_open_percall``); reported per
+  against four one-message ``open_each`` calls (``ae_open_percall``); reported per
   node too.
 
 Every symmetric row is timed in turns with its baseline.
@@ -251,7 +251,7 @@ def interleaved_timed(fns: dict, min_seconds: float) -> dict:
 
 
 def _setup_seals(rng: random.Random) -> list:
-    """The ``(key, nonce, plaintext, aad)`` of one key tree's set-up at
+    """The ``(key, plaintext, aad)`` of one key tree's set-up at
     ``BATCH_LANES`` slots, in the order ``SecureDeletionTree.setup`` seals
     them: 256 leaves (185 scalars, 71 empty) and 255 internal nodes."""
     from repro.storage.securedel import _addr_aad, tree_height
@@ -261,7 +261,7 @@ def _setup_seals(rng: random.Random) -> list:
     addrs = list(range(leaves, 2 * leaves)) + [a for h in range(tree_height(BATCH_LANES) - 1, -1, -1)
                                                 for a in range(1 << h, 2 << h)]
     return [
-        (rng.randbytes(16), rng.randbytes(12), rng.randbytes(length), _addr_aad(addr))
+        (rng.randbytes(16), rng.randbytes(length), _addr_aad(addr))
         for length, addr in zip(lengths, addrs, strict=True)
     ]
 
@@ -272,16 +272,16 @@ def run_symmetric(min_seconds: float) -> dict:
     import reference_symmetric as ref
     from repro.crypto import aes, gcm
     from repro.crypto.aes import Aes128, encrypt_blocks
-    from repro.crypto.gcm import ae_decrypt, open_each, seal_each
+    from repro.crypto.gcm import ONE_TIME_NONCE, open_each, seal_each
     from repro.storage.securedel import _addr_aad
 
     rng = random.Random(0xAE5)
-    key, block, nonce = rng.randbytes(16), rng.randbytes(16), rng.randbytes(12)
+    key, block, nonce = rng.randbytes(16), rng.randbytes(16), ONE_TIME_NONCE
     node, aad = rng.randbytes(32), b"securedel-node" + (1234).to_bytes(8, "big")
     x = rng.getrandbits(128)
     fast_aes, ref_aes = Aes128(key), ref.ReferenceAes128(key)
     h = int.from_bytes(ref_aes.encrypt_block(bytes(16)), "big")
-    table = gcm._key_streams([(fast_aes, nonce, 0)])[0][0]
+    table = gcm._key_streams([(fast_aes, 0)], nonce)[0][0]
     # A node's cipher work: H, the tag mask and two CTR blocks, one call.
     node_blocks = bytes(16) + b"".join(nonce + c.to_bytes(4, "big") for c in (1, 2, 3))
     assert encrypt_blocks([(fast_aes, node_blocks)]) == b"".join(
@@ -291,8 +291,8 @@ def run_symmetric(min_seconds: float) -> dict:
     assert gcm._mul_h(table, x) == ref.gf128_mul(x, h)
 
     def node_roundtrip():
-        (sealed,) = seal_each([(key, nonce, node, aad)])
-        assert ae_decrypt(key, sealed, aad) == node
+        (sealed,) = seal_each([(key, node, aad)])
+        assert next(open_each([(key, sealed, aad)])) == node
 
     def node_roundtrip_naive():
         sealed = ref.ReferenceAesGcm(key).encrypt(nonce, node, aad)
@@ -301,12 +301,9 @@ def run_symmetric(min_seconds: float) -> dict:
     key_row = int.from_bytes(key * NODE_BLOCKS, "big")
     seals = _setup_seals(rng)
     assert seal_each(seals) == [seal_each([message])[0] for message in seals]
-    level = [
-        (rng.randbytes(16), rng.randbytes(12), rng.randbytes(32), _addr_aad(addr))
-        for addr in range(64, 64 + LEVEL_NODES)
-    ]
-    sealed_level = [(k, blob, a) for (k, _, _, a), blob in zip(level, seal_each(level))]
-    assert list(open_each(sealed_level)) == [pt for _, _, pt, _ in level]
+    level = [(rng.randbytes(16), rng.randbytes(32), _addr_aad(addr)) for addr in range(64, 64 + LEVEL_NODES)]
+    sealed_level = [(k, blob, a) for (k, _, a), blob in zip(level, seal_each(level))]
+    assert list(open_each(sealed_level)) == [pt for _, pt, _ in level]
     pairs = {
         "aes_block": (
             lambda: encrypt_blocks([(fast_aes, node_blocks)]),
@@ -325,7 +322,7 @@ def run_symmetric(min_seconds: float) -> dict:
         ),
         "ae_open_level": (
             lambda: list(open_each(sealed_level)),
-            lambda: [ae_decrypt(*message) for message in sealed_level],
+            lambda: [next(open_each([message])) for message in sealed_level],
         ),
     }
     records = {}

@@ -24,11 +24,11 @@ from reporting import emit_rows
 TOLERANCE = 0.10
 PRICE = (
     "open, ROADMAP 7: the closed form bills (3k+1)·h = 273 key-tree node operations of"
-    " 4 AES blocks (0.30 s), one ElGamal decryption (0.15 s) and 16 KB of transfers"
-    " (0.01 s); what the paper's other 0.22 s was spent on is not known"
+    " 4 AES blocks (0.30 s), one ElGamal decryption (0.15 s) and 13 KB of transfers"
+    " (0.006 s); what the paper's other 0.23 s was spent on is not known"
 )
 RATE = (
-    "open, ROADMAP 7: follows the price — 2^18 jobs per 77.0 h rotating + 37.3 h serving;"
+    "open, ROADMAP 7: follows the price — 2^18 jobs per 77.0 h rotating + 37.1 h serving;"
     " the paper's 1,503.9/h is a 174 h cycle, which its own 75 h and 56 % (134 h) do not give"
 )
 FLEET = "jobs_per_hour_per_hsm's ratio inverted: nothing else in the planner differs"

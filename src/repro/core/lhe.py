@@ -53,7 +53,7 @@ from repro.crypto.bfe import (
     BloomFilterEncryption,
 )
 from repro.crypto.ec import POINT
-from repro.crypto.gcm import AuthenticationError, open_one_time, seal_one_time
+from repro.crypto.gcm import AuthenticationError, open_each, seal_each
 from repro.crypto.hashing import hash_to_indices, sha256
 from repro.crypto.shamir import SHARE, Share, ShamirSharer
 
@@ -246,7 +246,7 @@ class LocationHidingEncryption:
             tag=series_tag(username, salt),
         )
         # The transport key is fresh and seals this one message.
-        (payload,) = seal_one_time([(transport_key, message, context)])
+        (payload,) = seal_each([(transport_key, message, context)])
         return LheCiphertext(
             salt=salt,
             username=username,
@@ -305,7 +305,7 @@ class LocationHidingEncryption:
 
         def verifier(candidate_key: bytes) -> bool:
             try:
-                opened.append(open_one_time(candidate_key, ciphertext.payload, context))
+                opened.append(next(open_each([(candidate_key, ciphertext.payload, context)])))
             except AuthenticationError:
                 return False
             return True

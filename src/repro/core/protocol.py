@@ -47,7 +47,7 @@ class Deployment:
             self.membership.resume_from(provider.log.items())
         else:
             self.membership.record_fleet(fleet.master_public_key())
-            provider.log.run_update(fleet.hsms)
+            provider.run_log_update()
 
     # -- construction ---------------------------------------------------------
     @staticmethod
@@ -171,7 +171,7 @@ class Deployment:
 
     # -- maintenance ----------------------------------------------------------------
     def run_log_update(self) -> None:
-        self.provider.log.run_update(self.fleet.hsms)
+        self.provider.run_log_update()
 
     def rotate_keys_if_needed(self) -> List[int]:
         """Rotate any HSM whose Bloom key is half-deleted (§9.1).
@@ -190,7 +190,7 @@ class Deployment:
             mpk = self.fleet.master_public_key()
             for client in self.clients:
                 client.refresh_mpk(mpk)
-            self.provider.log.run_update(self.fleet.hsms)
+            self.provider.run_log_update()
         return rotated
 
     def verify_published_keys(self) -> None:

@@ -59,7 +59,7 @@ keys still lack, one batch inversion for the n·k results — and the one
 its comb (215 doublings and 31 additions), and every ciphertext to it — a
 ``reuse_salt`` backup series hashes every backup to the same k slots —
 costs 42 doublings and 43 additions a key.  The masks are XORs with a
-KDF output, and the n payloads are one ``repro.crypto.gcm.seal_one_time``
+KDF output, and the n payloads are one ``repro.crypto.gcm.seal_each``
 batch (each key seals exactly one message, so it goes out as
 ``ciphertext ‖ tag`` under the constant ``ONE_TIME_NONCE``).  The meter
 sees 1 + n·k ``ec_mult``, n·k ``elgamal_enc`` and the payload seals'
@@ -93,7 +93,7 @@ from repro import metering
 from repro.core.codec import BLOB, U16, converted, fixed, seq, tuple_of
 from repro.crypto.bloom import BloomParams
 from repro.crypto.ec import POINT, ECPoint, P256, generator_mult_each, mult_each
-from repro.crypto.gcm import AuthenticationError, ae_cost, open_one_time, seal_one_time
+from repro.crypto.gcm import AuthenticationError, ae_cost, open_each, seal_each
 from repro.crypto.hashing import kdf, sha256
 from repro.crypto.merkle import MerkleTree
 from repro.storage.blockstore import BlockStore
@@ -308,7 +308,7 @@ class BloomFilterEncryption:
             for position, (key, row) in enumerate(zip(keys, slots))
         ]
         # Each payload key is a KDF of a fresh K: it seals this one message.
-        payloads = seal_one_time(
+        payloads = seal_each(
             (_payload_key(key, tag, ephemeral, row), plaintext, context)
             for key, row, plaintext in zip(keys, wraps, plaintexts)
         )
@@ -353,9 +353,8 @@ class BloomFilterEncryption:
             # The payload's associated data binds the LHE context; a wrong
             # context (e.g. a wrong-PIN cluster digest) fails authentication
             # here even when the slot key itself was right.
-            return open_one_time(
-                _payload_key(key, tag, ciphertext.ephemeral, wraps), ciphertext.payload, context
-            )
+            payload_key = _payload_key(key, tag, ciphertext.ephemeral, wraps)
+            return next(open_each([(payload_key, ciphertext.payload, context)]))
         raise PuncturedKeyError(
             "no surviving Bloom slot can decrypt this ciphertext"
         ) from last_error

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from repro import metering
 from repro.crypto.ec import ECKeyPair, ECPoint, P256
-from repro.crypto.gcm import AuthenticationError, open_one_time, seal_one_time
+from repro.crypto.gcm import AuthenticationError, open_each, seal_each
 from repro.crypto.hashing import kdf
 
 
@@ -87,7 +87,7 @@ class HashedElGamal:
         ephemeral = P256.generator * r
         shared = public * r
         key = kdf("hashed-elgamal", shared.to_bytes(), context, length=16)
-        (body,) = seal_one_time([(key, plaintext, context)])
+        (body,) = seal_each([(key, plaintext, context)])
         return ElGamalCiphertext(ephemeral=ephemeral, body=body)
 
     @staticmethod
@@ -102,4 +102,4 @@ class HashedElGamal:
         metering.count("elgamal_dec")
         shared = ciphertext.ephemeral * secret
         key = kdf("hashed-elgamal", shared.to_bytes(), context, length=16)
-        return open_one_time(key, ciphertext.body, aad=context)
+        return next(open_each([(key, ciphertext.body, context)]))

@@ -4,16 +4,18 @@ This is the paper's ``(AEEncrypt, AEDecrypt)`` scheme: it encrypts the backed
 up disk image under the transport key, wraps Shamir shares inside hashed
 ElGamal, and protects every node of the secure-deletion key tree.
 
-There are two entry points, :func:`seal_each` and :func:`open_each`, and
-:func:`ae_encrypt` / :func:`ae_decrypt` are their one-message case.  A
-message's cipher work — the zero block (the hash subkey H), ``nonce ‖ 1``
-(the tag mask) and the counter blocks ``nonce ‖ 2, 3, …`` (the CTR
-keystream) — is lanes of a :func:`repro.crypto.aes.encrypt_blocks` call,
-and many messages, each under its own key, share calls of up to
-``MAX_LANES`` blocks: the key tree seals a level of a set-up or a whole
-re-key that way and opens a level of its walk down.  A sealed message is
-``nonce ‖ ciphertext ‖ tag`` with ``NONCE_LEN`` and ``TAG_LEN`` bytes
-around the data.
+The key's lifetime decides the form.  A key that seals one message (a
+key-tree node, a Bloom-filter payload, the LHE payload, an ElGamal body)
+goes through :func:`seal_each` / :func:`open_each`: ``ciphertext ‖ tag``
+under :data:`ONE_TIME_NONCE`, which is not carried.  The master key of the
+incremental backups seals again: :func:`ae_encrypt` / :func:`ae_decrypt`
+prepend a random nonce.  A message's cipher work — the zero block (the
+hash subkey H), ``nonce ‖ 1`` (the tag mask) and the counter blocks
+``nonce ‖ 2, 3, …`` (the CTR keystream) — is lanes of a
+:func:`repro.crypto.aes.encrypt_blocks` call, and many messages, each
+under its own key, share calls of up to ``MAX_LANES`` blocks: the key tree
+seals a level of a set-up or a whole re-key that way and opens a level of
+its walk down.
 
 GHASH multiplies by H four bits at a time through a 16-entry table of H's
 nibble multiples; keystream and tag mask are XORed on as big integers.  The
@@ -51,13 +53,12 @@ TAG_LEN = 16
 #: The nonce of a key that encrypts exactly one message, and only of such
 #: a key: SP 800-38D §8.2.1's deterministic construction with one
 #: invocation per key, so the (key, nonce) pair is still never repeated.
-#: A Bloom-filter payload (its key a KDF of a fresh 16-byte key), the LHE
-#: payload (a fresh transport key) and a hashed-ElGamal body (its key a
-#: KDF of a fresh ``r·X``) seal under it.  A key that seals again — the
-#: incremental backups' master key — draws a random nonce for every
-#: message.  A key-tree node draws one too, although its key seals only
-#: it: ``SecureDeletionTree.setup`` and ``PathWalk.delete`` draw a fresh
-#: key for every node they seal.
+#: A key-tree node and the naive store's array (a fresh key for every
+#: seal), a Bloom-filter payload (its key a KDF of a fresh 16-byte key),
+#: the LHE payload (a fresh transport key) and a hashed-ElGamal body (its
+#: key a KDF of a fresh ``r·X``) seal under it.  A key that seals again —
+#: the incremental backups' master key — draws a random nonce for every
+#: message.
 ONE_TIME_NONCE = bytes(NONCE_LEN)
 _ZERO_BLOCK = bytes(16)
 
@@ -88,13 +89,11 @@ HashTable = Tuple[int, ...]
 # One message's key material out of the cipher: H's nibble table, the tag
 # mask and the keystream.
 Streams = Tuple[HashTable, int, bytes]
-# What :func:`seal_each` takes — (key, nonce, plaintext, aad) — and what
-# :func:`open_each` takes — (key, nonce ‖ ciphertext ‖ tag, aad).
-Message = Tuple[bytes, bytes, bytes, bytes]
-Sealed = Tuple[bytes, bytes, bytes]
-# A message inside a call: (cipher, nonce, text, aad), ``text`` being the
-# plaintext of a seal or the ciphertext ‖ tag of an open.
-_Keyed = Tuple[Aes128, bytes, bytes, bytes]
+# What :func:`seal_each` takes — (key, plaintext, aad) — and what
+# :func:`open_each` takes — (key, ciphertext ‖ tag, aad).
+Message = Tuple[bytes, bytes, bytes]
+# A message inside a call: the key is its cipher.
+_Keyed = Tuple[Aes128, bytes, bytes]
 
 
 def _nibble_multiples(h: int) -> HashTable:
@@ -140,20 +139,18 @@ def _xor(data: bytes, stream: bytes) -> bytes:
     return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(len(data), "big")
 
 
-def _key_streams(messages: Sequence[Tuple[Aes128, bytes, int]]) -> List[Streams]:
+def _key_streams(messages: Sequence[Tuple[Aes128, int]], nonce: bytes) -> List[Streams]:
     """H's table, the tag mask and ``length`` bytes of keystream for each
-    ``(cipher, nonce, length)``: the zero block, ``nonce ‖ 1`` and the
-    counter blocks from 2 of every message as lanes of one
+    ``(cipher, length)`` under ``nonce``: the zero block, ``nonce ‖ 1`` and
+    the counter blocks from 2 of every message as lanes of one
     :func:`encrypt_blocks` call.  Not metered."""
     runs = []
-    for cipher, nonce, length in messages:
-        if len(nonce) != NONCE_LEN:
-            raise ValueError("GCM nonce must be 12 bytes")
+    for cipher, length in messages:
         counters = b"".join(nonce + c.to_bytes(4, "big") for c in range(1, 2 + (length + 15) // 16))
         runs.append((cipher, _ZERO_BLOCK + counters))
     out = encrypt_blocks(runs)
     streams, at = [], 0
-    for (_, _, length), (_, blocks) in zip(messages, runs):
+    for (_, length), (_, blocks) in zip(messages, runs):
         h = int.from_bytes(out[at : at + 16], "big")
         mask = int.from_bytes(out[at + 16 : at + 32], "big")
         streams.append((_nibble_multiples(h), mask, out[at + 32 : at + 32 + length]))
@@ -162,36 +159,23 @@ def _key_streams(messages: Sequence[Tuple[Aes128, bytes, int]]) -> List[Streams]
 
 
 def ae_cost(length: int) -> Tuple[int, int]:
-    """``(AES block operations, ciphertext bytes)`` of one :func:`ae_encrypt`
-    or :func:`ae_decrypt` of ``length`` bytes: the GHASH subkey, the tag mask
-    and one CTR block per 16 bytes; the nonce and the tag around the data."""
-    return 2 + (length + 15) // 16, NONCE_LEN + TAG_LEN + length
+    """``(AES block operations, ciphertext bytes)`` of one :func:`seal_each`
+    or :func:`open_each` message of ``length`` bytes: the GHASH subkey, the
+    tag mask and one CTR block per 16 bytes; the tag after the data."""
+    return 2 + (length + 15) // 16, TAG_LEN + length
 
 
 def ae_encrypt(key: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-    """One-shot AE with a random nonce prepended (the paper's AEEncrypt)."""
-    return seal_each([(key, secrets.token_bytes(NONCE_LEN), plaintext, aad)])[0]
+    """``nonce ‖ ciphertext ‖ tag`` under a random nonce (the paper's
+    AEEncrypt), for a key that seals more than one message."""
+    nonce = secrets.token_bytes(NONCE_LEN)
+    return nonce + _seal([(key, plaintext, aad)], nonce)[0]
 
 
 def ae_decrypt(key: bytes, data: bytes, aad: bytes = b"") -> bytes:
     """Inverse of :func:`ae_encrypt` (the paper's AEDecrypt)."""
-    (plaintext,) = open_each([(key, data, aad)])
+    (plaintext,) = _open([(key, data[NONCE_LEN:], aad)], data[:NONCE_LEN])
     return plaintext
-
-
-def seal_one_time(messages: Iterable[Tuple[bytes, bytes, bytes]]) -> List[bytes]:
-    """``ciphertext ‖ tag`` for every ``(key, plaintext, aad)`` whose key
-    encrypts this one message: :func:`seal_each` under
-    :data:`ONE_TIME_NONCE`, the constant left off.  Billed as
-    :func:`seal_each`."""
-    sealed = seal_each((key, ONE_TIME_NONCE, plaintext, aad) for key, plaintext, aad in messages)
-    return [data[NONCE_LEN:] for data in sealed]
-
-
-def open_one_time(key: bytes, data: bytes, aad: bytes = b"") -> bytes:
-    """Inverse of :func:`seal_one_time`: :func:`ae_decrypt` of
-    ``ONE_TIME_NONCE ‖ data``."""
-    return ae_decrypt(key, ONE_TIME_NONCE + data, aad)
 
 
 def _groups(messages: Iterable[Message], tag_len: int) -> Iterator[List[_Keyed]]:
@@ -201,7 +185,7 @@ def _groups(messages: Iterable[Message], tag_len: int) -> Iterator[List[_Keyed]]
     yielded, then :class:`AuthenticationError` raised in its place."""
     group: List[_Keyed] = []
     lanes = 0
-    for key, nonce, text, aad in messages:
+    for key, text, aad in messages:
         if len(text) < tag_len:
             if group:
                 yield group
@@ -210,48 +194,57 @@ def _groups(messages: Iterable[Message], tag_len: int) -> Iterator[List[_Keyed]]
         if group and lanes + blocks > MAX_LANES:
             yield group
             group, lanes = [], 0
-        group.append((Aes128(key), nonce, text, aad))
+        group.append((Aes128(key), text, aad))
         lanes += blocks
     if group:
         yield group
 
 
-def seal_each(messages: Iterable[Message]) -> List[bytes]:
-    """``nonce ‖ ciphertext ‖ tag`` for every ``(key, nonce, plaintext,
-    aad)``, in order, with nonces the caller drew.
-
-    A group of messages of up to ``MAX_LANES`` cipher blocks is one
-    :func:`encrypt_blocks` call.  The iterable is consumed lazily and in
-    order, so a caller that draws its keys and nonces inside it draws them
-    in its sequential order.  Billed as the sequential calls:
-    ``Σ ae_cost(len(plaintext))`` blocks.
-    """
+def _seal(messages: Iterable[Message], nonce: bytes) -> List[bytes]:
+    """``ciphertext ‖ tag`` for every ``(key, plaintext, aad)`` under
+    ``nonce``, in order.  A group of messages of up to ``MAX_LANES`` cipher
+    blocks is one :func:`encrypt_blocks` call.  Billed as the sequential
+    calls: ``Σ ae_cost(len(plaintext))`` blocks."""
     sealed = []
     for group in _groups(messages, 0):
-        all_streams = _key_streams([(cipher, nonce, len(pt)) for cipher, nonce, pt, _ in group])
-        metering.count("aes_block", sum(ae_cost(len(pt))[0] for _, _, pt, _ in group))
-        for (_, nonce, plaintext, aad), streams in zip(group, all_streams):
+        all_streams = _key_streams([(cipher, len(pt)) for cipher, pt, _ in group], nonce)
+        metering.count("aes_block", sum(ae_cost(len(pt))[0] for _, pt, _ in group))
+        for (_, plaintext, aad), streams in zip(group, all_streams):
             ciphertext = _xor(plaintext, streams[2])
-            sealed.append(nonce + ciphertext + _tag(streams, aad, ciphertext))
+            sealed.append(ciphertext + _tag(streams, aad, ciphertext))
     return sealed
 
 
-def open_each(messages: Iterable[Sealed]) -> Iterator[bytes]:
-    """The plaintext of every ``(key, nonce ‖ ciphertext ‖ tag, aad)``, in
-    order, each yielded once its tag verifies: :func:`seal_each`'s twin,
-    in the same lazy groups of calls.  Billed and refused as a loop of
-    :func:`ae_decrypt`: a message bills 2 blocks when its turn comes and
+def _open(messages: Iterable[Message], nonce: bytes) -> Iterator[bytes]:
+    """The plaintext of every ``(key, ciphertext ‖ tag, aad)`` under
+    ``nonce``, in order, each yielded once its tag verifies: :func:`_seal`'s
+    twin, in the same lazy groups of calls.  Billed and refused as a loop
+    of one-message opens: a message bills 2 blocks when its turn comes and
     the rest once its tag verifies; the first that fails (or is too short
     to carry a tag) raises :class:`AuthenticationError`, nothing after it
     billed — so a consumer billing its own work between yields stays in
     step with the loop."""
-    split = ((key, data[:NONCE_LEN], data[NONCE_LEN:], aad) for key, data, aad in messages)
-    for group in _groups(split, TAG_LEN):
-        all_streams = _key_streams([(c, nonce, len(text) - TAG_LEN) for c, nonce, text, _ in group])
-        for (_, _, text, aad), streams in zip(group, all_streams):
+    for group in _groups(messages, TAG_LEN):
+        all_streams = _key_streams([(c, len(text) - TAG_LEN) for c, text, _ in group], nonce)
+        for (_, text, aad), streams in zip(group, all_streams):
             ciphertext, tag = text[:-TAG_LEN], text[-TAG_LEN:]
             metering.count("aes_block", 2)  # H and the tag mask
             if not constant_time_equal(tag, _tag(streams, aad, ciphertext)):
                 raise AuthenticationError("GCM tag mismatch")
             metering.count("aes_block", ae_cost(len(ciphertext))[0] - 2)
             yield _xor(ciphertext, streams[2])
+
+
+def seal_each(messages: Iterable[Message]) -> List[bytes]:
+    """``ciphertext ‖ tag`` under :data:`ONE_TIME_NONCE` for every
+    ``(key, plaintext, aad)``, each key sealing this one message.  The
+    iterable is consumed lazily and in order, so a caller that draws its
+    keys inside it draws them in its sequential order."""
+    return _seal(messages, ONE_TIME_NONCE)
+
+
+def open_each(messages: Iterable[Message]) -> Iterator[bytes]:
+    """The plaintext of every ``(key, ciphertext ‖ tag, aad)`` that
+    :func:`seal_each` sealed, each yielded once its tag verifies and
+    billed and refused as :func:`_open` says."""
+    return _open(messages, ONE_TIME_NONCE)

@@ -35,9 +35,8 @@ them.  A lane carries its ``shard_index`` within the
 is stamped with both, and the signed transition message is
 domain-separated by shard so a quorum's endorsement of shard *k* can never
 be replayed against shard *j* (all shards start from the same empty
-digest).  ``num_shards=1`` keeps the exact legacy message bytes, so metered
-costs for unsharded deployments are unchanged.  Routing, committees and
-garbage collection live in ``ShardedLog``.
+digest); an unsharded log signs the same message with ``S = 1``.
+Routing, committees and garbage collection live in ``ShardedLog``.
 
 Thread safety: a :class:`DistributedLog` is *not* internally synchronized —
 callers must serialize access (the serving layer holds
@@ -330,12 +329,7 @@ class Transition:
     num_shards: int = 1  # sharding arity (1 = unsharded log)
 
     def message(self) -> bytes:
-        """The message every HSM signs, domain-separated by shard lane.
-        ``num_shards == 1`` is the legacy unsharded message byte-for-byte,
-        keeping metered ``sha256_block`` counts for unsharded deployments
-        unchanged."""
-        if self.num_shards == 1:
-            return sha256(b"log-transition", self.old_digest, self.new_digest, self.root)
+        """The message every HSM signs, domain-separated by shard lane."""
         return sha256(
             b"log-transition-shard",
             self.shard.to_bytes(4, "big"),

@@ -24,10 +24,11 @@ tree's main host cost.  :meth:`SecureDeletionTree.setup` (a level at a
 time) and :meth:`PathWalk.delete` (the whole re-key) hand their nodes to
 :func:`repro.crypto.gcm.seal_each`, which runs up to ``MAX_LANES`` cipher
 blocks — seven 32-byte nodes — as the lanes of one byte-sliced AES call.
-Keys and nonces are drawn inside the iterable it consumes, in the order
-the node-at-a-time code drew them, and the sealed nodes go to the same
-addresses in the same order, so under seeded entropy the bytes at rest are
-those of one seal per call.  The walk down opens a tree level per
+A node's key is drawn for that node alone, so no nonce is drawn or stored
+(``gcm.ONE_TIME_NONCE``).  Keys are drawn inside the iterable it consumes,
+in the order the node-at-a-time code drew them, and the sealed nodes go to
+the same addresses in the same order, so under seeded entropy the bytes at
+rest are those of one seal per call.  The walk down opens a tree level per
 :func:`repro.crypto.gcm.open_each`, root first — a node's key comes out of
 its parent, so the levels go in turn — and is billed in step with the
 node-at-a-time walk: a node's key read and transfer are reported just
@@ -63,16 +64,7 @@ from itertools import groupby
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import metering
-from repro.crypto.gcm import (
-    NONCE_LEN,
-    AuthenticationError,
-    Message,
-    ae_cost,
-    ae_decrypt,
-    ae_encrypt,
-    open_each,
-    seal_each,
-)
+from repro.crypto.gcm import AuthenticationError, Message, ae_cost, open_each, seal_each
 from repro.storage.blockstore import BlockStore
 
 KEY_LEN = 16
@@ -144,12 +136,8 @@ class SecureDeletionTree:
         keys = [secrets.token_bytes(KEY_LEN) for _ in range(1 << height)]
         payloads = [blocks[i] if i < len(blocks) else b"" for i in range(1 << height)]
         for first in (1 << level for level in range(height, -1, -1)):
-            # A level's keys are drawn before its nonces, and its nodes are
-            # put left to right: the node-at-a-time set-up's order.
-            nodes = (
-                (key, secrets.token_bytes(NONCE_LEN), payload, _addr_aad(first + j))
-                for j, (key, payload) in enumerate(zip(keys, payloads))
-            )
+            # A level's keys are drawn before it is sealed; nodes go left to right.
+            nodes = zip(keys, payloads, map(_addr_aad, range(first, 2 * first)))
             for j, sealed in enumerate(seal_each(nodes)):
                 store.put(first + j, sealed)
             if first > 1:
@@ -325,14 +313,14 @@ class PathWalk:
             metering.count("aes_block", unmetered * _NODE_AES_BLOCKS)
 
             def nodes() -> Iterator[Message]:
-                # A node's fresh key, then its nonce: the node-at-a-time order.
+                # A node's fresh key as it is sealed: the node-at-a-time order.
                 for addr in reversed(rekeyed):
                     payload = self._payloads[addr]
                     payload = replaced.get(2 * addr, payload[:KEY_LEN]) + replaced.get(
                         2 * addr + 1, payload[KEY_LEN:]
                     )
                     replaced[addr] = secrets.token_bytes(KEY_LEN)
-                    yield replaced[addr], secrets.token_bytes(NONCE_LEN), payload, _addr_aad(addr)
+                    yield replaced[addr], payload, _addr_aad(addr)
 
             for addr, sealed in zip(reversed(rekeyed), seal_each(nodes())):
                 store.put(addr, sealed)
@@ -342,7 +330,8 @@ class PathWalk:
 
 
 class NaiveSecureStore:
-    """§9.1 strawman: one key over the whole array; delete = re-encrypt all.
+    """§9.1 strawman: one key over the whole array; delete = re-encrypt all
+    under a fresh key, so every key seals one message.
 
     Functionally equivalent to the tree but deletion costs O(D) AES blocks
     and 2·D·blocksize bytes of I/O.  Exists for the ablation benchmark.
@@ -364,11 +353,11 @@ class NaiveSecureStore:
             raise ValueError("naive store requires equal-size blocks")
         size = sizes.pop() if sizes else 0
         key = secrets.token_bytes(KEY_LEN)
-        store.put(NaiveSecureStore._ADDR, ae_encrypt(key, b"".join(blocks), aad=b"naive"))
+        store.put(NaiveSecureStore._ADDR, seal_each([(key, b"".join(blocks), b"naive")])[0])
         return NaiveSecureStore(store, len(blocks), size, key)
 
     def _load(self) -> bytearray:
-        return bytearray(ae_decrypt(self._key, self._store.get(self._ADDR), aad=b"naive"))
+        return bytearray(next(open_each([(self._key, self._store.get(self._ADDR), b"naive")])))
 
     def read(self, index: int) -> bytes:
         """Decrypt the whole array and return block ``index``."""
@@ -386,4 +375,4 @@ class NaiveSecureStore:
         data = self._load()
         data[index * self._size : (index + 1) * self._size] = b"\x00" * self._size
         self._key = secrets.token_bytes(KEY_LEN)
-        self._store.put(self._ADDR, ae_encrypt(self._key, bytes(data), aad=b"naive"))
+        self._store.put(self._ADDR, seal_each([(self._key, bytes(data), b"naive")])[0])

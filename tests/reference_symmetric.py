@@ -10,7 +10,7 @@ ever runs AES forwards).  The cipher and GHASH here are not metered.
 
 :func:`reference_walk` is the key tree's walk down as it was before a tree
 level became one cipher call: a node at a time, each opened by its own
-``ae_decrypt`` and billed as it happens.  It is the oracle for what
+one-message ``open_each`` and billed as it happens.  It is the oracle for what
 ``PathWalk`` must leave on the meter wherever a walk is refused.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List
 
 from repro import metering
-from repro.crypto.gcm import AuthenticationError, ae_decrypt
+from repro.crypto.gcm import AuthenticationError, open_each
 from repro.crypto.hashing import constant_time_equal
 from repro.storage import securedel
 
@@ -208,7 +208,7 @@ class ReferenceAesGcm:
 def reference_walk(tree: "securedel.SecureDeletionTree", indices: Iterable[int]) -> Dict[int, bytes]:
     """The node-at-a-time walk down: every internal node on the union of the
     indices' paths, root first, billed a key read, fetched and opened under
-    the key its parent's payload holds — one ``ae_decrypt`` per node.  A
+    the key its parent's payload holds — one ``open_each`` per node.  A
     withheld block raises :class:`AuthenticationError` like a bad tag.
     Returns the opened payloads by address."""
     store = tree._store
@@ -225,5 +225,5 @@ def reference_walk(tree: "securedel.SecureDeletionTree", indices: Iterable[int])
             block = store.get(addr)
         except KeyError as exc:
             raise AuthenticationError(f"key-tree block {addr} was not served") from exc
-        payloads[addr] = ae_decrypt(key, block, aad=securedel._addr_aad(addr))
+        (payloads[addr],) = open_each([(key, block, securedel._addr_aad(addr))])
     return payloads

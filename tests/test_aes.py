@@ -8,28 +8,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_symmetric import ReferenceAes128
+from repro.crypto import gcm
 from repro.crypto.aes import Aes128
 from repro.crypto.gcm import (
+    NONCE_LEN,
     ONE_TIME_NONCE,
+    TAG_LEN,
     AuthenticationError,
     ae_decrypt,
     ae_encrypt,
     open_each,
-    open_one_time,
     seal_each,
-    seal_one_time,
 )
 from repro.metering import metered
 
 
-def seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-    """``ciphertext ‖ tag`` of one message under a given nonce."""
-    return seal_each([(key, nonce, plaintext, aad)])[0][len(nonce) :]
+def seal(key: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
+    """``ciphertext ‖ tag`` of one message under a one-time key."""
+    (body,) = seal_each([(key, plaintext, aad)])
+    return body
 
 
-def unseal(key: bytes, nonce: bytes, body: bytes, aad: bytes = b"") -> bytes:
-    """The plaintext of ``nonce ‖ body``; raises on any tampering."""
-    (plaintext,) = open_each([(key, nonce + body, aad)])
+def unseal(key: bytes, body: bytes, aad: bytes = b"") -> bytes:
+    """The plaintext of ``body``; raises on any tampering."""
+    (plaintext,) = open_each([(key, body, aad)])
     return plaintext
 
 
@@ -68,15 +70,20 @@ class TestAesBlockVectors:
 
 
 class TestGcmVectors:
+    """Cases 1–2 have a zero IV, ``ONE_TIME_NONCE``: they go through
+    :func:`seal_each` / :func:`open_each`.  Case 4's IV is carried, as
+    :func:`ae_encrypt` carries its nonce."""
+
     def test_nist_case_1_empty(self):
-        out = seal(bytes(16), bytes(12), b"")
-        assert out == bytes.fromhex("58e2fccefa7e3061367f1d57a4e7455a")
+        tag = bytes.fromhex("58e2fccefa7e3061367f1d57a4e7455a")
+        assert seal(bytes(16), b"") == tag
+        assert unseal(bytes(16), tag) == b""
 
     def test_nist_case_2_zero_block(self):
-        out = seal(bytes(16), bytes(12), bytes(16))
         ct = bytes.fromhex("0388dace60b6a392f328c2b971b2fe78")
         tag = bytes.fromhex("ab6e47d42cec13bdf53a67b21257bddf")
-        assert out == ct + tag
+        assert seal(bytes(16), bytes(16)) == ct + tag
+        assert unseal(bytes(16), ct + tag) == bytes(16)
 
     def test_nist_case_4_with_aad(self):
         key = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
@@ -91,35 +98,44 @@ class TestGcmVectors:
             "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091"
         )
         tag = bytes.fromhex("5bc94fbc3221a5db94fae95ae7121a47")
-        assert seal(key, iv, plaintext, aad) == ct + tag
-        assert unseal(key, iv, ct + tag, aad) == plaintext
+        assert gcm._seal([(key, plaintext, aad)], iv) == [ct + tag]
+        assert ae_decrypt(key, iv + ct + tag, aad) == plaintext
 
 
 class TestGcmBehaviour:
     def test_tamper_ciphertext_detected(self):
-        out = bytearray(seal(bytes(16), bytes(12), b"hello world"))
+        out = bytearray(seal(bytes(16), b"hello world"))
         out[0] ^= 1
         with pytest.raises(AuthenticationError):
-            unseal(bytes(16), bytes(12), bytes(out))
+            unseal(bytes(16), bytes(out))
 
     def test_tamper_tag_detected(self):
-        out = bytearray(seal(bytes(16), bytes(12), b"hello world"))
+        out = bytearray(seal(bytes(16), b"hello world"))
         out[-1] ^= 1
         with pytest.raises(AuthenticationError):
-            unseal(bytes(16), bytes(12), bytes(out))
+            unseal(bytes(16), bytes(out))
 
     def test_wrong_aad_detected(self):
-        out = seal(bytes(16), bytes(12), b"data", aad=b"right")
+        out = seal(bytes(16), b"data", aad=b"right")
         with pytest.raises(AuthenticationError):
-            unseal(bytes(16), bytes(12), out, aad=b"wrong")
+            unseal(bytes(16), out, aad=b"wrong")
 
     def test_truncated_raises(self):
         with pytest.raises(AuthenticationError):
-            unseal(bytes(16), bytes(12), b"short")
+            unseal(bytes(16), b"short")
 
     def test_bad_nonce_length(self):
-        with pytest.raises(ValueError):
-            seal(bytes(16), b"short", b"data")
+        """No caller hands in a nonce: :func:`ae_encrypt` puts its own 12
+        bytes in front, and :func:`ae_decrypt` refuses a blob too short to
+        carry a nonce and a tag."""
+        key = bytes(16)
+        blob = ae_encrypt(key, b"data")
+        assert len(blob) == NONCE_LEN + len(b"data") + TAG_LEN
+        assert gcm._seal([(key, b"data", b"")], blob[:NONCE_LEN]) == [blob[NONCE_LEN:]]
+        assert ae_decrypt(key, blob) == b"data"
+        for length in (0, 5, NONCE_LEN, NONCE_LEN + TAG_LEN - 1):
+            with pytest.raises(AuthenticationError):
+                ae_decrypt(key, blob[:length])
 
     @given(
         key=st.binary(min_size=16, max_size=16),
@@ -128,8 +144,7 @@ class TestGcmBehaviour:
     )
     @settings(max_examples=25)
     def test_roundtrip_property(self, key, plaintext, aad):
-        nonce = bytes(12)
-        assert unseal(key, nonce, seal(key, nonce, plaintext, aad), aad) == plaintext
+        assert unseal(key, seal(key, plaintext, aad), aad) == plaintext
 
 
 class TestOneTimeAe:
@@ -138,18 +153,18 @@ class TestOneTimeAe:
 
     def test_is_seal_each_under_the_constant_without_it(self):
         key = bytes(range(16))
-        (body,) = seal_one_time([(key, b"one message", b"aad")])
+        body = seal(key, b"one message", b"aad")
         assert ONE_TIME_NONCE == bytes(12)
-        assert body == seal(key, ONE_TIME_NONCE, b"one message", b"aad")
-        assert open_one_time(key, body, b"aad") == b"one message"
+        assert body == gcm._seal([(key, b"one message", b"aad")], ONE_TIME_NONCE)[0]
+        assert ae_decrypt(key, ONE_TIME_NONCE + body, b"aad") == b"one message"
+        assert unseal(key, body, b"aad") == b"one message"
         with pytest.raises(AuthenticationError):
-            open_one_time(key, body, b"other aad")
+            unseal(key, body, b"other aad")
 
     def test_billed_as_the_random_nonce_calls(self):
         key, message = bytes(16), b"m" * 40
         with metered() as one_time:
-            (body,) = seal_one_time([(key, message, b"")])
-            open_one_time(key, body)
+            unseal(key, seal(key, message))
         with metered() as random_nonce:
             ae_decrypt(key, ae_encrypt(key, message))
         assert one_time.counts == random_nonce.counts

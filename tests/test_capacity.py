@@ -123,8 +123,10 @@ class TestOnePrice:
         # 1104 until the wrap became an XOR: its open's 3 blocks went; 1101
         # until the payload became the 19-byte share, one CTR block (its
         # 29 fewer bytes are not transferred: only the leaf is fetched).
+        # io_bytes 16,440 until a key-tree node stopped carrying its nonce:
+        # 273 node transfers and the leaf's, 12 bytes each fewer (−3,288).
         assert SHARE_PLAINTEXT_LEN == 19
-        assert counts["aes_block"] == 1100 and counts["io_bytes"] == 16_440
+        assert counts["aes_block"] == 1100 and counts["io_bytes"] == 274 * 48 == 13_152
         assert solokey_model.decrypt_puncture_seconds == CostModel(SOLOKEY).seconds(counts)
         assert solokey_model.rotation_seconds == CostModel(SOLOKEY).seconds(
             BFE.keygen_counts(paper)

@@ -1,6 +1,7 @@
 """The Figure 5 update protocol: audits, aggregation, GC, catch-up."""
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -49,12 +50,20 @@ def log(fleet):
 
 class TestSignedBytes:
     def test_signed_message_bytes_are_pinned(self):
-        """What a quorum signs, captured from the two module-level message
-        functions before ``Transition.message`` replaced them:
-        ``num_shards == 1`` is the legacy unsharded message."""
+        """What a quorum signs, captured from the module-level sharded
+        message function before ``Transition.message`` replaced it.  An
+        unsharded log signs the same message with shard 0 of 1 (it signed
+        ``sha256(b"log-transition", old, new, root)``, 255b06b8…, until
+        the arities were made one): ``hashing.sha256`` over the six parts,
+        each after its 8-byte length, 172 bytes where the old one hashed
+        142 — 3 blocks either way."""
         old, new, root = b"\xaa" * 32, b"\xbb" * 32, b"\xcc" * 32
+        parts = (b"log-transition-shard", bytes(4), (1).to_bytes(4, "big"), old, new, root)
+        spelled = b"".join(len(part).to_bytes(8, "big") + part for part in parts)
+        assert len(spelled) == 172
+        assert Transition(old, new, root).message() == hashlib.sha256(spelled).digest()
         assert Transition(old, new, root).message().hex() == (
-            "255b06b804420cb48bc4575794b11f7a9b698b96a6420a8fdf2b09ced1ca63b5"
+            "63d71b227e82e7b7fe7a3019cdf78fec196a2d4a2b78e03c17635ecb2bf61cbd"
         )
         sharded = Transition(old, new, root, shard=2, num_shards=4)
         assert sharded.message().hex() == (

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.ec import ECPoint
 from repro.crypto.elgamal import ElGamalCiphertext, HashedElGamal
-from repro.crypto.gcm import AuthenticationError, seal_one_time
+from repro.crypto.gcm import AuthenticationError, seal_each
 from repro.crypto.hashing import kdf
 from repro.metering import metered
 
@@ -65,7 +65,7 @@ class TestBinding:
         reply opener maps to a ⊥ share, with no decryption metered."""
         identity = ECPoint(None, None)
         key = kdf("hashed-elgamal", identity.to_bytes(), b"ctx", length=16)
-        (body,) = seal_one_time([(key, b"chosen share", b"ctx")])
+        (body,) = seal_each([(key, b"chosen share", b"ctx")])
         forged = ElGamalCiphertext(identity, body)
         secret = HashedElGamal.keygen().secret
         with metered() as meter:

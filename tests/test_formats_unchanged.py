@@ -285,6 +285,23 @@ digests, the proofs' hashes and the certificates that bind it are other
 bytes of the same lengths (38 of 93 frames and records at shards=1 differ
 from the copy's in value, 36 of 90 at shards=2, none of the record-kinds
 store).
+
+All four workload digests moved once more, when a key-tree node stopped
+drawing and carrying a 12-byte nonce and an unsharded log began signing
+the shard-stamped transition message.  The frames are the parent's bytes
+on a copy of this code that draws and discards 12 bytes where each node
+drew its nonce and signs S = 1's old message: no frame carries a key-tree
+node or a certificate.  On that copy the store differs from the parent's
+in the HSMs' key regions only — each of the 1,020 key blocks 12 bytes
+shorter at both arities, every journal block the parent's.  Signing the
+new message at S = 1 then moves 3 journal blocks at shards=1, none in
+length: the snapshot's certificates and, by the chain, the WAL anchor
+and the record after the snapshot (shards=2 signs what it signed).
+Without the discarded draws every later draw of the stream is another —
+the backups' salts, clusters, shares and replies — and every digest moves
+with them.
+``PARENT_RECORD_KINDS_DIGEST`` did not move: its commit is a stored
+certificate, not a signed message.
 """
 
 import hashlib
@@ -320,16 +337,16 @@ def _absorb_store(digest, store: InMemoryBlockStore) -> None:
 
 
 class TestFormatsUnchanged:
-    # Re-captured when lengths, counts and header integers became varints
-    # and an empty subtree one byte; see the module docstring.
+    # Re-captured when key-tree nodes stopped carrying a nonce and S = 1
+    # signed the sharded transition message; see the module docstring.
     PARENT_DIGESTS = {
         1: {
-            "frames": "3ab869adaa74119fa4484869a07d12f1681a25cebd3c10ddd6fd28b75ad32b3a",
-            "store": "3aebd2d0722d3adcc9020377ed556c69f5d0860c082a1fca26d09945433c99cd",
+            "frames": "b006bc748690ffc34ae40a0dd6e6a198cf3e967b3c25f11dc0f4dc9713bfe04b",
+            "store": "5fe6e5755f473425fa2d917e242cf9e6fa81e37f5dd8ebdfcdbab4a5164fd684",
         },
         2: {
-            "frames": "0ef901084ddb2d05b3677713e352747675fc64a9e29088f06207ba2c22aeb783",
-            "store": "ccd9a3a1988d5646fa821495e6b82f973c3116c3589cf9ca5749d48065064dd4",
+            "frames": "86a50f305e00107e1cd95f3c987b04970683738a719dc36b1df75b6b76155a49",
+            "store": "8f83cb91acab30038f292c3ac0b14b6d3e9b46e4d0151d188e90d6f17108ba64",
         },
     }
     PARENT_RECORD_KINDS_DIGEST = (

@@ -14,7 +14,7 @@ from repro.crypto.bloom import BloomParams
 from repro.crypto.commit import commit_recovery
 from repro.crypto.ec import P256, ECPoint
 from repro.crypto.elgamal import HashedElGamal
-from repro.crypto.gcm import ae_cost, seal_one_time
+from repro.crypto.gcm import ae_cost, seal_each
 from repro.crypto.hashing import hash_to_indices, kdf
 from repro.crypto.shamir import SHARE, Share
 from repro.hsm.device import (
@@ -247,7 +247,7 @@ class TestIdentityEphemeral:
             for slot in slots
         )
         payload_key = kdf("bfe-payload", bytes(16), honest.tag, identity.to_bytes(), *wraps)[:16]
-        (payload,) = seal_one_time(
+        (payload,) = seal_each(
             [(payload_key, SHARE.encode(Share(0, 0)), share_owner(username, request.context))]
         )
         forged = BfeCiphertext(

@@ -7,6 +7,7 @@ import pytest
 from repro.chaos.entropy import DeterministicEntropy
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
+from repro.core.provider import ServiceProvider
 
 
 class TestWiring:
@@ -36,6 +37,23 @@ class TestWiring:
 
     def test_update_runner_installed(self, fresh_deployment):
         fresh_deployment.provider.run_log_update()  # must not raise
+
+    def test_every_epoch_runs_through_the_installed_runner(self, shared_params, monkeypatch):
+        """Genesis, a maintenance epoch and a rotation's epoch all go
+        through the provider's one runner, so what ``create`` and
+        ``restore`` install is what runs."""
+        runs = []
+        real = ServiceProvider.run_log_update
+        monkeypatch.setattr(
+            ServiceProvider, "run_log_update", lambda provider: runs.append(provider) or real(provider)
+        )
+        dep = Deployment.create(shared_params, rng=random.Random(12))
+        assert runs == [dep.provider]
+        dep.run_log_update()
+        assert len(runs) == 2
+        monkeypatch.setattr(dep.fleet.hsms[0], "needs_rotation", lambda: True)
+        assert dep.rotate_keys_if_needed() == [0]
+        assert runs == [dep.provider] * 3
 
     def test_multisig_keyword_names_only_the_one_scheme(self):
         """Transitions are always ECDSA-signed: ``multisig=`` takes

@@ -1,19 +1,29 @@
 """Secure-deletion key tree (Appendix C): reads, deletion, tampering."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_symmetric import reference_walk
 from repro.chaos.entropy import DeterministicEntropy
-from repro.crypto.gcm import AuthenticationError, ae_decrypt
+from repro.core import lhe
+from repro.crypto import bfe, elgamal, gcm
+from repro.crypto.bfe import BloomFilterEncryption
+from repro.crypto.bloom import BloomParams
+from repro.crypto.elgamal import HashedElGamal
+from repro.crypto.gcm import AuthenticationError, open_each
+from repro.hsm.fleet import HsmFleet
+from repro.log.distributed import LogConfig
 from repro.metering import metered
+from repro.storage import securedel
 from repro.storage.blockstore import InMemoryBlockStore, TamperingBlockStore
 from repro.storage.securedel import (
     DeletedBlockError,
     NaiveSecureStore,
     SecureDeletionTree,
+    setup_counts,
 )
 
 
@@ -232,15 +242,22 @@ class TestOnePassDeletion:
         assert dict(meter.counts) == {
             "aes_block": 1152,  # 16 deletes x 6 nodes x 3 AE calls x 4 blocks
             "flash_read_bytes": 1536,
-            "io_bytes": 17280,  # 16 x 6 x 3 transfers x 60-byte nodes
+            "io_bytes": 13824,  # 16 x 6 x 3 transfers x 48-byte nodes
         }
+        # Re-captured (was aa86d409…, root key d43804d2…, io_bytes 17280)
+        # when a node stopped drawing and carrying a 12-byte nonce.  A copy
+        # that draws and discards 12 bytes where each nonce was drawn ends
+        # on the parent's root key, and each of its nodes is the parent's
+        # node opened under the parent's keys and re-sealed under
+        # ``ONE_TIME_NONCE`` (111 of 127; the other 16 are deleted leaves,
+        # whose keys are gone, 12 bytes shorter).
         digest = hashlib.sha256()
         for addr in sorted(store._blocks):
             digest.update(addr.to_bytes(8, "big") + store._blocks[addr])
         assert digest.hexdigest() == (
-            "aa86d409c9f2c99e5018a86b14e6cb1e9b21f664119a10a3fe606a4e3b3c5f7f"
+            "8b2aa340499f0eadbdbb4d01a6b5dffebe06338805303f01a60217ef0562c986"
         )
-        assert tree.root_key.hex() == "d43804d2f6b3a65c1570fd9b257ae6ca"
+        assert tree.root_key.hex() == "449d770b003945ae2c0cd9fb3faac899"
 
 
 def _union(tree, indices):
@@ -447,13 +464,62 @@ class TestBatchForwardSecrecy:
         assert all(len(store.history[addr]) == 2 for addr in union)
         keys = {1: tree.root_key}
         for addr in sorted(union):
-            payload = ae_decrypt(keys[addr], store.get(addr), aad=b"securedel-node" + addr.to_bytes(8, "big"))
+            (payload,) = open_each([(keys[addr], store.get(addr), b"securedel-node" + addr.to_bytes(8, "big"))])
             keys[2 * addr], keys[2 * addr + 1] = payload[:16], payload[16:]
         fresh = [keys[addr] for addr in union]
         assert len(set(fresh)) == len(fresh)
         everything_stored = b"".join(old_blocks.values()) + b"".join(store._blocks.values())
         for key in fresh:
             assert key not in everything_stored
+
+    def test_no_key_reaches_the_one_time_form_twice(self, monkeypatch):
+        """What sealing every node, payload and reply under the constant
+        ``ONE_TIME_NONCE`` rests on: no key is handed to ``seal_each``
+        twice.  Every key each caller hands it is recorded across a keygen,
+        60 punctures (the last tag punctured before), a rotation, a naive
+        store's set-up and delete, an LHE encryption (BFE payloads and the
+        transport key) and an ElGamal reply; all are distinct.  A node
+        stores ``ciphertext ‖ tag`` and nothing else: 48 bytes, as
+        ``setup_counts`` bills a set-up's transfers."""
+        recorded = []
+
+        def recording(messages):
+            def spy():
+                for message in messages:
+                    recorded.append(message[0])
+                    yield message
+
+            return gcm.seal_each(spy())
+
+        for module in (securedel, bfe, elgamal, lhe):
+            monkeypatch.setattr(module, "seal_each", recording)
+        params = BloomParams.for_punctures(16, failure_exponent=4)
+        device = HsmFleet(1, params, log_config=LogConfig(), rng=random.Random(5))[0]
+        secret = device._bfe_secret
+        assert secret.tree.height >= 6
+        keygen = len(recorded)
+        assert keygen == 2 * (1 << secret.tree.height) - 1
+        tags = [bytes([i]) * 32 for i in range(59)]
+        for tag in tags + tags[-1:]:
+            BloomFilterEncryption.puncture_tag(secret, tag)
+        assert secret.punctures_done == 60 and len(recorded) > 2 * keygen
+        device.rotate_keys()
+        store = InMemoryBlockStore()
+        naive = NaiveSecureStore.setup(store, [bytes([i]) * 16 for i in range(1, 9)])
+        naive.delete(3)
+        publics = [device.public_info()] * 3
+        lhe.LocationHidingEncryption(3, 3, 2).encrypt(publics, "4711", b"payload", username="u")
+        HashedElGamal.encrypt(HashedElGamal.keygen().public, b"reply", context=b"ctx")
+        assert len(recorded) == len(set(recorded))
+        assert securedel._NODE_LEN == gcm.TAG_LEN + 2 * securedel.KEY_LEN == 48
+
+        store = InMemoryBlockStore()
+        blocks = [bytes([i]) * 32 for i in range(10)]
+        with metered() as meter:
+            SecureDeletionTree.setup(store, blocks)
+        stored = sum(map(len, store._blocks.values()))
+        assert stored == meter.counts["io_bytes"] == setup_counts(len(blocks), 32)["io_bytes"]
+        assert all(len(store._blocks[addr]) == securedel._NODE_LEN for addr in range(1, 16))
 
 
 class TestNaiveStore:
