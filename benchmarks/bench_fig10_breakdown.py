@@ -243,6 +243,30 @@ def proof_layout_bytes(proof) -> int:
     )
 
 
+def decrypt_request_layout_bytes(request) -> int:
+    """What ``wire.DECRYPT_REQUEST`` spends on ``request``, derived from
+    its layout: the version byte and the attempt number, then four blobs.
+    The opening: the username behind a ``u16`` length, a ``u16`` count of
+    ``u32`` cluster indices, the 32-byte ciphertext hash, the 33-byte reply
+    key and 32 bytes of randomness.  The proof, as
+    :func:`proof_layout_bytes` derives it.  The share ciphertext: its
+    32-byte tag, 33-byte ephemeral and ``u16`` position, the wrap count and
+    k 16-byte wraps, the payload blob.  The context.  The username appears
+    only in the opening, and no log identifier or commitment travels: the
+    device rebuilds both from the attempt number and the opening."""
+    opening, share = request.opening, request.share_ciphertext
+    opening_bytes = (
+        2 + len(opening.username.encode("utf-8")) + 2 + 4 * len(opening.cluster) + 32 + 33 + 32
+    )
+    wraps = len(share.wrapped_keys)
+    share_bytes = 32 + 33 + 2 + varint_bytes(wraps) + 16 * wraps + blob_bytes(len(share.payload))
+    return (
+        1 + varint_bytes(request.attempt) + blob_bytes(opening_bytes)
+        + blob_bytes(proof_layout_bytes(request.inclusion_proof)) + blob_bytes(share_bytes)
+        + blob_bytes(len(request.context))
+    )
+
+
 def parent_proof_bytes(proof) -> int:
     """The same proof in the parent's layout: a ``u32`` count and value
     lengths, and every subtree hash its 32 bytes."""
@@ -280,14 +304,15 @@ def proof_sizes() -> tuple:
     return sizes, max(excess)
 
 
-def recovery_frame_bytes(deployment, monkeypatch) -> dict:
+def recovery_frame_bytes(deployment, monkeypatch) -> tuple:
     """One backup and recovery over the wire transport: bytes (request and
     reply) per provider op and for the decrypt-share leg, summed over the
     frames of that kind (a channel binds its endpoint's ``handle`` when it
-    is built, so the recorders go in before the client)."""
+    is built, so the recorders go in before the client); and the decrypt
+    requests sent."""
     from repro.service.channel import HsmWireEndpoint, ProviderWireEndpoint
 
-    totals = {}
+    totals, requests = {}, []
 
     def add(name: str, request: bytes, reply: bytes) -> None:
         totals[name] = totals.get(name, 0) + len(request) + len(reply)
@@ -304,6 +329,7 @@ def recovery_frame_bytes(deployment, monkeypatch) -> dict:
         def recorded(self, request):
             reply = handle(self, request)
             add("decrypt_share", request, reply)
+            requests.append(request)
             return reply
         return recorded
 
@@ -315,7 +341,7 @@ def recovery_frame_bytes(deployment, monkeypatch) -> dict:
     client.backup(b"x" * 16, pin="1234")
     assert client.recover(pin="1234") == b"x" * 16
     monkeypatch.undo()
-    return dict(sorted(totals.items()))
+    return dict(sorted(totals.items())), requests
 
 
 def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
@@ -325,8 +351,9 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
     of its shares' bodies is as long as the others), renumbered so that
     each one's position is its index.  Beside the ciphertext, the largest
     frame of a recovery: the log's inclusion proof, gated against its
-    derived layout at three seeded log sizes, and one recovery's bytes per
-    frame kind."""
+    derived layout at three seeded log sizes; one recovery's bytes per
+    frame kind; and each of that recovery's decrypt requests, gated
+    against its derived layout."""
     client = small_deployment.new_client("size-probe")
     client.backup(b"x" * 16, pin="1234")
     small_ct = small_deployment.provider.fetch_backup("size-probe")
@@ -342,11 +369,21 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
     ))
     paper_scale = paper_ct.size_bytes()
     proofs, proof_excess = proof_sizes()
-    frames = recovery_frame_bytes(small_deployment, monkeypatch)
-    gates = {"safetypin_ct_bytes_max": bound, "proof_bytes_over_layout_max": 0}
+    frames, requests = recovery_frame_bytes(small_deployment, monkeypatch)
+    request_excess = max(
+        len(request) - decrypt_request_layout_bytes(wire.decode_decrypt_request(request))
+        for request in requests
+    )
+    gates = {
+        "safetypin_ct_bytes_max": bound,
+        "proof_bytes_over_layout_max": 0,
+        "decrypt_request_bytes_over_layout_max": 0,
+    }
     failures = [f"safetypin_ct_bytes = {encoded} > derived layout {bound}"] if encoded > bound else []
     if proof_excess > 0:
         failures.append(f"an inclusion proof encodes to {proof_excess} B over its derived layout")
+    if request_excess > 0:
+        failures.append(f"a decrypt request encodes to {request_excess} B over its derived layout")
     from repro.baseline.system import BaselineSystem
 
     baseline_ct = BaselineSystem().new_client("b").backup(b"k" * 16, pin="123456")
@@ -365,6 +402,8 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
         "one recovery's bytes per frame kind (requests and replies): " + ", ".join(
             f"{name} {size}" for name, size in frames.items()
         ),
+        f"decrypt requests: {', '.join(str(len(request)) for request in requests)} B "
+        f"(at most {request_excess} B over the derived layout)",
     ]
     emit(
         "fig10_sizes",
@@ -384,6 +423,7 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
                 },
                 "proof_bytes_over_layout": proof_excess,
                 "recovery_frame_bytes": frames,
+                "decrypt_request_bytes_over_layout": request_excess,
             },
             "gates": gates,
             "gate_failures": failures,

@@ -12,7 +12,9 @@ Demonstrates, in order:
 4. a cheating provider's log rewrite being caught both by the HSM fleet and
    by an external auditor;
 5. the same single-HSM theft that is fatal to today's fixed-cluster systems
-   (the baseline) being harmless to SafetyPin.
+   (the baseline) being harmless to SafetyPin;
+6. a relay between the client and the HSMs swapping the reply key for its
+   own being refused by every device, with nothing punctured.
 
 Run:  python examples/attack_and_audit.py
 """
@@ -23,13 +25,15 @@ from repro import Deployment, SystemParams
 from repro.adversary.attacks import (
     AdaptiveCorruptionAttacker,
     CheatingProvider,
+    ReplyKeySwappingRelay,
     decrypt_with_stolen_secrets,
 )
 from repro.baseline.system import BaselineSystem
-from repro.core.client import RecoveryError
+from repro.core.client import Client, RecoveryError
 from repro.crypto.elgamal import HashedElGamal
 from repro.log.auditor import AuditFailure, ExternalAuditor
 from repro.log.distributed import LogConfig, LogUpdateRejected
+from repro.service.channel import provider_channel, wire_channels
 
 
 def brute_force_demo(deployment: Deployment) -> None:
@@ -136,6 +140,28 @@ def single_theft_demo(deployment: Deployment) -> None:
           f"recovers: {result!r}")
 
 
+def relay_demo(deployment: Deployment) -> None:
+    print("\n== 6. A relay swapping the reply key ==")
+    relay = ReplyKeySwappingRelay(wire_channels(deployment.fleet))
+    client = Client(
+        "relayed", deployment.params, provider_channel(deployment.provider), relay,
+        deployment.fleet.master_public_key(),
+    )
+    client.backup(b"wire transfer codes", pin="6174")
+    ciphertext = deployment.provider.fetch_backup("relayed")
+    try:
+        client.recover(pin="6174")
+        print("  !! recovery went through the relay")
+    except RecoveryError:
+        pass
+    context = client.lhe.context_for(ciphertext, client.mpk, "6174")
+    print(f"  {relay.refused} swapped requests refused (the key is in the logged "
+          f"commitment); relay read {len(relay.shares)} shares and opens: "
+          f"{relay.open_backup(client.lhe, ciphertext, context)!r}")
+    recovered = deployment.new_client("relayed").recover(pin="6174")
+    print(f"  nothing was punctured: without the relay the user recovers {recovered!r}")
+
+
 def main() -> None:
     params = SystemParams.for_testing(
         num_hsms=16, cluster_size=4, pin_length=4, max_punctures=16
@@ -146,7 +172,8 @@ def main() -> None:
     forward_security_demo(deployment)
     cheating_provider_demo()
     single_theft_demo(deployment)
-    print("\nAll five attacks behaved exactly as the paper's analysis predicts.")
+    relay_demo(deployment)
+    print("\nAll six attacks behaved exactly as the paper's analysis predicts.")
 
 
 if __name__ == "__main__":

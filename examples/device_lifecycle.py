@@ -76,7 +76,7 @@ def main() -> None:
     deployment.restart_all_hsms()
     phone2.backup(b"rebuilt library, day 5", pin)
     session = phone2.begin_recovery(pin)
-    phone2.request_shares(session, pin)
+    phone2.request_shares(session)
     print("  phone2 obtained HSM replies (escrowed at the provider), then died")
 
     phone3 = deployment.new_client("maria")

@@ -7,13 +7,16 @@ security test means the deployed code path actually resisted the attack.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.lhe import LheCiphertext, LheError, LocationHidingEncryption
 from repro.crypto.bfe import BfeSecretKey, PuncturedKeyError
+from repro.crypto.ec import P256
+from repro.crypto.elgamal import ElGamalCiphertext, HashedElGamal
 from repro.crypto.gcm import AuthenticationError
-from repro.crypto.shamir import Share
-from repro.hsm.device import StolenSecrets
+from repro.crypto.shamir import SHARE, Share
+from repro.hsm.device import DecryptShareRequest, HsmRefusedError, StolenSecrets
 from repro.log.distributed import DistributedLog, UpdateRound
 
 
@@ -137,6 +140,58 @@ class AdaptiveCorruptionAttacker:
             if len(seen) >= self.budget:
                 break
         return None
+
+
+# ---------------------------------------------------------------------------
+# A relay that redirects the HSMs' replies
+# ---------------------------------------------------------------------------
+class ReplyKeySwappingRelay:
+    """Carries a client's decrypt requests to the HSMs — the provider's
+    network, say — and swaps the reply key for its own, so that a device
+    would encrypt the share to the relay.  It reads each share it gets,
+    re-encrypts it to the client's key and passes it on, so the client
+    notices nothing.
+
+    The reply key is part of the opening whose commitment the log holds, so
+    a swapped request names an entry no device's log has: each device
+    refuses it before anything is punctured, and the relay reads nothing.
+
+    Use an instance as a client's channel factory: ``relay(index)`` is the
+    channel to HSM ``index`` through the relay.
+    """
+
+    def __init__(self, channels: Callable[[int], object]) -> None:
+        self._channels = channels
+        self._keypair = P256.keygen()
+        self.shares: List[Share] = []
+        self.refused = 0
+
+    def __call__(self, index: int) -> SimpleNamespace:
+        return SimpleNamespace(decrypt_share=lambda request: self._relay(index, request))
+
+    def _relay(self, index: int, request: DecryptShareRequest) -> ElGamalCiphertext:
+        opening = request.opening
+        swapped = dataclasses.replace(
+            request, opening=dataclasses.replace(opening, response_key=self._keypair.public)
+        )
+        try:
+            reply = self._channels(index).decrypt_share(swapped)
+        except HsmRefusedError:
+            self.refused += 1
+            raise
+        context = b"recovery-reply" + opening.username.encode("utf-8")
+        share_bytes = HashedElGamal.decrypt(self._keypair.secret, reply, context=context)
+        self.shares.append(SHARE.decode(share_bytes))
+        return HashedElGamal.encrypt(opening.response_key, share_bytes, context=context)
+
+    def open_backup(
+        self, lhe: LocationHidingEncryption, ciphertext: LheCiphertext, context: bytes
+    ) -> Optional[bytes]:
+        """The backup, if the shares the relay read open it, else ``None``."""
+        try:
+            return lhe.reconstruct(ciphertext, self.shares, context)
+        except (LheError, ValueError):
+            return None
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from repro.chaos.invariants import Violation, run_invariant_checks
 from repro.chaos.scenarios import Scenario
 from repro.chaos.scheduler import DeterministicScheduler
 from repro.core.client import Client, RecoveryError
+from repro.core.identifiers import attempt_identifier
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.core.provider import ProviderError
@@ -324,7 +325,7 @@ class ChaosEngine:
             self._count("aborted")
             return f"sid={sess.sid} aborted (stale generation)"
         try:
-            sess.client.request_shares(sess.session, sess.pin_used)
+            sess.client.request_shares(sess.session)
             recovered = sess.client.finish_recovery(sess.session)
         except CLEAN_ERRORS as exc:
             if sess.wrong_pin and isinstance(exc, RecoveryError):
@@ -347,7 +348,7 @@ class ChaosEngine:
             ))
             return f"sid={sess.sid} UNCLEAN wrong-secret"
         self._count("recovered")
-        self.served[sess.session.log_identifier] = sess.username
+        self.served[attempt_identifier(sess.username, sess.session.attempt)] = sess.username
         return f"sid={sess.sid} recovered"
 
     # -- traffic ---------------------------------------------------------------

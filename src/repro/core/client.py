@@ -37,7 +37,8 @@ from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.core.codec import WireFormatError
 from repro.core.lhe import LheCiphertext, LheError, LocationHidingEncryption
 from repro.core.params import SystemParams
-from repro.crypto.commit import commit_recovery
+from repro.core.identifiers import attempt_identifier
+from repro.crypto.commit import CommitmentOpening, commit_recovery
 from repro.crypto.ec import ECKeyPair, P256
 from repro.crypto.elgamal import ElGamalCiphertext, HashedElGamal
 from repro.crypto.gcm import AuthenticationError, ae_decrypt, ae_encrypt
@@ -49,6 +50,7 @@ from repro.hsm.device import (
     HsmUnavailableError,
 )
 from repro.crypto.bfe import PuncturedKeyError
+from repro.log.authdict import InclusionProof
 from repro.metering import OpMeter
 
 #: Suffix for the hidden account that stores per-recovery keys (§8).
@@ -69,10 +71,8 @@ class RecoverySession:
     ciphertext: LheCiphertext
     cluster: Tuple[int, ...]
     context: bytes
-    commitment: bytes
-    opening: object
-    log_identifier: bytes
-    inclusion_proof: object
+    opening: CommitmentOpening
+    inclusion_proof: InclusionProof
     response_keypair: ECKeyPair
     recovery_key_username: Optional[str] = None
     encrypted_replies: List[bytes] = field(default_factory=list)
@@ -157,7 +157,7 @@ class Client:
     def recover(self, pin: str, backup_index: int = -1) -> bytes:
         """Full recovery of this user's backup at ``backup_index``."""
         session = self.begin_recovery(pin, backup_index)
-        self.request_shares(session, pin)
+        self.request_shares(session)
         return self.finish_recovery(session)
 
     def begin_recovery(
@@ -200,24 +200,22 @@ class Client:
 
         with self.meter.attached():
             commitment, opening = commit_recovery(
-                username, cluster, ciphertext.ciphertext_hash()
+                username, cluster, ciphertext.ciphertext_hash(), response_keypair.public
             )
-        log_identifier, proof = self.provider.log_and_prove(username, attempt, commitment)
+        proof = self.provider.log_and_prove(username, attempt, commitment)
         return RecoverySession(
             username=username,
             attempt=attempt,
             ciphertext=ciphertext,
             cluster=cluster,
             context=context,
-            commitment=commitment,
             opening=opening,
-            log_identifier=log_identifier,
             inclusion_proof=proof,
             response_keypair=response_keypair,
             recovery_key_username=recovery_key_username,
         )
 
-    def request_shares(self, session: RecoverySession, pin: str) -> int:
+    def request_shares(self, session: RecoverySession) -> int:
         """Step Ï: ask each distinct cluster HSM to decrypt-and-puncture.
 
         The cluster is a list in [N]^n (drawn with replacement) and all of a
@@ -265,14 +263,11 @@ class Client:
 
     def _share_request(self, session: RecoverySession, position: int) -> DecryptShareRequest:
         return DecryptShareRequest(
-            username=session.username,
-            log_identifier=session.log_identifier,
-            commitment=session.commitment,
+            attempt=session.attempt,
             opening=session.opening,
             inclusion_proof=session.inclusion_proof,
             share_ciphertext=session.ciphertext.share_ciphertexts[position],
             context=session.context,
-            response_key=session.response_keypair.public,
         )
 
     def _ask_hsm(self, session: RecoverySession, position: int, hsm_index: int):
@@ -287,7 +282,9 @@ class Client:
         try:
             return channel.decrypt_share(self._share_request(session, position))
         except HsmStaleProofError:
-            fresh = self.provider.prove_inclusion(session.log_identifier, session.commitment)
+            fresh = self.provider.prove_inclusion(
+                attempt_identifier(session.username, session.attempt), session.opening.commitment()
+            )
             if fresh is None or fresh == session.inclusion_proof:
                 raise
             session.inclusion_proof = fresh
@@ -371,7 +368,7 @@ class Client:
         session = self.begin_recovery(
             pin, backup_index=-1, backup_recovery_key=True, username=rk_username
         )
-        self.request_shares(session, pin)
+        self.request_shares(session)
         secret_bytes = self.finish_recovery(session)
         secret = int.from_bytes(secret_bytes, "big")
 

@@ -4,8 +4,11 @@ The log allows at most one value per identifier.  Logging attempts under the
 bare username would give each user exactly one recovery ever (until garbage
 collection); the paper's "slight modification" (§4.2) allows a fixed number
 of attempts by numbering them.  We log attempt ``k`` of ``user`` under
-``rec|user|k``; HSMs parse the identifier and enforce
-``k < max_attempts_per_user``.
+``rec|user|k``.  A decrypt request carries only ``k``: the HSM enforces
+``k < max_attempts_per_user`` and rebuilds the identifier from ``k`` and
+the username in the commitment's opening, so it never parses one; the
+provider parses the committed identifiers to re-derive its attempt
+counters after a restart.
 
 (The paper notes usernames in the log are privacy-sensitive and suggests
 opaque device-install UUIDs; the mapping here is a naming layer, so swapping

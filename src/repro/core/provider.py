@@ -127,14 +127,12 @@ class ServiceProvider:
         return list(self._incrementals.get(username, []))
 
     # -- the log ---------------------------------------------------------------------
-    def log_recovery_attempt(self, username: str, attempt: int, commitment: bytes) -> bytes:
+    def log_recovery_attempt(self, username: str, attempt: int, commitment: bytes) -> None:
         """Insert (rec|user|attempt -> h) into the pending log batch."""
-        identifier = attempt_identifier(username, attempt)
-        self.log.insert(identifier, commitment)
+        self.log.insert(attempt_identifier(username, attempt), commitment)
         with self._attempt_lock:
             counters = self._current_counters()
             counters[username] = max(counters.get(username, 0), attempt + 1)
-        return identifier
 
     # lint: unguarded[every caller takes self._attempt_lock first — this helper exists so the generation check runs under that one lock]
     def _current_counters(self) -> Dict[str, int]:
@@ -179,20 +177,18 @@ class ServiceProvider:
             attempt += 1
         return attempt
 
-    def log_and_prove(
-        self, username: str, attempt: int, commitment: bytes
-    ) -> Tuple[bytes, InclusionProof]:
+    def log_and_prove(self, username: str, attempt: int, commitment: bytes) -> InclusionProof:
         """Insert, run an update epoch, and return the inclusion proof.
 
         In deployment the client waits for the next periodic epoch; the
         simulation runs one immediately.
         """
-        identifier = self.log_recovery_attempt(username, attempt, commitment)
+        self.log_recovery_attempt(username, attempt, commitment)
         self.run_log_update()
-        proof = self.log.prove_includes(identifier, commitment)
+        proof = self.log.prove_includes(attempt_identifier(username, attempt), commitment)
         if proof is None:  # pragma: no cover - insert above guarantees presence
             raise ProviderError("inclusion proof unavailable after update")
-        return identifier, proof
+        return proof
 
     def prove_inclusion(self, identifier: bytes, value: bytes) -> Optional[InclusionProof]:
         """A fresh inclusion proof against the *current* digest.

@@ -97,7 +97,7 @@ class SaltProtectedClient:
             backup_recovery_key=False,
             username=self._salt_username,
         )
-        self.client.request_shares(session, null_pin(self.client.params))
+        self.client.request_shares(session)
         return self.client.finish_recovery(session)
 
     def recover(self, pin: str, backup_index: int = -1) -> bytes:

@@ -44,7 +44,6 @@ from repro.core.codec import (
 from repro.core.lhe import RECOVERY_CIPHERTEXT
 from repro.crypto.bfe import BFE_CIPHERTEXT
 from repro.crypto.commit import OPENING
-from repro.crypto.ec import POINT
 from repro.crypto.elgamal import ElGamalCiphertext
 from repro.hsm.device import DecryptShareRequest
 from repro.log.authdict import InclusionProof, PathStep, empty_digest
@@ -165,9 +164,9 @@ decode_inclusion_proof = INCLUSION_PROOF.decode
 # Decrypt-share requests (client -> HSM, step Ï of Figure 3)
 # ---------------------------------------------------------------------------
 DECRYPT_REQUEST = versioned(record(
-    DecryptShareRequest, username=TEXT, log_identifier=BLOB, commitment=BLOB,
-    opening=nested(OPENING), inclusion_proof=nested(INCLUSION_PROOF),
-    share_ciphertext=nested(BFE_CIPHERTEXT), context=BLOB, response_key=POINT,
+    DecryptShareRequest, attempt=VARINT, opening=nested(OPENING),
+    inclusion_proof=nested(INCLUSION_PROOF),
+    share_ciphertext=nested(BFE_CIPHERTEXT), context=BLOB,
 ))
 encode_decrypt_request = DECRYPT_REQUEST.encode
 decode_decrypt_request = DECRYPT_REQUEST.decode
@@ -192,7 +191,6 @@ PROV_REPLY_BLOBS = 4
 PROV_REPLY_PROOF = 5
 PROV_REPLY_PROVEN = 6
 PROV_REPLY_ENTRIES = 7
-PROV_REPLY_LOGGED = 8
 PROV_REPLY_ERROR = 9
 
 #: Error statuses carried by :data:`PROV_REPLY_ERROR` frames.
@@ -262,7 +260,7 @@ PROVIDER_OPS: Tuple[ProviderOp, ...] = (
     ProviderOp(7, "reserve_attempt_number", (("username", "text"),), PROV_REPLY_COUNT),
     ProviderOp(8, "log_recovery_attempt",
                (("username", "text"), ("attempt", "varint"), ("commitment", "blob")),
-               PROV_REPLY_LOGGED),
+               PROV_REPLY_ACK),
     ProviderOp(9, "log_and_prove",
                (("username", "text"), ("attempt", "varint"), ("commitment", "blob")),
                PROV_REPLY_PROVEN),
@@ -293,9 +291,8 @@ PROVIDER_REPLY_SCHEMAS: Dict[int, Tuple[Tuple[str, str], ...]] = {
     PROV_REPLY_BACKUP: (("ciphertext", "recovery_ct"),),
     PROV_REPLY_BLOBS: (("blobs", "blobs"),),
     PROV_REPLY_PROOF: (("proof", "opt_proof"),),
-    PROV_REPLY_PROVEN: (("identifier", "blob"), ("proof", "proof")),
+    PROV_REPLY_PROVEN: (("proof", "proof"),),
     PROV_REPLY_ENTRIES: (("entries", "entries"),),
-    PROV_REPLY_LOGGED: (("identifier", "blob"),),
     PROV_REPLY_ERROR: (("status", "err_status"), ("message", "text")),
 }
 

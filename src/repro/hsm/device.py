@@ -39,9 +39,9 @@ from repro.crypto.bfe import (
     PuncturedKeyError,
 )
 from repro.crypto.bloom import BloomParams
-from repro.crypto.commit import CommitmentOpening, verify_opening
+from repro.crypto.commit import CommitmentOpening
 from repro.core.codec import WireFormatError
-from repro.core.identifiers import parse_attempt_identifier
+from repro.core.identifiers import attempt_identifier
 from repro.core.lhe import share_owner
 from repro.crypto.ec import ECPoint, is_curve_point, point_sum
 from repro.crypto.elgamal import ElGamalCiphertext, HashedElGamal
@@ -93,16 +93,17 @@ class HsmPublicInfo:
 
 @dataclass(frozen=True)
 class DecryptShareRequest:
-    """The client's message to one HSM during recovery (step Ï of Fig. 3)."""
+    """The client's message to one HSM during recovery (step Ï of Fig. 3).
 
-    username: str
-    log_identifier: bytes
-    commitment: bytes  # the logged value h
+    The opening names the user and the reply key; with ``attempt`` it names
+    the log entry, and the commitment it opens to is the value logged
+    there."""
+
+    attempt: int
     opening: CommitmentOpening
     inclusion_proof: InclusionProof
     share_ciphertext: BfeCiphertext
     context: bytes  # BFE domain separation: username || salt || cluster
-    response_key: ECPoint  # fresh per-recovery public key (§8)
 
 
 @dataclass
@@ -544,24 +545,22 @@ class HsmDevice:
         """
         self._check_alive()
         with self.meter.attached():
-            # (0) the identifier names this user and an allowed attempt slot
+            # (0) an allowed attempt slot, of the user the opening names
+            if request.attempt >= self.log_config.max_attempts_per_user:
+                raise HsmRefusedError(
+                    f"HSM {self.index}: attempt {request.attempt} exceeds the per-user limit"
+                )
+            opening = request.opening
             try:
-                id_user, attempt_no = parse_attempt_identifier(request.log_identifier)
+                identifier = attempt_identifier(opening.username, request.attempt)
             except ValueError as exc:
                 raise HsmRefusedError(f"HSM {self.index}: {exc}") from exc
-            if id_user != request.username:
-                raise HsmRefusedError(
-                    f"HSM {self.index}: log identifier names a different user"
-                )
-            if attempt_no >= self.log_config.max_attempts_per_user:
-                raise HsmRefusedError(
-                    f"HSM {self.index}: attempt {attempt_no} exceeds the per-user limit"
-                )
-            # (1) the recovery attempt is in the log the HSM trusts.  The
-            # device routes the identifier to its shard itself and verifies
-            # against the digest *it* tracks for that shard, so a proof from
-            # any other lane cannot verify.
-            shard = shard_of(request.log_identifier, len(self._shard_digests))
+            # (1)+(2) the log the HSM trusts holds the opening's commitment
+            # under that identifier.  The device routes the identifier to
+            # its shard itself and verifies against the digest *it* tracks
+            # for that shard, so a proof from any other lane cannot verify,
+            # and an opening that is not the logged one reads as not logged.
+            shard = shard_of(identifier, len(self._shard_digests))
             # Missed transitions are adopted lazily: verify any offered
             # quorum-signed transitions for this shard before judging the
             # proof against it.
@@ -574,34 +573,29 @@ class HsmDevice:
                     ) from exc
             if not verify_includes(
                 self._shard_digests[shard],
-                request.log_identifier,
-                request.commitment,
+                identifier,
+                opening.commitment(),
                 request.inclusion_proof,
             ):
                 raise HsmStaleProofError(
                     f"HSM {self.index}: recovery attempt not proven against my"
                     " current log digest"
                 )
-            # (2) the opening matches the logged commitment
-            if not verify_opening(request.commitment, request.opening):
-                raise HsmRefusedError(f"HSM {self.index}: bad commitment opening")
-            if request.opening.username != request.username:
-                raise HsmRefusedError(f"HSM {self.index}: username mismatch in opening")
             # (3) this HSM is actually in the committed recovery cluster
-            if self.index not in request.opening.cluster:
+            if self.index not in opening.cluster:
                 raise HsmRefusedError(
                     f"HSM {self.index}: not a member of the committed cluster"
                 )
             # (3b) the reply key is a real key.  The identity decodes as a
             # point, but a reply "encrypted" to it is readable by anyone who
             # holds the escrowed bytes; refuse before anything is punctured.
-            if request.response_key.is_infinity:
+            if opening.response_key.is_infinity:
                 raise HsmRefusedError(
                     f"HSM {self.index}: response key is the identity point"
                 )
             # (4)+(5) decrypt-and-puncture on one walk of the key tree: the
             # share opens only under this user's associated data, which the
-            # device builds from the request's username; the plaintext must
+            # device builds from the opening's username; the plaintext must
             # be a share before anything is deleted, and the key is
             # punctured (forward security) before the reply.
             def well_formed(plaintext: bytes) -> None:
@@ -614,7 +608,7 @@ class HsmDevice:
                 share_bytes = BloomFilterEncryption.decrypt_and_puncture(
                     self._bfe_secret,
                     request.share_ciphertext,
-                    context=share_owner(request.username, request.context),
+                    context=share_owner(opening.username, request.context),
                     accept=well_formed,
                 )
             except AuthenticationError as exc:
@@ -630,9 +624,9 @@ class HsmDevice:
             # (6) reply under the client's fresh per-recovery key (§8); a
             # plaintext that decodes strictly is its share's encoding.
             return HashedElGamal.encrypt(
-                request.response_key,
+                opening.response_key,
                 share_bytes,
-                context=b"recovery-reply" + request.username.encode("utf-8"),
+                context=b"recovery-reply" + opening.username.encode("utf-8"),
             )
 
     # -- key rotation (§9.1) ----------------------------------------------------------

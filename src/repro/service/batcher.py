@@ -65,7 +65,9 @@ import time
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.identifiers import attempt_identifier
 from repro.core.provider import ProviderError, ServiceProvider
+from repro.log.authdict import InclusionProof
 from repro.log.sharded import shard_of
 
 #: Bound on the per-epoch history kept for observability/tests; aggregate
@@ -78,7 +80,7 @@ class ServiceTimeout(ProviderError):
 
 
 class EpochTicket:
-    """One session's claim on the next epoch; resolves to (id, proof).
+    """One session's claim on the next epoch; resolves to its inclusion proof.
 
     A ticket whose ``wait`` times out is *abandoned*: the session has
     already raised :class:`ServiceTimeout` and walked away, so the epoch
@@ -92,7 +94,7 @@ class EpochTicket:
 
     def __init__(self) -> None:
         self._done = threading.Event()
-        self._result: Optional[Tuple[bytes, object]] = None
+        self._result: Optional[InclusionProof] = None
         self._error: Optional[Exception] = None
         self._lock = threading.Lock()
         self._abandoned = False
@@ -103,8 +105,8 @@ class EpochTicket:
         with self._lock:
             return self._abandoned
 
-    def resolve(self, result: Tuple[bytes, object]) -> bool:
-        """Fulfil the ticket with ``(identifier, inclusion proof)``.
+    def resolve(self, result: InclusionProof) -> bool:
+        """Fulfil the ticket with the session's inclusion proof.
 
         Returns ``False`` (and discards the result) if the session already
         abandoned the ticket — the caller must then skip the epoch lease.
@@ -131,7 +133,7 @@ class EpochTicket:
             self._done.set()
             return True
 
-    def wait(self, timeout: Optional[float] = None) -> Tuple[bytes, object]:
+    def wait(self, timeout: Optional[float] = None) -> InclusionProof:
         """Block until an epoch serves this ticket (or ``timeout`` lapses).
 
         On timeout the ticket is marked abandoned before raising, unless a
@@ -260,12 +262,11 @@ class EpochBatcher:
         ticket = EpochTicket()
         with self._lock:
             try:
-                identifier = self._provider.log_recovery_attempt(
-                    username, attempt, commitment
-                )
+                self._provider.log_recovery_attempt(username, attempt, commitment)
             except (KeyError, ValueError) as exc:
                 ticket.fail(ProviderError(str(exc)))
                 return ticket
+            identifier = attempt_identifier(username, attempt)
             self._waiters.append((username, attempt, identifier, commitment, ticket))
         # After the append (never before): a driver that wakes on this finds
         # the waiter queued, so no wake-up is lost — at worst one is spent
@@ -458,7 +459,7 @@ class EpochBatcher:
             if proof is None:  # pragma: no cover - insert guarantees presence
                 ticket.fail(ProviderError("inclusion proof unavailable after epoch"))
                 continue
-            if not ticket.resolve((identifier, proof)):
+            if not ticket.resolve(proof):
                 self.abandoned_sessions += 1
                 continue
             key = (username, attempt)

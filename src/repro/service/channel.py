@@ -263,12 +263,9 @@ class ProviderWireEndpoint:
             result = getattr(self._provider, op.method)(
                 *(fields[name] for name, _ in op.request)
             )
-            # The reply schema's arity says how a result travels: two
-            # fields are the tuple, one is the value, none is an ack (zip
-            # then drops the result).
-            schema = wire.PROVIDER_REPLY_SCHEMAS[op.reply]
-            values = result if len(schema) > 1 else (result,)
-            reply = {name: value for (name, _), value in zip(schema, values)}
+            # A success reply has at most one field, the result; an ack
+            # has none and drops it.
+            reply = {name: result for name, _ in wire.PROVIDER_REPLY_SCHEMAS[op.reply]}
             # Encoding inside the try: a provider returning an
             # out-of-contract value (unencodable field) must also answer
             # with an error frame, not crash the connection handler.
@@ -342,10 +339,7 @@ class WireProviderChannel(ProviderChannel):
             raise wire.WireFormatError(
                 f"unexpected reply kind {kind} to provider op {op.tag}"
             )
-        values = tuple(reply[name] for name, _ in wire.PROVIDER_REPLY_SCHEMAS[kind])
-        if len(values) > 1:
-            return values
-        return values[0] if values else None
+        return next(iter(reply.values()), None)
 
 
 def provider_channel(provider, transport: str = "wire") -> ProviderChannel:

@@ -11,12 +11,15 @@ import pytest
 from repro.adversary.attacks import (
     AdaptiveCorruptionAttacker,
     CheatingProvider,
+    ReplyKeySwappingRelay,
     decrypt_with_stolen_secrets,
 )
-from repro.core.client import RecoveryError
+from repro.chaos.entropy import DeterministicEntropy
+from repro.core.client import Client, RecoveryError
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.log.distributed import LogConfig, LogUpdateRejected
+from repro.service.channel import provider_channel, wire_channels
 
 from multisig_rounds import run_rounds
 
@@ -188,3 +191,36 @@ class TestStatisticalLocationHiding:
         expected = trials * 4 / 32
         for count in counts:
             assert abs(count - expected) < 6 * (expected**0.5)
+
+
+class TestReplyKeySwappingRelay:
+    """A relay between the client and the HSMs (the provider's network)
+    swaps the reply key in each decrypt request for its own.  The key is
+    in the opening whose commitment the log holds, so each swapped request
+    names an entry no device has: every device refuses it with its key
+    tree byte-identical, and the relay reads no share."""
+
+    def test_relay_reads_nothing_and_punctures_nothing(self, fresh_deployment):
+        dep = fresh_deployment
+        username, pin = "relayed-user", "8080"
+        relay = ReplyKeySwappingRelay(wire_channels(dep.fleet))
+        client = Client(
+            username, dep.params, provider_channel(dep.provider), relay,
+            dep.fleet.master_public_key(),
+        )
+        with DeterministicEntropy(0x2E1A7):  # a cluster of >= t distinct devices
+            client.backup(b"relayed secret", pin=pin)
+        ct = dep.provider.fetch_backup(username)
+        cluster = set(client.lhe.select(ct.salt, pin))
+        assert len(cluster) >= dep.params.threshold
+        stores = {i: dict(store._blocks) for i, store in dep.provider.hsm_stores.items()}
+        with pytest.raises(RecoveryError):
+            client.recover(pin=pin)
+        assert relay.refused == len(cluster)
+        assert relay.shares == []
+        context = client.lhe.context_for(ct, client.mpk, pin)
+        assert relay.open_backup(client.lhe, ct, context) is None
+        assert {i: dict(store._blocks) for i, store in dep.provider.hsm_stores.items()} == stores
+        # Nothing was punctured: the same client without the relay recovers.
+        direct = dep.new_client(username)
+        assert direct.recover(pin=pin) == b"relayed secret"

@@ -180,7 +180,7 @@ class TestOneRequestPerDistinctHsm:
 
     def test_same_shares_and_same_stores_as_one_request_per_position(self):
         cluster, now, obtained, plaintext, stores = self._seeded_run(
-            lambda client, session: client.request_shares(session, PIN)
+            lambda client, session: client.request_shares(session)
         )
         _, then, then_obtained, then_plaintext, then_stores = self._seeded_run(
             _share_phase_per_position
@@ -203,7 +203,7 @@ class TestOneRequestPerDistinctHsm:
         client, recording = _client(narrow, "thrice-user")
         _backup(client, b"one holder", lambda cluster: len(set(cluster)) == 1)
         session = client.begin_recovery(PIN)
-        assert client.request_shares(session, PIN) == 1
+        assert client.request_shares(session) == 1
         assert recording.log == [(session.cluster[0], "reply")]
         assert client.finish_recovery(session) == b"one holder"
 
@@ -211,8 +211,8 @@ class TestOneRequestPerDistinctHsm:
         client, recording = _client(narrow, "twice-called-user")
         _backup(client, b"idempotent", _first_repeats)
         session = client.begin_recovery(PIN)
-        assert client.request_shares(session, PIN) == 2
-        assert client.request_shares(session, PIN) == 0
+        assert client.request_shares(session) == 2
+        assert client.request_shares(session) == 0
         assert len(recording.log) == 2
         assert client.finish_recovery(session) == b"idempotent"
 
@@ -255,7 +255,7 @@ class TestRefusalIsNotAnAnswer:
         )
         repeated, other = session.cluster[0], session.cluster[2]
 
-        assert client.request_shares(session, PIN) == 2
+        assert client.request_shares(session) == 2
         assert recording.log == [
             (repeated, "HsmRefusedError"), (repeated, "reply"), (other, "reply"),
         ]
@@ -288,7 +288,7 @@ class TestRefusalIsNotAnAnswer:
         )
 
         session = client.begin_recovery(PIN)
-        assert client.request_shares(session, PIN) == 2
+        assert client.request_shares(session) == 2
         assert recording.log == [
             (repeated, "HsmRefusedError"), (repeated, "reply"), (other, "reply"),
         ]
@@ -305,7 +305,7 @@ class TestRefusalIsNotAnAnswer:
         repeated, _, other = _backup(client, b"back in time", _first_repeats)
         outage.add((repeated, 0))
         session = client.begin_recovery(PIN)
-        assert client.request_shares(session, PIN) == 2
+        assert client.request_shares(session) == 2
         assert recording.log == [
             (repeated, "HsmUnavailableError"), (repeated, "reply"), (other, "reply"),
         ]
@@ -333,7 +333,7 @@ class TestReplyTheWireCannotCarry:
         cluster = _backup(client, b"two others carry it", _all_distinct)
         devices[cluster[0]] = IdentityReply(devices[cluster[0]])
         session = client.begin_recovery(PIN)
-        assert client.request_shares(session, PIN) == 2
+        assert client.request_shares(session) == 2
         assert recording.log == [
             (cluster[0], "HsmRefusedError"), (cluster[1], "reply"), (cluster[2], "reply"),
         ]
@@ -359,7 +359,7 @@ class TestStaleProofRetry:
         stale_proof = session.inclusion_proof
 
         repeated, other = session.cluster[0], session.cluster[2]
-        assert client.request_shares(session, PIN) == 0
+        assert client.request_shares(session) == 0
         assert recording.log == [
             (repeated, "HsmStaleProofError"),
             (repeated, "PuncturedKeyError"),
@@ -388,7 +388,7 @@ class TestEscrowFailureKeepsTheShare:
         _backup(client, b"punctured but not lost", lambda cluster: len(set(cluster)) == 1)
         session = client.begin_recovery(PIN)
         with pytest.raises(ProviderError):
-            client.request_shares(session, PIN)
+            client.request_shares(session)
         # The only holder has punctured; the reply it sent is all there is.
         assert recording.log == [(session.cluster[0], "reply")]
         assert len(session.encrypted_replies) == 1
@@ -461,7 +461,7 @@ class TestOpenRepliesUntilTheBackupOpens:
         client, _ = _client(deployment, f"lazy-{request.param}-user")
         _backup(client, b"opens at t", _all_distinct)
         session = client.begin_recovery(PIN)
-        assert client.request_shares(session, PIN) == deployment.params.cluster_size
+        assert client.request_shares(session) == deployment.params.cluster_size
         return deployment, client, session
 
     def test_happy_path_opens_exactly_threshold_replies(self, escrowed):
@@ -534,7 +534,7 @@ class TestResumeOpensLazilyToo:
         client, _ = _client(narrow, "resume-corrupt-user")
         _backup(client, b"resumed", _all_distinct)
         session = client.begin_recovery(PIN)
-        assert client.request_shares(session, PIN) == 3
+        assert client.request_shares(session) == 3
 
         class FirstEscrowedReplyRots(DirectProviderChannel):
             def _invoke(self, op, args):

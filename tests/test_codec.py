@@ -83,7 +83,8 @@ CODECS = [
     # The crypto layouts.
     ("OPENING", OPENING, st.builds(
         CommitmentOpening, username=st.text(max_size=12),
-        cluster=st.lists(u32s, max_size=5).map(tuple), ciphertext_hash=digests, randomness=digests,
+        cluster=st.lists(u32s, max_size=5).map(tuple), ciphertext_hash=digests,
+        response_key=st.sampled_from([ECPoint(None, None), P256.generator * 3]), randomness=digests,
     )),
     ("SHARE", SHARE, shares),
     ("SHARE_OWNER", SHARE_OWNER, st.tuples(st.text(max_size=12), blobs)),
@@ -351,37 +352,34 @@ class TestOneByteStringPerRequest:
 
     @staticmethod
     def blobs_of(request):
-        """The request frame's seven top-level blobs and its response key
-        (a point, which delimits itself), in wire order."""
+        """The request frame's four blobs, in wire order (after the version
+        byte and the attempt number)."""
         blobs = [
-            request.username.encode("utf-8"),
-            request.log_identifier,
-            request.commitment,
             OPENING.encode(request.opening),
             wire.encode_inclusion_proof(request.inclusion_proof),
             wire.encode_bfe_ciphertext(request.share_ciphertext),
             request.context,
-            request.response_key.to_bytes(),
         ]
-        assert TestOneByteStringPerRequest.frame(blobs) == wire.encode_decrypt_request(request)
+        assert TestOneByteStringPerRequest.frame(blobs, request.attempt) == (
+            wire.encode_decrypt_request(request)
+        )
         return blobs
 
     @staticmethod
-    def frame(blobs) -> bytes:
-        *nested_blobs, response_key = blobs
-        return bytes([wire.WIRE_VERSION]) + b"".join(map(BLOB.encode, nested_blobs)) + response_key
+    def frame(blobs, attempt: int) -> bytes:
+        return bytes([wire.WIRE_VERSION]) + VARINT.encode(attempt) + b"".join(map(BLOB.encode, blobs))
 
-    #: The blobs that hold a structured value (the others are opaque bytes:
-    #: lengthening one makes a *different* valid request).
-    STRUCTURED = {"opening": 3, "inclusion_proof": 4, "share_ciphertext": 5, "response_key": 7}
+    #: The blobs that hold a structured value (the context is opaque
+    #: bytes: lengthening it makes a *different* valid request).
+    STRUCTURED = {"opening": 0, "inclusion_proof": 1, "share_ciphertext": 2}
 
     @given(request=decrypt_requests())
     @settings(max_examples=10, deadline=None)
     def test_padded_opening_is_rejected(self, request):
         blobs = self.blobs_of(request)
-        blobs[3] += b"xyz"
+        blobs[0] += b"xyz"
         with pytest.raises(WireFormatError, match="3 trailing bytes"):
-            wire.decode_decrypt_request(self.frame(blobs))
+            wire.decode_decrypt_request(self.frame(blobs, request.attempt))
 
     @given(
         request=decrypt_requests(),
@@ -393,7 +391,7 @@ class TestOneByteStringPerRequest:
         blobs = self.blobs_of(request)
         blobs[self.STRUCTURED[which]] += extra
         with pytest.raises(WireFormatError):
-            wire.decode_decrypt_request(self.frame(blobs))
+            wire.decode_decrypt_request(self.frame(blobs, request.attempt))
 
     @given(request=decrypt_requests(), prefix=st.integers(0, 255).filter(lambda b: b not in (0, 2, 3)))
     @settings(**_SETTINGS)
@@ -403,11 +401,11 @@ class TestOneByteStringPerRequest:
         point has is refused."""
         blobs = self.blobs_of(request)
         ct = request.share_ciphertext
-        assert blobs[5].startswith(ct.tag + ct.ephemeral.to_bytes())
+        assert blobs[2].startswith(ct.tag + ct.ephemeral.to_bytes())
         mangled = list(blobs)
-        mangled[5] = ct.tag + bytes([prefix]) + blobs[5][len(ct.tag) + 1:]
+        mangled[2] = ct.tag + bytes([prefix]) + blobs[2][len(ct.tag) + 1:]
         with pytest.raises(WireFormatError, match=f"unknown point prefix {prefix}"):
-            wire.decode_decrypt_request(self.frame(mangled))
+            wire.decode_decrypt_request(self.frame(mangled, request.attempt))
 
 
 def over_counted_opening(data: bytes) -> bytes:
@@ -452,9 +450,9 @@ class TestCryptoLayoutsAreStrict:
         with pytest.raises(WireFormatError):
             OPENING.decode(mangled)
         blobs = TestOneByteStringPerRequest.blobs_of(request)
-        blobs[3] = mangled
+        blobs[0] = mangled
         with pytest.raises(WireFormatError):
-            wire.decode_decrypt_request(TestOneByteStringPerRequest.frame(blobs))
+            wire.decode_decrypt_request(TestOneByteStringPerRequest.frame(blobs, request.attempt))
 
     @pytest.mark.parametrize("mangle", sorted(PROOF_MANGLES))
     @given(request=decrypt_requests())
@@ -464,9 +462,9 @@ class TestCryptoLayoutsAreStrict:
         with pytest.raises(WireFormatError):
             wire.decode_inclusion_proof(mangled)
         blobs = TestOneByteStringPerRequest.blobs_of(request)
-        blobs[4] = mangled
+        blobs[1] = mangled
         with pytest.raises(WireFormatError):
-            wire.decode_decrypt_request(TestOneByteStringPerRequest.frame(blobs))
+            wire.decode_decrypt_request(TestOneByteStringPerRequest.frame(blobs, request.attempt))
 
     @given(username=st.text(max_size=12), context=blobs)
     @settings(**_SETTINGS)

@@ -283,7 +283,7 @@ class TestRotationIsDurable:
             client = restored.new_client(f"rotated-{seed}", transport="direct")
             seeded_backup(client, b"rotated secret", "0001", seed=seed)
             session = client.begin_recovery("0001")
-            client.request_shares(session, "0001")
+            client.request_shares(session)
             assert client.finish_recovery(session) == b"rotated secret"
             if 0 in session.cluster:
                 named += 1

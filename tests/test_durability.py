@@ -482,7 +482,7 @@ class TestTamperedKeyArray:
         with pytest.raises(HsmRefusedError):
             client._channels(victim).decrypt_share(client._share_request(session, 0))
         assert (region(), secret.tree.root_key, secret.punctures_done) == before
-        assert client.request_shares(session, "1234") == len(set(cluster) - {victim})
+        assert client.request_shares(session) == len(set(cluster) - {victim})
         assert client.finish_recovery(session) == b"secret"
 
         attempts = restored.provider.next_attempt_number("alice")

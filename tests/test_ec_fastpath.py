@@ -847,7 +847,7 @@ class TestCombedSlotKeys:
         monkeypatch.setattr(
             ec_module, "_build_comb", lambda *args, **kw: built.append(args) or build(*args, **kw)
         )
-        client.request_shares(session, "1234")
+        client.request_shares(session)
         assert client.finish_recovery(session) == b"payload"
         assert built == []
         one_off = [session.response_keypair.public] + [
@@ -1341,7 +1341,13 @@ class TestMeteringInvariance:
     # bytes, and every one of the 920 nodes billed here (794 puts, 34 gets,
     # 92 modeled walk and delete nodes) is 12 bytes shorter without its
     # nonce, −11040.
-    SEED_COUNTS = {"ec_mult": 340, "ecdsa_verify": 20, "sha256_block": 2624, "io_bytes": 54720}
+    # Re-derived when the reply key joined the recovery commitment (was
+    # sha256_block 2624): the commitment hashes the key's 33 bytes behind
+    # its 8-byte length, 166 + 41 bytes for this 21-character username and
+    # 3 cluster indices, 4 blocks instead of 3, once on the client and once
+    # on each of the 2 devices asked (+3).  A copy that names the attempt
+    # once but leaves the key out of the commitment counts the parent's.
+    SEED_COUNTS = {"ec_mult": 340, "ecdsa_verify": 20, "sha256_block": 2627, "io_bytes": 54720}
 
     def run_fixed_workload(self):
         """One seeded backup+recovery; all randomness from seeded PRNGs so

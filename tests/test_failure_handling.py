@@ -12,7 +12,7 @@ class TestResumeAfterDeviceFailure:
         client = shared_deployment.new_client(unique_user)
         client.backup(b"precious data", pin="1234")
         session = client.begin_recovery("1234")
-        client.request_shares(session, "1234")
+        client.request_shares(session)
         # The client device dies here without ever calling finish_recovery.
         replacement = shared_deployment.new_client(unique_user)
         recovered = replacement.resume_recovery("1234", attempt=session.attempt)
@@ -28,7 +28,7 @@ class TestResumeAfterDeviceFailure:
         client = shared_deployment.new_client(unique_user)
         client.backup(b"data", pin="1234")
         session = client.begin_recovery("1234")
-        client.request_shares(session, "1234")
+        client.request_shares(session)
         replacement = shared_deployment.new_client(unique_user)
         with pytest.raises(RecoveryError):
             replacement.resume_recovery("0000", attempt=session.attempt)
@@ -37,7 +37,7 @@ class TestResumeAfterDeviceFailure:
         client = shared_deployment.new_client(unique_user)
         client.backup(b"data", pin="1234")
         session = client.begin_recovery("1234")
-        client.request_shares(session, "1234")
+        client.request_shares(session)
         assert client.finish_recovery(session) == b"data"
 
 
@@ -151,7 +151,7 @@ class TestTamperedKeyTreeBlock:
             # Only typed errors cross the boundary, on either transport.
             with pytest.raises(HsmRefusedError):
                 client._channels(victim).decrypt_share(client._share_request(session, 0))
-            obtained = client.request_shares(session, "2580")
+            obtained = client.request_shares(session)
             assert obtained == sum(1 for index in session.cluster if index != victim)
             assert client.finish_recovery(session) == b"still recoverable"
 

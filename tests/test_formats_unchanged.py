@@ -302,6 +302,22 @@ the backups' salts, clusters, shares and replies — and every digest moves
 with them.
 ``PARENT_RECORD_KINDS_DIGEST`` did not move: its commit is a stored
 certificate, not a signed message.
+
+All four workload digests moved again when a recovery attempt came to be
+named once: a decrypt request stopped carrying the username, the log
+identifier and the commitment (the attempt number, a varint, names the
+entry with the opening's username), a ``log_and_prove`` reply stopped
+carrying the identifier, and the reply key moved into the commitment's
+opening.  On a copy without the reply key's move the store is the
+parent's at both arities, and the frames differ from the parent's in
+length only: each decrypt request is 2|u| + 39 + d = 64 bytes shorter
+(|u| = 12 for ``formats-user``, d = 1 digit of attempt; 7 requests at
+shards=1, 8 at shards=2) and each of the 3 ``log_and_prove`` replies
+|u| + 6 + d = 19 bytes shorter.  Binding the reply key then moves every
+commitment's value and no length: the ``log_and_prove`` requests, the
+proofs and digests that hash the commitments, the monitoring reply that
+lists them and 13 journal blocks before the snapshot at shards=1 (14 at
+shards=2); the decrypt-share replies and the HSM key regions do not move.
 """
 
 import hashlib
@@ -337,16 +353,17 @@ def _absorb_store(digest, store: InMemoryBlockStore) -> None:
 
 
 class TestFormatsUnchanged:
-    # Re-captured when key-tree nodes stopped carrying a nonce and S = 1
-    # signed the sharded transition message; see the module docstring.
+    # Re-captured when a decrypt request and a ``log_and_prove`` reply
+    # stopped repeating the attempt's names and the reply key joined the
+    # commitment; see the module docstring.
     PARENT_DIGESTS = {
         1: {
-            "frames": "b006bc748690ffc34ae40a0dd6e6a198cf3e967b3c25f11dc0f4dc9713bfe04b",
-            "store": "5fe6e5755f473425fa2d917e242cf9e6fa81e37f5dd8ebdfcdbab4a5164fd684",
+            "frames": "b58e5298d5eae0b6ba0eacb7a54a9d78440f6ef852865c48fc8ca1e42d62f2f7",
+            "store": "e940149f79ade06f593dc4498e2465f69f62db29514db01a336e560f57323619",
         },
         2: {
-            "frames": "86a50f305e00107e1cd95f3c987b04970683738a719dc36b1df75b6b76155a49",
-            "store": "8f83cb91acab30038f292c3ac0b14b6d3e9b46e4d0151d188e90d6f17108ba64",
+            "frames": "bb3c76d1b479685adc9c4732c692becc7c38ada7e933370f210a6ecbc4d98487",
+            "store": "560bd3147e9c2545750e0eace697d89e11ba1531f4c4056661fdedb730f5d651",
         },
     }
     PARENT_RECORD_KINDS_DIGEST = (
@@ -491,15 +508,19 @@ class TestCryptoLayoutsUnchanged:
     (``00000007`` + the 32-byte order − 1 before); the owner replaced the
     ``(username, share)`` plaintext, whose username it encodes the same
     way.  The owner's context length moved once, when a blob's length
-    became a varint (``00000003`` → ``03``)."""
+    became a varint (``00000003`` → ``03``).  The opening gained the reply
+    key, G's 33-byte SEC1 encoding here, between the ciphertext hash and
+    the randomness."""
 
     SHARE_VALUE = Share(x=7, y=DEFAULT_MODULUS - 1)
     PINNED = {
         "opening": (
             OPENING,
-            CommitmentOpening("zoë", (3, 1, 4, 1, 5), b"\xcc" * 32, bytes(range(32))),
+            CommitmentOpening("zoë", (3, 1, 4, 1, 5), b"\xcc" * 32, P256.generator, bytes(range(32))),
             "00047a6fc3ab00050000000300000001000000040000000100000005"
-            + "cc" * 32 + bytes(range(32)).hex(),
+            + "cc" * 32
+            + "036b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296"
+            + bytes(range(32)).hex(),
         ),
         "share": (
             SHARE,

@@ -11,7 +11,7 @@ from repro.core.identifiers import attempt_identifier
 from repro.core.lhe import LocationHidingEncryption, share_owner
 from repro.crypto.bfe import BfeCiphertext, BloomFilterEncryption, PuncturedKeyError
 from repro.crypto.bloom import BloomParams
-from repro.crypto.commit import commit_recovery
+from repro.crypto.commit import CommitmentOpening, commit_recovery
 from repro.crypto.ec import P256, ECPoint
 from repro.crypto.elgamal import HashedElGamal
 from repro.crypto.gcm import ae_cost, seal_each
@@ -54,30 +54,60 @@ def logged_request_for(env, username, pin, message=b"msg", attempt=0, salt=None)
     ct = lhe.encrypt(mpk, pin, message, username=username, salt=salt)
     cluster = lhe.select(ct.salt, pin)
     context = lhe.context_for(ct, mpk, pin)
-    commitment, opening = commit_recovery(username, cluster, ct.ciphertext_hash())
+    response_kp = P256.keygen()
+    commitment, opening = commit_recovery(
+        username, cluster, ct.ciphertext_hash(), response_kp.public
+    )
     identifier = attempt_identifier(username, attempt)
     log.insert(identifier, commitment)
     log.run_update(fleet.hsms)
     proof = log.prove_includes(identifier, commitment)
-    response_kp = P256.keygen()
     requests = []
     for position, hsm_index in enumerate(cluster):
         requests.append(
             (
                 hsm_index,
                 DecryptShareRequest(
-                    username=username,
-                    log_identifier=identifier,
-                    commitment=commitment,
+                    attempt=attempt,
                     opening=opening,
                     inclusion_proof=proof,
                     share_ciphertext=ct.share_ciphertexts[position],
                     context=context,
-                    response_key=response_kp.public,
                 ),
             )
         )
     return ct, cluster, requests, response_kp
+
+
+def reproven(log, request):
+    """``request`` with a proof of its own log entry against the log's
+    current digest (logging anything else moves the digest)."""
+    identifier = attempt_identifier(request.opening.username, request.attempt)
+    proof = log.prove_includes(identifier, request.opening.commitment())
+    return dataclasses.replace(request, inclusion_proof=proof)
+
+
+def relogged(env, request, attempt, **changes):
+    """``request`` with its opening changed as ``changes`` say, logged as
+    attempt ``attempt`` of the opening's user and proven."""
+    fleet, log, _, _ = env
+    opening = dataclasses.replace(request.opening, **changes)
+    log.insert(attempt_identifier(opening.username, attempt), opening.commitment())
+    log.run_update(fleet.hsms)
+    return reproven(log, dataclasses.replace(request, attempt=attempt, opening=opening))
+
+
+def _with_opening(request, **changes):
+    return dataclasses.replace(request, opening=dataclasses.replace(request.opening, **changes))
+
+
+def distinct_cluster_salt(lhe, pin):
+    """A salt whose cluster under ``pin`` names ``CLUSTER`` distinct devices."""
+    return next(
+        salt
+        for salt in (bytes([i]) * 16 for i in range(256))
+        if len(set(lhe.select(salt, pin))) == CLUSTER
+    )
 
 
 class TestDecryptShare:
@@ -92,32 +122,18 @@ class TestDecryptShare:
         assert len(share_bytes) == 19  # 2-byte x + 17-byte y
 
     def test_unlogged_attempt_refused(self, env):
-        fleet, log, lhe, mpk = env
-        ct, cluster, requests, _ = logged_request_for(env, "hsm-t2", "2222")
+        fleet = env[0]
+        _, _, requests, _ = logged_request_for(env, "hsm-t2", "2222")
         hsm_index, request = requests[0]
-        # Forge: point the proof at a different (unlogged) identifier.
-        import dataclasses
-
-        forged = dataclasses.replace(
-            request, log_identifier=attempt_identifier("hsm-t2", 1)
-        )
+        # Forge: name a different (unlogged) attempt of the same user.
         with pytest.raises(HsmRefusedError):
-            fleet[hsm_index].decrypt_share(forged)
+            fleet[hsm_index].decrypt_share(dataclasses.replace(request, attempt=1))
 
     def test_bad_opening_refused(self, env):
-        import dataclasses
-
-        from repro.crypto.commit import CommitmentOpening
-
         fleet = env[0]
         _, _, requests, _ = logged_request_for(env, "hsm-t3", "3333")
         hsm_index, request = requests[0]
-        bad_opening = CommitmentOpening(
-            request.opening.username,
-            request.opening.cluster,
-            request.opening.ciphertext_hash,
-            bytes(32),
-        )
+        bad_opening = dataclasses.replace(request.opening, randomness=bytes(32))
         with pytest.raises(HsmRefusedError):
             fleet[hsm_index].decrypt_share(dataclasses.replace(request, opening=bad_opening))
 
@@ -129,18 +145,7 @@ class TestDecryptShare:
         with pytest.raises(HsmRefusedError):
             fleet[outsider].decrypt_share(request)
 
-    def test_username_mismatch_refused(self, env):
-        import dataclasses
-
-        fleet = env[0]
-        _, _, requests, _ = logged_request_for(env, "hsm-t5", "5555")
-        hsm_index, request = requests[0]
-        with pytest.raises(HsmRefusedError):
-            fleet[hsm_index].decrypt_share(dataclasses.replace(request, username="mallory"))
-
     def test_attempt_limit_enforced(self, env):
-        import dataclasses
-
         fleet = env[0]
         _, _, requests, _ = logged_request_for(
             env, "hsm-t6", "6666", attempt=CFG.max_attempts_per_user
@@ -148,17 +153,6 @@ class TestDecryptShare:
         hsm_index, request = requests[0]
         with pytest.raises(HsmRefusedError):
             fleet[hsm_index].decrypt_share(request)
-
-    def test_malformed_identifier_refused(self, env):
-        import dataclasses
-
-        fleet = env[0]
-        _, _, requests, _ = logged_request_for(env, "hsm-t7", "7777")
-        hsm_index, request = requests[0]
-        with pytest.raises(HsmRefusedError):
-            fleet[hsm_index].decrypt_share(
-                dataclasses.replace(request, log_identifier=b"garbage")
-            )
 
     def test_puncture_after_decrypt(self, env):
         fleet = env[0]
@@ -180,30 +174,106 @@ class TestDecryptShare:
             fleet[hsm_index].restart()
 
 
+class TestEveryRequestFieldIsChecked:
+    """A decrypt request carries its attempt number, the opening (user,
+    cluster, ciphertext hash, reply key, randomness), the inclusion proof,
+    the share and the context.  Changing any one of them is refused with
+    the device's store byte-identical and nothing punctured or replied:
+    the attempt and the opening name the log entry and its value, so a
+    change there is not in the device's log; the share and the context
+    are the payload's key and associated data, so a change there does not
+    decrypt."""
+
+    PIN = "1357"
+
+    #: mutation -> (the field it changes, the request it makes from the
+    #: honest request, the next position's request and another entry's proof)
+    MUTATIONS = {
+        "attempt + 1": ("attempt", lambda r, n, p: dataclasses.replace(r, attempt=r.attempt + 1)),
+        "attempt at the limit": (
+            "attempt", lambda r, n, p: dataclasses.replace(r, attempt=CFG.max_attempts_per_user)
+        ),
+        "another user": ("username", lambda r, n, p: _with_opening(r, username="mallory")),
+        "a username containing |": (
+            "username", lambda r, n, p: _with_opening(r, username="hsm|every-field")
+        ),
+        "another cluster": (
+            "cluster", lambda r, n, p: _with_opening(r, cluster=r.opening.cluster[::-1])
+        ),
+        "another ciphertext hash": (
+            "ciphertext_hash", lambda r, n, p: _with_opening(r, ciphertext_hash=bytes(32))
+        ),
+        "other randomness": ("randomness", lambda r, n, p: _with_opening(r, randomness=bytes(32))),
+        "a swapped key": (
+            "response_key", lambda r, n, p: _with_opening(r, response_key=P256.generator * 7)
+        ),
+        "another entry's proof": (
+            "inclusion_proof", lambda r, n, p: dataclasses.replace(r, inclusion_proof=p)
+        ),
+        "another position's share": (
+            "share_ciphertext",
+            lambda r, n, p: dataclasses.replace(r, share_ciphertext=n.share_ciphertext),
+        ),
+        "a shifted context": (
+            "context", lambda r, n, p: dataclasses.replace(r, context=r.context + b"x")
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def logged(self, env):
+        """An honest request to a cluster of distinct devices, the next
+        position's request, and another logged entry's proof."""
+        _, log, lhe, _ = env
+        salt = distinct_cluster_salt(lhe, self.PIN)
+        _, _, requests, _ = logged_request_for(env, "hsm-every-field", self.PIN, salt=salt)
+        _, _, ((_, other), *_), _ = logged_request_for(env, "hsm-every-field-2", self.PIN, salt=salt)
+        (hsm_index, request), (_, neighbour), _ = requests
+        return hsm_index, reproven(log, request), neighbour, other.inclusion_proof
+
+    def test_every_field_has_a_mutation(self):
+        fields = {f.name for f in dataclasses.fields(DecryptShareRequest)} - {"opening"}
+        fields |= {f.name for f in dataclasses.fields(CommitmentOpening)}
+        assert {field for field, _ in self.MUTATIONS.values()} == fields
+
+    @pytest.mark.parametrize("transport", ["direct", "wire"])
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_refused_with_the_store_untouched(self, env, logged, mutation, transport):
+        fleet = env[0]
+        hsm_index, request, neighbour, other_proof = logged
+        _, mutate = self.MUTATIONS[mutation]
+        forged = mutate(request, neighbour, other_proof)
+        assert forged != request
+        device = fleet[hsm_index]
+        channel = (wire_channels if transport == "wire" else direct_channels)(fleet)(hsm_index)
+        before, counts = _device_state(device), dict(device.meter.counts)
+        with pytest.raises(HsmRefusedError):
+            channel.decrypt_share(forged)
+        assert _device_state(device) == before
+        spent = {op: n - counts.get(op, 0) for op, n in device.meter.counts.items()}
+        assert spent.get("ec_mult", 0) <= 1 and not spent.get("elgamal_enc")
+
+
 class TestIdentityResponseKey:
-    """``ECPoint.from_bytes(b"\\x00")`` is the identity and decodes as a
-    ``response_key``.  A reply "encrypted" to it has a constant AE key, so
-    the device must refuse it before the share is punctured."""
+    """``ECPoint.from_bytes(b"\\x00")`` is the identity and decodes as an
+    opening's ``response_key``.  A reply "encrypted" to it has a constant
+    AE key, so the device must refuse it before the share is punctured —
+    also when the log holds the opening that names it."""
 
     @pytest.mark.parametrize("transport", ["direct", "wire"])
     def test_refused_before_anything_is_punctured(self, env, transport):
-        fleet, _, lhe, _ = env
+        fleet, log, lhe, _ = env
         username, pin = f"hsm-identity-{transport}", "4242"
         # A cluster of three distinct devices, so the two honest requests
         # below cannot collide on one punctured key.
-        salt = next(
-            salt
-            for salt in (bytes([i]) * 16 for i in range(256))
-            if len(set(lhe.select(salt, pin))) == CLUSTER
-        )
         ct, _, requests, kp = logged_request_for(
-            env, username, pin, message=b"still recoverable", salt=salt
+            env, username, pin, message=b"still recoverable",
+            salt=distinct_cluster_salt(lhe, pin),
         )
         channels = (wire_channels if transport == "wire" else direct_channels)(fleet)
         hsm_index, request = requests[0]
+        poisoned = relogged(env, request, 1, response_key=ECPoint(None, None))
         secret = fleet[hsm_index]._bfe_secret
         before = (secret.tree.root_key, secret.slots_deleted, secret.punctures_done)
-        poisoned = dataclasses.replace(request, response_key=ECPoint(None, None))
         with pytest.raises(HsmRefusedError, match="identity"):
             channels(hsm_index).decrypt_share(poisoned)
         assert (secret.tree.root_key, secret.slots_deleted, secret.punctures_done) == before
@@ -212,7 +282,7 @@ class TestIdentityResponseKey:
         # the threshold and finish the recovery.
         shares = [None]
         for index, honest in requests[1:]:
-            reply = channels(index).decrypt_share(honest)
+            reply = channels(index).decrypt_share(reproven(log, honest))
             share_bytes = HashedElGamal.decrypt(
                 kp.secret, reply, context=b"recovery-reply" + username.encode()
             )
@@ -399,8 +469,8 @@ class TestMalformedSharePlaintext:
 
 class TestShareOwnerBinding:
     """A share's owner is its payload's associated data, the codec value
-    ``(username, context)`` the device builds from the request's own
-    username.  The context is a blob the client picks, so a bare
+    ``(username, context)`` the device builds from the username of the
+    request's opening.  The context is a blob the client picks, so a bare
     ``context ‖ username`` would let a request logged for ``alice`` with
     context ``c ‖ b"x"`` open ``xalice``'s share sealed under ``c``.  Both
     that forgery and a share presented for another user are refused after
@@ -420,11 +490,7 @@ class TestShareOwnerBinding:
             logged_request_for(env, username, self.PIN, salt=salt)[2][0] for username in (alice, bob)
         ]
         # Logging bob's attempt moved the digest alice's proof was made for.
-        alice_request, bob_request = [
-            (index, dataclasses.replace(req, inclusion_proof=log.prove_includes(
-                req.log_identifier, req.commitment)))
-            for index, req in logged
-        ]
+        alice_request, bob_request = [(index, reproven(log, req)) for index, req in logged]
         mpk = fleet.master_public_key()
         xalice_ct = lhe.encrypt(mpk, self.PIN, b"msg", username="x" + alice, salt=salt)
         channels = (wire_channels if transport == "wire" else direct_channels)(fleet)

@@ -89,8 +89,8 @@ class TestLoopbackRoundTrips:
         assert channel.next_attempt_number("wire-user") == 0
         assert channel.reserve_attempt_number("wire-user") == 0
         assert channel.reserve_attempt_number("wire-user") == 1
-        identifier = channel.log_recovery_attempt("wire-user", 2, b"commit")
-        assert identifier == attempt_identifier("wire-user", 2)
+        assert channel.log_recovery_attempt("wire-user", 2, b"commit") is None
+        assert channel.prove_inclusion(attempt_identifier("wire-user", 2), b"commit") is None
         assert channel.next_attempt_number("wire-user") == 3
         channel.share_phase_done("wire-user", 2)  # plain provider: no-op ack
 
@@ -132,8 +132,9 @@ _CANNED = {
 
 
 class _RecordingProvider:
-    """Answers every catalog method with the canned value(s) of the row's
-    reply schema and records ``(method, positional args)``."""
+    """Answers every catalog method with the canned value of the row's
+    reply schema (none for an ack) and records ``(method, positional
+    args)``."""
 
     def __init__(self):
         self.calls = []
@@ -144,7 +145,7 @@ class _RecordingProvider:
 
         def call(*args):
             self.calls.append((method, args))
-            return tuple(values) if len(values) > 1 else values[0] if values else None
+            return values[0] if values else None
 
         return call
 

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.core.identifiers import attempt_identifier
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.core.provider import ProviderError, ServiceProvider
@@ -50,9 +51,10 @@ class TestEpochBatcher:
         assert batcher.epochs_run == 1
         assert list(batcher.epoch_sessions) == [3]
         for i, ticket in enumerate(tickets):
-            identifier, proof = ticket.wait(timeout=1)
+            proof = ticket.wait(timeout=1)
             assert verify_includes(
-                batcher_provider.log.digest, identifier, b"commit%d" % i, proof
+                batcher_provider.log.digest, attempt_identifier(f"user{i}", 0), b"commit%d" % i,
+                proof,
             )
 
     def test_tick_without_work_is_a_noop(self, batcher_provider):
@@ -111,8 +113,8 @@ class TestEpochBatcher:
 
     def test_ticket_is_single_use_state(self):
         ticket = EpochTicket()
-        ticket.resolve((b"id", "proof"))
-        assert ticket.wait(timeout=0) == (b"id", "proof")
+        ticket.resolve("proof")
+        assert ticket.wait(timeout=0) == "proof"
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +285,7 @@ class TestWireChannel:
         channel = wire_channels(fresh_deployment.fleet)(session.cluster[0])
         with pytest.raises(HsmStaleProofError):  # distinct status on the wire
             channel.decrypt_share(client._share_request(session, 0))
-        obtained = client.request_shares(session, "1234")
+        obtained = client.request_shares(session)
         assert obtained >= fresh_deployment.params.threshold
         assert session.inclusion_proof != stale_proof  # the client refreshed
         assert client.finish_recovery(session) == b"stale proof survivor"
@@ -533,8 +535,7 @@ class TestBatcherRegressions:
         batcher = EpochBatcher(batcher_provider, commit_lanes(batcher_provider))
         ticket = batcher.submit("racer", 0, b"h-race")
         batcher.tick()  # resolves before wait is even called
-        identifier, proof = ticket.wait(timeout=0.0)
-        assert identifier
+        assert ticket.wait(timeout=0.0) is not None
         assert batcher.outstanding_leases() == 1
 
     def test_all_lanes_failing_appends_no_history_row(self):
@@ -1034,8 +1035,8 @@ class TestTickFailures:
         monkeypatch.setattr(log, "prove_includes", prove_once)
         with pytest.raises(OSError):
             batcher.tick()
-        identifier, proof = served.wait(timeout=0)
-        assert verify_includes(log.digest, identifier, b"h", proof)
+        proof = served.wait(timeout=0)
+        assert verify_includes(log.digest, attempt_identifier("served", 0), b"h", proof)
         with pytest.raises(ProviderError, match="tick failed") as caught:
             refused.wait(timeout=0)
         assert isinstance(caught.value.__cause__, OSError)

@@ -20,7 +20,7 @@ import threading
 
 import pytest
 
-from repro.core.identifiers import parse_attempt_identifier
+from repro.core.identifiers import attempt_identifier, parse_attempt_identifier
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.log.authdict import AuthenticatedDictionary, verify_includes
@@ -57,12 +57,12 @@ def test_sixteen_threaded_clients_interleave_backup_and_recovery():
                 (
                     session.username,
                     session.attempt,
-                    session.log_identifier,
-                    session.commitment,
+                    attempt_identifier(session.username, session.attempt),
+                    session.opening.commitment(),
                     session.inclusion_proof,
                 )
             )
-        client.request_shares(session, pin)
+        client.request_shares(session)
         recovered = client.finish_recovery(session)
         assert recovered == message, f"client {i} round {round_no}: wrong plaintext"
 

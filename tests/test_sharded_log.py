@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chaos.entropy import DeterministicEntropy
+from repro.core.identifiers import attempt_identifier
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.core.provider import ProviderError
@@ -329,7 +330,8 @@ class TestLaneIsolation:
             good = service.batcher.submit(good_user, 0, b"h-good")
             served = service.tick()
             assert served == 1
-            identifier, proof = good.wait(timeout=5)
+            proof = good.wait(timeout=5)
+            identifier = attempt_identifier(good_user, 0)
             assert verify_includes(log.shard_for(identifier).digest, identifier, b"h-good", proof)
             with pytest.raises(ProviderError):
                 bad.wait(timeout=5)
@@ -362,8 +364,9 @@ class TestDeviceShardChecks:
         client.backup(b"x", pin="2222")
         session = client.begin_recovery("2222", backup_recovery_key=False)
         alone = AuthenticatedDictionary()
-        alone.insert(session.log_identifier, session.commitment)
-        session.inclusion_proof = alone.prove_includes(session.log_identifier, session.commitment)
+        identifier = attempt_identifier(session.username, session.attempt)
+        alone.insert(identifier, session.opening.commitment())
+        session.inclusion_proof = alone.prove_includes(identifier, session.opening.commitment())
         request = client._share_request(session, 0)
         with pytest.raises(HsmStaleProofError):
             dep.fleet[session.cluster[0]].decrypt_share(request)
@@ -379,7 +382,8 @@ class TestDeviceShardChecks:
         with DeterministicEntropy(43):  # a cluster of >= t distinct devices
             client.backup(b"payload", pin="1111")
         session = client.begin_recovery("1111", backup_recovery_key=False)
-        identifier, commitment = session.log_identifier, session.commitment
+        identifier = attempt_identifier(session.username, session.attempt)
+        commitment = session.opening.commitment()
         foreign = (shard_of(identifier, SHARDS) + 1) % SHARDS
         log.shards[foreign].insert(identifier, commitment)
         log.run_shard_update(foreign, dep.fleet.hsms)
@@ -396,7 +400,7 @@ class TestDeviceShardChecks:
             device.decrypt_share(request)
         # Restore the honest proof: recovery then completes.
         session.inclusion_proof = honest
-        obtained = client.request_shares(session, "1111")
+        obtained = client.request_shares(session)
         assert obtained >= dep.params.threshold
         assert client.finish_recovery(session) == b"payload"
 

@@ -186,17 +186,14 @@ class TestDecryptRequest:
         from repro.hsm.device import DecryptShareRequest
 
         request = DecryptShareRequest(
-            username=session.username,
-            log_identifier=session.log_identifier,
-            commitment=session.commitment,
+            attempt=session.attempt,
             opening=session.opening,
             inclusion_proof=session.inclusion_proof,
             share_ciphertext=session.ciphertext.share_ciphertexts[0],
             context=session.context,
-            response_key=session.response_keypair.public,
         )
         decoded = wire.decode_decrypt_request(wire.encode_decrypt_request(request))
-        assert decoded.username == request.username
+        assert decoded.attempt == request.attempt
         assert decoded.opening == request.opening
         reply = fresh_deployment.fleet[session.cluster[0]].decrypt_share(decoded)
         assert reply is not None

@@ -97,16 +97,13 @@ inclusion_proofs = st.builds(
 def decrypt_requests(draw):
     username = draw(usernames)
     cluster = tuple(draw(st.lists(st.integers(0, 1000), min_size=1, max_size=4)))
-    _, opening = commit_recovery(username, cluster, draw(digests))
+    _, opening = commit_recovery(username, cluster, draw(digests), draw(points))
     return DecryptShareRequest(
-        username=username,
-        log_identifier=draw(blobs),
-        commitment=opening.commitment(),
+        attempt=draw(st.integers(0, 2**32 - 1)),
         opening=opening,
         inclusion_proof=draw(inclusion_proofs),
         share_ciphertext=draw(bfe_ciphertexts),
         context=draw(blobs),
-        response_key=draw(points),
     )
 
 
