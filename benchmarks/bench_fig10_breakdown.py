@@ -21,6 +21,7 @@ from itertools import cycle, islice
 
 import pytest
 
+from repro.chaos.entropy import DeterministicEntropy
 from repro.core import wire
 from repro.core.identifiers import attempt_identifier
 from repro.core.params import SystemParams
@@ -38,6 +39,7 @@ THRESHOLD = SystemParams.for_paper().threshold  # t = n/2 = 20
 PHONE = CostModel(PIXEL4)
 HSM = CostModel(SOLOKEY)
 LOG_DEPTH = math.log2(100e6)
+SMALL_PARAMS = SystemParams.for_testing(num_hsms=8, cluster_size=3, max_punctures=64)
 
 
 def safetypin_save_seconds() -> dict:
@@ -86,8 +88,7 @@ def baseline_recovery_seconds() -> float:
 
 @pytest.fixture(scope="module")
 def small_deployment():
-    params = SystemParams.for_testing(num_hsms=8, cluster_size=3, max_punctures=64)
-    return Deployment.create(params, rng=random.Random(17))
+    return Deployment.create(SMALL_PARAMS, rng=random.Random(17))
 
 
 def test_fig10_save_breakdown(benchmark, small_deployment):
@@ -190,6 +191,10 @@ PARENT_CT_BYTES_AT_N40 = 4_396
 
 #: The seeded logs whose inclusion proofs the proof layout gate encodes.
 PROOF_LOG_SIZES = (30, 100, 400)
+
+#: The frame probe's seed: its deployment's keys, its backup's salt and so
+#: its cluster, which names three distinct devices (every one is asked).
+FRAME_PROBE_SEED = 18
 
 
 def varint_bytes(value: int) -> int:
@@ -304,12 +309,15 @@ def proof_sizes() -> tuple:
     return sizes, max(excess)
 
 
-def recovery_frame_bytes(deployment, monkeypatch) -> tuple:
+def recovery_frame_bytes(monkeypatch) -> tuple:
     """One backup and recovery over the wire transport: bytes (request and
     reply) per provider op and for the decrypt-share leg, summed over the
     frames of that kind (a channel binds its endpoint's ``handle`` when it
     is built, so the recorders go in before the client); and the decrypt
-    requests sent."""
+    requests sent.  The probe runs on a deployment of its own, created and
+    driven under ``DeterministicEntropy(FRAME_PROBE_SEED)``: its log's
+    size, the salt and so the cluster are the seed's, and so is every
+    total."""
     from repro.service.channel import HsmWireEndpoint, ProviderWireEndpoint
 
     totals, requests = {}, []
@@ -333,13 +341,15 @@ def recovery_frame_bytes(deployment, monkeypatch) -> tuple:
             return reply
         return recorded
 
-    monkeypatch.setattr(ProviderWireEndpoint, "handle", provider(ProviderWireEndpoint.handle))
-    monkeypatch.setattr(
-        HsmWireEndpoint, "handle_decrypt_share", hsm(HsmWireEndpoint.handle_decrypt_share)
-    )
-    client = deployment.new_client("frame-probe")
-    client.backup(b"x" * 16, pin="1234")
-    assert client.recover(pin="1234") == b"x" * 16
+    with DeterministicEntropy(FRAME_PROBE_SEED):
+        deployment = Deployment.create(SMALL_PARAMS, rng=random.Random(FRAME_PROBE_SEED))
+        monkeypatch.setattr(ProviderWireEndpoint, "handle", provider(ProviderWireEndpoint.handle))
+        monkeypatch.setattr(
+            HsmWireEndpoint, "handle_decrypt_share", hsm(HsmWireEndpoint.handle_decrypt_share)
+        )
+        client = deployment.new_client("frame-probe")
+        client.backup(b"x" * 16, pin="1234")
+        assert client.recover(pin="1234") == b"x" * 16
     monkeypatch.undo()
     return dict(sorted(totals.items())), requests
 
@@ -369,7 +379,8 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
     ))
     paper_scale = paper_ct.size_bytes()
     proofs, proof_excess = proof_sizes()
-    frames, requests = recovery_frame_bytes(small_deployment, monkeypatch)
+    frames, requests = recovery_frame_bytes(monkeypatch)
+    frames_again, _ = recovery_frame_bytes(monkeypatch)
     request_excess = max(
         len(request) - decrypt_request_layout_bytes(wire.decode_decrypt_request(request))
         for request in requests
@@ -384,6 +395,8 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
         failures.append(f"an inclusion proof encodes to {proof_excess} B over its derived layout")
     if request_excess > 0:
         failures.append(f"a decrypt request encodes to {request_excess} B over its derived layout")
+    if frames_again != frames:
+        failures.append(f"one recovery's frame totals differ by run: {frames} vs {frames_again}")
     from repro.baseline.system import BaselineSystem
 
     baseline_ct = BaselineSystem().new_client("b").backup(b"k" * 16, pin="123456")

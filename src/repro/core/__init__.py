@@ -9,8 +9,6 @@ _EXPORTS = {
     "RecoveryError": ("repro.core.client", "RecoveryError"),
     "ServiceProvider": ("repro.core.provider", "ServiceProvider"),
     "Deployment": ("repro.core.protocol", "Deployment"),
-    "SaltProtectedClient": ("repro.core.saltprotect", "SaltProtectedClient"),
-    "PinReuseVerdict": ("repro.core.saltprotect", "PinReuseVerdict"),
 }
 
 __all__ = list(_EXPORTS)

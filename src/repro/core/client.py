@@ -403,5 +403,5 @@ class Client:
 
     # -- monitoring (§6.3) ---------------------------------------------------------------------
     def audit_my_recovery_attempts(self) -> List[Tuple[bytes, bytes]]:
-        """Check the public log for recovery attempts against this account."""
+        """This account's recovery attempts as the provider lists them, unchecked: no proof."""
         return self.provider.recovery_attempts_for(self.username)

@@ -4,7 +4,9 @@ The contrast tests in test_baseline.py show the same attacks *succeeding*
 against the status quo.
 """
 
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +17,9 @@ from repro.adversary.attacks import (
     decrypt_with_stolen_secrets,
 )
 from repro.chaos.entropy import DeterministicEntropy
+from repro.core import wire
 from repro.core.client import Client, RecoveryError
+from repro.core.lhe import SALT_LEN, LocationHidingEncryption
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.log.distributed import LogConfig, LogUpdateRejected
@@ -191,6 +195,159 @@ class TestStatisticalLocationHiding:
         expected = trials * 4 / 32
         for count in counts:
             assert abs(count - expected) < 6 * (expected**0.5)
+
+
+class TestSaltInTheClear:
+    """The paper's stated limitation (§6.3, §8), which this repository
+    shares: the recovery ciphertext carries its salt in the clear, so the
+    provider reads it without a log entry, and once a recovery has asked
+    its devices, testing every PIN's cluster against the devices asked
+    leaves a handful of candidates with the true PIN among them."""
+
+    PINS = [f"{p:04d}" for p in range(10_000)]
+    #: Its cluster under PIN 1234 is [9, 10, 10, 9]: two distinct devices.
+    REPEATED_DEVICE_SALT = bytes.fromhex("8d5a62b98f5979958fa3e35002ee1bbf")
+
+    @staticmethod
+    def observed_client(dep, username):
+        """A client whose HSM leg notes the index of every device asked."""
+        asked = set()
+        channels = wire_channels(dep.fleet)
+
+        def observed(index):
+            def decrypt_share(request):
+                asked.add(index)
+                return channels(index).decrypt_share(request)
+            return SimpleNamespace(decrypt_share=decrypt_share)
+
+        client = Client(
+            username, dep.params, provider_channel(dep.provider), observed,
+            dep.fleet.master_public_key(),
+        )
+        return client, asked
+
+    @classmethod
+    def candidates(cls, lhe, salt, asked):
+        """Every PIN whose cluster under ``salt`` asks exactly ``asked``."""
+        return [guess for guess in cls.PINS if set(lhe.select(salt, guess)) == asked]
+
+    def observe_recovery(self, dep, username, pin):
+        """Seed 1's backup under ``pin`` (a cluster of 4 distinct devices)
+        and its recovery: the client, the clear salt and the devices asked."""
+        client, asked = self.observed_client(dep, username)
+        with DeterministicEntropy(1):
+            client.backup(b"victim secret", pin=pin)
+        salt = dep.provider.fetch_backup(username).salt
+        assert client.recover(pin=pin) == b"victim secret"
+        return client, salt, asked
+
+    def test_salt_and_observed_cluster_narrow_the_pin_offline(self, fresh_deployment):
+        dep, username, pin = fresh_deployment, "salt-in-the-clear", "4821"
+        client, asked = self.observed_client(dep, username)
+        with DeterministicEntropy(1):  # a cluster of 4 distinct devices
+            client.backup(b"victim secret", pin=pin)
+        ct = dep.provider.fetch_backup(username)
+        salt = ct.salt
+        assert salt in wire.encode_recovery_ciphertext(ct)
+        assert dep.provider.recovery_attempts_for(username) == []
+        assert client.recover(pin=pin) == b"victim secret"
+        assert asked == set(client.lhe.select(salt, pin))
+        assert self.candidates(client.lhe, salt, asked) == ["3432", "4821", "6516", "8785"]
+
+    def test_reading_every_salt_logs_nothing(self, fresh_deployment):
+        """Each backup draws a fresh salt, and anyone the provider serves
+        reads every one of them without a log entry."""
+        dep, username = fresh_deployment, "salt-reader"
+        client = dep.new_client(username)
+        for secret in (b"first", b"second", b"third"):
+            client.backup(secret, pin="4821")
+        digest, logged = dep.provider.log.digest, list(dep.provider.log.items())
+        reader = provider_channel(dep.provider)
+        salts = [reader.fetch_backup(username, index).salt for index in range(3)]
+        assert len(set(salts)) == 3
+        assert all(len(salt) == SALT_LEN for salt in salts)
+        assert dep.provider.log.digest == digest
+        assert list(dep.provider.log.items()) == logged
+        assert dep.provider.recovery_attempts_for(username) == []
+
+    def test_the_narrowing_needs_the_true_salt(self, fresh_deployment):
+        """The devices asked alone leave the PIN hidden: under any other
+        salt the same observation keeps PINs that exclude the true one."""
+        client, salt, asked = self.observe_recovery(fresh_deployment, "salt-needed", "4821")
+        stream = random.Random(3)
+        for _ in range(8):
+            other = stream.randbytes(SALT_LEN)
+            assert other != salt
+            assert "4821" not in self.candidates(client.lhe, other, asked)
+
+    def test_a_cluster_with_a_repeated_device_narrows_the_pin_too(self, fresh_deployment):
+        """A recovery asks each distinct device once, so the observer sees a
+        set, not the ordered cluster; the set still narrows the PIN."""
+        dep, salt = fresh_deployment, self.REPEATED_DEVICE_SALT
+        client, asked = self.observed_client(dep, "repeated-device")
+        client._last_salt = salt
+        client.backup(b"victim secret", pin="1234", reuse_salt=True)
+        assert dep.provider.fetch_backup("repeated-device").salt == salt
+        assert client.recover(pin="1234") == b"victim secret"
+        assert client.lhe.select(salt, "1234") == [9, 10, 10, 9]
+        assert asked == {9, 10}
+        assert self.candidates(client.lhe, salt, asked) == ["1234", "1380", "1438", "6210"]
+
+    def test_candidate_count_follows_the_cluster_collision_rate(self, shared_params):
+        """Besides the true PIN, a salt and the k distinct devices asked
+        leave (|PINs| - 1) * P(a random cluster asks exactly those devices)
+        PINs on average, where P counts the clusters in [N]^n onto the k
+        devices: sum_j (-1)^j C(k, j) (k - j)^n / N^n."""
+        params = shared_params
+        lhe = LocationHidingEncryption(params.num_hsms, params.cluster_size, params.threshold)
+        n, stream = params.cluster_size, random.Random(5)
+        found = expected = 0
+        for _ in range(20):
+            salt, pin = stream.randbytes(SALT_LEN), stream.choice(self.PINS)
+            asked = set(lhe.select(salt, pin))
+            k = len(asked)
+            onto = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+            expected += (len(self.PINS) - 1) * onto / params.num_hsms**n
+            left = self.candidates(lhe, salt, asked)
+            assert pin in left
+            found += len(left) - 1
+        assert abs(found - expected) < 4 * math.sqrt(expected)
+
+    def test_candidates_break_a_reused_pin_within_the_attempt_budget(self, fresh_deployment):
+        """The PIN re-use the paper warns of: the next backup under the same
+        PIN falls to online guesses over the candidates, each of which the
+        owner's audit lists, inside the attempt budget."""
+        dep, username = fresh_deployment, "pin-reuse"
+        victim, salt, asked = self.observe_recovery(dep, username, "4821")
+        candidates = self.candidates(victim.lhe, salt, asked)
+        with DeterministicEntropy(2):
+            victim.backup(b"next secret", pin="4821")
+        attacker = dep.new_client(username)
+        outcomes = []
+        for guess in candidates:
+            try:
+                outcomes.append(attacker.recover(pin=guess))
+                break
+            except RecoveryError:
+                outcomes.append(None)
+        assert outcomes == [None, b"next secret"]
+        attempts = len(victim.audit_my_recovery_attempts())
+        assert attempts == 3 < dep.params.max_attempts_per_user
+
+    def test_a_new_pin_leaves_the_candidates_behind(self, fresh_deployment):
+        """The remedy a leaked salt calls for: the next backup under a PIN
+        outside the candidates survives a guess at every one of them."""
+        dep, username = fresh_deployment, "new-pin"
+        victim, salt, asked = self.observe_recovery(dep, username, "4821")
+        candidates = self.candidates(victim.lhe, salt, asked)
+        assert "1397" not in candidates
+        with DeterministicEntropy(2):
+            victim.backup(b"next secret", pin="1397")
+        attacker = dep.new_client(username)
+        for guess in candidates:
+            with pytest.raises(RecoveryError):
+                attacker.recover(pin=guess)
+        assert len(victim.audit_my_recovery_attempts()) == 1 + len(candidates)
 
 
 class TestReplyKeySwappingRelay:

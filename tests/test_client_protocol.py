@@ -110,6 +110,19 @@ class TestAttemptLimits:
         attempts = client.audit_my_recovery_attempts()
         assert len(attempts) == 1  # the victim can see the break-in attempt
 
+    def test_audit_returns_the_providers_list_unchecked(
+        self, shared_deployment, unique_user, monkeypatch
+    ):
+        """The audit carries no proof (ROADMAP item 27): a provider that
+        leaves a logged attempt out of its reply goes unnoticed."""
+        client = shared_deployment.new_client(unique_user)
+        client.backup(b"data", pin="1234")
+        with pytest.raises(RecoveryError):
+            client.recover(pin="0000")
+        assert len(shared_deployment.provider.recovery_attempts_for(unique_user)) == 1
+        monkeypatch.setattr(client.provider, "recovery_attempts_for", lambda username: [])
+        assert client.audit_my_recovery_attempts() == []
+
 
 class TestFaultTolerance:
     # The cluster samples HSM indices *with replacement* (Hash -> [N]^n) and
