@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """repro_lint: the repo's static-analysis CLI (see docs/STATIC_ANALYSIS.md).
 
-Runs the five lintkit passes — secret-hygiene taint, lock discipline,
-wire-schema consistency, metering discipline, and the docstring contract —
-over the given paths and exits nonzero on any unsuppressed finding.  This
-is the CI fast-lane gate::
+Runs the four lintkit passes — secret-hygiene taint, lock discipline,
+metering discipline, and the docstring contract — over the given paths
+and exits nonzero on any unsuppressed finding.  This is the CI fast-lane
+gate::
 
     PYTHONPATH=src python scripts/repro_lint.py src/repro
 
 Options:
     --json                 machine-readable report on stdout
-    --passes a,b,c         run a subset (secrets,locks,wire,metering,docs)
-    --root DIR             repo root for cross-file checks (default: cwd)
+    --passes a,b,c         run a subset (secrets,locks,metering,docs)
+    --root DIR             repo root reported paths are relative to (default: cwd)
     --list-rules           print the rule catalog and exit
 """
 
@@ -38,7 +38,6 @@ from repro.lintkit.engine import (  # noqa: E402
 _RULE_CATALOG = [
     ("secret-taint", "secret", "secret-named value flows into printable output"),
     ("unguarded-write", "unguarded", "_GUARDED_BY attribute written outside its lock"),
-    ("wire-schema", "wire", "op-table row or tag missing a codec/strategy/schema/doc row"),
     ("unmetered-op", "unmetered", "crypto entry point skips metering.count"),
     ("docstring-missing", "docs", "public API without a docstring"),
     ("docstring-thin", "docs", "module docstring below the contract minimum"),
@@ -58,7 +57,7 @@ def main(argv=None) -> int:
     parser.add_argument("--passes", default=None,
                         help="comma-separated pass names (default: all)")
     parser.add_argument("--root", default=".", metavar="DIR",
-                        help="repo root for cross-file checks (default: cwd)")
+                        help="repo root reported paths are relative to (default: cwd)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
     args = parser.parse_args(argv)
@@ -85,7 +84,7 @@ def main(argv=None) -> int:
     if not files:
         print("repro_lint: no Python files under the given paths", file=sys.stderr)
         return 2
-    report = run_passes(ScanContext(root, files), passes)
+    report = run_passes(ScanContext(files), passes)
 
     if args.json:
         print(report.to_json())

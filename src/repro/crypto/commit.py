@@ -57,18 +57,13 @@ OPENING = record(
 
 def commit_recovery(
     username: str, cluster: Sequence[int], ciphertext_hash: bytes, response_key: ECPoint,
-    rng=None,
 ) -> Tuple[bytes, CommitmentOpening]:
     """Produce ``(h, opening)`` for a recovery attempt."""
-    if rng is None:
-        randomness = secrets.token_bytes(32)
-    else:
-        randomness = bytes(rng.randrange(256) for _ in range(32))
     opening = CommitmentOpening(
         username=username,
         cluster=tuple(cluster),
         ciphertext_hash=ciphertext_hash,
         response_key=response_key,
-        randomness=randomness,
+        randomness=secrets.token_bytes(32),
     )
     return opening.commitment(), opening

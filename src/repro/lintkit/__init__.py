@@ -3,9 +3,8 @@
 The paper's security argument rests on a handful of *narrow interfaces*:
 secrets (PINs, Shamir shares, HSM seeds) never leave the crypto/HSM layer
 in printable form, shared mutable state in the serving layer is only
-touched under its declared lock, the provider RPC surface is a closed
-catalog of tagged frames, and the crypto hot paths report every operation
-to the op meter so the byte-identical cost invariant holds.  Runtime tests
+touched under its declared lock, and the crypto hot paths report every
+operation to the op meter so the byte-identical cost invariant holds.  Runtime tests
 exercise those contracts; ``lintkit`` proves code *stays inside them* by
 walking the AST — no third-party linter, no plugins, importable anywhere
 the repo runs.
@@ -29,15 +28,13 @@ from repro.lintkit.docs import DocstringPass
 from repro.lintkit.locks import LockDisciplinePass
 from repro.lintkit.metering import MeteringPass
 from repro.lintkit.secrets import SecretTaintPass
-from repro.lintkit.wireschema import WireSchemaPass
 
 
 def default_passes():
-    """The five passes the CI gate runs, in their canonical order."""
+    """The four passes the CI gate runs, in their canonical order."""
     return [
         SecretTaintPass(),
         LockDisciplinePass(),
-        WireSchemaPass(),
         MeteringPass(),
         DocstringPass(),
     ]
@@ -56,5 +53,4 @@ __all__ = [
     "LockDisciplinePass",
     "MeteringPass",
     "SecretTaintPass",
-    "WireSchemaPass",
 ]

@@ -33,7 +33,6 @@ _SUPPRESS_RE = re.compile(r"#\s*lint:\s*([A-Za-z0-9_-]+)\s*\[([^\]]*)\]")
 RULE_ALIASES: Dict[str, Tuple[str, ...]] = {
     "secret": ("secret-taint",),
     "unguarded": ("unguarded-write",),
-    "wire": ("wire-schema",),
     "unmetered": ("unmetered-op",),
     "docs": ("docstring-missing", "docstring-thin"),
 }
@@ -130,31 +129,15 @@ def _parse_suppressions(text: str) -> List[Suppression]:
 
 
 class ScanContext:
-    """Everything a pass may look at: the parsed files plus the repo root.
+    """Everything a pass may look at: the parsed files, by repo-relative path."""
 
-    ``root`` anchors cross-file checks (the wire-schema pass loads its
-    companion files relative to it) and makes reported paths repo-relative
-    and OS-independent.
-    """
-
-    def __init__(self, root: Path, files: Sequence[SourceFile]) -> None:
-        self.root = Path(root)
+    def __init__(self, files: Sequence[SourceFile]) -> None:
         self.files = sorted(files, key=lambda f: f.rel)
         self._by_rel = {f.rel: f for f in self.files}
 
     def get(self, rel: str) -> Optional[SourceFile]:
         """The scanned file at repo-relative ``rel``, if it was scanned."""
         return self._by_rel.get(rel)
-
-    def load(self, rel: str) -> Optional[SourceFile]:
-        """Like :meth:`get`, but falls back to reading from disk under root."""
-        scanned = self.get(rel)
-        if scanned is not None:
-            return scanned
-        path = self.root / rel
-        if not path.is_file():
-            return None
-        return SourceFile(path, rel, path.read_text())
 
 
 class LintPass:

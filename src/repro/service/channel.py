@@ -240,13 +240,15 @@ class ProviderWireEndpoint:
     """Provider-side half of the wire transport: bytes in, bytes out.
 
     Decodes each request frame, calls the provider method its catalog row
-    names, and encodes the outcome.  *Every* failure becomes a typed error
-    frame: malformed requests answer ``PROV_ERR_BAD_REQUEST``, provider
-    refusals ``PROV_ERR_PROVIDER``, epoch timeouts ``PROV_ERR_TIMEOUT``,
-    and — defense in depth — a raw ``KeyError`` / ``IndexError`` /
-    ``ValueError`` escaping the provider, or the ``TypeError`` /
-    ``AttributeError`` of encoding a wrong-typed return value, is converted
-    rather than propagated, so no Python exception ever crosses the wire.
+    names, and encodes the outcome.  These failures become typed error
+    frames: a malformed request (``WireFormatError``) answers
+    ``PROV_ERR_BAD_REQUEST``, a ``ProviderError`` or an unencodable reply
+    ``PROV_ERR_PROVIDER``, a ``ServiceTimeout`` ``PROV_ERR_TIMEOUT``, and —
+    defense in depth — a raw ``KeyError`` / ``IndexError`` / ``ValueError``
+    escaping the provider, or the ``TypeError`` / ``AttributeError`` of
+    encoding a wrong-typed return value, ``PROV_ERR_PROVIDER``.  Any other
+    exception propagates to the caller: the provider behind the endpoint
+    must not raise one.
     """
 
     def __init__(self, provider) -> None:

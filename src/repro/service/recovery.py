@@ -119,20 +119,25 @@ for _name in _DIRECT_NAMES:
     setattr(_FifoDevice, _name, _direct(_name))
 
 
+#: The forwarded ops that read or write ``provider.log``: a tick inserts
+#: into and commits the same dictionaries, so they run under its lock.
+_LOG_METHODS = {"log_recovery_attempt", "prove_inclusion", "recovery_attempts_for"}
+
+
 @catalog_methods
 class BatchedProviderFacade:
     """What the service's provider endpoint dispatches into.
 
     Exactly the op catalog (``wire.PROVIDER_OPS``) and nothing else of the
     real :class:`ServiceProvider` — its log, journal and epoch driver are
-    not reachable through the facade.  Ten ops forward unchanged
-    (:func:`catalog_methods`); the four defined below differ:
-    attempt numbers are *reserved* atomically (concurrent sessions for one
-    user cannot collide), ``log_and_prove`` waits for the shared epoch
-    instead of running its own, proofs are cut under the epoch lock, and
-    the share-phase hint releases the session's lease.  Clients never hold
-    this object — they speak through a ``ProviderChannel`` (byte-framed
-    for the default ``"wire"`` transport) that fronts it.
+    not reachable through the facade.  Eleven ops forward unchanged
+    (:func:`catalog_methods`), the ``_LOG_METHODS`` under the epoch lock;
+    the three defined below differ: attempt numbers are *reserved*
+    atomically (concurrent sessions for one user cannot collide),
+    ``log_and_prove`` waits for the shared epoch instead of running its
+    own, and the share-phase hint releases the session's lease.  Clients
+    never hold this object — they speak through a ``ProviderChannel``
+    (byte-framed for the default ``"wire"`` transport) that fronts it.
     """
 
     def __init__(self, service: "RecoveryService") -> None:
@@ -140,6 +145,9 @@ class BatchedProviderFacade:
         self._provider = service.provider
 
     def _invoke(self, op, args):
+        if op.method in _LOG_METHODS:
+            with self._service.batcher.lock:
+                return getattr(self._provider, op.method)(*args)
         return getattr(self._provider, op.method)(*args)
 
     # -- attempt numbering ----------------------------------------------------
@@ -152,11 +160,6 @@ class BatchedProviderFacade:
         """Queue the insertion and block on the shared epoch's ticket."""
         ticket = self._service.batcher.submit(username, attempt, commitment)
         return ticket.wait(self._service.session_timeout)
-
-    def prove_inclusion(self, identifier: bytes, value: bytes):
-        """Fresh proof against the current digest (under the epoch lock)."""
-        with self._service.batcher.lock:
-            return self._provider.prove_inclusion(identifier, value)
 
     def share_phase_done(self, username: str, attempt: int) -> None:
         """Release the session's epoch lease."""

@@ -21,9 +21,10 @@ Layout and integrity:
   bytes fails loudly with :class:`WalCorruptionError` — tampering is
   *detected*, never silently restored;
 - a stale (replayed) anchor after compaction points at a deleted snapshot
-  record and is likewise detected, and callers holding a trusted head hash
-  (e.g. reconciled from the HSM fleet) can pass it to :meth:`replay` to
-  detect truncation of the tail.
+  record and is likewise detected, and a caller holding a trusted head
+  hash can pass it to :meth:`replay` to detect truncation of the tail.
+  No caller holds one: ``Deployment.restore`` replays without it, so a
+  store that drops its newest records restores cleanly without them.
 
 Crash semantics: block writes are atomic (a put either lands whole or not
 at all — ``CrashingBlockStore`` models the process dying between puts), so
@@ -182,9 +183,9 @@ class WriteAheadLog:
         anchored snapshot (or the beginning) to the durable tail.
 
         ``expected_head``, when supplied from a source the provider cannot
-        rewrite (the restart path reconciles it against the HSM fleet),
-        additionally detects *truncation* — an adversary dropping the
-        newest records, which a pure chain check cannot see.
+        rewrite, additionally detects *truncation* — an adversary dropping
+        the newest records, which a pure chain check cannot see.  The
+        restart path supplies none, so it does not detect truncation.
 
         When an anchor is present, the anchored snapshot record itself is
         yielded first (verified against the anchor's payload hash — its

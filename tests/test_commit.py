@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.chaos.entropy import DeterministicEntropy
 from repro.core.codec import WireFormatError
 from repro.crypto.commit import OPENING, commit_recovery
 from repro.crypto.ec import P256
@@ -36,12 +37,12 @@ class TestCommitment:
         h2, _ = commit_recovery("alice", (1, 2), b"\x00" * 32, KEY)
         assert h1 != h2  # fresh randomness each time
 
-    def test_deterministic_with_rng(self):
-        import random
-
-        h1, o1 = commit_recovery("alice", (1, 2), b"\x00" * 32, KEY, rng=random.Random(3))
-        h2, o2 = commit_recovery("alice", (1, 2), b"\x00" * 32, KEY, rng=random.Random(3))
-        assert h1 == h2 and o1 == o2
+    def test_deterministic_under_seeded_entropy(self):
+        runs = []
+        for _ in range(2):
+            with DeterministicEntropy(3):
+                runs.append(commit_recovery("alice", (1, 2), b"\x00" * 32, KEY))
+        assert runs[0] == runs[1]
 
 
 class TestSerialization:

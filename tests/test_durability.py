@@ -7,7 +7,8 @@ Covers the claims the write-ahead design stands on:
 2. **Integrity** — every tampering move ``TamperingBlockStore`` can make
    (corrupt a block, swap two blocks, replay a stale version) is *detected*
    during replay/restore, never silently restored; truncation of the tail
-   is caught by the ``expected_head`` check.
+   is caught by the ``expected_head`` check, which restore cannot make (it
+   holds no trusted head, so a dropped tail restores without it).
 3. **Write-ahead protocol** — epoch intents resolve to exactly one commit
    or rollback; record sequences no crash can produce are rejected.
 4. **Snapshots** — anchoring + compaction preserve the restored state and
@@ -434,6 +435,21 @@ class TestTamperedRestore:
         )
         with pytest.raises(WalCorruptionError):
             Deployment.restore(params, survivor, dep.fleet)
+
+    def test_a_dropped_newest_record_restores_without_it(self):
+        """The limitation, pinned: restore holds no trusted head to replay
+        against, so a store that drops its newest record (here the only
+        backup) restores cleanly, one backup short."""
+        params = SystemParams.for_testing(num_hsms=4, cluster_size=3)
+        store = InMemoryBlockStore()
+        with DeterministicEntropy(3):
+            dep = Deployment.create(params, rng=random.Random(7), store=store)
+            dep.new_client("alice", transport="direct").backup(b"secret", "1234")
+        wal = dep.provider.journal.wal
+        assert [kind for _, kind, _ in wal.replay()] == [K_EPOCH_INTENT, K_EPOCH_COMMIT, K_BACKUP]
+        store.delete(len(wal))
+        restored = Deployment.restore(params, store, dep.fleet)
+        assert (dep.provider.backup_count("alice"), restored.provider.backup_count("alice")) == (1, 0)
 
 
 def _corrupt(store, victim):

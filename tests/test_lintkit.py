@@ -3,8 +3,8 @@
 Every pass gets a good/bad fixture pair written into a temporary repo
 tree: the bad snippet contains exactly the violation the rule exists for
 (secret through an assignment and an f-string, an unguarded write, an
-orphan wire tag, an unmetered multiply, an undocumented module), the good
-snippet is the compliant version.  On top of that, the engine mechanics —
+unmetered multiply, an undocumented module), the good snippet is the
+compliant version.  On top of that, the engine mechanics —
 suppressions, justification requirement, deterministic ordering — are
 covered directly, and a smoke test runs the real CLI over
 ``src/repro`` and requires a clean exit, which is the CI gate's contract.
@@ -18,8 +18,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.lintkit import default_passes
 from repro.lintkit.docs import DocstringPass
 from repro.lintkit.engine import (
@@ -30,7 +28,6 @@ from repro.lintkit.engine import (
 from repro.lintkit.locks import LockDisciplinePass
 from repro.lintkit.metering import MeteringPass
 from repro.lintkit.secrets import SecretTaintPass
-from repro.lintkit.wireschema import WireSchemaPass
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,7 +41,7 @@ def make_ctx(tmp_path: Path, files: dict) -> ScanContext:
     sources = collect_files(
         tmp_path, [tmp_path / rel for rel in sorted(files) if rel.endswith(".py")]
     )
-    return ScanContext(tmp_path, sources)
+    return ScanContext(sources)
 
 
 # ---------------------------------------------------------------------------
@@ -172,166 +169,6 @@ def test_lock_discipline_requires_justification(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# wire-schema consistency
-# ---------------------------------------------------------------------------
-WIRE_OK = '''
-"""Mini wire module."""
-PROV_REPLY_PONG = 1
-PROV_ERR_REFUSED = 1
-_PROVIDER_ERROR_STATUSES = (PROV_ERR_REFUSED,)
-
-FIELD_CODECS = {"text": None}
-
-PROVIDER_OPS = (
-    ProviderOp(1, "ping", (("name", "text"),), PROV_REPLY_PONG),
-)
-PROVIDER_REPLY_SCHEMAS = {PROV_REPLY_PONG: (("name", "text"),)}
-'''
-
-TESTS_OK = '''
-"""Mini strategies module."""
-_FIELD_STRATEGIES = {"text": None}
-'''
-
-JOURNAL_OK = '''
-"""Mini journal module."""
-K_NOTE = 1
-K_MARK = 2
-
-RECORD_CODECS = {K_NOTE: None, K_MARK: None}
-'''
-
-DOCS_OK = (
-    "| 1 | `ping` | name | `PONG` |\n"
-    "| 1 | `NOTE` | text |\n"
-    "| 2 | `MARK` | |\n"
-)
-
-_WIRE_LAYOUT = {
-    "src/repro/core/wire.py": WIRE_OK,
-    "src/repro/storage/journal.py": JOURNAL_OK,
-    "tests/test_wire_properties.py": TESTS_OK,
-    "docs/ARCHITECTURE.md": DOCS_OK,
-}
-_PING_ROW = '    ProviderOp(1, "ping", (("name", "text"),), PROV_REPLY_PONG),\n'
-
-
-def _wire_findings(tmp_path, wire_source, docs=DOCS_OK, journal_source=JOURNAL_OK):
-    files = dict(_WIRE_LAYOUT)
-    files["src/repro/core/wire.py"] = wire_source
-    files["src/repro/storage/journal.py"] = journal_source
-    files["docs/ARCHITECTURE.md"] = docs
-    report = run_passes(make_ctx(tmp_path, files), [WireSchemaPass()])
-    assert {f.rule for f in report.findings} <= {"wire-schema"}
-    return " ".join(f.message for f in report.findings)
-
-
-def test_wire_schema_accepts_complete_catalog(tmp_path):
-    assert _wire_findings(tmp_path, WIRE_OK) == ""
-
-
-def test_wire_schema_catches_orphan_tag(tmp_path):
-    # A second row with a fresh tag and method, but no docs line.
-    orphan = WIRE_OK.replace(
-        _PING_ROW,
-        _PING_ROW + '    ProviderOp(2, "orphan", (("name", "text"),), PROV_REPLY_PONG),\n',
-    )
-    assert orphan != WIRE_OK
-    messages = _wire_findings(tmp_path, orphan)
-    assert "op 2 (orphan) has no catalog row" in messages
-    assert "ping" not in messages
-    # The docs line must carry the row's tag as well as its method.
-    messages = _wire_findings(tmp_path, orphan, DOCS_OK + "| 3 | `orphan` | name | `PONG` |\n")
-    assert "op 2 (orphan) has no catalog row" in messages
-
-
-def test_wire_schema_catches_duplicate_value_and_missing_strategy(tmp_path):
-    messages = _wire_findings(
-        tmp_path,
-        WIRE_OK.replace(
-            _PING_ROW,
-            _PING_ROW + '    ProviderOp(1, "ping2", (("payload", "blob"),), PROV_REPLY_PONG),\n',
-        ),
-        DOCS_OK + "| 1 | `ping2` | payload | `PONG` |\n",
-    )
-    assert "op ping2 reuses tag value 1 (already taken by ping)" in messages
-    assert "'blob' has no entry in _FIELD_STRATEGIES" in messages
-    assert "'blob' has no entry in FIELD_CODECS" in messages
-
-
-@pytest.mark.parametrize(
-    "old, new, expected",
-    [
-        (  # the same provider method behind two tags
-            _PING_ROW,
-            _PING_ROW + '    ProviderOp(2, "ping", (("name", "text"),), PROV_REPLY_PONG),\n',
-            "op tag 2 reuses method ping (already taken by 1)",
-        ),
-        (  # a row built from names instead of literals
-            '(("name", "text"),), PROV_REPLY_PONG',
-            "(_NAME,), PROV_REPLY_PONG",
-            "row is not a literal ProviderOp",
-        ),
-        (
-            "PROV_REPLY_PONG = 1\n",
-            "PROV_REPLY_PONG = 1\nPROV_REPLY_PANG = 2\n",
-            "reply kind PROV_REPLY_PANG has no body schema",
-        ),
-        (
-            "PROV_REPLY_PONG = 1\n",
-            "PROV_REPLY_PONG = 1\nPROV_REPLY_PANG = 1\n",
-            "reply kind PROV_REPLY_PANG reuses tag value 1",
-        ),
-        (
-            "PROV_ERR_REFUSED = 1\n",
-            "PROV_ERR_REFUSED = 1\nPROV_ERR_LOST = 2\n",
-            "error status PROV_ERR_LOST is missing from _PROVIDER_ERROR_STATUSES",
-        ),
-        (  # a reply schema's field kinds need codecs too
-            'PROV_REPLY_PONG: (("name", "text"),)',
-            'PROV_REPLY_PONG: (("name", "u64"),)',
-            "'u64' has no entry in FIELD_CODECS",
-        ),
-    ],
-)
-def test_wire_schema_reports_each_table_defect(tmp_path, old, new, expected):
-    assert old in WIRE_OK
-    assert expected in _wire_findings(tmp_path, WIRE_OK.replace(old, new))
-
-
-@pytest.mark.parametrize(
-    "old, new, docs, expected",
-    [
-        (  # a declared kind the layout table does not spell
-            "{K_NOTE: None, K_MARK: None}", "{K_NOTE: None}", DOCS_OK,
-            "record kind K_MARK has no layout in RECORD_CODECS",
-        ),
-        (  # a kind with no line in the record catalog
-            "K_MARK = 2", "K_MARK = 2", DOCS_OK.replace("| 2 | `MARK` | |\n", ""),
-            "record kind K_MARK has no catalog row",
-        ),
-        (  # the catalog line must carry the kind's value as well as its name
-            "K_MARK = 2", "K_MARK = 3", DOCS_OK,
-            "record kind K_MARK has no catalog row",
-        ),
-        (
-            "K_MARK = 2", "K_MARK = 1", DOCS_OK,
-            "record kind K_MARK reuses value 1 (already taken by K_NOTE)",
-        ),
-        (  # a row keyed by something that is not a declared kind
-            "K_MARK: None}", "K_MARK: None, 7: None}", DOCS_OK,
-            "RECORD_CODECS key is not a declared K_* record kind",
-        ),
-    ],
-)
-def test_wire_schema_reports_each_record_table_defect(tmp_path, old, new, docs, expected):
-    assert old in JOURNAL_OK
-    messages = _wire_findings(tmp_path, WIRE_OK, docs, JOURNAL_OK.replace(old, new))
-    assert expected in messages
-    assert "K_NOTE has no" not in messages and "ping" not in messages
-
-
-# ---------------------------------------------------------------------------
 # metering discipline
 # ---------------------------------------------------------------------------
 BAD_METER = '''
@@ -419,7 +256,7 @@ def test_metering_real_modules_contract():
         REPO_ROOT,
         [REPO_ROOT / "src/repro/crypto/ec.py", REPO_ROOT / "src/repro/crypto/field.py"],
     )
-    ctx = ScanContext(REPO_ROOT, files)
+    ctx = ScanContext(files)
     report = run_passes(ctx, [MeteringPass()])
     assert report.clean, [f.render() for f in report.findings]
     # field.py's batch-inversion trio is justified, not silently ignored.
@@ -686,6 +523,6 @@ def test_no_getattr_passthrough_in_service():
     assert offenders == []
 
 
-def test_default_passes_cover_all_five_surfaces():
+def test_default_passes_cover_all_four_surfaces():
     names = [p.name for p in default_passes()]
-    assert names == ["secrets", "locks", "wire", "metering", "docs"]
+    assert names == ["secrets", "locks", "metering", "docs"]

@@ -425,6 +425,30 @@ class TestRecoveryService:
             t.join()
         assert sorted(seen) == list(range(80))
 
+    @pytest.mark.parametrize("op, args", [
+        ("log_recovery_attempt", ("svc-locked", 0, b"\x11" * 32)),
+        ("prove_inclusion", (b"\x22" * 32, b"\x11" * 32)),
+        ("recovery_attempts_for", ("svc-locked",)),
+    ], ids=["op8", "op10", "op14"])
+    def test_facade_reads_and_writes_the_log_under_the_epoch_lock(self, op, args):
+        """A tick holds the batcher lock across an epoch that inserts into
+        the log's dictionaries; a log write (op 8), a proof (op 10) or a
+        walk over every committed entry (op 14) outside it can meet a
+        dictionary changing size mid-iteration, which no error frame
+        carries."""
+        params = SystemParams.for_testing(num_hsms=4, cluster_size=3, max_punctures=8)
+        service = Deployment.create(params, rng=random.Random(31)).recovery_service()
+        channel = service.provider_channel
+        returned = threading.Event()
+        thread = threading.Thread(
+            target=lambda: (getattr(channel, op)(*args), returned.set()))
+        with service.batcher.lock:
+            thread.start()
+            time.sleep(0.2)
+            assert not returned.is_set()
+        thread.join(timeout=10)
+        assert returned.is_set()
+
     def test_facade_backups_cross_the_wire(self, service_deployment):
         service = service_deployment.recovery_service()
         client = service.new_client("svc-wireback")

@@ -11,10 +11,14 @@ Canonicality property used throughout: if ``decode(b)`` succeeds then
 :class:`WireFormatError` or decode to the object that re-encodes to
 exactly those bytes (i.e. the corruption changed the message, never the
 parse).
+
+``TestCatalogs`` checks the tables those frames and the journal's records
+are spelled in: ``wire.PROVIDER_OPS`` and ``journal.RECORD_CODECS``.
 """
 
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -28,6 +32,7 @@ from repro.crypto.ec import P256, ECPoint
 from repro.crypto.elgamal import ElGamalCiphertext
 from repro.hsm.device import DecryptShareRequest
 from repro.log.authdict import InclusionProof, PathStep, empty_digest
+from repro.storage import journal
 
 # Valid curve points are expensive to make; sample from a fixed pool.
 _POINTS = tuple(P256.keygen(random.Random(seed)).public for seed in range(8))
@@ -319,6 +324,79 @@ _FIELD_STRATEGIES = {
     "entries": st.lists(st.tuples(blobs, blobs), max_size=4),
     "err_status": st.sampled_from(wire._PROVIDER_ERROR_STATUSES),
 }
+
+_CATALOG = Path(__file__).resolve().parent.parent / "docs" / "ARCHITECTURE.md"
+
+
+def _constants(module, prefix):
+    """The module's ``prefix*`` constants as ``{name: value}``."""
+    return {name: value for name, value in vars(module).items() if name.startswith(prefix)}
+
+
+def _assert_unique(values):
+    values = list(values)
+    assert len(set(values)) == len(values), values
+
+
+class TestCatalogs:
+    """The op and record tables are whole: rows and tag values are unique,
+    every field kind has a codec and a strategy, every declared tag is
+    where the decoders look it up, and ARCHITECTURE.md has a row for each.
+    One property a test, so a defect names the property it breaks."""
+
+    _DECLARED = [
+        (wire, "PROV_REPLY_", wire.PROVIDER_REPLY_SCHEMAS),
+        (wire, "PROV_ERR_", wire._PROVIDER_ERROR_STATUSES),
+        (journal, "K_", journal.RECORD_CODECS),
+    ]
+    _DECLARED_IDS = ["reply", "error", "record"]
+
+    def test_op_tags_are_unique(self):
+        _assert_unique(op.tag for op in wire.PROVIDER_OPS)
+
+    def test_op_methods_are_unique(self):
+        _assert_unique(op.method for op in wire.PROVIDER_OPS)
+
+    @staticmethod
+    def _field_kinds():
+        schemas = [op.request for op in wire.PROVIDER_OPS]
+        schemas += wire.PROVIDER_REPLY_SCHEMAS.values()
+        return {kind for schema in schemas for _, kind in schema}
+
+    def test_every_field_kind_has_a_codec(self):
+        assert self._field_kinds() - set(wire.FIELD_CODECS) == set()
+
+    def test_every_field_kind_has_a_strategy(self):
+        assert self._field_kinds() - set(_FIELD_STRATEGIES) == set()
+
+    @pytest.mark.parametrize("module, prefix, listed", _DECLARED, ids=_DECLARED_IDS)
+    def test_declared_values_are_unique(self, module, prefix, listed):
+        _assert_unique(_constants(module, prefix).values())
+
+    @pytest.mark.parametrize("module, prefix, listed", _DECLARED, ids=_DECLARED_IDS)
+    def test_declared_values_are_exactly_the_listed_ones(self, module, prefix, listed):
+        # Reply kinds are the keys of PROVIDER_REPLY_SCHEMAS, error
+        # statuses are _PROVIDER_ERROR_STATUSES, record kinds the keys
+        # of RECORD_CODECS.
+        assert set(_constants(module, prefix).values()) == set(listed)
+
+    @staticmethod
+    def _missing_rows(wanted):
+        # A row starts `| value | `name` |`.
+        rows = {
+            tuple(cell.strip() for cell in line.split("|")[1:3])
+            for line in _CATALOG.read_text().splitlines() if line.startswith("|")
+        }
+        return [row for row in wanted if row not in rows]
+
+    def test_every_op_has_a_catalog_row(self):
+        wanted = [(str(op.tag), f"`{op.method}`") for op in wire.PROVIDER_OPS]
+        assert self._missing_rows(wanted) == []
+
+    def test_every_record_kind_has_a_catalog_row(self):
+        # The record catalog names a kind without its ``K_``.
+        kinds = _constants(journal, "K_").items()
+        assert self._missing_rows([(str(v), f"`{name[2:]}`") for name, v in kinds]) == []
 
 
 @st.composite
