@@ -272,6 +272,19 @@ def decrypt_request_layout_bytes(request) -> int:
     )
 
 
+def log_and_prove_frame_layout_bytes(username: str, attempt: int, commitment: bytes) -> int:
+    """What one ``log_and_prove`` exchange spends, derived from op 9's row:
+    the request's version and op bytes, the username text, the attempt
+    varint and the commitment blob; and the reply, a 2-byte ack (version
+    and kind).  No proof comes back: the provider attaches it to each
+    decrypt request on the way to the device, where
+    :func:`decrypt_request_layout_bytes` counts it."""
+    return (
+        2 + blob_bytes(len(username.encode("utf-8"))) + varint_bytes(attempt)
+        + blob_bytes(len(commitment)) + 2
+    )
+
+
 def parent_proof_bytes(proof) -> int:
     """The same proof in the parent's layout: a ``u32`` count and value
     lengths, and every subtree hash its 32 bytes."""
@@ -313,14 +326,14 @@ def recovery_frame_bytes(monkeypatch) -> tuple:
     """One backup and recovery over the wire transport: bytes (request and
     reply) per provider op and for the decrypt-share leg, summed over the
     frames of that kind (a channel binds its endpoint's ``handle`` when it
-    is built, so the recorders go in before the client); and the decrypt
-    requests sent.  The probe runs on a deployment of its own, created and
-    driven under ``DeterministicEntropy(FRAME_PROBE_SEED)``: its log's
-    size, the salt and so the cluster are the seed's, and so is every
-    total."""
+    is built, so the recorders go in before the client); the decrypt
+    requests sent; and the fields of each ``log_and_prove`` request.  The
+    probe runs on a deployment of its own, created and driven under
+    ``DeterministicEntropy(FRAME_PROBE_SEED)``: its log's size, the salt and
+    so the cluster are the seed's, and so is every total."""
     from repro.service.channel import HsmWireEndpoint, ProviderWireEndpoint
 
-    totals, requests = {}, []
+    totals, requests, logged = {}, [], []
 
     def add(name: str, request: bytes, reply: bytes) -> None:
         totals[name] = totals.get(name, 0) + len(request) + len(reply)
@@ -328,8 +341,11 @@ def recovery_frame_bytes(monkeypatch) -> tuple:
     def provider(handle):
         def recorded(self, request):
             reply = handle(self, request)
-            op, _ = wire.decode_provider_request(request)
-            add(next(row.method for row in wire.PROVIDER_OPS if row.tag == op), request, reply)
+            op, fields = wire.decode_provider_request(request)
+            method = next(row.method for row in wire.PROVIDER_OPS if row.tag == op)
+            add(method, request, reply)
+            if method == "log_and_prove":
+                logged.append(fields)
             return reply
         return recorded
 
@@ -351,7 +367,7 @@ def recovery_frame_bytes(monkeypatch) -> tuple:
         client.backup(b"x" * 16, pin="1234")
         assert client.recover(pin="1234") == b"x" * 16
     monkeypatch.undo()
-    return dict(sorted(totals.items())), requests
+    return dict(sorted(totals.items())), requests, logged
 
 
 def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
@@ -362,8 +378,9 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
     each one's position is its index.  Beside the ciphertext, the largest
     frame of a recovery: the log's inclusion proof, gated against its
     derived layout at three seeded log sizes; one recovery's bytes per
-    frame kind; and each of that recovery's decrypt requests, gated
-    against its derived layout."""
+    frame kind; each of that recovery's decrypt requests, gated against its
+    derived layout; and its ``log_and_prove`` frames, gated against their
+    request's derived layout plus the 2-byte ack that answers it."""
     client = small_deployment.new_client("size-probe")
     client.backup(b"x" * 16, pin="1234")
     small_ct = small_deployment.provider.fetch_backup("size-probe")
@@ -379,22 +396,31 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
     ))
     paper_scale = paper_ct.size_bytes()
     proofs, proof_excess = proof_sizes()
-    frames, requests = recovery_frame_bytes(monkeypatch)
-    frames_again, _ = recovery_frame_bytes(monkeypatch)
+    frames, requests, logged = recovery_frame_bytes(monkeypatch)
+    frames_again, _, _ = recovery_frame_bytes(monkeypatch)
     request_excess = max(
         len(request) - decrypt_request_layout_bytes(wire.decode_decrypt_request(request))
         for request in requests
+    )
+    log_and_prove_excess = frames["log_and_prove"] - sum(
+        log_and_prove_frame_layout_bytes(**fields) for fields in logged
     )
     gates = {
         "safetypin_ct_bytes_max": bound,
         "proof_bytes_over_layout_max": 0,
         "decrypt_request_bytes_over_layout_max": 0,
+        "log_and_prove_frame_bytes_over_layout_max": 0,
     }
     failures = [f"safetypin_ct_bytes = {encoded} > derived layout {bound}"] if encoded > bound else []
     if proof_excess > 0:
         failures.append(f"an inclusion proof encodes to {proof_excess} B over its derived layout")
     if request_excess > 0:
         failures.append(f"a decrypt request encodes to {request_excess} B over its derived layout")
+    if log_and_prove_excess > 0:
+        failures.append(
+            f"log_and_prove frames total {log_and_prove_excess} B over their derived layout"
+            " and ack"
+        )
     if frames_again != frames:
         failures.append(f"one recovery's frame totals differ by run: {frames} vs {frames_again}")
     from repro.baseline.system import BaselineSystem
@@ -417,6 +443,8 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
         ),
         f"decrypt requests: {', '.join(str(len(request)) for request in requests)} B "
         f"(at most {request_excess} B over the derived layout)",
+        f"log_and_prove: {frames['log_and_prove']} B for {len(logged)} exchange(s), "
+        f"{log_and_prove_excess} B over the derived request layout and the 2-byte ack",
     ]
     emit(
         "fig10_sizes",
@@ -437,6 +465,7 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
                 "proof_bytes_over_layout": proof_excess,
                 "recovery_frame_bytes": frames,
                 "decrypt_request_bytes_over_layout": request_excess,
+                "log_and_prove_frame_bytes_over_layout": log_and_prove_excess,
             },
             "gates": gates,
             "gate_failures": failures,

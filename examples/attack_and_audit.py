@@ -33,7 +33,7 @@ from repro.core.client import Client, RecoveryError
 from repro.crypto.elgamal import HashedElGamal
 from repro.log.auditor import AuditFailure, ExternalAuditor
 from repro.log.distributed import LogConfig, LogUpdateRejected
-from repro.service.channel import provider_channel, wire_channels
+from repro.service.channel import provider_channel, proving_channels, wire_channels
 
 
 def brute_force_demo(deployment: Deployment) -> None:
@@ -144,7 +144,8 @@ def relay_demo(deployment: Deployment) -> None:
     print("\n== 6. A relay swapping the reply key ==")
     relay = ReplyKeySwappingRelay(wire_channels(deployment.fleet))
     client = Client(
-        "relayed", deployment.params, provider_channel(deployment.provider), relay,
+        "relayed", deployment.params, provider_channel(deployment.provider),
+        proving_channels(relay, deployment.provider.prove_inclusion),
         deployment.fleet.master_public_key(),
     )
     client.backup(b"wire transfer codes", pin="6174")

@@ -156,8 +156,9 @@ class ReplyKeySwappingRelay:
     a swapped request names an entry no device's log has: each device
     refuses it before anything is punctured, and the relay reads nothing.
 
-    Use an instance as a client's channel factory: ``relay(index)`` is the
-    channel to HSM ``index`` through the relay.
+    Use an instance as the channel factory under a client's proving relay
+    (``proving_channels(relay, provider.prove_inclusion)``): ``relay(index)``
+    carries the proven request to HSM ``index``.
     """
 
     def __init__(self, channels: Callable[[int], object]) -> None:

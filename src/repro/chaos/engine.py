@@ -9,13 +9,15 @@ partitions, flaky provider RPC, crash/restore, adversaries, maintenance
 epochs, invariant sweeps — is a pure function of ``(scenario, seed)``.
 
 Concurrency is cooperative, not threaded: a live recovery session is two
-scheduler events (``session-begin`` runs the backup, attempt logging and
-proof fetch; ``session-run`` requests shares and finishes), so sessions
-genuinely interleave — an epoch committed between a session's phases
-exercises the stale-proof refresh path — while the interleaving itself
-stays replayable.  Crashes, key rotations and log GC bump a generation
-counter that aborts sessions in flight across them (the real-world
-analogue: the client retries after a maintenance window).
+scheduler events (``session-begin`` runs the backup and the attempt's
+logging epoch; ``session-run`` requests shares and finishes), so sessions
+genuinely interleave — epochs commit between a session's phases — while
+the interleaving itself stays replayable.  A session straddling an epoch
+meets no stale proof: the provider proves each decrypt request as it
+relays it (``ProvingChannel``), against the digest of that moment.
+Crashes, key rotations and log GC bump a generation counter that aborts
+sessions in flight across them (the real-world analogue: the client
+retries after a maintenance window).
 
 Failure taxonomy: *expected* failures (typed protocol errors under
 injected faults) are counted; anything else — an untyped exception, a
@@ -48,6 +50,7 @@ from repro.service.channel import (
     DirectProviderChannel,
     ProviderWireEndpoint,
     direct_channels,
+    proving_channels,
 )
 from repro.sim.faults import FlakyProviderChannel, FrameDropped
 from repro.sim.workload import DiurnalWorkload
@@ -218,8 +221,10 @@ class ChaosEngine:
         return None
 
     def _make_client(self, username: str) -> Client:
-        """A fresh client wired through the partition gate; inside a flaky
-        window its provider leg rides a seeded ``FlakyProviderChannel``."""
+        """A fresh client wired through the provider's proving relay and the
+        partition gate; inside a flaky window its provider leg rides a
+        seeded ``FlakyProviderChannel`` (the relay proves on the provider's
+        side, off that leg)."""
         deployment = self.deployment
         inner = direct_channels(deployment.fleet)
         ok_weight = self._flaky_ok_weight()
@@ -235,7 +240,10 @@ class ChaosEngine:
             username=username,
             params=deployment.params,
             provider=provider,
-            channels=lambda index: _PartitionGate(inner(index), index, self),
+            channels=proving_channels(
+                lambda index: _PartitionGate(inner(index), index, self),
+                deployment.provider.prove_inclusion,
+            ),
             mpk=deployment.fleet.master_public_key(),
         )
 
@@ -295,8 +303,8 @@ class ChaosEngine:
 
     def _session_begin(self, sess: _LiveSession) -> str:
         """Phase 1 of a live session: backup upload, attempt logging (an
-        epoch), inclusion proof.  Schedules phase 2 a little later so other
-        activity interleaves between the phases."""
+        epoch).  Schedules phase 2 a little later so other activity
+        interleaves between the phases."""
         if sess.generation != self.generation:
             self._count("aborted")
             return f"sid={sess.sid} aborted (stale generation)"
@@ -437,7 +445,7 @@ class ChaosEngine:
     def _garbage_collect(self) -> str:
         """Garbage-collect the log (resets attempt budgets, clears entries);
         the served-session registry resets with it and in-flight sessions
-        abort (their inclusion proofs no longer verify)."""
+        abort (their logged attempts are gone)."""
         self.deployment.garbage_collect_log()
         self.served.clear()
         self.generation += 1

@@ -2,8 +2,17 @@
 
 A client holds its username, its PIN (supplied per call, never stored), and
 the master public key ``mpk``.  ``backup`` runs entirely locally; ``recover``
-walks the Figure 3 protocol: log the attempt, obtain an inclusion proof,
-contact the PIN-selected cluster, reconstruct.
+walks the Figure 3 protocol: log the attempt, contact the PIN-selected
+cluster, reconstruct.
+
+One deviation from Figure 3: the client never holds the inclusion proof π.
+In the paper the provider returns π and the client forwards it, unread, to
+every cluster HSM.  Here ``log_and_prove`` answers with an ack once the
+attempt is committed, and the provider attaches a fresh π to each decrypt
+request on its way to the device (``service.channel.ProvingChannel``; it
+also re-proves a request an interleaved epoch made stale).  The device
+checks π against its own digest as before, so what it accepts is
+unchanged; π's bytes just stop crossing the client's link twice.
 
 The share phase and the finish do only work that can still matter.  The
 cluster is a list in [N]^n and all of a user's shares carry one puncture
@@ -37,20 +46,13 @@ from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.core.codec import WireFormatError
 from repro.core.lhe import LheCiphertext, LheError, LocationHidingEncryption
 from repro.core.params import SystemParams
-from repro.core.identifiers import attempt_identifier
 from repro.crypto.commit import CommitmentOpening, commit_recovery
 from repro.crypto.ec import ECKeyPair, P256
 from repro.crypto.elgamal import ElGamalCiphertext, HashedElGamal
 from repro.crypto.gcm import AuthenticationError, ae_decrypt, ae_encrypt
 from repro.crypto.shamir import SHARE, Share
-from repro.hsm.device import (
-    DecryptShareRequest,
-    HsmRefusedError,
-    HsmStaleProofError,
-    HsmUnavailableError,
-)
-from repro.crypto.bfe import PuncturedKeyError
-from repro.log.authdict import InclusionProof
+from repro.hsm.device import HsmRefusedError, HsmUnavailableError
+from repro.crypto.bfe import BfeCiphertext, PuncturedKeyError
 from repro.metering import OpMeter
 
 #: Suffix for the hidden account that stores per-recovery keys (§8).
@@ -59,6 +61,20 @@ _RECOVERY_KEY_SUFFIX = "!rk"
 
 class RecoveryError(Exception):
     """Recovery failed (wrong PIN, too many HSMs down, or attempt refused)."""
+
+
+@dataclass(frozen=True)
+class ShareRequest:
+    """What the client sends toward one cluster HSM (step Ï of Fig. 3).
+
+    The device's :class:`~repro.hsm.device.DecryptShareRequest` without
+    its inclusion proof: the provider proves the attempt named by
+    ``attempt`` and the opening's username as it relays the request."""
+
+    attempt: int
+    opening: CommitmentOpening
+    share_ciphertext: BfeCiphertext
+    context: bytes  # BFE domain separation: username || salt || cluster
 
 
 @dataclass
@@ -72,7 +88,6 @@ class RecoverySession:
     cluster: Tuple[int, ...]
     context: bytes
     opening: CommitmentOpening
-    inclusion_proof: InclusionProof
     response_keypair: ECKeyPair
     recovery_key_username: Optional[str] = None
     encrypted_replies: List[bytes] = field(default_factory=list)
@@ -98,10 +113,14 @@ class Client:
         wiring serializes every request/reply through ``repro.core.wire`` so
         no live HSM objects are ever shared with client code.
 
+        ``channels`` carries :class:`ShareRequest` values, so each channel
+        it hands out must attach the inclusion proof on the way to its
+        device (``service.channel.proving_channels``).
+
         ``provider`` is a :class:`repro.service.channel.ProviderChannel` —
         the same boundary for the provider leg (backup storage, attempt
-        logging, proof refresh, reply escrow); deployment wiring passes the
-        wire channel so this leg, too, crosses bytes only."""
+        logging, reply escrow); deployment wiring passes the wire channel
+        so this leg, too, crosses bytes only."""
         self.username = username
         self.params = params
         self.provider = provider
@@ -167,7 +186,8 @@ class Client:
         backup_recovery_key: bool = True,
         username: Optional[str] = None,
     ) -> RecoverySession:
-        """Steps Ë-Î: fetch the ciphertext, log the attempt, get the proof."""
+        """Steps Ë-Î: fetch the ciphertext, log the attempt and wait for the
+        epoch that commits it (the proof stays with the provider)."""
         self.params.validate_pin(pin)
         username = username if username is not None else self.username
         ciphertext = self.provider.fetch_backup(username, backup_index)
@@ -202,7 +222,7 @@ class Client:
             commitment, opening = commit_recovery(
                 username, cluster, ciphertext.ciphertext_hash(), response_keypair.public
             )
-        proof = self.provider.log_and_prove(username, attempt, commitment)
+        self.provider.log_and_prove(username, attempt, commitment)
         return RecoverySession(
             username=username,
             attempt=attempt,
@@ -210,7 +230,6 @@ class Client:
             cluster=cluster,
             context=context,
             opening=opening,
-            inclusion_proof=proof,
             response_keypair=response_keypair,
             recovery_key_username=recovery_key_username,
         )
@@ -223,10 +242,11 @@ class Client:
         has *answered* for the tag — a reply came back (it punctured every
         slot before replying) or it said ``PuncturedKeyError`` (the slots
         were gone already) — a later position naming the same device can
-        only be told ``PuncturedKeyError``, and is not sent.  A refusal, an
-        unavailable device or a failed proof refresh is not an answer:
-        nothing was punctured, and the other ciphertext addressed to that
-        device may still open.
+        only be told ``PuncturedKeyError``, and is not sent.  A refusal
+        (a proof that stayed stale after the relay's one re-proof
+        included), an unavailable device or an attempt the log does not
+        hold is not an answer: nothing was punctured, and the other
+        ciphertext addressed to that device may still open.
 
         Replies (encrypted under the per-recovery key) are escrowed with the
         provider so a replacement device can finish if this one dies.
@@ -239,7 +259,9 @@ class Client:
                 if hsm_index in answered:
                     continue
                 try:
-                    reply = self._ask_hsm(session, position, hsm_index)
+                    reply = self._channels(hsm_index).decrypt_share(
+                        self._share_request(session, position)
+                    )
                 except PuncturedKeyError:
                     answered.add(hsm_index)
                     continue
@@ -261,34 +283,13 @@ class Client:
             self.provider.share_phase_done(session.username, session.attempt)
         return obtained
 
-    def _share_request(self, session: RecoverySession, position: int) -> DecryptShareRequest:
-        return DecryptShareRequest(
+    def _share_request(self, session: RecoverySession, position: int) -> ShareRequest:
+        return ShareRequest(
             attempt=session.attempt,
             opening=session.opening,
-            inclusion_proof=session.inclusion_proof,
             share_ciphertext=session.ciphertext.share_ciphertexts[position],
             context=session.context,
         )
-
-    def _ask_hsm(self, session: RecoverySession, position: int, hsm_index: int):
-        """One decrypt-and-puncture request, retried once on a stale proof.
-
-        Inclusion proofs are digest-exact, so they expire whenever a later
-        update epoch rehashes their BST path.  Only retries when the
-        provider serves a *different* proof than the session already holds —
-        a genuine policy refusal is never retried.
-        """
-        channel = self._channels(hsm_index)
-        try:
-            return channel.decrypt_share(self._share_request(session, position))
-        except HsmStaleProofError:
-            fresh = self.provider.prove_inclusion(
-                attempt_identifier(session.username, session.attempt), session.opening.commitment()
-            )
-            if fresh is None or fresh == session.inclusion_proof:
-                raise
-            session.inclusion_proof = fresh
-        return channel.decrypt_share(self._share_request(session, position))
 
     def finish_recovery(self, session: RecoverySession) -> bytes:
         """Open the session's replies until the backup opens.

@@ -138,7 +138,9 @@ class Deployment:
         every PIN-consuming operation takes the PIN explicitly.
 
         The client reaches HSMs only through the narrow ``Channel``
-        interface and the provider only through the matching
+        interface, behind the provider's relay that attaches each request's
+        inclusion proof (``ProvingChannel`` over the provider's
+        ``prove_inclusion``), and the provider only through the matching
         ``ProviderChannel``; the default ``"wire"`` transport serializes
         every request/reply on both legs through ``repro.core.wire`` (pass
         ``"direct"`` for the no-serialization reference path used by tests
@@ -147,6 +149,7 @@ class Deployment:
         from repro.service.channel import (
             direct_channels,
             provider_channel,
+            proving_channels,
             wire_channels,
         )
 
@@ -155,7 +158,7 @@ class Deployment:
             username=username,
             params=self.params,
             provider=provider_channel(self.provider, transport),
-            channels=factory,
+            channels=proving_channels(factory, self.provider.prove_inclusion),
             mpk=self.fleet.master_public_key(),
         )
         self.clients.append(client)

@@ -177,26 +177,26 @@ class ServiceProvider:
             attempt += 1
         return attempt
 
-    def log_and_prove(self, username: str, attempt: int, commitment: bytes) -> InclusionProof:
-        """Insert, run an update epoch, and return the inclusion proof.
+    def log_and_prove(self, username: str, attempt: int, commitment: bytes) -> None:
+        """Insert and run an update epoch; returns once the entry is committed.
 
         In deployment the client waits for the next periodic epoch; the
-        simulation runs one immediately.
+        simulation runs one immediately.  The client gets no proof back: it
+        never reads one, and the provider attaches a fresh one to each of
+        the attempt's decrypt requests on their way to the devices
+        (:meth:`prove_inclusion`, called by ``service.channel.ProvingChannel``).
         """
         self.log_recovery_attempt(username, attempt, commitment)
         self.run_log_update()
-        proof = self.log.prove_includes(attempt_identifier(username, attempt), commitment)
-        if proof is None:  # pragma: no cover - insert above guarantees presence
-            raise ProviderError("inclusion proof unavailable after update")
-        return proof
 
     def prove_inclusion(self, identifier: bytes, value: bytes) -> Optional[InclusionProof]:
-        """A fresh inclusion proof against the *current* digest.
+        """A fresh inclusion proof against the *current* digest; None if the
+        entry is not committed yet.
 
         Proofs are digest-exact (the authenticated dictionary is a Merkle
-        BST), so a client whose recovery straddles an update epoch must
-        refresh its proof before retrying an HSM; returns None if the entry
-        is not committed yet.
+        BST), so each decrypt request is proven as it is relayed to its
+        device, and re-proven once if an update epoch advanced the device's
+        digest in between.
         """
         return self.log.prove_includes(identifier, value)
 
@@ -205,7 +205,8 @@ class ServiceProvider:
 
         A liveness (never security) signal: the batched service uses it to
         schedule the next update epoch without invalidating the inclusion
-        proofs of in-flight sessions.  The plain provider ignores it.
+        proofs of the session's requests in flight.  The plain provider
+        ignores it.
         """
 
     def recovery_attempts_for(self, username: str) -> List[Tuple[bytes, bytes]]:

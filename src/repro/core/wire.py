@@ -82,7 +82,7 @@ REPLY_PUNCTURED = 2
 #: The device has fail-stopped (benign hardware failure).
 REPLY_UNAVAILABLE = 3
 #: The inclusion proof is stale (a later epoch advanced the digest);
-#: the client should refresh its proof and retry.
+#: the provider's relay re-proves and retries once.
 REPLY_STALE_PROOF = 4
 
 _REPLY_ERROR_STATUSES = (
@@ -178,10 +178,12 @@ decode_decrypt_request = DECRYPT_REQUEST.decode
 # Every provider interaction crosses the untrusted operator's network, so
 # the whole surface is framed: ``[version u8][op u8][body]`` requests and
 # ``[version u8][kind u8][body]`` replies, with bodies described by the
-# op table and the reply schemas below.  Inclusion proofs travel as on
-# the client->HSM leg, and failures
-# travel as typed PROV_REPLY_ERROR frames — a provider can answer with an
-# error *status*, never with a live Python exception.
+# op table and the reply schemas below.  No reply the client needs
+# carries an inclusion proof: ``log_and_prove`` answers with an ack, and
+# the provider attaches each proof on its way to a device
+# (``service.channel.ProvingChannel``).  Failures travel as typed
+# PROV_REPLY_ERROR frames — a provider can answer with an error *status*,
+# never with a live Python exception.
 
 #: Reply kind tags.
 PROV_REPLY_ACK = 1
@@ -189,7 +191,6 @@ PROV_REPLY_COUNT = 2
 PROV_REPLY_BACKUP = 3
 PROV_REPLY_BLOBS = 4
 PROV_REPLY_PROOF = 5
-PROV_REPLY_PROVEN = 6
 PROV_REPLY_ENTRIES = 7
 PROV_REPLY_ERROR = 9
 
@@ -222,7 +223,6 @@ FIELD_CODECS: Dict[str, Codec] = {
     "varint": VARINT,
     "i32": I32,
     "recovery_ct": nested(RECOVERY_CIPHERTEXT),
-    "proof": nested(INCLUSION_PROOF),
     "opt_proof": optional(nested(INCLUSION_PROOF), "optional-proof"),
     "blobs": seq(BLOB, list, _MAX_LIST_ITEMS, "blob"),
     "entries": seq(tuple_of(BLOB, BLOB), list, _MAX_LIST_ITEMS, "entry"),
@@ -263,7 +263,7 @@ PROVIDER_OPS: Tuple[ProviderOp, ...] = (
                PROV_REPLY_ACK),
     ProviderOp(9, "log_and_prove",
                (("username", "text"), ("attempt", "varint"), ("commitment", "blob")),
-               PROV_REPLY_PROVEN),
+               PROV_REPLY_ACK),
     ProviderOp(10, "prove_inclusion",
                (("identifier", "blob"), ("value", "blob")),
                PROV_REPLY_PROOF),
@@ -291,7 +291,6 @@ PROVIDER_REPLY_SCHEMAS: Dict[int, Tuple[Tuple[str, str], ...]] = {
     PROV_REPLY_BACKUP: (("ciphertext", "recovery_ct"),),
     PROV_REPLY_BLOBS: (("blobs", "blobs"),),
     PROV_REPLY_PROOF: (("proof", "opt_proof"),),
-    PROV_REPLY_PROVEN: (("proof", "proof"),),
     PROV_REPLY_ENTRIES: (("entries", "entries"),),
     PROV_REPLY_ERROR: (("status", "err_status"), ("message", "text")),
 }

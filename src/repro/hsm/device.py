@@ -76,8 +76,9 @@ class HsmRefusedError(Exception):
 class HsmStaleProofError(HsmRefusedError):
     """The inclusion proof does not verify against the device's current
     digest.  Proofs are digest-exact, so this usually means a later update
-    epoch advanced the log mid-recovery — the client should fetch a fresh
-    proof and retry, rather than write the share off as ⊥."""
+    epoch advanced the log between the proof and the check — the provider's
+    relay re-proves and retries once, rather than write the share off as
+    ⊥."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,8 @@ class HsmPublicInfo:
 
 @dataclass(frozen=True)
 class DecryptShareRequest:
-    """The client's message to one HSM during recovery (step Ï of Fig. 3).
+    """The message one HSM receives during recovery (step Ï of Fig. 3): the
+    client's ``ShareRequest`` with the inclusion proof the provider attached.
 
     The opening names the user and the reply key; with ``attempt`` it names
     the log entry, and the commitment it opens to is the value logged

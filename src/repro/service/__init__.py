@@ -9,7 +9,9 @@ only through a :class:`~repro.service.channel.Channel` — one
 ``decrypt_share`` method.  The default :class:`WireChannel` serializes
 every request and reply through ``repro.core.wire``, so client and device
 exchange bytes across the untrusted provider's network, never live Python
-objects; refusals and punctures cross the wire as status codes.
+objects; refusals and punctures cross the wire as status codes.  The
+client's channels are :class:`~repro.service.channel.ProvingChannel`
+relays, which attach each request's inclusion proof on the provider's side.
 
 **Per-HSM worker queues** (:mod:`repro.service.workers`).  Real HSMs serve
 one command at a time; :class:`~repro.service.workers.HsmWorkerPool` gives
@@ -21,11 +23,11 @@ sessions can be in flight while each device's state mutates serially.
 update is the expensive, global step; the paper amortizes it by committing
 one batch epoch every ~10 minutes.  The
 :class:`~repro.service.batcher.EpochBatcher` accumulates every session's
-log insertion and commits exactly one ``run_update`` per tick, fanning the
-inclusion proofs back to all waiting sessions.  Because proofs are
-digest-exact, served sessions hold an *epoch lease* until their share
-phase ends; the next tick waits for leases to drain (bounded), and clients
-that straddle an epoch anyway refresh their proof and retry once.
+log insertion and commits exactly one ``run_update`` per tick, resolving
+every waiting session's ticket.  Because proofs are digest-exact, served
+sessions hold an *epoch lease* until their share phase ends; the next tick
+waits for leases to drain (bounded), and a request whose proof an epoch
+made stale anyway is re-proven by the relay and retried once.
 
 **Shard lanes** (also :mod:`repro.service.batcher`).  The log
 (``repro.log.sharded``) has ``S >= 1`` shards: a tick groups waiters by
@@ -48,8 +50,10 @@ from repro.service.channel import (
     Channel,
     DirectChannel,
     HsmWireEndpoint,
+    ProvingChannel,
     WireChannel,
     direct_channels,
+    proving_channels,
     wire_channels,
 )
 from repro.service.recovery import BatchedProviderFacade, RecoveryService
@@ -63,11 +67,13 @@ __all__ = [
     "EpochTicket",
     "HsmWireEndpoint",
     "HsmWorkerPool",
+    "ProvingChannel",
     "QueuedChannel",
     "RecoveryService",
     "ServiceTimeout",
     "WireChannel",
     "direct_channels",
+    "proving_channels",
     "queued_channels",
     "wire_channels",
 ]

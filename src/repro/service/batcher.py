@@ -4,7 +4,9 @@ The paper's deployment amortizes the distributed-log update by batching all
 client insertions into one epoch every ~10 minutes.  :class:`EpochBatcher`
 reproduces that rhythm: sessions ``submit`` their log insertion and block on
 an :class:`EpochTicket`; each ``tick`` commits one update epoch per lane
-that has work and fans the inclusion proofs back to every waiter.
+that has work and resolves the tickets of that lane's waiters.  A ticket
+carries no inclusion proof: the provider proves each decrypt request as it
+relays it to a device (``service.channel.ProvingChannel``).
 
 There is one way to run an epoch.  The log, a
 :class:`~repro.log.sharded.ShardedLog` at every arity, is a set of
@@ -18,17 +20,18 @@ fail independently — a lane whose epoch is rejected rolls back and fails
 ``run_update``, per lane).
 
 Because inclusion proofs are digest-exact (Merkle BST), committing an epoch
-invalidates the proofs of sessions still mid-share-phase.  Each served
-session therefore holds an *epoch lease* until it reports its share phase
-done (``release``).  Leases are tracked **per lane**: a lane runs its epoch
-as soon as *its* leases drain, so a straggler on shard 7 defers only shard
-7's epoch while every other lane commits unimpeded; a tick blocks only when
-no lane with work is runnable.  A deferred lane's drain is bounded by
-``lease_timeout``, measured from the first tick the lane deferred, so a
-crashed client cannot stall its lane forever (abandoned sessions fall back
-to client-side proof refresh; their late ``release`` after a timeout-clear
-is a harmless no-op).  Every dropped straggler counts one ``lease_timeout``
-— ``stats()`` reports the per-lane split.
+between a request's proof and its device's check makes that proof stale.
+Each served session therefore holds an *epoch lease* until it reports its
+share phase done (``release``).  Leases are tracked **per lane**: a lane
+runs its epoch as soon as *its* leases drain, so a straggler on shard 7
+defers only shard 7's epoch while every other lane commits unimpeded; a
+tick blocks only when no lane with work is runnable.  A deferred lane's
+drain is bounded by ``lease_timeout``, measured from the first tick the
+lane deferred, so a crashed client cannot stall its lane forever (a
+straggler's requests are still proven one by one, a stale one re-proven
+once by the relay; its late ``release`` after a timeout-clear is a
+harmless no-op).  Every dropped straggler counts one ``lease_timeout`` —
+``stats()`` reports the per-lane split.
 
 Epochs run on demand.  The batcher does not tick itself; it tells whoever
 drives it (the service's ticker) *when there is something to do*, by an
@@ -42,11 +45,11 @@ into the next batch) without charging a session that finds the service idle
 half a period of sleep.  Lease expiry, deferred lanes and out-of-band
 ``log.insert``s raise no signal; the driver's fallback poll finds them.
 
-A tick that raises (a lane runner raising instead of reporting, an
-inclusion proof failing after the lanes committed) fails the tickets it
-had taken off the queue with a typed ``ProviderError`` carrying the cause,
-leaves sessions it had already served alone, counts one ``tick_failures``
-and re-raises: the batcher stays usable, and the driver decides what to do.
+A tick that raises (a lane runner raising instead of reporting, say) fails
+the tickets it had taken off the queue with a typed ``ProviderError``
+carrying the cause, leaves sessions it had already served alone, counts
+one ``tick_failures`` and re-raises: the batcher stays usable, and the
+driver decides what to do.
 
 Thread safety: all mutable state (waiters, leases, counters) is guarded by
 ``self._lock``; the ``_drained`` condition wraps that same lock, so holding
@@ -80,7 +83,7 @@ class ServiceTimeout(ProviderError):
 
 
 class EpochTicket:
-    """One session's claim on the next epoch; resolves to its inclusion proof.
+    """One session's claim on the next epoch; resolves once its lane commits.
 
     A ticket whose ``wait`` times out is *abandoned*: the session has
     already raised :class:`ServiceTimeout` and walked away, so the epoch
@@ -94,7 +97,6 @@ class EpochTicket:
 
     def __init__(self) -> None:
         self._done = threading.Event()
-        self._result: Optional[InclusionProof] = None
         self._error: Optional[Exception] = None
         self._lock = threading.Lock()
         self._abandoned = False
@@ -105,16 +107,15 @@ class EpochTicket:
         with self._lock:
             return self._abandoned
 
-    def resolve(self, result: InclusionProof) -> bool:
-        """Fulfil the ticket with the session's inclusion proof.
+    def resolve(self) -> bool:
+        """Fulfil the ticket: the session's entry is committed.
 
-        Returns ``False`` (and discards the result) if the session already
-        abandoned the ticket — the caller must then skip the epoch lease.
+        Returns ``False`` if the session already abandoned the ticket — the
+        caller must then skip the epoch lease.
         """
         with self._lock:
             if self._abandoned:
                 return False
-            self._result = result
             self._done.set()
             return True
 
@@ -133,12 +134,12 @@ class EpochTicket:
             self._done.set()
             return True
 
-    def wait(self, timeout: Optional[float] = None) -> InclusionProof:
+    def wait(self, timeout: Optional[float] = None) -> None:
         """Block until an epoch serves this ticket (or ``timeout`` lapses).
 
         On timeout the ticket is marked abandoned before raising, unless a
         resolution raced in between the wait lapsing and the mark — in that
-        case the (just-arrived) result is returned normally.
+        case the wait returns normally.
         """
         if not self._done.wait(timeout):
             with self._lock:
@@ -150,8 +151,6 @@ class EpochTicket:
                     )
         if self._error is not None:
             raise self._error
-        assert self._result is not None
-        return self._result
 
 
 def _fail_tickets(waiters: Sequence[Tuple], what: str, cause: BaseException) -> None:
@@ -206,11 +205,12 @@ class EpochBatcher:
         self._lease_timeout = lease_timeout
         self._lock = threading.Lock()
         self._drained = threading.Condition(self._lock)
-        # (username, attempt, identifier, commitment, ticket) awaiting a tick
-        self._waiters: List[Tuple[str, int, bytes, bytes, EpochTicket]] = []
+        # (username, attempt, identifier, ticket) awaiting a tick
+        self._waiters: List[Tuple[str, int, bytes, EpochTicket]] = []
         # shard lane -> (username, attempt) sessions served by that lane's
-        # last epoch and still in their share phase — their inclusion proofs
-        # pin the current digest.  A lane absent (or empty) is drained.
+        # last epoch and still in their share phase — the proofs relayed
+        # with their requests pin the current digest.  A lane absent (or
+        # empty) is drained.
         self._leases: Dict[int, Set[Tuple[str, int]]] = {}
         # (username, attempt) -> shard lane: release() only knows the
         # session key, and must not re-derive the shard (identifiers are
@@ -267,7 +267,7 @@ class EpochBatcher:
                 ticket.fail(ProviderError(str(exc)))
                 return ticket
             identifier = attempt_identifier(username, attempt)
-            self._waiters.append((username, attempt, identifier, commitment, ticket))
+            self._waiters.append((username, attempt, identifier, ticket))
         # After the append (never before): a driver that wakes on this finds
         # the waiter queued, so no wake-up is lost — at worst one is spent
         # on a tick that already took the waiter.
@@ -370,8 +370,8 @@ class EpochBatcher:
                             continue
                         since = self._lane_blocked_since.setdefault(shard, now)
                         if now - since >= self._lease_timeout:
-                            # Stragglers lose their lease; if still alive they
-                            # will refresh their proofs through the provider.
+                            # Stragglers lose their lease; a request of theirs
+                            # that the epoch makes stale is re-proven once.
                             self._expire_lane(shard)
                             ready.append(shard)
                         else:
@@ -415,7 +415,7 @@ class EpochBatcher:
                     self.epoch_digests.append(log.digest)
                 return served
             except Exception as exc:
-                # Sessions already served keep their proofs and leases (the
+                # Sessions already served keep their tickets and leases (the
                 # lanes committed; ``fail`` does not land on them); the rest
                 # get a typed error now instead of a session_timeout later.
                 self.tick_failures += 1
@@ -443,9 +443,9 @@ class EpochBatcher:
 
     # lint: unguarded[called only from tick(), with self._drained held]
     def _serve_waiters(self, waiters: List[Tuple], shard: int) -> int:
-        """Resolve each waiter with its inclusion proof; returns the count
-        actually served.  Called with ``self._drained`` held.  Each lease
-        is filed under ``shard``'s lane.
+        """Resolve each waiter's ticket; returns the count actually served.
+        Called with ``self._drained`` held.  Each lease is filed under
+        ``shard``'s lane.
 
         A ticket whose session already timed out and abandoned it gets no
         epoch lease — the waiter is gone and would never ``release``, and
@@ -454,12 +454,8 @@ class EpochBatcher:
         retries with a fresh attempt).
         """
         served = 0
-        for username, attempt, identifier, commitment, ticket in waiters:
-            proof = self._provider.log.prove_includes(identifier, commitment)
-            if proof is None:  # pragma: no cover - insert guarantees presence
-                ticket.fail(ProviderError("inclusion proof unavailable after epoch"))
-                continue
-            if not ticket.resolve(proof):
+        for username, attempt, _, ticket in waiters:
+            if not ticket.resolve():
                 self.abandoned_sessions += 1
                 continue
             key = (username, attempt)

@@ -1,11 +1,15 @@
 """The client-side transport boundaries: client ↔ HSM and client ↔ provider.
 
-A :class:`Channel` is the only way client code reaches an HSM: one
+A :class:`Channel` is the only way a request reaches an HSM: one
 ``decrypt_share`` method.  The default transport (:class:`WireChannel`)
 serializes the request and the reply through ``repro.core.wire`` — the
 client and the device exchange *bytes*, never live Python objects, so the
 trust boundary of the paper (everything between client and HSM crosses the
 untrusted provider's network) is real in the reproduction too.
+
+Client code holds a :class:`ProvingChannel` over those channels: the
+provider's relay on the HSM leg, which attaches the inclusion proof the
+client's :class:`~repro.core.client.ShareRequest` does not carry.
 
 A :class:`ProviderChannel` is the same idea for the client ↔ provider leg.
 Its surface is the closed op catalog ``wire.PROVIDER_OPS``, one row per op
@@ -34,15 +38,19 @@ cost.
 Thread safety: channels are stateless pass-throughs (safe to share across
 threads); serialization of *device* state is not their job — wrap them
 with ``service.workers.queued_channels`` so every call lands on the
-device's single FIFO worker, as the service does.
+device's single FIFO worker, as the service does (its
+:class:`ProvingChannel` goes *outside* that queue; see
+``service.recovery``).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core import wire
+from repro.core.client import ShareRequest
+from repro.core.identifiers import attempt_identifier
 from repro.core.provider import ProviderError
 from repro.crypto.bfe import PuncturedKeyError
 from repro.crypto.elgamal import ElGamalCiphertext
@@ -52,6 +60,7 @@ from repro.hsm.device import (
     HsmStaleProofError,
     HsmUnavailableError,
 )
+from repro.log.authdict import InclusionProof
 from repro.service.batcher import ServiceTimeout
 
 #: Maps an HSM index to the Channel reaching that device.
@@ -174,6 +183,59 @@ def direct_channels(devices: Sequence) -> ChannelFactory:
         return cache[index]
 
     return factory
+
+
+#: ``prove(identifier, value)``: an inclusion proof against the log's
+#: current digest, None when the entry is not committed.
+Prover = Callable[[bytes, bytes], Optional[InclusionProof]]
+
+
+class ProvingChannel:
+    """The provider's relay on the HSM leg: attaches the inclusion proof.
+
+    Takes the client's :class:`~repro.core.client.ShareRequest`, proves
+    ``attempt_identifier(opening.username, attempt)`` ↦
+    ``opening.commitment()`` with ``prove``, and sends ``inner`` the
+    device's :class:`DecryptShareRequest`.  An attempt the log does not
+    hold is refused here, and no device is contacted.  Proofs are
+    digest-exact, so one that a later epoch made stale before the device
+    checked it (``HsmStaleProofError``) is re-proven and the request sent
+    once more — only when the fresh proof differs from the one sent: a
+    device that still refuses a current proof is not asked again.
+    """
+
+    def __init__(self, inner: Channel, prove: Prover) -> None:
+        self._inner = inner
+        self._prove = prove
+
+    def decrypt_share(self, request: ShareRequest) -> ElGamalCiphertext:
+        """Prove the attempt, forward the request, re-prove once if stale."""
+        opening = request.opening
+        try:
+            identifier = attempt_identifier(opening.username, request.attempt)
+        except ValueError as exc:
+            raise HsmRefusedError(str(exc)) from exc
+        commitment = opening.commitment()
+        proof = self._prove(identifier, commitment)
+        if proof is None:
+            raise HsmRefusedError(f"recovery attempt {request.attempt} is not in the log")
+        try:
+            return self._inner.decrypt_share(
+                DecryptShareRequest(inclusion_proof=proof, **vars(request))
+            )
+        except HsmStaleProofError:
+            fresh = self._prove(identifier, commitment)
+            if fresh is None or fresh == proof:
+                raise
+        return self._inner.decrypt_share(
+            DecryptShareRequest(inclusion_proof=fresh, **vars(request))
+        )
+
+
+def proving_channels(channels: ChannelFactory, prove: Prover) -> Callable[[int], ProvingChannel]:
+    """The client's channel factory: a :class:`ProvingChannel` over each of
+    ``channels``, proving with ``prove``."""
+    return lambda index: ProvingChannel(channels(index), prove)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ Clients created through :meth:`new_client` are ordinary
 :class:`~repro.core.client.Client` objects; they speak to the provider only
 through a ``ProviderChannel`` (byte-framed provider RPC for the default
 ``"wire"`` transport) fronting a facade whose ``log_and_prove`` blocks on
-the shared epoch, and their HSM channels run through the worker queues.
+the shared epoch, and their HSM channels run through the worker queues
+behind the provider's proving relay.
 Both objects the service puts on a boundary are enumerations, not
 pass-throughs: :class:`BatchedProviderFacade` has the op catalog's methods
 (``wire.PROVIDER_OPS``) and :class:`_FifoDevice` the names the log's epoch
@@ -52,12 +53,12 @@ from repro.core.protocol import Deployment
 from repro.core.provider import ProviderError, ServiceProvider
 from repro.service.batcher import EpochBatcher, ServiceTimeout
 from repro.service.channel import (
-    ChannelFactory,
     DirectProviderChannel,
     ProviderWireEndpoint,
     WireProviderChannel,
     catalog_methods,
     direct_channels,
+    proving_channels,
     wire_channels,
 )
 from repro.service.workers import HsmWorkerPool, queued_channels
@@ -137,7 +138,9 @@ class BatchedProviderFacade:
     ``log_and_prove`` waits for the shared epoch instead of running its
     own, and the share-phase hint releases the session's lease.  Clients
     never hold this object — they speak through a ``ProviderChannel``
-    (byte-framed for the default ``"wire"`` transport) that fronts it.
+    (byte-framed for the default ``"wire"`` transport) that fronts it; the
+    service's relay on the HSM leg calls its ``prove_inclusion`` once for
+    each decrypt request.
     """
 
     def __init__(self, service: "RecoveryService") -> None:
@@ -156,10 +159,10 @@ class BatchedProviderFacade:
         return self._provider.reserve_attempt_number(username)
 
     # -- the log, via the shared epoch ----------------------------------------
-    def log_and_prove(self, username: str, attempt: int, commitment: bytes):
-        """Queue the insertion and block on the shared epoch's ticket."""
+    def log_and_prove(self, username: str, attempt: int, commitment: bytes) -> None:
+        """Queue the insertion and block until the shared epoch commits it."""
         ticket = self._service.batcher.submit(username, attempt, commitment)
-        return ticket.wait(self._service.session_timeout)
+        ticket.wait(self._service.session_timeout)
 
     def share_phase_done(self, username: str, attempt: int) -> None:
         """Release the session's epoch lease."""
@@ -208,8 +211,13 @@ class RecoveryService:
         inner = (wire_channels if transport == "wire" else direct_channels)(
             deployment.fleet
         )
-        self._channels: ChannelFactory = queued_channels(self.pool, inner)
         self._facade = BatchedProviderFacade(self)
+        # The relay proves under the epoch lock *before* it queues: a tick
+        # holds that lock while it waits on device FIFOs, so a proof taken
+        # inside a FIFO job would deadlock.
+        self._channels = proving_channels(
+            queued_channels(self.pool, inner), self._facade.prove_inclusion
+        )
         # Clients reach the provider only through this channel: the default
         # "wire" transport frames every call (and every failure) through
         # the provider RPC encoding; "direct" is the reference path.

@@ -23,7 +23,7 @@ from repro.core.lhe import SALT_LEN, LocationHidingEncryption
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.log.distributed import LogConfig, LogUpdateRejected
-from repro.service.channel import provider_channel, wire_channels
+from repro.service.channel import provider_channel, proving_channels, wire_channels
 
 from multisig_rounds import run_rounds
 
@@ -221,7 +221,8 @@ class TestSaltInTheClear:
             return SimpleNamespace(decrypt_share=decrypt_share)
 
         client = Client(
-            username, dep.params, provider_channel(dep.provider), observed,
+            username, dep.params, provider_channel(dep.provider),
+            proving_channels(observed, dep.provider.prove_inclusion),
             dep.fleet.master_public_key(),
         )
         return client, asked
@@ -351,18 +352,21 @@ class TestSaltInTheClear:
 
 
 class TestReplyKeySwappingRelay:
-    """A relay between the client and the HSMs (the provider's network)
-    swaps the reply key in each decrypt request for its own.  The key is
-    in the opening whose commitment the log holds, so each swapped request
-    names an entry no device has: every device refuses it with its key
-    tree byte-identical, and the relay reads no share."""
+    """A relay between the provider's prover and the HSMs (the provider's
+    network) swaps the reply key in each proven decrypt request for its
+    own.  The key is in the opening whose commitment the log holds, so each
+    swapped request names an entry no device has: every device refuses it
+    with its key tree byte-identical (the prover's one re-proof is the
+    proof already sent, so no device is asked twice), and the relay reads
+    no share."""
 
     def test_relay_reads_nothing_and_punctures_nothing(self, fresh_deployment):
         dep = fresh_deployment
         username, pin = "relayed-user", "8080"
         relay = ReplyKeySwappingRelay(wire_channels(dep.fleet))
         client = Client(
-            username, dep.params, provider_channel(dep.provider), relay,
+            username, dep.params, provider_channel(dep.provider),
+            proving_channels(relay, dep.provider.prove_inclusion),
             dep.fleet.master_public_key(),
         )
         with DeterministicEntropy(0x2E1A7):  # a cluster of >= t distinct devices

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.chaos.entropy import DeterministicEntropy
+from repro.core import wire
 from repro.core.client import Client, RecoveryError
 from repro.core.codec import WireFormatError
 from repro.core.params import SystemParams
@@ -27,11 +28,13 @@ from repro.crypto.elgamal import ElGamalCiphertext, HashedElGamal
 from repro.crypto.gcm import AuthenticationError
 from repro.crypto.hashing import hash_to_indices
 from repro.crypto.shamir import SHARE, Share
-from repro.hsm.device import HsmRefusedError, HsmUnavailableError
+from repro.hsm.device import HsmRefusedError, HsmStaleProofError, HsmUnavailableError
+from repro.log.authdict import InclusionProof
 from repro.service.channel import (
     Channel,
     DirectProviderChannel,
     direct_channels,
+    proving_channels,
     wire_channels,
 )
 
@@ -58,10 +61,11 @@ def proportioned():
 
 
 class _Recording:
-    """A channel factory that logs every request the client sends as
-    ``(hsm index, "reply" | exception type name)``.  ``before(index, nth)``
-    runs ahead of the ``nth`` request to device ``index`` and may raise in
-    the device's stead; ``after(index, nth)`` runs once it has answered."""
+    """A channel factory that logs every request the provider's relay sends
+    a device as ``(hsm index, "reply" | exception type name)``.
+    ``before(index, nth)`` runs ahead of the ``nth`` request to device
+    ``index`` and may raise in the device's stead; ``after(index, nth)``
+    runs once it has answered."""
 
     def __init__(self, inner, before=None, after=None):
         self.inner, self.before, self.after = inner, before, after
@@ -96,13 +100,17 @@ class _RecordingChannel(Channel):
                 rec.after(index, nth)
 
 
-def _client(deployment, username, before=None, after=None, provider=None, inner=None):
+def _client(
+    deployment, username, before=None, after=None, provider=None, inner=None, prove=None
+):
+    """A client whose devices sit behind a recording under the provider's
+    relay (``prove`` defaults to the provider's own)."""
     recording = _Recording(inner or direct_channels(deployment.fleet), before, after)
     client = Client(
         username=username,
         params=deployment.params,
         provider=provider or DirectProviderChannel(deployment.provider),
-        channels=recording,
+        channels=proving_channels(recording, prove or deployment.provider.prove_inclusion),
         mpk=deployment.fleet.master_public_key(),
     )
     return client, recording
@@ -145,8 +153,7 @@ def _store_bytes(deployment):
 
 def _share_phase_per_position(client, session):
     """The share phase as it was before PR 19: one request per cluster
-    *position*, repeated devices and all (no proof refresh: nothing here
-    advances the log mid-session)."""
+    *position*, repeated devices and all."""
     obtained = 0
     for position, hsm_index in enumerate(session.cluster):
         try:
@@ -340,35 +347,133 @@ class TestReplyTheWireCannotCarry:
         assert client.finish_recovery(session) == b"two others carry it"
 
 
-class TestStaleProofRetry:
-    def test_retry_that_ends_in_punctured_marks_the_device(self, narrow):
-        """A series already recovered: every holder says PuncturedKeyError.
-        The first one says it only on the retry with a refreshed proof — and
-        is still not asked a third time for the position that repeats it."""
-        client, recording = _client(narrow, "stale-series-user")
-        _backup(client, b"day 1", _first_repeats)
-        client.backup(b"day 2", PIN, reuse_salt=True)
-        assert client.recover(PIN) == b"day 2"
-        del recording.log[:]
+class TestProvingRelay:
+    """The client holds no inclusion proof: the provider's relay proves each
+    request as it forwards it, and re-proves once a request that an epoch
+    made stale on its way to the device."""
 
-        session = client.begin_recovery(PIN, backup_index=0)
-        # Another user's attempt commits an epoch: our proof is now stale.
+    @staticmethod
+    def _counted(provider, proofs):
+        def prove(identifier, value):
+            proofs.append(provider.prove_inclusion(identifier, value))
+            return proofs[-1]
+
+        return prove
+
+    def test_a_stale_proof_is_reproven_and_retried_once(self, narrow):
+        """Another user's attempt commits an epoch between the relay's
+        proof and the device's check: the relay re-proves, and the same
+        position is answered on the retry."""
         bystander, _ = _client(narrow, "stale-bystander")
         bystander.backup(b"x", PIN)
-        bystander.begin_recovery(PIN)
-        stale_proof = session.inclusion_proof
+        epochs = []
 
-        repeated, other = session.cluster[0], session.cluster[2]
-        assert client.request_shares(session) == 0
+        def epoch_in_between(index, nth):
+            if not epochs:
+                epochs.append(index)
+                bystander.begin_recovery(PIN)
+
+        proofs = []
+        client, recording = _client(
+            narrow, "stale-relay-user", before=epoch_in_between,
+            prove=self._counted(narrow.provider, proofs),
+        )
+        repeated, _, other = _backup(client, b"reproven", _first_repeats)
+        session = client.begin_recovery(PIN)
+        assert client.request_shares(session) == 2
         assert recording.log == [
-            (repeated, "HsmStaleProofError"),
-            (repeated, "PuncturedKeyError"),
-            (other, "PuncturedKeyError"),
+            (repeated, "HsmStaleProofError"), (repeated, "reply"), (other, "reply"),
         ]
-        assert session.inclusion_proof != stale_proof
+        # One proof per request sent, and the re-proof differs.
+        assert len(proofs) == 3 and proofs[0] != proofs[1]
         assert session.answered_hsms == {repeated, other}
+        assert client.finish_recovery(session) == b"reproven"
+
+    def test_a_reproof_equal_to_the_one_sent_reraises(self, narrow):
+        """A device refuses a current proof as stale: the re-proof is the
+        proof it refused, so the relay re-raises without asking again, and
+        the client counts the position as a ⊥ share."""
+        stale_once = set()
+
+        def behind(index, nth):
+            if (index, nth) in stale_once:
+                raise HsmStaleProofError(f"hsm {index} digest behind")
+
+        proofs = []
+        client, recording = _client(
+            narrow, "behind-device-user", before=behind,
+            prove=self._counted(narrow.provider, proofs),
+        )
+        cluster = _backup(client, b"two of three", _all_distinct)
+        stale_once.add((cluster[0], 0))
+        session = client.begin_recovery(PIN)
+        assert client.request_shares(session) == 2
+        assert recording.log == [
+            (cluster[0], "HsmStaleProofError"), (cluster[1], "reply"), (cluster[2], "reply"),
+        ]
+        assert len(proofs) == 4 and proofs[0] == proofs[1]
+        assert session.answered_hsms == {cluster[1], cluster[2]}
+        assert client.finish_recovery(session) == b"two of three"
+
+    def test_an_attempt_the_log_does_not_hold_contacts_no_device(self, narrow):
+        """A provider that acks ``log_and_prove`` without logging: the relay
+        finds no entry to prove, refuses every request itself, and no
+        device is asked (so nothing is punctured)."""
+
+        class UnloggedAttempts(DirectProviderChannel):
+            def _invoke(self, op, args):
+                if op.method == "log_and_prove":
+                    return None
+                return super()._invoke(op, args)
+
+        client, recording = _client(
+            narrow, "unlogged-user", provider=UnloggedAttempts(narrow.provider)
+        )
+        _backup(client, b"never asked", _all_distinct)
+        stores = _store_bytes(narrow)
+        session = client.begin_recovery(PIN)
+        assert client.request_shares(session) == 0
+        assert recording.log == []
+        assert session.answered_hsms == set()
+        assert _store_bytes(narrow) == stores
         with pytest.raises(RecoveryError):
             client.finish_recovery(session)
+
+    def test_a_wire_recovery_decodes_no_proof_on_the_client_side(self, narrow, monkeypatch):
+        """Over the wire on both legs, no provider reply carries a proof
+        (``log_and_prove`` answers an ack) and the client decodes none,
+        while every request a device decodes carries one."""
+        proofs_decoded, replies, device_requests = [], [], []
+        decode_proof = wire.decode_inclusion_proof
+        decode_reply = wire.decode_provider_reply
+        decode_request = wire.decode_decrypt_request
+
+        def spied_proof(data):
+            proofs_decoded.append(data)
+            return decode_proof(data)
+
+        def spied_reply(data):
+            replies.append(decode_reply(data))
+            return replies[-1]
+
+        def spied_request(data):
+            device_requests.append(decode_request(data))
+            return device_requests[-1]
+
+        monkeypatch.setattr(wire, "decode_inclusion_proof", spied_proof)
+        monkeypatch.setattr(wire, "decode_provider_reply", spied_reply)
+        monkeypatch.setattr(wire, "decode_decrypt_request", spied_request)
+        client = narrow.new_client("wire-relay-user")
+        with DeterministicEntropy(_seed_where(client.params, _all_distinct)):
+            client.backup(b"proven provider-side", PIN)
+        assert client.recover(PIN) == b"proven provider-side"
+        assert proofs_decoded == []
+        assert (wire.PROV_REPLY_ACK, {}) in replies
+        assert not any(
+            isinstance(value, InclusionProof) for _, fields in replies for value in fields.values()
+        )
+        assert len(device_requests) == 3  # one per device of the distinct cluster
+        assert all(isinstance(r.inclusion_proof, InclusionProof) for r in device_requests)
 
 
 class TestEscrowFailureKeepsTheShare:

@@ -337,7 +337,11 @@ class TestCrashRestoreUnderFlakyChannel:
     # while the rest die to injected faults (the schedule is seed-pinned).
     def _flaky_client(self, dep, params, username, seed, ok_weight=60):
         from repro.core.client import Client
-        from repro.service.channel import ProviderWireEndpoint, direct_channels
+        from repro.service.channel import (
+            ProviderWireEndpoint,
+            direct_channels,
+            proving_channels,
+        )
         from repro.sim.faults import FlakyProviderChannel
 
         return Client(
@@ -346,7 +350,7 @@ class TestCrashRestoreUnderFlakyChannel:
             provider=FlakyProviderChannel(
                 ProviderWireEndpoint(dep.provider), seed=seed, ok_weight=ok_weight
             ),
-            channels=direct_channels(dep.fleet),
+            channels=proving_channels(direct_channels(dep.fleet), dep.provider.prove_inclusion),
             mpk=dep.fleet.master_public_key(),
         )
 

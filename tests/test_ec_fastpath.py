@@ -1347,7 +1347,13 @@ class TestMeteringInvariance:
     # 3 cluster indices, 4 blocks instead of 3, once on the client and once
     # on each of the 2 devices asked (+3).  A copy that names the attempt
     # once but leaves the key out of the commitment counts the parent's.
-    SEED_COUNTS = {"ec_mult": 340, "ecdsa_verify": 20, "sha256_block": 2627, "io_bytes": 54720}
+    # Re-derived when the provider began attaching each request's inclusion
+    # proof on its way to the device (was sha256_block 2627): the relay
+    # rebuilds the commitment (4 blocks) and proves the attempt (1 block,
+    # the identifier's hash) once for each of the 2 devices asked, where
+    # ``log_and_prove`` proved it once for the client (+2 x 5 − 1 = +9).
+    # No multiply or check moved, and nothing draws.
+    SEED_COUNTS = {"ec_mult": 340, "ecdsa_verify": 20, "sha256_block": 2636, "io_bytes": 54720}
 
     def run_fixed_workload(self):
         """One seeded backup+recovery; all randomness from seeded PRNGs so

@@ -318,6 +318,16 @@ commitment's value and no length: the ``log_and_prove`` requests, the
 proofs and digests that hash the commitments, the monitoring reply that
 lists them and 13 journal blocks before the snapshot at shards=1 (14 at
 shards=2); the decrypt-share replies and the HSM key regions do not move.
+
+Both frames digests moved again when ``log_and_prove`` began answering an
+ack, the provider attaching each request's proof on its way to the device.
+Compared frame by frame against the parent's, only the 3 ``log_and_prove``
+replies differ (frames 6, 16 and 26 of 32 at shards=1; 6, 16 and 28 of 34
+at shards=2): each is now the 2-byte ack ``01 01``, its kind byte 6 → 1
+and its proof gone with the proof's 2-byte varint length (proofs of 279,
+385 and 247 bytes at shards=1; 215, 247 and 215 at shards=2).  Every
+decrypt request is the parent's byte for byte — the relay attaches the
+proof the client used to forward — and neither store digest moved.
 """
 
 import hashlib
@@ -355,14 +365,16 @@ def _absorb_store(digest, store: InMemoryBlockStore) -> None:
 class TestFormatsUnchanged:
     # Re-captured when a decrypt request and a ``log_and_prove`` reply
     # stopped repeating the attempt's names and the reply key joined the
-    # commitment; see the module docstring.
+    # commitment, and the frames again when ``log_and_prove`` began
+    # answering an ack (was b58e5298… and bb3c76d1…); see the module
+    # docstring.
     PARENT_DIGESTS = {
         1: {
-            "frames": "b58e5298d5eae0b6ba0eacb7a54a9d78440f6ef852865c48fc8ca1e42d62f2f7",
+            "frames": "6e3cd5314549f300fed76e22caba1a11c04c6139111969867e6f26da03314e3b",
             "store": "e940149f79ade06f593dc4498e2465f69f62db29514db01a336e560f57323619",
         },
         2: {
-            "frames": "bb3c76d1b479685adc9c4732c692becc7c38ada7e933370f210a6ecbc4d98487",
+            "frames": "f5462cb9dea8d3ae572dd9c030767d2fd8f6d51aa46af841e1c6c5f505264a22",
             "store": "560bd3147e9c2545750e0eace697d89e11ba1531f4c4056661fdedb730f5d651",
         },
     }

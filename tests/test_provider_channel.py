@@ -124,7 +124,6 @@ _CANNED = {
     "varint": 7,
     "i32": -1,
     "recovery_ct": _ciphertext(),
-    "proof": _PROOF,
     "opt_proof": _PROOF,
     "blobs": [b"day1", b"", b"day3"],
     "entries": [(b"id-0", b"h0"), (b"id-1", b"h1")],

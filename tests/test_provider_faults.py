@@ -24,7 +24,7 @@ from repro.core.protocol import Deployment
 from repro.core.provider import ProviderError
 from repro.core.wire import WireFormatError
 from repro.log.authdict import AuthenticatedDictionary
-from repro.service.channel import WireProviderChannel, provider_channel
+from repro.service.channel import WireProviderChannel, provider_channel, proving_channels
 from repro.sim.faults import FlakyChannel, FlakyProviderChannel, FrameDropped
 
 #: The only exception types a faulty transport may surface.  Everything
@@ -104,7 +104,7 @@ def test_flaky_hsm_channel_never_corrupts_state():
             username=username,
             params=params,
             provider=provider_channel(deployment.provider, "wire"),
-            channels=channels.__getitem__,
+            channels=proving_channels(channels.__getitem__, deployment.provider.prove_inclusion),
             mpk=deployment.fleet.master_public_key(),
         )
         message = b"payload-%d" % seed

@@ -1,5 +1,6 @@
 """The serving layer: epoch batcher, channels, worker queues, service."""
 
+import dataclasses
 import random
 import threading
 import time
@@ -17,6 +18,8 @@ from repro.log.distributed import LogConfig
 from repro.service.batcher import EpochBatcher, EpochTicket, ServiceTimeout
 from repro.service.channel import WireChannel, HsmWireEndpoint, wire_channels
 from repro.service.workers import HsmWorkerPool
+
+from relayed import device_request
 
 
 # ---------------------------------------------------------------------------
@@ -51,10 +54,11 @@ class TestEpochBatcher:
         assert batcher.epochs_run == 1
         assert list(batcher.epoch_sessions) == [3]
         for i, ticket in enumerate(tickets):
-            proof = ticket.wait(timeout=1)
+            assert ticket.wait(timeout=1) is None
+            identifier = attempt_identifier(f"user{i}", 0)
+            proof = batcher_provider.log.prove_includes(identifier, b"commit%d" % i)
             assert verify_includes(
-                batcher_provider.log.digest, attempt_identifier(f"user{i}", 0), b"commit%d" % i,
-                proof,
+                batcher_provider.log.digest, identifier, b"commit%d" % i, proof
             )
 
     def test_tick_without_work_is_a_noop(self, batcher_provider):
@@ -113,8 +117,10 @@ class TestEpochBatcher:
 
     def test_ticket_is_single_use_state(self):
         ticket = EpochTicket()
-        ticket.resolve("proof")
-        assert ticket.wait(timeout=0) == "proof"
+        assert ticket.resolve()
+        assert ticket.wait(timeout=0) is None
+        assert not ticket.fail(ProviderError("late"))
+        assert ticket.wait(timeout=0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +211,7 @@ class TestWireChannel:
         fresh_deployment.fleet[target].fail_stop()
         channel = wire_channels(fresh_deployment.fleet)(target)
         with pytest.raises(HsmUnavailableError):
-            channel.decrypt_share(client._share_request(session, 0))
+            channel.decrypt_share(device_request(fresh_deployment.provider, client, session))
         fresh_deployment.fleet[target].restart()
 
     def test_puncture_crosses_the_wire(self, shared_deployment, unique_user):
@@ -215,7 +221,7 @@ class TestWireChannel:
         channel = WireChannel(
             HsmWireEndpoint(shared_deployment.fleet[session.cluster[0]])
         )
-        request = client._share_request(session, 0)
+        request = device_request(shared_deployment.provider, client, session)
         channel.decrypt_share(request)  # first decryption punctures
         with pytest.raises(PuncturedKeyError):
             channel.decrypt_share(request)
@@ -232,7 +238,7 @@ class TestWireChannel:
         client.backup(b"x", pin="1234")
         session = client.begin_recovery("1234", backup_recovery_key=False)
         device = shared_deployment.fleet[session.cluster[0]]
-        request = client._share_request(session, 0)
+        request = device_request(shared_deployment.provider, client, session)
         honest = wire.encode_decrypt_request(request)
         endpoint = HsmWireEndpoint(device)
         blocks = dict(device._store._blocks)
@@ -255,7 +261,7 @@ class TestWireChannel:
         client.backup(b"x", pin="1234")
         session = client.begin_recovery("1234", backup_recovery_key=False)
         device = shared_deployment.fleet[session.cluster[0]]
-        request = client._share_request(session, 0)
+        request = device_request(shared_deployment.provider, client, session)
 
         class IdentityReply:
             def decrypt_share(self, request):
@@ -267,27 +273,38 @@ class TestWireChannel:
             with pytest.raises(HsmRefusedError, match="malformed reply"):
                 WireChannel(lambda _frame, reply=junk: reply).decrypt_share(request)
 
-    def test_stale_proof_refresh_survives_an_interleaved_epoch(
-        self, fresh_deployment, unique_user
+    def test_an_epoch_between_the_phases_leaves_no_request_stale(
+        self, fresh_deployment, unique_user, monkeypatch
     ):
-        """An epoch committing between proof receipt and the share phase
-        must not kill the session: HSMs answer REPLY_STALE_PROOF, the
-        client refreshes its proof and retries."""
+        """An epoch committing between a session's logging and its share
+        phase makes a proof taken before it stale — a distinct status on
+        the wire.  The provider's relay proves each request as it forwards
+        it, so none of the session's requests goes out stale."""
+        from repro.core import wire
         from repro.hsm.device import HsmStaleProofError
+
+        statuses = []
+        decode_reply = wire.decode_decrypt_reply
+
+        def noted(reply_bytes):
+            status, payload = decode_reply(reply_bytes)
+            statuses.append(status)
+            return status, payload
 
         client = fresh_deployment.new_client(unique_user)
         client.backup(b"stale proof survivor", pin="1234")
         session = client.begin_recovery("1234", backup_recovery_key=False)
+        before = device_request(fresh_deployment.provider, client, session)
         # Another epoch commits: every HSM's digest moves past the proof.
         fresh_deployment.provider.log.insert(b"interloper", b"v")
         fresh_deployment.run_log_update()
-        stale_proof = session.inclusion_proof
         channel = wire_channels(fresh_deployment.fleet)(session.cluster[0])
-        with pytest.raises(HsmStaleProofError):  # distinct status on the wire
-            channel.decrypt_share(client._share_request(session, 0))
+        with pytest.raises(HsmStaleProofError):
+            channel.decrypt_share(before)
+        monkeypatch.setattr(wire, "decode_decrypt_reply", noted)
         obtained = client.request_shares(session)
         assert obtained >= fresh_deployment.params.threshold
-        assert session.inclusion_proof != stale_proof  # the client refreshed
+        assert statuses == [wire.REPLY_OK] * obtained
         assert client.finish_recovery(session) == b"stale proof survivor"
 
     def test_refusal_crosses_the_wire(self, shared_deployment, unique_user):
@@ -300,7 +317,7 @@ class TestWireChannel:
         )
         channel = wire_channels(shared_deployment.fleet)(outside)
         with pytest.raises(HsmRefusedError):
-            channel.decrypt_share(client._share_request(session, 0))
+            channel.decrypt_share(device_request(shared_deployment.provider, client, session))
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +576,7 @@ class TestBatcherRegressions:
         batcher = EpochBatcher(batcher_provider, commit_lanes(batcher_provider))
         ticket = batcher.submit("racer", 0, b"h-race")
         batcher.tick()  # resolves before wait is even called
-        assert ticket.wait(timeout=0.0) is not None
+        ticket.wait(timeout=0.0)  # served: returns instead of ServiceTimeout
         assert batcher.outstanding_leases() == 1
 
     def test_all_lanes_failing_appends_no_history_row(self):
@@ -1042,25 +1059,20 @@ class TestTickFailures:
     def test_failure_after_the_lanes_committed_spares_served_sessions(
         self, batcher_provider, monkeypatch
     ):
-        """A proof failing after the epoch committed: the session already
-        served keeps its proof and lease, the next one gets a typed error."""
-        log = batcher_provider.log
-        prove, proved = log.prove_includes, []
+        """A tick raising after the epoch committed (here while it resolves
+        the second ticket): the session already served keeps its ticket and
+        lease, the next one gets a typed error."""
 
-        def prove_once(identifier, value):
-            proved.append(identifier)
-            if len(proved) == 2:
-                raise OSError("proof store gone")
-            return prove(identifier, value)
+        def resolve_raises():
+            raise OSError("waiter gone")
 
         batcher = EpochBatcher(batcher_provider, commit_lanes(batcher_provider))
         served = batcher.submit("served", 0, b"h")
         refused = batcher.submit("refused", 0, b"h2")
-        monkeypatch.setattr(log, "prove_includes", prove_once)
+        monkeypatch.setattr(refused, "resolve", resolve_raises)
         with pytest.raises(OSError):
             batcher.tick()
-        proof = served.wait(timeout=0)
-        assert verify_includes(log.digest, attempt_identifier("served", 0), b"h", proof)
+        served.wait(timeout=0)
         with pytest.raises(ProviderError, match="tick failed") as caught:
             refused.wait(timeout=0)
         assert isinstance(caught.value.__cause__, OSError)
@@ -1094,3 +1106,54 @@ class TestTickFailures:
             assert client.recover("2222") == b"still served"
         assert service.stats()["tick_failures"] == 1
         assert "poisoned tick" in capfd.readouterr().err  # traceback reported
+
+
+# ---------------------------------------------------------------------------
+# The proving relay sits outside the device FIFOs
+# ---------------------------------------------------------------------------
+class TestProvingOutsideTheQueue:
+    def test_a_held_epoch_lock_queues_no_decrypt_job(self, monkeypatch):
+        """A tick holds ``batcher.lock`` while it waits on device FIFOs, so
+        the relay proves under that lock *before* it queues a request: a
+        proof taken inside a device's FIFO job would park the worker on the
+        lock, and the tick's own calls to that device behind it.  While the
+        lock is held (as lane 0's tick holds it), a session on lane 1 waits
+        at the relay with no decrypt job on any device's FIFO; released, it
+        completes."""
+        params = dataclasses.replace(
+            SystemParams.for_testing(num_hsms=4, cluster_size=3, max_punctures=16),
+            log_shards=2,
+        )
+        deployment = Deployment.create(params, rng=random.Random(63))
+        service = deployment.recovery_service(tick_interval=0.01, lease_timeout=5.0)
+        client = service.new_client(_user_on_shard(1, 2, "lane-one"))
+        held = threading.Event()
+        queued_while_held = []
+        submit = service.pool.submit
+
+        def watched(index, thunk):
+            if held.is_set():
+                queued_while_held.append(index)
+            return submit(index, thunk)
+
+        monkeypatch.setattr(service.pool, "submit", watched)
+        outcome = {}
+
+        def share_phase(session):
+            client.request_shares(session)
+            outcome["plaintext"] = client.finish_recovery(session)
+
+        with service:
+            client.backup(b"the other lane", pin="2468")
+            session = client.begin_recovery("2468")
+            worker = threading.Thread(target=share_phase, args=(session,), daemon=True)
+            with service.batcher.lock:
+                held.set()
+                worker.start()
+                worker.join(0.5)
+                assert worker.is_alive()  # waiting for the relay's proof
+                held.clear()
+            worker.join(5.0)
+            assert not worker.is_alive()
+        assert queued_while_held == []
+        assert outcome["plaintext"] == b"the other lane"

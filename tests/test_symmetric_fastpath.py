@@ -394,7 +394,13 @@ class TestMeteringInvariance:
     # 3 cluster indices, 4 blocks instead of 3, once on the client and once
     # on each of the 2 devices asked (+3).  A copy that names the attempt
     # once but leaves the key out of the commitment counts the parent's.
-    PARENT_COUNTS = {"aes_block": 4592, "sha256_block": 2147, "flash_read_bytes": 1120, "io_bytes": 60184}
+    # Re-derived when the provider began attaching each request's inclusion
+    # proof on its way to the device (was sha256_block 2147): the relay
+    # rebuilds the commitment (4 blocks) and proves the attempt (1 block,
+    # the identifier's hash) once for each of the 2 devices asked, where
+    # ``log_and_prove`` proved it once for the client (+2 x 5 − 1 = +9).
+    # No AES block moved, and nothing draws: the store digest stands.
+    PARENT_COUNTS = {"aes_block": 4592, "sha256_block": 2156, "flash_read_bytes": 1120, "io_bytes": 60184}
     # Re-captured at PR 16 (was e87aa60f…): decrypt-and-puncture re-keys the
     # union of a tag's k paths in one pass, so the nodes the paths share are
     # rewritten once instead of k times — fewer puts, fewer fresh-key and

@@ -12,6 +12,8 @@ from repro.crypto.shamir import SHARE, Share
 from repro.log.authdict import AuthenticatedDictionary
 from repro.storage.blockstore import InMemoryBlockStore
 
+from relayed import device_request
+
 
 @pytest.fixture(scope="module")
 def bfe_setup():
@@ -183,15 +185,7 @@ class TestDecryptRequest:
         client = fresh_deployment.new_client(unique_user)
         client.backup(b"data", pin="1234")
         session = client.begin_recovery("1234", backup_recovery_key=False)
-        from repro.hsm.device import DecryptShareRequest
-
-        request = DecryptShareRequest(
-            attempt=session.attempt,
-            opening=session.opening,
-            inclusion_proof=session.inclusion_proof,
-            share_ciphertext=session.ciphertext.share_ciphertexts[0],
-            context=session.context,
-        )
+        request = device_request(fresh_deployment.provider, client, session)
         decoded = wire.decode_decrypt_request(wire.encode_decrypt_request(request))
         assert decoded.attempt == request.attempt
         assert decoded.opening == request.opening

@@ -318,7 +318,6 @@ _FIELD_STRATEGIES = {
     "varint": u32s,
     "i32": st.integers(min_value=-(1 << 31), max_value=(1 << 31) - 1),
     "recovery_ct": recovery_ciphertexts,
-    "proof": inclusion_proofs,
     "opt_proof": st.one_of(st.none(), inclusion_proofs),
     "blobs": st.lists(blobs, max_size=4),
     "entries": st.lists(st.tuples(blobs, blobs), max_size=4),
