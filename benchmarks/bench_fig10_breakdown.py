@@ -327,13 +327,15 @@ def recovery_frame_bytes(monkeypatch) -> tuple:
     reply) per provider op and for the decrypt-share leg, summed over the
     frames of that kind (a channel binds its endpoint's ``handle`` when it
     is built, so the recorders go in before the client); the decrypt
-    requests sent; and the fields of each ``log_and_prove`` request.  The
+    requests sent; the fields of each ``log_and_prove`` request; and the
+    number of ``store_reply`` frames the client sent (the provider's relay
+    escrows each reply itself, so the gate holds it at 0).  The
     probe runs on a deployment of its own, created and driven under
     ``DeterministicEntropy(FRAME_PROBE_SEED)``: its log's size, the salt and
     so the cluster are the seed's, and so is every total."""
     from repro.service.channel import HsmWireEndpoint, ProviderWireEndpoint
 
-    totals, requests, logged = {}, [], []
+    totals, requests, logged, escrowed = {}, [], [], []
 
     def add(name: str, request: bytes, reply: bytes) -> None:
         totals[name] = totals.get(name, 0) + len(request) + len(reply)
@@ -346,6 +348,8 @@ def recovery_frame_bytes(monkeypatch) -> tuple:
             add(method, request, reply)
             if method == "log_and_prove":
                 logged.append(fields)
+            if method == "store_reply":
+                escrowed.append(fields)
             return reply
         return recorded
 
@@ -367,7 +371,7 @@ def recovery_frame_bytes(monkeypatch) -> tuple:
         client.backup(b"x" * 16, pin="1234")
         assert client.recover(pin="1234") == b"x" * 16
     monkeypatch.undo()
-    return dict(sorted(totals.items())), requests, logged
+    return dict(sorted(totals.items())), requests, logged, len(escrowed)
 
 
 def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
@@ -379,8 +383,9 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
     frame of a recovery: the log's inclusion proof, gated against its
     derived layout at three seeded log sizes; one recovery's bytes per
     frame kind; each of that recovery's decrypt requests, gated against its
-    derived layout; and its ``log_and_prove`` frames, gated against their
-    request's derived layout plus the 2-byte ack that answers it."""
+    derived layout; its ``log_and_prove`` frames, gated against their
+    request's derived layout plus the 2-byte ack that answers it; and its
+    ``store_reply`` frames, gated at none (the relay escrows each reply)."""
     client = small_deployment.new_client("size-probe")
     client.backup(b"x" * 16, pin="1234")
     small_ct = small_deployment.provider.fetch_backup("size-probe")
@@ -396,8 +401,8 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
     ))
     paper_scale = paper_ct.size_bytes()
     proofs, proof_excess = proof_sizes()
-    frames, requests, logged = recovery_frame_bytes(monkeypatch)
-    frames_again, _, _ = recovery_frame_bytes(monkeypatch)
+    frames, requests, logged, store_reply_frames = recovery_frame_bytes(monkeypatch)
+    frames_again, _, _, _ = recovery_frame_bytes(monkeypatch)
     request_excess = max(
         len(request) - decrypt_request_layout_bytes(wire.decode_decrypt_request(request))
         for request in requests
@@ -410,6 +415,7 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
         "proof_bytes_over_layout_max": 0,
         "decrypt_request_bytes_over_layout_max": 0,
         "log_and_prove_frame_bytes_over_layout_max": 0,
+        "store_reply_frames_per_recovery_max": 0,
     }
     failures = [f"safetypin_ct_bytes = {encoded} > derived layout {bound}"] if encoded > bound else []
     if proof_excess > 0:
@@ -421,6 +427,8 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
             f"log_and_prove frames total {log_and_prove_excess} B over their derived layout"
             " and ack"
         )
+    if store_reply_frames > 0:
+        failures.append(f"the client sent {store_reply_frames} store_reply frame(s) in a recovery")
     if frames_again != frames:
         failures.append(f"one recovery's frame totals differ by run: {frames} vs {frames_again}")
     from repro.baseline.system import BaselineSystem
@@ -445,6 +453,7 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
         f"(at most {request_excess} B over the derived layout)",
         f"log_and_prove: {frames['log_and_prove']} B for {len(logged)} exchange(s), "
         f"{log_and_prove_excess} B over the derived request layout and the 2-byte ack",
+        f"store_reply: {store_reply_frames} frame(s) from the client (the relay escrows)",
     ]
     emit(
         "fig10_sizes",
@@ -466,6 +475,7 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
                 "recovery_frame_bytes": frames,
                 "decrypt_request_bytes_over_layout": request_excess,
                 "log_and_prove_frame_bytes_over_layout": log_and_prove_excess,
+                "store_reply_frames_per_recovery": store_reply_frames,
             },
             "gates": gates,
             "gate_failures": failures,

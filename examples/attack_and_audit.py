@@ -145,7 +145,9 @@ def relay_demo(deployment: Deployment) -> None:
     relay = ReplyKeySwappingRelay(wire_channels(deployment.fleet))
     client = Client(
         "relayed", deployment.params, provider_channel(deployment.provider),
-        proving_channels(relay, deployment.provider.prove_inclusion),
+        proving_channels(
+            relay, deployment.provider.prove_inclusion, deployment.provider.store_reply
+        ),
         deployment.fleet.master_public_key(),
     )
     client.backup(b"wire transfer codes", pin="6174")

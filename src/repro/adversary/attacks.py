@@ -157,8 +157,9 @@ class ReplyKeySwappingRelay:
     refuses it before anything is punctured, and the relay reads nothing.
 
     Use an instance as the channel factory under a client's proving relay
-    (``proving_channels(relay, provider.prove_inclusion)``): ``relay(index)``
-    carries the proven request to HSM ``index``.
+    (``proving_channels(relay, provider.prove_inclusion,
+    provider.store_reply)``): ``relay(index)`` carries the proven request
+    to HSM ``index``.
     """
 
     def __init__(self, channels: Callable[[int], object]) -> None:

@@ -12,7 +12,9 @@ attempt is committed, and the provider attaches a fresh π to each decrypt
 request on its way to the device (``service.channel.ProvingChannel``; it
 also re-proves a request an interleaved epoch made stale).  The device
 checks π against its own digest as before, so what it accepts is
-unchanged; π's bytes just stop crossing the client's link twice.
+unchanged; π's bytes just stop crossing the client's link twice.  The same
+relay escrows each reply it carries back (§8 below), so the client does
+not send the provider what the provider has just forwarded to it.
 
 The share phase and the finish do only work that can still matter.  The
 cluster is a list in [N]^n and all of a user's shares carry one puncture
@@ -27,9 +29,10 @@ Also implemented from §8:
 
 - *Failure during recovery*: a fresh per-recovery keypair is generated and
   backed up through SafetyPin itself before recovery starts; HSM replies are
-  encrypted under it and escrowed with the provider, so a replacement device
-  can resume an interrupted recovery (:meth:`Client.resume_recovery`).  The
-  scheme nests arbitrarily.
+  encrypted under it and escrowed with the provider as its relay forwards
+  them, before the client sees them, so a replacement device can resume an
+  interrupted recovery (:meth:`Client.resume_recovery`).  The scheme nests
+  arbitrarily.
 - *Incremental backups*: a long-lived master AES key is SafetyPin-protected
   once; increments are cheap AE blobs under that key.
 - *Multiple recovery ciphertexts*: ``reuse_salt=True`` keeps the same hidden
@@ -119,8 +122,8 @@ class Client:
 
         ``provider`` is a :class:`repro.service.channel.ProviderChannel` —
         the same boundary for the provider leg (backup storage, attempt
-        logging, reply escrow); deployment wiring passes the wire channel
-        so this leg, too, crosses bytes only."""
+        logging, fetching escrowed replies); deployment wiring passes the
+        wire channel so this leg, too, crosses bytes only."""
         self.username = username
         self.params = params
         self.provider = provider
@@ -248,9 +251,10 @@ class Client:
         hold is not an answer: nothing was punctured, and the other
         ciphertext addressed to that device may still open.
 
-        Replies (encrypted under the per-recovery key) are escrowed with the
-        provider so a replacement device can finish if this one dies.
-        Returns the number of shares obtained.
+        Replies come back encrypted under the per-recovery key, and the
+        provider's relay has escrowed each one on its way here, so a
+        replacement device can finish if this one dies; the client only
+        holds them.  Returns the number of shares obtained.
         """
         obtained = 0
         answered = session.answered_hsms
@@ -271,11 +275,7 @@ class Client:
                     # paper's ⊥ shares.
                     continue
                 answered.add(hsm_index)
-                # Hold the reply before escrowing it: the HSM has already
-                # punctured, so a failed escrow frame must not cost the share.
-                reply_bytes = reply.to_bytes()
-                session.encrypted_replies.append(reply_bytes)
-                self.provider.store_reply(session.username, session.attempt, reply_bytes)
+                session.encrypted_replies.append(reply.to_bytes())
                 obtained += 1
         finally:
             # Tell the provider this attempt's share phase is over, so the

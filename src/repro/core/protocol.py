@@ -139,8 +139,9 @@ class Deployment:
 
         The client reaches HSMs only through the narrow ``Channel``
         interface, behind the provider's relay that attaches each request's
-        inclusion proof (``ProvingChannel`` over the provider's
-        ``prove_inclusion``), and the provider only through the matching
+        inclusion proof and escrows each reply (``ProvingChannel`` over the
+        provider's ``prove_inclusion`` and ``store_reply``), and the
+        provider only through the matching
         ``ProviderChannel``; the default ``"wire"`` transport serializes
         every request/reply on both legs through ``repro.core.wire`` (pass
         ``"direct"`` for the no-serialization reference path used by tests
@@ -158,7 +159,9 @@ class Deployment:
             username=username,
             params=self.params,
             provider=provider_channel(self.provider, transport),
-            channels=proving_channels(factory, self.provider.prove_inclusion),
+            channels=proving_channels(
+                factory, self.provider.prove_inclusion, self.provider.store_reply
+            ),
             mpk=self.fleet.master_public_key(),
         )
         self.clients.append(client)

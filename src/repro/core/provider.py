@@ -220,6 +220,10 @@ class ServiceProvider:
 
     # -- recovery-reply escrow (§8 failure handling) --------------------------------------
     def store_reply(self, username: str, attempt: int, encrypted_reply: bytes) -> None:
+        """Escrow one HSM reply to an attempt, encrypted under the attempt's
+        per-recovery key.  Its caller is the provider's own relay on the HSM
+        leg (``service.channel.ProvingChannel``), as it forwards the reply
+        to the client: no client sends one."""
         self._replies[(username, attempt)].append(encrypted_reply)
         if self.journal is not None:
             self.journal.record_reply(username, attempt, encrypted_reply)

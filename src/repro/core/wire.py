@@ -264,12 +264,18 @@ PROVIDER_OPS: Tuple[ProviderOp, ...] = (
     ProviderOp(9, "log_and_prove",
                (("username", "text"), ("attempt", "varint"), ("commitment", "blob")),
                PROV_REPLY_ACK),
+    # Ops 10 and 12 have no client caller: the provider's relay proves and
+    # escrows in-process (``service.channel.ProvingChannel``).  Their rows
+    # stay only because the e2e ledger's tracer targets
+    # ``WireProviderChannel.prove_inclusion`` / ``.store_reply``; they go
+    # together with those targets.
     ProviderOp(10, "prove_inclusion",
                (("identifier", "blob"), ("value", "blob")),
                PROV_REPLY_PROOF),
     ProviderOp(11, "share_phase_done",
                (("username", "text"), ("attempt", "varint")),
                PROV_REPLY_ACK),
+    # No client caller either, for the same reason (see op 10).
     ProviderOp(12, "store_reply",
                (("username", "text"), ("attempt", "varint"), ("reply", "blob")),
                PROV_REPLY_ACK),

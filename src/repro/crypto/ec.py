@@ -805,13 +805,14 @@ def mult_each(points: Sequence[ECPoint], scalar: int) -> List[ECPoint]:
     key's first multiply — gets one of ``_SLOT_COMB_TEETH`` teeth on the
     spot (215 doublings and 31 fill additions to build; then 42 doublings
     + 43 additions a multiply instead of a ladder's 256 + ≈ 43), all of a
-    call's missing combs in one :func:`_build_comb` batch, one for each
-    distinct instance however often it is listed.  (The same tier
-    serves a signer set's aggregate key, combed by :func:`combed_sum`.)
-    The scalar is read into comb indices once per tooth count and the
-    results are normalized by ONE batch inversion.  Each result is
-    bit-for-bit ``P * scalar``; an identity point or a zero scalar yields
-    the identity (a zero scalar has no signed comb reading).
+    call's missing combs in one :func:`_build_comb` batch, one comb and one
+    product for each distinct instance however often it is listed.  (The
+    same tier serves a signer set's aggregate key, combed by
+    :func:`combed_sum`.)  The scalar is read into comb indices once per
+    tooth count and the distinct products are normalized by ONE batch
+    inversion.  Each result is bit-for-bit ``P * scalar``, one per listed
+    point; an identity point or a zero scalar yields the identity (a zero
+    scalar has no signed comb reading).
 
     Metering: one ``ec_mult`` per point, exactly what the separate
     multiplications report.
@@ -819,18 +820,21 @@ def mult_each(points: Sequence[ECPoint], scalar: int) -> List[ECPoint]:
     if points:
         metering.count("ec_mult", len(points))
     scalar %= N
-    # One comb per instance: a device named twice in a cluster lists its
-    # slot keys twice, and both entries read the comb built once.
-    missing = list({
-        id(point): point for point in points if not point.is_infinity and point._comb_table() is None
-    }.values())
+    # One comb and one product per instance: a device named twice in a
+    # cluster lists its slot keys twice, and both entries read the comb
+    # built, and the product computed, once.
+    distinct = {id(point): point for point in points}
+    missing = [
+        point for point in distinct.values()
+        if not point.is_infinity and point._comb_table() is None
+    ]
     if missing:
         built = _build_comb([(p.x, p.y) for p in missing], 1, _SLOT_COMB_TEETH)  # type: ignore[misc]
         for point, comb in zip(missing, built):
             point._comb = comb
     indices: Dict[int, List[int]] = {}  # by tooth count
     products: List[_JPoint] = []
-    for point in points:
+    for point in distinct.values():
         comb = point._comb
         if comb is None or not scalar:  # the identity, or a zero scalar
             products.append(_INFINITY)
@@ -839,7 +843,8 @@ def mult_each(points: Sequence[ECPoint], scalar: int) -> List[ECPoint]:
         if teeth not in indices:
             indices[teeth] = _comb_indices(scalar, teeth)
         products.append(_comb_mult([(indices[teeth], comb)]))
-    return [ECPoint._from_affine(affine) for affine in _jac_to_affine_batch(products)]
+    affine = dict(zip(distinct, _jac_to_affine_batch(products)))
+    return [ECPoint._from_affine(affine[id(point)]) for point in points]
 
 
 def generator_mult_each(scalars: Sequence[int]) -> List[ECPoint]:

@@ -9,7 +9,8 @@ untrusted provider's network) is real in the reproduction too.
 
 Client code holds a :class:`ProvingChannel` over those channels: the
 provider's relay on the HSM leg, which attaches the inclusion proof the
-client's :class:`~repro.core.client.ShareRequest` does not carry.
+client's :class:`~repro.core.client.ShareRequest` does not carry and
+escrows each reply it forwards.
 
 A :class:`ProviderChannel` is the same idea for the client ↔ provider leg.
 Its surface is the closed op catalog ``wire.PROVIDER_OPS``, one row per op
@@ -189,9 +190,14 @@ def direct_channels(devices: Sequence) -> ChannelFactory:
 #: current digest, None when the entry is not committed.
 Prover = Callable[[bytes, bytes], Optional[InclusionProof]]
 
+#: ``escrow(username, attempt, reply_bytes)``: store one encrypted reply
+#: with the provider (§8), as ``ServiceProvider.store_reply`` does.
+Escrow = Callable[[str, int, bytes], None]
+
 
 class ProvingChannel:
-    """The provider's relay on the HSM leg: attaches the inclusion proof.
+    """The provider's relay on the HSM leg: attaches the inclusion proof
+    and escrows the reply.
 
     Takes the client's :class:`~repro.core.client.ShareRequest`, proves
     ``attempt_identifier(opening.username, attempt)`` ↦
@@ -202,14 +208,32 @@ class ProvingChannel:
     checked it (``HsmStaleProofError``) is re-proven and the request sent
     once more — only when the fresh proof differs from the one sent: a
     device that still refuses a current proof is not asked again.
+
+    The reply that comes back is escrowed with ``escrow`` under the
+    opening's username and the attempt before it is returned, so a
+    replacement client can finish the recovery (§8); a refusal or an
+    error status is not escrowed.  The device has punctured by then, so
+    an escrow that fails with :class:`~repro.core.provider.ProviderError`
+    does not cost the share: the reply is returned all the same, and
+    only a replacement client goes without it.
     """
 
-    def __init__(self, inner: Channel, prove: Prover) -> None:
+    def __init__(self, inner: Channel, prove: Prover, escrow: Escrow) -> None:
         self._inner = inner
         self._prove = prove
+        self._escrow = escrow
 
     def decrypt_share(self, request: ShareRequest) -> ElGamalCiphertext:
-        """Prove the attempt, forward the request, re-prove once if stale."""
+        """Prove the attempt, forward the request (re-proving once if
+        stale), escrow the reply and return it."""
+        reply = self._forward(request)
+        try:
+            self._escrow(request.opening.username, request.attempt, reply.to_bytes())
+        except ProviderError:
+            pass
+        return reply
+
+    def _forward(self, request: ShareRequest) -> ElGamalCiphertext:
         opening = request.opening
         try:
             identifier = attempt_identifier(opening.username, request.attempt)
@@ -232,10 +256,12 @@ class ProvingChannel:
         )
 
 
-def proving_channels(channels: ChannelFactory, prove: Prover) -> Callable[[int], ProvingChannel]:
+def proving_channels(
+    channels: ChannelFactory, prove: Prover, escrow: Escrow
+) -> Callable[[int], ProvingChannel]:
     """The client's channel factory: a :class:`ProvingChannel` over each of
-    ``channels``, proving with ``prove``."""
-    return lambda index: ProvingChannel(channels(index), prove)
+    ``channels``, proving with ``prove`` and escrowing with ``escrow``."""
+    return lambda index: ProvingChannel(channels(index), prove, escrow)
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ class BatchedProviderFacade:
     never hold this object — they speak through a ``ProviderChannel``
     (byte-framed for the default ``"wire"`` transport) that fronts it; the
     service's relay on the HSM leg calls its ``prove_inclusion`` once for
-    each decrypt request.
+    each decrypt request and its ``store_reply`` once for each reply.
     """
 
     def __init__(self, service: "RecoveryService") -> None:
@@ -214,9 +214,12 @@ class RecoveryService:
         self._facade = BatchedProviderFacade(self)
         # The relay proves under the epoch lock *before* it queues: a tick
         # holds that lock while it waits on device FIFOs, so a proof taken
-        # inside a FIFO job would deadlock.
+        # inside a FIFO job would deadlock.  Its escrow takes no lock and
+        # runs on the client's thread too, after the FIFO job has answered.
         self._channels = proving_channels(
-            queued_channels(self.pool, inner), self._facade.prove_inclusion
+            queued_channels(self.pool, inner),
+            self._facade.prove_inclusion,
+            self._facade.store_reply,
         )
         # Clients reach the provider only through this channel: the default
         # "wire" transport frames every call (and every failure) through

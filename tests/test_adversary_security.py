@@ -222,7 +222,7 @@ class TestSaltInTheClear:
 
         client = Client(
             username, dep.params, provider_channel(dep.provider),
-            proving_channels(observed, dep.provider.prove_inclusion),
+            proving_channels(observed, dep.provider.prove_inclusion, dep.provider.store_reply),
             dep.fleet.master_public_key(),
         )
         return client, asked
@@ -366,7 +366,7 @@ class TestReplyKeySwappingRelay:
         relay = ReplyKeySwappingRelay(wire_channels(dep.fleet))
         client = Client(
             username, dep.params, provider_channel(dep.provider),
-            proving_channels(relay, dep.provider.prove_inclusion),
+            proving_channels(relay, dep.provider.prove_inclusion, dep.provider.store_reply),
             dep.fleet.master_public_key(),
         )
         with DeterministicEntropy(0x2E1A7):  # a cluster of >= t distinct devices

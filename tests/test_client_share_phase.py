@@ -11,6 +11,7 @@ what must *not* be skipped: a refusal or an outage is not an answer.
 import dataclasses
 import random
 import secrets
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -101,16 +102,27 @@ class _RecordingChannel(Channel):
 
 
 def _client(
-    deployment, username, before=None, after=None, provider=None, inner=None, prove=None
+    deployment,
+    username,
+    before=None,
+    after=None,
+    provider=None,
+    inner=None,
+    prove=None,
+    escrow=None,
 ):
     """A client whose devices sit behind a recording under the provider's
-    relay (``prove`` defaults to the provider's own)."""
+    relay (``prove`` and ``escrow`` default to the provider's own)."""
     recording = _Recording(inner or direct_channels(deployment.fleet), before, after)
     client = Client(
         username=username,
         params=deployment.params,
         provider=provider or DirectProviderChannel(deployment.provider),
-        channels=proving_channels(recording, prove or deployment.provider.prove_inclusion),
+        channels=proving_channels(
+            recording,
+            prove or deployment.provider.prove_inclusion,
+            escrow or deployment.provider.store_reply,
+        ),
         mpk=deployment.fleet.master_public_key(),
     )
     return client, recording
@@ -162,9 +174,7 @@ def _share_phase_per_position(client, session):
             )
         except (HsmUnavailableError, PuncturedKeyError, HsmRefusedError):
             continue
-        reply_bytes = reply.to_bytes()
-        client.provider.store_reply(session.username, session.attempt, reply_bytes)
-        session.encrypted_replies.append(reply_bytes)
+        session.encrypted_replies.append(reply.to_bytes())
         obtained += 1
     client.provider.share_phase_done(session.username, session.attempt)
     return obtained
@@ -476,25 +486,83 @@ class TestProvingRelay:
         assert all(isinstance(r.inclusion_proof, InclusionProof) for r in device_requests)
 
 
-class TestEscrowFailureKeepsTheShare:
-    def test_reply_is_held_when_its_store_reply_frame_fails(self, narrow):
-        class FirstEscrowFrameLost(DirectProviderChannel):
-            lost = 0
+class TestRelayEscrow:
+    """The provider's relay escrows each reply as it forwards it: the client
+    sends no ``store_reply`` frame, and a reply is escrowed even when the
+    client never gets to hold it."""
 
-            def _invoke(self, op, args):
-                if op.method == "store_reply" and not self.lost:
-                    self.lost += 1
-                    raise ProviderError("escrow frame lost")
-                return super()._invoke(op, args)
+    def test_a_wire_recovery_sends_no_store_reply_frame(self, narrow, monkeypatch):
+        ops, device_replies = [], []
+        encode_request = wire.encode_provider_request
+        encode_reply = wire.encode_decrypt_reply
 
-        client, recording = _client(
-            narrow, "escrow-loss-user", provider=FirstEscrowFrameLost(narrow.provider)
+        def spied_request(op, fields):
+            ops.append(op)
+            return encode_request(op, fields)
+
+        def spied_reply(reply):
+            device_replies.append(reply.to_bytes())
+            return encode_reply(reply)
+
+        monkeypatch.setattr(wire, "encode_provider_request", spied_request)
+        monkeypatch.setattr(wire, "encode_decrypt_reply", spied_reply)
+        client = narrow.new_client("no-escrow-frame-user")
+        with DeterministicEntropy(_seed_where(client.params, _all_distinct)):
+            client.backup(b"escrowed provider-side", PIN)
+        session = client.begin_recovery(PIN)
+        assert client.request_shares(session) == 3
+        assert client.finish_recovery(session) == b"escrowed provider-side"
+        store_reply = next(op.tag for op in wire.PROVIDER_OPS if op.method == "store_reply")
+        assert ops and store_reply not in ops
+        # Every reply a device sent, byte for byte, in position order.
+        assert len(device_replies) == 3
+        assert narrow.provider.fetch_replies(session.username, session.attempt) == device_replies
+        assert session.encrypted_replies == device_replies
+
+    def test_a_client_that_dies_as_its_first_reply_arrives(self, narrow):
+        """The relay has escrowed the reply before the client could hold
+        it, so a replacement resumes from the escrow alone."""
+
+        class Died(Exception):
+            pass
+
+        client, recording = _client(narrow, "dies-on-arrival-user")
+        _backup(client, b"resumed from the relay", lambda cluster: len(set(cluster)) == 1)
+        relay = client._channels
+
+        def dying(index):
+            def decrypt_share(request):
+                relay(index).decrypt_share(request)
+                raise Died
+
+            return SimpleNamespace(decrypt_share=decrypt_share)
+
+        client._channels = dying
+        session = client.begin_recovery(PIN)
+        with pytest.raises(Died):
+            client.request_shares(session)
+        assert recording.log == [(session.cluster[0], "reply")]
+        assert session.encrypted_replies == []
+        assert len(narrow.provider.fetch_replies(session.username, session.attempt)) == 1
+        replacement, _ = _client(narrow, client.username)
+        assert (
+            replacement.resume_recovery(PIN, attempt=session.attempt)
+            == b"resumed from the relay"
         )
+
+
+class TestEscrowFailureKeepsTheShare:
+    def test_reply_is_returned_when_its_escrow_fails(self, narrow):
+        """The only holder has punctured before the escrow fails: the relay
+        returns the reply all the same, and the client counts the share."""
+
+        def lost(username, attempt, reply_bytes):
+            raise ProviderError("escrow lost")
+
+        client, recording = _client(narrow, "escrow-loss-user", escrow=lost)
         _backup(client, b"punctured but not lost", lambda cluster: len(set(cluster)) == 1)
         session = client.begin_recovery(PIN)
-        with pytest.raises(ProviderError):
-            client.request_shares(session)
-        # The only holder has punctured; the reply it sent is all there is.
+        assert client.request_shares(session) == 1
         assert recording.log == [(session.cluster[0], "reply")]
         assert len(session.encrypted_replies) == 1
         assert narrow.provider.fetch_replies(session.username, session.attempt) == []

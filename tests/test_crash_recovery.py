@@ -350,7 +350,9 @@ class TestCrashRestoreUnderFlakyChannel:
             provider=FlakyProviderChannel(
                 ProviderWireEndpoint(dep.provider), seed=seed, ok_weight=ok_weight
             ),
-            channels=proving_channels(direct_channels(dep.fleet), dep.provider.prove_inclusion),
+            channels=proving_channels(
+                direct_channels(dep.fleet), dep.provider.prove_inclusion, dep.provider.store_reply
+            ),
             mpk=dep.fleet.master_public_key(),
         )
 

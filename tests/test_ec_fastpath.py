@@ -626,6 +626,29 @@ class TestMultEach:
         for scalar in (0, N, 2 * N):
             assert all(p.is_infinity for p in mult_each(points, scalar))
 
+    def test_a_repeated_instance_is_multiplied_once(self, named_points, monkeypatch):
+        """A device named twice in a cluster lists its slot keys twice: each
+        listed point gets its own ``P * s``, one chain per distinct
+        instance runs, and the meter still bills one multiply a point."""
+        first, second = slot_key(named_points["random"]), slot_key(named_points["small"])
+        twin = ECPoint(first.x, first.y)  # equal, but another instance
+        points = [first, second, first, twin, second, first]
+        scalar = 0x5EED_F00D
+        chains = []
+        comb_mult = ec_module._comb_mult
+
+        def spy(terms):
+            chains.append(terms)
+            return comb_mult(terms)
+
+        monkeypatch.setattr(ec_module, "_comb_mult", spy)
+        with metered() as meter:
+            products = mult_each(points, scalar)
+        assert len(chains) == len({id(p) for p in points}) == 3
+        assert meter.counts["ec_mult"] == len(points)
+        assert products == [p * scalar for p in points]
+        assert products == [naive_mult(ECPoint(p.x, p.y), scalar) for p in points]
+
     def test_metering_is_one_mult_per_point(self, named_points):
         points = [named_points["random"], ECPoint(None, None), G]
         with metered() as meter:

@@ -328,6 +328,18 @@ and its proof gone with the proof's 2-byte varint length (proofs of 279,
 385 and 247 bytes at shards=1; 215, 247 and 215 at shards=2).  Every
 decrypt request is the parent's byte for byte — the relay attaches the
 proof the client used to forward — and neither store digest moved.
+
+Both frames digests moved again when the provider's relay began escrowing
+each decrypt-share reply as it forwards it, so that the client stopped
+sending ``store_reply`` frames.  Compared frame by frame against the
+parent's, the frames gone are exactly the ``store_reply`` exchanges —
+each an 85-byte request and the 2-byte ack ``01 01``: exchanges 9, 11,
+19 and 21 of 33 at shards=1 (33 → 29), and 9, 11, 19, 21 and 23 of 35 at
+shards=2 (35 → 30), counting from 1 over requests and their replies in
+order, the post-snapshot backup included.  Every other exchange is the
+parent's byte for byte and in the parent's order, and neither store
+digest moved: each escrow is journalled as the same record, in the same
+place.
 """
 
 import hashlib
@@ -365,16 +377,17 @@ def _absorb_store(digest, store: InMemoryBlockStore) -> None:
 class TestFormatsUnchanged:
     # Re-captured when a decrypt request and a ``log_and_prove`` reply
     # stopped repeating the attempt's names and the reply key joined the
-    # commitment, and the frames again when ``log_and_prove`` began
-    # answering an ack (was b58e5298… and bb3c76d1…); see the module
-    # docstring.
+    # commitment, the frames again when ``log_and_prove`` began answering
+    # an ack (was b58e5298… and bb3c76d1…), and again when the client
+    # stopped sending ``store_reply`` frames (was 6e3cd531… and
+    # f5462cb9…); see the module docstring.
     PARENT_DIGESTS = {
         1: {
-            "frames": "6e3cd5314549f300fed76e22caba1a11c04c6139111969867e6f26da03314e3b",
+            "frames": "c1085b283bfc372674f95ebf597dff5358d3f45335d0a647decf1142f20c3700",
             "store": "e940149f79ade06f593dc4498e2465f69f62db29514db01a336e560f57323619",
         },
         2: {
-            "frames": "f5462cb9dea8d3ae572dd9c030767d2fd8f6d51aa46af841e1c6c5f505264a22",
+            "frames": "1517d1adaf87f02cf70d9f27a8e8cc68135a25edb66745dbeedc084f6a8bb06c",
             "store": "560bd3147e9c2545750e0eace697d89e11ba1531f4c4056661fdedb730f5d651",
         },
     }

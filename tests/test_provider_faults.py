@@ -104,7 +104,11 @@ def test_flaky_hsm_channel_never_corrupts_state():
             username=username,
             params=params,
             provider=provider_channel(deployment.provider, "wire"),
-            channels=proving_channels(channels.__getitem__, deployment.provider.prove_inclusion),
+            channels=proving_channels(
+                channels.__getitem__,
+                deployment.provider.prove_inclusion,
+                deployment.provider.store_reply,
+            ),
             mpk=deployment.fleet.master_public_key(),
         )
         message = b"payload-%d" % seed
