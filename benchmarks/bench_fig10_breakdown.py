@@ -24,6 +24,7 @@ import pytest
 from repro.chaos.entropy import DeterministicEntropy
 from repro.core import wire
 from repro.core.identifiers import attempt_identifier
+from repro.core.lhe import RECOVERY_HEADER
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.crypto.bloom import BloomParams
@@ -189,6 +190,10 @@ def test_fig10_recovery_breakdown(benchmark, small_deployment):
 PARENT_CT_BYTES = 437
 PARENT_CT_BYTES_AT_N40 = 4_396
 
+#: The frame probe's ``fetch_backup`` request and reply at the parent
+#: commit, whose reply carried the whole recovery ciphertext.
+PARENT_FETCH_BACKUP_FRAME_BYTES = 424
+
 #: The seeded logs whose inclusion proofs the proof layout gate encodes.
 PROOF_LOG_SIZES = (30, 100, 400)
 
@@ -251,9 +256,9 @@ def proof_layout_bytes(proof) -> int:
 def decrypt_request_layout_bytes(request) -> int:
     """What ``wire.DECRYPT_REQUEST`` spends on ``request``, derived from
     its layout: the version byte and the attempt number, then four blobs.
-    The opening: the username behind a ``u16`` length, a ``u16`` count of
-    ``u32`` cluster indices, the 32-byte ciphertext hash, the 33-byte reply
-    key and 32 bytes of randomness.  The proof, as
+    The opening: the username text, the varint count of varint cluster
+    indices, the 32-byte ciphertext hash, the 33-byte reply key and 32
+    bytes of randomness.  The proof, as
     :func:`proof_layout_bytes` derives it.  The share ciphertext: its
     32-byte tag, 33-byte ephemeral and ``u16`` position, the wrap count and
     k 16-byte wraps, the payload blob.  The context.  The username appears
@@ -261,7 +266,8 @@ def decrypt_request_layout_bytes(request) -> int:
     device rebuilds both from the attempt number and the opening."""
     opening, share = request.opening, request.share_ciphertext
     opening_bytes = (
-        2 + len(opening.username.encode("utf-8")) + 2 + 4 * len(opening.cluster) + 32 + 33 + 32
+        blob_bytes(len(opening.username.encode("utf-8"))) + varint_bytes(len(opening.cluster))
+        + sum(map(varint_bytes, opening.cluster)) + 32 + 33 + 32
     )
     wraps = len(share.wrapped_keys)
     share_bytes = 32 + 33 + 2 + varint_bytes(wraps) + 16 * wraps + blob_bytes(len(share.payload))
@@ -269,6 +275,21 @@ def decrypt_request_layout_bytes(request) -> int:
         1 + varint_bytes(request.attempt) + blob_bytes(opening_bytes)
         + blob_bytes(proof_layout_bytes(request.inclusion_proof)) + blob_bytes(share_bytes)
         + blob_bytes(len(request.context))
+    )
+
+
+def fetch_reply_layout_bytes(header) -> int:
+    """What one ``fetch_backup`` reply spends, derived from its kind's
+    schema: the version and kind bytes, then the recovery header — the
+    16-byte salt, the threshold, N and the config epoch (varints), the
+    stored ciphertext's 32-byte hash and the payload blob.  No username (the
+    request named it), no ephemeral and no share body: the provider's relay
+    attaches each share on its way to the device.  ``header`` is the
+    decoded reply field, so a reply that carried more than these fields
+    encodes to more than this."""
+    return (
+        2 + 16 + sum(map(varint_bytes, (header.threshold, header.num_hsms, header.config_epoch)))
+        + 32 + blob_bytes(len(header.payload))
     )
 
 
@@ -327,15 +348,16 @@ def recovery_frame_bytes(monkeypatch) -> tuple:
     reply) per provider op and for the decrypt-share leg, summed over the
     frames of that kind (a channel binds its endpoint's ``handle`` when it
     is built, so the recorders go in before the client); the decrypt
-    requests sent; the fields of each ``log_and_prove`` request; and the
+    requests sent; the fields of each ``log_and_prove`` request; the
     number of ``store_reply`` frames the client sent (the provider's relay
-    escrows each reply itself, so the gate holds it at 0).  The
+    escrows each reply itself, so the gate holds it at 0); and each
+    ``fetch_backup`` reply frame.  The
     probe runs on a deployment of its own, created and driven under
     ``DeterministicEntropy(FRAME_PROBE_SEED)``: its log's size, the salt and
     so the cluster are the seed's, and so is every total."""
     from repro.service.channel import HsmWireEndpoint, ProviderWireEndpoint
 
-    totals, requests, logged, escrowed = {}, [], [], []
+    totals, requests, logged, escrowed, fetched = {}, [], [], [], []
 
     def add(name: str, request: bytes, reply: bytes) -> None:
         totals[name] = totals.get(name, 0) + len(request) + len(reply)
@@ -350,6 +372,8 @@ def recovery_frame_bytes(monkeypatch) -> tuple:
                 logged.append(fields)
             if method == "store_reply":
                 escrowed.append(fields)
+            if method == "fetch_backup":
+                fetched.append(reply)
             return reply
         return recorded
 
@@ -371,7 +395,7 @@ def recovery_frame_bytes(monkeypatch) -> tuple:
         client.backup(b"x" * 16, pin="1234")
         assert client.recover(pin="1234") == b"x" * 16
     monkeypatch.undo()
-    return dict(sorted(totals.items())), requests, logged, len(escrowed)
+    return dict(sorted(totals.items())), requests, logged, len(escrowed), fetched
 
 
 def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
@@ -384,8 +408,11 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
     derived layout at three seeded log sizes; one recovery's bytes per
     frame kind; each of that recovery's decrypt requests, gated against its
     derived layout; its ``log_and_prove`` frames, gated against their
-    request's derived layout plus the 2-byte ack that answers it; and its
-    ``store_reply`` frames, gated at none (the relay escrows each reply)."""
+    request's derived layout plus the 2-byte ack that answers it; its
+    ``store_reply`` frames, gated at none (the relay escrows each reply);
+    and its ``fetch_backup`` replies, gated against the recovery header's
+    derived layout (the relay attaches each share ciphertext), with the
+    header's bytes at n = 40 beside the ciphertext's."""
     client = small_deployment.new_client("size-probe")
     client.backup(b"x" * 16, pin="1234")
     small_ct = small_deployment.provider.fetch_backup("size-probe")
@@ -400,9 +427,14 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
         for position, share in enumerate(islice(cycle(small_ct.share_ciphertexts), CLUSTER))
     ))
     paper_scale = paper_ct.size_bytes()
+    header_at_n40 = len(RECOVERY_HEADER.encode(paper_ct))
     proofs, proof_excess = proof_sizes()
-    frames, requests, logged, store_reply_frames = recovery_frame_bytes(monkeypatch)
-    frames_again, _, _, _ = recovery_frame_bytes(monkeypatch)
+    frames, requests, logged, store_reply_frames, fetched = recovery_frame_bytes(monkeypatch)
+    frames_again, _, _, _, _ = recovery_frame_bytes(monkeypatch)
+    fetch_excess = max(
+        len(reply) - fetch_reply_layout_bytes(*wire.decode_provider_reply(reply)[1].values())
+        for reply in fetched
+    )
     request_excess = max(
         len(request) - decrypt_request_layout_bytes(wire.decode_decrypt_request(request))
         for request in requests
@@ -416,6 +448,7 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
         "decrypt_request_bytes_over_layout_max": 0,
         "log_and_prove_frame_bytes_over_layout_max": 0,
         "store_reply_frames_per_recovery_max": 0,
+        "fetch_reply_bytes_over_layout_max": 0,
     }
     failures = [f"safetypin_ct_bytes = {encoded} > derived layout {bound}"] if encoded > bound else []
     if proof_excess > 0:
@@ -429,6 +462,8 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
         )
     if store_reply_frames > 0:
         failures.append(f"the client sent {store_reply_frames} store_reply frame(s) in a recovery")
+    if fetch_excess > 0:
+        failures.append(f"a fetch_backup reply encodes to {fetch_excess} B over the header layout")
     if frames_again != frames:
         failures.append(f"one recovery's frame totals differ by run: {frames} vs {frames_again}")
     from repro.baseline.system import BaselineSystem
@@ -454,6 +489,10 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
         f"log_and_prove: {frames['log_and_prove']} B for {len(logged)} exchange(s), "
         f"{log_and_prove_excess} B over the derived request layout and the 2-byte ack",
         f"store_reply: {store_reply_frames} frame(s) from the client (the relay escrows)",
+        f"fetch_backup: {frames['fetch_backup']} B a recovery (parent: "
+        f"{PARENT_FETCH_BACKUP_FRAME_BYTES} B, the whole ciphertext), at most {fetch_excess} B "
+        f"over the header layout; the header at n={CLUSTER} is {header_at_n40} B "
+        f"against the {paper_scale} B ciphertext",
     ]
     emit(
         "fig10_sizes",
@@ -476,6 +515,9 @@ def test_fig10_ciphertext_sizes(benchmark, small_deployment, monkeypatch):
                 "decrypt_request_bytes_over_layout": request_excess,
                 "log_and_prove_frame_bytes_over_layout": log_and_prove_excess,
                 "store_reply_frames_per_recovery": store_reply_frames,
+                "parent_fetch_backup_frame_bytes": PARENT_FETCH_BACKUP_FRAME_BYTES,
+                "fetch_reply_bytes_over_layout": fetch_excess,
+                "fetch_header_bytes_at_n40": header_at_n40,
             },
             "gates": gates,
             "gate_failures": failures,

@@ -146,7 +146,10 @@ def relay_demo(deployment: Deployment) -> None:
     client = Client(
         "relayed", deployment.params, provider_channel(deployment.provider),
         proving_channels(
-            relay, deployment.provider.prove_inclusion, deployment.provider.store_reply
+            relay,
+            deployment.provider.prove_inclusion,
+            deployment.provider.store_reply,
+            deployment.provider.backup_share,
         ),
         deployment.fleet.master_public_key(),
     )
@@ -157,7 +160,7 @@ def relay_demo(deployment: Deployment) -> None:
         print("  !! recovery went through the relay")
     except RecoveryError:
         pass
-    context = client.lhe.context_for(ciphertext, client.mpk, "6174")
+    context = client.lhe.context_for(ciphertext.username, ciphertext.salt, client.mpk, "6174")
     print(f"  {relay.refused} swapped requests refused (the key is in the logged "
           f"commitment); relay read {len(relay.shares)} shares and opens: "
           f"{relay.open_backup(client.lhe, ciphertext, context)!r}")

@@ -71,7 +71,7 @@ def open_with_keys(
     stolen-key attack all open shares here.
     """
     cluster = lhe.select(ciphertext.salt, pin)
-    context = lhe.context_for(ciphertext, mpk, pin)
+    context = lhe.context_for(ciphertext.username, ciphertext.salt, mpk, pin)
 
     def shares() -> Iterator[Optional[Share]]:
         for position, index in enumerate(cluster):
@@ -85,7 +85,7 @@ def open_with_keys(
 
     try:
         return lhe.reconstruct(ciphertext, shares(), context)
-    except (LheError, ValueError):
+    except LheError:
         return None
 
 
@@ -158,8 +158,8 @@ class ReplyKeySwappingRelay:
 
     Use an instance as the channel factory under a client's proving relay
     (``proving_channels(relay, provider.prove_inclusion,
-    provider.store_reply)``): ``relay(index)`` carries the proven request
-    to HSM ``index``.
+    provider.store_reply, provider.backup_share)``): ``relay(index)``
+    carries the proven request to HSM ``index``.
     """
 
     def __init__(self, channels: Callable[[int], object]) -> None:
@@ -192,7 +192,7 @@ class ReplyKeySwappingRelay:
         """The backup, if the shares the relay read open it, else ``None``."""
         try:
             return lhe.reconstruct(ciphertext, self.shares, context)
-        except (LheError, ValueError):
+        except LheError:
             return None
 
 

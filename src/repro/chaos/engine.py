@@ -223,8 +223,8 @@ class ChaosEngine:
     def _make_client(self, username: str) -> Client:
         """A fresh client wired through the provider's proving relay and the
         partition gate; inside a flaky window its provider leg rides a
-        seeded ``FlakyProviderChannel`` (the relay proves and escrows on the
-        provider's side, off that leg)."""
+        seeded ``FlakyProviderChannel`` (the relay attaches shares, proves
+        and escrows on the provider's side, off that leg)."""
         deployment = self.deployment
         inner = direct_channels(deployment.fleet)
         ok_weight = self._flaky_ok_weight()
@@ -244,6 +244,7 @@ class ChaosEngine:
                 lambda index: _PartitionGate(inner(index), index, self),
                 deployment.provider.prove_inclusion,
                 deployment.provider.store_reply,
+                deployment.provider.backup_share,
             ),
             mpk=deployment.fleet.master_public_key(),
         )

@@ -16,6 +16,17 @@ unchanged; π's bytes just stop crossing the client's link twice.  The same
 relay escrows each reply it carries back (§8 below), so the client does
 not send the provider what the provider has just forwarded to it.
 
+A second deviation: the client never downloads the share ciphertexts.  In
+the paper it fetches the whole recovery ciphertext and forwards share j,
+unread, to the j-th cluster HSM.  Here ``fetch_backup`` answers with a
+:class:`~repro.core.lhe.RecoveryHeader` (the salt, the payload and the
+stored ciphertext's hash, which the commitment binds), a
+:class:`ShareRequest` names a cluster *position*, and the relay attaches
+the share at that position of the stored backup whose hash the opening
+names.  The device receives the same request as before, so what it
+accepts is unchanged: the relay carried those bytes in the paper too,
+and could swap them there as well.
+
 The share phase and the finish do only work that can still matter.  The
 cluster is a list in [N]^n and all of a user's shares carry one puncture
 tag, so :meth:`Client.request_shares` sends one request per *distinct*
@@ -47,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.codec import WireFormatError
-from repro.core.lhe import LheCiphertext, LheError, LocationHidingEncryption
+from repro.core.lhe import LheError, LocationHidingEncryption, RecoveryHeader, recovery_header
 from repro.core.params import SystemParams
 from repro.crypto.commit import CommitmentOpening, commit_recovery
 from repro.crypto.ec import ECKeyPair, P256
@@ -55,7 +66,7 @@ from repro.crypto.elgamal import ElGamalCiphertext, HashedElGamal
 from repro.crypto.gcm import AuthenticationError, ae_decrypt, ae_encrypt
 from repro.crypto.shamir import SHARE, Share
 from repro.hsm.device import HsmRefusedError, HsmUnavailableError
-from repro.crypto.bfe import BfeCiphertext, PuncturedKeyError
+from repro.crypto.bfe import PuncturedKeyError
 from repro.metering import OpMeter
 
 #: Suffix for the hidden account that stores per-recovery keys (§8).
@@ -71,12 +82,14 @@ class ShareRequest:
     """What the client sends toward one cluster HSM (step Ï of Fig. 3).
 
     The device's :class:`~repro.hsm.device.DecryptShareRequest` without
-    its inclusion proof: the provider proves the attempt named by
-    ``attempt`` and the opening's username as it relays the request."""
+    its inclusion proof or its share ciphertext: the provider proves the
+    attempt named by ``attempt`` and the opening's username as it relays
+    the request, and attaches the share at ``position`` of the stored
+    backup whose hash the opening names."""
 
     attempt: int
     opening: CommitmentOpening
-    share_ciphertext: BfeCiphertext
+    position: int  # the share's index in the cluster
     context: bytes  # BFE domain separation: username || salt || cluster
 
 
@@ -87,7 +100,7 @@ class RecoverySession:
 
     username: str
     attempt: int
-    ciphertext: LheCiphertext
+    header: RecoveryHeader
     cluster: Tuple[int, ...]
     context: bytes
     opening: CommitmentOpening
@@ -117,8 +130,9 @@ class Client:
         no live HSM objects are ever shared with client code.
 
         ``channels`` carries :class:`ShareRequest` values, so each channel
-        it hands out must attach the inclusion proof on the way to its
-        device (``service.channel.proving_channels``).
+        it hands out must attach the inclusion proof and the share
+        ciphertext on the way to its device
+        (``service.channel.proving_channels``).
 
         ``provider`` is a :class:`repro.service.channel.ProviderChannel` —
         the same boundary for the provider leg (backup storage, attempt
@@ -189,11 +203,12 @@ class Client:
         backup_recovery_key: bool = True,
         username: Optional[str] = None,
     ) -> RecoverySession:
-        """Steps Ë-Î: fetch the ciphertext, log the attempt and wait for the
-        epoch that commits it (the proof stays with the provider)."""
+        """Steps Ë-Î: fetch the ciphertext's header, log the attempt and wait
+        for the epoch that commits it (the proof and the share ciphertexts
+        stay with the provider)."""
         self.params.validate_pin(pin)
         username = username if username is not None else self.username
-        ciphertext = self.provider.fetch_backup(username, backup_index)
+        header = recovery_header(self.provider.fetch_backup(username, backup_index))
         attempt = self.provider.next_attempt_number(username)
         if attempt >= self.params.max_attempts_per_user:
             raise RecoveryError(
@@ -202,8 +217,8 @@ class Client:
             )
 
         with self.meter.attached():
-            cluster = tuple(self.lhe.select(ciphertext.salt, pin))
-            context = self.lhe.context_for(ciphertext, self.mpk, pin)
+            cluster = tuple(self.lhe.select(header.salt, pin))
+            context = self.lhe.context_for(username, header.salt, self.mpk, pin)
             response_keypair = P256.keygen()
 
         # §8 failure handling: SafetyPin-protect the per-recovery secret key
@@ -223,13 +238,13 @@ class Client:
 
         with self.meter.attached():
             commitment, opening = commit_recovery(
-                username, cluster, ciphertext.ciphertext_hash(), response_keypair.public
+                username, cluster, header.ciphertext_hash, response_keypair.public
             )
         self.provider.log_and_prove(username, attempt, commitment)
         return RecoverySession(
             username=username,
             attempt=attempt,
-            ciphertext=ciphertext,
+            header=header,
             cluster=cluster,
             context=context,
             opening=opening,
@@ -287,7 +302,7 @@ class Client:
         return ShareRequest(
             attempt=session.attempt,
             opening=session.opening,
-            share_ciphertext=session.ciphertext.share_ciphertexts[position],
+            position=position,
             context=session.context,
         )
 
@@ -303,7 +318,7 @@ class Client:
         :class:`RecoveryError` when fewer than ``threshold`` replies open.
         """
         message = self._open_backup(
-            session.ciphertext,
+            session.header,
             session.context,
             session.encrypted_replies,
             session.response_keypair.secret,
@@ -315,7 +330,7 @@ class Client:
 
     def _open_backup(
         self,
-        ciphertext: LheCiphertext,
+        header: RecoveryHeader,
         context: bytes,
         encrypted_replies: Sequence[bytes],
         secret: int,
@@ -327,7 +342,7 @@ class Client:
         with self.meter.attached():
             shares = self._decrypt_replies(encrypted_replies, secret, username)
             try:
-                return self.lhe.reconstruct(ciphertext, shares, context)
+                return self.lhe.reconstruct(header, shares, context)
             except LheError as exc:
                 raise RecoveryError(
                     f"{exc} (wrong PIN, or too many HSMs unavailable)"
@@ -353,13 +368,21 @@ class Client:
             yield share
 
     # -- §8: resuming after device failure -----------------------------------------------
-    def resume_recovery(self, pin: str, attempt: int, username: Optional[str] = None) -> bytes:
+    def resume_recovery(
+        self,
+        pin: str,
+        attempt: int,
+        username: Optional[str] = None,
+        backup_index: int = -1,
+    ) -> bytes:
         """Finish a recovery started by a device that has since died.
 
         The replacement device recovers the per-recovery secret key through
         SafetyPin (a nested, fully-logged recovery), then decrypts the
-        escrowed HSM replies.  Nesting recurses naturally: if *this* device
-        also dies, the next one resumes the nested recovery the same way.
+        escrowed HSM replies against the backup at ``backup_index`` — the
+        one the interrupted attempt was recovering, as :meth:`recover`
+        names it.  Nesting recurses naturally: if *this* device also dies,
+        the next one resumes the nested recovery the same way.
         """
         username = username if username is not None else self.username
         replies = self.provider.fetch_replies(username, attempt)
@@ -373,10 +396,10 @@ class Client:
         secret_bytes = self.finish_recovery(session)
         secret = int.from_bytes(secret_bytes, "big")
 
-        original_ct = self.provider.fetch_backup(username)
+        header = recovery_header(self.provider.fetch_backup(username, backup_index))
         with self.meter.attached():
-            context = self.lhe.context_for(original_ct, self.mpk, pin)
-        return self._open_backup(original_ct, context, replies, secret, username)
+            context = self.lhe.context_for(username, header.salt, self.mpk, pin)
+        return self._open_backup(header, context, replies, secret, username)
 
     # -- §8: incremental backups ------------------------------------------------------------
     def enable_incremental_backups(self, pin: str) -> None:

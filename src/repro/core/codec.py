@@ -8,8 +8,8 @@ build every message and record from the primitives and the combinators
 below; nothing else in those modules packs or unpacks a field.  Neither
 do the crypto layouts (``commit.OPENING``, ``shamir.SHARE``,
 ``lhe.SHARE_OWNER``, ``ec.POINT``, ``bfe.BFE_BODY``,
-``bfe.BFE_CIPHERTEXT``, ``lhe.RECOVERY_CIPHERTEXT``), which are codec
-values too.
+``bfe.BFE_CIPHERTEXT``, ``lhe.RECOVERY_CIPHERTEXT``,
+``lhe.RECOVERY_HEADER``), which are codec values too.
 
 The strictness contract, stated once for every format built here: input
 arrives from untrusted parties, so a decoder either returns a value whose
@@ -23,8 +23,8 @@ Fixed-width integers are big-endian; a :data:`VARINT` is an unsigned
 integer below 2**32 in minimal LEB128 (seven bits a byte, low group
 first, the top bit set on every byte but the last: one byte up to 127,
 at most five).  A blob is a varint length and the bytes, text is a UTF-8
-blob (``TEXT16``: behind a ``u16``), a sequence is a varint (or
-``count``) count and the items, ``fixed(n)`` is n bytes.  A varint that
+blob (``TEXT16``: behind a ``u16``), a sequence is a varint count and
+the items, ``fixed(n)`` is n bytes.  A varint that
 is not minimal (a last byte of zero after the first), runs past five
 bytes or exceeds the ``u32`` range is refused, so each value has one
 spelling.  Journal replay decodes thousands of records per restart, so
@@ -178,12 +178,11 @@ def fixed(size: int, what: str = "field") -> Codec:
     return Codec(encode, lambda reader: reader.take(size))
 
 
-def seq(item: Codec, build: type = list, limit: int = (1 << 32) - 1, what: str = "item",
-        count: Codec = VARINT) -> Codec:
-    """A ``count`` (a varint) and that many ``item``\\ s, decoded into ``build``
+def seq(item: Codec, build: type = list, limit: int = (1 << 32) - 1, what: str = "item") -> Codec:
+    """A count (a varint) and that many ``item``\\ s, decoded into ``build``
     (``list`` or ``tuple``).  ``limit`` is the plausibility bound: far above
     any honest count, low enough that a hostile prefix is refused outright."""
-    (encode_item, read_item), (encode_count, read_count) = item, count
+    (encode_item, read_item), read_count = item, Reader.varint
 
     def read(reader: Reader):
         found = read_count(reader)
@@ -193,7 +192,7 @@ def seq(item: Codec, build: type = list, limit: int = (1 << 32) - 1, what: str =
         return values if build is list else build(values)
 
     return Codec(
-        lambda values: encode_count(len(values)) + b"".join(map(encode_item, values)), read
+        lambda values: _varint_bytes(len(values)) + b"".join(map(encode_item, values)), read
     )
 
 

@@ -39,11 +39,12 @@ from __future__ import annotations
 import secrets
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import metering
 from repro.core.codec import (
-    BLOB, TEXT, TEXT16, VARINT, WireFormatError, converted, fixed, seq, tuple_of, versioned,
+    BLOB, TEXT, TEXT16, VARINT, WireFormatError, converted, fixed, record, seq, tuple_of,
+    versioned,
 )
 from repro.crypto.bfe import (
     BFE_BODY,
@@ -91,13 +92,54 @@ class LheCiphertext:
 
     def ciphertext_hash(self) -> bytes:
         """Digest bound into the recovery commitment: of the bytes the
-        provider stores (:data:`RECOVERY_CIPHERTEXT`)."""
-        return sha256(b"lhe-ciphertext", RECOVERY_CIPHERTEXT.encode(self))
+        provider stores (:data:`RECOVERY_CIPHERTEXT`).  Computed once per
+        instance: the provider reads a stored ciphertext's hash for its
+        header and for every share its relay attaches."""
+        digest = self.__dict__.get("_hash")
+        if digest is None:
+            digest = sha256(b"lhe-ciphertext", RECOVERY_CIPHERTEXT.encode(self))
+            object.__setattr__(self, "_hash", digest)
+        return digest
+
+    def header(self) -> "RecoveryHeader":
+        """What a recovering client reads of this ciphertext."""
+        return RecoveryHeader(
+            salt=self.salt,
+            threshold=self.threshold,
+            num_hsms=self.num_hsms,
+            config_epoch=self.config_epoch,
+            ciphertext_hash=self.ciphertext_hash(),
+            payload=self.payload,
+        )
 
     def size_bytes(self) -> int:
         """Encoded bytes: what the provider stores and relays (the paper's
         is 16.5 KB at n = 40)."""
         return len(RECOVERY_CIPHERTEXT.encode(self))
+
+
+@dataclass(frozen=True)
+class RecoveryHeader:
+    """The part of a stored recovery ciphertext a recovering client reads
+    (``fetch_backup``'s reply): the salt that selects the cluster, the
+    payload it opens, and the hash of the whole stored ciphertext, which
+    its commitment binds.  No username (the client named it) and no share
+    ciphertext: the provider's relay attaches each share on its way to the
+    device (``service.channel.ProvingChannel``)."""
+
+    salt: bytes
+    threshold: int
+    num_hsms: int
+    config_epoch: int
+    ciphertext_hash: bytes
+    payload: bytes
+
+
+def recovery_header(fetched) -> RecoveryHeader:
+    """``fetched`` as a header: a :class:`RecoveryHeader` as the wire
+    delivers it, or the header of a stored :class:`LheCiphertext` as an
+    in-process provider returns it."""
+    return fetched if isinstance(fetched, RecoveryHeader) else fetched.header()
 
 
 #: A share ciphertext's owner, bound as its payload's associated data
@@ -182,6 +224,20 @@ RECOVERY_CIPHERTEXT = versioned(converted(
 ))
 
 
+#: A recovery header (``fetch_backup``'s reply): the 16-byte salt, the
+#: threshold, N and the config epoch (varints), the stored ciphertext's
+#: 32-byte hash and the payload.  Its encoder also takes a stored
+#: :class:`LheCiphertext`, whose header it writes.
+RECOVERY_HEADER = converted(
+    record(
+        RecoveryHeader, salt=fixed(SALT_LEN, "salt"), threshold=VARINT, num_hsms=VARINT,
+        config_epoch=VARINT, ciphertext_hash=fixed(32, "ciphertext hash"), payload=BLOB,
+    ),
+    recovery_header,
+    lambda header: header,
+)
+
+
 def _bfe_key(info) -> BfePublicKey:
     """An HSM's encryption key from its public-info record (or the key)."""
     return info if isinstance(info, BfePublicKey) else info.bfe_public
@@ -260,12 +316,12 @@ class LocationHidingEncryption:
     def _cluster_key_digest(self, cluster_pks: Sequence[BfePublicKey]) -> bytes:
         return sha256(b"cluster-keys", *(pk.commitment for pk in cluster_pks))
 
-    def context_for(self, ciphertext: LheCiphertext, public_keys: Sequence, pin: str) -> bytes:
-        cluster = self.select(ciphertext.salt, pin)
+    def context_for(self, username: str, salt: bytes, public_keys: Sequence, pin: str) -> bytes:
+        """The context ``username``'s backup under ``salt`` was encrypted
+        under, if ``pin`` is its PIN."""
+        cluster = self.select(salt, pin)
         cluster_pks = [_bfe_key(public_keys[i]) for i in cluster]
-        return lhe_context(
-            ciphertext.username, ciphertext.salt, self._cluster_key_digest(cluster_pks)
-        )
+        return lhe_context(username, salt, self._cluster_key_digest(cluster_pks))
 
     # -- Decrypt (single share; runs on one HSM) -------------------------------------
     def decrypt_share(
@@ -281,7 +337,10 @@ class LocationHidingEncryption:
 
     # -- Reconstruct -----------------------------------------------------------------
     def reconstruct(
-        self, ciphertext: LheCiphertext, shares: Iterable[Optional[Share]], context: bytes
+        self,
+        ciphertext: Union[LheCiphertext, RecoveryHeader],
+        shares: Iterable[Optional[Share]],
+        context: bytes,
     ) -> bytes:
         """``Reconstruct(σ_1, ..., σ_n) -> msg`` (tolerates missing shares).
 
@@ -295,7 +354,9 @@ class LocationHidingEncryption:
         caller that produces shares at a cost (the client decrypting HSM
         replies) pays for ``t`` of them on the happy path.  The payload is
         opened once: the plaintext returned is the one the verifying open
-        produced.
+        produced.  ``ciphertext`` is an :class:`LheCiphertext` or a
+        :class:`RecoveryHeader`: only its payload is read.  No t-subset
+        that opens the payload is :class:`LheError`.
         """
         shares = iter(shares)
         drawn = list(islice((s for s in shares if s is not None), self.threshold))
@@ -317,5 +378,8 @@ class LocationHidingEncryption:
             pass
         # Some share was wrong (e.g. a malicious HSM): try robust subsets
         # over everything the caller can still produce.
-        self._sharer.reconstruct_robust(drawn + list(shares), verifier, TRANSPORT_KEY_LEN)
+        try:
+            self._sharer.reconstruct_robust(drawn + list(shares), verifier, TRANSPORT_KEY_LEN)
+        except ValueError as exc:
+            raise LheError(str(exc)) from exc
         return opened[0]

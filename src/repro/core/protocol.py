@@ -139,9 +139,10 @@ class Deployment:
 
         The client reaches HSMs only through the narrow ``Channel``
         interface, behind the provider's relay that attaches each request's
-        inclusion proof and escrows each reply (``ProvingChannel`` over the
-        provider's ``prove_inclusion`` and ``store_reply``), and the
-        provider only through the matching
+        share ciphertext and inclusion proof and escrows each reply
+        (``ProvingChannel`` over the provider's ``prove_inclusion``,
+        ``store_reply`` and ``backup_share``), and the provider only
+        through the matching
         ``ProviderChannel``; the default ``"wire"`` transport serializes
         every request/reply on both legs through ``repro.core.wire`` (pass
         ``"direct"`` for the no-serialization reference path used by tests
@@ -160,7 +161,10 @@ class Deployment:
             params=self.params,
             provider=provider_channel(self.provider, transport),
             channels=proving_channels(
-                factory, self.provider.prove_inclusion, self.provider.store_reply
+                factory,
+                self.provider.prove_inclusion,
+                self.provider.store_reply,
+                self.provider.backup_share,
             ),
             mpk=self.fleet.master_public_key(),
         )

@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.identifiers import attempt_identifier, parse_attempt_identifier, user_prefix
 from repro.core.lhe import LheCiphertext
+from repro.crypto.bfe import BfeCiphertext
 from repro.log.authdict import AuthenticatedDictionary, InclusionProof
 from repro.log.distributed import LogConfig
 from repro.log.sharded import ShardedLog
@@ -114,6 +115,24 @@ class ServiceProvider:
                 f" ({len(backups)} stored)"
             )
         return backups[index]
+
+    def backup_share(self, username: str, ciphertext_hash: bytes, position: int) -> BfeCiphertext:
+        """The share ciphertext at ``position`` of ``username``'s stored
+        backup whose ``ciphertext_hash()`` is ``ciphertext_hash``: what the
+        provider's relay on the HSM leg (``service.channel.ProvingChannel``)
+        attaches to a decrypt request, so the shares never cross the
+        client's link.  Each stored ciphertext is hashed once, on its
+        first lookup or fetch.  A hash none of the user's backups has, or a
+        position outside the cluster, raises :class:`ProviderError`."""
+        for ciphertext in reversed(self._backups.get(username, ())):
+            if ciphertext.ciphertext_hash() == ciphertext_hash:
+                shares = ciphertext.share_ciphertexts
+                if not 0 <= position < len(shares):
+                    raise ProviderError(
+                        f"share position {position} out of range ({len(shares)} shares)"
+                    )
+                return shares[position]
+        raise ProviderError(f"no backup of {username!r} has that ciphertext hash")
 
     def backup_count(self, username: str) -> int:
         return len(self._backups.get(username, []))

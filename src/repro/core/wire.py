@@ -16,6 +16,9 @@ encoding; it carries the one ephemeral its shares were encrypted under,
 and its reader rebuilds each share's series tag and takes its position
 from its index, while the stand-alone ``bfe.BFE_CIPHERTEXT`` of a
 decrypt request carries its tag, its ephemeral and its ``u16`` position).
+``fetch_backup`` answers with ``lhe.RECOVERY_HEADER``, the part of a
+stored recovery ciphertext the client reads (no username, ephemeral or
+share: the provider's relay attaches each share to its decrypt request).
 A field whose length is fixed by construction (a digest, a tag, a salt, a
 BFE wrap) is ``fixed(n)`` with no length prefix, a point (``ec.POINT``)
 is its SEC1 encoding, whose prefix byte gives its length, and every other
@@ -41,7 +44,7 @@ from repro.core.codec import (
     BLOB, I32, TEXT, U8, VARINT, WIRE_VERSION, Codec, Reader, WireFormatError,
     converted, fixed, nested, optional, record, seq, tagged, tuple_of, versioned,
 )
-from repro.core.lhe import RECOVERY_CIPHERTEXT
+from repro.core.lhe import RECOVERY_CIPHERTEXT, RECOVERY_HEADER
 from repro.crypto.bfe import BFE_CIPHERTEXT
 from repro.crypto.commit import OPENING
 from repro.crypto.elgamal import ElGamalCiphertext
@@ -179,8 +182,10 @@ decode_decrypt_request = DECRYPT_REQUEST.decode
 # the whole surface is framed: ``[version u8][op u8][body]`` requests and
 # ``[version u8][kind u8][body]`` replies, with bodies described by the
 # op table and the reply schemas below.  No reply the client needs
-# carries an inclusion proof: ``log_and_prove`` answers with an ack, and
-# the provider attaches each proof on its way to a device
+# carries an inclusion proof or a share ciphertext: ``log_and_prove``
+# answers with an ack, ``fetch_backup`` with the stored ciphertext's
+# header (``lhe.RECOVERY_HEADER``), and the provider attaches each proof
+# and each share on its way to a device
 # (``service.channel.ProvingChannel``).  Failures travel as typed
 # PROV_REPLY_ERROR frames — a provider can answer with an error *status*,
 # never with a live Python exception.
@@ -223,6 +228,7 @@ FIELD_CODECS: Dict[str, Codec] = {
     "varint": VARINT,
     "i32": I32,
     "recovery_ct": nested(RECOVERY_CIPHERTEXT),
+    "recovery_header": RECOVERY_HEADER,
     "opt_proof": optional(nested(INCLUSION_PROOF), "optional-proof"),
     "blobs": seq(BLOB, list, _MAX_LIST_ITEMS, "blob"),
     "entries": seq(tuple_of(BLOB, BLOB), list, _MAX_LIST_ITEMS, "entry"),
@@ -294,7 +300,7 @@ PROVIDER_REQUEST_SCHEMAS: Dict[int, Tuple[Tuple[str, str], ...]] = {
 PROVIDER_REPLY_SCHEMAS: Dict[int, Tuple[Tuple[str, str], ...]] = {
     PROV_REPLY_ACK: (),
     PROV_REPLY_COUNT: (("value", "varint"),),
-    PROV_REPLY_BACKUP: (("ciphertext", "recovery_ct"),),
+    PROV_REPLY_BACKUP: (("header", "recovery_header"),),
     PROV_REPLY_BLOBS: (("blobs", "blobs"),),
     PROV_REPLY_PROOF: (("proof", "opt_proof"),),
     PROV_REPLY_ENTRIES: (("entries", "entries"),),

@@ -19,7 +19,7 @@ import secrets
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from repro.core.codec import TEXT16, U16, U32, fixed, record, seq
+from repro.core.codec import TEXT, U32, VARINT, fixed, record, seq
 from repro.crypto.ec import POINT, ECPoint
 from repro.crypto.hashing import sha256
 
@@ -45,11 +45,14 @@ class CommitmentOpening:
         )
 
 
-#: An opening's bytes: the username behind a ``u16`` length, a ``u16``
-#: count of ``u32`` cluster indices, the ciphertext hash, the reply key
-#: (a point, its prefix byte gives its length), the randomness.
+#: An opening's bytes: the username behind a varint length, a varint
+#: count of varint cluster indices (a byte each below 128, two below
+#: 16,384), the ciphertext hash, the reply key (a point, its prefix byte
+#: gives its length), the randomness.  Only the bytes that travel are
+#: varints: :meth:`CommitmentOpening.commitment` hashes each index as a
+#: ``u32``, so no commitment moved with them.
 OPENING = record(
-    CommitmentOpening, username=TEXT16, cluster=seq(U32, tuple, what="cluster", count=U16),
+    CommitmentOpening, username=TEXT, cluster=seq(VARINT, tuple, 0xFFFF, "cluster"),
     ciphertext_hash=fixed(32, "ciphertext hash"), response_key=POINT,
     randomness=fixed(32, "randomness"),
 )

@@ -11,8 +11,8 @@ every request and reply through ``repro.core.wire``, so client and device
 exchange bytes across the untrusted provider's network, never live Python
 objects; refusals and punctures cross the wire as status codes.  The
 client's channels are :class:`~repro.service.channel.ProvingChannel`
-relays, which attach each request's inclusion proof and escrow each reply
-on the provider's side.
+relays, which attach each request's share ciphertext and inclusion proof
+and escrow each reply on the provider's side.
 
 **Per-HSM worker queues** (:mod:`repro.service.workers`).  Real HSMs serve
 one command at a time; :class:`~repro.service.workers.HsmWorkerPool` gives

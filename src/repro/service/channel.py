@@ -8,9 +8,9 @@ trust boundary of the paper (everything between client and HSM crosses the
 untrusted provider's network) is real in the reproduction too.
 
 Client code holds a :class:`ProvingChannel` over those channels: the
-provider's relay on the HSM leg, which attaches the inclusion proof the
-client's :class:`~repro.core.client.ShareRequest` does not carry and
-escrows each reply it forwards.
+provider's relay on the HSM leg, which attaches the share ciphertext and
+the inclusion proof the client's :class:`~repro.core.client.ShareRequest`
+does not carry and escrows each reply it forwards.
 
 A :class:`ProviderChannel` is the same idea for the client ↔ provider leg.
 Its surface is the closed op catalog ``wire.PROVIDER_OPS``, one row per op
@@ -53,7 +53,7 @@ from repro.core import wire
 from repro.core.client import ShareRequest
 from repro.core.identifiers import attempt_identifier
 from repro.core.provider import ProviderError
-from repro.crypto.bfe import PuncturedKeyError
+from repro.crypto.bfe import BfeCiphertext, PuncturedKeyError
 from repro.crypto.elgamal import ElGamalCiphertext
 from repro.hsm.device import (
     DecryptShareRequest,
@@ -194,20 +194,31 @@ Prover = Callable[[bytes, bytes], Optional[InclusionProof]]
 #: with the provider (§8), as ``ServiceProvider.store_reply`` does.
 Escrow = Callable[[str, int, bytes], None]
 
+#: ``share(username, ciphertext_hash, position)``: the share ciphertext at
+#: ``position`` of the user's stored backup with that hash, as
+#: ``ServiceProvider.backup_share`` returns it (``ProviderError`` when there
+#: is none).
+ShareSource = Callable[[str, bytes, int], BfeCiphertext]
+
 
 class ProvingChannel:
-    """The provider's relay on the HSM leg: attaches the inclusion proof
-    and escrows the reply.
+    """The provider's relay on the HSM leg: attaches the share ciphertext
+    and the inclusion proof, and escrows the reply.
 
-    Takes the client's :class:`~repro.core.client.ShareRequest`, proves
+    Takes the client's :class:`~repro.core.client.ShareRequest`, looks up
+    with ``share`` the share at its position of the opening user's stored
+    backup whose hash the opening names, proves
     ``attempt_identifier(opening.username, attempt)`` ↦
     ``opening.commitment()`` with ``prove``, and sends ``inner`` the
-    device's :class:`DecryptShareRequest`.  An attempt the log does not
-    hold is refused here, and no device is contacted.  Proofs are
-    digest-exact, so one that a later epoch made stale before the device
-    checked it (``HsmStaleProofError``) is re-proven and the request sent
-    once more — only when the fresh proof differs from the one sent: a
-    device that still refuses a current proof is not asked again.
+    device's :class:`DecryptShareRequest`.  A share the provider does not
+    hold (a hash none of the user's backups has, a position outside the
+    cluster) is refused before anything is proven, and an attempt the log
+    does not hold is refused too; in both cases no device is contacted.
+    Proofs are digest-exact, so one that a later epoch made stale before
+    the device checked it (``HsmStaleProofError``) is re-proven and the
+    request sent once more — only when the fresh proof differs from the
+    one sent: a device that still refuses a current proof is not asked
+    again.
 
     The reply that comes back is escrowed with ``escrow`` under the
     opening's username and the attempt before it is returned, so a
@@ -218,14 +229,15 @@ class ProvingChannel:
     only a replacement client goes without it.
     """
 
-    def __init__(self, inner: Channel, prove: Prover, escrow: Escrow) -> None:
+    def __init__(self, inner: Channel, prove: Prover, escrow: Escrow, share: ShareSource) -> None:
         self._inner = inner
         self._prove = prove
         self._escrow = escrow
+        self._share = share
 
     def decrypt_share(self, request: ShareRequest) -> ElGamalCiphertext:
-        """Prove the attempt, forward the request (re-proving once if
-        stale), escrow the reply and return it."""
+        """Attach the share, prove the attempt, forward the request
+        (re-proving once if stale), escrow the reply and return it."""
         reply = self._forward(request)
         try:
             self._escrow(request.opening.username, request.attempt, reply.to_bytes())
@@ -236,6 +248,10 @@ class ProvingChannel:
     def _forward(self, request: ShareRequest) -> ElGamalCiphertext:
         opening = request.opening
         try:
+            share = self._share(opening.username, opening.ciphertext_hash, request.position)
+        except ProviderError as exc:
+            raise HsmRefusedError(str(exc)) from exc
+        try:
             identifier = attempt_identifier(opening.username, request.attempt)
         except ValueError as exc:
             raise HsmRefusedError(str(exc)) from exc
@@ -243,25 +259,29 @@ class ProvingChannel:
         proof = self._prove(identifier, commitment)
         if proof is None:
             raise HsmRefusedError(f"recovery attempt {request.attempt} is not in the log")
-        try:
-            return self._inner.decrypt_share(
-                DecryptShareRequest(inclusion_proof=proof, **vars(request))
+
+        def proven(proof: InclusionProof) -> DecryptShareRequest:
+            return DecryptShareRequest(
+                attempt=request.attempt, opening=opening, inclusion_proof=proof,
+                share_ciphertext=share, context=request.context,
             )
+
+        try:
+            return self._inner.decrypt_share(proven(proof))
         except HsmStaleProofError:
             fresh = self._prove(identifier, commitment)
             if fresh is None or fresh == proof:
                 raise
-        return self._inner.decrypt_share(
-            DecryptShareRequest(inclusion_proof=fresh, **vars(request))
-        )
+        return self._inner.decrypt_share(proven(fresh))
 
 
 def proving_channels(
-    channels: ChannelFactory, prove: Prover, escrow: Escrow
+    channels: ChannelFactory, prove: Prover, escrow: Escrow, share: ShareSource
 ) -> Callable[[int], ProvingChannel]:
     """The client's channel factory: a :class:`ProvingChannel` over each of
-    ``channels``, proving with ``prove`` and escrowing with ``escrow``."""
-    return lambda index: ProvingChannel(channels(index), prove, escrow)
+    ``channels``, proving with ``prove``, escrowing with ``escrow`` and
+    attaching shares from ``share``."""
+    return lambda index: ProvingChannel(channels(index), prove, escrow, share)
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,9 @@ class BatchedProviderFacade:
     never hold this object — they speak through a ``ProviderChannel``
     (byte-framed for the default ``"wire"`` transport) that fronts it; the
     service's relay on the HSM leg calls its ``prove_inclusion`` once for
-    each decrypt request and its ``store_reply`` once for each reply.
+    each decrypt request and its ``store_reply`` once for each reply (and
+    the provider's own ``backup_share``, which is no op, once for each
+    request).
     """
 
     def __init__(self, service: "RecoveryService") -> None:
@@ -215,11 +217,14 @@ class RecoveryService:
         # The relay proves under the epoch lock *before* it queues: a tick
         # holds that lock while it waits on device FIFOs, so a proof taken
         # inside a FIFO job would deadlock.  Its escrow takes no lock and
-        # runs on the client's thread too, after the FIFO job has answered.
+        # runs on the client's thread too, after the FIFO job has answered;
+        # so does its share lookup, before the proof (backups are not log
+        # state, and the lookup is no catalog op: it reads the provider).
         self._channels = proving_channels(
             queued_channels(self.pool, inner),
             self._facade.prove_inclusion,
             self._facade.store_reply,
+            self.provider.backup_share,
         )
         # Clients reach the provider only through this channel: the default
         # "wire" transport frames every call (and every failure) through

@@ -222,7 +222,12 @@ class TestSaltInTheClear:
 
         client = Client(
             username, dep.params, provider_channel(dep.provider),
-            proving_channels(observed, dep.provider.prove_inclusion, dep.provider.store_reply),
+            proving_channels(
+                observed,
+                dep.provider.prove_inclusion,
+                dep.provider.store_reply,
+                dep.provider.backup_share,
+            ),
             dep.fleet.master_public_key(),
         )
         return client, asked
@@ -366,7 +371,12 @@ class TestReplyKeySwappingRelay:
         relay = ReplyKeySwappingRelay(wire_channels(dep.fleet))
         client = Client(
             username, dep.params, provider_channel(dep.provider),
-            proving_channels(relay, dep.provider.prove_inclusion, dep.provider.store_reply),
+            proving_channels(
+                relay,
+                dep.provider.prove_inclusion,
+                dep.provider.store_reply,
+                dep.provider.backup_share,
+            ),
             dep.fleet.master_public_key(),
         )
         with DeterministicEntropy(0x2E1A7):  # a cluster of >= t distinct devices
@@ -379,7 +389,7 @@ class TestReplyKeySwappingRelay:
             client.recover(pin=pin)
         assert relay.refused == len(cluster)
         assert relay.shares == []
-        context = client.lhe.context_for(ct, client.mpk, pin)
+        context = client.lhe.context_for(ct.username, ct.salt, client.mpk, pin)
         assert relay.open_backup(client.lhe, ct, context) is None
         assert {i: dict(store._blocks) for i, store in dep.provider.hsm_stores.items()} == stores
         # Nothing was punctured: the same client without the relay recovers.

@@ -20,6 +20,8 @@ from repro.chaos.entropy import DeterministicEntropy
 from repro.core import wire
 from repro.core.client import Client, RecoveryError
 from repro.core.codec import WireFormatError
+from repro.core.identifiers import attempt_identifier
+from repro.core.lhe import LheError, recovery_header
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.core.provider import ProviderError
@@ -28,7 +30,7 @@ from repro.crypto.ec import ECPoint
 from repro.crypto.elgamal import ElGamalCiphertext, HashedElGamal
 from repro.crypto.gcm import AuthenticationError
 from repro.crypto.hashing import hash_to_indices
-from repro.crypto.shamir import SHARE, Share
+from repro.crypto.shamir import SHARE, ShamirSharer, Share
 from repro.hsm.device import HsmRefusedError, HsmStaleProofError, HsmUnavailableError
 from repro.log.authdict import InclusionProof
 from repro.service.channel import (
@@ -110,9 +112,11 @@ def _client(
     inner=None,
     prove=None,
     escrow=None,
+    share=None,
 ):
     """A client whose devices sit behind a recording under the provider's
-    relay (``prove`` and ``escrow`` default to the provider's own)."""
+    relay (``prove``, ``escrow`` and ``share`` default to the provider's
+    own)."""
     recording = _Recording(inner or direct_channels(deployment.fleet), before, after)
     client = Client(
         username=username,
@@ -122,6 +126,7 @@ def _client(
             recording,
             prove or deployment.provider.prove_inclusion,
             escrow or deployment.provider.store_reply,
+            share or deployment.provider.backup_share,
         ),
         mpk=deployment.fleet.master_public_key(),
     )
@@ -259,17 +264,19 @@ class TestRefusalIsNotAnAnswer:
     the other ciphertext addressed to it is still asked, and may open."""
 
     def test_bit_flipped_share_ciphertext(self, narrow):
-        client, recording = _client(narrow, "flipped-share-user")
+        """The relay attaches position 0's share with one payload bit
+        flipped (a storage fault on the provider's side)."""
+
+        def flipped_first(username, ciphertext_hash, position):
+            share = narrow.provider.backup_share(username, ciphertext_hash, position)
+            if position:
+                return share
+            payload = share.payload
+            return dataclasses.replace(share, payload=payload[:-1] + bytes([payload[-1] ^ 1]))
+
+        client, recording = _client(narrow, "flipped-share-user", share=flipped_first)
         _backup(client, b"second position opens", _first_repeats)
         session = client.begin_recovery(PIN)
-        share_cts = list(session.ciphertext.share_ciphertexts)
-        payload = share_cts[0].payload
-        share_cts[0] = dataclasses.replace(
-            share_cts[0], payload=payload[:-1] + bytes([payload[-1] ^ 1])
-        )
-        session.ciphertext = dataclasses.replace(
-            session.ciphertext, share_ciphertexts=tuple(share_cts)
-        )
         repeated, other = session.cluster[0], session.cluster[2]
 
         assert client.request_shares(session) == 2
@@ -551,6 +558,132 @@ class TestRelayEscrow:
         )
 
 
+class TestRelayAttachesShares:
+    """The client downloads a recovery header and names a position: the
+    provider's relay attaches the share ciphertext of the backup the
+    opening names, and refuses — before proving, with no device asked and
+    nothing punctured — a share it does not hold."""
+
+    def test_a_wire_fetch_reply_holds_no_share_body(self, narrow, monkeypatch):
+        replies = []
+        decode_reply = wire.decode_provider_reply
+
+        def spied_reply(data):
+            replies.append((data, decode_reply(data)))
+            return replies[-1][1]
+
+        monkeypatch.setattr(wire, "decode_provider_reply", spied_reply)
+        client = narrow.new_client("header-only-user")
+        with DeterministicEntropy(_seed_where(client.params, _all_distinct)):
+            client.backup(b"shares stay provider-side", PIN)
+        assert client.recover(PIN) == b"shares stay provider-side"
+        stored = narrow.provider.fetch_backup(client.username)
+        fetched = [
+            (data, fields["header"]) for data, (kind, fields) in replies
+            if kind == wire.PROV_REPLY_BACKUP
+        ]
+        assert len(fetched) == 1
+        data, header = fetched[0]
+        assert header == stored.header()
+        for share in stored.share_ciphertexts:
+            assert share.body()[-1] not in data  # the share's payload
+        assert stored.share_ciphertexts[0].ephemeral.to_bytes() not in data
+        assert stored.username.encode("utf-8") not in data
+
+    @pytest.mark.parametrize("transport", ["wire", "direct"])
+    def test_recovers_over_both_transports(self, narrow, transport):
+        client = narrow.new_client(f"attached-{transport}-user", transport=transport)
+        with DeterministicEntropy(_seed_where(client.params, _all_distinct)):
+            client.backup(b"attached on the way", PIN)
+        session = client.begin_recovery(PIN)
+        assert session.header.ciphertext_hash == (
+            narrow.provider.fetch_backup(client.username).ciphertext_hash()
+        )
+        assert client.request_shares(session) == 3
+        assert client.finish_recovery(session) == b"attached on the way"
+
+    @staticmethod
+    def _hash_naming(narrow, name_hash):
+        """A provider channel whose ``fetch_backup`` header names
+        ``name_hash(header)`` instead of the stored ciphertext's hash: the
+        client commits to and logs that hash, so the attempt is proven if
+        the relay gets that far."""
+
+        class Renamed(DirectProviderChannel):
+            def _invoke(self, op, args):
+                result = super()._invoke(op, args)
+                if op.method != "fetch_backup":
+                    return result
+                header = recovery_header(result)
+                return dataclasses.replace(header, ciphertext_hash=name_hash(header))
+
+        return Renamed(narrow.provider)
+
+    def _refused_everywhere(self, narrow, username, name_hash):
+        proofs = []
+        client, recording = _client(
+            narrow, username, provider=self._hash_naming(narrow, name_hash),
+            prove=TestProvingRelay._counted(narrow.provider, proofs),
+        )
+        _backup(client, b"never attached", _all_distinct)
+        stores = _store_bytes(narrow)
+        session = client.begin_recovery(PIN)
+        assert client.request_shares(session) == 0
+        assert recording.log == [] and proofs == []
+        assert _store_bytes(narrow) == stores
+        assert narrow.provider.fetch_replies(session.username, session.attempt) == []
+        # The attempt itself is logged: only the share lookup refused.
+        assert narrow.provider.prove_inclusion(
+            attempt_identifier(session.username, session.attempt), session.opening.commitment()
+        ) is not None
+
+    def test_a_hash_no_backup_has_is_refused(self, narrow):
+        self._refused_everywhere(
+            narrow, "unknown-hash-user", lambda header: bytes(32)
+        )
+
+    def test_the_hash_of_another_users_backup_is_refused(self, narrow):
+        other, _ = _client(narrow, "hash-lender")
+        _backup(other, b"lent hash", _all_distinct)
+        lent = narrow.provider.fetch_backup("hash-lender").ciphertext_hash()
+        self._refused_everywhere(narrow, "hash-borrower", lambda header: lent)
+
+    @pytest.mark.parametrize("position", [3, -1])
+    def test_a_position_outside_the_cluster_is_refused(self, narrow, position):
+        proofs = []
+        client, recording = _client(
+            narrow, f"position-{position}-user",
+            prove=TestProvingRelay._counted(narrow.provider, proofs),
+        )
+        cluster = _backup(client, b"positions 0 to 2", _all_distinct)
+        session = client.begin_recovery(PIN)
+        stores = _store_bytes(narrow)
+        request = dataclasses.replace(client._share_request(session, 0), position=position)
+        with pytest.raises(HsmRefusedError, match="out of range"):
+            client._channels(cluster[0]).decrypt_share(request)
+        assert recording.log == [] and proofs == []
+        assert _store_bytes(narrow) == stores
+        assert narrow.provider.fetch_replies(session.username, session.attempt) == []
+
+
+class TestResumeOpensTheAttemptsBackup:
+    def test_resume_opens_an_older_backup_it_names(self, narrow):
+        """The interrupted attempt recovered backup 0 of two: a replacement
+        names it as ``recover`` does, and opens that backup's payload (the
+        newest one's, under another salt and key, would not open under its
+        shares)."""
+        client, _ = _client(narrow, "two-versions-user")
+        _backup(client, b"version 0", _all_distinct)
+        client.backup(b"version 1", PIN)
+        session = client.begin_recovery(PIN, backup_index=0)
+        assert client.request_shares(session) == 3
+        replacement, _ = _client(narrow, client.username)
+        assert (
+            replacement.resume_recovery(PIN, attempt=session.attempt, backup_index=0)
+            == b"version 0"
+        )
+
+
 class TestEscrowFailureKeepsTheShare:
     def test_reply_is_returned_when_its_escrow_fails(self, narrow):
         """The only holder has punctured before the escrow fails: the relay
@@ -588,7 +721,10 @@ def _open_all_then_reconstruct(client, session, replies):
             continue
     if len(shares) < client.params.threshold:
         raise RecoveryError("below the threshold")
-    return client.lhe.reconstruct(session.ciphertext, shares, session.context)
+    try:
+        return client.lhe.reconstruct(session.header, shares, session.context)
+    except LheError as exc:
+        raise RecoveryError(str(exc)) from exc
 
 
 def _outcome(thunk):
@@ -674,6 +810,23 @@ class TestOpenRepliesUntilTheBackupOpens:
         before = _elgamal_decs(client)
         assert client.finish_recovery(garbled) == b"opens at t"
         assert _elgamal_decs(client) - before == deployment.params.threshold + 1
+
+    def test_replies_that_all_open_another_key_are_a_recovery_error(self, escrowed):
+        """Every reply is an authentic encryption, under the session's
+        reply key, of a share of another transport key: no t-subset opens
+        the payload, and the robust search's failure comes out typed."""
+        deployment, client, session = escrowed
+        params = deployment.params
+        context = b"recovery-reply" + session.username.encode("utf-8")
+        other_key = ShamirSharer(params.threshold, params.cluster_size).share(bytes(16))
+        replies = [
+            HashedElGamal.encrypt(
+                session.response_keypair.public, SHARE.encode(share), context=context
+            ).to_bytes()
+            for share in other_key
+        ]
+        with pytest.raises(RecoveryError, match="robust reconstruction failed"):
+            client.finish_recovery(dataclasses.replace(session, encrypted_replies=replies))
 
     @given(data=st.data())
     @settings(

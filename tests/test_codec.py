@@ -79,7 +79,6 @@ CODECS = [
     ("U256", U256, st.integers(0, (1 << 256) - 1)),
     ("TEXT16", TEXT16, st.text(max_size=12)),
     ("fixed", fixed(3), st.binary(min_size=3, max_size=3)),
-    ("seq-u16-count", seq(U8, count=U16), st.lists(st.integers(0, 255), max_size=5)),
     # The crypto layouts.
     ("OPENING", OPENING, st.builds(
         CommitmentOpening, username=st.text(max_size=12),
@@ -145,7 +144,6 @@ class TestPrimitives:
         assert U256.encode(1) == bytes(31) + b"\x01"
         assert TEXT16.encode("é") == b"\x00\x02\xc3\xa9"
         assert fixed(2).encode(b"ab") == b"ab"
-        assert seq(U8, count=U16).encode([7]) == b"\x00\x01\x07"
         assert seq(U8).encode([7]) == b"\x01\x07"
 
     def test_fixed_refuses_another_length(self):
@@ -409,10 +407,12 @@ class TestOneByteStringPerRequest:
 
 
 def over_counted_opening(data: bytes) -> bytes:
-    """An opening encoding whose cluster count (after the username) claims
-    one index more."""
-    at = 2 + U16.decode(data[:2])
-    return data[:at] + U16.encode(U16.decode(data[at:at + 2]) + 1) + data[at + 2:]
+    """An opening encoding whose cluster count (a varint after the
+    username text) claims one index more."""
+    name_length = VARINT.read(Reader(data))
+    at = len(VARINT.encode(name_length)) + name_length
+    count = VARINT.read(Reader(data[at:]))
+    return data[:at] + VARINT.encode(count + 1) + data[at + len(VARINT.encode(count)):]
 
 
 #: Ways to break an encoding its encoder never writes (a trailing byte is

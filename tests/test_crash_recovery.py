@@ -351,7 +351,10 @@ class TestCrashRestoreUnderFlakyChannel:
                 ProviderWireEndpoint(dep.provider), seed=seed, ok_weight=ok_weight
             ),
             channels=proving_channels(
-                direct_channels(dep.fleet), dep.provider.prove_inclusion, dep.provider.store_reply
+                direct_channels(dep.fleet),
+                dep.provider.prove_inclusion,
+                dep.provider.store_reply,
+                dep.provider.backup_share,
             ),
             mpk=dep.fleet.master_public_key(),
         )

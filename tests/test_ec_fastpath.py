@@ -874,7 +874,8 @@ class TestCombedSlotKeys:
         assert client.finish_recovery(session) == b"payload"
         assert built == []
         one_off = [session.response_keypair.public] + [
-            ct.ephemeral for ct in session.ciphertext.share_ciphertexts
+            ct.ephemeral
+            for ct in deployment.provider.fetch_backup("slot-comb-user").share_ciphertexts
         ]
         assert all(point._comb is None for point in one_off)
 

@@ -340,6 +340,29 @@ order, the post-snapshot backup included.  Every other exchange is the
 parent's byte for byte and in the parent's order, and neither store
 digest moved: each escrow is journalled as the same record, in the same
 place.
+
+Both frames digests moved again, in one change, for two reasons, and were
+compared frame by frame against the parent's (exchanges counted from 1 as
+above; neither count moved, 29 at shards=1 and 30 at shards=2):
+
+- ``fetch_backup`` began answering with the stored ciphertext's header,
+  the provider's relay attaching each share ciphertext on its way to the
+  device.  Each reply is 321 bytes shorter (407 → 86, 406 → 85 and
+  405 → 84 for the three fetches, exchanges 4, 12 and 20 at shards=1 and
+  4, 12 and 21 at shards=2): the nested ciphertext's 2-byte length and
+  version byte, the 13-byte username text, the 33-byte ephemeral, the
+  share count and the 3 share bodies (101 bytes each) are gone, and the
+  32-byte ciphertext hash joined.  Each reply decodes to the parent's
+  salt, threshold, N, config epoch and payload, and its hash is the
+  parent ciphertext's ``ciphertext_hash()``.
+- The opening's username length, cluster count and cluster indices became
+  varints: each decrypt request is 11 bytes shorter (1 + 1 + 3 × 3 at
+  n = 3, N = 4) — exchanges 8, 9, 16, 17, 24, 25 and 26 at shards=1 and
+  8, 9, 16, 17, 18, 25, 26 and 27 at shards=2 — and decodes to the
+  parent's request, share ciphertext and proof included.
+
+Every other exchange is the parent's byte for byte, and neither store
+digest moved: the commitment still hashes each index as a ``u32``.
 """
 
 import hashlib
@@ -378,16 +401,18 @@ class TestFormatsUnchanged:
     # Re-captured when a decrypt request and a ``log_and_prove`` reply
     # stopped repeating the attempt's names and the reply key joined the
     # commitment, the frames again when ``log_and_prove`` began answering
-    # an ack (was b58e5298… and bb3c76d1…), and again when the client
+    # an ack (was b58e5298… and bb3c76d1…), again when the client
     # stopped sending ``store_reply`` frames (was 6e3cd531… and
-    # f5462cb9…); see the module docstring.
+    # f5462cb9…), and again when ``fetch_backup`` began answering a header
+    # and the opening's integers became varints (was c1085b28… and
+    # 1517d1ad…); see the module docstring.
     PARENT_DIGESTS = {
         1: {
-            "frames": "c1085b283bfc372674f95ebf597dff5358d3f45335d0a647decf1142f20c3700",
+            "frames": "94af881d1f62519a3fce8c19476690013b72cbc216013f1c3fd2ce7581031be6",
             "store": "e940149f79ade06f593dc4498e2465f69f62db29514db01a336e560f57323619",
         },
         2: {
-            "frames": "1517d1adaf87f02cf70d9f27a8e8cc68135a25edb66745dbeedc084f6a8bb06c",
+            "frames": "9caf210c9e036d658bfdc47d7ee4ec683e3a5076a95d92d2bc2c2947a63f26c6",
             "store": "560bd3147e9c2545750e0eace697d89e11ba1531f4c4056661fdedb730f5d651",
         },
     }
@@ -535,14 +560,16 @@ class TestCryptoLayoutsUnchanged:
     way.  The owner's context length moved once, when a blob's length
     became a varint (``00000003`` → ``03``).  The opening gained the reply
     key, G's 33-byte SEC1 encoding here, between the ciphertext hash and
-    the randomness."""
+    the randomness; then its username length, cluster count and cluster
+    indices became varints (``0004`` → ``04``, ``0005`` → ``05`` and each
+    ``0000000i`` → ``0i``), 17 bytes fewer here (1 + 1 + 5 × 3)."""
 
     SHARE_VALUE = Share(x=7, y=DEFAULT_MODULUS - 1)
     PINNED = {
         "opening": (
             OPENING,
             CommitmentOpening("zoë", (3, 1, 4, 1, 5), b"\xcc" * 32, P256.generator, bytes(range(32))),
-            "00047a6fc3ab00050000000300000001000000040000000100000005"
+            "047a6fc3ab" + "050301040105"
             + "cc" * 32
             + "036b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296"
             + bytes(range(32)).hex(),

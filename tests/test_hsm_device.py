@@ -53,7 +53,7 @@ def logged_request_for(env, username, pin, message=b"msg", attempt=0, salt=None)
     mpk = fleet.master_public_key()
     ct = lhe.encrypt(mpk, pin, message, username=username, salt=salt)
     cluster = lhe.select(ct.salt, pin)
-    context = lhe.context_for(ct, mpk, pin)
+    context = lhe.context_for(ct.username, ct.salt, mpk, pin)
     response_kp = P256.keygen()
     commitment, opening = commit_recovery(
         username, cluster, ct.ciphertext_hash(), response_kp.public
@@ -287,7 +287,7 @@ class TestIdentityResponseKey:
                 kp.secret, reply, context=b"recovery-reply" + username.encode()
             )
             shares.append(SHARE.decode(share_bytes))
-        context = lhe.context_for(ct, fleet.master_public_key(), pin)
+        context = lhe.context_for(ct.username, ct.salt, fleet.master_public_key(), pin)
         assert lhe.reconstruct(ct, shares, context) == b"still recoverable"
 
     def test_elgamal_refuses_the_identity(self):
@@ -495,7 +495,7 @@ class TestShareOwnerBinding:
         xalice_ct = lhe.encrypt(mpk, self.PIN, b"msg", username="x" + alice, salt=salt)
         channels = (wire_channels if transport == "wire" else direct_channels)(fleet)
         return (alice, alice_request, bob_request, xalice_ct,
-                lhe.context_for(xalice_ct, mpk, self.PIN), channels)
+                lhe.context_for(xalice_ct.username, xalice_ct.salt, mpk, self.PIN), channels)
 
     @staticmethod
     def refused_after_one_multiply(fleet, channels, hsm_index, forged):

@@ -47,7 +47,7 @@ def lhe():
 def decrypt_all(lhe, keys, ct, pin):
     cluster = lhe.select(ct.salt, pin)
     publics = [kp.public for kp in keys]
-    context = lhe.context_for(ct, publics, pin)
+    context = lhe.context_for(ct.username, ct.salt, publics, pin)
     shares = []
     for position, index in enumerate(cluster):
         shares.append(lhe.decrypt_share(keys[index].secret, position, ct, context))
@@ -65,7 +65,7 @@ class TestRoundtrip:
         publics = [kp.public for kp in keys]
         ct = lhe.encrypt(publics, "1234", b"msg", username="alice")
         cluster = lhe.select(ct.salt, "1234")
-        context = lhe.context_for(ct, publics, "1234")
+        context = lhe.context_for(ct.username, ct.salt, publics, "1234")
         shares = [None] * CLUSTER
         for position in range(T):
             shares[position] = lhe.decrypt_share(
@@ -76,7 +76,7 @@ class TestRoundtrip:
     def test_below_threshold_fails(self, lhe, keys):
         publics = [kp.public for kp in keys]
         ct = lhe.encrypt(publics, "1234", b"msg", username="alice")
-        context = lhe.context_for(ct, publics, "1234")
+        context = lhe.context_for(ct.username, ct.salt, publics, "1234")
         cluster = lhe.select(ct.salt, "1234")
         shares = [None] * CLUSTER
         shares[0] = lhe.decrypt_share(keys[cluster[0]].secret, 0, ct, context)
@@ -137,7 +137,7 @@ class TestBinding:
         publics = [kp.public for kp in keys]
         ct = lhe.encrypt(publics, "1234", b"msg", username="alice")
         cluster = lhe.select(ct.salt, "1234")
-        context = lhe.context_for(ct, publics, "1234")
+        context = lhe.context_for(ct.username, ct.salt, publics, "1234")
         secret, share_ct = keys[cluster[0]].secret, ct.share_ciphertexts[0]
         plaintext = BloomFilterEncryption.decrypt(
             secret, share_ct, context=share_owner("alice", context)
@@ -155,7 +155,7 @@ class TestBinding:
         publics = [kp.public for kp in keys]
         ct = lhe.encrypt(publics, "1234", b"msg", username="alice")
         cluster = lhe.select(ct.salt, "1234")
-        context = lhe.context_for(ct, publics, "1234")
+        context = lhe.context_for(ct.username, ct.salt, publics, "1234")
         shares = [
             lhe.decrypt_share(keys[idx].secret, pos, ct, context)
             for pos, idx in enumerate(cluster)
@@ -210,7 +210,7 @@ class TestRepeatedDevice:
         first, second = (
             [position for position, index in enumerate(cluster) if cluster.count(index) == 2]
         )
-        return ct, cluster, first, second, lhe.context_for(ct, publics, "1234")
+        return ct, cluster, first, second, lhe.context_for(ct.username, ct.salt, publics, "1234")
 
     def test_wrap_xors_differ_at_every_slot(self, repeated):
         """Without the position the two shares' masks would be equal, so
@@ -262,7 +262,7 @@ class TestBfePkeVariant:
         lhe = LocationHidingEncryption(6, 3, 2)
         ct = lhe.encrypt(publics, "4321", b"data", username="bob")
         cluster = lhe.select(ct.salt, "4321")
-        context = lhe.context_for(ct, publics, "4321")
+        context = lhe.context_for(ct.username, ct.salt, publics, "4321")
         shares = [
             lhe.decrypt_share(pairs[idx][1], pos, ct, context)
             for pos, idx in enumerate(cluster)

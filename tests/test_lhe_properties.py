@@ -29,7 +29,7 @@ SECRETS = [secret for _, secret in _PAIRS]
 
 def _decrypt(lhe, ct, pin, drop=frozenset()):
     cluster = lhe.select(ct.salt, pin)
-    context = lhe.context_for(ct, PUBLICS, pin)
+    context = lhe.context_for(ct.username, ct.salt, PUBLICS, pin)
     shares = []
     for position, index in enumerate(cluster):
         if position in drop:

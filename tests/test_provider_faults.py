@@ -108,6 +108,7 @@ def test_flaky_hsm_channel_never_corrupts_state():
                 channels.__getitem__,
                 deployment.provider.prove_inclusion,
                 deployment.provider.store_reply,
+                deployment.provider.backup_share,
             ),
             mpk=deployment.fleet.master_public_key(),
         )

@@ -92,7 +92,7 @@ class TestRecoveryCiphertext:
             )
         )
         cluster = lhe.select(ct.salt, "1234")
-        context = lhe.context_for(ct, publics, "1234")
+        context = lhe.context_for(ct.username, ct.salt, publics, "1234")
         shares = [
             lhe.decrypt_share(pairs[idx][1], pos, ct, context)
             for pos, idx in enumerate(cluster)

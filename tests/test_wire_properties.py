@@ -25,7 +25,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import wire
 from repro.core.codec import BLOB, VARINT
-from repro.core.lhe import SALT_LEN, LheCiphertext, series_tag
+from repro.core.lhe import SALT_LEN, LheCiphertext, RecoveryHeader, series_tag
 from repro.crypto.bfe import BFE_BODY, TAG_BYTES, WRAP_BYTES, BfeCiphertext
 from repro.crypto.commit import commit_recovery
 from repro.crypto.ec import P256, ECPoint
@@ -85,6 +85,13 @@ def _recovery_ciphertexts(draw):
 
 
 recovery_ciphertexts = _recovery_ciphertexts()
+
+#: ``fetch_backup``'s reply value: a header carries no username, ephemeral
+#: or share, so any drawn fields are one it can carry.
+recovery_headers = st.builds(
+    RecoveryHeader, salt=salts, threshold=u32s, num_hsms=u32s, config_epoch=u32s,
+    ciphertext_hash=digests, payload=blobs,
+)
 
 #: A subtree hash: the empty subtree's digest (one byte on the wire) or any other.
 subtrees = st.just(empty_digest()) | digests
@@ -318,6 +325,7 @@ _FIELD_STRATEGIES = {
     "varint": u32s,
     "i32": st.integers(min_value=-(1 << 31), max_value=(1 << 31) - 1),
     "recovery_ct": recovery_ciphertexts,
+    "recovery_header": recovery_headers,
     "opt_proof": st.one_of(st.none(), inclusion_proofs),
     "blobs": st.lists(blobs, max_size=4),
     "entries": st.lists(st.tuples(blobs, blobs), max_size=4),
